@@ -152,6 +152,9 @@ fn main() {
             } else {
                 failed += 1;
                 println!("  FAIL {}", path.display());
+                if let Some(fp) = &outcome.fingerprint {
+                    println!("       fingerprint: {fp}");
+                }
                 for v in &outcome.violations {
                     println!("       {v}");
                 }

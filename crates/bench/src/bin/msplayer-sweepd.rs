@@ -28,7 +28,7 @@ use msim_testbed::signal::SIGINT_EXIT;
 use msim_testbed::{install_shutdown_handler, shutdown_requested, ObsServer};
 use msplayer_bench::cluster::{
     chaos, run_cluster, run_worker, serial_artifact, ClusterConfig, SweepManifest, Transport,
-    WorkerChaos,
+    WorkerChaos, MIN_LEASE_TIMEOUT,
 };
 use msplayer_bench::sweep::bench_dir;
 use std::path::PathBuf;
@@ -114,7 +114,17 @@ fn coordinator_main(args: &[String]) -> i32 {
                 "--lease-ms" => {
                     config.lease_timeout = Duration::from_millis(
                         need()?.parse().map_err(|_| "bad --lease-ms".to_string())?,
-                    )
+                    );
+                    // Workers heartbeat at a fixed wall-time pace; a lease
+                    // shorter than a few paces expires under a healthy one.
+                    if config.lease_timeout < MIN_LEASE_TIMEOUT {
+                        return Err(format!(
+                            "--lease-ms {} is below the minimum {} (4x the workers' \
+                             heartbeat pace)",
+                            config.lease_timeout.as_millis(),
+                            MIN_LEASE_TIMEOUT.as_millis()
+                        ));
+                    }
                 }
                 "--max-attempts" => {
                     config.max_attempts = need()?

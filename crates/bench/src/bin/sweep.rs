@@ -96,10 +96,7 @@ fn run_case_mode(case: &ChaosCase) -> i32 {
     );
     let outcome = run_case(case, &registry);
     if let Some(fp) = &outcome.fingerprint {
-        println!(
-            "fingerprint: events={} chunks={} bytes={} ended_at_us={} failovers={} stalls={}",
-            fp.events, fp.chunks, fp.bytes, fp.ended_at_us, fp.failovers, fp.stalls
-        );
+        println!("fingerprint: {fp}");
     }
     if outcome.ok() {
         println!("verdict: all invariants hold");

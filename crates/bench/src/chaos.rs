@@ -167,9 +167,15 @@ impl CaseOutcome {
     }
 }
 
-/// A compact deterministic digest of one session.
+/// A compact deterministic summary of one session: the session digest
+/// plus a few legible totals. Displays as the one line repro output
+/// prints, digest first in the same 16-hex form as a sampling-corpus row
+/// or a cluster `CellRow`, so the three can be compared by eye.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Fingerprint {
+    /// [`SessionMetrics::digest`] — what `cluster::digest_metrics` and
+    /// the sampling corpus record for the same session.
+    pub digest: u64,
     /// Simulator events processed.
     pub events: u64,
     /// Chunks fetched.
@@ -189,6 +195,7 @@ impl Fingerprint {
     /// Digests a session's metrics.
     pub fn of(m: &SessionMetrics) -> Fingerprint {
         Fingerprint {
+            digest: m.digest(),
             events: m.events,
             chunks: m.chunks.len() as u64,
             bytes: m.chunks.iter().map(|c| c.bytes).sum(),
@@ -196,6 +203,22 @@ impl Fingerprint {
             failovers: m.failovers.iter().map(|&f| f as u64).sum(),
             stalls: m.stalls.len() as u64,
         }
+    }
+}
+
+impl std::fmt::Display for Fingerprint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "digest={:016x} events={} chunks={} bytes={} ended_at_us={} failovers={} stalls={}",
+            self.digest,
+            self.events,
+            self.chunks,
+            self.bytes,
+            self.ended_at_us,
+            self.failovers,
+            self.stalls
+        )
     }
 }
 
@@ -414,7 +437,7 @@ pub fn explore(registry: &WorkloadRegistry, cfg: &ExploreConfig) -> ExploreSumma
     use msim_core::telemetry;
     let tel_was = telemetry::enabled();
     telemetry::set_enabled(true);
-    let counters_before = telemetry::counter_values();
+    let mut counters_before = telemetry::counter_values();
     let mut iteration: u64 = 0;
     'grid: for workload_name in &cfg.workloads {
         let Some(base) = registry.by_name(workload_name) else {
@@ -463,7 +486,7 @@ pub fn explore(registry: &WorkloadRegistry, cfg: &ExploreConfig) -> ExploreSumma
             iteration += 1;
         }
     }
-    summary.per_plan = plan_tallies(&telemetry::counter_deltas(&counters_before), &cfg.plans);
+    summary.per_plan = plan_tallies(&telemetry::counter_deltas(&mut counters_before), &cfg.plans);
     telemetry::set_enabled(tel_was);
     summary
 }
@@ -602,6 +625,13 @@ mod tests {
         let b = run_case(&case, &reg);
         assert!(a.ok(), "pin case must hold invariants: {:?}", a.violations);
         assert_eq!(a.fingerprint, b.fingerprint, "verdicts must be stable");
+        // Repro lines lead with the session digest, 16 hex digits.
+        let fp = a.fingerprint.expect("a completed case has a fingerprint");
+        let line = fp.to_string();
+        assert!(
+            line.starts_with(&format!("digest={:016x} events=", fp.digest)),
+            "{line}"
+        );
     }
 
     #[test]

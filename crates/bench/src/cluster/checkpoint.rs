@@ -10,11 +10,13 @@
 //! Recovery posture: a truncated tail line (the classic torn final write
 //! of a crash) is *expected* and silently dropped; a header that doesn't
 //! match the manifest is a hard error (resuming someone else's sweep
-//! corrupts both); any malformed line after a valid header ends the
-//! replay at that point, treating the rest as lost.
+//! corrupts both) — and since the manifest fingerprint covers
+//! `DIGEST_EPOCH`, so is a journal whose rows were digested under another
+//! epoch; any malformed line after a valid header ends the replay at that
+//! point, treating the rest as lost.
 
 use super::manifest::SweepManifest;
-use super::merge::CellRow;
+use super::merge::{CellRow, DIGEST_EPOCH};
 use msim_json::Value;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -108,8 +110,9 @@ impl Checkpoint {
                         .ok_or_else(|| format!("{}: header has no fingerprint", path.display()))?;
                     if !manifest.matches_fingerprint(fp) {
                         return Err(format!(
-                            "{}: checkpoint belongs to a different manifest \
-                             (journal {fp}, manifest {})",
+                            "{}: checkpoint belongs to a different manifest or \
+                             digest epoch (journal {fp}, manifest {} at digest_epoch \
+                             {DIGEST_EPOCH}) — delete it to start over",
                             path.display(),
                             manifest.fingerprint_hex()
                         ));
@@ -236,5 +239,31 @@ mod tests {
         other.runs += 1;
         let err = Checkpoint::open(&path, &other).unwrap_err();
         assert!(err.contains("different manifest"), "{err}");
+    }
+
+    /// A journal written before the structural digest: same manifest, but
+    /// its header fingerprint does not cover `DIGEST_EPOCH`, so its
+    /// `Debug`-era rows are refused rather than merged with new ones.
+    #[test]
+    fn journal_from_the_debug_digest_epoch_is_refused() {
+        let path = tmp("epoch1");
+        let manifest = SweepManifest::smoke();
+        let epoch1 =
+            super::super::merge::fnv1a(msim_json::to_string(&manifest.to_json()).into_bytes());
+        let header = Value::object()
+            .with(
+                "manifest_fingerprint",
+                super::super::merge::hex_u64(epoch1).as_str(),
+            )
+            .with("name", manifest.name.as_str())
+            .with("version", 1u64);
+        let journal = format!(
+            "{}\n{}\n",
+            msim_json::to_string(&header),
+            msim_json::to_string(&record(0).to_json())
+        );
+        std::fs::write(&path, journal).unwrap();
+        let err = Checkpoint::open(&path, &manifest).unwrap_err();
+        assert!(err.contains("digest epoch"), "{err}");
     }
 }

@@ -9,7 +9,9 @@
 //!   exponential backoff on the attempt count) and, in spawned mode,
 //!   replaces the worker from a bounded respawn budget.
 //! * **Hangs and stragglers** — leases carry deadlines, extended by
-//!   heartbeats; an expired lease is speculatively re-leased while the
+//!   heartbeats (which workers pace by wall time — see
+//!   [`protocol`](super::protocol) — so a lease timeout must span several
+//!   paces); an expired lease is speculatively re-leased while the
 //!   original worker keeps running. Whichever completion arrives first
 //!   wins; later duplicates are fingerprint-compared and a mismatch is
 //!   recorded as a determinism violation (the one thing this
@@ -28,7 +30,7 @@
 
 use super::checkpoint::{Checkpoint, CheckpointRecord};
 use super::manifest::SweepManifest;
-use super::merge::{merge_rows, row_for, CellRow};
+use super::merge::{merge_rows, row_for, CellRow, DIGEST_EPOCH};
 use super::protocol::Frame;
 use super::worker::WorkerChaos;
 use crate::sweep::{Cell, HostCache};
@@ -68,7 +70,8 @@ pub struct ClusterConfig {
     /// Target worker count.
     pub workers: usize,
     /// Lease deadline; heartbeats extend it. Expired leases are
-    /// speculatively re-leased.
+    /// speculatively re-leased. Keep it at or above
+    /// [`MIN_LEASE_TIMEOUT`](super::worker::MIN_LEASE_TIMEOUT).
     pub lease_timeout: Duration,
     /// Attempts before the coordinator runs a shard inline.
     pub max_attempts: u64,
@@ -298,6 +301,7 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
             let hello = Frame::Hello {
                 worker: id,
                 manifest: config.manifest.clone(),
+                digest_epoch: DIGEST_EPOCH,
             };
             if writer.send_line(&hello.to_line()).is_ok() {
                 workers.push(WorkerSlot {
@@ -573,6 +577,7 @@ fn spawn_worker(
     let hello = Frame::Hello {
         worker: id,
         manifest: manifest.clone(),
+        digest_epoch: DIGEST_EPOCH,
     };
     let _ = writer.send_line(&hello.to_line());
     Ok(WorkerSlot {
@@ -708,7 +713,24 @@ fn handle_frame(
     completed_this_run: &mut u64,
 ) -> Result<bool, String> {
     match frame {
-        Frame::Ready { worker } => {
+        Frame::Ready {
+            worker,
+            digest_epoch,
+        } => {
+            if digest_epoch != DIGEST_EPOCH {
+                // Its rows would be digests of another definition. (An
+                // epoch-1 worker never sees the mismatch itself: it
+                // ignores the hello's unknown field.)
+                eprintln!(
+                    "sweepd: worker {peer} runs digest_epoch {digest_epoch}, this coordinator \
+                     {DIGEST_EPOCH} — refusing it"
+                );
+                if let Some(w) = workers.iter_mut().find(|w| w.id == peer) {
+                    let _ = w.writer.send_line(&Frame::Shutdown.to_line());
+                }
+                condemn_worker(peer, config, states, workers, stats);
+                return Ok(false);
+            }
             if let Some(w) = workers.iter_mut().find(|w| w.id == worker && w.id == peer) {
                 w.ready = true;
             }
@@ -939,6 +961,7 @@ fn provenance_json(
         .collect();
     Value::object()
         .with("completed", completed)
+        .with("digest_epoch", DIGEST_EPOCH as u64)
         .with("duplicates", stats.duplicates)
         .with("inline_runs", stats.inline_runs)
         .with(

@@ -7,7 +7,7 @@
 //! enumerate the identical cell list, which is what lets leases carry
 //! just a shard index instead of hauling cell definitions over the wire.
 
-use super::merge::{fnv1a, hex_u64, parse_hex_u64};
+use super::merge::{fnv1a, hex_u64, parse_hex_u64, DIGEST_EPOCH};
 use crate::sweep::{expand_workload, Cell};
 use crate::workload::WorkloadRegistry;
 use msim_json::Value;
@@ -97,10 +97,17 @@ impl SweepManifest {
 
     /// The manifest fingerprint: FNV-1a over the canonical JSON rendering
     /// (object keys are BTreeMap-sorted, so the rendering is canonical by
-    /// construction). Checkpoints and workers verify this before touching
-    /// each other's data.
+    /// construction) followed by [`DIGEST_EPOCH`]. Checkpoint journals and
+    /// merged artifacts carry it, so rows digested under another epoch
+    /// are refused as belonging to a different manifest instead of being
+    /// merged with this build's.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(msim_json::to_string(&self.to_json()).into_bytes())
+        fnv1a(
+            msim_json::to_string(&self.to_json())
+                .into_bytes()
+                .into_iter()
+                .chain(DIGEST_EPOCH.to_le_bytes()),
+        )
     }
 
     /// [`SweepManifest::fingerprint`] as wire hex.
@@ -163,6 +170,11 @@ mod tests {
         other.runs += 1;
         assert_ne!(other.fingerprint(), m.fingerprint());
         assert!(!m.matches_fingerprint(&other.fingerprint_hex()));
+
+        // The epoch-1 fingerprint (the JSON alone): what a journal written
+        // before the structural digest carries in its header.
+        let epoch1 = fnv1a(msim_json::to_string(&m.to_json()).into_bytes());
+        assert!(!m.matches_fingerprint(&hex_u64(epoch1)));
     }
 
     #[test]

@@ -7,9 +7,32 @@
 //! because the deterministic artifact is derived from exactly two inputs:
 //!
 //! 1. the manifest (which expands to the same cell list everywhere), and
-//! 2. one deterministic `u64` digest per cell ([`digest_metrics`] — FNV-1a
-//!    over the `Debug` rendering of [`SessionMetrics`], whose `f64`s print
-//!    shortest-roundtrip and therefore injectively).
+//! 2. one deterministic `u64` digest per cell ([`digest_metrics`]).
+//!
+//! # The session digest
+//!
+//! [`digest_metrics`] is [`SessionMetrics::digest`]: a structural hash
+//! that folds every field of the record, in declaration order, as 64-bit
+//! words into an FNV-style state — `SimTime`/`SimDuration` as
+//! microseconds, `f64` as `to_bits`, enums as discriminants, integers and
+//! `bool`s widened, a length word before every `Vec` and a tag word before
+//! every `Option`. The encoding is prefix-free, so two sessions share a
+//! digest only when they are bit-identical (or the 64-bit fold collides).
+//! *Bit* identity is stricter than `PartialEq`: `0.0` and `-0.0` digest
+//! differently, and so do NaNs with different payloads. Nothing is
+//! formatted or allocated, so a digest costs a few microseconds — far
+//! less than the session it reports — and its value does not depend on
+//! the toolchain's float printing.
+//!
+//! [`DIGEST_EPOCH`] versions that definition. It must be bumped on any
+//! change to the field order, a field's encoding, or the fold (adding a
+//! `SessionMetrics` field forces the question: the digest destructures
+//! every struct exhaustively and stops compiling). Digests of different
+//! epochs must never meet, so the epoch is mixed into
+//! [`SweepManifest::fingerprint`](super::SweepManifest::fingerprint)
+//! (stale checkpoint journals are refused), carried in the hello/ready
+//! handshake (mixed-version workers are refused), and written into merged
+//! artifacts and the sampling corpus next to `stream_epoch`.
 //!
 //! Everything nondeterministic — wall times, worker ids, attempt counts —
 //! lives in a *separate* provenance artifact that makes no identity
@@ -19,6 +42,8 @@
 use crate::sweep::Cell;
 use msim_json::Value;
 use msplayer_core::metrics::SessionMetrics;
+
+pub use msplayer_core::metrics::DIGEST_EPOCH;
 
 /// FNV-1a over a byte stream.
 pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -41,14 +66,11 @@ pub fn parse_hex_u64(s: &str) -> Result<u64, String> {
     u64::from_str_radix(s, 16).map_err(|e| format!("bad hex u64 {s:?}: {e}"))
 }
 
-/// The deterministic digest of one completed session.
-///
-/// FNV-1a over `format!("{:?}", metrics)`: the derived `Debug` covers
-/// every field (chunk ledger, stall intervals, ABR traces, f64 goodputs),
-/// and Rust's f64 formatting is shortest-roundtrip, so two metrics debug-
-/// print identically iff they are bit-identical.
+/// The deterministic digest of one completed session: the structural
+/// [`SessionMetrics::digest`] of epoch [`DIGEST_EPOCH`] (see the module
+/// docs for what is hashed and when the epoch must move).
 pub fn digest_metrics(m: &SessionMetrics) -> u64 {
-    fnv1a(format!("{m:?}").into_bytes())
+    m.digest()
 }
 
 /// One cell's result row as it travels between workers, the checkpoint
@@ -162,6 +184,7 @@ pub fn merge_rows(
         .collect();
     Ok(Value::object()
         .with("cells", Value::Array(cell_values))
+        .with("digest_epoch", DIGEST_EPOCH as u64)
         .with(
             "manifest_fingerprint",
             hex_u64(manifest_fingerprint).as_str(),

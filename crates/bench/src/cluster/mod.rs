@@ -46,6 +46,6 @@ pub use coordinator::{
     run_cluster, serial_artifact, ClusterConfig, ClusterOutcome, ClusterStats, Transport,
 };
 pub use manifest::SweepManifest;
-pub use merge::{digest_metrics, merge_rows, sweep_fingerprint, CellRow};
+pub use merge::{digest_metrics, merge_rows, sweep_fingerprint, CellRow, DIGEST_EPOCH};
 pub use protocol::Frame;
-pub use worker::{run_worker, Misbehavior, WorkerChaos};
+pub use worker::{run_worker, Misbehavior, WorkerChaos, MIN_LEASE_TIMEOUT};

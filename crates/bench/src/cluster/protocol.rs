@@ -10,6 +10,32 @@
 //! the same as a crash — requeue its lease, replace the worker. A
 //! protocol error is evidence of a sick peer, not something to limp
 //! through.
+//!
+//! # Handshake
+//!
+//! `hello` and `ready` both carry the sender's
+//! [`DIGEST_EPOCH`](super::merge::DIGEST_EPOCH): rows digested under
+//! different definitions of the session digest must never be merged, and
+//! nothing else on the wire would reveal a mixed-version worker. A worker
+//! answers a hello of another epoch with `fail` and exits; the
+//! coordinator condemns a worker whose `ready` names another epoch. A
+//! frame without the field comes from a build that predates the
+//! handshake, i.e. epoch 1 (the `Debug`-rendering digest) — such workers
+//! ignore unknown hello fields, which is why the check that catches them
+//! is the one on `ready`.
+//!
+//! # Heartbeats
+//!
+//! A worker heartbeats *by wall time*, not per cell: after a cell ends it
+//! sends a heartbeat only if at least the pace (50 ms, see
+//! [`MIN_LEASE_TIMEOUT`](super::worker::MIN_LEASE_TIMEOUT)) has passed
+//! since the lease started or the previous heartbeat — so a cell slower
+//! than the pace is always followed by one, and a shard of ~100 µs cells
+//! costs a frame every few hundred cells instead of one each. Heartbeats
+//! carry telemetry counter deltas; so that the coordinator's fleet-wide
+//! `/metrics` merge stays exact, a worker with unsent deltas flushes them
+//! in one more heartbeat right before `done`. A lease timeout must be
+//! several paces long (`msplayer-sweepd` refuses less than four).
 
 use super::manifest::SweepManifest;
 use super::merge::CellRow;
@@ -26,6 +52,8 @@ pub enum Frame {
         /// The sweep manifest (workers expand it themselves; leases then
         /// carry only shard indices).
         manifest: SweepManifest,
+        /// The coordinator's digest epoch (see the module docs).
+        digest_epoch: u32,
     },
     /// Coordinator → worker: run one shard.
     Lease {
@@ -42,8 +70,11 @@ pub enum Frame {
     Ready {
         /// Echo of the assigned worker id.
         worker: u64,
+        /// The worker's digest epoch (see the module docs).
+        digest_epoch: u32,
     },
-    /// Worker → coordinator: still alive mid-shard (sent between cells).
+    /// Worker → coordinator: still alive mid-shard (paced by wall time,
+    /// see the module docs).
     Heartbeat {
         /// Worker id.
         worker: u64,
@@ -86,18 +117,27 @@ impl Frame {
     /// Serializes to one wire line (single-line JSON, no newline).
     pub fn to_line(&self) -> String {
         let v = match self {
-            Frame::Hello { worker, manifest } => Value::object()
+            Frame::Hello {
+                worker,
+                manifest,
+                digest_epoch,
+            } => Value::object()
                 .with("type", "hello")
                 .with("worker", *worker)
-                .with("manifest", manifest.to_json()),
+                .with("manifest", manifest.to_json())
+                .with("digest_epoch", u64::from(*digest_epoch)),
             Frame::Lease { shard, attempt } => Value::object()
                 .with("type", "lease")
                 .with("shard", *shard)
                 .with("attempt", *attempt),
             Frame::Shutdown => Value::object().with("type", "shutdown"),
-            Frame::Ready { worker } => Value::object()
+            Frame::Ready {
+                worker,
+                digest_epoch,
+            } => Value::object()
                 .with("type", "ready")
-                .with("worker", *worker),
+                .with("worker", *worker)
+                .with("digest_epoch", u64::from(*digest_epoch)),
             Frame::Heartbeat {
                 worker,
                 shard,
@@ -163,12 +203,21 @@ impl Frame {
                 .and_then(Value::as_u64)
                 .ok_or_else(|| format!("{ty} frame: missing integer {k:?}"))
         };
+        // Absent = a peer from before the handshake carried it: epoch 1.
+        let digest_epoch = || match v.get("digest_epoch") {
+            None => Ok(1),
+            Some(e) => e
+                .as_u64()
+                .and_then(|e| u32::try_from(e).ok())
+                .ok_or_else(|| format!("{ty} frame: digest_epoch is not a u32")),
+        };
         match ty {
             "hello" => Ok(Frame::Hello {
                 worker: num("worker")?,
                 manifest: SweepManifest::from_json(
                     v.get("manifest").ok_or("hello frame: missing manifest")?,
                 )?,
+                digest_epoch: digest_epoch()?,
             }),
             "lease" => Ok(Frame::Lease {
                 shard: num("shard")?,
@@ -177,6 +226,7 @@ impl Frame {
             "shutdown" => Ok(Frame::Shutdown),
             "ready" => Ok(Frame::Ready {
                 worker: num("worker")?,
+                digest_epoch: digest_epoch()?,
             }),
             "heartbeat" => {
                 let counters = match v.get("counters") {
@@ -236,6 +286,7 @@ impl Frame {
 
 #[cfg(test)]
 mod tests {
+    use super::super::merge::DIGEST_EPOCH;
     use super::*;
 
     fn roundtrip(f: Frame) {
@@ -249,13 +300,23 @@ mod tests {
         roundtrip(Frame::Hello {
             worker: 3,
             manifest: SweepManifest::smoke(),
+            digest_epoch: DIGEST_EPOCH,
         });
         roundtrip(Frame::Lease {
             shard: 9,
             attempt: 2,
         });
         roundtrip(Frame::Shutdown);
-        roundtrip(Frame::Ready { worker: 3 });
+        roundtrip(Frame::Ready {
+            worker: 3,
+            digest_epoch: DIGEST_EPOCH,
+        });
+        // Another epoch survives the wire as itself — the refusal is the
+        // peer's job, not the parser's.
+        roundtrip(Frame::Ready {
+            worker: 3,
+            digest_epoch: DIGEST_EPOCH + 1,
+        });
         roundtrip(Frame::Heartbeat {
             worker: 1,
             shard: 4,
@@ -292,6 +353,47 @@ mod tests {
             shard: 0,
             message: "manifest: unknown workload".into(),
         });
+    }
+
+    /// Both handshake directions, as a build from before the handshake
+    /// frames them: no `digest_epoch` field, which reads as epoch 1 — never
+    /// as the current one.
+    #[test]
+    fn handshake_frames_without_an_epoch_read_as_epoch_one() {
+        let ready = Frame::from_line("{\"type\":\"ready\",\"worker\":3}").unwrap();
+        assert_eq!(
+            ready,
+            Frame::Ready {
+                worker: 3,
+                digest_epoch: 1
+            }
+        );
+        let hello = Value::object()
+            .with("type", "hello")
+            .with("worker", 3u64)
+            .with("manifest", SweepManifest::smoke().to_json());
+        assert_eq!(
+            Frame::from_line(&msim_json::to_string(&hello)).unwrap(),
+            Frame::Hello {
+                worker: 3,
+                manifest: SweepManifest::smoke(),
+                digest_epoch: 1
+            }
+        );
+        assert_ne!(DIGEST_EPOCH, 1, "epoch 1 is the Debug-rendering digest");
+        // And a current frame says so on the wire.
+        let line = Frame::Ready {
+            worker: 3,
+            digest_epoch: DIGEST_EPOCH,
+        }
+        .to_line();
+        assert!(
+            line.contains(&format!("\"digest_epoch\":{DIGEST_EPOCH}")),
+            "{line}"
+        );
+        assert!(
+            Frame::from_line("{\"type\":\"ready\",\"worker\":3,\"digest_epoch\":\"2\"}").is_err()
+        );
     }
 
     #[test]

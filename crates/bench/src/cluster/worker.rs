@@ -3,9 +3,21 @@
 //! A worker reads frames from its coordinator (stdin in spawned mode, a
 //! TCP stream in multi-host mode), expands the manifest it is handed in
 //! the hello frame, and then serves leases: run every cell of the shard
-//! over a warmed [`HostCache`], heartbeat between cells, report the digest
-//! rows. Workers are stateless between leases — all scheduling brains
-//! live in the coordinator.
+//! over a warmed [`HostCache`], heartbeat at a wall-time pace, report the
+//! digest rows. Workers are stateless between leases — all scheduling
+//! brains live in the coordinator.
+//!
+//! # Heartbeat pacing
+//!
+//! A heartbeat is a JSON line, a flush, a telemetry snapshot under the
+//! registry lock and a coordinator wake-up — more than a ~100 µs cell
+//! costs. So the worker checks the clock after each cell and heartbeats
+//! only when the pace (50 ms) has passed since the lease began or the
+//! last heartbeat: a cell slower than the pace is still followed by its
+//! heartbeat, a fast shard sends few or none. Telemetry counter deltas
+//! ride on heartbeats, so whatever is unsent when the shard ends is
+//! flushed in one more heartbeat ahead of `done` — the coordinator's
+//! merged counters equal the worker's registry at that point.
 //!
 //! # Self-chaos
 //!
@@ -17,12 +29,23 @@
 //! process failures rather than mocks.
 
 use super::manifest::SweepManifest;
-use super::merge::{row_for, CellRow};
+use super::merge::{row_for, CellRow, DIGEST_EPOCH};
 use super::protocol::Frame;
 use crate::sweep::{Cell, HostCache};
+use msim_core::telemetry;
 use msim_testbed::shutdown_requested;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Least wall time between two heartbeats of a lease (and between the
+/// lease's start and its first).
+const HEARTBEAT_PACE: Duration = Duration::from_millis(50);
+
+/// The shortest lease timeout that leaves room for paced heartbeats: four
+/// paces, so a healthy worker gets several chances to extend its lease
+/// before the coordinator gives up on it.
+pub const MIN_LEASE_TIMEOUT: Duration = HEARTBEAT_PACE.saturating_mul(4);
 
 /// Exit code of a chaos-directed mid-shard crash.
 pub const CRASH_EXIT: i32 = 101;
@@ -103,7 +126,22 @@ impl WorkerChaos {
 /// Runs the worker loop over any read/write transport pair. Returns the
 /// process exit code (0 = clean shutdown; chaos directives may
 /// `process::exit` before this returns).
-pub fn run_worker<R, W>(input: R, mut output: W, chaos: Option<WorkerChaos>) -> i32
+pub fn run_worker<R, W>(input: R, output: W, chaos: Option<WorkerChaos>) -> i32
+where
+    R: Read,
+    W: Write,
+{
+    run_worker_clocked(input, output, chaos, Instant::now)
+}
+
+/// [`run_worker`] reading wall time from `clock` — what paces heartbeats
+/// and times shards. Tests pass a scripted clock instead of sleeping.
+fn run_worker_clocked<R, W>(
+    input: R,
+    mut output: W,
+    chaos: Option<WorkerChaos>,
+    mut clock: impl FnMut() -> Instant,
+) -> i32
 where
     R: Read,
     W: Write,
@@ -114,9 +152,9 @@ where
     let mut shards: Vec<std::ops::Range<usize>> = Vec::new();
     let mut hosts = HostCache::new();
     let mut leases_seen: u64 = 0;
-    // Snapshot of telemetry counters at the last heartbeat, so each
-    // heartbeat carries only the increments since the previous one.
-    let mut counters_prev = msim_core::telemetry::counter_values();
+    // Telemetry counters as of the last heartbeat, so each heartbeat
+    // carries only the increments since the previous one.
+    let mut counters_prev = telemetry::counter_values();
 
     loop {
         let mut line = String::new();
@@ -134,13 +172,29 @@ where
             Err(_) => continue, // a sick coordinator is its own problem
         };
         match frame {
-            Frame::Hello { worker, manifest } => {
+            Frame::Hello {
+                worker,
+                manifest,
+                digest_epoch,
+            } => {
                 me = worker;
-                match expand(&manifest) {
+                let expanded = if digest_epoch == DIGEST_EPOCH {
+                    expand(&manifest)
+                } else {
+                    Err(format!(
+                        "coordinator digest_epoch {digest_epoch} != worker's {DIGEST_EPOCH}: \
+                         their session digests are unrelated — run one build on both sides"
+                    ))
+                };
+                match expanded {
                     Ok((c, s)) => {
                         cells = c;
                         shards = s;
-                        if send(&mut output, &Frame::Ready { worker: me }).is_err() {
+                        let ready = Frame::Ready {
+                            worker: me,
+                            digest_epoch: DIGEST_EPOCH,
+                        };
+                        if send(&mut output, &ready).is_err() {
                             return 0;
                         }
                     }
@@ -170,6 +224,7 @@ where
                     &shards,
                     &mut hosts,
                     &mut counters_prev,
+                    &mut clock,
                     active,
                 ) {
                     Ok(()) => {}
@@ -211,7 +266,8 @@ fn serve_lease(
     cells: &[Cell],
     shards: &[std::ops::Range<usize>],
     hosts: &mut HostCache,
-    counters_prev: &mut std::collections::BTreeMap<String, u64>,
+    counters_prev: &mut BTreeMap<String, u64>,
+    clock: &mut impl FnMut() -> Instant,
     chaos: Option<&WorkerChaos>,
 ) -> Result<(), i32> {
     let Some(range) = shards.get(shard as usize).cloned() else {
@@ -226,7 +282,19 @@ fn serve_lease(
         return Ok(());
     };
 
-    let t0 = Instant::now();
+    let heartbeat = |output: &mut _, cells_done: usize, counters| {
+        let _ = send(
+            output,
+            &Frame::Heartbeat {
+                worker: me,
+                shard,
+                cells_done: cells_done as u64,
+                counters,
+            },
+        );
+    };
+    let t0 = clock();
+    let mut last_beat = t0;
     let mut rows: Vec<CellRow> = Vec::with_capacity(range.len());
     for (done_before, idx) in range.clone().enumerate() {
         if shutdown_requested() {
@@ -253,19 +321,11 @@ fn serve_lease(
             }
         }
         rows.push(row_for(idx as u64, &cells[idx], hosts));
-        let counters = msim_core::telemetry::counter_deltas(counters_prev);
-        if !counters.is_empty() {
-            *counters_prev = msim_core::telemetry::counter_values();
+        let now = clock();
+        if now.saturating_duration_since(last_beat) >= HEARTBEAT_PACE {
+            last_beat = now;
+            heartbeat(output, rows.len(), telemetry::counter_deltas(counters_prev));
         }
-        let _ = send(
-            output,
-            &Frame::Heartbeat {
-                worker: me,
-                shard,
-                cells_done: rows.len() as u64,
-                counters,
-            },
-        );
     }
     // Crash points past the end of the shard still fire (covers
     // crash-after-cells=len, "crash after finishing but before
@@ -280,11 +340,19 @@ fn serve_lease(
         }
     }
 
+    let wall_us = clock().saturating_duration_since(t0).as_micros() as u64;
+    // Counter increments since the last paced heartbeat would otherwise
+    // be stranded until some later lease's heartbeat — or lost with the
+    // worker: flush them ahead of the completion.
+    let counters = telemetry::counter_deltas(counters_prev);
+    if !counters.is_empty() {
+        heartbeat(output, rows.len(), counters);
+    }
     let done = Frame::Done {
         worker: me,
         shard,
         attempt,
-        wall_us: t0.elapsed().as_micros() as u64,
+        wall_us,
         rows,
     };
     match chaos.map(|c| &c.kind) {
@@ -320,7 +388,6 @@ fn serve_lease(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
 
     #[test]
     fn chaos_directive_roundtrip() {
@@ -345,11 +412,20 @@ mod tests {
         }
     }
 
-    /// Drives a clean worker end-to-end over in-memory pipes: hello →
-    /// ready, lease → heartbeats + done, shutdown → exit 0. The rows must
-    /// match a direct serial run of the same shard.
-    #[test]
-    fn worker_serves_a_lease_and_rows_match_serial() {
+    /// What one scripted worker run wrote.
+    struct Served {
+        /// Expected rows of the leased shard (a direct serial run).
+        expected: Vec<CellRow>,
+        /// Rows of the `Done` frame.
+        rows: Vec<CellRow>,
+        /// `(cells_done, counters)` of every heartbeat, in order.
+        heartbeats: Vec<(u64, Vec<(String, u64)>)>,
+    }
+
+    /// Drives a clean worker end-to-end over in-memory pipes — hello →
+    /// ready, lease of shard 1 → heartbeats + done, shutdown → exit 0 —
+    /// with wall time read from `clock`.
+    fn serve_shard_one(clock: impl FnMut() -> Instant) -> Served {
         let manifest = SweepManifest {
             shard_cells: 3,
             ..SweepManifest::smoke()
@@ -362,6 +438,7 @@ mod tests {
             Frame::Hello {
                 worker: 7,
                 manifest: manifest.clone(),
+                digest_epoch: DIGEST_EPOCH,
             }
             .to_line(),
             Frame::Lease {
@@ -374,49 +451,138 @@ mod tests {
         .join("\n")
             + "\n";
 
-        let (tx, rx) = mpsc::channel::<Vec<u8>>();
-        struct ChanWriter(mpsc::Sender<Vec<u8>>, Vec<u8>);
-        impl Write for ChanWriter {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.1.extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                let _ = self.0.send(std::mem::take(&mut self.1));
-                Ok(())
-            }
-        }
-        let code = run_worker(script.as_bytes(), ChanWriter(tx, Vec::new()), None);
+        let mut wire = Vec::new();
+        let code = run_worker_clocked(script.as_bytes(), &mut wire, None, clock);
         assert_eq!(code, 0);
 
-        let mut bytes = Vec::new();
-        while let Ok(chunk) = rx.try_recv() {
-            bytes.extend(chunk);
-        }
-        let text = String::from_utf8(bytes).unwrap();
+        let text = String::from_utf8(wire).unwrap();
         let frames: Vec<Frame> = text.lines().map(|l| Frame::from_line(l).unwrap()).collect();
-        assert!(matches!(frames[0], Frame::Ready { worker: 7 }));
-        let done = frames
-            .iter()
-            .find_map(|f| match f {
-                Frame::Done { shard, rows, .. } => Some((*shard, rows.clone())),
-                _ => None,
-            })
-            .expect("worker reported done");
-        assert_eq!(done.0, 1);
-
+        assert_eq!(
+            frames[0],
+            Frame::Ready {
+                worker: 7,
+                digest_epoch: DIGEST_EPOCH
+            }
+        );
+        let Some(Frame::Done { shard: 1, rows, .. }) = frames.last().cloned() else {
+            panic!("the last frame must be shard 1's done: {frames:?}");
+        };
         // Ground truth: the same shard, run directly.
         let mut hosts = HostCache::new();
-        let expected: Vec<CellRow> = shards[1]
+        let expected = shards[1]
             .clone()
             .map(|i| row_for(i as u64, &cells[i], &mut hosts))
             .collect();
-        assert_eq!(done.1, expected, "worker rows must match serial digests");
-
         let heartbeats = frames
             .iter()
-            .filter(|f| matches!(f, Frame::Heartbeat { .. }))
-            .count();
-        assert_eq!(heartbeats, shards[1].len(), "one heartbeat per cell");
+            .filter_map(|f| match f {
+                Frame::Heartbeat {
+                    worker: 7,
+                    shard: 1,
+                    cells_done,
+                    counters,
+                } => Some((*cells_done, counters.clone())),
+                _ => None,
+            })
+            .collect();
+        Served {
+            expected,
+            rows,
+            heartbeats,
+        }
+    }
+
+    // The registry is process-global and sibling tests run sessions with
+    // telemetry on, so a lease here may or may not end with the flush
+    // heartbeat (`cells_done` = shard length). The assertions below are
+    // about the *paced* ones; `tests/worker_heartbeats.rs` pins the exact
+    // frame sequence in a process of its own.
+
+    /// A shard that finishes inside one pace sends no mid-shard heartbeat,
+    /// and its rows are the serial run's.
+    #[test]
+    fn fast_shard_sends_no_paced_heartbeat_and_rows_match_serial() {
+        let frozen = Instant::now();
+        let served = serve_shard_one(move || frozen);
+        assert_eq!(
+            served.rows, served.expected,
+            "worker rows must match serial"
+        );
+        let len = served.expected.len() as u64;
+        assert!(
+            served.heartbeats.iter().all(|(done, _)| *done == len),
+            "only the pre-done flush may heartbeat: {:?}",
+            served.heartbeats
+        );
+    }
+
+    /// Every cell slower than the pace is followed by its heartbeat, and
+    /// the counter increments of the whole lease — here a counter the
+    /// scripted clock itself bumps, which no other test touches — have
+    /// all been sent by the time `done` is (the flush-before-done rule).
+    #[test]
+    fn slow_cells_each_heartbeat_and_counter_deltas_are_flushed_before_done() {
+        let key = "msp_test_worker_clock_reads_total";
+        let reads = telemetry::counter(key);
+        let before = reads.get();
+        let mut now = Instant::now();
+        let served = serve_shard_one(move || {
+            reads.add_raw(1);
+            now += HEARTBEAT_PACE + Duration::from_millis(10);
+            now
+        });
+        assert_eq!(
+            served.rows, served.expected,
+            "worker rows must match serial"
+        );
+        let len = served.expected.len() as u64;
+        let mut cells_done: Vec<u64> = served.heartbeats.iter().map(|(done, _)| *done).collect();
+        assert!(cells_done.len() as u64 <= len + 1, "{cells_done:?}");
+        cells_done.dedup();
+        assert_eq!(
+            cells_done,
+            (1..=len).collect::<Vec<_>>(),
+            "one heartbeat after each slow cell, in order"
+        );
+        let sent: u64 = served
+            .heartbeats
+            .iter()
+            .flat_map(|(_, counters)| counters)
+            .filter(|(k, _)| k == key)
+            .map(|(_, d)| d)
+            .sum();
+        assert_eq!(
+            sent,
+            reads.get() - before,
+            "deltas unsent when done was written"
+        );
+        // Lease start, one read per cell, one for the shard's wall time.
+        assert_eq!(sent, len + 2);
+    }
+
+    /// A hello of another digest epoch is answered with a setup `fail`
+    /// (and exit 1), never `ready`: this worker's rows would mean nothing
+    /// to that coordinator.
+    #[test]
+    fn hello_of_another_digest_epoch_is_refused() {
+        let hello = Frame::Hello {
+            worker: 4,
+            manifest: SweepManifest::smoke(),
+            digest_epoch: DIGEST_EPOCH - 1,
+        }
+        .to_line()
+            + "\n";
+        let mut wire = Vec::new();
+        assert_eq!(run_worker(hello.as_bytes(), &mut wire, None), 1);
+        let text = String::from_utf8(wire).unwrap();
+        let frames: Vec<Frame> = text.lines().map(|l| Frame::from_line(l).unwrap()).collect();
+        match frames.as_slice() {
+            [Frame::Fail {
+                worker: 4,
+                shard: u64::MAX,
+                message,
+            }] => assert!(message.contains("digest_epoch"), "{message}"),
+            other => panic!("want exactly one setup fail, got {other:?}"),
+        }
     }
 }

@@ -4,8 +4,20 @@
 //! blocks through the `vmath` kernels) was the one sanctioned redefinition
 //! of the repo's deviate bit-streams. This module pins the *new* streams:
 //! a committed JSON artifact maps `(workload, scheduler, chunk, seed)` to
-//! the [`digest_metrics`] of the session it produces. Three properties are
-//! asserted over it (see `tests/sampling_corpus.rs`):
+//! the [`digest_metrics`] of the session it produces — the structural
+//! [`SessionMetrics::digest`](msplayer_core::metrics::SessionMetrics::digest):
+//! every field folded in declaration order as 64-bit words (times in µs,
+//! `f64::to_bits`, enum discriminants, a length before each `Vec`, a tag
+//! before each `Option`), so it pins sessions bit for bit (`-0.0` ≠ `0.0`,
+//! NaN payloads distinguished) independently of how the toolchain prints
+//! floats. The artifact records the [`DIGEST_EPOCH`] it was digested
+//! under beside the `stream_epoch`, and loading refuses either mismatch:
+//! a digest-definition change (field order, encoding or fold) bumps the
+//! epoch and re-records the `digest` column, while the artifact's
+//! `debug_digest` column — the epoch-1 `Debug`-rendering digests, read
+//! only by `tests/sampling_corpus.rs` against a test-local reference —
+//! shows that the sessions themselves did not move. Three properties are
+//! asserted over the corpus (see `tests/sampling_corpus.rs`):
 //!
 //! 1. **Frozen replay** — every committed digest reproduces on the block
 //!    (production) path, so any accidental stream drift is a red test, not
@@ -22,7 +34,7 @@
 //!
 //! [`run_batch`]: msplayer_core::sim::SessionHost::run_batch
 
-use crate::cluster::merge::{digest_metrics, hex_u64, parse_hex_u64};
+use crate::cluster::merge::{digest_metrics, hex_u64, parse_hex_u64, DIGEST_EPOCH};
 use crate::workload::WorkloadRegistry;
 use msim_core::rng::DeviateMode;
 use msim_json::Value;
@@ -134,12 +146,14 @@ pub fn to_json(fps: &[Fingerprint]) -> Value {
     Value::object()
         .with("schema", "sampling-fingerprints")
         .with("stream_epoch", msim_core::rng::STREAM_EPOCH as u64)
+        .with("digest_epoch", DIGEST_EPOCH as u64)
         .with("fingerprints", Value::Array(rows))
 }
 
 /// Parses a corpus artifact, rejecting rows recorded against a different
-/// stream epoch — replaying those *should* fail, so failing at load time
-/// gives the actionable message instead of a wall of digest mismatches.
+/// stream epoch or digest epoch — replaying those *should* fail, so
+/// failing at load time gives the actionable message instead of a wall of
+/// digest mismatches.
 pub fn from_json(v: &Value) -> Result<Vec<Fingerprint>, String> {
     let epoch = v
         .get("stream_epoch")
@@ -150,6 +164,18 @@ pub fn from_json(v: &Value) -> Result<Vec<Fingerprint>, String> {
             "corpus stream_epoch {epoch} != current {} — regenerate with \
              `cargo test -p msplayer-bench --test sampling_corpus -- --ignored`",
             msim_core::rng::STREAM_EPOCH
+        ));
+    }
+    // A corpus from before the field existed holds epoch-1 digests.
+    let digest_epoch = match v.get("digest_epoch") {
+        None => 1,
+        Some(e) => e.as_u64().ok_or("corpus digest_epoch is not an integer")?,
+    };
+    if digest_epoch != DIGEST_EPOCH as u64 {
+        return Err(format!(
+            "corpus digest_epoch {digest_epoch} != current {DIGEST_EPOCH} — its digests \
+             follow another definition of the session digest; regenerate with \
+             `cargo test -p msplayer-bench --test sampling_corpus -- --ignored`"
         ));
     }
     let rows = v
@@ -187,16 +213,6 @@ pub fn load_corpus() -> Result<Vec<Fingerprint>, String> {
     from_json(&v)
 }
 
-/// Writes `fps` to [`corpus_path`] (the `--ignored` regenerator).
-pub fn save_corpus(fps: &[Fingerprint]) -> std::io::Result<PathBuf> {
-    let path = corpus_path();
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(&path, msim_json::to_string_pretty(&to_json(fps)))?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,5 +235,23 @@ mod tests {
         let stale = to_json(&[]).with("stream_epoch", 1u64);
         let err = from_json(&stale).expect_err("stale epoch must not load");
         assert!(err.contains("stream_epoch"), "unhelpful error: {err}");
+    }
+
+    #[test]
+    fn other_digest_epoch_is_rejected_at_load() {
+        let current = to_json(&[]);
+        assert_eq!(
+            current.get("digest_epoch").and_then(Value::as_u64),
+            Some(DIGEST_EPOCH as u64)
+        );
+        let Value::Object(mut fields) = current.clone() else {
+            panic!("corpus artifact is an object");
+        };
+        fields.remove("digest_epoch");
+        for other in [current.with("digest_epoch", 1u64), Value::Object(fields)] {
+            let err = from_json(&other).expect_err("epoch-1 digests must not load");
+            assert!(err.contains("digest_epoch"), "unhelpful error: {err}");
+            assert!(err.contains("--ignored"), "no way forward in: {err}");
+        }
     }
 }

@@ -24,9 +24,12 @@ fn committed_corpus_replays_green() {
         let outcome = run_case(case, &registry);
         assert!(
             outcome.ok(),
-            "{} regressed: {:?}\nreproduce with:\n  cargo run -p msplayer-bench --bin sweep -- --case {}",
+            "{} regressed: {:?}\nfingerprint: {}\nreproduce with:\n  cargo run -p msplayer-bench --bin sweep -- --case {}",
             path.display(),
             outcome.violations,
+            outcome
+                .fingerprint
+                .map_or("none (the session did not complete)".into(), |fp| fp.to_string()),
             path.display()
         );
         // The stored filename must match the case's deterministic name,

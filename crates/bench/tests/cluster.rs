@@ -6,9 +6,12 @@
 //! byte-for-byte regardless of worker count, kill schedule, or resume
 //! boundary.
 
+use msim_json::Value;
 use msplayer_bench::cluster::{
-    run_cluster, serial_artifact, ClusterConfig, SweepManifest, Transport, WorkerChaos,
+    run_cluster, serial_artifact, ClusterConfig, Frame, SweepManifest, Transport, WorkerChaos,
+    DIGEST_EPOCH,
 };
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -171,19 +174,141 @@ fn tcp_workers_complete_the_sweep() {
     // Workers exit on the coordinator's Shutdown frame; don't leak them
     // if that ever regresses.
     for w in &mut workers {
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            match w.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(20))
-                }
-                _ => {
-                    let _ = w.kill();
-                    let _ = w.wait();
-                    break;
-                }
+        wait_or_kill(w);
+    }
+}
+
+/// Waits for a worker process to exit on its own; kills it after 5 s.
+fn wait_or_kill(child: &mut std::process::Child) -> Option<std::process::ExitStatus> {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        match child.try_wait() {
+            Ok(Some(status)) => return Some(status),
+            Ok(None) if std::time::Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(20))
+            }
+            _ => {
+                let _ = child.kill();
+                let _ = child.wait();
+                return None;
             }
         }
     }
+}
+
+/// A `--tcp` worker from a build before the structural digest answers the
+/// hello with a `ready` that names no digest epoch (it ignores the
+/// hello's unknown field, so only the coordinator can notice). It must be
+/// refused — never leased a shard — while a current worker finishes the
+/// sweep bit-identically.
+#[test]
+fn worker_of_another_digest_epoch_is_never_leased_a_shard() {
+    let addr = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind probe");
+        listener.local_addr().expect("local addr").to_string()
+    };
+    let manifest = small_manifest("cluster_epoch_test");
+    let mut config = fast_config(manifest.clone());
+    config.lease_timeout = Duration::from_secs(5);
+    config.transport = Transport::Tcp { addr: addr.clone() };
+    let coordinator = std::thread::spawn(move || run_cluster(&config));
+    std::thread::sleep(Duration::from_millis(150));
+
+    // The stale worker connects first, so every shard is still pending
+    // when it reports ready.
+    let stale_addr = addr.clone();
+    let stale = std::thread::spawn(move || {
+        let stream = std::net::TcpStream::connect(&stale_addr).expect("stale worker connects");
+        let mut lines = BufReader::new(stream.try_clone().expect("clone stream")).lines();
+        let hello = lines.next().expect("a hello").expect("readable");
+        let Frame::Hello {
+            worker,
+            digest_epoch,
+            ..
+        } = Frame::from_line(&hello).expect("hello parses")
+        else {
+            panic!("first frame is not a hello: {hello}");
+        };
+        assert_eq!(digest_epoch, DIGEST_EPOCH, "the hello names the epoch");
+        // The epoch-1 wire form: no digest_epoch.
+        let ready = Value::object().with("type", "ready").with("worker", worker);
+        writeln!(&stream, "{}", msim_json::to_string(&ready)).expect("ready sent");
+        // Everything the coordinator says to us, up to the shutdown a
+        // worker would exit on.
+        let mut told = Vec::new();
+        for line in lines.map_while(Result::ok) {
+            told.push(Frame::from_line(&line).expect("coordinator frames parse"));
+            if told.last() == Some(&Frame::Shutdown) {
+                break;
+            }
+        }
+        told
+    });
+    std::thread::sleep(Duration::from_millis(150));
+    let mut current = std::process::Command::new(sweepd())
+        .args(["worker", "--connect", &addr])
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn TCP worker");
+
+    let outcome = coordinator
+        .join()
+        .expect("coordinator thread")
+        .expect("coordinator result");
+    assert!(outcome.completed);
+    assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
+    let merged = pretty(outcome.artifact.as_ref().expect("artifact"));
+    let serial = pretty(&serial_artifact(&manifest).expect("serial reference"));
+    assert_eq!(merged, serial);
+    assert!(
+        merged.contains(&format!("\"digest_epoch\": {DIGEST_EPOCH}")),
+        "the merged artifact names its digest epoch"
+    );
+
+    let told = stale.join().expect("stale worker thread");
+    assert!(
+        !told.iter().any(|f| matches!(f, Frame::Lease { .. })),
+        "a worker of another digest epoch was leased work: {told:?}"
+    );
+    assert_eq!(
+        told.first(),
+        Some(&Frame::Shutdown),
+        "refused workers are sent home"
+    );
+    wait_or_kill(&mut current);
+}
+
+/// The other direction: a current worker handed a hello without a digest
+/// epoch (a pre-handshake coordinator) answers `fail` and exits 1 rather
+/// than reporting ready.
+#[test]
+fn worker_refuses_a_coordinator_of_another_digest_epoch() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let mut worker = std::process::Command::new(sweepd())
+        .args(["worker", "--connect", &addr])
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn TCP worker");
+    let (stream, _) = listener.accept().expect("worker connects");
+    let hello = Value::object()
+        .with("type", "hello")
+        .with("worker", 9u64)
+        .with(
+            "manifest",
+            small_manifest("cluster_old_coordinator").to_json(),
+        );
+    writeln!(&stream, "{}", msim_json::to_string(&hello)).expect("hello sent");
+    let mut reply = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut reply)
+        .expect("worker replies");
+    match Frame::from_line(reply.trim_end()).expect("reply parses") {
+        Frame::Fail {
+            worker: 9, message, ..
+        } => assert!(message.contains("digest_epoch"), "{message}"),
+        other => panic!("want a setup fail, got {other:?}"),
+    }
+    let status = wait_or_kill(&mut worker).expect("the worker exits by itself");
+    assert_eq!(status.code(), Some(1));
 }

@@ -5,6 +5,64 @@ use crate::buffer::RefillRecord;
 use crate::chunk::PathId;
 use msim_core::time::{SimDuration, SimTime};
 
+/// Version of the [`SessionMetrics::digest`] definition. Bump it on any
+/// change to the field order, a field's encoding, or the fold itself:
+/// digests of different epochs are unrelated numbers, and everything that
+/// stores or exchanges them (the sampling corpus, sweep manifests'
+/// fingerprints, the cluster handshake) refuses a mismatching epoch
+/// instead of comparing them. Epoch 1 was FNV-1a over the `Debug`
+/// rendering.
+pub const DIGEST_EPOCH: u32 = 2;
+
+/// The digest state: FNV-1a's xor-multiply taken a 64-bit word at a time,
+/// followed by a high-to-low xor-shift so that a difference confined to a
+/// word's top bits (an `f64` sign or exponent) reaches the low bits too.
+/// Each step is a bijection of the state for a fixed word, so changing a
+/// single word of an otherwise equal stream always changes the result.
+struct Fold(u64);
+
+impl Fold {
+    fn new() -> Fold {
+        Fold(0xcbf2_9ce4_8422_2325)
+    }
+
+    #[inline]
+    fn word(&mut self, w: u64) {
+        let x = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01B3);
+        self.0 = x ^ (x >> 32);
+    }
+
+    #[inline]
+    fn time(&mut self, t: SimTime) {
+        self.word(t.as_micros());
+    }
+
+    #[inline]
+    fn float(&mut self, x: f64) {
+        self.word(x.to_bits());
+    }
+
+    /// An `Option` is its tag, then the payload if there is one.
+    #[inline]
+    fn opt_time(&mut self, t: Option<SimTime>) {
+        match t {
+            None => self.word(0),
+            Some(t) => {
+                self.word(1);
+                self.time(t);
+            }
+        }
+    }
+
+    /// A `Vec` is its length, then its elements — so no sequence of
+    /// fields is a prefix of another and elements cannot migrate between
+    /// neighbouring `Vec`s unnoticed.
+    #[inline]
+    fn len(&mut self, n: usize) {
+        self.word(n as u64);
+    }
+}
+
 /// One ABR quality decision that selected a (new) ladder rung (see
 /// [`crate::config::AbrLadderConfig`]). The trace records the `Initial`
 /// pick and every rung change; `Hold` decisions are not recorded (the
@@ -161,6 +219,127 @@ impl SessionMetrics {
         self.chunks.reserve(chunks);
         self.abr_decisions.reserve(abr_decisions);
         self.abr_switches.reserve(abr_decisions.min(64));
+    }
+
+    /// The deterministic 64-bit digest of this record, [`DIGEST_EPOCH`]
+    /// version: every field folded in declaration order as 64-bit words —
+    /// times and durations as microseconds, `f64`s as their bit patterns,
+    /// enums as discriminants, a length before every `Vec` and a tag
+    /// before every `Option`. The encoding is prefix-free, so two records
+    /// digest equal only if they are bit-identical or the 64-bit fold
+    /// collides. Bit identity is stricter than `PartialEq`: `0.0` and
+    /// `-0.0` differ, as do NaNs with different payloads. Nothing is
+    /// formatted or allocated, and the value does not depend on the
+    /// toolchain's float printing.
+    ///
+    /// Every struct is destructured without `..`: a new field does not
+    /// compile until it is folded in (and [`DIGEST_EPOCH`] bumped).
+    pub fn digest(&self) -> u64 {
+        let SessionMetrics {
+            started_at,
+            first_byte_at,
+            prebuffer_done_at,
+            refills,
+            stalls,
+            chunks,
+            failovers,
+            ended_at,
+            events,
+            abr_switches,
+            abr_decisions,
+            abr_qoe,
+            transfer_epochs,
+            transfer_fast_rounds,
+            transfer_solved_rounds,
+        } = self;
+        let mut h = Fold::new();
+        h.time(*started_at);
+        h.len(first_byte_at.len());
+        for t in first_byte_at {
+            h.opt_time(*t);
+        }
+        h.opt_time(*prebuffer_done_at);
+        h.len(refills.len());
+        for RefillRecord {
+            started_at,
+            completed_at,
+            bytes,
+        } in refills
+        {
+            h.time(*started_at);
+            h.time(*completed_at);
+            h.word(*bytes);
+        }
+        h.len(stalls.len());
+        for (from, until) in stalls {
+            h.time(*from);
+            h.opt_time(*until);
+        }
+        h.len(chunks.len());
+        for ChunkRecord {
+            path,
+            bytes,
+            requested_at,
+            completed_at,
+            goodput_bps,
+            phase,
+        } in chunks
+        {
+            h.word(*path as u64);
+            h.word(*bytes);
+            h.time(*requested_at);
+            h.time(*completed_at);
+            h.float(*goodput_bps);
+            h.word(*phase as u64);
+        }
+        h.len(failovers.len());
+        for n in failovers {
+            h.word(u64::from(*n));
+        }
+        h.opt_time(*ended_at);
+        h.word(*events);
+        h.len(abr_switches.len());
+        for AbrSwitch { at, itag, reason } in abr_switches {
+            h.time(*at);
+            h.word(u64::from(*itag));
+            h.word(*reason as u64);
+        }
+        h.len(abr_decisions.len());
+        for AbrDecision {
+            at,
+            itag,
+            estimate_bps,
+            buffer_secs,
+            reason,
+            switched,
+        } in abr_decisions
+        {
+            h.time(*at);
+            h.word(u64::from(*itag));
+            h.float(*estimate_bps);
+            h.float(*buffer_secs);
+            h.word(*reason as u64);
+            h.word(u64::from(*switched));
+        }
+        match abr_qoe {
+            None => h.word(0),
+            Some(AbrQoe {
+                time_weighted_bitrate_bps,
+                switches,
+                switch_magnitude_bps,
+                switch_rebuffer,
+            }) => {
+                h.word(1);
+                h.float(*time_weighted_bitrate_bps);
+                h.word(u64::from(*switches));
+                h.float(*switch_magnitude_bps);
+                h.word(switch_rebuffer.as_micros());
+            }
+        }
+        h.word(*transfer_epochs);
+        h.word(*transfer_fast_rounds);
+        h.word(*transfer_solved_rounds);
+        h.0
     }
 
     /// Pre-buffering download time (session start → target reached).
@@ -344,5 +523,298 @@ mod tests {
             bytes: 1,
         });
         assert_eq!(m.mean_refill_time(), Some(SimDuration::from_secs(5)));
+    }
+
+    // ---- SessionMetrics::digest ------------------------------------------
+
+    /// The epoch-1 digest (FNV-1a over the `Debug` rendering), kept as the
+    /// test-local reference the structural digest must partition like.
+    fn debug_digest(m: &SessionMetrics) -> u64 {
+        format!("{m:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+    }
+
+    /// A record with every trace populated and every `Option` set, so each
+    /// field has something to perturb.
+    fn full_record() -> SessionMetrics {
+        let t = SimTime::from_millis;
+        SessionMetrics {
+            started_at: t(10),
+            first_byte_at: vec![Some(t(120)), None, Some(t(140))],
+            prebuffer_done_at: Some(t(4_000)),
+            refills: vec![
+                RefillRecord {
+                    started_at: t(9_000),
+                    completed_at: t(11_000),
+                    bytes: 4_000_000,
+                },
+                RefillRecord {
+                    started_at: t(20_000),
+                    completed_at: t(23_000),
+                    bytes: 5_000_000,
+                },
+            ],
+            stalls: vec![(t(30_000), Some(t(31_000))), (t(40_000), None)],
+            chunks: vec![
+                ChunkRecord {
+                    path: 0,
+                    bytes: 262_144,
+                    requested_at: t(100),
+                    completed_at: t(400),
+                    goodput_bps: 6.99e6,
+                    phase: TrafficPhase::PreBuffering,
+                },
+                ChunkRecord {
+                    path: 1,
+                    bytes: 131_072,
+                    requested_at: t(9_100),
+                    completed_at: t(9_600),
+                    goodput_bps: 2.1e6,
+                    phase: TrafficPhase::ReBuffering,
+                },
+            ],
+            failovers: vec![0, 2, 1],
+            ended_at: Some(t(60_000)),
+            events: 1234,
+            abr_switches: vec![
+                AbrSwitch {
+                    at: t(10),
+                    itag: 18,
+                    reason: SwitchReason::Initial,
+                },
+                AbrSwitch {
+                    at: t(5_000),
+                    itag: 22,
+                    reason: SwitchReason::RateUp,
+                },
+            ],
+            abr_decisions: vec![
+                AbrDecision {
+                    at: t(10),
+                    itag: 18,
+                    estimate_bps: 0.0,
+                    buffer_secs: 0.0,
+                    reason: SwitchReason::Initial,
+                    switched: false,
+                },
+                AbrDecision {
+                    at: t(5_000),
+                    itag: 22,
+                    estimate_bps: 8.5e6,
+                    buffer_secs: 12.25,
+                    reason: SwitchReason::RateUp,
+                    switched: true,
+                },
+            ],
+            abr_qoe: Some(AbrQoe {
+                time_weighted_bitrate_bps: 1.9e6,
+                switches: 1,
+                switch_magnitude_bps: 1.5e6,
+                switch_rebuffer: SimDuration::from_millis(750),
+            }),
+            transfer_epochs: 17,
+            transfer_fast_rounds: 900,
+            transfer_solved_rounds: 400,
+        }
+    }
+
+    type Perturb = (&'static str, fn(&mut SessionMetrics));
+
+    fn tick(t: &mut SimTime) {
+        *t += SimDuration::from_micros(1);
+    }
+
+    fn ulp(x: &mut f64) {
+        *x = f64::from_bits(x.to_bits() + 1);
+    }
+
+    /// One perturbation per scalar field, per element field of each
+    /// `Vec`, per `Option` tag, per `Vec` length, plus elements moved
+    /// between neighbouring `Vec`s. Every one is visible to `Debug` too.
+    fn perturbations() -> Vec<Perturb> {
+        vec![
+            ("started_at", |m| tick(&mut m.started_at)),
+            ("first_byte_at[0]", |m| {
+                tick(m.first_byte_at[0].as_mut().unwrap())
+            }),
+            ("first_byte_at[0] tag", |m| m.first_byte_at[0] = None),
+            ("first_byte_at[1] tag", |m| {
+                m.first_byte_at[1] = Some(SimTime::ZERO)
+            }),
+            ("first_byte_at len", |m| m.first_byte_at.push(None)),
+            ("prebuffer_done_at", |m| {
+                tick(m.prebuffer_done_at.as_mut().unwrap())
+            }),
+            ("prebuffer_done_at tag", |m| m.prebuffer_done_at = None),
+            ("refills[1].started_at", |m| {
+                tick(&mut m.refills[1].started_at)
+            }),
+            ("refills[1].completed_at", |m| {
+                tick(&mut m.refills[1].completed_at)
+            }),
+            ("refills[0].bytes", |m| m.refills[0].bytes += 1),
+            ("refills len", |m| {
+                m.refills.pop();
+            }),
+            ("stalls[0].0", |m| tick(&mut m.stalls[0].0)),
+            ("stalls[0].1", |m| tick(m.stalls[0].1.as_mut().unwrap())),
+            ("stalls[1].1 tag", |m| m.stalls[1].1 = Some(SimTime::ZERO)),
+            ("stalls len", |m| {
+                m.stalls.pop();
+            }),
+            ("chunks[0].path", |m| m.chunks[0].path += 1),
+            ("chunks[1].bytes", |m| m.chunks[1].bytes += 1),
+            ("chunks[0].requested_at", |m| {
+                tick(&mut m.chunks[0].requested_at)
+            }),
+            ("chunks[1].completed_at", |m| {
+                tick(&mut m.chunks[1].completed_at)
+            }),
+            ("chunks[0].goodput_bps ulp", |m| {
+                ulp(&mut m.chunks[0].goodput_bps)
+            }),
+            ("chunks[0].phase", |m| {
+                m.chunks[0].phase = TrafficPhase::ReBuffering
+            }),
+            ("chunks swapped", |m| m.chunks.swap(0, 1)),
+            ("chunks len", |m| {
+                m.chunks.pop();
+            }),
+            ("failovers[1]", |m| m.failovers[1] += 1),
+            ("failovers len", |m| m.failovers.push(0)),
+            ("ended_at", |m| tick(m.ended_at.as_mut().unwrap())),
+            ("ended_at tag", |m| m.ended_at = None),
+            ("events", |m| m.events += 1),
+            ("abr_switches[1].at", |m| tick(&mut m.abr_switches[1].at)),
+            ("abr_switches[1].itag", |m| m.abr_switches[1].itag += 1),
+            ("abr_switches[1].reason", |m| {
+                m.abr_switches[1].reason = SwitchReason::BufferUp
+            }),
+            ("abr_decisions[1].at", |m| tick(&mut m.abr_decisions[1].at)),
+            ("abr_decisions[1].itag", |m| m.abr_decisions[1].itag += 1),
+            ("abr_decisions[1].estimate_bps ulp", |m| {
+                ulp(&mut m.abr_decisions[1].estimate_bps)
+            }),
+            ("abr_decisions[1].buffer_secs ulp", |m| {
+                ulp(&mut m.abr_decisions[1].buffer_secs)
+            }),
+            ("abr_decisions[0].estimate_bps -0.0", |m| {
+                m.abr_decisions[0].estimate_bps = -0.0
+            }),
+            ("abr_decisions[1].reason", |m| {
+                m.abr_decisions[1].reason = SwitchReason::Hold
+            }),
+            ("abr_decisions[1].switched", |m| {
+                m.abr_decisions[1].switched = false
+            }),
+            ("abr_qoe tag", |m| m.abr_qoe = None),
+            ("abr_qoe.time_weighted_bitrate_bps ulp", |m| {
+                ulp(&mut m.abr_qoe.as_mut().unwrap().time_weighted_bitrate_bps)
+            }),
+            ("abr_qoe.switches", |m| {
+                m.abr_qoe.as_mut().unwrap().switches += 1
+            }),
+            ("abr_qoe.switch_magnitude_bps ulp", |m| {
+                ulp(&mut m.abr_qoe.as_mut().unwrap().switch_magnitude_bps)
+            }),
+            ("abr_qoe.switch_rebuffer", |m| {
+                m.abr_qoe.as_mut().unwrap().switch_rebuffer += SimDuration::from_micros(1)
+            }),
+            ("transfer_epochs", |m| m.transfer_epochs += 1),
+            ("transfer_fast_rounds", |m| m.transfer_fast_rounds += 1),
+            ("transfer_solved_rounds", |m| m.transfer_solved_rounds += 1),
+            // An element leaves one `Vec` and its values join the next:
+            // the payload words barely move, the length words must.
+            ("refills -> stalls", |m| {
+                let r = m.refills.pop().unwrap();
+                m.stalls.insert(0, (r.started_at, Some(r.completed_at)));
+            }),
+            ("failovers -> first_byte_at", |m| {
+                m.failovers.remove(0);
+                m.first_byte_at.push(None);
+            }),
+            ("abr_switches -> abr_decisions", |m| {
+                let s = m.abr_switches.pop().unwrap();
+                m.abr_decisions.insert(
+                    0,
+                    AbrDecision {
+                        at: s.at,
+                        itag: s.itag,
+                        estimate_bps: 0.0,
+                        buffer_secs: 0.0,
+                        reason: s.reason,
+                        switched: false,
+                    },
+                );
+            }),
+        ]
+    }
+
+    #[test]
+    fn digest_sees_every_field_and_partitions_like_the_debug_rendering() {
+        let base = full_record();
+        assert_eq!(base.digest(), base.clone().digest(), "pure function");
+        let mut seen = vec![("base", base.digest(), debug_digest(&base))];
+        for (name, perturb) in perturbations() {
+            let mut m = base.clone();
+            perturb(&mut m);
+            seen.push((name, m.digest(), debug_digest(&m)));
+        }
+        // Every pair: equal under one digest iff equal under the other
+        // (here: all distinct — each perturbation is a different record).
+        for (i, (a, a_new, a_old)) in seen.iter().enumerate() {
+            for (b, b_new, b_old) in &seen[i + 1..] {
+                assert_eq!(
+                    a_new == b_new,
+                    a_old == b_old,
+                    "{a:?} vs {b:?}: structural and Debug digests partition differently"
+                );
+                assert_ne!(a_new, b_new, "{a:?} and {b:?} collide");
+            }
+        }
+    }
+
+    #[test]
+    fn digest_is_bit_identity_stricter_than_partial_eq() {
+        let base = full_record();
+        let with = |x: f64| {
+            let mut m = base.clone();
+            m.chunks[0].goodput_bps = x;
+            m
+        };
+        // PartialEq calls the zeros equal; the digest (like Debug) does not.
+        assert_eq!(with(0.0), with(-0.0));
+        assert_ne!(with(0.0).digest(), with(-0.0).digest());
+        assert_ne!(debug_digest(&with(0.0)), debug_digest(&with(-0.0)));
+        // NaN payloads: invisible to Debug ("NaN"), distinct bit patterns.
+        let quiet = f64::NAN;
+        let payload = f64::from_bits(quiet.to_bits() | 1);
+        assert!(payload.is_nan());
+        assert_ne!(with(quiet).digest(), with(payload).digest());
+        assert_eq!(with(quiet).digest(), with(quiet).digest());
+    }
+
+    #[test]
+    fn digest_of_real_sessions_follows_the_seed() {
+        use crate::config::PlayerConfig;
+        use crate::sim::{run_session, Scenario};
+        let run = |seed| {
+            run_session(&Scenario::testbed_msplayer(
+                seed,
+                PlayerConfig::msplayer().with_prebuffer_secs(10.0),
+            ))
+        };
+        let (a, a_again, b) = (run(7), run(7), run(8));
+        assert!(!a.chunks.is_empty());
+        assert_eq!(a.digest(), a_again.digest(), "same seed, same digest");
+        assert_ne!(a.digest(), b.digest(), "another seed, another session");
+        assert_eq!(
+            SessionMetrics::default().digest(),
+            SessionMetrics::default().digest()
+        );
+        assert_ne!(a.digest(), SessionMetrics::default().digest());
     }
 }

@@ -491,15 +491,35 @@ pub fn counter_values() -> BTreeMap<String, u64> {
 }
 
 /// Counters that advanced since `prev` (a previous [`counter_values`]
-/// snapshot), as `(key, delta)` pairs sorted by key.
-pub fn counter_deltas(prev: &BTreeMap<String, u64>) -> Vec<(String, u64)> {
-    counter_values()
-        .into_iter()
-        .filter_map(|(k, v)| {
-            let base = prev.get(&k).copied().unwrap_or(0);
-            (v > base).then(|| (k, v - base))
-        })
-        .collect()
+/// snapshot, or the map an earlier call left behind), as `(key, delta)`
+/// pairs sorted by key. `prev` is advanced to the current values in the
+/// same pass — one walk under the registry lock — so consecutive calls
+/// partition the counter stream exactly: the deltas of all calls sum to
+/// the registry totals at the last one.
+pub fn counter_deltas(prev: &mut BTreeMap<String, u64>) -> Vec<(String, u64)> {
+    let reg = lock_registry();
+    let mut deltas = Vec::new();
+    for (key, metric) in &reg.metrics {
+        let Metric::Counter(c) = metric else {
+            continue;
+        };
+        let now = c.get();
+        match prev.get_mut(key) {
+            Some(base) => {
+                if now > *base {
+                    deltas.push((key.clone(), now - *base));
+                }
+                // Also follows a counter back down after a `reset`.
+                *base = now;
+            }
+            None if now > 0 => {
+                deltas.push((key.clone(), now));
+                prev.insert(key.clone(), now);
+            }
+            None => {}
+        }
+    }
+    deltas
 }
 
 /// Merges externally collected counter deltas (e.g. from a worker
@@ -1022,15 +1042,26 @@ mod tests {
     fn deltas_and_merge() {
         let _guard = flag_lock();
         with_enabled(|| {
-            let before = counter_values();
-            counter("msp_test_delta_total").add(5);
-            let deltas = counter_deltas(&before);
-            let mine: Vec<_> = deltas
-                .iter()
-                .filter(|(k, _)| k == "msp_test_delta_total")
-                .collect();
-            assert_eq!(mine.len(), 1);
-            assert_eq!(mine[0].1, 5);
+            let mut prev = counter_values();
+            let c = counter("msp_test_delta_total");
+            let mine = |deltas: Vec<(String, u64)>| -> Vec<u64> {
+                deltas
+                    .into_iter()
+                    .filter(|(k, _)| k == "msp_test_delta_total")
+                    .map(|(_, d)| d)
+                    .collect()
+            };
+            c.add(5);
+            assert_eq!(mine(counter_deltas(&mut prev)), [5]);
+            // `prev` advanced in place: nothing is reported twice, and the
+            // next call sees only what came after.
+            assert_eq!(prev.get("msp_test_delta_total"), Some(&c.get()));
+            assert!(mine(counter_deltas(&mut prev)).is_empty());
+            c.add(2);
+            assert_eq!(mine(counter_deltas(&mut prev)), [2]);
+            // A counter first seen after the snapshot reports its whole value.
+            let mut empty = BTreeMap::new();
+            assert_eq!(mine(counter_deltas(&mut empty)), [c.get()]);
         });
         // Merging applies even while runtime-disabled (coordinator case).
         let before = counter("msp_test_merge_total").get();

@@ -8,6 +8,7 @@
 //! with initial chunk size 1 MB").
 
 use msim_core::report::{figures_dir, BoxPanel, Table};
+use msplayer_bench::workload::WorkloadRegistry;
 use msplayer_bench::*;
 use msplayer_core::config::SchedulerKind;
 
@@ -18,24 +19,18 @@ fn main() {
         runs()
     );
 
-    let ms = prebuffer_times(
-        Env::Testbed,
-        Competitor::MsPlayer,
-        msplayer(SchedulerKind::Ratio, 1024),
-        prebuffer,
-    );
-    let wifi = prebuffer_times(
-        Env::Testbed,
-        Competitor::WifiOnly,
-        commercial(1024),
-        prebuffer,
-    );
-    let lte = prebuffer_times(
-        Env::Testbed,
-        Competitor::LteOnly,
-        commercial(1024),
-        prebuffer,
-    );
+    let reg = WorkloadRegistry::builtin(runs());
+    let times = |name: &str, scheduler| {
+        prebuffer_times(
+            reg.by_name(name).expect("builtin"),
+            scheduler,
+            1024,
+            prebuffer,
+        )
+    };
+    let ms = times("testbed/MSPlayer", SchedulerKind::Ratio);
+    let wifi = times("testbed/WiFi", SchedulerKind::Fixed);
+    let lte = times("testbed/LTE", SchedulerKind::Fixed);
 
     let mut panel = BoxPanel::new("Download time distribution", "Download Time (sec)", 56);
     panel.add("WiFi", boxstats(&wifi));

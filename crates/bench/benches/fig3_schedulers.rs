@@ -10,6 +10,7 @@
 //! 256 KB as the default.
 
 use msim_core::report::{figures_dir, BoxPanel, Table};
+use msplayer_bench::workload::WorkloadRegistry;
 use msplayer_bench::*;
 use msplayer_core::config::SchedulerKind;
 
@@ -27,6 +28,8 @@ fn main() {
         runs()
     );
 
+    let reg = WorkloadRegistry::builtin(runs());
+    let testbed = reg.by_name("testbed/MSPlayer").expect("builtin");
     let mut table = Table::new(&[
         "prebuffer (s)",
         "chunk",
@@ -45,8 +48,7 @@ fn main() {
         );
         for &kb in chunk_sizes_kb.iter().rev() {
             for kind in schedulers {
-                let times =
-                    prebuffer_times(Env::Testbed, Competitor::MsPlayer, msplayer(kind, kb), pb);
+                let times = prebuffer_times(testbed, kind, kb, pb);
                 let b = boxstats(&times);
                 let size_label = if kb >= 1024 {
                     format!("{}MB", kb / 1024)

@@ -9,6 +9,7 @@
 
 use msim_core::report::{figures_dir, BoxPanel, Table};
 use msim_core::stats::median;
+use msplayer_bench::workload::WorkloadRegistry;
 use msplayer_bench::*;
 use msplayer_core::config::SchedulerKind;
 
@@ -26,15 +27,14 @@ fn main() {
         "reduction vs best single",
     ]);
 
+    let reg = WorkloadRegistry::builtin(runs());
     for pb in [20.0, 40.0, 60.0] {
-        let wifi = prebuffer_times(Env::Youtube, Competitor::WifiOnly, commercial(256), pb);
-        let lte = prebuffer_times(Env::Youtube, Competitor::LteOnly, commercial(256), pb);
-        let ms = prebuffer_times(
-            Env::Youtube,
-            Competitor::MsPlayer,
-            msplayer(SchedulerKind::Harmonic, 256),
-            pb,
-        );
+        let times = |name: &str, scheduler| {
+            prebuffer_times(reg.by_name(name).expect("builtin"), scheduler, 256, pb)
+        };
+        let wifi = times("youtube/WiFi", SchedulerKind::Fixed);
+        let lte = times("youtube/LTE", SchedulerKind::Fixed);
+        let ms = times("youtube/MSPlayer", SchedulerKind::Harmonic);
 
         let mut panel = BoxPanel::new(
             &format!("{pb:.0} s pre-buffering"),

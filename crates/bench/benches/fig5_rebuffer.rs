@@ -8,8 +8,9 @@
 //! refills fastest at every refill amount.
 
 use msim_core::report::{figures_dir, BoxPanel, Table};
+use msplayer_bench::workload::WorkloadRegistry;
 use msplayer_bench::*;
-use msplayer_core::config::SchedulerKind;
+use msplayer_core::config::SchedulerKind::{Fixed, Harmonic};
 
 /// Refill cycles measured per session.
 const CYCLES: usize = 2;
@@ -20,6 +21,15 @@ fn main() {
         runs()
     );
     let mut table = Table::new(&["refill (s)", "player", "chunk", "median (s)", "q1", "q3"]);
+    let reg = WorkloadRegistry::builtin(runs());
+    // (label, workload, scheduler, chunk KB, chunk column)
+    let configs = [
+        ("WiFi 64 KB", "youtube/WiFi", Fixed, 64, "64 KB"),
+        ("WiFi 256 KB", "youtube/WiFi", Fixed, 256, "256 KB"),
+        ("LTE 64 KB", "youtube/LTE", Fixed, 64, "64 KB"),
+        ("LTE 256 KB", "youtube/LTE", Fixed, 256, "256 KB"),
+        ("MSPlayer", "youtube/MSPlayer", Harmonic, 256, "adaptive"),
+    ];
 
     for refill in [20.0, 40.0, 60.0] {
         let mut panel = BoxPanel::new(
@@ -27,50 +37,14 @@ fn main() {
             "Download Time (sec)",
             56,
         );
-        let configs: Vec<(
-            String,
-            Competitor,
-            msplayer_core::config::PlayerConfig,
-            &str,
-        )> = vec![
-            (
-                "WiFi 64 KB".into(),
-                Competitor::WifiOnly,
-                commercial(64),
-                "64 KB",
-            ),
-            (
-                "WiFi 256 KB".into(),
-                Competitor::WifiOnly,
-                commercial(256),
-                "256 KB",
-            ),
-            (
-                "LTE 64 KB".into(),
-                Competitor::LteOnly,
-                commercial(64),
-                "64 KB",
-            ),
-            (
-                "LTE 256 KB".into(),
-                Competitor::LteOnly,
-                commercial(256),
-                "256 KB",
-            ),
-            (
-                "MSPlayer".into(),
-                Competitor::MsPlayer,
-                msplayer(SchedulerKind::Harmonic, 256),
-                "adaptive",
-            ),
-        ];
-        for (label, who, cfg, chunk) in configs {
-            let times = rebuffer_times(Env::Youtube, who, cfg, refill, CYCLES);
+        for (label, workload, scheduler, chunk_kb, chunk) in configs {
+            let w = reg.by_name(workload).expect("builtin");
+            let times = rebuffer_times(w, scheduler, chunk_kb, refill, CYCLES);
             let b = boxstats(&times);
-            panel.add(&label, b);
+            panel.add(label, b);
             table.row(&[
                 &format!("{refill:.0}"),
-                &label,
+                label,
                 chunk,
                 &format!("{:.2}", b.median),
                 &format!("{:.2}", b.q1),

@@ -12,8 +12,8 @@ use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::ByteSize;
 use msplayer_core::config::{PlayerConfig, SchedulerKind};
 use msplayer_core::estimator::{BandwidthEstimator, Ewma, HarmonicInc};
-use msplayer_core::scheduler::{build_scheduler, SchedulerImpl};
-use msplayer_core::sim::{run_session, Scenario};
+use msplayer_core::scheduler::SchedulerImpl;
+use msplayer_core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec};
 
 fn bench_estimators(c: &mut Criterion) {
     c.bench_function("estimator/harmonic_inc_update", |b| {
@@ -42,18 +42,6 @@ fn bench_scheduler(c: &mut Criterion) {
     c.bench_function("scheduler/dcsa_harmonic_on_sample", |b| {
         let cfg = PlayerConfig::default();
         let mut s = SchedulerImpl::from_config(&cfg);
-        let mut i = 0usize;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            s.on_sample(i & 1, black_box(8.0e6 + (i % 100) as f64 * 1e4));
-            black_box(s.chunk_size(i & 1))
-        });
-    });
-    // Boxed trait-object dispatch, kept as the before/after comparator for
-    // the enum refactor.
-    c.bench_function("scheduler/dcsa_harmonic_on_sample_boxed", |b| {
-        let cfg = PlayerConfig::default();
-        let mut s = build_scheduler(&cfg);
         let mut i = 0usize;
         b.iter(|| {
             i = i.wrapping_add(1);
@@ -253,13 +241,14 @@ fn bench_tcp_model(c: &mut Criterion) {
 
 fn bench_full_session(c: &mut Criterion) {
     c.bench_function("session/testbed_prebuffer_10s", |b| {
-        let mut seed = 0u64;
+        let cfg = PlayerConfig::msplayer()
+            .with_scheduler(SchedulerKind::Harmonic)
+            .with_prebuffer_secs(10.0);
+        let mut spec = SessionSpec::new(0, PathSetup::testbed_pair(), cfg);
         b.iter(|| {
-            seed = seed.wrapping_add(1);
-            let cfg = PlayerConfig::msplayer()
-                .with_scheduler(SchedulerKind::Harmonic)
-                .with_prebuffer_secs(10.0);
-            black_box(run_session(&Scenario::testbed_msplayer(seed, cfg)))
+            spec.seed = spec.seed.wrapping_add(1);
+            // A fresh host per session: the bootstrap is part of the cost.
+            black_box(SessionHost::new(ServiceSpec::testbed()).run(&spec))
         });
     });
 }

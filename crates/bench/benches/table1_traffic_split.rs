@@ -9,6 +9,7 @@
 
 use msim_core::report::{figures_dir, Table};
 use msim_core::stats::Running;
+use msplayer_bench::workload::WorkloadRegistry;
 use msplayer_bench::*;
 use msplayer_core::config::SchedulerKind;
 
@@ -18,8 +19,10 @@ fn main() {
         runs()
     );
     let mut table = Table::new(&["", "Pre-buffering", "Re-buffering"]);
+    let reg = WorkloadRegistry::builtin(runs());
+    let youtube = reg.by_name("youtube/MSPlayer").expect("builtin");
     for pb in [20.0, 40.0, 60.0] {
-        let (pre, re) = wifi_fractions(pb, msplayer(SchedulerKind::Harmonic, 256), 2);
+        let (pre, re) = wifi_fractions(youtube, SchedulerKind::Harmonic, 256, pb, 2);
         let mut pre_stats = Running::new();
         for v in &pre {
             pre_stats.push(*v);

@@ -24,10 +24,11 @@ use msim_testbed::{install_shutdown_handler, shutdown_requested};
 use msplayer_bench::chaos::{run_case, ChaosCase};
 use msplayer_bench::runs;
 use msplayer_bench::sweep::{
-    profile_phases, run_parallel_with, run_serial_with, threads, write_bench_json, BenchReport,
-    SweepOptions, SweepSpec,
+    expand_workload, profile_phases, run_parallel_with, run_serial_with, threads, write_bench_json,
+    BenchReport, SweepOptions,
 };
-use msplayer_bench::workload::WorkloadRegistry;
+use msplayer_bench::workload::{WorkloadRegistry, WorkloadSpec};
+use std::sync::Arc;
 
 const CASE_USAGE: &str = "\
 sweep case mode:
@@ -142,8 +143,12 @@ fn main() {
         }
         _ => None,
     };
-    let spec = SweepSpec::fig3(runs());
-    let cells = spec.cells();
+    // The Fig. 3-style sweep: testbed MSPlayer across the three paper
+    // schedulers and four initial chunk sizes.
+    let reg = WorkloadRegistry::builtin(runs());
+    let mut fig3 = WorkloadSpec::clone(reg.by_name("testbed/MSPlayer").expect("builtin"));
+    fig3.chunk_kb = vec![16, 64, 256, 1024];
+    let cells = expand_workload(&Arc::new(fig3));
     let n_threads = threads();
     let opts = SweepOptions::from_env();
     println!(

@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn merge_rejects_gaps_and_duplicates() {
-        let cells = crate::sweep::SweepSpec::fig3(1).cells()[..2].to_vec();
+        let cells = crate::workload::WorkloadRegistry::builtin(1).cells()[..2].to_vec();
         let full = [
             CellRow {
                 index: 0,
@@ -281,7 +281,7 @@ mod tests {
 
     #[test]
     fn merge_is_input_order_invariant() {
-        let cells = crate::sweep::SweepSpec::fig3(1).cells()[..3].to_vec();
+        let cells = crate::workload::WorkloadRegistry::builtin(1).cells()[..3].to_vec();
         let rows: Vec<CellRow> = (0..3)
             .map(|i| CellRow {
                 index: i,

@@ -6,7 +6,9 @@
 //! `target/figures/`.
 //!
 //! Run counts default to the paper's 20 repetitions; set `MSP_RUNS` to
-//! override (smoke tests use 5).
+//! override (smoke tests use 5). A bench builds its registry with
+//! `WorkloadRegistry::builtin(runs())` and hands the named workloads to the
+//! figure helpers below.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,176 +21,141 @@ pub mod sweep;
 pub mod workload;
 
 use msim_core::stats::BoxStats;
-use msim_net::profile::PathProfile;
-use msim_youtube::dns::Network;
 use msplayer_core::config::{PlayerConfig, SchedulerKind};
 use msplayer_core::metrics::{SessionMetrics, TrafficPhase};
-use msplayer_core::sim::{run_session, Scenario, SessionHost, StopCondition};
+use msplayer_core::sim::{ServiceSpec, SessionHost, SessionSpec, StopCondition};
+use workload::WorkloadSpec;
 
 /// Number of seeded repetitions per configuration (paper: "repeat this 20
-/// times"). Override with `MSP_RUNS`.
+/// times"). Override with `MSP_RUNS` (a positive integer); unset means 20.
 ///
-/// The env var is read **once** and cached in a `OnceLock` — sweep inner
-/// loops call this per cell, and re-parsing the environment on every call
-/// was measurable noise. Consequently `MSP_RUNS` must be set before the
-/// first call (process start does this naturally).
+/// The env var is read **once** and cached in a `OnceLock`, so `MSP_RUNS`
+/// must be set before the first call (process start does this naturally).
+/// A value that is not a positive integer ends the process (exit code 2)
+/// at that first read, before any session runs.
 pub fn runs() -> u64 {
     static RUNS: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *RUNS.get_or_init(|| {
-        std::env::var("MSP_RUNS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(20)
-    })
+    *RUNS.get_or_init(
+        || match parse_runs(std::env::var("MSP_RUNS").ok().as_deref()) {
+            Ok(n) => n,
+            Err(why) => {
+                eprintln!("{why}");
+                std::process::exit(2);
+            }
+        },
+    )
+}
+
+/// `MSP_RUNS` as read from the environment (`None` = unset) to a run count.
+fn parse_runs(value: Option<&str>) -> Result<u64, String> {
+    let Some(v) = value else { return Ok(20) };
+    match v.trim().parse::<u64>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("MSP_RUNS={v:?}: expected a positive integer")),
+    }
 }
 
 /// Base seed; combined with run index so each repetition is independent but
 /// reproducible.
 pub const BASE_SEED: u64 = 0x4d53_506c_6179_6572; // "MSPlayer"
 
-/// Which environment a sweep runs in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Env {
-    /// §5 emulated testbed (unpaced servers, testbed link profiles).
-    Testbed,
-    /// §6 production-YouTube profile (paced servers, heavier control plane,
-    /// copyrighted video → signature decipher step).
-    Youtube,
-}
-
-impl Env {
-    /// Short name used in workload names and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Env::Testbed => "testbed",
-            Env::Youtube => "youtube",
-        }
-    }
-}
-
-/// Which competitor streams.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Competitor {
-    /// Single path over WiFi with a commercial player profile.
-    WifiOnly,
-    /// Single path over LTE with a commercial player profile.
-    LteOnly,
-    /// MSPlayer over both paths.
-    MsPlayer,
-}
-
-impl Competitor {
-    /// Figure label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Competitor::WifiOnly => "WiFi",
-            Competitor::LteOnly => "LTE",
-            Competitor::MsPlayer => "MSPlayer",
-        }
-    }
-}
-
-fn profiles_for(env: Env) -> (PathProfile, PathProfile) {
-    match env {
-        Env::Testbed => (PathProfile::wifi_testbed(), PathProfile::lte_testbed()),
-        Env::Youtube => (PathProfile::wifi_youtube(), PathProfile::lte_youtube()),
-    }
-}
-
-/// Builds the scenario for one competitor in one environment.
-pub fn scenario_for(env: Env, who: Competitor, seed: u64, player: PlayerConfig) -> Scenario {
-    let (wifi, lte) = profiles_for(env);
-    match (env, who) {
-        (Env::Testbed, Competitor::MsPlayer) => Scenario::testbed_msplayer(seed, player),
-        (Env::Testbed, Competitor::WifiOnly) => {
-            Scenario::testbed_single_path(seed, wifi, Network::Wifi, player)
-        }
-        (Env::Testbed, Competitor::LteOnly) => {
-            Scenario::testbed_single_path(seed, lte, Network::Cellular, player)
-        }
-        (Env::Youtube, Competitor::MsPlayer) => Scenario::youtube_msplayer(seed, player),
-        (Env::Youtube, Competitor::WifiOnly) => {
-            Scenario::youtube_single_path(seed, wifi, Network::Wifi, player)
-        }
-        (Env::Youtube, Competitor::LteOnly) => {
-            Scenario::youtube_single_path(seed, lte, Network::Cellular, player)
-        }
-    }
-}
-
-/// Runs one experiment shape over `runs()` seeds on a single warmed
-/// [`SessionHost`]: derives the session spec from `scenario` with `stop`,
-/// salts the per-repetition seeds with `seed_salt`, and returns the batch
-/// metrics. Every repeated-session helper below goes through this — the
-/// batch API amortizes the control-plane bootstrap without changing any
-/// session's outcome.
-pub fn run_experiment(
-    scenario: &Scenario,
+/// Runs one experiment shape over `w.runs` seeds on a single warmed
+/// [`SessionHost`]: `w`'s paths under `player` until `stop`, the workload's
+/// per-repetition seeds salted with `seed_salt`. Every figure helper below
+/// goes through this — the batch API amortizes the control-plane bootstrap
+/// without changing any session's outcome.
+fn run_experiment(
+    w: &WorkloadSpec,
+    service: ServiceSpec,
+    player: PlayerConfig,
     stop: StopCondition,
     seed_salt: u64,
 ) -> Vec<SessionMetrics> {
-    let mut host = SessionHost::new(scenario.service_spec());
-    let spec = scenario.session_spec().with_stop(stop);
-    let seeds: Vec<u64> = (0..runs())
-        .map(|run| BASE_SEED ^ seed_salt ^ run.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .collect();
-    host.run_batch(&seeds, &spec).expect("valid scenario")
+    let mut host = SessionHost::new(service);
+    let spec = SessionSpec::new(0, w.paths.clone(), player).with_stop(stop);
+    let seeds: Vec<u64> = (0..w.runs).map(|run| w.seed(run) ^ seed_salt).collect();
+    host.run_batch(&seeds, &spec).expect("valid session spec")
 }
 
 /// Runs a pre-buffering experiment: download time (seconds) to accumulate
-/// `prebuffer_secs` of video, across `runs()` seeds.
+/// `prebuffer_secs` of video at one `(scheduler, chunk_kb)` point of `w`,
+/// across `w.runs` seeds.
 pub fn prebuffer_times(
-    env: Env,
-    who: Competitor,
-    player_base: PlayerConfig,
+    w: &WorkloadSpec,
+    scheduler: SchedulerKind,
+    chunk_kb: u64,
     prebuffer_secs: f64,
 ) -> Vec<f64> {
-    let player = player_base.with_prebuffer_secs(prebuffer_secs);
-    let scenario = scenario_for(env, who, 0, player);
-    run_experiment(&scenario, StopCondition::PrebufferDone, 0)
-        .iter()
-        .map(|m| {
-            m.prebuffer_time()
-                .expect("prebuffer completes")
-                .as_secs_f64()
-        })
-        .collect()
+    let player = w
+        .player_config(scheduler, chunk_kb)
+        .with_prebuffer_secs(prebuffer_secs);
+    run_experiment(
+        w,
+        w.service.clone(),
+        player,
+        StopCondition::PrebufferDone,
+        0,
+    )
+    .iter()
+    .map(|m| {
+        m.prebuffer_time()
+            .expect("prebuffer completes")
+            .as_secs_f64()
+    })
+    .collect()
 }
 
 /// Runs a re-buffering experiment: each completed refill cycle's duration
-/// (seconds), pooled across `runs()` seeds × `cycles` cycles.
+/// (seconds), pooled across `w.runs` seeds × `cycles` cycles.
 pub fn rebuffer_times(
-    env: Env,
-    who: Competitor,
-    player_base: PlayerConfig,
+    w: &WorkloadSpec,
+    scheduler: SchedulerKind,
+    chunk_kb: u64,
     refill_secs: f64,
     cycles: usize,
 ) -> Vec<f64> {
-    let player = player_base
+    let player = w
+        .player_config(scheduler, chunk_kb)
         .with_prebuffer_secs(40.0)
         .with_rebuffer_secs(refill_secs);
-    let mut scenario = scenario_for(env, who, 0, player);
     // Long enough for the requested cycles.
-    scenario.video_secs = 40.0 + (refill_secs + 60.0) * (cycles as f64 + 1.0);
-    run_experiment(&scenario, StopCondition::AfterRefills(cycles), 0xBEEF)
-        .iter()
-        .flat_map(|m| m.refills.iter().map(|r| r.duration().as_secs_f64()))
-        .collect()
+    let video_secs = 40.0 + (refill_secs + 60.0) * (cycles as f64 + 1.0);
+    let service = w.service.clone().with_video_secs(video_secs);
+    run_experiment(
+        w,
+        service,
+        player,
+        StopCondition::AfterRefills(cycles),
+        0xBEEF,
+    )
+    .iter()
+    .flat_map(|m| m.refills.iter().map(|r| r.duration().as_secs_f64()))
+    .collect()
 }
 
-/// Runs the Table-1 experiment: WiFi traffic fraction (percent) per phase,
-/// one sample per seed.
+/// Runs the Table-1 experiment on `w` (the paper uses `youtube/MSPlayer`):
+/// WiFi traffic fraction (percent) per phase, one sample per seed.
 pub fn wifi_fractions(
+    w: &WorkloadSpec,
+    scheduler: SchedulerKind,
+    chunk_kb: u64,
     prebuffer_secs: f64,
-    player_base: PlayerConfig,
     cycles: usize,
 ) -> (Vec<f64>, Vec<f64>) {
-    let player = player_base.with_prebuffer_secs(prebuffer_secs);
-    let mut scenario = scenario_for(Env::Youtube, Competitor::MsPlayer, 0, player);
-    scenario.video_secs = prebuffer_secs + 90.0 * (cycles as f64 + 1.0);
+    let player = w
+        .player_config(scheduler, chunk_kb)
+        .with_prebuffer_secs(prebuffer_secs);
+    let video_secs = prebuffer_secs + 90.0 * (cycles as f64 + 1.0);
+    let service = w.service.clone().with_video_secs(video_secs);
     let mut pre = Vec::new();
     let mut re = Vec::new();
-    for m in run_experiment(&scenario, StopCondition::AfterRefills(cycles), 0x7AB1) {
+    for m in run_experiment(
+        w,
+        service,
+        player,
+        StopCondition::AfterRefills(cycles),
+        0x7AB1,
+    ) {
         if let Some(f) = m.traffic_fraction(0, TrafficPhase::PreBuffering) {
             pre.push(f * 100.0);
         }
@@ -199,25 +166,30 @@ pub fn wifi_fractions(
     (pre, re)
 }
 
-/// The commercial single-path baseline used in Figs. 2/4/5.
-pub fn commercial(chunk_kb: u64) -> PlayerConfig {
-    PlayerConfig::commercial_single_path(msim_core::units::ByteSize::kb(chunk_kb))
-}
-
-/// The MSPlayer config used in the sweeps, with scheduler and initial
-/// chunk size.
-pub fn msplayer(kind: SchedulerKind, chunk_kb: u64) -> PlayerConfig {
-    PlayerConfig::msplayer()
-        .with_scheduler(kind)
-        .with_initial_chunk(msim_core::units::ByteSize::kb(chunk_kb))
-}
-
 /// Convenience: boxplot stats of a sample.
 pub fn boxstats(samples: &[f64]) -> BoxStats {
     BoxStats::from_sample(samples)
 }
 
-/// One session's metrics for ad-hoc inspection in benches/examples.
-pub fn one_session(env: Env, who: Competitor, seed: u64, player: PlayerConfig) -> SessionMetrics {
-    run_session(&scenario_for(env, who, seed, player))
+#[cfg(test)]
+mod tests {
+    use super::parse_runs;
+
+    #[test]
+    fn msp_runs_accepts_positive_integers_and_defaults_to_twenty() {
+        assert_eq!(parse_runs(None), Ok(20));
+        assert_eq!(parse_runs(Some("5")), Ok(5));
+        assert_eq!(parse_runs(Some(" 100 ")), Ok(100));
+    }
+
+    #[test]
+    fn msp_runs_rejects_zero_and_garbage_naming_the_variable() {
+        for bad in ["0", "two", "-3", "2.5", ""] {
+            let err = parse_runs(Some(bad)).unwrap_err();
+            assert!(
+                err.contains("MSP_RUNS") && err.contains("positive integer"),
+                "{err}"
+            );
+        }
+    }
 }

@@ -20,7 +20,6 @@
 //!   [`write_bench_json`], giving the repo a recorded perf trajectory.
 
 use crate::workload::WorkloadSpec;
-use crate::{Competitor, Env};
 use msplayer_core::config::SchedulerKind;
 use msplayer_core::metrics::SessionMetrics;
 use msplayer_core::sim::SessionHost;
@@ -319,74 +318,6 @@ impl WatchdogRunner {
             },
             wall_secs: budget.as_secs_f64(),
         }
-    }
-}
-
-/// A sweep specification over the historical closed enums, expanded to
-/// cells in a fixed nested order (env → competitor → scheduler → seed).
-///
-/// Compatibility shell: [`SweepSpec::cells`] maps each (env, competitor)
-/// pair onto a [`WorkloadSpec`] via
-/// [`WorkloadSpec::from_env_competitor`] and enumerates those — seeds and
-/// session shapes are unchanged. New scenarios should register
-/// [`WorkloadSpec`]s directly instead of growing these enums.
-#[derive(Clone, Debug)]
-pub struct SweepSpec {
-    /// Environments to sweep.
-    pub envs: Vec<Env>,
-    /// Competitors to sweep.
-    pub competitors: Vec<Competitor>,
-    /// Schedulers to sweep (applied to MSPlayer cells only; single-path
-    /// competitors get one cell per (env, chunk) regardless).
-    pub schedulers: Vec<SchedulerKind>,
-    /// Initial chunk sizes (KB) to sweep.
-    pub chunk_kb: Vec<u64>,
-    /// Pre-buffering target.
-    pub prebuffer_secs: f64,
-    /// Seeded repetitions per configuration.
-    pub runs: u64,
-}
-
-impl SweepSpec {
-    /// The Fig. 3-style sweep: MSPlayer on the emulated testbed across the
-    /// three schedulers and four initial chunk sizes, `runs` seeds per
-    /// cell.
-    pub fn fig3(runs: u64) -> SweepSpec {
-        SweepSpec {
-            envs: vec![Env::Testbed],
-            competitors: vec![Competitor::MsPlayer],
-            schedulers: vec![
-                SchedulerKind::Harmonic,
-                SchedulerKind::Ewma,
-                SchedulerKind::Ratio,
-            ],
-            chunk_kb: vec![16, 64, 256, 1024],
-            prebuffer_secs: 40.0,
-            runs,
-        }
-    }
-
-    /// The workloads this spec describes, in expansion order.
-    pub fn workloads(&self) -> Vec<Arc<WorkloadSpec>> {
-        let mut out = Vec::new();
-        for &env in &self.envs {
-            for &competitor in &self.competitors {
-                out.push(Arc::new(WorkloadSpec::from_env_competitor(
-                    env,
-                    competitor,
-                    self.schedulers.clone(),
-                    self.chunk_kb.clone(),
-                    self.prebuffer_secs,
-                    self.runs,
-                )));
-            }
-        }
-        out
-    }
-
-    /// Expands the spec to its cell list (deterministic order).
-    pub fn cells(&self) -> Vec<Cell> {
-        self.workloads().iter().flat_map(expand_workload).collect()
     }
 }
 
@@ -849,22 +780,25 @@ pub fn write_bench_json(report: &BenchReport) -> std::io::Result<std::path::Path
 mod tests {
     use super::*;
 
-    fn tiny_spec() -> SweepSpec {
-        SweepSpec {
-            envs: vec![Env::Testbed],
-            competitors: vec![Competitor::MsPlayer, Competitor::WifiOnly],
-            schedulers: vec![SchedulerKind::Harmonic, SchedulerKind::Ratio],
-            chunk_kb: vec![256],
-            prebuffer_secs: 10.0,
-            runs: 2,
-        }
+    /// Testbed MSPlayer (Harmonic, Ratio) + WiFi-only, 10 s pre-buffer,
+    /// two seeds each: six cells.
+    fn tiny_cells() -> Vec<Cell> {
+        let reg = crate::workload::WorkloadRegistry::builtin(2);
+        ["testbed/MSPlayer", "testbed/WiFi"]
+            .iter()
+            .flat_map(|name| {
+                let mut w = WorkloadSpec::clone(reg.by_name(name).expect("builtin"));
+                w.prebuffer_secs = 10.0;
+                w.schedulers.retain(|&s| s != SchedulerKind::Ewma);
+                expand_workload(&Arc::new(w))
+            })
+            .collect()
     }
 
     #[test]
     fn expansion_order_is_stable() {
-        let spec = tiny_spec();
-        let a = spec.cells();
-        let b = spec.cells();
+        let a = tiny_cells();
+        let b = tiny_cells();
         assert_eq!(a, b);
         // MSPlayer × 2 schedulers × 2 seeds + WifiOnly × 1 × 2 seeds.
         assert_eq!(a.len(), 6);
@@ -875,7 +809,7 @@ mod tests {
 
     #[test]
     fn parallel_merge_is_cell_ordered() {
-        let cells = tiny_spec().cells();
+        let cells = tiny_cells();
         let serial = run_serial(&cells);
         let parallel = run_parallel(&cells, 4);
         assert_eq!(serial.len(), parallel.len());
@@ -886,13 +820,13 @@ mod tests {
 
     #[test]
     fn single_thread_parallel_equals_serial() {
-        let cells = tiny_spec().cells();
+        let cells = tiny_cells();
         assert_eq!(run_serial(&cells), run_parallel(&cells, 1));
     }
 
     #[test]
     fn host_reuse_matches_one_shot_cells() {
-        let cells = tiny_spec().cells();
+        let cells = tiny_cells();
         let shared = run_serial(&cells);
         let one_shot: Vec<CellResult> = cells.iter().map(Cell::run).collect();
         assert_eq!(shared, one_shot, "host reuse changed a session");
@@ -900,7 +834,7 @@ mod tests {
 
     #[test]
     fn cell_kinds_group_and_count() {
-        let cells = tiny_spec().cells();
+        let cells = tiny_cells();
         let results = run_serial(&cells);
         let kinds = cell_kind_stats(&results);
         assert_eq!(kinds.len(), 3, "2 MSPlayer schedulers + WiFi/Fixed");
@@ -923,7 +857,7 @@ mod tests {
 
     #[test]
     fn watchdog_times_out_slow_cell_and_sweep_continues() {
-        let cells = tiny_spec().cells();
+        let cells = tiny_cells();
         // A 1ns budget: every cell (real sessions take microseconds at
         // least) becomes a typed TimedOut row instead of hanging.
         let opts = SweepOptions {
@@ -951,7 +885,7 @@ mod tests {
 
     #[test]
     fn generous_budget_matches_unbudgeted_run() {
-        let cells = tiny_spec().cells();
+        let cells = tiny_cells();
         let opts = SweepOptions {
             cell_budget: Some(Duration::from_secs(120)),
         };
@@ -997,7 +931,7 @@ mod tests {
 
     #[test]
     fn profile_phases_attributes_instrumented_spans() {
-        let cells = tiny_spec().cells();
+        let cells = tiny_cells();
         let profile = profile_phases(&cells);
         let stream = profile
             .iter()

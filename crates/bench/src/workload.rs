@@ -8,14 +8,13 @@
 //! server-failure storm) means *registering a spec*, not editing the
 //! engine.
 //!
-//! The closed `Env` × `Competitor` enums of the original harness survive as
-//! conveniences in the crate root; [`WorkloadSpec::from_env_competitor`]
-//! maps them onto workloads (see the README migration table).
+//! The paper's own grid — two environments × three players — is the first
+//! six entries of [`WorkloadRegistry::builtin`]; a caller that wants a
+//! variation clones a builtin and sets its public fields.
 //!
 //! [`Cell`]: crate::sweep::Cell
 //! [`SessionHost`]: msplayer_core::sim::SessionHost
 
-use crate::{Competitor, Env};
 use msim_core::time::SimTime;
 use msim_core::units::ByteSize;
 use msim_net::mobility::OutageSchedule;
@@ -61,8 +60,7 @@ pub struct WorkloadSpec {
     /// Seeded repetitions per (scheduler, chunk) configuration.
     pub runs: u64,
     /// Mixed into every seed so different workloads draw different
-    /// sessions; keep `0` to reproduce the historical Env×Competitor
-    /// sweeps bit-for-bit.
+    /// sessions; the six paper workloads use `0`.
     pub seed_salt: u64,
     /// Optional shadow ABR ladder applied to every cell's player (`None` =
     /// the paper's fixed-rate player).
@@ -159,53 +157,32 @@ impl WorkloadSpec {
         self
     }
 
-    /// Maps one historical (env, competitor) pair onto a workload. Seeds,
-    /// player configs, and scenario shapes reproduce the closed-enum sweep
-    /// exactly (`seed_salt = 0`).
-    pub fn from_env_competitor(
-        env: Env,
-        competitor: Competitor,
-        schedulers: Vec<SchedulerKind>,
-        chunk_kb: Vec<u64>,
-        prebuffer_secs: f64,
+    /// One row of the paper's evaluation grid: MSPlayer sweeps the three
+    /// paper schedulers, the commercial single-path player pins `Fixed`;
+    /// 256 KB chunks, 40 s pre-buffer, `seed_salt = 0`.
+    fn paper(
+        name: &str,
+        service: &ServiceSpec,
+        paths: &[PathSetup],
+        player: PlayerKind,
         runs: u64,
     ) -> WorkloadSpec {
-        let (wifi, lte) = match env {
-            Env::Testbed => (PathProfile::wifi_testbed(), PathProfile::lte_testbed()),
-            Env::Youtube => (PathProfile::wifi_youtube(), PathProfile::lte_youtube()),
-        };
-        let service = match env {
-            Env::Testbed => ServiceSpec::testbed(),
-            Env::Youtube => ServiceSpec::youtube(),
-        };
-        let (paths, player, schedulers) = match competitor {
-            Competitor::MsPlayer => (
-                vec![
-                    PathSetup::new(wifi, Network::Wifi),
-                    PathSetup::new(lte, Network::Cellular),
-                ],
-                PlayerKind::MsPlayer,
-                schedulers,
-            ),
-            Competitor::WifiOnly => (
-                vec![PathSetup::new(wifi, Network::Wifi)],
-                PlayerKind::Commercial,
-                vec![SchedulerKind::Fixed],
-            ),
-            Competitor::LteOnly => (
-                vec![PathSetup::new(lte, Network::Cellular)],
-                PlayerKind::Commercial,
-                vec![SchedulerKind::Fixed],
-            ),
+        let schedulers = match player {
+            PlayerKind::MsPlayer => vec![
+                SchedulerKind::Harmonic,
+                SchedulerKind::Ewma,
+                SchedulerKind::Ratio,
+            ],
+            PlayerKind::Commercial => vec![SchedulerKind::Fixed],
         };
         WorkloadSpec {
-            name: format!("{}/{}", env.label(), competitor.label()),
-            service,
-            paths,
+            name: name.into(),
+            service: service.clone(),
+            paths: paths.to_vec(),
             player,
             schedulers,
-            chunk_kb,
-            prebuffer_secs,
+            chunk_kb: vec![256],
+            prebuffer_secs: 40.0,
             stop: StopCondition::PrebufferDone,
             server_failures: Vec::new(),
             runs,
@@ -215,17 +192,17 @@ impl WorkloadSpec {
         }
     }
 
-    /// Three-path WiFi + LTE + ethernet testbed workload — the first
-    /// scenario the closed enums could not express.
+    /// Three-path WiFi + LTE + ethernet testbed workload.
     pub fn three_path_testbed(runs: u64) -> WorkloadSpec {
+        let mut paths = PathSetup::testbed_pair();
+        paths.push(PathSetup::new(
+            PathProfile::ethernet_testbed(),
+            Network::Ethernet,
+        ));
         WorkloadSpec {
             name: "testbed3/MSPlayer".into(),
             service: ServiceSpec::testbed(),
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-                PathSetup::new(PathProfile::ethernet_testbed(), Network::Ethernet),
-            ],
+            paths,
             player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic, SchedulerKind::Ratio],
             chunk_kb: vec![256],
@@ -247,15 +224,12 @@ impl WorkloadSpec {
             (SimTime::from_secs(15), SimTime::from_secs(19)),
             (SimTime::from_secs(28), SimTime::from_secs(33)),
         ]);
-        let mut wifi = PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi);
-        wifi.outages = Some(outages);
+        let mut paths = PathSetup::testbed_pair();
+        paths[0].outages = Some(outages);
         WorkloadSpec {
             name: "storm/mobility".into(),
             service: ServiceSpec::testbed(),
-            paths: vec![
-                wifi,
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-            ],
+            paths,
             player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic],
             chunk_kb: vec![256],
@@ -275,10 +249,7 @@ impl WorkloadSpec {
         WorkloadSpec {
             name: "storm/server-failure".into(),
             service: ServiceSpec::testbed(),
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-            ],
+            paths: PathSetup::testbed_pair(),
             player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic],
             chunk_kb: vec![256],
@@ -308,22 +279,22 @@ impl WorkloadSpec {
     /// Four-path asymmetric-replica grid: WiFi + LTE + ethernet + a
     /// second, slower cellular modem that shares the **same** cellular
     /// network (and therefore the same replica fleet) as the LTE path.
-    /// Two paths competing for one network's servers is the asymmetry the
-    /// closed enums could never express; the grid sweeps two schedulers ×
-    /// two chunk sizes over it.
+    /// Two paths compete for one network's servers; the grid sweeps two
+    /// schedulers × two chunk sizes over it.
     pub fn four_path_asymmetric_grid(runs: u64) -> WorkloadSpec {
+        let mut paths = PathSetup::testbed_pair();
+        paths.push(PathSetup::new(
+            PathProfile::ethernet_testbed(),
+            Network::Ethernet,
+        ));
+        paths.push(PathSetup::new(
+            PathProfile::lte_youtube().scaled_to(msim_core::units::BitRate::mbps(4.2)),
+            Network::Cellular,
+        ));
         WorkloadSpec {
             name: "grid/4path-asym".into(),
             service: ServiceSpec::testbed(),
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-                PathSetup::new(PathProfile::ethernet_testbed(), Network::Ethernet),
-                PathSetup::new(
-                    PathProfile::lte_youtube().scaled_to(msim_core::units::BitRate::mbps(4.2)),
-                    Network::Cellular,
-                ),
-            ],
+            paths,
             player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic, SchedulerKind::Ratio],
             chunk_kb: vec![256, 1024],
@@ -378,10 +349,7 @@ impl WorkloadSpec {
         WorkloadSpec {
             name: "abr/closed-loop".into(),
             service: ServiceSpec::testbed(),
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-            ],
+            paths: PathSetup::testbed_pair(),
             player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic, SchedulerKind::Ratio],
             chunk_kb: vec![256, 1024],
@@ -402,18 +370,15 @@ impl WorkloadSpec {
     /// doubles the aggregate estimate — adaptation and multi-path
     /// scheduling interacting, not just coexisting.
     pub fn abr_mobility_handoff(runs: u64) -> WorkloadSpec {
-        let mut wifi = PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi);
-        wifi.outages = Some(OutageSchedule::from_windows(vec![(
+        let mut paths = PathSetup::testbed_pair();
+        paths[0].outages = Some(OutageSchedule::from_windows(vec![(
             SimTime::from_millis(200),
             SimTime::from_secs(12),
         )]));
         WorkloadSpec {
             name: "abr/mobility-handoff".into(),
             service: ServiceSpec::testbed(),
-            paths: vec![
-                wifi,
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-            ],
+            paths,
             player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic],
             chunk_kb: vec![256],
@@ -436,20 +401,19 @@ impl WorkloadSpec {
     /// back, and finally both run together — one session crossing three
     /// connectivity regimes.
     pub fn mobility_mixed_trace(runs: u64) -> WorkloadSpec {
-        let mut wifi = PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi);
-        wifi.outages = Some(OutageSchedule::from_windows(vec![(
+        let mut paths = PathSetup::testbed_pair();
+        paths[0].outages = Some(OutageSchedule::from_windows(vec![(
             SimTime::from_secs(8),
             SimTime::from_secs(25),
         )]));
-        let mut lte = PathSetup::new(PathProfile::lte_testbed(), Network::Cellular);
-        lte.outages = Some(OutageSchedule::from_windows(vec![(
+        paths[1].outages = Some(OutageSchedule::from_windows(vec![(
             SimTime::from_millis(300),
             SimTime::from_secs(8),
         )]));
         WorkloadSpec {
             name: "mobility/mixed-trace".into(),
             service: ServiceSpec::testbed(),
-            paths: vec![wifi, lte],
+            paths,
             player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic],
             chunk_kb: vec![256],
@@ -474,10 +438,7 @@ impl WorkloadSpec {
         WorkloadSpec {
             name: "abr/ladder".into(),
             service: ServiceSpec::testbed(),
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-            ],
+            paths: PathSetup::testbed_pair(),
             player: PlayerKind::MsPlayer,
             schedulers: vec![SchedulerKind::Harmonic],
             chunk_kb: vec![256],
@@ -505,30 +466,23 @@ impl WorkloadRegistry {
         WorkloadRegistry::default()
     }
 
-    /// The built-in catalogue: every historical Env×Competitor pair plus
-    /// the N-path scenarios, `runs` seeds each.
+    /// The built-in catalogue: the paper's six workloads (§5 testbed and
+    /// §6 YouTube × MSPlayer / WiFi-only / LTE-only) plus the N-path,
+    /// storm, ABR and mobility scenarios, `runs` seeds each.
     pub fn builtin(runs: u64) -> WorkloadRegistry {
         let mut reg = WorkloadRegistry::new();
-        let paper_schedulers = vec![
-            SchedulerKind::Harmonic,
-            SchedulerKind::Ewma,
-            SchedulerKind::Ratio,
-        ];
-        for env in [Env::Testbed, Env::Youtube] {
-            for competitor in [
-                Competitor::MsPlayer,
-                Competitor::WifiOnly,
-                Competitor::LteOnly,
-            ] {
-                reg.register(WorkloadSpec::from_env_competitor(
-                    env,
-                    competitor,
-                    paper_schedulers.clone(),
-                    vec![256],
-                    40.0,
-                    runs,
-                ));
-            }
+        use PlayerKind::{Commercial, MsPlayer};
+        let (tb, yt) = (ServiceSpec::testbed(), ServiceSpec::youtube());
+        let (tb_paths, yt_paths) = (PathSetup::testbed_pair(), PathSetup::youtube_pair());
+        for (name, service, paths, player) in [
+            ("testbed/MSPlayer", &tb, &tb_paths[..], MsPlayer),
+            ("testbed/WiFi", &tb, &tb_paths[..1], Commercial),
+            ("testbed/LTE", &tb, &tb_paths[1..], Commercial),
+            ("youtube/MSPlayer", &yt, &yt_paths[..], MsPlayer),
+            ("youtube/WiFi", &yt, &yt_paths[..1], Commercial),
+            ("youtube/LTE", &yt, &yt_paths[1..], Commercial),
+        ] {
+            reg.register(WorkloadSpec::paper(name, service, paths, player, runs));
         }
         reg.register(WorkloadSpec::three_path_testbed(runs));
         reg.register(WorkloadSpec::mobility_storm(runs));
@@ -624,18 +578,33 @@ mod tests {
     }
 
     #[test]
-    fn builtin_covers_enums_and_n_path() {
+    fn builtin_registers_fifteen_workloads_in_a_fixed_order() {
         let reg = WorkloadRegistry::builtin(2);
-        // 2 envs × 3 competitors + 9 new scenarios.
-        assert_eq!(reg.specs().len(), 15);
-        assert!(reg.by_name("abr/closed-loop").is_some());
-        assert!(reg.by_name("abr/mobility-handoff").is_some());
-        assert!(reg.by_name("mobility/mixed-trace").is_some());
-        assert!(reg.by_name("testbed/MSPlayer").is_some());
-        assert!(reg.by_name("youtube/LTE").is_some());
+        // Registration order is cell order: the cluster's manifest
+        // expansion and `sweep_fingerprint` depend on it.
+        assert_eq!(
+            reg.names(),
+            [
+                "testbed/MSPlayer",
+                "testbed/WiFi",
+                "testbed/LTE",
+                "youtube/MSPlayer",
+                "youtube/WiFi",
+                "youtube/LTE",
+                "testbed3/MSPlayer",
+                "storm/mobility",
+                "storm/server-failure",
+                "abr/ladder",
+                "grid/4path-asym",
+                "wifi/dual-same-network",
+                "abr/closed-loop",
+                "abr/mobility-handoff",
+                "mobility/mixed-trace",
+            ]
+        );
+        assert!(reg.specs().iter().all(|w| w.runs == 2));
         let three = reg.by_name("testbed3/MSPlayer").unwrap();
         assert_eq!(three.paths.len(), 3);
-        assert!(reg.by_name("abr/ladder").is_some());
         let four = reg.by_name("grid/4path-asym").unwrap();
         assert_eq!(four.paths.len(), 4);
         let dual = reg.by_name("wifi/dual-same-network").unwrap();
@@ -795,34 +764,44 @@ mod tests {
     }
 
     #[test]
-    fn env_competitor_mapping_preserves_seeds() {
-        let w = WorkloadSpec::from_env_competitor(
-            Env::Testbed,
-            Competitor::MsPlayer,
-            vec![SchedulerKind::Harmonic],
-            vec![256],
-            10.0,
-            3,
-        );
-        for run in 0..3u64 {
-            let expected = crate::BASE_SEED ^ run.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            assert_eq!(w.seed(run), expected);
+    fn paper_workloads_keep_the_unsalted_seed_formula() {
+        let reg = WorkloadRegistry::builtin(3);
+        for w in &reg.specs()[..6] {
+            assert_eq!(w.seed_salt, 0, "{}", w.name);
+            for run in 0..3u64 {
+                let expected = crate::BASE_SEED ^ run.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                assert_eq!(w.seed(run), expected, "{}", w.name);
+            }
         }
     }
 
     #[test]
-    fn single_path_competitors_pin_fixed_scheduler() {
-        let w = WorkloadSpec::from_env_competitor(
-            Env::Youtube,
-            Competitor::WifiOnly,
-            vec![SchedulerKind::Harmonic, SchedulerKind::Ratio],
-            vec![64],
-            10.0,
-            1,
-        );
-        assert_eq!(w.schedulers, vec![SchedulerKind::Fixed]);
-        assert_eq!(w.paths.len(), 1);
-        assert_eq!(w.player, PlayerKind::Commercial);
+    fn paper_workloads_map_players_to_schedulers_and_paths() {
+        let reg = WorkloadRegistry::builtin(1);
+        for env in ["testbed", "youtube"] {
+            let ms = reg.by_name(&format!("{env}/MSPlayer")).unwrap();
+            assert_eq!(ms.player, PlayerKind::MsPlayer);
+            assert_eq!(
+                ms.schedulers,
+                [
+                    SchedulerKind::Harmonic,
+                    SchedulerKind::Ewma,
+                    SchedulerKind::Ratio
+                ]
+            );
+            assert_eq!(ms.paths.len(), 2);
+            for (single, network) in [("WiFi", Network::Wifi), ("LTE", Network::Cellular)] {
+                let w = reg.by_name(&format!("{env}/{single}")).unwrap();
+                assert_eq!(w.player, PlayerKind::Commercial, "{}", w.name);
+                assert_eq!(w.schedulers, [SchedulerKind::Fixed], "{}", w.name);
+                assert_eq!(w.paths.len(), 1, "{}", w.name);
+                assert_eq!(w.paths[0].network, network, "{}", w.name);
+                assert_eq!(w.chunk_kb, [256]);
+                assert_eq!(w.prebuffer_secs, 40.0);
+            }
+        }
+        let yt = reg.by_name("youtube/MSPlayer").unwrap();
+        assert!(yt.service.copyrighted && yt.service.service.pacing.is_some());
     }
 
     #[test]

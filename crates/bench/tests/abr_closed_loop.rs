@@ -14,7 +14,7 @@ use msplayer_bench::workload::WorkloadRegistry;
 use msplayer_core::abr::AbrPolicyKind;
 use msplayer_core::config::{AbrLadderConfig, PlayerConfig};
 use msplayer_core::metrics::SessionMetrics;
-use msplayer_core::sim::{Scenario, SessionHost, StopCondition};
+use msplayer_core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec, StopCondition};
 
 /// Strips the fields closed-loop sessions grow by design — the ABR traces
 /// and the event count (decision ticks are extra simulator events) — so
@@ -100,10 +100,11 @@ fn shadow_equals_closed_loop_when_no_switch_fires() {
         let cfg = PlayerConfig::msplayer()
             .with_prebuffer_secs(10.0)
             .with_abr_ladder(abr);
-        let mut scenario =
-            Scenario::testbed_single_path(11, PathProfile::stable(3.5, 30), Network::Wifi, cfg);
-        scenario.stop = StopCondition::AfterRefills(2);
-        msplayer_core::sim::run_session(&scenario)
+        let path = PathSetup::new(PathProfile::stable(3.5, 30), Network::Wifi);
+        let spec = SessionSpec::new(11, vec![path], cfg).with_stop(StopCondition::AfterRefills(2));
+        SessionHost::new(ServiceSpec::testbed())
+            .run(&spec)
+            .expect("valid spec")
     };
     let closed = run(AbrLadderConfig::closed_loop().with_ladder(ladder.clone()));
     let shadow = run(AbrLadderConfig::default().with_ladder(ladder));

@@ -2,75 +2,37 @@
 //!
 //! The contract the whole sweep engine rides on: running sessions over a
 //! warmed [`SessionHost`] — one at a time, in a batch, or interleaved — is
-//! bit-identical to running each session through the single-shot
-//! [`run_session`] shim. Host reuse amortizes bootstrap, never behaviour.
+//! bit-identical to running each session on a fresh host of its own. Host
+//! reuse amortizes bootstrap, never behaviour.
 
 use msplayer_bench::sweep::{expand_workload, run_parallel, run_serial};
 use msplayer_bench::workload::{PlayerKind, WorkloadRegistry, WorkloadSpec};
-use msplayer_core::sim::{run_session, Scenario, SessionHost};
+use msplayer_core::sim::SessionHost;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Rebuilds the single-shot `Scenario` equivalent of one workload cell.
-/// Only expressible when the workload carries at most one server failure
-/// (the `Scenario` compatibility type predates failure storms).
-fn scenario_of(w: &WorkloadSpec, seed: u64) -> Option<Scenario> {
-    if w.server_failures.len() > 1 {
-        return None;
-    }
-    let spec = w.session_spec(w.schedulers[0], w.chunk_kb[0], seed);
-    Some(Scenario {
-        seed,
-        paths: spec.paths,
-        service: w.service.service.clone(),
-        video_secs: w.service.video_secs,
-        copyrighted: w.service.copyrighted,
-        itag: w.service.itag,
-        player: spec.player,
-        stop: spec.stop,
-        server_failure: spec.server_failures.first().copied(),
-    })
-}
-
-/// `run_batch` over N seeds is bit-identical to N independent
-/// `run_session` calls, for **every** built-in workload (both
-/// environments, all competitor shapes, the storms, the 3/4-path grids,
-/// and the same-network dual-WiFi scenario). Workloads a `Scenario`
-/// cannot express (several failures) compare against fresh one-shot
-/// hosts instead.
+/// `run_batch` over N seeds is bit-identical to N sessions each run on a
+/// fresh host, for **every** built-in workload (both environments, all
+/// player shapes, the storms, the 3/4-path grids, the ABR and mobility
+/// workloads, and the same-network dual-WiFi scenario).
 #[test]
-fn batch_equals_run_session_loop_for_every_builtin_workload() {
+fn batch_equals_fresh_host_per_session_for_every_builtin_workload() {
     let registry = WorkloadRegistry::builtin(1);
-    let mut covered = 0;
+    assert_eq!(registry.specs().len(), 15);
     for w in registry.specs() {
         let spec = w.session_spec(w.schedulers[0], w.chunk_kb[0], 0);
         let seeds: Vec<u64> = (0..3).map(|r| w.seed(r)).collect();
-        let mut host = SessionHost::new(w.service.clone());
-        let batch = host
+        let batch = SessionHost::new(w.service.clone())
             .run_batch(&seeds, &spec)
             .expect("builtin specs validate");
         assert_eq!(batch.len(), seeds.len());
         for (i, &seed) in seeds.iter().enumerate() {
-            if let Some(scenario) = scenario_of(w, seed) {
-                let single = run_session(&scenario);
-                assert_eq!(batch[i], single, "{}: seed {seed:#x} diverged", w.name);
-            } else {
-                // Failure storms exceed `Scenario`'s one-failure shape:
-                // compare against a fresh one-shot host instead.
-                let mut fresh = SessionHost::new(w.service.clone());
-                let single = fresh
-                    .run(&spec.clone().with_seed(seed))
-                    .expect("builtin specs validate");
-                assert_eq!(batch[i], single, "{}: seed {seed:#x} diverged", w.name);
-            }
+            let single = SessionHost::new(w.service.clone())
+                .run(&spec.clone().with_seed(seed))
+                .expect("builtin specs validate");
+            assert_eq!(batch[i], single, "{}: seed {seed:#x} diverged", w.name);
         }
-        covered += 1;
     }
-    assert!(
-        covered >= 15,
-        "expected every builtin workload (incl. abr/closed-loop, abr/mobility-handoff, \
-         and mobility/mixed-trace), got {covered}"
-    );
 }
 
 /// Interleaving different session shapes on one host leaves each session
@@ -78,14 +40,9 @@ fn batch_equals_run_session_loop_for_every_builtin_workload() {
 #[test]
 fn interleaved_sessions_do_not_leak_host_state() {
     let storm = WorkloadSpec::server_failure_storm(1);
-    let plain = WorkloadSpec::from_env_competitor(
-        msplayer_bench::Env::Testbed,
-        msplayer_bench::Competitor::MsPlayer,
-        vec![msplayer_core::config::SchedulerKind::Harmonic],
-        vec![256],
-        10.0,
-        1,
-    );
+    let registry = WorkloadRegistry::builtin(1);
+    let mut plain = WorkloadSpec::clone(registry.by_name("testbed/MSPlayer").expect("builtin"));
+    plain.prebuffer_secs = 10.0;
     assert_eq!(storm.service.service.servers_per_network, 2);
     let storm_spec = storm.session_spec(storm.schedulers[0], 256, storm.seed(0));
     let plain_spec = plain.session_spec(plain.schedulers[0], 256, plain.seed(0));

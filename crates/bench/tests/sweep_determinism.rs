@@ -2,34 +2,37 @@
 //! drop-in for the serial runner, and the simulator itself must replay
 //! bit-identically from a seed.
 
-use msplayer_bench::sweep::{run_parallel, run_serial, Cell, SweepSpec};
-use msplayer_bench::{scenario_for, Competitor, Env};
+use msplayer_bench::sweep::{expand_workload, run_parallel, run_serial, Cell};
+use msplayer_bench::workload::{WorkloadRegistry, WorkloadSpec};
 use msplayer_core::config::SchedulerKind;
-use msplayer_core::sim::run_session;
+use msplayer_core::sim::{SessionHost, SessionSpec};
 use proptest::prelude::*;
+use std::sync::Arc;
 
-/// Every (env, competitor, scheduler) cell — both environments, all three
-/// competitors, all paper schedulers — produces bit-identical per-cell
-/// metrics whether run serially or across the thread pool.
+/// The cells of the named builtins after `shrink` cut their grids down to
+/// test size.
+fn cells_of(names: &[&str], shrink: impl Fn(&mut WorkloadSpec)) -> Vec<Cell> {
+    let reg = WorkloadRegistry::builtin(1);
+    names
+        .iter()
+        .flat_map(|name| {
+            let mut w = WorkloadSpec::clone(reg.by_name(name).expect("builtin"));
+            shrink(&mut w);
+            expand_workload(&Arc::new(w))
+        })
+        .collect()
+}
+
+/// Every paper cell kind — both environments, all three players, all
+/// paper schedulers — produces bit-identical per-cell metrics whether run
+/// serially or across the thread pool.
 #[test]
 fn parallel_sweep_matches_serial_for_every_cell_kind() {
-    let spec = SweepSpec {
-        envs: vec![Env::Testbed, Env::Youtube],
-        competitors: vec![
-            Competitor::MsPlayer,
-            Competitor::WifiOnly,
-            Competitor::LteOnly,
-        ],
-        schedulers: vec![
-            SchedulerKind::Harmonic,
-            SchedulerKind::Ewma,
-            SchedulerKind::Ratio,
-        ],
-        chunk_kb: vec![256],
-        prebuffer_secs: 10.0,
-        runs: 2,
-    };
-    let cells = spec.cells();
+    let reg = WorkloadRegistry::builtin(1);
+    let cells = cells_of(&reg.names()[..6], |w| {
+        w.prebuffer_secs = 10.0;
+        w.runs = 2;
+    });
     // (2 env) × (MsPlayer × 3 sched + 2 single-path × 1) × 1 chunk × 2 seeds
     assert_eq!(cells.len(), 2 * (3 + 2) * 2);
     let serial = run_serial(&cells);
@@ -42,25 +45,28 @@ fn parallel_sweep_matches_serial_for_every_cell_kind() {
     }
 }
 
-/// `run_session` with equal seeds is bit-identical across 3 runs —
-/// including chunk-level f64 goodputs and the event count.
+/// A session on a fresh host with equal seeds is bit-identical across 3
+/// runs — including chunk-level f64 goodputs and the event count.
 #[test]
-fn run_session_is_bit_identical_across_three_runs() {
-    for (env, who) in [
-        (Env::Testbed, Competitor::MsPlayer),
-        (Env::Youtube, Competitor::MsPlayer),
-        (Env::Testbed, Competitor::WifiOnly),
-    ] {
+fn fresh_host_session_is_bit_identical_across_three_runs() {
+    let reg = WorkloadRegistry::builtin(1);
+    let player = reg.by_name("testbed/MSPlayer").expect("builtin");
+    let player = player
+        .player_config(SchedulerKind::Harmonic, 256)
+        .with_prebuffer_secs(10.0);
+    for name in ["testbed/MSPlayer", "youtube/MSPlayer", "testbed/WiFi"] {
+        let w = reg.by_name(name).expect("builtin");
+        let spec = SessionSpec::new(0xD5EED, w.paths.clone(), player.clone());
         let make = || {
-            let player =
-                msplayer_bench::msplayer(SchedulerKind::Harmonic, 256).with_prebuffer_secs(10.0);
-            run_session(&scenario_for(env, who, 0xD5EED, player))
+            SessionHost::new(w.service.clone())
+                .run(&spec)
+                .expect("valid spec")
         };
         let a = make();
         let b = make();
         let c = make();
-        assert_eq!(a, b, "{env:?}/{who:?} run 2 diverged");
-        assert_eq!(b, c, "{env:?}/{who:?} run 3 diverged");
+        assert_eq!(a, b, "{name} run 2 diverged");
+        assert_eq!(b, c, "{name} run 3 diverged");
         assert!(a.events > 0, "event count recorded");
     }
 }
@@ -80,15 +86,14 @@ proptest! {
             SchedulerKind::Ratio,
         ]),
     ) {
-        let spec = SweepSpec {
-            envs: vec![Env::Testbed],
-            competitors: vec![Competitor::MsPlayer, Competitor::LteOnly],
-            schedulers: vec![sched],
-            chunk_kb: vec![chunk_kb],
-            prebuffer_secs: 8.0,
-            runs,
-        };
-        let cells = spec.cells();
+        let cells = cells_of(&["testbed/MSPlayer", "testbed/LTE"], |w| {
+            if w.paths.len() > 1 {
+                w.schedulers = vec![sched];
+            }
+            w.chunk_kb = vec![chunk_kb];
+            w.prebuffer_secs = 8.0;
+            w.runs = runs;
+        });
         prop_assert!(!cells.is_empty());
         let serial = run_serial(&cells);
         let parallel = run_parallel(&cells, threads);
@@ -102,14 +107,10 @@ proptest! {
 fn degenerate_sweeps() {
     let empty: Vec<Cell> = Vec::new();
     assert!(run_parallel(&empty, 8).is_empty());
-    let spec = SweepSpec {
-        envs: vec![Env::Testbed],
-        competitors: vec![Competitor::MsPlayer],
-        schedulers: vec![SchedulerKind::Harmonic],
-        chunk_kb: vec![256],
-        prebuffer_secs: 8.0,
-        runs: 1,
-    };
-    let cells = spec.cells();
+    let cells = cells_of(&["testbed/MSPlayer"], |w| {
+        w.schedulers = vec![SchedulerKind::Harmonic];
+        w.prebuffer_secs = 8.0;
+    });
+    assert_eq!(cells.len(), 1);
     assert_eq!(run_parallel(&cells, 64), run_serial(&cells));
 }

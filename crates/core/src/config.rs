@@ -305,8 +305,10 @@ impl PlayerConfig {
         if !(0.0..1.0).contains(&self.alpha) {
             return Err("alpha must be in [0, 1)".into());
         }
-        if self.prebuffer_secs <= 0.0 || self.low_watermark_secs < 0.0 || self.rebuffer_secs <= 0.0
-        {
+        // Accepting range tests (not `<=` rejections), so NaN and ±inf fail.
+        let positive = |v: f64| v > 0.0 && v < f64::INFINITY;
+        let low_ok = (0.0..f64::INFINITY).contains(&self.low_watermark_secs);
+        if !(positive(self.prebuffer_secs) && positive(self.rebuffer_secs) && low_ok) {
             return Err("buffer thresholds must be positive".into());
         }
         if let Some(abr) = &self.abr_ladder {
@@ -393,6 +395,25 @@ mod tests {
             ..PlayerConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_buffer_thresholds() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for field in 0..3 {
+                let mut c = PlayerConfig::default();
+                match field {
+                    0 => c.prebuffer_secs = bad,
+                    1 => c.low_watermark_secs = bad,
+                    _ => c.rebuffer_secs = bad,
+                }
+                assert_eq!(
+                    c.validate(),
+                    Err("buffer thresholds must be positive".into()),
+                    "field {field} = {bad}"
+                );
+            }
+        }
     }
 
     #[test]

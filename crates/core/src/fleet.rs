@@ -35,7 +35,7 @@
 use crate::chaos::ChaosPlan;
 use crate::config::PlayerConfig;
 use crate::metrics::{qoe_score, SessionMetrics};
-use crate::sim::Scenario;
+use crate::sim::{ServiceSpec, SessionSpec};
 use msim_core::event::EventQueue;
 use msim_core::rng::Prng;
 use msim_core::time::{SimDuration, SimTime};
@@ -264,10 +264,10 @@ pub struct FleetSpec {
     pub workers: usize,
     /// Width of one per-server utilization-timeline bucket.
     pub util_bucket: SimDuration,
-    /// Exact mode's base scenario: paths, service topology, player, stop
-    /// condition. Each session runs this scenario under its own seed and
-    /// the fleet-injected load.
-    pub exact_base: Option<Scenario>,
+    /// Exact mode's base session: the service topology plus paths, player
+    /// and stop condition. Each session runs this spec under its own seed
+    /// and the fleet-injected load.
+    pub exact_base: Option<(ServiceSpec, SessionSpec)>,
 }
 
 impl FleetSpec {
@@ -311,9 +311,9 @@ impl FleetSpec {
     }
 
     /// An exact-mode fleet over `base`: every session is a full
-    /// [`SessionHost`](crate::sim::SessionHost) run of `base` (fresh
-    /// seed per session) under the fleet's shared load.
-    pub fn exact(base: Scenario, sessions: u64) -> FleetSpec {
+    /// [`SessionHost`](crate::sim::SessionHost) run of `base` on `service`
+    /// (fresh seed per session) under the fleet's shared load.
+    pub fn exact(service: ServiceSpec, base: SessionSpec, sessions: u64) -> FleetSpec {
         FleetSpec {
             seed: base.seed,
             mode: FleetMode::Exact,
@@ -321,15 +321,15 @@ impl FleetSpec {
             servers: Vec::new(),
             sessions,
             arrival_window: SimDuration::from_secs(60),
-            video_secs: base.video_secs,
-            itag: base.itag,
+            video_secs: service.video_secs,
+            itag: service.itag,
             player: base.player.clone(),
             access: Vec::new(),
             rtt: SimDuration::from_millis(40),
             chaos: None,
             workers: 0,
             util_bucket: SimDuration::from_secs(10),
-            exact_base: Some(base),
+            exact_base: Some((service, base)),
         }
     }
 
@@ -634,7 +634,10 @@ impl FleetHost {
             return Err("util_bucket must be positive".into());
         }
         if let Some(plan) = &spec.chaos {
-            let n_paths = spec.exact_base.as_ref().map(|b| b.paths.len()).unwrap_or(1);
+            let n_paths = spec
+                .exact_base
+                .as_ref()
+                .map_or(1, |(_, base)| base.paths.len());
             plan.validate(n_paths).map_err(|e| format!("chaos: {e}"))?;
         }
         match spec.mode {
@@ -668,10 +671,10 @@ impl FleetHost {
                 spec.player.validate().map_err(|e| format!("player: {e}"))?;
             }
             FleetMode::Exact => {
-                let base = spec
+                let (service, base) = spec
                     .exact_base
                     .as_ref()
-                    .ok_or("exact mode needs an exact_base scenario")?;
+                    .ok_or("exact mode needs an exact_base session")?;
                 if spec.policy != SelectionPolicy::LoadBalanced {
                     return Err(format!(
                         "exact mode supports only the load-balanced policy (the \
@@ -680,17 +683,15 @@ impl FleetHost {
                         spec.policy.name()
                     ));
                 }
-                if spec.servers.len() > base.service.servers_per_network as usize {
+                if spec.servers.len() > service.service.servers_per_network as usize {
                     return Err(format!(
                         "exact mode takes at most servers_per_network={} replica \
                          specs, got {}",
-                        base.service.servers_per_network,
+                        service.service.servers_per_network,
                         spec.servers.len()
                     ));
                 }
-                base.session_spec()
-                    .validate()
-                    .map_err(|e| format!("exact_base: {e}"))?;
+                base.validate().map_err(|e| format!("exact_base: {e}"))?;
             }
         }
         Ok(FleetHost { spec })
@@ -1437,11 +1438,11 @@ fn spread_bytes(buckets: &mut Vec<f64>, bytes: f64, t0_us: u64, t1_us: u64, buck
 }
 
 fn run_exact(spec: &FleetSpec) -> FleetMetrics {
-    let base = spec.exact_base.as_ref().expect("validated at construction");
-    let bitrate = by_itag(base.itag)
+    let (service, base) = spec.exact_base.as_ref().expect("validated at construction");
+    let bitrate = by_itag(service.itag)
         .map(|f| f.bitrate)
         .unwrap_or(BitRate::bps(0.0));
-    let mut host = crate::sim::SessionHost::new(base.service_spec());
+    let mut host = crate::sim::SessionHost::new(service.clone());
     let chaos = spec
         .chaos
         .as_ref()
@@ -1457,7 +1458,7 @@ fn run_exact(spec: &FleetSpec) -> FleetMetrics {
         .iter()
         .map(|p| networks.iter().position(|n| *n == p.network).unwrap())
         .collect();
-    let n_rep = base.service.servers_per_network as usize;
+    let n_rep = service.service.servers_per_network as usize;
     let n_servers = networks.len() * n_rep;
     let mut counts: Vec<Vec<u32>> = vec![vec![0; n_rep]; networks.len()];
     let mut peaks: Vec<Vec<u32>> = vec![vec![0; n_rep]; networks.len()];
@@ -1480,7 +1481,7 @@ fn run_exact(spec: &FleetSpec) -> FleetMetrics {
     let mut peak_concurrent = 0u64;
     let mut events = 0u64;
     let mut end_max = SimTime::ZERO;
-    let video_bps = by_itag(base.itag)
+    let video_bps = by_itag(service.itag)
         .map(|f| f.bitrate.as_bps())
         .unwrap_or(0.0);
     for &i in &order {
@@ -1574,8 +1575,7 @@ fn run_exact(spec: &FleetSpec) -> FleetMetrics {
                 });
             }
         }
-        let mut ss = base.session_spec();
-        ss.seed = attrs[i].seed;
+        let ss = base.clone().with_seed(attrs[i].seed);
         let metrics = host
             .run_with_load(&ss, &load)
             .expect("base spec validated at construction");
@@ -1688,6 +1688,11 @@ fn run_exact(spec: &FleetSpec) -> FleetMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::PathSetup;
+
+    fn testbed_base(seed: u64) -> SessionSpec {
+        SessionSpec::new(seed, PathSetup::testbed_pair(), PlayerConfig::msplayer())
+    }
 
     #[test]
     fn pareto_frontier_keeps_min_cost_max_qoe() {
@@ -1766,16 +1771,14 @@ mod tests {
         let mut no_rate = FleetSpec::fluid(1, 10);
         no_rate.servers = vec![FleetServerSpec::uncapped()];
         assert!(FleetHost::new(no_rate).is_err());
-        let base = Scenario::testbed_msplayer(1, PlayerConfig::msplayer());
-        let mut wrong_policy = FleetSpec::exact(base, 2);
+        let mut wrong_policy = FleetSpec::exact(ServiceSpec::testbed(), testbed_base(1), 2);
         wrong_policy.policy = SelectionPolicy::QoeFirst;
         assert!(FleetHost::new(wrong_policy).is_err());
     }
 
     #[test]
     fn exact_mode_runs_deterministically() {
-        let base = Scenario::testbed_msplayer(42, PlayerConfig::msplayer());
-        let mut spec = FleetSpec::exact(base, 3);
+        let mut spec = FleetSpec::exact(ServiceSpec::testbed(), testbed_base(42), 3);
         spec.arrival_window = SimDuration::from_secs(10);
         let a = FleetHost::new(spec.clone()).unwrap().run();
         let b = FleetHost::new(spec).unwrap().run();

@@ -16,8 +16,8 @@
 //! * [`player`] — the sans-I/O player state machine shared by the simulator
 //!   and the real-socket testbed;
 //! * [`sim`] — the deterministic session driver behind every figure:
-//!   [`sim::SessionHost`] runs batches of N-path sessions over one warmed
-//!   service; [`sim::run_session`] is the single-shot compatibility shim;
+//!   [`sim::SessionHost`] runs one or a batch of N-path
+//!   [`sim::SessionSpec`]s over one warmed service;
 //! * [`metrics`] — startup delay, refills, stalls, per-path traffic splits
 //!   (Table 1);
 //! * [`chaos`] — composable seed-deterministic fault injectors
@@ -29,10 +29,12 @@
 //!
 //! ```
 //! use msplayer_core::config::PlayerConfig;
-//! use msplayer_core::sim::{run_session, Scenario};
+//! use msplayer_core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec};
 //!
 //! let cfg = PlayerConfig::msplayer().with_prebuffer_secs(10.0);
-//! let metrics = run_session(&Scenario::testbed_msplayer(42, cfg));
+//! let spec = SessionSpec::new(42, PathSetup::testbed_pair(), cfg);
+//! let mut host = SessionHost::new(ServiceSpec::testbed());
+//! let metrics = host.run(&spec).expect("valid spec");
 //! println!("pre-buffer download time: {}", metrics.prebuffer_time().unwrap());
 //! ```
 
@@ -70,10 +72,9 @@ pub use fleet::{
 pub use metrics::{AbrDecision, AbrQoe, AbrSwitch, ChunkRecord, SessionMetrics, TrafficPhase};
 pub use player::{ChunkFailReason, Player, PlayerAction, PlayerEvent};
 pub use scheduler::{
-    build_scheduler, ChunkScheduler, DcsaScheduler, FixedScheduler, RatioScheduler, SchedulerImpl,
-    NUM_PATHS,
+    ChunkScheduler, DcsaScheduler, FixedScheduler, RatioScheduler, SchedulerImpl, NUM_PATHS,
 };
 pub use sim::{
-    run_session, PathSetup, Scenario, ServerFailure, ServiceSpec, SessionHost, SessionSpec,
-    SessionSpecError, StopCondition,
+    PathSetup, ServerFailure, ServiceSpec, SessionHost, SessionSpec, SessionSpecError,
+    StopCondition,
 };

@@ -800,12 +800,13 @@ mod tests {
     #[test]
     fn digest_of_real_sessions_follows_the_seed() {
         use crate::config::PlayerConfig;
-        use crate::sim::{run_session, Scenario};
+        use crate::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec};
+        let player = PlayerConfig::msplayer().with_prebuffer_secs(10.0);
+        let spec = SessionSpec::new(0, PathSetup::testbed_pair(), player);
         let run = |seed| {
-            run_session(&Scenario::testbed_msplayer(
-                seed,
-                PlayerConfig::msplayer().with_prebuffer_secs(10.0),
-            ))
+            SessionHost::new(ServiceSpec::testbed())
+                .run(&spec.clone().with_seed(seed))
+                .expect("valid spec")
         };
         let (a, a_again, b) = (run(7), run(7), run(8));
         assert!(!a.chunks.is_empty());

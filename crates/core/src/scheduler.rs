@@ -26,7 +26,7 @@ use msim_core::units::ByteSize;
 /// §2). Schedulers are no longer limited to it — every scheduler carries
 /// per-path state for an arbitrary path count (see
 /// [`SchedulerImpl::for_paths`]) — but two remains the default used by
-/// [`SchedulerImpl::from_config`] and the compatibility constructors.
+/// [`SchedulerImpl::from_config`] and the concrete schedulers' `new`.
 pub const NUM_PATHS: usize = 2;
 
 /// A chunk-size scheduler over N paths.
@@ -51,8 +51,6 @@ pub trait ChunkScheduler: Send {
 /// estimators inside DCSA). The enum keeps every built-in scheduler —
 /// and, via [`EstimatorImpl`], every built-in estimator — inline, so the
 /// whole decision path is direct calls the compiler can flatten.
-/// [`ChunkScheduler`] remains implemented for the enum (and `Box<dyn ..>`
-/// still works via [`build_scheduler`]) for code that wants the trait.
 pub enum SchedulerImpl {
     /// §3.3 Ratio baseline.
     Ratio(RatioScheduler),
@@ -149,28 +147,6 @@ impl SchedulerImpl {
             SchedulerImpl::Fixed(_) => None,
         }
     }
-}
-
-impl ChunkScheduler for SchedulerImpl {
-    fn on_sample(&mut self, path: usize, sample_bps: f64) {
-        SchedulerImpl::on_sample(self, path, sample_bps)
-    }
-    fn chunk_size(&self, path: usize) -> ByteSize {
-        SchedulerImpl::chunk_size(self, path)
-    }
-    fn reset_path(&mut self, path: usize) {
-        SchedulerImpl::reset_path(self, path)
-    }
-    fn name(&self) -> &'static str {
-        SchedulerImpl::name(self)
-    }
-}
-
-/// Builds the scheduler selected by a config, boxed behind the trait (the
-/// enum-dispatched [`SchedulerImpl::from_config`] is the allocation-free
-/// path the player itself uses).
-pub fn build_scheduler(cfg: &PlayerConfig) -> Box<dyn ChunkScheduler> {
-    Box::new(SchedulerImpl::from_config(cfg))
 }
 
 fn clamp(cfg_min: ByteSize, cfg_max: ByteSize, v: f64) -> ByteSize {
@@ -412,7 +388,7 @@ mod tests {
             SchedulerKind::Ewma,
             SchedulerKind::Harmonic,
         ] {
-            let s = build_scheduler(&cfg.clone().with_scheduler(kind));
+            let s = SchedulerImpl::from_config(&cfg.clone().with_scheduler(kind));
             assert_eq!(s.chunk_size(0), cfg.initial_chunk, "{}", s.name());
             assert_eq!(s.chunk_size(1), cfg.initial_chunk, "{}", s.name());
         }
@@ -592,19 +568,19 @@ mod tests {
     fn builder_maps_kinds_to_names() {
         let cfg = cfg();
         assert_eq!(
-            build_scheduler(&cfg.clone().with_scheduler(SchedulerKind::Ratio)).name(),
+            SchedulerImpl::from_config(&cfg.clone().with_scheduler(SchedulerKind::Ratio)).name(),
             "Ratio"
         );
         assert_eq!(
-            build_scheduler(&cfg.clone().with_scheduler(SchedulerKind::Ewma)).name(),
+            SchedulerImpl::from_config(&cfg.clone().with_scheduler(SchedulerKind::Ewma)).name(),
             "EWMA"
         );
         assert_eq!(
-            build_scheduler(&cfg.clone().with_scheduler(SchedulerKind::Harmonic)).name(),
+            SchedulerImpl::from_config(&cfg.clone().with_scheduler(SchedulerKind::Harmonic)).name(),
             "Harmonic"
         );
         assert_eq!(
-            build_scheduler(&cfg.with_scheduler(SchedulerKind::Fixed)).name(),
+            SchedulerImpl::from_config(&cfg.with_scheduler(SchedulerKind::Fixed)).name(),
             "Fixed"
         );
     }
@@ -626,7 +602,7 @@ mod tests {
                 ]),
             ) {
                 let cfg = PlayerConfig::default().with_scheduler(kind);
-                let mut s = build_scheduler(&cfg);
+                let mut s = SchedulerImpl::from_config(&cfg);
                 for (path, w) in samples {
                     s.on_sample(path, w);
                     for p in 0..NUM_PATHS {

@@ -17,7 +17,7 @@
 //! any number of sessions over the warmed service via [`SessionHost::run`]
 //! and [`SessionHost::run_batch`], resetting only the cheap per-session
 //! server state in between. A batch over N seeds is bit-identical to N
-//! independent [`run_session`] calls (asserted by
+//! sessions each run on a fresh host (asserted by
 //! `crates/bench/tests/batch_api.rs` and the in-crate
 //! `host_batch_matches_individual_runs` test) —
 //! the only thing amortized is the control-plane construction, never
@@ -29,9 +29,8 @@
 //! failure injection, bad player config) surface as [`SessionSpecError`]
 //! instead of panics.
 //!
-//! [`run_session`] remains as a thin compatibility shim: it builds a
-//! one-shot host from a [`Scenario`] and runs it. Every figure in the paper
-//! is still regenerated through it.
+//! A single session is the same two values used once:
+//! `SessionHost::new(service).run(&spec)`.
 
 use crate::chaos::{ChaosPlan, ChaosState};
 use crate::chunk::ChunkAssignment;
@@ -77,6 +76,23 @@ impl PathSetup {
             network,
             outages: None,
         }
+    }
+
+    /// The §5 emulated-testbed path pair: WiFi (index 0) + LTE (index 1),
+    /// each in its own network. Single-path sessions take one element.
+    pub fn testbed_pair() -> Vec<PathSetup> {
+        vec![
+            PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
+            PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
+        ]
+    }
+
+    /// The §6 YouTube-profile path pair: WiFi (index 0) + LTE (index 1).
+    pub fn youtube_pair() -> Vec<PathSetup> {
+        vec![
+            PathSetup::new(PathProfile::wifi_youtube(), Network::Wifi),
+            PathSetup::new(PathProfile::lte_youtube(), Network::Cellular),
+        ]
     }
 }
 
@@ -304,142 +320,6 @@ impl SessionSpec {
             .validate()
             .map_err(SessionSpecError::InvalidPlayer)?;
         Ok(())
-    }
-}
-
-/// A complete experiment description (the original single-shot API).
-///
-/// A `Scenario` bundles a [`ServiceSpec`] and a [`SessionSpec`] into one
-/// value; [`run_session`] splits it and runs it over a one-shot
-/// [`SessionHost`]. Code that runs many sessions should build the host
-/// once and use [`SessionHost::run_batch`] instead.
-#[derive(Clone)]
-pub struct Scenario {
-    /// Master seed; every stochastic component forks from it.
-    pub seed: u64,
-    /// The session's paths (index 0 is WiFi by convention).
-    pub paths: Vec<PathSetup>,
-    /// Service topology (replicas per network, pacing).
-    pub service: ServiceConfig,
-    /// Video length in seconds.
-    pub video_secs: f64,
-    /// Whether the video requires the signature-decipher bootstrap step.
-    pub copyrighted: bool,
-    /// Video format (itag 22 = the paper's HD 720p).
-    pub itag: u32,
-    /// Player configuration.
-    pub player: PlayerConfig,
-    /// Stop condition.
-    pub stop: StopCondition,
-    /// Optional server-failure injection.
-    pub server_failure: Option<ServerFailure>,
-}
-
-impl Scenario {
-    /// The §5 emulated-testbed MSPlayer scenario: WiFi + LTE, two replicas
-    /// per network, no pacing, 10-minute 720p video.
-    pub fn testbed_msplayer(seed: u64, player: PlayerConfig) -> Scenario {
-        Scenario {
-            seed,
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-            ],
-            service: ServiceConfig::default(),
-            video_secs: 600.0,
-            copyrighted: false,
-            itag: 22,
-            player,
-            stop: StopCondition::PrebufferDone,
-            server_failure: None,
-        }
-    }
-
-    /// A three-path testbed scenario: WiFi + LTE + wired ethernet, each in
-    /// its own network (full source diversity).
-    pub fn testbed_three_path(seed: u64, player: PlayerConfig) -> Scenario {
-        Scenario {
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_testbed(), Network::Wifi),
-                PathSetup::new(PathProfile::lte_testbed(), Network::Cellular),
-                PathSetup::new(PathProfile::ethernet_testbed(), Network::Ethernet),
-            ],
-            ..Scenario::testbed_msplayer(seed, player)
-        }
-    }
-
-    /// A single-path testbed scenario over the given profile/network.
-    pub fn testbed_single_path(
-        seed: u64,
-        profile: PathProfile,
-        network: Network,
-        player: PlayerConfig,
-    ) -> Scenario {
-        Scenario {
-            seed,
-            paths: vec![PathSetup::new(profile, network)],
-            service: ServiceConfig::default(),
-            video_secs: 600.0,
-            copyrighted: false,
-            itag: 22,
-            player,
-            stop: StopCondition::PrebufferDone,
-            server_failure: None,
-        }
-    }
-
-    /// The §6 YouTube-service scenario (heavier control plane, paced
-    /// servers, copyrighted video → signature decipher step).
-    pub fn youtube_msplayer(seed: u64, player: PlayerConfig) -> Scenario {
-        Scenario {
-            seed,
-            paths: vec![
-                PathSetup::new(PathProfile::wifi_youtube(), Network::Wifi),
-                PathSetup::new(PathProfile::lte_youtube(), Network::Cellular),
-            ],
-            service: youtube_service_config(),
-            video_secs: 600.0,
-            copyrighted: true,
-            itag: 22,
-            player,
-            stop: StopCondition::PrebufferDone,
-            server_failure: None,
-        }
-    }
-
-    /// Single-path variant of [`Scenario::youtube_msplayer`].
-    pub fn youtube_single_path(
-        seed: u64,
-        profile: PathProfile,
-        network: Network,
-        player: PlayerConfig,
-    ) -> Scenario {
-        Scenario {
-            paths: vec![PathSetup::new(profile, network)],
-            ..Scenario::youtube_msplayer(seed, player)
-        }
-    }
-
-    /// The service half of this scenario (host construction input).
-    pub fn service_spec(&self) -> ServiceSpec {
-        ServiceSpec {
-            service: self.service.clone(),
-            video_secs: self.video_secs,
-            copyrighted: self.copyrighted,
-            itag: self.itag,
-        }
-    }
-
-    /// The session half of this scenario.
-    pub fn session_spec(&self) -> SessionSpec {
-        SessionSpec {
-            seed: self.seed,
-            paths: self.paths.clone(),
-            player: self.player.clone(),
-            stop: self.stop,
-            server_failures: self.server_failure.into_iter().collect(),
-            chaos: None,
-        }
     }
 }
 
@@ -1197,19 +1077,6 @@ fn record_transfer_stats(m: &mut SessionMetrics, stats: TransferStats) {
     m.transfer_solved_rounds = stats.solved_rounds as u64;
 }
 
-/// Runs one scenario to completion and returns its metrics.
-///
-/// Compatibility shim over a one-shot [`SessionHost`]: builds the host from
-/// the scenario's [`ServiceSpec`], runs its [`SessionSpec`], and panics on
-/// an invalid spec (batch users get the [`SessionSpecError`] instead).
-pub fn run_session(scenario: &Scenario) -> SessionMetrics {
-    let mut host = SessionHost::new(scenario.service_spec());
-    match host.run(&scenario.session_spec()) {
-        Ok(metrics) => metrics,
-        Err(err) => panic!("invalid scenario: {err}"),
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn dispatch_fetch(
     service: &mut YoutubeService,
@@ -1422,9 +1289,24 @@ mod tests {
         PlayerConfig::msplayer().with_prebuffer_secs(10.0)
     }
 
+    fn testbed(seed: u64, player: PlayerConfig) -> SessionSpec {
+        SessionSpec::new(seed, PathSetup::testbed_pair(), player)
+    }
+
+    fn single_path(seed: u64, profile: PathProfile, player: PlayerConfig) -> SessionSpec {
+        SessionSpec::new(seed, vec![PathSetup::new(profile, Network::Wifi)], player)
+    }
+
+    /// One session on a fresh testbed host.
+    fn run(spec: &SessionSpec) -> SessionMetrics {
+        SessionHost::new(ServiceSpec::testbed())
+            .run(spec)
+            .expect("valid spec")
+    }
+
     #[test]
     fn msplayer_prebuffer_session_completes() {
-        let m = run_session(&Scenario::testbed_msplayer(1, quick_player()));
+        let m = run(&testbed(1, quick_player()));
         let t = m.prebuffer_time().expect("prebuffer reached");
         assert!(t.as_secs_f64() > 0.5, "takes real time: {t}");
         assert!(t.as_secs_f64() < 30.0, "finishes promptly: {t}");
@@ -1435,16 +1317,16 @@ mod tests {
 
     #[test]
     fn sessions_are_deterministic() {
-        let a = run_session(&Scenario::testbed_msplayer(42, quick_player()));
-        let b = run_session(&Scenario::testbed_msplayer(42, quick_player()));
+        let a = run(&testbed(42, quick_player()));
+        let b = run(&testbed(42, quick_player()));
         assert_eq!(a.prebuffer_done_at, b.prebuffer_done_at);
         assert_eq!(a.chunks.len(), b.chunks.len());
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = run_session(&Scenario::testbed_msplayer(1, quick_player()));
-        let b = run_session(&Scenario::testbed_msplayer(2, quick_player()));
+        let a = run(&testbed(1, quick_player()));
+        let b = run(&testbed(2, quick_player()));
         assert_ne!(a.prebuffer_done_at, b.prebuffer_done_at);
     }
 
@@ -1454,14 +1336,13 @@ mod tests {
         let mut ms = 0.0;
         let mut wifi = 0.0;
         for seed in 0..runs {
-            ms += run_session(&Scenario::testbed_msplayer(seed, quick_player()))
+            ms += run(&testbed(seed, quick_player()))
                 .prebuffer_time()
                 .unwrap()
                 .as_secs_f64();
-            wifi += run_session(&Scenario::testbed_single_path(
+            wifi += run(&single_path(
                 seed,
                 PathProfile::wifi_testbed(),
-                Network::Wifi,
                 quick_player(),
             ))
             .prebuffer_time()
@@ -1478,7 +1359,7 @@ mod tests {
 
     #[test]
     fn wifi_head_start_is_positive() {
-        let m = run_session(&Scenario::testbed_msplayer(5, quick_player()));
+        let m = run(&testbed(5, quick_player()));
         let hs = m.observed_head_start().expect("both paths delivered");
         assert!(hs.as_secs_f64() > 0.05, "LTE starts later than WiFi: {hs}");
         // WiFi delivered its first byte first.
@@ -1488,9 +1369,7 @@ mod tests {
     #[test]
     fn steady_state_reaches_refills() {
         let cfg = quick_player();
-        let mut scenario = Scenario::testbed_msplayer(3, cfg);
-        scenario.stop = StopCondition::AfterRefills(2);
-        let m = run_session(&scenario);
+        let m = run(&testbed(3, cfg).with_stop(StopCondition::AfterRefills(2)));
         assert!(m.refills.len() >= 2, "refills: {}", m.refills.len());
         for r in &m.refills {
             assert!(r.duration().as_secs_f64() > 0.0);
@@ -1500,28 +1379,26 @@ mod tests {
 
     #[test]
     fn server_failure_triggers_failover_and_session_survives() {
-        let mut scenario = Scenario::testbed_msplayer(9, quick_player());
-        scenario.stop = StopCondition::AfterRefills(1);
-        scenario.server_failure = Some(ServerFailure {
+        let mut spec = testbed(9, quick_player()).with_stop(StopCondition::AfterRefills(1));
+        spec.server_failures = vec![ServerFailure {
             path: 0,
             from: SimTime::from_secs(2),
             until: SimTime::from_secs(60),
-        });
-        let m = run_session(&scenario);
+        }];
+        let m = run(&spec);
         assert!(m.failovers[0] >= 1, "failover happened");
         assert!(!m.refills.is_empty(), "streaming continued after failover");
     }
 
     #[test]
     fn wifi_outage_mid_stream_recovers_on_lte() {
-        let mut scenario = Scenario::testbed_msplayer(11, quick_player());
+        let mut spec = testbed(11, quick_player()).with_stop(StopCondition::AfterRefills(1));
         // WiFi dies from t=3s to t=20s.
-        scenario.paths[0].outages = Some(OutageSchedule::from_windows(vec![(
+        spec.paths[0].outages = Some(OutageSchedule::from_windows(vec![(
             SimTime::from_secs(3),
             SimTime::from_secs(20),
         )]));
-        scenario.stop = StopCondition::AfterRefills(1);
-        let m = run_session(&scenario);
+        let m = run(&spec);
         // The session still made progress (LTE carried it).
         assert!(m.prebuffer_done_at.is_some(), "prebuffer still completed");
         assert!(m.chunk_count(1) > 0);
@@ -1529,18 +1406,21 @@ mod tests {
 
     #[test]
     fn copyrighted_video_still_streams() {
-        let mut scenario = Scenario::testbed_msplayer(13, quick_player());
-        scenario.copyrighted = true;
-        let m = run_session(&scenario);
+        let service = ServiceSpec {
+            copyrighted: true,
+            ..ServiceSpec::testbed()
+        };
+        let m = SessionHost::new(service)
+            .run(&testbed(13, quick_player()))
+            .expect("valid spec");
         assert!(m.prebuffer_done_at.is_some());
     }
 
     #[test]
     fn single_path_fixed_chunks_works() {
-        let m = run_session(&Scenario::testbed_single_path(
+        let m = run(&single_path(
             17,
             PathProfile::wifi_testbed(),
-            Network::Wifi,
             PlayerConfig::commercial_single_path(ByteSize::kb(256)).with_prebuffer_secs(10.0),
         ));
         assert!(m.prebuffer_done_at.is_some());
@@ -1555,14 +1435,17 @@ mod tests {
             SchedulerKind::Harmonic,
         ] {
             let cfg = quick_player().with_scheduler(kind);
-            let m = run_session(&Scenario::testbed_msplayer(21, cfg));
+            let m = run(&testbed(21, cfg));
             assert!(m.prebuffer_done_at.is_some(), "{kind:?}");
         }
     }
 
     #[test]
     fn youtube_profile_sessions_run() {
-        let m = run_session(&Scenario::youtube_msplayer(23, quick_player()));
+        let spec = SessionSpec::new(23, PathSetup::youtube_pair(), quick_player());
+        let m = SessionHost::new(ServiceSpec::youtube())
+            .run(&spec)
+            .expect("valid spec");
         assert!(m.prebuffer_done_at.is_some());
         let wifi_frac = m
             .traffic_fraction(0, crate::metrics::TrafficPhase::PreBuffering)
@@ -1575,7 +1458,12 @@ mod tests {
 
     #[test]
     fn three_path_session_uses_all_paths() {
-        let m = run_session(&Scenario::testbed_three_path(31, quick_player()));
+        let mut paths = PathSetup::testbed_pair();
+        paths.push(PathSetup::new(
+            PathProfile::ethernet_testbed(),
+            Network::Ethernet,
+        ));
+        let m = run(&SessionSpec::new(31, paths, quick_player()));
         assert!(m.prebuffer_done_at.is_some(), "prebuffer completes");
         assert_eq!(m.num_paths(), 3);
         for path in 0..3 {
@@ -1595,22 +1483,14 @@ mod tests {
         // for essentially every round; the session must be bit-identical
         // to one driven by the reference round loop (the jittered paper
         // profiles are covered too, via the fallback path).
-        let scenarios = [
-            Scenario::testbed_single_path(
-                17,
-                PathProfile::stable(10.0, 20),
-                Network::Wifi,
-                quick_player(),
-            ),
-            Scenario::testbed_msplayer(17, quick_player()),
-        ];
-        for scenario in scenarios {
-            let epoch = run_session(&scenario);
-            let mut rl_scenario = scenario.clone();
-            rl_scenario.player = rl_scenario
+        let stable = single_path(17, PathProfile::stable(10.0, 20), quick_player());
+        for spec in [stable.clone(), testbed(17, quick_player())] {
+            let epoch = run(&spec);
+            let mut rl_spec = spec.clone();
+            rl_spec.player = rl_spec
                 .player
                 .with_transfer_engine(TransferEngine::RoundLoop);
-            let mut rl = run_session(&rl_scenario);
+            let mut rl = run(&rl_spec);
             // Telemetry is engine-specific by design; the model is not.
             assert_eq!(
                 rl.transfer_fast_rounds, 0,
@@ -1622,39 +1502,33 @@ mod tests {
             assert_eq!(epoch, rl, "engines diverged end-to-end");
         }
         // And the stable scenario genuinely exercised the fast path.
-        let m = run_session(&Scenario::testbed_single_path(
-            17,
-            PathProfile::stable(10.0, 20),
-            Network::Wifi,
-            quick_player(),
-        ));
+        let m = run(&stable);
         assert!(m.transfer_epochs > 0, "fast path engaged: {m:?}");
         assert!(m.transfer_solved_rounds > 0, "closed-form solves engaged");
     }
 
     #[test]
     fn host_batch_matches_individual_runs() {
-        let scenario = Scenario::testbed_msplayer(0, quick_player());
-        let mut host = SessionHost::new(scenario.service_spec());
-        let spec = scenario.session_spec();
+        let mut host = SessionHost::new(ServiceSpec::testbed());
+        let spec = testbed(0, quick_player());
         let seeds = [3u64, 14, 15, 92];
         let batch = host.run_batch(&seeds, &spec).expect("valid spec");
         for (i, &seed) in seeds.iter().enumerate() {
-            let single = run_session(&Scenario::testbed_msplayer(seed, quick_player()));
+            let single = run(&testbed(seed, quick_player()));
             assert_eq!(batch[i], single, "seed {seed} diverged in batch");
         }
     }
 
     #[test]
     fn spec_validation_catches_bad_specs() {
-        let scenario = Scenario::testbed_msplayer(1, quick_player());
-        let mut host = SessionHost::new(scenario.service_spec());
+        let base = testbed(1, quick_player());
+        let mut host = SessionHost::new(ServiceSpec::testbed());
 
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.paths.clear();
         assert_eq!(host.run(&spec), Err(SessionSpecError::NoPaths));
 
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.server_failures.push(ServerFailure {
             path: 5,
             from: SimTime::from_secs(1),
@@ -1668,7 +1542,7 @@ mod tests {
             })
         );
 
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.server_failures.push(ServerFailure {
             path: 0,
             from: SimTime::from_secs(2),
@@ -1679,12 +1553,20 @@ mod tests {
             Err(SessionSpecError::InvalidFailureWindow { .. })
         ));
 
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.player.delta = 2.0;
         assert!(matches!(
             host.run(&spec),
             Err(SessionSpecError::InvalidPlayer(_))
         ));
+
+        let spec = testbed(1, quick_player().with_prebuffer_secs(f64::NAN));
+        assert_eq!(
+            spec.validate(),
+            Err(SessionSpecError::InvalidPlayer(
+                "buffer thresholds must be positive".into()
+            ))
+        );
     }
 
     #[test]
@@ -1693,9 +1575,8 @@ mod tests {
         // WiFi (10.5 Mb/s) + LTE (8.2 Mb/s) afford far more than itag 22's
         // 2.5 Mb/s: the damped rate policy must climb to 1080p mid-stream.
         let cfg = quick_player().with_abr_ladder(AbrLadderConfig::closed_loop());
-        let mut scenario = Scenario::testbed_msplayer(5, cfg);
-        scenario.stop = StopCondition::AfterRefills(2);
-        let m = run_session(&scenario);
+        let spec = testbed(5, cfg).with_stop(StopCondition::AfterRefills(2));
+        let m = run(&spec);
         let qoe = m.abr_qoe.expect("closed-loop sessions carry QoE");
         assert!(qoe.switches > 0, "no switch fired: {qoe:?}");
         assert!(
@@ -1712,7 +1593,7 @@ mod tests {
         );
         assert!(qoe.switch_magnitude_bps > 0.0);
         // Deterministic replay.
-        let again = run_session(&scenario);
+        let again = run(&spec);
         assert_eq!(m, again);
     }
 
@@ -1727,9 +1608,8 @@ mod tests {
         ] {
             let abr = AbrLadderConfig::closed_loop().with_policy(policy);
             let cfg = quick_player().with_abr_ladder(abr.clone());
-            let mut scenario = Scenario::testbed_msplayer(7, cfg);
-            scenario.stop = StopCondition::AfterRefills(1);
-            let m = run_session(&scenario);
+            let spec = testbed(7, cfg).with_stop(StopCondition::AfterRefills(1));
+            let m = run(&spec);
             assert!(
                 m.abr_qoe.is_some() && !m.abr_decisions.is_empty(),
                 "{policy:?} produced no decisions"
@@ -1737,9 +1617,9 @@ mod tests {
             // The shadow twin of the same policy traces decisions but
             // never switches and carries no QoE record.
             let shadow = abr.with_mode(AbrMode::Shadow);
-            let mut sh_scenario = scenario.clone();
-            sh_scenario.player = quick_player().with_abr_ladder(shadow);
-            let sh = run_session(&sh_scenario);
+            let mut sh_spec = spec.clone();
+            sh_spec.player = quick_player().with_abr_ladder(shadow);
+            let sh = run(&sh_spec);
             assert!(sh.abr_qoe.is_none(), "{policy:?} shadow grew QoE");
             assert!(
                 sh.abr_decisions.iter().all(|d| !d.switched),
@@ -1751,11 +1631,11 @@ mod tests {
     #[test]
     fn ladder_validation_rejects_malformed_ladders() {
         use crate::config::AbrLadderConfig;
-        let scenario = Scenario::testbed_msplayer(1, quick_player());
-        let mut host = SessionHost::new(scenario.service_spec());
+        let base = testbed(1, quick_player());
+        let mut host = SessionHost::new(ServiceSpec::testbed());
 
         // Empty ladder.
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.player.abr_ladder = Some(AbrLadderConfig::closed_loop().with_ladder(vec![]));
         assert!(matches!(
             host.run(&spec),
@@ -1763,7 +1643,7 @@ mod tests {
         ));
 
         // Unknown itag.
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.player.abr_ladder = Some(AbrLadderConfig::closed_loop().with_ladder(vec![18, 999]));
         assert!(matches!(
             host.run(&spec),
@@ -1771,7 +1651,7 @@ mod tests {
         ));
 
         // Non-monotone bitrates (43 is 650 kb/s, 18 is 600 kb/s).
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.player.abr_ladder = Some(AbrLadderConfig::closed_loop().with_ladder(vec![43, 18, 22]));
         assert!(matches!(
             host.run(&spec),
@@ -1779,7 +1659,7 @@ mod tests {
         ));
 
         // Closed-loop ladder missing the session's starting itag (22).
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.player.abr_ladder = Some(AbrLadderConfig::closed_loop().with_ladder(vec![18, 37]));
         assert!(matches!(
             host.run(&spec),
@@ -1787,7 +1667,7 @@ mod tests {
         ));
 
         // The same ladder is fine in shadow mode (nothing streams off 22).
-        let mut spec = scenario.session_spec();
+        let mut spec = base.clone();
         spec.player.abr_ladder = Some(AbrLadderConfig::default().with_ladder(vec![18, 37]));
         assert!(host.run(&spec).is_ok());
     }
@@ -1801,16 +1681,16 @@ mod tests {
              dns-flap:path=0,from=1s,until=20s",
         )
         .unwrap();
-        let scenario = Scenario::testbed_msplayer(33, quick_player());
-        let mut host = SessionHost::new(scenario.service_spec());
-        let spec = scenario.session_spec().with_chaos(plan);
+        let base = testbed(33, quick_player());
+        let mut host = SessionHost::new(ServiceSpec::testbed());
+        let spec = base.clone().with_chaos(plan);
         let a = host.run(&spec).expect("valid chaotic spec");
         let b = host.run(&spec).expect("valid chaotic spec");
         assert_eq!(a, b, "chaos must be seed-deterministic");
         let violations = check_invariants(&a);
         assert!(violations.is_empty(), "oracle violated: {violations:?}");
         // The plan actually bit: the outcome differs from the clean run.
-        let clean = host.run(&scenario.session_spec()).expect("valid spec");
+        let clean = host.run(&base.clone()).expect("valid spec");
         assert_ne!(a, clean, "chaos plan had no observable effect");
     }
 
@@ -1818,9 +1698,9 @@ mod tests {
     fn chaos_overload_triggers_failover_and_session_survives() {
         use crate::chaos::ChaosPlan;
         let plan = ChaosPlan::parse("overload:path=0,from=1s,until=60s").unwrap();
-        let scenario = Scenario::testbed_msplayer(9, quick_player());
-        let mut host = SessionHost::new(scenario.service_spec());
-        let spec = scenario.session_spec().with_chaos(plan);
+        let base = testbed(9, quick_player());
+        let mut host = SessionHost::new(ServiceSpec::testbed());
+        let spec = base.clone().with_chaos(plan);
         let m = host.run(&spec).expect("valid spec");
         assert!(m.failovers[0] >= 1, "503s force a replica switch");
         assert!(m.prebuffer_done_at.is_some(), "session survives overload");
@@ -1832,13 +1712,13 @@ mod tests {
         let plan =
             ChaosPlan::parse("token-expiry:2s;outage:path=1,dir=up,from=1s,until=3s;jitter:500ms")
                 .unwrap();
-        let scenario = Scenario::testbed_msplayer(0, quick_player());
-        let mut host = SessionHost::new(scenario.service_spec());
-        let spec = scenario.session_spec().with_chaos(plan.clone());
+        let base = testbed(0, quick_player());
+        let mut host = SessionHost::new(ServiceSpec::testbed());
+        let spec = base.clone().with_chaos(plan.clone());
         let seeds = [3u64, 14, 15, 92];
         let batch = host.run_batch(&seeds, &spec).expect("valid spec");
         for (i, &seed) in seeds.iter().enumerate() {
-            let mut fresh = SessionHost::new(scenario.service_spec());
+            let mut fresh = SessionHost::new(ServiceSpec::testbed());
             let single = fresh.run(&spec.clone().with_seed(seed)).expect("valid");
             assert_eq!(batch[i], single, "seed {seed} diverged under chaos");
         }
@@ -1848,9 +1728,9 @@ mod tests {
     fn chaos_validation_rejects_out_of_range_paths() {
         use crate::chaos::ChaosPlan;
         let plan = ChaosPlan::parse("overload:path=7,from=1s,until=2s").unwrap();
-        let scenario = Scenario::testbed_msplayer(1, quick_player());
-        let mut host = SessionHost::new(scenario.service_spec());
-        let spec = scenario.session_spec().with_chaos(plan);
+        let base = testbed(1, quick_player());
+        let mut host = SessionHost::new(ServiceSpec::testbed());
+        let spec = base.clone().with_chaos(plan);
         assert!(matches!(
             host.run(&spec),
             Err(SessionSpecError::InvalidChaos { .. })
@@ -1859,11 +1739,9 @@ mod tests {
 
     #[test]
     fn failure_storm_on_two_paths_survives() {
-        let scenario = Scenario::testbed_msplayer(7, quick_player());
-        let mut host = SessionHost::new(scenario.service_spec());
-        let mut spec = scenario
-            .session_spec()
-            .with_stop(StopCondition::AfterRefills(1));
+        let base = testbed(7, quick_player());
+        let mut host = SessionHost::new(ServiceSpec::testbed());
+        let mut spec = base.clone().with_stop(StopCondition::AfterRefills(1));
         spec.server_failures = vec![
             ServerFailure {
                 path: 0,

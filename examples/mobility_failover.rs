@@ -7,22 +7,25 @@
 //! ```
 
 use msplayer::core::config::PlayerConfig;
-use msplayer::core::sim::{run_session, Scenario, ServerFailure, StopCondition};
+use msplayer::core::sim::{
+    PathSetup, ServerFailure, ServiceSpec, SessionHost, SessionSpec, StopCondition,
+};
 use msplayer::net::OutageSchedule;
 use msplayer::simcore::time::SimTime;
 
 fn main() {
     let player = PlayerConfig::msplayer();
+    // All three scenarios stream from the same emulated testbed service.
+    let mut host = SessionHost::new(ServiceSpec::testbed());
+    let wifi_outage =
+        OutageSchedule::from_windows(vec![(SimTime::from_secs(8), SimTime::from_secs(23))]);
 
     // --- Scenario A: the WiFi link dies for 15 s during playback ---------
     println!("== A) WiFi outage from t=8 s to t=23 s ==");
-    let mut scenario = Scenario::testbed_msplayer(77, player.clone());
-    scenario.paths[0].outages = Some(OutageSchedule::from_windows(vec![(
-        SimTime::from_secs(8),
-        SimTime::from_secs(23),
-    )]));
-    scenario.stop = StopCondition::AfterRefills(3);
-    let m = run_session(&scenario);
+    let mut spec = SessionSpec::new(77, PathSetup::testbed_pair(), player.clone())
+        .with_stop(StopCondition::AfterRefills(3));
+    spec.paths[0].outages = Some(wifi_outage.clone());
+    let m = host.run(&spec).expect("valid spec");
     println!(
         "   pre-buffer: {}   refills completed: {}   stalls: {} ({} total)",
         m.prebuffer_time().expect("completed"),
@@ -38,14 +41,14 @@ fn main() {
 
     // --- Scenario B: WiFi's primary video server fails at t=2 s ----------
     println!("== B) WiFi-side video server fails at t=2 s (source diversity) ==");
-    let mut scenario = Scenario::testbed_msplayer(78, player.clone());
-    scenario.server_failure = Some(ServerFailure {
+    let mut spec = SessionSpec::new(78, PathSetup::testbed_pair(), player)
+        .with_stop(StopCondition::AfterRefills(2));
+    spec.server_failures = vec![ServerFailure {
         path: 0,
         from: SimTime::from_secs(2),
         until: SimTime::from_secs(300),
-    });
-    scenario.stop = StopCondition::AfterRefills(2);
-    let m = run_session(&scenario);
+    }];
+    let m = host.run(&spec).expect("valid spec");
     println!(
         "   pre-buffer: {}   failovers on WiFi path: {}   refills: {}",
         m.prebuffer_time().expect("completed"),
@@ -58,18 +61,14 @@ fn main() {
 
     // --- Baseline: a single-path player facing the same WiFi outage ------
     println!("== C) The same outage with a single-path WiFi player ==");
-    let mut scenario = Scenario::testbed_single_path(
-        77,
-        msplayer::net::PathProfile::wifi_testbed(),
-        msplayer::youtube::Network::Wifi,
-        PlayerConfig::commercial_single_path(msplayer::simcore::units::ByteSize::kb(256)),
-    );
-    scenario.paths[0].outages = Some(OutageSchedule::from_windows(vec![(
-        SimTime::from_secs(8),
-        SimTime::from_secs(23),
-    )]));
-    scenario.stop = StopCondition::AfterRefills(3);
-    let m = run_session(&scenario);
+    let mut wifi_only = PathSetup::testbed_pair();
+    wifi_only.truncate(1);
+    wifi_only[0].outages = Some(wifi_outage);
+    let commercial =
+        PlayerConfig::commercial_single_path(msplayer::simcore::units::ByteSize::kb(256));
+    let spec =
+        SessionSpec::new(77, wifi_only, commercial).with_stop(StopCondition::AfterRefills(3));
+    let m = host.run(&spec).expect("valid spec");
     println!(
         "   refills completed: {}   stalls: {} ({} of frozen playback)",
         m.refills.len(),

@@ -7,7 +7,7 @@
 
 use msplayer::core::config::PlayerConfig;
 use msplayer::core::metrics::TrafficPhase;
-use msplayer::core::sim::{run_session, Scenario, StopCondition};
+use msplayer::core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec, StopCondition};
 
 fn main() {
     // The paper's default player: Harmonic scheduler, 256 KB initial
@@ -16,10 +16,13 @@ fn main() {
 
     // WiFi + LTE against two video sources per network; run through the
     // pre-buffering phase and two steady-state refill cycles.
-    let mut scenario = Scenario::testbed_msplayer(/* seed */ 2014, config);
-    scenario.stop = StopCondition::AfterRefills(2);
+    let spec = SessionSpec::new(/* seed */ 2014, PathSetup::testbed_pair(), config)
+        .with_stop(StopCondition::AfterRefills(2));
 
-    let metrics = run_session(&scenario);
+    // The host builds the emulated service once; `run_batch` would reuse
+    // it across seeds.
+    let mut host = SessionHost::new(ServiceSpec::testbed());
+    let metrics = host.run(&spec).expect("valid spec");
 
     println!("== MSPlayer quickstart (emulated testbed, seed 2014) ==\n");
     println!(

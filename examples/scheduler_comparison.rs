@@ -5,14 +5,14 @@
 //! profile and every (scheduler × chunk × seed) cell runs over it via
 //! [`SessionHost::run_batch`] — the control-plane bootstrap is paid once,
 //! not `schedulers × chunks × seeds` times, and results are bit-identical
-//! to independent `run_session` calls.
+//! to running every session on a fresh host.
 //!
 //! ```sh
 //! cargo run --release --example scheduler_comparison
 //! ```
 
 use msplayer::core::config::{PlayerConfig, SchedulerKind};
-use msplayer::core::sim::{Scenario, SessionHost, StopCondition};
+use msplayer::core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec};
 use msplayer::simcore::report::Table;
 use msplayer::simcore::stats::{median, Running};
 use msplayer::simcore::units::ByteSize;
@@ -26,8 +26,7 @@ fn main() {
 
     // One warmed host for the whole grid — every cell below shares the
     // same emulated service.
-    let template = Scenario::testbed_msplayer(0, PlayerConfig::msplayer());
-    let mut host = SessionHost::new(template.service_spec());
+    let mut host = SessionHost::new(ServiceSpec::testbed());
     let seeds: Vec<u64> = (0..runs).collect();
 
     let mut table = Table::new(&[
@@ -47,8 +46,7 @@ fn main() {
                 .with_scheduler(kind)
                 .with_initial_chunk(ByteSize::kb(chunk_kb))
                 .with_prebuffer_secs(prebuffer);
-            let mut spec = Scenario::testbed_msplayer(0, cfg).session_spec();
-            spec.stop = StopCondition::PrebufferDone;
+            let spec = SessionSpec::new(0, PathSetup::testbed_pair(), cfg);
             let batch = host.run_batch(&seeds, &spec).expect("valid spec");
 
             let mut stats = Running::new();

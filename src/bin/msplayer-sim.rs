@@ -15,13 +15,13 @@ use msplayer::core::chaos::{check_invariants, ChaosPlan};
 use msplayer::core::config::{PlayerConfig, SchedulerKind};
 use msplayer::core::fleet::{FleetHost, FleetMode, FleetSpec, SelectionPolicy};
 use msplayer::core::metrics::{SessionMetrics, TrafficPhase};
-use msplayer::core::sim::{run_session, Scenario, SessionHost, StopCondition};
+use msplayer::core::sim::{
+    PathSetup, ServiceSpec, SessionHost, SessionSpec, SessionSpecError, StopCondition,
+};
 use msplayer::core::trace::render_timeline;
-use msplayer::net::PathProfile;
 use msplayer::simcore::stats::{median, Running};
 use msplayer::simcore::telemetry;
 use msplayer::simcore::units::ByteSize;
-use msplayer::youtube::Network;
 
 /// Parsed command-line options.
 #[derive(Clone, Debug, PartialEq)]
@@ -111,8 +111,9 @@ fn parse_size(s: &str) -> Result<u64, String> {
         _ => (s, 1),
     };
     num.parse::<u64>()
-        .map(|n| n * mult)
-        .map_err(|_| format!("bad size {s:?}"))
+        .ok()
+        .and_then(|n| n.checked_mul(mult))
+        .ok_or_else(|| format!("bad size {s:?}"))
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -178,7 +179,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opt)
 }
 
-fn scenario_for(opt: &Options, seed: u64) -> Scenario {
+/// The service and the session picked by `--env` / `--player` and the
+/// player flags, seeded with `--seed` and without the chaos plan.
+fn session_for(opt: &Options) -> (ServiceSpec, SessionSpec) {
     let kind = match opt.scheduler.as_str() {
         "ewma" => SchedulerKind::Ewma,
         "ratio" => SchedulerKind::Ratio,
@@ -189,74 +192,69 @@ fn scenario_for(opt: &Options, seed: u64) -> Scenario {
         PlayerConfig::msplayer()
             .with_scheduler(kind)
             .with_initial_chunk(ByteSize::bytes(opt.chunk))
-            .with_prebuffer_secs(opt.prebuffer)
     } else {
         PlayerConfig::commercial_single_path(ByteSize::bytes(opt.chunk))
-            .with_prebuffer_secs(opt.prebuffer)
+    }
+    .with_prebuffer_secs(opt.prebuffer);
+    let (service, pair) = match opt.env.as_str() {
+        "youtube" => (ServiceSpec::youtube(), PathSetup::youtube_pair()),
+        _ => (ServiceSpec::testbed(), PathSetup::testbed_pair()),
     };
-    let youtube = opt.env == "youtube";
-    let mut scenario = match (youtube, opt.player.as_str()) {
-        (false, "msplayer") => Scenario::testbed_msplayer(seed, cfg),
-        (true, "msplayer") => Scenario::youtube_msplayer(seed, cfg),
-        (false, "wifi") => {
-            Scenario::testbed_single_path(seed, PathProfile::wifi_testbed(), Network::Wifi, cfg)
-        }
-        (true, "wifi") => {
-            Scenario::youtube_single_path(seed, PathProfile::wifi_youtube(), Network::Wifi, cfg)
-        }
-        (false, _) => {
-            Scenario::testbed_single_path(seed, PathProfile::lte_testbed(), Network::Cellular, cfg)
-        }
-        (true, _) => {
-            Scenario::youtube_single_path(seed, PathProfile::lte_youtube(), Network::Cellular, cfg)
-        }
+    let paths = match opt.player.as_str() {
+        "wifi" => pair[..1].to_vec(),
+        "lte" => pair[1..].to_vec(),
+        _ => pair,
     };
-    scenario.stop = if opt.refills > 0 {
+    let stop = if opt.refills > 0 {
         StopCondition::AfterRefills(opt.refills)
     } else {
         StopCondition::PrebufferDone
     };
-    scenario
+    let spec = SessionSpec::new(opt.seed, paths, cfg).with_stop(stop);
+    (service, spec)
 }
 
-/// Runs one seeded session, layering the chaos plan (if any) onto the
-/// scenario's session spec without touching the scenario itself.
-fn run_one(opt: &Options, seed: u64) -> SessionMetrics {
-    let scenario = scenario_for(opt, seed);
-    if opt.chaos.is_empty() {
-        return run_session(&scenario);
+/// Runs the CLI's session over `seeds` on one warmed host, layering the
+/// chaos plan (if any) onto the session spec.
+fn run_sessions(opt: &Options, seeds: &[u64]) -> Result<Vec<SessionMetrics>, SessionSpecError> {
+    let (service, mut spec) = session_for(opt);
+    if !opt.chaos.is_empty() {
+        let plan = ChaosPlan::preset(&opt.chaos).expect("plan validated during arg parsing");
+        spec = spec.with_chaos(plan);
     }
-    let plan = ChaosPlan::preset(&opt.chaos).expect("plan validated during arg parsing");
-    let spec = scenario.session_spec().with_chaos(plan);
-    match SessionHost::new(scenario.service_spec()).run(&spec) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("invalid session under chaos plan {:?}: {e}", opt.chaos);
-            std::process::exit(2);
-        }
-    }
+    SessionHost::new(service).run_batch(seeds, &spec)
 }
 
 /// Builds the fleet spec implied by the CLI options: fluid mode uses the
 /// default mixed-access population, exact mode drives full per-chunk
-/// sessions of the `--env`/`--player` scenario.
-fn fleet_spec_for(opt: &Options) -> FleetSpec {
+/// sessions of the `--env`/`--player` session.
+fn fleet_spec_for(opt: &Options) -> Result<FleetSpec, SessionSpecError> {
     let mut spec = match opt.fleet_mode {
         FleetMode::Fluid => FleetSpec::fluid(opt.seed, opt.fleet_sessions),
-        FleetMode::Exact => FleetSpec::exact(scenario_for(opt, opt.seed), opt.fleet_sessions),
+        FleetMode::Exact => {
+            let (service, base) = session_for(opt);
+            base.validate()?;
+            FleetSpec::exact(service, base, opt.fleet_sessions)
+        }
     };
     spec.policy = opt.fleet_policy;
     if !opt.chaos.is_empty() {
         spec.chaos =
             Some(ChaosPlan::preset(&opt.chaos).expect("plan validated during arg parsing"));
     }
-    spec
+    Ok(spec)
 }
 
 /// Runs the coupled fleet population and prints its summary; returns the
 /// exit code.
 fn run_fleet_mode(opt: &Options) -> i32 {
-    let spec = fleet_spec_for(opt);
+    let spec = match fleet_spec_for(opt) {
+        Ok(spec) => spec,
+        Err(e) => {
+            eprintln!("invalid session: {e}");
+            return 2;
+        }
+    };
     let mut host = match FleetHost::new(spec) {
         Ok(h) => h,
         Err(e) => {
@@ -333,11 +331,19 @@ fn main() {
     let mut prebuffer_stats = Running::new();
     let mut prebuffer_samples = Vec::new();
     let mut chaos_violations = 0usize;
-    for run in 0..opt.runs {
-        let seed = opt.seed ^ run.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let m = run_one(&opt, seed);
+    let seeds: Vec<u64> = (0..opt.runs)
+        .map(|run| opt.seed ^ run.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect();
+    let sessions = match run_sessions(&opt, &seeds) {
+        Ok(sessions) => sessions,
+        Err(e) => {
+            eprintln!("invalid session: {e}");
+            std::process::exit(2);
+        }
+    };
+    for (&seed, m) in seeds.iter().zip(&sessions) {
         if !opt.chaos.is_empty() {
-            let violations = check_invariants(&m);
+            let violations = check_invariants(m);
             if violations.is_empty() {
                 println!(
                     "chaos (seed {seed}, plan {:?}): all invariants hold",
@@ -384,7 +390,7 @@ fn main() {
                 println!("  stalls: {} ({})", m.stalls.len(), m.total_stall_time());
             }
             if opt.timeline {
-                println!("\n{}", render_timeline(&m, 96));
+                println!("\n{}", render_timeline(m, 96));
             }
         }
     }
@@ -429,6 +435,7 @@ fn write_trace(path: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msplayer::youtube::Network;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -473,6 +480,49 @@ mod tests {
     }
 
     #[test]
+    fn size_overflow_is_a_bad_size_not_a_wrap() {
+        // 2^44 MiB = 2^64 bytes: wrapped to 0 in release, panicked in debug.
+        assert_eq!(
+            parse_size("17592186044416M"),
+            Err("bad size \"17592186044416M\"".into())
+        );
+        assert!(parse_size("99999999999999999M").is_err());
+        assert!(parse_args(&args("--chunk 17592186044416M")).is_err());
+        assert_eq!(
+            parse_size("17592186044415M").unwrap(),
+            u64::MAX - (1 << 20) + 1
+        );
+    }
+
+    #[test]
+    fn invalid_player_configs_are_errors_not_panics() {
+        for bad in [
+            "--chunk 0",
+            "--prebuffer 0",
+            "--prebuffer -1",
+            "--prebuffer nan",
+            "--prebuffer inf",
+            "--chunk 0 --chaos kitchen-sink",
+            "--chunk 0 --runs 3",
+        ] {
+            let o = parse_args(&args(bad)).unwrap();
+            assert!(
+                matches!(
+                    run_sessions(&o, &[o.seed]),
+                    Err(SessionSpecError::InvalidPlayer(_))
+                ),
+                "{bad}"
+            );
+            let exact = Options {
+                fleet: true,
+                fleet_mode: FleetMode::Exact,
+                ..o
+            };
+            assert!(fleet_spec_for(&exact).is_err(), "{bad} (exact fleet)");
+        }
+    }
+
+    #[test]
     fn rejects_unknown_and_invalid() {
         assert!(parse_args(&args("--bogus 1")).is_err());
         assert!(parse_args(&args("--env mars")).is_err());
@@ -496,18 +546,16 @@ mod tests {
             chaos: "skew:+250ms;overload:path=1,from=1s,until=8s".into(),
             ..Options::default()
         };
-        let a = run_one(&o, 33);
-        let b = run_one(&o, 33);
+        let run_one = |o: &Options| run_sessions(o, &[33]).expect("valid session").remove(0);
+        let a = run_one(&o);
+        let b = run_one(&o);
         assert_eq!(a, b, "chaos replay must be bit-identical");
         assert!(check_invariants(&a).is_empty());
         // The plan actually changes the session.
-        let clean = run_one(
-            &Options {
-                chaos: String::new(),
-                ..o.clone()
-            },
-            33,
-        );
+        let clean = run_one(&Options {
+            chaos: String::new(),
+            ..o.clone()
+        });
         assert_ne!(a, clean, "the plan must perturb the session");
     }
 
@@ -533,14 +581,14 @@ mod tests {
             fleet_policy: SelectionPolicy::QoeFirst,
             ..Options::default()
         };
-        FleetHost::new(fleet_spec_for(&fluid)).expect("fluid CLI spec validates");
+        FleetHost::new(fleet_spec_for(&fluid).unwrap()).expect("fluid CLI spec validates");
         let exact = Options {
             fleet: true,
             fleet_sessions: 4,
             fleet_mode: FleetMode::Exact,
             ..Options::default()
         };
-        let m = FleetHost::new(fleet_spec_for(&exact))
+        let m = FleetHost::new(fleet_spec_for(&exact).unwrap())
             .expect("exact CLI spec validates")
             .run();
         assert_eq!(m.sessions, 4);
@@ -563,9 +611,17 @@ mod tests {
                     prebuffer: 5.0,
                     ..Options::default()
                 };
-                let s = scenario_for(&o, 1);
+                let (service, spec) = session_for(&o);
                 let expected_paths = if player == "msplayer" { 2 } else { 1 };
-                assert_eq!(s.paths.len(), expected_paths, "{env}/{player}");
+                assert_eq!(spec.paths.len(), expected_paths, "{env}/{player}");
+                assert_eq!(service.copyrighted, env == "youtube", "{env}/{player}");
+                let network = if player == "lte" {
+                    Network::Cellular
+                } else {
+                    Network::Wifi
+                };
+                assert_eq!(spec.paths[0].network, network, "{env}/{player}");
+                assert!(spec.validate().is_ok(), "{env}/{player}");
             }
         }
     }
@@ -576,7 +632,7 @@ mod tests {
             prebuffer: 5.0,
             ..Options::default()
         };
-        let m = run_session(&scenario_for(&o, 42));
-        assert!(m.prebuffer_time().is_some());
+        let m = run_sessions(&o, &[42]).expect("valid session");
+        assert!(m[0].prebuffer_time().is_some());
     }
 }

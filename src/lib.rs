@@ -23,10 +23,12 @@
 //!
 //! ```
 //! use msplayer::core::config::PlayerConfig;
-//! use msplayer::core::sim::{run_session, Scenario};
+//! use msplayer::core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec};
 //!
 //! let cfg = PlayerConfig::msplayer().with_prebuffer_secs(10.0);
-//! let metrics = run_session(&Scenario::testbed_msplayer(7, cfg));
+//! let spec = SessionSpec::new(7, PathSetup::testbed_pair(), cfg);
+//! let mut host = SessionHost::new(ServiceSpec::testbed());
+//! let metrics = host.run(&spec).expect("valid spec");
 //! assert!(metrics.prebuffer_time().is_some());
 //! ```
 

@@ -3,14 +3,25 @@
 //! and the player.
 
 use msplayer::core::config::{PlayerConfig, SchedulerKind};
-use msplayer::core::metrics::TrafficPhase;
-use msplayer::core::sim::{run_session, Scenario, StopCondition};
-use msplayer::net::PathProfile;
+use msplayer::core::metrics::{SessionMetrics, TrafficPhase};
+use msplayer::core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec, StopCondition};
 use msplayer::simcore::units::ByteSize;
-use msplayer::youtube::Network;
 
 fn quick() -> PlayerConfig {
     PlayerConfig::msplayer().with_prebuffer_secs(15.0)
+}
+
+fn testbed(seed: u64, player: PlayerConfig) -> SessionSpec {
+    SessionSpec::new(seed, PathSetup::testbed_pair(), player)
+}
+
+fn youtube(seed: u64, player: PlayerConfig) -> SessionSpec {
+    SessionSpec::new(seed, PathSetup::youtube_pair(), player)
+}
+
+/// One session on a fresh host.
+fn run_on(service: ServiceSpec, spec: &SessionSpec) -> SessionMetrics {
+    SessionHost::new(service).run(spec).expect("valid spec")
 }
 
 #[test]
@@ -21,11 +32,12 @@ fn full_session_all_schedulers_both_environments() {
         SchedulerKind::Ratio,
         SchedulerKind::HarmonicWindowed,
     ] {
-        for scenario in [
-            Scenario::testbed_msplayer(5, quick().with_scheduler(kind)),
-            Scenario::youtube_msplayer(5, quick().with_scheduler(kind)),
+        let player = quick().with_scheduler(kind);
+        for (service, spec) in [
+            (ServiceSpec::testbed(), testbed(5, player.clone())),
+            (ServiceSpec::youtube(), youtube(5, player.clone())),
         ] {
-            let m = run_session(&scenario);
+            let m = run_on(service, &spec);
             let t = m
                 .prebuffer_time()
                 .unwrap_or_else(|| panic!("{kind:?} failed to pre-buffer"));
@@ -40,9 +52,8 @@ fn full_session_all_schedulers_both_environments() {
 #[test]
 fn deterministic_replay_full_stack() {
     let run = || {
-        let mut s = Scenario::youtube_msplayer(1234, quick());
-        s.stop = StopCondition::AfterRefills(2);
-        run_session(&s)
+        let spec = youtube(1234, quick()).with_stop(StopCondition::AfterRefills(2));
+        run_on(ServiceSpec::youtube(), &spec)
     };
     let a = run();
     let b = run();
@@ -58,9 +69,8 @@ fn deterministic_replay_full_stack() {
 
 #[test]
 fn chunk_ranges_cover_prefix_without_overlap() {
-    let mut s = Scenario::testbed_msplayer(9, quick());
-    s.stop = StopCondition::AfterRefills(1);
-    let m = run_session(&s);
+    let spec = testbed(9, quick()).with_stop(StopCondition::AfterRefills(1));
+    let m = run_on(ServiceSpec::testbed(), &spec);
     // Sort all completed chunks by their metric record; re-derive coverage
     // from the byte counts: total fetched equals the contiguous target plus
     // at most max_chunk of overshoot per path.
@@ -78,9 +88,8 @@ fn chunk_ranges_cover_prefix_without_overlap() {
 
 #[test]
 fn traffic_fractions_are_probabilities_and_sum_to_one() {
-    let mut s = Scenario::testbed_msplayer(21, quick());
-    s.stop = StopCondition::AfterRefills(2);
-    let m = run_session(&s);
+    let spec = testbed(21, quick()).with_stop(StopCondition::AfterRefills(2));
+    let m = run_on(ServiceSpec::testbed(), &spec);
     for phase in [TrafficPhase::PreBuffering, TrafficPhase::ReBuffering] {
         let f0 = m.traffic_fraction(0, phase).expect("traffic exists");
         let f1 = m.traffic_fraction(1, phase).expect("traffic exists");
@@ -91,9 +100,8 @@ fn traffic_fractions_are_probabilities_and_sum_to_one() {
 
 #[test]
 fn no_stalls_on_healthy_links() {
-    let mut s = Scenario::testbed_msplayer(33, quick());
-    s.stop = StopCondition::AfterRefills(3);
-    let m = run_session(&s);
+    let spec = testbed(33, quick()).with_stop(StopCondition::AfterRefills(3));
+    let m = run_on(ServiceSpec::testbed(), &spec);
     assert_eq!(
         m.stalls.len(),
         0,
@@ -106,12 +114,11 @@ fn no_stalls_on_healthy_links() {
 #[test]
 fn single_path_commercial_profiles_work_at_both_chunk_sizes() {
     for chunk in [64u64, 256] {
-        let m = run_session(&Scenario::testbed_single_path(
-            3,
-            PathProfile::wifi_testbed(),
-            Network::Wifi,
-            PlayerConfig::commercial_single_path(ByteSize::kb(chunk)).with_prebuffer_secs(15.0),
-        ));
+        let player =
+            PlayerConfig::commercial_single_path(ByteSize::kb(chunk)).with_prebuffer_secs(15.0);
+        let mut spec = testbed(3, player);
+        spec.paths.truncate(1); // WiFi only
+        let m = run_on(ServiceSpec::testbed(), &spec);
         assert!(m.prebuffer_time().is_some(), "{chunk} KB profile streams");
         assert_eq!(m.chunk_count(1), 0);
     }
@@ -120,13 +127,11 @@ fn single_path_commercial_profiles_work_at_both_chunk_sizes() {
 #[test]
 fn longer_prebuffer_takes_longer() {
     let t = |pb: f64| {
-        run_session(&Scenario::testbed_msplayer(
-            11,
-            PlayerConfig::msplayer().with_prebuffer_secs(pb),
-        ))
-        .prebuffer_time()
-        .unwrap()
-        .as_secs_f64()
+        let player = PlayerConfig::msplayer().with_prebuffer_secs(pb);
+        run_on(ServiceSpec::testbed(), &testbed(11, player))
+            .prebuffer_time()
+            .unwrap()
+            .as_secs_f64()
     };
     let t20 = t(20.0);
     let t40 = t(40.0);
@@ -139,12 +144,15 @@ fn longer_prebuffer_takes_longer() {
 
 #[test]
 fn copyrighted_videos_pay_a_bootstrap_penalty() {
-    let mut free = Scenario::testbed_msplayer(17, quick());
-    free.copyrighted = false;
-    let mut protected = Scenario::testbed_msplayer(17, quick());
-    protected.copyrighted = true;
-    let t_free = run_session(&free).prebuffer_time().unwrap();
-    let t_protected = run_session(&protected).prebuffer_time().unwrap();
+    let free = ServiceSpec::testbed();
+    assert!(!free.copyrighted);
+    let protected = ServiceSpec {
+        copyrighted: true,
+        ..ServiceSpec::testbed()
+    };
+    let spec = testbed(17, quick());
+    let t_free = run_on(free, &spec).prebuffer_time().unwrap();
+    let t_protected = run_on(protected, &spec).prebuffer_time().unwrap();
     assert!(
         t_protected > t_free,
         "decoder-page fetch costs time: {t_protected} vs {t_free}"
@@ -153,10 +161,10 @@ fn copyrighted_videos_pay_a_bootstrap_penalty() {
 
 #[test]
 fn head_start_config_controls_first_bytes() {
-    let with = run_session(&Scenario::testbed_msplayer(25, quick()));
+    let with = run_on(ServiceSpec::testbed(), &testbed(25, quick()));
     let mut cfg = quick();
     cfg.head_start = false;
-    let without = run_session(&Scenario::testbed_msplayer(25, cfg));
+    let without = run_on(ServiceSpec::testbed(), &testbed(25, cfg));
     // Without head start both paths begin together.
     let gap_with = with.observed_head_start().unwrap().as_secs_f64();
     let gap_without = without.observed_head_start().unwrap().as_secs_f64();

@@ -3,13 +3,13 @@
 //! * fluid-mode populations are bit-identical for any worker count —
 //!   workers only shard the index-keyed attribute precomputation, so
 //!   parallelism can never change a result;
-//! * an exact-mode fleet of one is bit-identical to the same scenario
+//! * an exact-mode fleet of one is bit-identical to the same session
 //!   run standalone through `SessionHost::run` — the fleet's load
 //!   injection is exactly inert when there is no other load to inject.
 
 use msplayer::core::config::PlayerConfig;
 use msplayer::core::fleet::{FleetHost, FleetSpec, SelectionPolicy};
-use msplayer::core::sim::{Scenario, SessionHost};
+use msplayer::core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec};
 
 #[test]
 fn fluid_fleet_is_bit_identical_across_worker_counts() {
@@ -34,18 +34,16 @@ fn fluid_fleet_is_bit_identical_across_worker_counts() {
 
 #[test]
 fn exact_fleet_of_one_matches_a_standalone_session() {
-    let base = Scenario::testbed_msplayer(2014, PlayerConfig::msplayer());
-    let fleet_spec = FleetSpec::exact(base.clone(), 1);
+    let base = SessionSpec::new(2014, PathSetup::testbed_pair(), PlayerConfig::msplayer());
+    let fleet_spec = FleetSpec::exact(ServiceSpec::testbed(), base.clone(), 1);
     let seed = fleet_spec.session_seed(0);
     let fleet = FleetHost::new(fleet_spec).expect("spec validates").run();
     assert_eq!(fleet.sessions, 1);
     assert_eq!(fleet.completed, 1);
     assert_eq!(fleet.exact_sessions.len(), 1);
 
-    let mut spec = base.session_spec();
-    spec.seed = seed;
-    let standalone = SessionHost::new(base.service_spec())
-        .run(&spec)
+    let standalone = SessionHost::new(ServiceSpec::testbed())
+        .run(&base.with_seed(seed))
         .expect("base spec validates");
 
     assert_eq!(

@@ -3,7 +3,7 @@
 
 use msplayer::core::config::{GammaRounding, PlayerConfig, SchedulerKind};
 use msplayer::core::metrics::TrafficPhase;
-use msplayer::core::sim::{run_session, Scenario, StopCondition};
+use msplayer::core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec, StopCondition};
 use msplayer::simcore::units::ByteSize;
 use proptest::prelude::*;
 
@@ -40,7 +40,8 @@ proptest! {
             .with_prebuffer_secs(prebuffer);
         cfg.ooo_cap = ooo_cap;
         cfg.gamma_rounding = if gamma_ceil { GammaRounding::Ceil } else { GammaRounding::Exact };
-        let m = run_session(&Scenario::testbed_msplayer(seed, cfg));
+        let spec = SessionSpec::new(seed, PathSetup::testbed_pair(), cfg);
+        let m = SessionHost::new(ServiceSpec::testbed()).run(&spec).expect("valid spec");
 
         // Terminates with the target reached.
         let t = m.prebuffer_time().expect("prebuffer reached");
@@ -80,14 +81,12 @@ proptest! {
         seed in 0u64..100_000,
         kind in scheduler_strategy(),
     ) {
-        let mut s = Scenario::testbed_msplayer(
-            seed,
-            PlayerConfig::msplayer()
-                .with_scheduler(kind)
-                .with_prebuffer_secs(10.0),
-        );
-        s.stop = StopCondition::AfterRefills(1);
-        let m = run_session(&s);
+        let cfg = PlayerConfig::msplayer()
+            .with_scheduler(kind)
+            .with_prebuffer_secs(10.0);
+        let spec = SessionSpec::new(seed, PathSetup::testbed_pair(), cfg)
+            .with_stop(StopCondition::AfterRefills(1));
+        let m = SessionHost::new(ServiceSpec::testbed()).run(&spec).expect("valid spec");
         for phase in [TrafficPhase::PreBuffering, TrafficPhase::ReBuffering] {
             if let (Some(f0), Some(f1)) =
                 (m.traffic_fraction(0, phase), m.traffic_fraction(1, phase))

@@ -35,15 +35,17 @@ use workload::WorkloadSpec;
 /// at that first read, before any session runs.
 pub fn runs() -> u64 {
     static RUNS: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *RUNS.get_or_init(
-        || match parse_runs(std::env::var("MSP_RUNS").ok().as_deref()) {
-            Ok(n) => n,
-            Err(why) => {
-                eprintln!("{why}");
-                std::process::exit(2);
-            }
-        },
-    )
+    *RUNS.get_or_init(|| env_or_exit("MSP_RUNS", parse_runs))
+}
+
+/// Reads the environment variable `var` through `parse` (`None` = unset).
+/// A value `parse` refuses ends the process: its one-line message on
+/// stderr, exit code 2.
+pub(crate) fn env_or_exit<T>(var: &str, parse: fn(Option<&str>) -> Result<T, String>) -> T {
+    parse(std::env::var(var).ok().as_deref()).unwrap_or_else(|why| {
+        eprintln!("{why}");
+        std::process::exit(2);
+    })
 }
 
 /// `MSP_RUNS` as read from the environment (`None` = unset) to a run count.

@@ -232,14 +232,26 @@ pub struct SweepOptions {
 
 impl SweepOptions {
     /// Options from the environment: `MSP_CELL_BUDGET_SECS` (fractional
-    /// seconds; unset or 0 disables the watchdog).
+    /// seconds; unset or 0 disables the watchdog). A value that is not a
+    /// representable, non-negative number of seconds ends the process
+    /// (exit code 2), as a bad `MSP_RUNS` does.
     pub fn from_env() -> SweepOptions {
-        let cell_budget = std::env::var("MSP_CELL_BUDGET_SECS")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|&s| s > 0.0)
-            .map(Duration::from_secs_f64);
-        SweepOptions { cell_budget }
+        SweepOptions {
+            cell_budget: crate::env_or_exit("MSP_CELL_BUDGET_SECS", parse_cell_budget),
+        }
+    }
+}
+
+/// `MSP_CELL_BUDGET_SECS` as read from the environment (`None` = unset)
+/// to a watchdog budget (`None` = no watchdog).
+fn parse_cell_budget(value: Option<&str>) -> Result<Option<Duration>, String> {
+    let Some(v) = value else { return Ok(None) };
+    let secs = v.trim().parse::<f64>().ok();
+    match secs.and_then(|s| Duration::try_from_secs_f64(s).ok()) {
+        Some(budget) => Ok(Some(budget).filter(|b| !b.is_zero())),
+        None => Err(format!(
+            "MSP_CELL_BUDGET_SECS={v:?}: expected a finite number of seconds >= 0 (0 = no watchdog)"
+        )),
     }
 }
 
@@ -321,18 +333,27 @@ impl WatchdogRunner {
     }
 }
 
-/// Worker count: `MSP_THREADS` env var, else the machine's available
-/// parallelism, else 1.
+/// Worker count: `MSP_THREADS` env var, else (unset or 0) the machine's
+/// available parallelism, else 1. A value that is not a non-negative
+/// integer ends the process (exit code 2), as a bad `MSP_RUNS` does.
 pub fn threads() -> usize {
-    std::env::var("MSP_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    crate::env_or_exit("MSP_THREADS", parse_threads).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+/// `MSP_THREADS` as read from the environment (`None` = unset) to a
+/// worker count (`None` = one per available core).
+fn parse_threads(value: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(v) = value else { return Ok(None) };
+    match v.trim().parse::<usize>() {
+        Ok(n) => Ok(Some(n).filter(|&n| n > 0)),
+        Err(_) => Err(format!(
+            "MSP_THREADS={v:?}: expected a non-negative integer (0 = all cores)"
+        )),
+    }
 }
 
 /// A per-worker cache of warmed [`SessionHost`]s, one per workload.
@@ -793,6 +814,50 @@ mod tests {
                 expand_workload(&Arc::new(w))
             })
             .collect()
+    }
+
+    #[test]
+    fn msp_cell_budget_secs_accepts_seconds_and_treats_unset_or_zero_as_off() {
+        assert_eq!(parse_cell_budget(None), Ok(None));
+        assert_eq!(parse_cell_budget(Some("0")), Ok(None));
+        assert_eq!(parse_cell_budget(Some("0.0")), Ok(None));
+        assert_eq!(
+            parse_cell_budget(Some(" 2.5 ")),
+            Ok(Some(Duration::from_millis(2500)))
+        );
+        assert_eq!(
+            parse_cell_budget(Some("30")),
+            Ok(Some(Duration::from_secs(30)))
+        );
+    }
+
+    #[test]
+    fn msp_cell_budget_secs_rejects_what_no_duration_holds_naming_the_variable() {
+        for bad in ["inf", "1e300", "nan", "-1", "soon", ""] {
+            let err = parse_cell_budget(Some(bad)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("MSP_CELL_BUDGET_SECS={bad:?}: expected ")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn msp_threads_accepts_counts_and_treats_unset_or_zero_as_all_cores() {
+        assert_eq!(parse_threads(None), Ok(None));
+        assert_eq!(parse_threads(Some("0")), Ok(None));
+        assert_eq!(parse_threads(Some(" 8 ")), Ok(Some(8)));
+    }
+
+    #[test]
+    fn msp_threads_rejects_garbage_naming_the_variable() {
+        for bad in ["two", "-1", "2.5", ""] {
+            let err = parse_threads(Some(bad)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("MSP_THREADS={bad:?}: expected ")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

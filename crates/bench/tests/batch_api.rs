@@ -7,19 +7,52 @@
 
 use msplayer_bench::sweep::{expand_workload, run_parallel, run_serial};
 use msplayer_bench::workload::{PlayerKind, WorkloadRegistry, WorkloadSpec};
-use msplayer_core::sim::SessionHost;
+use msplayer_core::chaos::ChaosPlan;
+use msplayer_core::metrics::SessionMetrics;
+use msplayer_core::sim::{SessionHost, StopCondition};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// `run_batch` over N seeds is bit-identical to N sessions each run on a
-/// fresh host, for **every** built-in workload (both environments, all
-/// player shapes, the storms, the 3/4-path grids, the ABR and mobility
-/// workloads, and the same-network dual-WiFi scenario).
-#[test]
-fn batch_equals_fresh_host_per_session_for_every_builtin_workload() {
+/// Every built-in workload (both environments, all player shapes, the
+/// storms, the 3/4-path grids, the ABR and mobility workloads, and the
+/// same-network dual-WiFi scenario), plus a chaos-layered one and a
+/// closed-loop ABR session that downloads the whole video.
+fn builtin_plus_chaos_and_abr_download() -> Vec<Arc<WorkloadSpec>> {
     let registry = WorkloadRegistry::builtin(1);
     assert_eq!(registry.specs().len(), 15);
-    for w in registry.specs() {
+    let mut specs = registry.specs().to_vec();
+    let plain = WorkloadSpec::clone(registry.by_name("testbed/MSPlayer").expect("builtin"));
+    let plan = ChaosPlan::preset("kitchen-sink").expect("preset parses");
+    specs.push(Arc::new(plain.with_chaos(plan)));
+    let mut abr = WorkloadSpec::abr_closed_loop_grid(1);
+    abr.name = "abr/closed-loop-download".into();
+    abr.stop = StopCondition::DownloadComplete;
+    abr.chunk_kb = vec![64];
+    specs.push(Arc::new(abr));
+    specs
+}
+
+/// The exact-size contract of `SessionMetrics`: a finished session holds
+/// no spare trace capacity, however it was run.
+fn assert_traces_are_exact_size(m: &SessionMetrics, what: &str) {
+    assert_eq!(m.chunks.capacity(), m.chunks.len(), "{what}: chunks");
+    assert_eq!(
+        m.abr_decisions.capacity(),
+        m.abr_decisions.len(),
+        "{what}: abr_decisions"
+    );
+    assert_eq!(
+        m.abr_switches.capacity(),
+        m.abr_switches.len(),
+        "{what}: abr_switches"
+    );
+}
+
+/// `run_batch` over N seeds is bit-identical to N sessions each run on a
+/// fresh host, and both hand back exact-size traces.
+#[test]
+fn batch_equals_fresh_host_per_session_for_every_builtin_workload() {
+    for w in builtin_plus_chaos_and_abr_download() {
         let spec = w.session_spec(w.schedulers[0], w.chunk_kb[0], 0);
         let seeds: Vec<u64> = (0..3).map(|r| w.seed(r)).collect();
         let batch = SessionHost::new(w.service.clone())
@@ -31,6 +64,9 @@ fn batch_equals_fresh_host_per_session_for_every_builtin_workload() {
                 .run(&spec.clone().with_seed(seed))
                 .expect("builtin specs validate");
             assert_eq!(batch[i], single, "{}: seed {seed:#x} diverged", w.name);
+            assert!(!single.chunks.is_empty(), "{}: nothing recorded", w.name);
+            assert_traces_are_exact_size(&batch[i], &format!("{} batch[{i}]", w.name));
+            assert_traces_are_exact_size(&single, &format!("{} run({seed:#x})", w.name));
         }
     }
 }

@@ -38,6 +38,7 @@ use crate::metrics::{qoe_score, SessionMetrics};
 use crate::sim::{ServiceSpec, SessionSpec};
 use msim_core::event::EventQueue;
 use msim_core::rng::Prng;
+use msim_core::telemetry::LazyCounter;
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::{BitRate, ByteSize};
 use msim_net::tcp::{fluid, TcpConfig};
@@ -47,6 +48,10 @@ use msim_youtube::server::PacePolicy;
 use msim_youtube::service::YoutubeService;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+static FLEET_ARRIVALS: LazyCounter = LazyCounter::new("msp_fleet_arrivals_total");
+static FLEET_REJECTED: LazyCounter = LazyCounter::new("msp_fleet_rejected_total");
+static FLEET_DEPARTURES: LazyCounter = LazyCounter::new("msp_fleet_departures_total");
 
 /// Salt for the per-session attribute streams (arrival time, access
 /// class, session seed); keyed by session *index* so any worker sharding
@@ -850,6 +855,10 @@ struct Fluid<'a> {
     bucket_us: u64,
     tcp: TcpConfig,
     servers: Vec<FluidServer>,
+    /// Σ `servers[..].n`, kept by `attach`/`detach`.
+    attached: u64,
+    /// [`total_cap_bits`] of `servers`, refreshed when capacities change.
+    total_cap_bits: f64,
     sessions: Vec<FluidSession>,
     queue: EventQueue<FleetEv>,
     bins: Vec<LoadBin>,
@@ -950,6 +959,7 @@ impl<'a> Fluid<'a> {
         srv.counts[k] += 1;
         srv.n += 1;
         srv.peak = srv.peak.max(srv.n);
+        self.attached += 1;
         let v = srv.v[k];
         let s = &mut self.sessions[i];
         s.server = idx;
@@ -963,74 +973,49 @@ impl<'a> Fluid<'a> {
         let srv = &mut self.servers[self.sessions[i].server];
         srv.counts[k] -= 1;
         srv.n -= 1;
+        self.attached -= 1;
     }
 
+    /// One pass over the replicas, no allocation: this runs per arrival.
     fn select_server(&self, class: usize) -> Option<usize> {
         let a_k = self.rates[class];
-        let candidates: Vec<usize> = (0..self.servers.len())
-            .filter(|&si| {
+        let candidates = || {
+            (0..self.servers.len()).filter(|&si| {
                 self.spec.servers[si]
                     .session_capacity
                     .is_none_or(|c| self.servers[si].n < u64::from(c))
             })
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        let pick = match self.spec.policy {
-            SelectionPolicy::LoadBalanced => *candidates
-                .iter()
-                .min_by_key(|&&si| (self.servers[si].n, si))
-                .unwrap(),
-            // Compare the *unclipped* post-admission share: clipping by
-            // the access rate would tie every lightly-loaded server and
-            // herd arrivals onto the lowest index.
-            SelectionPolicy::QoeFirst => *candidates
-                .iter()
-                .min_by(|&&a, &&b| {
-                    let sa = self.servers[a].cap / (self.servers[a].n + 1) as f64;
-                    let sb = self.servers[b].cap / (self.servers[b].n + 1) as f64;
-                    sb.total_cmp(&sa).then(a.cmp(&b))
-                })
-                .unwrap(),
-            SelectionPolicy::CheapestFeasible => {
-                let feasible: Vec<usize> = candidates
-                    .iter()
-                    .copied()
-                    .filter(|&si| self.servers[si].cap / (self.servers[si].n + 1) as f64 >= a_k)
-                    .collect();
-                let pool = if feasible.is_empty() {
-                    // No replica can sustain the class rate: degrade
-                    // gracefully toward the least-loaded one.
-                    return candidates
-                        .iter()
-                        .min_by_key(|&&si| (self.servers[si].n, si))
-                        .copied();
-                } else {
-                    feasible
-                };
-                *pool
-                    .iter()
-                    .min_by(|&&a, &&b| {
-                        let ca = &self.spec.servers[a];
-                        let cb = &self.spec.servers[b];
-                        ca.cost_per_gb
-                            .total_cmp(&cb.cost_per_gb)
-                            .then(ca.base_cost_per_hour.total_cmp(&cb.base_cost_per_hour))
-                            .then(a.cmp(&b))
-                    })
-                    .unwrap()
-            }
         };
-        Some(pick)
+        // The *unclipped* post-admission share: clipping by the access
+        // rate would tie every lightly-loaded server and herd arrivals
+        // onto the lowest index.
+        let share = |si: usize| self.servers[si].cap / (self.servers[si].n + 1) as f64;
+        let least_loaded = || candidates().min_by_key(|&si| (self.servers[si].n, si));
+        match self.spec.policy {
+            SelectionPolicy::LoadBalanced => least_loaded(),
+            SelectionPolicy::QoeFirst => {
+                candidates().min_by(|&a, &b| share(b).total_cmp(&share(a)).then(a.cmp(&b)))
+            }
+            SelectionPolicy::CheapestFeasible => candidates()
+                .filter(|&si| share(si) >= a_k)
+                .min_by(|&a, &b| {
+                    let ca = &self.spec.servers[a];
+                    let cb = &self.spec.servers[b];
+                    ca.cost_per_gb
+                        .total_cmp(&cb.cost_per_gb)
+                        .then(ca.base_cost_per_hour.total_cmp(&cb.base_cost_per_hour))
+                        .then(a.cmp(&b))
+                })
+                // No replica can sustain the class rate: degrade
+                // gracefully toward the least-loaded one.
+                .or_else(least_loaded),
+        }
     }
 
     fn arrive(&mut self, i: usize, now: SimTime) {
-        msim_core::telemetry::count("msp_fleet_arrivals_total", 1);
+        FLEET_ARRIVALS.add(1);
         let class = self.attrs[i].class;
-        let total_n: u64 = self.servers.iter().map(|s| s.n).sum();
-        let total_cap_bits: f64 = self.servers.iter().map(|s| s.cap * 8.0).sum();
-        let demand = (total_n + 1) as f64 * self.video_bps / total_cap_bits;
+        let demand = (self.attached + 1) as f64 * self.video_bps / self.total_cap_bits;
         let bin = bin_for(demand);
         self.bins[bin].sessions += 1;
         self.sessions[i].bin = bin;
@@ -1040,7 +1025,7 @@ impl<'a> Fluid<'a> {
             self.rejected += 1;
             self.bins[bin].rejected += 1;
             self.sessions[i].phase = Phase::Rejected;
-            msim_core::telemetry::count("msp_fleet_rejected_total", 1);
+            FLEET_REJECTED.add(1);
             return;
         };
         self.attach(i, chosen, now);
@@ -1197,6 +1182,7 @@ impl<'a> Fluid<'a> {
             let srv = &mut self.servers[idx];
             srv.cap = srv.base_cap / f64::from(factor.max(1));
         }
+        self.total_cap_bits = total_cap_bits(&self.servers);
         for i in 0..self.sessions.len() {
             if matches!(
                 self.sessions[i].phase,
@@ -1214,6 +1200,12 @@ impl<'a> Fluid<'a> {
             }
         }
     }
+}
+
+/// Aggregate replica capacity in bits/s (summed in replica order: the
+/// load-bin boundaries depend on the exact `f64`).
+fn total_cap_bits(servers: &[FluidServer]) -> f64 {
+    servers.iter().map(|s| s.cap * 8.0).sum()
 }
 
 fn run_fluid(spec: &FleetSpec) -> FleetMetrics {
@@ -1298,6 +1290,8 @@ fn run_fluid(spec: &FleetSpec) -> FleetMetrics {
         resume_bytes: spec.player.stall_resume_secs * bps,
         bucket_us: spec.util_bucket.as_micros().max(1),
         tcp: TcpConfig::default(),
+        attached: 0,
+        total_cap_bits: total_cap_bits(&servers),
         servers,
         sessions,
         queue,
@@ -1327,7 +1321,7 @@ fn run_fluid(spec: &FleetSpec) -> FleetMetrics {
                 sim.concurrent -= 1;
                 sim.completed += 1;
                 sim.end_max = sim.end_max.max(t);
-                msim_core::telemetry::count("msp_fleet_departures_total", 1);
+                FLEET_DEPARTURES.add(1);
                 if msim_core::telemetry::enabled() {
                     msim_core::telemetry::gauge("msp_fleet_concurrent").set(sim.concurrent as i64);
                 }
@@ -1764,6 +1758,44 @@ mod tests {
             "cheap replica should carry the load while it stays feasible"
         );
         assert!(m.total_cost > 0.0);
+    }
+
+    /// Where each policy puts a fixed population on unequal, capped
+    /// replicas — every tie-break and the feasible → least-loaded
+    /// fallback included. The values are the reference: a rewrite of
+    /// `select_server` must reproduce them.
+    #[test]
+    fn selection_policies_pin_their_placement() {
+        let placement = |policy| {
+            let mut spec = FleetSpec::fluid(9, 600).with_policy(policy);
+            spec.servers = vec![
+                FleetServerSpec::new(BitRate::mbps(300.0))
+                    .with_cost(4.0, 0.04)
+                    .with_capacity(60),
+                FleetServerSpec::new(BitRate::mbps(500.0)).with_cost(1.0, 0.01),
+                FleetServerSpec::new(BitRate::mbps(300.0))
+                    .with_cost(1.0, 0.01)
+                    .with_capacity(50),
+                FleetServerSpec::new(BitRate::mbps(200.0))
+                    .with_cost(9.0, 0.09)
+                    .with_capacity(20),
+            ];
+            let m = FleetHost::new(spec).unwrap().run();
+            let peaks: Vec<u64> = m.servers.iter().map(|s| s.peak_sessions).collect();
+            (peaks, m.rejected, m.stalled_sessions, m.events)
+        };
+        assert_eq!(
+            placement(SelectionPolicy::LoadBalanced),
+            (vec![137, 267, 125, 47], 0, 404, 24002)
+        );
+        assert_eq!(
+            placement(SelectionPolicy::QoeFirst),
+            (vec![126, 283, 124, 43], 0, 283, 23105)
+        );
+        assert_eq!(
+            placement(SelectionPolicy::CheapestFeasible),
+            (vec![140, 257, 135, 33], 0, 532, 23874)
+        );
     }
 
     #[test]

@@ -147,6 +147,15 @@ pub struct ChunkRecord {
 /// Derives `PartialEq` so determinism tests can assert bit-identical
 /// replays (every field, including the `f64` goodputs, must match
 /// exactly).
+///
+/// **Exact-size contract.** A record handed out by
+/// [`Player::into_metrics`](crate::player::Player::into_metrics) or a
+/// [`SessionHost`](crate::sim::SessionHost) run holds what the session
+/// recorded and nothing more: every `Vec` has `capacity() == len()`. The
+/// per-event traces (`chunks`, `abr_decisions`, `abr_switches`) grow in
+/// buffers the driver lends the player and are copied out at their final
+/// length, so holding N finished sessions costs the sum of their traces,
+/// whatever their chunk size or stop condition.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SessionMetrics {
     /// When the player was started.
@@ -206,19 +215,6 @@ impl SessionMetrics {
     /// Number of per-path slots this record was sized for.
     pub fn num_paths(&self) -> usize {
         self.first_byte_at.len()
-    }
-
-    /// Pre-sizes the growable event traces for an expected session shape.
-    ///
-    /// The chunk and ABR-decision traces grow one push at a time through
-    /// the hot event loop; reserving the expected counts up front turns
-    /// the repeated doubling reallocations (and their memcpy of every
-    /// record so far) into a single allocation per trace. Purely a
-    /// capacity hint — contents and push order are unchanged.
-    pub fn reserve_events(&mut self, chunks: usize, abr_decisions: usize) {
-        self.chunks.reserve(chunks);
-        self.abr_decisions.reserve(abr_decisions);
-        self.abr_switches.reserve(abr_decisions.min(64));
     }
 
     /// The deterministic 64-bit digest of this record, [`DIGEST_EPOCH`]

@@ -21,7 +21,11 @@ use crate::chunk::{ChunkAssignment, ChunkLedger, PathId};
 use crate::config::PlayerConfig;
 use crate::metrics::{AbrDecision, AbrQoe, AbrSwitch, ChunkRecord, SessionMetrics, TrafficPhase};
 use crate::scheduler::{SchedulerImpl, NUM_PATHS};
+use msim_core::telemetry::LazyCounter;
 use msim_core::time::{SimDuration, SimTime};
+
+static ABR_DECISIONS: LazyCounter = LazyCounter::new("msp_abr_decisions_total");
+static ABR_SWITCHES: LazyCounter = LazyCounter::new("msp_abr_switches_total");
 
 /// Why a chunk transfer failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,6 +134,26 @@ enum PathState {
     Down,
 }
 
+/// The three per-event traces of [`SessionMetrics`] while a session is
+/// still recording: plain growable `Vec`s whose *capacity* outlives the
+/// session. A driver that runs many sessions lends the same buffers to
+/// each player in turn ([`Player::with_traces`] clears them,
+/// [`Player::finish`] hands them back), so after the first session the
+/// hot loop's pushes stop reallocating whatever the stop condition.
+#[derive(Default)]
+pub(crate) struct TraceBuffers {
+    pub(crate) chunks: Vec<ChunkRecord>,
+    pub(crate) abr_decisions: Vec<AbrDecision>,
+    pub(crate) abr_switches: Vec<AbrSwitch>,
+}
+
+/// Leaves an exact-size copy of `buf` in its place and returns the
+/// (possibly over-allocated) original.
+fn swap_for_exact<T: Clone>(buf: &mut Vec<T>) -> Vec<T> {
+    let exact = buf.to_vec();
+    std::mem::replace(buf, exact)
+}
+
 /// The player.
 pub struct Player {
     cfg: PlayerConfig,
@@ -196,6 +220,26 @@ impl Player {
         bytes_per_sec: f64,
         started_at: SimTime,
     ) -> Player {
+        Player::with_traces(
+            cfg,
+            n_paths,
+            total_bytes,
+            bytes_per_sec,
+            started_at,
+            TraceBuffers::default(),
+        )
+    }
+
+    /// [`Player::multi`] recording its traces into `traces` (cleared
+    /// here; get them back from [`Player::finish`]).
+    pub(crate) fn with_traces(
+        cfg: PlayerConfig,
+        n_paths: usize,
+        total_bytes: u64,
+        bytes_per_sec: f64,
+        started_at: SimTime,
+        mut traces: TraceBuffers,
+    ) -> Player {
         cfg.validate().expect("invalid player config");
         let n_paths = n_paths.max(1);
         let buffer = PlayoutBuffer::new(
@@ -237,7 +281,15 @@ impl Player {
                 timeline: RungTimeline::new(started_at, start_fmt.bitrate.as_bps()),
             }
         });
-        let metrics = SessionMetrics::for_paths(n_paths, started_at);
+        traces.chunks.clear();
+        traces.abr_decisions.clear();
+        traces.abr_switches.clear();
+        let metrics = SessionMetrics {
+            chunks: traces.chunks,
+            abr_decisions: traces.abr_decisions,
+            abr_switches: traces.abr_switches,
+            ..SessionMetrics::for_paths(n_paths, started_at)
+        };
         Player {
             cfg,
             scheduler,
@@ -258,35 +310,25 @@ impl Player {
         self.paths.len()
     }
 
-    /// Pre-sizes the metrics event traces for a session expected to move
-    /// about `expected_bytes`: one chunk record per scheduler-sized chunk
-    /// and one ABR decision per interval over the implied wall time. The
-    /// driver calls this with a stop-condition-aware estimate (a
-    /// prebuffer-only session reserves far less than a full download), so
-    /// the hot loop's pushes almost never reallocate. Purely a capacity
-    /// hint; capped so degenerate specs can't balloon the allocation.
-    pub fn reserve_event_capacity(&mut self, expected_bytes: u64) {
-        let chunk = self.scheduler.chunk_size(0).as_u64().max(1);
-        let chunks = (expected_bytes / chunk) as usize;
-        let decisions = self
-            .abr
-            .as_ref()
-            .map(|a| {
-                let secs = expected_bytes as f64 / self.rate_bytes_per_sec.max(1.0);
-                (secs / a.interval.as_secs_f64().max(1e-3)).ceil() as usize
-            })
-            .unwrap_or(0);
-        self.metrics
-            .reserve_events(chunks.min(4096), decisions.min(4096));
-    }
-
     /// The collected metrics so far.
     pub fn metrics(&self) -> &SessionMetrics {
         &self.metrics
     }
 
     /// Consumes the player, returning final metrics.
-    pub fn into_metrics(mut self, ended_at: SimTime) -> SessionMetrics {
+    pub fn into_metrics(self, ended_at: SimTime) -> SessionMetrics {
+        self.finish(ended_at).0
+    }
+
+    /// Consumes the player, returning final metrics — every trace an
+    /// exact-size copy of what was recorded — and the buffers the traces
+    /// grew in, for the next session.
+    pub(crate) fn finish(mut self, ended_at: SimTime) -> (SessionMetrics, TraceBuffers) {
+        let traces = TraceBuffers {
+            chunks: swap_for_exact(&mut self.metrics.chunks),
+            abr_decisions: swap_for_exact(&mut self.metrics.abr_decisions),
+            abr_switches: swap_for_exact(&mut self.metrics.abr_switches),
+        };
         self.buffer.advance_to(ended_at);
         self.metrics.prebuffer_done_at = self.buffer.prebuffer_done_at();
         self.metrics.refills = self.buffer.refills().to_vec();
@@ -302,7 +344,7 @@ impl Player {
                 });
             }
         }
-        self.metrics
+        (self.metrics, traces)
     }
 
     /// Buffer phase (for drivers' stop conditions).
@@ -528,9 +570,9 @@ impl Player {
                     reason,
                     switched,
                 });
-                msim_core::telemetry::count("msp_abr_decisions_total", 1);
+                ABR_DECISIONS.add(1);
                 if switched {
-                    msim_core::telemetry::count("msp_abr_switches_total", 1);
+                    ABR_SWITCHES.add(1);
                 }
                 if msim_core::telemetry::trace_enabled() {
                     use msim_core::telemetry::TraceVal;

@@ -36,10 +36,10 @@ use crate::chaos::{ChaosPlan, ChaosState};
 use crate::chunk::ChunkAssignment;
 use crate::config::PlayerConfig;
 use crate::metrics::SessionMetrics;
-use crate::player::{ChunkFailReason, Player, PlayerAction, PlayerEvent};
+use crate::player::{ChunkFailReason, Player, PlayerAction, PlayerEvent, TraceBuffers};
 use msim_core::event::EventQueue;
 use msim_core::rng::Prng;
-use msim_core::telemetry::{self, TraceVal};
+use msim_core::telemetry::{self, LazyCounter, LazyHistogram, TraceVal};
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::ByteSize;
 use msim_http::tls::TlsTimingModel;
@@ -56,6 +56,11 @@ use msim_youtube::Catalog;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
+
+// Per-event telemetry series, resolved once per process.
+static CHUNK_FETCH_US: LazyHistogram = LazyHistogram::new("msp_chunk_fetch_us");
+static CHUNK_ERRORS: LazyCounter = LazyCounter::new("msp_chunk_errors_total");
+static FAILOVERS: LazyCounter = LazyCounter::new("msp_failovers_total");
 
 /// One path of a scenario.
 #[derive(Clone)]
@@ -461,12 +466,19 @@ pub struct SessionHost {
 /// [`SessionHost::run_batch`] over N seeds pays the allocation once.
 /// Contents are rebuilt from scratch each session; only capacity carries
 /// over, so reuse is bit-transparent.
+///
+/// `traces` is lent to each session's [`Player`] in turn: the `chunks`,
+/// `abr_decisions` and `abr_switches` traces grow in these buffers, the
+/// finished [`SessionMetrics`] keeps exact-size copies, and the buffers
+/// come back here with their capacity. From the second session of a
+/// batch on, recording a trace allocates once, at its final size.
 #[derive(Default)]
 struct SessionScratch {
     links: Vec<Link>,
     conns: Vec<Option<TcpConnection>>,
     paths: Vec<PathRt>,
     ready_times: Vec<SimTime>,
+    traces: TraceBuffers,
 }
 
 impl SessionHost {
@@ -660,6 +672,7 @@ impl SessionHost {
             conns,
             paths,
             ready_times,
+            traces,
         } = scratch;
         links.clear();
         conns.clear();
@@ -809,24 +822,14 @@ impl SessionHost {
         let stream_span = telemetry::span("session.stream");
 
         // --- Player & event loop -------------------------------------------
-        let mut player = Player::multi(
+        let mut player = Player::with_traces(
             spec.player.clone(),
             n_paths,
             self.total_bytes,
             self.bytes_per_sec,
             SimTime::ZERO,
+            std::mem::take(traces),
         );
-        // Stop-aware trace pre-sizing: a prebuffer-only session downloads
-        // roughly the prebuffer target (2x slack for stall re-buffering);
-        // everything else can plausibly fetch the whole video.
-        let expected_bytes = match spec.stop {
-            StopCondition::PrebufferDone => {
-                ((spec.player.prebuffer_secs * self.bytes_per_sec * 2.0) as u64)
-                    .min(self.total_bytes)
-            }
-            _ => self.total_bytes,
-        };
-        player.reserve_event_capacity(expected_bytes);
         // Pending events stay small: at most one chunk completion or error
         // per path, plus a tick and recovery timers. The queue's storage
         // (and adapted bucket width) is reused across the host's sessions.
@@ -873,6 +876,7 @@ impl SessionHost {
         // The single outstanding tick (ScheduleTick coalescing contract:
         // the latest request supersedes any undelivered earlier one).
         let mut pending_tick: Option<(SimTime, msim_core::event::EventId)> = None;
+        let mut stopped_at = None;
         while let Some((now, ev)) = queue.pop() {
             if now > deadline {
                 break;
@@ -888,10 +892,8 @@ impl SessionHost {
                     requested_at,
                     first_byte_at,
                 } => {
-                    telemetry::observe(
-                        "msp_chunk_fetch_us",
-                        now.as_micros().saturating_sub(requested_at.as_micros()),
-                    );
+                    CHUNK_FETCH_US
+                        .observe(now.as_micros().saturating_sub(requested_at.as_micros()));
                     if tracing {
                         telemetry::trace(
                             "chunk.done",
@@ -917,7 +919,7 @@ impl SessionHost {
                     reason,
                     link_down,
                 } => {
-                    telemetry::count("msp_chunk_errors_total", 1);
+                    CHUNK_ERRORS.add(1);
                     if tracing {
                         telemetry::trace(
                             "chunk.error",
@@ -976,7 +978,7 @@ impl SessionHost {
                         );
                     }
                     PlayerAction::Failover { path } => {
-                        telemetry::count("msp_failovers_total", 1);
+                        FAILOVERS.add(1);
                         if tracing {
                             telemetry::trace(
                                 "path.failover",
@@ -1017,20 +1019,17 @@ impl SessionHost {
                 StopCondition::AtTime(t) => now >= t,
             };
             if stop {
-                let mut m = player.into_metrics(now);
-                m.events = events;
-                record_transfer_stats(&mut m, xfer_stats);
-                drop(stream_span);
-                publish_session_telemetry(&m, queue.op_counts(), now, tracing);
-                return m;
+                stopped_at = Some(now);
+                break;
             }
         }
-        let end = queue.now();
-        let mut m = player.into_metrics(end);
+        let end = stopped_at.unwrap_or_else(|| queue.now());
+        let (mut m, lent) = player.finish(end);
+        *traces = lent;
         m.events = events;
         record_transfer_stats(&mut m, xfer_stats);
         drop(stream_span);
-        publish_session_telemetry(&m, self.queue.op_counts(), end, tracing);
+        publish_session_telemetry(&m, queue.op_counts(), end, tracing);
         m
     }
 }
@@ -1045,17 +1044,25 @@ fn publish_session_telemetry(
     ended_at: SimTime,
     tracing: bool,
 ) {
-    if telemetry::enabled() {
-        telemetry::count("msp_sessions_total", 1);
-        telemetry::count("msp_event_pushes_total", ops.pushes);
-        telemetry::count("msp_event_pops_total", ops.pops);
-        telemetry::count("msp_event_cancels_total", ops.cancels);
-        telemetry::count("msp_transfer_epochs_total", m.transfer_epochs);
-        telemetry::count("msp_transfer_fast_rounds_total", m.transfer_fast_rounds);
-        telemetry::count("msp_transfer_solved_rounds_total", m.transfer_solved_rounds);
-        telemetry::count("msp_stalls_total", m.stalls.len() as u64);
-        telemetry::observe("msp_session_events", m.events);
-    }
+    static SESSIONS: LazyCounter = LazyCounter::new("msp_sessions_total");
+    static EVENT_PUSHES: LazyCounter = LazyCounter::new("msp_event_pushes_total");
+    static EVENT_POPS: LazyCounter = LazyCounter::new("msp_event_pops_total");
+    static EVENT_CANCELS: LazyCounter = LazyCounter::new("msp_event_cancels_total");
+    static TRANSFER_EPOCHS: LazyCounter = LazyCounter::new("msp_transfer_epochs_total");
+    static TRANSFER_FAST_ROUNDS: LazyCounter = LazyCounter::new("msp_transfer_fast_rounds_total");
+    static TRANSFER_SOLVED_ROUNDS: LazyCounter =
+        LazyCounter::new("msp_transfer_solved_rounds_total");
+    static STALLS: LazyCounter = LazyCounter::new("msp_stalls_total");
+    static SESSION_EVENTS: LazyHistogram = LazyHistogram::new("msp_session_events");
+    SESSIONS.add(1);
+    EVENT_PUSHES.add(ops.pushes);
+    EVENT_POPS.add(ops.pops);
+    EVENT_CANCELS.add(ops.cancels);
+    TRANSFER_EPOCHS.add(m.transfer_epochs);
+    TRANSFER_FAST_ROUNDS.add(m.transfer_fast_rounds);
+    TRANSFER_SOLVED_ROUNDS.add(m.transfer_solved_rounds);
+    STALLS.add(m.stalls.len() as u64);
+    SESSION_EVENTS.observe(m.events);
     if tracing {
         telemetry::trace(
             "session.end",
@@ -1302,6 +1309,37 @@ mod tests {
         SessionHost::new(ServiceSpec::testbed())
             .run(spec)
             .expect("valid spec")
+    }
+
+    /// The lent trace buffers keep their capacity across a batch: the
+    /// sessions after the first record without growing them, the buffers
+    /// end up at least as large as the longest trace, and what each
+    /// session keeps is an exact-size copy. Fixed 16 KB chunks over a
+    /// full download: several thousand records per trace.
+    #[test]
+    fn lent_trace_buffers_stop_growing_after_the_first_sessions() {
+        let player = PlayerConfig::msplayer()
+            .with_scheduler(SchedulerKind::Fixed)
+            .with_initial_chunk(ByteSize::kb(16));
+        let spec = testbed(0, player).with_stop(StopCondition::DownloadComplete);
+        let mut host = SessionHost::new(ServiceSpec::testbed());
+        let mut sessions = host.run_batch(&[1, 2], &spec).expect("valid spec");
+        let grown = host.scratch.traces.chunks.capacity();
+        sessions.extend(host.run_batch(&[3], &spec).expect("valid spec"));
+
+        let longest = sessions.iter().map(|m| m.chunks.len()).max().unwrap();
+        assert!(longest > 4096, "only {longest} chunks");
+        assert!(host.scratch.traces.chunks.capacity() >= longest);
+        assert_eq!(
+            host.scratch.traces.chunks.capacity(),
+            grown,
+            "the third session reallocated the lent buffer"
+        );
+        for m in &sessions {
+            assert_eq!(m.chunks.capacity(), m.chunks.len());
+        }
+        // The lent buffers came back; the next session reuses them.
+        assert_eq!(host.scratch.traces.chunks.len(), sessions[2].chunks.len());
     }
 
     #[test]

@@ -48,8 +48,14 @@ pub mod rounds;
 
 use crate::cubic::Cubic;
 use crate::link::Link;
+use msim_core::telemetry::LazyCounter;
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::{BitRate, ByteSize};
+
+static EPOCH_REQUESTS: LazyCounter =
+    LazyCounter::with_labels("msp_transfer_requests_total", &[("engine", "epoch")]);
+static ROUNDS_REQUESTS: LazyCounter =
+    LazyCounter::with_labels("msp_transfer_requests_total", &[("engine", "rounds")]);
 
 /// Which transfer engine a connection runs (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -253,20 +259,15 @@ impl TcpConnection {
         // both engines, before any round runs.
         self.idle_restart_phase(now);
 
-        if msim_core::telemetry::enabled() {
-            let engine = match self.cfg.engine {
-                TransferEngine::Epoch => "epoch",
-                TransferEngine::RoundLoop => "rounds",
-            };
-            msim_core::telemetry::count_with(
-                "msp_transfer_requests_total",
-                &[("engine", engine)],
-                1,
-            );
-        }
         match self.cfg.engine {
-            TransferEngine::Epoch => epoch::run(self, link, now, size),
-            TransferEngine::RoundLoop => rounds::run(self, link, now, size),
+            TransferEngine::Epoch => {
+                EPOCH_REQUESTS.add(1);
+                epoch::run(self, link, now, size)
+            }
+            TransferEngine::RoundLoop => {
+                ROUNDS_REQUESTS.add(1);
+                rounds::run(self, link, now, size)
+            }
         }
     }
 

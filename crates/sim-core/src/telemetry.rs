@@ -21,8 +21,11 @@
 //!   and a predictable branch per call site. Spans do **not** call
 //!   [`Instant::now`] when disabled.
 //! * Enabled: counters are relaxed `fetch_add`s on interned `&'static`
-//!   atomics; the interning table is locked only on the first use of a
-//!   name (and on snapshot/render, which are cold paths).
+//!   atomics. Per-event sites hold a [`LazyCounter`] / [`LazyHistogram`]
+//!   `static`, which locks the interning table once, on first use; the
+//!   by-name helpers ([`count`], [`count_with`], [`observe`]) build the
+//!   key and take the lock on every call and are for cold sites (as are
+//!   snapshot/render).
 //!
 //! # Naming
 //!
@@ -406,6 +409,75 @@ pub fn observe(name: &str, v: u64) {
         // `histogram` interns under the enabled check; `observe` re-checks
         // but that is one relaxed load.
         histogram(name).observe(v);
+    }
+}
+
+/// A counter series for a hot call site: a `static` that names the series
+/// and resolves its interned handle on the first enabled [`add`], so every
+/// later call is one relaxed load, a branch and a `fetch_add` — no name
+/// sanitising, key formatting or registry lock. Like [`count`], it
+/// registers nothing while telemetry is disabled, and [`reset`] keeps
+/// registrations, so a resolved handle stays valid for the process.
+///
+/// [`add`]: LazyCounter::add
+#[derive(Debug)]
+pub struct LazyCounter {
+    name: &'static str,
+    labels: &'static [(&'static str, &'static str)],
+    handle: OnceLock<&'static Counter>,
+}
+
+impl LazyCounter {
+    /// The unlabelled series `name`.
+    pub const fn new(name: &'static str) -> LazyCounter {
+        LazyCounter::with_labels(name, &[])
+    }
+
+    /// The series `name{labels...}` — one `static` per label value.
+    pub const fn with_labels(
+        name: &'static str,
+        labels: &'static [(&'static str, &'static str)],
+    ) -> LazyCounter {
+        LazyCounter {
+            name,
+            labels,
+            handle: OnceLock::new(),
+        }
+    }
+
+    /// Adds `n` when telemetry is enabled; no-op otherwise.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        if enabled() {
+            self.handle
+                .get_or_init(|| counter_with(self.name, self.labels))
+                .add_raw(n);
+        }
+    }
+}
+
+/// The histogram counterpart of [`LazyCounter`].
+#[derive(Debug)]
+pub struct LazyHistogram {
+    name: &'static str,
+    handle: OnceLock<&'static Histogram>,
+}
+
+impl LazyHistogram {
+    /// The histogram `name`.
+    pub const fn new(name: &'static str) -> LazyHistogram {
+        LazyHistogram {
+            name,
+            handle: OnceLock::new(),
+        }
+    }
+
+    /// Records `v` when telemetry is enabled; no-op otherwise.
+    #[inline]
+    pub fn observe(&self, v: u64) {
+        if enabled() {
+            self.handle.get_or_init(|| histogram(self.name)).observe(v);
+        }
     }
 }
 

@@ -14,11 +14,14 @@ use crate::sig::{generate_signature, DecoderScript, SignatureCipher};
 use crate::token::{AccessToken, Operations};
 use crate::video::VideoId;
 use msim_core::rng::Prng;
+use msim_core::telemetry::LazyCounter;
 use msim_core::time::SimTime;
 use msim_http::StatusCode;
 use msim_json::Value;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+
+static GRANTS_ISSUED: LazyCounter = LazyCounter::new("msp_grants_issued_total");
 
 /// Configuration for assembling a service instance.
 #[derive(Clone, Debug)]
@@ -360,7 +363,7 @@ impl YoutubeService {
             .copied()
             .filter(|&itag| crate::format::by_itag(itag).is_some())
             .collect();
-        msim_core::telemetry::count("msp_grants_issued_total", 1);
+        GRANTS_ISSUED.add(1);
         StreamGrant {
             token_verdict,
             expires_at,
@@ -383,23 +386,25 @@ impl YoutubeService {
         itag: u32,
     ) -> Result<Option<PacePolicy>, StatusCode> {
         let result = self.check_granted_inner(addr, now, grant, itag);
-        if msim_core::telemetry::enabled() {
-            let verdict = match &result {
-                Ok(_) => "ok",
-                Err(status) => match status.0 {
-                    403 => "403",
-                    404 => "404",
-                    500 => "500",
-                    503 => "503",
-                    _ => "other",
-                },
-            };
-            msim_core::telemetry::count_with(
-                "msp_admission_checks_total",
-                &[("verdict", verdict)],
-                1,
-            );
+        // One resolved-once series per verdict: this runs per range request.
+        macro_rules! verdict {
+            ($v:literal) => {{
+                static CHECKS: LazyCounter =
+                    LazyCounter::with_labels("msp_admission_checks_total", &[("verdict", $v)]);
+                &CHECKS
+            }};
         }
+        let checks = match &result {
+            Ok(_) => verdict!("ok"),
+            Err(status) => match status.0 {
+                403 => verdict!("403"),
+                404 => verdict!("404"),
+                500 => verdict!("500"),
+                503 => verdict!("503"),
+                _ => verdict!("other"),
+            },
+        };
+        checks.add(1);
         result
     }
 

@@ -5,7 +5,6 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use msim_core::event::fourary::FourAryQueue;
 use msim_core::event::EventQueue;
 use msim_core::rng::Prng;
 use msim_core::time::{SimDuration, SimTime};
@@ -116,28 +115,9 @@ fn bench_event_queue(c: &mut Criterion) {
     // The near-horizon timer pattern at scale: thousands of pending timers
     // (many multiplexed sessions), every reschedule within the rolling
     // horizon. This is the pattern the calendar ring exists for — pops stay
-    // O(1) where a heap pays a full log-depth sift per pop. The `_fourary`
-    // twin runs the identical schedule on the previous single-level 4-ary
-    // heap (the before/after comparator, same precedent as the boxed
-    // scheduler bench).
+    // O(1) where a heap pays a full log-depth sift per pop.
     c.bench_function("event_queue/near_horizon_steady_state_4k", |b| {
         let mut q = EventQueue::<u32>::new();
-        for i in 0..4096u32 {
-            q.push(SimTime::from_micros(i as u64 * 211 + 1_000_000), i);
-        }
-        let mut i = 4096u32;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            let (t, e) = q.pop().expect("queue never drains");
-            q.push(
-                t + SimDuration::from_micros(((e as u64 * 7919) % 863_557) + 1),
-                i,
-            );
-            black_box(t)
-        });
-    });
-    c.bench_function("event_queue/near_horizon_steady_state_4k_fourary", |b| {
-        let mut q = FourAryQueue::<u32>::new();
         for i in 0..4096u32 {
             q.push(SimTime::from_micros(i as u64 * 211 + 1_000_000), i);
         }
@@ -206,37 +186,23 @@ fn bench_tcp_model(c: &mut Criterion) {
             black_box(conn.request(&mut link, ready, ByteSize::mb(1)))
         });
     });
-    // The epoch engine's fast path vs the reference round loop on a stable
-    // (jitter-free, loss-free) link — the pattern the closed-form solves
-    // target. Results are bit-identical; only wall time differs.
-    for engine in [
-        msim_net::TransferEngine::Epoch,
-        msim_net::TransferEngine::RoundLoop,
-    ] {
-        let name = match engine {
-            msim_net::TransferEngine::Epoch => "tcp/stable_4MB_transfer_epoch",
-            msim_net::TransferEngine::RoundLoop => "tcp/stable_4MB_transfer_roundloop",
-        };
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                let mut link = msim_net::Link::new(
-                    "bench",
-                    msim_core::process::Constant(10.0),
-                    SimDuration::from_millis(20),
-                    0.0,
-                    0.0,
-                    Prng::new(7),
-                );
-                let cfg = msim_net::TcpConfig {
-                    engine,
-                    ..msim_net::TcpConfig::default()
-                };
-                let mut conn = msim_net::TcpConnection::new(cfg);
-                let ready = conn.connect(&mut link, SimTime::ZERO);
-                black_box(conn.request(&mut link, ready, ByteSize::mb(4)))
-            });
+    // The epoch engine's fast path on a stable (jitter-free, loss-free)
+    // link — the pattern the closed-form solves target.
+    c.bench_function("tcp/stable_4MB_transfer_epoch", |b| {
+        b.iter(|| {
+            let mut link = msim_net::Link::new(
+                "bench",
+                msim_core::process::Constant(10.0),
+                SimDuration::from_millis(20),
+                0.0,
+                0.0,
+                Prng::new(7),
+            );
+            let mut conn = msim_net::TcpConnection::new(msim_net::TcpConfig::default());
+            let ready = conn.connect(&mut link, SimTime::ZERO);
+            black_box(conn.request(&mut link, ready, ByteSize::mb(4)))
         });
-    }
+    });
 }
 
 fn bench_full_session(c: &mut Criterion) {

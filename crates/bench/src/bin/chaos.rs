@@ -18,6 +18,7 @@
 use msplayer_bench::chaos::{
     corpus_dir, explore, load_corpus, run_case, ExploreConfig, ExploreSummary,
 };
+use msplayer_bench::env_or_exit;
 use msplayer_bench::sweep::bench_dir;
 use msplayer_bench::workload::WorkloadRegistry;
 
@@ -45,21 +46,31 @@ OPTIONS:
     -h, --help         this text
 ";
 
-/// The default seed-rotation window: `MSP_CHAOS_WINDOW` when set, else
-/// days since the Unix epoch. Any violation a rotated run finds is
-/// recorded as a self-contained corpus case, so reproducibility never
-/// depends on knowing which day found it.
+/// The default seed-rotation window: `MSP_CHAOS_WINDOW` when set (a value
+/// that is not a window ends the process, exit code 2 — a pinned window
+/// must never silently become today's), else days since the Unix epoch.
+/// Any violation a rotated run finds is recorded as a self-contained
+/// corpus case, so reproducibility never depends on knowing which day
+/// found it.
 fn default_window() -> u64 {
-    if let Some(w) = std::env::var("MSP_CHAOS_WINDOW")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        return w;
+    env_or_exit("MSP_CHAOS_WINDOW", parse_window).unwrap_or_else(|| {
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_secs() / 86_400)
+            .unwrap_or(0)
+    })
+}
+
+/// `MSP_CHAOS_WINDOW` as read from the environment (`None` = unset) to a
+/// pinned window (`None` = rotate daily).
+fn parse_window(value: Option<&str>) -> Result<Option<u64>, String> {
+    let Some(v) = value else { return Ok(None) };
+    match v.trim().parse::<u64>() {
+        Ok(w) => Ok(Some(w)),
+        Err(_) => Err(format!(
+            "MSP_CHAOS_WINDOW={v:?}: expected a non-negative integer (0 = the historical enumeration)"
+        )),
     }
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs() / 86_400)
-        .unwrap_or(0)
 }
 
 struct Options {
@@ -176,6 +187,7 @@ fn main() {
     }
     cfg.record = opts.record;
     cfg.window = opts.window.unwrap_or_else(default_window);
+    let bench_dir = env_or_exit("MSP_BENCH_DIR", bench_dir);
 
     println!(
         "chaos: {} workload(s) × {} plan(s) × {} seed(s), seed window {}",
@@ -187,7 +199,7 @@ fn main() {
     let summary = explore(&registry, &cfg);
     report(&summary);
 
-    let path = bench_dir().join("CHAOS_summary.json");
+    let path = bench_dir.join("CHAOS_summary.json");
     match std::fs::write(&path, msim_json::to_string_pretty(&summary.to_json())) {
         Ok(()) => println!("[chaos] {}", path.display()),
         Err(e) => eprintln!("[chaos] could not write summary: {e}"),
@@ -225,5 +237,28 @@ fn report(summary: &ExploreSummary) {
     }
     for path in &summary.recorded {
         println!("  recorded {}", path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_window;
+
+    #[test]
+    fn msp_chaos_window_accepts_windows_and_treats_unset_as_rotate_daily() {
+        assert_eq!(parse_window(None), Ok(None));
+        assert_eq!(parse_window(Some("0")), Ok(Some(0)));
+        assert_eq!(parse_window(Some(" 20726 ")), Ok(Some(20726)));
+    }
+
+    #[test]
+    fn msp_chaos_window_rejects_garbage_naming_the_variable() {
+        for bad in ["banana", "-1", "2.5", ""] {
+            let err = parse_window(Some(bad)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("MSP_CHAOS_WINDOW={bad:?}: expected ")),
+                "{err}"
+            );
+        }
     }
 }

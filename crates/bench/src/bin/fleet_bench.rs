@@ -14,21 +14,29 @@
 //!   shared fleet load, same spec surface as the fluid runs.
 //!
 //! ```sh
-//! MSP_BENCH_DIR=bench_results cargo run --release -p msplayer-bench --bin fleet_bench
+//! cargo run --release -p msplayer-bench --bin fleet_bench
 //! MSP_FLEET_SESSIONS=20000 cargo run --release -p msplayer-bench --bin fleet_bench  # smaller
 //! ```
 
+use msplayer_bench::env_or_exit;
 use msplayer_bench::fleet::{exact_anchor_spec, frontier_specs, headline_spec};
 use msplayer_bench::sweep::bench_dir;
 use msplayer_core::fleet::{pareto_frontier, FleetHost, FleetMetrics};
+use std::path::Path;
 use std::time::Instant;
 
+/// A session-count knob as read from the environment (`None` = unset,
+/// meaning `default`).
+fn parse_sessions(var: &str, default: u64, value: Option<&str>) -> Result<u64, String> {
+    let Some(v) = value else { return Ok(default) };
+    match v.trim().parse::<u64>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{var}={v:?}: expected a positive integer")),
+    }
+}
+
 fn env_sessions(var: &str, default: u64) -> u64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-        .max(1)
+    env_or_exit(var, |v| parse_sessions(var, default, v))
 }
 
 fn metrics_json(m: &FleetMetrics, wall_secs: f64) -> msim_json::Value {
@@ -86,8 +94,8 @@ fn metrics_json(m: &FleetMetrics, wall_secs: f64) -> msim_json::Value {
 
 /// Writes whatever sections finished before the interrupt and exits 130,
 /// so a Ctrl-C'd run still leaves a parseable (marked-partial) artifact.
-fn flush_interrupted(json: msim_json::Value) -> ! {
-    let path = bench_dir().join("BENCH_fleet.json");
+fn flush_interrupted(bench_dir: &Path, json: msim_json::Value) -> ! {
+    let path = bench_dir.join("BENCH_fleet.json");
     let partial = json.with("interrupted", true);
     match std::fs::write(&path, msim_json::to_string_pretty(&partial)) {
         Ok(()) => eprintln!("[bench] interrupted — partial artifact {}", path.display()),
@@ -98,6 +106,10 @@ fn flush_interrupted(json: msim_json::Value) -> ! {
 
 fn main() {
     msim_testbed::install_shutdown_handler();
+    let bench_dir = env_or_exit("MSP_BENCH_DIR", bench_dir);
+    let headline_sessions = env_sessions("MSP_FLEET_SESSIONS", 120_000);
+    let frontier_sessions = env_sessions("MSP_FLEET_FRONTIER_SESSIONS", 20_000);
+    let exact_sessions = env_sessions("MSP_FLEET_EXACT_SESSIONS", 32);
     // MSP_METRICS_ADDR=127.0.0.1:9465 exposes the live telemetry registry
     // (fleet arrivals/rejections/concurrency gauge) while the bench runs.
     let _obs = match std::env::var("MSP_METRICS_ADDR") {
@@ -117,9 +129,6 @@ fn main() {
         }
         _ => None,
     };
-    let headline_sessions = env_sessions("MSP_FLEET_SESSIONS", 120_000);
-    let frontier_sessions = env_sessions("MSP_FLEET_FRONTIER_SESSIONS", 20_000);
-    let exact_sessions = env_sessions("MSP_FLEET_EXACT_SESSIONS", 32);
 
     // Headline: population-scale fluid run.
     let spec = headline_spec(headline_sessions);
@@ -142,6 +151,7 @@ fn main() {
 
     if msim_testbed::shutdown_requested() {
         flush_interrupted(
+            &bench_dir,
             msim_json::Value::object()
                 .with("name", "fleet")
                 .with("stream_epoch", msim_core::rng::STREAM_EPOCH as u64)
@@ -157,6 +167,7 @@ fn main() {
     for case in cases {
         if msim_testbed::shutdown_requested() {
             flush_interrupted(
+                &bench_dir,
                 msim_json::Value::object()
                     .with("name", "fleet")
                     .with("stream_epoch", msim_core::rng::STREAM_EPOCH as u64)
@@ -203,6 +214,7 @@ fn main() {
 
     if msim_testbed::shutdown_requested() {
         flush_interrupted(
+            &bench_dir,
             msim_json::Value::object()
                 .with("name", "fleet")
                 .with("stream_epoch", msim_core::rng::STREAM_EPOCH as u64)
@@ -227,7 +239,35 @@ fn main() {
         .with("headline", metrics_json(&headline, headline_wall))
         .with("frontier", msim_json::Value::Array(frontier_rows))
         .with("exact", metrics_json(&exact, exact_wall));
-    let path = bench_dir().join("BENCH_fleet.json");
+    let path = bench_dir.join("BENCH_fleet.json");
     std::fs::write(&path, msim_json::to_string_pretty(&json)).expect("write bench json");
     println!("[bench] {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_sessions;
+
+    #[test]
+    fn session_knobs_accept_positive_integers_and_default_when_unset() {
+        assert_eq!(
+            parse_sessions("MSP_FLEET_SESSIONS", 120_000, None),
+            Ok(120_000)
+        );
+        assert_eq!(
+            parse_sessions("MSP_FLEET_SESSIONS", 120_000, Some(" 500 ")),
+            Ok(500)
+        );
+    }
+
+    #[test]
+    fn session_knobs_reject_zero_and_garbage_naming_the_variable() {
+        for bad in ["0", "two", "-3", "2.5", ""] {
+            let err = parse_sessions("MSP_FLEET_EXACT_SESSIONS", 32, Some(bad)).unwrap_err();
+            assert_eq!(
+                err,
+                format!("MSP_FLEET_EXACT_SESSIONS={bad:?}: expected a positive integer")
+            );
+        }
+    }
 }

@@ -30,6 +30,7 @@ use msplayer_bench::cluster::{
     chaos, run_cluster, run_worker, serial_artifact, ClusterConfig, SweepManifest, Transport,
     WorkerChaos, MIN_LEASE_TIMEOUT,
 };
+use msplayer_bench::env_or_exit;
 use msplayer_bench::sweep::bench_dir;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -174,6 +175,7 @@ fn coordinator_main(args: &[String]) -> i32 {
             return 2;
         }
     };
+    let bench_dir = env_or_exit("MSP_BENCH_DIR", bench_dir);
 
     // Live observability: telemetry on (counters merge from worker
     // heartbeats), plus /metrics, /jobs and /healthz while the run lasts.
@@ -222,8 +224,7 @@ fn coordinator_main(args: &[String]) -> i32 {
 
     // Provenance always gets written — it is precisely the record of what
     // a partial/faulty run did.
-    let provenance_path =
-        bench_dir().join(format!("BENCH_{}.provenance.json", config.manifest.name));
+    let provenance_path = bench_dir.join(format!("BENCH_{}.provenance.json", config.manifest.name));
     if let Err(e) = std::fs::write(
         &provenance_path,
         msim_json::to_string_pretty(&outcome.provenance),
@@ -264,7 +265,7 @@ fn coordinator_main(args: &[String]) -> i32 {
         return 1;
     };
     let artifact_bytes = msim_json::to_string_pretty(artifact);
-    let artifact_path = bench_dir().join(format!("BENCH_{}.json", config.manifest.name));
+    let artifact_path = bench_dir.join(format!("BENCH_{}.json", config.manifest.name));
     if let Err(e) = std::fs::write(&artifact_path, &artifact_bytes) {
         eprintln!("sweepd: write artifact: {e}");
         return 1;
@@ -373,9 +374,10 @@ fn serial_main(args: &[String]) -> i32 {
             return 2;
         }
     };
+    let bench_dir = env_or_exit("MSP_BENCH_DIR", bench_dir);
     match serial_artifact(&manifest) {
         Ok(artifact) => {
-            let path = bench_dir().join(format!("BENCH_{}.serial.json", manifest.name));
+            let path = bench_dir.join(format!("BENCH_{}.serial.json", manifest.name));
             match std::fs::write(&path, msim_json::to_string_pretty(&artifact)) {
                 Ok(()) => {
                     eprintln!("sweepd: serial reference {}", path.display());

@@ -22,12 +22,12 @@
 use msim_core::stats::median;
 use msim_testbed::{install_shutdown_handler, shutdown_requested};
 use msplayer_bench::chaos::{run_case, ChaosCase};
-use msplayer_bench::runs;
 use msplayer_bench::sweep::{
-    expand_workload, profile_phases, run_parallel_with, run_serial_with, threads, write_bench_json,
+    bench_dir, expand_workload, run_parallel_with, run_serial_with, threads, write_bench_json,
     BenchReport, SweepOptions,
 };
 use msplayer_bench::workload::{WorkloadRegistry, WorkloadSpec};
+use msplayer_bench::{env_or_exit, runs};
 use std::sync::Arc;
 
 const CASE_USAGE: &str = "\
@@ -122,6 +122,7 @@ fn main() {
         }
     }
     install_shutdown_handler();
+    let bench_dir = env_or_exit("MSP_BENCH_DIR", bench_dir);
     // MSP_METRICS_ADDR=127.0.0.1:9464 exposes /metrics, /healthz (and an
     // empty /jobs) for the duration of the run. Opting in enables the
     // telemetry registry, so the headline numbers of such a run are not
@@ -173,12 +174,12 @@ fn main() {
         let _ = run_serial_with(&cells, &opts);
     }
 
-    let (mut serial_report, serial) =
+    let (serial_report, serial) =
         BenchReport::measure("sweep_fig3_serial", 1, || run_serial_with(&cells, &opts));
     // SIGINT/SIGTERM between phases: flush the artifact we have and exit
     // with the interrupted status instead of starting the parallel pass.
     if shutdown_requested() {
-        let path = write_bench_json(&serial_report).expect("write bench json");
+        let path = write_bench_json(&bench_dir, &serial_report).expect("write bench json");
         eprintln!("sweep: interrupted — flushed partial {}", path.display());
         std::process::exit(msim_testbed::signal::SIGINT_EXIT);
     }
@@ -187,17 +188,6 @@ fn main() {
             run_parallel_with(&cells, n_threads, &opts)
         });
     parallel_report.serial_wall_secs = Some(serial_report.wall_secs);
-
-    // Where did the wall time go: a third, telemetry-instrumented serial
-    // pass attributing wall time to spans. Kept out of the timed passes
-    // above so span overhead never taints the recorded throughput.
-    // Disable with MSP_PROFILE=0.
-    let profile = std::env::var("MSP_PROFILE")
-        .map(|v| v != "0")
-        .unwrap_or(true);
-    if profile && !shutdown_requested() {
-        serial_report.phase_profile = profile_phases(&cells);
-    }
 
     if opts.cell_budget.is_none() {
         assert_eq!(
@@ -225,7 +215,7 @@ fn main() {
                 .map(|s| format!("  speedup {s:.2}x"))
                 .unwrap_or_default(),
         );
-        let path = write_bench_json(report).expect("write bench json");
+        let path = write_bench_json(&bench_dir, report).expect("write bench json");
         println!("[bench] {}", path.display());
     }
 
@@ -237,13 +227,6 @@ fn main() {
             "  {:<32} n={:<4} p50 {:>7.3}ms  p95 {:>7.3}ms  p99 {:>7.3}ms",
             k.kind, k.cells, k.p50_ms, k.p95_ms, k.p99_ms
         );
-    }
-
-    if !serial_report.phase_profile.is_empty() {
-        println!("\nphase hotspots (profiled serial pass):");
-        for p in &serial_report.phase_profile {
-            println!("  {:<24} {:>9} calls  {:>10.1}ms", p.phase, p.calls, p.ms());
-        }
     }
 
     // A paper-shaped sanity line so the artifact doubles as a smoke check.

@@ -41,7 +41,7 @@ pub fn runs() -> u64 {
 /// Reads the environment variable `var` through `parse` (`None` = unset).
 /// A value `parse` refuses ends the process: its one-line message on
 /// stderr, exit code 2.
-pub(crate) fn env_or_exit<T>(var: &str, parse: fn(Option<&str>) -> Result<T, String>) -> T {
+pub fn env_or_exit<T>(var: &str, parse: impl FnOnce(Option<&str>) -> Result<T, String>) -> T {
     parse(std::env::var(var).ok().as_deref()).unwrap_or_else(|why| {
         eprintln!("{why}");
         std::process::exit(2);

@@ -17,7 +17,8 @@
 //!   [`std::thread::available_parallelism`].
 //! * Each run can emit a machine-readable `BENCH_<name>.json` (wall time,
 //!   sessions/sec, events/sec, per-cell-kind wall-time percentiles) via
-//!   [`write_bench_json`], giving the repo a recorded perf trajectory.
+//!   [`write_bench_json`]. Performance *claims* are made with `benchmark/`
+//!   (trials, spread, host stamp), not with these single-pass artifacts.
 
 use crate::workload::WorkloadSpec;
 use msplayer_core::config::SchedulerKind;
@@ -579,60 +580,6 @@ pub fn cell_kind_stats(results: &[CellResult]) -> Vec<CellKindStats> {
         .collect()
 }
 
-/// One phase's share of a profiled pass: where the wall time went.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PhaseProfile {
-    /// Phase name as instrumented via [`msim_core::telemetry::span`]
-    /// (e.g. `session.stream`).
-    pub phase: String,
-    /// Spans closed during the profiled pass.
-    pub calls: u64,
-    /// Wall nanoseconds inside the phase during the profiled pass.
-    pub nanos: u64,
-}
-
-impl PhaseProfile {
-    /// Wall milliseconds inside the phase.
-    pub fn ms(&self) -> f64 {
-        self.nanos as f64 / 1e6
-    }
-}
-
-/// Runs every cell serially with telemetry spans enabled and attributes
-/// the wall time to instrumented phases (span nanos/calls deltas across
-/// the pass). This is a *separate* profiled pass: headline `BenchReport`
-/// timings stay telemetry-disabled, so the span overhead — small but
-/// nonzero — never contaminates the recorded throughput trajectory.
-pub fn profile_phases(cells: &[Cell]) -> Vec<PhaseProfile> {
-    let was = msim_core::telemetry::enabled();
-    msim_core::telemetry::set_enabled(true);
-    let before = msim_core::telemetry::phase_values();
-    let _ = run_serial(cells);
-    let after = msim_core::telemetry::phase_values();
-    msim_core::telemetry::set_enabled(was);
-    let prior = |name: &str| {
-        before
-            .iter()
-            .find(|p| p.name == name)
-            .map(|p| (p.nanos, p.calls))
-            .unwrap_or((0, 0))
-    };
-    let mut out: Vec<PhaseProfile> = after
-        .iter()
-        .map(|p| {
-            let (nanos0, calls0) = prior(&p.name);
-            PhaseProfile {
-                phase: p.name.clone(),
-                calls: p.calls - calls0,
-                nanos: p.nanos - nanos0,
-            }
-        })
-        .filter(|p| p.calls > 0)
-        .collect();
-    out.sort_by(|a, b| b.nanos.cmp(&a.nanos).then_with(|| a.phase.cmp(&b.phase)));
-    out
-}
-
 /// Timing + throughput summary of one sweep execution.
 #[derive(Clone, Debug)]
 pub struct BenchReport {
@@ -652,9 +599,6 @@ pub struct BenchReport {
     pub cell_kinds: Vec<CellKindStats>,
     /// Cells the watchdog cut short (0 without a cell budget).
     pub timed_out: u64,
-    /// Per-phase wall-time attribution from the separate profiled pass
-    /// (empty unless [`profile_phases`] was run and attached).
-    pub phase_profile: Vec<PhaseProfile>,
 }
 
 impl BenchReport {
@@ -687,7 +631,6 @@ impl BenchReport {
                 Vec::new()
             },
             timed_out: results.iter().filter(|r| r.timed_out()).count() as u64,
-            phase_profile: Vec::new(),
         };
         (report, results)
     }
@@ -713,8 +656,7 @@ impl BenchReport {
     /// extends the schema (present on single-threaded reports only — see
     /// [`BenchReport::measure`]), and `stream_epoch` records which
     /// deviate-stream definition ([`msim_core::rng::STREAM_EPOCH`]) the
-    /// numbers were measured against, so `bench_report` can flag stale
-    /// baselines.
+    /// numbers were measured against.
     pub fn to_json(&self) -> msim_json::Value {
         let mut v = msim_json::Value::object()
             .with("name", self.name.as_str())
@@ -750,49 +692,47 @@ impl BenchReport {
                 .collect();
             v = v.with("cell_kinds", msim_json::Value::Array(kinds));
         }
-        if !self.phase_profile.is_empty() {
-            let phases: Vec<msim_json::Value> = self
-                .phase_profile
-                .iter()
-                .map(|p| {
-                    msim_json::Value::object()
-                        .with("phase", p.phase.as_str())
-                        .with("calls", p.calls)
-                        .with("nanos", p.nanos)
-                })
-                .collect();
-            v = v.with("phase_profile", msim_json::Value::Array(phases));
-        }
         v
     }
 }
 
-/// Directory for bench JSON artifacts: `MSP_BENCH_DIR`, else
-/// `target/bench/` under the workspace root.
-pub fn bench_dir() -> std::path::PathBuf {
-    if let Ok(dir) = std::env::var("MSP_BENCH_DIR") {
-        let dir = std::path::PathBuf::from(dir);
-        let _ = std::fs::create_dir_all(&dir);
-        return dir;
-    }
-    let mut base = std::env::current_dir().unwrap_or_else(|_| ".".into());
-    for _ in 0..4 {
-        if base.join("target").is_dir() && base.join("Cargo.toml").is_file() {
-            break;
+/// Directory for bench JSON artifacts, created if missing: `MSP_BENCH_DIR`
+/// as read from the environment (`None` = unset), else `target/bench/`
+/// under the workspace root. Bins resolve it once at start-up through
+/// [`crate::env_or_exit`], so a directory that cannot be created ends the
+/// process (exit code 2) before any cell runs instead of after the last.
+pub fn bench_dir(msp_bench_dir: Option<&str>) -> Result<std::path::PathBuf, String> {
+    let dir = match msp_bench_dir {
+        Some(dir) => std::path::PathBuf::from(dir),
+        None => {
+            let mut base = std::env::current_dir().unwrap_or_else(|_| ".".into());
+            for _ in 0..4 {
+                if base.join("target").is_dir() && base.join("Cargo.toml").is_file() {
+                    break;
+                }
+                if let Some(parent) = base.parent() {
+                    base = parent.to_path_buf();
+                }
+            }
+            base.join("target").join("bench")
         }
-        if let Some(parent) = base.parent() {
-            base = parent.to_path_buf();
-        }
+    };
+    match std::fs::create_dir_all(&dir) {
+        Ok(()) => Ok(dir),
+        Err(e) => Err(match msp_bench_dir {
+            Some(v) => format!("MSP_BENCH_DIR={v:?}: {e}"),
+            None => format!("MSP_BENCH_DIR unset, {}: {e}", dir.display()),
+        }),
     }
-    let dir = base.join("target").join("bench");
-    let _ = std::fs::create_dir_all(&dir);
-    dir
 }
 
-/// Writes `BENCH_<report.name>.json` into [`bench_dir`], returning the
-/// path.
-pub fn write_bench_json(report: &BenchReport) -> std::io::Result<std::path::PathBuf> {
-    let path = bench_dir().join(format!("BENCH_{}.json", report.name));
+/// Writes `BENCH_<report.name>.json` into `dir` (see [`bench_dir`]),
+/// returning the path.
+pub fn write_bench_json(
+    dir: &std::path::Path,
+    report: &BenchReport,
+) -> std::io::Result<std::path::PathBuf> {
+    let path = dir.join(format!("BENCH_{}.json", report.name));
     std::fs::write(&path, msim_json::to_string_pretty(&report.to_json()))?;
     Ok(path)
 }
@@ -959,7 +899,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_report_math() {
+    fn report_rates_and_json_fields() {
         let r = BenchReport {
             name: "t".into(),
             threads: 2,
@@ -976,11 +916,6 @@ mod tests {
                 total_ms: 12.0,
             }],
             timed_out: 0,
-            phase_profile: vec![PhaseProfile {
-                phase: "session.stream".into(),
-                calls: 10,
-                nanos: 2_000_000,
-            }],
         };
         assert_eq!(r.sessions_per_sec(), 5.0);
         assert_eq!(r.events_per_sec(), 500.0);
@@ -990,26 +925,5 @@ mod tests {
         assert!(json.contains("\"events_per_sec\""));
         assert!(json.contains("\"cell_kinds\""));
         assert!(json.contains("\"p99_ms\""));
-        assert!(json.contains("\"phase_profile\""));
-        assert!(json.contains("\"session.stream\""));
-    }
-
-    #[test]
-    fn profile_phases_attributes_instrumented_spans() {
-        let cells = tiny_cells();
-        let profile = profile_phases(&cells);
-        let stream = profile
-            .iter()
-            .find(|p| p.phase == "session.stream")
-            .expect("session.stream phase instrumented");
-        // ≥ rather than ==: the registry is process-global, and sibling
-        // tests running sessions concurrently also land spans while the
-        // profiled window is open.
-        assert!(stream.calls >= cells.len() as u64, "one stream span/cell");
-        assert!(stream.nanos > 0);
-        // Sorted hottest-first.
-        for w in profile.windows(2) {
-            assert!(w[0].nanos >= w[1].nanos);
-        }
     }
 }

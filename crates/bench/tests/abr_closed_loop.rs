@@ -123,13 +123,20 @@ fn shadow_equals_closed_loop_when_no_switch_fires() {
     assert_eq!(behavioural(&closed), behavioural(&shadow));
 }
 
-/// The acceptance scenario: a sweep over `abr/closed-loop` contains
-/// sessions whose streamed itag changes mid-session, with the
-/// time-weighted bitrate strictly between the ladder endpoints.
+/// The acceptance scenario: a sweep over the closed-loop grid and the
+/// mobility-handoff workload contains sessions whose streamed itag changes
+/// mid-session, with the time-weighted bitrate strictly between the ladder
+/// endpoints.
 #[test]
 fn closed_loop_sweep_switches_between_ladder_endpoints() {
-    let w = std::sync::Arc::new(msplayer_bench::workload::WorkloadSpec::abr_closed_loop_grid(2));
-    let cells = msplayer_bench::sweep::expand_workload(&w);
+    use msplayer_bench::workload::WorkloadSpec;
+    let mut cells = Vec::new();
+    for w in [
+        WorkloadSpec::abr_closed_loop_grid(2),
+        WorkloadSpec::abr_mobility_handoff(2),
+    ] {
+        cells.extend(msplayer_bench::sweep::expand_workload(&w.into()));
+    }
     let results = msplayer_bench::sweep::run_serial(&cells);
     let bottom = msim_youtube::by_itag(17).unwrap().bitrate.as_bps();
     let top = msim_youtube::by_itag(37).unwrap().bitrate.as_bps();
@@ -139,6 +146,13 @@ fn closed_loop_sweep_switches_between_ladder_endpoints() {
             .expect_metrics()
             .abr_qoe
             .expect("closed-loop cells carry QoE");
+        // Switched or not, a session only ever streams ladder rungs.
+        assert!(
+            (bottom..=top).contains(&qoe.time_weighted_bitrate_bps),
+            "{:?}: twa {} outside [{bottom}, {top}]",
+            r.cell,
+            qoe.time_weighted_bitrate_bps
+        );
         if qoe.switches > 0 {
             switched += 1;
             assert!(

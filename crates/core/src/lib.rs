@@ -22,8 +22,7 @@
 //!   (Table 1);
 //! * [`chaos`] — composable seed-deterministic fault injectors
 //!   ([`chaos::ChaosPlan`]) and the session invariant oracle
-//!   ([`chaos::check_invariants`]);
-//! * [`energy`] — the §7 future-work energy-accounting extension.
+//!   ([`chaos::check_invariants`]).
 //!
 //! ## Quick start
 //!
@@ -47,7 +46,6 @@ pub mod buffer;
 pub mod chaos;
 pub mod chunk;
 pub mod config;
-pub mod energy;
 pub mod estimator;
 pub mod fleet;
 pub mod metrics;

@@ -22,8 +22,9 @@
 //! Two interchangeable engines execute that model:
 //!
 //! * [`rounds`] — the reference **round loop**: one iteration per RTT,
-//!   exactly the historical implementation (the differential baseline,
-//!   like `event::fourary::FourAryQueue` is for the event queue);
+//!   exactly the historical implementation. It stays selectable because
+//!   cross-crate differential tests select it as the baseline
+//!   (`transfer_engines.rs`, `core::sim`'s end-to-end engine agreement);
 //! * [`epoch`] — the default **epoch engine**: the same model decomposed
 //!   into composable phases (request latency, slow-start ramp, CUBIC
 //!   growth, pacing, drain, idle restart, dead link) over explicit epoch

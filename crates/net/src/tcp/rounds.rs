@@ -1,10 +1,9 @@
 //! The reference per-RTT round loop.
 //!
 //! This is the historical `TcpConnection::request` body, preserved verbatim
-//! as the differential baseline for the epoch engine (the same role
-//! `event::fourary::FourAryQueue` plays for the calendar event queue): one
-//! loop iteration per TCP round, every link interaction performed
-//! explicitly. `crates/net/tests/transfer_engines.rs` pins the epoch engine
+//! as the differential baseline for the epoch engine: one loop iteration
+//! per TCP round, every link interaction performed explicitly.
+//! `crates/net/tests/transfer_engines.rs` pins the epoch engine
 //! against this loop bit-for-bit — model result fields, RNG stream
 //! positions, and warm-connection state — across randomized link profiles,
 //! mobility handoffs, idle-restart gaps, and loss regimes.

@@ -130,15 +130,17 @@ impl BoxPanel {
         if self.rows.is_empty() {
             return format!("{}\n(no data)\n", self.title);
         }
+        // An interpolated quartile can lie beyond its whisker (the data
+        // points past it are all outliers), so the axis spans both.
         let lo = self
             .rows
             .iter()
-            .map(|(_, b)| b.whisker_lo)
+            .map(|(_, b)| b.whisker_lo.min(b.q1))
             .fold(f64::INFINITY, f64::min);
         let hi = self
             .rows
             .iter()
-            .map(|(_, b)| b.whisker_hi)
+            .map(|(_, b)| b.whisker_hi.max(b.q3))
             .fold(f64::NEG_INFINITY, f64::max);
         let span = (hi - lo).max(1e-12);
         let label_w = self.rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
@@ -330,6 +332,18 @@ mod tests {
         assert!(s.contains(']'));
         assert!(s.contains('|'));
         assert!(s.contains("seconds"));
+    }
+
+    #[test]
+    fn boxplot_renders_a_quartile_beyond_its_whisker() {
+        use crate::stats::BoxStats;
+        // q3 interpolates to 3.25 while the upper whisker stays at 1 (the
+        // 10 is an outlier): the box must still fit the lane.
+        let b = BoxStats::from_sample(&[1.0, 1.0, 1.0, 10.0]);
+        assert!(b.q3 > b.whisker_hi, "{b:?}");
+        let mut p = BoxPanel::new("demo", "seconds", 40);
+        p.add("row-a", b);
+        assert!(p.render().contains(']'));
     }
 
     #[test]

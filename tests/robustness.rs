@@ -141,15 +141,3 @@ fn middlebox_survey_matches_paper() {
     // And a clean path is genuinely clean.
     assert_eq!(negotiate_mptcp(&[]), MptcpNegotiation::MultipathOk);
 }
-
-#[test]
-fn energy_extension_reports_lte_cost() {
-    use msplayer::core::energy::{joules_per_mb, InterfaceEnergyModel};
-    let m = run(&testbed(88, quick(), 1));
-    let wifi_jpm = joules_per_mb(&m, 0, InterfaceEnergyModel::wifi()).expect("wifi active");
-    let lte_jpm = joules_per_mb(&m, 1, InterfaceEnergyModel::lte()).expect("lte active");
-    assert!(
-        lte_jpm > wifi_jpm,
-        "LTE joules/MB ({lte_jpm:.2}) exceed WiFi's ({wifi_jpm:.2}) — the §7 energy concern"
-    );
-}

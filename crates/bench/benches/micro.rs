@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks: performance guardrails on the hot paths of
 //! the library (estimator updates, scheduler decisions, event queue,
-//! JSON, HTTP codec, TCP transfer model, full sessions).
+//! JSON, HTTP codec, sampling kernels, TCP transfer model, full sessions).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use msim_core::event::EventQueue;
-use msim_core::rng::Prng;
+use msim_core::process::{Ou, Process};
+use msim_core::rng::{DeviateMode, DrawKind, DrawTable, Prng};
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::ByteSize;
 use msplayer_core::config::{PlayerConfig, SchedulerKind};
@@ -170,6 +171,43 @@ fn bench_http_codec(c: &mut Criterion) {
     });
 }
 
+/// One row per kernel of the per-round sampling path: deviate fills
+/// (`vmath` + the PCG pair), µs rounding, and the OU step at a `dt` that
+/// changes every sample, as a jittered RTT does.
+fn bench_sampling_kernels(c: &mut Criterion) {
+    c.bench_function("rng/table_normal_draw", |b| {
+        let mut table = DrawTable::new(Prng::new(1), DrawKind::Normal, DeviateMode::Block);
+        b.iter(|| black_box(table.draw()));
+    });
+    c.bench_function("rng/table_lognormal_draw", |b| {
+        let sigma = 0.12f64;
+        let kind = DrawKind::LognormalMult {
+            mu: -0.5 * sigma * sigma,
+            sigma,
+        };
+        let mut table = DrawTable::new(Prng::new(1), kind, DeviateMode::Block);
+        b.iter(|| black_box(table.draw()));
+    });
+    c.bench_function("time/mul_f64", |b| {
+        let rtt = SimDuration::from_millis(25);
+        let mut k = 0.7;
+        b.iter(|| {
+            k = if k > 1.4 { 0.7 } else { k + 1e-3 };
+            black_box(rtt.mul_f64(black_box(k)))
+        });
+    });
+    c.bench_function("process/ou_step_jittered_dt", |b| {
+        let mut ou = Ou::new(10.5, 0.5, 8.0, Prng::new(1));
+        let mut t = SimTime::ZERO;
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            t += SimDuration::from_micros(20_000 + (i * 7919) % 10_007);
+            black_box(ou.value_at(t))
+        });
+    });
+}
+
 fn bench_tcp_model(c: &mut Criterion) {
     c.bench_function("tcp/1MB_transfer_simulation", |b| {
         b.iter(|| {
@@ -184,6 +222,20 @@ fn bench_tcp_model(c: &mut Criterion) {
             let mut conn = msim_net::TcpConnection::new(msim_net::TcpConfig::default());
             let ready = conn.connect(&mut link, SimTime::ZERO);
             black_box(conn.request(&mut link, ready, ByteSize::mb(1)))
+        });
+    });
+    // What every benchmarked session runs: a calibrated profile (OU rate
+    // under burst and Markov modulators, jittered RTT, random loss), one
+    // link and connection serving back-to-back requests.
+    c.bench_function("tcp/1MB_transfer_wifi_testbed_profile", |b| {
+        let profile = msim_net::PathProfile::wifi_testbed();
+        let mut link = profile.build(&mut Prng::new(7));
+        let mut conn = msim_net::TcpConnection::new(profile.tcp_config());
+        let mut now = conn.connect(&mut link, SimTime::ZERO);
+        b.iter(|| {
+            let res = conn.request(&mut link, now, ByteSize::mb(1));
+            now = res.completed_at;
+            black_box(res)
         });
     });
     // The epoch engine's fast path on a stable (jitter-free, loss-free)
@@ -226,6 +278,7 @@ criterion_group!(
     bench_event_queue,
     bench_json,
     bench_http_codec,
+    bench_sampling_kernels,
     bench_tcp_model,
     bench_full_session,
 );

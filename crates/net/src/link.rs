@@ -123,8 +123,9 @@ impl Link {
 
     /// Round-trip time at time `t` (base RTT × log-normal jitter, sigma
     /// chosen so that std/mean ≈ jitter_frac). The multiplier comes from
-    /// the link's cycling draw table: an indexed load per round instead of
-    /// Box–Muller's `ln`/`sqrt`/`cos` plus an `exp`.
+    /// the link's draw table, which refills a block at a time: an indexed
+    /// load per round, with Box–Muller's `ln`/`sqrt`/`sincos` plus the
+    /// `exp` paid in the batched refill.
     pub fn rtt_at(&mut self, _t: SimTime) -> SimDuration {
         match &mut self.jitter {
             None => self.base_rtt,
@@ -166,6 +167,14 @@ impl Link {
         self.rng.next_u64()
     }
 
+    /// False when [`Link::stable_window`] returns `None` at every `t`:
+    /// jitter or a loss probability make every round consume randomness.
+    /// Fixed at construction, so the transfer engine asks once per request
+    /// instead of probing every round.
+    pub(crate) fn can_be_stable(&self) -> bool {
+        !(self.rtt_jitter_frac > 0.0 || self.random_loss_per_round > 0.0)
+    }
+
     /// Probes for a [`StableWindow`] starting at `t`.
     ///
     /// When this returns `Some(w)`, the link guarantees that for every
@@ -185,7 +194,7 @@ impl Link {
     /// time `t`. Returns `None` when the link is jittered, lossy, in an
     /// outage, or its rate process cannot advertise a horizon.
     pub fn stable_window(&mut self, t: SimTime) -> Option<StableWindow> {
-        if self.rtt_jitter_frac > 0.0 || self.random_loss_per_round > 0.0 {
+        if !self.can_be_stable() {
             return None;
         }
         let mut until = SimTime::MAX;

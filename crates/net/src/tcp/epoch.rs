@@ -187,8 +187,16 @@ impl Xfer<'_> {
         self.t += req_rtt;
         self.first_byte_at = self.t;
 
+        // Jitter and loss probability are fixed per link: when either is
+        // set no probe can ever succeed, so skip probing for the request.
+        let can_be_stable = self.link.can_be_stable();
         while self.remaining > 0.0 {
-            match self.link.stable_window(self.t) {
+            let window = if can_be_stable {
+                self.link.stable_window(self.t)
+            } else {
+                None
+            };
+            match window {
                 Some(w) => {
                     if let Some(res) = self.stable_phase(w) {
                         return res;

@@ -1156,6 +1156,41 @@ mod tests {
     }
 
     #[test]
+    fn rebucket_pulls_far_events_under_the_widened_horizon() {
+        // The schedule the random differential never draws: the
+        // `migrate_far()` that ends `rebucket` is the only thing that moves
+        // the 1.2 s event into the ring here, because the clock never
+        // advances (so no cursor-day migration runs). Without it the ring
+        // would serve the later 1.5 s event first.
+        let mut new_q: EventQueue<u64> = EventQueue::new();
+        let mut ref_q: LegacyQueue<u64> = LegacyQueue::new();
+        let at = SimTime::from_millis(1_200);
+        new_q.push(at, 0); // beyond the initial ≈1.05 s horizon: far heap
+        ref_q.push(at, 0);
+        let mut handles = Vec::new();
+        for i in 0..300u64 {
+            // Occupancy doubles the ring to 256 buckets: horizon ≈2.1 s.
+            let at = SimTime::from_millis(1 + 3 * i);
+            handles.push((new_q.push(at, 1 + i), ref_q.push(at, 1 + i)));
+        }
+        assert!(new_q.ring_buckets() > MIN_BUCKETS, "the ring grew");
+        for (a, b) in handles {
+            assert_eq!(new_q.cancel(a), ref_q.cancel(b), "cancel outcome");
+        }
+        let at = SimTime::from_millis(1_500); // inside the widened horizon
+        new_q.push(at, 1_000);
+        ref_q.push(at, 1_000);
+        assert_eq!(new_q.peek_time(), Some(SimTime::from_millis(1_200)));
+        loop {
+            let (a, b) = (new_q.pop(), ref_q.pop());
+            assert_eq!(a, b, "drain");
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
     fn legacy_reference_clamps_past_pushes_to_now_and_counts_them() {
         // Pins the reference itself: the differential test is only as good
         // as the queue it compares against.

@@ -67,15 +67,7 @@ pub struct Ou {
     state: f64,
     last_t: SimTime,
     noise: DrawTable,
-    decay_cache: [(u64, f64, f64); OU_DECAY_SLOTS],
 }
-
-/// Slots in the per-process decay cache (`dt bits → (e^{−dt/τ}, noise σ)`).
-/// Fixed-grid callers (ticks, chunk boundaries on calm links) hit the same
-/// handful of `dt`s and enjoy near-perfect hit rates; jitter-driven callers
-/// see a fresh `dt` per round and fall through to the (cheap, vmath) exp
-/// recompute, so the cache is sized small — 32 slots, 768 B per process.
-const OU_DECAY_SLOTS: usize = 32;
 
 impl Ou {
     /// Creates a process with the given long-run `mean`, stationary standard
@@ -98,26 +90,7 @@ impl Ou {
             state,
             last_t: SimTime::ZERO,
             noise: DrawTable::new(rng, DrawKind::Normal, mode),
-            decay_cache: [(u64::MAX, 0.0, 0.0); OU_DECAY_SLOTS],
         }
-    }
-
-    /// Decay factor and noise std for a step of `dt`, via the direct-mapped
-    /// cache. `dt > 0` is finite, so its bit pattern never collides with the
-    /// `u64::MAX` (negative-NaN) empty-slot sentinel.
-    #[inline]
-    fn decay_for(&mut self, dt: f64) -> (f64, f64) {
-        let bits = dt.to_bits();
-        let idx = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59) as usize;
-        let slot = &mut self.decay_cache[idx];
-        if slot.0 != bits {
-            // Clamp keeps a huge idle gap inside vmath::exp's contract;
-            // e^-700 is already indistinguishable from full decay.
-            let decay = crate::vmath::exp((dt * self.neg_inv_tau).max(-700.0));
-            let noise = self.stationary_std * (1.0 - decay * decay).sqrt();
-            *slot = (bits, decay, noise);
-        }
-        (slot.1, slot.2)
     }
 }
 
@@ -125,7 +98,11 @@ impl Process for Ou {
     fn value_at(&mut self, t: SimTime) -> f64 {
         let dt = t.saturating_since(self.last_t).as_secs_f64();
         if dt > 0.0 {
-            let (decay, noise_std) = self.decay_for(dt);
+            // Not cached: `dt` is a jittered RTT, fresh every round. The
+            // clamp keeps a huge idle gap inside vmath::exp's contract;
+            // e^-700 is already indistinguishable from full decay.
+            let decay = crate::vmath::exp((dt * self.neg_inv_tau).max(-700.0));
+            let noise_std = self.stationary_std * (1.0 - decay * decay).sqrt();
             self.state =
                 self.mean + (self.state - self.mean) * decay + noise_std * self.noise.draw();
             self.last_t = t;
@@ -223,10 +200,11 @@ impl Process for MarkovModulator {
 ///
 /// The per-sample `sin` is replaced by an angle-addition recurrence: given
 /// `sin θ`/`cos θ` at the last sample and `sin ω·dt`/`cos ω·dt` for the step
-/// (cached per distinct `dt`, which the cycling RTT tables make a small
-/// repeating set), the next sample is two multiplies and an add per
-/// component. Every [`SINUSOID_RESYNC`] steps the recurrence resyncs
-/// against the closed form to bound accumulated rounding drift.
+/// (cached while `dt` repeats; the RTT tables refill rather than cycle, so a
+/// jittered link presents a fresh `dt` every round and recomputes), the next
+/// sample is two multiplies and an add per component. Every
+/// [`SINUSOID_RESYNC`] steps the recurrence resyncs against the closed form
+/// to bound accumulated rounding drift.
 #[derive(Clone, Debug)]
 pub struct Sinusoid {
     amplitude: f64,
@@ -437,6 +415,10 @@ impl Process for Bursts {
 /// call site in the repository — so the standard compositions dispatch
 /// through this enum (a predictable branch, inlinable bodies) instead of a
 /// `Box<dyn Process>` vtable per component.
+// A variant's size is its inline draw tables (one for `Ou`, two for
+// `Bursts`); boxing the larger would put an allocation back on every link
+// built.
+#[allow(clippy::large_enum_variant)]
 pub enum ProcessKind {
     /// A [`Constant`] process.
     Constant(Constant),
@@ -755,14 +737,14 @@ mod tests {
     }
 
     #[test]
-    fn ou_decay_cache_is_transparent() {
-        // The decay cache must not change values: two OU processes with the
-        // same seed, one sampled on a grid that repeats dt values (cache
-        // hits) and one freshly constructed per comparison, agree bitwise.
+    fn ou_repeating_dt_grid_matches_fresh_twin() {
+        // A step depends on `dt` and the state only, never on which `dt`s
+        // came before: two OU processes with the same seed sampled on a
+        // grid that repeats dt values agree bitwise.
         let mut a = Ou::new(10.0, 2.0, 1.0, Prng::new(8));
         let mut b = Ou::new(10.0, 2.0, 1.0, Prng::new(8));
         let mut t = SimTime::ZERO;
-        let steps = [37, 51, 37, 51, 37, 64]; // repeats → cache hits in `a`
+        let steps = [37, 51, 37, 51, 37, 64];
         for (i, &ms) in steps.iter().cycle().take(4_000).enumerate() {
             t += SimDuration::from_millis(ms);
             let va = a.value_at(t);

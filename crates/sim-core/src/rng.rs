@@ -46,6 +46,13 @@ fn pareto_unit_from(u: f64, inv_alpha: f64) -> f64 {
     vmath::exp((-inv_alpha * vmath::ln(u)).min(700.0))
 }
 
+/// The XSH-RR output permutation of one LCG state.
+#[inline]
+fn pcg_output(state: u64) -> u32 {
+    let xorshifted = (((state >> 18) ^ state) >> 27) as u32;
+    xorshifted.rotate_right((state >> 59) as u32)
+}
+
 /// SplitMix64 finaliser, used to derive well-distributed seeds.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
@@ -76,14 +83,22 @@ impl Prng {
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
-        let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
-        let rot = (old >> 59) as u32;
-        xorshifted.rotate_right(rot)
+        pcg_output(old)
     }
 
-    /// Next 64 uniform random bits.
+    /// Next 64 uniform random bits: two [`Prng::next_u32`] draws, high word
+    /// first. The state jumps two LCG steps at once (`s·M² + inc·(M+1)`),
+    /// so consecutive calls chain through one multiply, not two; the
+    /// second word's state `s·M + inc` hangs off the side of that chain.
     pub fn next_u64(&mut self) -> u64 {
-        ((self.next_u32() as u64) << 32) | self.next_u32() as u64
+        const MULT_SQ: u64 = PCG_MULT.wrapping_mul(PCG_MULT);
+        const MULT_PLUS_1: u64 = PCG_MULT.wrapping_add(1);
+        let s0 = self.state;
+        let s1 = s0.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
+        self.state = s0
+            .wrapping_mul(MULT_SQ)
+            .wrapping_add(self.inc.wrapping_mul(MULT_PLUS_1));
+        ((pcg_output(s0) as u64) << 32) | pcg_output(s1) as u64
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
@@ -443,6 +458,43 @@ mod tests {
         let mut b = Prng::new(42);
         for _ in 0..1000 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn next_u64_is_two_next_u32_under_any_interleaving() {
+        // `reference` only ever steps 32 bits at a time; `fast` mixes
+        // `next_u32`, `next_u64` and `fork` as the script says. Outputs,
+        // fork children and the final stream position must all agree.
+        fn u64_by_halves(r: &mut Prng) -> u64 {
+            ((r.next_u32() as u64) << 32) | r.next_u32() as u64
+        }
+        let mut script = Prng::new(0xC0FFEE);
+        for seed in 0..64 {
+            let mut fast = Prng::new(seed);
+            let mut reference = Prng::new(seed);
+            for step in 0..2_000 {
+                match script.below(3) {
+                    0 => assert_eq!(fast.next_u32(), reference.next_u32(), "step {step}"),
+                    1 => assert_eq!(
+                        fast.next_u64(),
+                        u64_by_halves(&mut reference),
+                        "step {step}"
+                    ),
+                    _ => {
+                        let mut child = fast.fork();
+                        let mut child_ref = Prng::new(u64_by_halves(&mut reference));
+                        for _ in 0..4 {
+                            assert_eq!(child.next_u64(), u64_by_halves(&mut child_ref));
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                fast.next_u32(),
+                reference.next_u32(),
+                "seed {seed} end position"
+            );
         }
     }
 

@@ -19,6 +19,33 @@ pub struct SimTime(u64);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
+/// `x.round() as u64` for any `x`, without the libm call `f64::round` is on
+/// baseline x86-64 (no `roundsd` before SSE4.1) and, below 2^52, without
+/// an f64↔u64 conversion either (each is a multi-instruction sequence
+/// there).
+///
+/// Below 2^52, `x + 2^52` has ulp 1: the add rounds `x` to the nearest
+/// integer, ties to even, and leaves that integer in the sum's low bits
+/// (a carry into 2^53 bumps the exponent field, which reads as the same
+/// integer). `x − nearest` is exact, and half-away-from-zero differs from
+/// ties-to-even only where a tie went down, i.e. where it is exactly 0.5.
+///
+/// Elsewhere `t = x as u64` truncates and saturates (negative and NaN to
+/// 0): from 2^52 up `x` is integral, so `x − t` is 0, or positive only
+/// when `t` saturated, where the add saturates too.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    const TWO52: f64 = 4_503_599_627_370_496.0;
+    if (0.0..TWO52).contains(&x) {
+        let shifted = x + TWO52;
+        let nearest = shifted - TWO52;
+        (shifted.to_bits() - TWO52.to_bits()) + u64::from(x - nearest == 0.5)
+    } else {
+        let t = x as u64;
+        t.saturating_add(u64::from(x - t as f64 >= 0.5))
+    }
+}
+
 impl SimTime {
     /// The simulation epoch, `t = 0`.
     pub const ZERO: SimTime = SimTime(0);
@@ -46,7 +73,7 @@ impl SimTime {
         if s <= 0.0 {
             return SimTime(0);
         }
-        SimTime((s * MICROS_PER_SEC as f64).round() as u64)
+        SimTime(round_to_u64(s * MICROS_PER_SEC as f64))
     }
 
     /// This instant as whole microseconds.
@@ -120,7 +147,7 @@ impl SimDuration {
         if s <= 0.0 {
             return SimDuration(0);
         }
-        SimDuration((s * MICROS_PER_SEC as f64).round() as u64)
+        SimDuration(round_to_u64(s * MICROS_PER_SEC as f64))
     }
 
     /// The span as whole microseconds.
@@ -151,7 +178,7 @@ impl SimDuration {
     /// Multiplies the span by a non-negative float, rounding to microseconds.
     pub fn mul_f64(self, k: f64) -> SimDuration {
         debug_assert!(k >= 0.0, "negative duration scale");
-        SimDuration((self.0 as f64 * k).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * k))
     }
 
     /// The larger of two spans.
@@ -339,6 +366,54 @@ mod tests {
         let d = SimDuration::from_micros(10);
         assert_eq!(d.mul_f64(1.5).as_micros(), 15);
         assert_eq!(d.mul_f64(0.0).as_micros(), 0);
+    }
+
+    #[test]
+    fn libm_free_rounding_equals_round_as_u64() {
+        let check = |x: f64| {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x={x:e}");
+        };
+        let two52 = (1u64 << 52) as f64;
+        let two64 = two52 * 4096.0;
+        for x in [0.0, 0.5, 1.0, two52, two52 + 1.0, 2.0 * two52 + 2.0, 1e19] {
+            check(x);
+        }
+        for x in [two64, 2.0 * two64, f64::MAX, f64::INFINITY, f64::NAN] {
+            check(x);
+        }
+        for x in [
+            two52 - 0.5,
+            two52 - 1.0,
+            two52 - 1.5,
+            -0.0,
+            -0.4,
+            -0.5,
+            -2.5,
+            -1e300,
+        ] {
+            check(x);
+        }
+        let mut rng = crate::rng::Prng::new(0x7153);
+        for _ in 0..200_000 {
+            // A random mantissa at every binade from 2^-20 to past 2^64,
+            // the µs range rounds live in, and the ties: n + 0.5 and its
+            // two neighbours, for n up to 2^51.
+            check(f64::from_bits(
+                ((1003 + rng.below(91)) << 52) | (rng.next_u64() >> 12),
+            ));
+            check(rng.f64() * 1e7);
+            let tie = (rng.next_u64() >> rng.range(13, 64)) as f64 + 0.5;
+            check(tie);
+            check(f64::from_bits(tie.to_bits() - 1));
+            check(f64::from_bits(tie.to_bits() + 1));
+        }
+        // The three callers route through it.
+        let d = SimDuration::from_micros(3);
+        assert_eq!(d.mul_f64(0.5).as_micros(), 2); // 1.5 rounds away from zero
+        assert_eq!(SimDuration::from_secs_f64(2.5e-6).as_micros(), 3);
+        assert_eq!(SimDuration::from_secs_f64(1e300), SimDuration::MAX);
+        assert_eq!(SimTime::from_secs_f64(1e300), SimTime::MAX);
+        assert_eq!(SimTime::from_secs_f64(f64::NAN), SimTime::ZERO);
     }
 
     #[test]

@@ -135,7 +135,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--refills" => opt.refills = value()?.parse().map_err(|e| format!("--refills: {e}"))?,
             "--seed" => opt.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--runs" => opt.runs = value()?.parse().map_err(|e| format!("--runs: {e}"))?,
+            "--runs" => {
+                opt.runs = value()?
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or("--runs: expected a positive integer")?
+            }
             "--timeline" => opt.timeline = true,
             "--trace" => opt.trace = Some(value()?),
             "--chaos" => {
@@ -328,6 +334,16 @@ fn main() {
         std::process::exit(run_fleet_mode(&opt));
     }
 
+    // Open the trace before any session runs: an unwritable path is a
+    // usage error, not something to learn after the whole sweep.
+    let trace_out = opt.trace.as_deref().map(|path| {
+        let file = std::fs::File::create(path).unwrap_or_else(|e| {
+            eprintln!("--trace {path}: {e}");
+            std::process::exit(2);
+        });
+        (path, file)
+    });
+
     let mut prebuffer_stats = Running::new();
     let mut prebuffer_samples = Vec::new();
     let mut chaos_violations = 0usize;
@@ -404,8 +420,8 @@ fn main() {
             prebuffer_stats.max(),
         );
     }
-    if let Some(path) = &opt.trace {
-        if let Err(e) = write_trace(path) {
+    if let Some((path, file)) = trace_out {
+        if let Err(e) = write_trace(path, file) {
             eprintln!("--trace {path}: {e}");
             std::process::exit(2);
         }
@@ -415,14 +431,13 @@ fn main() {
     }
 }
 
-/// Flushes the captured NDJSON trace to `path` and prints the one-line
-/// telemetry summary.
-fn write_trace(path: &str) -> std::io::Result<()> {
+/// Flushes the captured NDJSON trace to `file` (opened at `path`) and
+/// prints the one-line telemetry summary.
+fn write_trace(path: &str, file: std::fs::File) -> std::io::Result<()> {
     // Summarize before draining the buffer so the line reports the
     // actual trace depth.
     let summary = telemetry::summary_line();
     let events = telemetry::take_trace();
-    let file = std::fs::File::create(path)?;
     let mut w = std::io::BufWriter::new(file);
     telemetry::write_trace_ndjson(&events, &mut w)?;
     use std::io::Write as _;
@@ -528,6 +543,14 @@ mod tests {
         assert!(parse_args(&args("--env mars")).is_err());
         assert!(parse_args(&args("--scheduler quantum")).is_err());
         assert!(parse_args(&args("--chunk")).is_err(), "missing value");
+        for runs in ["0", "two", "-1"] {
+            assert_eq!(
+                parse_args(&args(&format!("--runs {runs}")))
+                    .err()
+                    .as_deref(),
+                Some("--runs: expected a positive integer")
+            );
+        }
     }
 
     #[test]

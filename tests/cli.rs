@@ -5,15 +5,31 @@ use std::process::Command;
 
 #[test]
 fn invalid_sessions_exit_2_with_one_line_and_no_panic() {
-    for args in [
-        &["--chunk", "0"][..],
-        &["--prebuffer", "-1"],
-        &["--prebuffer", "nan"],
-        &["--chunk", "17592186044416M"],
-        &["--chunk", "0", "--runs", "3"],
-        &["--chunk", "0", "--timeline"],
-        &["--chunk", "0", "--chaos", "kitchen-sink"],
-        &["--chunk", "0", "--fleet", "--fleet-mode", "exact"],
+    // Every row exits before a session runs: nothing on stdout, so no
+    // `session (seed …` line either.
+    for (args, message) in [
+        (&["--chunk", "0"][..], "invalid session: "),
+        (&["--prebuffer", "-1"], "invalid session: "),
+        (&["--prebuffer", "nan"], "invalid session: "),
+        (&["--chunk", "17592186044416M"], "bad size "),
+        (&["--chunk", "0", "--runs", "3"], "invalid session: "),
+        (&["--chunk", "0", "--timeline"], "invalid session: "),
+        (
+            &["--chunk", "0", "--chaos", "kitchen-sink"],
+            "invalid session: ",
+        ),
+        (
+            &["--chunk", "0", "--fleet", "--fleet-mode", "exact"],
+            "invalid session: ",
+        ),
+        // Zero runs used to print nothing and exit 0.
+        (&["--runs", "0"], "--runs: expected a positive integer"),
+        // An unwritable trace path used to fail only after every session
+        // had run (and printed its summary).
+        (
+            &["--trace", "/nonexistent/dir/x.ndjson"],
+            "--trace /nonexistent/dir/x.ndjson: ",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_msplayer-sim"))
             .args(args)
@@ -23,10 +39,7 @@ fn invalid_sessions_exit_2_with_one_line_and_no_panic() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
-        assert!(
-            stderr.starts_with("invalid session: ") || stderr.starts_with("bad size "),
-            "{args:?}: {stderr}"
-        );
+        assert!(stderr.starts_with(message), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}: ran a session anyway");
     }
 }

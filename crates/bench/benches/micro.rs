@@ -238,8 +238,9 @@ fn bench_tcp_model(c: &mut Criterion) {
             black_box(res)
         });
     });
-    // The epoch engine's fast path on a stable (jitter-free, loss-free)
-    // link — the pattern the closed-form solves target.
+    // The epoch engine's stable-window path on a jitter-free, loss-free
+    // link: one probe, then every round stepped on the window's constants
+    // with no link call. The only timing of that path.
     c.bench_function("tcp/stable_4MB_transfer_epoch", |b| {
         b.iter(|| {
             let mut link = msim_net::Link::new(

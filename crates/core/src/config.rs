@@ -202,10 +202,10 @@ pub struct PlayerConfig {
     /// Optional shadow ABR ladder (`None` = the paper's fixed-rate player).
     pub abr_ladder: Option<AbrLadderConfig>,
     /// Which TCP transfer engine the session's connections run. The
-    /// default [`TransferEngine::Epoch`] solves stable-link stretches in
-    /// closed form; force [`TransferEngine::RoundLoop`] to debug a
-    /// transfer round by round (results are bit-identical either way —
-    /// see the README section "The transfer engine").
+    /// default [`TransferEngine::Epoch`] skips link sampling over
+    /// stable-link stretches; force [`TransferEngine::RoundLoop`] to
+    /// sample every round (results are bit-identical either way — see the
+    /// README section "The transfer engine").
     pub transfer_engine: TransferEngine,
 }
 

@@ -21,7 +21,7 @@
 //! * **Fluid** ([`FleetMode::Fluid`]) advances each session at flow level
 //!   — per-server per-access-class virtual byte clocks integrate the fair
 //!   share `min(a_k, C_s/n_s)` exactly between membership events, and the
-//!   TCP epoch engine's closed-form slow-start solve
+//!   TCP model's closed-form slow-start ramp
 //!   ([`msim_net::tcp::fluid::startup_ramp`]) charges each arrival its
 //!   connection-ramp deficit. A session costs O(refill cycles) events
 //!   instead of O(chunks × rounds), so 100k+ concurrent coupled sessions
@@ -1032,7 +1032,7 @@ impl<'a> Fluid<'a> {
         // Charge the TCP connection ramp as a byte deficit: relative to a
         // flow that runs at its fair share from t=0, slow start leaves the
         // session `share·latency − ramp_bytes` behind by the time it
-        // reaches rate (closed-form from the epoch engine's solver).
+        // reaches rate (`startup_ramp`'s closed form).
         let srv = &self.servers[chosen];
         let share = self.rates[class].min(srv.cap / srv.n as f64);
         let ramp = fluid::startup_ramp(&self.tcp, self.spec.rtt, BitRate::bps(share * 8.0));

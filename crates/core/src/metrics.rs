@@ -193,11 +193,11 @@ pub struct SessionMetrics {
     /// transfer of the session (0 under the round-loop engine; drivers
     /// fill this in — see `sim::SessionHost`).
     pub transfer_epochs: u64,
-    /// TCP rounds the transfer engine served on its fast path (lean or
-    /// closed-form-solved) across the session.
+    /// TCP rounds the transfer engine served on its fast path (inside a
+    /// stable window, link sampling elided) across the session.
     pub transfer_fast_rounds: u64,
-    /// The subset of fast-path rounds collapsed by closed-form solves
-    /// (geometric slow start, CUBIC polynomial, ssthresh oscillation).
+    /// Always 0 since the solver was removed; goes with the next
+    /// `DIGEST_EPOCH` bump and benchmark thaw.
     pub transfer_solved_rounds: u64,
 }
 

@@ -1517,13 +1517,21 @@ mod tests {
     #[test]
     fn transfer_engines_agree_end_to_end() {
         use msim_net::tcp::TransferEngine;
-        // A stable link engages the epoch engine's closed-form fast path
-        // for essentially every round; the session must be bit-identical
-        // to one driven by the reference round loop (the jittered paper
-        // profiles are covered too, via the fallback path).
+        // On a stable link the epoch engine steps every round inside a
+        // stable window without sampling the link; the session must be
+        // bit-identical to one driven by the reference round loop (the
+        // jittered paper profiles are covered too, via per-round sampling).
         let stable = single_path(17, PathProfile::stable(10.0, 20), quick_player());
-        for spec in [stable.clone(), testbed(17, quick_player())] {
-            let epoch = run(&spec);
+        // An outage shorter than `dead_link_timeout` with a chunk in flight
+        // across it: within one transfer a stable window expires, the
+        // dead-link arm waits the outage out, and a second window opens.
+        let mut interrupted = stable.clone();
+        interrupted.paths[0].outages = Some(OutageSchedule::from_windows(vec![(
+            SimTime::from_secs(2),
+            SimTime::from_secs(3),
+        )]));
+        for spec in [&stable, &interrupted, &testbed(17, quick_player())] {
+            let epoch = run(spec);
             let mut rl_spec = spec.clone();
             rl_spec.player = rl_spec
                 .player
@@ -1539,10 +1547,17 @@ mod tests {
             rl.transfer_solved_rounds = epoch.transfer_solved_rounds;
             assert_eq!(epoch, rl, "engines diverged end-to-end");
         }
-        // And the stable scenario genuinely exercised the fast path.
+        // And the stable scenarios genuinely exercised the fast path.
         let m = run(&stable);
         assert!(m.transfer_epochs > 0, "fast path engaged: {m:?}");
-        assert!(m.transfer_solved_rounds > 0, "closed-form solves engaged");
+        assert!(m.transfer_fast_rounds > 0, "stable-window rounds ran");
+        let m = run(&interrupted);
+        assert!(
+            m.transfer_epochs > m.chunks.len() as u64,
+            "a transfer spanned two stable windows: {} epochs over {} chunks",
+            m.transfer_epochs,
+            m.chunks.len()
+        );
     }
 
     #[test]

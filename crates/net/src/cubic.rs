@@ -86,136 +86,13 @@ impl Cubic {
         self.window_at(self.epoch_elapsed, rtt_secs)
     }
 
-    /// Advances congestion-avoidance time by `steps` equal increments of
-    /// `dt_secs` and returns the target window, **bit-identical** to
-    /// calling [`Cubic::advance`]`(dt_secs, rtt_secs, _)` `steps` times
-    /// and keeping the last return value.
-    ///
-    /// This is the congestion-avoidance half of the epoch transfer
-    /// engine's fast path: `advance` is a pure function of the
-    /// *accumulated* epoch time (intermediate windows feed nothing), so a
-    /// run of `steps` loss-free rounds needs exactly one polynomial
-    /// evaluation. The elapsed-time accumulator is still advanced step by
-    /// step — floating-point addition is not associative, and bit-parity
-    /// with the per-round reference loop matters more than saving `steps`
-    /// additions (they are the cheapest possible loop body).
-    ///
-    /// `cwnd_pkts` is only read when no epoch has started yet (mirroring
-    /// [`Cubic::advance`]'s origin initialisation). `steps == 0` returns
-    /// `cwnd_pkts` unchanged and touches nothing.
-    pub fn advance_closed_form(
-        &mut self,
-        steps: u64,
-        dt_secs: f64,
-        rtt_secs: f64,
-        cwnd_pkts: f64,
-    ) -> f64 {
-        if steps == 0 {
-            return cwnd_pkts;
-        }
-        if !self.epoch_started {
-            self.w_max = cwnd_pkts;
-            self.k = 0.0;
-            self.epoch_elapsed = 0.0;
-            self.epoch_started = true;
-        }
-        for _ in 0..steps {
-            self.epoch_elapsed += dt_secs;
-        }
-        self.window_at(self.epoch_elapsed, rtt_secs)
-    }
-
-    /// The target window at epoch time `t` — the exact expression
-    /// [`Cubic::advance`] evaluates, factored out so the closed form and
-    /// the per-round path cannot drift apart.
+    /// The target window at epoch time `t`: `max(W_cubic, W_est)`, never
+    /// below two packets.
     fn window_at(&self, t: f64, rtt_secs: f64) -> f64 {
         let w_cubic = self.c * (t - self.k).powi(3) + self.w_max;
         let w_est = self.w_max * self.beta
             + 3.0 * (1.0 - self.beta) / (1.0 + self.beta) * (t / rtt_secs.max(1e-6));
         w_cubic.max(w_est).max(2.0)
-    }
-
-    /// Closed-form estimate of how many further `dt_secs` steps the window
-    /// stays **below** `target_pkts`: inverts the cubic polynomial and the
-    /// TCP-friendly line and takes the earlier crossing (exact in real
-    /// arithmetic; off by at most ulps in floating point).
-    ///
-    /// This is an *estimate*, not a guarantee — callers must verify the
-    /// end state (see the epoch engine, which re-evaluates the window at
-    /// the candidate horizon and halves the skip until it proves safe).
-    /// Returns 0 when the window may cross immediately; `u64::MAX`-ish
-    /// large values when no crossing is in sight. When no epoch has
-    /// started, the origin is projected from `cwnd_pkts` exactly as
-    /// [`Cubic::advance`] would initialise it.
-    pub fn steps_below(
-        &self,
-        target_pkts: f64,
-        dt_secs: f64,
-        rtt_secs: f64,
-        cwnd_pkts: f64,
-    ) -> u64 {
-        if dt_secs <= 0.0 {
-            return 0;
-        }
-        let (w_max, k, elapsed) = if self.epoch_started {
-            (self.w_max, self.k, self.epoch_elapsed)
-        } else {
-            (cwnd_pkts, 0.0, 0.0)
-        };
-        // TCP-friendly crossing: w_max·β + 3(1−β)/(1+β)·t/rtt = target.
-        let rtt = rtt_secs.max(1e-6);
-        let slope = 3.0 * (1.0 - self.beta) / (1.0 + self.beta) / rtt;
-        let t_est = (target_pkts - w_max * self.beta) / slope.max(1e-300);
-        // The crossing of max(W_cubic, W_est) is the earlier individual
-        // crossing. If the cubic is still below target at the line's
-        // crossing, the line crosses first and the (expensive) cube root
-        // is never needed — the common case in the post-loss sawtooth,
-        // where the TCP-friendly region dominates.
-        let t_cross = if t_est.is_finite()
-            && t_est > 0.0
-            && self.c * (t_est - k).powi(3) + w_max <= target_pkts
-        {
-            t_est
-        } else {
-            let t_cubic = k + ((target_pkts - w_max) / self.c).cbrt();
-            t_cubic.min(t_est)
-        };
-        if !t_cross.is_finite() || t_cross <= elapsed {
-            return 0;
-        }
-        let steps = ((t_cross - elapsed) / dt_secs).floor();
-        if !steps.is_finite() {
-            return 0;
-        }
-        steps as u64
-    }
-
-    /// Seconds of congestion-avoidance time accumulated in the current
-    /// epoch (zero before any epoch starts).
-    pub fn epoch_elapsed(&self) -> f64 {
-        self.epoch_elapsed
-    }
-
-    /// Projects the target window at epoch time `elapsed` **without
-    /// mutating state** — the read-only counterpart of
-    /// [`Cubic::advance_closed_form`] used by solvers to verify a
-    /// candidate skip before committing. When no epoch has started the
-    /// origin is projected from `cwnd_pkts` exactly as `advance` would
-    /// initialise it.
-    ///
-    /// Callers comparing this against thresholds must leave a relative
-    /// guard: the committed value comes from the stepwise-accumulated
-    /// elapsed time, which drifts from the analytic `elapsed` by a few
-    /// ulps per step.
-    pub fn projected_window(&self, elapsed: f64, rtt_secs: f64, cwnd_pkts: f64) -> f64 {
-        if self.epoch_started {
-            self.window_at(elapsed, rtt_secs)
-        } else {
-            let w_cubic = self.c * elapsed.powi(3) + cwnd_pkts;
-            let w_est = cwnd_pkts * self.beta
-                + 3.0 * (1.0 - self.beta) / (1.0 + self.beta) * (elapsed / rtt_secs.max(1e-6));
-            w_cubic.max(w_est).max(2.0)
-        }
     }
 
     /// The time constant K (seconds) of the current epoch.
@@ -307,89 +184,5 @@ mod tests {
     #[should_panic(expected = "beta")]
     fn invalid_beta_rejected() {
         Cubic::new(0.4, 1.5);
-    }
-
-    #[test]
-    fn closed_form_advance_is_bit_identical_to_stepping() {
-        // Across loss epochs, RTT scales, and step counts, N sequential
-        // advances and one closed-form advance must agree exactly — both
-        // in return value and in internal state.
-        for (w0, rtt, dt) in [
-            (100.0, 0.5, 0.5),
-            (37.3, 0.02, 0.02),
-            (12.0, 0.035, 0.035),
-            (250.0, 0.1, 0.1),
-        ] {
-            for steps in [1u64, 2, 3, 7, 50, 513, 4096] {
-                let mut stepped = Cubic::default();
-                let reduced = stepped.on_loss(w0);
-                let mut closed = stepped.clone();
-
-                let mut w_stepped = reduced;
-                for _ in 0..steps {
-                    w_stepped = stepped.advance(dt, rtt, w_stepped);
-                }
-                let w_closed = closed.advance_closed_form(steps, dt, rtt, reduced);
-                assert_eq!(w_stepped.to_bits(), w_closed.to_bits(), "w0={w0} n={steps}");
-                assert_eq!(stepped, closed, "state diverged: w0={w0} n={steps}");
-            }
-        }
-    }
-
-    #[test]
-    fn closed_form_initialises_a_fresh_epoch_like_advance() {
-        let mut a = Cubic::default();
-        let mut b = Cubic::default();
-        let mut w = 20.0;
-        for _ in 0..17 {
-            w = a.advance(0.04, 0.04, w);
-        }
-        let w_closed = b.advance_closed_form(17, 0.04, 0.04, 20.0);
-        assert_eq!(w.to_bits(), w_closed.to_bits());
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn closed_form_zero_steps_is_identity() {
-        let mut c = Cubic::default();
-        c.on_loss(50.0);
-        let snapshot = c.clone();
-        assert_eq!(c.advance_closed_form(0, 0.05, 0.05, 35.0), 35.0);
-        assert_eq!(c, snapshot, "zero steps must not touch state");
-    }
-
-    #[test]
-    fn steps_below_estimate_is_boundary_accurate() {
-        // The estimate inverts the same polynomial the stepper evaluates:
-        // stepping the estimated count must stay within fp noise of the
-        // target (callers re-verify with a guard before trusting it), and
-        // one more step past a finite estimate must actually cross.
-        for (w0, rtt) in [(100.0, 0.05), (37.3, 0.02), (400.0, 0.25)] {
-            let mut c = Cubic::default();
-            let reduced = c.on_loss(w0);
-            for target_mult in [1.02, 1.2, 2.0] {
-                let target = w0 * target_mult;
-                let n = c.steps_below(target, rtt, rtt, reduced);
-                let n_check = n.min(100_000);
-                let mut probe = c.clone();
-                let mut w = reduced;
-                for i in 0..n_check {
-                    w = probe.advance(rtt, rtt, w);
-                    assert!(
-                        w <= target * (1.0 + 1e-9),
-                        "w0={w0} target={target}: crossed at step {i} of {n_check}"
-                    );
-                }
-                if n == n_check {
-                    // Two more steps must cross (floor + fp slop ≤ 1 step).
-                    let w1 = probe.advance(rtt, rtt, w);
-                    let w2 = probe.advance(rtt, rtt, w1);
-                    assert!(
-                        w2 >= target * (1.0 - 1e-9),
-                        "w0={w0} target={target}: estimate too conservative ({w2})"
-                    );
-                }
-            }
-        }
     }
 }

@@ -10,8 +10,8 @@
 //!   slow start, CUBIC congestion avoidance ([`cubic`]), slow-start restart
 //!   after idle, persistent-connection window reuse, and optional
 //!   server-side pacing (Trickle-style, the paper's \[12\]), executed by
-//!   an epoch-based engine that solves stable stretches in closed form
-//!   (bit-identical to the preserved per-RTT reference loop);
+//!   an epoch-based engine that stops sampling the link over stable
+//!   stretches (bit-identical to the preserved per-RTT reference loop);
 //! * [`profile`] — calibrated WiFi/LTE path recipes for the §5 emulated
 //!   testbed and the §6 production-YouTube environment;
 //! * [`mobility`] — outage schedules for the mobility/robustness scenarios;

@@ -10,9 +10,9 @@ use msim_core::units::BitRate;
 /// A window over which a link is *provably boring*: constant rate, constant
 /// RTT, zero per-round loss probability, no outage — and, crucially, no
 /// randomness consumed by any per-round sampling inside it. The epoch-based
-/// transfer engine ([`crate::tcp`]) collapses TCP rounds inside such
-/// windows into closed-form solves; see [`Link::stable_window`] for the
-/// exact contract.
+/// transfer engine ([`crate::tcp`]) steps TCP rounds inside such windows on
+/// these constants without touching the link; see [`Link::stable_window`]
+/// for the exact contract.
 #[derive(Clone, Copy, Debug)]
 pub struct StableWindow {
     /// The (effective, clamped) link rate holding over the window.

@@ -22,20 +22,19 @@
 //! Two interchangeable engines execute that model:
 //!
 //! * [`rounds`] — the reference **round loop**: one iteration per RTT,
-//!   exactly the historical implementation. It stays selectable because
+//!   every link interaction made explicitly. It stays selectable because
 //!   cross-crate differential tests select it as the baseline
 //!   (`transfer_engines.rs`, `core::sim`'s end-to-end engine agreement);
-//! * [`epoch`] — the default **epoch engine**: the same model decomposed
-//!   into composable phases (request latency, slow-start ramp, CUBIC
-//!   growth, pacing, drain, idle restart, dead link) over explicit epoch
-//!   boundaries. Wherever the link advertises a [`StableWindow`] (constant
-//!   rate/RTT, zero loss probability, *zero randomness consumed per
-//!   round*), the engine solves whole runs of rounds in closed form —
-//!   geometric sums in slow start, the CUBIC window polynomial in
-//!   congestion avoidance — and replays only the state arithmetic the
-//!   round loop would have performed, in the same order, so results are
-//!   **bit-identical**: same [`TransferResult`] model fields, same RNG
-//!   stream positions, same warm-connection state.
+//! * [`epoch`] — the default **epoch engine**: the same round, run over
+//!   explicit epoch boundaries. Wherever the link advertises a
+//!   [`StableWindow`] (constant rate/RTT, zero loss probability, *zero
+//!   randomness consumed per round*), the engine stops sampling the link
+//!   and steps rounds on the window's constants until it expires;
+//!   everywhere else it samples RTT, rate and the loss draw each round.
+//!   Both feed one round body that evaluates the round loop's arithmetic
+//!   in the round loop's order, so results are **bit-identical**: same
+//!   [`TransferResult`] model fields, same RNG stream positions, same
+//!   warm-connection state.
 //!
 //! Select an engine per connection via [`TcpConfig::engine`]; differential
 //! tests in `crates/net/tests/transfer_engines.rs` pin the equivalence
@@ -61,11 +60,12 @@ static ROUNDS_REQUESTS: LazyCounter =
 /// Which transfer engine a connection runs (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransferEngine {
-    /// The epoch-based engine with the closed-form fast path (default).
+    /// The epoch-based engine, which skips link sampling inside stable
+    /// windows (default).
     #[default]
     Epoch,
-    /// The per-RTT reference loop — bit-identical, slower on stable
-    /// links; keep it at hand for debugging and differential testing.
+    /// The per-RTT reference loop — bit-identical, samples the link every
+    /// round; keep it at hand for debugging and differential testing.
     RoundLoop,
 }
 
@@ -127,10 +127,11 @@ pub enum TransferOutcome {
 pub struct TransferStats {
     /// Stable-link epochs the engine ran fast-path rounds in.
     pub epochs: u32,
-    /// Rounds executed on the fast path (lean or closed-form-solved).
+    /// Rounds executed on the fast path: inside a stable window, with the
+    /// link's per-round sampling elided.
     pub fast_rounds: u32,
-    /// The subset of `fast_rounds` skipped by a closed-form solve
-    /// (geometric slow start, CUBIC polynomial, cap-limited runs).
+    /// Always 0 since the solver was removed; goes with the next
+    /// `DIGEST_EPOCH` bump and benchmark thaw.
     pub solved_rounds: u32,
 }
 
@@ -326,7 +327,11 @@ impl TcpConnection {
 
     /// Link rate, additionally capped by server pacing once past the burst.
     fn effective_rate(&self, link: &mut Link, t: SimTime) -> BitRate {
-        let link_rate = link.rate_at(t);
+        self.paced(link.rate_at(t))
+    }
+
+    /// `link_rate` capped by server pacing once past the burst.
+    fn paced(&self, link_rate: BitRate) -> BitRate {
         match self.pace {
             Some((burst, pace_rate)) if self.total_delivered >= burst => {
                 BitRate::bps(link_rate.as_bps().min(pace_rate.as_bps()))
@@ -524,6 +529,15 @@ mod tests {
             conn.request(&mut link, ready, ByteSize::mb(3)).completed_at
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn stable_link_rounds_are_all_fast_and_none_solved() {
+        let mut link = crate::profile::PathProfile::stable(10.0, 20).build(&mut Prng::new(7));
+        let (mut conn, ready) = connected(TcpConfig::default(), &mut link);
+        let res = conn.request(&mut link, ready, ByteSize::mb(4));
+        assert_eq!(res.stats.solved_rounds, 0);
+        assert_eq!(res.stats.fast_rounds, res.rounds);
     }
 
     #[test]

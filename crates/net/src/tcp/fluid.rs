@@ -1,23 +1,21 @@
-//! Flow-level (fluid) transfer approximations built on the epoch engine's
-//! closed forms.
+//! Flow-level (fluid) transfer approximations of the round model's
+//! slow-start ramp.
 //!
-//! The epoch engine ([`super::epoch`]) solves whole runs of TCP rounds in
-//! closed form — the geometric slow-start doubling, the CUBIC window
-//! polynomial — but still executes every *chunk* of a session. A fleet
-//! simulation coupling 100k+ concurrent sessions cannot afford even that:
-//! it models each session as a *fluid* that downloads at the min of its
-//! access rate and its fair share of a server's service rate, and only
-//! needs TCP for the one place the fluid picture is wrong — connection
-//! startup, where slow start keeps the flow below its steady rate for a
-//! few RTTs.
+//! The transfer engines ([`super::epoch`], [`super::rounds`]) execute
+//! every round of every *chunk* of a session. A fleet simulation coupling
+//! 100k+ concurrent sessions cannot afford that: it models each session
+//! as a *fluid* that downloads at the min of its access rate and its fair
+//! share of a server's service rate, and only needs TCP for the one place
+//! the fluid picture is wrong — connection startup, where slow start
+//! keeps the flow below its steady rate for a few RTTs.
 //!
-//! [`startup_ramp`] reuses the doubling progression that the epoch
-//! engine's `solve_slow_start_doubling` commits round by round: doubling
-//! round `j` offers `iw · 2^(j-1)` packets, so after
-//! `r = ⌈log2(target / iw)⌉` rounds the window covers the
-//! bandwidth-delay product and the flow runs at rate. The helper returns
-//! that ramp's latency and byte deficit in closed form, which a fluid
-//! session charges once as startup overhead instead of simulating rounds.
+//! [`startup_ramp`] is the doubling progression a window-limited slow
+//! start steps through round by round: doubling round `j` offers
+//! `iw · 2^(j-1)` packets, so after `r = ⌈log2(target / iw)⌉` rounds the
+//! window covers the bandwidth-delay product and the flow runs at rate.
+//! The helper returns that ramp's latency and byte deficit in closed form,
+//! which a fluid session charges once as startup overhead instead of
+//! simulating rounds.
 
 use msim_core::time::SimDuration;
 use msim_core::units::{BitRate, ByteSize};
@@ -41,12 +39,12 @@ pub struct FluidRamp {
 /// How long a fresh connection needs before it streams at `rate`, and how
 /// many bytes arrive while it gets there.
 ///
-/// The model is the epoch engine's slow-start geometry: the window starts
+/// The model is the round model's slow-start geometry: the window starts
 /// at `initial_cwnd_pkts · mss` bytes and doubles once per RTT until it
 /// covers `min(BDP, rwnd)`; the handshake and the request each cost one
 /// more RTT. Doubling round `j` delivers `iw · 2^(j-1)` bytes, so the
-/// whole ramp delivers `iw · (2^r − 1)` — the same geometric sum
-/// `solve_slow_start_doubling` replays round by round.
+/// whole ramp delivers `iw · (2^r − 1)`, the geometric sum of the rounds
+/// a transfer engine would step.
 pub fn startup_ramp(cfg: &TcpConfig, rtt: SimDuration, rate: BitRate) -> FluidRamp {
     let mss = f64::from(cfg.mss);
     let iw_bytes = (cfg.initial_cwnd_pkts * mss).max(mss);

@@ -1,10 +1,11 @@
 //! The reference per-RTT round loop.
 //!
-//! This is the historical `TcpConnection::request` body, preserved verbatim
-//! as the differential baseline for the epoch engine: one loop iteration
-//! per TCP round, every link interaction performed explicitly.
-//! `crates/net/tests/transfer_engines.rs` pins the epoch engine
-//! against this loop bit-for-bit — model result fields, RNG stream
+//! The model in its plainest form: one loop iteration per TCP round, every
+//! link interaction (`rtt_at`, `rate_at`, `random_loss`) performed
+//! explicitly each round. It is the differential baseline for the epoch
+//! engine, which runs the same round but stops calling the link inside
+//! stable windows: `crates/net/tests/transfer_engines.rs` pins the epoch
+//! engine against this loop bit-for-bit — model result fields, RNG stream
 //! positions, and warm-connection state — across randomized link profiles,
 //! mobility handoffs, idle-restart gaps, and loss regimes.
 //!

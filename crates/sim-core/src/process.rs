@@ -31,9 +31,9 @@ pub trait Process: Send {
     ///
     /// Callers must have advanced the process to `t` (via `value_at`)
     /// before asking. This is the contract the epoch-based TCP transfer
-    /// engine uses to collapse stable stretches into closed-form solves
-    /// (see `msim_net::tcp`); conservative implementations simply return
-    /// `None` and fall back to per-sample stepping.
+    /// engine uses to stop sampling over stable stretches (see
+    /// `msim_net::tcp`); conservative implementations simply return `None`
+    /// and are sampled every round.
     fn stable_until(&self, _t: SimTime) -> Option<SimTime> {
         None
     }

@@ -321,6 +321,8 @@ pub fn counter_with(name: &str, labels: &[(&str, &str)]) -> &'static Counter {
 /// scrape always exposes the full core schema — a zero
 /// `msp_transfer_fast_rounds_total` is a statement that no stable-link
 /// epoch ran, where an absent series says nothing.
+/// `msp_transfer_solved_rounds_total` is always 0 since the solver was
+/// removed; it goes with the next `DIGEST_EPOCH` bump and benchmark thaw.
 pub const CORE_COUNTERS: &[&str] = &[
     "msp_sessions_total",
     "msp_event_pushes_total",

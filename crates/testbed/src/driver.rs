@@ -206,9 +206,9 @@ pub fn run_testbed_session(session: &TestbedSession) -> std::io::Result<SessionM
         let _ = w.join();
     }
     // Real-socket transfers have no simulated TCP engine, so the
-    // `SessionMetrics::transfer_*` telemetry (epochs / fast rounds /
-    // solved rounds of the simulator's epoch transfer engine) stays at
-    // its zero default here — the testbed measures wall-clock transfers,
+    // `SessionMetrics::transfer_*` telemetry (epochs / fast rounds of
+    // the simulator's epoch transfer engine) stays at its zero default
+    // here — the testbed measures wall-clock transfers,
     // not model rounds.
     Ok(player.into_metrics(clock.now().max(last_now)))
 }

@@ -133,6 +133,51 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(t)
         });
     });
+    // The fluid fleet's regime (ns per push+pop pair): 100k sessions each
+    // keep one wake pending and every pop re-arms it 0.1 ms–30 s out, so
+    // the pending set is far bigger than the caches.
+    c.bench_function("event_queue/fleet_100k_live_wake_cycle", |b| {
+        let mut q = EventQueue::<u32>::with_capacity(100_000);
+        for s in 0..100_000u32 {
+            q.push(SimTime::from_micros(wake_delay_us(s)), s);
+        }
+        let mut i = 0u32;
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            let (t, s) = q.pop().expect("queue never drains");
+            q.push(t + SimDuration::from_micros(wake_delay_us(s ^ i)), s);
+            black_box(t)
+        });
+    });
+    // An overloaded fleet's regime: 20k stalled sessions all wake within
+    // the same millisecond, every two simulated seconds, so the mean
+    // inter-pop gap says nothing about where the events are.
+    c.bench_function("event_queue/stalled_bursts_20k_live", |b| {
+        const PERIOD_US: u64 = 2_000_000;
+        let mut q = EventQueue::<u32>::with_capacity(20_000);
+        for s in 0..20_000u32 {
+            q.push(
+                SimTime::from_micros(PERIOD_US + wake_delay_us(s) % 1_000),
+                s,
+            );
+        }
+        let mut i = 0u32;
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            let (t, s) = q.pop().expect("queue never drains");
+            let next_burst = (t.as_micros() / PERIOD_US + 1) * PERIOD_US;
+            q.push(
+                SimTime::from_micros(next_burst + wake_delay_us(s ^ i) % 1_000),
+                s,
+            );
+            black_box(t)
+        });
+    });
+}
+
+/// A deterministic wake distance in 0.1 ms–30 s, scattered by `salt`.
+fn wake_delay_us(salt: u32) -> u64 {
+    100 + (salt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % 30_000_000
 }
 
 fn bench_json(c: &mut Criterion) {

@@ -3,8 +3,8 @@
 //! exact-mode anchor demonstrating backend interop.
 //!
 //! All specs are pure functions of their inputs (seeded from
-//! [`crate::BASE_SEED`]), so the committed `BENCH_fleet.json` is
-//! reproducible bit-for-bit.
+//! [`crate::BASE_SEED`]), so the `BENCH_fleet.json` that `fleet_bench`
+//! writes is reproducible bit-for-bit.
 
 use crate::BASE_SEED;
 use msim_core::time::SimDuration;

@@ -16,8 +16,9 @@
 //!   fleet's shared state in as a [`FleetLoad`] (injected per-server
 //!   session counts, a pacing override charging the session its fair
 //!   capacity share, and a scaled admission threshold). With an empty
-//!   load this is bit-identical to [`SessionHost::run`]
-//!   (`tests/fleet.rs` pins the N=1 anchor).
+//!   load this is bit-identical to
+//!   [`SessionHost::run`](crate::sim::SessionHost::run) (`tests/fleet.rs`
+//!   pins the N=1 anchor).
 //! * **Fluid** ([`FleetMode::Fluid`]) advances each session at flow level
 //!   — per-server per-access-class virtual byte clocks integrate the fair
 //!   share `min(a_k, C_s/n_s)` exactly between membership events, and the
@@ -25,7 +26,8 @@
 //!   ([`msim_net::tcp::fluid::startup_ramp`]) charges each arrival its
 //!   connection-ramp deficit. A session costs O(refill cycles) events
 //!   instead of O(chunks × rounds), so 100k+ concurrent coupled sessions
-//!   fit in one process (`BENCH_fleet.json` demonstrates this).
+//!   fit in one process (the benchmark's `fleet_fluid` workload runs
+//!   120 000).
 //!
 //! Both backends run in **one deterministic event loop**: same seed ⇒
 //! bit-identical [`FleetMetrics`], independent of [`FleetSpec::workers`]
@@ -512,7 +514,7 @@ pub struct FleetMetrics {
     /// Total fleet cost (standing + egress).
     pub total_cost: f64,
     /// Mean per-session QoE ([`qoe_score`]; rejected sessions score
-    /// [`REJECTED_QOE`]).
+    /// `REJECTED_QOE`).
     pub mean_qoe: f64,
     /// Exact mode: every session's full [`SessionMetrics`], in arrival
     /// order (empty in fluid mode).

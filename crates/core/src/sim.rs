@@ -548,7 +548,7 @@ impl SessionHost {
     ///
     /// Beyond one-time validation, batching keeps every session on the
     /// host's warm storage: the event queue's calendar buckets, the
-    /// bootstrap cache, and the [`SessionScratch`] per-path arenas
+    /// bootstrap cache, and the `SessionScratch` per-path arenas
     /// (links, connections, path runtimes, ready times) are all reused
     /// across seeds, so consecutive sessions run over the same hot cache
     /// lines instead of a fresh heap layout per seed.

@@ -23,7 +23,7 @@
 //! expires: Markov/burst state switch, scheduled outage) or the transfer
 //! completes. A link with jitter or a loss probability consumes randomness
 //! every round and never opens a window, so the engine asks
-//! [`Link::can_be_stable`] once per request and then samples every round.
+//! `Link::can_be_stable` once per request and then samples every round.
 //!
 //! # The bit-identity argument
 //!

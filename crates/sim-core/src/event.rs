@@ -7,45 +7,58 @@
 //!
 //! ## Implementation
 //!
-//! A **two-level scheduler** over a **generation-stamped slab**:
+//! An **intrusive calendar queue** (Brown 1988) over a
+//! **generation-stamped slab**:
 //!
-//! * a **calendar ring** (timing-wheel-style array of time buckets) holds
-//!   the *near-horizon* events that dominate the simulator — path
-//!   readiness, chunk completions, ticks. Push is O(1) (compute the bucket,
-//!   append); pop scans forward from the clock's bucket, which is O(1)
-//!   amortised when the bucket width matches the event spacing;
-//! * a **4-ary min-heap** absorbs the *far-future* overflow — failure
-//!   windows, recovery timers, session deadlines. Heap roots migrate into
-//!   the ring as the clock approaches them, so the ring always holds the
-//!   earliest events and a non-empty ring never needs to consult the heap
-//!   on pop;
-//! * the **bucket width adapts** to the observed workload: it is re-derived
-//!   from the average inter-pop spacing every few hundred pops (so sparse
-//!   timer patterns get wide buckets and dense ones narrow buckets), and a
-//!   push that finds the ring overfull narrows it immediately. Width only
-//!   affects *speed* — the pop order is the strict `(time, seq)` total
-//!   order for every width, which is what lets the width adapt freely
-//!   without perturbing replays (asserted by the differential test);
-//! * cancellation is **O(1)**: it flips the slab slot's state to a
-//!   tombstone that `pop` discards (and reclaims) when the entry surfaces.
-//!   There is no side `HashSet` — the pop path does zero hash lookups — and
-//!   slots are recycled through a free list, so memory stays bounded by the
-//!   peak number of pending events;
-//! * slot reuse bumps a generation counter, so a stale [`EventId`] can
-//!   never cancel an unrelated later event;
+//! * every pending event is **one slab node** holding its ordering key
+//!   `(at, seq)`, its list link, its generation, its liveness and its
+//!   payload, so whatever touches an event touches one cache line;
+//! * the **ring** is a `Vec<u32>` of list heads, one per *day* (a
+//!   `1 << shift` µs slice of simulated time). Push computes the day and
+//!   prepends the node: O(1), no comparison, no allocation;
+//! * the **cursor day**'s events sit in a small 4-ary min-heap (`today`),
+//!   filled when the cursor reaches a bucket, so a bucket is ordered once,
+//!   on arrival, however crowded it is: 10⁵ events at one instant cost
+//!   O(log n) each, not a rescan per pop. Pop takes the heap's root; when
+//!   it runs dry the cursor walks the heads to the next occupied day;
+//! * a second 4-ary heap (`far`) keeps `(at, seq, slot)` for events
+//!   beyond the ring's *year* (`buckets × width`); its roots are relinked
+//!   into the ring as the cursor approaches them, so `today` < ring <
+//!   `far` in time and pop never compares across tiers;
+//! * **sizing follows the pending set.** The bucket count is the power of
+//!   two above twice the live count `L` (a head costs 4 bytes) and the
+//!   width is the power of two above the mean inter-pop gap `g`, or one
+//!   step wider (`g < width ≤ 4g`, ≈ 2 events a bucket). By Little's law
+//!   the mean scheduling distance is `L·g`, so the year spans at least 2×
+//!   (typically 4×) that distance: almost every push lands in the ring and
+//!   is handled once. Both are re-derived at most once per
+//!   `max(ADAPT_EVERY, L)` pops, and a re-derivation relinks only what
+//!   the ring holds (`L` nodes plus unreclaimed tombstones), so
+//!   redistribution is ≤ 1 relink per pop amortised whatever the workload
+//!   does (a push-side growth step, taken when `L` outgrows the ring, adds
+//!   ≤ 2 relinks per push of a pure fill). Sizing only affects *speed*:
+//!   the pop order is the strict `(time, seq)` order for every width and
+//!   count (asserted by the differential tests);
+//! * cancellation is **O(1)**: it flips the node to a tombstone, which is
+//!   reclaimed when the cursor reaches its day. Slots are recycled through
+//!   a free list, so memory stays bounded by the peak pending count, and
+//!   slot reuse bumps the generation, so a stale [`EventId`] can never
+//!   cancel an unrelated later event;
 //! * [`EventQueue::reset`] returns the queue to its pristine state while
-//!   keeping every allocation (ring buckets, heap, slab) *and* the adapted
-//!   bucket width, so drivers that run many sessions back-to-back (batch
-//!   hosts, sweep workers) pay the warm-up once.
+//!   keeping every allocation (heads, heaps, slab) *and* the adapted
+//!   sizing, so drivers that run many sessions back-to-back (batch hosts,
+//!   sweep workers) pay the warm-up once.
 //!
 //! ## Reference
 //!
 //! The seed implementation (`BinaryHeap + HashSet` lazy cancellation)
-//! survives test-only as `legacy::LegacyQueue`. One randomized differential
-//! test drives both queues through the same wide-horizon schedule
-//! (same-bucket, near, seconds-out and minutes-out pushes, past-scheduled
-//! saturation, stale cancels, peeks) and asserts identical behaviour at
-//! every step.
+//! survives test-only as `legacy::LegacyQueue`. Randomized differential
+//! tests drive both queues in lockstep through a wide-horizon session
+//! schedule (same-bucket, near, seconds-out and minutes-out pushes,
+//! past-scheduled saturation, stale cancels, peeks), a fleet-shaped one
+//! (50 000 live, every pop re-arms) and a stalled-population one (bursts
+//! of near-simultaneous wakes), asserting identical behaviour at every
+//! step.
 
 use crate::time::SimTime;
 
@@ -73,7 +86,7 @@ pub struct QueueOps {
     pub cancels: u64,
 }
 
-/// Ring/heap entry: ordering key inline, payload in the slab.
+/// Heap entry: a node's ordering key beside its slab index.
 #[derive(Clone, Copy)]
 struct Entry {
     at: SimTime,
@@ -91,23 +104,30 @@ impl Entry {
 enum Slot<E> {
     /// Pending event.
     Occupied(E),
-    /// Cancelled; its ring/heap entry has not surfaced yet.
+    /// Cancelled; still linked in the ring or held by a heap entry.
     Tombstone,
-    /// Recyclable (not referenced by any entry).
+    /// Recyclable (referenced by nothing).
     Free,
 }
 
+/// One slab cell: everything the queue knows about one event.
+struct Node<E> {
+    at: SimTime,
+    seq: u64,
+    /// Next node of the same ring bucket ([`NIL`] ends the list).
+    next: u32,
+    gen: u32,
+    slot: Slot<E>,
+}
+
+/// End of a bucket list / empty bucket.
+const NIL: u32 = u32::MAX;
+
 const ARITY: usize = 4;
 
-/// Initial (and minimum) calendar bucket count; the ring covers
-/// `buckets.len() << shift` microseconds ahead of the clock. The count
-/// doubles when occupancy outgrows it (classic calendar-queue resizing),
-/// up to [`MAX_BUCKETS`], so big pending sets stay ring-resident.
+/// Initial (and minimum) bucket count; the ring covers
+/// `buckets.len() << shift` microseconds ahead of the clock.
 const MIN_BUCKETS: usize = 128;
-
-/// Bucket-count ceiling (2^16 `Vec` headers ≈ 1.5 MB; beyond this the far
-/// heap absorbs the excess).
-const MAX_BUCKETS: usize = 65_536;
 
 /// Initial bucket width exponent: 2^13 µs ≈ 8 ms buckets, ≈ 1 s horizon.
 const DEFAULT_SHIFT: u32 = 13;
@@ -116,16 +136,11 @@ const DEFAULT_SHIFT: u32 = 13;
 const MIN_SHIFT: u32 = 3;
 const MAX_SHIFT: u32 = 24;
 
-/// Pops between width re-derivations from the observed inter-pop spacing.
+/// Fewest pops between two re-derivations of the ring's sizing (a queue
+/// with more live events than this waits for that many pops instead).
 const ADAPT_EVERY: u64 = 256;
 
-/// A push that lands in a bucket already holding this many entries
-/// narrows the bucket width immediately (a burst denser than the adapted
-/// width would otherwise degrade pops into linear bucket scans until the
-/// next pop-side adaptation).
-const BUCKET_OVERFULL: usize = 64;
-
-/// A deterministic two-level priority queue of timestamped events.
+/// A deterministic priority queue of timestamped events.
 ///
 /// ```
 /// use msim_core::event::EventQueue;
@@ -139,24 +154,25 @@ const BUCKET_OVERFULL: usize = 64;
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    /// Near-horizon calendar ring (`buckets.len()` is a power of two that
-    /// adapts to occupancy). Bucket `b` holds entries whose "day"
-    /// (`at >> shift`) satisfies `day % buckets.len() == b` and lies within
-    /// `[cursor_day, cursor_day + buckets.len())`; within one such window
+    /// Calendar ring: the head node of each bucket's list (`buckets.len()`
+    /// is a power of two). Bucket `b` links the nodes whose day
+    /// (`at >> shift`) satisfies `day % buckets.len() == b` and lies in
+    /// `(cursor_day, cursor_day + buckets.len())`; within one such window
     /// the mapping day → bucket is bijective, so a bucket never mixes days.
-    buckets: Vec<Vec<Entry>>,
-    /// Entries currently in the ring (live + tombstoned).
+    buckets: Vec<u32>,
+    /// Nodes currently linked in the ring (live + tombstoned).
     near_len: usize,
     /// Bucket width is `1 << shift` microseconds.
     shift: u32,
-    /// The clock's day: `now >> shift`. Only advances.
+    /// The day `today` holds: `now >> shift` whenever `pop` is not running.
     cursor_day: u64,
-    /// Far-future overflow: 4-ary min-heap on `(at, seq)`. Invariant: every
-    /// entry's day is `>= cursor_day + buckets.len()` (maintained by
-    /// migration on cursor advance), so the ring always wins while
-    /// non-empty.
+    /// The cursor day's events: 4-ary min-heap on `(at, seq)`.
+    today: Vec<Entry>,
+    /// Events beyond the ring: 4-ary min-heap on `(at, seq)`. Invariant:
+    /// every entry's day is `>= cursor_day + buckets.len()` (maintained by
+    /// migration on cursor advance).
     far: Vec<Entry>,
-    slots: Vec<(u32, Slot<E>)>,
+    slots: Vec<Node<E>>,
     free: Vec<u32>,
     live: usize,
     next_seq: u64,
@@ -168,12 +184,14 @@ pub struct EventQueue<E> {
     /// publish per-session deltas into the telemetry registry without the
     /// queue depending on it.
     ops: QueueOps,
-    /// Adaptation state: inter-pop spacing accumulator.
+    /// Adaptation state: pops since the sizing was last re-derived, and the
+    /// clock at that moment (their quotient is the mean inter-pop gap).
     pops_since_adapt: u64,
-    gap_sum_us: u64,
-    last_pop_us: u64,
-    /// Scratch for re-bucketing (kept to reuse its allocation).
-    scratch: Vec<Entry>,
+    adapted_at_us: u64,
+    /// Entries re-placed by [`EventQueue::rebucket`] (the amortisation
+    /// bound's test reads it).
+    #[cfg(test)]
+    relinked: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -192,10 +210,11 @@ impl<E> EventQueue<E> {
     /// reallocating the slab.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            buckets: vec![NIL; MIN_BUCKETS],
             near_len: 0,
             shift: DEFAULT_SHIFT,
             cursor_day: 0,
+            today: Vec::new(),
             far: Vec::new(),
             slots: Vec::with_capacity(cap),
             free: Vec::new(),
@@ -205,23 +224,22 @@ impl<E> EventQueue<E> {
             saturated_pushes: 0,
             ops: QueueOps::default(),
             pops_since_adapt: 0,
-            gap_sum_us: 0,
-            last_pop_us: 0,
-            scratch: Vec::new(),
+            adapted_at_us: 0,
+            #[cfg(test)]
+            relinked: 0,
         }
     }
 
     /// Empties the queue and rewinds the clock to zero, keeping every
-    /// allocation (ring buckets, heap, slab, free list) and the adapted
-    /// bucket width. Batch drivers call this between sessions so bucket
-    /// storage is reused; the width carries over because it influences only
-    /// speed, never pop order.
+    /// allocation (ring, heaps, slab, free list) and the adapted sizing.
+    /// Batch drivers call this between sessions so storage is reused; the
+    /// sizing carries over because it influences only speed, never pop
+    /// order.
     pub fn reset(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
+        self.buckets.fill(NIL);
         self.near_len = 0;
         self.cursor_day = 0;
+        self.today.clear();
         self.far.clear();
         self.slots.clear();
         self.free.clear();
@@ -231,8 +249,7 @@ impl<E> EventQueue<E> {
         self.saturated_pushes = 0;
         self.ops = QueueOps::default();
         self.pops_since_adapt = 0;
-        self.gap_sum_us = 0;
-        self.last_pop_us = 0;
+        self.adapted_at_us = 0;
     }
 
     /// Pre-allocates slab room for `cap` pending events (capacity hint for
@@ -280,60 +297,33 @@ impl<E> EventQueue<E> {
 
         let slot = match self.free.pop() {
             Some(idx) => {
-                self.slots[idx as usize].1 = Slot::Occupied(payload);
+                let node = &mut self.slots[idx as usize];
+                (node.at, node.seq, node.slot) = (at, seq, Slot::Occupied(payload));
                 idx
             }
             None => {
-                let idx = u32::try_from(self.slots.len()).expect("event slab exhausted");
-                self.slots.push((0, Slot::Occupied(payload)));
+                let idx = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&idx| idx != NIL)
+                    .expect("event slab exhausted");
+                self.slots.push(Node {
+                    at,
+                    seq,
+                    next: NIL,
+                    gen: 0,
+                    slot: Slot::Occupied(payload),
+                });
                 idx
             }
         };
-        let gen = self.slots[slot as usize].0;
+        let gen = self.slots[slot as usize].gen;
         self.live += 1;
-
-        let target_bucket = self.insert_entry(Entry { at, seq, slot });
-        // Two push-side pressure valves (the pop-side adaptation handles
-        // the steady state):
-        // * a single overfull bucket means the width is far too wide for a
-        //   burst — narrow immediately so pops don't degrade into linear
-        //   bucket scans (same-instant events can't be separated by any
-        //   width; MIN_SHIFT bounds the cascade);
-        // * a ring outgrown overall doubles its bucket count so the
-        //   pending set stays ring-resident (classic calendar-queue
-        //   resizing); at the count ceiling, narrow the width instead
-        //   (excess spills to the heap and migrates back as the clock
-        //   advances).
-        if let Some(b) = target_bucket {
-            if self.buckets[b].len() > BUCKET_OVERFULL && self.shift > MIN_SHIFT {
-                // Derive the width from the burst's measured span (aim for
-                // ~8 entries per bucket) so one redistribution absorbs the
-                // density regime instead of a cascade of fixed steps.
-                let bucket = &self.buckets[b];
-                let (mut lo, mut hi) = (u64::MAX, 0u64);
-                for e in bucket {
-                    let us = e.at.as_micros();
-                    lo = lo.min(us);
-                    hi = hi.max(us);
-                }
-                let per_bucket = (hi - lo) * 8 / bucket.len() as u64;
-                let target = if per_bucket == 0 {
-                    MIN_SHIFT
-                } else {
-                    (64 - per_bucket.leading_zeros()).clamp(MIN_SHIFT, MAX_SHIFT)
-                };
-                if target < self.shift {
-                    self.rebucket(target, self.buckets.len());
-                }
-            }
-        }
-        if self.near_len > 2 * self.buckets.len() {
-            if self.buckets.len() < MAX_BUCKETS {
-                let nb = self.buckets.len() * 2;
-                self.rebucket(self.shift, nb);
-            } else if self.shift > MIN_SHIFT {
-                self.rebucket(self.shift - 1, self.buckets.len());
-            }
+        self.place(Entry { at, seq, slot });
+        // A pending set that outgrew the ring would pile into the far heap
+        // and be handled twice: grow now rather than at the next pop-side
+        // re-derivation (a fill pushes before it pops).
+        if self.live > self.buckets.len() {
+            self.rebucket(self.shift, (2 * self.live).next_power_of_two());
         }
         (EventId { slot, gen }, saturated)
     }
@@ -355,13 +345,13 @@ impl<E> EventQueue<E> {
     /// still pending (it will be silently skipped when its time comes).
     /// O(1): no ring or heap restructuring, no hashing.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some((gen, slot)) = self.slots.get_mut(id.slot as usize) else {
+        let Some(node) = self.slots.get_mut(id.slot as usize) else {
             return false;
         };
-        if *gen != id.gen || !matches!(slot, Slot::Occupied(_)) {
+        if node.gen != id.gen || !matches!(node.slot, Slot::Occupied(_)) {
             return false;
         }
-        *slot = Slot::Tombstone;
+        node.slot = Slot::Tombstone;
         self.live -= 1;
         self.ops.cancels += 1;
         true
@@ -373,28 +363,18 @@ impl<E> EventQueue<E> {
     /// push/cancel churn cannot grow memory).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
-            if self.near_len > 0 {
-                if let Some(entry) = self.take_near_min() {
-                    let payload = self
-                        .release_slot(entry.slot)
-                        .expect("near min is checked live");
-                    self.live -= 1;
-                    self.ops.pops += 1;
-                    self.advance_now(entry.at);
-                    return Some((entry.at, payload));
+            let Some(entry) = heap_pop(&mut self.today) else {
+                if self.next_day() {
+                    continue;
                 }
-                // The ring held only tombstones; they are reclaimed now.
-                continue;
-            }
-            let entry = self.far_pop_root()?;
-            match self.release_slot(entry.slot) {
-                Some(payload) => {
-                    self.live -= 1;
-                    self.ops.pops += 1;
-                    self.advance_now(entry.at);
-                    return Some((entry.at, payload));
-                }
-                None => continue, // tombstone: slot recycled, skip
+                return None;
+            };
+            // A tombstone's slot is recycled here, where it surfaces.
+            if let Some(payload) = self.release_slot(entry.slot) {
+                self.live -= 1;
+                self.ops.pops += 1;
+                self.advance_now(entry.at);
+                return Some((entry.at, payload));
             }
         }
     }
@@ -407,31 +387,29 @@ impl<E> EventQueue<E> {
         if self.live == 0 {
             return None;
         }
-        // Ring first: within the current window, bucket order is day order,
-        // so the first bucket containing a live entry holds the ring's min.
+        // `today` < ring < `far` in time, and within the ring bucket order
+        // is day order: the first tier (and bucket) holding a live event
+        // holds the earliest. Heaps are scanned whole because a pure peek
+        // cannot rotate a tombstoned root away.
+        let heap_min = |heap: &[Entry]| heap.iter().filter_map(|e| self.live_at(e.slot)).min();
+        if let Some(at) = heap_min(&self.today) {
+            return Some(at);
+        }
         if self.near_len > 0 {
             let nb = self.buckets.len() as u64;
-            for k in 0..nb {
-                let day = self.cursor_day.saturating_add(k);
-                let bucket = &self.buckets[(day & (nb - 1)) as usize];
-                let min = bucket
-                    .iter()
-                    .filter(|e| self.slot_is_live(e.slot))
-                    .map(|e| e.key())
-                    .min();
-                if let Some((at, _)) = min {
-                    return Some(at);
+            for day in self.cursor_day + 1..self.cursor_day + nb {
+                let mut slot = self.buckets[(day & (nb - 1)) as usize];
+                let mut min = None;
+                while slot != NIL {
+                    min = self.live_at(slot).into_iter().chain(min).min();
+                    slot = self.slots[slot as usize].next;
+                }
+                if min.is_some() {
+                    return min;
                 }
             }
         }
-        // Far heap: linear scan over live entries (the heap may have a
-        // tombstoned root, which a pure peek cannot rotate away).
-        self.far
-            .iter()
-            .filter(|e| self.slot_is_live(e.slot))
-            .map(|e| e.key())
-            .min()
-            .map(|(at, _)| at)
+        heap_min(&self.far)
     }
 
     /// Number of live (non-cancelled) events still pending.
@@ -450,23 +428,25 @@ impl<E> EventQueue<E> {
         1 << self.shift
     }
 
-    /// The current calendar bucket count (exposed for tests; doubles as
-    /// occupancy outgrows the ring and shrinks back when it drains).
+    /// The current calendar bucket count (exposed for tests; follows the
+    /// number of pending events up and back down).
     pub fn ring_buckets(&self) -> usize {
         self.buckets.len()
     }
 
+    /// The timestamp of `slot`'s event unless it was cancelled.
     #[inline]
-    fn slot_is_live(&self, slot: u32) -> bool {
-        matches!(self.slots[slot as usize].1, Slot::Occupied(_))
+    fn live_at(&self, slot: u32) -> Option<SimTime> {
+        let node = &self.slots[slot as usize];
+        matches!(node.slot, Slot::Occupied(_)).then_some(node.at)
     }
 
     /// Frees `slot`, bumping its generation; returns the payload if it was
     /// still occupied (`None` for tombstones).
     fn release_slot(&mut self, slot: u32) -> Option<E> {
-        let cell = &mut self.slots[slot as usize];
-        cell.0 = cell.0.wrapping_add(1);
-        let payload = match std::mem::replace(&mut cell.1, Slot::Free) {
+        let node = &mut self.slots[slot as usize];
+        node.gen = node.gen.wrapping_add(1);
+        let payload = match std::mem::replace(&mut node.slot, Slot::Free) {
             Slot::Occupied(p) => Some(p),
             Slot::Tombstone => None,
             Slot::Free => unreachable!("slot freed twice"),
@@ -475,202 +455,179 @@ impl<E> EventQueue<E> {
         payload
     }
 
-    /// Routes an entry to the ring (within the horizon) or the far heap.
-    /// Returns the ring bucket it landed in, if any.
+    /// Routes an entry by its day: `today`, a ring bucket, or the far heap.
     #[inline]
-    fn insert_entry(&mut self, entry: Entry) -> Option<usize> {
+    fn place(&mut self, entry: Entry) {
         let day = entry.at.as_micros() >> self.shift;
         debug_assert!(day >= self.cursor_day, "entry behind the clock");
         let nb = self.buckets.len() as u64;
-        if day < self.cursor_day.saturating_add(nb) {
-            let b = (day & (nb - 1)) as usize;
-            self.buckets[b].push(entry);
+        if day == self.cursor_day {
+            heap_push(&mut self.today, entry);
+        } else if day - self.cursor_day < nb {
+            let head = &mut self.buckets[(day & (nb - 1)) as usize];
+            self.slots[entry.slot as usize].next = *head;
+            *head = entry.slot;
             self.near_len += 1;
-            Some(b)
         } else {
-            self.far.push(entry);
-            self.far_sift_up(self.far.len() - 1);
-            None
+            heap_push(&mut self.far, entry);
         }
     }
 
-    /// Removes and returns the ring's earliest live entry, reclaiming every
-    /// tombstone encountered on the way. `None` when the ring held only
-    /// tombstones (all reclaimed; `near_len` is 0 afterwards).
-    fn take_near_min(&mut self) -> Option<Entry> {
-        let nb = self.buckets.len() as u64;
-        for k in 0..nb {
-            if self.near_len == 0 {
-                return None;
+    /// With `today` drained, moves the cursor to the next day that holds
+    /// anything and loads it. `false` when nothing is pending at all.
+    fn next_day(&mut self) -> bool {
+        if self.near_len == 0 {
+            // Empty ring: jump to the far root, which migrates into `today`.
+            let Some(root) = self.far.first() else {
+                // The cursor may have run ahead of the clock over days of
+                // tombstones; nothing is linked, so it can step back.
+                self.cursor_day = self.now.as_micros() >> self.shift;
+                return false;
+            };
+            self.cursor_day = root.at.as_micros() >> self.shift;
+        } else {
+            let mask = self.buckets.len() as u64 - 1;
+            let mut slot = NIL;
+            while slot == NIL {
+                self.cursor_day += 1;
+                slot = std::mem::replace(&mut self.buckets[(self.cursor_day & mask) as usize], NIL);
             }
-            let day = self.cursor_day.saturating_add(k);
-            let b = (day & (nb - 1)) as usize;
-            // Reclaim tombstones first so the min scan sees only live
-            // entries.
-            let mut i = 0;
-            while i < self.buckets[b].len() {
-                let slot = self.buckets[b][i].slot;
-                if self.slot_is_live(slot) {
-                    i += 1;
+            // Tombstones are reclaimed here, off the node the walk has in
+            // cache anyway, so only live events pay for ordering.
+            while slot != NIL {
+                let node = &self.slots[slot as usize];
+                let (at, seq, next) = (node.at, node.seq, node.next);
+                if matches!(node.slot, Slot::Occupied(_)) {
+                    heap_push(&mut self.today, Entry { at, seq, slot });
                 } else {
-                    self.buckets[b].swap_remove(i);
-                    self.near_len -= 1;
                     self.release_slot(slot);
                 }
+                self.near_len -= 1;
+                slot = next;
             }
-            let bucket = &self.buckets[b];
-            if bucket.is_empty() {
-                continue;
-            }
-            let mut min_i = 0;
-            for j in 1..bucket.len() {
-                if bucket[j].key() < bucket[min_i].key() {
-                    min_i = j;
-                }
-            }
-            let entry = self.buckets[b].swap_remove(min_i);
-            self.near_len -= 1;
-            return Some(entry);
         }
-        None
+        self.migrate_far();
+        true
     }
 
-    /// Advances the clock to `at` (a just-popped timestamp): moves the ring
-    /// cursor, migrates far-heap roots that came within the horizon, and
-    /// periodically re-derives the bucket width from the observed inter-pop
-    /// spacing.
+    /// Records a pop at `at` and, once per `max(ADAPT_EVERY, live)` pops,
+    /// re-derives the ring's sizing from what it has seen since.
     fn advance_now(&mut self, at: SimTime) {
-        let at_us = at.as_micros();
-        self.gap_sum_us += at_us.saturating_sub(self.last_pop_us);
-        self.last_pop_us = at_us;
-        self.pops_since_adapt += 1;
         self.now = at;
-        let day = at_us >> self.shift;
-        if day != self.cursor_day {
-            self.cursor_day = day;
-            self.migrate_far();
+        self.pops_since_adapt += 1;
+        if self.pops_since_adapt < ADAPT_EVERY.max(self.live as u64) {
+            return;
         }
-        if self.pops_since_adapt >= ADAPT_EVERY {
-            let avg_gap = (self.gap_sum_us / self.pops_since_adapt).max(1);
-            self.pops_since_adapt = 0;
-            self.gap_sum_us = 0;
-            // Bucket width ≈ 2× the average spacing: ~2 events per bucket,
-            // few empty-bucket hops. Re-derived with hysteresis — a
-            // one-step disagreement is left alone, so a spacing average
-            // that hovers near a power-of-two boundary cannot flap the
-            // width (each flap is an O(ring) redistribution). A ring left
-            // oversized by a past burst shrinks back (bounded below by
-            // MIN_BUCKETS).
-            let target = (64 - avg_gap.leading_zeros()).clamp(MIN_SHIFT, MAX_SHIFT);
-            let mut nb = self.buckets.len();
-            while nb > MIN_BUCKETS && self.near_len < nb / 4 {
-                nb /= 2;
-            }
-            if target.abs_diff(self.shift) >= 2 || nb != self.buckets.len() {
-                self.rebucket(target, nb);
-            }
+        let at_us = at.as_micros();
+        let avg_gap = ((at_us - self.adapted_at_us) / self.pops_since_adapt).max(1);
+        self.pops_since_adapt = 0;
+        self.adapted_at_us = at_us;
+        // Bucket width: the power of two above the average spacing. A
+        // width one step wider than that is left alone, so a spacing
+        // average that hovers near a power-of-two boundary does not
+        // redistribute the ring at every re-derivation; a narrower one is
+        // not, because it would shorten the year below the scheduling
+        // distance. The bucket count follows twice the live count up and
+        // down (bounded below by MIN_BUCKETS).
+        let mut shift = (64 - avg_gap.leading_zeros()).clamp(MIN_SHIFT, MAX_SHIFT);
+        if self.shift == shift + 1 {
+            shift = self.shift;
+        }
+        let nb = (2 * self.live).next_power_of_two().max(MIN_BUCKETS);
+        if shift != self.shift || nb != self.buckets.len() {
+            self.rebucket(shift, nb);
         }
     }
 
     /// Restores the far-heap invariant after a cursor advance: roots whose
-    /// day entered the horizon move into the ring (tombstoned ones are
-    /// reclaimed on the way).
+    /// day entered the ring's window are relinked into it.
     fn migrate_far(&mut self) {
-        let nb = self.buckets.len() as u64;
-        let horizon = self.cursor_day.saturating_add(nb);
+        let horizon = self.cursor_day + self.buckets.len() as u64;
         while let Some(root) = self.far.first() {
             if root.at.as_micros() >> self.shift >= horizon {
                 break;
             }
-            let entry = self.far_pop_root().expect("checked non-empty");
-            if self.slot_is_live(entry.slot) {
-                let b = ((entry.at.as_micros() >> self.shift) & (nb - 1)) as usize;
-                self.buckets[b].push(entry);
-                self.near_len += 1;
-            } else {
-                self.release_slot(entry.slot);
-            }
+            let entry = heap_pop(&mut self.far).expect("checked non-empty");
+            self.place(entry);
         }
     }
 
     /// Changes the bucket width to `1 << new_shift` µs and/or the bucket
-    /// count, redistributing every ring entry (some may spill to the far
-    /// heap under a narrower horizon).
+    /// count, re-placing `today` and relinking every ring node (some may
+    /// spill to the far heap under a narrower horizon).
     fn rebucket(&mut self, new_shift: u32, new_buckets: usize) {
         debug_assert!(new_buckets.is_power_of_two());
-        let mut entries = std::mem::take(&mut self.scratch);
-        for b in &mut self.buckets {
-            entries.append(b);
-        }
-        if new_buckets > self.buckets.len() {
-            self.buckets.resize_with(new_buckets, Vec::new);
-        } else {
-            self.buckets.truncate(new_buckets);
+        let old = std::mem::replace(&mut self.buckets, vec![NIL; new_buckets]);
+        let today = std::mem::take(&mut self.today);
+        #[cfg(test)]
+        {
+            self.relinked += (today.len() + self.near_len) as u64;
         }
         self.near_len = 0;
         self.shift = new_shift;
         self.cursor_day = self.now.as_micros() >> new_shift;
-        for entry in entries.drain(..) {
-            self.insert_entry(entry);
+        for entry in today {
+            self.place(entry);
         }
-        self.scratch = entries;
+        for mut slot in old {
+            while slot != NIL {
+                let node = &self.slots[slot as usize];
+                let (at, seq, next) = (node.at, node.seq, node.next);
+                self.place(Entry { at, seq, slot });
+                slot = next;
+            }
+        }
         // A wider width or a bigger ring also widens the horizon: pull in
         // far roots that now fit.
         self.migrate_far();
     }
+}
 
-    /// Removes the far heap's root entry, restoring the heap property.
-    fn far_pop_root(&mut self) -> Option<Entry> {
-        let last = self.far.pop()?;
-        if self.far.is_empty() {
-            return Some(last);
+/// Adds `entry` to a 4-ary min-heap on `(at, seq)`.
+#[inline]
+fn heap_push(heap: &mut Vec<Entry>, entry: Entry) {
+    let mut i = heap.len();
+    heap.push(entry);
+    while i > 0 {
+        let parent = (i - 1) / ARITY;
+        if heap[parent].key() <= entry.key() {
+            break;
         }
-        let root = std::mem::replace(&mut self.far[0], last);
-        self.far_sift_down(0);
-        Some(root)
+        heap[i] = heap[parent];
+        i = parent;
     }
+    heap[i] = entry;
+}
 
-    #[inline]
-    fn far_sift_up(&mut self, mut i: usize) {
-        let entry = self.far[i];
-        while i > 0 {
-            let parent = (i - 1) / ARITY;
-            if self.far[parent].key() <= entry.key() {
-                break;
-            }
-            self.far[i] = self.far[parent];
-            i = parent;
-        }
-        self.far[i] = entry;
+/// Removes the heap's root entry, restoring the heap property.
+#[inline]
+fn heap_pop(heap: &mut Vec<Entry>) -> Option<Entry> {
+    let entry = heap.pop()?;
+    let len = heap.len();
+    if len == 0 {
+        return Some(entry);
     }
-
-    #[inline]
-    fn far_sift_down(&mut self, mut i: usize) {
-        let len = self.far.len();
-        let entry = self.far[i];
-        loop {
-            let first_child = i * ARITY + 1;
-            if first_child >= len {
-                break;
-            }
-            let mut min_child = first_child;
-            let mut min_key = self.far[first_child].key();
-            let last_child = (first_child + ARITY - 1).min(len - 1);
-            for c in first_child + 1..=last_child {
-                let k = self.far[c].key();
-                if k < min_key {
-                    min_key = k;
-                    min_child = c;
-                }
-            }
-            if entry.key() <= min_key {
-                break;
-            }
-            self.far[i] = self.far[min_child];
-            i = min_child;
+    let root = heap[0];
+    let mut i = 0;
+    loop {
+        let first_child = i * ARITY + 1;
+        if first_child >= len {
+            break;
         }
-        self.far[i] = entry;
+        let mut min_child = first_child;
+        for c in first_child + 1..(first_child + ARITY).min(len) {
+            if heap[c].key() < heap[min_child].key() {
+                min_child = c;
+            }
+        }
+        if entry.key() <= heap[min_child].key() {
+            break;
+        }
+        heap[i] = heap[min_child];
+        i = min_child;
     }
+    heap[i] = entry;
+    Some(root)
 }
 
 #[cfg(test)]
@@ -1038,8 +995,8 @@ mod tests {
 
     #[test]
     fn width_adapts_to_observed_spacing() {
-        // Dense sub-millisecond events: the push-side overfull check plus
-        // the pop-side spacing rule must narrow the default ~8 ms buckets.
+        // Dense sub-millisecond events: the pop-side spacing rule must
+        // narrow the default ~8 ms buckets.
         let mut q = EventQueue::new();
         let w0 = q.bucket_width_us();
         let mut t = SimTime::ZERO;
@@ -1155,6 +1112,114 @@ mod tests {
         }
     }
 
+    /// The other differential schedule: a constant population of `live`
+    /// wakes, where every pop re-arms its session at `wake(rng, now)` and
+    /// `cancel_per_mille` of pops also supersede (cancel and re-arm) a
+    /// random session's wake. Lockstep against the reference for `pops`
+    /// pops, then drained; returns the drained queue for its counters.
+    fn differential_wake_cycle(
+        live: u64,
+        pops: usize,
+        cancel_per_mille: u64,
+        wake: impl Fn(&mut crate::rng::Prng, SimTime) -> SimTime,
+    ) -> EventQueue<u64> {
+        let mut rng = crate::rng::Prng::new(live ^ pops as u64);
+        let mut new_q: EventQueue<u64> = EventQueue::new();
+        let mut ref_q: LegacyQueue<u64> = LegacyQueue::new();
+        let mut handles: Vec<_> = (0..live)
+            .map(|s| {
+                let at = wake(&mut rng, SimTime::ZERO);
+                (new_q.push(at, s), ref_q.push(at, s))
+            })
+            .collect();
+        for _ in 0..pops {
+            let popped = new_q.pop();
+            assert_eq!(popped, ref_q.pop(), "pop");
+            let (now, s) = popped.expect("the population never drains");
+            let at = wake(&mut rng, now);
+            handles[s as usize] = (new_q.push(at, s), ref_q.push(at, s));
+            if rng.below(1000) < cancel_per_mille {
+                let s = rng.below(live);
+                let (a, b) = handles[s as usize];
+                assert_eq!(new_q.cancel(a), ref_q.cancel(b), "cancel outcome");
+                let at = wake(&mut rng, now);
+                handles[s as usize] = (new_q.push(at, s), ref_q.push(at, s));
+            }
+            assert_eq!(new_q.len(), ref_q.len(), "len");
+        }
+        assert_eq!(new_q.peek_time(), ref_q.peek_time(), "peek");
+        loop {
+            let (a, b) = (new_q.pop(), ref_q.pop());
+            assert_eq!(a, b, "drain");
+            if a.is_none() {
+                return new_q;
+            }
+        }
+    }
+
+    /// Bursts of wakes inside one millisecond, two quiet seconds apart: the
+    /// mean inter-pop gap says nothing about where the events are.
+    fn stalled_wake(rng: &mut crate::rng::Prng, now: SimTime) -> SimTime {
+        const PERIOD_US: u64 = 2_000_000;
+        let next_burst = (now.as_micros() / PERIOD_US + 1) * PERIOD_US;
+        SimTime::from_micros(next_burst + rng.below(1_000))
+    }
+
+    #[test]
+    fn differential_vs_legacy_fleet_shaped() {
+        // 50 000 live wakes, every pop re-arms 0.1 ms–30 s out, no cancels.
+        differential_wake_cycle(50_000, 150_000, 0, |rng, now| {
+            now + SimDuration::from_micros(100 + rng.below(30_000_000))
+        });
+    }
+
+    #[test]
+    fn redistribution_is_amortised_constant() {
+        // The stalled schedule (1 % cancels) is the one whose spacing
+        // average swings by orders of magnitude between a burst and the
+        // quiet after it: same pop order as the reference, and the sizing
+        // never costs more than one relink per pop.
+        let q = differential_wake_cycle(8_000, 80_000, 10, stalled_wake);
+        let pops = q.op_counts().pops;
+        assert!(
+            q.relinked <= pops,
+            "re-buckets relinked {} nodes over {pops} pops",
+            q.relinked
+        );
+    }
+
+    #[test]
+    fn same_instant_burst_drains_fifo_in_near_linear_time() {
+        // A flash crowd: 10⁵ events at one instant, and every thousandth
+        // pop schedules one more for that same instant, which must queue
+        // behind the whole crowd.
+        const CROWD: u64 = 100_000;
+        let t = SimTime::from_secs(1);
+        let started = std::time::Instant::now();
+        let mut q = EventQueue::with_capacity(CROWD as usize);
+        for i in 0..CROWD {
+            q.push(t, i);
+        }
+        let mut next = CROWD;
+        let mut expect = 0;
+        while let Some((at, i)) = q.pop() {
+            assert_eq!((at, i), (t, expect), "FIFO among equal timestamps");
+            expect += 1;
+            if i < CROWD && i % 1_000 == 0 {
+                q.push(t, next);
+                next += 1;
+            }
+        }
+        assert_eq!(expect, CROWD + CROWD / 1_000);
+        // Work stays linear: ≤ 2 relinks per push while the ring grows
+        // under the fill, ≤ 1 per pop while it shrinks under the drain.
+        assert!(q.relinked <= 3 * CROWD, "relinked {}", q.relinked);
+        if !cfg!(debug_assertions) {
+            let took = started.elapsed();
+            assert!(took.as_secs_f64() < 1.0, "drained in {took:?}");
+        }
+    }
+
     #[test]
     fn rebucket_pulls_far_events_under_the_widened_horizon() {
         // The schedule the random differential never draws: the
@@ -1169,7 +1234,7 @@ mod tests {
         ref_q.push(at, 0);
         let mut handles = Vec::new();
         for i in 0..300u64 {
-            // Occupancy doubles the ring to 256 buckets: horizon ≈2.1 s.
+            // Occupancy grows the ring to 512 buckets: horizon ≈4.2 s.
             let at = SimTime::from_millis(1 + 3 * i);
             handles.push((new_q.push(at, 1 + i), ref_q.push(at, 1 + i)));
         }

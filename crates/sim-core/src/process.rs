@@ -203,7 +203,7 @@ impl Process for MarkovModulator {
 /// (cached while `dt` repeats; the RTT tables refill rather than cycle, so a
 /// jittered link presents a fresh `dt` every round and recomputes), the next
 /// sample is two multiplies and an add per component. Every
-/// [`SINUSOID_RESYNC`] steps the recurrence resyncs against the closed form
+/// `SINUSOID_RESYNC` steps the recurrence resyncs against the closed form
 /// to bound accumulated rounding drift.
 #[derive(Clone, Debug)]
 pub struct Sinusoid {

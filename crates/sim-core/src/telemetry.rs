@@ -875,7 +875,7 @@ pub fn trace_len() -> usize {
     trace_buf().lock().unwrap_or_else(|e| e.into_inner()).len()
 }
 
-/// Number of trace events dropped at the [`TRACE_CAP`] since the last
+/// Number of trace events dropped at the `TRACE_CAP` since the last
 /// [`reset`].
 pub fn trace_dropped() -> u64 {
     TRACE_DROPPED.load(Ordering::Relaxed)

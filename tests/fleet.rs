@@ -8,8 +8,11 @@
 //!   injection is exactly inert when there is no other load to inject.
 
 use msplayer::core::config::PlayerConfig;
-use msplayer::core::fleet::{FleetHost, FleetSpec, SelectionPolicy};
+use msplayer::core::fleet::{FleetHost, FleetServerSpec, FleetSpec, SelectionPolicy};
 use msplayer::core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec};
+use msplayer::simcore::time::SimDuration;
+use msplayer::simcore::units::BitRate;
+use msplayer_bench::fleet::{frontier_specs, headline_spec};
 
 #[test]
 fn fluid_fleet_is_bit_identical_across_worker_counts() {
@@ -50,4 +53,93 @@ fn exact_fleet_of_one_matches_a_standalone_session() {
         fleet.exact_sessions[0], standalone,
         "an exact fleet of one must reproduce SessionHost::run bit for bit"
     );
+}
+
+/// The fields of [`FleetMetrics`] that every fluid event feeds into
+/// (floats by bit pattern).
+#[derive(Debug, PartialEq)]
+struct FleetPin {
+    events: u64,
+    ended_at_us: u64,
+    completed: u64,
+    stalled_sessions: u64,
+    peak_concurrent: u64,
+    startup_p50_bits: u64,
+    startup_p95_bits: u64,
+    total_served_bytes: u64,
+    total_stall_bits: u64,
+}
+
+/// The event queue's layout and sizing may change speed only. Recorded at
+/// the commit before the intrusive ring; a queue change that moves any of
+/// these has changed pop order.
+#[test]
+fn fluid_fleet_metrics_are_pinned_across_queue_changes() {
+    let overload = frontier_specs(2_000)
+        .into_iter()
+        .find(|case| case.label == "cheapest-feasible@x0.6")
+        .expect("the frontier grid has the overloaded cell")
+        .spec;
+    let cells = [
+        (
+            "headline",
+            headline_spec(4_000),
+            FleetPin {
+                events: 132_662,
+                ended_at_us: 453_291_434,
+                completed: 4_000,
+                stalled_sessions: 0,
+                peak_concurrent: 4_000,
+                startup_p50_bits: 4620955417252434406,
+                startup_p95_bits: 4629899521076395938,
+                total_served_bytes: 375_521_755_885,
+                total_stall_bits: 0,
+            },
+        ),
+        (
+            "cheapest-feasible@x0.6",
+            overload,
+            FleetPin {
+                events: 102_737,
+                ended_at_us: 590_129_996,
+                completed: 2_000,
+                stalled_sessions: 2_000,
+                peak_concurrent: 2_000,
+                startup_p50_bits: 4625627636153453281,
+                startup_p95_bits: 4634116319235333994,
+                total_served_bytes: 188_163_647_459,
+                total_stall_bits: 4685159189461623832,
+            },
+        ),
+    ];
+    for (name, spec, want) in cells {
+        let m = FleetHost::new(spec).expect("spec validates").run();
+        let got = FleetPin {
+            events: m.events,
+            ended_at_us: m.ended_at.as_micros(),
+            completed: m.completed,
+            stalled_sessions: m.stalled_sessions,
+            peak_concurrent: m.peak_concurrent,
+            startup_p50_bits: m.startup_p50_secs.to_bits(),
+            startup_p95_bits: m.startup_p95_secs.to_bits(),
+            total_served_bytes: m.total_served_bytes,
+            total_stall_bits: m.total_stall_secs.to_bits(),
+        };
+        assert_eq!(got, want, "{name}");
+    }
+}
+
+/// `arrival_window: 0` puts every arrival at one instant: 20 000 events
+/// with equal timestamps, which the queue must drain in push order
+/// without re-scanning the crowd per pop.
+#[test]
+fn flash_crowd_of_20k_sessions_runs_to_completion() {
+    let mut spec = FleetSpec::fluid(0xF1A5_4C20, 20_000);
+    spec.arrival_window = SimDuration::ZERO;
+    spec.servers = vec![FleetServerSpec::new(BitRate::mbps(15_000.0)); 4];
+    let m = FleetHost::new(spec).expect("spec validates").run();
+    assert_eq!(m.sessions, 20_000);
+    assert_eq!(m.rejected, 0);
+    assert_eq!(m.completed, 20_000);
+    assert_eq!(m.peak_concurrent, 20_000, "everyone arrived at once");
 }

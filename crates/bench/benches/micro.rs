@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks: performance guardrails on the hot paths of
 //! the library (estimator updates, scheduler decisions, event queue,
-//! JSON, HTTP codec, sampling kernels, TCP transfer model, full sessions).
+//! fluid fleet, JSON, HTTP codec, sampling kernels, TCP transfer model,
+//! full sessions).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -10,8 +11,10 @@ use msim_core::process::{Ou, Process};
 use msim_core::rng::{DeviateMode, DrawKind, DrawTable, Prng};
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::ByteSize;
+use msplayer_bench::fleet::{frontier_specs, headline_spec};
 use msplayer_core::config::{PlayerConfig, SchedulerKind};
 use msplayer_core::estimator::{BandwidthEstimator, Ewma, HarmonicInc};
+use msplayer_core::fleet::FleetHost;
 use msplayer_core::scheduler::SchedulerImpl;
 use msplayer_core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec};
 
@@ -175,6 +178,28 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
+/// The fluid fleet engine end to end (ns per event: queue, replica
+/// advance, session sync and re-arm): the load-balanced headline, where
+/// sessions cycle through refills, and the overloaded frontier cell, where
+/// every session stalls.
+fn bench_fleet(c: &mut Criterion) {
+    let overload = frontier_specs(5_000)
+        .into_iter()
+        .find(|case| case.label == "cheapest-feasible@x0.6")
+        .expect("the frontier grid has the overloaded cell")
+        .spec;
+    for (id, spec) in [
+        ("fleet/fluid_headline_20k", headline_spec(20_000)),
+        ("fleet/fluid_overload_5k", overload),
+    ] {
+        c.bench_function(id, |b| {
+            let mut host = FleetHost::new(spec.clone()).expect("named fleet spec validates");
+            b.elements(host.run().events);
+            b.iter(|| host.run());
+        });
+    }
+}
+
 /// A deterministic wake distance in 0.1 ms–30 s, scattered by `salt`.
 fn wake_delay_us(salt: u32) -> u64 {
     100 + (salt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % 30_000_000
@@ -322,6 +347,7 @@ criterion_group!(
     bench_estimators,
     bench_scheduler,
     bench_event_queue,
+    bench_fleet,
     bench_json,
     bench_http_codec,
     bench_sampling_kernels,

@@ -21,7 +21,8 @@
 use msplayer_bench::env_or_exit;
 use msplayer_bench::fleet::{exact_anchor_spec, frontier_specs, headline_spec};
 use msplayer_bench::sweep::bench_dir;
-use msplayer_core::fleet::{pareto_frontier, FleetHost, FleetMetrics};
+use msplayer_core::chaos::check_fleet_invariants;
+use msplayer_core::fleet::{pareto_frontier, FleetHost, FleetMetrics, FleetSpec};
 use std::path::Path;
 use std::time::Instant;
 
@@ -37,6 +38,24 @@ fn parse_sessions(var: &str, default: u64, value: Option<&str>) -> Result<u64, S
 
 fn env_sessions(var: &str, default: u64) -> u64 {
     env_or_exit(var, |v| parse_sessions(var, default, v))
+}
+
+/// Runs `spec` to completion under the fleet invariant oracle: a run that
+/// violates it prints every violation and exits 1, which is what makes
+/// CI's fleet step a gate.
+fn run_checked(label: &str, spec: FleetSpec) -> (FleetMetrics, f64) {
+    let mut host = FleetHost::new(spec).expect("named fleet spec validates");
+    let t0 = Instant::now();
+    let metrics = host.run();
+    let wall = t0.elapsed().as_secs_f64();
+    let violations = check_fleet_invariants(host.spec(), &metrics);
+    if !violations.is_empty() {
+        for v in &violations {
+            eprintln!("fleet_bench: {label}: {v}");
+        }
+        std::process::exit(1);
+    }
+    (metrics, wall)
 }
 
 fn metrics_json(m: &FleetMetrics, wall_secs: f64) -> msim_json::Value {
@@ -131,11 +150,7 @@ fn main() {
     };
 
     // Headline: population-scale fluid run.
-    let spec = headline_spec(headline_sessions);
-    let mut host = FleetHost::new(spec).expect("headline spec validates");
-    let t0 = Instant::now();
-    let headline = host.run();
-    let headline_wall = t0.elapsed().as_secs_f64();
+    let (headline, headline_wall) = run_checked("headline", headline_spec(headline_sessions));
     println!(
         "headline: {} sessions (peak {} concurrent) in {:.2}s — {:.2}M events/s, \
          {} stalled, {} rejected, p95 startup {:.1}s, {:.0} GB served",
@@ -175,10 +190,7 @@ fn main() {
                     .with("frontier", msim_json::Value::Array(frontier_rows)),
             );
         }
-        let mut host = FleetHost::new(case.spec).expect("frontier spec validates");
-        let t0 = Instant::now();
-        let m = host.run();
-        let wall = t0.elapsed().as_secs_f64();
+        let (m, wall) = run_checked(&case.label, case.spec);
         let (cost, qoe) = m.cost_qoe();
         println!(
             "frontier {:<24} cost {:>8.1}  qoe {:>6.2}  stalled {:>6}  rejected {:>6}  ({:.2}s)",
@@ -224,10 +236,7 @@ fn main() {
     }
 
     // Exact anchor: per-chunk sessions under shared load.
-    let mut host = FleetHost::new(exact_anchor_spec(exact_sessions)).expect("exact anchor");
-    let t0 = Instant::now();
-    let exact = host.run();
-    let exact_wall = t0.elapsed().as_secs_f64();
+    let (exact, exact_wall) = run_checked("exact anchor", exact_anchor_spec(exact_sessions));
     println!(
         "exact anchor: {} per-chunk sessions in {:.2}s ({} completed, peak {} concurrent)",
         exact.sessions, exact_wall, exact.completed, exact.peak_concurrent

@@ -5,7 +5,8 @@
 //! testable surface: a [`ChaosPlan`] is a composable list of seed-deterministic
 //! fault injectors that layer onto any session spec without touching the
 //! workload definition, and [`check_invariants`] is the oracle that every
-//! chaotic session must still satisfy.
+//! chaotic session must still satisfy ([`check_fleet_invariants`] is its
+//! population-scale counterpart for [`crate::fleet`] runs).
 //!
 //! Injector families (all windows are absolute sim time):
 //!
@@ -38,10 +39,12 @@
 //! exactly) so a failing `(seed, plan, workload)` triple is a one-line JSON
 //! corpus case, reproducible from the CLI.
 
+use crate::fleet::{FleetMetrics, FleetMode, FleetSpec};
 use crate::metrics::{SessionMetrics, TrafficPhase};
 use msim_core::rng::Prng;
 use msim_core::time::{SimDuration, SimTime};
 use msim_net::middlebox::{negotiate_mptcp, Middlebox, MptcpNegotiation};
+use msim_youtube::by_itag;
 use std::fmt;
 
 /// Salt folded into the session seed when resolving a plan, so chaos
@@ -867,6 +870,167 @@ pub fn check_invariants(m: &SessionMetrics) -> Vec<Violation> {
     out
 }
 
+/// Checks the population invariants a fleet run must satisfy whatever its
+/// policy, load or chaos plan: every session is accounted for, the load
+/// bins and per-replica rows add up to the totals, no replica served more
+/// than its rate allows or held more sessions than its admission ceiling,
+/// and (fluid mode) every completed session's video was actually served.
+/// The rate checks skip replicas without a `service_rate`. Returns all
+/// violations found (empty = healthy).
+pub fn check_fleet_invariants(spec: &FleetSpec, m: &FleetMetrics) -> Vec<Violation> {
+    // Slack for `f64` sums compared with their exact bounds.
+    const EPS: f64 = 1e-9;
+    let mut out = Vec::new();
+    let mut fail = |invariant: &'static str, detail: String| {
+        out.push(Violation { invariant, detail });
+    };
+
+    if m.completed + m.rejected != m.sessions {
+        fail(
+            "sessions-accounted",
+            format!(
+                "{} completed + {} rejected of {} sessions",
+                m.completed, m.rejected, m.sessions
+            ),
+        );
+    }
+    if m.peak_concurrent > m.sessions.saturating_sub(m.rejected) {
+        fail(
+            "sessions-accounted",
+            format!(
+                "peak concurrency {} with {} sessions admitted",
+                m.peak_concurrent,
+                m.sessions.saturating_sub(m.rejected)
+            ),
+        );
+    }
+    let bins = &m.rebuffer_vs_load;
+    for (name, binned, total) in [
+        (
+            "sessions",
+            bins.iter().map(|b| b.sessions).sum::<u64>(),
+            m.sessions,
+        ),
+        (
+            "rejected",
+            bins.iter().map(|b| b.rejected).sum(),
+            m.rejected,
+        ),
+        (
+            "stalled",
+            bins.iter().map(|b| b.stalled).sum(),
+            m.stalled_sessions,
+        ),
+    ] {
+        if binned != total {
+            fail(
+                "load-bins-sum",
+                format!("load bins hold {binned} {name}, the run {total}"),
+            );
+        }
+    }
+
+    let served_sum: u64 = m.servers.iter().map(|s| s.served_bytes).sum();
+    if served_sum != m.total_served_bytes {
+        fail(
+            "replica-sums",
+            format!(
+                "replicas served {served_sum} B, total_served_bytes {}",
+                m.total_served_bytes
+            ),
+        );
+    }
+    let cost_sum: f64 = m.servers.iter().map(|s| s.cost).sum();
+    if cost_sum != m.total_cost {
+        fail(
+            "replica-sums",
+            format!(
+                "replica costs sum to {cost_sum}, total_cost {}",
+                m.total_cost
+            ),
+        );
+    }
+
+    // Exact mode describes replica `r` of every network by one entry.
+    let per_network = match &spec.exact_base {
+        Some((service, _)) if spec.mode == FleetMode::Exact => {
+            (service.service.servers_per_network as usize).max(1)
+        }
+        _ => usize::MAX,
+    };
+    let ended_secs = m.ended_at.as_secs_f64();
+    for u in &m.servers {
+        if u.capacity_bps > 0.0 {
+            if let Some(bad) = u
+                .utilization
+                .iter()
+                .find(|x| !(0.0..=1.0 + EPS).contains(*x))
+            {
+                fail(
+                    "utilization-range",
+                    format!("replica {} has a utilisation bucket at {bad}", u.server),
+                );
+            }
+            let deliverable = u.capacity_bps / 8.0 * ended_secs;
+            if u.served_bytes as f64 > deliverable * (1.0 + EPS) {
+                fail(
+                    "replica-rate",
+                    format!(
+                        "replica {} served {} B, its rate delivers {deliverable:.0} B by {}",
+                        u.server, u.served_bytes, m.ended_at
+                    ),
+                );
+            }
+        }
+        let ceiling = spec
+            .servers
+            .get(u.server % per_network)
+            .and_then(|s| s.session_capacity);
+        if let Some(c) = ceiling.filter(|&c| u.peak_sessions > u64::from(c)) {
+            fail(
+                "admission-ceiling",
+                format!(
+                    "replica {} peaked at {} sessions over a ceiling of {c}",
+                    u.server, u.peak_sessions
+                ),
+            );
+        }
+    }
+
+    if spec.mode == FleetMode::Fluid {
+        let video_bytes = by_itag(spec.itag).map_or(0.0, |f| f.bytes_per_sec()) * spec.video_secs;
+        let floor = m.completed as f64 * video_bytes;
+        // Each replica's byte count is truncated to a whole byte.
+        let served = (m.total_served_bytes + m.servers.len() as u64) as f64;
+        if served * (1.0 + EPS) < floor {
+            fail(
+                "bytes-served-floor",
+                format!(
+                    "{} B served, {} completed sessions of {video_bytes:.0} B each",
+                    m.total_served_bytes, m.completed
+                ),
+            );
+        }
+    }
+
+    if m.startup_p50_secs > m.startup_p95_secs {
+        fail(
+            "startup-percentiles",
+            format!(
+                "startup p50 {} s above p95 {} s",
+                m.startup_p50_secs, m.startup_p95_secs
+            ),
+        );
+    }
+    if m.total_stall_secs > 0.0 && m.stalled_sessions == 0 {
+        fail(
+            "stall-accounting",
+            format!("{} stall seconds, no stalled session", m.total_stall_secs),
+        );
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1041,6 +1205,49 @@ mod tests {
             "vector-shape",
         ] {
             assert!(names.contains(&expect), "missing {expect} in {names:?}");
+        }
+    }
+
+    #[test]
+    fn fleet_oracle_accepts_a_healthy_run_and_names_what_tampering_breaks() {
+        use crate::fleet::{FleetHost, FleetServerSpec};
+        use msim_core::units::BitRate;
+        let mut spec = FleetSpec::fluid(7, 300);
+        // Overloaded (300 × 2.5 Mbps on 500 Mbps) and capped: sessions
+        // stall, arrivals are turned away, every check has something to bite.
+        spec.servers = vec![FleetServerSpec::new(BitRate::mbps(250.0)).with_capacity(120); 2];
+        let m = FleetHost::new(spec.clone()).unwrap().run();
+        assert!(m.rejected > 0 && m.stalled_sessions > 0);
+        assert_eq!(check_fleet_invariants(&spec, &m), vec![]);
+
+        type Tamper = fn(&mut FleetMetrics);
+        let tamperings: [(&str, Tamper); 10] = [
+            ("sessions-accounted", |m| m.completed -= 1),
+            ("sessions-accounted", |m| m.peak_concurrent = m.sessions),
+            ("load-bins-sum", |m| m.rebuffer_vs_load[0].stalled += 1),
+            ("replica-sums", |m| m.total_cost += 1.0),
+            ("utilization-range", |m| m.servers[1].utilization[0] = 1.5),
+            ("replica-rate", |m| m.ended_at = SimTime::from_secs(1)),
+            ("admission-ceiling", |m| m.servers[0].peak_sessions = 121),
+            ("bytes-served-floor", |m| {
+                m.servers[0].served_bytes /= 2;
+                m.total_served_bytes = m.servers.iter().map(|s| s.served_bytes).sum();
+            }),
+            ("startup-percentiles", |m| m.startup_p95_secs = 0.0),
+            ("stall-accounting", |m| {
+                m.stalled_sessions = 0;
+                m.rebuffer_vs_load.iter_mut().for_each(|b| b.stalled = 0);
+            }),
+        ];
+        for (invariant, tamper) in tamperings {
+            let mut broken = m.clone();
+            tamper(&mut broken);
+            let mut names: Vec<&str> = check_fleet_invariants(&spec, &broken)
+                .iter()
+                .map(|v| v.invariant)
+                .collect();
+            names.dedup();
+            assert_eq!(names, [invariant]);
         }
     }
 }

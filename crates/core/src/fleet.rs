@@ -33,6 +33,30 @@
 //! bit-identical [`FleetMetrics`], independent of [`FleetSpec::workers`]
 //! (worker threads only precompute per-session attribute streams keyed by
 //! session index, never simulate).
+//!
+//! **Layout.** A 120 000-session fluid run is memory-bound: an event pops
+//! one queue node and wakes one session out of a table far larger than
+//! the cache, so what an event costs is the number of cache lines it
+//! misses on, not its arithmetic. The per-session state is therefore two
+//! parallel tables. The *hot* record is everything a wake reads to decide
+//! what happens next — download progress and its virtual-clock base, the
+//! burst target, the playback anchor, the stall position, the wake
+//! generation, and the replica, class and phase as `u16`/`u8`/`u8` — in
+//! exactly 64 bytes at 64-byte alignment: one line per session per event.
+//! The *cold* record is what a session only reports — arrival time,
+//! start-up time, stall clock and total, its load bin — touched at
+//! arrival, at the start-up crossing, when a stall starts or ends, and by
+//! the final pass. Both tables are in *arrival order*, not index order:
+//! sessions that arrive together prebuffer, pause and refill together, so
+//! the lines (and pages) a stretch of simulated time touches sit together
+//! instead of being scattered over the whole table. An event names a
+//! session by its slot; the session index survives only where results
+//! depend on its order (the push order of same-instant arrivals, the
+//! re-arm order at a chaos capacity edge, the `f64` sums of the final
+//! pass). Replicas are few and stay cached; they keep what every
+//! event on them would otherwise re-derive: the fair share `cap / n`
+//! (divided again only where `cap` or `n` change) and the utilisation
+//! bucket the replica's clock is in.
 
 use crate::chaos::ChaosPlan;
 use crate::config::PlayerConfig;
@@ -96,6 +120,14 @@ const LOAD_BIN_WIDTH: f64 = 0.1;
 
 /// Defensive clamp on utilization-bucket indices (~10⁶ buckets).
 const MAX_BUCKETS: usize = 1 << 20;
+
+/// Most replicas a fluid fleet can have: a session names its replica in
+/// a `u16`.
+const MAX_FLUID_SERVERS: usize = u16::MAX as usize + 1;
+
+/// Most access classes a fluid fleet can have: a session names its class
+/// in a `u8`.
+const MAX_FLUID_CLASSES: usize = u8::MAX as usize + 1;
 
 /// Server-selection policy: how an arriving session is mapped to a
 /// replica, in the Sunstar cost-vs-QoE framing.
@@ -174,8 +206,10 @@ pub struct FleetServerSpec {
     /// `None` = uncapacitated (exact mode only; fluid mode requires a
     /// rate on every replica).
     pub service_rate: Option<BitRate>,
-    /// Admission ceiling: sessions beyond this are turned away. `None` =
-    /// unlimited.
+    /// Admission ceiling: the most sessions the replica holds at once,
+    /// counted from admission until the download completes (a session
+    /// paused between refills keeps its slot); arrivals beyond it are
+    /// turned away. `None` = unlimited.
     pub session_capacity: Option<u32>,
     /// Standing cost of keeping the replica up, per hour of fleet time.
     pub base_cost_per_hour: f64,
@@ -626,8 +660,9 @@ pub struct FleetHost {
 
 impl FleetHost {
     /// Validates `spec` and builds the host. Fluid mode requires a
-    /// non-empty capacitated fleet, a known itag, and a non-empty access
-    /// mix; exact mode requires a base scenario, load-balanced selection
+    /// non-empty capacitated fleet of at most 65 536 replicas, a known
+    /// itag, and an access mix of 1 to 256 classes; exact mode requires a
+    /// base scenario, load-balanced selection
     /// (the emulated service's own load-aware ordering does the
     /// choosing), and at most `servers_per_network` replica specs.
     pub fn new(spec: FleetSpec) -> Result<FleetHost, String> {
@@ -666,8 +701,20 @@ impl FleetHost {
                         }
                     }
                 }
+                if spec.servers.len() > MAX_FLUID_SERVERS {
+                    return Err(format!(
+                        "fluid mode takes at most {MAX_FLUID_SERVERS} servers, got {}",
+                        spec.servers.len()
+                    ));
+                }
                 if spec.access.is_empty() {
                     return Err("fluid mode needs at least one access class".into());
+                }
+                if spec.access.len() > MAX_FLUID_CLASSES {
+                    return Err(format!(
+                        "fluid mode takes at most {MAX_FLUID_CLASSES} access classes, got {}",
+                        spec.access.len()
+                    ));
                 }
                 if spec.access.iter().all(|c| c.weight == 0) {
                     return Err("access-class weights must not all be zero".into());
@@ -767,10 +814,22 @@ enum Phase {
 struct FluidServer {
     base_cap: f64,
     cap: f64,
+    /// `cap / max(n, 1)`: the fair share, divided once where `cap` or `n`
+    /// change ([`FluidServer::attach`], [`FluidServer::detach`],
+    /// [`FluidServer::set_cap`]) and read by every event in between.
+    share: f64,
     counts: Vec<u64>,
     n: u64,
+    /// Sessions admitted and still downloading or paused between refills
+    /// (`n` counts only the attached ones); what the admission ceiling
+    /// bounds.
+    admitted: u64,
     v: Vec<f64>,
     last: SimTime,
+    /// Utilisation bucket holding `last` (clamped to `MAX_BUCKETS - 1`).
+    bucket: usize,
+    /// Exclusive end of `bucket`, µs (`u64::MAX` for the clamp bucket).
+    bucket_end: u64,
     served: f64,
     peak: u64,
     bucket_served: Vec<f64>,
@@ -778,6 +837,52 @@ struct FluidServer {
 }
 
 impl FluidServer {
+    fn new(base_cap: f64, factor: u32, n_classes: usize, bucket_us: u64) -> FluidServer {
+        let mut srv = FluidServer {
+            base_cap,
+            cap: 0.0,
+            share: 0.0,
+            counts: vec![0; n_classes],
+            n: 0,
+            admitted: 0,
+            v: vec![0.0; n_classes],
+            last: SimTime::ZERO,
+            bucket: 0,
+            bucket_end: bucket_us,
+            served: 0.0,
+            peak: 0,
+            bucket_served: Vec::new(),
+            bucket_possible: Vec::new(),
+        };
+        srv.set_cap(factor);
+        srv
+    }
+
+    fn reshare(&mut self) {
+        self.share = self.cap / self.n.max(1) as f64;
+    }
+
+    /// Rescales the (already-advanced) replica to `base_cap / factor`.
+    fn set_cap(&mut self, factor: u32) {
+        self.cap = self.base_cap / f64::from(factor.max(1));
+        self.reshare();
+    }
+
+    /// A class-`k` session joins the (already-advanced) replica.
+    fn attach(&mut self, k: usize) {
+        self.counts[k] += 1;
+        self.n += 1;
+        self.peak = self.peak.max(self.n);
+        self.reshare();
+    }
+
+    /// A class-`k` session leaves the (already-advanced) replica.
+    fn detach(&mut self, k: usize) {
+        self.counts[k] -= 1;
+        self.n -= 1;
+        self.reshare();
+    }
+
     fn advance(&mut self, now: SimTime, rates: &[f64], bucket_us: u64) {
         if now <= self.last {
             return;
@@ -785,12 +890,8 @@ impl FluidServer {
         let mut t = self.last.as_micros();
         let end = now.as_micros();
         while t < end {
-            let b = ((t / bucket_us) as usize).min(MAX_BUCKETS - 1);
-            let seg_end = if b == MAX_BUCKETS - 1 {
-                end
-            } else {
-                end.min((b as u64 + 1) * bucket_us)
-            };
+            let b = self.bucket;
+            let seg_end = end.min(self.bucket_end);
             let dt = (seg_end - t) as f64 / 1e6;
             if self.bucket_possible.len() <= b {
                 self.bucket_possible.resize(b + 1, 0.0);
@@ -798,10 +899,9 @@ impl FluidServer {
             }
             self.bucket_possible[b] += self.cap * dt;
             if self.n > 0 {
-                let share = self.cap / self.n as f64;
                 let mut seg = 0.0;
                 for (k, &a) in rates.iter().enumerate() {
-                    let r = a.min(share);
+                    let r = a.min(self.share);
                     self.v[k] += r * dt;
                     seg += self.counts[k] as f64 * r * dt;
                 }
@@ -809,17 +909,23 @@ impl FluidServer {
                 self.bucket_served[b] += seg;
             }
             t = seg_end;
+            if t == self.bucket_end {
+                self.bucket += 1;
+                self.bucket_end = if self.bucket == MAX_BUCKETS - 1 {
+                    u64::MAX
+                } else {
+                    self.bucket_end.saturating_add(bucket_us)
+                };
+            }
         }
         self.last = now;
     }
 }
 
+/// The per-session state every wake reads and writes: one cache line.
+/// See the module doc's *Layout* paragraph.
+#[repr(C, align(64))]
 struct FluidSession {
-    class: usize,
-    server: usize,
-    phase: Phase,
-    gen: u32,
-    arrival: SimTime,
     /// Bytes downloaded as of `synced_at`; starts *negative* by the
     /// connection-ramp deficit (see [`Fluid::arrive`]).
     downloaded: f64,
@@ -829,11 +935,22 @@ struct FluidSession {
     play_anchor: SimTime,
     anchor_pos: f64,
     frozen_pos: f64,
+    gen: u32,
+    server: u16,
+    class: u8,
+    phase: Phase,
+}
+
+/// What a session records rather than steers by: read at arrival, at the
+/// start-up crossing, at a stall's start and resume, and by the final
+/// pass. Slotted like `Fluid::sessions`.
+struct SessionLog {
+    arrival: SimTime,
     stall_started: SimTime,
     stall_secs: f64,
-    stalled_once: bool,
     startup_secs: Option<f64>,
-    bin: usize,
+    stalled_once: bool,
+    bin: u8,
 }
 
 enum FleetEv {
@@ -862,9 +979,13 @@ struct Fluid<'a> {
     /// [`total_cap_bits`] of `servers`, refreshed when capacities change.
     total_cap_bits: f64,
     sessions: Vec<FluidSession>,
+    log: Vec<SessionLog>,
+    /// Session index → its slot in `sessions` and `log`, for the passes
+    /// whose order the results depend on (same-instant re-arms at a
+    /// capacity edge, the `f64` sums of the final pass).
+    slot_of: Vec<u32>,
     queue: EventQueue<FleetEv>,
     bins: Vec<LoadBin>,
-    attrs: Vec<SessionAttrs>,
     stalled_sessions: u64,
     rejected: u64,
     completed: u64,
@@ -911,8 +1032,8 @@ impl<'a> Fluid<'a> {
         let s = &self.sessions[i];
         let dt = match s.phase {
             Phase::Prebuffer | Phase::PlayingOn | Phase::Stalled => {
-                let srv = &self.servers[s.server];
-                let r = self.rates[s.class].min(srv.cap / srv.n.max(1) as f64);
+                let share = self.servers[usize::from(s.server)].share;
+                let r = self.rates[usize::from(s.class)].min(share);
                 let to_target = ((s.target - s.downloaded) / r).max(0.0);
                 let dt = match s.phase {
                     Phase::Prebuffer => to_target,
@@ -954,38 +1075,38 @@ impl<'a> Fluid<'a> {
         self.queue.push(at, FleetEv::Wake { s: i as u32, gen });
     }
 
-    fn attach(&mut self, i: usize, idx: usize, now: SimTime) {
+    /// Attach to the session's replica: the one chosen at arrival, for
+    /// every burst of the download.
+    fn attach(&mut self, i: usize, now: SimTime) {
+        let idx = usize::from(self.sessions[i].server);
         self.advance_server(idx, now);
-        let k = self.sessions[i].class;
-        let srv = &mut self.servers[idx];
-        srv.counts[k] += 1;
-        srv.n += 1;
-        srv.peak = srv.peak.max(srv.n);
-        self.attached += 1;
-        let v = srv.v[k];
         let s = &mut self.sessions[i];
-        s.server = idx;
-        s.v_base = v;
+        let k = usize::from(s.class);
+        let srv = &mut self.servers[idx];
+        srv.attach(k);
+        self.attached += 1;
+        s.v_base = srv.v[k];
         s.synced_at = now;
     }
 
     /// Detach from the (already-advanced) server.
     fn detach(&mut self, i: usize) {
-        let k = self.sessions[i].class;
-        let srv = &mut self.servers[self.sessions[i].server];
-        srv.counts[k] -= 1;
-        srv.n -= 1;
+        let s = &self.sessions[i];
+        self.servers[usize::from(s.server)].detach(usize::from(s.class));
         self.attached -= 1;
     }
 
     /// One pass over the replicas, no allocation: this runs per arrival.
     fn select_server(&self, class: usize) -> Option<usize> {
         let a_k = self.rates[class];
+        // The ceiling bounds the sessions a replica has admitted and not
+        // finished serving, paused ones included: a session draining its
+        // buffer comes back to the replica it left.
         let candidates = || {
             (0..self.servers.len()).filter(|&si| {
                 self.spec.servers[si]
                     .session_capacity
-                    .is_none_or(|c| self.servers[si].n < u64::from(c))
+                    .is_none_or(|c| self.servers[si].admitted < u64::from(c))
             })
         };
         // The *unclipped* post-admission share: clipping by the access
@@ -1016,13 +1137,11 @@ impl<'a> Fluid<'a> {
 
     fn arrive(&mut self, i: usize, now: SimTime) {
         FLEET_ARRIVALS.add(1);
-        let class = self.attrs[i].class;
+        let class = usize::from(self.sessions[i].class);
         let demand = (self.attached + 1) as f64 * self.video_bps / self.total_cap_bits;
         let bin = bin_for(demand);
         self.bins[bin].sessions += 1;
-        self.sessions[i].bin = bin;
-        self.sessions[i].class = class;
-        self.sessions[i].arrival = now;
+        self.log[i].bin = bin as u8;
         let Some(chosen) = self.select_server(class) else {
             self.rejected += 1;
             self.bins[bin].rejected += 1;
@@ -1030,13 +1149,16 @@ impl<'a> Fluid<'a> {
             FLEET_REJECTED.add(1);
             return;
         };
-        self.attach(i, chosen, now);
+        self.sessions[i].server =
+            u16::try_from(chosen).expect("validated: at most 65 536 replicas");
+        self.attach(i, now);
+        let srv = &mut self.servers[chosen];
+        srv.admitted += 1;
         // Charge the TCP connection ramp as a byte deficit: relative to a
         // flow that runs at its fair share from t=0, slow start leaves the
         // session `share·latency − ramp_bytes` behind by the time it
         // reaches rate (`startup_ramp`'s closed form).
-        let srv = &self.servers[chosen];
-        let share = self.rates[class].min(srv.cap / srv.n as f64);
+        let share = self.rates[class].min(srv.share);
         let ramp = fluid::startup_ramp(&self.tcp, self.spec.rtt, BitRate::bps(share * 8.0));
         let deficit = (share * ramp.latency.as_secs_f64() - ramp.ramp_bytes.as_f64()).max(0.0);
         let s = &mut self.sessions[i];
@@ -1059,6 +1181,7 @@ impl<'a> Fluid<'a> {
         if self.sessions[i].downloaded >= self.total_bytes {
             self.detach(i);
             let s = &mut self.sessions[i];
+            self.servers[usize::from(s.server)].admitted -= 1;
             s.phase = Phase::Done;
             let t_end = s.play_anchor + dur_f64((self.total_bytes - s.anchor_pos) / self.bps);
             self.queue.push(t_end.max(now), FleetEv::Depart);
@@ -1077,17 +1200,14 @@ impl<'a> Fluid<'a> {
     }
 
     fn wake(&mut self, i: usize, gen: u32, now: SimTime) {
-        {
-            let s = &self.sessions[i];
-            if s.gen != gen || matches!(s.phase, Phase::Done | Phase::Rejected) {
-                return;
-            }
+        let s = &self.sessions[i];
+        if s.gen != gen || matches!(s.phase, Phase::Done | Phase::Rejected) {
+            return;
         }
-        let phase = self.sessions[i].phase;
+        let phase = s.phase;
         if phase == Phase::PlayingOff {
             // Exact low-watermark crossing: re-attach and refill.
-            let idx = self.sessions[i].server;
-            self.attach(i, idx, now);
+            self.attach(i, now);
             let s = &mut self.sessions[i];
             s.target = (s.downloaded + self.refill_bytes).min(self.total_bytes);
             s.phase = Phase::PlayingOn;
@@ -1096,29 +1216,23 @@ impl<'a> Fluid<'a> {
         }
         // Attached phases: advance the server and read the exact download
         // progress off the class virtual clock.
-        let idx = self.sessions[i].server;
+        let idx = usize::from(s.server);
         self.advance_server(idx, now);
-        let (d_prev, t_prev) = {
-            let s = &self.sessions[i];
-            (s.downloaded, s.synced_at)
-        };
-        let v = self.servers[idx].v[self.sessions[i].class];
-        let d_now = {
-            let s = &mut self.sessions[i];
-            let d = s.downloaded + (v - s.v_base);
-            s.downloaded = d;
-            s.v_base = v;
-            s.synced_at = now;
-            d
-        };
+        let s = &mut self.sessions[i];
+        let (d_prev, t_prev) = (s.downloaded, s.synced_at);
+        let v = self.servers[idx].v[usize::from(s.class)];
+        let d_now = s.downloaded + (v - s.v_base);
+        s.downloaded = d_now;
+        s.v_base = v;
+        s.synced_at = now;
         match phase {
             Phase::Prebuffer => {
-                if d_now >= self.sessions[i].target {
-                    let t_cross = interp(t_prev, now, d_prev, d_now, self.sessions[i].target);
-                    let s = &mut self.sessions[i];
-                    s.startup_secs = Some(t_cross.saturating_since(s.arrival).as_secs_f64());
+                if d_now >= s.target {
+                    let t_cross = interp(t_prev, now, d_prev, d_now, s.target);
                     s.play_anchor = t_cross;
                     s.anchor_pos = 0.0;
+                    let log = &mut self.log[i];
+                    log.startup_secs = Some(t_cross.saturating_since(log.arrival).as_secs_f64());
                     self.finish_download_burst(i, now);
                 } else {
                     self.schedule_wake(i, now);
@@ -1126,26 +1240,26 @@ impl<'a> Fluid<'a> {
             }
             Phase::PlayingOn => {
                 let p = self.play_pos(i, now);
-                if d_now >= self.sessions[i].target {
+                let s = &mut self.sessions[i];
+                if d_now >= s.target {
                     self.finish_download_burst(i, now);
                 } else if d_now <= p {
                     // The playhead caught the download: retro-date the
                     // stall to when it actually happened.
-                    let s = &mut self.sessions[i];
                     let t_catch = (s.play_anchor
                         + dur_f64((d_now - s.anchor_pos).max(0.0) / self.bps))
                     .min(now);
                     s.frozen_pos = d_now;
-                    s.stall_started = t_catch;
                     s.phase = Phase::Stalled;
                     s.target = s
                         .target
                         .max((d_now + self.refill_bytes).min(self.total_bytes));
-                    let bin = s.bin;
-                    if !s.stalled_once {
-                        s.stalled_once = true;
+                    let log = &mut self.log[i];
+                    log.stall_started = t_catch;
+                    if !log.stalled_once {
+                        log.stalled_once = true;
                         self.stalled_sessions += 1;
-                        self.bins[bin].stalled += 1;
+                        self.bins[usize::from(log.bin)].stalled += 1;
                     }
                     self.schedule_wake(i, now);
                 } else {
@@ -1153,14 +1267,14 @@ impl<'a> Fluid<'a> {
                 }
             }
             Phase::Stalled => {
-                let frozen = self.sessions[i].frozen_pos;
+                let frozen = s.frozen_pos;
                 let resume_eff = self.resume_bytes.min(self.total_bytes - frozen);
                 if d_now - frozen >= resume_eff {
                     let t_res = interp(t_prev, now, d_prev, d_now, frozen + resume_eff);
-                    let s = &mut self.sessions[i];
-                    s.stall_secs += t_res.saturating_since(s.stall_started).as_secs_f64();
                     s.play_anchor = t_res;
                     s.anchor_pos = frozen;
+                    let log = &mut self.log[i];
+                    log.stall_secs += t_res.saturating_since(log.stall_started).as_secs_f64();
                     if d_now >= s.target {
                         self.finish_download_burst(i, now);
                     } else {
@@ -1179,22 +1293,21 @@ impl<'a> Fluid<'a> {
     /// attached session (their rate predictions just went stale).
     fn cap_edge(&mut self, now: SimTime) {
         let factor = self.factor_at(now);
-        for idx in 0..self.servers.len() {
-            self.advance_server(idx, now);
-            let srv = &mut self.servers[idx];
-            srv.cap = srv.base_cap / f64::from(factor.max(1));
+        for srv in &mut self.servers {
+            srv.advance(now, &self.rates, self.bucket_us);
+            srv.set_cap(factor);
         }
         self.total_cap_bits = total_cap_bits(&self.servers);
-        for i in 0..self.sessions.len() {
+        for index in 0..self.slot_of.len() {
+            let i = self.slot_of[index] as usize;
+            let s = &mut self.sessions[i];
             if matches!(
-                self.sessions[i].phase,
+                s.phase,
                 Phase::Prebuffer | Phase::PlayingOn | Phase::Stalled
             ) {
                 // Sync before re-predicting (the old rate applied up to
                 // this instant; `advance` above already integrated it).
-                let idx = self.sessions[i].server;
-                let v = self.servers[idx].v[self.sessions[i].class];
-                let s = &mut self.sessions[i];
+                let v = self.servers[usize::from(s.server)].v[usize::from(s.class)];
                 s.downloaded += v - s.v_base;
                 s.v_base = v;
                 s.synced_at = now;
@@ -1215,6 +1328,7 @@ fn run_fluid(spec: &FleetSpec) -> FleetMetrics {
     let bps = fmt.bytes_per_sec();
     let total_bytes = bps * spec.video_secs;
     let n_classes = spec.access.len();
+    let bucket_us = spec.util_bucket.as_micros().max(1);
     let chaos = spec.chaos.as_ref().map(|p| p.resolve(spec.seed, 1));
     let factor0 = chaos
         .as_ref()
@@ -1235,29 +1349,23 @@ fn run_fluid(spec: &FleetSpec) -> FleetMetrics {
         .iter()
         .map(|s| {
             let base = s.service_rate.expect("validated").bytes_per_sec();
-            FluidServer {
-                base_cap: base,
-                cap: base / f64::from(factor0.max(1)),
-                counts: vec![0; n_classes],
-                n: 0,
-                v: vec![0.0; n_classes],
-                last: SimTime::ZERO,
-                served: 0.0,
-                peak: 0,
-                bucket_served: Vec::new(),
-                bucket_possible: Vec::new(),
-            }
+            FluidServer::new(base, factor0, n_classes, bucket_us)
         })
         .collect();
+    // The attribute table is read once, into the two session tables and
+    // the arrival events, and freed before the loop starts. The tables
+    // are in arrival order (see the module doc's *Layout* paragraph).
     let attrs = precompute_attrs(spec);
-    let sessions: Vec<FluidSession> = attrs
+    let mut by_arrival: Vec<u32> = (0..attrs.len() as u32).collect();
+    by_arrival.sort_unstable_by_key(|&i| (attrs[i as usize].arrival, i));
+    let mut slot_of = vec![0u32; attrs.len()];
+    for (slot, &i) in by_arrival.iter().enumerate() {
+        slot_of[i as usize] = slot as u32;
+    }
+    let sessions: Vec<FluidSession> = by_arrival
         .iter()
+        .map(|&i| &attrs[i as usize])
         .map(|a| FluidSession {
-            class: a.class,
-            server: 0,
-            phase: Phase::Rejected,
-            gen: 0,
-            arrival: a.arrival,
             downloaded: 0.0,
             v_base: 0.0,
             synced_at: SimTime::ZERO,
@@ -1265,17 +1373,30 @@ fn run_fluid(spec: &FleetSpec) -> FleetMetrics {
             play_anchor: SimTime::ZERO,
             anchor_pos: 0.0,
             frozen_pos: 0.0,
+            gen: 0,
+            server: 0,
+            class: u8::try_from(a.class).expect("validated: at most 256 access classes"),
+            phase: Phase::Rejected,
+        })
+        .collect();
+    let log: Vec<SessionLog> = by_arrival
+        .iter()
+        .map(|&i| &attrs[i as usize])
+        .map(|a| SessionLog {
+            arrival: a.arrival,
             stall_started: SimTime::ZERO,
             stall_secs: 0.0,
-            stalled_once: false,
             startup_secs: None,
+            stalled_once: false,
             bin: 0,
         })
         .collect();
     let mut queue = EventQueue::with_capacity(sessions.len() + edges.len() + 16);
-    for (i, a) in attrs.iter().enumerate() {
-        queue.push(a.arrival, FleetEv::Arrive(i as u32));
+    // Pushed in index order: that is the order same-instant arrivals pop in.
+    for (a, &slot) in attrs.iter().zip(&slot_of) {
+        queue.push(a.arrival, FleetEv::Arrive(slot));
     }
+    drop((attrs, by_arrival));
     for &t in &edges {
         queue.push(t, FleetEv::CapEdge);
     }
@@ -1290,15 +1411,16 @@ fn run_fluid(spec: &FleetSpec) -> FleetMetrics {
         lw_bytes: spec.player.low_watermark_secs * bps,
         refill_bytes: spec.player.rebuffer_secs * bps,
         resume_bytes: spec.player.stall_resume_secs * bps,
-        bucket_us: spec.util_bucket.as_micros().max(1),
+        bucket_us,
         tcp: TcpConfig::default(),
         attached: 0,
         total_cap_bits: total_cap_bits(&servers),
         servers,
         sessions,
+        log,
+        slot_of,
         queue,
         bins: empty_bins(),
-        attrs,
         stalled_sessions: 0,
         rejected: 0,
         completed: 0,
@@ -1330,25 +1452,26 @@ fn run_fluid(spec: &FleetSpec) -> FleetMetrics {
             }
         }
     }
-    for idx in 0..sim.servers.len() {
-        sim.servers[idx].advance(now_last, &sim.rates, sim.bucket_us);
+    for srv in &mut sim.servers {
+        srv.advance(now_last, &sim.rates, sim.bucket_us);
     }
     let hours = now_last.as_secs_f64() / 3600.0;
     let bitrate_mbps = fmt.bitrate.as_mbps();
-    let mut startups: Vec<f64> = sim.sessions.iter().filter_map(|s| s.startup_secs).collect();
+    let mut startups: Vec<f64> = sim.log.iter().filter_map(|l| l.startup_secs).collect();
     startups.sort_by(f64::total_cmp);
     let mut qoe_sum = 0.0;
     let mut total_stall = 0.0;
-    for s in &sim.sessions {
+    for &slot in &sim.slot_of {
+        let (s, log) = (&sim.sessions[slot as usize], &sim.log[slot as usize]);
         if s.phase == Phase::Rejected {
             qoe_sum += REJECTED_QOE;
             continue;
         }
-        let startup = s
+        let startup = log
             .startup_secs
-            .unwrap_or_else(|| now_last.saturating_since(s.arrival).as_secs_f64());
-        qoe_sum += qoe_score(bitrate_mbps, startup, s.stall_secs);
-        total_stall += s.stall_secs;
+            .unwrap_or_else(|| now_last.saturating_since(log.arrival).as_secs_f64());
+        qoe_sum += qoe_score(bitrate_mbps, startup, log.stall_secs);
+        total_stall += log.stall_secs;
     }
     let server_usage: Vec<ServerUsage> = sim
         .servers
@@ -1684,6 +1807,7 @@ fn run_exact(spec: &FleetSpec) -> FleetMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::check_fleet_invariants;
     use crate::sim::PathSetup;
 
     fn testbed_base(seed: u64) -> SessionSpec {
@@ -1736,7 +1860,7 @@ mod tests {
         // playback (the capacity-crunch preset's early window would end
         // before the first 40 s pre-buffer completes).
         spec.chaos = Some(ChaosPlan::parse("fleet-overload:from=60s,until=180s,factor=8").unwrap());
-        let crunched = FleetHost::new(spec).unwrap().run();
+        let crunched = FleetHost::new(spec.clone()).unwrap().run();
         assert!(
             crunched.stalled_sessions > calm.stalled_sessions,
             "crunch {} vs calm {}",
@@ -1744,6 +1868,19 @@ mod tests {
             calm.stalled_sessions
         );
         assert!(crunched.mean_qoe < calm.mean_qoe);
+        assert_eq!(check_fleet_invariants(&spec, &crunched), vec![]);
+        // The capacity-edge path (every attached session synced and
+        // re-armed, in session-index order) may change speed only:
+        // recorded before the session tables were re-laid out.
+        assert_eq!(
+            (
+                crunched.events,
+                crunched.stalled_sessions,
+                crunched.total_stall_secs.to_bits(),
+                crunched.mean_qoe.to_bits()
+            ),
+            (13_576, 124, 4665613134183412750, 13859042469584168283)
+        );
     }
 
     #[test]
@@ -1762,42 +1899,126 @@ mod tests {
         assert!(m.total_cost > 0.0);
     }
 
-    /// Where each policy puts a fixed population on unequal, capped
-    /// replicas — every tie-break and the feasible → least-loaded
-    /// fallback included. The values are the reference: a rewrite of
-    /// `select_server` must reproduce them.
+    /// A fixed population on unequal replicas, three of them capped.
+    fn capped_fleet(policy: SelectionPolicy) -> FleetSpec {
+        let mut spec = FleetSpec::fluid(9, 600).with_policy(policy);
+        spec.servers = vec![
+            FleetServerSpec::new(BitRate::mbps(300.0))
+                .with_cost(4.0, 0.04)
+                .with_capacity(60),
+            FleetServerSpec::new(BitRate::mbps(500.0)).with_cost(1.0, 0.01),
+            FleetServerSpec::new(BitRate::mbps(300.0))
+                .with_cost(1.0, 0.01)
+                .with_capacity(50),
+            FleetServerSpec::new(BitRate::mbps(200.0))
+                .with_cost(9.0, 0.09)
+                .with_capacity(20),
+        ];
+        spec
+    }
+
+    /// Where each policy puts [`capped_fleet`]'s population — every
+    /// tie-break and the feasible → least-loaded fallback included. The
+    /// values are the reference: a rewrite of `select_server` must
+    /// reproduce them.
     #[test]
     fn selection_policies_pin_their_placement() {
         let placement = |policy| {
-            let mut spec = FleetSpec::fluid(9, 600).with_policy(policy);
-            spec.servers = vec![
-                FleetServerSpec::new(BitRate::mbps(300.0))
-                    .with_cost(4.0, 0.04)
-                    .with_capacity(60),
-                FleetServerSpec::new(BitRate::mbps(500.0)).with_cost(1.0, 0.01),
-                FleetServerSpec::new(BitRate::mbps(300.0))
-                    .with_cost(1.0, 0.01)
-                    .with_capacity(50),
-                FleetServerSpec::new(BitRate::mbps(200.0))
-                    .with_cost(9.0, 0.09)
-                    .with_capacity(20),
-            ];
-            let m = FleetHost::new(spec).unwrap().run();
+            let m = FleetHost::new(capped_fleet(policy)).unwrap().run();
             let peaks: Vec<u64> = m.servers.iter().map(|s| s.peak_sessions).collect();
             (peaks, m.rejected, m.stalled_sessions, m.events)
         };
         assert_eq!(
             placement(SelectionPolicy::LoadBalanced),
-            (vec![137, 267, 125, 47], 0, 404, 24002)
+            (vec![29, 470, 25, 16], 0, 470, 47263)
         );
         assert_eq!(
             placement(SelectionPolicy::QoeFirst),
-            (vec![126, 283, 124, 43], 0, 283, 23105)
+            (vec![29, 470, 26, 13], 0, 470, 47531)
         );
         assert_eq!(
             placement(SelectionPolicy::CheapestFeasible),
-            (vec![140, 257, 135, 33], 0, 532, 23874)
+            (vec![22, 470, 25, 20], 0, 470, 45728)
         );
+    }
+
+    /// A session paused between refills keeps its slot: it re-attaches to
+    /// the replica it left, so handing the slot to a new arrival would put
+    /// both on it.
+    #[test]
+    fn capped_replicas_never_hold_more_than_their_ceiling() {
+        let mut specs: Vec<FleetSpec> = SelectionPolicy::ALL.map(capped_fleet).into();
+        // Every replica capped: the fleet has to turn arrivals away.
+        let mut tiny = FleetSpec::fluid(11, 50);
+        tiny.servers = vec![FleetServerSpec::new(BitRate::mbps(100.0)).with_capacity(2); 2];
+        specs.push(tiny);
+        for spec in specs {
+            let m = FleetHost::new(spec.clone()).unwrap().run();
+            for (cfg, usage) in spec.servers.iter().zip(&m.servers) {
+                if let Some(ceiling) = cfg.session_capacity {
+                    assert!(
+                        usage.peak_sessions <= u64::from(ceiling),
+                        "{} replica {}: peak {} over ceiling {ceiling}",
+                        spec.policy.name(),
+                        usage.server,
+                        usage.peak_sessions
+                    );
+                }
+            }
+            assert_eq!(check_fleet_invariants(&spec, &m), vec![]);
+        }
+    }
+
+    #[test]
+    fn fluid_session_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<FluidSession>(), 64);
+        assert_eq!(std::mem::align_of::<FluidSession>(), 64);
+    }
+
+    /// The cached share and bucket cursor are the values the per-call
+    /// divisions they replaced would give, after every kind of step.
+    #[test]
+    fn server_share_and_bucket_cursor_equal_recomputation() {
+        let rates = [1.5e6, 0.75e6, 0.375e6];
+        for bucket_us in [1, 7, 10_000_000] {
+            let mut rng = Prng::new(0x5a4e ^ bucket_us);
+            let mut srv = FluidServer::new(1.25e8, 1, rates.len(), bucket_us);
+            let mut members: Vec<usize> = Vec::new();
+            let mut now = 0;
+            for _ in 0..4_000 {
+                match rng.below(4) {
+                    0 => {
+                        let k = rng.below(rates.len() as u64) as usize;
+                        srv.attach(k);
+                        members.push(k);
+                    }
+                    1 => {
+                        if let Some(k) = members.pop() {
+                            srv.detach(k);
+                        }
+                    }
+                    2 => srv.set_cap(rng.below(9) as u32),
+                    _ => {
+                        now += rng.below(3 * bucket_us + 5_000);
+                        srv.advance(SimTime::from_micros(now), &rates, bucket_us);
+                    }
+                }
+                assert_eq!(
+                    srv.share.to_bits(),
+                    (srv.cap / srv.n.max(1) as f64).to_bits()
+                );
+                let b = ((srv.last.as_micros() / bucket_us) as usize).min(MAX_BUCKETS - 1);
+                let end = if b == MAX_BUCKETS - 1 {
+                    u64::MAX
+                } else {
+                    (b as u64 + 1) * bucket_us
+                };
+                assert_eq!((srv.bucket, srv.bucket_end), (b, end));
+            }
+            // 1 µs buckets run out of indices a second in.
+            assert_eq!(bucket_us == 1, srv.bucket == MAX_BUCKETS - 1);
+            assert_eq!(srv.bucket_possible.len(), srv.bucket + 1);
+        }
     }
 
     #[test]
@@ -1808,6 +2029,17 @@ mod tests {
         let mut wrong_policy = FleetSpec::exact(ServiceSpec::testbed(), testbed_base(1), 2);
         wrong_policy.policy = SelectionPolicy::QoeFirst;
         assert!(FleetHost::new(wrong_policy).is_err());
+        // One more than a session's compact indices can name.
+        let mut too_many_classes = FleetSpec::fluid(1, 10);
+        too_many_classes.access = vec![too_many_classes.access[0]; 257];
+        assert!(FleetHost::new(too_many_classes.clone()).is_err());
+        too_many_classes.access.truncate(256);
+        assert!(FleetHost::new(too_many_classes).is_ok());
+        let mut too_many_servers = FleetSpec::fluid(1, 10);
+        too_many_servers.servers = vec![too_many_servers.servers[0]; 65_537];
+        assert!(FleetHost::new(too_many_servers.clone()).is_err());
+        too_many_servers.servers.truncate(65_536);
+        assert!(FleetHost::new(too_many_servers).is_ok());
     }
 
     #[test]

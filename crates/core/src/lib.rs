@@ -57,7 +57,9 @@ pub mod trace;
 pub use abr::{AbrMode, AbrPolicyImpl, AbrPolicyKind, RungMap};
 pub use adaptation::{AdaptationConfig, RateAdapter, SwitchReason};
 pub use buffer::{BufferPhase, PlayoutBuffer, RefillRecord};
-pub use chaos::{check_invariants, ChaosInjector, ChaosPlan, ChaosState, Violation};
+pub use chaos::{
+    check_fleet_invariants, check_invariants, ChaosInjector, ChaosPlan, ChaosState, Violation,
+};
 pub use chunk::{ChunkAssignment, ChunkLedger, PathId};
 pub use config::{GammaRounding, PlayerConfig, SchedulerKind};
 pub use estimator::{

@@ -3,7 +3,7 @@
 //! The build environment has no network access, so the real criterion
 //! cannot be fetched. This crate implements the subset its benches use:
 //! [`Criterion::bench_function`], [`Bencher::iter`] /
-//! [`Bencher::iter_batched`], [`BatchSize`], and the
+//! [`Bencher::iter_batched`], [`Bencher::elements`], [`BatchSize`], and the
 //! [`criterion_group!`] / [`criterion_main!`] macros.
 //!
 //! Measurement model: each benchmark warms up briefly, then runs timed
@@ -58,6 +58,7 @@ impl Criterion {
         let mut b = Bencher {
             warmup: self.warmup,
             measure: self.measure,
+            elements: 1,
             samples: Vec::new(),
         };
         f(&mut b);
@@ -70,11 +71,20 @@ impl Criterion {
 pub struct Bencher {
     warmup: Duration,
     measure: Duration,
+    /// Elements one iteration processes; the report is per element.
+    elements: u64,
     /// Nanoseconds per iteration, one entry per timed batch.
     samples: Vec<f64>,
 }
 
 impl Bencher {
+    /// Declares that one iteration of the routine processes `n` elements
+    /// (events, bytes, …), so the reported times are per element (the
+    /// shim's form of criterion's `Throughput::Elements`).
+    pub fn elements(&mut self, n: u64) {
+        self.elements = n.max(1);
+    }
+
     /// Times `routine` repeatedly.
     pub fn iter<O, R>(&mut self, mut routine: R)
     where
@@ -142,8 +152,9 @@ impl Bencher {
             return;
         }
         self.samples.sort_by(|a, b| a.total_cmp(b));
-        let best = self.samples[0];
-        let median = self.samples[self.samples.len() / 2];
+        let per_element = self.elements as f64;
+        let best = self.samples[0] / per_element;
+        let median = self.samples[self.samples.len() / 2] / per_element;
         println!(
             "{id:<44} best {:>12} median {:>12} ({} batches)",
             fmt_ns(best),

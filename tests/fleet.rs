@@ -5,8 +5,10 @@
 //!   parallelism can never change a result;
 //! * an exact-mode fleet of one is bit-identical to the same session
 //!   run standalone through `SessionHost::run` — the fleet's load
-//!   injection is exactly inert when there is no other load to inject.
+//!   injection is exactly inert when there is no other load to inject;
+//! * every fluid run here also satisfies the fleet invariant oracle.
 
+use msplayer::core::chaos::check_fleet_invariants;
 use msplayer::core::config::PlayerConfig;
 use msplayer::core::fleet::{FleetHost, FleetServerSpec, FleetSpec, SelectionPolicy};
 use msplayer::core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec};
@@ -16,8 +18,9 @@ use msplayer_bench::fleet::{frontier_specs, headline_spec};
 
 #[test]
 fn fluid_fleet_is_bit_identical_across_worker_counts() {
+    let spec = FleetSpec::fluid(0xF1EE_2014, 600).with_policy(SelectionPolicy::QoeFirst);
     let run = |workers: usize| {
-        let mut spec = FleetSpec::fluid(0xF1EE_2014, 600).with_policy(SelectionPolicy::QoeFirst);
+        let mut spec = spec.clone();
         spec.workers = workers;
         FleetHost::new(spec).expect("spec validates").run()
     };
@@ -33,6 +36,7 @@ fn fluid_fleet_is_bit_identical_across_worker_counts() {
     assert_eq!(serial.sessions, 600);
     assert!(serial.completed > 0);
     assert!(serial.events > 0);
+    assert_eq!(check_fleet_invariants(&spec, &serial), vec![]);
 }
 
 #[test]
@@ -113,7 +117,8 @@ fn fluid_fleet_metrics_are_pinned_across_queue_changes() {
         ),
     ];
     for (name, spec, want) in cells {
-        let m = FleetHost::new(spec).expect("spec validates").run();
+        let m = FleetHost::new(spec.clone()).expect("spec validates").run();
+        assert_eq!(check_fleet_invariants(&spec, &m), vec![], "{name}");
         let got = FleetPin {
             events: m.events,
             ended_at_us: m.ended_at.as_micros(),
@@ -137,7 +142,8 @@ fn flash_crowd_of_20k_sessions_runs_to_completion() {
     let mut spec = FleetSpec::fluid(0xF1A5_4C20, 20_000);
     spec.arrival_window = SimDuration::ZERO;
     spec.servers = vec![FleetServerSpec::new(BitRate::mbps(15_000.0)); 4];
-    let m = FleetHost::new(spec).expect("spec validates").run();
+    let m = FleetHost::new(spec.clone()).expect("spec validates").run();
+    assert_eq!(check_fleet_invariants(&spec, &m), vec![]);
     assert_eq!(m.sessions, 20_000);
     assert_eq!(m.rejected, 0);
     assert_eq!(m.completed, 20_000);

@@ -242,8 +242,9 @@ fn bench_http_codec(c: &mut Criterion) {
 }
 
 /// One row per kernel of the per-round sampling path: deviate fills
-/// (`vmath` + the PCG pair), µs rounding, and the OU step at a `dt` that
-/// changes every sample, as a jittered RTT does.
+/// (`vmath` + the PCG pair), µs rounding, the OU's cell read (what ~4
+/// rounds in 5 pay) and its step (what the first round in a new cell pays),
+/// and the loss countdown.
 fn bench_sampling_kernels(c: &mut Criterion) {
     c.bench_function("rng/table_normal_draw", |b| {
         let mut table = DrawTable::new(Prng::new(1), DrawKind::Normal, DeviateMode::Block);
@@ -266,15 +267,31 @@ fn bench_sampling_kernels(c: &mut Criterion) {
             black_box(rtt.mul_f64(black_box(k)))
         });
     });
-    c.bench_function("process/ou_step_jittered_dt", |b| {
-        let mut ou = Ou::new(10.5, 0.5, 8.0, Prng::new(1));
-        let mut t = SimTime::ZERO;
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            t += SimDuration::from_micros(20_000 + (i * 7919) % 10_007);
-            black_box(ou.value_at(t))
+    // tau = 8 s: cells of 250 ms. 1 µs a sample stays inside a cell for
+    // 250 000 samples; 250 ms a sample steps once per sample.
+    for (id, advance) in [
+        ("process/ou_cell_read", SimDuration::from_micros(1)),
+        ("process/ou_step", SimDuration::from_millis(250)),
+    ] {
+        c.bench_function(id, |b| {
+            let mut ou = Ou::new(10.5, 0.5, 8.0, Prng::new(1));
+            let mut t = SimTime::ZERO;
+            b.iter(|| {
+                t += advance;
+                black_box(ou.value_at(t))
+            });
         });
+    }
+    c.bench_function("link/loss_gap_round", |b| {
+        let mut link = msim_net::Link::new(
+            "bench",
+            msim_core::process::Constant(10.0),
+            SimDuration::from_millis(25),
+            0.0,
+            0.004,
+            Prng::new(7),
+        );
+        b.iter(|| black_box(link.random_loss()));
     });
 }
 
@@ -306,24 +323,6 @@ fn bench_tcp_model(c: &mut Criterion) {
             let res = conn.request(&mut link, now, ByteSize::mb(1));
             now = res.completed_at;
             black_box(res)
-        });
-    });
-    // The epoch engine's stable-window path on a jitter-free, loss-free
-    // link: one probe, then every round stepped on the window's constants
-    // with no link call. The only timing of that path.
-    c.bench_function("tcp/stable_4MB_transfer_epoch", |b| {
-        b.iter(|| {
-            let mut link = msim_net::Link::new(
-                "bench",
-                msim_core::process::Constant(10.0),
-                SimDuration::from_millis(20),
-                0.0,
-                0.0,
-                Prng::new(7),
-            );
-            let mut conn = msim_net::TcpConnection::new(msim_net::TcpConfig::default());
-            let ready = conn.connect(&mut link, SimTime::ZERO);
-            black_box(conn.request(&mut link, ready, ByteSize::mb(4)))
         });
     });
 }

@@ -12,7 +12,7 @@
 //! later epoch's numbers: a row that fails is reported as failing.
 
 use msim_core::rng::STREAM_EPOCH;
-use msim_core::stats::median;
+use msim_core::stats::{mean, median};
 use msplayer_bench::workload::WorkloadRegistry;
 use msplayer_bench::{prebuffer_times, rebuffer_times, wifi_fractions};
 use msplayer_core::config::SchedulerKind::{self, Ewma, Fixed, Harmonic, Ratio};
@@ -68,10 +68,6 @@ fn in_band(claim: &str, paper: &str, got: f64, lo: f64, hi: f64) -> Row {
 
 fn reduction_pct(ms: f64, best_single: f64) -> f64 {
     100.0 * (1.0 - ms / best_single)
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    xs.iter().sum::<f64>() / xs.len().max(1) as f64
 }
 
 fn scorecard() -> Vec<Row> {

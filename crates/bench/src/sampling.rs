@@ -1,23 +1,20 @@
 //! The frozen sampling-stream fingerprint corpus.
 //!
-//! The vectorized sampling engine (stream epoch 2 — draw tables filled in
-//! blocks through the `vmath` kernels) was the one sanctioned redefinition
-//! of the repo's deviate bit-streams. This module pins the *new* streams:
-//! a committed JSON artifact maps `(workload, scheduler, chunk, seed)` to
-//! the [`digest_metrics`] of the session it produces — the structural
+//! A stream-epoch change (epoch 2: draw tables filled in blocks through
+//! the `vmath` kernels; epoch 3: the rate process on its own grid, loss
+//! drawn by gap) is a sanctioned redefinition of the repo's deviate
+//! bit-streams. This module pins the *current* streams: a committed JSON
+//! artifact maps `(workload, scheduler, chunk, seed)` to the
+//! [`digest_metrics`] of the session it produces — the structural
 //! [`SessionMetrics::digest`](msplayer_core::metrics::SessionMetrics::digest):
 //! every field folded in declaration order as 64-bit words (times in µs,
 //! `f64::to_bits`, enum discriminants, a length before each `Vec`, a tag
 //! before each `Option`), so it pins sessions bit for bit (`-0.0` ≠ `0.0`,
 //! NaN payloads distinguished) independently of how the toolchain prints
 //! floats. The artifact records the [`DIGEST_EPOCH`] it was digested
-//! under beside the `stream_epoch`, and loading refuses either mismatch:
-//! a digest-definition change (field order, encoding or fold) bumps the
-//! epoch and re-records the `digest` column, while the artifact's
-//! `debug_digest` column — the epoch-1 `Debug`-rendering digests, read
-//! only by `tests/sampling_corpus.rs` against a test-local reference —
-//! shows that the sessions themselves did not move. Three properties are
-//! asserted over the corpus (see `tests/sampling_corpus.rs`):
+//! under beside the `stream_epoch`, and loading refuses either mismatch.
+//! Three properties are asserted over the corpus (see
+//! `tests/sampling_corpus.rs`):
 //!
 //! 1. **Frozen replay** — every committed digest reproduces on the block
 //!    (production) path, so any accidental stream drift is a red test, not

@@ -1,6 +1,6 @@
-//! Tier-1 pin of the sampling-stream redefinition (stream epoch 2).
+//! Tier-1 pin of the sampling streams as currently defined.
 //!
-//! Three claims, each load-bearing for the vectorized sampling engine:
+//! Three claims, each load-bearing for the sampling engine:
 //!
 //! 1. the committed fingerprints replay bit-for-bit on the production
 //!    (block-fill) path — the streams are frozen from this PR on;
@@ -8,12 +8,6 @@
 //!    blocked transcendental math is exact, not approximate;
 //! 3. warm-host batching is invisible — `run_batch` over a shared host
 //!    digests identically to a fresh host per session.
-//!
-//! A fourth claim guards the corpus itself: its `debug_digest` column —
-//! the digests as they stood under epoch 1, FNV-1a over the `Debug`
-//! rendering — still reproduces against a reference that lives only in
-//! this file. A digest-definition change re-records `digest`; that column
-//! staying green is the evidence that nothing but the definition moved.
 //!
 //! Regenerate `digest` after an (explicitly sanctioned) stream or
 //! digest-epoch change with:
@@ -23,73 +17,16 @@
 //! ```
 
 use msim_core::rng::DeviateMode;
-use msim_json::Value;
 use msplayer_bench::chaos::scheduler_by_name;
-use msplayer_bench::cluster::merge::{digest_metrics, fnv1a, parse_hex_u64};
+use msplayer_bench::cluster::merge::digest_metrics;
 use msplayer_bench::sampling::{
     compute_fingerprints, corpus_path, corpus_points, digest_point, load_corpus, to_json,
 };
 use msplayer_bench::workload::WorkloadRegistry;
-use msplayer_core::metrics::SessionMetrics;
 use msplayer_core::sim::SessionHost;
 
 fn registry() -> WorkloadRegistry {
     WorkloadRegistry::builtin(msplayer_bench::sampling::SEEDS_PER_WORKLOAD)
-}
-
-/// The epoch-1 session digest, kept here as the reference the
-/// `debug_digest` column is checked against.
-fn debug_digest(m: &SessionMetrics) -> u64 {
-    fnv1a(format!("{m:?}").into_bytes())
-}
-
-/// The committed artifact's rows, raw: `sampling::Fingerprint` does not
-/// carry the `debug_digest` column.
-fn raw_rows() -> Vec<Value> {
-    let text = std::fs::read_to_string(corpus_path()).expect("committed corpus readable");
-    let doc = msim_json::from_str(&text).expect("committed corpus parses");
-    doc.get("fingerprints")
-        .and_then(Value::as_array)
-        .expect("corpus has a fingerprints array")
-        .to_vec()
-}
-
-/// Row-by-row mismatches between the `debug_digest` column and the
-/// epoch-1 reference over freshly run sessions (empty = it reproduces).
-/// Reads the raw rows rather than `load_corpus`, which (rightly) refuses
-/// the artifact across the very epoch bump the regenerator exists for.
-fn debug_digest_mismatches(reg: &WorkloadRegistry, rows: &[Value]) -> Vec<String> {
-    let mut mismatches = Vec::new();
-    for row in rows {
-        let text = |k: &str| {
-            row.get(k)
-                .and_then(Value::as_str)
-                .unwrap_or_else(|| panic!("corpus row without {k:?}: {row:?}"))
-        };
-        let hex = |k: &str| parse_hex_u64(text(k)).expect("hex column");
-        let chunk_kb = row
-            .get("chunk_kb")
-            .and_then(Value::as_u64)
-            .expect("chunk_kb");
-        let (seed, pinned) = (hex("seed"), hex("debug_digest"));
-        let w = reg
-            .by_name(text("workload"))
-            .expect("corpus workloads exist");
-        let scheduler = scheduler_by_name(text("scheduler")).expect("known scheduler");
-        let metrics = SessionHost::new(w.service.clone())
-            .run(&w.session_spec(scheduler, chunk_kb, seed))
-            .expect("registered workloads validate");
-        let got = debug_digest(&metrics);
-        if got != pinned {
-            mismatches.push(format!(
-                "{}/{} chunk={chunk_kb} seed={seed:#x}: Debug rendering digests {got:016x}, \
-                 debug_digest pins {pinned:016x}",
-                text("workload"),
-                text("scheduler"),
-            ));
-        }
-    }
-    mismatches
 }
 
 /// Claim 1: the committed corpus replays bit-identically on the block
@@ -180,55 +117,15 @@ fn warm_host_batches_match_committed_fingerprints() {
     }
 }
 
-/// Claim 4: the `debug_digest` column — the corpus as it stood before the
-/// structural digest — still reproduces, so re-recording `digest` under a
-/// new `DIGEST_EPOCH` hid no change to the simulator.
-#[test]
-fn debug_digest_column_still_reproduces() {
-    let mismatches = debug_digest_mismatches(&registry(), &raw_rows());
-    assert!(
-        mismatches.is_empty(),
-        "sessions drifted under the epoch-1 reference:\n{}",
-        mismatches.join("\n")
-    );
-}
-
-/// Regenerator: recomputes every `digest` on the block path and rewrites
-/// the committed JSON, carrying the `debug_digest` column over untouched.
-/// Ignored by default — running it is the explicit act of re-freezing the
-/// corpus after a sanctioned stream or digest-epoch change. It refuses to
-/// run while `debug_digest` does not reproduce: then the sessions changed
-/// too, and re-recording would bury that. (A sanctioned *stream* change
-/// has to re-record that column by hand, on purpose.)
+/// Regenerator: recomputes every digest on the block path and rewrites
+/// the committed JSON. Ignored by default — running it is the explicit
+/// act of re-freezing the corpus after a sanctioned stream or
+/// digest-epoch change.
 #[test]
 #[ignore = "rewrites the committed corpus; run explicitly after a sanctioned stream or digest change"]
 fn regenerate_committed_fingerprints() {
-    let reg = registry();
-    let old_rows = raw_rows();
-    let mismatches = debug_digest_mismatches(&reg, &old_rows);
-    assert!(
-        mismatches.is_empty(),
-        "refusing to re-record: the sessions themselves changed\n{}",
-        mismatches.join("\n")
-    );
-    let fps = compute_fingerprints(&reg, DeviateMode::Block);
-    let doc = to_json(&fps);
-    let rows: Vec<Value> = doc
-        .get("fingerprints")
-        .and_then(Value::as_array)
-        .expect("to_json writes a fingerprints array")
-        .iter()
-        .zip(&old_rows)
-        .map(|(new, old)| {
-            for key in ["workload", "scheduler", "chunk_kb", "seed"] {
-                assert_eq!(new.get(key), old.get(key), "corpus grid changed at {key}");
-            }
-            let debug = old.get("debug_digest").expect("checked above").clone();
-            new.clone().with("debug_digest", debug)
-        })
-        .collect();
-    let doc = doc.with("fingerprints", Value::Array(rows));
+    let fps = compute_fingerprints(&registry(), DeviateMode::Block);
     let path = corpus_path();
-    std::fs::write(&path, msim_json::to_string_pretty(&doc)).expect("corpus written");
+    std::fs::write(&path, msim_json::to_string_pretty(&to_json(&fps))).expect("corpus written");
     println!("wrote {} fingerprints to {}", fps.len(), path.display());
 }

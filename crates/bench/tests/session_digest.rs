@@ -72,13 +72,6 @@ fn variants(base: &SessionMetrics) -> Vec<(String, SessionMetrics)> {
     };
     v.add("started_at".into(), |m| tick(&mut m.started_at));
     v.add("events".into(), |m| m.events += 1);
-    v.add("transfer_epochs".into(), |m| m.transfer_epochs += 1);
-    v.add("transfer_fast_rounds".into(), |m| {
-        m.transfer_fast_rounds += 1
-    });
-    v.add("transfer_solved_rounds".into(), |m| {
-        m.transfer_solved_rounds += 1
-    });
     v.add("prebuffer_done_at tag".into(), |m| {
         flip(&mut m.prebuffer_done_at)
     });

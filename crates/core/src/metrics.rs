@@ -11,8 +11,9 @@ use msim_core::time::{SimDuration, SimTime};
 /// stores or exchanges them (the sampling corpus, sweep manifests'
 /// fingerprints, the cluster handshake) refuses a mismatching epoch
 /// instead of comparing them. Epoch 1 was FNV-1a over the `Debug`
-/// rendering.
-pub const DIGEST_EPOCH: u32 = 2;
+/// rendering; epoch 2 still folded three transfer-engine counters that
+/// could only read 0.
+pub const DIGEST_EPOCH: u32 = 3;
 
 /// The digest state: FNV-1a's xor-multiply taken a 64-bit word at a time,
 /// followed by a high-to-low xor-shift so that a difference confined to a
@@ -189,16 +190,6 @@ pub struct SessionMetrics {
     /// QoE accounting for closed-loop ABR sessions (`None` for fixed-rate
     /// and shadow sessions).
     pub abr_qoe: Option<AbrQoe>,
-    /// Stable-link transfer epochs the TCP engine engaged across every
-    /// transfer of the session (0 under the round-loop engine; drivers
-    /// fill this in — see `sim::SessionHost`).
-    pub transfer_epochs: u64,
-    /// TCP rounds the transfer engine served on its fast path (inside a
-    /// stable window, link sampling elided) across the session.
-    pub transfer_fast_rounds: u64,
-    /// Always 0 since the solver was removed; goes with the next
-    /// `DIGEST_EPOCH` bump and benchmark thaw.
-    pub transfer_solved_rounds: u64,
 }
 
 impl SessionMetrics {
@@ -244,9 +235,6 @@ impl SessionMetrics {
             abr_switches,
             abr_decisions,
             abr_qoe,
-            transfer_epochs,
-            transfer_fast_rounds,
-            transfer_solved_rounds,
         } = self;
         let mut h = Fold::new();
         h.time(*started_at);
@@ -332,9 +320,6 @@ impl SessionMetrics {
                 h.word(switch_rebuffer.as_micros());
             }
         }
-        h.word(*transfer_epochs);
-        h.word(*transfer_fast_rounds);
-        h.word(*transfer_solved_rounds);
         h.0
     }
 
@@ -611,9 +596,6 @@ mod tests {
                 switch_magnitude_bps: 1.5e6,
                 switch_rebuffer: SimDuration::from_millis(750),
             }),
-            transfer_epochs: 17,
-            transfer_fast_rounds: 900,
-            transfer_solved_rounds: 400,
         }
     }
 
@@ -719,9 +701,6 @@ mod tests {
             ("abr_qoe.switch_rebuffer", |m| {
                 m.abr_qoe.as_mut().unwrap().switch_rebuffer += SimDuration::from_micros(1)
             }),
-            ("transfer_epochs", |m| m.transfer_epochs += 1),
-            ("transfer_fast_rounds", |m| m.transfer_fast_rounds += 1),
-            ("transfer_solved_rounds", |m| m.transfer_solved_rounds += 1),
             // An element leaves one `Vec` and its values join the next:
             // the payload words barely move, the length words must.
             ("refills -> stalls", |m| {

@@ -46,7 +46,7 @@ use msim_http::tls::TlsTimingModel;
 use msim_http::StatusCode;
 use msim_net::mobility::OutageSchedule;
 use msim_net::profile::PathProfile;
-use msim_net::tcp::{TcpConfig, TcpConnection, TransferOutcome, TransferStats};
+use msim_net::tcp::{TcpConfig, TcpConnection, TransferOutcome};
 use msim_net::Link;
 use msim_youtube::dns::{DnsResolver, Network};
 use msim_youtube::proxy::{parse_video_info, VideoInfo};
@@ -655,7 +655,6 @@ impl SessionHost {
             }
         };
         // Aggregated engine telemetry across the session's transfers.
-        let mut xfer_stats = TransferStats::default();
         // The formats the session's grant must cover: closed-loop ABR
         // sessions are granted their whole quality ladder once (they may
         // switch the streamed itag mid-session); everything else streams
@@ -751,7 +750,6 @@ impl SessionHost {
                 let page_start =
                     page_conn.connect(&mut links[i], t + self.tls.eta(rtt).saturating_sub(rtt));
                 let page = page_conn.request(&mut links[i], page_start, ByteSize::kb(300));
-                xfer_stats.absorb(page.stats);
                 t = page.completed_at + SimDuration::from_millis(3);
             }
             // DNS for the chosen video server.
@@ -973,7 +971,7 @@ impl SessionHost {
                             now,
                             assignment,
                             itag,
-                            &mut xfer_stats,
+                            &self.tls,
                             chaos.as_mut(),
                         );
                     }
@@ -1027,7 +1025,6 @@ impl SessionHost {
         let (mut m, lent) = player.finish(end);
         *traces = lent;
         m.events = events;
-        record_transfer_stats(&mut m, xfer_stats);
         drop(stream_span);
         publish_session_telemetry(&m, queue.op_counts(), end, tracing);
         m
@@ -1048,19 +1045,12 @@ fn publish_session_telemetry(
     static EVENT_PUSHES: LazyCounter = LazyCounter::new("msp_event_pushes_total");
     static EVENT_POPS: LazyCounter = LazyCounter::new("msp_event_pops_total");
     static EVENT_CANCELS: LazyCounter = LazyCounter::new("msp_event_cancels_total");
-    static TRANSFER_EPOCHS: LazyCounter = LazyCounter::new("msp_transfer_epochs_total");
-    static TRANSFER_FAST_ROUNDS: LazyCounter = LazyCounter::new("msp_transfer_fast_rounds_total");
-    static TRANSFER_SOLVED_ROUNDS: LazyCounter =
-        LazyCounter::new("msp_transfer_solved_rounds_total");
     static STALLS: LazyCounter = LazyCounter::new("msp_stalls_total");
     static SESSION_EVENTS: LazyHistogram = LazyHistogram::new("msp_session_events");
     SESSIONS.add(1);
     EVENT_PUSHES.add(ops.pushes);
     EVENT_POPS.add(ops.pops);
     EVENT_CANCELS.add(ops.cancels);
-    TRANSFER_EPOCHS.add(m.transfer_epochs);
-    TRANSFER_FAST_ROUNDS.add(m.transfer_fast_rounds);
-    TRANSFER_SOLVED_ROUNDS.add(m.transfer_solved_rounds);
     STALLS.add(m.stalls.len() as u64);
     SESSION_EVENTS.observe(m.events);
     if tracing {
@@ -1070,18 +1060,9 @@ fn publish_session_telemetry(
             &[
                 ("events", TraceVal::U64(m.events)),
                 ("stalls", TraceVal::U64(m.stalls.len() as u64)),
-                ("epochs", TraceVal::U64(m.transfer_epochs)),
             ],
         );
     }
-}
-
-/// Copies the session's aggregated transfer-engine telemetry into the
-/// metrics record.
-fn record_transfer_stats(m: &mut SessionMetrics, stats: TransferStats) {
-    m.transfer_epochs = stats.epochs as u64;
-    m.transfer_fast_rounds = stats.fast_rounds as u64;
-    m.transfer_solved_rounds = stats.solved_rounds as u64;
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1094,7 +1075,7 @@ fn dispatch_fetch(
     now: SimTime,
     assignment: ChunkAssignment,
     itag: u32,
-    xfer_stats: &mut TransferStats,
+    tls: &TlsTimingModel,
     mut chaos: Option<&mut ChaosState>,
 ) {
     let p = assignment.path;
@@ -1178,7 +1159,6 @@ fn dispatch_fetch(
     }
     let conn = conns[p].as_mut().expect("connection established");
     let result = conn.request(&mut links[p], now, ByteSize::bytes(assignment.range.len()));
-    xfer_stats.absorb(result.stats);
     match result.outcome {
         TransferOutcome::Complete => {
             // Down-direction outage: the transfer ran on the wire (the
@@ -1224,7 +1204,7 @@ fn dispatch_fetch(
             if let Some(up_at) = down_until {
                 rt.down = true;
                 let rtt = links[p].base_rtt();
-                let reconnect = TlsTimingModel::default().eta(rtt);
+                let reconnect = tls.eta(rtt);
                 queue.push(up_at + reconnect, Ev::PathRecover(p));
             }
         }
@@ -1517,14 +1497,11 @@ mod tests {
     #[test]
     fn transfer_engines_agree_end_to_end() {
         use msim_net::tcp::TransferEngine;
-        // On a stable link the epoch engine steps every round inside a
-        // stable window without sampling the link; the session must be
-        // bit-identical to one driven by the reference round loop (the
-        // jittered paper profiles are covered too, via per-round sampling).
+        // A quiet link, the same link with an outage shorter than
+        // `dead_link_timeout` and a chunk in flight across it (the
+        // dead-link arm waits it out mid-transfer), and the jittered,
+        // lossy paper profiles: whole sessions agree across the engines.
         let stable = single_path(17, PathProfile::stable(10.0, 20), quick_player());
-        // An outage shorter than `dead_link_timeout` with a chunk in flight
-        // across it: within one transfer a stable window expires, the
-        // dead-link arm waits the outage out, and a second window opens.
         let mut interrupted = stable.clone();
         interrupted.paths[0].outages = Some(OutageSchedule::from_windows(vec![(
             SimTime::from_secs(2),
@@ -1536,28 +1513,8 @@ mod tests {
             rl_spec.player = rl_spec
                 .player
                 .with_transfer_engine(TransferEngine::RoundLoop);
-            let mut rl = run(&rl_spec);
-            // Telemetry is engine-specific by design; the model is not.
-            assert_eq!(
-                rl.transfer_fast_rounds, 0,
-                "round loop reports no fast path"
-            );
-            rl.transfer_epochs = epoch.transfer_epochs;
-            rl.transfer_fast_rounds = epoch.transfer_fast_rounds;
-            rl.transfer_solved_rounds = epoch.transfer_solved_rounds;
-            assert_eq!(epoch, rl, "engines diverged end-to-end");
+            assert_eq!(epoch, run(&rl_spec), "engines diverged end-to-end");
         }
-        // And the stable scenarios genuinely exercised the fast path.
-        let m = run(&stable);
-        assert!(m.transfer_epochs > 0, "fast path engaged: {m:?}");
-        assert!(m.transfer_fast_rounds > 0, "stable-window rounds ran");
-        let m = run(&interrupted);
-        assert!(
-            m.transfer_epochs > m.chunks.len() as u64,
-            "a transfer spanned two stable windows: {} epochs over {} chunks",
-            m.transfer_epochs,
-            m.chunks.len()
-        );
     }
 
     #[test]

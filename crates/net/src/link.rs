@@ -1,28 +1,25 @@
 //! A simulated access link: time-varying available bandwidth, RTT with
 //! jitter, random loss, and optional outage windows (mobility).
+//!
+//! What a TCP round costs here (the hottest calls in the repository):
+//!
+//! * [`Link::rtt_at`]: one indexed load from the jitter table and the µs
+//!   rounding; the only per-round deviate left;
+//! * [`Link::rate_at`]: the rate process lives on the time axis (see
+//!   [`msim_core::process`]), so most rounds read the OU's current cell and
+//!   the modulators' current episode, and nothing is drawn;
+//! * [`Link::random_loss`]: a countdown. The number of clean rounds before
+//!   the next loss is drawn once per loss, not a Bernoulli per round.
+//!
+//! The rate a link offers at `t` is a function of `(seed, t)`; RTT jitter
+//! and loss are per-round sequences and depend on how many rounds ran.
 
 use crate::mobility::OutageSchedule;
 use msim_core::process::{Process, ProcessKind};
 use msim_core::rng::{DeviateMode, DrawKind, DrawTable, Prng};
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::BitRate;
-
-/// A window over which a link is *provably boring*: constant rate, constant
-/// RTT, zero per-round loss probability, no outage — and, crucially, no
-/// randomness consumed by any per-round sampling inside it. The epoch-based
-/// transfer engine ([`crate::tcp`]) steps TCP rounds inside such windows on
-/// these constants without touching the link; see [`Link::stable_window`]
-/// for the exact contract.
-#[derive(Clone, Copy, Debug)]
-pub struct StableWindow {
-    /// The (effective, clamped) link rate holding over the window.
-    pub rate: BitRate,
-    /// The round-trip time holding over the window (no jitter by
-    /// definition of stability).
-    pub rtt: SimDuration,
-    /// Exclusive end of the window: the guarantee covers `[t, until)`.
-    pub until: SimTime,
-}
+use msim_core::vmath;
 
 /// One directional access link (WiFi or LTE attachment).
 ///
@@ -34,9 +31,13 @@ pub struct Link {
     pub name: String,
     rate_process: ProcessKind,
     base_rtt: SimDuration,
-    rtt_jitter_frac: f64,
-    random_loss_per_round: f64,
+    /// `ln(1 − p)` for a per-round loss probability `p`: negative on a
+    /// lossy link (−∞ at `p = 1`), `0.0` on one that never loses.
+    ln_keep: f64,
+    /// Clean rounds left before the next random loss.
+    loss_gap: u64,
     outages: Option<OutageSchedule>,
+    /// Loss gaps (one draw per loss); untouched on a loss-free link.
     rng: Prng,
     /// Per-round RTT jitter multipliers (full log-normal values, `exp`
     /// included, so the per-round draw is an indexed load). `None` on
@@ -79,8 +80,8 @@ impl Link {
         mode: DeviateMode,
     ) -> Self {
         // Jittered links fork a dedicated stream for the multiplier table
-        // so loss draws stay on `rng`; jitter-free links leave `rng`
-        // untouched, preserving their (stable-path) draw sequence.
+        // so loss draws stay on `rng`; a link with neither jitter nor loss
+        // leaves `rng` where the caller's fork put it.
         let jitter = (rtt_jitter_frac > 0.0).then(|| {
             let sigma = rtt_jitter_frac;
             DrawTable::new(
@@ -92,16 +93,37 @@ impl Link {
                 mode,
             )
         });
-        Link {
+        let p = random_loss_per_round;
+        let ln_keep = if p >= 1.0 {
+            f64::NEG_INFINITY
+        } else if p > 0.0 {
+            vmath::ln(1.0 - p)
+        } else {
+            0.0
+        };
+        let mut link = Link {
             name: name.into(),
             rate_process: rate_process.into(),
             base_rtt,
-            rtt_jitter_frac,
-            random_loss_per_round,
+            ln_keep,
+            loss_gap: u64::MAX,
             outages: None,
             rng,
             jitter,
+        };
+        // A `p` so small that `1 − p` rounds to 1 never loses either.
+        if link.ln_keep < 0.0 {
+            link.loss_gap = link.draw_loss_gap();
         }
+        link
+    }
+
+    /// Clean rounds before the next loss: `⌊ln U / ln(1 − p)⌋` for `U`
+    /// uniform on `(0, 1]`, the geometric law `P(gap = k) = (1 − p)^k · p`
+    /// that a Bernoulli(`p`) per round would produce.
+    fn draw_loss_gap(&mut self) -> u64 {
+        let u = (1.0 - self.rng.f64()).max(f64::MIN_POSITIVE);
+        (vmath::ln(u) / self.ln_keep) as u64
     }
 
     /// Attaches an outage schedule (mobility: the link is dead inside
@@ -138,9 +160,17 @@ impl Link {
         self.base_rtt
     }
 
-    /// Draws whether a random (non-congestion) loss hits this round.
+    /// Whether a random (non-congestion) loss hits this round: counts the
+    /// current gap down, and on the round it runs out draws the next one. A
+    /// loss-free link holds `u64::MAX` and is never asked to draw.
+    #[inline]
     pub fn random_loss(&mut self) -> bool {
-        self.rng.chance(self.random_loss_per_round)
+        if self.loss_gap > 0 {
+            self.loss_gap -= 1;
+            return false;
+        }
+        self.loss_gap = self.draw_loss_gap();
+        true
     }
 
     /// True when the link is usable at `t` (no outage in progress).
@@ -165,57 +195,6 @@ impl Link {
     #[doc(hidden)]
     pub fn rng_probe(&mut self) -> u64 {
         self.rng.next_u64()
-    }
-
-    /// False when [`Link::stable_window`] returns `None` at every `t`:
-    /// jitter or a loss probability make every round consume randomness.
-    /// Fixed at construction, so the transfer engine asks once per request
-    /// instead of probing every round.
-    pub(crate) fn can_be_stable(&self) -> bool {
-        !(self.rtt_jitter_frac > 0.0 || self.random_loss_per_round > 0.0)
-    }
-
-    /// Probes for a [`StableWindow`] starting at `t`.
-    ///
-    /// When this returns `Some(w)`, the link guarantees that for every
-    /// `t' ∈ [t, w.until)`:
-    ///
-    /// * [`Link::rate_at`]`(t')` returns exactly `w.rate`,
-    /// * [`Link::rtt_at`]`(t')` returns exactly `w.rtt`,
-    /// * [`Link::random_loss`]`()` returns `false`,
-    ///
-    /// **and none of those calls consumes randomness or observably mutates
-    /// state** — so a caller may skip them entirely and every later sample
-    /// on this link is bit-identical to the call-every-round execution.
-    /// This is the foundation of the TCP fast path's bit-identity claim.
-    ///
-    /// The probe itself samples the rate at `t` (exactly as a per-round
-    /// caller would), so callers must treat the probe as their sample for
-    /// time `t`. Returns `None` when the link is jittered, lossy, in an
-    /// outage, or its rate process cannot advertise a horizon.
-    pub fn stable_window(&mut self, t: SimTime) -> Option<StableWindow> {
-        if !self.can_be_stable() {
-            return None;
-        }
-        let mut until = SimTime::MAX;
-        if let Some(o) = &self.outages {
-            if !o.is_up(t) {
-                return None;
-            }
-            if let Some(next_down) = o.next_outage_after(t) {
-                until = next_down;
-            }
-        }
-        let rate = self.rate_at(t);
-        until = until.min(self.rate_process.stable_until(t)?);
-        if until <= t {
-            return None;
-        }
-        Some(StableWindow {
-            rate,
-            rtt: self.base_rtt,
-            until,
-        })
     }
 }
 
@@ -293,64 +272,76 @@ mod tests {
         assert!((800..1200).contains(&hits), "hits {hits}");
     }
 
-    #[test]
-    fn stable_window_on_quiet_constant_link() {
-        let mut l = test_link(0.0);
-        let w = l.stable_window(SimTime::from_secs(1)).expect("stable");
-        assert_eq!(w.until, SimTime::MAX);
-        assert_eq!(w.rtt, SimDuration::from_millis(50));
-        assert!((w.rate.as_mbps() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jitter_or_loss_defeat_stability() {
-        let mut jittered = test_link(0.2);
-        assert!(jittered.stable_window(SimTime::ZERO).is_none());
-        let mut lossy = Link::new(
+    fn lossy_link(p: f64, seed: u64) -> Link {
+        Link::new(
             "lossy",
             Constant(10.0),
             SimDuration::from_millis(50),
             0.0,
-            0.01,
-            Prng::new(7),
-        );
-        assert!(lossy.stable_window(SimTime::ZERO).is_none());
+            p,
+            Prng::new(seed),
+        )
     }
 
     #[test]
-    fn outages_bound_or_defeat_stability() {
+    fn loss_gaps_follow_the_geometric_law() {
+        // Mean clean run between losses is (1 − p)/p.
+        for p in [0.004, 0.05, 0.3] {
+            let mut l = lossy_link(p, 11);
+            let (mut losses, mut rounds) = (0u64, 0u64);
+            while losses < 100_000 {
+                rounds += 1;
+                losses += u64::from(l.random_loss());
+            }
+            let mean_gap = (rounds - losses) as f64 / losses as f64;
+            let want = (1.0 - p) / p;
+            assert!(
+                (mean_gap - want).abs() < 0.03 * want,
+                "p {p}: mean gap {mean_gap}, want {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn certain_loss_hits_every_round_and_a_vanishing_one_never() {
+        let mut always = lossy_link(1.0, 3);
+        assert!((0..1_000).all(|_| always.random_loss()));
+        // 1 − 1e-300 rounds to 1: no round can be told from a clean one.
+        let mut never = lossy_link(1e-300, 3);
+        assert!(!(0..1_000).any(|_| never.random_loss()));
+    }
+
+    #[test]
+    fn quiet_link_never_touches_its_rng() {
+        // No jitter and no loss: rounds, rates and RTTs leave the stream
+        // where construction found it.
+        let mut l = test_link(0.0);
+        for i in 0..1_000 {
+            let t = SimTime::from_millis(10 * i);
+            l.rate_at(t);
+            l.rtt_at(t);
+            assert!(!l.random_loss());
+        }
+        assert_eq!(l.rng_probe(), Prng::new(1).next_u64());
+    }
+
+    #[test]
+    fn rate_is_a_function_of_seed_and_time() {
+        // Two links of one seed, sampled on different patterns, one of them
+        // through an outage: the rate agrees wherever both are up.
         use crate::mobility::OutageSchedule;
+        use crate::profile::PathProfile;
+        let profile = PathProfile::lte_youtube();
+        let mut steady = profile.build(&mut Prng::new(21));
         let sched =
-            OutageSchedule::from_windows(vec![(SimTime::from_secs(10), SimTime::from_secs(20))]);
-        let mut l = test_link(0.0).with_outages(sched);
-        // Before the outage: window ends at the outage start.
-        let w = l.stable_window(SimTime::from_secs(5)).expect("up + stable");
-        assert_eq!(w.until, SimTime::from_secs(10));
-        // Inside the outage: no stability at all.
-        assert!(l.stable_window(SimTime::from_secs(15)).is_none());
-        // After: unbounded again.
-        let w = l.stable_window(SimTime::from_secs(25)).expect("up again");
-        assert_eq!(w.until, SimTime::MAX);
-    }
-
-    #[test]
-    fn stochastic_rate_process_defeats_stability() {
-        use msim_core::process::Ou;
-        let mut l = Link::new(
-            "ou",
-            Ou::new(10.0, 2.0, 1.0, Prng::new(9)),
-            SimDuration::from_millis(40),
-            0.0,
-            0.0,
-            Prng::new(10),
-        );
-        assert!(l.stable_window(SimTime::from_millis(10)).is_none());
-        // The probe's own sample counts as the sample for that instant:
-        // a subsequent rate_at at the same t must agree and not re-draw.
-        let t = SimTime::from_millis(20);
-        let _ = l.stable_window(t);
-        let a = l.rate_at(t);
-        let b = l.rate_at(t);
-        assert_eq!(a.as_bps(), b.as_bps());
+            OutageSchedule::from_windows(vec![(SimTime::from_secs(30), SimTime::from_secs(70))]);
+        let mut roaming = profile.build(&mut Prng::new(21)).with_outages(sched);
+        for i in 1..=20_000u64 {
+            let t = SimTime::from_millis(9 * i);
+            let want = steady.rate_at(t);
+            if i % 17 == 0 && roaming.is_up(t) {
+                assert_eq!(roaming.rate_at(t).as_bps(), want.as_bps(), "at {t:?}");
+            }
+        }
     }
 }

@@ -83,11 +83,6 @@ impl OutageSchedule {
         t
     }
 
-    /// The start of the first outage at or after `t`, if any.
-    pub fn next_outage_after(&self, t: SimTime) -> Option<SimTime> {
-        self.windows.iter().map(|&(s, _)| s).find(|&s| s >= t)
-    }
-
     /// The scheduled windows.
     pub fn windows(&self) -> &[(SimTime, SimTime)] {
         &self.windows
@@ -117,11 +112,6 @@ mod tests {
         assert!(s.is_up(SimTime::from_secs(12)), "end is exclusive");
         assert_eq!(s.next_up(SimTime::from_secs(11)), SimTime::from_secs(12));
         assert_eq!(s.next_up(SimTime::from_secs(13)), SimTime::from_secs(13));
-        assert_eq!(
-            s.next_outage_after(SimTime::from_secs(13)),
-            Some(SimTime::from_secs(20))
-        );
-        assert_eq!(s.next_outage_after(SimTime::from_secs(30)), None);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Round-based TCP connection model, executed by an epoch-based transfer
-//! engine.
+//! Round-based TCP connection model and the two engines that execute it.
 //!
 //! Every HTTP range request in the paper's system rides a persistent legacy
 //! TCP connection. What determines a chunk's download time is:
@@ -22,25 +21,21 @@
 //! Two interchangeable engines execute that model:
 //!
 //! * [`rounds`] — the reference **round loop**: one iteration per RTT,
-//!   every link interaction made explicitly. It stays selectable because
+//!   written as plainly as the model reads. It stays selectable because
 //!   cross-crate differential tests select it as the baseline
 //!   (`transfer_engines.rs`, `core::sim`'s end-to-end engine agreement);
-//! * [`epoch`] — the default **epoch engine**: the same round, run over
-//!   explicit epoch boundaries. Wherever the link advertises a
-//!   [`StableWindow`] (constant rate/RTT, zero loss probability, *zero
-//!   randomness consumed per round*), the engine stops sampling the link
-//!   and steps rounds on the window's constants until it expires;
-//!   everywhere else it samples RTT, rate and the loss draw each round.
-//!   Both feed one round body that evaluates the round loop's arithmetic
-//!   in the round loop's order, so results are **bit-identical**: same
-//!   [`TransferResult`] model fields, same RNG stream positions, same
-//!   warm-connection state.
+//! * [`epoch`] — the default engine: the same loop over one round body,
+//!   the transfer's state held in a struct. It makes the same link calls
+//!   in the same order around the same expressions, so results are
+//!   **bit-identical**: same [`TransferResult`] model fields, same RNG
+//!   stream positions, same warm-connection state.
+//!
+//! Neither has a fast path to fall off: what a round costs is decided in
+//! [`crate::link`] (a cell read for the rate, a countdown for the loss).
 //!
 //! Select an engine per connection via [`TcpConfig::engine`]; differential
 //! tests in `crates/net/tests/transfer_engines.rs` pin the equivalence
 //! across randomized profiles, handoffs, idle gaps, and loss regimes.
-//!
-//! [`StableWindow`]: crate::link::StableWindow
 
 pub mod epoch;
 pub mod fluid;
@@ -60,12 +55,11 @@ static ROUNDS_REQUESTS: LazyCounter =
 /// Which transfer engine a connection runs (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransferEngine {
-    /// The epoch-based engine, which skips link sampling inside stable
-    /// windows (default).
+    /// The struct-of-state engine (default).
     #[default]
     Epoch,
-    /// The per-RTT reference loop — bit-identical, samples the link every
-    /// round; keep it at hand for debugging and differential testing.
+    /// The per-RTT reference loop — bit-identical; keep it at hand for
+    /// debugging and differential testing.
     RoundLoop,
 }
 
@@ -119,29 +113,18 @@ pub enum TransferOutcome {
     TimedOut,
 }
 
-/// Execution telemetry of one transfer: how the engine got the result,
-/// never *what* the result is. The model fields of [`TransferResult`] are
-/// engine-independent (differential-tested); these counters are not — the
-/// round loop always reports zeros.
+/// Engine telemetry of one transfer. Every field reads 0: the stable
+/// windows and the closed-form solver they counted are gone. The fields
+/// stay because `benchmark/src/entry.rs` reads them and `benchmark/` is
+/// frozen; they go with its thaw.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransferStats {
-    /// Stable-link epochs the engine ran fast-path rounds in.
+    /// Always 0.
     pub epochs: u32,
-    /// Rounds executed on the fast path: inside a stable window, with the
-    /// link's per-round sampling elided.
+    /// Always 0.
     pub fast_rounds: u32,
-    /// Always 0 since the solver was removed; goes with the next
-    /// `DIGEST_EPOCH` bump and benchmark thaw.
+    /// Always 0.
     pub solved_rounds: u32,
-}
-
-impl TransferStats {
-    /// Accumulates another transfer's telemetry (saturating).
-    pub fn absorb(&mut self, other: TransferStats) {
-        self.epochs = self.epochs.saturating_add(other.epochs);
-        self.fast_rounds = self.fast_rounds.saturating_add(other.fast_rounds);
-        self.solved_rounds = self.solved_rounds.saturating_add(other.solved_rounds);
-    }
 }
 
 /// The result of simulating one request/response transfer.
@@ -161,8 +144,7 @@ pub struct TransferResult {
     pub losses: u32,
     /// How it ended.
     pub outcome: TransferOutcome,
-    /// Engine telemetry (epochs engaged, fast-path rounds). Excluded from
-    /// the bit-identity contract between engines.
+    /// All zeros; see [`TransferStats`].
     pub stats: TransferStats,
 }
 
@@ -288,8 +270,8 @@ impl TcpConnection {
 
     /// A bit-exact snapshot of the warm-connection state that persists
     /// across keep-alive requests. The engine-equivalence tests compare
-    /// these to prove that a chunk served by the fast path leaves the
-    /// connection in exactly the state the round loop would have.
+    /// these to prove that a chunk served by one engine leaves the
+    /// connection in exactly the state the other would have.
     pub fn snapshot(&self) -> ConnSnapshot {
         ConnSnapshot {
             cwnd_pkts: self.cwnd_pkts,
@@ -310,7 +292,6 @@ impl TcpConnection {
         rounds: u32,
         losses: u32,
         outcome: TransferOutcome,
-        stats: TransferStats,
     ) -> TransferResult {
         self.last_activity = completed_at;
         TransferResult {
@@ -321,17 +302,13 @@ impl TcpConnection {
             rounds,
             losses,
             outcome,
-            stats,
+            stats: TransferStats::default(),
         }
     }
 
     /// Link rate, additionally capped by server pacing once past the burst.
     fn effective_rate(&self, link: &mut Link, t: SimTime) -> BitRate {
-        self.paced(link.rate_at(t))
-    }
-
-    /// `link_rate` capped by server pacing once past the burst.
-    fn paced(&self, link_rate: BitRate) -> BitRate {
+        let link_rate = link.rate_at(t);
         match self.pace {
             Some((burst, pace_rate)) if self.total_delivered >= burst => {
                 BitRate::bps(link_rate.as_bps().min(pace_rate.as_bps()))
@@ -529,15 +506,6 @@ mod tests {
             conn.request(&mut link, ready, ByteSize::mb(3)).completed_at
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn stable_link_rounds_are_all_fast_and_none_solved() {
-        let mut link = crate::profile::PathProfile::stable(10.0, 20).build(&mut Prng::new(7));
-        let (mut conn, ready) = connected(TcpConfig::default(), &mut link);
-        let res = conn.request(&mut link, ready, ByteSize::mb(4));
-        assert_eq!(res.stats.solved_rounds, 0);
-        assert_eq!(res.stats.fast_rounds, res.rounds);
     }
 
     #[test]

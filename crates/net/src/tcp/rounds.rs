@@ -3,9 +3,8 @@
 //! The model in its plainest form: one loop iteration per TCP round, every
 //! link interaction (`rtt_at`, `rate_at`, `random_loss`) performed
 //! explicitly each round. It is the differential baseline for the epoch
-//! engine, which runs the same round but stops calling the link inside
-//! stable windows: `crates/net/tests/transfer_engines.rs` pins the epoch
-//! engine against this loop bit-for-bit — model result fields, RNG stream
+//! engine: `crates/net/tests/transfer_engines.rs` pins the epoch engine
+//! against this loop bit-for-bit — model result fields, RNG stream
 //! positions, and warm-connection state — across randomized link profiles,
 //! mobility handoffs, idle-restart gaps, and loss regimes.
 //!
@@ -14,7 +13,7 @@
 //! also the engine of choice when single-stepping a transfer under a
 //! debugger.
 
-use super::{TcpConnection, TransferOutcome, TransferResult, TransferStats};
+use super::{TcpConnection, TransferOutcome, TransferResult};
 use crate::link::Link;
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::ByteSize;
@@ -64,7 +63,6 @@ pub(super) fn run(
                         rounds,
                         losses,
                         TransferOutcome::TimedOut,
-                        TransferStats::default(),
                     );
                 }
                 t = up_at;
@@ -84,7 +82,6 @@ pub(super) fn run(
                 rounds,
                 losses,
                 TransferOutcome::TimedOut,
-                TransferStats::default(),
             );
         }
         dead_for = SimDuration::ZERO;
@@ -154,6 +151,5 @@ pub(super) fn run(
         rounds,
         losses,
         TransferOutcome::Complete,
-        TransferStats::default(),
     )
 }

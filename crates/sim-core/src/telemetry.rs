@@ -319,18 +319,13 @@ pub fn counter_with(name: &str, labels: &[(&str, &str)]) -> &'static Counter {
 /// them up front (standard exposition practice: a counter exists from
 /// process start, not from its first increment) means a live `/metrics`
 /// scrape always exposes the full core schema — a zero
-/// `msp_transfer_fast_rounds_total` is a statement that no stable-link
-/// epoch ran, where an absent series says nothing.
-/// `msp_transfer_solved_rounds_total` is always 0 since the solver was
-/// removed; it goes with the next `DIGEST_EPOCH` bump and benchmark thaw.
+/// `msp_failovers_total` is a statement that no path failed over, where
+/// an absent series says nothing.
 pub const CORE_COUNTERS: &[&str] = &[
     "msp_sessions_total",
     "msp_event_pushes_total",
     "msp_event_pops_total",
     "msp_event_cancels_total",
-    "msp_transfer_epochs_total",
-    "msp_transfer_fast_rounds_total",
-    "msp_transfer_solved_rounds_total",
     "msp_stalls_total",
     "msp_chunk_errors_total",
     "msp_failovers_total",

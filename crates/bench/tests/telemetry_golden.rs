@@ -29,8 +29,8 @@ fn golden_path() -> PathBuf {
 
 /// Two seeds of every builtin workload (first scheduler and chunk size:
 /// prebuffer runs, storms with failovers and 5xx verdicts, shadow and
-/// closed-loop ABR), one session on the round-loop TCP engine, and a
-/// small overloaded fluid fleet.
+/// closed-loop ABR), one session counted under the `rounds` engine
+/// label, and a small overloaded fluid fleet.
 fn fixed_batch() {
     let reg = WorkloadRegistry::builtin(2);
     for w in reg.specs() {

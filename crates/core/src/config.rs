@@ -201,11 +201,9 @@ pub struct PlayerConfig {
     pub gamma_rounding: GammaRounding,
     /// Optional shadow ABR ladder (`None` = the paper's fixed-rate player).
     pub abr_ladder: Option<AbrLadderConfig>,
-    /// Which TCP transfer engine the session's connections run. The
-    /// default [`TransferEngine::Epoch`] skips link sampling over
-    /// stable-link stretches; force [`TransferEngine::RoundLoop`] to
-    /// sample every round (results are bit-identical either way — see the
-    /// README section "The transfer engine").
+    /// Which `engine` label the session's transfers are counted under in
+    /// `msp_transfer_requests_total`. Both variants run the same round
+    /// loop (see the README section "The transfer engine").
     pub transfer_engine: TransferEngine,
 }
 
@@ -281,8 +279,7 @@ impl PlayerConfig {
         self
     }
 
-    /// Builder-style transfer-engine override (e.g. force the per-RTT
-    /// reference loop for debugging).
+    /// Builder-style override of [`PlayerConfig::transfer_engine`].
     pub fn with_transfer_engine(mut self, engine: TransferEngine) -> Self {
         self.transfer_engine = engine;
         self

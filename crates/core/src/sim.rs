@@ -644,7 +644,7 @@ impl SessionHost {
                 ],
             );
         }
-        // The session's transfer-engine selection applies to every TCP
+        // The session's transfer-engine label applies to every TCP
         // connection the driver opens (bootstrap page fetches, video
         // connections, failover reconnects).
         let engine = spec.player.transfer_engine;
@@ -654,7 +654,6 @@ impl SessionHost {
                 ..setup.profile.tcp_config()
             }
         };
-        // Aggregated engine telemetry across the session's transfers.
         // The formats the session's grant must cover: closed-loop ABR
         // sessions are granted their whole quality ladder once (they may
         // switch the streamed itag mid-session); everything else streams
@@ -1032,9 +1031,8 @@ impl SessionHost {
 }
 
 /// Publishes one finished session's observability rollup: session and
-/// event-queue op counters, transfer-engine fast/solved round counters,
-/// the per-session event histogram, and (when tracing) the `session.end`
-/// trace record. Reads only finished state — provably non-perturbing.
+/// event-queue op counters, the per-session event histogram, and (when
+/// tracing) the `session.end` trace record. Reads only finished state — provably non-perturbing.
 fn publish_session_telemetry(
     m: &SessionMetrics,
     ops: msim_core::event::QueueOps,

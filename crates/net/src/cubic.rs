@@ -10,8 +10,7 @@
 /// CUBIC state for one connection.
 ///
 /// `PartialEq` compares every field bit-for-bit — the warm-connection
-/// equivalence tests between the epoch transfer engine and the reference
-/// round loop rely on it.
+/// replay tests of the round loop rely on it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Cubic {
     /// Scaling constant C (RFC 8312 recommends 0.4).

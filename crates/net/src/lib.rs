@@ -10,8 +10,7 @@
 //!   slow start, CUBIC congestion avoidance ([`cubic`]), slow-start restart
 //!   after idle, persistent-connection window reuse, and optional
 //!   server-side pacing (Trickle-style, the paper's \[12\]), executed by
-//!   an epoch-based engine that stops sampling the link over stable
-//!   stretches (bit-identical to the preserved per-RTT reference loop);
+//!   one per-RTT round loop;
 //! * [`profile`] — calibrated WiFi/LTE path recipes for the §5 emulated
 //!   testbed and the §6 production-YouTube environment;
 //! * [`mobility`] — outage schedules for the mobility/robustness scenarios;

@@ -190,8 +190,8 @@ impl Link {
     }
 
     /// Draws and returns the next raw value of the link's own RNG stream.
-    /// Test-only: differential tests use it to pin the stream *position*
-    /// (not just past draws) after a transfer ran on each engine.
+    /// Test-only: replay tests use it to pin the stream *position* (not
+    /// just past draws) after a transfer ran.
     #[doc(hidden)]
     pub fn rng_probe(&mut self) -> u64 {
         self.rng.next_u64()

@@ -1,4 +1,4 @@
-//! Round-based TCP connection model and the two engines that execute it.
+//! Round-based TCP connection model and the loop that executes it.
 //!
 //! Every HTTP range request in the paper's system rides a persistent legacy
 //! TCP connection. What determines a chunk's download time is:
@@ -16,28 +16,23 @@
 //! it. This fluid approximation is standard for transfer-time studies and is
 //! deterministic given the link's RNG streams.
 //!
-//! # The two engines
+//! # One round loop
 //!
-//! Two interchangeable engines execute that model:
+//! [`rounds`] executes that model: one iteration per RTT, written as
+//! plainly as the model reads. There is no fast path to fall off: what a
+//! round costs is decided in [`crate::link`] (a cell read for the rate, a
+//! countdown for the loss).
 //!
-//! * [`rounds`] — the reference **round loop**: one iteration per RTT,
-//!   written as plainly as the model reads. It stays selectable because
-//!   cross-crate differential tests select it as the baseline
-//!   (`transfer_engines.rs`, `core::sim`'s end-to-end engine agreement);
-//! * [`epoch`] — the default engine: the same loop over one round body,
-//!   the transfer's state held in a struct. It makes the same link calls
-//!   in the same order around the same expressions, so results are
-//!   **bit-identical**: same [`TransferResult`] model fields, same RNG
-//!   stream positions, same warm-connection state.
-//!
-//! Neither has a fast path to fall off: what a round costs is decided in
-//! [`crate::link`] (a cell read for the rate, a countdown for the loss).
-//!
-//! Select an engine per connection via [`TcpConfig::engine`]; differential
-//! tests in `crates/net/tests/transfer_engines.rs` pin the equivalence
-//! across randomized profiles, handoffs, idle gaps, and loss regimes.
+//! [`TransferEngine`] once chose between this loop and a second engine
+//! with a stable-link fast path. With `STREAM_EPOCH` 3 the fast path is
+//! gone and the second engine with it; both variants run [`rounds`] and
+//! differ only in the `engine` label of `msp_transfer_requests_total`.
+//! `crates/net/tests/transfer_engines.rs` and `core::sim`'s
+//! `transfer_engines_agree_end_to_end` therefore now show replay
+//! determinism (results, RNG stream positions, warm-connection state)
+//! over randomized profiles, handoffs, idle gaps and loss regimes, not
+//! agreement between two implementations.
 
-pub mod epoch;
 pub mod fluid;
 pub mod rounds;
 
@@ -52,14 +47,14 @@ static EPOCH_REQUESTS: LazyCounter =
 static ROUNDS_REQUESTS: LazyCounter =
     LazyCounter::with_labels("msp_transfer_requests_total", &[("engine", "rounds")]);
 
-/// Which transfer engine a connection runs (see the module docs).
+/// The telemetry label a connection's requests are counted under. Both
+/// variants run the one loop of [`rounds`] (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransferEngine {
-    /// The struct-of-state engine (default).
+    /// Counted as `engine="epoch"` (default).
     #[default]
     Epoch,
-    /// The per-RTT reference loop — bit-identical; keep it at hand for
-    /// debugging and differential testing.
+    /// Counted as `engine="rounds"`.
     RoundLoop,
 }
 
@@ -84,7 +79,7 @@ pub struct TcpConfig {
     /// Abort a transfer after the link has been dead for this long
     /// (models application-level timeout on top of TCP retransmission).
     pub dead_link_timeout: SimDuration,
-    /// Which transfer engine executes requests on this connection.
+    /// Which `engine` label this connection's requests are counted under.
     pub engine: TransferEngine,
 }
 
@@ -232,27 +227,20 @@ impl TcpConnection {
     /// arrives a full RTT after the request. Subsequent rounds deliver
     /// `min(cwnd, avail·RTT, rwnd, pace·RTT)` bytes each.
     ///
-    /// Execution is delegated to the engine selected by
-    /// [`TcpConfig::engine`]; both engines produce bit-identical model
-    /// results (see the module docs).
+    /// The rounds themselves run in [`rounds`].
     pub fn request(&mut self, link: &mut Link, now: SimTime, size: ByteSize) -> TransferResult {
         assert!(self.established_at.is_some(), "request() before connect()");
         debug_assert!(size.as_u64() > 0, "zero-byte request");
 
-        // Phase: slow-start restart after idle (RFC 2861) — shared by
-        // both engines, before any round runs.
+        // Phase: slow-start restart after idle (RFC 2861), before any
+        // round runs.
         self.idle_restart_phase(now);
 
         match self.cfg.engine {
-            TransferEngine::Epoch => {
-                EPOCH_REQUESTS.add(1);
-                epoch::run(self, link, now, size)
-            }
-            TransferEngine::RoundLoop => {
-                ROUNDS_REQUESTS.add(1);
-                rounds::run(self, link, now, size)
-            }
+            TransferEngine::Epoch => EPOCH_REQUESTS.add(1),
+            TransferEngine::RoundLoop => ROUNDS_REQUESTS.add(1),
         }
+        rounds::run(self, link, now, size)
     }
 
     /// Resets the window if the connection idled past the restart
@@ -269,9 +257,9 @@ impl TcpConnection {
     }
 
     /// A bit-exact snapshot of the warm-connection state that persists
-    /// across keep-alive requests. The engine-equivalence tests compare
-    /// these to prove that a chunk served by one engine leaves the
-    /// connection in exactly the state the other would have.
+    /// across keep-alive requests. The replay tests compare these to show
+    /// that a chunk leaves the connection in exactly the same state every
+    /// time it is served.
     pub fn snapshot(&self) -> ConnSnapshot {
         ConnSnapshot {
             cwnd_pkts: self.cwnd_pkts,

@@ -1,7 +1,7 @@
 //! Flow-level (fluid) transfer approximations of the round model's
 //! slow-start ramp.
 //!
-//! The transfer engines ([`super::epoch`], [`super::rounds`]) execute
+//! The round loop ([`super::rounds`]) executes
 //! every round of every *chunk* of a session. A fleet simulation coupling
 //! 100k+ concurrent sessions cannot afford that: it models each session
 //! as a *fluid* that downloads at the min of its access rate and its fair

@@ -1,5 +1,11 @@
-//! Differential tests: the epoch transfer engine vs the reference round
-//! loop.
+//! Replay tests of the round loop, run once under each `TransferEngine`
+//! label.
+//!
+//! Since `STREAM_EPOCH` 3 both labels run the one loop of `tcp::rounds`
+//! (the epoch engine went with its stable-link fast path), so what these
+//! tests show is that a chunk chain replays bit for bit, not that two
+//! implementations agree. The rest of this header and the test names
+//! describe the differential they were written as:
 //!
 //! The contract (ISSUE 4 / README "The transfer engine"): the epoch
 //! engine is **bit-identical** to `tcp::rounds` — same `TransferResult` model fields
@@ -41,8 +47,8 @@ impl Scenario {
         let mut g = Prng::new(seed ^ 0xD1FF_EE7E);
         let rate_mbps = g.uniform(1.5, 45.0);
         let rtt = SimDuration::from_millis(g.range(5, 150));
-        // Mix of regimes: stable links (fast path), jittered, lossy, and
-        // stochastic-rate links (per-round fallback).
+        // Mix of regimes: quiet, jittered, lossy, and stochastic-rate
+        // links.
         let jitter = if g.chance(0.4) {
             g.uniform(0.05, 0.3)
         } else {

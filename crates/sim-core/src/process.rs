@@ -64,6 +64,14 @@ const OU_CELLS_PER_TAU: f64 = 32.0;
 /// who sampled when, an outage during which nobody samples does not shift
 /// it, and two schedulers run on one seed see the same bandwidth trace. A
 /// 600 s video costs at most 2 400 steps a link.
+///
+/// **Domain.** The price of no skip-ahead is that a sample costs
+/// `(t − last)/h` steps and the cell clock is a plain `SimTime` add. `t` is
+/// meant to stay within a session's length (minutes to hours, nowhere near
+/// `SimTime::MAX`) and `tau` to be a correlation time of a link, at least
+/// milliseconds (the profiles use 1 to 10 s; construction debug-asserts
+/// `tau ≥ 1 ms`). A microsecond `tau` would make a 600 s session cost
+/// 10⁸ steps and more a link.
 pub struct Ou {
     mean: f64,
     /// `e^(−h/tau)`: how much of a deviation survives one cell.
@@ -88,6 +96,7 @@ impl Ou {
     /// As [`Ou::new`] with an explicit deviate-generation mode.
     pub fn with_mode(mean: f64, std: f64, tau_secs: f64, mut rng: Prng, mode: DeviateMode) -> Self {
         assert!(tau_secs > 0.0, "tau must be positive");
+        debug_assert!(tau_secs >= 1e-3, "tau below 1 ms: see the Domain note");
         // Start from the stationary distribution so there is no warm-up bias.
         // The initial draw stays on the scalar path; the per-cell noise
         // stream then comes from the same rng via the draw table.

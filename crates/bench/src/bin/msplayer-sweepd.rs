@@ -247,6 +247,24 @@ fn coordinator_main(args: &[String]) -> i32 {
         outcome.stats.inline_runs,
         outcome.stats.resumed_shards,
     );
+    // Where the wall time went: everything but `leasing` is the run's
+    // serial fraction (README, "Distributed sweep").
+    let phase_us = |name: &str| {
+        outcome
+            .provenance
+            .get("phases_us")
+            .and_then(|p| p.get(name))
+            .and_then(|v| v.as_u64())
+            .unwrap_or(0)
+    };
+    eprintln!(
+        "sweepd: phases_us: startup={} leasing={} drain={} reap={} merge={}",
+        phase_us("startup"),
+        phase_us("leasing"),
+        phase_us("drain"),
+        phase_us("reap"),
+        phase_us("merge"),
+    );
 
     if shutdown_requested() {
         eprintln!("sweepd: interrupted — checkpoint flushed, partial provenance written");

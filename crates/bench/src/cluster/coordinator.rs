@@ -27,6 +27,29 @@
 //! before anything else sees them, so a coordinator crash resumes
 //! without re-running finished work — and the merged artifact is
 //! bit-identical either way.
+//!
+//! ## What a run costs beyond its workers' compute
+//!
+//! A run is its workers' simulation time plus what the coordinator adds
+//! in series, and the provenance says how much that was (`phases_us`):
+//!
+//! * `startup` (entry → first lease): expansion, checkpoint replay and
+//!   one spawn-to-`Ready` latency. The first top-up spawns the whole pool
+//!   before the loop first blocks, so the latency is paid once whatever
+//!   the worker count; replacements come one per tick.
+//! * `leasing` (first lease → last completion): the workers' compute plus
+//!   one `Done` → `Lease` round trip a shard. Leases are not prefetched: a
+//!   queued lease would save that ≈ 0.1 ms and could strand a
+//!   multi-millisecond shard behind a busy worker at the tail.
+//! * `drain`: `Shutdown` to every worker, then their streams closing.
+//! * `reap`: waiting on the children. A worker that has closed its stdout
+//!   is not always a zombie yet, so the wait polls, backing off from
+//!   50 µs (doubling to a 10 ms cap) instead of sleeping a fixed 10 ms.
+//! * `merge`: the deterministic merge of the accepted rows.
+//!
+//! Whatever way `run_cluster` returns (an error included), no spawned
+//! child outlives it: a worker slot kills and waits its child when
+//! dropped.
 
 use super::checkpoint::{Checkpoint, CheckpointRecord};
 use super::manifest::SweepManifest;
@@ -38,7 +61,7 @@ use msim_json::Value;
 use msim_testbed::{spawn_line_reader, LineEvent, LineServer, LineWriter};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -185,9 +208,23 @@ struct WorkerSlot {
     leases: u64,
 }
 
+/// No child outlives its slot: every return from [`run_cluster`] (the
+/// `Err` ones included) kills and reaps what it spawned. A no-op for a
+/// child already waited on.
+impl Drop for WorkerSlot {
+    fn drop(&mut self) {
+        if let Some(child) = &mut self.child {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
 /// Runs the distributed sweep to completion (or early stop). See the
 /// module docs for the fault model.
 pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
+    let entered = Instant::now();
+    let mut first_lease: Option<Instant> = None;
     let cells = config.manifest.expand()?;
     let shard_ranges = config.manifest.shards(cells.len());
     let n_shards = shard_ranges.len();
@@ -263,29 +300,34 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
             }
         }
 
-        // Top up worker capacity (spawn mode).
+        // Top up worker capacity (spawn mode): the whole pool on the first
+        // tick, so every worker starts before the loop first blocks and
+        // the ramp is one spawn-to-`Ready` latency; after that one
+        // replacement per outer-loop tick is plenty, `available`
+        // re-evaluates naturally next time around.
         if let Transport::Spawn { program } = &config.transport {
+            let alive = workers.iter().filter(|w| w.alive).count();
             let available = workers
                 .iter()
                 .filter(|w| w.alive && (w.busy.is_none() || !lease_expired(&states, w)))
                 .count();
-            // One replacement per outer-loop tick is plenty; `available`
-            // re-evaluates naturally next time around.
-            let short_handed =
-                workers.iter().filter(|w| w.alive).count() < config.workers.max(1) || available < 1;
-            if short_handed && spawned_total < spawn_budget {
-                let chaos = config.worker_chaos.get(spawned_total).cloned().flatten();
-                if spawned_total >= config.workers {
+            for ordinal in top_up(
+                config.workers,
+                spawned_total,
+                spawn_budget,
+                alive,
+                available,
+            ) {
+                let chaos = config.worker_chaos.get(ordinal).cloned().flatten();
+                if ordinal >= config.workers {
                     stats.respawns += 1;
                 }
-                match spawn_worker(program, next_worker_id, &config.manifest, chaos, &event_tx) {
-                    Ok(slot) => {
-                        workers.push(slot);
-                        next_worker_id += 1;
-                        spawned_total += 1;
-                    }
-                    Err(e) => return Err(format!("spawn worker: {e}")),
-                }
+                let slot =
+                    spawn_worker(program, next_worker_id, &config.manifest, chaos, &event_tx)
+                        .map_err(|e| format!("spawn worker: {e}"))?;
+                workers.push(slot);
+                next_worker_id += 1;
+                spawned_total = ordinal + 1;
             }
         }
 
@@ -317,7 +359,9 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
         }
 
         // Lease eligible pending shards to idle ready workers.
-        assign_leases(config, &mut states, &mut workers, &mut stats);
+        if assign_leases(config, &mut states, &mut workers, &mut stats) {
+            first_lease.get_or_insert_with(Instant::now);
+        }
 
         // Progress guarantee: a shard past max_attempts — or a cluster
         // with nothing alive to lease to for a full lease-timeout — runs
@@ -438,6 +482,8 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
         }
     }
 
+    let leased_out = Instant::now();
+
     // Drain: ask every surviving worker to exit, then reap children.
     for w in &mut workers {
         if w.alive {
@@ -481,6 +527,7 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
             }
         }
     }
+    let drained = Instant::now();
     for w in &mut workers {
         if let Some(child) = &mut w.child {
             if stopped_early || interrupted {
@@ -489,6 +536,7 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
             wait_with_timeout(child, Duration::from_secs(5));
         }
     }
+    let reaped = Instant::now();
 
     let completed = !stopped_early && !interrupted && !remaining(&states);
     let artifact = if completed {
@@ -505,7 +553,15 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
     } else {
         None
     };
-    let provenance = provenance_json(config, &done, &stats, &violations, completed);
+    let first_lease = first_lease.unwrap_or(leased_out);
+    let phases = [
+        ("startup", first_lease - entered),
+        ("leasing", leased_out - first_lease),
+        ("drain", drained - leased_out),
+        ("reap", reaped - drained),
+        ("merge", reaped.elapsed()),
+    ];
+    let provenance = provenance_json(config, &done, &stats, &violations, completed, &phases);
     if interrupted {
         return Ok(ClusterOutcome {
             completed: false,
@@ -591,13 +647,16 @@ fn spawn_worker(
     })
 }
 
+/// Leases eligible pending shards to idle ready workers; returns whether
+/// any lease went out.
 fn assign_leases(
     config: &ClusterConfig,
     states: &mut [ShardState],
     workers: &mut [WorkerSlot],
     stats: &mut ClusterStats,
-) {
+) -> bool {
     let now = Instant::now();
+    let mut leased = false;
     for (shard, state) in states.iter_mut().enumerate() {
         let attempt = match state {
             ShardState::Pending {
@@ -610,7 +669,7 @@ fn assign_leases(
             .iter_mut()
             .find(|w| w.alive && w.ready && w.busy.is_none())
         else {
-            return; // nobody free — try again next tick
+            break; // nobody free — try again next tick
         };
         let lease = Frame::Lease {
             shard: shard as u64,
@@ -629,7 +688,31 @@ fn assign_leases(
             attempt: attempt + 1,
             deadline: now + config.lease_timeout,
         };
+        leased = true;
     }
+    leased
+}
+
+/// The spawn ordinals this tick's top-up starts. The first top-up fills
+/// the pool (`target`, at least one); afterwards a short-handed pool
+/// (fewer alive than `target`, or nobody able to take a lease) gets one
+/// replacement a tick; nothing is spawned past `budget`. The ordinal
+/// indexes `ClusterConfig::worker_chaos` and, from `target` on, counts as
+/// a respawn.
+fn top_up(
+    target: usize,
+    spawned_total: usize,
+    budget: usize,
+    alive: usize,
+    available: usize,
+) -> std::ops::Range<usize> {
+    let target = target.max(1);
+    let want = if spawned_total == 0 {
+        target
+    } else {
+        usize::from(alive < target || available < 1)
+    };
+    spawned_total..(spawned_total + want).min(budget.max(spawned_total))
 }
 
 /// Requeues `shard` iff it is still leased to `worker` (it may have been
@@ -833,17 +916,44 @@ fn handle_frame(
     }
 }
 
+/// First pause of the reap poll. A worker that answered `Shutdown` has
+/// closed its stdout but is often not a zombie yet on the first
+/// `try_wait`; it is one within tens of microseconds.
+const REAP_FIRST_PAUSE: Duration = Duration::from_micros(50);
+
+/// Cap of the reap poll's doubling pauses.
+const REAP_MAX_PAUSE: Duration = Duration::from_millis(10);
+
+/// Waits up to `timeout` for `child` to exit, then kills and waits.
 fn wait_with_timeout(child: &mut Child, timeout: Duration) {
-    let t0 = Instant::now();
+    if !poll_exit(|| child.try_wait(), timeout, std::thread::sleep) {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+}
+
+/// Polls `try_wait` until it reports an exit, pausing through `sleep`
+/// between polls: [`REAP_FIRST_PAUSE`], doubling to [`REAP_MAX_PAUSE`], and
+/// `timeout` in all (the budget is the pauses asked for, so it needs no
+/// clock). `false` means the caller must kill: the budget ran out, or
+/// `try_wait` failed.
+fn poll_exit(
+    mut try_wait: impl FnMut() -> std::io::Result<Option<ExitStatus>>,
+    timeout: Duration,
+    mut sleep: impl FnMut(Duration),
+) -> bool {
+    let mut pause = REAP_FIRST_PAUSE;
+    let mut left = timeout;
     loop {
-        match child.try_wait() {
-            Ok(Some(_)) => return,
-            Ok(None) if t0.elapsed() < timeout => std::thread::sleep(Duration::from_millis(10)),
-            _ => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return;
+        match try_wait() {
+            Ok(Some(_)) => return true,
+            Ok(None) if !left.is_zero() => {
+                let nap = pause.min(left);
+                sleep(nap);
+                left -= nap;
+                pause = (pause * 2).min(REAP_MAX_PAUSE);
             }
+            _ => return false,
         }
     }
 }
@@ -940,7 +1050,11 @@ fn provenance_json(
     stats: &ClusterStats,
     violations: &[String],
     completed: bool,
+    phases: &[(&str, Duration)],
 ) -> Value {
+    let phases_us = phases.iter().fold(Value::object(), |obj, (name, took)| {
+        obj.with(name, took.as_micros() as u64)
+    });
     let mut shards: Vec<&DoneShard> = done.values().collect();
     shards.sort_by_key(|s| s.record.shard);
     let shard_values: Vec<Value> = shards
@@ -969,6 +1083,7 @@ fn provenance_json(
             config.manifest.fingerprint_hex().as_str(),
         )
         .with("name", config.manifest.name.as_str())
+        .with("phases_us", phases_us)
         .with("protocol_errors", stats.protocol_errors)
         .with("reassignments", stats.reassignments)
         .with("respawns", stats.respawns)
@@ -1023,6 +1138,66 @@ mod tests {
         assert!(delay_of(0) <= base * 2);
         assert!(delay_of(3) >= base * 4 && delay_of(3) <= base * 16);
         assert!(delay_of(40) <= config.backoff_cap + base, "capped");
+    }
+
+    #[test]
+    fn reap_poll_backs_off_from_50us_to_the_10ms_cap_within_its_budget() {
+        let us = Duration::from_micros;
+        let poll = |exit_on_poll: usize, timeout: Duration| {
+            let mut polls = 0;
+            let mut pauses = Vec::new();
+            let exited = poll_exit(
+                || {
+                    polls += 1;
+                    Ok((polls == exit_on_poll).then(ExitStatus::default))
+                },
+                timeout,
+                |pause| pauses.push(pause),
+            );
+            (exited, pauses)
+        };
+        // Already a zombie: no pause at all. Gone by the third poll (the
+        // usual case after `Shutdown`): 150 µs, not 10 ms.
+        assert_eq!(poll(1, us(5_000_000)), (true, vec![]));
+        assert_eq!(poll(3, us(5_000_000)), (true, vec![us(50), us(100)]));
+        // Never exits: doubling pauses up to the cap, summing to exactly the
+        // timeout (the last one clipped), then `false` = kill.
+        let (exited, pauses) = poll(usize::MAX, us(40_000));
+        assert!(!exited);
+        let want = [
+            50, 100, 200, 400, 800, 1_600, 3_200, 6_400, 10_000, 10_000, 7_250,
+        ];
+        assert_eq!(pauses, want.map(us));
+        assert_eq!(pauses.iter().sum::<Duration>(), us(40_000));
+        // No budget: one poll, no pause. A failing `try_wait`: kill at once.
+        assert_eq!(poll(usize::MAX, Duration::ZERO), (false, vec![]));
+        let failed = poll_exit(
+            || Err(std::io::ErrorKind::Other.into()),
+            us(5_000_000),
+            |_| panic!("no pause after a failed poll"),
+        );
+        assert!(!failed);
+    }
+
+    #[test]
+    fn top_up_fills_the_pool_once_then_replaces_one_a_tick_within_the_budget() {
+        let budget = 3 * 2 + 4;
+        // First tick: the whole pool, ordinals (= `worker_chaos` slots) 0..3.
+        assert_eq!(top_up(3, 0, budget, 0, 0), 0..3);
+        // A full pool with someone free: nothing.
+        assert_eq!(top_up(3, 3, budget, 3, 1), 3..3);
+        // Two died in one tick: still one replacement a tick, and its
+        // ordinal (the first past the pool) is what counts as a respawn.
+        assert_eq!(top_up(3, 3, budget, 1, 1), 3..4);
+        assert_eq!(top_up(3, 4, budget, 2, 2), 4..5);
+        // Everyone alive but stuck on an expired lease: one more.
+        assert_eq!(top_up(3, 5, budget, 3, 0), 5..6);
+        // The respawn budget is a hard stop.
+        assert_eq!(top_up(3, budget - 1, budget, 0, 0), budget - 1..budget);
+        assert!(top_up(3, budget, budget, 0, 0).is_empty());
+        // `workers: 0` still gets the one worker it always got.
+        assert_eq!(top_up(0, 0, 4, 0, 0), 0..1);
+        assert!(top_up(0, 1, 4, 1, 1).is_empty());
     }
 
     #[test]

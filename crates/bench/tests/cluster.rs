@@ -70,6 +70,16 @@ fn killed_worker_still_merges_bit_identically() {
     let merged = pretty(outcome.artifact.as_ref().expect("completed => artifact"));
     let serial = pretty(&serial_artifact(&manifest).expect("serial reference"));
     assert_eq!(merged, serial, "crash-identical merge violated");
+
+    // The provenance says where the wall time went.
+    let phases = outcome.provenance.get("phases_us").expect("phases_us");
+    for phase in ["startup", "leasing", "drain", "reap", "merge"] {
+        assert!(
+            phases.get(phase).and_then(Value::as_u64).is_some(),
+            "{phase}"
+        );
+    }
+    assert_eq!(phases.as_object().map(|p| p.len()), Some(5));
 }
 
 #[test]
@@ -176,6 +186,51 @@ fn tcp_workers_complete_the_sweep() {
     for w in &mut workers {
         wait_or_kill(w);
     }
+}
+
+/// `run_cluster` returning `Err` mid-run used to leave its children
+/// behind: alive until their pipes closed, then zombies for the life of
+/// the calling process. The workers here are real `msplayer-sweepd
+/// worker` processes behind a launcher that records its pid, deletes
+/// itself and `exec`s the binary, so the pool starts but the replacement
+/// for the crashing worker cannot be spawned.
+#[test]
+#[cfg(target_os = "linux")]
+fn an_error_return_leaves_no_child_behind() {
+    use std::os::unix::fs::PermissionsExt;
+    let scratch = std::env::temp_dir().join(format!("msp-cluster-reap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    std::fs::create_dir_all(&scratch).expect("scratch dir");
+    let launcher = scratch.join("launcher");
+    let pids = scratch.join("launcher.pids");
+    std::fs::write(
+        &launcher,
+        format!(
+            "#!/bin/sh\necho $$ >> \"$0.pids\"\nrm -f \"$0\"\nexec \"{}\" \"$@\"\n",
+            sweepd().display()
+        ),
+    )
+    .expect("write launcher");
+    std::fs::set_permissions(&launcher, std::fs::Permissions::from_mode(0o755)).expect("chmod");
+
+    let mut config = fast_config(small_manifest("cluster_reap_test"));
+    config.workers = 2;
+    config.transport = Transport::Spawn { program: launcher };
+    config.worker_chaos = vec![Some(
+        WorkerChaos::parse("0:crash-after-cells=1").expect("directive parses"),
+    )];
+    let err = run_cluster(&config).expect_err("the replacement cannot be spawned");
+    assert!(err.starts_with("spawn worker"), "{err}");
+
+    let spawned = std::fs::read_to_string(&pids).expect("the launcher ran");
+    assert!(spawned.lines().count() >= 1, "no worker ever started");
+    for pid in spawned.lines() {
+        assert!(
+            !std::path::Path::new("/proc").join(pid).exists(),
+            "worker {pid} outlived the coordinator's error return"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 /// Waits for a worker process to exit on its own; kills it after 5 s.

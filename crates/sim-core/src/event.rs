@@ -39,6 +39,20 @@
 //!   ≤ 2 relinks per push of a pure fill). Sizing only affects *speed*:
 //!   the pop order is the strict `(time, seq)` order for every width and
 //!   count (asserted by the differential tests);
+//! * **two regimes.** A calendar earns its day arithmetic when thousands
+//!   of events are pending; a session holds two to six. While at most
+//!   `DIRECT_MAX` (8) entries are pending, tombstones included, the queue
+//!   is in its **direct regime**: they all sit in `today` whatever their
+//!   day, a push is one `heap_push` and a pop one `heap_pop`, and the
+//!   ring, the far heap, the cursor and the sizing are not touched. The
+//!   ninth pending entry starts the **ring regime** described above: the
+//!   cursor is set from the clock and `today` is re-placed through the
+//!   same routing every re-bucketing uses. The queue goes back when a pop
+//!   finds nothing pending at all, or on `reset`, so a fleet leaves at its
+//!   ninth arrival and stays out, and a session never leaves. Which regime
+//!   holds is one more sizing decision: each keeps every pending entry in
+//!   exactly one tier with `today` < ring < `far` in time, so it too
+//!   affects speed only;
 //! * cancellation is **O(1)**: it flips the node to a tombstone, which is
 //!   reclaimed when the cursor reaches its day. Slots are recycled through
 //!   a free list, so memory stays bounded by the peak pending count, and
@@ -56,9 +70,10 @@
 //! tests drive both queues in lockstep through a wide-horizon session
 //! schedule (same-bucket, near, seconds-out and minutes-out pushes,
 //! past-scheduled saturation, stale cancels, peeks), a fleet-shaped one
-//! (50 000 live, every pop re-arms) and a stalled-population one (bursts
-//! of near-simultaneous wakes), asserting identical behaviour at every
-//! step.
+//! (50 000 live, every pop re-arms), a stalled-population one (bursts
+//! of near-simultaneous wakes) and one held at or under eight pending
+//! (the direct regime, with a `reset` mid-stream), asserting identical
+//! behaviour at every step.
 
 use crate::time::SimTime;
 
@@ -140,6 +155,12 @@ const MAX_SHIFT: u32 = 24;
 /// with more live events than this waits for that many pops instead).
 const ADAPT_EVERY: u64 = 256;
 
+/// Most pending entries (live and tombstoned) the direct regime holds: up
+/// to here `today` alone is the queue, and the next push spreads it over
+/// the calendar. A session keeps two to six timers; a 4-ary heap of eight
+/// is two levels.
+const DIRECT_MAX: usize = 8;
+
 /// A deterministic priority queue of timestamped events.
 ///
 /// ```
@@ -164,10 +185,16 @@ pub struct EventQueue<E> {
     near_len: usize,
     /// Bucket width is `1 << shift` microseconds.
     shift: u32,
-    /// The day `today` holds: `now >> shift` whenever `pop` is not running.
+    /// The day `today` holds: `now >> shift` whenever `pop` is not running
+    /// (ring regime only; leaving the direct regime sets it).
     cursor_day: u64,
-    /// The cursor day's events: 4-ary min-heap on `(at, seq)`.
+    /// The cursor day's events: 4-ary min-heap on `(at, seq)`. In the
+    /// direct regime, every pending entry whatever its day.
     today: Vec<Entry>,
+    /// The direct regime: everything pending sits in `today` (at most
+    /// [`DIRECT_MAX`] entries), the ring and `far` are empty, and
+    /// `cursor_day` and the adaptation state are not maintained.
+    direct: bool,
     /// Events beyond the ring: 4-ary min-heap on `(at, seq)`. Invariant:
     /// every entry's day is `>= cursor_day + buckets.len()` (maintained by
     /// migration on cursor advance).
@@ -215,6 +242,7 @@ impl<E> EventQueue<E> {
             shift: DEFAULT_SHIFT,
             cursor_day: 0,
             today: Vec::new(),
+            direct: true,
             far: Vec::new(),
             slots: Vec::with_capacity(cap),
             free: Vec::new(),
@@ -240,6 +268,7 @@ impl<E> EventQueue<E> {
         self.near_len = 0;
         self.cursor_day = 0;
         self.today.clear();
+        self.direct = true;
         self.far.clear();
         self.slots.clear();
         self.free.clear();
@@ -456,8 +485,16 @@ impl<E> EventQueue<E> {
     }
 
     /// Routes an entry by its day: `today`, a ring bucket, or the far heap.
+    /// In the direct regime there are no days: the entry joins `today`,
+    /// unless it is the one that fills it past [`DIRECT_MAX`].
     #[inline]
     fn place(&mut self, entry: Entry) {
+        if self.direct {
+            if self.today.len() < DIRECT_MAX {
+                return heap_push(&mut self.today, entry);
+            }
+            self.leave_direct();
+        }
         let day = entry.at.as_micros() >> self.shift;
         debug_assert!(day >= self.cursor_day, "entry behind the clock");
         let nb = self.buckets.len() as u64;
@@ -473,15 +510,30 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Ends the direct regime: `today` (full, [`DIRECT_MAX`] entries) is
+    /// spread over the calendar from the clock's day, as [`Self::rebucket`]
+    /// re-places it, and the spacing average starts from here.
+    #[cold]
+    fn leave_direct(&mut self) {
+        self.direct = false;
+        self.cursor_day = self.now.as_micros() >> self.shift;
+        self.pops_since_adapt = 0;
+        self.adapted_at_us = self.now.as_micros();
+        let held = <[Entry; DIRECT_MAX]>::try_from(&self.today[..]).expect("a full `today`");
+        self.today.clear();
+        for entry in held {
+            self.place(entry);
+        }
+    }
+
     /// With `today` drained, moves the cursor to the next day that holds
-    /// anything and loads it. `false` when nothing is pending at all.
+    /// anything and loads it. `false` when nothing is pending at all, which
+    /// (re-)enters the direct regime.
     fn next_day(&mut self) -> bool {
         if self.near_len == 0 {
             // Empty ring: jump to the far root, which migrates into `today`.
             let Some(root) = self.far.first() else {
-                // The cursor may have run ahead of the clock over days of
-                // tombstones; nothing is linked, so it can step back.
-                self.cursor_day = self.now.as_micros() >> self.shift;
+                self.direct = true;
                 return false;
             };
             self.cursor_day = root.at.as_micros() >> self.shift;
@@ -514,6 +566,9 @@ impl<E> EventQueue<E> {
     /// re-derives the ring's sizing from what it has seen since.
     fn advance_now(&mut self, at: SimTime) {
         self.now = at;
+        if self.direct {
+            return;
+        }
         self.pops_since_adapt += 1;
         if self.pops_since_adapt < ADAPT_EVERY.max(self.live as u64) {
             return;
@@ -1253,6 +1308,212 @@ mod tests {
                 break;
             }
         }
+    }
+
+    /// True while the queue has never used the calendar since it (re-)entered
+    /// the direct regime: nothing linked, nothing far, nothing re-placed.
+    fn ring_untouched<E>(q: &EventQueue<E>) -> bool {
+        q.direct && q.near_len == 0 && q.far.is_empty() && q.relinked == 0
+    }
+
+    /// Lockstep against the reference with the pending set (tombstones
+    /// included) held at or under [`DIRECT_MAX`], so every operation runs in
+    /// the direct regime: same-instant FIFO, cancels of live, stale and
+    /// unknown ids, pure peeks, saturated past pushes and a `reset`
+    /// mid-stream.
+    fn differential_direct_regime(seed: u64, steps: usize) {
+        let mut rng = crate::rng::Prng::new(seed);
+        let mut new_q: EventQueue<u64> = EventQueue::new();
+        let mut ref_q: LegacyQueue<u64> = LegacyQueue::new();
+        let mut handles = Vec::new();
+        let mut payload = 0u64;
+        for _step in 0..steps {
+            match rng.below(16) {
+                // Pushes from the same instant to minutes out: days apart
+                // under any width, one heap here.
+                0..=5 if new_q.today.len() < DIRECT_MAX => {
+                    let spread = match rng.below(4) {
+                        0 => 0,
+                        1 => rng.below(10_000),
+                        2 => rng.below(5_000_000),
+                        _ => rng.below(600_000_000),
+                    };
+                    let at = new_q.now() + SimDuration::from_micros(spread);
+                    payload += 1;
+                    handles.push((new_q.push(at, payload), ref_q.push(at, payload)));
+                }
+                6 if new_q.today.len() < DIRECT_MAX => {
+                    let back = rng.below(1_000_000);
+                    let at = SimTime::from_micros(new_q.now().as_micros().saturating_sub(back));
+                    payload += 1;
+                    let (a, sat_a) = new_q.push_saturating(at, payload);
+                    let (b, sat_b) = ref_q.push_saturating(at, payload);
+                    assert_eq!(sat_a, sat_b, "saturation flag");
+                    handles.push((a, b));
+                }
+                // Any handle ever issued since the last reset: most are stale.
+                7..=9 if !handles.is_empty() => {
+                    let (a, b) = handles[rng.below(handles.len() as u64) as usize];
+                    assert_eq!(new_q.cancel(a), ref_q.cancel(b), "cancel outcome");
+                }
+                10 => {
+                    let unknown = EventId {
+                        slot: 900 + rng.below(100) as u32,
+                        gen: 0,
+                    };
+                    assert!(!new_q.cancel(unknown), "unknown id");
+                }
+                11 | 12 => assert_eq!(new_q.peek_time(), ref_q.peek_time(), "peek"),
+                // Handles do not outlive a reset (the slab restarts), so the
+                // list restarts with it.
+                13 if rng.below(40) == 0 => {
+                    new_q.reset();
+                    ref_q = LegacyQueue::new();
+                    handles.clear();
+                }
+                _ => assert_eq!(new_q.pop(), ref_q.pop(), "pop"),
+            }
+            assert_eq!(new_q.len(), ref_q.len(), "len");
+            assert_eq!(
+                new_q.saturated_pushes(),
+                ref_q.saturated_pushes(),
+                "saturation count"
+            );
+            assert!(ring_untouched(&new_q), "left the direct regime");
+        }
+        loop {
+            let (a, b) = (new_q.pop(), ref_q.pop());
+            assert_eq!(a, b, "drain");
+            if a.is_none() {
+                break;
+            }
+        }
+        assert!(ring_untouched(&new_q));
+    }
+
+    #[test]
+    fn differential_vs_legacy_direct_regime() {
+        for seed in 1..=20u64 {
+            differential_direct_regime(seed, 3000);
+        }
+    }
+
+    #[test]
+    fn ninth_pending_entry_spreads_to_the_ring_and_a_full_drain_re_enters() {
+        let mut new_q: EventQueue<u64> = EventQueue::new();
+        let mut ref_q: LegacyQueue<u64> = LegacyQueue::new();
+        let push = |new_q: &mut EventQueue<u64>, ref_q: &mut LegacyQueue<u64>, ms, i| {
+            let at = SimTime::from_millis(ms);
+            (new_q.push(at, i), ref_q.push(at, i))
+        };
+        // Eight entries from the clock's day out past the default year: all
+        // direct, whatever their day.
+        let times = [0, 0, 700, 20, 90_000, 20, 40, 3_000];
+        for (i, ms) in times.into_iter().enumerate() {
+            push(&mut new_q, &mut ref_q, ms, i as u64);
+        }
+        assert!(ring_untouched(&new_q));
+        assert_eq!(new_q.today.len(), DIRECT_MAX);
+        // The ninth spreads them: today, ring and far heap each get theirs.
+        push(&mut new_q, &mut ref_q, 20, 8);
+        assert!(!new_q.direct);
+        assert_eq!(new_q.today.len(), 2, "the two at the clock's day");
+        assert_eq!(new_q.near_len, 5);
+        assert_eq!(new_q.far.len(), 2);
+        assert_eq!(new_q.peek_time(), ref_q.peek_time());
+        // Order is kept across the move, and draining re-enters only when
+        // nothing at all is pending.
+        for left in (0..9).rev() {
+            assert_eq!(new_q.pop(), ref_q.pop());
+            assert_eq!(new_q.len(), left);
+            assert!(!new_q.direct, "{left} still pending");
+        }
+        assert_eq!(new_q.pop(), None);
+        assert!(new_q.direct);
+
+        // Tombstones count towards the eight: four live events and four
+        // cancelled ones fill the regime, so the next push leaves it.
+        let now = new_q.now().as_micros() / 1_000;
+        let handles: Vec<_> = (0..8)
+            .map(|i| push(&mut new_q, &mut ref_q, now + 10 * i, 10 + i))
+            .collect();
+        for (a, b) in handles.into_iter().step_by(2) {
+            assert_eq!(new_q.cancel(a), ref_q.cancel(b));
+        }
+        assert_eq!(new_q.len(), 4);
+        assert!(new_q.direct);
+        push(&mut new_q, &mut ref_q, now + 1, 18);
+        assert!(!new_q.direct);
+        // `reset` re-enters from the ring regime too.
+        let mut other: EventQueue<u64> = EventQueue::new();
+        for i in 0..20 {
+            other.push(SimTime::from_millis(i * 50), i);
+        }
+        assert!(!other.direct);
+        other.reset();
+        assert!(other.direct);
+        loop {
+            let (a, b) = (new_q.pop(), ref_q.pop());
+            assert_eq!(a, b, "drain");
+            if a.is_none() {
+                break;
+            }
+        }
+        assert!(new_q.direct);
+    }
+
+    #[test]
+    fn a_session_shaped_schedule_never_touches_the_ring() {
+        // What `SessionHost::session_body` asks of the queue: one coalesced
+        // tick (cancel + re-arm when superseded), one completion per path,
+        // now and then a recovery timer seconds out. 300 pushes, a handful
+        // pending at a time, microseconds to seconds apart (so days apart
+        // under any width), and the calendar is never used.
+        const TICK: u64 = 0;
+        let mut rng = crate::rng::Prng::new(22);
+        let mut new_q: EventQueue<u64> = EventQueue::new();
+        let mut ref_q: LegacyQueue<u64> = LegacyQueue::new();
+        let arm = |new_q: &mut EventQueue<u64>, ref_q: &mut LegacyQueue<u64>, after_us, ev| {
+            let at = new_q.now() + SimDuration::from_micros(after_us);
+            (new_q.push(at, ev), ref_q.push(at, ev))
+        };
+        let mut tick = arm(&mut new_q, &mut ref_q, 100_000, TICK);
+        for path in 1..=2 {
+            arm(&mut new_q, &mut ref_q, 30_000 * path, path);
+        }
+        let mut peak = 0;
+        while new_q.op_counts().pushes < 300 {
+            let popped = new_q.pop();
+            assert_eq!(popped, ref_q.pop(), "pop");
+            let (_, ev) = popped.expect("a session always has a timer pending");
+            if ev == TICK {
+                tick = arm(&mut new_q, &mut ref_q, 100_000, TICK);
+            } else if ev <= 2 {
+                // A chunk landed: request the next one, and one time in
+                // three the player moves its tick up.
+                arm(&mut new_q, &mut ref_q, 5_000 + rng.below(200_000), ev);
+                if rng.below(3) == 0 {
+                    assert_eq!(new_q.cancel(tick.0), ref_q.cancel(tick.1), "cancel");
+                    tick = arm(&mut new_q, &mut ref_q, rng.below(50_000), TICK);
+                }
+                if rng.below(20) == 0 && new_q.len() < 5 {
+                    arm(&mut new_q, &mut ref_q, 8_000_000, 3);
+                }
+            }
+            assert_eq!(new_q.peek_time(), ref_q.peek_time(), "peek");
+            peak = peak.max(new_q.today.len());
+            assert!(ring_untouched(&new_q), "{} pending", new_q.today.len());
+        }
+        assert!((3..=DIRECT_MAX).contains(&peak), "peak pending {peak}");
+        assert!(new_q.op_counts().cancels > 20);
+        loop {
+            let (a, b) = (new_q.pop(), ref_q.pop());
+            assert_eq!(a, b, "drain");
+            if a.is_none() {
+                break;
+            }
+        }
+        assert!(ring_untouched(&new_q));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::ByteSize;
 use msplayer_bench::fleet::{frontier_specs, headline_spec};
 use msplayer_core::config::{PlayerConfig, SchedulerKind};
-use msplayer_core::estimator::{BandwidthEstimator, Ewma, HarmonicInc};
+use msplayer_core::estimator::{Ewma, HarmonicInc};
 use msplayer_core::fleet::FleetHost;
 use msplayer_core::scheduler::SchedulerImpl;
 use msplayer_core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec};

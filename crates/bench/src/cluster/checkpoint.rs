@@ -30,7 +30,8 @@ pub struct CheckpointRecord {
     pub worker: u64,
     /// Attempt number of the accepted completion.
     pub attempt: u64,
-    /// Shard wall time, µs (provenance only).
+    /// Shard wall time as its worker measured it, µs (provenance only;
+    /// 0 for a coordinator-inline run, which reads no clock).
     pub wall_us: u64,
     /// One row per cell of the shard.
     pub rows: Vec<CellRow>,

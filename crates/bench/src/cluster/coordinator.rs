@@ -50,17 +50,30 @@
 //! Whatever way `run_cluster` returns (an error included), no spawned
 //! child outlives it: a worker slot kills and waits its child when
 //! dropped.
+//!
+//! ## State and driver
+//!
+//! Everything that is decided (whom to lease, when a lease has expired,
+//! how long to back off, whom to condemn, what to accept, when to run a
+//! shard here) is decided by the private `Coordinator`, whose methods take
+//! the instant as an argument and read no clock. [`run_cluster`] is only
+//! its driver: it spawns or accepts workers, blocks on the event channel,
+//! reads the clock, drains, reaps and stamps the phases. A worker slot is
+//! a line sink plus an optional child, so the tests below drive the same
+//! `Coordinator` with in-memory sinks and made-up instants, no process and
+//! no waiting.
 
 use super::checkpoint::{Checkpoint, CheckpointRecord};
 use super::manifest::SweepManifest;
-use super::merge::{merge_rows, row_for, CellRow, DIGEST_EPOCH};
+use super::merge::{covers, merge_rows, shard_rows, CellRow, DIGEST_EPOCH};
 use super::protocol::Frame;
 use super::worker::WorkerChaos;
 use crate::sweep::{Cell, HostCache};
 use msim_json::Value;
 use msim_testbed::{spawn_line_reader, LineEvent, LineServer, LineWriter};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -202,10 +215,21 @@ struct WorkerSlot {
     /// The shard this worker believes it is running (it may have been
     /// speculatively re-leased elsewhere already).
     busy: Option<u64>,
-    /// Leases sent to this worker (drives chaos-directive ordinals on
-    /// the worker side; kept for symmetry/debugging).
-    #[allow(dead_code)]
-    leases: u64,
+}
+
+impl WorkerSlot {
+    /// A worker reachable through `writer` that has not said `Ready` yet;
+    /// `child` is the process to reap, for a spawned one.
+    fn new(id: u64, writer: LineWriter, child: Option<Child>) -> WorkerSlot {
+        WorkerSlot {
+            id,
+            writer,
+            child,
+            alive: true,
+            ready: false,
+            busy: None,
+        }
+    }
 }
 
 /// No child outlives its slot: every return from [`run_cluster`] (the
@@ -220,55 +244,588 @@ impl Drop for WorkerSlot {
     }
 }
 
+/// Everything a run decides and remembers (see "State and driver" in the
+/// module docs). No method reads a clock: each takes `now`.
+struct Coordinator<'a> {
+    config: &'a ClusterConfig,
+    cells: Vec<Cell>,
+    shard_ranges: Vec<Range<usize>>,
+    states: Vec<ShardState>,
+    done: HashMap<u64, DoneShard>,
+    stats: ClusterStats,
+    violations: Vec<String>,
+    checkpoint: Option<Checkpoint>,
+    workers: Vec<WorkerSlot>,
+    /// Workers the driver has been told to spawn so far.
+    spawned_total: usize,
+    inline_hosts: HostCache,
+    completed_this_run: u64,
+    last_progress: Instant,
+    first_lease: Option<Instant>,
+}
+
+impl<'a> Coordinator<'a> {
+    /// Expands the manifest and replays the checkpoint, if any: journaled
+    /// shards are already done. A record whose rows are not its shard's
+    /// is skipped, so the shard runs again.
+    fn new(config: &'a ClusterConfig, now: Instant) -> Result<Coordinator<'a>, String> {
+        let cells = config.manifest.expand()?;
+        let shard_ranges = config.manifest.shards(cells.len());
+        let mut coordinator = Coordinator {
+            config,
+            states: vec![
+                ShardState::Pending {
+                    eligible_at: now,
+                    attempt: 0,
+                };
+                shard_ranges.len()
+            ],
+            cells,
+            shard_ranges,
+            done: HashMap::new(),
+            stats: ClusterStats::default(),
+            violations: Vec::new(),
+            checkpoint: None,
+            workers: Vec::new(),
+            spawned_total: 0,
+            inline_hosts: HostCache::new(),
+            completed_this_run: 0,
+            last_progress: now,
+            first_lease: None,
+        };
+        if let Some(path) = &config.checkpoint {
+            let (checkpoint, replayed) = Checkpoint::open(path, &config.manifest)?;
+            coordinator.checkpoint = Some(checkpoint);
+            for record in replayed {
+                if coordinator.covered_by(record.shard, &record.rows)
+                    && !coordinator.done.contains_key(&record.shard)
+                {
+                    coordinator.stats.resumed_shards += 1;
+                    coordinator.mark_done(record, true);
+                }
+            }
+        }
+        Ok(coordinator)
+    }
+
+    /// Whether `shard` exists and `rows` are exactly its cells' rows.
+    fn covered_by(&self, shard: u64, rows: &[CellRow]) -> bool {
+        self.shard_ranges
+            .get(shard as usize)
+            .is_some_and(|range| covers(range, rows))
+    }
+
+    /// Every shard is done.
+    fn complete(&self) -> bool {
+        self.states.iter().all(|s| matches!(s, ShardState::Done))
+    }
+
+    /// Nothing is left for the lease loop: complete, or stopped by
+    /// `stop_after_shards`.
+    fn finished(&self) -> bool {
+        self.complete()
+            || self
+                .config
+                .stop_after_shards
+                .is_some_and(|stop| self.completed_this_run >= stop)
+    }
+
+    /// Takes a new worker onto the roster and greets it. A worker that
+    /// cannot be written to is kept, dead, for the reap.
+    fn adopt(&mut self, mut slot: WorkerSlot) {
+        let hello = Frame::Hello {
+            worker: slot.id,
+            manifest: self.config.manifest.clone(),
+            digest_epoch: DIGEST_EPOCH,
+        };
+        slot.alive = slot.writer.send_line(&hello.to_line()).is_ok();
+        self.workers.push(slot);
+    }
+
+    /// The spawn ordinals the driver must start and [`adopt`](Self::adopt)
+    /// now (spawn mode): the whole pool the first time, so every worker
+    /// starts before the loop first blocks and the ramp is one
+    /// spawn-to-`Ready` latency; after that one replacement a tick is
+    /// plenty. An ordinal indexes `ClusterConfig::worker_chaos` and, past
+    /// the pool, counts as a respawn.
+    fn spawn_wanted(&mut self, now: Instant) -> Range<usize> {
+        let alive = self.workers.iter().filter(|w| w.alive).count();
+        let available = self
+            .workers
+            .iter()
+            .filter(|w| self.can_lease_to(w, now))
+            .count();
+        let ordinals = top_up(
+            self.config.workers,
+            self.spawned_total,
+            self.config.workers * 2 + 4,
+            alive,
+            available,
+        );
+        self.stats.respawns += ordinals
+            .clone()
+            .filter(|ordinal| *ordinal >= self.config.workers)
+            .count() as u64;
+        self.spawned_total = ordinals.end;
+        ordinals
+    }
+
+    /// The one place a transport event becomes state.
+    fn on_event(&mut self, event: LineEvent, now: Instant) -> Result<(), String> {
+        match event {
+            LineEvent::Line(peer, line) => match Frame::from_line(&line) {
+                Ok(frame) => {
+                    if self.on_frame(peer, frame, now)? {
+                        self.last_progress = now;
+                    }
+                }
+                Err(_) => self.protocol_error(peer, now),
+            },
+            LineEvent::Garbage(peer, _) => self.protocol_error(peer, now),
+            // The stream ended: a crash, or the exit `Shutdown` asked for.
+            // The child itself is waited on in the reap.
+            LineEvent::Closed(peer) => {
+                self.retire(peer, now);
+            }
+        }
+        Ok(())
+    }
+
+    /// One scheduling step: expire leases (speculative reassignment — the
+    /// original worker keeps running, its late completion becomes a
+    /// duplicate), lease eligible shards to idle workers, and keep the
+    /// progress guarantee: a shard past `max_attempts`, or a cluster with
+    /// nobody to lease to (see [`can_lease_to`](Self::can_lease_to)) for a
+    /// full lease timeout, has one shard run here. `true` means a shard
+    /// ran inline and the next step should follow without waiting.
+    fn tick(&mut self, now: Instant) -> Result<bool, String> {
+        for state in &mut self.states {
+            if let ShardState::Leased {
+                attempt, deadline, ..
+            } = *state
+            {
+                // The leasing worker stays busy until it reports.
+                if deadline <= now {
+                    *state = pending_with_backoff(self.config, attempt, now);
+                    self.stats.reassignments += 1;
+                }
+            }
+        }
+        self.assign_leases(now);
+
+        let idle = now.saturating_duration_since(self.last_progress);
+        let starved = idle > self.config.lease_timeout
+            && !self
+                .workers
+                .iter()
+                .any(|w| w.ready && self.can_lease_to(w, now));
+        let due = self.states.iter().position(|s| match s {
+            ShardState::Pending {
+                eligible_at,
+                attempt,
+            } => *attempt >= self.config.max_attempts || (starved && *eligible_at <= now),
+            _ => false,
+        });
+        let Some(shard) = due else {
+            return Ok(false);
+        };
+        let rows = shard_rows(
+            &self.cells,
+            self.shard_ranges[shard].clone(),
+            &mut self.inline_hosts,
+        )
+        .collect();
+        self.stats.inline_runs += 1;
+        // `wall_us` is a worker's measurement; here nothing reads a clock
+        // and the time shows in `phases_us.leasing`.
+        self.accept_completion(CheckpointRecord {
+            shard: shard as u64,
+            worker: 0,
+            attempt: attempt_of(&self.states[shard]) + 1,
+            wall_us: 0,
+            rows,
+        })?;
+        self.last_progress = now;
+        Ok(true)
+    }
+
+    /// Leases eligible pending shards to idle ready workers.
+    fn assign_leases(&mut self, now: Instant) {
+        for (shard, state) in self.states.iter_mut().enumerate() {
+            let attempt = match state {
+                ShardState::Pending {
+                    eligible_at,
+                    attempt,
+                } if *eligible_at <= now && *attempt < self.config.max_attempts => *attempt,
+                _ => continue,
+            };
+            let Some(w) = self
+                .workers
+                .iter_mut()
+                .find(|w| w.alive && w.ready && w.busy.is_none())
+            else {
+                break; // nobody free — try again next tick
+            };
+            let lease = Frame::Lease {
+                shard: shard as u64,
+                attempt: attempt + 1,
+            };
+            if w.writer.send_line(&lease.to_line()).is_err() {
+                w.alive = false;
+                self.stats.reassignments += 1;
+                continue;
+            }
+            w.busy = Some(shard as u64);
+            msim_core::telemetry::count("msp_leases_total", 1);
+            *state = ShardState::Leased {
+                worker: w.id,
+                attempt: attempt + 1,
+                deadline: now + self.config.lease_timeout,
+            };
+            self.first_lease.get_or_insert(now);
+        }
+    }
+
+    /// Whether `w` is, or will be once `Ready` or done with a lease it
+    /// still holds, someone to lease to. A worker that let its lease lapse
+    /// (expired, re-leased elsewhere, completed by someone else) and has
+    /// not reported since is not: it may never come back.
+    fn can_lease_to(&self, w: &WorkerSlot, now: Instant) -> bool {
+        w.alive
+            && w.busy.is_none_or(|shard| {
+                matches!(
+                    self.states.get(shard as usize),
+                    Some(ShardState::Leased { worker, deadline, .. })
+                        if *worker == w.id && *deadline > now
+                )
+            })
+    }
+
+    /// `peer` has reported on `shard`: if that is what it was busy with,
+    /// it is free again.
+    fn release(&mut self, peer: u64, shard: u64) {
+        if let Some(w) = self.workers.iter_mut().find(|w| w.id == peer) {
+            if w.busy == Some(shard) {
+                w.busy = None;
+            }
+        }
+    }
+
+    /// Requeues `shard` iff it is still leased to `worker` (it may have
+    /// been speculatively re-leased or even completed meanwhile).
+    fn requeue_if_leased_to(&mut self, worker: u64, shard: u64, now: Instant) {
+        if let Some(state) = self.states.get_mut(shard as usize) {
+            if matches!(state, ShardState::Leased { worker: w, .. } if *w == worker) {
+                *state = pending_with_backoff(self.config, attempt_of(state), now);
+                self.stats.reassignments += 1;
+            }
+        }
+    }
+
+    /// Takes `peer` out of service: dead, and its lease requeued.
+    fn retire(&mut self, peer: u64, now: Instant) -> Option<&mut WorkerSlot> {
+        let slot = self.workers.iter().position(|w| w.id == peer)?;
+        let w = &mut self.workers[slot];
+        w.alive = false;
+        w.ready = false;
+        if let Some(shard) = w.busy.take() {
+            self.requeue_if_leased_to(peer, shard, now);
+        }
+        Some(&mut self.workers[slot])
+    }
+
+    /// Retires and kills a worker that cannot be trusted.
+    fn condemn(&mut self, peer: u64, now: Instant) {
+        if let Some(child) = self.retire(peer, now).and_then(|w| w.child.as_mut()) {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+
+    /// A frame that is garbage, unparseable, coordinator-direction or a
+    /// completion of the wrong shape: a peer that frames one cannot be
+    /// trusted about anything else.
+    fn protocol_error(&mut self, peer: u64, now: Instant) {
+        self.stats.protocol_errors += 1;
+        self.condemn(peer, now);
+    }
+
+    /// Accepts one completion: journal it, mark done. Returns Err only on
+    /// checkpoint I/O failure.
+    fn accept_completion(&mut self, record: CheckpointRecord) -> Result<(), String> {
+        if let Some(checkpoint) = &mut self.checkpoint {
+            checkpoint.append(&record)?;
+        }
+        msim_core::telemetry::count("msp_shard_merges_total", 1);
+        self.mark_done(record, false);
+        self.completed_this_run += 1;
+        Ok(())
+    }
+
+    fn mark_done(&mut self, record: CheckpointRecord, from_checkpoint: bool) {
+        self.states[record.shard as usize] = ShardState::Done;
+        let shard = DoneShard {
+            record,
+            from_checkpoint,
+        };
+        self.done.insert(shard.record.shard, shard);
+    }
+
+    /// Handles one parsed frame; returns whether it constituted progress.
+    fn on_frame(&mut self, peer: u64, frame: Frame, now: Instant) -> Result<bool, String> {
+        match frame {
+            Frame::Ready {
+                worker,
+                digest_epoch,
+            } => {
+                if digest_epoch != DIGEST_EPOCH {
+                    // Its rows would be digests of another definition. (An
+                    // epoch-1 worker never sees the mismatch itself: it
+                    // ignores the hello's unknown field.)
+                    eprintln!(
+                        "sweepd: worker {peer} runs digest_epoch {digest_epoch}, this \
+                         coordinator {DIGEST_EPOCH} — refusing it"
+                    );
+                    if let Some(w) = self.workers.iter_mut().find(|w| w.id == peer) {
+                        let _ = w.writer.send_line(&Frame::Shutdown.to_line());
+                    }
+                    self.condemn(peer, now);
+                    return Ok(false);
+                }
+                if let Some(w) = self
+                    .workers
+                    .iter_mut()
+                    .find(|w| w.id == worker && w.id == peer)
+                {
+                    w.ready = true;
+                }
+                Ok(true)
+            }
+            Frame::Heartbeat {
+                worker,
+                shard,
+                counters,
+                ..
+            } => {
+                if let Some(ShardState::Leased {
+                    worker: leased_to,
+                    deadline,
+                    ..
+                }) = self.states.get_mut(shard as usize)
+                {
+                    if *leased_to == worker && worker == peer {
+                        *deadline = now + self.config.lease_timeout;
+                    }
+                }
+                // Fold the worker's telemetry increments into this process's
+                // registry so a `/metrics` scrape of the coordinator covers
+                // the whole fleet. Duplicate-completion shards still count:
+                // the work genuinely ran twice.
+                msim_core::telemetry::apply_counter_deltas(&counters);
+                Ok(false)
+            }
+            Frame::Done {
+                worker,
+                shard,
+                attempt,
+                wall_us,
+                rows,
+            } => {
+                // Checked before anything keeps the rows: a short or
+                // misindexed completion would fail the merge after the
+                // whole sweep has run, and once journaled every resume.
+                if !self.covered_by(shard, &rows) {
+                    self.protocol_error(peer, now);
+                    return Ok(false);
+                }
+                self.release(peer, shard);
+                if let Some(existing) = self.done.get(&shard) {
+                    self.stats.duplicates += 1;
+                    if existing.record.rows != rows {
+                        self.violations.push(format!(
+                            "determinism violation: shard {shard} attempt {attempt} (worker \
+                             {worker}) produced digests diverging from the accepted attempt \
+                             {} (worker {})",
+                            existing.record.attempt, existing.record.worker
+                        ));
+                    }
+                    return Ok(true);
+                }
+                self.accept_completion(CheckpointRecord {
+                    shard,
+                    worker,
+                    attempt,
+                    wall_us,
+                    rows,
+                })?;
+                Ok(true)
+            }
+            Frame::Fail {
+                worker: _,
+                shard,
+                message,
+            } => {
+                self.release(peer, shard);
+                if shard != u64::MAX {
+                    self.requeue_if_leased_to(peer, shard, now);
+                } else {
+                    // Setup failure (e.g. manifest expansion): the worker is
+                    // useless.
+                    eprintln!("sweepd: worker {peer} failed setup: {message}");
+                    self.condemn(peer, now);
+                }
+                Ok(true)
+            }
+            // Coordinator-direction frames from a worker = confusion.
+            Frame::Hello { .. } | Frame::Lease { .. } | Frame::Shutdown => {
+                self.protocol_error(peer, now);
+                Ok(false)
+            }
+        }
+    }
+
+    /// Asks every surviving worker to exit.
+    fn dismiss_workers(&mut self) {
+        for w in self.workers.iter_mut().filter(|w| w.alive) {
+            let _ = w.writer.send_line(&Frame::Shutdown.to_line());
+        }
+    }
+
+    /// Renders the `/jobs` endpoint body: one entry per shard with its
+    /// state/attempt/lease, plus the worker roster.
+    fn jobs_json(&self, now: Instant) -> String {
+        let shard_values: Vec<Value> = self
+            .states
+            .iter()
+            .enumerate()
+            .map(|(i, state)| {
+                let obj = Value::object().with("shard", i as u64);
+                match state {
+                    ShardState::Pending { attempt, .. } => {
+                        obj.with("attempt", *attempt).with("state", "pending")
+                    }
+                    ShardState::Leased {
+                        worker,
+                        attempt,
+                        deadline,
+                    } => obj
+                        .with("attempt", *attempt)
+                        .with(
+                            "lease_remaining_ms",
+                            deadline.saturating_duration_since(now).as_millis() as u64,
+                        )
+                        .with("state", "leased")
+                        .with("worker", *worker),
+                    ShardState::Done => obj.with("state", "done"),
+                }
+            })
+            .collect();
+        let worker_values: Vec<Value> = self
+            .workers
+            .iter()
+            .map(|w| {
+                let obj = Value::object()
+                    .with("alive", w.alive)
+                    .with("id", w.id)
+                    .with("ready", w.ready);
+                match w.busy {
+                    Some(shard) => obj.with("busy_shard", shard),
+                    None => obj,
+                }
+            })
+            .collect();
+        msim_json::to_string(
+            &Value::object()
+                .with("completed_this_run", self.completed_this_run)
+                .with("shards", Value::Array(shard_values))
+                .with("workers", Value::Array(worker_values)),
+        )
+    }
+
+    /// The deterministic merge of the accepted rows — `None` unless every
+    /// shard is done.
+    fn merged(&self) -> Result<Option<Value>, String> {
+        if !self.complete() {
+            return Ok(None);
+        }
+        let rows: Vec<CellRow> = self
+            .done
+            .values()
+            .flat_map(|shard| shard.record.rows.iter().copied())
+            .collect();
+        let manifest = &self.config.manifest;
+        merge_rows(&manifest.name, manifest.fingerprint(), &self.cells, &rows).map(Some)
+    }
+
+    /// Closes the run: `artifact` is [`merged`](Self::merged)'s, `phases`
+    /// the driver's wall clock by phase.
+    fn into_outcome(self, artifact: Option<Value>, phases: &[(&str, Duration)]) -> ClusterOutcome {
+        ClusterOutcome {
+            completed: artifact.is_some(),
+            provenance: self.provenance_json(artifact.is_some(), phases),
+            artifact,
+            violations: self.violations,
+            stats: self.stats,
+        }
+    }
+
+    /// The nondeterministic provenance artifact: who ran what, how many
+    /// times, how long — everything deliberately excluded from the
+    /// deterministic merge.
+    fn provenance_json(&self, completed: bool, phases: &[(&str, Duration)]) -> Value {
+        let phases_us = phases.iter().fold(Value::object(), |obj, (name, took)| {
+            obj.with(name, took.as_micros() as u64)
+        });
+        let mut shards: Vec<&DoneShard> = self.done.values().collect();
+        shards.sort_by_key(|s| s.record.shard);
+        let shard_values: Vec<Value> = shards
+            .iter()
+            .map(|s| {
+                Value::object()
+                    .with("attempts", s.record.attempt)
+                    .with("cells", s.record.rows.len() as u64)
+                    .with("from_checkpoint", s.from_checkpoint)
+                    .with("shard", s.record.shard)
+                    .with("wall_us", s.record.wall_us)
+                    .with("worker", s.record.worker)
+            })
+            .collect();
+        let violation_values: Vec<Value> = self
+            .violations
+            .iter()
+            .map(|v| Value::String(v.clone()))
+            .collect();
+        let stats = &self.stats;
+        Value::object()
+            .with("completed", completed)
+            .with("digest_epoch", DIGEST_EPOCH as u64)
+            .with("duplicates", stats.duplicates)
+            .with("inline_runs", stats.inline_runs)
+            .with(
+                "manifest_fingerprint",
+                self.config.manifest.fingerprint_hex().as_str(),
+            )
+            .with("name", self.config.manifest.name.as_str())
+            .with("phases_us", phases_us)
+            .with("protocol_errors", stats.protocol_errors)
+            .with("reassignments", stats.reassignments)
+            .with("respawns", stats.respawns)
+            .with("resumed_shards", stats.resumed_shards)
+            .with("schema", "cluster-provenance")
+            .with("shards", Value::Array(shard_values))
+            .with("stream_epoch", msim_core::rng::STREAM_EPOCH as u64)
+            .with("violations", Value::Array(violation_values))
+            .with("workers", self.config.workers as u64)
+    }
+}
+
 /// Runs the distributed sweep to completion (or early stop). See the
 /// module docs for the fault model.
 pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
     let entered = Instant::now();
-    let mut first_lease: Option<Instant> = None;
-    let cells = config.manifest.expand()?;
-    let shard_ranges = config.manifest.shards(cells.len());
-    let n_shards = shard_ranges.len();
-    let now = Instant::now();
-    let mut states: Vec<ShardState> = (0..n_shards)
-        .map(|_| ShardState::Pending {
-            eligible_at: now,
-            attempt: 0,
-        })
-        .collect();
-    let mut done: HashMap<u64, DoneShard> = HashMap::new();
-    let mut stats = ClusterStats::default();
-    let mut violations: Vec<String> = Vec::new();
-
-    // Checkpoint resume: journaled shards are already done.
-    let mut checkpoint = match &config.checkpoint {
-        Some(path) => {
-            let (ckpt, replayed) = Checkpoint::open(path, &config.manifest)?;
-            for record in replayed {
-                if (record.shard as usize) < n_shards && !done.contains_key(&record.shard) {
-                    states[record.shard as usize] = ShardState::Done;
-                    stats.resumed_shards += 1;
-                    done.insert(
-                        record.shard,
-                        DoneShard {
-                            record,
-                            from_checkpoint: true,
-                        },
-                    );
-                }
-            }
-            Some(ckpt)
-        }
-        None => None,
-    };
-
-    let mut completed_this_run: u64 = 0;
+    let mut coordinator = Coordinator::new(config, entered)?;
     let (event_tx, event_rx) = mpsc::channel::<LineEvent>();
-    let mut workers: Vec<WorkerSlot> = Vec::new();
     let mut next_worker_id: u64 = 1;
-    let mut spawned_total: usize = 0;
-    let spawn_budget = config.workers * 2 + 4;
-    let mut inline_hosts = HostCache::new();
-    let mut last_progress = Instant::now();
     let mut stats_published = ClusterStats::default();
 
     // TCP mode: accept connections in the background.
@@ -283,254 +840,77 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
         Transport::Spawn { .. } => None,
     };
 
-    let remaining = |states: &[ShardState]| states.iter().any(|s| !matches!(s, ShardState::Done));
-
-    let mut interrupted = false;
-    let mut stopped_early = false;
-
-    while remaining(&states) {
-        if msim_testbed::shutdown_requested() {
-            interrupted = true;
+    loop {
+        let now = Instant::now();
+        publish_stats_delta(&coordinator.stats, &mut stats_published);
+        if let Some(slot) = &config.jobs_state {
+            if let Ok(mut s) = slot.lock() {
+                *s = coordinator.jobs_json(now);
+            }
+        }
+        if coordinator.finished() || msim_testbed::shutdown_requested() {
             break;
         }
-        if let Some(stop) = config.stop_after_shards {
-            if completed_this_run >= stop {
-                stopped_early = true;
-                break;
-            }
-        }
 
-        // Top up worker capacity (spawn mode): the whole pool on the first
-        // tick, so every worker starts before the loop first blocks and
-        // the ramp is one spawn-to-`Ready` latency; after that one
-        // replacement per outer-loop tick is plenty, `available`
-        // re-evaluates naturally next time around.
-        if let Transport::Spawn { program } = &config.transport {
-            let alive = workers.iter().filter(|w| w.alive).count();
-            let available = workers
-                .iter()
-                .filter(|w| w.alive && (w.busy.is_none() || !lease_expired(&states, w)))
-                .count();
-            for ordinal in top_up(
-                config.workers,
-                spawned_total,
-                spawn_budget,
-                alive,
-                available,
-            ) {
-                let chaos = config.worker_chaos.get(ordinal).cloned().flatten();
-                if ordinal >= config.workers {
-                    stats.respawns += 1;
-                }
-                let slot =
-                    spawn_worker(program, next_worker_id, &config.manifest, chaos, &event_tx)
+        // New workers: spawned to top the pool up, or connected over TCP.
+        match &config.transport {
+            Transport::Spawn { program } => {
+                for ordinal in coordinator.spawn_wanted(now) {
+                    let chaos = config.worker_chaos.get(ordinal).cloned().flatten();
+                    let slot = spawn_worker(program, next_worker_id, chaos, &event_tx)
                         .map_err(|e| format!("spawn worker: {e}"))?;
-                workers.push(slot);
-                next_worker_id += 1;
-                spawned_total = ordinal + 1;
-            }
-        }
-
-        // TCP mode: adopt newly connected workers.
-        while let Ok(stream) = conn_rx.try_recv() {
-            let id = next_worker_id;
-            next_worker_id += 1;
-            let read_half = stream
-                .try_clone()
-                .map_err(|e| format!("clone worker stream: {e}"))?;
-            spawn_line_reader(id, read_half, event_tx.clone());
-            let mut writer = LineWriter::new(stream);
-            let hello = Frame::Hello {
-                worker: id,
-                manifest: config.manifest.clone(),
-                digest_epoch: DIGEST_EPOCH,
-            };
-            if writer.send_line(&hello.to_line()).is_ok() {
-                workers.push(WorkerSlot {
-                    id,
-                    writer,
-                    child: None,
-                    alive: true,
-                    ready: false,
-                    busy: None,
-                    leases: 0,
-                });
-            }
-        }
-
-        // Lease eligible pending shards to idle ready workers.
-        if assign_leases(config, &mut states, &mut workers, &mut stats) {
-            first_lease.get_or_insert_with(Instant::now);
-        }
-
-        // Progress guarantee: a shard past max_attempts — or a cluster
-        // with nothing alive to lease to for a full lease-timeout — runs
-        // inline on the coordinator.
-        let now = Instant::now();
-        let starved = now.duration_since(last_progress) > config.lease_timeout
-            && !workers.iter().any(|w| w.alive && w.ready);
-        if let Some(shard) = states.iter().position(|s| match s {
-            ShardState::Pending {
-                eligible_at,
-                attempt,
-            } => *attempt >= config.max_attempts || (starved && *eligible_at <= now),
-            _ => false,
-        }) {
-            let range = shard_ranges[shard].clone();
-            let t0 = Instant::now();
-            let rows: Vec<CellRow> = range
-                .map(|i| row_for(i as u64, &cells[i], &mut inline_hosts))
-                .collect();
-            let record = CheckpointRecord {
-                shard: shard as u64,
-                worker: 0,
-                attempt: attempt_of(&states[shard]) + 1,
-                wall_us: t0.elapsed().as_micros() as u64,
-                rows,
-            };
-            stats.inline_runs += 1;
-            accept_completion(
-                record,
-                &mut states,
-                &mut done,
-                &mut checkpoint,
-                &mut stats,
-                &mut violations,
-                &mut completed_this_run,
-            )?;
-            last_progress = Instant::now();
-            continue;
-        }
-
-        // One event (or a short tick to rescan deadlines).
-        match event_rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(LineEvent::Line(peer, line)) => match Frame::from_line(&line) {
-                Ok(frame) => {
-                    if handle_frame(
-                        peer,
-                        frame,
-                        config,
-                        &mut states,
-                        &mut workers,
-                        &mut done,
-                        &mut checkpoint,
-                        &mut stats,
-                        &mut violations,
-                        &mut completed_this_run,
-                    )? {
-                        last_progress = Instant::now();
-                    }
-                }
-                Err(_) => {
-                    stats.protocol_errors += 1;
-                    condemn_worker(peer, config, &mut states, &mut workers, &mut stats);
-                }
-            },
-            Ok(LineEvent::Garbage(peer, _)) => {
-                stats.protocol_errors += 1;
-                condemn_worker(peer, config, &mut states, &mut workers, &mut stats);
-            }
-            Ok(LineEvent::Closed(peer)) => {
-                if let Some(w) = workers.iter_mut().find(|w| w.id == peer) {
-                    if w.alive {
-                        w.alive = false;
-                        w.ready = false;
-                        if let Some(shard) = w.busy.take() {
-                            requeue_if_leased_to(peer, shard, config, &mut states, &mut stats);
-                        }
-                        if let Some(child) = &mut w.child {
-                            let _ = child.wait();
-                        }
-                    }
+                    coordinator.adopt(slot);
+                    next_worker_id += 1;
                 }
             }
+            Transport::Tcp { .. } => {
+                while let Ok(stream) = conn_rx.try_recv() {
+                    let read_half = stream
+                        .try_clone()
+                        .map_err(|e| format!("clone worker stream: {e}"))?;
+                    spawn_line_reader(next_worker_id, read_half, event_tx.clone());
+                    let writer = LineWriter::new(stream);
+                    coordinator.adopt(WorkerSlot::new(next_worker_id, writer, None));
+                    next_worker_id += 1;
+                }
+            }
+        }
+
+        // One event, or a short wait to rescan deadlines (none after an
+        // inline run: more may be due, and events are still read between).
+        let wait = if coordinator.tick(now)? { 0 } else { 25 };
+        match event_rx.recv_timeout(Duration::from_millis(wait)) {
+            Ok(event) => coordinator.on_event(event, Instant::now())?,
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => {
                 return Err("coordinator event channel closed".into())
             }
         }
-
-        // Expired leases: speculative reassignment. The original worker
-        // keeps running — its late completion becomes a duplicate.
-        let now = Instant::now();
-        for state in states.iter_mut() {
-            if let ShardState::Leased {
-                attempt, deadline, ..
-            } = *state
-            {
-                // The leasing worker stays busy until it reports.
-                if deadline <= now {
-                    *state = pending_with_backoff(config, attempt);
-                    stats.reassignments += 1;
-                }
-            }
-        }
-
-        publish_stats_delta(&stats, &mut stats_published);
-        if let Some(slot) = &config.jobs_state {
-            let snapshot = jobs_json(&states, &workers, completed_this_run);
-            if let Ok(mut s) = slot.lock() {
-                *s = snapshot;
-            }
-        }
     }
-    publish_stats_delta(&stats, &mut stats_published);
-    if let Some(slot) = &config.jobs_state {
-        let snapshot = jobs_json(&states, &workers, completed_this_run);
-        if let Ok(mut s) = slot.lock() {
-            *s = snapshot;
-        }
-    }
-
     let leased_out = Instant::now();
 
     // Drain: ask every surviving worker to exit, then reap children.
-    for w in &mut workers {
-        if w.alive {
-            let _ = w.writer.send_line(&Frame::Shutdown.to_line());
-        }
-    }
+    coordinator.dismiss_workers();
     // A worker's final frames can still be in flight when the last shard
     // completes — e.g. a late duplicate Done from a reassigned or
     // misbehaving worker. Keep reading until every reader thread closes
     // so those frames land in stats/violations instead of being dropped.
-    if !stopped_early && !interrupted {
-        let drain_deadline = Instant::now() + Duration::from_secs(5);
-        while workers.iter().any(|w| w.alive) && Instant::now() < drain_deadline {
+    // A run cut short (early stop, signal) kills its workers instead.
+    let cut_short = !coordinator.complete();
+    if !cut_short {
+        let drain_deadline = leased_out + Duration::from_secs(5);
+        while coordinator.workers.iter().any(|w| w.alive) && Instant::now() < drain_deadline {
             match event_rx.recv_timeout(Duration::from_millis(25)) {
-                Ok(LineEvent::Line(peer, line)) => match Frame::from_line(&line) {
-                    Ok(frame) => {
-                        handle_frame(
-                            peer,
-                            frame,
-                            config,
-                            &mut states,
-                            &mut workers,
-                            &mut done,
-                            &mut checkpoint,
-                            &mut stats,
-                            &mut violations,
-                            &mut completed_this_run,
-                        )?;
-                    }
-                    Err(_) => stats.protocol_errors += 1,
-                },
-                Ok(LineEvent::Garbage(..)) => stats.protocol_errors += 1,
-                Ok(LineEvent::Closed(peer)) => {
-                    if let Some(w) = workers.iter_mut().find(|w| w.id == peer) {
-                        w.alive = false;
-                        w.ready = false;
-                    }
-                }
+                Ok(event) => coordinator.on_event(event, Instant::now())?,
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             }
         }
     }
     let drained = Instant::now();
-    for w in &mut workers {
+    for w in &mut coordinator.workers {
         if let Some(child) = &mut w.child {
-            if stopped_early || interrupted {
+            if cut_short {
                 let _ = child.kill();
             }
             wait_with_timeout(child, Duration::from_secs(5));
@@ -538,22 +918,8 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
     }
     let reaped = Instant::now();
 
-    let completed = !stopped_early && !interrupted && !remaining(&states);
-    let artifact = if completed {
-        let mut rows: Vec<CellRow> = Vec::with_capacity(cells.len());
-        for shard in done.values() {
-            rows.extend(shard.record.rows.iter().copied());
-        }
-        Some(merge_rows(
-            &config.manifest.name,
-            config.manifest.fingerprint(),
-            &cells,
-            &rows,
-        )?)
-    } else {
-        None
-    };
-    let first_lease = first_lease.unwrap_or(leased_out);
+    let artifact = coordinator.merged()?;
+    let first_lease = coordinator.first_lease.unwrap_or(leased_out);
     let phases = [
         ("startup", first_lease - entered),
         ("leasing", leased_out - first_lease),
@@ -561,23 +927,7 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
         ("reap", reaped - drained),
         ("merge", reaped.elapsed()),
     ];
-    let provenance = provenance_json(config, &done, &stats, &violations, completed, &phases);
-    if interrupted {
-        return Ok(ClusterOutcome {
-            completed: false,
-            artifact: None,
-            provenance,
-            violations,
-            stats,
-        });
-    }
-    Ok(ClusterOutcome {
-        completed,
-        artifact,
-        provenance,
-        violations,
-        stats,
-    })
+    Ok(coordinator.into_outcome(artifact, &phases))
 }
 
 fn attempt_of(state: &ShardState) -> u64 {
@@ -588,32 +938,23 @@ fn attempt_of(state: &ShardState) -> u64 {
     }
 }
 
-fn lease_expired(states: &[ShardState], w: &WorkerSlot) -> bool {
-    w.busy.is_some_and(|shard| {
-        !matches!(
-            states.get(shard as usize),
-            Some(ShardState::Leased { worker, deadline, .. })
-                if *worker == w.id && *deadline > Instant::now()
-        )
-    })
-}
-
-fn pending_with_backoff(config: &ClusterConfig, attempt: u64) -> ShardState {
+fn pending_with_backoff(config: &ClusterConfig, attempt: u64, now: Instant) -> ShardState {
     let factor = 1u32 << attempt.min(10) as u32;
     let delay = config
         .backoff_base
         .saturating_mul(factor)
         .min(config.backoff_cap);
     ShardState::Pending {
-        eligible_at: Instant::now() + delay,
+        eligible_at: now + delay,
         attempt,
     }
 }
 
+/// Starts `<program> worker` with piped stdio and a reader thread feeding
+/// `event_tx`.
 fn spawn_worker(
-    program: &PathBuf,
+    program: &Path,
     id: u64,
-    manifest: &SweepManifest,
     chaos: Option<WorkerChaos>,
     event_tx: &mpsc::Sender<LineEvent>,
 ) -> std::io::Result<WorkerSlot> {
@@ -629,83 +970,20 @@ fn spawn_worker(
     let stdin = child.stdin.take().expect("piped stdin");
     let stdout = child.stdout.take().expect("piped stdout");
     spawn_line_reader(id, stdout, event_tx.clone());
-    let mut writer = LineWriter::new(stdin);
-    let hello = Frame::Hello {
-        worker: id,
-        manifest: manifest.clone(),
-        digest_epoch: DIGEST_EPOCH,
-    };
-    let _ = writer.send_line(&hello.to_line());
-    Ok(WorkerSlot {
-        id,
-        writer,
-        child: Some(child),
-        alive: true,
-        ready: false,
-        busy: None,
-        leases: 0,
-    })
-}
-
-/// Leases eligible pending shards to idle ready workers; returns whether
-/// any lease went out.
-fn assign_leases(
-    config: &ClusterConfig,
-    states: &mut [ShardState],
-    workers: &mut [WorkerSlot],
-    stats: &mut ClusterStats,
-) -> bool {
-    let now = Instant::now();
-    let mut leased = false;
-    for (shard, state) in states.iter_mut().enumerate() {
-        let attempt = match state {
-            ShardState::Pending {
-                eligible_at,
-                attempt,
-            } if *eligible_at <= now && *attempt < config.max_attempts => *attempt,
-            _ => continue,
-        };
-        let Some(w) = workers
-            .iter_mut()
-            .find(|w| w.alive && w.ready && w.busy.is_none())
-        else {
-            break; // nobody free — try again next tick
-        };
-        let lease = Frame::Lease {
-            shard: shard as u64,
-            attempt: attempt + 1,
-        };
-        if w.writer.send_line(&lease.to_line()).is_err() {
-            w.alive = false;
-            stats.reassignments += 1;
-            continue;
-        }
-        w.busy = Some(shard as u64);
-        w.leases += 1;
-        msim_core::telemetry::count("msp_leases_total", 1);
-        *state = ShardState::Leased {
-            worker: w.id,
-            attempt: attempt + 1,
-            deadline: now + config.lease_timeout,
-        };
-        leased = true;
-    }
-    leased
+    Ok(WorkerSlot::new(id, LineWriter::new(stdin), Some(child)))
 }
 
 /// The spawn ordinals this tick's top-up starts. The first top-up fills
 /// the pool (`target`, at least one); afterwards a short-handed pool
 /// (fewer alive than `target`, or nobody able to take a lease) gets one
-/// replacement a tick; nothing is spawned past `budget`. The ordinal
-/// indexes `ClusterConfig::worker_chaos` and, from `target` on, counts as
-/// a respawn.
+/// replacement a tick; nothing is spawned past `budget`.
 fn top_up(
     target: usize,
     spawned_total: usize,
     budget: usize,
     alive: usize,
     available: usize,
-) -> std::ops::Range<usize> {
+) -> Range<usize> {
     let target = target.max(1);
     let want = if spawned_total == 0 {
         target
@@ -713,207 +991,6 @@ fn top_up(
         usize::from(alive < target || available < 1)
     };
     spawned_total..(spawned_total + want).min(budget.max(spawned_total))
-}
-
-/// Requeues `shard` iff it is still leased to `worker` (it may have been
-/// speculatively re-leased or even completed meanwhile).
-fn requeue_if_leased_to(
-    worker: u64,
-    shard: u64,
-    config: &ClusterConfig,
-    states: &mut [ShardState],
-    stats: &mut ClusterStats,
-) {
-    if let Some(state) = states.get_mut(shard as usize) {
-        if matches!(state, ShardState::Leased { worker: w, .. } if *w == worker) {
-            let attempt = attempt_of(state);
-            *state = pending_with_backoff(config, attempt);
-            stats.reassignments += 1;
-        }
-    }
-}
-
-/// Kills and retires a worker that framed garbage; its lease requeues.
-fn condemn_worker(
-    peer: u64,
-    config: &ClusterConfig,
-    states: &mut [ShardState],
-    workers: &mut [WorkerSlot],
-    stats: &mut ClusterStats,
-) {
-    if let Some(w) = workers.iter_mut().find(|w| w.id == peer) {
-        w.alive = false;
-        w.ready = false;
-        if let Some(shard) = w.busy.take() {
-            requeue_if_leased_to(peer, shard, config, states, stats);
-        }
-        if let Some(child) = &mut w.child {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-/// Accepts one completion: journal it, mark done. Returns Err only on
-/// checkpoint I/O failure.
-fn accept_completion(
-    record: CheckpointRecord,
-    states: &mut [ShardState],
-    done: &mut HashMap<u64, DoneShard>,
-    checkpoint: &mut Option<Checkpoint>,
-    _stats: &mut ClusterStats,
-    _violations: &mut [String],
-    completed_this_run: &mut u64,
-) -> Result<(), String> {
-    if let Some(ckpt) = checkpoint {
-        ckpt.append(&record)?;
-    }
-    msim_core::telemetry::count("msp_shard_merges_total", 1);
-    states[record.shard as usize] = ShardState::Done;
-    done.insert(
-        record.shard,
-        DoneShard {
-            record,
-            from_checkpoint: false,
-        },
-    );
-    *completed_this_run += 1;
-    Ok(())
-}
-
-/// Handles one parsed frame; returns whether it constituted progress.
-#[allow(clippy::too_many_arguments)]
-fn handle_frame(
-    peer: u64,
-    frame: Frame,
-    config: &ClusterConfig,
-    states: &mut [ShardState],
-    workers: &mut [WorkerSlot],
-    done: &mut HashMap<u64, DoneShard>,
-    checkpoint: &mut Option<Checkpoint>,
-    stats: &mut ClusterStats,
-    violations: &mut Vec<String>,
-    completed_this_run: &mut u64,
-) -> Result<bool, String> {
-    match frame {
-        Frame::Ready {
-            worker,
-            digest_epoch,
-        } => {
-            if digest_epoch != DIGEST_EPOCH {
-                // Its rows would be digests of another definition. (An
-                // epoch-1 worker never sees the mismatch itself: it
-                // ignores the hello's unknown field.)
-                eprintln!(
-                    "sweepd: worker {peer} runs digest_epoch {digest_epoch}, this coordinator \
-                     {DIGEST_EPOCH} — refusing it"
-                );
-                if let Some(w) = workers.iter_mut().find(|w| w.id == peer) {
-                    let _ = w.writer.send_line(&Frame::Shutdown.to_line());
-                }
-                condemn_worker(peer, config, states, workers, stats);
-                return Ok(false);
-            }
-            if let Some(w) = workers.iter_mut().find(|w| w.id == worker && w.id == peer) {
-                w.ready = true;
-            }
-            Ok(true)
-        }
-        Frame::Heartbeat {
-            worker,
-            shard,
-            counters,
-            ..
-        } => {
-            if let Some(ShardState::Leased {
-                worker: leased_to,
-                deadline,
-                ..
-            }) = states.get_mut(shard as usize)
-            {
-                if *leased_to == worker && worker == peer {
-                    *deadline = Instant::now() + config.lease_timeout;
-                }
-            }
-            // Fold the worker's telemetry increments into this process's
-            // registry so a `/metrics` scrape of the coordinator covers
-            // the whole fleet. Duplicate-completion shards still count:
-            // the work genuinely ran twice.
-            msim_core::telemetry::apply_counter_deltas(&counters);
-            Ok(false)
-        }
-        Frame::Done {
-            worker,
-            shard,
-            attempt,
-            wall_us,
-            rows,
-        } => {
-            if let Some(w) = workers.iter_mut().find(|w| w.id == peer) {
-                if w.busy == Some(shard) {
-                    w.busy = None;
-                }
-            }
-            if let Some(existing) = done.get(&shard) {
-                stats.duplicates += 1;
-                if existing.record.rows != rows {
-                    violations.push(format!(
-                        "determinism violation: shard {shard} attempt {attempt} (worker \
-                         {worker}) produced digests diverging from the accepted attempt \
-                         {} (worker {})",
-                        existing.record.attempt, existing.record.worker
-                    ));
-                }
-                return Ok(true);
-            }
-            if states.get(shard as usize).is_none() {
-                stats.protocol_errors += 1;
-                return Ok(false);
-            }
-            accept_completion(
-                CheckpointRecord {
-                    shard,
-                    worker,
-                    attempt,
-                    wall_us,
-                    rows,
-                },
-                states,
-                done,
-                checkpoint,
-                stats,
-                violations,
-                completed_this_run,
-            )?;
-            Ok(true)
-        }
-        Frame::Fail {
-            worker: _,
-            shard,
-            message,
-        } => {
-            if let Some(w) = workers.iter_mut().find(|w| w.id == peer) {
-                if w.busy == Some(shard) {
-                    w.busy = None;
-                }
-            }
-            if shard != u64::MAX {
-                requeue_if_leased_to(peer, shard, config, states, stats);
-            } else {
-                // Setup failure (e.g. manifest expansion): the worker is
-                // useless.
-                eprintln!("sweepd: worker {peer} failed setup: {message}");
-                condemn_worker(peer, config, states, workers, stats);
-            }
-            Ok(true)
-        }
-        // Coordinator-direction frames from a worker = confusion.
-        Frame::Hello { .. } | Frame::Lease { .. } | Frame::Shutdown => {
-            stats.protocol_errors += 1;
-            condemn_worker(peer, config, states, workers, stats);
-            Ok(false)
-        }
-    }
 }
 
 /// First pause of the reap poll. A worker that answered `Shutdown` has
@@ -962,161 +1039,48 @@ fn poll_exit(
 /// telemetry registry as monotonic counters, so lease/retry/merge
 /// traffic shows up on `/metrics` without double counting.
 fn publish_stats_delta(stats: &ClusterStats, prev: &mut ClusterStats) {
-    use msim_core::telemetry as tel;
-    if !tel::enabled() {
-        *prev = *stats;
-        return;
+    if msim_core::telemetry::enabled() {
+        for (series, now, before) in [
+            (
+                "msp_lease_reassignments_total",
+                stats.reassignments,
+                prev.reassignments,
+            ),
+            (
+                "msp_duplicate_completions_total",
+                stats.duplicates,
+                prev.duplicates,
+            ),
+            (
+                "msp_protocol_errors_total",
+                stats.protocol_errors,
+                prev.protocol_errors,
+            ),
+            ("msp_worker_respawns_total", stats.respawns, prev.respawns),
+            ("msp_inline_runs_total", stats.inline_runs, prev.inline_runs),
+            (
+                "msp_resumed_shards_total",
+                stats.resumed_shards,
+                prev.resumed_shards,
+            ),
+        ] {
+            msim_core::telemetry::count(series, now - before);
+        }
     }
-    tel::count(
-        "msp_lease_reassignments_total",
-        stats.reassignments - prev.reassignments,
-    );
-    tel::count(
-        "msp_duplicate_completions_total",
-        stats.duplicates - prev.duplicates,
-    );
-    tel::count(
-        "msp_protocol_errors_total",
-        stats.protocol_errors - prev.protocol_errors,
-    );
-    tel::count("msp_worker_respawns_total", stats.respawns - prev.respawns);
-    tel::count(
-        "msp_inline_runs_total",
-        stats.inline_runs - prev.inline_runs,
-    );
-    tel::count(
-        "msp_resumed_shards_total",
-        stats.resumed_shards - prev.resumed_shards,
-    );
     *prev = *stats;
-}
-
-/// Renders the `/jobs` endpoint body: one entry per shard with its
-/// state/attempt/lease, plus the worker roster.
-fn jobs_json(states: &[ShardState], workers: &[WorkerSlot], completed_this_run: u64) -> String {
-    let now = Instant::now();
-    let shard_values: Vec<Value> = states
-        .iter()
-        .enumerate()
-        .map(|(i, state)| {
-            let obj = Value::object().with("shard", i as u64);
-            match state {
-                ShardState::Pending { attempt, .. } => {
-                    obj.with("attempt", *attempt).with("state", "pending")
-                }
-                ShardState::Leased {
-                    worker,
-                    attempt,
-                    deadline,
-                } => obj
-                    .with("attempt", *attempt)
-                    .with(
-                        "lease_remaining_ms",
-                        deadline.saturating_duration_since(now).as_millis() as u64,
-                    )
-                    .with("state", "leased")
-                    .with("worker", *worker),
-                ShardState::Done => obj.with("state", "done"),
-            }
-        })
-        .collect();
-    let worker_values: Vec<Value> = workers
-        .iter()
-        .map(|w| {
-            let obj = Value::object()
-                .with("alive", w.alive)
-                .with("id", w.id)
-                .with("ready", w.ready);
-            match w.busy {
-                Some(shard) => obj.with("busy_shard", shard),
-                None => obj,
-            }
-        })
-        .collect();
-    msim_json::to_string(
-        &Value::object()
-            .with("completed_this_run", completed_this_run)
-            .with("shards", Value::Array(shard_values))
-            .with("workers", Value::Array(worker_values)),
-    )
-}
-
-/// The nondeterministic provenance artifact: who ran what, how many
-/// times, how long — everything deliberately excluded from the
-/// deterministic merge.
-fn provenance_json(
-    config: &ClusterConfig,
-    done: &HashMap<u64, DoneShard>,
-    stats: &ClusterStats,
-    violations: &[String],
-    completed: bool,
-    phases: &[(&str, Duration)],
-) -> Value {
-    let phases_us = phases.iter().fold(Value::object(), |obj, (name, took)| {
-        obj.with(name, took.as_micros() as u64)
-    });
-    let mut shards: Vec<&DoneShard> = done.values().collect();
-    shards.sort_by_key(|s| s.record.shard);
-    let shard_values: Vec<Value> = shards
-        .iter()
-        .map(|s| {
-            Value::object()
-                .with("attempts", s.record.attempt)
-                .with("cells", s.record.rows.len() as u64)
-                .with("from_checkpoint", s.from_checkpoint)
-                .with("shard", s.record.shard)
-                .with("wall_us", s.record.wall_us)
-                .with("worker", s.record.worker)
-        })
-        .collect();
-    let violation_values: Vec<Value> = violations
-        .iter()
-        .map(|v| Value::String(v.clone()))
-        .collect();
-    Value::object()
-        .with("completed", completed)
-        .with("digest_epoch", DIGEST_EPOCH as u64)
-        .with("duplicates", stats.duplicates)
-        .with("inline_runs", stats.inline_runs)
-        .with(
-            "manifest_fingerprint",
-            config.manifest.fingerprint_hex().as_str(),
-        )
-        .with("name", config.manifest.name.as_str())
-        .with("phases_us", phases_us)
-        .with("protocol_errors", stats.protocol_errors)
-        .with("reassignments", stats.reassignments)
-        .with("respawns", stats.respawns)
-        .with("resumed_shards", stats.resumed_shards)
-        .with("schema", "cluster-provenance")
-        .with("shards", Value::Array(shard_values))
-        .with("stream_epoch", msim_core::rng::STREAM_EPOCH as u64)
-        .with("violations", Value::Array(violation_values))
-        .with("workers", config.workers as u64)
 }
 
 /// The serial in-process reference: expand, run every cell on this
 /// thread, merge. The distributed artifact must be bit-identical to this.
 pub fn serial_artifact(manifest: &SweepManifest) -> Result<Value, String> {
-    let cells = manifest.expand()?;
-    let mut hosts = HostCache::new();
-    let rows: Vec<CellRow> = cells
-        .iter()
-        .enumerate()
-        .map(|(i, cell)| row_for(i as u64, cell, &mut hosts))
-        .collect();
+    let (cells, rows) = serial_rows(manifest)?;
     merge_rows(&manifest.name, manifest.fingerprint(), &cells, &rows)
 }
 
 /// Convenience for tests: the serial artifact's rows without the merge.
 pub fn serial_rows(manifest: &SweepManifest) -> Result<(Vec<Cell>, Vec<CellRow>), String> {
     let cells = manifest.expand()?;
-    let mut hosts = HostCache::new();
-    let rows: Vec<CellRow> = cells
-        .iter()
-        .enumerate()
-        .map(|(i, cell)| row_for(i as u64, cell, &mut hosts))
-        .collect();
+    let rows = shard_rows(&cells, 0..cells.len(), &mut HostCache::new()).collect();
     Ok((cells, rows))
 }
 
@@ -1127,17 +1091,14 @@ mod tests {
     #[test]
     fn backoff_is_capped_exponential() {
         let config = ClusterConfig::new(SweepManifest::smoke(), PathBuf::from("unused"));
-        let base = config.backoff_base;
-        let delay_of = |attempt: u64| match pending_with_backoff(&config, attempt) {
-            ShardState::Pending { eligible_at, .. } => {
-                eligible_at.saturating_duration_since(Instant::now())
-            }
+        let now = Instant::now();
+        let delay_of = |attempt: u64| match pending_with_backoff(&config, attempt, now) {
+            ShardState::Pending { eligible_at, .. } => eligible_at - now,
             _ => unreachable!(),
         };
-        // Allow scheduling slop: compare against generous bounds.
-        assert!(delay_of(0) <= base * 2);
-        assert!(delay_of(3) >= base * 4 && delay_of(3) <= base * 16);
-        assert!(delay_of(40) <= config.backoff_cap + base, "capped");
+        assert_eq!(delay_of(0), config.backoff_base);
+        assert_eq!(delay_of(3), config.backoff_base * 8);
+        assert_eq!(delay_of(40), config.backoff_cap);
     }
 
     #[test]
@@ -1212,5 +1173,686 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\"sweep_fingerprint\""));
         assert!(a.contains("\"schema\": \"cluster-sweep\""));
+    }
+
+    // ---- the Coordinator against scripted workers -----------------------
+    //
+    // No process, no thread, no sleep: a worker is a slot whose writer is
+    // an in-memory sink the test reads back, its frames are fed through
+    // `on_event`, and every instant is `t0` plus made-up milliseconds.
+
+    use msim_core::rng::Prng;
+    use std::io::Write;
+    use std::sync::OnceLock;
+
+    /// What the coordinator wrote to one worker.
+    #[derive(Clone, Default)]
+    struct Sink(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Sink {
+        /// The frames written since the last call.
+        fn take(&self) -> Vec<Frame> {
+            let bytes = std::mem::take(&mut *self.0.lock().unwrap());
+            String::from_utf8(bytes)
+                .unwrap()
+                .lines()
+                .map(|line| Frame::from_line(line).unwrap())
+                .collect()
+        }
+    }
+
+    const SHARDS: u64 = 3;
+
+    /// Three shards of two cells.
+    fn manifest() -> SweepManifest {
+        SweepManifest {
+            name: "scripted".into(),
+            workloads: vec!["testbed/MSPlayer".into()],
+            runs: 2,
+            shard_cells: 2,
+        }
+    }
+
+    /// The manifest's serial rows and serial artifact bytes, run once.
+    fn truth() -> &'static (Vec<CellRow>, String) {
+        static TRUTH: OnceLock<(Vec<CellRow>, String)> = OnceLock::new();
+        TRUTH.get_or_init(|| {
+            let (cells, rows) = serial_rows(&manifest()).unwrap();
+            assert_eq!(manifest().shards(cells.len()).len() as u64, SHARDS);
+            let artifact = serial_artifact(&manifest()).unwrap();
+            (rows, msim_json::to_string_pretty(&artifact))
+        })
+    }
+
+    /// 200 ms leases, 10 ms backoff capped at 40 ms, two workers.
+    fn config() -> ClusterConfig {
+        ClusterConfig {
+            lease_timeout: Duration::from_millis(200),
+            backoff_base: Duration::from_millis(10),
+            backoff_cap: Duration::from_millis(40),
+            ..ClusterConfig::new(manifest(), PathBuf::from("unused"))
+        }
+    }
+
+    /// A coordinator, its made-up clock and the sinks of its workers
+    /// (worker `id` writes to `sinks[id - 1]`).
+    struct Rig<'a> {
+        c: Coordinator<'a>,
+        t0: Instant,
+        sinks: Vec<Sink>,
+    }
+
+    impl<'a> Rig<'a> {
+        fn new(config: &'a ClusterConfig) -> Rig<'a> {
+            let t0 = Instant::now();
+            Rig {
+                c: Coordinator::new(config, t0).unwrap(),
+                t0,
+                sinks: Vec::new(),
+            }
+        }
+
+        fn at(&self, ms: u64) -> Instant {
+            self.t0 + Duration::from_millis(ms)
+        }
+
+        /// Adopts one more worker, which is greeted; returns its id.
+        fn adopt(&mut self) -> u64 {
+            let sink = Sink::default();
+            self.sinks.push(sink.clone());
+            let id = self.sinks.len() as u64;
+            self.c
+                .adopt(WorkerSlot::new(id, LineWriter::new(sink), None));
+            match &self.sent(id)[..] {
+                [Frame::Hello {
+                    worker,
+                    manifest,
+                    digest_epoch: DIGEST_EPOCH,
+                }] => assert_eq!((*worker, manifest), (id, &self.c.config.manifest)),
+                other => panic!("worker {id} was greeted with {other:?}"),
+            }
+            id
+        }
+
+        /// Adopts a worker and has it say `Ready` at `ms`.
+        fn ready_worker(&mut self, ms: u64) -> u64 {
+            let id = self.adopt();
+            let ready = Frame::Ready {
+                worker: id,
+                digest_epoch: DIGEST_EPOCH,
+            };
+            self.frame(id, ready, ms);
+            id
+        }
+
+        fn event(&mut self, event: LineEvent, ms: u64) {
+            self.c.on_event(event, self.at(ms)).unwrap();
+        }
+
+        fn frame(&mut self, peer: u64, frame: Frame, ms: u64) {
+            self.event(LineEvent::Line(peer, frame.to_line()), ms);
+        }
+
+        fn tick(&mut self, ms: u64) -> bool {
+            self.c.tick(self.at(ms)).unwrap()
+        }
+
+        /// What worker `id` was sent since the last look.
+        fn sent(&self, id: u64) -> Vec<Frame> {
+            self.sinks[id as usize - 1].take()
+        }
+
+        /// `(attempt, ms until eligible)` of a pending shard, as of `ms`.
+        fn pending(&self, shard: usize, ms: u64) -> (u64, u64) {
+            match self.c.states[shard] {
+                ShardState::Pending {
+                    eligible_at,
+                    attempt,
+                } => (
+                    attempt,
+                    eligible_at
+                        .saturating_duration_since(self.at(ms))
+                        .as_millis() as u64,
+                ),
+                ref other => panic!("shard {shard} is {other:?}, not pending"),
+            }
+        }
+
+        fn merged_bytes(&self) -> String {
+            msim_json::to_string_pretty(&self.c.merged().unwrap().expect("complete"))
+        }
+    }
+
+    /// The true rows of `shard`.
+    fn rows_of(shard: u64) -> Vec<CellRow> {
+        truth().0[shard as usize * 2..][..2].to_vec()
+    }
+
+    fn done(worker: u64, shard: u64, attempt: u64, rows: Vec<CellRow>) -> Frame {
+        Frame::Done {
+            worker,
+            shard,
+            attempt,
+            wall_us: 1,
+            rows,
+        }
+    }
+
+    fn lease(shard: u64, attempt: u64) -> Frame {
+        Frame::Lease { shard, attempt }
+    }
+
+    #[test]
+    fn expired_lease_is_re_leased_and_the_late_duplicate_is_counted_and_compared() {
+        let config = config();
+        let mut rig = Rig::new(&config);
+        let (a, b) = (rig.ready_worker(0), rig.ready_worker(0));
+        assert!(!rig.tick(0));
+        assert_eq!(rig.sent(a), [lease(0, 1)]);
+        assert_eq!(rig.sent(b), [lease(1, 1)]);
+        assert_eq!(rig.c.first_lease, Some(rig.at(0)));
+
+        // `b` works through shards 1 and 2; `a` says nothing.
+        rig.frame(b, done(b, 1, 1, rows_of(1)), 50);
+        rig.tick(50);
+        assert_eq!(rig.sent(b), [lease(2, 1)]);
+        rig.frame(b, done(b, 2, 1, rows_of(2)), 120);
+        // A heartbeat from the wrong worker extends nothing.
+        let beat = Frame::Heartbeat {
+            worker: b,
+            shard: 0,
+            cells_done: 1,
+            counters: Vec::new(),
+        };
+        rig.frame(b, beat, 150);
+        rig.tick(199);
+        assert_eq!(rig.c.stats.reassignments, 0, "deadline is at 200");
+
+        // Expiry: back to pending behind a 20 ms backoff, `a` still busy.
+        rig.tick(200);
+        assert_eq!(rig.c.stats.reassignments, 1);
+        assert_eq!(rig.pending(0, 200), (1, 20));
+        assert_eq!(rig.sent(b), [], "not eligible before the backoff");
+        rig.tick(220);
+        assert_eq!(rig.sent(b), [lease(0, 2)], "speculative re-lease");
+        rig.frame(b, done(b, 0, 2, rows_of(0)), 260);
+        assert!(rig.c.finished() && rig.c.complete());
+
+        // The straggler reports at last: a duplicate, compared by digest.
+        rig.frame(a, done(a, 0, 1, rows_of(0)), 900);
+        assert_eq!(rig.c.stats.duplicates, 1);
+        assert!(rig.c.violations.is_empty());
+        let mut diverged = rows_of(0);
+        diverged[1].digest ^= 1;
+        rig.frame(a, done(a, 0, 1, diverged), 901);
+        assert_eq!(rig.c.stats.duplicates, 2);
+        assert_eq!(rig.c.violations.len(), 1, "{:?}", rig.c.violations);
+        assert!(rig.c.violations[0].contains("shard 0 attempt 1 (worker 1)"));
+
+        assert_eq!(rig.merged_bytes(), truth().1);
+        let outcome = rig.c.into_outcome(None, &[]);
+        assert_eq!(outcome.stats.protocol_errors, 0);
+    }
+
+    #[test]
+    fn a_heartbeat_from_the_lease_holder_extends_the_lease() {
+        let config = config();
+        let mut rig = Rig::new(&config);
+        let a = rig.ready_worker(0);
+        rig.tick(0);
+        let beat = Frame::Heartbeat {
+            worker: a,
+            shard: 0,
+            cells_done: 1,
+            counters: Vec::new(),
+        };
+        rig.frame(a, beat, 150);
+        rig.tick(349);
+        assert_eq!(rig.c.stats.reassignments, 0);
+        let jobs = rig.c.jobs_json(rig.at(349));
+        assert!(jobs.contains(r#""lease_remaining_ms":1,"#), "{jobs}");
+        rig.tick(350);
+        assert_eq!(rig.c.stats.reassignments, 1);
+    }
+
+    #[test]
+    fn garbage_and_coordinator_direction_frames_condemn_and_requeue_with_capped_backoff() {
+        let config = config();
+        let mut rig = Rig::new(&config);
+        // Each worker in turn takes shard 0 and then frames something no
+        // worker may: bytes that are not UTF-8, a line that is not a
+        // frame, a frame only a coordinator sends.
+        let offences = [
+            LineEvent::Garbage(1, 7),
+            LineEvent::Line(2, "{\"type\":".into()),
+            LineEvent::Line(3, lease(0, 9).to_line()),
+            LineEvent::Line(4, Frame::Shutdown.to_line()),
+        ];
+        let mut ms = 0;
+        for (n, offence) in offences.into_iter().enumerate() {
+            let (id, attempt) = (n as u64 + 1, n as u64 + 1);
+            assert_eq!(rig.ready_worker(ms), id);
+            assert!(!rig.tick(ms));
+            assert_eq!(rig.sent(id), [lease(0, attempt)]);
+            rig.event(offence, ms + 1);
+            assert_eq!(rig.c.stats.protocol_errors, attempt);
+            assert_eq!(rig.c.stats.reassignments, attempt);
+            let w = &rig.c.workers[n];
+            assert!(!w.alive && !w.ready && w.busy.is_none());
+            // 10 ms doubling per attempt, capped at 40.
+            let backoff = [20, 40, 40, 40][n];
+            assert_eq!(rig.pending(0, ms + 1), (attempt, backoff));
+            ms += 1 + backoff;
+        }
+        // Four attempts spent: nobody is leased it again, it runs here.
+        let id = rig.ready_worker(ms);
+        assert!(rig.tick(ms));
+        assert_eq!(rig.sent(id), [lease(1, 1)]);
+        assert_eq!(rig.c.stats.inline_runs, 1);
+        assert_eq!(rig.c.done[&0].record.rows, rows_of(0));
+        assert_eq!(
+            (rig.c.done[&0].record.worker, rig.c.done[&0].record.attempt),
+            (0, 5)
+        );
+    }
+
+    #[test]
+    fn ready_of_another_digest_epoch_is_refused_and_never_leased() {
+        let config = config();
+        let mut rig = Rig::new(&config);
+        let old = rig.adopt();
+        let ready = Frame::Ready {
+            worker: old,
+            digest_epoch: DIGEST_EPOCH - 1,
+        };
+        rig.frame(old, ready, 0);
+        assert_eq!(rig.sent(old), [Frame::Shutdown]);
+        assert!(!rig.c.workers[0].alive);
+        for ms in [0, 100, 200] {
+            rig.tick(ms);
+        }
+        assert_eq!(rig.sent(old), [], "no lease for a refused worker");
+        assert_eq!(rig.c.completed_this_run, 0);
+    }
+
+    #[test]
+    fn a_done_whose_rows_are_not_its_shards_is_refused_not_journaled() {
+        let journal = std::env::temp_dir().join(format!(
+            "msp-coordinator-{}-wrong-rows.ndjson",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&journal);
+        let config = ClusterConfig {
+            checkpoint: Some(journal.clone()),
+            ..config()
+        };
+        let mut rig = Rig::new(&config);
+        let wrong: [Vec<CellRow>; 4] = [
+            rows_of(0)[..1].to_vec(),                        // too few
+            rows_of(1),                                      // another shard's
+            rows_of(0).into_iter().rev().collect(),          // out of order
+            [rows_of(0), rows_of(0)[..1].to_vec()].concat(), // too many
+        ];
+        let mut ms = 0;
+        for (n, rows) in wrong.into_iter().enumerate() {
+            let id = rig.ready_worker(ms);
+            rig.tick(ms);
+            assert_eq!(rig.sent(id), [lease(0, n as u64 + 1)]);
+            rig.frame(id, done(id, 0, n as u64 + 1, rows), ms + 1);
+            assert_eq!(rig.c.stats.protocol_errors, n as u64 + 1);
+            assert!(!rig.c.workers[n].alive, "condemned");
+            assert_eq!(rig.pending(0, ms + 1).0, n as u64 + 1, "lease requeued");
+            assert!(rig.c.done.is_empty());
+            ms += 50;
+        }
+        // A shard nobody has is as wrong.
+        let id = rig.ready_worker(ms);
+        rig.frame(id, done(id, SHARDS, 1, rows_of(0)), ms);
+        assert_eq!(rig.c.stats.protocol_errors, 5);
+        assert!(!rig.c.workers[4].alive);
+
+        // Honest workers finish the sweep; the journal holds their records
+        // only, so a resume merges.
+        let id = rig.ready_worker(ms);
+        for shard in [1, 2] {
+            rig.tick(ms);
+            assert_eq!(rig.sent(id).last(), Some(&lease(shard, 1)));
+            rig.frame(id, done(id, shard, 1, rows_of(shard)), ms);
+        }
+        assert_eq!(rig.c.stats.inline_runs, 1, "shard 0, past max_attempts");
+        assert_eq!(rig.merged_bytes(), truth().1);
+        drop(rig);
+        let resumed = Rig::new(&config);
+        assert_eq!(resumed.c.stats.resumed_shards, SHARDS);
+        assert_eq!(resumed.merged_bytes(), truth().1);
+        let _ = std::fs::remove_file(&journal);
+    }
+
+    #[test]
+    fn a_journal_record_whose_rows_are_not_its_shards_is_skipped_on_replay() {
+        let journal = std::env::temp_dir().join(format!(
+            "msp-coordinator-{}-poisoned.ndjson",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&journal);
+        let record = |shard, rows| CheckpointRecord {
+            shard,
+            worker: 1,
+            attempt: 1,
+            wall_us: 1,
+            rows,
+        };
+        let (mut checkpoint, _) = Checkpoint::open(&journal, &manifest()).unwrap();
+        checkpoint
+            .append(&record(0, rows_of(0)[..1].to_vec()))
+            .unwrap();
+        checkpoint.append(&record(1, rows_of(1))).unwrap();
+        checkpoint.append(&record(2, rows_of(0))).unwrap();
+        checkpoint.append(&record(7, rows_of(0))).unwrap();
+        drop(checkpoint);
+
+        let config = ClusterConfig {
+            checkpoint: Some(journal.clone()),
+            ..config()
+        };
+        let mut rig = Rig::new(&config);
+        assert_eq!(rig.c.stats.resumed_shards, 1);
+        assert_eq!(rig.pending(0, 0), (0, 0));
+        assert!(matches!(rig.c.states[1], ShardState::Done));
+        assert_eq!(rig.pending(2, 0), (0, 0));
+        // The skipped shards run again and the sweep merges.
+        let id = rig.ready_worker(0);
+        for shard in [0, 2] {
+            rig.tick(0);
+            assert_eq!(rig.sent(id).last(), Some(&lease(shard, 1)));
+            rig.frame(id, done(id, shard, 1, rows_of(shard)), 1);
+        }
+        assert_eq!(rig.merged_bytes(), truth().1);
+        let _ = std::fs::remove_file(&journal);
+    }
+
+    #[test]
+    fn a_starved_cluster_runs_its_shards_inline() {
+        let config = config();
+        let mut rig = Rig::new(&config);
+        // One shard each time a full lease timeout has passed with nobody
+        // to lease to and no progress (an inline run is progress).
+        for n in 1..=SHARDS {
+            assert!(!rig.c.finished());
+            assert!(!rig.tick(n * 201 - 1));
+            assert!(rig.tick(n * 201));
+        }
+        assert!(rig.c.finished());
+        assert_eq!(rig.c.stats.inline_runs, SHARDS);
+        assert_eq!(rig.merged_bytes(), truth().1);
+    }
+
+    /// Every worker holds a lease it let lapse and never reports again,
+    /// and the respawn budget is spent: they are alive and `Ready`, yet
+    /// nobody to lease to, so the progress guarantee must step in.
+    #[test]
+    fn workers_hung_past_their_leases_do_not_keep_the_cluster_from_starving() {
+        let config = config();
+        let mut rig = Rig::new(&config);
+        let budget = config.workers * 2 + 4;
+        let mut ms = 0;
+        while rig.c.spawned_total < budget {
+            for _ in rig.c.spawn_wanted(rig.at(ms)) {
+                rig.ready_worker(ms);
+            }
+            rig.tick(ms);
+            ms += 250; // every lease handed out so far has lapsed
+        }
+        assert!(rig.c.spawn_wanted(rig.at(ms)).is_empty(), "budget spent");
+        assert_eq!(rig.c.stats.respawns as usize, budget - config.workers);
+        assert!(rig.c.workers.iter().all(|w| w.alive && w.ready));
+        while !rig.c.finished() {
+            ms += 50;
+            assert!(ms < 10_000, "hung workers starve the cluster for good");
+            rig.tick(ms);
+        }
+        assert!(rig.c.stats.inline_runs > 0);
+        assert_eq!(rig.merged_bytes(), truth().1);
+    }
+
+    #[test]
+    fn stop_after_shards_finishes_early_and_yields_no_artifact() {
+        let config = ClusterConfig {
+            stop_after_shards: Some(1),
+            ..config()
+        };
+        let mut rig = Rig::new(&config);
+        let a = rig.ready_worker(0);
+        rig.tick(0);
+        assert!(!rig.c.finished());
+        rig.frame(a, done(a, 0, 1, rows_of(0)), 10);
+        assert!(rig.c.finished() && !rig.c.complete());
+        let artifact = rig.c.merged().unwrap();
+        assert!(artifact.is_none());
+        let took = Duration::from_micros(7);
+        let outcome = rig.c.into_outcome(artifact, &[("startup", took)]);
+        assert!(!outcome.completed && outcome.artifact.is_none());
+        let provenance = msim_json::to_string(&outcome.provenance);
+        assert!(
+            provenance.contains(r#""phases_us":{"startup":7}"#),
+            "{provenance}"
+        );
+        assert!(provenance.contains(r#""completed":false"#), "{provenance}");
+    }
+
+    #[test]
+    fn a_stream_closed_mid_lease_requeues_it_and_a_replacement_is_wanted() {
+        let config = config();
+        let mut rig = Rig::new(&config);
+        assert_eq!(
+            rig.c.spawn_wanted(rig.at(0)),
+            0..2,
+            "the whole pool at once"
+        );
+        let (a, b) = (rig.ready_worker(0), rig.ready_worker(0));
+        rig.tick(0);
+        assert!(rig.c.spawn_wanted(rig.at(1)).is_empty());
+        rig.event(LineEvent::Closed(a), 5);
+        assert!(!rig.c.workers[0].alive);
+        assert_eq!(rig.c.stats.reassignments, 1);
+        assert_eq!(rig.pending(0, 5), (1, 20));
+        assert_eq!(rig.c.spawn_wanted(rig.at(5)), 2..3, "one replacement");
+        assert_eq!(rig.c.stats.respawns, 1);
+        // A second close of the same stream changes nothing.
+        rig.event(LineEvent::Closed(a), 6);
+        assert_eq!(rig.c.stats.reassignments, 1);
+        // A worker that reports failure keeps serving; its lease requeues.
+        let fail = Frame::Fail {
+            worker: b,
+            shard: 1,
+            message: "interrupted".into(),
+        };
+        rig.frame(b, fail, 7);
+        assert_eq!(rig.c.stats.reassignments, 2);
+        assert!(rig.c.workers[1].alive && rig.c.workers[1].busy.is_none());
+        let jobs = rig.c.jobs_json(rig.at(7));
+        assert!(
+            jobs.starts_with(
+                r#"{"completed_this_run":0,"shards":[{"attempt":1,"shard":0,"state":"pending"},"#
+            ),
+            "{jobs}"
+        );
+        assert!(jobs.ends_with(r#""workers":[{"alive":false,"id":1,"ready":false},{"alive":true,"id":2,"ready":true}]}"#), "{jobs}");
+    }
+
+    // ---- the schedule explorer -------------------------------------------
+
+    /// Runs one seeded schedule to the end and checks safety and liveness;
+    /// `Err` names what broke, `Ok` is what the coordinator had to handle.
+    fn explore(seed: u64) -> Result<ClusterStats, String> {
+        // As the driver: a step per event, 25 ms apart at most.
+        const STEP_MS: u64 = 25;
+        const BOUND_MS: u64 = 20_000;
+        let config = config();
+        let mut rig = Rig::new(&config);
+        let mut rng = Prng::new(seed ^ 0xC0_0D1A_7012);
+        // (due ms, tie-break, event): delays are drawn per frame, so frames
+        // of one worker reorder, and a dropped frame is one never queued.
+        let mut wire: Vec<(u64, u64, LineEvent)> = Vec::new();
+        let mut sent = 0u64;
+        let mut crashed: Vec<u64> = Vec::new();
+        let mut ms = 0;
+        while !rig.c.finished() {
+            if ms > BOUND_MS {
+                return Err(format!("not finished after {BOUND_MS} simulated ms"));
+            }
+            wire.sort_by_key(|(due, tie, _)| (*due, *tie));
+            let due = wire.iter().take_while(|(due, ..)| *due <= ms).count();
+            for (_, _, event) in wire.drain(..due) {
+                rig.c.on_event(event, rig.at(ms))?;
+            }
+            for _ in rig.c.spawn_wanted(rig.at(ms)) {
+                let id = rig.adopt();
+                let ready = Frame::Ready {
+                    worker: id,
+                    digest_epoch: DIGEST_EPOCH - u32::from(rng.chance(0.03)),
+                };
+                // One `Ready` in thirty is lost.
+                if rng.below(30) > 0 {
+                    sent += 1;
+                    wire.push((
+                        ms + rng.range(1, 30),
+                        sent,
+                        LineEvent::Line(id, ready.to_line()),
+                    ));
+                }
+            }
+            while rig.c.tick(rig.at(ms))? {}
+
+            for id in 1..=rig.sinks.len() as u64 {
+                for frame in rig.sent(id) {
+                    if crashed.contains(&id) {
+                        continue;
+                    }
+                    let mut queue = |delay: u64, event: LineEvent| {
+                        sent += 1;
+                        wire.push((ms + delay, sent, event));
+                    };
+                    match frame {
+                        Frame::Lease { shard, attempt } => {
+                            let answer = |rows| {
+                                LineEvent::Line(id, done(id, shard, attempt, rows).to_line())
+                            };
+                            if rng.chance(0.3) {
+                                let beat = Frame::Heartbeat {
+                                    worker: id,
+                                    shard,
+                                    cells_done: 1,
+                                    counters: Vec::new(),
+                                };
+                                queue(rng.range(1, 190), LineEvent::Line(id, beat.to_line()));
+                            }
+                            // Two leases in three are answered honestly.
+                            match rng.below(18) {
+                                // Answered after the lease has expired.
+                                0 => queue(rng.range(210, 900), answer(rows_of(shard))),
+                                // Answered twice.
+                                1 => {
+                                    queue(rng.range(1, 190), answer(rows_of(shard)));
+                                    queue(rng.range(1, 400), answer(rows_of(shard)));
+                                }
+                                // Never answered, never closed: the frame
+                                // was dropped, or the worker hangs.
+                                2 => {}
+                                // The stream closes mid-lease.
+                                3 => {
+                                    crashed.push(id);
+                                    queue(rng.range(1, 190), LineEvent::Closed(id));
+                                }
+                                // A `Done` whose rows are not the shard's.
+                                4 => {
+                                    let rows = match rng.below(3) {
+                                        0 => rows_of(shard)[..1].to_vec(),
+                                        1 => rows_of((shard + 1) % SHARDS),
+                                        _ => rows_of(shard).into_iter().rev().collect(),
+                                    };
+                                    queue(rng.range(1, 190), answer(rows));
+                                }
+                                // Something no worker may frame.
+                                5 => {
+                                    let event = if rng.chance(0.5) {
+                                        LineEvent::Garbage(id, 3)
+                                    } else {
+                                        LineEvent::Line(id, lease(shard, attempt).to_line())
+                                    };
+                                    queue(rng.range(1, 190), event);
+                                }
+                                _ => queue(rng.range(1, 190), answer(rows_of(shard))),
+                            }
+                        }
+                        // Refused for its digest epoch: it exits.
+                        Frame::Shutdown => {
+                            crashed.push(id);
+                            queue(rng.range(1, 30), LineEvent::Closed(id));
+                        }
+                        other => return Err(format!("worker {id} was sent {other:?}")),
+                    }
+                }
+            }
+            let next_due = wire.iter().map(|(due, ..)| *due).min();
+            ms = next_due.map_or(ms + STEP_MS, |due| due.clamp(ms + 1, ms + STEP_MS));
+        }
+
+        // Drain: what is still on the wire lands as duplicates.
+        rig.c.dismiss_workers();
+        wire.sort_by_key(|(due, tie, _)| (*due, *tie));
+        for (due, _, event) in wire {
+            rig.c.on_event(event, rig.at(due.max(ms)))?;
+        }
+        if rig.c.completed_this_run != SHARDS {
+            return Err(format!(
+                "{} completions accepted for {SHARDS} shards",
+                rig.c.completed_this_run
+            ));
+        }
+        if !rig.c.violations.is_empty() {
+            return Err(format!("violations: {:?}", rig.c.violations));
+        }
+        let merged = rig.c.merged()?.ok_or("finished but not complete")?;
+        if msim_json::to_string_pretty(&merged) != truth().1 {
+            return Err("merged artifact differs from the serial one".into());
+        }
+        Ok(rig.c.stats)
+    }
+
+    /// 2 500 seeded schedules (delay, reorder, drop or hang, duplicate,
+    /// crash mid-lease, wrong-rows `Done`, garbage, a worker of another
+    /// digest epoch) against fake workers answering from the serial rows:
+    /// each must finish in bounded simulated time, accept every shard
+    /// exactly once and merge to the serial artifact's bytes. A failure
+    /// names its seed: `explore(seed)` in a test of its own pins it.
+    #[test]
+    fn explorer_every_seeded_schedule_finishes_and_merges_to_the_serial_bytes() {
+        let mut seen = [0u64; 5];
+        for seed in 0..2_500 {
+            let stats = explore(seed).unwrap_or_else(|what| panic!("schedule seed {seed}: {what}"));
+            let faults = [
+                stats.reassignments,
+                stats.duplicates,
+                stats.protocol_errors,
+                stats.respawns,
+                stats.inline_runs,
+            ];
+            for (seen, n) in seen.iter_mut().zip(faults) {
+                *seen += u64::from(n > 0);
+            }
+        }
+        // The schedules reach every way of handling a fault, often.
+        assert!(seen.iter().all(|&seeds| seeds >= 50), "{seen:?}");
     }
 }

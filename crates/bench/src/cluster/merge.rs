@@ -39,7 +39,7 @@
 //! claims. Digests and seeds travel as fixed-width hex strings because the
 //! JSON layer stores numbers as `f64` (exact only to 2^53).
 
-use crate::sweep::Cell;
+use crate::sweep::{Cell, HostCache};
 use msim_json::Value;
 use msplayer_core::metrics::SessionMetrics;
 
@@ -107,15 +107,33 @@ impl CellRow {
     }
 }
 
-/// Runs one cell and rows its digest. Cluster workers never run with a
-/// cell budget, so completion is guaranteed (modulo the lease watchdog on
-/// the coordinator side, which handles genuinely hung workers).
-pub fn row_for(index: u64, cell: &Cell, hosts: &mut crate::sweep::HostCache) -> CellRow {
-    let result = cell.run_on(hosts.host_for(&cell.workload));
-    CellRow {
-        index,
-        digest: digest_metrics(result.expect_metrics()),
-    }
+/// The rows of the cells `range` of `cells`, in order; each `next` runs
+/// one cell on its workload's warmed host. Cluster workers never run with
+/// a cell budget, so completion is guaranteed (modulo the lease watchdog
+/// on the coordinator side, which handles genuinely hung workers).
+pub(super) fn shard_rows<'a>(
+    cells: &'a [Cell],
+    range: std::ops::Range<usize>,
+    hosts: &'a mut HostCache,
+) -> impl Iterator<Item = CellRow> + 'a {
+    range.map(move |index| {
+        let cell = &cells[index];
+        let result = cell.run_on(hosts.host_for(&cell.workload));
+        CellRow {
+            index: index as u64,
+            digest: digest_metrics(result.expect_metrics()),
+        }
+    })
+}
+
+/// Whether `rows` is exactly one row per cell of `range`, in shard order:
+/// what a completion must be before anything keeps it.
+pub(super) fn covers(range: &std::ops::Range<usize>, rows: &[CellRow]) -> bool {
+    rows.len() == range.len()
+        && rows
+            .iter()
+            .zip(range.clone())
+            .all(|(r, i)| r.index == i as u64)
 }
 
 /// The sweep fingerprint: FNV-1a over the (index, digest) stream in cell

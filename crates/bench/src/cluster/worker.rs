@@ -28,8 +28,7 @@
 //! harness (and CI) exercises the coordinator's fault handling with *real*
 //! process failures rather than mocks.
 
-use super::manifest::SweepManifest;
-use super::merge::{row_for, CellRow, DIGEST_EPOCH};
+use super::merge::{shard_rows, CellRow, DIGEST_EPOCH};
 use super::protocol::Frame;
 use crate::sweep::{Cell, HostCache};
 use msim_core::telemetry;
@@ -138,23 +137,25 @@ where
 /// and times shards. Tests pass a scripted clock instead of sleeping.
 fn run_worker_clocked<R, W>(
     input: R,
-    mut output: W,
+    output: W,
     chaos: Option<WorkerChaos>,
-    mut clock: impl FnMut() -> Instant,
+    clock: impl FnMut() -> Instant,
 ) -> i32
 where
     R: Read,
     W: Write,
 {
     let mut reader = BufReader::new(input);
-    let mut me: u64 = 0;
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut shards: Vec<std::ops::Range<usize>> = Vec::new();
-    let mut hosts = HostCache::new();
+    let mut worker = Worker {
+        output,
+        clock,
+        me: 0,
+        cells: Vec::new(),
+        shards: Vec::new(),
+        hosts: HostCache::new(),
+        counters_prev: telemetry::counter_values(),
+    };
     let mut leases_seen: u64 = 0;
-    // Telemetry counters as of the last heartbeat, so each heartbeat
-    // carries only the increments since the previous one.
-    let mut counters_prev = telemetry::counter_values();
 
     loop {
         let mut line = String::new();
@@ -173,13 +174,13 @@ where
         };
         match frame {
             Frame::Hello {
-                worker,
+                worker: me,
                 manifest,
                 digest_epoch,
             } => {
-                me = worker;
+                worker.me = me;
                 let expanded = if digest_epoch == DIGEST_EPOCH {
-                    expand(&manifest)
+                    manifest.expand()
                 } else {
                     Err(format!(
                         "coordinator digest_epoch {digest_epoch} != worker's {DIGEST_EPOCH}: \
@@ -187,48 +188,33 @@ where
                     ))
                 };
                 match expanded {
-                    Ok((c, s)) => {
-                        cells = c;
-                        shards = s;
+                    Ok(cells) => {
+                        worker.shards = manifest.shards(cells.len());
+                        worker.cells = cells;
                         let ready = Frame::Ready {
                             worker: me,
                             digest_epoch: DIGEST_EPOCH,
                         };
-                        if send(&mut output, &ready).is_err() {
+                        if send(&mut worker.output, &ready).is_err() {
                             return 0;
                         }
                     }
                     Err(message) => {
-                        let _ = send(
-                            &mut output,
-                            &Frame::Fail {
-                                worker: me,
-                                shard: u64::MAX,
-                                message,
-                            },
-                        );
+                        let fail = Frame::Fail {
+                            worker: me,
+                            shard: u64::MAX,
+                            message,
+                        };
+                        let _ = send(&mut worker.output, &fail);
                         return 1;
                     }
                 }
             }
             Frame::Lease { shard, attempt } => {
-                let ordinal = leases_seen;
+                let active = chaos.as_ref().filter(|c| c.lease == leases_seen);
                 leases_seen += 1;
-                let active = chaos.as_ref().filter(|c| c.lease == ordinal);
-                match serve_lease(
-                    &mut output,
-                    me,
-                    shard,
-                    attempt,
-                    &cells,
-                    &shards,
-                    &mut hosts,
-                    &mut counters_prev,
-                    &mut clock,
-                    active,
-                ) {
-                    Ok(()) => {}
-                    Err(code) => return code,
+                if let Err(code) = worker.serve_lease(shard, attempt, active) {
+                    return code;
                 }
             }
             Frame::Shutdown => return 0,
@@ -242,151 +228,151 @@ where
     }
 }
 
-/// Expands a manifest to (cells, shard ranges).
-fn expand(manifest: &SweepManifest) -> Result<(Vec<Cell>, Vec<std::ops::Range<usize>>), String> {
-    let cells = manifest.expand()?;
-    let shards = manifest.shards(cells.len());
-    Ok((cells, shards))
-}
-
 fn send(output: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
     output.write_all(frame.to_line().as_bytes())?;
     output.write_all(b"\n")?;
     output.flush()
 }
 
-/// Runs one leased shard, applying the active chaos directive if any.
-/// `Err(code)` means the process must exit with that code.
-#[allow(clippy::too_many_arguments)]
-fn serve_lease(
-    output: &mut impl Write,
+/// What a worker keeps between frames.
+struct Worker<W, C> {
+    output: W,
+    clock: C,
     me: u64,
-    shard: u64,
-    attempt: u64,
-    cells: &[Cell],
-    shards: &[std::ops::Range<usize>],
-    hosts: &mut HostCache,
-    counters_prev: &mut BTreeMap<String, u64>,
-    clock: &mut impl FnMut() -> Instant,
-    chaos: Option<&WorkerChaos>,
-) -> Result<(), i32> {
-    let Some(range) = shards.get(shard as usize).cloned() else {
-        let _ = send(
-            output,
-            &Frame::Fail {
-                worker: me,
-                shard,
-                message: format!("lease for unknown shard {shard} ({} shards)", shards.len()),
-            },
-        );
-        return Ok(());
-    };
+    cells: Vec<Cell>,
+    shards: Vec<std::ops::Range<usize>>,
+    hosts: HostCache,
+    /// Telemetry counters as of the last heartbeat, so each heartbeat
+    /// carries only the increments since the previous one.
+    counters_prev: BTreeMap<String, u64>,
+}
 
-    let heartbeat = |output: &mut _, cells_done: usize, counters| {
-        let _ = send(
-            output,
-            &Frame::Heartbeat {
-                worker: me,
-                shard,
-                cells_done: cells_done as u64,
-                counters,
-            },
-        );
-    };
-    let t0 = clock();
-    let mut last_beat = t0;
-    let mut rows: Vec<CellRow> = Vec::with_capacity(range.len());
-    for (done_before, idx) in range.clone().enumerate() {
-        if shutdown_requested() {
-            // Graceful SIGINT/SIGTERM: tell the coordinator the shard is
-            // abandoned (it will requeue) and exit with the interrupted
-            // status.
+impl<W: Write, C: FnMut() -> Instant> Worker<W, C> {
+    /// Runs one leased shard, applying the active chaos directive if any.
+    /// `Err(code)` means the process must exit with that code.
+    fn serve_lease(
+        &mut self,
+        shard: u64,
+        attempt: u64,
+        chaos: Option<&WorkerChaos>,
+    ) -> Result<(), i32> {
+        let (me, output) = (self.me, &mut self.output);
+        let fail = |message| Frame::Fail {
+            worker: me,
+            shard,
+            message,
+        };
+        let Some(range) = self.shards.get(shard as usize).cloned() else {
+            let shards = self.shards.len();
             let _ = send(
                 output,
-                &Frame::Fail {
+                &fail(format!("lease for unknown shard {shard} ({shards} shards)")),
+            );
+            return Ok(());
+        };
+
+        let heartbeat = |output: &mut W, cells_done: usize, counters| {
+            let _ = send(
+                output,
+                &Frame::Heartbeat {
                     worker: me,
                     shard,
-                    message: "worker interrupted (SIGINT/SIGTERM)".into(),
+                    cells_done: cells_done as u64,
+                    counters,
                 },
             );
-            return Err(msim_testbed::signal::SIGINT_EXIT);
+        };
+        let t0 = (self.clock)();
+        let mut last_beat = t0;
+        let mut rows: Vec<CellRow> = Vec::with_capacity(range.len());
+        let mut run = shard_rows(&self.cells, range.clone(), &mut self.hosts);
+        for done_before in 0..range.len() {
+            if shutdown_requested() {
+                // Graceful SIGINT/SIGTERM: tell the coordinator the shard is
+                // abandoned (it will requeue) and exit with the interrupted
+                // status.
+                let _ = send(output, &fail("worker interrupted (SIGINT/SIGTERM)".into()));
+                return Err(msim_testbed::signal::SIGINT_EXIT);
+            }
+            if let Some(WorkerChaos {
+                kind: Misbehavior::CrashAfterCells(k),
+                ..
+            }) = chaos
+            {
+                if done_before as u64 == *k {
+                    std::process::exit(CRASH_EXIT);
+                }
+            }
+            rows.push(run.next().expect("one row per cell of the range"));
+            let now = (self.clock)();
+            if now.saturating_duration_since(last_beat) >= HEARTBEAT_PACE {
+                last_beat = now;
+                let counters = telemetry::counter_deltas(&mut self.counters_prev);
+                heartbeat(output, rows.len(), counters);
+            }
         }
+        // Crash points past the end of the shard still fire (covers
+        // crash-after-cells=len, "crash after finishing but before
+        // reporting" — the classic lost-completion case).
         if let Some(WorkerChaos {
             kind: Misbehavior::CrashAfterCells(k),
             ..
         }) = chaos
         {
-            if done_before as u64 == *k {
+            if *k >= range.len() as u64 {
                 std::process::exit(CRASH_EXIT);
             }
         }
-        rows.push(row_for(idx as u64, &cells[idx], hosts));
-        let now = clock();
-        if now.saturating_duration_since(last_beat) >= HEARTBEAT_PACE {
-            last_beat = now;
-            heartbeat(output, rows.len(), telemetry::counter_deltas(counters_prev));
-        }
-    }
-    // Crash points past the end of the shard still fire (covers
-    // crash-after-cells=len, "crash after finishing but before
-    // reporting" — the classic lost-completion case).
-    if let Some(WorkerChaos {
-        kind: Misbehavior::CrashAfterCells(k),
-        ..
-    }) = chaos
-    {
-        if *k >= range.len() as u64 {
-            std::process::exit(CRASH_EXIT);
-        }
-    }
 
-    let wall_us = clock().saturating_duration_since(t0).as_micros() as u64;
-    // Counter increments since the last paced heartbeat would otherwise
-    // be stranded until some later lease's heartbeat — or lost with the
-    // worker: flush them ahead of the completion.
-    let counters = telemetry::counter_deltas(counters_prev);
-    if !counters.is_empty() {
-        heartbeat(output, rows.len(), counters);
+        let wall_us = (self.clock)().saturating_duration_since(t0).as_micros() as u64;
+        // Counter increments since the last paced heartbeat would otherwise
+        // be stranded until some later lease's heartbeat — or lost with the
+        // worker: flush them ahead of the completion.
+        let counters = telemetry::counter_deltas(&mut self.counters_prev);
+        if !counters.is_empty() {
+            heartbeat(output, rows.len(), counters);
+        }
+        let done = Frame::Done {
+            worker: me,
+            shard,
+            attempt,
+            wall_us,
+            rows,
+        };
+        match chaos.map(|c| &c.kind) {
+            Some(Misbehavior::StallMs(ms)) => {
+                // Silent stall: no heartbeats while sleeping, then report
+                // late — by then the coordinator has usually re-leased the
+                // shard, making this a duplicate completion.
+                std::thread::sleep(std::time::Duration::from_millis(*ms));
+                send(output, &done).map_err(|_| 0)?;
+            }
+            Some(Misbehavior::CorruptDone) => {
+                // A non-UTF-8 line where the done frame should be.
+                let _ = output.write_all(b"\xff\xfe\x00 corrupt frame \xff\n");
+                let _ = output.flush();
+            }
+            Some(Misbehavior::TruncateDone) => {
+                let line = done.to_line();
+                let _ = output.write_all(&line.as_bytes()[..line.len() / 2]);
+                let _ = output.flush();
+                std::process::exit(TRUNCATE_EXIT);
+            }
+            Some(Misbehavior::DuplicateDone) => {
+                send(output, &done).map_err(|_| 0)?;
+                send(output, &done).map_err(|_| 0)?;
+            }
+            Some(Misbehavior::CrashAfterCells(_)) | None => {
+                send(output, &done).map_err(|_| 0)?;
+            }
+        }
+        Ok(())
     }
-    let done = Frame::Done {
-        worker: me,
-        shard,
-        attempt,
-        wall_us,
-        rows,
-    };
-    match chaos.map(|c| &c.kind) {
-        Some(Misbehavior::StallMs(ms)) => {
-            // Silent stall: no heartbeats while sleeping, then report
-            // late — by then the coordinator has usually re-leased the
-            // shard, making this a duplicate completion.
-            std::thread::sleep(std::time::Duration::from_millis(*ms));
-            send(output, &done).map_err(|_| 0)?;
-        }
-        Some(Misbehavior::CorruptDone) => {
-            // A non-UTF-8 line where the done frame should be.
-            let _ = output.write_all(b"\xff\xfe\x00 corrupt frame \xff\n");
-            let _ = output.flush();
-        }
-        Some(Misbehavior::TruncateDone) => {
-            let line = done.to_line();
-            let _ = output.write_all(&line.as_bytes()[..line.len() / 2]);
-            let _ = output.flush();
-            std::process::exit(TRUNCATE_EXIT);
-        }
-        Some(Misbehavior::DuplicateDone) => {
-            send(output, &done).map_err(|_| 0)?;
-            send(output, &done).map_err(|_| 0)?;
-        }
-        Some(Misbehavior::CrashAfterCells(_)) | None => {
-            send(output, &done).map_err(|_| 0)?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::manifest::SweepManifest;
     use super::*;
 
     #[test]
@@ -468,11 +454,7 @@ mod tests {
             panic!("the last frame must be shard 1's done: {frames:?}");
         };
         // Ground truth: the same shard, run directly.
-        let mut hosts = HostCache::new();
-        let expected = shards[1]
-            .clone()
-            .map(|i| row_for(i as u64, &cells[i], &mut hosts))
-            .collect();
+        let expected = shard_rows(&cells, shards[1].clone(), &mut HostCache::new()).collect();
         let heartbeats = frames
             .iter()
             .filter_map(|f| match f {

@@ -2,11 +2,11 @@
 //!
 //! Every figure in the paper is a sweep over workload cells, each cell one
 //! session. Cells are enumerated from [`WorkloadSpec`]s (open registry —
-//! see [`crate::workload`]); the engine fans them across a **work-stealing
-//! thread pool** (std threads only — no external deps) and merges results
-//! **in cell order**, so the output is bit-for-bit identical to the serial
-//! runner no matter how the OS schedules the workers (asserted by
-//! `tests/sweep_determinism.rs`).
+//! see [`crate::workload`]); the engine fans them across a thread pool
+//! drawing from one shared cursor (std threads only — no external deps)
+//! and merges results **in cell order**, so the output is bit-for-bit
+//! identical to the serial runner no matter how the OS schedules the
+//! workers (asserted by `tests/sweep_determinism.rs`).
 //!
 //! Cells that share a workload also share a warmed [`SessionHost`] per
 //! worker, so the per-session control-plane bootstrap is paid once per
@@ -24,8 +24,8 @@ use crate::workload::WorkloadSpec;
 use msplayer_core::config::SchedulerKind;
 use msplayer_core::metrics::SessionMetrics;
 use msplayer_core::sim::SessionHost;
-use std::collections::VecDeque;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// One sweep cell: a fully determined session to run.
@@ -429,16 +429,16 @@ pub fn run_serial_with(cells: &[Cell], opts: &SweepOptions) -> Vec<CellResult> {
     cells.iter().map(|c| exec.run(c)).collect()
 }
 
-/// Runs the cells across `n_threads` workers with work stealing, returning
-/// results **in cell order** — bit-for-bit identical to [`run_serial`].
+/// Runs the cells across `n_threads` workers, returning results **in cell
+/// order** — bit-for-bit identical to [`run_serial`].
 ///
-/// Cells are dealt round-robin into per-worker deques; a worker pops from
-/// the front of its own deque and, when empty, steals from the *back* of
-/// the busiest sibling. Each result is tagged with its cell index, so the
-/// merge is a deterministic scatter regardless of which worker ran what.
-/// Every worker keeps its own [`HostCache`] — hosts are not shared across
-/// threads, and host reuse cannot change results (bit-identical batch
-/// guarantee).
+/// The workers share one cursor into the cell list: each claims the next
+/// unclaimed index until the list is spent, so a slow cell delays only
+/// the worker that drew it. Each result is tagged with its cell index, so
+/// the merge is a deterministic scatter regardless of which worker ran
+/// what. Every worker keeps its own [`HostCache`] — hosts are not shared
+/// across threads, and host reuse cannot change results (bit-identical
+/// batch guarantee).
 pub fn run_parallel(cells: &[Cell], n_threads: usize) -> Vec<CellResult> {
     run_parallel_with(cells, n_threads, &SweepOptions::default())
 }
@@ -452,63 +452,32 @@ pub fn run_parallel_with(cells: &[Cell], n_threads: usize, opts: &SweepOptions) 
         return run_serial_with(cells, opts);
     }
 
-    // Per-worker deques, dealt round-robin.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..n_threads)
-        .map(|w| {
-            Mutex::new(
-                (0..cells.len())
-                    .filter(|i| i % n_threads == w)
-                    .collect::<VecDeque<_>>(),
-            )
-        })
-        .collect();
-
+    // Publishes nothing but the claim itself: results travel through `join`.
+    let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<CellResult>> = Vec::new();
     slots.resize_with(cells.len(), || None);
-
-    let mut tagged: Vec<Vec<(usize, CellResult)>> = Vec::new();
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..n_threads {
-            let queues = &queues;
-            let opts = *opts;
-            handles.push(scope.spawn(move || {
-                let mut done: Vec<(usize, CellResult)> = Vec::new();
-                let mut exec = CellExecutor::new(&opts);
-                loop {
-                    // Own queue first.
-                    let mine = queues[w].lock().expect("queue poisoned").pop_front();
-                    let idx = match mine {
-                        Some(i) => i,
-                        None => {
-                            // Steal from the back of each sibling in turn.
-                            // Queues only ever shrink after the deal, so a
-                            // full scan finding them all empty means the
-                            // work is genuinely drained (cells already
-                            // claimed are running on their owners).
-                            let stolen = (0..queues.len())
-                                .filter(|&v| v != w)
-                                .find_map(|v| queues[v].lock().expect("queue poisoned").pop_back());
-                            match stolen {
-                                Some(i) => i,
-                                None => break, // everything drained
-                            }
-                        }
-                    };
-                    done.push((idx, exec.run(&cells[idx])));
-                }
-                done
-            }));
-        }
-        for h in handles {
-            tagged.push(h.join().expect("sweep worker panicked"));
+        let workers: Vec<_> = (0..n_threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut exec = CellExecutor::new(opts);
+                    let mut done: Vec<(usize, CellResult)> = Vec::new();
+                    loop {
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(cell) = cells.get(idx) else { break };
+                        done.push((idx, exec.run(cell)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (idx, result) in worker.join().expect("sweep worker panicked") {
+                debug_assert!(slots[idx].is_none(), "cell {idx} ran twice");
+                slots[idx] = Some(result);
+            }
         }
     });
-
-    for (idx, result) in tagged.into_iter().flatten() {
-        debug_assert!(slots[idx].is_none(), "cell {idx} ran twice");
-        slots[idx] = Some(result);
-    }
     slots
         .into_iter()
         .enumerate()

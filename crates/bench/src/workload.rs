@@ -428,12 +428,10 @@ impl WorkloadSpec {
     }
 
     /// ABR-ladder workload: MSPlayer streams through two refill cycles
-    /// with the shadow rate adapter (see
-    /// [`msplayer_core::adaptation`]) deciding a ladder rung every 250 ms.
-    /// This finally wires the `adaptation` module into a sweepable
-    /// workload — and, because every decision is a timer wakeup, its cells
-    /// are the registry's most tick-heavy sessions, exercising the event
-    /// queue's near-horizon calendar path.
+    /// with the shadow damped-rate policy (see [`msplayer_core::abr`])
+    /// deciding a ladder rung every 250 ms. Because every decision is a
+    /// timer wakeup, its cells are the registry's most tick-heavy
+    /// sessions, exercising the event queue's near-horizon calendar path.
     pub fn abr_ladder(runs: u64) -> WorkloadSpec {
         WorkloadSpec {
             name: "abr/ladder".into(),

@@ -14,7 +14,7 @@ use msplayer_bench::cluster::digest_metrics;
 use msplayer_bench::cluster::merge::fnv1a;
 use msplayer_bench::sampling::{corpus_points, SEEDS_PER_WORKLOAD};
 use msplayer_bench::workload::WorkloadRegistry;
-use msplayer_core::adaptation::SwitchReason;
+use msplayer_core::abr::SwitchReason;
 use msplayer_core::metrics::{AbrDecision, SessionMetrics, TrafficPhase};
 use msplayer_core::sim::SessionHost;
 use std::collections::HashMap;

@@ -17,7 +17,6 @@
 //! ```
 
 use msim_core::telemetry;
-use msim_net::tcp::TransferEngine;
 use msplayer_bench::workload::WorkloadRegistry;
 use msplayer_core::fleet::{FleetHost, FleetSpec, SelectionPolicy};
 use msplayer_core::sim::SessionHost;
@@ -29,8 +28,7 @@ fn golden_path() -> PathBuf {
 
 /// Two seeds of every builtin workload (first scheduler and chunk size:
 /// prebuffer runs, storms with failovers and 5xx verdicts, shadow and
-/// closed-loop ABR), one session counted under the `rounds` engine
-/// label, and a small overloaded fluid fleet.
+/// closed-loop ABR) and a small overloaded fluid fleet.
 fn fixed_batch() {
     let reg = WorkloadRegistry::builtin(2);
     for w in reg.specs() {
@@ -40,12 +38,6 @@ fn fixed_batch() {
             .run_batch(&seeds, &w.session_spec(scheduler, chunk_kb, seeds[0]))
             .expect("builtin workloads validate");
     }
-    let w = &reg.specs()[0];
-    let mut spec = w.session_spec(w.schedulers[0], w.chunk_kb[0], w.seed(0));
-    spec.player = spec.player.with_transfer_engine(TransferEngine::RoundLoop);
-    SessionHost::new(w.service.clone())
-        .run(&spec)
-        .expect("round-loop spec validates");
     let fleet = FleetSpec::fluid(0xF1EE_2014, 600).with_policy(SelectionPolicy::QoeFirst);
     FleetHost::new(fleet).expect("fleet spec validates").run();
 }
@@ -80,8 +72,7 @@ fn registry_after_a_fixed_batch_matches_the_by_name_recording() {
     );
     // The batch reached the sites that were rewired, on every label.
     for series in [
-        "msp_transfer_requests_total{engine=\"epoch\"}",
-        "msp_transfer_requests_total{engine=\"rounds\"}",
+        "msp_transfer_requests_total",
         "msp_admission_checks_total{verdict=\"ok\"}",
         "msp_chunk_errors_total",
         "msp_failovers_total",

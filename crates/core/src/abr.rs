@@ -1,13 +1,12 @@
 //! Closed-loop adaptive bitrate streaming.
 //!
 //! The paper streams at a fixed itag and leaves rate adaptation as §7
-//! future work; [`crate::adaptation`] supplied a damped rate-based adapter
-//! that previous revisions ran in *shadow* mode (decisions recorded, stream
-//! unchanged). This module closes the loop: a pluggable [`AbrPolicyImpl`]
+//! future work ("exploring how rate adaption can be integrated with
+//! MSPlayer"). This module supplies it: a pluggable [`AbrPolicyImpl`]
 //! decides a ladder rung every decision interval from the scheduler's
-//! aggregate bandwidth estimate and the playout-buffer level, and — in
-//! [`AbrMode::ClosedLoop`] — the player *actually switches the streamed
-//! itag mid-session*:
+//! *aggregate* multi-path bandwidth estimate and the playout-buffer level,
+//! and — in [`AbrMode::ClosedLoop`] — the player *actually switches the
+//! streamed itag mid-session*:
 //!
 //! * the remaining chunk map is re-planned at the new rung (per-itag sizes
 //!   derived from the catalog's format table via [`RungMap`]);
@@ -30,14 +29,58 @@
 //!
 //! | kind | drives on | character |
 //! |---|---|---|
-//! | [`AbrPolicyKind::DampedRate`] | estimate + buffer overrides | the [`RateAdapter`] lineage: FESTIVE-style headroom, hold-damped single-step upgrades |
+//! | [`AbrPolicyKind::DampedRate`] | estimate + buffer overrides | FESTIVE-style headroom (`safety × Σŵ`), hold-damped single-step upgrades, panic floor, comfort ride-out |
 //! | [`AbrPolicyKind::BufferOccupancy`] | buffer level only | BBA-style linear map between a reservoir and a cushion, single-step toward the mapped rung |
 //! | [`AbrPolicyKind::Hybrid`] | both | immediate rate rule, gated by panic/comfort buffer thresholds |
 
-use crate::adaptation::{AdaptationConfig, RateAdapter, SwitchReason};
 use msim_core::time::{SimDuration, SimTime};
-use msim_core::units::BitRate;
 use msim_youtube::format::{by_itag, VideoFormat};
+
+/// Thresholds shared by the ABR policies.
+#[derive(Clone, Copy, Debug)]
+pub struct AdaptationConfig {
+    /// Fraction of the estimated aggregate bandwidth a stream may consume
+    /// (FESTIVE-style headroom; < 1 keeps the player TCP-friendly).
+    pub safety: f64,
+    /// Below this buffer level the adapter drops straight to the floor.
+    pub panic_secs: f64,
+    /// Above this buffer level one opportunistic upgrade step is allowed.
+    pub comfort_secs: f64,
+    /// Decisions to hold before another upward switch.
+    pub min_hold_decisions: u32,
+}
+
+impl Default for AdaptationConfig {
+    fn default() -> Self {
+        AdaptationConfig {
+            safety: 0.8,
+            panic_secs: 5.0,
+            comfort_secs: 30.0,
+            min_hold_decisions: 3,
+        }
+    }
+}
+
+/// A quality decision with its reason (for traces and tests).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SwitchReason {
+    /// First decision of the session.
+    Initial,
+    /// Throughput supports a higher format.
+    RateUp,
+    /// Throughput no longer supports the current format.
+    RateDown,
+    /// Buffer below panic threshold: emergency floor.
+    BufferPanic,
+    /// Buffer very comfortable: opportunistic one-step upgrade.
+    BufferComfort,
+    /// Buffer-occupancy map supports a higher rung (BBA-style policies).
+    BufferUp,
+    /// Buffer-occupancy map demands a lower rung (BBA-style policies).
+    BufferDown,
+    /// No change.
+    Hold,
+}
 
 /// Whether ABR decisions change what is streamed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,7 +97,7 @@ pub enum AbrMode {
 /// Which adaptation policy drives the decisions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AbrPolicyKind {
-    /// The damped rate-based adapter ([`RateAdapter`]).
+    /// The damped rate-based policy ([`DampedPolicy`]).
     DampedRate,
     /// Buffer-occupancy (BBA-style) policy: rung from buffer level alone.
     BufferOccupancy,
@@ -86,8 +129,8 @@ pub const SWITCH_REBUFFER_ATTRIBUTION: SimDuration = SimDuration::from_secs(10);
 /// themselves to single-step moves (except the initial pick), so the
 /// player can adopt the returned rung directly.
 pub enum AbrPolicyImpl {
-    /// The damped rate-based adapter.
-    Damped(RateAdapter),
+    /// The damped rate-based policy.
+    Damped(DampedPolicy),
     /// Buffer-occupancy (BBA-style).
     Bba(BbaPolicy),
     /// Rate rule with buffer gates.
@@ -99,7 +142,7 @@ impl AbrPolicyImpl {
     /// caller validates — see `AbrLadderConfig::validate_ladder`).
     pub fn new(kind: AbrPolicyKind, cfg: AdaptationConfig, ladder: Vec<VideoFormat>) -> Self {
         match kind {
-            AbrPolicyKind::DampedRate => AbrPolicyImpl::Damped(RateAdapter::new(cfg, ladder)),
+            AbrPolicyKind::DampedRate => AbrPolicyImpl::Damped(DampedPolicy::new(cfg, ladder)),
             AbrPolicyKind::BufferOccupancy => AbrPolicyImpl::Bba(BbaPolicy::new(cfg, ladder)),
             AbrPolicyKind::Hybrid => AbrPolicyImpl::Hybrid(HybridPolicy::new(cfg, ladder)),
         }
@@ -108,7 +151,7 @@ impl AbrPolicyImpl {
     /// The ladder, ascending by bitrate.
     pub fn ladder(&self) -> &[VideoFormat] {
         match self {
-            AbrPolicyImpl::Damped(p) => p.ladder(),
+            AbrPolicyImpl::Damped(p) => &p.ladder,
             AbrPolicyImpl::Bba(p) => &p.ladder,
             AbrPolicyImpl::Hybrid(p) => &p.ladder,
         }
@@ -117,7 +160,7 @@ impl AbrPolicyImpl {
     /// The currently selected rung index.
     pub fn current_index(&self) -> usize {
         match self {
-            AbrPolicyImpl::Damped(p) => p.current_index(),
+            AbrPolicyImpl::Damped(p) => p.current,
             AbrPolicyImpl::Bba(p) => p.current,
             AbrPolicyImpl::Hybrid(p) => p.current,
         }
@@ -126,12 +169,7 @@ impl AbrPolicyImpl {
     /// One decision from the aggregate estimate and the buffer level.
     pub fn decide(&mut self, estimate_bps: Option<f64>, buffer_secs: f64) -> (usize, SwitchReason) {
         match self {
-            AbrPolicyImpl::Damped(p) => {
-                // The shadow adapter historically consumed a zero estimate
-                // until the first sample; keep that contract.
-                let (_, reason) = p.decide(BitRate::bps(estimate_bps.unwrap_or(0.0)), buffer_secs);
-                (p.current_index(), reason)
-            }
+            AbrPolicyImpl::Damped(p) => p.decide(estimate_bps, buffer_secs),
             AbrPolicyImpl::Bba(p) => p.decide(buffer_secs),
             AbrPolicyImpl::Hybrid(p) => p.decide(estimate_bps, buffer_secs),
         }
@@ -160,6 +198,79 @@ fn best_affordable(ladder: &[VideoFormat], budget: f64) -> usize {
         .iter()
         .rposition(|f| f.bitrate.as_bps() <= budget)
         .unwrap_or(0)
+}
+
+/// Damped rate policy in the FESTIVE/BBA lineage (the paper's \[19\]/\[21\]
+/// citations), built to avoid the instability §1 criticises ("variable
+/// video quality, unfairness to other players, and low bandwidth
+/// utilization"):
+///
+/// * **rate rule** — the rung's bitrate must fit within `safety × Σŵ`
+///   (harmonic-mean estimates, so bursts do not cause up-switches; no
+///   estimate yet counts as zero);
+/// * **buffer overrides** — below `panic_secs` drop to the floor whatever
+///   the estimate; at or above `comfort_secs` ride out a rate dip;
+/// * **damping** — one rung per decision, and an upgrade only after a
+///   higher rung was affordable for more than `min_hold_decisions`
+///   decisions in a row, so a lone outlier cannot trigger one.
+pub struct DampedPolicy {
+    ladder: Vec<VideoFormat>,
+    cfg: AdaptationConfig,
+    current: usize,
+    /// Consecutive decisions in which a higher rung was affordable.
+    up_evidence: u32,
+    initialised: bool,
+}
+
+impl DampedPolicy {
+    fn new(cfg: AdaptationConfig, ladder: Vec<VideoFormat>) -> DampedPolicy {
+        DampedPolicy {
+            ladder: normalize_ladder(ladder),
+            cfg,
+            current: 0,
+            up_evidence: 0,
+            initialised: false,
+        }
+    }
+
+    fn decide(&mut self, estimate_bps: Option<f64>, buffer_secs: f64) -> (usize, SwitchReason) {
+        let budget = self.cfg.safety * estimate_bps.unwrap_or(0.0);
+        let affordable = best_affordable(&self.ladder, budget);
+        if !self.initialised {
+            self.initialised = true;
+            self.current = affordable;
+            return (self.current, SwitchReason::Initial);
+        }
+        if buffer_secs < self.cfg.panic_secs && self.current > 0 {
+            self.current = 0;
+            self.up_evidence = 0;
+            return (self.current, SwitchReason::BufferPanic);
+        }
+        let reason = if affordable > self.current {
+            self.up_evidence += 1;
+            if self.up_evidence > self.cfg.min_hold_decisions {
+                self.current += 1;
+                self.up_evidence = 0;
+                SwitchReason::RateUp
+            } else {
+                SwitchReason::Hold
+            }
+        } else if affordable < self.current {
+            self.up_evidence = 0;
+            // Downgrades are immediate but also single-step, unless the
+            // buffer is comfortable enough to ride it out.
+            if buffer_secs >= self.cfg.comfort_secs {
+                SwitchReason::BufferComfort
+            } else {
+                self.current -= 1;
+                SwitchReason::RateDown
+            }
+        } else {
+            self.up_evidence = 0;
+            SwitchReason::Hold
+        };
+        (self.current, reason)
+    }
 }
 
 /// BBA-style buffer-occupancy policy: the ladder is mapped linearly onto
@@ -538,23 +649,93 @@ mod tests {
         assert_eq!(r, 1, "recovery climbs single-step");
     }
 
+    /// The damped policy over the full itag table.
+    fn damped() -> AbrPolicyImpl {
+        AbrPolicyImpl::new(AbrPolicyKind::DampedRate, cfg(), ladder())
+    }
+
+    /// One decision, as the chosen format's label and the reason.
+    fn label(p: &mut AbrPolicyImpl, mbps: f64, buffer_secs: f64) -> (&'static str, SwitchReason) {
+        let (rung, reason) = p.decide(Some(mbps * 1e6), buffer_secs);
+        (p.ladder()[rung].quality_label, reason)
+    }
+
     #[test]
-    fn damped_policy_matches_rate_adapter() {
-        let mut policy = AbrPolicyImpl::new(AbrPolicyKind::DampedRate, cfg(), ladder());
-        let mut adapter = RateAdapter::new(cfg(), ladder());
-        for (est, buf) in [
-            (4.0e6, 0.0),
-            (50.0e6, 20.0),
-            (50.0e6, 20.0),
-            (50.0e6, 20.0),
-            (50.0e6, 20.0),
-            (1.0e6, 2.0),
-        ] {
-            let (rung, reason) = policy.decide(Some(est), buf);
-            let (fmt, expect_reason) = adapter.decide(BitRate::bps(est), buf);
-            assert_eq!(policy.ladder()[rung].itag, fmt.itag);
-            assert_eq!(reason, expect_reason);
+    fn damped_initial_pick_fits_the_estimate_or_floors() {
+        // 0.8 × 4 Mbit/s = 3.2 Mbit/s budget → 720p (2.5) fits, 1080p
+        // (4.3) does not.
+        assert_eq!(
+            label(&mut damped(), 4.0, 0.0),
+            ("720p", SwitchReason::Initial)
+        );
+        assert_eq!(label(&mut damped(), 0.1, 0.0).0, "144p", "nothing fits");
+        // No estimate yet counts as zero.
+        assert_eq!(damped().decide(None, 0.0), (0, SwitchReason::Initial));
+    }
+
+    #[test]
+    fn damped_upgrades_are_held_then_single_step() {
+        let mut p = damped();
+        let (start, _) = p.decide(Some(1.0e6), 20.0);
+        // Bandwidth explodes; the first few decisions must hold.
+        for _ in 0..3 {
+            assert_eq!(p.decide(Some(50.0e6), 20.0), (start, SwitchReason::Hold));
         }
+        assert_eq!(
+            p.decide(Some(50.0e6), 20.0),
+            (start + 1, SwitchReason::RateUp)
+        );
+    }
+
+    #[test]
+    fn damped_buffer_panic_floors_immediately() {
+        let mut p = damped();
+        assert_ne!(label(&mut p, 10.0, 20.0).0, "144p");
+        assert_eq!(
+            label(&mut p, 10.0, 2.0),
+            ("144p", SwitchReason::BufferPanic)
+        );
+    }
+
+    #[test]
+    fn damped_comfortable_buffer_rides_out_rate_dips() {
+        let mut p = damped();
+        let (before, _) = p.decide(Some(4.0e6), 0.0);
+        assert_eq!(p.ladder()[before].quality_label, "720p");
+        // Estimate collapses but the buffer is deep: hold quality.
+        assert_eq!(
+            p.decide(Some(1.0e6), 40.0),
+            (before, SwitchReason::BufferComfort)
+        );
+        // Same collapse with a shallow buffer: step down.
+        assert_eq!(
+            p.decide(Some(1.0e6), 12.0),
+            (before - 1, SwitchReason::RateDown)
+        );
+    }
+
+    #[test]
+    fn damped_holds_under_stable_input_and_ignores_a_lone_outlier() {
+        let mut p = damped();
+        let _ = p.decide(Some(4.0e6), 20.0);
+        for _ in 0..10 {
+            assert_eq!(p.decide(Some(4.0e6), 20.0).1, SwitchReason::Hold);
+        }
+        // The policy consumes *estimates*; with harmonic-mean estimates a
+        // single burst barely moves the input. But even a raw burst inside
+        // the hold window yields no up-switch.
+        let mut p = damped();
+        let _ = p.decide(Some(1.0e6), 20.0);
+        for i in 0..8 {
+            let est = if i == 4 { 60.0e6 } else { 1.0e6 };
+            assert_ne!(p.decide(Some(est), 20.0).1, SwitchReason::RateUp);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty format ladder")]
+    fn empty_ladder_rejected() {
+        AbrPolicyImpl::new(AbrPolicyKind::DampedRate, cfg(), Vec::new());
     }
 
     #[test]

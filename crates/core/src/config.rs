@@ -4,11 +4,9 @@
 //! 20 s (§4); δ = 5 %, α = 0.9, initial chunk 256 KB, Harmonic estimator
 //! (§5.2); two paths, at most one out-of-order chunk (§2).
 
-use crate::abr::{AbrMode, AbrPolicyKind};
-use crate::adaptation::AdaptationConfig;
+use crate::abr::{AbrMode, AbrPolicyKind, AdaptationConfig};
 use msim_core::time::SimDuration;
 use msim_core::units::ByteSize;
-pub use msim_net::tcp::TransferEngine;
 
 /// The default quality ladder: every progressive itag the catalog's format
 /// table maintains, ascending by bitrate.
@@ -201,10 +199,6 @@ pub struct PlayerConfig {
     pub gamma_rounding: GammaRounding,
     /// Optional shadow ABR ladder (`None` = the paper's fixed-rate player).
     pub abr_ladder: Option<AbrLadderConfig>,
-    /// Which `engine` label the session's transfers are counted under in
-    /// `msp_transfer_requests_total`. Both variants run the same round
-    /// loop (see the README section "The transfer engine").
-    pub transfer_engine: TransferEngine,
 }
 
 impl Default for PlayerConfig {
@@ -226,7 +220,6 @@ impl Default for PlayerConfig {
             failures_before_switch: 1,
             gamma_rounding: GammaRounding::Exact,
             abr_ladder: None,
-            transfer_engine: TransferEngine::default(),
         }
     }
 }
@@ -276,12 +269,6 @@ impl PlayerConfig {
     /// Builder-style shadow-ABR-ladder override.
     pub fn with_abr_ladder(mut self, abr: AbrLadderConfig) -> Self {
         self.abr_ladder = Some(abr);
-        self
-    }
-
-    /// Builder-style override of [`PlayerConfig::transfer_engine`].
-    pub fn with_transfer_engine(mut self, engine: TransferEngine) -> Self {
-        self.transfer_engine = engine;
         self
     }
 
@@ -411,17 +398,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn transfer_engine_defaults_to_epoch_and_overrides() {
-        assert_eq!(
-            PlayerConfig::default().transfer_engine,
-            TransferEngine::Epoch
-        );
-        let c = PlayerConfig::msplayer().with_transfer_engine(TransferEngine::RoundLoop);
-        assert_eq!(c.transfer_engine, TransferEngine::RoundLoop);
-        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -15,19 +15,6 @@
 
 use std::collections::VecDeque;
 
-/// An online throughput estimator over samples in bits/second.
-pub trait BandwidthEstimator: Send {
-    /// Feeds one throughput measurement `w > 0` (bits/s).
-    fn update(&mut self, sample_bps: f64);
-    /// The current estimate ŵ, or `None` before any sample
-    /// (Alg. 1 line 2: "if ŵᵢ not available").
-    fn estimate_bps(&self) -> Option<f64>;
-    /// Forgets all history (used after failover to a new server).
-    fn reset(&mut self);
-    /// Estimator name for reports.
-    fn name(&self) -> &'static str;
-}
-
 /// Eq. 1: exponential weighted moving average.
 #[derive(Clone, Debug)]
 pub struct Ewma {
@@ -42,10 +29,9 @@ impl Ewma {
         assert!((0.0..1.0).contains(&alpha), "alpha in [0,1)");
         Ewma { alpha, state: None }
     }
-}
 
-impl BandwidthEstimator for Ewma {
-    fn update(&mut self, sample_bps: f64) {
+    /// Feeds one throughput measurement `w > 0` (bits/s).
+    pub fn update(&mut self, sample_bps: f64) {
         debug_assert!(sample_bps > 0.0, "non-positive throughput sample");
         self.state = Some(match self.state {
             None => sample_bps,
@@ -53,15 +39,19 @@ impl BandwidthEstimator for Ewma {
         });
     }
 
-    fn estimate_bps(&self) -> Option<f64> {
+    /// The current estimate ŵ, or `None` before any sample
+    /// (Alg. 1 line 2: "if ŵᵢ not available").
+    pub fn estimate_bps(&self) -> Option<f64> {
         self.state
     }
 
-    fn reset(&mut self) {
+    /// Forgets all history (used after failover to a new server).
+    pub fn reset(&mut self) {
         self.state = None;
     }
 
-    fn name(&self) -> &'static str {
+    /// Estimator name for reports.
+    pub fn name(&self) -> &'static str {
         "EWMA"
     }
 }
@@ -84,10 +74,9 @@ impl HarmonicInc {
     pub fn count(&self) -> u64 {
         self.n
     }
-}
 
-impl BandwidthEstimator for HarmonicInc {
-    fn update(&mut self, sample_bps: f64) {
+    /// Feeds one throughput measurement `w > 0` (bits/s).
+    pub fn update(&mut self, sample_bps: f64) {
         debug_assert!(sample_bps > 0.0, "non-positive throughput sample");
         if self.n == 0 {
             self.n = 1;
@@ -100,16 +89,20 @@ impl BandwidthEstimator for HarmonicInc {
         }
     }
 
-    fn estimate_bps(&self) -> Option<f64> {
+    /// The current estimate ŵ, or `None` before any sample
+    /// (Alg. 1 line 2: "if ŵᵢ not available").
+    pub fn estimate_bps(&self) -> Option<f64> {
         (self.n > 0).then_some(self.hmean)
     }
 
-    fn reset(&mut self) {
+    /// Forgets all history (used after failover to a new server).
+    pub fn reset(&mut self) {
         self.n = 0;
         self.hmean = 0.0;
     }
 
-    fn name(&self) -> &'static str {
+    /// Estimator name for reports.
+    pub fn name(&self) -> &'static str {
         "Harmonic"
     }
 }
@@ -131,10 +124,9 @@ impl HarmonicWindow {
             cap,
         }
     }
-}
 
-impl BandwidthEstimator for HarmonicWindow {
-    fn update(&mut self, sample_bps: f64) {
+    /// Feeds one throughput measurement `w > 0` (bits/s).
+    pub fn update(&mut self, sample_bps: f64) {
         debug_assert!(sample_bps > 0.0, "non-positive throughput sample");
         if self.window.len() == self.cap {
             self.window.pop_front();
@@ -142,7 +134,9 @@ impl BandwidthEstimator for HarmonicWindow {
         self.window.push_back(sample_bps);
     }
 
-    fn estimate_bps(&self) -> Option<f64> {
+    /// The current estimate ŵ, or `None` before any sample
+    /// (Alg. 1 line 2: "if ŵᵢ not available").
+    pub fn estimate_bps(&self) -> Option<f64> {
         if self.window.is_empty() {
             return None;
         }
@@ -150,11 +144,13 @@ impl BandwidthEstimator for HarmonicWindow {
         Some(self.window.len() as f64 / inv)
     }
 
-    fn reset(&mut self) {
+    /// Forgets all history (used after failover to a new server).
+    pub fn reset(&mut self) {
         self.window.clear();
     }
 
-    fn name(&self) -> &'static str {
+    /// Estimator name for reports.
+    pub fn name(&self) -> &'static str {
         "HarmonicWindow"
     }
 }
@@ -171,35 +167,36 @@ impl LastSample {
     pub fn new() -> LastSample {
         LastSample::default()
     }
-}
 
-impl BandwidthEstimator for LastSample {
-    fn update(&mut self, sample_bps: f64) {
+    /// Feeds one throughput measurement `w > 0` (bits/s).
+    pub fn update(&mut self, sample_bps: f64) {
         debug_assert!(sample_bps > 0.0, "non-positive throughput sample");
         self.last = Some(sample_bps);
     }
 
-    fn estimate_bps(&self) -> Option<f64> {
+    /// The current estimate ŵ, or `None` before any sample
+    /// (Alg. 1 line 2: "if ŵᵢ not available").
+    pub fn estimate_bps(&self) -> Option<f64> {
         self.last
     }
 
-    fn reset(&mut self) {
+    /// Forgets all history (used after failover to a new server).
+    pub fn reset(&mut self) {
         self.last = None;
     }
 
-    fn name(&self) -> &'static str {
+    /// Estimator name for reports.
+    pub fn name(&self) -> &'static str {
         "LastSample"
     }
 }
 
 /// Enum-dispatched estimator used on the per-chunk hot path.
 ///
-/// [`BandwidthEstimator`] stays as the extension point, but the player's
-/// inner loop calls one estimator per completed chunk; routing that through
-/// `Box<dyn BandwidthEstimator>` costs a heap allocation per scheduler
-/// build plus a virtual call per sample. The enum keeps the four built-in
-/// estimators inline — the `match` arms compile to direct (inlinable)
-/// calls and the whole per-path state lives in the scheduler struct.
+/// The player's inner loop calls one estimator per completed chunk. The
+/// enum keeps the four estimators inline: the `match` arms compile to
+/// direct (inlinable) calls and the whole per-path state lives in the
+/// scheduler struct.
 #[derive(Clone, Debug)]
 pub enum EstimatorImpl {
     /// Eq. 1 EWMA.
@@ -257,21 +254,6 @@ impl EstimatorImpl {
     }
 }
 
-impl BandwidthEstimator for EstimatorImpl {
-    fn update(&mut self, sample_bps: f64) {
-        EstimatorImpl::update(self, sample_bps)
-    }
-    fn estimate_bps(&self) -> Option<f64> {
-        EstimatorImpl::estimate_bps(self)
-    }
-    fn reset(&mut self) {
-        EstimatorImpl::reset(self)
-    }
-    fn name(&self) -> &'static str {
-        EstimatorImpl::name(self)
-    }
-}
-
 impl From<Ewma> for EstimatorImpl {
     fn from(e: Ewma) -> Self {
         EstimatorImpl::Ewma(e)
@@ -297,15 +279,18 @@ impl From<LastSample> for EstimatorImpl {
 mod tests {
     use super::*;
 
+    fn all() -> [EstimatorImpl; 4] {
+        [
+            Ewma::new(0.9).into(),
+            HarmonicInc::new().into(),
+            HarmonicWindow::new(5).into(),
+            LastSample::new().into(),
+        ]
+    }
+
     #[test]
     fn all_start_unavailable() {
-        let estimators: Vec<Box<dyn BandwidthEstimator>> = vec![
-            Box::new(Ewma::new(0.9)),
-            Box::new(HarmonicInc::new()),
-            Box::new(HarmonicWindow::new(5)),
-            Box::new(LastSample::new()),
-        ];
-        for e in &estimators {
+        for e in &all() {
             assert_eq!(e.estimate_bps(), None, "{}", e.name());
         }
     }
@@ -381,13 +366,7 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
-        let mut estimators: Vec<Box<dyn BandwidthEstimator>> = vec![
-            Box::new(Ewma::new(0.9)),
-            Box::new(HarmonicInc::new()),
-            Box::new(HarmonicWindow::new(5)),
-            Box::new(LastSample::new()),
-        ];
-        for e in &mut estimators {
+        for e in &mut all() {
             e.update(5.0e6);
             assert!(e.estimate_bps().is_some());
             e.reset();

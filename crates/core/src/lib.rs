@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod abr;
-pub mod adaptation;
 pub mod buffer;
 pub mod chaos;
 pub mod chunk;
@@ -54,26 +53,21 @@ pub mod scheduler;
 pub mod sim;
 pub mod trace;
 
-pub use abr::{AbrMode, AbrPolicyImpl, AbrPolicyKind, RungMap};
-pub use adaptation::{AdaptationConfig, RateAdapter, SwitchReason};
+pub use abr::{AbrMode, AbrPolicyImpl, AbrPolicyKind, AdaptationConfig, RungMap, SwitchReason};
 pub use buffer::{BufferPhase, PlayoutBuffer, RefillRecord};
 pub use chaos::{
     check_fleet_invariants, check_invariants, ChaosInjector, ChaosPlan, ChaosState, Violation,
 };
 pub use chunk::{ChunkAssignment, ChunkLedger, PathId};
 pub use config::{GammaRounding, PlayerConfig, SchedulerKind};
-pub use estimator::{
-    BandwidthEstimator, EstimatorImpl, Ewma, HarmonicInc, HarmonicWindow, LastSample,
-};
+pub use estimator::{EstimatorImpl, Ewma, HarmonicInc, HarmonicWindow, LastSample};
 pub use fleet::{
     pareto_frontier, AccessClass, FleetHost, FleetLoad, FleetLoadEntry, FleetMetrics, FleetMode,
     FleetServerSpec, FleetSpec, LoadBin, SelectionPolicy, ServerUsage,
 };
 pub use metrics::{AbrDecision, AbrQoe, AbrSwitch, ChunkRecord, SessionMetrics, TrafficPhase};
 pub use player::{ChunkFailReason, Player, PlayerAction, PlayerEvent};
-pub use scheduler::{
-    ChunkScheduler, DcsaScheduler, FixedScheduler, RatioScheduler, SchedulerImpl, NUM_PATHS,
-};
+pub use scheduler::{DcsaScheduler, FixedScheduler, RatioScheduler, SchedulerImpl, NUM_PATHS};
 pub use sim::{
     PathSetup, ServerFailure, ServiceSpec, SessionHost, SessionSpec, SessionSpecError,
     StopCondition,

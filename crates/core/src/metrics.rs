@@ -1,6 +1,6 @@
 //! Session metrics: everything the paper's tables and figures report.
 
-use crate::adaptation::SwitchReason;
+use crate::abr::SwitchReason;
 use crate::buffer::RefillRecord;
 use crate::chunk::PathId;
 use msim_core::time::{SimDuration, SimTime};

@@ -14,8 +14,7 @@
 //! * per-path failure counting and failover requests;
 //! * per-phase traffic accounting (Table 1) and QoE metrics.
 
-use crate::abr::{AbrMode, AbrPolicyImpl, RungMap, RungTimeline};
-use crate::adaptation::SwitchReason;
+use crate::abr::{AbrMode, AbrPolicyImpl, RungMap, RungTimeline, SwitchReason};
 use crate::buffer::{BufferPhase, PlayoutBuffer};
 use crate::chunk::{ChunkAssignment, ChunkLedger, PathId};
 use crate::config::PlayerConfig;

@@ -17,9 +17,7 @@
 //!   players' 64 KB / 256 KB behaviour).
 
 use crate::config::{GammaRounding, PlayerConfig, SchedulerKind};
-use crate::estimator::{
-    BandwidthEstimator, EstimatorImpl, Ewma, HarmonicInc, HarmonicWindow, LastSample,
-};
+use crate::estimator::{EstimatorImpl, Ewma, HarmonicInc, HarmonicWindow, LastSample};
 use msim_core::units::ByteSize;
 
 /// The paper's path count ("MSPlayer limits the number of paths to two",
@@ -29,28 +27,12 @@ use msim_core::units::ByteSize;
 /// [`SchedulerImpl::from_config`] and the concrete schedulers' `new`.
 pub const NUM_PATHS: usize = 2;
 
-/// A chunk-size scheduler over N paths.
-pub trait ChunkScheduler: Send {
-    /// Feeds a throughput measurement for `path` (bits/s) from a completed
-    /// chunk, and lets the scheduler update that path's chunk size.
-    fn on_sample(&mut self, path: usize, sample_bps: f64);
-    /// The chunk size to request next on `path`.
-    fn chunk_size(&self, path: usize) -> ByteSize;
-    /// Resets per-path state after a failover on `path`.
-    fn reset_path(&mut self, path: usize);
-    /// Scheduler name for reports.
-    fn name(&self) -> &'static str;
-}
-
 /// Enum-dispatched scheduler used on the per-chunk hot path.
 ///
 /// The player takes two scheduler decisions per completed chunk
-/// (`on_sample` + `chunk_size`); the seed routed both through
-/// `Box<dyn ChunkScheduler>`, paying a virtual call each time plus a heap
-/// allocation per session for the box (and two more for the boxed
-/// estimators inside DCSA). The enum keeps every built-in scheduler —
-/// and, via [`EstimatorImpl`], every built-in estimator — inline, so the
-/// whole decision path is direct calls the compiler can flatten.
+/// (`on_sample` + `chunk_size`). The enum keeps every scheduler (and, via
+/// [`EstimatorImpl`], every estimator) inline, so the whole decision path
+/// is direct calls the compiler can flatten.
 pub enum SchedulerImpl {
     /// §3.3 Ratio baseline.
     Ratio(RatioScheduler),
@@ -121,15 +103,15 @@ impl SchedulerImpl {
     /// Scheduler name for reports.
     pub fn name(&self) -> &'static str {
         match self {
-            SchedulerImpl::Ratio(s) => ChunkScheduler::name(s),
-            SchedulerImpl::Dcsa(s) => ChunkScheduler::name(s),
-            SchedulerImpl::Fixed(s) => ChunkScheduler::name(s),
+            SchedulerImpl::Ratio(s) => s.name(),
+            SchedulerImpl::Dcsa(s) => s.name(),
+            SchedulerImpl::Fixed(s) => s.name(),
         }
     }
 
     /// The aggregate (sum-over-paths) bandwidth estimate in bits/s —
     /// MSPlayer's view of its total capacity, the input a DASH-style rate
-    /// adapter works from (§7 future work; see `crate::adaptation`).
+    /// adapter works from (§7 future work; see [`crate::abr`]).
     /// Unmeasured paths contribute nothing; `None` until any path has an
     /// estimate (and always for `Fixed`, which estimates nothing).
     pub fn aggregate_estimate_bps(&self) -> Option<f64> {
@@ -207,10 +189,10 @@ impl RatioScheduler {
             sizes: vec![cfg.initial_chunk; n_paths],
         }
     }
-}
 
-impl ChunkScheduler for RatioScheduler {
-    fn on_sample(&mut self, path: usize, sample_bps: f64) {
+    /// Feeds a throughput measurement for `path` (bits/s) from a completed
+    /// chunk and updates that path's chunk size.
+    pub fn on_sample(&mut self, path: usize, sample_bps: f64) {
         self.last[path].update(sample_bps);
         let w_this = self.last[path].estimate_bps().expect("just updated");
         let Some((_, w_other)) = slowest_other(self.last.iter().map(|l| l.estimate_bps()), path)
@@ -230,16 +212,19 @@ impl ChunkScheduler for RatioScheduler {
         }
     }
 
-    fn chunk_size(&self, path: usize) -> ByteSize {
+    /// The chunk size to request next on `path`.
+    pub fn chunk_size(&self, path: usize) -> ByteSize {
         self.sizes[path]
     }
 
-    fn reset_path(&mut self, path: usize) {
+    /// Resets per-path state after a failover on `path`.
+    pub fn reset_path(&mut self, path: usize) {
         self.last[path].reset();
         self.sizes[path] = self.base;
     }
 
-    fn name(&self) -> &'static str {
+    /// Scheduler name for reports.
+    pub fn name(&self) -> &'static str {
         "Ratio"
     }
 }
@@ -284,8 +269,9 @@ impl DcsaScheduler {
         }
     }
 
-    /// Runs Alg. 1 for path `i` given the fresh measurement `w_i`.
-    fn dcsa(&mut self, i: usize, w_i: f64) {
+    /// Feeds a throughput measurement `w_i` (bits/s) from a completed chunk
+    /// on path `i` and runs Alg. 1 for that path.
+    pub fn on_sample(&mut self, i: usize, w_i: f64) {
         // Estimates *before* absorbing the new measurement — Alg. 1 compares
         // the surprise of w_i against history ŵ_i. The comparison partner is
         // the slowest *other* path (with two paths: the other path).
@@ -321,23 +307,20 @@ impl DcsaScheduler {
             self.sizes[i] = clamp(self.min, self.max, gamma * self.sizes[other_idx].as_f64());
         }
     }
-}
 
-impl ChunkScheduler for DcsaScheduler {
-    fn on_sample(&mut self, path: usize, sample_bps: f64) {
-        self.dcsa(path, sample_bps);
-    }
-
-    fn chunk_size(&self, path: usize) -> ByteSize {
+    /// The chunk size to request next on `path`.
+    pub fn chunk_size(&self, path: usize) -> ByteSize {
         self.sizes[path]
     }
 
-    fn reset_path(&mut self, path: usize) {
+    /// Resets per-path state after a failover on `path`.
+    pub fn reset_path(&mut self, path: usize) {
         self.estimators[path].reset();
         self.sizes[path] = self.base;
     }
 
-    fn name(&self) -> &'static str {
+    /// Scheduler name for reports.
+    pub fn name(&self) -> &'static str {
         self.est_name
     }
 }
@@ -352,18 +335,21 @@ impl FixedScheduler {
     pub fn new(size: ByteSize) -> FixedScheduler {
         FixedScheduler { size }
     }
-}
 
-impl ChunkScheduler for FixedScheduler {
-    fn on_sample(&mut self, _path: usize, _sample_bps: f64) {}
+    /// Feeds a throughput measurement for `path` (bits/s) from a completed
+    /// chunk and updates that path's chunk size.
+    pub fn on_sample(&mut self, _path: usize, _sample_bps: f64) {}
 
-    fn chunk_size(&self, _path: usize) -> ByteSize {
+    /// The chunk size to request next on `path`.
+    pub fn chunk_size(&self, _path: usize) -> ByteSize {
         self.size
     }
 
-    fn reset_path(&mut self, _path: usize) {}
+    /// Resets per-path state after a failover on `path`.
+    pub fn reset_path(&mut self, _path: usize) {}
 
-    fn name(&self) -> &'static str {
+    /// Scheduler name for reports.
+    pub fn name(&self) -> &'static str {
         "Fixed"
     }
 }

@@ -402,6 +402,25 @@ struct PathRt {
     down: bool,
 }
 
+impl PathRt {
+    /// A fresh connection to the path's current server, that server's
+    /// pacing applied, its handshake started at `t`; and the instant its
+    /// first request may go out.
+    fn open_conn(
+        &self,
+        service: &YoutubeService,
+        link: &mut Link,
+        t: SimTime,
+    ) -> (TcpConnection, SimTime) {
+        let mut conn = TcpConnection::new(self.tcp_config.clone());
+        if let Some(pace) = service.server(self.server_addr).and_then(|s| s.pace()) {
+            conn = conn.with_server_pacing(pace.burst, pace.rate);
+        }
+        let ready = conn.connect(link, t);
+        (conn, ready)
+    }
+}
+
 fn client_ip_for(network: Network) -> &'static str {
     match network {
         Network::Wifi => "203.0.113.7",
@@ -644,16 +663,6 @@ impl SessionHost {
                 ],
             );
         }
-        // The session's transfer-engine label applies to every TCP
-        // connection the driver opens (bootstrap page fetches, video
-        // connections, failover reconnects).
-        let engine = spec.player.transfer_engine;
-        let tcp_config_for = |setup: &PathSetup| -> TcpConfig {
-            TcpConfig {
-                engine,
-                ..setup.profile.tcp_config()
-            }
-        };
         // The formats the session's grant must cover: closed-loop ABR
         // sessions are granted their whole quality ladder once (they may
         // switch the streamed itag mid-session); everything else streams
@@ -691,6 +700,7 @@ impl SessionHost {
         // --- Bootstrap each path (§3.2 + Fig. 1 + footnote 1) --------------
         for (i, setup) in spec.paths.iter().enumerate() {
             let network = setup.network;
+            let tcp_config = setup.profile.tcp_config();
             let client_ip = client_ip_for(network);
             let mut resolver = DnsResolver::new(network);
             let rtt = links[i].base_rtt();
@@ -745,7 +755,7 @@ impl SessionHost {
             // (footnote 1) — a real ~300 KB transfer on a fresh connection to
             // the proxy, expensive on the high-RTT path — then decipher.
             if boot.info.enciphered_sig.is_some() {
-                let mut page_conn = TcpConnection::new(tcp_config_for(setup));
+                let mut page_conn = TcpConnection::new(tcp_config.clone());
                 let page_start =
                     page_conn.connect(&mut links[i], t + self.tls.eta(rtt).saturating_sub(rtt));
                 let page = page_conn.request(&mut links[i], page_start, ByteSize::kb(300));
@@ -759,25 +769,21 @@ impl SessionHost {
             // HTTPS to the video server: η minus the TCP round the connection
             // model charges itself.
             let tls_extra = self.tls.eta(rtt).saturating_sub(rtt);
-            let connect_start = dns2_done + tls_extra;
-            let mut conn = TcpConnection::new(tcp_config_for(setup));
-            if let Some(pace) = self.service.server(server_addr).and_then(|s| s.pace()) {
-                conn = conn.with_server_pacing(pace.burst, pace.rate);
-            }
-            let ready = conn.connect(&mut links[i], connect_start);
-            conns[i] = Some(conn);
-            if let Some(s) = self.service.server_mut(server_addr) {
-                s.begin_session();
-            }
-            ready_times.push(ready);
-            paths.push(PathRt {
-                tcp_config: tcp_config_for(setup),
+            let rt = PathRt {
+                tcp_config,
                 resolver,
                 boot,
                 current_server: 0,
                 server_addr,
                 down: false,
-            });
+            };
+            let (conn, ready) = rt.open_conn(&self.service, &mut links[i], dns2_done + tls_extra);
+            conns[i] = Some(conn);
+            if let Some(s) = self.service.server_mut(server_addr) {
+                s.begin_session();
+            }
+            ready_times.push(ready);
+            paths.push(rt);
         }
 
         // Server-failure injections, grouped per target server so storms
@@ -1084,14 +1090,11 @@ fn dispatch_fetch(
         // established connection falls back per RFC 6824 — one reset, a
         // fresh plain-TCP handshake, and the request is lost. One-shot.
         if let Some(penalty_rtts) = cs.take_strip(p, now) {
-            let mut conn = TcpConnection::new(rt.tcp_config.clone());
-            if let Some(pace) = service.server(rt.server_addr).and_then(|s| s.pace()) {
-                conn = conn.with_server_pacing(pace.burst, pace.rate);
-            }
             // The reconnect handshake itself charges one RTT; the rest of
             // the penalty (detecting the reset, SYN retries for the
             // option-dropping case) is charged up front.
-            let reset_done = conn.connect(&mut links[p], now + rtt * (penalty_rtts - 1));
+            let (conn, reset_done) =
+                rt.open_conn(service, &mut links[p], now + rtt * (penalty_rtts - 1));
             conns[p] = Some(conn);
             queue.push(
                 reset_done,
@@ -1228,11 +1231,7 @@ fn dispatch_failover(
     if chaos.is_some_and(|cs| cs.dns_flapping(path, now)) {
         let rtt = links[path].base_rtt();
         let tls_extra = tls.eta(rtt).saturating_sub(rtt);
-        let mut conn = TcpConnection::new(rt.tcp_config.clone());
-        if let Some(pace) = service.server(rt.server_addr).and_then(|s| s.pace()) {
-            conn = conn.with_server_pacing(pace.burst, pace.rate);
-        }
-        let ready = conn.connect(&mut links[path], now + rtt + tls_extra);
+        let (conn, ready) = rt.open_conn(service, &mut links[path], now + rtt + tls_extra);
         conns[path] = Some(conn);
         queue.push(ready, Ev::PathRecover(path));
         return;
@@ -1256,11 +1255,7 @@ fn dispatch_failover(
     }
     // Fresh HTTPS connection to the new replica.
     let tls_extra = tls.eta(rtt).saturating_sub(rtt);
-    let mut conn = TcpConnection::new(rt.tcp_config.clone());
-    if let Some(pace) = service.server(rt.server_addr).and_then(|s| s.pace()) {
-        conn = conn.with_server_pacing(pace.burst, pace.rate);
-    }
-    let ready = conn.connect(&mut links[path], dns_done + tls_extra);
+    let (conn, ready) = rt.open_conn(service, &mut links[path], dns_done + tls_extra);
     conns[path] = Some(conn);
     queue.push(ready, Ev::PathRecover(path));
 }
@@ -1490,29 +1485,6 @@ mod tests {
             .filter_map(|p| m.traffic_fraction(p, crate::metrics::TrafficPhase::PreBuffering))
             .sum();
         assert!((total - 1.0).abs() < 1e-9, "fractions sum to 1: {total}");
-    }
-
-    #[test]
-    fn transfer_engines_agree_end_to_end() {
-        use msim_net::tcp::TransferEngine;
-        // A quiet link, the same link with an outage shorter than
-        // `dead_link_timeout` and a chunk in flight across it (the
-        // dead-link arm waits it out mid-transfer), and the jittered,
-        // lossy paper profiles: whole sessions agree across the engines.
-        let stable = single_path(17, PathProfile::stable(10.0, 20), quick_player());
-        let mut interrupted = stable.clone();
-        interrupted.paths[0].outages = Some(OutageSchedule::from_windows(vec![(
-            SimTime::from_secs(2),
-            SimTime::from_secs(3),
-        )]));
-        for spec in [&stable, &interrupted, &testbed(17, quick_player())] {
-            let epoch = run(spec);
-            let mut rl_spec = spec.clone();
-            rl_spec.player = rl_spec
-                .player
-                .with_transfer_engine(TransferEngine::RoundLoop);
-            assert_eq!(epoch, run(&rl_spec), "engines diverged end-to-end");
-        }
     }
 
     #[test]

@@ -34,6 +34,4 @@ pub use cubic::Cubic;
 pub use link::Link;
 pub use mobility::OutageSchedule;
 pub use profile::PathProfile;
-pub use tcp::{
-    TcpConfig, TcpConnection, TransferEngine, TransferOutcome, TransferResult, TransferStats,
-};
+pub use tcp::{TcpConfig, TcpConnection, TransferOutcome, TransferResult, TransferStats};

@@ -22,16 +22,6 @@
 //! plainly as the model reads. There is no fast path to fall off: what a
 //! round costs is decided in [`crate::link`] (a cell read for the rate, a
 //! countdown for the loss).
-//!
-//! [`TransferEngine`] once chose between this loop and a second engine
-//! with a stable-link fast path. With `STREAM_EPOCH` 3 the fast path is
-//! gone and the second engine with it; both variants run [`rounds`] and
-//! differ only in the `engine` label of `msp_transfer_requests_total`.
-//! `crates/net/tests/transfer_engines.rs` and `core::sim`'s
-//! `transfer_engines_agree_end_to_end` therefore now show replay
-//! determinism (results, RNG stream positions, warm-connection state)
-//! over randomized profiles, handoffs, idle gaps and loss regimes, not
-//! agreement between two implementations.
 
 pub mod fluid;
 pub mod rounds;
@@ -42,21 +32,7 @@ use msim_core::telemetry::LazyCounter;
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::{BitRate, ByteSize};
 
-static EPOCH_REQUESTS: LazyCounter =
-    LazyCounter::with_labels("msp_transfer_requests_total", &[("engine", "epoch")]);
-static ROUNDS_REQUESTS: LazyCounter =
-    LazyCounter::with_labels("msp_transfer_requests_total", &[("engine", "rounds")]);
-
-/// The telemetry label a connection's requests are counted under. Both
-/// variants run the one loop of [`rounds`] (see the module docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TransferEngine {
-    /// Counted as `engine="epoch"` (default).
-    #[default]
-    Epoch,
-    /// Counted as `engine="rounds"`.
-    RoundLoop,
-}
+static REQUESTS: LazyCounter = LazyCounter::new("msp_transfer_requests_total");
 
 /// Tunables for the TCP model (defaults match a Linux 3.5-era stack).
 #[derive(Clone, Debug)]
@@ -79,8 +55,6 @@ pub struct TcpConfig {
     /// Abort a transfer after the link has been dead for this long
     /// (models application-level timeout on top of TCP retransmission).
     pub dead_link_timeout: SimDuration,
-    /// Which `engine` label this connection's requests are counted under.
-    pub engine: TransferEngine,
 }
 
 impl Default for TcpConfig {
@@ -94,7 +68,6 @@ impl Default for TcpConfig {
             restart_cwnd_pkts: 10.0,
             rwnd_bytes: 3 * 1024 * 1024,
             dead_link_timeout: SimDuration::from_secs(4),
-            engine: TransferEngine::default(),
         }
     }
 }
@@ -236,10 +209,7 @@ impl TcpConnection {
         // round runs.
         self.idle_restart_phase(now);
 
-        match self.cfg.engine {
-            TransferEngine::Epoch => EPOCH_REQUESTS.add(1),
-            TransferEngine::RoundLoop => ROUNDS_REQUESTS.add(1),
-        }
+        REQUESTS.add(1);
         rounds::run(self, link, now, size)
     }
 

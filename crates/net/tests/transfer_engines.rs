@@ -1,20 +1,13 @@
-//! Replay tests of the round loop, run once under each `TransferEngine`
-//! label.
+//! Replay tests of the round loop.
 //!
-//! Since `STREAM_EPOCH` 3 both labels run the one loop of `tcp::rounds`
-//! (the epoch engine went with its stable-link fast path), so what these
-//! tests show is that a chunk chain replays bit for bit, not that two
-//! implementations agree. The rest of this header and the test names
-//! describe the differential they were written as:
-//!
-//! The contract (ISSUE 4 / README "The transfer engine"): the epoch
-//! engine is **bit-identical** to `tcp::rounds` — same `TransferResult` model fields
-//! (including `rounds` and `losses`), same RNG stream positions on the
-//! link, and same warm-connection state (`cwnd`, `ssthresh`, CUBIC state,
-//! pacing byte count, `last_activity`) so keep-alive chains cannot
-//! silently diverge on the *next* chunk. These tests randomize link
-//! profiles, mobility handoffs, idle-restart gaps, loss regimes, receiver
-//! windows, and server pacing, and compare chunk chains end to end.
+//! A chunk chain served twice from the same seed must replay bit for bit:
+//! same `TransferResult` model fields (including `rounds` and `losses`),
+//! same RNG stream positions on the link, and same warm-connection state
+//! (`cwnd`, `ssthresh`, CUBIC state, pacing byte count, `last_activity`),
+//! so a keep-alive chain cannot silently diverge on the *next* chunk.
+//! These tests randomize link profiles, mobility handoffs, idle-restart
+//! gaps, loss regimes, receiver windows and server pacing, and compare
+//! chunk chains end to end.
 
 use msim_core::process::{Bursts, Constant, MarkovModulator, Modulated, Ou, ProcessKind};
 use msim_core::rng::Prng;
@@ -22,7 +15,7 @@ use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::{BitRate, ByteSize};
 use msim_net::mobility::OutageSchedule;
 use msim_net::profile::PathProfile;
-use msim_net::tcp::{TcpConfig, TcpConnection, TransferEngine, TransferResult};
+use msim_net::tcp::{TcpConfig, TcpConnection, TransferResult};
 use msim_net::Link;
 use proptest::prelude::*;
 
@@ -42,7 +35,7 @@ struct Scenario {
 }
 
 impl Scenario {
-    /// Derives a scenario from a seed (both engines get identical copies).
+    /// Derives a scenario from a seed (both runs get identical copies).
     fn derive(seed: u64) -> Scenario {
         let mut g = Prng::new(seed ^ 0xD1FF_EE7E);
         let rate_mbps = g.uniform(1.5, 45.0);
@@ -91,7 +84,7 @@ impl Scenario {
         let pace = if g.chance(0.3) {
             // Occasionally a *zero* pacing rate: past the burst this
             // zeroes the effective rate on an otherwise-healthy link and
-            // must take the reference dead-link abort on both engines.
+            // must take the dead-link abort.
             let rate = if g.chance(0.15) {
                 BitRate::ZERO
             } else {
@@ -123,7 +116,7 @@ impl Scenario {
         }
     }
 
-    /// Builds one link instance; called once per engine so both see
+    /// Builds one link instance; called once per run so both see
     /// identical RNG streams.
     fn build_link(&self) -> Link {
         let mut rng = Prng::new(self.link_seed);
@@ -153,24 +146,20 @@ impl Scenario {
         link
     }
 
-    fn build_conn(&self, engine: TransferEngine) -> TcpConnection {
-        let cfg = TcpConfig {
-            engine,
-            ..self.cfg.clone()
-        };
-        let conn = TcpConnection::new(cfg);
+    fn build_conn(&self) -> TcpConnection {
+        let conn = TcpConnection::new(self.cfg.clone());
         match self.pace {
             Some((burst, rate)) => conn.with_server_pacing(burst, rate),
             None => conn,
         }
     }
 
-    /// Runs the chunk chain on one engine, returning every transfer
-    /// record, the warm-state snapshots after each chunk, and the RNG
-    /// probes taken at the end.
-    fn run(&self, engine: TransferEngine) -> (Vec<TransferResult>, Vec<String>, [u64; 2], f64) {
+    /// Runs the chunk chain once, returning every transfer record, the
+    /// warm-state snapshots after each chunk, and the RNG probes taken at
+    /// the end.
+    fn run(&self) -> (Vec<TransferResult>, Vec<String>, [u64; 2], f64) {
         let mut link = self.build_link();
-        let mut conn = self.build_conn(engine);
+        let mut conn = self.build_conn();
         let mut t = conn.connect(&mut link, SimTime::ZERO);
         let mut results = Vec::new();
         let mut snapshots = Vec::new();
@@ -213,25 +202,25 @@ fn assert_results_equal(seed: u64, i: usize, a: &TransferResult, b: &TransferRes
 
 fn check_scenario(seed: u64) {
     let scenario = Scenario::derive(seed);
-    let (epoch, epoch_snaps, epoch_probes, epoch_rate) = scenario.run(TransferEngine::Epoch);
-    let (rl, rl_snaps, rl_probes, rl_rate) = scenario.run(TransferEngine::RoundLoop);
-    assert_eq!(epoch.len(), rl.len());
-    for (i, (a, b)) in epoch.iter().zip(&rl).enumerate() {
+    let (first, first_snaps, first_probes, first_rate) = scenario.run();
+    let (again, again_snaps, again_probes, again_rate) = scenario.run();
+    assert_eq!(first.len(), again.len());
+    for (i, (a, b)) in first.iter().zip(&again).enumerate() {
         assert_results_equal(seed, i, a, b);
         // Warm-connection state after every chunk: a keep-alive chain
         // can never silently diverge on the next chunk.
         assert_eq!(
-            epoch_snaps[i], rl_snaps[i],
+            first_snaps[i], again_snaps[i],
             "seed {seed} chunk {i}: warm-connection state diverged"
         );
     }
     assert_eq!(
-        epoch_probes, rl_probes,
+        first_probes, again_probes,
         "seed {seed}: link RNG stream position diverged"
     );
     assert_eq!(
-        epoch_rate.to_bits(),
-        rl_rate.to_bits(),
+        first_rate.to_bits(),
+        again_rate.to_bits(),
         "seed {seed}: rate-process stream diverged"
     );
 }
@@ -239,13 +228,12 @@ fn check_scenario(seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 120, ..ProptestConfig::default() })]
 
-    /// The headline differential property: across randomized link
-    /// profiles (stable/OU/Markov/burst rates), jitter and loss regimes,
-    /// outage handoffs, idle-restart gaps, small receiver windows, and
-    /// server pacing, the epoch engine is bit-identical to the reference
-    /// round loop — results, RNG positions, warm state.
+    /// Across randomized link profiles (stable/OU/Markov/burst rates),
+    /// jitter and loss regimes, outage handoffs, idle-restart gaps, small
+    /// receiver windows and server pacing, a chunk chain replays bit for
+    /// bit: results, RNG positions, warm state.
     #[test]
-    fn epoch_engine_matches_round_loop(seed in 0u64..1_000_000) {
+    fn chunk_chains_replay_bit_for_bit(seed in 0u64..1_000_000) {
         check_scenario(seed);
     }
 }
@@ -253,7 +241,7 @@ proptest! {
 /// A hand-picked spread of scenario seeds that is guaranteed to run in CI
 /// even if the property-test case count is tuned down.
 #[test]
-fn epoch_engine_matches_round_loop_pinned_seeds() {
+fn chunk_chains_replay_bit_for_bit_pinned_seeds() {
     for seed in [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 610, 987, 46_368] {
         check_scenario(seed);
     }
@@ -261,19 +249,15 @@ fn epoch_engine_matches_round_loop_pinned_seeds() {
 
 /// Regression (found in review): a zero server-pacing rate zeroes the
 /// *effective* rate on a perfectly stable link once the burst is spent.
-/// The reference loop takes its dead-link arm and aborts with `TimedOut`;
-/// the epoch engine must do exactly the same instead of grinding out a
-/// "stable" epoch at rate zero.
+/// The loop must take its dead-link arm and abort with `TimedOut` instead
+/// of grinding out rounds at rate zero.
 #[test]
-fn zero_pacing_rate_takes_the_dead_link_abort_on_both_engines() {
-    let run = |engine: TransferEngine| {
+fn zero_pacing_rate_takes_the_dead_link_abort() {
+    let run = || {
         let mut rng = Prng::new(5);
         let mut link = PathProfile::stable(12.0, 25).build(&mut rng);
-        let cfg = TcpConfig {
-            engine,
-            ..TcpConfig::default()
-        };
-        let mut conn = TcpConnection::new(cfg).with_server_pacing(ByteSize::kb(64), BitRate::ZERO);
+        let mut conn = TcpConnection::new(TcpConfig::default())
+            .with_server_pacing(ByteSize::kb(64), BitRate::ZERO);
         let ready = conn.connect(&mut link, SimTime::ZERO);
         let res = conn.request(&mut link, ready, ByteSize::mb(2));
         (
@@ -285,30 +269,25 @@ fn zero_pacing_rate_takes_the_dead_link_abort_on_both_engines() {
             format!("{:?}", conn.snapshot()),
         )
     };
-    let epoch = run(TransferEngine::Epoch);
-    let rl = run(TransferEngine::RoundLoop);
-    assert_eq!(epoch, rl);
+    let first = run();
+    assert_eq!(first, run());
     assert_eq!(
-        epoch.0,
+        first.0,
         msim_net::tcp::TransferOutcome::TimedOut,
         "zero pacing rate must abort, not complete"
     );
 }
 
-/// Keep-alive warm-state equivalence on the chunk pattern the player
-/// actually produces: consecutive chunks on a stable link, where the fast
-/// path serves chunk N and the state feeds chunk N+1.
+/// Keep-alive warm state on the chunk pattern the player actually
+/// produces: consecutive chunks on a stable link, where the state chunk N
+/// leaves feeds chunk N+1.
 #[test]
-fn warm_chain_on_stable_link_is_identical() {
-    let run = |engine: TransferEngine| {
+fn warm_chain_on_stable_link_replays() {
+    let run = || {
         let mut rng = Prng::new(3);
         let mut link = PathProfile::stable(16.0, 35).build(&mut rng);
-        let cfg = TcpConfig {
-            engine,
-            ..TcpConfig::default()
-        };
-        let mut conn =
-            TcpConnection::new(cfg).with_server_pacing(ByteSize::kb(512), BitRate::mbps(4.0));
+        let mut conn = TcpConnection::new(TcpConfig::default())
+            .with_server_pacing(ByteSize::kb(512), BitRate::mbps(4.0));
         let mut t = conn.connect(&mut link, SimTime::ZERO);
         let mut out = Vec::new();
         for (i, gap_ms) in [0u64, 0, 40, 1_400, 0, 2_500, 0, 0].iter().enumerate() {
@@ -324,5 +303,5 @@ fn warm_chain_on_stable_link_is_identical() {
         }
         out
     };
-    assert_eq!(run(TransferEngine::Epoch), run(TransferEngine::RoundLoop));
+    assert_eq!(run(), run());
 }

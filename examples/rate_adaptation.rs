@@ -9,9 +9,9 @@
 //! cargo run --release --example rate_adaptation
 //! ```
 
-use msplayer::core::adaptation::{AdaptationConfig, RateAdapter, SwitchReason};
+use msplayer::core::abr::{AbrPolicyImpl, AbrPolicyKind, AdaptationConfig, SwitchReason};
 use msplayer::core::config::PlayerConfig;
-use msplayer::core::estimator::{BandwidthEstimator, HarmonicInc};
+use msplayer::core::estimator::HarmonicInc;
 use msplayer::core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec, StopCondition};
 use msplayer::simcore::units::BitRate;
 use msplayer::youtube::ITAGS;
@@ -25,7 +25,11 @@ fn main() {
         .expect("valid spec");
 
     let mut estimators = [HarmonicInc::new(), HarmonicInc::new()];
-    let mut adapter = RateAdapter::new(AdaptationConfig::default(), ITAGS.to_vec());
+    let mut adapter = AbrPolicyImpl::new(
+        AbrPolicyKind::DampedRate,
+        AdaptationConfig::default(),
+        ITAGS.to_vec(),
+    );
 
     println!(
         "itag ladder: {:?}\n",
@@ -56,7 +60,8 @@ fn main() {
             / 312_500.0;
         let elapsed = chunk.completed_at.as_secs_f64();
         let buffer = (fetched_secs - elapsed).max(0.0);
-        let (format, reason) = adapter.decide(aggregate, buffer);
+        let (rung, reason) = adapter.decide(Some(aggregate.as_bps()), buffer);
+        let format = &adapter.ladder()[rung];
         let marker = match reason {
             SwitchReason::RateUp => "▲",
             SwitchReason::RateDown | SwitchReason::BufferPanic => "▼",
@@ -72,10 +77,10 @@ fn main() {
             reason,
         );
     }
+    let current = &adapter.ladder()[adapter.current_index()];
     println!(
         "\nfinal quality: {} at {} — chosen from two-path aggregate bandwidth\n\
          (the paper streams fixed 720p; this module is its §7 'rate adaption' future work)",
-        adapter.current().quality_label,
-        adapter.current().bitrate,
+        current.quality_label, current.bitrate,
     );
 }

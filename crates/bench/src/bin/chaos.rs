@@ -3,21 +3,28 @@
 //! the invariant oracle, writes `CHAOS_summary.json` into the bench
 //! artifact directory, and (with `--record`) drops every violating
 //! `(seed, plan, workload)` triple as a replayable JSON case under
-//! `tests/chaos_corpus/`.
+//! `tests/chaos_corpus/`. The same executable replays the committed
+//! corpus, one case file, or any ad-hoc seed/plan point.
 //!
 //! ```sh
 //! cargo run --release -p msplayer-bench --bin chaos -- --seeds 5
 //! cargo run --release -p msplayer-bench --bin chaos -- \
 //!     --plans kitchen-sink,outage-up --workloads testbed/MSPlayer --record
 //! cargo run --release -p msplayer-bench --bin chaos -- --replay-corpus
+//! cargo run --release -p msplayer-bench --bin chaos -- \
+//!     --case tests/chaos_corpus/case-<id>.json
+//! cargo run --release -p msplayer-bench --bin chaos -- \
+//!     --workload testbed/MSPlayer --scheduler Harmonic --chunk-kb 256 \
+//!     --seed 33 --chaos kitchen-sink
 //! ```
 //!
 //! Exit status: 0 when every case holds the invariants, 1 otherwise —
-//! so CI can gate on a fixed seed budget.
+//! so CI can gate on a fixed seed budget; 2 for a command line or an
+//! environment it cannot read.
 
-use msplayer_bench::chaos::{
-    corpus_dir, explore, load_corpus, run_case, ExploreConfig, ExploreSummary,
-};
+use msplayer_bench::chaos::{explore, run_case, ChaosCase, ExploreConfig, ExploreSummary};
+use msplayer_bench::cluster::merge::{hex_u64, parse_hex_u64};
+use msplayer_bench::corpus;
 use msplayer_bench::env_or_exit;
 use msplayer_bench::sweep::bench_dir;
 use msplayer_bench::workload::WorkloadRegistry;
@@ -28,6 +35,9 @@ chaos — deterministic fault-injection explorer
 USAGE:
     chaos [--seeds N] [--plans a,b,..] [--workloads a,b,..] [--record]
     chaos --replay-corpus
+    chaos --case <file.json>
+    chaos --workload <name> [--scheduler <name>] [--chunk-kb <n>]
+          [--seed <n>] [--chaos <plan-or-preset>]
 
 OPTIONS:
     --seeds N          seeds per (plan, workload) grid point [default: 3]
@@ -42,36 +52,18 @@ OPTIONS:
     --record           write violating cases into tests/chaos_corpus/
     --replay-corpus    replay every committed corpus case instead of
                        sweeping
+    --case FILE        replay the one case in FILE and print its
+                       fingerprint and verdict; the five flags below
+                       change a field of it, or describe a case by hand
+    --workload NAME    builtin workload of the case
+    --scheduler NAME   [default: Harmonic]
+    --chunk-kb N       [default: 256]
+    --seed N           decimal, or the 16 hex digits a case file holds
+                       [default: 0]
+    --chaos PLAN       preset name or raw plan string [default: none]
     --list             print presets and builtin workloads, then exit
     -h, --help         this text
 ";
-
-/// The default seed-rotation window: `MSP_CHAOS_WINDOW` when set (a value
-/// that is not a window ends the process, exit code 2 — a pinned window
-/// must never silently become today's), else days since the Unix epoch.
-/// Any violation a rotated run finds is recorded as a self-contained
-/// corpus case, so reproducibility never depends on knowing which day
-/// found it.
-fn default_window() -> u64 {
-    env_or_exit("MSP_CHAOS_WINDOW", parse_window).unwrap_or_else(|| {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs() / 86_400)
-            .unwrap_or(0)
-    })
-}
-
-/// `MSP_CHAOS_WINDOW` as read from the environment (`None` = unset) to a
-/// pinned window (`None` = rotate daily).
-fn parse_window(value: Option<&str>) -> Result<Option<u64>, String> {
-    let Some(v) = value else { return Ok(None) };
-    match v.trim().parse::<u64>() {
-        Ok(w) => Ok(Some(w)),
-        Err(_) => Err(format!(
-            "MSP_CHAOS_WINDOW={v:?}: expected a non-negative integer (0 = the historical enumeration)"
-        )),
-    }
-}
 
 struct Options {
     seeds: u64,
@@ -81,6 +73,31 @@ struct Options {
     record: bool,
     replay_corpus: bool,
     list: bool,
+    /// Replay-one mode: the case `--case` loaded and the field flags
+    /// edited (or built from nothing).
+    case: Option<ChaosCase>,
+}
+
+/// The case the field flags start from when no `--case` came first.
+fn by_hand() -> ChaosCase {
+    ChaosCase {
+        workload: String::new(),
+        scheduler: "Harmonic".into(),
+        chunk_kb: 256,
+        seed: 0,
+        plan: String::new(),
+        recorded_violations: Vec::new(),
+    }
+}
+
+/// `--seed`: the 16 hex digits of a case file, else a decimal integer.
+fn parse_seed(v: &str) -> Result<u64, String> {
+    let hex = v.len() == 16 && v.bytes().all(|b| b.is_ascii_hexdigit());
+    if hex {
+        parse_hex_u64(v)
+    } else {
+        v.parse().map_err(|_| format!("bad --seed {v:?}"))
+    }
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -92,10 +109,28 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         record: false,
         replay_corpus: false,
         list: false,
+        case: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
+            "--case" => {
+                let v = it.next().ok_or("--case needs a value")?;
+                opts.case = Some(corpus::load_file(std::path::Path::new(v))?);
+            }
+            "--workload" | "--scheduler" | "--chunk-kb" | "--seed" | "--chaos" => {
+                let v = it.next().ok_or(format!("{arg} needs a value"))?;
+                let case = opts.case.get_or_insert_with(by_hand);
+                match arg.as_str() {
+                    "--workload" => case.workload = v.clone(),
+                    "--scheduler" => case.scheduler = v.clone(),
+                    "--chunk-kb" => {
+                        case.chunk_kb = v.parse().map_err(|_| format!("bad --chunk-kb {v:?}"))?
+                    }
+                    "--seed" => case.seed = parse_seed(v)?,
+                    _ => case.plan = v.clone(),
+                }
+            }
             "--seeds" => {
                 let v = it.next().ok_or("--seeds needs a value")?;
                 opts.seeds = v.parse().map_err(|_| format!("bad --seeds value {v:?}"))?;
@@ -119,7 +154,36 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown argument {other:?}\n\n{USAGE}")),
         }
     }
+    if opts.case.as_ref().is_some_and(|c| c.workload.is_empty()) {
+        return Err(format!("--workload (or --case) is required\n\n{USAGE}"));
+    }
     Ok(opts)
+}
+
+/// Replays one case and reports its verdict; returns the exit code.
+fn replay_one(case: &ChaosCase, registry: &WorkloadRegistry) -> i32 {
+    println!(
+        "case: workload={} scheduler={} chunk_kb={} seed={} plan={:?}",
+        case.workload,
+        case.scheduler,
+        case.chunk_kb,
+        hex_u64(case.seed),
+        case.plan
+    );
+    let outcome = run_case(case, registry);
+    if let Some(fp) = &outcome.fingerprint {
+        println!("fingerprint: {fp}");
+    }
+    if outcome.ok() {
+        println!("verdict: all invariants hold");
+        0
+    } else {
+        println!("verdict: {} violation(s)", outcome.violations.len());
+        for v in &outcome.violations {
+            println!("  {v}");
+        }
+        1
+    }
 }
 
 fn main() {
@@ -146,8 +210,12 @@ fn main() {
         return;
     }
 
+    if let Some(case) = &opts.case {
+        std::process::exit(replay_one(case, &registry));
+    }
+
     if opts.replay_corpus {
-        let corpus = match load_corpus(&corpus_dir()) {
+        let corpus = match corpus::load::<ChaosCase>(&corpus::dir::<ChaosCase>()) {
             Ok(c) => c,
             Err(e) => {
                 eprintln!("corpus unreadable: {e}");
@@ -186,7 +254,7 @@ fn main() {
         cfg.workloads = workloads;
     }
     cfg.record = opts.record;
-    cfg.window = opts.window.unwrap_or_else(default_window);
+    cfg.window = opts.window.unwrap_or_else(corpus::default_window);
     let bench_dir = env_or_exit("MSP_BENCH_DIR", bench_dir);
 
     println!(
@@ -229,7 +297,11 @@ fn report(summary: &ExploreSummary) {
     for case in &summary.violating {
         println!(
             "  VIOLATION workload={} scheduler={} chunk_kb={} seed={} plan={:?}",
-            case.workload, case.scheduler, case.chunk_kb, case.seed, case.plan
+            case.workload,
+            case.scheduler,
+            case.chunk_kb,
+            hex_u64(case.seed),
+            case.plan
         );
         for v in &case.recorded_violations {
             println!("    {v}");
@@ -237,28 +309,5 @@ fn report(summary: &ExploreSummary) {
     }
     for path in &summary.recorded {
         println!("  recorded {}", path.display());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::parse_window;
-
-    #[test]
-    fn msp_chaos_window_accepts_windows_and_treats_unset_as_rotate_daily() {
-        assert_eq!(parse_window(None), Ok(None));
-        assert_eq!(parse_window(Some("0")), Ok(Some(0)));
-        assert_eq!(parse_window(Some(" 20726 ")), Ok(Some(20726)));
-    }
-
-    #[test]
-    fn msp_chaos_window_rejects_garbage_naming_the_variable() {
-        for bad in ["banana", "-1", "2.5", ""] {
-            let err = parse_window(Some(bad)).unwrap_err();
-            assert!(
-                err.starts_with(&format!("MSP_CHAOS_WINDOW={bad:?}: expected ")),
-                "{err}"
-            );
-        }
     }
 }

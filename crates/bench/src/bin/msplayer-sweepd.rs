@@ -30,6 +30,7 @@ use msplayer_bench::cluster::{
     chaos, run_cluster, run_worker, serial_artifact, ClusterConfig, SweepManifest, Transport,
     WorkerChaos, MIN_LEASE_TIMEOUT,
 };
+use msplayer_bench::corpus::default_window;
 use msplayer_bench::env_or_exit;
 use msplayer_bench::sweep::bench_dir;
 use std::path::PathBuf;
@@ -44,6 +45,7 @@ msplayer-sweepd <role> [flags]
   worker      [--chaos <directive>] [--connect <addr>]
   serial      [--manifest <file.json>]
   chaos       [--seeds <n>] [--window <n>] [--record]
+              (window: $MSP_CHAOS_WINDOW, else days since the Unix epoch)
 ";
 
 fn main() {
@@ -423,7 +425,7 @@ fn chaos_main(args: &[String]) -> i32 {
         }
     };
     let mut seeds: u64 = 3;
-    let mut window: u64 = 0;
+    let mut window: Option<u64> = None;
     let mut record = false;
     for (flag, value) in &flags {
         match (flag.as_str(), value) {
@@ -435,7 +437,7 @@ fn chaos_main(args: &[String]) -> i32 {
                 }
             },
             ("--window", Some(v)) => match v.parse() {
-                Ok(n) => window = n,
+                Ok(n) => window = Some(n),
                 Err(_) => {
                     eprintln!("bad --window {v:?}");
                     return 2;
@@ -448,6 +450,7 @@ fn chaos_main(args: &[String]) -> i32 {
             }
         }
     }
+    let window = window.unwrap_or_else(default_window);
     let program = std::env::current_exe().unwrap_or_else(|_| PathBuf::from("msplayer-sweepd"));
     let scratch = std::env::temp_dir().join(format!("msp-cluster-chaos-{}", std::process::id()));
     eprintln!("sweepd: chaos sweep, {seeds} seeds, window {window}");

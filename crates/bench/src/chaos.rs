@@ -2,14 +2,15 @@
 //! plan × workload grids, runs every session under the invariant oracle
 //! (plus a batch-vs-fresh bit-equivalence check and a panic trap), and
 //! records every violating `(seed, plan, workload)` triple as a JSON
-//! case under `tests/chaos_corpus/` — replayed forever after by the
-//! tier-1 regression test `tests/chaos_corpus.rs`.
+//! case under `tests/chaos_corpus/` (format: [`crate::corpus`]) — replayed
+//! forever after by the tier-1 regression test `tests/chaos_corpus.rs`.
 //!
 //! The sweep is deterministic end to end: the same budget enumerates the
 //! same seeds, the same plans resolve to the same injector windows, and
 //! the same verdicts come back — so a violation seen once is a violation
 //! reproducible from its recorded case alone.
 
+use crate::corpus::{self, CorpusCase};
 use crate::workload::{WorkloadRegistry, WorkloadSpec};
 use msim_json::Value;
 use msplayer_core::chaos::{check_invariants, ChaosPlan, Violation};
@@ -17,31 +18,11 @@ use msplayer_core::config::SchedulerKind;
 use msplayer_core::metrics::SessionMetrics;
 use msplayer_core::sim::SessionHost;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Salt mixed into the explorer's seed enumeration (distinct from the
 /// sweep engine's, so chaos seeds never shadow benchmark seeds).
 pub const CHAOS_EXPLORER_SALT: u64 = 0xC4A0_5EED;
-
-/// The seed of explorer iteration `i` — the same enumeration every run.
-pub fn explorer_seed(i: u64) -> u64 {
-    explorer_seed_with_window(0, i)
-}
-
-/// The seed of explorer iteration `i` inside rotation `window`.
-///
-/// Window 0 reproduces the historical [`explorer_seed`] enumeration
-/// exactly; every other window shifts the whole enumeration onto fresh
-/// seeds. Periodic CI runs derive the window from the calendar date, so
-/// over time the explorer covers new seed territory instead of
-/// re-checking day one's seeds forever — while any given window stays
-/// fully reproducible from its number alone.
-pub fn explorer_seed_with_window(window: u64, i: u64) -> u64 {
-    crate::BASE_SEED
-        ^ CHAOS_EXPLORER_SALT
-        ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ window.wrapping_mul(0xD6E8_FEB8_6659_FD93)
-}
 
 /// One replayable chaos case: everything needed to reconstruct and
 /// re-run a `(seed, plan, workload)` triple.
@@ -63,77 +44,38 @@ pub struct ChaosCase {
     pub recorded_violations: Vec<String>,
 }
 
-impl ChaosCase {
-    /// Serialises the case to its corpus JSON object.
-    pub fn to_json(&self) -> Value {
-        let violations: Vec<Value> = self
-            .recorded_violations
-            .iter()
-            .map(|v| Value::String(v.clone()))
-            .collect();
+impl CorpusCase for ChaosCase {
+    const DIR: &'static str = "chaos_corpus";
+
+    fn to_json(&self) -> Value {
         Value::object()
             .with("workload", self.workload.as_str())
             .with("scheduler", self.scheduler.as_str())
             .with("chunk_kb", self.chunk_kb)
-            .with("seed", self.seed)
+            .with("seed", corpus::seed_to_json(self.seed))
             .with("plan", self.plan.as_str())
-            .with("recorded_violations", Value::Array(violations))
+            .with("recorded_violations", self.recorded_violations.clone())
     }
 
-    /// Parses a corpus JSON object back into a case.
-    pub fn from_json(v: &Value) -> Result<ChaosCase, String> {
-        let field = |k: &str| v.get(k).ok_or_else(|| format!("missing field {k:?}"));
+    fn from_json(v: &Value) -> Result<ChaosCase, String> {
         let text = |k: &str| {
-            field(k).and_then(|f| {
-                f.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("field {k:?} is not a string"))
-            })
-        };
-        let num = |k: &str| {
-            field(k).and_then(|f| {
-                f.as_u64()
-                    .ok_or_else(|| format!("field {k:?} is not an integer"))
-            })
-        };
-        let recorded_violations = match v.get("recorded_violations") {
-            Some(Value::Array(items)) => items
-                .iter()
-                .map(|i| {
-                    i.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "non-string violation entry".to_string())
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(_) => return Err("recorded_violations is not an array".into()),
-            None => Vec::new(),
+            let field = v.get(k).and_then(Value::as_str);
+            field
+                .map(str::to_string)
+                .ok_or(format!("field {k:?} is missing or not a string"))
         };
         Ok(ChaosCase {
             workload: text("workload")?,
             scheduler: text("scheduler")?,
-            chunk_kb: num("chunk_kb")?,
-            seed: num("seed")?,
+            chunk_kb: corpus::u64_from_json(v, "chunk_kb")?,
+            seed: corpus::seed_from_json(v)?,
             plan: text("plan")?,
-            recorded_violations,
+            recorded_violations: corpus::strings_from_json(v, "recorded_violations")?,
         })
     }
 
-    /// Deterministic corpus filename for this case (FNV-1a over the
-    /// identifying fields — stable across platforms and runs).
-    pub fn file_name(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(self.workload.as_bytes());
-        eat(self.scheduler.as_bytes());
-        eat(&self.chunk_kb.to_le_bytes());
-        eat(&self.seed.to_le_bytes());
-        eat(self.plan.as_bytes());
-        format!("case-{h:016x}.json")
+    fn recorded_violations(&mut self) -> &mut Vec<String> {
+        &mut self.recorded_violations
     }
 }
 
@@ -325,10 +267,11 @@ pub struct ExploreConfig {
     pub plans: Vec<String>,
     /// Base workload names to sweep (must exist in the registry).
     pub workloads: Vec<String>,
-    /// Record violating cases into [`corpus_dir`]?
+    /// Record violating cases into the committed corpus
+    /// ([`corpus::dir`])?
     pub record: bool,
-    /// Seed-rotation window (see [`explorer_seed_with_window`]); window 0
-    /// is the historical enumeration.
+    /// Seed-rotation window (see [`corpus::seed`]); window 0 is the
+    /// historical enumeration.
     pub window: u64,
 }
 
@@ -355,10 +298,7 @@ impl ExploreConfig {
     }
 }
 
-/// Per-plan tallies of one explorer sweep, derived from the telemetry
-/// registry (`msp_chaos_cases_total{plan=...}` /
-/// `msp_chaos_violations_total{plan=...}`) rather than hand-rolled
-/// counters.
+/// Per-plan tallies of one explorer sweep.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PlanTally {
     /// The plan preset (or raw plan string) of the grid column.
@@ -383,8 +323,8 @@ pub struct ExploreSummary {
     pub violating: Vec<ChaosCase>,
     /// Violating case files written (empty unless recording).
     pub recorded: Vec<PathBuf>,
-    /// Per-plan case/violation tallies, read back from the telemetry
-    /// registry after the sweep.
+    /// Per-plan case/violation tallies, in `cfg.plans` order (a plan that
+    /// ran no case has no row).
     pub per_plan: Vec<PlanTally>,
 }
 
@@ -392,7 +332,7 @@ impl ExploreSummary {
     /// Renders the sweep summary as a JSON value (written as
     /// `CHAOS_summary.json` by the explorer binary and the CI smoke job).
     pub fn to_json(&self) -> Value {
-        let violating: Vec<Value> = self.violating.iter().map(ChaosCase::to_json).collect();
+        let violating: Vec<Value> = self.violating.iter().map(CorpusCase::to_json).collect();
         let per_plan: Vec<Value> = self
             .per_plan
             .iter()
@@ -430,21 +370,21 @@ pub fn explore(registry: &WorkloadRegistry, cfg: &ExploreConfig) -> ExploreSumma
         recorded: Vec::new(),
         per_plan: Vec::new(),
     };
-    // The per-plan tallies flow through the telemetry registry instead of
-    // ad-hoc counters: count during the sweep, read the deltas back at
-    // the end. A live /metrics scrape of a long explorer run sees them
-    // move.
-    use msim_core::telemetry;
-    let tel_was = telemetry::enabled();
-    telemetry::set_enabled(true);
-    let mut counters_before = telemetry::counter_values();
+    let mut tallies: Vec<PlanTally> = cfg
+        .plans
+        .iter()
+        .map(|plan| PlanTally {
+            plan: plan.clone(),
+            ..PlanTally::default()
+        })
+        .collect();
     let mut iteration: u64 = 0;
     'grid: for workload_name in &cfg.workloads {
         let Some(base) = registry.by_name(workload_name) else {
             summary.skipped_points += cfg.plans.len() as u64;
             continue;
         };
-        for plan_text in &cfg.plans {
+        for (plan_idx, plan_text) in cfg.plans.iter().enumerate() {
             let Ok(plan) = ChaosPlan::preset(plan_text) else {
                 summary.skipped_points += 1;
                 continue;
@@ -461,7 +401,8 @@ pub fn explore(registry: &WorkloadRegistry, cfg: &ExploreConfig) -> ExploreSumma
                     workload: workload_name.clone(),
                     scheduler: base.schedulers[0].name().to_string(),
                     chunk_kb: base.chunk_kb[0],
-                    seed: explorer_seed_with_window(
+                    seed: corpus::seed(
+                        CHAOS_EXPLORER_SALT,
                         cfg.window,
                         iteration.wrapping_mul(0x10001).wrapping_add(i),
                     ),
@@ -470,119 +411,22 @@ pub fn explore(registry: &WorkloadRegistry, cfg: &ExploreConfig) -> ExploreSumma
                 };
                 let outcome = run_case(&case, registry);
                 summary.cases_run += 1;
-                telemetry::count_with("msp_chaos_cases_total", &[("plan", plan_text)], 1);
+                tallies[plan_idx].cases += 1;
                 if !outcome.ok() {
-                    telemetry::count_with("msp_chaos_violations_total", &[("plan", plan_text)], 1);
-                    let mut found = case;
-                    found.recorded_violations = outcome.violations;
-                    if cfg.record {
-                        if let Ok(path) = record_case(&found, &corpus_dir()) {
-                            summary.recorded.push(path);
-                        }
-                    }
-                    summary.violating.push(found);
+                    tallies[plan_idx].violations += 1;
+                    summary.recorded.extend(corpus::keep(
+                        case,
+                        outcome.violations,
+                        cfg.record,
+                        &mut summary.violating,
+                    ));
                 }
             }
             iteration += 1;
         }
     }
-    summary.per_plan = plan_tallies(&telemetry::counter_deltas(&mut counters_before), &cfg.plans);
-    telemetry::set_enabled(tel_was);
+    summary.per_plan = tallies.into_iter().filter(|t| t.cases > 0).collect();
     summary
-}
-
-/// Extracts per-plan tallies from registry counter deltas, in `plans`
-/// order (plans that never ran get zero rows only if another metric
-/// mentioned them — i.e. they are simply absent).
-fn plan_tallies(deltas: &[(String, u64)], plans: &[String]) -> Vec<PlanTally> {
-    let mut tallies: Vec<PlanTally> = Vec::new();
-    for (key, delta) in deltas {
-        // Keys are exposition-format sample names; reuse the exposition
-        // parser rather than hand-parsing label syntax.
-        let Ok(Some(line)) = msim_core::telemetry::parse_exposition_line(&format!("{key} 0"))
-        else {
-            continue;
-        };
-        let is_cases = line.name == "msp_chaos_cases_total";
-        let is_violations = line.name == "msp_chaos_violations_total";
-        if !is_cases && !is_violations {
-            continue;
-        }
-        let Some(plan) = line
-            .labels
-            .iter()
-            .find(|(k, _)| k == "plan")
-            .map(|(_, v)| v.clone())
-        else {
-            continue;
-        };
-        let tally = match tallies.iter_mut().find(|t| t.plan == plan) {
-            Some(t) => t,
-            None => {
-                tallies.push(PlanTally {
-                    plan,
-                    ..PlanTally::default()
-                });
-                tallies.last_mut().expect("just pushed")
-            }
-        };
-        if is_cases {
-            tally.cases += delta;
-        } else {
-            tally.violations += delta;
-        }
-    }
-    // Deterministic order: follow the configured plan list, then any
-    // stragglers (raw plan strings) in discovery order.
-    tallies.sort_by_key(|t| {
-        plans
-            .iter()
-            .position(|p| p == &t.plan)
-            .unwrap_or(usize::MAX)
-    });
-    tallies
-}
-
-/// The committed corpus directory: `tests/chaos_corpus/` at the
-/// workspace root.
-pub fn corpus_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("tests")
-        .join("chaos_corpus")
-}
-
-/// Writes one case into `dir` under its deterministic filename.
-pub fn record_case(case: &ChaosCase, dir: &Path) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(case.file_name());
-    std::fs::write(&path, msim_json::to_string_pretty(&case.to_json()))?;
-    Ok(path)
-}
-
-/// Loads every `*.json` case in `dir`, sorted by filename (deterministic
-/// replay order). A missing directory is an empty corpus.
-pub fn load_corpus(dir: &Path) -> Result<Vec<(PathBuf, ChaosCase)>, String> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(_) => return Ok(Vec::new()),
-    };
-    let mut files: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    files.sort();
-    let mut out = Vec::new();
-    for path in files {
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let value = msim_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        let case = ChaosCase::from_json(&value).map_err(|e| format!("{}: {e}", path.display()))?;
-        out.push((path, case));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -611,10 +455,10 @@ mod tests {
         let back = ChaosCase::from_json(&case.to_json()).unwrap();
         assert_eq!(back, case);
         // Filenames are deterministic and seed-sensitive.
-        assert_eq!(case.file_name(), back.file_name());
+        assert_eq!(corpus::file_name(&case), corpus::file_name(&back));
         let mut other = case.clone();
         other.seed += 1;
-        assert_ne!(case.file_name(), other.file_name());
+        assert_ne!(corpus::file_name(&case), corpus::file_name(&other));
     }
 
     #[test]
@@ -670,39 +514,13 @@ mod tests {
         assert_eq!(a.skipped_points, 1);
         assert_eq!(a.violating, b.violating);
         assert!(a.violating.is_empty(), "{:?}", a.violating);
-        // Per-plan tallies come back out of the telemetry registry. ≥
-        // rather than ==: the registry is process-global and sibling
-        // tests may run explorer sweeps concurrently.
-        let clock = a
-            .per_plan
-            .iter()
-            .find(|t| t.plan == "clock-skew")
-            .expect("registry tally for the ran plan");
-        assert!(clock.cases >= 2, "{clock:?}");
-        assert!(
-            a.per_plan.iter().all(|t| t.violations <= t.cases),
-            "{:?}",
-            a.per_plan
-        );
-    }
-
-    #[test]
-    fn seed_windows_rotate_without_breaking_window_zero() {
-        // Window 0 is the historical enumeration, bit for bit.
-        for i in [0u64, 1, 7, 1000] {
-            assert_eq!(explorer_seed(i), explorer_seed_with_window(0, i));
-        }
-        // Distinct windows enumerate disjoint seeds for the same index,
-        // and each window is internally deterministic.
-        assert_ne!(
-            explorer_seed_with_window(1, 0),
-            explorer_seed_with_window(2, 0)
-        );
-        assert_ne!(explorer_seed_with_window(20_000, 3), explorer_seed(3));
-        assert_eq!(
-            explorer_seed_with_window(20_000, 3),
-            explorer_seed_with_window(20_000, 3)
-        );
+        // One row for the plan that ran, none for the skipped one.
+        let clock = PlanTally {
+            plan: "clock-skew".into(),
+            cases: 2,
+            violations: 0,
+        };
+        assert_eq!(a.per_plan, [clock]);
     }
 
     #[test]

@@ -13,28 +13,21 @@
 //! 2. no duplicate completion ever disagreed about a digest.
 //!
 //! Violating seeds are recorded as JSON cases under
-//! `tests/cluster_corpus/` (same pattern as the session-level chaos
-//! corpus) and replayed forever by `tests/cluster_corpus.rs`.
+//! `tests/cluster_corpus/` (the format of [`crate::corpus`], shared with
+//! the session-level chaos corpus) and replayed forever by
+//! `tests/cluster_corpus.rs`.
 
 use super::coordinator::{run_cluster, serial_artifact, ClusterConfig, Transport};
 use super::manifest::SweepManifest;
-use super::merge::fnv1a;
 use super::worker::WorkerChaos;
+use crate::corpus::{self, CorpusCase};
 use msim_json::Value;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 /// Salt for the cluster chaos seed stream (distinct from both the bench
 /// seeds and the session-chaos explorer).
 pub const CLUSTER_CHAOS_SALT: u64 = 0xC1_05_7E_12;
-
-/// The seed of cluster-chaos iteration `i` in rotation `window`.
-pub fn cluster_seed(window: u64, i: u64) -> u64 {
-    crate::BASE_SEED
-        ^ CLUSTER_CHAOS_SALT
-        ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ window.wrapping_mul(0xD6E8_FEB8_6659_FD93)
-}
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -129,77 +122,37 @@ impl ClusterChaosCase {
             shard_cells: self.shard_cells,
         }
     }
+}
 
-    /// Serializes to the corpus JSON object (seed as hex — JSON numbers
-    /// are lossy above 2^53).
-    pub fn to_json(&self) -> Value {
-        let directives: Vec<Value> = self
-            .directives
-            .iter()
-            .map(|d| Value::String(d.clone()))
-            .collect();
-        let violations: Vec<Value> = self
-            .recorded_violations
-            .iter()
-            .map(|v| Value::String(v.clone()))
-            .collect();
+impl CorpusCase for ClusterChaosCase {
+    const DIR: &'static str = "cluster_corpus";
+
+    fn to_json(&self) -> Value {
         let mut v = Value::object()
-            .with("seed", format!("{:016x}", self.seed).as_str())
+            .with("seed", corpus::seed_to_json(self.seed))
             .with("workers", self.workers)
             .with("shard_cells", self.shard_cells)
-            .with("directives", Value::Array(directives))
-            .with("recorded_violations", Value::Array(violations));
+            .with("directives", self.directives.clone())
+            .with("recorded_violations", self.recorded_violations.clone());
         if let Some(stop) = self.stop_after {
             v = v.with("stop_after", stop);
         }
         v
     }
 
-    /// Parses a corpus JSON object.
-    pub fn from_json(v: &Value) -> Result<ClusterChaosCase, String> {
-        let seed = u64::from_str_radix(
-            v.get("seed")
-                .and_then(Value::as_str)
-                .ok_or("cluster case: missing seed")?,
-            16,
-        )
-        .map_err(|e| format!("cluster case: bad seed: {e}"))?;
-        let num = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("cluster case: missing integer {k:?}"))
-        };
-        let strings = |k: &str| -> Result<Vec<String>, String> {
-            match v.get(k) {
-                Some(Value::Array(items)) => items
-                    .iter()
-                    .map(|i| {
-                        i.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| format!("cluster case: non-string entry in {k:?}"))
-                    })
-                    .collect(),
-                Some(_) => Err(format!("cluster case: {k:?} is not an array")),
-                None => Ok(Vec::new()),
-            }
-        };
+    fn from_json(v: &Value) -> Result<ClusterChaosCase, String> {
         Ok(ClusterChaosCase {
-            seed,
-            workers: num("workers")?,
-            shard_cells: num("shard_cells")?,
-            directives: strings("directives")?,
+            seed: corpus::seed_from_json(v)?,
+            workers: corpus::u64_from_json(v, "workers")?,
+            shard_cells: corpus::u64_from_json(v, "shard_cells")?,
+            directives: corpus::strings_from_json(v, "directives")?,
             stop_after: v.get("stop_after").and_then(Value::as_u64),
-            recorded_violations: strings("recorded_violations")?,
+            recorded_violations: corpus::strings_from_json(v, "recorded_violations")?,
         })
     }
 
-    /// Deterministic corpus filename (FNV-1a over the canonical JSON of
-    /// the identifying fields).
-    pub fn file_name(&self) -> String {
-        let mut identity = self.clone();
-        identity.recorded_violations = Vec::new();
-        let h = fnv1a(msim_json::to_string(&identity.to_json()).into_bytes());
-        format!("case-{h:016x}.json")
+    fn recorded_violations(&mut self) -> &mut Vec<String> {
+        &mut self.recorded_violations
     }
 }
 
@@ -346,49 +299,6 @@ fn accumulate(
     into.resumed_shards += from.resumed_shards;
 }
 
-/// The committed cluster-chaos corpus directory:
-/// `tests/cluster_corpus/` at the workspace root.
-pub fn cluster_corpus_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("tests")
-        .join("cluster_corpus")
-}
-
-/// Writes one case into `dir` under its deterministic filename.
-pub fn record_cluster_case(case: &ClusterChaosCase, dir: &Path) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(case.file_name());
-    std::fs::write(&path, msim_json::to_string_pretty(&case.to_json()))?;
-    Ok(path)
-}
-
-/// Loads every `*.json` case in `dir`, sorted by filename. A missing
-/// directory is an empty corpus.
-pub fn load_cluster_corpus(dir: &Path) -> Result<Vec<(PathBuf, ClusterChaosCase)>, String> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(_) => return Ok(Vec::new()),
-    };
-    let mut files: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    files.sort();
-    let mut out = Vec::new();
-    for path in files {
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let value = msim_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        let case =
-            ClusterChaosCase::from_json(&value).map_err(|e| format!("{}: {e}", path.display()))?;
-        out.push((path, case));
-    }
-    Ok(out)
-}
-
 /// Sweeps `seeds` deterministic cases, recording violators when asked.
 /// Returns (cases run, violating cases). Stops between cases when a
 /// shutdown was requested, returning what it finished.
@@ -405,18 +315,13 @@ pub fn explore_cluster(
         if msim_testbed::shutdown_requested() {
             return (run, violating);
         }
-        let seed = cluster_seed(window, i);
+        let seed = corpus::seed(CLUSTER_CHAOS_SALT, window, i);
         let case = ClusterChaosCase::from_seed(seed);
         let scratch = scratch_base.join(format!("case-{seed:016x}"));
         let outcome = run_cluster_case(&case, program, &scratch);
         run += 1;
         if !outcome.ok() {
-            let mut found = case;
-            found.recorded_violations = outcome.violations;
-            if record {
-                let _ = record_cluster_case(&found, &cluster_corpus_dir());
-            }
-            violating.push(found);
+            corpus::keep(case, outcome.violations, record, &mut violating);
         }
     }
     (run, violating)
@@ -453,14 +358,10 @@ mod tests {
         // Recorded violations don't perturb the identity filename.
         let mut clean = case.clone();
         clean.recorded_violations = Vec::new();
-        assert_eq!(case.file_name(), clean.file_name());
-        assert_ne!(case.file_name(), ClusterChaosCase::from_seed(7).file_name());
-    }
-
-    #[test]
-    fn seed_stream_rotates_by_window() {
-        assert_eq!(cluster_seed(0, 5), cluster_seed(0, 5));
-        assert_ne!(cluster_seed(0, 5), cluster_seed(1, 5));
-        assert_ne!(cluster_seed(0, 5), cluster_seed(0, 6));
+        assert_eq!(corpus::file_name(&case), corpus::file_name(&clean));
+        assert_ne!(
+            corpus::file_name(&case),
+            corpus::file_name(&ClusterChaosCase::from_seed(7))
+        );
     }
 }

@@ -37,10 +37,7 @@ pub mod merge;
 pub mod protocol;
 pub mod worker;
 
-pub use chaos::{
-    cluster_corpus_dir, load_cluster_corpus, record_cluster_case, run_cluster_case,
-    ClusterCaseOutcome, ClusterChaosCase,
-};
+pub use chaos::{run_cluster_case, ClusterCaseOutcome, ClusterChaosCase};
 pub use checkpoint::{Checkpoint, CheckpointRecord};
 pub use coordinator::{
     run_cluster, serial_artifact, ClusterConfig, ClusterOutcome, ClusterStats, Transport,

@@ -15,6 +15,7 @@
 
 pub mod chaos;
 pub mod cluster;
+pub mod corpus;
 pub mod fleet;
 pub mod sampling;
 pub mod sweep;

@@ -1,9 +1,8 @@
 //! Tier-1 corpus regression: every committed chaos case replays green,
 //! and the recording machinery itself round-trips a violation.
 
-use msplayer_bench::chaos::{
-    corpus_dir, load_corpus, record_case, run_case, run_case_with_oracle, ChaosCase,
-};
+use msplayer_bench::chaos::{run_case, run_case_with_oracle, ChaosCase};
+use msplayer_bench::corpus;
 use msplayer_bench::workload::WorkloadRegistry;
 use msplayer_core::chaos::Violation;
 
@@ -13,18 +12,19 @@ use msplayer_core::chaos::Violation;
 /// red case here means a previously-fixed failure mode is back.
 #[test]
 fn committed_corpus_replays_green() {
-    let corpus = load_corpus(&corpus_dir()).expect("corpus readable");
+    let dir = corpus::dir::<ChaosCase>();
+    let corpus = corpus::load::<ChaosCase>(&dir).expect("corpus readable");
     assert!(
         !corpus.is_empty(),
         "the committed corpus must not be empty (looked in {})",
-        corpus_dir().display()
+        dir.display()
     );
     let registry = WorkloadRegistry::builtin(1);
     for (path, case) in &corpus {
         let outcome = run_case(case, &registry);
         assert!(
             outcome.ok(),
-            "{} regressed: {:?}\nfingerprint: {}\nreproduce with:\n  cargo run -p msplayer-bench --bin sweep -- --case {}",
+            "{} regressed: {:?}\nfingerprint: {}\nreproduce with:\n  cargo run -p msplayer-bench --bin chaos -- --case {}",
             path.display(),
             outcome.violations,
             outcome
@@ -37,7 +37,7 @@ fn committed_corpus_replays_green() {
         // duplicating.
         assert_eq!(
             path.file_name().and_then(|n| n.to_str()),
-            Some(case.file_name().as_str()),
+            Some(corpus::file_name(case).as_str()),
             "corpus file renamed out from under its case"
         );
     }
@@ -78,10 +78,10 @@ fn synthetic_violation_round_trips_through_recording_and_replay() {
     let _ = std::fs::remove_dir_all(&dir);
     let mut recorded = case.clone();
     recorded.recorded_violations = found.violations.clone();
-    let path = record_case(&recorded, &dir).expect("record case");
+    let path = corpus::record(&recorded, &dir).expect("record case");
 
     // Load + replay.
-    let loaded = load_corpus(&dir).expect("scratch corpus readable");
+    let loaded = corpus::load::<ChaosCase>(&dir).expect("scratch corpus readable");
     assert_eq!(loaded.len(), 1);
     assert_eq!(loaded[0].0, path);
     assert_eq!(loaded[0].1, recorded);

@@ -7,10 +7,8 @@
 //! and a corrupt-framing worker next to a duplicating one — so a red
 //! case here means a previously-working fault path regressed.
 
-use msplayer_bench::cluster::{
-    cluster_corpus_dir, load_cluster_corpus, record_cluster_case, run_cluster_case,
-    ClusterChaosCase,
-};
+use msplayer_bench::cluster::{run_cluster_case, ClusterChaosCase};
+use msplayer_bench::corpus;
 use std::path::PathBuf;
 
 fn sweepd() -> PathBuf {
@@ -59,11 +57,12 @@ fn pinned_cases() -> Vec<ClusterChaosCase> {
 
 #[test]
 fn committed_cluster_corpus_replays_green() {
-    let corpus = load_cluster_corpus(&cluster_corpus_dir()).expect("corpus readable");
+    let dir = corpus::dir::<ClusterChaosCase>();
+    let corpus = corpus::load::<ClusterChaosCase>(&dir).expect("corpus readable");
     assert!(
         !corpus.is_empty(),
         "the committed cluster corpus must not be empty (looked in {})",
-        cluster_corpus_dir().display()
+        dir.display()
     );
     let program = sweepd();
     for (path, case) in &corpus {
@@ -81,7 +80,7 @@ fn committed_cluster_corpus_replays_green() {
         );
         assert_eq!(
             path.file_name().and_then(|n| n.to_str()),
-            Some(case.file_name().as_str()),
+            Some(corpus::file_name(case).as_str()),
             "corpus file renamed out from under its case"
         );
     }
@@ -97,7 +96,7 @@ fn committed_cluster_corpus_replays_green() {
 #[ignore = "regenerates the committed corpus; run explicitly"]
 fn regenerate_committed_corpus() {
     for case in pinned_cases() {
-        let path = record_cluster_case(&case, &cluster_corpus_dir()).expect("record case");
+        let path = corpus::record(&case, &corpus::dir::<ClusterChaosCase>()).expect("record case");
         eprintln!("wrote {}", path.display());
     }
 }

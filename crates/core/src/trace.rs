@@ -1,15 +1,16 @@
 //! Session trace rendering: turns a [`SessionMetrics`] chunk log into a
-//! human-readable per-path activity timeline (an ASCII Gantt chart) and a
-//! CSV chunk trace. Used by the CLI (`msplayer-sim --trace`) and handy when
-//! debugging scheduler behaviour.
+//! human-readable per-path activity timeline (an ASCII Gantt chart). Used
+//! by the CLI (`msplayer-sim --trace`) and handy when debugging scheduler
+//! behaviour.
 
 use crate::metrics::SessionMetrics;
 use std::fmt::Write as _;
 
-/// Renders a two-lane activity timeline of the session.
+/// Renders an activity timeline of the session, one lane per path that
+/// fetched a chunk.
 ///
-/// Each lane is one path; `#` marks time where a chunk was in flight, `.`
-/// idle time, and `!` lane time inside a stall episode (playback frozen).
+/// `#` marks time where a chunk was in flight, `.` idle time, and `!` lane
+/// time inside a stall episode (playback frozen).
 pub fn render_timeline(metrics: &SessionMetrics, width: usize) -> String {
     let width = width.clamp(20, 400);
     let start = metrics.started_at;
@@ -30,7 +31,8 @@ pub fn render_timeline(metrics: &SessionMetrics, width: usize) -> String {
         metrics.chunks.len(),
         metrics.stalls.len()
     );
-    for path in 0..2 {
+    let lanes = metrics.chunks.iter().map(|c| c.path + 1).max().unwrap_or(0);
+    for path in 0..lanes {
         let chunks: Vec<_> = metrics.chunks.iter().filter(|c| c.path == path).collect();
         if chunks.is_empty() {
             continue;
@@ -74,24 +76,6 @@ pub fn render_timeline(metrics: &SessionMetrics, width: usize) -> String {
     out
 }
 
-/// Serialises the chunk log as CSV (one row per chunk).
-pub fn chunks_to_csv(metrics: &SessionMetrics) -> String {
-    let mut out = String::from("path,requested_at_s,completed_at_s,bytes,goodput_mbps,phase\n");
-    for c in &metrics.chunks {
-        let _ = writeln!(
-            out,
-            "{},{:.6},{:.6},{},{:.3},{:?}",
-            c.path,
-            c.requested_at.as_secs_f64(),
-            c.completed_at.as_secs_f64(),
-            c.bytes,
-            c.goodput_bps / 1e6,
-            c.phase,
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,7 +88,13 @@ mod tests {
             ended_at: Some(SimTime::from_secs(10)),
             ..SessionMetrics::default()
         };
-        for (path, s, e) in [(0usize, 0.5, 2.0), (1usize, 1.0, 4.0), (0usize, 2.0, 5.0)] {
+        for (path, s, e) in [
+            (0usize, 0.5, 2.0),
+            (1, 1.0, 4.0),
+            (0, 2.0, 5.0),
+            (2, 3.0, 4.5),
+            (4, 4.0, 6.0),
+        ] {
             m.chunks.push(ChunkRecord {
                 path,
                 bytes: 1_000_000,
@@ -121,10 +111,13 @@ mod tests {
     }
 
     #[test]
-    fn timeline_contains_both_lanes_and_markers() {
+    fn timeline_contains_every_used_lane_and_markers() {
         let s = render_timeline(&sample_metrics(), 60);
         assert!(s.contains("path0"));
         assert!(s.contains("path1"));
+        assert!(s.contains("path2"), "lanes past the second are drawn");
+        assert!(!s.contains("path3"), "a path without chunks has no lane");
+        assert!(s.contains("path4"));
         assert!(s.contains('#'), "activity drawn");
         assert!(s.contains('!'), "stall drawn");
         assert!(s.contains('P'), "prebuffer marker drawn");
@@ -142,13 +135,5 @@ mod tests {
         let m = SessionMetrics::default();
         let s = render_timeline(&m, 60);
         assert!(s.contains("0 chunks"));
-    }
-
-    #[test]
-    fn csv_has_one_row_per_chunk() {
-        let m = sample_metrics();
-        let csv = chunks_to_csv(&m);
-        assert_eq!(csv.lines().count(), 1 + m.chunks.len());
-        assert!(csv.lines().nth(1).unwrap().starts_with("0,0.5"));
     }
 }

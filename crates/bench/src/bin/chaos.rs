@@ -215,7 +215,7 @@ fn main() {
     }
 
     if opts.replay_corpus {
-        let corpus = match corpus::load::<ChaosCase>(&corpus::dir::<ChaosCase>()) {
+        let corpus = match corpus::load(&corpus::dir()) {
             Ok(c) => c,
             Err(e) => {
                 eprintln!("corpus unreadable: {e}");

@@ -1,6 +1,6 @@
 //! `msplayer-sweepd` — the distributed sweep service binary.
 //!
-//! One executable, four roles:
+//! One executable, three roles:
 //!
 //! ```sh
 //! # Coordinator with 3 spawned workers, checkpointed, verified against
@@ -14,9 +14,6 @@
 //!
 //! # The serial reference artifact by itself (what CI diffs against):
 //! msplayer-sweepd serial
-//!
-//! # Seeded self-chaos sweep (crashes, stalls, corrupt frames, resume):
-//! msplayer-sweepd chaos --seeds 5 --record
 //! ```
 //!
 //! The spawned-worker mode re-executes this same binary with the
@@ -27,10 +24,9 @@
 use msim_testbed::signal::SIGINT_EXIT;
 use msim_testbed::{install_shutdown_handler, shutdown_requested, ObsServer};
 use msplayer_bench::cluster::{
-    chaos, run_cluster, run_worker, serial_artifact, ClusterConfig, SweepManifest, Transport,
-    WorkerChaos, MIN_LEASE_TIMEOUT,
+    run_cluster, run_worker, serial_artifact, ClusterConfig, SweepManifest, Transport, WorkerChaos,
+    MIN_LEASE_TIMEOUT,
 };
-use msplayer_bench::corpus::default_window;
 use msplayer_bench::env_or_exit;
 use msplayer_bench::sweep::bench_dir;
 use std::path::PathBuf;
@@ -44,8 +40,6 @@ msplayer-sweepd <role> [flags]
               [--tcp <bind-addr>] [--metrics <bind-addr>] [--verify-serial]
   worker      [--chaos <directive>] [--connect <addr>]
   serial      [--manifest <file.json>]
-  chaos       [--seeds <n>] [--window <n>] [--record]
-              (window: $MSP_CHAOS_WINDOW, else days since the Unix epoch)
 ";
 
 fn main() {
@@ -55,7 +49,6 @@ fn main() {
         Some("coordinator") => coordinator_main(&args[1..]),
         Some("worker") => worker_main(&args[1..]),
         Some("serial") => serial_main(&args[1..]),
-        Some("chaos") => chaos_main(&args[1..]),
         _ => {
             eprintln!("{USAGE}");
             2
@@ -413,71 +406,5 @@ fn serial_main(args: &[String]) -> i32 {
             eprintln!("sweepd: {e}");
             1
         }
-    }
-}
-
-fn chaos_main(args: &[String]) -> i32 {
-    let flags = match parse_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let mut seeds: u64 = 3;
-    let mut window: Option<u64> = None;
-    let mut record = false;
-    for (flag, value) in &flags {
-        match (flag.as_str(), value) {
-            ("--seeds", Some(v)) => match v.parse() {
-                Ok(n) => seeds = n,
-                Err(_) => {
-                    eprintln!("bad --seeds {v:?}");
-                    return 2;
-                }
-            },
-            ("--window", Some(v)) => match v.parse() {
-                Ok(n) => window = Some(n),
-                Err(_) => {
-                    eprintln!("bad --window {v:?}");
-                    return 2;
-                }
-            },
-            ("--record", None) => record = true,
-            _ => {
-                eprintln!("unknown chaos flag {flag:?}\n\n{USAGE}");
-                return 2;
-            }
-        }
-    }
-    let window = window.unwrap_or_else(default_window);
-    let program = std::env::current_exe().unwrap_or_else(|_| PathBuf::from("msplayer-sweepd"));
-    let scratch = std::env::temp_dir().join(format!("msp-cluster-chaos-{}", std::process::id()));
-    eprintln!("sweepd: chaos sweep, {seeds} seeds, window {window}");
-    let (run, violating) = chaos::explore_cluster(window, seeds, &program, &scratch, record);
-    let _ = std::fs::remove_dir_all(&scratch);
-    for case in &violating {
-        eprintln!(
-            "sweepd: VIOLATING SEED {:016x}: {}",
-            case.seed,
-            case.recorded_violations.join("; ")
-        );
-    }
-    eprintln!(
-        "sweepd: chaos: {run} cases, {} violating{}",
-        violating.len(),
-        if record && !violating.is_empty() {
-            " (recorded to tests/cluster_corpus/)"
-        } else {
-            ""
-        }
-    );
-    if shutdown_requested() {
-        return SIGINT_EXIT;
-    }
-    if violating.is_empty() {
-        0
-    } else {
-        1
     }
 }

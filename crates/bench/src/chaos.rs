@@ -10,7 +10,7 @@
 //! the same verdicts come back — so a violation seen once is a violation
 //! reproducible from its recorded case alone.
 
-use crate::corpus::{self, CorpusCase};
+use crate::corpus;
 use crate::workload::{WorkloadRegistry, WorkloadSpec};
 use msim_json::Value;
 use msplayer_core::chaos::{check_invariants, ChaosPlan, Violation};
@@ -44,10 +44,9 @@ pub struct ChaosCase {
     pub recorded_violations: Vec<String>,
 }
 
-impl CorpusCase for ChaosCase {
-    const DIR: &'static str = "chaos_corpus";
-
-    fn to_json(&self) -> Value {
+impl ChaosCase {
+    /// The case as its corpus JSON object (format: [`crate::corpus`]).
+    pub fn to_json(&self) -> Value {
         Value::object()
             .with("workload", self.workload.as_str())
             .with("scheduler", self.scheduler.as_str())
@@ -57,7 +56,8 @@ impl CorpusCase for ChaosCase {
             .with("recorded_violations", self.recorded_violations.clone())
     }
 
-    fn from_json(v: &Value) -> Result<ChaosCase, String> {
+    /// A corpus JSON object back into a case.
+    pub fn from_json(v: &Value) -> Result<ChaosCase, String> {
         let text = |k: &str| {
             let field = v.get(k).and_then(Value::as_str);
             field
@@ -72,10 +72,6 @@ impl CorpusCase for ChaosCase {
             plan: text("plan")?,
             recorded_violations: corpus::strings_from_json(v, "recorded_violations")?,
         })
-    }
-
-    fn recorded_violations(&mut self) -> &mut Vec<String> {
-        &mut self.recorded_violations
     }
 }
 
@@ -332,7 +328,7 @@ impl ExploreSummary {
     /// Renders the sweep summary as a JSON value (written as
     /// `CHAOS_summary.json` by the explorer binary and the CI smoke job).
     pub fn to_json(&self) -> Value {
-        let violating: Vec<Value> = self.violating.iter().map(CorpusCase::to_json).collect();
+        let violating: Vec<Value> = self.violating.iter().map(ChaosCase::to_json).collect();
         let per_plan: Vec<Value> = self
             .per_plan
             .iter()
@@ -414,12 +410,16 @@ pub fn explore(registry: &WorkloadRegistry, cfg: &ExploreConfig) -> ExploreSumma
                 tallies[plan_idx].cases += 1;
                 if !outcome.ok() {
                     tallies[plan_idx].violations += 1;
-                    summary.recorded.extend(corpus::keep(
-                        case,
-                        outcome.violations,
-                        cfg.record,
-                        &mut summary.violating,
-                    ));
+                    let case = ChaosCase {
+                        recorded_violations: outcome.violations,
+                        ..case
+                    };
+                    if cfg.record {
+                        summary
+                            .recorded
+                            .extend(corpus::record(&case, &corpus::dir()).ok());
+                    }
+                    summary.violating.push(case);
                 }
             }
             iteration += 1;

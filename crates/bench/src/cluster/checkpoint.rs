@@ -8,12 +8,14 @@
 //! completed.
 //!
 //! Recovery posture: a truncated tail line (the classic torn final write
-//! of a crash) is *expected* and silently dropped; a header that doesn't
-//! match the manifest is a hard error (resuming someone else's sweep
-//! corrupts both) — and since the manifest fingerprint covers
-//! `DIGEST_EPOCH`, so is a journal whose rows were digested under another
-//! epoch; any malformed line after a valid header ends the replay at that
-//! point, treating the rest as lost.
+//! of a crash: a last line without its `\n`) is *expected* and silently
+//! dropped; a header that doesn't match the manifest is a hard error
+//! (resuming someone else's sweep corrupts both) — and since the manifest
+//! fingerprint covers `DIGEST_EPOCH`, so is a journal whose rows were
+//! digested under another epoch; any malformed line after a valid header
+//! ends the replay at that point, treating the rest as lost. What the
+//! replay dropped after a valid header is cut from the file before
+//! anything is appended, so a new record never lands on torn bytes.
 
 use super::manifest::SweepManifest;
 use super::merge::{CellRow, DIGEST_EPOCH};
@@ -97,11 +99,16 @@ impl Checkpoint {
             Err(e) => return Err(format!("{}: {e}", path.display())),
         };
         let mut records = Vec::new();
-        let mut needs_header = true;
+        // Once the header is this manifest's: the bytes of the whole lines
+        // replayed. The file is cut to them, so the next record starts a
+        // line of its own instead of landing on what the replay dropped.
+        let mut keep = None;
         if let Some(text) = &existing {
-            let mut lines = text.split('\n');
+            // Every piece but the last ends in `\n`; a last one without it
+            // was torn mid-write.
+            let mut lines = text.split_inclusive('\n');
             match lines.next() {
-                None | Some("") => {}
+                None | Some("\n") => {}
                 Some(header_line) => {
                     let header = msim_json::from_str(header_line)
                         .map_err(|e| format!("{}: bad header: {e}", path.display()))?;
@@ -118,22 +125,31 @@ impl Checkpoint {
                             manifest.fingerprint_hex()
                         ));
                     }
-                    needs_header = false;
+                    // A header torn from its `\n` is written again.
+                    let mut kept = if header_line.ends_with('\n') {
+                        header_line.len()
+                    } else {
+                        0
+                    };
                     for line in lines {
-                        if line.is_empty() {
-                            continue;
-                        }
                         // A torn tail (crash mid-write) or any malformed
                         // line ends the replay; everything before it is
                         // durable.
-                        let Ok(v) = msim_json::from_str(line) else {
+                        if !line.ends_with('\n') {
                             break;
-                        };
-                        let Ok(record) = CheckpointRecord::from_json(&v) else {
-                            break;
-                        };
-                        records.push(record);
+                        }
+                        if line != "\n" {
+                            let Ok(v) = msim_json::from_str(line) else {
+                                break;
+                            };
+                            let Ok(record) = CheckpointRecord::from_json(&v) else {
+                                break;
+                            };
+                            records.push(record);
+                        }
+                        kept += line.len();
                     }
+                    keep = Some(kept);
                 }
             }
         }
@@ -142,19 +158,23 @@ impl Checkpoint {
                 std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
             }
         }
+        let io_err = |e: std::io::Error| format!("{}: {e}", path.display());
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        if needs_header {
+            .map_err(io_err)?;
+        if let Some(kept) = keep {
+            file.set_len(kept as u64).map_err(io_err)?;
+        }
+        if keep.unwrap_or(0) == 0 {
             let header = Value::object()
                 .with("manifest_fingerprint", manifest.fingerprint_hex().as_str())
                 .with("name", manifest.name.as_str())
                 .with("version", 1u64);
             writeln!(file, "{}", msim_json::to_string(&header))
                 .and_then(|_| file.flush())
-                .map_err(|e| format!("{}: {e}", path.display()))?;
+                .map_err(io_err)?;
         }
         Ok((
             Checkpoint {
@@ -224,8 +244,15 @@ mod tests {
         text.push_str("{\"shard\":1,\"worker\":1,\"att");
         std::fs::write(&path, text).unwrap();
 
-        let (_ckpt, replayed) = Checkpoint::open(&path, &manifest).unwrap();
+        let (mut ckpt, replayed) = Checkpoint::open(&path, &manifest).unwrap();
         assert_eq!(replayed, vec![record(0)], "torn tail dropped");
+        // What the resumed run appends must survive the next resume: the
+        // torn bytes are gone, not glued to the first new record.
+        ckpt.append(&record(1)).unwrap();
+        ckpt.append(&record(2)).unwrap();
+        drop(ckpt);
+        let (_ckpt, replayed) = Checkpoint::open(&path, &manifest).unwrap();
+        assert_eq!(replayed, vec![record(0), record(1), record(2)]);
     }
 
     #[test]

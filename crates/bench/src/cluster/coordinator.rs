@@ -1307,6 +1307,14 @@ mod tests {
             self.c.tick(self.at(ms)).unwrap()
         }
 
+        /// The coordinator crashes at `ms`: it and its workers are gone, and
+        /// a new one starts from whatever the journal holds.
+        fn restart(&mut self, ms: u64) -> Result<(), String> {
+            self.sinks.clear();
+            self.c = Coordinator::new(self.c.config, self.at(ms))?;
+            Ok(())
+        }
+
         /// What worker `id` was sent since the last look.
         fn sent(&self, id: u64) -> Vec<Frame> {
             self.sinks[id as usize - 1].take()
@@ -1692,13 +1700,51 @@ mod tests {
 
     // ---- the schedule explorer -------------------------------------------
 
+    /// Cuts the journal at `path` where a crash could have left it: at a
+    /// random byte at or past the header line, at a line end half the time.
+    /// Returns the whole records left, which is what a resume must restore.
+    fn tear(path: &Path, rng: &mut Prng) -> Result<u64, String> {
+        let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
+        let newline = |i: &usize| bytes[*i - 1] == b'\n';
+        let header = (1..=bytes.len()).find(newline).ok_or("no header line")?;
+        let cut = if rng.chance(0.5) {
+            let ends: Vec<usize> = (header..=bytes.len()).filter(newline).collect();
+            ends[rng.below(ends.len() as u64) as usize]
+        } else {
+            rng.range(header as u64, bytes.len() as u64 + 1) as usize
+        };
+        let file = std::fs::OpenOptions::new().write(true).open(path);
+        file.and_then(|f| f.set_len(cut as u64))
+            .map_err(|e| e.to_string())?;
+        Ok((header + 1..=cut).filter(newline).count() as u64)
+    }
+
     /// Runs one seeded schedule to the end and checks safety and liveness;
     /// `Err` names what broke, `Ok` is what the coordinator had to handle.
+    /// One seed in four journals its completions and crashes the
+    /// coordinator once or twice: everything it had, workers and wire
+    /// included, is gone, the journal is [`tear`]n, and a new coordinator
+    /// must restore exactly the whole records left.
     fn explore(seed: u64) -> Result<ClusterStats, String> {
         // As the driver: a step per event, 25 ms apart at most.
         const STEP_MS: u64 = 25;
         const BOUND_MS: u64 = 20_000;
-        let config = config();
+        // Coordinator crashes draw from their own stream: a seed without
+        // them runs the schedule it ran before they existed.
+        let mut crashes = Prng::new(seed ^ 0x0C_0A5E_D0FF);
+        let journal = crashes.chance(0.25).then(|| {
+            let name = format!("msp-explore-{}-{seed}.ndjson", std::process::id());
+            std::env::temp_dir().join(name)
+        });
+        if let Some(path) = &journal {
+            let _ = std::fs::remove_file(path);
+        }
+        let mut crashes_left = journal.as_ref().map_or(0, |_| 1 + crashes.below(2));
+        let mut next_crash = crashes.range(1, 300);
+        let config = ClusterConfig {
+            checkpoint: journal.clone(),
+            ..config()
+        };
         let mut rig = Rig::new(&config);
         let mut rng = Prng::new(seed ^ 0xC0_0D1A_7012);
         // (due ms, tie-break, event): delays are drawn per frame, so frames
@@ -1710,6 +1756,21 @@ mod tests {
         while !rig.c.finished() {
             if ms > BOUND_MS {
                 return Err(format!("not finished after {BOUND_MS} simulated ms"));
+            }
+            if crashes_left > 0 && next_crash <= ms {
+                crashes_left -= 1;
+                next_crash = ms + crashes.range(1, 300);
+                let path = journal.as_deref().expect("only a journaled run crashes");
+                let whole = tear(path, &mut crashes)?;
+                rig.restart(ms)?;
+                wire.clear();
+                crashed.clear();
+                let resumed = rig.c.stats.resumed_shards;
+                if resumed != whole {
+                    return Err(format!(
+                        "restart at {ms} ms: {whole} whole journal records, {resumed} resumed"
+                    ));
+                }
             }
             wire.sort_by_key(|(due, tie, _)| (*due, *tie));
             let due = wire.iter().take_while(|(due, ..)| *due <= ms).count();
@@ -1783,14 +1844,27 @@ mod tests {
                                     };
                                     queue(rng.range(1, 190), answer(rows));
                                 }
-                                // Something no worker may frame.
+                                // Something no worker may frame: garbage, a
+                                // coordinator's frame, or half a `Done` and
+                                // then the close of a worker that died
+                                // mid-write.
                                 5 => {
-                                    let event = if rng.chance(0.5) {
-                                        LineEvent::Garbage(id, 3)
-                                    } else {
-                                        LineEvent::Line(id, lease(shard, attempt).to_line())
-                                    };
-                                    queue(rng.range(1, 190), event);
+                                    let delay = rng.range(1, 190);
+                                    match rng.below(3) {
+                                        0 => queue(delay, LineEvent::Garbage(id, 3)),
+                                        1 => queue(
+                                            delay,
+                                            LineEvent::Line(id, lease(shard, attempt).to_line()),
+                                        ),
+                                        _ => {
+                                            crashed.push(id);
+                                            let line = done(id, shard, attempt, rows_of(shard));
+                                            let line = line.to_line();
+                                            let torn = line[..line.len() / 2].into();
+                                            queue(delay, LineEvent::Line(id, torn));
+                                            queue(delay, LineEvent::Closed(id));
+                                        }
+                                    }
                                 }
                                 _ => queue(rng.range(1, 190), answer(rows_of(shard))),
                             }
@@ -1814,10 +1888,10 @@ mod tests {
         for (due, _, event) in wire {
             rig.c.on_event(event, rig.at(due.max(ms)))?;
         }
-        if rig.c.completed_this_run != SHARDS {
+        let (resumed, completed) = (rig.c.stats.resumed_shards, rig.c.completed_this_run);
+        if resumed + completed != SHARDS {
             return Err(format!(
-                "{} completions accepted for {SHARDS} shards",
-                rig.c.completed_this_run
+                "{resumed} shards resumed and {completed} completions accepted for {SHARDS} shards"
             ));
         }
         if !rig.c.violations.is_empty() {
@@ -1827,18 +1901,22 @@ mod tests {
         if msim_json::to_string_pretty(&merged) != truth().1 {
             return Err("merged artifact differs from the serial one".into());
         }
+        if let Some(path) = &journal {
+            let _ = std::fs::remove_file(path);
+        }
         Ok(rig.c.stats)
     }
 
     /// 2 500 seeded schedules (delay, reorder, drop or hang, duplicate,
-    /// crash mid-lease, wrong-rows `Done`, garbage, a worker of another
-    /// digest epoch) against fake workers answering from the serial rows:
+    /// crash mid-lease, a torn `Done` and a close, wrong-rows `Done`,
+    /// garbage, a worker of another digest epoch, coordinator restarts from
+    /// a torn journal) against fake workers answering from the serial rows:
     /// each must finish in bounded simulated time, accept every shard
     /// exactly once and merge to the serial artifact's bytes. A failure
     /// names its seed: `explore(seed)` in a test of its own pins it.
     #[test]
     fn explorer_every_seeded_schedule_finishes_and_merges_to_the_serial_bytes() {
-        let mut seen = [0u64; 5];
+        let mut seen = [0u64; 6];
         for seed in 0..2_500 {
             let stats = explore(seed).unwrap_or_else(|what| panic!("schedule seed {seed}: {what}"));
             let faults = [
@@ -1847,6 +1925,7 @@ mod tests {
                 stats.protocol_errors,
                 stats.respawns,
                 stats.inline_runs,
+                stats.resumed_shards,
             ];
             for (seen, n) in seen.iter_mut().zip(faults) {
                 *seen += u64::from(n > 0);

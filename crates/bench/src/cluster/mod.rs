@@ -23,13 +23,12 @@
 //! * [`worker`] — the lease-execute-report loop, including the
 //!   self-chaos directives;
 //! * [`coordinator`] — lease scheduling, fault handling, provenance;
-//! * [`chaos`] — seeded fault schedules against real processes, with a
-//!   replayable violation corpus.
+//!   its tests explore thousands of seeded fault schedules, coordinator
+//!   restarts from a torn journal included, in simulated time.
 //!
 //! The `msplayer-sweepd` binary wraps all of this behind `coordinator`,
-//! `worker`, `serial`, and `chaos` subcommands.
+//! `worker` and `serial` subcommands.
 
-pub mod chaos;
 pub mod checkpoint;
 pub mod coordinator;
 pub mod manifest;
@@ -37,7 +36,6 @@ pub mod merge;
 pub mod protocol;
 pub mod worker;
 
-pub use chaos::{run_cluster_case, ClusterCaseOutcome, ClusterChaosCase};
 pub use checkpoint::{Checkpoint, CheckpointRecord};
 pub use coordinator::{
     run_cluster, serial_artifact, ClusterConfig, ClusterOutcome, ClusterStats, Transport,

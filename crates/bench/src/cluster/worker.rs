@@ -23,10 +23,12 @@
 //!
 //! A worker can carry a chaos directive ([`WorkerChaos`]) that makes it
 //! misbehave in one controlled way on one specific lease: crash mid-shard,
-//! stall past the lease timeout, emit a corrupt or truncated result
-//! frame, or deliver its result twice. This is how the cluster chaos
-//! harness (and CI) exercises the coordinator's fault handling with *real*
-//! process failures rather than mocks.
+//! stall past the lease timeout, emit a corrupt result frame, or deliver
+//! its result twice. This is how the conformance table in
+//! `tests/cluster.rs` (and CI's kill smoke) checks that each fault is
+//! handled the same with *real* process failures; the coordinator's
+//! schedule explorer covers the same faults, and many more orderings of
+//! them, in simulated time.
 
 use super::merge::{shard_rows, CellRow, DIGEST_EPOCH};
 use super::protocol::Frame;
@@ -48,8 +50,6 @@ pub const MIN_LEASE_TIMEOUT: Duration = HEARTBEAT_PACE.saturating_mul(4);
 
 /// Exit code of a chaos-directed mid-shard crash.
 pub const CRASH_EXIT: i32 = 101;
-/// Exit code after a chaos-directed truncated result frame.
-pub const TRUNCATE_EXIT: i32 = 102;
 
 /// One way a worker can misbehave.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -64,9 +64,6 @@ pub enum Misbehavior {
     /// `corrupt-done`: emit a non-UTF-8 garbage line instead of the done
     /// frame, then keep serving (the coordinator should drop us).
     CorruptDone,
-    /// `truncate-done`: write half the done frame with no newline, then
-    /// exit([`TRUNCATE_EXIT`]) — a torn frame from a crashing peer.
-    TruncateDone,
     /// `duplicate-done`: deliver the done frame twice.
     DuplicateDone,
 }
@@ -103,7 +100,6 @@ impl WorkerChaos {
             "crash-after-cells" => Misbehavior::CrashAfterCells(num()?),
             "stall-ms" => Misbehavior::StallMs(num()?),
             "corrupt-done" => Misbehavior::CorruptDone,
-            "truncate-done" => Misbehavior::TruncateDone,
             "duplicate-done" => Misbehavior::DuplicateDone,
             other => return Err(format!("chaos directive {s:?}: unknown kind {other:?}")),
         };
@@ -116,7 +112,6 @@ impl WorkerChaos {
             Misbehavior::CrashAfterCells(k) => format!("{}:crash-after-cells={k}", self.lease),
             Misbehavior::StallMs(ms) => format!("{}:stall-ms={ms}", self.lease),
             Misbehavior::CorruptDone => format!("{}:corrupt-done", self.lease),
-            Misbehavior::TruncateDone => format!("{}:truncate-done", self.lease),
             Misbehavior::DuplicateDone => format!("{}:duplicate-done", self.lease),
         }
     }
@@ -352,12 +347,6 @@ impl<W: Write, C: FnMut() -> Instant> Worker<W, C> {
                 let _ = output.write_all(b"\xff\xfe\x00 corrupt frame \xff\n");
                 let _ = output.flush();
             }
-            Some(Misbehavior::TruncateDone) => {
-                let line = done.to_line();
-                let _ = output.write_all(&line.as_bytes()[..line.len() / 2]);
-                let _ = output.flush();
-                std::process::exit(TRUNCATE_EXIT);
-            }
             Some(Misbehavior::DuplicateDone) => {
                 send(output, &done).map_err(|_| 0)?;
                 send(output, &done).map_err(|_| 0)?;
@@ -381,7 +370,6 @@ mod tests {
             "0:crash-after-cells=2",
             "3:stall-ms=500",
             "1:corrupt-done",
-            "0:truncate-done",
             "2:duplicate-done",
         ] {
             let parsed = WorkerChaos::parse(text).unwrap();

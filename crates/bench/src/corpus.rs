@@ -1,30 +1,17 @@
-//! The replayable-case corpus: one format for both chaos harnesses.
+//! The replayable-case corpus of the chaos explorer.
 //!
 //! A failing seed becomes a regression test by being written down (one
-//! JSON file a case under `tests/<DIR>/`) and replayed forever after.
-//! Everything about that file is decided here, once: how explorer seeds
-//! are enumerated, that a seed is 16 hex digits (JSON numbers are
+//! JSON file a case under `tests/chaos_corpus/`) and replayed forever
+//! after. Everything about that file is decided here, once: how explorer
+//! seeds are enumerated, that a seed is 16 hex digits (JSON numbers are
 //! `f64`-backed and lose bits above 2^53, and explorer seeds use all 64),
 //! what the file is called, and how a directory is written and read.
-//! [`crate::chaos::ChaosCase`] and [`crate::cluster::ClusterChaosCase`]
-//! say only which fields they have.
+//! [`ChaosCase`] says only which fields it has.
 
+use crate::chaos::ChaosCase;
 use crate::cluster::merge::{fnv1a, hex_u64, parse_hex_u64};
 use msim_json::Value;
 use std::path::{Path, PathBuf};
-
-/// A case a corpus directory can hold.
-pub trait CorpusCase: Sized {
-    /// The directory under the workspace's `tests/` that holds these.
-    const DIR: &'static str;
-    /// The case as its corpus JSON object.
-    fn to_json(&self) -> Value;
-    /// A corpus JSON object back into a case.
-    fn from_json(v: &Value) -> Result<Self, String>;
-    /// What the oracle said when the case was found (documentation: a
-    /// replay derives its own verdict, and the file name ignores it).
-    fn recorded_violations(&mut self) -> &mut Vec<String>;
-}
 
 /// Seed `i` of the explorer salted `salt`, in rotation `window`. A window
 /// is reproducible from its number alone; distinct windows (and distinct
@@ -99,7 +86,7 @@ pub fn strings_from_json(case: &Value, key: &str) -> Result<Vec<String>, String>
 /// The file a case lives in: FNV-1a over its canonical JSON with
 /// `recorded_violations` emptied, so recording the same case twice
 /// overwrites and what the oracle said does not rename it.
-pub fn file_name<C: CorpusCase>(case: &C) -> String {
+pub fn file_name(case: &ChaosCase) -> String {
     let identity = case
         .to_json()
         .with("recorded_violations", Vec::<String>::new());
@@ -107,15 +94,13 @@ pub fn file_name<C: CorpusCase>(case: &C) -> String {
     format!("case-{}.json", hex_u64(h))
 }
 
-/// The committed corpus of `C`: `tests/<DIR>/` at the workspace root.
-pub fn dir<C: CorpusCase>() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests")
-        .join(C::DIR)
+/// The committed corpus: `tests/chaos_corpus/` at the workspace root.
+pub fn dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/chaos_corpus")
 }
 
 /// Writes `case` into `dir` under its [`file_name`].
-pub fn record<C: CorpusCase>(case: &C, dir: &Path) -> std::io::Result<PathBuf> {
+pub fn record(case: &ChaosCase, dir: &Path) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(file_name(case));
     std::fs::write(&path, msim_json::to_string_pretty(&case.to_json()))?;
@@ -123,16 +108,16 @@ pub fn record<C: CorpusCase>(case: &C, dir: &Path) -> std::io::Result<PathBuf> {
 }
 
 /// Reads one case file.
-pub fn load_file<C: CorpusCase>(path: &Path) -> Result<C, String> {
+pub fn load_file(path: &Path) -> Result<ChaosCase, String> {
     let named = |e: String| format!("{}: {e}", path.display());
     let text = std::fs::read_to_string(path).map_err(|e| named(e.to_string()))?;
     let json = msim_json::from_str(&text).map_err(|e| named(e.to_string()))?;
-    C::from_json(&json).map_err(named)
+    ChaosCase::from_json(&json).map_err(named)
 }
 
 /// Every `*.json` case in `dir`, sorted by file name (the replay order).
 /// A missing directory is an empty corpus.
-pub fn load<C: CorpusCase>(dir: &Path) -> Result<Vec<(PathBuf, C)>, String> {
+pub fn load(dir: &Path) -> Result<Vec<(PathBuf, ChaosCase)>, String> {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return Ok(Vec::new());
     };
@@ -148,26 +133,10 @@ pub fn load<C: CorpusCase>(dir: &Path) -> Result<Vec<(PathBuf, C)>, String> {
         .collect()
 }
 
-/// What both explorers do with a violating case: stamp what the oracle
-/// said, write it into the committed corpus when recording, keep it.
-/// Returns the file written, if one was.
-pub fn keep<C: CorpusCase>(
-    mut case: C,
-    violations: Vec<String>,
-    record_it: bool,
-    kept: &mut Vec<C>,
-) -> Option<PathBuf> {
-    *case.recorded_violations() = violations;
-    let path = record_it.then(|| record(&case, &dir::<C>()).ok()).flatten();
-    kept.push(case);
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{ChaosCase, CHAOS_EXPLORER_SALT};
-    use crate::cluster::ClusterChaosCase;
+    use crate::chaos::CHAOS_EXPLORER_SALT;
 
     #[test]
     fn msp_chaos_window_accepts_windows_and_treats_unset_as_rotate_daily() {
@@ -196,11 +165,11 @@ mod tests {
     }
 
     /// Records `case` into a scratch corpus and loads that corpus back.
-    fn through_a_directory<C: CorpusCase>(case: &C, tag: &str) -> C {
-        let dir = std::env::temp_dir().join(format!("msp_corpus_{tag}_{}", std::process::id()));
+    fn through_a_directory(case: &ChaosCase) -> ChaosCase {
+        let dir = std::env::temp_dir().join(format!("msp_corpus_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = record(case, &dir).expect("record");
-        let mut loaded = load::<C>(&dir).expect("load");
+        let mut loaded = load(&dir).expect("load");
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(loaded.len(), 1);
         let (loaded_path, back) = loaded.remove(0);
@@ -215,7 +184,7 @@ mod tests {
 
     /// Explorer seeds use all 64 bits; a JSON number keeps 53 of them.
     #[test]
-    fn full_width_seeds_survive_record_and_load_in_both_corpora() {
+    fn full_width_seeds_survive_record_and_load() {
         for s in [seed(CHAOS_EXPLORER_SALT, 20_000, 3), u64::MAX - 12345] {
             let session = ChaosCase {
                 workload: "testbed/MSPlayer".into(),
@@ -225,9 +194,7 @@ mod tests {
                 plan: "clock-skew".into(),
                 recorded_violations: vec!["finite-metrics: goodput is NaN".into()],
             };
-            assert_eq!(through_a_directory(&session, "session"), session);
-            let cluster = ClusterChaosCase::from_seed(s);
-            assert_eq!(through_a_directory(&cluster, "cluster"), cluster);
+            assert_eq!(through_a_directory(&session), session);
         }
     }
 

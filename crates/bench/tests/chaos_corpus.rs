@@ -12,8 +12,8 @@ use msplayer_core::chaos::Violation;
 /// red case here means a previously-fixed failure mode is back.
 #[test]
 fn committed_corpus_replays_green() {
-    let dir = corpus::dir::<ChaosCase>();
-    let corpus = corpus::load::<ChaosCase>(&dir).expect("corpus readable");
+    let dir = corpus::dir();
+    let corpus = corpus::load(&dir).expect("corpus readable");
     assert!(
         !corpus.is_empty(),
         "the committed corpus must not be empty (looked in {})",
@@ -81,7 +81,7 @@ fn synthetic_violation_round_trips_through_recording_and_replay() {
     let path = corpus::record(&recorded, &dir).expect("record case");
 
     // Load + replay.
-    let loaded = corpus::load::<ChaosCase>(&dir).expect("scratch corpus readable");
+    let loaded = corpus::load(&dir).expect("scratch corpus readable");
     assert_eq!(loaded.len(), 1);
     assert_eq!(loaded[0].0, path);
     assert_eq!(loaded[0].1, recorded);

@@ -1,18 +1,19 @@
 //! End-to-end distributed sweep service tests: a real coordinator, real
 //! worker processes, real kills — and a bit-identical merge anyway.
 //!
-//! These are the tier-1 pins for the cluster's headline invariant: the
-//! merged `BENCH` artifact equals the serial in-process reference
-//! byte-for-byte regardless of worker count, kill schedule, or resume
-//! boundary.
+//! A conformance smoke for the cluster's headline invariant: the merged
+//! `BENCH` artifact equals the serial in-process reference byte-for-byte
+//! through each worker fault, a checkpoint resume and the TCP transport.
+//! Every fault here fires on every run.
 
 use msim_json::Value;
 use msplayer_bench::cluster::{
-    run_cluster, serial_artifact, ClusterConfig, Frame, SweepManifest, Transport, WorkerChaos,
-    DIGEST_EPOCH,
+    run_cluster, serial_artifact, ClusterConfig, ClusterOutcome, ClusterStats, Frame,
+    SweepManifest, Transport, WorkerChaos, DIGEST_EPOCH,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn sweepd() -> PathBuf {
@@ -43,69 +44,89 @@ fn pretty(v: &msim_json::Value) -> String {
     msim_json::to_string_pretty(v)
 }
 
-#[test]
-fn killed_worker_still_merges_bit_identically() {
-    let manifest = small_manifest("cluster_kill_test");
-    let mut config = fast_config(manifest.clone());
-    config.workers = 2;
-    // Worker slot 0 self-destructs (exit 101) one cell into its first
-    // lease — a real process death, observed as a closed stream.
-    config.worker_chaos = vec![Some(
-        WorkerChaos::parse("0:crash-after-cells=1").expect("directive parses"),
-    )];
-
-    let outcome = run_cluster(&config).expect("coordinator survives the kill");
-    assert!(outcome.completed, "sweep must finish despite the crash");
-    assert!(
-        outcome.violations.is_empty(),
-        "no determinism violations: {:?}",
-        outcome.violations
-    );
-    let stats = &outcome.stats;
-    assert!(
-        stats.reassignments + stats.respawns > 0,
-        "the kill must actually have been observed and handled: {stats:?}"
-    );
-
-    let merged = pretty(outcome.artifact.as_ref().expect("completed => artifact"));
-    let serial = pretty(&serial_artifact(&manifest).expect("serial reference"));
-    assert_eq!(merged, serial, "crash-identical merge violated");
-
-    // The provenance says where the wall time went.
-    let phases = outcome.provenance.get("phases_us").expect("phases_us");
-    for phase in ["startup", "leasing", "drain", "reap", "merge"] {
-        assert!(
-            phases.get(phase).and_then(Value::as_u64).is_some(),
-            "{phase}"
-        );
+/// Runs `config` as a `--tcp` coordinator on a free loopback port and
+/// returns the address workers connect to, 150 ms after it started. The
+/// port is probed and then bound, and a socket of a test running alongside
+/// can take it in between: a coordinator that could not bind is started
+/// again on another.
+fn tcp_coordinator(
+    mut config: ClusterConfig,
+) -> (String, JoinHandle<Result<ClusterOutcome, String>>) {
+    loop {
+        let addr = {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind probe");
+            listener.local_addr().expect("local addr").to_string()
+        };
+        config.transport = Transport::Tcp { addr: addr.clone() };
+        let run = config.clone();
+        let coordinator = std::thread::spawn(move || run_cluster(&run));
+        std::thread::sleep(Duration::from_millis(150));
+        if !coordinator.is_finished() {
+            return (addr, coordinator);
+        }
+        match coordinator.join().expect("coordinator thread") {
+            Err(e) if e.starts_with("bind ") => eprintln!("{e}; another port"),
+            other => panic!("the coordinator ended before any worker came: {other:?}"),
+        }
     }
-    assert_eq!(phases.as_object().map(|p| p.len()), Some(5));
 }
 
+/// The conformance table: each fault a worker can be told to commit, by
+/// a real process, against a real coordinator. The pool is one worker, so
+/// the fault fires on every run (a second worker could finish the sweep
+/// before the faulty one is leased anything). Each row names the counter
+/// its handling moves; every run must still merge to the serial bytes.
+/// The orderings of these faults are the schedule explorer's job
+/// (`cluster::coordinator`'s tests), in simulated time.
 #[test]
-fn duplicate_completions_are_deduplicated_not_merged_twice() {
-    let manifest = small_manifest("cluster_dup_test");
-    let mut config = fast_config(manifest.clone());
-    config.workers = 2;
-    config.worker_chaos = vec![Some(
-        WorkerChaos::parse("0:duplicate-done").expect("directive parses"),
-    )];
-
-    let outcome = run_cluster(&config).expect("coordinator runs");
-    assert!(outcome.completed);
-    assert!(
-        outcome.stats.duplicates > 0,
-        "the duplicated Done frame must have been seen: {:?}",
-        outcome.stats
-    );
-    assert!(
-        outcome.violations.is_empty(),
-        "identical duplicates are benign: {:?}",
-        outcome.violations
-    );
-    let merged = pretty(outcome.artifact.as_ref().expect("artifact"));
+fn each_worker_fault_fires_is_handled_and_merges_bit_identically() {
+    type Moved = fn(&ClusterStats) -> bool;
+    let table: [(&str, u64, Moved); 4] = [
+        ("0:crash-after-cells=1", 800, |s| s.respawns > 0),
+        // Silent past a 400 ms lease: re-leased, then reported late.
+        ("0:stall-ms=900", 400, |s| {
+            s.reassignments > 0 && s.duplicates > 0
+        }),
+        ("0:corrupt-done", 800, |s| s.protocol_errors > 0),
+        ("0:duplicate-done", 800, |s| s.duplicates > 0),
+    ];
+    let manifest = small_manifest("cluster_conformance_test");
     let serial = pretty(&serial_artifact(&manifest).expect("serial reference"));
-    assert_eq!(merged, serial, "duplicates leaked into the merge");
+    for (directive, lease_ms, moved) in table {
+        let mut config = fast_config(manifest.clone());
+        config.workers = 1;
+        config.lease_timeout = Duration::from_millis(lease_ms);
+        let chaos = WorkerChaos::parse(directive).expect("directive parses");
+        config.worker_chaos = vec![Some(chaos)];
+
+        let outcome = run_cluster(&config).unwrap_or_else(|e| panic!("{directive}: {e}"));
+        assert!(outcome.completed, "{directive}: the sweep must finish");
+        assert!(
+            outcome.violations.is_empty(),
+            "{directive}: {:?}",
+            outcome.violations
+        );
+        assert!(
+            moved(&outcome.stats),
+            "{directive}: the fault did not fire or was not handled: {:?}",
+            outcome.stats
+        );
+        let merged = pretty(outcome.artifact.as_ref().expect("completed => artifact"));
+        assert_eq!(
+            merged, serial,
+            "{directive}: crash-identical merge violated"
+        );
+
+        // The provenance says where the wall time went.
+        let phases = outcome.provenance.get("phases_us").expect("phases_us");
+        for phase in ["startup", "leasing", "drain", "reap", "merge"] {
+            assert!(
+                phases.get(phase).and_then(Value::as_u64).is_some(),
+                "{directive}: {phase}"
+            );
+        }
+        assert_eq!(phases.as_object().map(|p| p.len()), Some(5));
+    }
 }
 
 #[test]
@@ -146,21 +167,13 @@ fn checkpoint_resume_is_bit_identical() {
 
 #[test]
 fn tcp_workers_complete_the_sweep() {
-    // Reserve an ephemeral port, then hand it to the coordinator.
-    let addr = {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind probe");
-        listener.local_addr().expect("local addr").to_string()
-    };
     let manifest = small_manifest("cluster_tcp_test");
     let mut config = fast_config(manifest.clone());
     config.workers = 2;
     // Generous lease so the inline starvation fallback doesn't steal the
     // shards before the TCP workers have connected.
     config.lease_timeout = Duration::from_secs(5);
-    config.transport = Transport::Tcp { addr: addr.clone() };
-
-    let coordinator = std::thread::spawn(move || run_cluster(&config));
-    std::thread::sleep(Duration::from_millis(150));
+    let (addr, coordinator) = tcp_coordinator(config);
     let mut workers: Vec<std::process::Child> = (0..2)
         .map(|_| {
             std::process::Command::new(sweepd())
@@ -192,8 +205,8 @@ fn tcp_workers_complete_the_sweep() {
 /// behind: alive until their pipes closed, then zombies for the life of
 /// the calling process. The workers here are real `msplayer-sweepd
 /// worker` processes behind a launcher that records its pid, deletes
-/// itself and `exec`s the binary, so the pool starts but the replacement
-/// for the crashing worker cannot be spawned.
+/// itself and `exec`s the binary, so the pool of one starts but the
+/// replacement for its crashing worker cannot be spawned.
 #[test]
 #[cfg(target_os = "linux")]
 fn an_error_return_leaves_no_child_behind() {
@@ -214,7 +227,7 @@ fn an_error_return_leaves_no_child_behind() {
     std::fs::set_permissions(&launcher, std::fs::Permissions::from_mode(0o755)).expect("chmod");
 
     let mut config = fast_config(small_manifest("cluster_reap_test"));
-    config.workers = 2;
+    config.workers = 1;
     config.transport = Transport::Spawn { program: launcher };
     config.worker_chaos = vec![Some(
         WorkerChaos::parse("0:crash-after-cells=1").expect("directive parses"),
@@ -223,7 +236,7 @@ fn an_error_return_leaves_no_child_behind() {
     assert!(err.starts_with("spawn worker"), "{err}");
 
     let spawned = std::fs::read_to_string(&pids).expect("the launcher ran");
-    assert!(spawned.lines().count() >= 1, "no worker ever started");
+    assert_eq!(spawned.lines().count(), 1, "one worker started: {spawned}");
     for pid in spawned.lines() {
         assert!(
             !std::path::Path::new("/proc").join(pid).exists(),
@@ -258,16 +271,10 @@ fn wait_or_kill(child: &mut std::process::Child) -> Option<std::process::ExitSta
 /// sweep bit-identically.
 #[test]
 fn worker_of_another_digest_epoch_is_never_leased_a_shard() {
-    let addr = {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind probe");
-        listener.local_addr().expect("local addr").to_string()
-    };
     let manifest = small_manifest("cluster_epoch_test");
     let mut config = fast_config(manifest.clone());
     config.lease_timeout = Duration::from_secs(5);
-    config.transport = Transport::Tcp { addr: addr.clone() };
-    let coordinator = std::thread::spawn(move || run_cluster(&config));
-    std::thread::sleep(Duration::from_millis(150));
+    let (addr, coordinator) = tcp_coordinator(config);
 
     // The stale worker connects first, so every shard is still pending
     // when it reports ready.

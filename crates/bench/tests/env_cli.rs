@@ -72,11 +72,10 @@ fn bad_env_values_exit_2_with_one_line_and_no_panic() {
 /// prints its fingerprint; a flag nobody defined is a usage error.
 #[test]
 fn chaos_case_replays_a_committed_file_and_rejects_unknown_flags() {
-    use msplayer_bench::chaos::ChaosCase;
     use msplayer_bench::corpus;
 
     let chaos = env!("CARGO_BIN_EXE_chaos");
-    let committed = corpus::load::<ChaosCase>(&corpus::dir::<ChaosCase>()).expect("corpus");
+    let committed = corpus::load(&corpus::dir()).expect("corpus");
     let (path, case) = committed.first().expect("a committed case");
     let out = Command::new(chaos)
         .arg("--case")

@@ -92,8 +92,9 @@ OPTIONS
                                    server-selection policy  [load-balanced]
     --help                         this text
 
-Any chaos-corpus case replays in one command:
-    msplayer-sim --seed <case seed> --chaos '<case plan>'
+A chaos-corpus case also names a workload, a scheduler and a chunk size,
+and its seed is 16 hex digits: replay it with the chaos explorer,
+    chaos --case tests/chaos_corpus/case-<id>.json
 
 Fleet mode couples every session through shared replica capacity
 (--chaos fleet plans like capacity-crunch apply fleet-wide); exact mode

@@ -46,19 +46,24 @@
 //! The *cold* record is what a session only reports — arrival time,
 //! start-up time, stall clock and total, its load bin — touched at
 //! arrival, at the start-up crossing, when a stall starts or ends, and by
-//! the final pass. Both tables are in *arrival order*, not index order:
-//! sessions that arrive together prebuffer, pause and refill together, so
-//! the lines (and pages) a stretch of simulated time touches sit together
-//! instead of being scattered over the whole table. An event names a
-//! session by its slot; the session index survives only where results
-//! depend on its order (the push order of same-instant arrivals, the
-//! re-arm order at a chaos capacity edge, the `f64` sums of the final
-//! pass). Replicas are few and stay cached; they keep what every
+//! the final pass. Three tables are in *arrival order*, not index order:
+//! these two and the queue's slab. Sessions that arrive together
+//! prebuffer, pause and refill together, so the lines (and pages) a
+//! stretch of simulated time touches sit together. The k-th arrival is
+//! pushed k-th, so takes slab slot k; slots are reused LIFO
+//! ([`msim_core::event`]) and a handler pushes at most one event after
+//! its pop, so a session's wakes and departure keep its table slot all
+//! run (debug builds assert it) — up to a capacity edge, whose re-arms
+//! take fresh slots while the wakes they supersede, counted in `events`,
+//! still pop. An event names a session by its slot; the session index
+//! survives where results depend on its order (same-instant arrivals pop
+//! in index order, the re-arm order at a capacity edge, the `f64` sums of
+//! the final pass). Replicas are few and stay cached; they keep what every
 //! event on them would otherwise re-derive: the fair share `cap / n`
 //! (divided again only where `cap` or `n` change) and the utilisation
 //! bucket the replica's clock is in.
 
-use crate::chaos::ChaosPlan;
+use crate::chaos::{ChaosInjector, ChaosPlan};
 use crate::config::PlayerConfig;
 use crate::metrics::{qoe_score, SessionMetrics};
 use crate::sim::{ServiceSpec, SessionSpec};
@@ -128,6 +133,10 @@ const MAX_FLUID_SERVERS: usize = u16::MAX as usize + 1;
 /// Most access classes a fluid fleet can have: a session names its class
 /// in a `u8`.
 const MAX_FLUID_CLASSES: usize = u8::MAX as usize + 1;
+
+/// Most sessions plus capacity edges a fluid fleet can queue at once: the
+/// event slab's slots are `u32`s below its end marker `u32::MAX`.
+const MAX_FLUID_QUEUED: u64 = u32::MAX as u64;
 
 /// Server-selection policy: how an arriving session is mapped to a
 /// replica, in the Sunstar cost-vs-QoE framing.
@@ -661,8 +670,9 @@ pub struct FleetHost {
 impl FleetHost {
     /// Validates `spec` and builds the host. Fluid mode requires a
     /// non-empty capacitated fleet of at most 65 536 replicas, a known
-    /// itag, and an access mix of 1 to 256 classes; exact mode requires a
-    /// base scenario, load-balanced selection
+    /// itag, an access mix of 1 to 256 classes, and at most 2³² − 1
+    /// sessions and capacity edges; exact mode requires a base scenario,
+    /// load-balanced selection
     /// (the emulated service's own load-aware ordering does the
     /// choosing), and at most `servers_per_network` replica specs.
     pub fn new(spec: FleetSpec) -> Result<FleetHost, String> {
@@ -721,6 +731,15 @@ impl FleetHost {
                 }
                 if spec.access.iter().any(|c| c.rate.as_bps() <= 0.0) {
                     return Err("access-class rates must be positive".into());
+                }
+                let crunches = spec.chaos.iter().flat_map(|plan| &plan.injectors);
+                let edges = crunches.filter(|i| matches!(i, ChaosInjector::FleetOverload { .. }));
+                let queued = spec.sessions.saturating_add(2 * edges.count() as u64);
+                if queued > MAX_FLUID_QUEUED {
+                    return Err(format!(
+                        "fluid mode queues at most {MAX_FLUID_QUEUED} sessions and capacity \
+                         edges, got {queued}"
+                    ));
                 }
                 spec.player.validate().map_err(|e| format!("player: {e}"))?;
             }
@@ -985,6 +1004,8 @@ struct Fluid<'a> {
     /// capacity edge, the `f64` sums of the final pass).
     slot_of: Vec<u32>,
     queue: EventQueue<FleetEv>,
+    /// A capacity edge has popped: its re-arms took fresh slab slots.
+    edge_popped: bool,
     bins: Vec<LoadBin>,
     stalled_sessions: u64,
     rejected: u64,
@@ -1072,7 +1093,13 @@ impl<'a> Fluid<'a> {
         let s = &mut self.sessions[i];
         s.gen = s.gen.wrapping_add(1);
         let gen = s.gen;
-        self.queue.push(at, FleetEv::Wake { s: i as u32, gen });
+        self.push_for(i, at, FleetEv::Wake { s: i as u32, gen });
+    }
+
+    /// Queues session `i`'s next event, in slab slot `i` (see *Layout*).
+    fn push_for(&mut self, i: usize, at: SimTime, ev: FleetEv) {
+        let slot = self.queue.push(at, ev).slot() as usize;
+        debug_assert!(self.edge_popped || slot == i, "session {i} in slot {slot}");
     }
 
     /// Attach to the session's replica: the one chosen at arrival, for
@@ -1184,7 +1211,7 @@ impl<'a> Fluid<'a> {
             self.servers[usize::from(s.server)].admitted -= 1;
             s.phase = Phase::Done;
             let t_end = s.play_anchor + dur_f64((self.total_bytes - s.anchor_pos) / self.bps);
-            self.queue.push(t_end.max(now), FleetEv::Depart);
+            self.push_for(i, t_end.max(now), FleetEv::Depart);
             return;
         }
         let buffer = self.sessions[i].downloaded - self.play_pos(i, now);
@@ -1292,6 +1319,7 @@ impl<'a> Fluid<'a> {
     /// A chaos capacity edge: rescale every replica and re-arm every
     /// attached session (their rate predictions just went stale).
     fn cap_edge(&mut self, now: SimTime) {
+        self.edge_popped = true;
         let factor = self.factor_at(now);
         for srv in &mut self.servers {
             srv.advance(now, &self.rates, self.bucket_us);
@@ -1356,7 +1384,8 @@ fn run_fluid(spec: &FleetSpec) -> FleetMetrics {
     // the arrival events, and freed before the loop starts. The tables
     // are in arrival order (see the module doc's *Layout* paragraph).
     let attrs = precompute_attrs(spec);
-    let mut by_arrival: Vec<u32> = (0..attrs.len() as u32).collect();
+    let n = u32::try_from(attrs.len()).expect("validated: fewer than u32::MAX sessions");
+    let mut by_arrival: Vec<u32> = (0..n).collect();
     by_arrival.sort_unstable_by_key(|&i| (attrs[i as usize].arrival, i));
     let mut slot_of = vec![0u32; attrs.len()];
     for (slot, &i) in by_arrival.iter().enumerate() {
@@ -1392,9 +1421,9 @@ fn run_fluid(spec: &FleetSpec) -> FleetMetrics {
         })
         .collect();
     let mut queue = EventQueue::with_capacity(sessions.len() + edges.len() + 16);
-    // Pushed in index order: that is the order same-instant arrivals pop in.
-    for (a, &slot) in attrs.iter().zip(&slot_of) {
-        queue.push(a.arrival, FleetEv::Arrive(slot));
+    // The k-th arrival takes slab slot k; same-instant ones pop in index order.
+    for (slot, &i) in by_arrival.iter().enumerate() {
+        queue.push(attrs[i as usize].arrival, FleetEv::Arrive(slot as u32));
     }
     drop((attrs, by_arrival));
     for &t in &edges {
@@ -1420,6 +1449,7 @@ fn run_fluid(spec: &FleetSpec) -> FleetMetrics {
         log,
         slot_of,
         queue,
+        edge_popped: false,
         bins: empty_bins(),
         stalled_sessions: 0,
         rejected: 0,
@@ -2040,6 +2070,16 @@ mod tests {
         assert!(FleetHost::new(too_many_servers.clone()).is_err());
         too_many_servers.servers.truncate(65_536);
         assert!(FleetHost::new(too_many_servers).is_ok());
+        // One more than the event slab has slots for, refused before any
+        // table is allocated; the two edges of a crunch window count too.
+        let err = FleetHost::new(FleetSpec::fluid(1, u64::from(u32::MAX) + 1))
+            .err()
+            .expect("2³² sessions are refused");
+        assert!(err.contains("at most 4294967295"), "{err}");
+        let mut most = FleetSpec::fluid(1, u64::from(u32::MAX));
+        assert!(FleetHost::new(most.clone()).is_ok());
+        most.chaos = Some(ChaosPlan::parse("fleet-overload:from=1s,until=2s,factor=2").unwrap());
+        assert!(FleetHost::new(most).is_err());
     }
 
     #[test]

@@ -663,15 +663,6 @@ impl Player {
             .filter(|abr| abr.closed_loop)
             .map(|abr| abr.rung_map.itag_at(byte))
     }
-
-    /// The itag the closed-loop stream is currently planning new chunks
-    /// at (`None` for fixed-rate and shadow sessions).
-    pub fn streaming_itag(&self) -> Option<u32> {
-        self.abr
-            .as_ref()
-            .filter(|abr| abr.closed_loop)
-            .map(|abr| abr.rung_map.current().itag)
-    }
 }
 
 #[cfg(test)]

@@ -172,11 +172,6 @@ impl TcpConnection {
         self
     }
 
-    /// True once the handshake completed.
-    pub fn is_established(&self) -> bool {
-        self.established_at.is_some()
-    }
-
     /// Current congestion window in bytes.
     pub fn cwnd_bytes(&self) -> f64 {
         self.cwnd_pkts * self.cfg.mss as f64

@@ -58,6 +58,10 @@
 //!   a free list, so memory stays bounded by the peak pending count, and
 //!   slot reuse bumps the generation, so a stale [`EventId`] can never
 //!   cancel an unrelated later event;
+//! * **slot reuse is LIFO**, which drivers may rely on: a push takes the
+//!   slot freed last, a fresh slab hands slots out in push order, so a
+//!   driver pushing at most one event per pop keeps each chain of events
+//!   in one slot (the fluid fleet lays its slab out by this);
 //! * [`EventQueue::reset`] returns the queue to its pristine state while
 //!   keeping every allocation (heads, heaps, slab) *and* the adapted
 //!   sizing, so drivers that run many sessions back-to-back (batch hosts,
@@ -86,6 +90,14 @@ use crate::time::SimTime;
 pub struct EventId {
     slot: u32,
     gen: u32,
+}
+
+impl EventId {
+    /// The slab slot the event occupies, for debug checks of LIFO reuse.
+    #[doc(hidden)]
+    pub fn slot(&self) -> u32 {
+        self.slot
+    }
 }
 
 /// Operation counts maintained by [`EventQueue`] since its last
@@ -161,7 +173,8 @@ const ADAPT_EVERY: u64 = 256;
 /// is two levels.
 const DIRECT_MAX: usize = 8;
 
-/// A deterministic priority queue of timestamped events.
+/// A deterministic priority queue of timestamped events; a push reuses the
+/// slab slot freed last (the module doc's LIFO slot reuse).
 ///
 /// ```
 /// use msim_core::event::EventQueue;
@@ -986,6 +999,33 @@ mod tests {
         assert!(q.slots.len() <= 4, "slab stays tiny: {}", q.slots.len());
         assert!(q.near_len <= 4, "ring stays tiny: {}", q.near_len);
         assert!(q.far.len() <= 4, "far heap stays tiny: {}", q.far.len());
+    }
+
+    #[test]
+    fn slots_are_reused_last_freed_first_in_both_regimes() {
+        for pending in [4u64, 1_000] {
+            let mut q = EventQueue::new();
+            // A fresh slab hands out slots in push order; payload = slot.
+            for k in 0..pending {
+                let id = q.push(SimTime::from_millis(k), k);
+                assert_eq!(u64::from(id.slot()), k);
+            }
+            assert_eq!(q.direct, pending <= DIRECT_MAX as u64);
+            // One push after each pop: every chain keeps its slot, however
+            // the ring re-buckets under it.
+            for _ in 0..3 * pending {
+                let (now, k) = q.pop().expect("the population never drains");
+                let id = q.push(now + SimDuration::from_millis(pending), k);
+                assert_eq!(u64::from(id.slot()), k, "{pending} pending");
+            }
+            // Two pops, then two pushes: the slot freed last is taken first.
+            let (_, a) = q.pop().unwrap();
+            let (now, b) = q.pop().unwrap();
+            assert_eq!(u64::from(q.push(now, b).slot()), b);
+            assert_eq!(u64::from(q.push(now, a).slot()), a);
+            assert_eq!(q.slots.len() as u64, pending, "no slot was added");
+            assert_eq!(ring_untouched(&q), pending <= DIRECT_MAX as u64);
+        }
     }
 
     #[test]

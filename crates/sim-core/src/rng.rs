@@ -42,8 +42,8 @@ const PCG_MULT: u64 = 6364136223846793005;
 /// as `exp(−ln(u)/α)`. The argument clamp keeps a pathological
 /// `u = f64::MIN_POSITIVE` inside [`vmath::exp`]'s contract range; e^700
 /// is astronomically past every burst cap, so the clamp is unobservable.
-/// Shared by the block fills and the scalar draws so both produce the same
-/// bits from the same uniform.
+/// Shared by the block fill and the scalar-reference refill so both produce
+/// the same bits from the same uniform.
 #[inline]
 fn pareto_unit_from(u: f64, inv_alpha: f64) -> f64 {
     vmath::exp((-inv_alpha * vmath::ln(u)).min(700.0))
@@ -243,11 +243,6 @@ impl Prng {
         }
     }
 
-    /// Normal deviate with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std: f64) -> f64 {
-        mean + std * self.normal()
-    }
-
     /// Log-normal deviate: `exp(N(mu, sigma))`.
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         vmath::exp(mu + sigma * self.normal())
@@ -258,14 +253,6 @@ impl Prng {
         debug_assert!(mean > 0.0);
         let u = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
         -mean * vmath::ln(u)
-    }
-
-    /// Pareto deviate with scale `x_min` and shape `alpha` (heavy tail for
-    /// small `alpha`; used for bandwidth burst outliers).
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
-        debug_assert!(x_min > 0.0 && alpha > 0.0);
-        let u = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
-        x_min * pareto_unit_from(u, 1.0 / alpha)
     }
 
     /// Refills one [`DrawTable`] block the slow way: element at a time via
@@ -312,14 +299,6 @@ impl Prng {
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "choose from empty slice");
         &items[self.below(items.len() as u64) as usize]
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
     }
 }
 
@@ -564,35 +543,12 @@ mod tests {
     }
 
     #[test]
-    fn pareto_respects_scale() {
-        let mut rng = Prng::new(17);
-        for _ in 0..10_000 {
-            assert!(rng.pareto(2.0, 1.5) >= 2.0);
-        }
-    }
-
-    #[test]
     fn chance_extremes() {
         let mut rng = Prng::new(19);
         assert!(!rng.chance(0.0));
         assert!(rng.chance(1.0));
         let hits = (0..10_000).filter(|_| rng.chance(0.25)).count();
         assert!((2_000..3_000).contains(&hits), "hits {hits}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Prng::new(23);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(
-            v,
-            (0..50).collect::<Vec<_>>(),
-            "50 elements left in place is astronomically unlikely"
-        );
     }
 
     #[test]

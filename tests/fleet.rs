@@ -10,7 +10,7 @@
 
 use msplayer::core::chaos::check_fleet_invariants;
 use msplayer::core::config::PlayerConfig;
-use msplayer::core::fleet::{FleetHost, FleetServerSpec, FleetSpec, SelectionPolicy};
+use msplayer::core::fleet::{FleetHost, FleetMetrics, FleetServerSpec, FleetSpec, SelectionPolicy};
 use msplayer::core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec};
 use msplayer::simcore::time::SimDuration;
 use msplayer::simcore::units::BitRate;
@@ -59,24 +59,69 @@ fn exact_fleet_of_one_matches_a_standalone_session() {
     );
 }
 
-/// The fields of [`FleetMetrics`] that every fluid event feeds into
-/// (floats by bit pattern).
+/// Every field of [`FleetMetrics`] a fluid run fills (floats by bit
+/// pattern; the per-replica usage and the rebuffer-vs-load bins folded
+/// with FNV-1a).
 #[derive(Debug, PartialEq)]
 struct FleetPin {
     events: u64,
     ended_at_us: u64,
     completed: u64,
+    rejected: u64,
     stalled_sessions: u64,
     peak_concurrent: u64,
+    startup_mean_bits: u64,
     startup_p50_bits: u64,
     startup_p95_bits: u64,
     total_served_bytes: u64,
     total_stall_bits: u64,
+    total_cost_bits: u64,
+    mean_qoe_bits: u64,
+    servers_fnv: u64,
+    bins_fnv: u64,
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
+}
+
+fn pin(m: &FleetMetrics) -> FleetPin {
+    FleetPin {
+        events: m.events,
+        ended_at_us: m.ended_at.as_micros(),
+        completed: m.completed,
+        rejected: m.rejected,
+        stalled_sessions: m.stalled_sessions,
+        peak_concurrent: m.peak_concurrent,
+        startup_mean_bits: m.startup_mean_secs.to_bits(),
+        startup_p50_bits: m.startup_p50_secs.to_bits(),
+        startup_p95_bits: m.startup_p95_secs.to_bits(),
+        total_served_bytes: m.total_served_bytes,
+        total_stall_bits: m.total_stall_secs.to_bits(),
+        total_cost_bits: m.total_cost.to_bits(),
+        mean_qoe_bits: m.mean_qoe.to_bits(),
+        servers_fnv: fnv1a(m.servers.iter().flat_map(|s| {
+            [s.served_bytes, s.peak_sessions]
+                .into_iter()
+                .chain(s.utilization.iter().map(|u| u.to_bits()))
+        })),
+        bins_fnv: fnv1a(
+            m.rebuffer_vs_load
+                .iter()
+                .flat_map(|b| [b.sessions, b.stalled, b.rejected]),
+        ),
+    }
 }
 
 /// The event queue's layout and sizing may change speed only. Recorded at
-/// the commit before the intrusive ring; a queue change that moves any of
-/// these has changed pop order.
+/// the commit before the intrusive ring (`rejected`, the mean start-up,
+/// cost, QoE and the two folds: before the arrivals were pushed in arrival
+/// order); a queue change that moves any of these has changed pop order.
 #[test]
 fn fluid_fleet_metrics_are_pinned_across_queue_changes() {
     let overload = frontier_specs(2_000)
@@ -92,12 +137,18 @@ fn fluid_fleet_metrics_are_pinned_across_queue_changes() {
                 events: 132_662,
                 ended_at_us: 453_291_434,
                 completed: 4_000,
+                rejected: 0,
                 stalled_sessions: 0,
                 peak_concurrent: 4_000,
+                startup_mean_bits: 4624810611756491273,
                 startup_p50_bits: 4620955417252434406,
                 startup_p95_bits: 4629899521076395938,
                 total_served_bytes: 375_521_755_885,
                 total_stall_bits: 0,
+                total_cost_bits: 4628265596115683886,
+                mean_qoe_bits: 13840864299216790018,
+                servers_fnv: 5171065126837491384,
+                bins_fnv: 1509327914284955984,
             },
         ),
         (
@@ -107,30 +158,25 @@ fn fluid_fleet_metrics_are_pinned_across_queue_changes() {
                 events: 102_737,
                 ended_at_us: 590_129_996,
                 completed: 2_000,
+                rejected: 0,
                 stalled_sessions: 2_000,
                 peak_concurrent: 2_000,
+                startup_mean_bits: 4627485469286442631,
                 startup_p50_bits: 4625627636153453281,
                 startup_p95_bits: 4634116319235333994,
                 total_served_bytes: 188_163_647_459,
                 total_stall_bits: 4685159189461623832,
+                total_cost_bits: 4623700887931138491,
+                mean_qoe_bits: 13863973845076710488,
+                servers_fnv: 10755838669381589491,
+                bins_fnv: 17588871894978846585,
             },
         ),
     ];
     for (name, spec, want) in cells {
         let m = FleetHost::new(spec.clone()).expect("spec validates").run();
         assert_eq!(check_fleet_invariants(&spec, &m), vec![], "{name}");
-        let got = FleetPin {
-            events: m.events,
-            ended_at_us: m.ended_at.as_micros(),
-            completed: m.completed,
-            stalled_sessions: m.stalled_sessions,
-            peak_concurrent: m.peak_concurrent,
-            startup_p50_bits: m.startup_p50_secs.to_bits(),
-            startup_p95_bits: m.startup_p95_secs.to_bits(),
-            total_served_bytes: m.total_served_bytes,
-            total_stall_bits: m.total_stall_secs.to_bits(),
-        };
-        assert_eq!(got, want, "{name}");
+        assert_eq!(pin(&m), want, "{name}");
     }
 }
 
@@ -148,4 +194,27 @@ fn flash_crowd_of_20k_sessions_runs_to_completion() {
     assert_eq!(m.rejected, 0);
     assert_eq!(m.completed, 20_000);
     assert_eq!(m.peak_concurrent, 20_000, "everyone arrived at once");
+    // Every arrival shares one instant, so the queue's FIFO tie-break is
+    // the whole arrival order: the push order of the arrivals may change
+    // speed only.
+    assert_eq!(
+        pin(&m),
+        FleetPin {
+            events: 780_660,
+            ended_at_us: 333_448_369,
+            completed: 20_000,
+            rejected: 0,
+            stalled_sessions: 0,
+            peak_concurrent: 20_000,
+            startup_mean_bits: 4629887516613545930,
+            startup_p50_bits: 4629901002479198366,
+            startup_p95_bits: 4629904212279095286,
+            total_served_bytes: 1_882_819_234_631,
+            total_stall_bits: 0,
+            total_cost_bits: 0,
+            mean_qoe_bits: 13847535678634073440,
+            servers_fnv: 9959156971150233658,
+            bins_fnv: 18106261682590055458,
+        }
+    );
 }

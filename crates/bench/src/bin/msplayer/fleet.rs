@@ -1,44 +1,48 @@
-//! `fleet_bench` — population-scale coupled fleet simulation and records
-//! `BENCH_fleet.json`.
-//!
-//! Three sections:
-//!
-//! * `headline` — the fluid backend driving 120k concurrent coupled
-//!   sessions (eight 40 Gbit/s replicas, ~94% offered load at peak) on
-//!   one box: per-server utilization timelines, the rebuffer-vs-load
-//!   curve, startup percentiles, and events/sec;
-//! * `frontier` — the policy × capacity grid (3 selection policies ×
-//!   under/matched/over provisioning) with each cell's (cost, QoE) point
-//!   and its Pareto-frontier membership;
-//! * `exact` — a small exact-mode anchor: full per-chunk sessions under
-//!   shared fleet load, same spec surface as the fluid runs.
-//!
-//! ```sh
-//! cargo run --release -p msplayer-bench --bin fleet_bench
-//! MSP_FLEET_SESSIONS=20000 cargo run --release -p msplayer-bench --bin fleet_bench  # smaller
-//! ```
+//! `msplayer fleet`: population-scale coupled fleet runs, recorded as
+//! `BENCH_fleet.json` in three sections. `headline` is the fluid backend
+//! driving 120k coupled sessions (eight 40 Gbit/s replicas, ~94% offered
+//! load at peak): per-server utilization, the rebuffer-vs-load curve,
+//! startup percentiles, events/sec. `frontier` is the selection policy ×
+//! capacity grid, each cell a (cost, QoE) point marked on or off the
+//! Pareto frontier. `exact` is a small anchor of full per-chunk sessions
+//! under shared load. The fleet oracle checks every run; a violation
+//! exits 1.
 
-use msplayer_bench::env_or_exit;
+use crate::Set::Value;
+use crate::{parsed, positive, Flag};
 use msplayer_bench::fleet::{exact_anchor_spec, frontier_specs, headline_spec};
-use msplayer_bench::sweep::bench_dir;
 use msplayer_core::chaos::check_fleet_invariants;
 use msplayer_core::fleet::{pareto_frontier, FleetHost, FleetMetrics, FleetSpec};
 use std::path::Path;
 use std::time::Instant;
 
-/// A session-count knob as read from the environment (`None` = unset,
-/// meaning `default`).
-fn parse_sessions(var: &str, default: u64, value: Option<&str>) -> Result<u64, String> {
-    let Some(v) = value else { return Ok(default) };
-    match v.trim().parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("{var}={v:?}: expected a positive integer")),
+struct Options {
+    sessions: u64,
+    frontier_sessions: u64,
+    exact_sessions: u64,
+    metrics: Option<String>,
+}
+
+impl Default for Options {
+    fn default() -> Self {
+        Options {
+            sessions: 120_000,
+            frontier_sessions: 20_000,
+            exact_sessions: 32,
+            metrics: None,
+        }
     }
 }
 
-fn env_sessions(var: &str, default: u64) -> u64 {
-    env_or_exit(var, |v| parse_sessions(var, default, v))
-}
+const SYNOPSIS: &str = "fleet [flags] — the fleet headline, frontier grid and exact anchor";
+
+#[rustfmt::skip]
+const FLAGS: &[Flag<Options>] = &[
+    ("--sessions", "<N> headline population [120000]", Value(|o, v| positive(v).map(|n| o.sessions = n))),
+    ("--frontier-sessions", "<N> each frontier cell's population [20000]", Value(|o, v| positive(v).map(|n| o.frontier_sessions = n))),
+    ("--exact-sessions", "<N> exact anchor population [32]", Value(|o, v| positive(v).map(|n| o.exact_sessions = n))),
+    ("--metrics", "<ADDR> serve live /metrics on ADDR while it runs", Value(|o, v| parsed(v).map(|addr| o.metrics = Some(addr)))),
+];
 
 /// Runs `spec` to completion under the fleet invariant oracle: a run that
 /// violates it prints every violation and exits 1, which is what makes
@@ -51,7 +55,7 @@ fn run_checked(label: &str, spec: FleetSpec) -> (FleetMetrics, f64) {
     let violations = check_fleet_invariants(host.spec(), &metrics);
     if !violations.is_empty() {
         for v in &violations {
-            eprintln!("fleet_bench: {label}: {v}");
+            eprintln!("fleet: {label}: {v}");
         }
         std::process::exit(1);
     }
@@ -123,34 +127,24 @@ fn flush_interrupted(bench_dir: &Path, json: msim_json::Value) -> ! {
     std::process::exit(msim_testbed::signal::SIGINT_EXIT);
 }
 
-fn main() {
-    msim_testbed::install_shutdown_handler();
-    let bench_dir = env_or_exit("MSP_BENCH_DIR", bench_dir);
-    let headline_sessions = env_sessions("MSP_FLEET_SESSIONS", 120_000);
-    let frontier_sessions = env_sessions("MSP_FLEET_FRONTIER_SESSIONS", 20_000);
-    let exact_sessions = env_sessions("MSP_FLEET_EXACT_SESSIONS", 32);
-    // MSP_METRICS_ADDR=127.0.0.1:9465 exposes the live telemetry registry
-    // (fleet arrivals/rejections/concurrency gauge) while the bench runs.
-    let _obs = match std::env::var("MSP_METRICS_ADDR") {
-        Ok(addr) if !addr.is_empty() => {
-            msim_core::telemetry::set_enabled(true);
-            msim_core::telemetry::register_core_counters();
-            match msim_testbed::ObsServer::start(&addr, msim_testbed::ObsServer::no_jobs()) {
-                Ok(server) => {
-                    eprintln!("fleet_bench: metrics on http://{}/metrics", server.addr);
-                    Some(server)
-                }
-                Err(e) => {
-                    eprintln!("fleet_bench: bind metrics {addr}: {e}");
-                    None
-                }
-            }
-        }
-        _ => None,
+pub fn main(args: &[String], bench_dir: &Path) -> i32 {
+    let opt = match crate::parse(args, SYNOPSIS, FLAGS) {
+        Ok(opt) => opt,
+        Err(code) => return code,
+    };
+    // The live telemetry registry (fleet arrivals/rejections/concurrency
+    // gauge) while the bench runs.
+    let _obs = match opt
+        .metrics
+        .as_deref()
+        .map(|addr| crate::serve_metrics("fleet", addr, msim_testbed::ObsServer::no_jobs()))
+    {
+        Some(Err(code)) => return code,
+        obs => obs,
     };
 
     // Headline: population-scale fluid run.
-    let (headline, headline_wall) = run_checked("headline", headline_spec(headline_sessions));
+    let (headline, headline_wall) = run_checked("headline", headline_spec(opt.sessions));
     println!(
         "headline: {} sessions (peak {} concurrent) in {:.2}s — {:.2}M events/s, \
          {} stalled, {} rejected, p95 startup {:.1}s, {:.0} GB served",
@@ -163,31 +157,23 @@ fn main() {
         headline.startup_p95_secs,
         headline.total_served_bytes as f64 / 1e9,
     );
-
+    let artifact = msim_json::Value::object()
+        .with("name", "fleet")
+        .with("stream_epoch", msim_core::rng::STREAM_EPOCH as u64)
+        .with("headline", metrics_json(&headline, headline_wall));
     if msim_testbed::shutdown_requested() {
-        flush_interrupted(
-            &bench_dir,
-            msim_json::Value::object()
-                .with("name", "fleet")
-                .with("stream_epoch", msim_core::rng::STREAM_EPOCH as u64)
-                .with("headline", metrics_json(&headline, headline_wall)),
-        );
+        flush_interrupted(bench_dir, artifact);
     }
 
     // Frontier: policy × capacity grid.
     let mut frontier_rows: Vec<msim_json::Value> = Vec::new();
     let mut points: Vec<(f64, f64)> = Vec::new();
-    let cases = frontier_specs(frontier_sessions);
-    let mut case_meta: Vec<(String, f64)> = Vec::new();
-    for case in cases {
+    let mut labels: Vec<String> = Vec::new();
+    for case in frontier_specs(opt.frontier_sessions) {
         if msim_testbed::shutdown_requested() {
             flush_interrupted(
-                &bench_dir,
-                msim_json::Value::object()
-                    .with("name", "fleet")
-                    .with("stream_epoch", msim_core::rng::STREAM_EPOCH as u64)
-                    .with("headline", metrics_json(&headline, headline_wall))
-                    .with("frontier", msim_json::Value::Array(frontier_rows)),
+                bench_dir,
+                artifact.with("frontier", msim_json::Value::Array(frontier_rows)),
             );
         }
         let (m, wall) = run_checked(&case.label, case.spec);
@@ -197,7 +183,7 @@ fn main() {
             case.label, cost, qoe, m.stalled_sessions, m.rejected, wall
         );
         points.push((cost, qoe));
-        case_meta.push((case.label.clone(), case.capacity_scale));
+        labels.push(case.label.clone());
         frontier_rows.push(
             msim_json::Value::object()
                 .with("label", case.label.as_str())
@@ -219,64 +205,28 @@ fn main() {
         "pareto frontier: {}",
         frontier_idx
             .iter()
-            .map(|&i| case_meta[i].0.as_str())
+            .map(|&i| labels[i].as_str())
             .collect::<Vec<_>>()
             .join(" -> ")
     );
-
+    let artifact = artifact.with("frontier", msim_json::Value::Array(frontier_rows));
     if msim_testbed::shutdown_requested() {
-        flush_interrupted(
-            &bench_dir,
-            msim_json::Value::object()
-                .with("name", "fleet")
-                .with("stream_epoch", msim_core::rng::STREAM_EPOCH as u64)
-                .with("headline", metrics_json(&headline, headline_wall))
-                .with("frontier", msim_json::Value::Array(frontier_rows)),
-        );
+        flush_interrupted(bench_dir, artifact);
     }
 
     // Exact anchor: per-chunk sessions under shared load.
-    let (exact, exact_wall) = run_checked("exact anchor", exact_anchor_spec(exact_sessions));
+    let (exact, exact_wall) = run_checked("exact anchor", exact_anchor_spec(opt.exact_sessions));
     println!(
         "exact anchor: {} per-chunk sessions in {:.2}s ({} completed, peak {} concurrent)",
         exact.sessions, exact_wall, exact.completed, exact.peak_concurrent
     );
 
-    let json = msim_json::Value::object()
-        .with("name", "fleet")
-        .with("stream_epoch", msim_core::rng::STREAM_EPOCH as u64)
-        .with("headline", metrics_json(&headline, headline_wall))
-        .with("frontier", msim_json::Value::Array(frontier_rows))
-        .with("exact", metrics_json(&exact, exact_wall));
+    let artifact = artifact.with("exact", metrics_json(&exact, exact_wall));
     let path = bench_dir.join("BENCH_fleet.json");
-    std::fs::write(&path, msim_json::to_string_pretty(&json)).expect("write bench json");
+    if let Err(e) = std::fs::write(&path, msim_json::to_string_pretty(&artifact)) {
+        eprintln!("fleet: {}: {e}", path.display());
+        return 1;
+    }
     println!("[bench] {}", path.display());
-}
-
-#[cfg(test)]
-mod tests {
-    use super::parse_sessions;
-
-    #[test]
-    fn session_knobs_accept_positive_integers_and_default_when_unset() {
-        assert_eq!(
-            parse_sessions("MSP_FLEET_SESSIONS", 120_000, None),
-            Ok(120_000)
-        );
-        assert_eq!(
-            parse_sessions("MSP_FLEET_SESSIONS", 120_000, Some(" 500 ")),
-            Ok(500)
-        );
-    }
-
-    #[test]
-    fn session_knobs_reject_zero_and_garbage_naming_the_variable() {
-        for bad in ["0", "two", "-3", "2.5", ""] {
-            let err = parse_sessions("MSP_FLEET_EXACT_SESSIONS", 32, Some(bad)).unwrap_err();
-            assert_eq!(
-                err,
-                format!("MSP_FLEET_EXACT_SESSIONS={bad:?}: expected a positive integer")
-            );
-        }
-    }
+    0
 }

@@ -1,27 +1,22 @@
-//! `msplayer-sim` — command-line front end for the simulator.
-//!
-//! ```sh
-//! cargo run --release --bin msplayer-sim -- \
-//!     --env testbed --scheduler harmonic --chunk 256K \
-//!     --prebuffer 40 --seed 7 --refills 2 --trace
-//! ```
-//!
-//! Runs one seeded session (or a `--runs N` sweep) and prints the QoE
-//! summary, optionally with the per-path activity timeline
-//! (`--timeline`) and an NDJSON telemetry trace of every session event
-//! (`--trace <path>`).
+//! `msplayer run`: one seeded session (or a `--runs N` sweep) and its QoE
+//! summary, optionally with the per-path activity timeline and an NDJSON
+//! telemetry trace; `--fleet` runs a coupled population instead (exact
+//! mode on the session `--env`/`--player` pick; fleet chaos plans such as
+//! capacity-crunch apply fleet-wide).
 
-use msplayer::core::chaos::{check_invariants, ChaosPlan};
-use msplayer::core::config::{PlayerConfig, SchedulerKind};
-use msplayer::core::fleet::{FleetHost, FleetMode, FleetSpec, SelectionPolicy};
-use msplayer::core::metrics::{SessionMetrics, TrafficPhase};
-use msplayer::core::sim::{
+use crate::Set::{Switch, Value};
+use crate::{parsed, positive, Flag};
+use msim_core::stats::{median, Running};
+use msim_core::telemetry;
+use msim_core::units::ByteSize;
+use msplayer_core::chaos::{check_invariants, ChaosPlan};
+use msplayer_core::config::{PlayerConfig, SchedulerKind};
+use msplayer_core::fleet::{FleetHost, FleetMode, FleetSpec, SelectionPolicy};
+use msplayer_core::metrics::{SessionMetrics, TrafficPhase};
+use msplayer_core::sim::{
     PathSetup, ServiceSpec, SessionHost, SessionSpec, SessionSpecError, StopCondition,
 };
-use msplayer::core::trace::render_timeline;
-use msplayer::simcore::stats::{median, Running};
-use msplayer::simcore::telemetry;
-use msplayer::simcore::units::ByteSize;
+use msplayer_core::trace::render_timeline;
 
 /// Parsed command-line options.
 #[derive(Clone, Debug, PartialEq)]
@@ -65,43 +60,58 @@ impl Default for Options {
     }
 }
 
-const USAGE: &str = "\
-msplayer-sim — run MSPlayer sessions on the deterministic simulator
+const SYNOPSIS: &str =
+    "run [flags] — seeded MSPlayer sessions, or a coupled fleet, on the simulator";
 
-OPTIONS
-    --env <testbed|youtube>        environment profile        [testbed]
-    --player <msplayer|wifi|lte>   who streams                [msplayer]
-    --scheduler <harmonic|ewma|ratio|fixed>                   [harmonic]
-    --chunk <SIZE>                 initial chunk, e.g. 64K/1M [256K]
-    --prebuffer <SECS>             pre-buffer target          [40]
-    --refills <N>                  steady-state cycles to run [0]
-    --seed <N>                     base seed                  [2014]
-    --runs <N>                     seeds to sweep             [1]
-    --timeline                     print the activity timeline
-    --trace <PATH>                 write an NDJSON telemetry trace of
-                                   every session event to PATH and print
-                                   a one-line telemetry summary on exit
-    --chaos <PLAN>                 chaos preset or plan string, e.g.
-                                   kitchen-sink or
-                                   'skew:+250ms;overload:path=1,from=1s,until=10s'
-    --fleet                        run a coupled fleet population instead
-                                   of single sessions
-    --fleet-sessions <N>           population size               [2000]
-    --fleet-mode <fluid|exact>     fleet backend                 [fluid]
-    --fleet-policy <cheapest-feasible|load-balanced|qoe-first>
-                                   server-selection policy  [load-balanced]
-    --help                         this text
+#[rustfmt::skip]
+const FLAGS: &[Flag<Options>] = &[
+    ("--env", "<testbed|youtube> environment profile [testbed]", Value(|o, v| one_of(v, ENVS).map(|v| o.env = v))),
+    ("--player", "<msplayer|wifi|lte> who streams [msplayer]", Value(|o, v| one_of(v, PLAYERS).map(|v| o.player = v))),
+    ("--scheduler", "<harmonic|ewma|ratio|fixed> [harmonic]", Value(|o, v| one_of(v, SCHEDULERS).map(|v| o.scheduler = v))),
+    ("--chunk", "<SIZE> initial chunk, e.g. 64K or 1M [256K]", Value(|o, v| parse_size(v).map(|n| o.chunk = n))),
+    ("--prebuffer", "<SECS> pre-buffer target [40]", Value(|o, v| parsed(v).map(|x| o.prebuffer = x))),
+    ("--refills", "<N> steady-state cycles to run [0]", Value(|o, v| parsed(v).map(|n| o.refills = n))),
+    ("--seed", "<N> base seed [2014]", Value(|o, v| parsed(v).map(|n| o.seed = n))),
+    ("--runs", "<N> seeds to sweep [1]", Value(|o, v| positive(v).map(|n| o.runs = n))),
+    ("--timeline", "print the per-path activity timeline", Switch(|o| o.timeline = true)),
+    ("--trace", "<PATH> write an NDJSON trace of every session event", Value(|o, v| parsed(v).map(|path| o.trace = Some(path)))),
+    ("--chaos", "<PLAN> a preset (kitchen-sink) or a plan string", Value(set_chaos)),
+    ("--fleet", "run a coupled fleet population instead", Switch(|o| o.fleet = true)),
+    ("--fleet-sessions", "<N> population size [2000]", Value(|o, v| parsed(v).map(|n| o.fleet_sessions = n))),
+    ("--fleet-mode", "<fluid|exact> fleet backend [fluid]", Value(set_fleet_mode)),
+    ("--fleet-policy", "<cheapest-feasible|load-balanced|qoe-first> [load-balanced]", Value(set_fleet_policy)),
+];
 
-A chaos-corpus case also names a workload, a scheduler and a chunk size,
-and its seed is 16 hex digits: replay it with the chaos explorer,
-    chaos --case tests/chaos_corpus/case-<id>.json
+const ENVS: &[&str] = &["testbed", "youtube"];
+const PLAYERS: &[&str] = &["msplayer", "wifi", "lte"];
+const SCHEDULERS: &[&str] = &["harmonic", "ewma", "ratio", "fixed"];
 
-Fleet mode couples every session through shared replica capacity
-(--chaos fleet plans like capacity-crunch apply fleet-wide); exact mode
-runs full per-chunk sessions on the scenario picked by --env/--player:
-    msplayer-sim --fleet --fleet-sessions 50000 --fleet-policy qoe-first
-    msplayer-sim --fleet --fleet-mode exact --fleet-sessions 16
-";
+/// `v` if `allowed` holds it.
+fn one_of(v: &str, allowed: &[&str]) -> Result<String, String> {
+    if allowed.contains(&v) {
+        Ok(v.into())
+    } else {
+        Err(format!("invalid value {v:?}; allowed: {allowed:?}"))
+    }
+}
+
+fn set_chaos(o: &mut Options, v: &str) -> Result<(), String> {
+    ChaosPlan::preset(v).map_err(|e| e.to_string())?;
+    o.chaos = v.into();
+    Ok(())
+}
+
+fn set_fleet_mode(o: &mut Options, v: &str) -> Result<(), String> {
+    o.fleet_mode = FleetMode::parse(v).ok_or(format!("unknown mode {v:?} (fluid, exact)"))?;
+    Ok(())
+}
+
+fn set_fleet_policy(o: &mut Options, v: &str) -> Result<(), String> {
+    let names = || SelectionPolicy::ALL.map(|p| p.name()).join(", ");
+    o.fleet_policy =
+        SelectionPolicy::parse(v).ok_or_else(|| format!("unknown policy {v:?} ({})", names()))?;
+    Ok(())
+}
 
 /// Parses a size like `64K`, `1M`, `256K`, or plain bytes.
 fn parse_size(s: &str) -> Result<u64, String> {
@@ -115,75 +125,6 @@ fn parse_size(s: &str) -> Result<u64, String> {
         .ok()
         .and_then(|n| n.checked_mul(mult))
         .ok_or_else(|| format!("bad size {s:?}"))
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opt = Options::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{arg} needs a value"))
-        };
-        match arg.as_str() {
-            "--env" => opt.env = value()?,
-            "--player" => opt.player = value()?,
-            "--scheduler" => opt.scheduler = value()?,
-            "--chunk" => opt.chunk = parse_size(&value()?)?,
-            "--prebuffer" => {
-                opt.prebuffer = value()?.parse().map_err(|e| format!("--prebuffer: {e}"))?
-            }
-            "--refills" => opt.refills = value()?.parse().map_err(|e| format!("--refills: {e}"))?,
-            "--seed" => opt.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--runs" => {
-                opt.runs = value()?
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or("--runs: expected a positive integer")?
-            }
-            "--timeline" => opt.timeline = true,
-            "--trace" => opt.trace = Some(value()?),
-            "--chaos" => {
-                let v = value()?;
-                ChaosPlan::preset(&v).map_err(|e| format!("--chaos: {e}"))?;
-                opt.chaos = v;
-            }
-            "--fleet" => opt.fleet = true,
-            "--fleet-sessions" => {
-                opt.fleet_sessions = value()?
-                    .parse()
-                    .map_err(|e| format!("--fleet-sessions: {e}"))?
-            }
-            "--fleet-mode" => {
-                let v = value()?;
-                opt.fleet_mode = FleetMode::parse(&v)
-                    .ok_or_else(|| format!("--fleet-mode: unknown mode {v:?} (fluid, exact)"))?
-            }
-            "--fleet-policy" => {
-                let v = value()?;
-                opt.fleet_policy = SelectionPolicy::parse(&v).ok_or_else(|| {
-                    format!(
-                        "--fleet-policy: unknown policy {v:?} ({})",
-                        SelectionPolicy::ALL.map(|p| p.name()).join(", ")
-                    )
-                })?
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown option {other:?}\n\n{USAGE}")),
-        }
-    }
-    for (field, allowed) in [
-        (&opt.env, &["testbed", "youtube"][..]),
-        (&opt.player, &["msplayer", "wifi", "lte"][..]),
-        (&opt.scheduler, &["harmonic", "ewma", "ratio", "fixed"][..]),
-    ] {
-        if !allowed.contains(&field.as_str()) {
-            return Err(format!("invalid value {field:?}; allowed: {allowed:?}"));
-        }
-    }
-    Ok(opt)
 }
 
 /// The service and the session picked by `--env` / `--player` and the
@@ -318,32 +259,33 @@ fn run_fleet_mode(opt: &Options) -> i32 {
     0
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opt = match parse_args(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(if msg == USAGE { 0 } else { 2 });
-        }
+pub fn main(args: &[String]) -> i32 {
+    let opt = match crate::parse(args, SYNOPSIS, FLAGS) {
+        Ok(opt) => opt,
+        Err(code) => return code,
     };
     if opt.trace.is_some() {
         telemetry::set_enabled(true);
         telemetry::set_trace_enabled(true);
     }
     if opt.fleet {
-        std::process::exit(run_fleet_mode(&opt));
+        return run_fleet_mode(&opt);
     }
 
     // Open the trace before any session runs: an unwritable path is a
     // usage error, not something to learn after the whole sweep.
-    let trace_out = opt.trace.as_deref().map(|path| {
-        let file = std::fs::File::create(path).unwrap_or_else(|e| {
+    let trace_out = match opt
+        .trace
+        .as_deref()
+        .map(|path| (path, std::fs::File::create(path)))
+    {
+        None => None,
+        Some((path, Ok(file))) => Some((path, file)),
+        Some((path, Err(e))) => {
             eprintln!("--trace {path}: {e}");
-            std::process::exit(2);
-        });
-        (path, file)
-    });
+            return 2;
+        }
+    };
 
     let mut prebuffer_stats = Running::new();
     let mut prebuffer_samples = Vec::new();
@@ -355,7 +297,7 @@ fn main() {
         Ok(sessions) => sessions,
         Err(e) => {
             eprintln!("invalid session: {e}");
-            std::process::exit(2);
+            return 2;
         }
     };
     for (&seed, m) in seeds.iter().zip(&sessions) {
@@ -424,11 +366,13 @@ fn main() {
     if let Some((path, file)) = trace_out {
         if let Err(e) = write_trace(path, file) {
             eprintln!("--trace {path}: {e}");
-            std::process::exit(2);
+            return 2;
         }
     }
     if chaos_violations > 0 {
-        std::process::exit(1);
+        1
+    } else {
+        0
     }
 }
 
@@ -451,10 +395,15 @@ fn write_trace(path: &str, file: std::fs::File) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msplayer::youtube::Network;
+    use crate::Refusal;
+    use msim_youtube::Network;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    fn parse_args(args: &[String]) -> Result<Options, Refusal> {
+        crate::try_parse(args, FLAGS)
     }
 
     #[test]
@@ -546,10 +495,8 @@ mod tests {
         assert!(parse_args(&args("--chunk")).is_err(), "missing value");
         for runs in ["0", "two", "-1"] {
             assert_eq!(
-                parse_args(&args(&format!("--runs {runs}")))
-                    .err()
-                    .as_deref(),
-                Some("--runs: expected a positive integer")
+                parse_args(&args(&format!("--runs {runs}"))).err(),
+                Some(Refusal::Value("--runs: expected a positive integer".into()))
             );
         }
     }
@@ -621,8 +568,8 @@ mod tests {
 
     #[test]
     fn help_returns_usage() {
-        let err = parse_args(&args("--help")).unwrap_err();
-        assert!(err.contains("msplayer-sim"));
+        assert_eq!(parse_args(&args("--help")), Err(Refusal::Help));
+        assert!(crate::usage_of(SYNOPSIS, FLAGS).starts_with("usage: msplayer run"));
     }
 
     #[test]

@@ -85,8 +85,8 @@ pub enum Transport {
     /// over their stdio. Crashed workers are respawned from a bounded
     /// budget.
     Spawn {
-        /// The worker executable (normally the `msplayer-sweepd` binary;
-        /// tests pass `env!("CARGO_BIN_EXE_msplayer-sweepd")`).
+        /// The worker executable (normally the `msplayer` binary; tests
+        /// pass `env!("CARGO_BIN_EXE_msplayer")`).
         program: PathBuf,
     },
     /// Bind `addr` and accept workers that connect (multi-host mode).

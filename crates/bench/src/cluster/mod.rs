@@ -26,7 +26,7 @@
 //!   its tests explore thousands of seeded fault schedules, coordinator
 //!   restarts from a torn journal included, in simulated time.
 //!
-//! The `msplayer-sweepd` binary wraps all of this behind `coordinator`,
+//! The `msplayer` binary wraps all of this behind its `coordinator`,
 //! `worker` and `serial` subcommands.
 
 pub mod checkpoint;

@@ -35,7 +35,7 @@
 //! carry telemetry counter deltas; so that the coordinator's fleet-wide
 //! `/metrics` merge stays exact, a worker with unsent deltas flushes them
 //! in one more heartbeat right before `done`. A lease timeout must be
-//! several paces long (`msplayer-sweepd` refuses less than four).
+//! several paces long (`msplayer coordinator` refuses less than four).
 
 use super::manifest::SweepManifest;
 use super::merge::CellRow;

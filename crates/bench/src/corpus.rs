@@ -24,27 +24,14 @@ pub fn seed(salt: u64, window: u64, i: u64) -> u64 {
         ^ window.wrapping_mul(0xD6E8_FEB8_6659_FD93)
 }
 
-/// The window an explorer runs in when `--window` does not pin one:
-/// `MSP_CHAOS_WINDOW` when set (a value that is not a window ends the
-/// process, exit code 2: a pinned window must never silently become
-/// today's), else days since the Unix epoch. A violation found in a
-/// rotated window is recorded as a self-contained case, so replaying it
-/// never depends on knowing which day found it.
+/// The window an explorer runs in when `--window` does not pin one: days
+/// since the Unix epoch. A violation found in a rotated window is recorded
+/// as a self-contained case, so replaying it never depends on knowing
+/// which day found it.
 pub fn default_window() -> u64 {
-    crate::env_or_exit("MSP_CHAOS_WINDOW", parse_window).unwrap_or_else(|| {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs() / 86_400)
-    })
-}
-
-/// `MSP_CHAOS_WINDOW` as read from the environment (`None` = unset) to a
-/// pinned window (`None` = rotate daily).
-fn parse_window(value: Option<&str>) -> Result<Option<u64>, String> {
-    let Some(v) = value else { return Ok(None) };
-    v.trim().parse().map(Some).map_err(|_| {
-        format!("MSP_CHAOS_WINDOW={v:?}: expected a non-negative integer (0 = the historical enumeration)")
-    })
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs() / 86_400)
 }
 
 /// A seed as a case file holds it.
@@ -137,24 +124,6 @@ pub fn load(dir: &Path) -> Result<Vec<(PathBuf, ChaosCase)>, String> {
 mod tests {
     use super::*;
     use crate::chaos::CHAOS_EXPLORER_SALT;
-
-    #[test]
-    fn msp_chaos_window_accepts_windows_and_treats_unset_as_rotate_daily() {
-        assert_eq!(parse_window(None), Ok(None));
-        assert_eq!(parse_window(Some("0")), Ok(Some(0)));
-        assert_eq!(parse_window(Some(" 20726 ")), Ok(Some(20726)));
-    }
-
-    #[test]
-    fn msp_chaos_window_rejects_garbage_naming_the_variable() {
-        for bad in ["banana", "-1", "2.5", ""] {
-            let err = parse_window(Some(bad)).unwrap_err();
-            assert!(
-                err.starts_with(&format!("MSP_CHAOS_WINDOW={bad:?}: expected ")),
-                "{err}"
-            );
-        }
-    }
 
     #[test]
     fn seed_stream_rotates_by_window_index_and_salt() {

@@ -1,10 +1,10 @@
-//! Named fleet workloads for `fleet_bench`: the population-scale fluid
+//! Named fleet workloads for `msplayer fleet`: the population-scale fluid
 //! headline, the policy × capacity cost-vs-QoE frontier grid, and a small
 //! exact-mode anchor demonstrating backend interop.
 //!
 //! All specs are pure functions of their inputs (seeded from
-//! [`crate::BASE_SEED`]), so the `BENCH_fleet.json` that `fleet_bench`
-//! writes is reproducible bit-for-bit.
+//! [`crate::BASE_SEED`]), so the `BENCH_fleet.json` that `msplayer
+//! fleet` writes is reproducible bit-for-bit.
 
 use crate::BASE_SEED;
 use msim_core::time::SimDuration;

@@ -1,14 +1,10 @@
 //! # msplayer-bench — experiment harness
 //!
-//! Shared workload generators and sweep runners behind the per-figure bench
-//! targets. Each bench binary (`benches/figN_*.rs`) calls into this crate,
-//! prints the paper-style table/series, and writes CSV under
-//! `target/figures/`.
-//!
-//! Run counts default to the paper's 20 repetitions; set `MSP_RUNS` to
-//! override (smoke tests use 5). A bench builds its registry with
-//! `WorkloadRegistry::builtin(runs())` and hands the named workloads to the
-//! figure helpers below.
+//! Workload generators, the sweep engine, the chaos explorer, the
+//! distributed sweep service and the fleet workloads behind the `msplayer`
+//! binary (`src/bin/msplayer/`). Its `scorecard` subcommand builds
+//! `WorkloadRegistry::builtin(20)`, the paper's 20 repetitions, and hands
+//! the named workloads to the figure helpers below.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,42 +17,10 @@ pub mod sampling;
 pub mod sweep;
 pub mod workload;
 
-use msim_core::stats::BoxStats;
 use msplayer_core::config::{PlayerConfig, SchedulerKind};
 use msplayer_core::metrics::{SessionMetrics, TrafficPhase};
 use msplayer_core::sim::{ServiceSpec, SessionHost, SessionSpec, StopCondition};
 use workload::WorkloadSpec;
-
-/// Number of seeded repetitions per configuration (paper: "repeat this 20
-/// times"). Override with `MSP_RUNS` (a positive integer); unset means 20.
-///
-/// The env var is read **once** and cached in a `OnceLock`, so `MSP_RUNS`
-/// must be set before the first call (process start does this naturally).
-/// A value that is not a positive integer ends the process (exit code 2)
-/// at that first read, before any session runs.
-pub fn runs() -> u64 {
-    static RUNS: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *RUNS.get_or_init(|| env_or_exit("MSP_RUNS", parse_runs))
-}
-
-/// Reads the environment variable `var` through `parse` (`None` = unset).
-/// A value `parse` refuses ends the process: its one-line message on
-/// stderr, exit code 2.
-pub fn env_or_exit<T>(var: &str, parse: impl FnOnce(Option<&str>) -> Result<T, String>) -> T {
-    parse(std::env::var(var).ok().as_deref()).unwrap_or_else(|why| {
-        eprintln!("{why}");
-        std::process::exit(2);
-    })
-}
-
-/// `MSP_RUNS` as read from the environment (`None` = unset) to a run count.
-fn parse_runs(value: Option<&str>) -> Result<u64, String> {
-    let Some(v) = value else { return Ok(20) };
-    match v.trim().parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("MSP_RUNS={v:?}: expected a positive integer")),
-    }
-}
 
 /// Base seed; combined with run index so each repetition is independent but
 /// reproducible.
@@ -167,32 +131,4 @@ pub fn wifi_fractions(
         }
     }
     (pre, re)
-}
-
-/// Convenience: boxplot stats of a sample.
-pub fn boxstats(samples: &[f64]) -> BoxStats {
-    BoxStats::from_sample(samples)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::parse_runs;
-
-    #[test]
-    fn msp_runs_accepts_positive_integers_and_defaults_to_twenty() {
-        assert_eq!(parse_runs(None), Ok(20));
-        assert_eq!(parse_runs(Some("5")), Ok(5));
-        assert_eq!(parse_runs(Some(" 100 ")), Ok(100));
-    }
-
-    #[test]
-    fn msp_runs_rejects_zero_and_garbage_naming_the_variable() {
-        for bad in ["0", "two", "-3", "2.5", ""] {
-            let err = parse_runs(Some(bad)).unwrap_err();
-            assert!(
-                err.contains("MSP_RUNS") && err.contains("positive integer"),
-                "{err}"
-            );
-        }
-    }
 }

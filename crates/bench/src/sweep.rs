@@ -13,13 +13,12 @@
 //!   std threads drawing from one shared cursor and merges **in cell
 //!   order**, so its output is bit-for-bit the first's however the OS
 //!   schedules the workers (`tests/sweep_determinism.rs`);
-//! * [`CellResult`]: a cell with the metrics of its session;
-//! * [`bench_dir`]: where the bins put their artifacts.
+//! * [`CellResult`]: a cell with the metrics of its session.
 //!
 //! There is no front end here. A sweep that must survive a stuck or dying
-//! executor is `msplayer-sweepd` ([`crate::cluster`]: lease expiry, re-lease,
-//! poison), a figure is its `benches/figN_*` target, and speed is measured
-//! by `benchmark/` alone.
+//! executor is `msplayer coordinator` ([`crate::cluster`]: lease expiry,
+//! re-lease, poison), the figures are `msplayer scorecard`, and speed is
+//! measured by `benchmark/` alone.
 
 use crate::workload::WorkloadSpec;
 use msplayer_core::config::SchedulerKind;
@@ -257,36 +256,6 @@ pub fn run_parallel(cells: &[Cell], n_threads: usize) -> Vec<CellResult> {
         .enumerate()
         .map(|(i, r)| r.unwrap_or_else(|| panic!("cell {i} never ran")))
         .collect()
-}
-
-/// Directory for bench JSON artifacts, created if missing: `MSP_BENCH_DIR`
-/// as read from the environment (`None` = unset), else `target/bench/`
-/// under the workspace root. Bins resolve it once at start-up through
-/// [`crate::env_or_exit`], so a directory that cannot be created ends the
-/// process (exit code 2) before any cell runs instead of after the last.
-pub fn bench_dir(msp_bench_dir: Option<&str>) -> Result<std::path::PathBuf, String> {
-    let dir = match msp_bench_dir {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => {
-            let mut base = std::env::current_dir().unwrap_or_else(|_| ".".into());
-            for _ in 0..4 {
-                if base.join("target").is_dir() && base.join("Cargo.toml").is_file() {
-                    break;
-                }
-                if let Some(parent) = base.parent() {
-                    base = parent.to_path_buf();
-                }
-            }
-            base.join("target").join("bench")
-        }
-    };
-    match std::fs::create_dir_all(&dir) {
-        Ok(()) => Ok(dir),
-        Err(e) => Err(match msp_bench_dir {
-            Some(v) => format!("MSP_BENCH_DIR={v:?}: {e}"),
-            None => format!("MSP_BENCH_DIR unset, {}: {e}", dir.display()),
-        }),
-    }
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ fn committed_corpus_replays_green() {
         let outcome = run_case(case, &registry);
         assert!(
             outcome.ok(),
-            "{} regressed: {:?}\nfingerprint: {}\nreproduce with:\n  cargo run -p msplayer-bench --bin chaos -- --case {}",
+            "{} regressed: {:?}\nfingerprint: {}\nreproduce with:\n  cargo run -p msplayer-bench --bin msplayer -- chaos --case {}",
             path.display(),
             outcome.violations,
             outcome

@@ -17,7 +17,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn sweepd() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_msplayer-sweepd"))
+    PathBuf::from(env!("CARGO_BIN_EXE_msplayer"))
 }
 
 /// A sweep small enough that every test here stays in the sub-minute
@@ -203,8 +203,8 @@ fn tcp_workers_complete_the_sweep() {
 
 /// `run_cluster` returning `Err` mid-run used to leave its children
 /// behind: alive until their pipes closed, then zombies for the life of
-/// the calling process. The workers here are real `msplayer-sweepd
-/// worker` processes behind a launcher that records its pid, deletes
+/// the calling process. The workers here are real `msplayer worker`
+/// processes behind a launcher that records its pid, deletes
 /// itself and `exec`s the binary, so the pool of one starts but the
 /// replacement for its crashing worker cannot be spawned.
 #[test]

@@ -78,18 +78,6 @@ impl ChunkLedger {
         self.contiguous
     }
 
-    /// Total bytes already fetched (contiguous or not).
-    pub fn completed_bytes(&self) -> u64 {
-        self.completed.iter().map(|&(_, len)| len).sum::<u64>()
-            + self.contiguous_completed_portion()
-    }
-
-    fn contiguous_completed_portion(&self) -> u64 {
-        // `completed` holds only ranges ahead of `contiguous`; the prefix
-        // itself has been folded into `contiguous`.
-        self.contiguous
-    }
-
     /// True when every byte of the resource has been fetched.
     pub fn is_complete(&self) -> bool {
         self.contiguous >= self.total_len

@@ -304,12 +304,6 @@ impl PlayerConfig {
         }
         Ok(())
     }
-
-    /// A conservative timeout for one chunk transfer, used by drivers to
-    /// detect dead paths.
-    pub fn chunk_timeout(&self) -> SimDuration {
-        SimDuration::from_secs(8)
-    }
 }
 
 #[cfg(test)]

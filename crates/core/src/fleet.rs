@@ -389,12 +389,6 @@ impl FleetSpec {
         self
     }
 
-    /// Builder-style fleet override.
-    pub fn with_servers(mut self, servers: Vec<FleetServerSpec>) -> Self {
-        self.servers = servers;
-        self
-    }
-
     /// Builder-style chaos-plan attachment.
     pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
         self.chaos = Some(plan);

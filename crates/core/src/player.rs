@@ -366,11 +366,6 @@ impl Player {
         self.ledger.is_complete()
     }
 
-    /// Current playout buffer level in seconds.
-    pub fn buffer_level_secs(&self) -> f64 {
-        self.buffer.level_secs()
-    }
-
     /// Feeds one event; returns the actions to execute.
     ///
     /// Convenience wrapper over [`Player::handle_into`] that allocates a

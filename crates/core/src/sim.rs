@@ -533,11 +533,6 @@ impl SessionHost {
         }
     }
 
-    /// The service spec this host was built from.
-    pub fn service_spec(&self) -> &ServiceSpec {
-        &self.spec
-    }
-
     /// Runs one session to completion over the warmed service.
     pub fn run(&mut self, spec: &SessionSpec) -> Result<SessionMetrics, SessionSpecError> {
         spec.validate()?;

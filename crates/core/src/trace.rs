@@ -1,6 +1,6 @@
 //! Session trace rendering: turns a [`SessionMetrics`] chunk log into a
 //! human-readable per-path activity timeline (an ASCII Gantt chart). Used
-//! by the CLI (`msplayer-sim --trace`) and handy when debugging scheduler
+//! by the CLI (`msplayer run --timeline`) and handy when debugging scheduler
 //! behaviour.
 
 use crate::metrics::SessionMetrics;

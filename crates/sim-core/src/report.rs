@@ -37,12 +37,6 @@ impl Table {
             .push(cells.iter().map(|s| s.to_string()).collect());
     }
 
-    /// Appends a row of already-owned cells.
-    pub fn row_owned(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
-        self.rows.push(cells);
-    }
-
     /// Renders with padded columns and a header rule.
     pub fn render(&self) -> String {
         let ncols = self.headers.len();
@@ -256,35 +250,6 @@ impl BarChart {
         }
         out
     }
-}
-
-/// Standard output directory for regenerated figure data
-/// (`<workspace>/target/figures`), creating it on first use.
-///
-/// Bench targets run with their *package* directory as CWD, so the helper
-/// walks up to the workspace root (the nearest ancestor with a `target/`
-/// build directory) before falling back to a local `target/figures`.
-/// `MSP_FIGURES_DIR` overrides everything.
-pub fn figures_dir() -> std::path::PathBuf {
-    if let Ok(dir) = std::env::var("MSP_FIGURES_DIR") {
-        let dir = std::path::PathBuf::from(dir);
-        let _ = std::fs::create_dir_all(&dir);
-        return dir;
-    }
-    let mut base = std::env::current_dir().unwrap_or_else(|_| ".".into());
-    for _ in 0..4 {
-        if base.join("target").is_dir() && base.join("Cargo.toml").is_file() {
-            break;
-        }
-        if let Some(parent) = base.parent() {
-            base = parent.to_path_buf();
-        } else {
-            break;
-        }
-    }
-    let dir = base.join("target").join("figures");
-    let _ = std::fs::create_dir_all(&dir);
-    dir
 }
 
 #[cfg(test)]

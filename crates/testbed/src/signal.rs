@@ -1,11 +1,11 @@
 //! Cooperative shutdown on SIGINT/SIGTERM.
 //!
-//! The long-running binaries (`sweep`, `chaos`, `fleet_bench`,
-//! `msplayer-sweepd`, `msplayer-sim`) want to flush partial artifacts and
-//! write their checkpoint before exiting when the operator (or CI) kills
-//! them. The handler here does the only async-signal-safe thing possible
-//! — flip an atomic — and the binaries poll [`shutdown_requested`]
-//! between units of work.
+//! The long-running subcommands of `msplayer` (`fleet`, `chaos`,
+//! `coordinator`, `worker`) want to flush partial artifacts and write
+//! their checkpoint before exiting when the operator (or CI) kills them.
+//! The handler here does the only async-signal-safe thing possible — flip
+//! an atomic — and they poll [`shutdown_requested`] between units of
+//! work.
 //!
 //! This is the one place in the workspace that needs FFI: registering a
 //! process signal handler has no std API. The `unsafe` is confined to the

@@ -1,6 +1,7 @@
 //! Figure-shape smoke tests: small-N versions of every figure/table
 //! experiment asserting the *qualitative* claims of the paper hold for the
-//! default seeds. The full-N versions live in `crates/bench/benches/`.
+//! default seeds. The full-N versions are drawn by `msplayer scorecard`
+//! (`crates/bench/src/bin/msplayer/scorecard.rs`).
 
 use msplayer::core::config::{PlayerConfig, SchedulerKind};
 use msplayer::core::metrics::{SessionMetrics, TrafficPhase};

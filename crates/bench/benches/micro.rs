@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use msim_core::event::EventQueue;
-use msim_core::process::{Ou, Process};
+use msim_core::process::Ou;
 use msim_core::rng::{DeviateMode, DrawKind, DrawTable, Prng};
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::ByteSize;
@@ -274,7 +274,7 @@ fn bench_sampling_kernels(c: &mut Criterion) {
         ("process/ou_step", SimDuration::from_millis(250)),
     ] {
         c.bench_function(id, |b| {
-            let mut ou = Ou::new(10.5, 0.5, 8.0, Prng::new(1));
+            let mut ou = Ou::new(10.5, 0.5, 8.0, Prng::new(1), DeviateMode::Block);
             let mut t = SimTime::ZERO;
             b.iter(|| {
                 t += advance;
@@ -283,14 +283,11 @@ fn bench_sampling_kernels(c: &mut Criterion) {
         });
     }
     c.bench_function("link/loss_gap_round", |b| {
-        let mut link = msim_net::Link::new(
-            "bench",
-            msim_core::process::Constant(10.0),
-            SimDuration::from_millis(25),
-            0.0,
-            0.004,
-            Prng::new(7),
-        );
+        let mut link = msim_net::PathProfile {
+            random_loss_per_round: 0.004,
+            ..msim_net::PathProfile::stable(10.0, 25)
+        }
+        .build(&mut Prng::new(7));
         b.iter(|| black_box(link.random_loss()));
     });
 }
@@ -298,14 +295,12 @@ fn bench_sampling_kernels(c: &mut Criterion) {
 fn bench_tcp_model(c: &mut Criterion) {
     c.bench_function("tcp/1MB_transfer_simulation", |b| {
         b.iter(|| {
-            let mut link = msim_net::Link::new(
-                "bench",
-                msim_core::process::Constant(10.0),
-                SimDuration::from_millis(30),
-                0.1,
-                0.001,
-                Prng::new(7),
-            );
+            let mut link = msim_net::PathProfile {
+                rtt_jitter_frac: 0.1,
+                random_loss_per_round: 0.001,
+                ..msim_net::PathProfile::stable(10.0, 30)
+            }
+            .build(&mut Prng::new(7));
             let mut conn = msim_net::TcpConnection::new(msim_net::TcpConfig::default());
             let ready = conn.connect(&mut link, SimTime::ZERO);
             black_box(conn.request(&mut link, ready, ByteSize::mb(1)))

@@ -329,21 +329,6 @@ impl SessionMetrics {
             .map(|t| t.saturating_since(self.started_at))
     }
 
-    /// Mean refill duration, if any cycles completed.
-    pub fn mean_refill_time(&self) -> Option<SimDuration> {
-        if self.refills.is_empty() {
-            return None;
-        }
-        let total: f64 = self
-            .refills
-            .iter()
-            .map(|r| r.duration().as_secs_f64())
-            .sum();
-        Some(SimDuration::from_secs_f64(
-            total / self.refills.len() as f64,
-        ))
-    }
-
     /// Total bytes delivered over `path` during `phase`.
     pub fn bytes_on(&self, path: PathId, phase: TrafficPhase) -> u64 {
         self.chunks
@@ -487,23 +472,6 @@ mod tests {
             .push((SimTime::from_secs(10), Some(SimTime::from_secs(13))));
         m.stalls.push((SimTime::from_secs(20), None));
         assert_eq!(m.total_stall_time(), SimDuration::from_secs(3));
-    }
-
-    #[test]
-    fn mean_refill() {
-        let mut m = SessionMetrics::default();
-        assert!(m.mean_refill_time().is_none());
-        m.refills.push(RefillRecord {
-            started_at: SimTime::from_secs(10),
-            completed_at: SimTime::from_secs(14),
-            bytes: 1,
-        });
-        m.refills.push(RefillRecord {
-            started_at: SimTime::from_secs(30),
-            completed_at: SimTime::from_secs(36),
-            bytes: 1,
-        });
-        assert_eq!(m.mean_refill_time(), Some(SimDuration::from_secs(5)));
     }
 
     // ---- SessionMetrics::digest ------------------------------------------

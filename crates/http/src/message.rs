@@ -83,16 +83,6 @@ impl StatusCode {
             _ => "Unknown",
         }
     }
-
-    /// 2xx?
-    pub fn is_success(&self) -> bool {
-        (200..300).contains(&self.0)
-    }
-
-    /// 5xx?
-    pub fn is_server_error(&self) -> bool {
-        (500..600).contains(&self.0)
-    }
 }
 
 impl fmt::Display for StatusCode {
@@ -193,15 +183,6 @@ impl Request {
     /// The `Host` header.
     pub fn host(&self) -> Option<&str> {
         self.headers.get("host")
-    }
-
-    /// Query parameter lookup on the target (`?k=v&k2=v2`).
-    pub fn query_param(&self, key: &str) -> Option<&str> {
-        let (_, query) = self.target.split_once('?')?;
-        query.split('&').find_map(|pair| {
-            let (k, v) = pair.split_once('=')?;
-            (k == key).then_some(v)
-        })
     }
 
     /// The path part of the target (before `?`).
@@ -336,9 +317,6 @@ mod tests {
         assert_eq!(req.method, Method::Get);
         assert_eq!(req.host(), Some("www.youtube.com"));
         assert_eq!(req.path(), "/watch");
-        assert_eq!(req.query_param("v"), Some("qjT4T2gU9sM"));
-        assert_eq!(req.query_param("fmt"), Some("22"));
-        assert_eq!(req.query_param("nope"), None);
         let r = req.range().unwrap().unwrap();
         assert_eq!(r.len(), 65_536);
     }
@@ -355,11 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn status_categories() {
-        assert!(StatusCode::OK.is_success());
-        assert!(StatusCode::PARTIAL_CONTENT.is_success());
-        assert!(!StatusCode::FORBIDDEN.is_success());
-        assert!(StatusCode::SERVICE_UNAVAILABLE.is_server_error());
+    fn status_displays_code_and_reason() {
         assert_eq!(
             StatusCode::PARTIAL_CONTENT.to_string(),
             "206 Partial Content"

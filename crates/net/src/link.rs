@@ -1,13 +1,20 @@
 //! A simulated access link: time-varying available bandwidth, RTT with
-//! jitter, random loss, and optional outage windows (mobility).
+//! jitter, random loss, and optional outage windows (mobility). Links are
+//! built by [`PathProfile::build`], the only way to make one.
+//!
+//! The rate is `clamp(level × bursts × congestion)` in Mbit/s, computed by
+//! the link from three inline parts (see [`msim_core::process`]): an OU
+//! level (or the profile's constant mean), an optional burst overlay and an
+//! optional congestion modulator. A new rate feature is a profile field and
+//! a link field.
 //!
 //! What a TCP round costs here (the hottest calls in the repository):
 //!
 //! * [`Link::rtt_at`]: one indexed load from the jitter table and the µs
 //!   rounding; the only per-round deviate left;
-//! * [`Link::rate_at`]: the rate process lives on the time axis (see
-//!   [`msim_core::process`]), so most rounds read the OU's current cell and
-//!   the modulators' current episode, and nothing is drawn;
+//! * [`Link::rate_at`]: the three parts live on the time axis, so most
+//!   rounds read the OU's current cell and the other parts' current
+//!   episode, and nothing is drawn;
 //! * [`Link::random_loss`]: a countdown. The number of clean rounds before
 //!   the next loss is drawn once per loss, not a Bernoulli per round.
 //!
@@ -15,8 +22,9 @@
 //! and loss are per-round sequences and depend on how many rounds ran.
 
 use crate::mobility::OutageSchedule;
-use msim_core::process::{Process, ProcessKind};
-use msim_core::rng::{DeviateMode, DrawKind, DrawTable, Prng};
+use crate::profile::PathProfile;
+use msim_core::process::{Bursts, MarkovModulator, Ou};
+use msim_core::rng::{DrawKind, DrawTable, Prng};
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::BitRate;
 use msim_core::vmath;
@@ -27,9 +35,15 @@ use msim_core::vmath;
 /// drawn per round from a log-normal multiplier so that latency spikes are
 /// occasionally large but never negative.
 pub struct Link {
-    /// Human-readable name, e.g. `"wifi"`.
-    pub name: String,
-    rate_process: ProcessKind,
+    /// The mean-reverting rate level; `None` holds `mean` constant.
+    level: Option<Ou>,
+    /// Long-run mean rate, Mbit/s.
+    mean: f64,
+    bursts: Option<Bursts>,
+    congestion: Option<MarkovModulator>,
+    /// Rate clamp, Mbit/s.
+    min_rate: f64,
+    max_rate: f64,
     base_rtt: SimDuration,
     /// `ln(1 − p)` for a per-round loss probability `p`: negative on a
     /// lossy link (−∞ at `p = 1`), `0.0` on one that never loses.
@@ -46,44 +60,46 @@ pub struct Link {
 }
 
 impl Link {
-    /// Assembles a link from its parts. `rate_process` yields Mbit/s.
-    /// Concrete process types dispatch through [`ProcessKind`] (a
-    /// predictable branch on the per-round hot path instead of a vtable);
-    /// exotic implementations can still be passed as `Box<dyn Process>`.
-    pub fn new(
-        name: impl Into<String>,
-        rate_process: impl Into<ProcessKind>,
-        base_rtt: SimDuration,
-        rtt_jitter_frac: f64,
-        random_loss_per_round: f64,
-        rng: Prng,
-    ) -> Self {
-        Self::with_mode(
-            name,
-            rate_process,
-            base_rtt,
-            rtt_jitter_frac,
-            random_loss_per_round,
-            rng,
-            DeviateMode::default(),
-        )
-    }
-
-    /// As [`Link::new`] with an explicit deviate-generation mode.
-    pub fn with_mode(
-        name: impl Into<String>,
-        rate_process: impl Into<ProcessKind>,
-        base_rtt: SimDuration,
-        rtt_jitter_frac: f64,
-        random_loss_per_round: f64,
-        mut rng: Prng,
-        mode: DeviateMode,
-    ) -> Self {
+    /// Builds the link `profile` describes. Streams are forked from `rng`
+    /// in a fixed order: the level (only when the rate varies), the bursts,
+    /// the congestion modulator, then the link's own stream.
+    pub(crate) fn new(profile: &PathProfile, rng: &mut Prng) -> Self {
+        let mode = profile.deviate_mode;
+        let mean = profile.mean_rate.as_mbps();
+        let (min_rate, max_rate) = (mean * profile.min_rate_frac, mean * profile.max_rate_frac);
+        assert!(min_rate <= max_rate, "min rate above max rate");
+        let level = (profile.rate_std_frac > 0.0).then(|| {
+            let std = mean * profile.rate_std_frac;
+            Ou::new(mean, std, profile.rate_tau_secs, rng.fork(), mode)
+        });
+        let bursts = profile.bursts.map(|b| {
+            Bursts::new(
+                b.mean_interarrival_secs,
+                b.mean_duration_secs,
+                b.shape,
+                b.cap,
+                b.down_cap,
+                b.up_prob,
+                rng.fork(),
+                mode,
+            )
+        });
+        let congestion = profile.markov.map(|m| {
+            MarkovModulator::new(
+                1.0,
+                m.bad_mult,
+                m.mean_good_secs,
+                m.mean_bad_secs,
+                rng.fork(),
+                mode,
+            )
+        });
+        let mut rng = rng.fork();
         // Jittered links fork a dedicated stream for the multiplier table
         // so loss draws stay on `rng`; a link with neither jitter nor loss
         // leaves `rng` where the caller's fork put it.
-        let jitter = (rtt_jitter_frac > 0.0).then(|| {
-            let sigma = rtt_jitter_frac;
+        let jitter = (profile.rtt_jitter_frac > 0.0).then(|| {
+            let sigma = profile.rtt_jitter_frac;
             DrawTable::new(
                 rng.fork(),
                 DrawKind::LognormalMult {
@@ -93,7 +109,7 @@ impl Link {
                 mode,
             )
         });
-        let p = random_loss_per_round;
+        let p = profile.random_loss_per_round;
         let ln_keep = if p >= 1.0 {
             f64::NEG_INFINITY
         } else if p > 0.0 {
@@ -102,9 +118,13 @@ impl Link {
             0.0
         };
         let mut link = Link {
-            name: name.into(),
-            rate_process: rate_process.into(),
-            base_rtt,
+            level,
+            mean,
+            bursts,
+            congestion,
+            min_rate,
+            max_rate,
+            base_rtt: profile.base_rtt,
             ln_keep,
             loss_gap: u64::MAX,
             outages: None,
@@ -140,7 +160,14 @@ impl Link {
                 return BitRate::ZERO;
             }
         }
-        BitRate::mbps(self.rate_process.value_at(t).max(0.01))
+        let level = self.level.as_mut().map_or(self.mean, |ou| ou.value_at(t));
+        let bursts = self.bursts.as_mut().map_or(1.0, |b| b.value_at(t));
+        let congestion = self.congestion.as_mut().map_or(1.0, |m| m.value_at(t));
+        // Bursts × congestion first, then the level: the order the pinned
+        // sampling fingerprints were recorded with (`f64` products do not
+        // reassociate bit for bit).
+        let rate = (level * (bursts * congestion)).clamp(self.min_rate, self.max_rate);
+        BitRate::mbps(rate.max(0.01))
     }
 
     /// Round-trip time at time `t` (base RTT × log-normal jitter, sigma
@@ -201,21 +228,25 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msim_core::process::Constant;
 
     fn test_link(jitter: f64) -> Link {
-        Link::new(
-            "test",
-            Constant(10.0),
-            SimDuration::from_millis(50),
-            jitter,
-            0.0,
-            Prng::new(1),
-        )
+        PathProfile {
+            rtt_jitter_frac: jitter,
+            ..PathProfile::stable(10.0, 50)
+        }
+        .build(&mut Prng::new(1))
+    }
+
+    fn lossy_link(p: f64, seed: u64) -> Link {
+        PathProfile {
+            random_loss_per_round: p,
+            ..PathProfile::stable(10.0, 50)
+        }
+        .build(&mut Prng::new(seed))
     }
 
     #[test]
-    fn rate_comes_from_process() {
+    fn constant_level_is_the_mean() {
         let mut l = test_link(0.0);
         assert!((l.rate_at(SimTime::ZERO).as_mbps() - 10.0).abs() < 1e-9);
     }
@@ -243,7 +274,6 @@ mod tests {
 
     #[test]
     fn outage_zeroes_rate() {
-        use crate::mobility::OutageSchedule;
         let sched =
             OutageSchedule::from_windows(vec![(SimTime::from_secs(10), SimTime::from_secs(20))]);
         let mut l = test_link(0.0).with_outages(sched);
@@ -260,27 +290,9 @@ mod tests {
 
     #[test]
     fn random_loss_frequency() {
-        let mut l = Link::new(
-            "lossy",
-            Constant(10.0),
-            SimDuration::from_millis(50),
-            0.0,
-            0.1,
-            Prng::new(7),
-        );
+        let mut l = lossy_link(0.1, 7);
         let hits = (0..10_000).filter(|_| l.random_loss()).count();
         assert!((800..1200).contains(&hits), "hits {hits}");
-    }
-
-    fn lossy_link(p: f64, seed: u64) -> Link {
-        Link::new(
-            "lossy",
-            Constant(10.0),
-            SimDuration::from_millis(50),
-            0.0,
-            p,
-            Prng::new(seed),
-        )
     }
 
     #[test]
@@ -314,7 +326,8 @@ mod tests {
     #[test]
     fn quiet_link_never_touches_its_rng() {
         // No jitter and no loss: rounds, rates and RTTs leave the stream
-        // where construction found it.
+        // where construction found it. A stable profile forks nothing but
+        // the link's own stream.
         let mut l = test_link(0.0);
         for i in 0..1_000 {
             let t = SimTime::from_millis(10 * i);
@@ -322,15 +335,13 @@ mod tests {
             l.rtt_at(t);
             assert!(!l.random_loss());
         }
-        assert_eq!(l.rng_probe(), Prng::new(1).next_u64());
+        assert_eq!(l.rng_probe(), Prng::new(1).fork().next_u64());
     }
 
     #[test]
     fn rate_is_a_function_of_seed_and_time() {
         // Two links of one seed, sampled on different patterns, one of them
         // through an outage: the rate agrees wherever both are up.
-        use crate::mobility::OutageSchedule;
-        use crate::profile::PathProfile;
         let profile = PathProfile::lte_youtube();
         let mut steady = profile.build(&mut Prng::new(21));
         let sched =
@@ -341,6 +352,83 @@ mod tests {
             let want = steady.rate_at(t);
             if i % 17 == 0 && roaming.is_up(t) {
                 assert_eq!(roaming.rate_at(t).as_bps(), want.as_bps(), "at {t:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_closed_clamp_pins_the_rate() {
+        // min == max: whatever the level, bursts and congestion do, the
+        // rate is the clamp.
+        let profile = PathProfile {
+            min_rate_frac: 0.7,
+            max_rate_frac: 0.7,
+            ..PathProfile::lte_youtube()
+        };
+        let want = BitRate::mbps(profile.mean_rate.as_mbps() * 0.7);
+        let mut link = profile.build(&mut Prng::new(2));
+        for i in 0..20_000u64 {
+            let t = SimTime::from_millis(13 * i);
+            assert_eq!(link.rate_at(t).as_bps(), want.as_bps(), "at {t:?}");
+        }
+    }
+
+    #[test]
+    fn rate_is_level_times_bursts_times_congestion_clamped() {
+        // Recompute the rate from the three parts built on the same forks
+        // as `Link::new`, in the pinned order of operations.
+        for profile in [
+            PathProfile::wifi_testbed(),
+            PathProfile::lte_testbed(),
+            PathProfile::wifi_youtube(),
+            PathProfile::lte_youtube(),
+            PathProfile::ethernet_testbed(),
+        ] {
+            let mut rng = Prng::new(31);
+            let mut link = profile.build(&mut rng.clone());
+            let mode = profile.deviate_mode;
+            let mean = profile.mean_rate.as_mbps();
+            let mut level = Ou::new(
+                mean,
+                mean * profile.rate_std_frac,
+                profile.rate_tau_secs,
+                rng.fork(),
+                mode,
+            );
+            let b = profile.bursts.expect("calibrated profiles burst");
+            let mut bursts = Bursts::new(
+                b.mean_interarrival_secs,
+                b.mean_duration_secs,
+                b.shape,
+                b.cap,
+                b.down_cap,
+                b.up_prob,
+                rng.fork(),
+                mode,
+            );
+            let m = profile.markov.expect("calibrated profiles congest");
+            let mut congestion = MarkovModulator::new(
+                1.0,
+                m.bad_mult,
+                m.mean_good_secs,
+                m.mean_bad_secs,
+                rng.fork(),
+                mode,
+            );
+            let (lo, hi) = (mean * profile.min_rate_frac, mean * profile.max_rate_frac);
+            let mut jitter = Prng::new(32);
+            let mut t = SimTime::ZERO;
+            for _ in 0..100_000 {
+                // Steps of 0 to 60 ms: repeats, in-cell reads and cell edges.
+                t += SimDuration::from_micros(jitter.below(60_000));
+                let product = level.value_at(t) * (bursts.value_at(t) * congestion.value_at(t));
+                let want = BitRate::mbps(product.clamp(lo, hi).max(0.01));
+                assert_eq!(
+                    link.rate_at(t).as_bps().to_bits(),
+                    want.as_bps().to_bits(),
+                    "{} at {t:?}",
+                    profile.name
+                );
             }
         }
     }

@@ -13,13 +13,23 @@ use msim_core::time::{SimDuration, SimTime};
 /// A set of non-overlapping, sorted outage windows.
 #[derive(Clone, Debug)]
 pub struct OutageSchedule {
-    /// Sorted, disjoint `[start, end)` windows.
+    /// Sorted `[start, end)` windows with a gap between any two, so the end
+    /// of the window holding `t` is an instant the link is up.
     windows: Vec<(SimTime, SimTime)>,
 }
 
+/// Appends `w` (starting no earlier than the last window ends) to sorted
+/// windows, merging the two when they touch: back-to-back outages are one.
+fn push_merged(windows: &mut Vec<(SimTime, SimTime)>, w: (SimTime, SimTime)) {
+    match windows.last_mut() {
+        Some(last) if last.1 == w.0 => last.1 = w.1,
+        _ => windows.push(w),
+    }
+}
+
 impl OutageSchedule {
-    /// Builds a schedule from explicit windows; they are sorted and must be
-    /// disjoint and well-formed.
+    /// Builds a schedule from explicit windows; they are sorted, must be
+    /// well-formed and must not overlap. Windows that touch are merged.
     pub fn from_windows(mut windows: Vec<(SimTime, SimTime)>) -> Self {
         windows.sort_by_key(|w| w.0);
         for w in &windows {
@@ -28,12 +38,17 @@ impl OutageSchedule {
         for pair in windows.windows(2) {
             assert!(pair[0].1 <= pair[1].0, "overlapping outage windows");
         }
-        OutageSchedule { windows }
+        let mut merged = Vec::with_capacity(windows.len());
+        for w in windows {
+            push_merged(&mut merged, w);
+        }
+        OutageSchedule { windows: merged }
     }
 
     /// Generates a schedule from a renewal process over `[0, horizon)`:
     /// up-times are exponential with mean `mean_up`, outages exponential
-    /// with mean `mean_down`.
+    /// with mean `mean_down`. An up-time that rounds to 0 µs merges two
+    /// outages into one window.
     pub fn generate(
         horizon: SimTime,
         mean_up: SimDuration,
@@ -51,20 +66,13 @@ impl OutageSchedule {
             let down =
                 SimDuration::from_secs_f64(rng.exponential(mean_down.as_secs_f64()).max(0.001));
             let end = start + down;
-            windows.push((start, end.min(horizon)));
+            push_merged(&mut windows, (start, end.min(horizon)));
             t = end;
             if t >= horizon {
                 break;
             }
         }
         OutageSchedule { windows }
-    }
-
-    /// A schedule with no outages.
-    pub fn none() -> Self {
-        OutageSchedule {
-            windows: Vec::new(),
-        }
     }
 
     /// True when the link is up at `t`.
@@ -171,10 +179,47 @@ mod tests {
         );
     }
 
+    /// `next_up(t)` must be an instant the link is up, for every `t`.
+    fn assert_next_up_is_up(s: &OutageSchedule, horizon: SimTime) {
+        let mut t = SimTime::ZERO;
+        while t <= horizon {
+            assert!(s.is_up(s.next_up(t)), "next_up({t:?}) is down");
+            t += SimDuration::from_micros(250);
+        }
+        for &(start, end) in s.windows() {
+            for t in [start, end, end.saturating_add(SimDuration::from_micros(1))] {
+                assert!(s.is_up(s.next_up(t)), "next_up({t:?}) is down");
+            }
+        }
+    }
+
     #[test]
-    fn none_schedule_always_up() {
-        let s = OutageSchedule::none();
-        assert!(s.is_up(SimTime::from_secs(1_000_000)));
-        assert_eq!(s.downtime(SimTime::from_secs(1000)), SimDuration::ZERO);
+    fn touching_windows_are_one_outage() {
+        let s = OutageSchedule::from_windows(vec![
+            (SimTime::from_secs(12), SimTime::from_secs(15)),
+            (SimTime::from_secs(10), SimTime::from_secs(12)),
+        ]);
+        assert_eq!(s.next_up(SimTime::from_secs(11)), SimTime::from_secs(15));
+        assert_eq!(
+            s.windows(),
+            &[(SimTime::from_secs(10), SimTime::from_secs(15))]
+        );
+        assert_next_up_is_up(&s, SimTime::from_secs(20));
+    }
+
+    #[test]
+    fn generated_windows_never_touch() {
+        // Up-times of mean 1 µs round to 0 µs about 40 % of the time.
+        let horizon = SimTime::from_secs(2);
+        let s = OutageSchedule::generate(
+            horizon,
+            SimDuration::from_micros(1),
+            SimDuration::from_millis(2),
+            &mut Prng::new(4),
+        );
+        for pair in s.windows().windows(2) {
+            assert!(pair[0].1 < pair[1].0, "touching windows {pair:?}");
+        }
+        assert_next_up_is_up(&s, horizon);
     }
 }

@@ -11,12 +11,14 @@
 //!   tails; LTE RTT is 2–3× the WiFi RTT as measured in the paper ("the RTTs
 //!   of the LTE network are two to three times larger", §6).
 //!
-//! Each profile is a recipe; [`PathProfile::build`] instantiates a fresh
-//! [`Link`] with independent RNG streams, so Monte-Carlo repetitions differ
-//! only by seed.
+//! Each profile is a recipe; [`PathProfile::build`], the only way to make a
+//! [`Link`], instantiates a fresh one with independent RNG streams, so
+//! Monte-Carlo repetitions differ only by seed. The link's rate is
+//! `clamp(level × bursts × congestion)`: the OU level (`rate_*`), the
+//! `bursts` overlay and the `markov` congestion modulator, clamped by the
+//! `*_rate_frac` bounds.
 
 use crate::link::Link;
-use msim_core::process::{Bursts, MarkovModulator, Modulated, Ou};
 use msim_core::rng::{DeviateMode, Prng};
 use msim_core::time::SimDuration;
 use msim_core::units::BitRate;
@@ -56,7 +58,8 @@ pub struct PathProfile {
     pub name: &'static str,
     /// Long-run mean available bandwidth.
     pub mean_rate: BitRate,
-    /// Stationary std of the OU bandwidth process, as a fraction of mean.
+    /// Stationary std of the OU bandwidth process, as a fraction of mean;
+    /// `0.0` holds the level at the mean.
     pub rate_std_frac: f64,
     /// OU mean-reversion time constant, seconds.
     pub rate_tau_secs: f64,
@@ -280,58 +283,11 @@ impl PathProfile {
         }
     }
 
-    /// Instantiates a [`Link`]; all stochastic components get independent
-    /// streams forked from `rng`. Components are composed through
-    /// [`msim_core::process::ProcessKind`] — enum dispatch on the
-    /// per-round sampling hot path, no per-component vtable.
+    /// Instantiates a [`Link`], the only way to make one. Every stochastic
+    /// part (rate level, bursts, congestion, RTT jitter, loss) gets its own
+    /// stream forked from `rng`.
     pub fn build(&self, rng: &mut Prng) -> Link {
-        let mode = self.deviate_mode;
-        let mean = self.mean_rate.as_mbps();
-        let base: msim_core::process::ProcessKind = if self.rate_std_frac > 0.0 {
-            Ou::with_mode(
-                mean,
-                mean * self.rate_std_frac,
-                self.rate_tau_secs,
-                rng.fork(),
-                mode,
-            )
-            .into()
-        } else {
-            msim_core::process::Constant(mean).into()
-        };
-        let mut modulated =
-            Modulated::new(base, mean * self.min_rate_frac, mean * self.max_rate_frac);
-        if let Some(b) = self.bursts {
-            modulated = modulated.with(Bursts::with_mode(
-                b.mean_interarrival_secs,
-                b.mean_duration_secs,
-                b.shape,
-                b.cap,
-                b.down_cap,
-                b.up_prob,
-                rng.fork(),
-                mode,
-            ));
-        }
-        if let Some(m) = self.markov {
-            modulated = modulated.with(MarkovModulator::with_mode(
-                1.0,
-                m.bad_mult,
-                m.mean_good_secs,
-                m.mean_bad_secs,
-                rng.fork(),
-                mode,
-            ));
-        }
-        Link::with_mode(
-            self.name,
-            modulated,
-            self.base_rtt,
-            self.rtt_jitter_frac,
-            self.random_loss_per_round,
-            rng.fork(),
-            mode,
-        )
+        Link::new(self, rng)
     }
 }
 

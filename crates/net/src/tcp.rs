@@ -291,18 +291,21 @@ pub struct ConnSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msim_core::process::Constant;
+    use crate::profile::PathProfile;
     use msim_core::rng::Prng;
 
+    /// A constant-rate link with the given RTT jitter and per-round loss.
+    fn stable_link(mbps: f64, rtt_ms: u64, jitter: f64, loss: f64, seed: u64) -> Link {
+        PathProfile {
+            rtt_jitter_frac: jitter,
+            random_loss_per_round: loss,
+            ..PathProfile::stable(mbps, rtt_ms)
+        }
+        .build(&mut Prng::new(seed))
+    }
+
     fn quiet_link(mbps: f64, rtt_ms: u64) -> Link {
-        Link::new(
-            "test",
-            Constant(mbps),
-            SimDuration::from_millis(rtt_ms),
-            0.0,
-            0.0,
-            Prng::new(1),
-        )
+        stable_link(mbps, rtt_ms, 0.0, 0.0, 1)
     }
 
     fn connected(cfg: TcpConfig, link: &mut Link) -> (TcpConnection, SimTime) {
@@ -389,14 +392,7 @@ mod tests {
     #[test]
     fn random_loss_slows_transfers() {
         let mk = |loss: f64, seed: u64| {
-            let mut link = Link::new(
-                "l",
-                Constant(20.0),
-                SimDuration::from_millis(40),
-                0.0,
-                loss,
-                Prng::new(seed),
-            );
+            let mut link = stable_link(20.0, 40, 0.0, loss, seed);
             let (mut conn, ready) = connected(TcpConfig::default(), &mut link);
             conn.request(&mut link, ready, ByteSize::mb(4)).duration()
         };
@@ -447,14 +443,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = || {
-            let mut link = Link::new(
-                "l",
-                Constant(12.0),
-                SimDuration::from_millis(35),
-                0.15,
-                0.01,
-                Prng::new(99),
-            );
+            let mut link = stable_link(12.0, 35, 0.15, 0.01, 99);
             let (mut conn, ready) = connected(TcpConfig::default(), &mut link);
             conn.request(&mut link, ready, ByteSize::mb(3)).completed_at
         };

@@ -9,12 +9,11 @@
 //! gaps, loss regimes, receiver windows and server pacing, and compare
 //! chunk chains end to end.
 
-use msim_core::process::{Bursts, Constant, MarkovModulator, Modulated, Ou, ProcessKind};
 use msim_core::rng::Prng;
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::{BitRate, ByteSize};
 use msim_net::mobility::OutageSchedule;
-use msim_net::profile::PathProfile;
+use msim_net::profile::{BurstParams, MarkovParams, PathProfile};
 use msim_net::tcp::{TcpConfig, TcpConnection, TransferResult};
 use msim_net::Link;
 use proptest::prelude::*;
@@ -119,31 +118,36 @@ impl Scenario {
     /// Builds one link instance; called once per run so both see
     /// identical RNG streams.
     fn build_link(&self) -> Link {
-        let mut rng = Prng::new(self.link_seed);
-        let mean = self.rate_mbps;
-        let base: ProcessKind = match self.kind {
-            1 => Ou::new(mean, mean * 0.08, 6.0, rng.fork()).into(),
-            _ => Constant(mean).into(),
+        let bursts = BurstParams {
+            mean_interarrival_secs: 3.0,
+            mean_duration_secs: 0.3,
+            shape: 1.2,
+            cap: 6.0,
+            down_cap: 2.0,
+            up_prob: 0.8,
         };
-        let mut process = Modulated::new(base, mean * 0.1, mean * 2.5);
-        if self.kind == 2 || self.kind == 4 {
-            process = process.with(MarkovModulator::new(1.0, 0.6, 8.0, 2.0, rng.fork()));
+        let markov = MarkovParams {
+            bad_mult: 0.6,
+            mean_good_secs: 8.0,
+            mean_bad_secs: 2.0,
+        };
+        let profile = PathProfile {
+            rate_std_frac: if self.kind == 1 { 0.08 } else { 0.0 },
+            rate_tau_secs: 6.0,
+            bursts: matches!(self.kind, 3 | 4).then_some(bursts),
+            markov: matches!(self.kind, 2 | 4).then_some(markov),
+            base_rtt: self.rtt,
+            rtt_jitter_frac: self.jitter,
+            random_loss_per_round: self.loss,
+            min_rate_frac: 0.1,
+            max_rate_frac: 2.5,
+            ..PathProfile::stable(self.rate_mbps, 0)
+        };
+        let link = profile.build(&mut Prng::new(self.link_seed));
+        match &self.outages {
+            Some(w) => link.with_outages(OutageSchedule::from_windows(w.clone())),
+            None => link,
         }
-        if self.kind == 3 || self.kind == 4 {
-            process = process.with(Bursts::new(3.0, 0.3, 1.2, 6.0, 2.0, 0.8, rng.fork()));
-        }
-        let mut link = Link::new(
-            "diff",
-            process,
-            self.rtt,
-            self.jitter,
-            self.loss,
-            rng.fork(),
-        );
-        if let Some(w) = &self.outages {
-            link = link.with_outages(OutageSchedule::from_windows(w.clone()));
-        }
-        link
     }
 
     fn build_conn(&self) -> TcpConnection {

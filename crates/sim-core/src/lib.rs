@@ -8,8 +8,8 @@
 //! * [`event`] — a deterministic FIFO-tie-broken event queue;
 //! * [`rng`] — a splittable PCG PRNG so every stochastic component owns an
 //!   independent, reproducible stream;
-//! * [`process`] — stochastic processes (Ornstein–Uhlenbeck, Markov
-//!   modulation, Pareto bursts) used to model time-varying link bandwidth;
+//! * [`process`] — the three parts of a link's rate (Ornstein–Uhlenbeck
+//!   level, Pareto bursts, Markov congestion);
 //! * [`stats`] — medians, boxplot summaries, `mean ± std`, harmonic mean;
 //! * [`units`] — byte sizes (`64 KB`, `1 MB`, …) and bit rates;
 //! * [`report`] — aligned tables, ASCII boxplots/bar charts, CSV export for
@@ -37,7 +37,6 @@ pub mod units;
 pub mod vmath;
 
 pub use event::{EventId, EventQueue};
-pub use process::Process;
 pub use rng::Prng;
 pub use time::{SimDuration, SimTime};
 pub use units::{BitRate, ByteSize, KB, MB};

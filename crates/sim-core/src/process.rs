@@ -1,42 +1,25 @@
-//! Stochastic processes used to model time-varying link properties.
+//! The three stochastic parts of a link's rate.
 //!
 //! The paper's links (home WiFi, commercial LTE) are characterised by three
 //! properties the schedulers are sensitive to (§5.2, §6):
 //!
 //! 1. *mean-reverting variability* — available bandwidth wanders around a
-//!    mean (modelled by an exact-discretisation Ornstein–Uhlenbeck process);
+//!    mean ([`Ou`], an exact-discretisation Ornstein–Uhlenbeck process);
 //! 2. *heavy-tailed outliers* — short bursts and dips, especially on LTE
-//!    (modelled by a Pareto-amplitude burst overlay). These are exactly the
+//!    ([`Bursts`], a Pareto-amplitude overlay). These are exactly the
 //!    outliers the harmonic-mean estimator is designed to resist;
-//! 3. *regime changes* — e.g. cross-traffic appearing (modelled by a two-state
-//!    Markov modulator).
+//! 3. *regime changes* — e.g. cross-traffic appearing ([`MarkovModulator`],
+//!    a two-state congestion modulator).
 //!
-//! Processes are sampled at non-decreasing times and are deterministic given
-//! their [`Prng`] stream. The stochastic ones ([`Ou`], [`MarkovModulator`],
-//! [`Bursts`]) lay their randomness out on the time axis, not on the sample
-//! sequence: the value at `t` is a function of `(seed, t)` alone, whoever
-//! sampled whenever before.
+//! A link multiplies the three and clamps the product (`msim_net::Link`).
+//! Each part's `value_at` must be called at non-decreasing times; re-sampling
+//! an instant returns the same value without consuming randomness. Each
+//! lays its randomness out on the time axis, not on the sample sequence: the
+//! value at `t` is a function of `(seed, t)` alone, whoever sampled whenever
+//! before.
 
 use crate::rng::{DeviateMode, DrawKind, DrawTable, Prng};
 use crate::time::{SimDuration, SimTime};
-
-/// A real-valued stochastic process sampled at non-decreasing sim times.
-pub trait Process: Send {
-    /// Value of the process at time `t`. Implementations may advance internal
-    /// state; callers must sample with non-decreasing `t`. Re-sampling the
-    /// same instant must return the same value without consuming randomness.
-    fn value_at(&mut self, t: SimTime) -> f64;
-}
-
-/// A constant process.
-#[derive(Clone, Debug)]
-pub struct Constant(pub f64);
-
-impl Process for Constant {
-    fn value_at(&mut self, _t: SimTime) -> f64 {
-        self.0
-    }
-}
 
 /// Cells per mean-reversion time `tau`: the grid an [`Ou`] steps on.
 const OU_CELLS_PER_TAU: f64 = 32.0;
@@ -88,13 +71,9 @@ pub struct Ou {
 
 impl Ou {
     /// Creates a process with the given long-run `mean`, stationary standard
-    /// deviation `std`, and mean-reversion time constant `tau_secs`.
-    pub fn new(mean: f64, std: f64, tau_secs: f64, rng: Prng) -> Self {
-        Ou::with_mode(mean, std, tau_secs, rng, DeviateMode::default())
-    }
-
-    /// As [`Ou::new`] with an explicit deviate-generation mode.
-    pub fn with_mode(mean: f64, std: f64, tau_secs: f64, mut rng: Prng, mode: DeviateMode) -> Self {
+    /// deviation `std`, and mean-reversion time constant `tau_secs`, drawing
+    /// its deviates in `mode`.
+    pub fn new(mean: f64, std: f64, tau_secs: f64, mut rng: Prng, mode: DeviateMode) -> Self {
         assert!(tau_secs > 0.0, "tau must be positive");
         debug_assert!(tau_secs >= 1e-3, "tau below 1 ms: see the Domain note");
         // Start from the stationary distribution so there is no warm-up bias.
@@ -116,11 +95,10 @@ impl Ou {
             noise: DrawTable::new(rng, DrawKind::Normal, mode),
         }
     }
-}
 
-impl Process for Ou {
+    /// The value of the cell `t` falls in.
     #[inline]
-    fn value_at(&mut self, t: SimTime) -> f64 {
+    pub fn value_at(&mut self, t: SimTime) -> f64 {
         while t >= self.cell_end {
             self.state = self.mean
                 + (self.state - self.mean) * self.decay
@@ -148,26 +126,9 @@ pub struct MarkovModulator {
 
 impl MarkovModulator {
     /// Builds a modulator that stays in the good state for
-    /// `mean_good_secs` on average and in the bad state for `mean_bad_secs`.
+    /// `mean_good_secs` on average and in the bad state for `mean_bad_secs`,
+    /// drawing its holding times in `mode`.
     pub fn new(
-        good_mult: f64,
-        bad_mult: f64,
-        mean_good_secs: f64,
-        mean_bad_secs: f64,
-        rng: Prng,
-    ) -> Self {
-        Self::with_mode(
-            good_mult,
-            bad_mult,
-            mean_good_secs,
-            mean_bad_secs,
-            rng,
-            DeviateMode::default(),
-        )
-    }
-
-    /// As [`MarkovModulator::new`] with an explicit deviate-generation mode.
-    pub fn with_mode(
         good_mult: f64,
         bad_mult: f64,
         mean_good_secs: f64,
@@ -187,10 +148,9 @@ impl MarkovModulator {
             holds,
         }
     }
-}
 
-impl Process for MarkovModulator {
-    fn value_at(&mut self, t: SimTime) -> f64 {
+    /// The multiplier of the state in force at `t`.
+    pub fn value_at(&mut self, t: SimTime) -> f64 {
         while t >= self.next_switch {
             self.in_good = !self.in_good;
             let mean = if self.in_good {
@@ -206,91 +166,6 @@ impl Process for MarkovModulator {
         } else {
             self.bad_mult
         }
-    }
-}
-
-/// Deterministic sinusoidal modulator `1 + amp·sin(2π t / period + phase)`;
-/// models slow diurnal-style load swings during a long experiment run.
-///
-/// The per-sample `sin` is replaced by an angle-addition recurrence: given
-/// `sin θ`/`cos θ` at the last sample and `sin ω·dt`/`cos ω·dt` for the step
-/// (cached while `dt` repeats; the RTT tables refill rather than cycle, so a
-/// jittered link presents a fresh `dt` every round and recomputes), the next
-/// sample is two multiplies and an add per component. Every
-/// `SINUSOID_RESYNC` steps the recurrence resyncs against the closed form
-/// to bound accumulated rounding drift.
-#[derive(Clone, Debug)]
-pub struct Sinusoid {
-    amplitude: f64,
-    omega: f64,
-    phase: f64,
-    last_t: SimTime,
-    sin_th: f64,
-    cos_th: f64,
-    steps: u32,
-    primed: bool,
-    /// One-entry step cache: `dt bits → (sin ω·dt, cos ω·dt)`.
-    step_cache: (u64, f64, f64),
-}
-
-/// Recurrence steps between closed-form resyncs. Rotation error grows
-/// linearly in ulps per step, so 512 steps keep drift below ~1e-13 — far
-/// under any physically meaningful scale — while amortising `sin` 512×.
-const SINUSOID_RESYNC: u32 = 512;
-
-impl Sinusoid {
-    /// Creates a modulator with peak deviation `amplitude` from 1.0,
-    /// oscillation period `period_secs`, and phase offset `phase` radians.
-    pub fn new(amplitude: f64, period_secs: f64, phase: f64) -> Self {
-        assert!(period_secs > 0.0, "period must be positive");
-        Sinusoid {
-            amplitude,
-            omega: std::f64::consts::TAU / period_secs,
-            phase,
-            last_t: SimTime::ZERO,
-            sin_th: 0.0,
-            cos_th: 0.0,
-            steps: 0,
-            primed: false,
-            step_cache: (u64::MAX, 0.0, 0.0),
-        }
-    }
-
-    /// Closed-form resync: recompute `sin θ`/`cos θ` directly at `t`.
-    fn resync(&mut self, t: SimTime) {
-        let theta = self.omega * t.as_secs_f64() + self.phase;
-        self.sin_th = theta.sin();
-        self.cos_th = theta.cos();
-        self.last_t = t;
-        self.steps = 0;
-        self.primed = true;
-    }
-}
-
-impl Process for Sinusoid {
-    fn value_at(&mut self, t: SimTime) -> f64 {
-        if !self.primed {
-            self.resync(t);
-        } else if t > self.last_t && self.steps >= SINUSOID_RESYNC {
-            // Resync only on an *advancing* sample, so re-sampling an
-            // already-sampled instant can never flip between the recurrence
-            // and closed-form values.
-            self.resync(t);
-        } else if t > self.last_t {
-            let dt = t.saturating_since(self.last_t).as_secs_f64();
-            let bits = dt.to_bits();
-            if self.step_cache.0 != bits {
-                let ang = self.omega * dt;
-                self.step_cache = (bits, ang.sin(), ang.cos());
-            }
-            let (_, sin_dt, cos_dt) = self.step_cache;
-            let (s, c) = (self.sin_th, self.cos_th);
-            self.sin_th = s * cos_dt + c * sin_dt;
-            self.cos_th = c * cos_dt - s * sin_dt;
-            self.last_t = t;
-            self.steps += 1;
-        }
-        1.0 + self.amplitude * self.sin_th
     }
 }
 
@@ -323,32 +198,10 @@ impl Bursts {
     /// Creates the overlay. `shape` is the Pareto tail exponent (smaller =
     /// heavier tail); up-burst multipliers are capped at `cap`, dips are
     /// floored at `1/down_cap`. Asymmetric caps model the common case where
-    /// spare-capacity bursts are much larger than transient dips.
+    /// spare-capacity bursts are much larger than transient dips. Holds and
+    /// amplitudes are drawn in `mode`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        mean_interarrival_secs: f64,
-        mean_duration_secs: f64,
-        shape: f64,
-        cap: f64,
-        down_cap: f64,
-        up_prob: f64,
-        rng: Prng,
-    ) -> Self {
-        Self::with_mode(
-            mean_interarrival_secs,
-            mean_duration_secs,
-            shape,
-            cap,
-            down_cap,
-            up_prob,
-            rng,
-            DeviateMode::default(),
-        )
-    }
-
-    /// As [`Bursts::new`] with an explicit deviate-generation mode.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_mode(
         mean_interarrival_secs: f64,
         mean_duration_secs: f64,
         shape: f64,
@@ -385,10 +238,9 @@ impl Bursts {
             1.0 / self.amplitudes.draw().min(self.down_cap)
         }
     }
-}
 
-impl Process for Bursts {
-    fn value_at(&mut self, t: SimTime) -> f64 {
+    /// The multiplier at `t`: an event's, or 1 between events.
+    pub fn value_at(&mut self, t: SimTime) -> f64 {
         // Expire a finished event.
         if let Some((end, _)) = self.current {
             if t >= end {
@@ -411,132 +263,26 @@ impl Process for Bursts {
     }
 }
 
-/// A closed enum over the concrete process families of this crate, plus an
-/// escape hatch for external implementations.
-///
-/// Sampling a link rate happens once per simulated TCP round — the hottest
-/// call site in the repository — so the standard compositions dispatch
-/// through this enum (a predictable branch, inlinable bodies) instead of a
-/// `Box<dyn Process>` vtable per component.
-// A variant's size is its inline draw tables (one for `Ou`, two for
-// `Bursts`); boxing the larger would put an allocation back on every link
-// built.
-#[allow(clippy::large_enum_variant)]
-pub enum ProcessKind {
-    /// A [`Constant`] process.
-    Constant(Constant),
-    /// An Ornstein–Uhlenbeck process.
-    Ou(Ou),
-    /// A two-state Markov modulator.
-    Markov(MarkovModulator),
-    /// A heavy-tailed burst overlay.
-    Bursts(Bursts),
-    /// A deterministic sinusoid.
-    Sinusoid(Sinusoid),
-    /// A modulated composition (boxed: the type is recursive).
-    Modulated(Box<Modulated>),
-    /// Any other process, dispatched dynamically.
-    Other(Box<dyn Process>),
-}
-
-macro_rules! kind_from {
-    ($($variant:ident($ty:ty)),* $(,)?) => {$(
-        impl From<$ty> for ProcessKind {
-            fn from(p: $ty) -> ProcessKind {
-                ProcessKind::$variant(p.into())
-            }
-        }
-    )*};
-}
-
-kind_from!(
-    Constant(Constant),
-    Ou(Ou),
-    Markov(MarkovModulator),
-    Bursts(Bursts),
-    Sinusoid(Sinusoid),
-    Modulated(Modulated),
-    Other(Box<dyn Process>),
-);
-
-impl Process for ProcessKind {
-    #[inline]
-    fn value_at(&mut self, t: SimTime) -> f64 {
-        match self {
-            ProcessKind::Constant(p) => p.value_at(t),
-            ProcessKind::Ou(p) => p.value_at(t),
-            ProcessKind::Markov(p) => p.value_at(t),
-            ProcessKind::Bursts(p) => p.value_at(t),
-            ProcessKind::Sinusoid(p) => p.value_at(t),
-            ProcessKind::Modulated(p) => p.value_at(t),
-            ProcessKind::Other(p) => p.value_at(t),
-        }
-    }
-}
-
-/// A base process multiplied by any number of modulator processes, clamped
-/// to `[min, max]`. This is the standard composition for link rates:
-/// `clamp(OU × Markov × Bursts × Sinusoid)`.
-pub struct Modulated {
-    base: ProcessKind,
-    modulators: Vec<ProcessKind>,
-    min: f64,
-    max: f64,
-}
-
-impl Modulated {
-    /// Wraps `base` with no modulators and the given clamp bounds.
-    pub fn new(base: impl Into<ProcessKind>, min: f64, max: f64) -> Self {
-        assert!(min <= max, "min > max");
-        Modulated {
-            base: base.into(),
-            modulators: Vec::new(),
-            min,
-            max,
-        }
-    }
-
-    /// Adds a multiplicative modulator.
-    pub fn with(mut self, modulator: impl Into<ProcessKind>) -> Self {
-        self.modulators.push(modulator.into());
-        self
-    }
-}
-
-impl Process for Modulated {
-    fn value_at(&mut self, t: SimTime) -> f64 {
-        let v = self.base.value_at(t);
-        let product: f64 = self.modulators.iter_mut().map(|m| m.value_at(t)).product();
-        (v * product).clamp(self.min, self.max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_grid(p: &mut dyn Process, n: usize, step: SimDuration) -> Vec<f64> {
+    const BLOCK: DeviateMode = DeviateMode::Block;
+
+    fn sample_grid(mut p: impl FnMut(SimTime) -> f64, n: usize, step: SimDuration) -> Vec<f64> {
         let mut t = SimTime::ZERO;
         (0..n)
             .map(|_| {
                 t += step;
-                p.value_at(t)
+                p(t)
             })
             .collect()
     }
 
     #[test]
-    fn constant_is_constant() {
-        let mut c = Constant(5.0);
-        for v in sample_grid(&mut c, 100, SimDuration::from_millis(10)) {
-            assert_eq!(v, 5.0);
-        }
-    }
-
-    #[test]
     fn ou_reverts_to_mean() {
-        let mut ou = Ou::new(10.0, 2.0, 1.0, Prng::new(1));
-        let samples = sample_grid(&mut ou, 20_000, SimDuration::from_millis(100));
+        let mut ou = Ou::new(10.0, 2.0, 1.0, Prng::new(1), BLOCK);
+        let samples = sample_grid(|t| ou.value_at(t), 20_000, SimDuration::from_millis(100));
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         assert!((mean - 10.0).abs() < 0.3, "mean {mean}");
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / samples.len() as f64;
@@ -545,17 +291,17 @@ mod tests {
 
     #[test]
     fn ou_is_deterministic_per_seed() {
-        let mut a = Ou::new(10.0, 2.0, 1.0, Prng::new(5));
-        let mut b = Ou::new(10.0, 2.0, 1.0, Prng::new(5));
+        let mut a = Ou::new(10.0, 2.0, 1.0, Prng::new(5), BLOCK);
+        let mut b = Ou::new(10.0, 2.0, 1.0, Prng::new(5), BLOCK);
         assert_eq!(
-            sample_grid(&mut a, 100, SimDuration::from_millis(37)),
-            sample_grid(&mut b, 100, SimDuration::from_millis(37)),
+            sample_grid(|t| a.value_at(t), 100, SimDuration::from_millis(37)),
+            sample_grid(|t| b.value_at(t), 100, SimDuration::from_millis(37)),
         );
     }
 
     #[test]
     fn ou_same_time_same_value() {
-        let mut ou = Ou::new(10.0, 2.0, 1.0, Prng::new(5));
+        let mut ou = Ou::new(10.0, 2.0, 1.0, Prng::new(5), BLOCK);
         let t = SimTime::from_secs(1);
         let v1 = ou.value_at(t);
         let v2 = ou.value_at(t);
@@ -567,8 +313,8 @@ mod tests {
 
     #[test]
     fn markov_visits_both_states() {
-        let mut m = MarkovModulator::new(1.0, 0.3, 5.0, 2.0, Prng::new(2));
-        let samples = sample_grid(&mut m, 10_000, SimDuration::from_millis(50));
+        let mut m = MarkovModulator::new(1.0, 0.3, 5.0, 2.0, Prng::new(2), BLOCK);
+        let samples = sample_grid(|t| m.value_at(t), 10_000, SimDuration::from_millis(50));
         let good = samples.iter().filter(|&&v| v == 1.0).count();
         let bad = samples.iter().filter(|&&v| v == 0.3).count();
         assert_eq!(good + bad, samples.len());
@@ -580,8 +326,8 @@ mod tests {
 
     #[test]
     fn bursts_mostly_one_with_outliers() {
-        let mut b = Bursts::new(10.0, 0.5, 1.5, 8.0, 8.0, 0.5, Prng::new(3));
-        let samples = sample_grid(&mut b, 20_000, SimDuration::from_millis(100));
+        let mut b = Bursts::new(10.0, 0.5, 1.5, 8.0, 8.0, 0.5, Prng::new(3), BLOCK);
+        let samples = sample_grid(|t| b.value_at(t), 20_000, SimDuration::from_millis(100));
         let neutral = samples.iter().filter(|&&v| v == 1.0).count();
         let frac = neutral as f64 / samples.len() as f64;
         assert!(frac > 0.8, "neutral fraction {frac}");
@@ -593,78 +339,32 @@ mod tests {
     }
 
     #[test]
-    fn sinusoid_oscillates() {
-        let mut s = Sinusoid::new(0.2, 10.0, 0.0);
-        let v_quarter = s.value_at(SimTime::from_secs_f64(2.5));
-        assert!((v_quarter - 1.2).abs() < 1e-9);
-        let v_three_quarter = s.value_at(SimTime::from_secs_f64(7.5));
-        assert!((v_three_quarter - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn modulated_clamps() {
-        let mut m = Modulated::new(Constant(100.0), 0.0, 50.0);
-        assert_eq!(m.value_at(SimTime::from_secs(1)), 50.0);
-        let mut m2 = Modulated::new(Constant(10.0), 0.0, 50.0)
-            .with(Constant(0.5))
-            .with(Constant(3.0));
-        assert!((m2.value_at(SimTime::from_secs(1)) - 15.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sinusoid_recurrence_tracks_closed_form() {
-        // Irregular step sizes across many resync windows: the recurrence
-        // must stay within ~1e-9 of the closed form (drift is bounded by
-        // the periodic resync).
-        let mut s = Sinusoid::new(0.3, 7.0, 1.1);
-        let mut t = SimTime::ZERO;
-        let steps = [0.013, 0.047, 0.013, 0.029, 0.047, 0.013];
-        for i in 0..5_000 {
-            t += SimDuration::from_secs_f64(steps[i % steps.len()]);
-            let got = s.value_at(t);
-            let theta = std::f64::consts::TAU * t.as_secs_f64() / 7.0 + 1.1;
-            let want = 1.0 + 0.3 * theta.sin();
-            assert!(
-                (got - want).abs() < 1e-9,
-                "step {i}: got {got}, want {want}"
-            );
-        }
-    }
-
-    #[test]
-    fn sinusoid_same_time_same_value() {
-        let mut s = Sinusoid::new(0.2, 10.0, 0.0);
-        let mut t = SimTime::ZERO;
-        for _ in 0..(SINUSOID_RESYNC + 3) {
-            t += SimDuration::from_millis(13);
-            let v1 = s.value_at(t);
-            let v2 = s.value_at(t);
-            assert_eq!(v1.to_bits(), v2.to_bits(), "re-sample at {t:?}");
-        }
-    }
-
-    #[test]
     fn stochastic_paths_are_functions_of_seed_and_time() {
         // Three samplers of one seed: every 7 ms, every 2.177 s, and every
         // 91 ms except across [20 s, 95 s) (an outage: nobody samples).
         // Wherever two of them meet they agree bit for bit, for the OU and
-        // for the full link-rate composition.
+        // for the product of a link's three parts.
         let build = || {
-            Modulated::new(Ou::new(10.0, 2.0, 8.0, Prng::new(12)), 0.0, 100.0)
-                .with(MarkovModulator::new(1.0, 0.3, 5.0, 2.0, Prng::new(13)))
-                .with(Bursts::new(10.0, 0.5, 1.5, 8.0, 8.0, 0.5, Prng::new(14)))
+            (
+                Ou::new(10.0, 2.0, 8.0, Prng::new(12), BLOCK),
+                MarkovModulator::new(1.0, 0.3, 5.0, 2.0, Prng::new(13), BLOCK),
+                Bursts::new(10.0, 0.5, 1.5, 8.0, 8.0, 0.5, Prng::new(14), BLOCK),
+            )
         };
-        let ou = || Ou::new(10.0, 2.0, 1.0, Prng::new(8));
+        let product = |(ou, markov, bursts): &mut (Ou, MarkovModulator, Bursts), t| {
+            ou.value_at(t) * markov.value_at(t) * bursts.value_at(t)
+        };
+        let ou = || Ou::new(10.0, 2.0, 1.0, Prng::new(8), BLOCK);
         let (mut fine, mut coarse, mut gapped) = (ou(), ou(), ou());
         let (mut fine_m, mut coarse_m, mut gapped_m) = (build(), build(), build());
         let outage = SimTime::from_secs(20)..SimTime::from_secs(95);
         for i in 1..=40_000u64 {
             let t = SimTime::from_millis(7 * i);
-            let (v, vm) = (fine.value_at(t), fine_m.value_at(t));
+            let (v, vm) = (fine.value_at(t), product(&mut fine_m, t));
             if i % 311 == 0 {
                 assert_eq!(coarse.value_at(t).to_bits(), v.to_bits(), "coarse at {t:?}");
                 assert_eq!(
-                    coarse_m.value_at(t).to_bits(),
+                    product(&mut coarse_m, t).to_bits(),
                     vm.to_bits(),
                     "coarse at {t:?}"
                 );
@@ -672,7 +372,7 @@ mod tests {
             if i % 13 == 0 && !outage.contains(&t) {
                 assert_eq!(gapped.value_at(t).to_bits(), v.to_bits(), "gapped at {t:?}");
                 assert_eq!(
-                    gapped_m.value_at(t).to_bits(),
+                    product(&mut gapped_m, t).to_bits(),
                     vm.to_bits(),
                     "gapped at {t:?}"
                 );
@@ -683,7 +383,7 @@ mod tests {
     #[test]
     fn ou_holds_its_value_across_a_cell_and_steps_at_its_edge() {
         // tau = 8 s: cells of 250 ms, the first one [0, 250 ms).
-        let mut ou = Ou::new(10.0, 2.0, 8.0, Prng::new(5));
+        let mut ou = Ou::new(10.0, 2.0, 8.0, Prng::new(5), BLOCK);
         let first = ou.value_at(SimTime::ZERO);
         assert_eq!(ou.value_at(SimTime::from_micros(249_999)), first);
         let second = ou.value_at(SimTime::from_millis(250));
@@ -695,8 +395,8 @@ mod tests {
     fn table_sampled_ou_matches_direct_moments() {
         // Statistical guard for the redefined stream: the table-sampled OU
         // must still have the stationary mean/std it advertises.
-        let mut ou = Ou::new(10.0, 2.0, 1.0, Prng::new(101));
-        let samples = sample_grid(&mut ou, 40_000, SimDuration::from_millis(100));
+        let mut ou = Ou::new(10.0, 2.0, 1.0, Prng::new(101), BLOCK);
+        let samples = sample_grid(|t| ou.value_at(t), 40_000, SimDuration::from_millis(100));
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         let std =
             (samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / samples.len() as f64).sqrt();
@@ -711,8 +411,8 @@ mod tests {
     fn ou_autocorrelation_at_lag_tau_is_one_over_e() {
         // Sampled off the cell grid (37 ms against cells of 31.25 ms), 27
         // samples apart: a lag of 0.999 s on a process with tau = 1 s.
-        let mut ou = Ou::new(10.0, 2.0, 1.0, Prng::new(103));
-        let x = sample_grid(&mut ou, 200_000, SimDuration::from_millis(37));
+        let mut ou = Ou::new(10.0, 2.0, 1.0, Prng::new(103), BLOCK);
+        let x = sample_grid(|t| ou.value_at(t), 200_000, SimDuration::from_millis(37));
         let lag = 27;
         let mean = x.iter().sum::<f64>() / x.len() as f64;
         let var = x.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / x.len() as f64;
@@ -729,8 +429,8 @@ mod tests {
     fn table_sampled_markov_matches_direct_occupancy() {
         // Table-driven holding times keep the stationary occupancy at
         // mean_good / (mean_good + mean_bad).
-        let mut m = MarkovModulator::new(1.0, 0.3, 5.0, 2.0, Prng::new(102));
-        let samples = sample_grid(&mut m, 40_000, SimDuration::from_millis(50));
+        let mut m = MarkovModulator::new(1.0, 0.3, 5.0, 2.0, Prng::new(102), BLOCK);
+        let samples = sample_grid(|t| m.value_at(t), 40_000, SimDuration::from_millis(50));
         let good = samples.iter().filter(|&&v| v == 1.0).count();
         let frac = good as f64 / samples.len() as f64;
         assert!((0.60..0.82).contains(&frac), "good fraction {frac}");
@@ -749,13 +449,12 @@ mod tests {
                 })
                 .collect()
         };
-        let mut ou_b = Ou::with_mode(10.0, 2.0, 1.0, Prng::new(9), DeviateMode::Block);
-        let mut ou_s = Ou::with_mode(10.0, 2.0, 1.0, Prng::new(9), DeviateMode::ScalarRef);
-        let mut mk_b =
-            MarkovModulator::with_mode(1.0, 0.3, 5.0, 2.0, Prng::new(10), DeviateMode::Block);
+        let mut ou_b = Ou::new(10.0, 2.0, 1.0, Prng::new(9), DeviateMode::Block);
+        let mut ou_s = Ou::new(10.0, 2.0, 1.0, Prng::new(9), DeviateMode::ScalarRef);
+        let mut mk_b = MarkovModulator::new(1.0, 0.3, 5.0, 2.0, Prng::new(10), DeviateMode::Block);
         let mut mk_s =
-            MarkovModulator::with_mode(1.0, 0.3, 5.0, 2.0, Prng::new(10), DeviateMode::ScalarRef);
-        let mut bu_b = Bursts::with_mode(
+            MarkovModulator::new(1.0, 0.3, 5.0, 2.0, Prng::new(10), DeviateMode::ScalarRef);
+        let mut bu_b = Bursts::new(
             10.0,
             0.5,
             1.5,
@@ -765,7 +464,7 @@ mod tests {
             Prng::new(11),
             DeviateMode::Block,
         );
-        let mut bu_s = Bursts::with_mode(
+        let mut bu_s = Bursts::new(
             10.0,
             0.5,
             1.5,

@@ -309,10 +309,9 @@ impl Prng {
 /// same values one scalar draw at a time. `ScalarRef` exists purely so the
 /// frozen-fingerprint corpus can differentially prove the block math: a
 /// whole session run in each mode must digest identically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeviateMode {
     /// Block-filled tables (the production hot path).
-    #[default]
     Block,
     /// Scalar-reference fills, element at a time (comparator path).
     ScalarRef,

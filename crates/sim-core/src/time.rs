@@ -91,11 +91,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked subtraction between instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Saturating addition of a duration (stays at [`SimTime::MAX`]).
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
@@ -341,7 +336,6 @@ mod tests {
         let late = SimTime::from_secs(2);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_secs(1));
-        assert_eq!(early.checked_since(late), None);
         assert_eq!(
             SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
             SimTime::MAX

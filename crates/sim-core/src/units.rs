@@ -136,11 +136,6 @@ impl BitRate {
         BitRate(v)
     }
 
-    /// From kilobits per second.
-    pub fn kbps(v: f64) -> Self {
-        Self::bps(v * 1e3)
-    }
-
     /// From megabits per second.
     pub fn mbps(v: f64) -> Self {
         Self::bps(v * 1e6)
@@ -164,14 +159,6 @@ impl BitRate {
     /// Bytes delivered over `d` at this rate (rounded down).
     pub fn bytes_over(self, d: SimDuration) -> ByteSize {
         ByteSize::bytes((self.bytes_per_sec() * d.as_secs_f64()).floor() as u64)
-    }
-
-    /// Time to move `size` at this rate; `SimDuration::MAX` at zero rate.
-    pub fn time_for(self, size: ByteSize) -> SimDuration {
-        if self.0 <= 0.0 {
-            return SimDuration::MAX;
-        }
-        SimDuration::from_secs_f64(size.as_f64() / self.bytes_per_sec())
     }
 
     /// The rate that moves `size` in `d`. A zero-duration transfer
@@ -242,22 +229,13 @@ mod tests {
         let r = BitRate::mbps(8.0);
         assert_eq!(r.bytes_per_sec(), 1e6);
         assert_eq!(r.as_mbps(), 8.0);
-        assert_eq!(BitRate::kbps(500.0).as_bps(), 5e5);
     }
 
     #[test]
-    fn transfer_time_roundtrip() {
-        let r = BitRate::mbps(8.0); // 1 MB/s decimal
-        let size = ByteSize::bytes(2_000_000);
-        let t = r.time_for(size);
-        assert!((t.as_secs_f64() - 2.0).abs() < 1e-6);
-        let back = BitRate::from_transfer(size, t);
-        assert!((back.as_mbps() - 8.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn zero_rate_takes_forever() {
-        assert_eq!(BitRate::ZERO.time_for(ByteSize::kb(1)), SimDuration::MAX);
+    fn from_transfer_recovers_the_rate() {
+        // 2 MB (decimal) in 2 s is 1 MB/s, 8 Mbit/s.
+        let r = BitRate::from_transfer(ByteSize::bytes(2_000_000), SimDuration::from_secs(2));
+        assert!((r.as_mbps() - 8.0).abs() < 1e-9);
     }
 
     #[test]
@@ -293,7 +271,7 @@ mod tests {
     #[test]
     fn bitrate_display() {
         assert_eq!(BitRate::mbps(2.5).to_string(), "2.50 Mbit/s");
-        assert_eq!(BitRate::kbps(128.0).to_string(), "128.0 kbit/s");
+        assert_eq!(BitRate::bps(128e3).to_string(), "128.0 kbit/s");
         assert_eq!(BitRate::bps(100.0).to_string(), "100 bit/s");
     }
 }

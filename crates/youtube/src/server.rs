@@ -79,9 +79,6 @@ pub struct VideoServer {
     active_sessions: u32,
     /// Sessions beyond which the server responds with 503.
     session_capacity: u32,
-    /// Aggregate service rate the server can sustain across all its
-    /// sessions; `None` models an uncapacitated replica (the default).
-    service_rate: Option<BitRate>,
 }
 
 impl VideoServer {
@@ -98,14 +95,7 @@ impl VideoServer {
             pace_override: None,
             active_sessions: 0,
             session_capacity: 64,
-            service_rate: None,
         }
-    }
-
-    /// Installs a failure plan.
-    pub fn with_failures(mut self, plan: FailurePlan) -> Self {
-        self.failure = plan;
-        self
     }
 
     /// Replaces the failure plan in place.
@@ -125,12 +115,6 @@ impl VideoServer {
         self
     }
 
-    /// Lowers the 503 threshold (overload scenarios).
-    pub fn with_session_capacity(mut self, cap: u32) -> Self {
-        self.session_capacity = cap;
-        self
-    }
-
     /// Replaces the 503 threshold in place (fleet admission under shared
     /// load).
     pub fn set_session_capacity(&mut self, cap: u32) {
@@ -140,30 +124,6 @@ impl VideoServer {
     /// The current 503 threshold.
     pub fn session_capacity(&self) -> u32 {
         self.session_capacity
-    }
-
-    /// Declares the aggregate service rate the replica can sustain.
-    pub fn set_service_rate(&mut self, rate: Option<BitRate>) {
-        self.service_rate = rate;
-    }
-
-    /// The aggregate service rate, if capacitated.
-    pub fn service_rate(&self) -> Option<BitRate> {
-        self.service_rate
-    }
-
-    /// The fair per-session share of the service rate if one more session
-    /// joined now; `None` for an uncapacitated replica.
-    pub fn share_with_one_more(&self) -> Option<BitRate> {
-        self.service_rate
-            .map(|c| BitRate::bps(c.as_bps() / f64::from(self.active_sessions + 1)))
-    }
-
-    /// Can the replica sustain one more session streaming at `rate`?
-    /// Always true for uncapacitated replicas.
-    pub fn can_sustain(&self, rate: BitRate) -> bool {
-        self.share_with_one_more()
-            .is_none_or(|share| share.as_bps() >= rate.as_bps())
     }
 
     /// Installs (or clears) a per-run pacing override: the fleet's way of
@@ -286,7 +246,8 @@ mod tests {
 
     #[test]
     fn failure_window_returns_500() {
-        let s = server().with_failures(FailurePlan::windows(vec![(
+        let mut s = server();
+        s.set_failures(FailurePlan::windows(vec![(
             SimTime::from_secs(10),
             SimTime::from_secs(20),
         )]));
@@ -330,7 +291,8 @@ mod tests {
 
     #[test]
     fn overload_returns_503() {
-        let mut s = server().with_session_capacity(1);
+        let mut s = server();
+        s.set_session_capacity(1);
         s.begin_session();
         s.begin_session();
         let tok = token_at(SimTime::ZERO);
@@ -352,25 +314,6 @@ mod tests {
         assert_eq!(s.load(), 0);
         s.begin_session();
         assert_eq!(s.load(), 1);
-    }
-
-    #[test]
-    fn capacity_share_and_admission() {
-        let mut s = server();
-        assert!(s.can_sustain(BitRate::mbps(100.0)), "uncapacitated");
-        assert_eq!(s.share_with_one_more(), None);
-        s.set_service_rate(Some(BitRate::mbps(10.0)));
-        assert!(
-            s.can_sustain(BitRate::mbps(10.0)),
-            "first session gets it all"
-        );
-        s.begin_session();
-        s.begin_session();
-        s.begin_session();
-        // 10 Mbps over 4 sessions = 2.5 Mbps each.
-        assert!(s.can_sustain(BitRate::mbps(2.5)));
-        assert!(!s.can_sustain(BitRate::mbps(3.0)));
-        assert_eq!(s.share_with_one_more().unwrap().as_mbps(), 2.5);
     }
 
     #[test]

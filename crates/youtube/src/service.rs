@@ -176,14 +176,6 @@ impl YoutubeService {
             .all(|s| s.load() == 0)
     }
 
-    /// Injects a failure window into the server at `addr` (replaces any
-    /// previous plan — scenarios inject one plan each).
-    pub fn fail_server(&mut self, addr: Ipv4Addr, from: SimTime, until: SimTime) {
-        if let Some(s) = self.server_mut(addr) {
-            s.set_failures(FailurePlan::windows(vec![(from, until)]));
-        }
-    }
-
     /// Installs a multi-window failure plan on the server at `addr`
     /// (failure-storm scenarios inject several windows per server).
     pub fn fail_server_windows(&mut self, addr: Ipv4Addr, windows: Vec<(SimTime, SimTime)>) {
@@ -612,7 +604,7 @@ mod tests {
             .unwrap();
         let info = parse_video_info(&json).unwrap();
         let addr = svc.server_by_domain(&info.server_domains[0]).unwrap().addr;
-        svc.fail_server(addr, SimTime::from_secs(5), SimTime::from_secs(10));
+        svc.fail_server_windows(addr, vec![(SimTime::from_secs(5), SimTime::from_secs(10))]);
         assert!(svc
             .check_range_request(
                 addr,
@@ -710,7 +702,10 @@ mod tests {
             .unwrap();
         let info = parse_video_info(&json).unwrap();
         let addr = svc.server_by_domain(&info.server_domains[0]).unwrap().addr;
-        svc.fail_server(addr, SimTime::from_secs(100), SimTime::from_secs(200));
+        svc.fail_server_windows(
+            addr,
+            vec![(SimTime::from_secs(100), SimTime::from_secs(200))],
+        );
 
         // A token that MAC-validates for a video the catalog does not
         // carry: the full path reports token expiry (checked inside

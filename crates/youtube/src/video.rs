@@ -84,11 +84,6 @@ impl VideoId {
         }
         VideoId(id)
     }
-
-    /// Renders the canonical watch URL.
-    pub fn watch_url(&self) -> String {
-        format!("http://www.youtube.com/watch?v={}", self.as_str())
-    }
 }
 
 impl fmt::Debug for VideoId {
@@ -148,7 +143,6 @@ mod tests {
         // The paper's §3.1 example URL.
         let id = VideoId::new("qjT4T2gU9sM").unwrap();
         assert_eq!(id.as_str(), "qjT4T2gU9sM");
-        assert_eq!(id.watch_url(), "http://www.youtube.com/watch?v=qjT4T2gU9sM");
     }
 
     #[test]

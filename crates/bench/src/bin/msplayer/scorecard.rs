@@ -454,7 +454,7 @@ fn ablations(reg: &WorkloadRegistry, csvs: &mut Csvs) {
             [Harmonic, HarmonicWindowed].map(|k| (k.name().to_string(), player(k, &|_| ()))).into()),
         ("ablation_head_start", "5) fast path starts before the slow path finishes bootstrap (§3.2)", "head start",
             [true, false].map(|on| (on_off(on), harmonic(&|p| p.head_start = on))).into()),
-        ("ablation_gamma", "6) fast-path γ rounding (see DESIGN.md deviation note)", "gamma",
+        ("ablation_gamma", "6) fast-path γ rounding (exact is the paper's goal, ceil its Alg. 1)", "gamma",
             gammas.map(|(label, g)| (label.to_string(), harmonic(&|p| p.gamma_rounding = g))).into()),
         ("ablation_diversity", "7) two paths vs a single path of equal total capacity", "topology",
             vec![("two paths (MSPlayer)".into(), harmonic(&|_| ())), ("one fat path, same capacity".into(), fat)]),

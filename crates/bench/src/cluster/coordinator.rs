@@ -10,15 +10,15 @@
 //!   replaces the worker from a bounded respawn budget.
 //! * **Hangs and stragglers** — leases carry deadlines, extended by
 //!   heartbeats (which workers pace by wall time — see
-//!   [`protocol`](super::protocol) — so a lease timeout must span several
+//!   [`worker`](super::worker) — so a lease timeout must span several
 //!   paces); an expired lease is speculatively re-leased while the
 //!   original worker keeps running. Whichever completion arrives first
 //!   wins; later duplicates are fingerprint-compared and a mismatch is
 //!   recorded as a determinism violation (the one thing this
 //!   infrastructure exists to catch).
-//! * **Corrupt frames** — garbage or unparseable lines condemn the
-//!   worker (requeue + replace): a peer that frames garbage once cannot
-//!   be trusted about anything else.
+//! * **Corrupt frames** — garbage, unparseable lines and a `done` that is
+//!   not its shard's or its sender's condemn the worker (requeue +
+//!   replace): a peer that frames garbage once cannot be trusted.
 //! * **Poison shards** — a shard exceeding `max_attempts` is executed
 //!   inline by the coordinator itself, which also serves as the
 //!   last-resort progress guarantee when no workers are available.
@@ -61,11 +61,12 @@
 //! reads the clock, drains, reaps and stamps the phases. A worker slot is
 //! a line sink plus an optional child, so the tests below drive the same
 //! `Coordinator` with in-memory sinks and made-up instants, no process and
-//! no waiting.
+//! no waiting; their schedule explorer puts a [`Worker`](super::Worker)
+//! machine behind every slot.
 
 use super::checkpoint::{Checkpoint, CheckpointRecord};
 use super::manifest::SweepManifest;
-use super::merge::{covers, merge_rows, shard_rows, CellRow, DIGEST_EPOCH};
+use super::merge::{cell_row, covers, merge_rows, CellRow, DIGEST_EPOCH};
 use super::protocol::Frame;
 use super::worker::WorkerChaos;
 use crate::sweep::{Cell, HostCache};
@@ -429,12 +430,9 @@ impl<'a> Coordinator<'a> {
         let Some(shard) = due else {
             return Ok(false);
         };
-        let rows = shard_rows(
-            &self.cells,
-            self.shard_ranges[shard].clone(),
-            &mut self.inline_hosts,
-        )
-        .collect();
+        let rows = (self.shard_ranges[shard].clone())
+            .map(|index| cell_row(&self.cells, index, &mut self.inline_hosts))
+            .collect();
         self.stats.inline_runs += 1;
         // `wall_us` is a worker's measurement; here nothing reads a clock
         // and the time shows in `phases_us.leasing`.
@@ -633,8 +631,10 @@ impl<'a> Coordinator<'a> {
             } => {
                 // Checked before anything keeps the rows: a short or
                 // misindexed completion would fail the merge after the
-                // whole sweep has run, and once journaled every resume.
-                if !self.covered_by(shard, &rows) {
+                // whole sweep has run, and once journaled every resume. A
+                // completion naming another worker would be journaled,
+                // provenanced and blamed for a violation under that name.
+                if worker != peer || !self.covered_by(shard, &rows) {
                     self.protocol_error(peer, now);
                     return Ok(false);
                 }
@@ -1080,7 +1080,10 @@ pub fn serial_artifact(manifest: &SweepManifest) -> Result<Value, String> {
 /// Convenience for tests: the serial artifact's rows without the merge.
 pub fn serial_rows(manifest: &SweepManifest) -> Result<(Vec<Cell>, Vec<CellRow>), String> {
     let cells = manifest.expand()?;
-    let rows = shard_rows(&cells, 0..cells.len(), &mut HostCache::new()).collect();
+    let mut hosts = HostCache::new();
+    let rows = (0..cells.len())
+        .map(|index| cell_row(&cells, index, &mut hosts))
+        .collect();
     Ok((cells, rows))
 }
 
@@ -1266,13 +1269,20 @@ mod tests {
             self.t0 + Duration::from_millis(ms)
         }
 
-        /// Adopts one more worker, which is greeted; returns its id.
-        fn adopt(&mut self) -> u64 {
+        /// Adopts one more worker; returns its id. Its hello waits in its
+        /// sink.
+        fn attach(&mut self) -> u64 {
             let sink = Sink::default();
             self.sinks.push(sink.clone());
             let id = self.sinks.len() as u64;
             self.c
                 .adopt(WorkerSlot::new(id, LineWriter::new(sink), None));
+            id
+        }
+
+        /// Adopts one more worker, which is greeted; returns its id.
+        fn adopt(&mut self) -> u64 {
+            let id = self.attach();
             match &self.sent(id)[..] {
                 [Frame::Hello {
                     worker,
@@ -1546,6 +1556,35 @@ mod tests {
         let _ = std::fs::remove_file(&journal);
     }
 
+    /// The stream a `done` arrives on is who sent it: one naming another
+    /// worker is refused like one with the wrong rows, so a journal,
+    /// provenance or violation never blames a worker for what another did.
+    #[test]
+    fn a_done_naming_another_worker_is_refused_not_journaled() {
+        let journal = std::env::temp_dir().join(format!(
+            "msp-coordinator-{}-wrong-worker.ndjson",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&journal);
+        let config = ClusterConfig {
+            checkpoint: Some(journal.clone()),
+            ..config()
+        };
+        let mut rig = Rig::new(&config);
+        let (a, b) = (rig.ready_worker(0), rig.ready_worker(0));
+        rig.tick(0);
+        assert_eq!(rig.sent(a), [lease(0, 1)]);
+        rig.frame(a, done(b, 0, 1, rows_of(0)), 1);
+        assert_eq!(rig.c.stats.protocol_errors, 1);
+        assert!(!rig.c.workers[0].alive, "condemned");
+        assert_eq!(rig.pending(0, 1).0, 1, "lease requeued");
+        assert!(rig.c.done.is_empty());
+        drop(rig);
+        let (_, replayed) = Checkpoint::open(&journal, &manifest()).unwrap();
+        assert!(replayed.is_empty(), "nothing journaled: {replayed:?}");
+        let _ = std::fs::remove_file(&journal);
+    }
+
     #[test]
     fn a_journal_record_whose_rows_are_not_its_shards_is_skipped_on_replay() {
         let journal = std::env::temp_dir().join(format!(
@@ -1615,6 +1654,7 @@ mod tests {
         let budget = config.workers * 2 + 4;
         let mut ms = 0;
         while rig.c.spawned_total < budget {
+            assert!(ms < 10_000, "hung workers are never replaced");
             for _ in rig.c.spawn_wanted(rig.at(ms)) {
                 rig.ready_worker(ms);
             }
@@ -1699,6 +1739,20 @@ mod tests {
     }
 
     // ---- the schedule explorer -------------------------------------------
+    //
+    // Behind every adopted slot is a real `Worker` whose cells are the
+    // serial run's rows, looked up. What the coordinator writes to a slot
+    // is parsed and fed to its worker; what the worker frames crosses a
+    // seeded wire that delays, reorders, drops, duplicates, corrupts and
+    // partitions, and the worker itself may hang or die. Every instant is
+    // made up.
+
+    use super::super::worker::Worker;
+
+    /// An explorer worker's cell: the serial run's row.
+    fn true_row(_: &[Cell], index: usize, _: &mut HostCache) -> CellRow {
+        truth().0[index]
+    }
 
     /// Cuts the journal at `path` where a crash could have left it: at a
     /// random byte at or past the header line, at a line end half the time.
@@ -1719,18 +1773,228 @@ mod tests {
         Ok((header + 1..=cut).filter(newline).count() as u64)
     }
 
+    /// The far end of one slot.
+    #[derive(Default)]
+    struct Node {
+        worker: Worker,
+        /// When its current cell ends and it steps again.
+        next_step: u64,
+        /// Hung, exited, crashed or killed: it frames nothing more.
+        gone: bool,
+        /// When its stream closes of its own accord.
+        crash_at: Option<u64>,
+        /// What it frames in this window is held until the window ends.
+        partition: Range<u64>,
+    }
+
+    /// One seeded schedule: a coordinator, the far ends of its slots (worker
+    /// `id` is `nodes[id - 1]`) and the wire between them.
+    struct Sim<'a> {
+        rig: Rig<'a>,
+        nodes: Vec<Node>,
+        rng: Prng,
+        /// `(due ms, event, whether it is a protocol error)`, in the order
+        /// sent: delays are drawn per frame, so frames of one worker
+        /// reorder, and a dropped frame is one never queued.
+        wire: Vec<(u64, LineEvent, bool)>,
+        /// Protocol errors delivered to this coordinator.
+        errors: u64,
+        /// Workers dealt a fault, or whose stream closes: the ones this
+        /// coordinator may condemn or lose.
+        excused: Vec<u64>,
+        /// Frames a partition held.
+        held: u64,
+    }
+
+    impl Sim<'_> {
+        fn queue(&mut self, due: u64, event: LineEvent) {
+            self.wire.push((due, event, false));
+        }
+
+        /// A protocol error dealt to worker `id`.
+        fn fault(&mut self, id: u64, due: u64, event: LineEvent) {
+            self.excused.push(id);
+            self.wire.push((due, event, true));
+        }
+
+        /// How long a worker's next cell takes: one in twelve outlasts the
+        /// heartbeat pace, and may outlast the lease.
+        fn cell_ms(&mut self) -> u64 {
+            match self.rng.below(12) {
+                0 => self.rng.range(100, 500),
+                _ => self.rng.range(1, 40),
+            }
+        }
+
+        /// Worker `id`'s stream closes at `ms`: it exited, crashed, or
+        /// died mid-write.
+        fn close(&mut self, id: u64, ms: u64) {
+            self.nodes[id as usize - 1].gone = true;
+            self.excused.push(id);
+            let delay = self.rng.range(1, 30);
+            self.queue(ms + delay, LineEvent::Closed(id));
+        }
+
+        /// What a lease may bring its worker: a hang, a crash mid-lease, a
+        /// partition.
+        fn doom(&mut self, id: u64, ms: u64) {
+            let fate = self.rng.below(40);
+            let crash_at = ms + self.rng.range(1, 190);
+            let from = ms + self.rng.range(0, 100);
+            let partition = from..from + self.rng.range(20, 600);
+            let node = &mut self.nodes[id as usize - 1];
+            node.next_step = ms;
+            node.gone |= fate == 0;
+            node.crash_at = (fate == 1 || fate == 2).then_some(crash_at);
+            if self.rng.below(10) == 0 {
+                node.partition = partition;
+            }
+        }
+
+        /// Puts what worker `id` framed at `ms` on the wire, faults and all.
+        fn carry(&mut self, id: u64, frame: Frame, ms: u64) {
+            let line = |frame: &Frame| LineEvent::Line(id, frame.to_line());
+            let partition = self.nodes[id as usize - 1].partition.clone();
+            if partition.contains(&ms) {
+                // Held until the link heals, then delivered in order.
+                self.held += 1;
+                return self.queue(partition.end, line(&frame));
+            }
+            let ready = matches!(frame, Frame::Ready { .. });
+            let due = ms + self.rng.range(1, if ready { 30 } else { 190 });
+            let lost = self.rng.below(30) == 0;
+            match frame {
+                // A `Ready` in thirty is lost, and one in thirty rewritten
+                // to another digest epoch: its worker must be condemned.
+                Frame::Ready { worker, .. } if !lost && self.rng.below(30) == 0 => {
+                    let old = Frame::Ready {
+                        worker,
+                        digest_epoch: DIGEST_EPOCH - 1,
+                    };
+                    self.excused.push(id);
+                    self.queue(due, line(&old));
+                }
+                Frame::Done {
+                    worker,
+                    shard,
+                    attempt,
+                    ..
+                } => match self.rng.below(20) {
+                    // Delivered after the lease has expired.
+                    0 => {
+                        let late = ms + self.rng.range(210, 900);
+                        self.queue(late, line(&frame));
+                    }
+                    // Delivered twice.
+                    1 => {
+                        let again = ms + self.rng.range(1, 400);
+                        self.queue(due, line(&frame));
+                        self.queue(again, line(&frame));
+                    }
+                    // Dropped.
+                    2 => {}
+                    // Its rows rewritten to another shard's.
+                    3 => {
+                        let rows = rows_of((shard + 1) % SHARDS);
+                        self.fault(id, due, line(&done(worker, shard, attempt, rows)));
+                    }
+                    // Garbage, or a frame only a coordinator sends, instead.
+                    4 => self.fault(id, due, LineEvent::Garbage(id, 3)),
+                    5 => self.fault(id, due, line(&lease(shard, attempt))),
+                    // Half of it, then the close of a worker that died
+                    // mid-write.
+                    6 => {
+                        let text = frame.to_line();
+                        self.fault(id, due, LineEvent::Line(id, text[..text.len() / 2].into()));
+                        self.close(id, due);
+                    }
+                    _ => self.queue(due, line(&frame)),
+                },
+                // One frame in thirty is lost.
+                _ if lost => {}
+                frame => self.queue(due, line(&frame)),
+            }
+        }
+
+        /// Delivers what is due at `ms` (everything, once `drain`), and
+        /// checks that each protocol error the coordinator counts, and each
+        /// worker it condemns, traces to a fault the explorer dealt: a
+        /// worker that frames wrongly on a clean stream fails the seed.
+        fn deliver(&mut self, ms: u64, drain: bool) -> Result<(), String> {
+            self.wire.sort_by_key(|(due, ..)| *due);
+            let due = self.wire.iter().filter(|(due, ..)| drain || *due <= ms);
+            for (due, event, error) in self.wire.drain(..due.count()).collect::<Vec<_>>() {
+                self.errors += u64::from(error);
+                self.rig.c.on_event(event, self.rig.at(due.max(ms)))?;
+                let counted = self.rig.c.stats.protocol_errors;
+                if counted != self.errors {
+                    return Err(format!(
+                        "at {ms} ms: {counted} protocol errors, {} dealt",
+                        self.errors
+                    ));
+                }
+                let excused = |w: &&WorkerSlot| w.alive || self.excused.contains(&w.id);
+                if let Some(w) = self.rig.c.workers.iter().find(|w| !excused(w)) {
+                    return Err(format!(
+                        "at {ms} ms: worker {} condemned, no fault dealt",
+                        w.id
+                    ));
+                }
+            }
+            Ok(())
+        }
+
+        /// Runs every live worker at `ms`: feeds it what the coordinator
+        /// wrote to it, then steps its lease if its cell has ended, and
+        /// puts what it frames on the wire. A worker the coordinator
+        /// condemned was killed, and a lease may doom its worker.
+        fn run_workers(&mut self, ms: u64) {
+            for id in 1..=self.nodes.len() as u64 {
+                let (slot, now) = (id as usize - 1, self.rig.at(ms));
+                self.nodes[slot].gone |= !self.rig.c.workers[slot].alive;
+                for frame in self.rig.sent(id) {
+                    if self.nodes[slot].gone {
+                        continue;
+                    }
+                    let leased = matches!(frame, Frame::Lease { .. });
+                    let (frames, exit) = self.nodes[slot].worker.on_frame(frame, now);
+                    for frame in frames {
+                        self.carry(id, frame, ms);
+                    }
+                    if exit.is_some() {
+                        self.close(id, ms);
+                    } else if leased {
+                        self.doom(id, ms);
+                    }
+                }
+                let node = &mut self.nodes[slot];
+                if node.gone {
+                    continue;
+                }
+                if node.crash_at.is_some_and(|at| at <= ms) {
+                    self.close(id, ms);
+                } else if node.next_step <= ms && node.worker.progress().is_some() {
+                    for frame in node.worker.step(now) {
+                        self.carry(id, frame, ms);
+                    }
+                    self.nodes[slot].next_step = ms + self.cell_ms();
+                }
+            }
+        }
+    }
+
     /// Runs one seeded schedule to the end and checks safety and liveness;
-    /// `Err` names what broke, `Ok` is what the coordinator had to handle.
-    /// One seed in four journals its completions and crashes the
-    /// coordinator once or twice: everything it had, workers and wire
-    /// included, is gone, the journal is [`tear`]n, and a new coordinator
-    /// must restore exactly the whole records left.
-    fn explore(seed: u64) -> Result<ClusterStats, String> {
+    /// `Err` names what broke, `Ok` is what the coordinator had to handle
+    /// and how many frames a partition held. One seed in four journals its
+    /// completions and crashes the coordinator once or twice: everything it
+    /// had, workers and wire included, is gone, the journal is [`tear`]n,
+    /// and a new coordinator must restore exactly the whole records left.
+    fn explore(seed: u64) -> Result<(ClusterStats, u64), String> {
         // As the driver: a step per event, 25 ms apart at most.
         const STEP_MS: u64 = 25;
         const BOUND_MS: u64 = 20_000;
         // Coordinator crashes draw from their own stream: a seed without
-        // them runs the schedule it ran before they existed.
+        // them runs the schedule it would run if they did not exist.
         let mut crashes = Prng::new(seed ^ 0x0C_0A5E_D0FF);
         let journal = crashes.chance(0.25).then(|| {
             let name = format!("msp-explore-{}-{seed}.ndjson", std::process::id());
@@ -1745,15 +2009,17 @@ mod tests {
             checkpoint: journal.clone(),
             ..config()
         };
-        let mut rig = Rig::new(&config);
-        let mut rng = Prng::new(seed ^ 0xC0_0D1A_7012);
-        // (due ms, tie-break, event): delays are drawn per frame, so frames
-        // of one worker reorder, and a dropped frame is one never queued.
-        let mut wire: Vec<(u64, u64, LineEvent)> = Vec::new();
-        let mut sent = 0u64;
-        let mut crashed: Vec<u64> = Vec::new();
+        let mut sim = Sim {
+            rig: Rig::new(&config),
+            nodes: Vec::new(),
+            rng: Prng::new(seed ^ 0xC0_0D1A_7012),
+            wire: Vec::new(),
+            errors: 0,
+            excused: Vec::new(),
+            held: 0,
+        };
         let mut ms = 0;
-        while !rig.c.finished() {
+        while !sim.rig.c.finished() {
             if ms > BOUND_MS {
                 return Err(format!("not finished after {BOUND_MS} simulated ms"));
             }
@@ -1762,163 +2028,74 @@ mod tests {
                 next_crash = ms + crashes.range(1, 300);
                 let path = journal.as_deref().expect("only a journaled run crashes");
                 let whole = tear(path, &mut crashes)?;
-                rig.restart(ms)?;
-                wire.clear();
-                crashed.clear();
-                let resumed = rig.c.stats.resumed_shards;
+                sim.rig.restart(ms)?;
+                (sim.nodes, sim.wire, sim.errors, sim.excused) = Default::default();
+                let resumed = sim.rig.c.stats.resumed_shards;
                 if resumed != whole {
                     return Err(format!(
                         "restart at {ms} ms: {whole} whole journal records, {resumed} resumed"
                     ));
                 }
             }
-            wire.sort_by_key(|(due, tie, _)| (*due, *tie));
-            let due = wire.iter().take_while(|(due, ..)| *due <= ms).count();
-            for (_, _, event) in wire.drain(..due) {
-                rig.c.on_event(event, rig.at(ms))?;
+            sim.deliver(ms, false)?;
+            for _ in sim.rig.c.spawn_wanted(sim.rig.at(ms)) {
+                sim.rig.attach();
+                let worker = Worker::scripted(true_row);
+                sim.nodes.push(Node {
+                    worker,
+                    ..Node::default()
+                });
             }
-            for _ in rig.c.spawn_wanted(rig.at(ms)) {
-                let id = rig.adopt();
-                let ready = Frame::Ready {
-                    worker: id,
-                    digest_epoch: DIGEST_EPOCH - u32::from(rng.chance(0.03)),
-                };
-                // One `Ready` in thirty is lost.
-                if rng.below(30) > 0 {
-                    sent += 1;
-                    wire.push((
-                        ms + rng.range(1, 30),
-                        sent,
-                        LineEvent::Line(id, ready.to_line()),
-                    ));
-                }
-            }
-            while rig.c.tick(rig.at(ms))? {}
-
-            for id in 1..=rig.sinks.len() as u64 {
-                for frame in rig.sent(id) {
-                    if crashed.contains(&id) {
-                        continue;
-                    }
-                    let mut queue = |delay: u64, event: LineEvent| {
-                        sent += 1;
-                        wire.push((ms + delay, sent, event));
-                    };
-                    match frame {
-                        Frame::Lease { shard, attempt } => {
-                            let answer = |rows| {
-                                LineEvent::Line(id, done(id, shard, attempt, rows).to_line())
-                            };
-                            if rng.chance(0.3) {
-                                let beat = Frame::Heartbeat {
-                                    worker: id,
-                                    shard,
-                                    cells_done: 1,
-                                    counters: Vec::new(),
-                                };
-                                queue(rng.range(1, 190), LineEvent::Line(id, beat.to_line()));
-                            }
-                            // Two leases in three are answered honestly.
-                            match rng.below(18) {
-                                // Answered after the lease has expired.
-                                0 => queue(rng.range(210, 900), answer(rows_of(shard))),
-                                // Answered twice.
-                                1 => {
-                                    queue(rng.range(1, 190), answer(rows_of(shard)));
-                                    queue(rng.range(1, 400), answer(rows_of(shard)));
-                                }
-                                // Never answered, never closed: the frame
-                                // was dropped, or the worker hangs.
-                                2 => {}
-                                // The stream closes mid-lease.
-                                3 => {
-                                    crashed.push(id);
-                                    queue(rng.range(1, 190), LineEvent::Closed(id));
-                                }
-                                // A `Done` whose rows are not the shard's.
-                                4 => {
-                                    let rows = match rng.below(3) {
-                                        0 => rows_of(shard)[..1].to_vec(),
-                                        1 => rows_of((shard + 1) % SHARDS),
-                                        _ => rows_of(shard).into_iter().rev().collect(),
-                                    };
-                                    queue(rng.range(1, 190), answer(rows));
-                                }
-                                // Something no worker may frame: garbage, a
-                                // coordinator's frame, or half a `Done` and
-                                // then the close of a worker that died
-                                // mid-write.
-                                5 => {
-                                    let delay = rng.range(1, 190);
-                                    match rng.below(3) {
-                                        0 => queue(delay, LineEvent::Garbage(id, 3)),
-                                        1 => queue(
-                                            delay,
-                                            LineEvent::Line(id, lease(shard, attempt).to_line()),
-                                        ),
-                                        _ => {
-                                            crashed.push(id);
-                                            let line = done(id, shard, attempt, rows_of(shard));
-                                            let line = line.to_line();
-                                            let torn = line[..line.len() / 2].into();
-                                            queue(delay, LineEvent::Line(id, torn));
-                                            queue(delay, LineEvent::Closed(id));
-                                        }
-                                    }
-                                }
-                                _ => queue(rng.range(1, 190), answer(rows_of(shard))),
-                            }
-                        }
-                        // Refused for its digest epoch: it exits.
-                        Frame::Shutdown => {
-                            crashed.push(id);
-                            queue(rng.range(1, 30), LineEvent::Closed(id));
-                        }
-                        other => return Err(format!("worker {id} was sent {other:?}")),
-                    }
-                }
-            }
-            let next_due = wire.iter().map(|(due, ..)| *due).min();
+            while sim.rig.c.tick(sim.rig.at(ms))? {}
+            sim.run_workers(ms);
+            let wakes = sim.nodes.iter().filter(|n| !n.gone).flat_map(|n| {
+                let step = n.worker.progress().map(|_| n.next_step);
+                step.into_iter().chain(n.crash_at)
+            });
+            let next_due = sim.wire.iter().map(|(due, ..)| *due).chain(wakes).min();
             ms = next_due.map_or(ms + STEP_MS, |due| due.clamp(ms + 1, ms + STEP_MS));
         }
 
-        // Drain: what is still on the wire lands as duplicates.
-        rig.c.dismiss_workers();
-        wire.sort_by_key(|(due, tie, _)| (*due, *tie));
-        for (due, _, event) in wire {
-            rig.c.on_event(event, rig.at(due.max(ms)))?;
-        }
-        let (resumed, completed) = (rig.c.stats.resumed_shards, rig.c.completed_this_run);
+        // Drain: the workers are dismissed, and what is still on the wire
+        // (a partition's held frames included) lands as duplicates.
+        sim.rig.c.dismiss_workers();
+        sim.run_workers(ms);
+        sim.deliver(ms, true)?;
+        let c = &sim.rig.c;
+        let (resumed, completed) = (c.stats.resumed_shards, c.completed_this_run);
         if resumed + completed != SHARDS {
             return Err(format!(
                 "{resumed} shards resumed and {completed} completions accepted for {SHARDS} shards"
             ));
         }
-        if !rig.c.violations.is_empty() {
-            return Err(format!("violations: {:?}", rig.c.violations));
+        if !c.violations.is_empty() {
+            return Err(format!("violations: {:?}", c.violations));
         }
-        let merged = rig.c.merged()?.ok_or("finished but not complete")?;
+        let merged = c.merged()?.ok_or("finished but not complete")?;
         if msim_json::to_string_pretty(&merged) != truth().1 {
             return Err("merged artifact differs from the serial one".into());
         }
         if let Some(path) = &journal {
             let _ = std::fs::remove_file(path);
         }
-        Ok(rig.c.stats)
+        Ok((c.stats, sim.held))
     }
 
-    /// 2 500 seeded schedules (delay, reorder, drop or hang, duplicate,
-    /// crash mid-lease, a torn `Done` and a close, wrong-rows `Done`,
-    /// garbage, a worker of another digest epoch, coordinator restarts from
-    /// a torn journal) against fake workers answering from the serial rows:
-    /// each must finish in bounded simulated time, accept every shard
-    /// exactly once and merge to the serial artifact's bytes. A failure
-    /// names its seed: `explore(seed)` in a test of its own pins it.
+    /// 2 500 seeded schedules against real workers (wire delay, reorder,
+    /// drop, duplicate and partition; hangs, closes mid-lease, a torn
+    /// `Done` and a close, wrong-rows `Done`, garbage, coordinator frames,
+    /// a `Ready` of another digest epoch; coordinator restarts from a torn
+    /// journal): each must finish in bounded simulated time, count a
+    /// protocol error or condemn a worker only for a fault it was dealt,
+    /// accept every shard exactly once and merge to the serial artifact's
+    /// bytes. A failure names its seed: `explore(seed)` in a test of its
+    /// own pins it.
     #[test]
     fn explorer_every_seeded_schedule_finishes_and_merges_to_the_serial_bytes() {
-        let mut seen = [0u64; 6];
+        let (mut seen, mut partitioned) = ([0u64; 6], 0);
         for seed in 0..2_500 {
-            let stats = explore(seed).unwrap_or_else(|what| panic!("schedule seed {seed}: {what}"));
+            let (stats, held) =
+                explore(seed).unwrap_or_else(|what| panic!("schedule seed {seed}: {what}"));
             let faults = [
                 stats.reassignments,
                 stats.duplicates,
@@ -1930,8 +2107,13 @@ mod tests {
             for (seen, n) in seen.iter_mut().zip(faults) {
                 *seen += u64::from(n > 0);
             }
+            partitioned += u64::from(held > 0);
         }
         // The schedules reach every way of handling a fault, often.
         assert!(seen.iter().all(|&seeds| seeds >= 50), "{seen:?}");
+        assert!(
+            partitioned >= 50,
+            "partitions held frames in {partitioned} seeds"
+        );
     }
 }

@@ -107,23 +107,17 @@ impl CellRow {
     }
 }
 
-/// The rows of the cells `range` of `cells`, in order; each `next` runs
-/// one cell on its workload's warmed host. Cluster workers never run with
-/// a cell budget, so completion is guaranteed (modulo the lease watchdog
-/// on the coordinator side, which handles genuinely hung workers).
-pub(super) fn shard_rows<'a>(
-    cells: &'a [Cell],
-    range: std::ops::Range<usize>,
-    hosts: &'a mut HostCache,
-) -> impl Iterator<Item = CellRow> + 'a {
-    range.map(move |index| {
-        let cell = &cells[index];
-        let result = cell.run_on(hosts.host_for(&cell.workload));
-        CellRow {
-            index: index as u64,
-            digest: digest_metrics(result.expect_metrics()),
-        }
-    })
+/// The row of cell `index` of `cells`: its session, run on its workload's
+/// warmed host. Cluster cells never run with a cell budget, so completion
+/// is guaranteed (modulo the lease watchdog on the coordinator side, which
+/// handles genuinely hung workers).
+pub(super) fn cell_row(cells: &[Cell], index: usize, hosts: &mut HostCache) -> CellRow {
+    let cell = &cells[index];
+    let result = cell.run_on(hosts.host_for(&cell.workload));
+    CellRow {
+        index: index as u64,
+        digest: digest_metrics(result.expect_metrics()),
+    }
 }
 
 /// Whether `rows` is exactly one row per cell of `range`, in shard order:

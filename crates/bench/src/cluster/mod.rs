@@ -20,11 +20,12 @@
 //!   crash-identical merge;
 //! * [`checkpoint`] — the append-only journal that makes coordinator
 //!   crashes resumable;
-//! * [`worker`] — the lease-execute-report loop, including the
-//!   self-chaos directives;
+//! * [`worker`] — the lease-execute-report machine and its driver,
+//!   including the self-chaos directives;
 //! * [`coordinator`] — lease scheduling, fault handling, provenance;
-//!   its tests explore thousands of seeded fault schedules, coordinator
-//!   restarts from a torn journal included, in simulated time.
+//!   its tests explore thousands of seeded fault schedules against real
+//!   worker machines over a simulated wire (partitions and coordinator
+//!   restarts from a torn journal included), in simulated time.
 //!
 //! The `msplayer` binary wraps all of this behind its `coordinator`,
 //! `worker` and `serial` subcommands.
@@ -43,4 +44,4 @@ pub use coordinator::{
 pub use manifest::SweepManifest;
 pub use merge::{digest_metrics, merge_rows, sweep_fingerprint, CellRow, DIGEST_EPOCH};
 pub use protocol::Frame;
-pub use worker::{run_worker, Misbehavior, WorkerChaos, MIN_LEASE_TIMEOUT};
+pub use worker::{run_worker, Misbehavior, Worker, WorkerChaos, MIN_LEASE_TIMEOUT};

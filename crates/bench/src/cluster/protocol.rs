@@ -1,9 +1,10 @@
 //! The coordinator/worker wire protocol: line-delimited JSON frames.
 //!
 //! One frame per line, no embedded newlines (guaranteed by the canonical
-//! `msim_json` rendering). The byte transport is
+//! `msim_json` rendering). Both ends are machines that take and return
+//! [`Frame`]s; the bytes move in their drivers, over
 //! [`msim_testbed::lines`] — a child's stdio in spawned mode, TCP in
-//! multi-host mode; the frames are identical either way.
+//! multi-host mode, or the coordinator tests' simulated wire.
 //!
 //! Robustness posture: [`Frame::from_line`] returns `Err` on anything
 //! malformed, and the coordinator treats a malformed frame from a worker
@@ -26,16 +27,11 @@
 //!
 //! # Heartbeats
 //!
-//! A worker heartbeats *by wall time*, not per cell: after a cell ends it
-//! sends a heartbeat only if at least the pace (50 ms, see
-//! [`MIN_LEASE_TIMEOUT`](super::worker::MIN_LEASE_TIMEOUT)) has passed
-//! since the lease started or the previous heartbeat — so a cell slower
-//! than the pace is always followed by one, and a shard of ~100 µs cells
-//! costs a frame every few hundred cells instead of one each. Heartbeats
-//! carry telemetry counter deltas; so that the coordinator's fleet-wide
-//! `/metrics` merge stays exact, a worker with unsent deltas flushes them
-//! in one more heartbeat right before `done`. A lease timeout must be
-//! several paces long (`msplayer coordinator` refuses less than four).
+//! A worker heartbeats *by wall time*, not per cell, and flushes unsent
+//! telemetry counter deltas in one more heartbeat right before `done`
+//! ([`worker`](super::worker) has the pacing). A lease timeout must be
+//! several paces long: `msplayer coordinator` refuses less than
+//! [`MIN_LEASE_TIMEOUT`](super::worker::MIN_LEASE_TIMEOUT).
 
 use super::manifest::SweepManifest;
 use super::merge::CellRow;

@@ -1,23 +1,28 @@
-//! The sweep worker: a synchronous lease-execute-report loop.
+//! The sweep worker: a frames-in/frames-out machine and its one driver.
 //!
-//! A worker reads frames from its coordinator (stdin in spawned mode, a
-//! TCP stream in multi-host mode), expands the manifest it is handed in
-//! the hello frame, and then serves leases: run every cell of the shard
-//! over a warmed [`HostCache`], heartbeat at a wall-time pace, report the
-//! digest rows. Workers are stateless between leases — all scheduling
-//! brains live in the coordinator.
+//! [`Worker`] is the whole worker state, in the coordinator's shape: the
+//! cells and shards of the manifest a hello hands it, the warmed
+//! [`HostCache`], the telemetry counter baseline and the open lease.
+//! [`Worker::on_frame`] takes one coordinator frame and [`Worker::step`]
+//! runs the next cell of the lease; both take the instant and return the
+//! frames to send. It does no I/O, reads no clock and never sleeps or
+//! exits, so the coordinator's schedule explorer runs real workers in
+//! simulated time. [`run_worker`] is its driver (stdin in spawned mode, a
+//! TCP stream in multi-host mode), and the only place that reads lines,
+//! writes frames, reads the clock, checks for SIGINT/SIGTERM or applies a
+//! [`WorkerChaos`] directive. All scheduling brains live in the coordinator.
 //!
 //! # Heartbeat pacing
 //!
 //! A heartbeat is a JSON line, a flush, a telemetry snapshot under the
 //! registry lock and a coordinator wake-up — more than a ~100 µs cell
-//! costs. So the worker checks the clock after each cell and heartbeats
-//! only when the pace (50 ms) has passed since the lease began or the
-//! last heartbeat: a cell slower than the pace is still followed by its
-//! heartbeat, a fast shard sends few or none. Telemetry counter deltas
-//! ride on heartbeats, so whatever is unsent when the shard ends is
-//! flushed in one more heartbeat ahead of `done` — the coordinator's
-//! merged counters equal the worker's registry at that point.
+//! costs. So a worker heartbeats only when the pace (50 ms) has passed
+//! since the lease began or the last heartbeat, checked as each cell ends:
+//! a cell slower than the pace is still followed by its heartbeat, a fast
+//! shard sends few or none. Telemetry counter deltas ride on heartbeats,
+//! so whatever is unsent when the shard ends is flushed in one more
+//! heartbeat ahead of `done` — the coordinator's merged counters equal the
+//! worker's registry at that point.
 //!
 //! # Self-chaos
 //!
@@ -28,15 +33,16 @@
 //! `tests/cluster.rs` (and CI's kill smoke) checks that each fault is
 //! handled the same with *real* process failures; the coordinator's
 //! schedule explorer covers the same faults, and many more orderings of
-//! them, in simulated time.
+//! them, as wire faults on the frames of real [`Worker`] machines.
 
-use super::merge::{shard_rows, CellRow, DIGEST_EPOCH};
+use super::merge::{cell_row, CellRow, DIGEST_EPOCH};
 use super::protocol::Frame;
 use crate::sweep::{Cell, HostCache};
 use msim_core::telemetry;
 use msim_testbed::shutdown_requested;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Least wall time between two heartbeats of a lease (and between the
@@ -117,63 +123,163 @@ impl WorkerChaos {
     }
 }
 
-/// Runs the worker loop over any read/write transport pair. Returns the
-/// process exit code (0 = clean shutdown; chaos directives may
-/// `process::exit` before this returns).
-pub fn run_worker<R, W>(input: R, output: W, chaos: Option<WorkerChaos>) -> i32
+/// Runs the worker over any read/write transport pair: the one driver of
+/// a [`Worker`]. Returns the process exit code (0 = clean shutdown or the
+/// coordinator gone; chaos directives may `process::exit` before this
+/// returns).
+pub fn run_worker<R, W>(input: R, mut output: W, chaos: Option<WorkerChaos>) -> i32
 where
     R: Read,
     W: Write,
 {
-    run_worker_clocked(input, output, chaos, Instant::now)
+    let mut worker = Worker::default();
+    let mut leases_seen: u64 = 0;
+    for line in BufReader::new(input).lines() {
+        // A read error or the end of input: the coordinator is gone, so
+        // don't linger.
+        let Ok(line) = line else { return 0 };
+        // A sick coordinator is its own problem.
+        let Ok(frame) = Frame::from_line(line.trim_end_matches(['\n', '\r'])) else {
+            continue;
+        };
+        let leased = matches!(frame, Frame::Lease { .. });
+        leases_seen += u64::from(leased);
+        let active = chaos
+            .as_ref()
+            .filter(|c| leased && c.lease + 1 == leases_seen);
+        let (frames, exit) = worker.on_frame(frame, Instant::now());
+        let sent = frames.iter().try_for_each(|f| send(&mut output, f));
+        if let Some(code) = exit.or(sent.err().map(|_| 0)) {
+            return code;
+        }
+        if let Err(code) = serve(&mut worker, &mut output, active.map(|c| &c.kind)) {
+            return code;
+        }
+    }
+    0
 }
 
-/// [`run_worker`] reading wall time from `clock` — what paces heartbeats
-/// and times shards. Tests pass a scripted clock instead of sleeping.
-fn run_worker_clocked<R, W>(
-    input: R,
-    output: W,
-    chaos: Option<WorkerChaos>,
-    clock: impl FnMut() -> Instant,
-) -> i32
-where
-    R: Read,
-    W: Write,
-{
-    let mut reader = BufReader::new(input);
-    let mut worker = Worker {
-        output,
-        clock,
-        me: 0,
-        cells: Vec::new(),
-        shards: Vec::new(),
-        hosts: HostCache::new(),
-        counters_prev: telemetry::counter_values(),
-    };
-    let mut leases_seen: u64 = 0;
+/// Steps `worker` through its open lease, if any, reading the clock once
+/// per cell and applying `chaos` to what the lease produces. `Err(code)`
+/// means the process must exit with that code.
+fn serve(
+    worker: &mut Worker,
+    output: &mut impl Write,
+    chaos: Option<&Misbehavior>,
+) -> Result<(), i32> {
+    while let Some((done, len)) = worker.progress() {
+        if shutdown_requested() {
+            // Graceful SIGINT/SIGTERM: tell the coordinator the shard is
+            // abandoned (it will requeue) and exit with the interrupted
+            // status.
+            if let Some(fail) = worker.abandon("worker interrupted (SIGINT/SIGTERM)") {
+                let _ = send(output, &fail);
+            }
+            return Err(msim_testbed::signal::SIGINT_EXIT);
+        }
+        // A crash point at or past the end of the shard fires once every
+        // cell has run: "crash after finishing but before reporting", the
+        // classic lost completion.
+        if let Some(Misbehavior::CrashAfterCells(k)) = chaos {
+            if done as u64 >= (*k).min(len as u64) {
+                std::process::exit(CRASH_EXIT);
+            }
+        }
+        for frame in worker.step(Instant::now()) {
+            let sent = match (&frame, chaos) {
+                (Frame::Done { .. }, Some(Misbehavior::StallMs(ms))) => {
+                    // Silent stall: no heartbeats while sleeping, then
+                    // report late — by then the coordinator has usually
+                    // re-leased the shard, making this a duplicate.
+                    std::thread::sleep(Duration::from_millis(*ms));
+                    send(output, &frame)
+                }
+                // A non-UTF-8 line where the done frame should be.
+                (Frame::Done { .. }, Some(Misbehavior::CorruptDone)) => output
+                    .write_all(b"\xff\xfe\x00 corrupt frame \xff\n")
+                    .and_then(|_| output.flush()),
+                (Frame::Done { .. }, Some(Misbehavior::DuplicateDone)) => {
+                    send(output, &frame).and_then(|_| send(output, &frame))
+                }
+                _ => send(output, &frame),
+            };
+            sent.map_err(|_| 0)?;
+        }
+    }
+    Ok(())
+}
 
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => return 0, // coordinator gone — don't linger
-            Ok(_) => {}
-            Err(_) => return 0,
+fn send(output: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
+    output.write_all(frame.to_line().as_bytes())?;
+    output.write_all(b"\n")?;
+    output.flush()
+}
+
+/// Everything a worker keeps between frames (see the module docs). No
+/// method reads a clock: each takes `now`.
+pub struct Worker {
+    me: u64,
+    cells: Vec<Cell>,
+    shards: Vec<Range<usize>>,
+    hosts: HostCache,
+    /// Telemetry counters as of the last heartbeat, so each heartbeat
+    /// carries only the increments since the previous one.
+    counters_prev: BTreeMap<String, u64>,
+    lease: Option<Lease>,
+    /// Runs one cell: [`cell_row`], outside this module's and the
+    /// coordinator's tests.
+    run_cell: fn(&[Cell], usize, &mut HostCache) -> CellRow,
+}
+
+/// The shard a worker is running.
+struct Lease {
+    shard: u64,
+    attempt: u64,
+    /// Cells not run yet.
+    cells: Range<usize>,
+    rows: Vec<CellRow>,
+    started: Instant,
+    last_beat: Instant,
+}
+
+/// A worker that has not been greeted, whose counter baseline is the
+/// registry now.
+impl Default for Worker {
+    fn default() -> Worker {
+        Worker {
+            me: 0,
+            cells: Vec::new(),
+            shards: Vec::new(),
+            hosts: HostCache::new(),
+            counters_prev: telemetry::counter_values(),
+            lease: None,
+            run_cell: cell_row,
         }
-        let line = line.trim_end_matches(['\n', '\r']);
-        if line.is_empty() {
-            continue;
+    }
+}
+
+impl Worker {
+    /// A worker whose cells are `run_cell` instead of sessions, so a test
+    /// can drive thousands of leases without running one.
+    #[cfg(test)]
+    pub(crate) fn scripted(run_cell: fn(&[Cell], usize, &mut HostCache) -> CellRow) -> Worker {
+        Worker {
+            run_cell,
+            ..Worker::default()
         }
-        let frame = match Frame::from_line(line) {
-            Ok(f) => f,
-            Err(_) => continue, // a sick coordinator is its own problem
-        };
+    }
+
+    /// Takes one coordinator frame at `now`: the frames to send back, and
+    /// the exit code when the worker is done (after `shutdown`, or a hello
+    /// it refuses). A lease opens here and runs in [`step`](Self::step)s.
+    pub fn on_frame(&mut self, frame: Frame, now: Instant) -> (Vec<Frame>, Option<i32>) {
         match frame {
             Frame::Hello {
-                worker: me,
+                worker,
                 manifest,
                 digest_epoch,
             } => {
-                worker.me = me;
+                self.me = worker;
                 let expanded = if digest_epoch == DIGEST_EPOCH {
                     manifest.expand()
                 } else {
@@ -184,183 +290,112 @@ where
                 };
                 match expanded {
                     Ok(cells) => {
-                        worker.shards = manifest.shards(cells.len());
-                        worker.cells = cells;
+                        self.shards = manifest.shards(cells.len());
+                        self.cells = cells;
                         let ready = Frame::Ready {
-                            worker: me,
+                            worker,
                             digest_epoch: DIGEST_EPOCH,
                         };
-                        if send(&mut worker.output, &ready).is_err() {
-                            return 0;
-                        }
+                        (vec![ready], None)
                     }
-                    Err(message) => {
-                        let fail = Frame::Fail {
-                            worker: me,
-                            shard: u64::MAX,
-                            message,
-                        };
-                        let _ = send(&mut worker.output, &fail);
-                        return 1;
-                    }
+                    Err(message) => (vec![self.fail(u64::MAX, message)], Some(1)),
                 }
             }
-            Frame::Lease { shard, attempt } => {
-                let active = chaos.as_ref().filter(|c| c.lease == leases_seen);
-                leases_seen += 1;
-                if let Err(code) = worker.serve_lease(shard, attempt, active) {
-                    return code;
+            Frame::Lease { shard, attempt } => match self.shards.get(shard as usize) {
+                Some(range) => {
+                    self.lease = Some(Lease {
+                        shard,
+                        attempt,
+                        cells: range.clone(),
+                        rows: Vec::with_capacity(range.len()),
+                        started: now,
+                        last_beat: now,
+                    });
+                    (Vec::new(), None)
                 }
-            }
-            Frame::Shutdown => return 0,
+                None => {
+                    let shards = self.shards.len();
+                    let message = format!("lease for unknown shard {shard} ({shards} shards)");
+                    (vec![self.fail(shard, message)], None)
+                }
+            },
+            Frame::Shutdown => (Vec::new(), Some(0)),
             // Worker-direction frames arriving here mean a confused
             // coordinator; ignore them.
             Frame::Ready { .. }
             | Frame::Heartbeat { .. }
             | Frame::Done { .. }
-            | Frame::Fail { .. } => {}
+            | Frame::Fail { .. } => (Vec::new(), None),
         }
     }
-}
 
-fn send(output: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
-    output.write_all(frame.to_line().as_bytes())?;
-    output.write_all(b"\n")?;
-    output.flush()
-}
+    /// `(cells run, cells in the shard)` of the open lease, if any.
+    pub fn progress(&self) -> Option<(usize, usize)> {
+        let lease = self.lease.as_ref()?;
+        Some((lease.rows.len(), lease.rows.len() + lease.cells.len()))
+    }
 
-/// What a worker keeps between frames.
-struct Worker<W, C> {
-    output: W,
-    clock: C,
-    me: u64,
-    cells: Vec<Cell>,
-    shards: Vec<std::ops::Range<usize>>,
-    hosts: HostCache,
-    /// Telemetry counters as of the last heartbeat, so each heartbeat
-    /// carries only the increments since the previous one.
-    counters_prev: BTreeMap<String, u64>,
-}
+    /// One step of the open lease at `now`, the instant the previous cell
+    /// ended: a heartbeat if the pace has passed since the last one, then
+    /// the next cell. Once every cell has run, the step returns the flush
+    /// heartbeat, if any counter moved since the last, and `done`, which
+    /// closes the lease. Nothing to do without a lease.
+    pub fn step(&mut self, now: Instant) -> Vec<Frame> {
+        let Some(lease) = &mut self.lease else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        let since = now.saturating_duration_since(lease.last_beat);
+        let paced = !lease.rows.is_empty() && since >= HEARTBEAT_PACE;
+        // Counter increments unsent when the shard ends would be stranded
+        // until some later lease's heartbeat — or lost with the worker.
+        if paced || lease.cells.is_empty() {
+            let counters = telemetry::counter_deltas(&mut self.counters_prev);
+            if paced || !counters.is_empty() {
+                lease.last_beat = now;
+                out.push(Frame::Heartbeat {
+                    worker: self.me,
+                    shard: lease.shard,
+                    cells_done: lease.rows.len() as u64,
+                    counters,
+                });
+            }
+        }
+        if let Some(index) = lease.cells.next() {
+            let row = (self.run_cell)(&self.cells, index, &mut self.hosts);
+            lease.rows.push(row);
+            return out;
+        }
+        let lease = self.lease.take().expect("matched above");
+        out.push(Frame::Done {
+            worker: self.me,
+            shard: lease.shard,
+            attempt: lease.attempt,
+            wall_us: now.saturating_duration_since(lease.started).as_micros() as u64,
+            rows: lease.rows,
+        });
+        out
+    }
 
-impl<W: Write, C: FnMut() -> Instant> Worker<W, C> {
-    /// Runs one leased shard, applying the active chaos directive if any.
-    /// `Err(code)` means the process must exit with that code.
-    fn serve_lease(
-        &mut self,
-        shard: u64,
-        attempt: u64,
-        chaos: Option<&WorkerChaos>,
-    ) -> Result<(), i32> {
-        let (me, output) = (self.me, &mut self.output);
-        let fail = |message| Frame::Fail {
-            worker: me,
+    /// Closes the open lease unfinished: the `fail` that tells the
+    /// coordinator to requeue it.
+    pub fn abandon(&mut self, message: &str) -> Option<Frame> {
+        let lease = self.lease.take()?;
+        Some(self.fail(lease.shard, message.into()))
+    }
+
+    fn fail(&self, shard: u64, message: String) -> Frame {
+        Frame::Fail {
+            worker: self.me,
             shard,
             message,
-        };
-        let Some(range) = self.shards.get(shard as usize).cloned() else {
-            let shards = self.shards.len();
-            let _ = send(
-                output,
-                &fail(format!("lease for unknown shard {shard} ({shards} shards)")),
-            );
-            return Ok(());
-        };
-
-        let heartbeat = |output: &mut W, cells_done: usize, counters| {
-            let _ = send(
-                output,
-                &Frame::Heartbeat {
-                    worker: me,
-                    shard,
-                    cells_done: cells_done as u64,
-                    counters,
-                },
-            );
-        };
-        let t0 = (self.clock)();
-        let mut last_beat = t0;
-        let mut rows: Vec<CellRow> = Vec::with_capacity(range.len());
-        let mut run = shard_rows(&self.cells, range.clone(), &mut self.hosts);
-        for done_before in 0..range.len() {
-            if shutdown_requested() {
-                // Graceful SIGINT/SIGTERM: tell the coordinator the shard is
-                // abandoned (it will requeue) and exit with the interrupted
-                // status.
-                let _ = send(output, &fail("worker interrupted (SIGINT/SIGTERM)".into()));
-                return Err(msim_testbed::signal::SIGINT_EXIT);
-            }
-            if let Some(WorkerChaos {
-                kind: Misbehavior::CrashAfterCells(k),
-                ..
-            }) = chaos
-            {
-                if done_before as u64 == *k {
-                    std::process::exit(CRASH_EXIT);
-                }
-            }
-            rows.push(run.next().expect("one row per cell of the range"));
-            let now = (self.clock)();
-            if now.saturating_duration_since(last_beat) >= HEARTBEAT_PACE {
-                last_beat = now;
-                let counters = telemetry::counter_deltas(&mut self.counters_prev);
-                heartbeat(output, rows.len(), counters);
-            }
         }
-        // Crash points past the end of the shard still fire (covers
-        // crash-after-cells=len, "crash after finishing but before
-        // reporting" — the classic lost-completion case).
-        if let Some(WorkerChaos {
-            kind: Misbehavior::CrashAfterCells(k),
-            ..
-        }) = chaos
-        {
-            if *k >= range.len() as u64 {
-                std::process::exit(CRASH_EXIT);
-            }
-        }
-
-        let wall_us = (self.clock)().saturating_duration_since(t0).as_micros() as u64;
-        // Counter increments since the last paced heartbeat would otherwise
-        // be stranded until some later lease's heartbeat — or lost with the
-        // worker: flush them ahead of the completion.
-        let counters = telemetry::counter_deltas(&mut self.counters_prev);
-        if !counters.is_empty() {
-            heartbeat(output, rows.len(), counters);
-        }
-        let done = Frame::Done {
-            worker: me,
-            shard,
-            attempt,
-            wall_us,
-            rows,
-        };
-        match chaos.map(|c| &c.kind) {
-            Some(Misbehavior::StallMs(ms)) => {
-                // Silent stall: no heartbeats while sleeping, then report
-                // late — by then the coordinator has usually re-leased the
-                // shard, making this a duplicate completion.
-                std::thread::sleep(std::time::Duration::from_millis(*ms));
-                send(output, &done).map_err(|_| 0)?;
-            }
-            Some(Misbehavior::CorruptDone) => {
-                // A non-UTF-8 line where the done frame should be.
-                let _ = output.write_all(b"\xff\xfe\x00 corrupt frame \xff\n");
-                let _ = output.flush();
-            }
-            Some(Misbehavior::DuplicateDone) => {
-                send(output, &done).map_err(|_| 0)?;
-                send(output, &done).map_err(|_| 0)?;
-            }
-            Some(Misbehavior::CrashAfterCells(_)) | None => {
-                send(output, &done).map_err(|_| 0)?;
-            }
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::coordinator::serial_rows;
     use super::super::manifest::SweepManifest;
     use super::*;
 
@@ -386,148 +421,104 @@ mod tests {
         }
     }
 
-    /// What one scripted worker run wrote.
-    struct Served {
-        /// Expected rows of the leased shard (a direct serial run).
-        expected: Vec<CellRow>,
-        /// Rows of the `Done` frame.
-        rows: Vec<CellRow>,
-        /// `(cells_done, counters)` of every heartbeat, in order.
-        heartbeats: Vec<(u64, Vec<(String, u64)>)>,
-    }
-
-    /// Drives a clean worker end-to-end over in-memory pipes — hello →
-    /// ready, lease of shard 1 → heartbeats + done, shutdown → exit 0 —
-    /// with wall time read from `clock`.
-    fn serve_shard_one(clock: impl FnMut() -> Instant) -> Served {
-        let manifest = SweepManifest {
+    /// Smoke cells in shards of three.
+    fn manifest() -> SweepManifest {
+        SweepManifest {
             shard_cells: 3,
             ..SweepManifest::smoke()
+        }
+    }
+
+    /// `worker`, greeted as worker 7 and leased shard 1 (cells 3..6) at `t0`.
+    fn leased(mut worker: Worker, t0: Instant) -> Worker {
+        let hello = Frame::Hello {
+            worker: 7,
+            manifest: manifest(),
+            digest_epoch: DIGEST_EPOCH,
         };
-        let cells = manifest.expand().unwrap();
-        let shards = manifest.shards(cells.len());
-        assert!(shards.len() > 1);
-
-        let script = [
-            Frame::Hello {
-                worker: 7,
-                manifest: manifest.clone(),
-                digest_epoch: DIGEST_EPOCH,
-            }
-            .to_line(),
-            Frame::Lease {
-                shard: 1,
-                attempt: 1,
-            }
-            .to_line(),
-            Frame::Shutdown.to_line(),
-        ]
-        .join("\n")
-            + "\n";
-
-        let mut wire = Vec::new();
-        let code = run_worker_clocked(script.as_bytes(), &mut wire, None, clock);
-        assert_eq!(code, 0);
-
-        let text = String::from_utf8(wire).unwrap();
-        let frames: Vec<Frame> = text.lines().map(|l| Frame::from_line(l).unwrap()).collect();
-        assert_eq!(
-            frames[0],
-            Frame::Ready {
-                worker: 7,
-                digest_epoch: DIGEST_EPOCH
-            }
-        );
-        let Some(Frame::Done { shard: 1, rows, .. }) = frames.last().cloned() else {
-            panic!("the last frame must be shard 1's done: {frames:?}");
+        let ready = Frame::Ready {
+            worker: 7,
+            digest_epoch: DIGEST_EPOCH,
         };
-        // Ground truth: the same shard, run directly.
-        let expected = shard_rows(&cells, shards[1].clone(), &mut HostCache::new()).collect();
-        let heartbeats = frames
-            .iter()
+        assert_eq!(worker.on_frame(hello, t0), (vec![ready], None));
+        let lease = Frame::Lease {
+            shard: 1,
+            attempt: 2,
+        };
+        assert_eq!(worker.on_frame(lease, t0), (vec![], None));
+        assert_eq!(worker.progress(), Some((0, 3)));
+        worker
+    }
+
+    /// Shard 1's `done`.
+    fn done(wall_us: u64, rows: &[CellRow]) -> Frame {
+        let (worker, shard, attempt, rows) = (7, 1, 2, rows.to_vec());
+        Frame::Done {
+            worker,
+            shard,
+            attempt,
+            wall_us,
+            rows,
+        }
+    }
+
+    /// A shard that finishes inside one pace sends no mid-shard heartbeat,
+    /// and its rows are the serial run's. Sibling tests may move the
+    /// process-global counters, so a flush heartbeat may precede `done`.
+    #[test]
+    fn fast_shard_sends_no_paced_heartbeat_and_rows_match_serial() {
+        let t0 = Instant::now();
+        let mut worker = leased(Worker::default(), t0);
+        let frames: Vec<Frame> = (0..4).flat_map(|_| worker.step(t0)).collect();
+        assert_eq!(worker.progress(), None);
+        let serial = serial_rows(&manifest()).unwrap().1;
+        match &frames[..] {
+            [Frame::Heartbeat { cells_done: 3, .. }, last] | [last] => {
+                assert_eq!(last, &done(0, &serial[3..6]))
+            }
+            other => panic!("only the pre-done flush may heartbeat: {other:?}"),
+        }
+    }
+
+    /// Every cell slower than the pace is followed by its heartbeat, and a
+    /// counter increment after the last one is flushed in one more right
+    /// before `done`, which is timed from the lease to the last cell's end.
+    #[test]
+    fn slow_cells_each_heartbeat_and_counter_deltas_are_flushed_before_done() {
+        let key = "msp_test_worker_flush_total";
+        let row = |_: &[Cell], index: usize, _: &mut HostCache| CellRow {
+            index: index as u64,
+            digest: !(index as u64),
+        };
+        let t0 = Instant::now();
+        let mut worker = leased(Worker::scripted(row), t0);
+        // Three cells of 60 ms; the last step is 1 ms after the third began.
+        let slow = HEARTBEAT_PACE + Duration::from_millis(10);
+        let mut frames: Vec<Frame> = (0..3).flat_map(|k| worker.step(t0 + slow * k)).collect();
+        telemetry::counter(key).add_raw(1);
+        let end = t0 + slow * 2 + Duration::from_millis(1);
+        frames.extend(worker.step(end));
+        assert_eq!(worker.progress(), None);
+
+        let beats: Vec<(u64, u64)> = (frames.iter())
             .filter_map(|f| match f {
                 Frame::Heartbeat {
                     worker: 7,
                     shard: 1,
                     cells_done,
                     counters,
-                } => Some((*cells_done, counters.clone())),
+                } => {
+                    let ours = counters.iter().find(|(k, _)| k == key);
+                    Some((*cells_done, ours.map_or(0, |(_, d)| *d)))
+                }
                 _ => None,
             })
             .collect();
-        Served {
-            expected,
-            rows,
-            heartbeats,
-        }
-    }
-
-    // The registry is process-global and sibling tests run sessions with
-    // telemetry on, so a lease here may or may not end with the flush
-    // heartbeat (`cells_done` = shard length). The assertions below are
-    // about the *paced* ones; `tests/worker_heartbeats.rs` pins the exact
-    // frame sequence in a process of its own.
-
-    /// A shard that finishes inside one pace sends no mid-shard heartbeat,
-    /// and its rows are the serial run's.
-    #[test]
-    fn fast_shard_sends_no_paced_heartbeat_and_rows_match_serial() {
-        let frozen = Instant::now();
-        let served = serve_shard_one(move || frozen);
-        assert_eq!(
-            served.rows, served.expected,
-            "worker rows must match serial"
-        );
-        let len = served.expected.len() as u64;
-        assert!(
-            served.heartbeats.iter().all(|(done, _)| *done == len),
-            "only the pre-done flush may heartbeat: {:?}",
-            served.heartbeats
-        );
-    }
-
-    /// Every cell slower than the pace is followed by its heartbeat, and
-    /// the counter increments of the whole lease — here a counter the
-    /// scripted clock itself bumps, which no other test touches — have
-    /// all been sent by the time `done` is (the flush-before-done rule).
-    #[test]
-    fn slow_cells_each_heartbeat_and_counter_deltas_are_flushed_before_done() {
-        let key = "msp_test_worker_clock_reads_total";
-        let reads = telemetry::counter(key);
-        let before = reads.get();
-        let mut now = Instant::now();
-        let served = serve_shard_one(move || {
-            reads.add_raw(1);
-            now += HEARTBEAT_PACE + Duration::from_millis(10);
-            now
-        });
-        assert_eq!(
-            served.rows, served.expected,
-            "worker rows must match serial"
-        );
-        let len = served.expected.len() as u64;
-        let mut cells_done: Vec<u64> = served.heartbeats.iter().map(|(done, _)| *done).collect();
-        assert!(cells_done.len() as u64 <= len + 1, "{cells_done:?}");
-        cells_done.dedup();
-        assert_eq!(
-            cells_done,
-            (1..=len).collect::<Vec<_>>(),
-            "one heartbeat after each slow cell, in order"
-        );
-        let sent: u64 = served
-            .heartbeats
-            .iter()
-            .flat_map(|(_, counters)| counters)
-            .filter(|(k, _)| k == key)
-            .map(|(_, d)| d)
-            .sum();
-        assert_eq!(
-            sent,
-            reads.get() - before,
-            "deltas unsent when done was written"
-        );
-        // Lease start, one read per cell, one for the shard's wall time.
-        assert_eq!(sent, len + 2);
+        assert_eq!(beats[..2], [(1, 0), (2, 0)], "one a slow cell: {frames:?}");
+        assert!(beats[2].0 == 3 && beats[2].1 >= 1, "the flush: {frames:?}");
+        let rows: Vec<CellRow> = (3..6).map(|i| row(&[], i, &mut HostCache::new())).collect();
+        let wall_us = (end - t0).as_micros() as u64;
+        assert_eq!(frames[3..], [done(wall_us, &rows)]);
     }
 
     /// A hello of another digest epoch is answered with a setup `fail`
@@ -539,20 +530,17 @@ mod tests {
             worker: 4,
             manifest: SweepManifest::smoke(),
             digest_epoch: DIGEST_EPOCH - 1,
-        }
-        .to_line()
-            + "\n";
-        let mut wire = Vec::new();
-        assert_eq!(run_worker(hello.as_bytes(), &mut wire, None), 1);
-        let text = String::from_utf8(wire).unwrap();
-        let frames: Vec<Frame> = text.lines().map(|l| Frame::from_line(l).unwrap()).collect();
-        match frames.as_slice() {
-            [Frame::Fail {
-                worker: 4,
-                shard: u64::MAX,
-                message,
-            }] => assert!(message.contains("digest_epoch"), "{message}"),
-            other => panic!("want exactly one setup fail, got {other:?}"),
+        };
+        match Worker::default().on_frame(hello, Instant::now()) {
+            (frames, Some(1)) => match &frames[..] {
+                [Frame::Fail {
+                    worker: 4,
+                    shard: u64::MAX,
+                    message,
+                }] => assert!(message.contains("digest_epoch"), "{message}"),
+                other => panic!("want exactly one setup fail, got {other:?}"),
+            },
+            other => panic!("want exit 1, got {other:?}"),
         }
     }
 }

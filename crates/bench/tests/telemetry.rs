@@ -47,28 +47,25 @@ fn corpus_replays_bit_identically_with_telemetry_enabled() {
             fp.workload, fp.scheduler, fp.chunk_kb, fp.seed, got, fp.digest
         );
     }
-    // Prove the instrumentation was live, not compiled out or runtime-off.
-    // Exact counts are not asserted — the registry is process-global and
-    // other tests in this binary may run concurrently — but a full corpus
-    // replay must have recorded at least one session per row and produced
-    // trace events.
-    if telemetry::COMPILED {
-        let counters = telemetry::counter_values();
-        let sessions = counters.get("msp_sessions_total").copied().unwrap_or(0);
-        assert!(
-            sessions >= corpus.len() as u64,
-            "expected >= {} sessions counted, saw {sessions}",
-            corpus.len()
-        );
-        assert!(
-            telemetry::trace_len() > 0 || telemetry::trace_dropped() > 0,
-            "trace sink was enabled but recorded nothing"
-        );
-        // Drain the buffer so this test leaves no multi-megabyte residue
-        // for siblings.
-        let events = telemetry::take_trace();
-        assert!(events.iter().any(|e| e.kind == "session.start"));
-    }
+    // Prove the instrumentation was live, not runtime-off. Exact counts are
+    // not asserted — the registry is process-global and other tests in this
+    // binary may run concurrently — but a full corpus replay must have
+    // recorded at least one session per row and produced trace events.
+    let counters = telemetry::counter_values();
+    let sessions = counters.get("msp_sessions_total").copied().unwrap_or(0);
+    assert!(
+        sessions >= corpus.len() as u64,
+        "expected >= {} sessions counted, saw {sessions}",
+        corpus.len()
+    );
+    assert!(
+        telemetry::trace_len() > 0 || telemetry::trace_dropped() > 0,
+        "trace sink was enabled but recorded nothing"
+    );
+    // Drain the buffer so this test leaves no multi-megabyte residue for
+    // siblings.
+    let events = telemetry::take_trace();
+    assert!(events.iter().any(|e| e.kind == "session.start"));
     telemetry::set_trace_enabled(false);
 }
 
@@ -77,9 +74,6 @@ fn corpus_replays_bit_identically_with_telemetry_enabled() {
 /// line yields a sample whose key matches `metric_key` reconstruction.
 #[test]
 fn post_replay_exposition_roundtrips_through_line_parser() {
-    if !telemetry::COMPILED {
-        return;
-    }
     telemetry::set_enabled(true);
     // Make sure at least something is registered even if this test runs
     // first in the binary.

@@ -57,9 +57,6 @@ fn rendered_after_fixed_batch() -> String {
 
 #[test]
 fn registry_after_a_fixed_batch_matches_the_by_name_recording() {
-    if !telemetry::COMPILED {
-        return;
-    }
     let golden = std::fs::read_to_string(golden_path()).expect("committed golden readable");
     let got = rendered_after_fixed_batch();
     for (n, (want, have)) in golden.lines().zip(got.lines()).enumerate() {

@@ -119,8 +119,8 @@ pub enum GammaRounding {
     Ceil,
     /// Exact proportional sizing `S_fast = (ŵ_fast/ŵ_slow)·S_slow`, the
     /// paper's stated *goal* ("complete the transfer of a chunk over each
-    /// path at the same time", §3.3). Default; see DESIGN.md for the
-    /// deviation note and the `ablations` bench comparing both.
+    /// path at the same time", §3.3). Default; `msplayer scorecard`'s
+    /// `ablation_gamma` table compares both.
     Exact,
 }
 

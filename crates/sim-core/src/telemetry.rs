@@ -14,12 +14,9 @@
 //!
 //! # Cost model
 //!
-//! * Compiled out: building `msim-core` without the default `telemetry`
-//!   feature turns every entry point into an empty `#[inline]` body
-//!   (`COMPILED` is `false`, so each one constant-folds to nothing).
-//! * Compiled in, runtime-disabled (the default): one relaxed atomic load
-//!   and a predictable branch per call site. Spans do **not** call
-//!   [`Instant::now`] when disabled.
+//! * Disabled (the default): one relaxed atomic load and a predictable
+//!   branch per call site. Spans do **not** call [`Instant::now`] when
+//!   disabled.
 //! * Enabled: counters are relaxed `fetch_add`s on interned `&'static`
 //!   atomics. Per-event sites hold a [`LazyCounter`] / [`LazyHistogram`]
 //!   `static`, which locks the interning table once, on first use; the
@@ -45,11 +42,6 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Whether instrumentation is compiled in at all (the `telemetry` cargo
-/// feature, on by default). With the feature off every entry point
-/// constant-folds to an empty body.
-pub const COMPILED: bool = cfg!(feature = "telemetry");
-
 /// Number of log-spaced histogram buckets. Bucket `i` counts samples with
 /// `value < 2^i` (the last bucket is the `+Inf` overflow). Fixed so bucket
 /// edges are deterministic across platforms and runs.
@@ -69,10 +61,10 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// True when metric collection is compiled in and runtime-enabled.
+/// True when metric collection is enabled.
 #[inline]
 pub fn enabled() -> bool {
-    COMPILED && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turns the trace sink on or off at runtime (process-wide). Enabling
@@ -81,10 +73,10 @@ pub fn set_trace_enabled(on: bool) {
     TRACE_ON.store(on, Ordering::Relaxed);
 }
 
-/// True when the trace sink is compiled in and runtime-enabled.
+/// True when the trace sink is enabled.
 #[inline]
 pub fn trace_enabled() -> bool {
-    COMPILED && TRACE_ON.load(Ordering::Relaxed)
+    TRACE_ON.load(Ordering::Relaxed)
 }
 
 /// A monotonic counter. Obtain interned `&'static` handles via
@@ -337,9 +329,6 @@ pub const CORE_COUNTERS: &[&str] = &[
 /// Interns every [`CORE_COUNTERS`] entry at zero. Call once when turning
 /// a live metrics endpoint on; harmless (idempotent) any other time.
 pub fn register_core_counters() {
-    if !COMPILED {
-        return;
-    }
     for name in CORE_COUNTERS {
         counter(name);
     }
@@ -597,9 +586,6 @@ pub fn counter_deltas(prev: &mut BTreeMap<String, u64>) -> Vec<(String, u64)> {
 /// Applies even when runtime collection is disabled, so a coordinator
 /// can aggregate worker traffic without turning on local instrumentation.
 pub fn apply_counter_deltas(deltas: &[(String, u64)]) {
-    if !COMPILED {
-        return;
-    }
     for (key, delta) in deltas {
         intern_counter(key.clone()).add_raw(*delta);
     }

@@ -12,8 +12,6 @@
 //!    endpoint depends on: no workload-supplied string can produce an
 //!    unparseable exposition.
 
-#![cfg(feature = "telemetry")]
-
 use msim_core::telemetry::{
     escape_label_value, metric_key, parse_exposition_line, sanitize_metric_name,
 };

@@ -4,7 +4,8 @@
 //! range requests (paper §2, §4). This crate supplies:
 //!
 //! * [`range`] — RFC 7233 byte ranges (`Range` / `Content-Range`);
-//! * [`message`] — request/response types with case-insensitive headers;
+//! * [`message`] — request/response types with case-insensitive headers
+//!   and plain `Vec<u8>` bodies;
 //! * [`wire`] — an HTTP/1.1 serialiser and incremental parser used by the
 //!   real-socket testbed;
 //! * [`tls`] — the Fig. 1 HTTPS handshake timing model (η, ψ, π and the
@@ -13,13 +14,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bytes;
 pub mod message;
 pub mod range;
 pub mod tls;
 pub mod wire;
 
-pub use bytes::Bytes;
 pub use message::{Headers, Method, Request, Response, StatusCode};
 pub use range::{ByteRange, RangeError};
 pub use tls::{Phase, TlsTimingModel};

@@ -3,7 +3,6 @@
 //! These are shared by the simulator (which moves messages as values) and
 //! the real-socket testbed (which serialises them with [`crate::wire`]).
 
-use crate::bytes::Bytes;
 use std::fmt;
 
 /// The request methods the system uses.
@@ -148,7 +147,7 @@ pub struct Request {
     /// Header fields.
     pub headers: Headers,
     /// Body (empty for GET/HEAD).
-    pub body: Bytes,
+    pub body: Vec<u8>,
 }
 
 impl Request {
@@ -158,7 +157,7 @@ impl Request {
             method: Method::Get,
             target: target.into(),
             headers: Headers::new(),
-            body: Bytes::new(),
+            body: Vec::new(),
         }
     }
 
@@ -201,12 +200,12 @@ pub struct Response {
     /// Header fields.
     pub headers: Headers,
     /// Body bytes.
-    pub body: Bytes,
+    pub body: Vec<u8>,
 }
 
 impl Response {
     /// Builds a response with a body and a correct `Content-Length`.
-    pub fn new(status: StatusCode, body: impl Into<Bytes>) -> Response {
+    pub fn new(status: StatusCode, body: impl Into<Vec<u8>>) -> Response {
         let body = body.into();
         let mut headers = Headers::new();
         headers.insert("Content-Length", body.len().to_string());
@@ -218,14 +217,14 @@ impl Response {
     }
 
     /// 200 response with a JSON body and content type.
-    pub fn json(body: impl Into<Bytes>) -> Response {
+    pub fn json(body: impl Into<Vec<u8>>) -> Response {
         Response::new(StatusCode::OK, body)
             .header("Content-Type", "application/json; charset=utf-8")
     }
 
     /// 206 response carrying `body` for `range` of a `total`-byte resource.
     pub fn partial_content(
-        body: impl Into<Bytes>,
+        body: impl Into<Vec<u8>>,
         range: crate::range::ByteRange,
         total: u64,
     ) -> Response {

@@ -7,7 +7,6 @@
 //! implemented: `Content-Length` bodies (YouTube range responses always know
 //! their length) — no chunked transfer encoding.
 
-use crate::bytes::Bytes;
 use crate::message::{Headers, Method, Request, Response, StatusCode};
 use std::fmt;
 
@@ -117,7 +116,7 @@ pub enum Decoded<T> {
     Complete {
         /// The decoded message.
         message: T,
-        /// Bytes consumed from the buffer front.
+        /// How many bytes to drain from the buffer front.
         consumed: usize,
     },
     /// More bytes are needed.
@@ -219,7 +218,7 @@ fn finish_with_body<T>(
     head_end: usize,
     headers: Headers,
     body_len: u64,
-    build: impl FnOnce(Headers, Bytes) -> T,
+    build: impl FnOnce(Headers, Vec<u8>) -> T,
 ) -> Result<Decoded<T>, WireError> {
     if body_len > MAX_BODY_BYTES as u64 {
         return Err(WireError::BodyTooLarge(body_len));
@@ -228,7 +227,7 @@ fn finish_with_body<T>(
     if buf.len() < head_end + body_len {
         return Ok(Decoded::NeedMore);
     }
-    let body = Bytes::copy_from_slice(&buf[head_end..head_end + body_len]);
+    let body = buf[head_end..head_end + body_len].to_vec();
     Ok(Decoded::Complete {
         message: build(headers, body),
         consumed: head_end + body_len,

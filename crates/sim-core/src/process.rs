@@ -385,6 +385,11 @@ mod tests {
         // tau = 8 s: cells of 250 ms, the first one [0, 250 ms).
         let mut ou = Ou::new(10.0, 2.0, 8.0, Prng::new(5), BLOCK);
         let first = ou.value_at(SimTime::ZERO);
+        // The first cell reads the stationary draw itself.
+        assert_eq!(
+            first.to_bits(),
+            (10.0 + 2.0 * Prng::new(5).normal()).to_bits()
+        );
         assert_eq!(ou.value_at(SimTime::from_micros(249_999)), first);
         let second = ou.value_at(SimTime::from_millis(250));
         assert_ne!(second, first);

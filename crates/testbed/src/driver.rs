@@ -5,10 +5,13 @@
 //! threads, §3.2: "the processes of fetching video chunks over each path are
 //! executed by independent threads, which are under the management of the
 //! chunk scheduler"). The main thread owns the player state machine and a
-//! wall-clock mapped onto [`SimTime`].
+//! wall-clock mapped onto [`SimTime`]; the workers speak the player's own
+//! vocabulary, taking [`PlayerAction`]s and sending back timestamped
+//! [`PlayerEvent`]s.
 
 use msim_core::time::SimTime;
 use msim_http::{decode_response, encode_request_into, ByteRange, Decoded, Request, StatusCode};
+use msplayer_core::chunk::ChunkAssignment;
 use msplayer_core::config::PlayerConfig;
 use msplayer_core::metrics::SessionMetrics;
 use msplayer_core::player::{ChunkFailReason, Player, PlayerAction, PlayerEvent};
@@ -42,43 +45,9 @@ pub struct TestbedSession {
     pub wall_timeout: Duration,
 }
 
-enum WorkerEvent {
-    Ready {
-        path: usize,
-    },
-    Done {
-        path: usize,
-        index: u64,
-        bytes: u64,
-        requested_at: SimTime,
-        first_byte_at: SimTime,
-        completed_at: SimTime,
-    },
-    Failed {
-        path: usize,
-        reason: ChunkFailReason,
-        at: SimTime,
-    },
-    Restored {
-        path: usize,
-        at: SimTime,
-    },
-}
-
-enum WorkerCmd {
-    Fetch { index: u64, range: ByteRange },
-    Failover,
-    Shutdown,
-}
-
-struct Clock {
-    t0: Instant,
-}
-
-impl Clock {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.t0.elapsed().as_micros() as u64)
-    }
+/// The session clock: wall time since `t0`, to the microsecond.
+fn since(t0: Instant) -> SimTime {
+    SimTime::from_micros(t0.elapsed().as_micros() as u64)
 }
 
 /// Runs a session; returns the player's metrics.
@@ -90,21 +59,22 @@ pub fn run_testbed_session(session: &TestbedSession) -> std::io::Result<SessionM
         !session.path_servers.is_empty() && session.path_servers.len() <= 2,
         "one or two paths"
     );
-    let clock = Clock { t0: Instant::now() };
-    let (ev_tx, ev_rx): (Sender<WorkerEvent>, Receiver<WorkerEvent>) = channel();
-    let mut cmd_txs: Vec<Sender<WorkerCmd>> = Vec::new();
+    let t0 = Instant::now();
+    let (ev_tx, ev_rx) = channel::<(SimTime, PlayerEvent)>();
+    let mut cmd_txs: Vec<Sender<PlayerAction>> = Vec::new();
     let mut workers = Vec::new();
 
     for (path, servers) in session.path_servers.iter().enumerate() {
-        let (cmd_tx, cmd_rx) = channel::<WorkerCmd>();
+        let (cmd_tx, cmd_rx) = channel();
         cmd_txs.push(cmd_tx);
         let servers = servers.clone();
         let ev_tx = ev_tx.clone();
-        let t0 = clock.t0;
         workers.push(std::thread::spawn(move || {
-            path_worker(path, servers, cmd_rx, ev_tx, t0);
+            path_worker(path, &servers, cmd_rx, ev_tx, t0);
         }));
     }
+    // The workers hold the only senders: the channel closes if they all die.
+    drop(ev_tx);
 
     let mut player = Player::new(
         session.player.clone(),
@@ -116,53 +86,17 @@ pub fn run_testbed_session(session: &TestbedSession) -> std::io::Result<SessionM
     let mut last_now = SimTime::ZERO;
     let deadline = Instant::now() + session.wall_timeout;
 
-    'main: loop {
-        if Instant::now() > deadline {
-            break;
-        }
+    while Instant::now() <= deadline {
         // Wait for the next worker event or the pending tick.
         let timeout = match next_tick {
-            Some(at) => {
-                let now = clock.now();
-                if at <= now {
-                    Duration::ZERO
-                } else {
-                    Duration::from_micros((at - now).as_micros())
-                }
-            }
+            Some(at) => Duration::from_micros(at.saturating_since(since(t0)).as_micros()),
             None => Duration::from_millis(50),
         };
         let (now, event) = match ev_rx.recv_timeout(timeout) {
-            Ok(ev) => {
-                let (at, pe) = match ev {
-                    WorkerEvent::Ready { path } => (clock.now(), PlayerEvent::PathReady { path }),
-                    WorkerEvent::Done {
-                        path,
-                        index,
-                        bytes,
-                        requested_at,
-                        first_byte_at,
-                        completed_at,
-                    } => (
-                        completed_at,
-                        PlayerEvent::ChunkComplete {
-                            path,
-                            index,
-                            bytes,
-                            requested_at,
-                            first_byte_at,
-                        },
-                    ),
-                    WorkerEvent::Failed { path, reason, at } => {
-                        (at, PlayerEvent::ChunkFailed { path, reason })
-                    }
-                    WorkerEvent::Restored { path, at } => (at, PlayerEvent::PathRestored { path }),
-                };
-                (at, pe)
-            }
+            Ok(ev) => ev,
             Err(RecvTimeoutError::Timeout) => {
                 next_tick = None;
-                (clock.now(), PlayerEvent::Tick)
+                (since(t0), PlayerEvent::Tick)
             }
             Err(RecvTimeoutError::Disconnected) => break,
         };
@@ -172,14 +106,11 @@ pub fn run_testbed_session(session: &TestbedSession) -> std::io::Result<SessionM
 
         for action in player.handle(now, event) {
             match action {
-                PlayerAction::Fetch { assignment } => {
-                    let _ = cmd_txs[assignment.path].send(WorkerCmd::Fetch {
-                        index: assignment.index,
-                        range: assignment.range,
-                    });
+                PlayerAction::Fetch {
+                    assignment: ChunkAssignment { path, .. },
                 }
-                PlayerAction::Failover { path } => {
-                    let _ = cmd_txs[path].send(WorkerCmd::Failover);
+                | PlayerAction::Failover { path } => {
+                    let _ = cmd_txs[path].send(action);
                 }
                 PlayerAction::ScheduleTick { at } => {
                     // Coalescing contract: the latest request supersedes
@@ -195,87 +126,82 @@ pub fn run_testbed_session(session: &TestbedSession) -> std::io::Result<SessionM
             TestbedStop::AfterRefills(n) => player.refill_count() >= n,
         };
         if stop {
-            break 'main;
+            break;
         }
     }
 
-    for tx in &cmd_txs {
-        let _ = tx.send(WorkerCmd::Shutdown);
-    }
+    // Closing the command channels ends the workers.
+    drop(cmd_txs);
     for w in workers {
         let _ = w.join();
     }
-    // Real-socket transfers have no simulated TCP engine, so the
-    // `SessionMetrics::transfer_*` telemetry (epochs / fast rounds of
-    // the simulator's epoch transfer engine) stays at its zero default
-    // here — the testbed measures wall-clock transfers,
-    // not model rounds.
-    Ok(player.into_metrics(clock.now().max(last_now)))
+    // The metrics hold what the player saw on the wall clock: real sockets
+    // have no simulated TCP engine to report on.
+    Ok(player.into_metrics(since(t0).max(last_now)))
 }
 
+/// Connects to `addr` with `TCP_NODELAY` set.
+fn connect(addr: SocketAddr) -> Option<TcpStream> {
+    let conn = TcpStream::connect(addr).ok()?;
+    let _ = conn.set_nodelay(true);
+    Some(conn)
+}
+
+/// One path's thread: carries out the player's `Fetch` and `Failover`
+/// actions on its connection and reports each outcome stamped with the
+/// session clock. It exits when its command channel closes.
 fn path_worker(
     path: usize,
-    servers: Vec<SocketAddr>,
-    cmd_rx: Receiver<WorkerCmd>,
-    ev_tx: Sender<WorkerEvent>,
+    servers: &[SocketAddr],
+    cmds: Receiver<PlayerAction>,
+    events: Sender<(SimTime, PlayerEvent)>,
     t0: Instant,
 ) {
-    let now = |t0: Instant| SimTime::from_micros(t0.elapsed().as_micros() as u64);
     // Reused across every chunk this worker fetches: request wire bytes and
     // the response accumulation buffer keep their capacity for the whole
     // session instead of re-allocating per chunk.
     let mut bufs = FetchBufs::default();
     let mut current = 0usize;
-    let mut conn = match TcpStream::connect(servers[current]) {
-        Ok(c) => {
-            let _ = c.set_nodelay(true);
-            let _ = ev_tx.send(WorkerEvent::Ready { path });
-            Some(c)
-        }
-        Err(_) => None,
-    };
+    let mut conn = connect(servers[current]);
+    if conn.is_some() {
+        let _ = events.send((since(t0), PlayerEvent::PathReady { path }));
+    }
 
-    while let Ok(cmd) = cmd_rx.recv() {
-        match cmd {
-            WorkerCmd::Shutdown => break,
-            WorkerCmd::Failover => {
+    for cmd in cmds {
+        let event = match cmd {
+            PlayerAction::Failover { .. } => {
                 current = (current + 1) % servers.len();
-                conn = TcpStream::connect(servers[current]).ok();
-                if let Some(c) = &conn {
-                    let _ = c.set_nodelay(true);
-                    let _ = ev_tx.send(WorkerEvent::Restored { path, at: now(t0) });
+                conn = connect(servers[current]);
+                if conn.is_none() {
+                    continue;
                 }
+                PlayerEvent::PathRestored { path }
             }
-            WorkerCmd::Fetch { index, range } => {
-                let requested_at = now(t0);
+            PlayerAction::Fetch { assignment } => {
+                let requested_at = since(t0);
                 let result = conn
                     .as_mut()
                     .ok_or(ChunkFailReason::Timeout)
-                    .and_then(|c| fetch_range(c, range, t0, &mut bufs));
+                    .and_then(|c| fetch_range(c, assignment.range, t0, &mut bufs));
                 match result {
-                    Ok((bytes, first_byte_at)) => {
-                        let _ = ev_tx.send(WorkerEvent::Done {
-                            path,
-                            index,
-                            bytes,
-                            requested_at,
-                            first_byte_at,
-                            completed_at: now(t0),
-                        });
-                    }
+                    Ok((bytes, first_byte_at)) => PlayerEvent::ChunkComplete {
+                        path,
+                        index: assignment.index,
+                        bytes,
+                        requested_at,
+                        first_byte_at,
+                    },
                     Err(reason) => {
                         // Reconnect to the same server for transport errors
                         // so a later retry can succeed.
-                        conn = TcpStream::connect(servers[current]).ok();
-                        let _ = ev_tx.send(WorkerEvent::Failed {
-                            path,
-                            reason,
-                            at: now(t0),
-                        });
+                        conn = connect(servers[current]);
+                        PlayerEvent::ChunkFailed { path, reason }
                     }
                 }
             }
-        }
+            PlayerAction::ScheduleTick { .. } => unreachable!("ticks stay with the driver"),
+        };
+        let _ = events.send((since(t0), event));
     }
 }
 
@@ -313,9 +239,7 @@ fn fetch_range(
                 return match message.status {
                     StatusCode::PARTIAL_CONTENT | StatusCode::OK => Ok((
                         message.body.len() as u64,
-                        first_byte_at.unwrap_or_else(|| {
-                            SimTime::from_micros(t0.elapsed().as_micros() as u64)
-                        }),
+                        first_byte_at.unwrap_or_else(|| since(t0)),
                     )),
                     StatusCode::FORBIDDEN => Err(ChunkFailReason::Forbidden),
                     _ => Err(ChunkFailReason::ServerError),
@@ -329,7 +253,7 @@ fn fetch_range(
                     return Err(ChunkFailReason::Timeout);
                 }
                 if first_byte_at.is_none() {
-                    first_byte_at = Some(SimTime::from_micros(t0.elapsed().as_micros() as u64));
+                    first_byte_at = Some(since(t0));
                 }
                 buf.extend_from_slice(&scratch[..n]);
             }

@@ -9,15 +9,22 @@
 //!   web-proxy daemon serving the JSON video information;
 //! * [`driver`] — the socket driver running the *same* sans-I/O
 //!   [`msplayer_core::player::Player`] the simulator uses, with one blocking
-//!   worker thread per path (mirroring the original player's threads);
+//!   worker thread per path (mirroring the original player's threads) that
+//!   takes the player's actions and answers with its events;
 //! * [`harness`] — one-call setup: shaped servers + proxies + session;
 //! * [`obs`] — a live `/metrics` + `/jobs` + `/healthz` HTTP endpoint
 //!   exposing the in-process [`msim_core::telemetry`] registry;
-//! * [`lines`] — line-framed transport plumbing (reader threads, flushed
-//!   line writers, a background accept loop) shared with the distributed
-//!   sweep service's coordinator/worker protocol;
+//! * [`lines`] — the distributed sweep service's line-framed transport:
+//!   reader threads, flushed line writers and [`LineServer`], which hands
+//!   accepted TCP peers to the coordinator;
 //! * [`signal`] — the SIGINT/SIGTERM shutdown flag the long-running
 //!   binaries poll to flush artifacts before exiting.
+//!
+//! Every server ([`VideoFileServer`], [`ProxyDaemon`], [`ObsServer`],
+//! [`LineServer`]) stands on one private listener (bind, nonblocking accept
+//! poll, stop flag, a thread per connection, join on drop), and the three
+//! HTTP servers share one keep-alive connection loop, each supplying only
+//! its answers.
 //!
 //! The point of this crate is the sans-I/O proof: every scheduler decision
 //! exercised by the deterministic simulator also runs against real sockets
@@ -36,6 +43,7 @@ pub mod obs;
 pub mod server;
 pub mod shaper;
 pub mod signal;
+mod socket;
 
 pub use driver::{run_testbed_session, TestbedSession, TestbedStop};
 pub use harness::Testbed;

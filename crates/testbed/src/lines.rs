@@ -5,20 +5,19 @@
 //! byte-moving side of that protocol lives here, next to the rest of the
 //! real-socket plumbing: a reader thread that turns any `Read` stream
 //! (a child's stdout, a TCP socket) into framed events on a channel, a
-//! flushing line writer for the opposite direction, and a nonblocking
-//! accept loop (the same shutdown-flag idiom as [`crate::server`]) for
-//! the multi-host TCP mode.
+//! flushing line writer for the opposite direction, and a listener for
+//! the multi-host TCP mode (the crate's one accept loop, which the HTTP
+//! servers in [`crate::server`] and [`crate::obs`] share).
 //!
 //! Frames are single lines: one `\n`-terminated UTF-8 payload per
 //! message, no embedded newlines. A line that fails UTF-8 decoding is
 //! delivered as [`LineEvent::Garbage`] rather than dropped — a corrupt
 //! frame from a sick peer is a scheduling signal, not something to hide.
 
+use crate::socket::Listener;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::Sender;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// One event from a framed peer, tagged with the peer id the reader
@@ -27,7 +26,7 @@ use std::thread::JoinHandle;
 pub enum LineEvent {
     /// A complete line (without its trailing newline).
     Line(u64, String),
-    /// Bytes arrived that do not decode as UTF-8 — a corrupt frame.
+    /// A line arrived that does not decode as UTF-8 — a corrupt frame.
     Garbage(u64, usize),
     /// The peer's stream ended (EOF or read error).
     Closed(u64),
@@ -97,58 +96,26 @@ impl LineWriter {
 }
 
 /// A listening socket accepting framed peers in the background — the
-/// multi-host entry point of the cluster protocol.
-///
-/// Accepted connections are handed to the caller's channel; the accept
-/// loop uses the same nonblocking poll + shutdown flag idiom as the
-/// testbed's HTTP servers, so dropping the server always terminates the
-/// thread.
+/// multi-host entry point of the cluster protocol. Dropping it stops the
+/// accept loop and joins its thread.
 pub struct LineServer {
     /// Bound address (useful with a `:0` request).
     pub addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    _listener: Listener,
 }
 
 impl LineServer {
     /// Binds `addr` and starts accepting; each accepted stream is sent to
     /// `conns` untouched (the caller splits it into reader/writer halves).
     pub fn start(addr: &str, conns: Sender<TcpStream>) -> std::io::Result<LineServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let s2 = shutdown.clone();
-        let handle = std::thread::spawn(move || {
-            while !s2.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nodelay(true);
-                        if conns.send(stream).is_err() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
+        let listener = Listener::start(addr, move |stream, _| {
+            let _ = conns.send(stream);
+            Ok(())
+        })?;
         Ok(LineServer {
-            addr,
-            shutdown,
-            handle: Some(handle),
+            addr: listener.addr,
+            _listener: listener,
         })
-    }
-}
-
-impl Drop for LineServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 }
 

@@ -1,9 +1,9 @@
 //! Live observability endpoint for the long-running binaries.
 //!
-//! [`ObsServer`] is a tiny threaded HTTP server (same accept-loop idiom as
-//! [`crate::server`]) exposing the in-process
-//! [`msim_core::telemetry`] registry while a sweep or fleet bench is
-//! running:
+//! [`ObsServer`] is a tiny threaded HTTP server (on the same listener and
+//! keep-alive connection loop as [`crate::server`]'s) exposing the
+//! in-process [`msim_core::telemetry`] registry while a sweep or fleet
+//! bench is running:
 //!
 //! | endpoint   | body                                                   |
 //! |------------|--------------------------------------------------------|
@@ -13,15 +13,14 @@
 //!
 //! Anything else gets the standard `404` JSON error. The server never
 //! touches simulation state: it only *reads* atomic counters, so scraping
-//! it mid-run cannot perturb a deterministic workload.
+//! it mid-run cannot perturb a deterministic workload. A connection stays
+//! open until the scraper closes it or the server is dropped; dropping it
+//! returns within one read timeout even while a scraper keeps polling.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use crate::socket::{serve_http, Listener, Service};
+use msim_http::{Request, Response, StatusCode};
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use msim_http::{decode_request, encode_response, Decoded, Response, StatusCode};
 
 /// Callback producing the `/jobs` JSON body at scrape time.
 pub type JobsProvider = Arc<dyn Fn() -> String + Send + Sync>;
@@ -34,8 +33,7 @@ pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=ut
 pub struct ObsServer {
     /// The bound address (useful when started on port 0).
     pub addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    _listener: Listener,
 }
 
 impl ObsServer {
@@ -44,35 +42,11 @@ impl ObsServer {
     /// `jobs` renders the `/jobs` body; pass [`ObsServer::no_jobs`] for
     /// binaries without shard state.
     pub fn start(addr: &str, jobs: JobsProvider) -> std::io::Result<ObsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let s2 = shutdown.clone();
-        let handle = std::thread::spawn(move || {
-            let mut workers: Vec<JoinHandle<()>> = Vec::new();
-            while !s2.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let jobs = jobs.clone();
-                        workers.push(std::thread::spawn(move || {
-                            let _ = serve_obs_conn(stream, &jobs);
-                        }));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
-            for w in workers {
-                let _ = w.join();
-            }
-        });
+        let scrapes = Scrapes(jobs);
+        let listener = Listener::start(addr, move |s, stop| serve_http(s, &scrapes, stop))?;
         Ok(ObsServer {
-            addr,
-            shutdown,
-            handle: Some(handle),
+            addr: listener.addr,
+            _listener: listener,
         })
     }
 
@@ -83,65 +57,29 @@ impl ObsServer {
     }
 }
 
-impl Drop for ObsServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
+struct Scrapes(JobsProvider);
 
-fn serve_obs_conn(mut stream: TcpStream, jobs: &JobsProvider) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(2)))?;
-    stream.set_nodelay(true)?;
-    let mut buf = Vec::new();
-    let mut scratch = [0u8; 4096];
-    // Serve requests one at a time on a keep-alive connection; scrapers
-    // poll, so the loop exits when the peer closes or goes quiet.
-    loop {
-        let req = loop {
-            match decode_request(&buf) {
-                Ok(Decoded::Complete { message, consumed }) => {
-                    buf.drain(..consumed);
-                    break message;
-                }
-                Ok(Decoded::NeedMore) => {
-                    let n = match stream.read(&mut scratch) {
-                        Ok(0) => return Ok(()),
-                        Ok(n) => n,
-                        Err(_) => return Ok(()),
-                    };
-                    buf.extend_from_slice(&scratch[..n]);
-                }
-                Err(_) => {
-                    let resp =
-                        Response::json_error(StatusCode::BAD_REQUEST, "malformed request", "");
-                    stream.write_all(&encode_response(&resp))?;
-                    return Ok(());
-                }
-            }
-        };
-        let resp = match req.path() {
+impl Service for Scrapes {
+    fn answer(&self, req: &Request) -> Response {
+        match req.path() {
             "/metrics" => {
                 let body = msim_core::telemetry::render_prometheus();
-                Response::new(StatusCode::OK, body.into_bytes())
-                    .header("Content-Type", PROMETHEUS_CONTENT_TYPE)
+                Response::new(StatusCode::OK, body).header("Content-Type", PROMETHEUS_CONTENT_TYPE)
             }
-            "/jobs" => Response::new(StatusCode::OK, jobs().into_bytes())
-                .header("Content-Type", "application/json; charset=utf-8"),
-            "/healthz" => Response::new(StatusCode::OK, b"{\"status\":\"ok\"}".to_vec())
-                .header("Content-Type", "application/json; charset=utf-8"),
+            "/jobs" => Response::json((self.0)()),
+            "/healthz" => Response::json(b"{\"status\":\"ok\"}".to_vec()),
             _ => Response::not_found_json(&req.target),
-        };
-        stream.write_all(&encode_response(&resp))?;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msim_http::{encode_request, Request};
+    use msim_http::encode_request;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn read_response(stream: &mut TcpStream) -> Response {
         let mut buf = Vec::new();
@@ -195,5 +133,40 @@ mod tests {
             v.get("error").and_then(msim_json::Value::as_str),
             Some("unknown endpoint")
         );
+    }
+
+    #[test]
+    fn drop_returns_while_a_client_keeps_polling_one_connection() {
+        // Regression: the obs connection loop never read the stop flag, so
+        // a scraper polling one keep-alive connection more often than its
+        // 2 s idle timeout kept `drop` (and a `--metrics` binary) waiting.
+        let server = ObsServer::start("127.0.0.1:0", ObsServer::no_jobs()).unwrap();
+        let mut stream = TcpStream::connect(server.addr).unwrap();
+        let polling = Arc::new(AtomicBool::new(true));
+        let keep_polling = polling.clone();
+        let (answered_tx, answered) = std::sync::mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let req = encode_request(&Request::get("/healthz").header("Host", "obs"));
+            let mut scratch = [0u8; 4096];
+            while keep_polling.load(Ordering::Relaxed) {
+                if stream.write_all(&req).is_err() || !matches!(stream.read(&mut scratch), Ok(1..))
+                {
+                    return;
+                }
+                let _ = answered_tx.send(());
+                std::thread::sleep(std::time::Duration::from_millis(100));
+            }
+        });
+        answered.recv().unwrap();
+        let (dropped_tx, dropped) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(server);
+            let _ = dropped_tx.send(());
+        });
+        let dropped = dropped.recv_timeout(std::time::Duration::from_secs(3));
+        polling.store(false, Ordering::Relaxed);
+        assert!(dropped.is_ok(), "drop(ObsServer) still waiting after 3 s");
+        dropper.join().unwrap();
+        client.join().unwrap();
     }
 }

@@ -5,17 +5,17 @@
 //! Both servers route on the request path and answer unknown endpoints
 //! with a proper `404` + JSON error body (and malformed requests with
 //! `400`) instead of dropping the connection, so misdirected clients get
-//! a diagnosable reply on a still-usable connection.
+//! a diagnosable reply on a still-usable connection. Each is a service on
+//! the crate's one listener and connection loop.
 
 use crate::shaper::{write_paced, LinkShape};
+use crate::socket::{serve_http, Listener, Service};
 use msim_core::time::SimDuration;
-use msim_http::{decode_request, encode_response, Decoded, Response, StatusCode};
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use msim_http::{encode_response, Request, Response, StatusCode};
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::Mutex;
-use std::thread::JoinHandle;
 
 /// Shared controls for a running server (failure injection, counters).
 #[derive(Default)]
@@ -34,8 +34,7 @@ pub struct VideoFileServer {
     pub addr: SocketAddr,
     /// Runtime controls.
     pub controls: Arc<ServerControls>,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    _listener: Listener,
 }
 
 impl VideoFileServer {
@@ -43,115 +42,54 @@ impl VideoFileServer {
     /// response according to `shape`. The "file" is the pre-downloaded
     /// video of §5.
     pub fn start(file: Arc<Vec<u8>>, shape: LinkShape) -> std::io::Result<VideoFileServer> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let controls = Arc::new(ServerControls::default());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let c2 = controls.clone();
-        let s2 = shutdown.clone();
-        let handle = std::thread::spawn(move || {
-            let mut workers: Vec<JoinHandle<()>> = Vec::new();
-            while !s2.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let file = file.clone();
-                        let controls = c2.clone();
-                        let stop = s2.clone();
-                        workers.push(std::thread::spawn(move || {
-                            let _ = serve_video_conn(stream, &file, shape, &controls, &stop);
-                        }));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
-            for w in workers {
-                let _ = w.join();
-            }
-        });
+        let video = Video {
+            file,
+            shape,
+            controls: controls.clone(),
+        };
+        let listener = Listener::start("127.0.0.1:0", move |s, stop| serve_http(s, &video, stop))?;
         Ok(VideoFileServer {
-            addr,
+            addr: listener.addr,
             controls,
-            shutdown,
-            handle: Some(handle),
+            _listener: listener,
         })
     }
 }
 
-impl Drop for VideoFileServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn serve_video_conn(
-    mut stream: TcpStream,
-    file: &[u8],
+struct Video {
+    file: Arc<Vec<u8>>,
     shape: LinkShape,
-    controls: &ServerControls,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(std::time::Duration::from_millis(200)))?;
-    stream.set_nodelay(true)?;
-    let mut buf: Vec<u8> = Vec::with_capacity(4096);
-    let mut scratch = [0u8; 4096];
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        // Try to decode a request from what we have.
-        match decode_request(&buf) {
-            Ok(Decoded::Complete { message, consumed }) => {
-                buf.drain(..consumed);
-                let resp = build_video_response(&message, file, controls);
-                // Count before writing: once the client has read the full
-                // response, the counters are guaranteed up to date.
-                controls.requests.fetch_add(1, Ordering::Relaxed);
-                controls
-                    .bytes
-                    .fetch_add(resp.body.len() as u64, Ordering::Relaxed);
-                // Emulate the link RTT: request propagation + first byte.
-                std::thread::sleep(to_std(shape.rtt));
-                let wire = encode_response(&resp);
-                // Head goes immediately; body is paced at the link rate.
-                let head_len = wire.len() - resp.body.len();
-                use std::io::Write;
-                stream.write_all(&wire[..head_len])?;
-                write_paced(&mut stream, &resp.body, shape)?;
-            }
-            Ok(Decoded::NeedMore) => match stream.read(&mut scratch) {
-                Ok(0) => return Ok(()), // client closed
-                Ok(n) => buf.extend_from_slice(&scratch[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
-                Err(e) => return Err(e),
-            },
-            Err(_) => {
-                // Malformed request: answer 400 and close.
-                let resp = Response::new(StatusCode::BAD_REQUEST, Vec::new());
-                use std::io::Write;
-                stream.write_all(&encode_response(&resp))?;
-                return Ok(());
-            }
-        }
+    controls: Arc<ServerControls>,
+}
+
+impl Service for Video {
+    fn answer(&self, req: &Request) -> Response {
+        let resp = build_video_response(req, &self.file, &self.controls);
+        // Count before writing: once the client has read the full
+        // response, the counters are guaranteed up to date.
+        self.controls.requests.fetch_add(1, Ordering::Relaxed);
+        self.controls
+            .bytes
+            .fetch_add(resp.body.len() as u64, Ordering::Relaxed);
+        // Emulate the link RTT: request propagation + first byte.
+        std::thread::sleep(to_std(self.shape.rtt));
+        resp
+    }
+
+    fn malformed(&self) -> Response {
+        Response::new(StatusCode::BAD_REQUEST, Vec::new())
+    }
+
+    fn write(&self, stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
+        // Head goes immediately; body is paced at the link rate.
+        let wire = encode_response(resp);
+        stream.write_all(&wire[..wire.len() - resp.body.len()])?;
+        write_paced(stream, &resp.body, self.shape)
     }
 }
 
-fn build_video_response(
-    req: &msim_http::Request,
-    file: &[u8],
-    controls: &ServerControls,
-) -> Response {
+fn build_video_response(req: &Request, file: &[u8], controls: &ServerControls) -> Response {
     if controls.fail.load(Ordering::Relaxed) {
         return Response::new(StatusCode::INTERNAL_SERVER_ERROR, Vec::new());
     }
@@ -176,12 +114,12 @@ fn build_video_response(
     }
 }
 
-/// A running web-proxy daemon serving one JSON document at `/watch`.
+/// A running web-proxy daemon serving one JSON document at `/watch`, one
+/// request per connection.
 pub struct ProxyDaemon {
     /// Bound address.
     pub addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    _listener: Listener,
 }
 
 impl ProxyDaemon {
@@ -189,96 +127,41 @@ impl ProxyDaemon {
     /// network's view (pre-built by the harness); `processing` emulates the
     /// OAuth/JSON generation delay.
     pub fn start(json: String, processing: SimDuration) -> std::io::Result<ProxyDaemon> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let s2 = shutdown.clone();
-        let json = Arc::new(json);
-        let handle = std::thread::spawn(move || {
-            while !s2.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let json = json.clone();
-                        std::thread::spawn(move || {
-                            let _ = serve_proxy_conn(stream, &json, processing);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
+        let proxy = Proxy { json, processing };
+        let listener = Listener::start("127.0.0.1:0", move |s, stop| serve_http(s, &proxy, stop))?;
         Ok(ProxyDaemon {
-            addr,
-            shutdown,
-            handle: Some(handle),
+            addr: listener.addr,
+            _listener: listener,
         })
     }
 }
 
-impl Drop for ProxyDaemon {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+struct Proxy {
+    json: String,
+    processing: SimDuration,
 }
 
-fn serve_proxy_conn(
-    mut stream: TcpStream,
-    json: &str,
-    processing: SimDuration,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(2)))?;
-    let mut buf = Vec::new();
-    let mut scratch = [0u8; 4096];
-    use std::io::Write;
-    let req = loop {
-        match decode_request(&buf) {
-            Ok(Decoded::Complete { message, .. }) => break message,
-            Ok(Decoded::NeedMore) => {
-                let n = stream.read(&mut scratch)?;
-                if n == 0 {
-                    return Ok(());
-                }
-                buf.extend_from_slice(&scratch[..n]);
-            }
-            Err(_) => {
-                // Malformed request: a diagnosable 400 beats a silent
-                // connection drop.
-                let resp = Response::json_error(StatusCode::BAD_REQUEST, "malformed request", "");
-                stream.write_all(&encode_response(&resp))?;
-                return Ok(());
-            }
+impl Service for Proxy {
+    const ONE_SHOT: bool = true;
+
+    fn answer(&self, req: &Request) -> Response {
+        if req.path() != "/watch" {
+            return Response::not_found_json(&req.target);
         }
-    };
-    if req.path() != "/watch" {
-        let resp = Response::not_found_json(&req.target);
-        return stream.write_all(&encode_response(&resp));
+        std::thread::sleep(to_std(self.processing));
+        Response::json(self.json.clone())
     }
-    std::thread::sleep(to_std(processing));
-    let resp = Response::json(json.as_bytes().to_vec());
-    stream.write_all(&encode_response(&resp))
 }
 
 fn to_std(d: SimDuration) -> std::time::Duration {
     std::time::Duration::from_micros(d.as_micros())
 }
 
-/// A guard that keeps shared state alive for assertions in tests.
-pub type Shared<T> = Arc<Mutex<T>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msim_http::{encode_request, Request};
-    use std::io::Write;
-
-    use msim_http::ByteRange;
+    use msim_http::{decode_response, encode_request, ByteRange, Decoded};
+    use std::io::Read;
 
     fn fetch_range(addr: SocketAddr, start: u64, len: u64) -> Response {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -303,8 +186,6 @@ mod tests {
             }
         }
     }
-
-    use msim_http::decode_response;
 
     fn test_file(n: usize) -> Arc<Vec<u8>> {
         Arc::new((0..n).map(|i| (i % 251) as u8).collect())

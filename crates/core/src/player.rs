@@ -12,19 +12,28 @@
 //! * the ≤ `ooo_cap` out-of-order gating rule;
 //! * ON/OFF playout-buffer-driven downloading;
 //! * per-path failure counting and failover requests;
-//! * per-phase traffic accounting (Table 1) and QoE metrics.
+//! * per-phase traffic accounting (Table 1) and QoE metrics;
+//! * the per-event observer: the `chunk.done`, `chunk.error`,
+//!   `path.recover`, `path.failover` and `abr.decision` trace records and
+//!   the chunk-fetch, chunk-error, failover and ABR counters, so every
+//!   driver writes the same per-chunk trace (drivers write only the
+//!   `session.*` brackets).
 
 use crate::abr::{AbrMode, AbrPolicyImpl, RungMap, RungTimeline, SwitchReason};
 use crate::buffer::{BufferPhase, PlayoutBuffer};
 use crate::chunk::{ChunkAssignment, ChunkLedger, PathId};
 use crate::config::PlayerConfig;
 use crate::metrics::{AbrDecision, AbrQoe, AbrSwitch, ChunkRecord, SessionMetrics, TrafficPhase};
-use crate::scheduler::{SchedulerImpl, NUM_PATHS};
-use msim_core::telemetry::LazyCounter;
+use crate::scheduler::SchedulerImpl;
+use msim_core::telemetry::{self, LazyCounter, LazyHistogram, TraceVal};
 use msim_core::time::{SimDuration, SimTime};
 
+// Per-event telemetry series, resolved once per process.
 static ABR_DECISIONS: LazyCounter = LazyCounter::new("msp_abr_decisions_total");
 static ABR_SWITCHES: LazyCounter = LazyCounter::new("msp_abr_switches_total");
+static CHUNK_FETCH_US: LazyHistogram = LazyHistogram::new("msp_chunk_fetch_us");
+static CHUNK_ERRORS: LazyCounter = LazyCounter::new("msp_chunk_errors_total");
+static FAILOVERS: LazyCounter = LazyCounter::new("msp_failovers_total");
 
 /// Why a chunk transfer failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -176,6 +185,9 @@ pub struct Player {
     last_wake_requested: Option<SimTime>,
     /// ABR ladder state (shadow or closed-loop), when configured.
     abr: Option<AbrRuntime>,
+    /// Whether the trace sink was on when the player was built: latched
+    /// once, so the hot path tests a bool instead of an atomic.
+    tracing: bool,
 }
 
 /// Runtime state of the ABR ladder (see
@@ -198,21 +210,10 @@ struct AbrRuntime {
 }
 
 impl Player {
-    /// Creates a player for a stream of `total_bytes` at `bytes_per_sec`
-    /// (both derived from the video format chosen from the JSON info), with
-    /// the paper's two path slots.
+    /// Creates a player with per-path state for `n_paths` paths, for a
+    /// stream of `total_bytes` at `bytes_per_sec` (both derived from the
+    /// video format chosen from the JSON info).
     pub fn new(
-        cfg: PlayerConfig,
-        total_bytes: u64,
-        bytes_per_sec: f64,
-        started_at: SimTime,
-    ) -> Player {
-        Player::multi(cfg, NUM_PATHS, total_bytes, bytes_per_sec, started_at)
-    }
-
-    /// Creates a player with per-path state for `n_paths` paths (the
-    /// N-path scenarios; `n_paths = 2` reproduces [`Player::new`]).
-    pub fn multi(
         cfg: PlayerConfig,
         n_paths: usize,
         total_bytes: u64,
@@ -229,7 +230,7 @@ impl Player {
         )
     }
 
-    /// [`Player::multi`] recording its traces into `traces` (cleared
+    /// [`Player::new`] recording its traces into `traces` (cleared
     /// here; get them back from [`Player::finish`]).
     pub(crate) fn with_traces(
         cfg: PlayerConfig,
@@ -301,6 +302,7 @@ impl Player {
             metrics,
             last_wake_requested: None,
             abr,
+            tracing: telemetry::trace_enabled(),
         }
     }
 
@@ -386,6 +388,8 @@ impl Player {
         event: PlayerEvent,
         actions: &mut Vec<PlayerAction>,
     ) {
+        self.observe(now, &event);
+        let mut failed_over = None;
         match event {
             PlayerEvent::PathReady { path } => {
                 debug_assert!(path < self.paths.len());
@@ -464,6 +468,7 @@ impl Player {
                     self.consecutive_failures[path] = 0;
                     self.metrics.failovers[path] += 1;
                     actions.push(PlayerAction::Failover { path });
+                    failed_over = Some(path);
                 } else {
                     self.paths[path] = PathState::Idle;
                 }
@@ -484,6 +489,74 @@ impl Player {
             }
         }
         self.pump(now, actions);
+        // Traced after the pump, so it follows the pump's `abr.decision`.
+        if let Some(path) = failed_over {
+            FAILOVERS.add(1);
+            if self.tracing {
+                telemetry::trace(
+                    "path.failover",
+                    now.as_micros(),
+                    &[("path", TraceVal::U64(path as u64))],
+                );
+            }
+        }
+    }
+
+    /// The observer half of [`Player::handle_into`]: counts and traces
+    /// `event` before the player acts on it. Reads nothing the session
+    /// computes with, so it never perturbs the session.
+    fn observe(&self, now: SimTime, event: &PlayerEvent) {
+        let (path, reason, link_down) = match *event {
+            PlayerEvent::ChunkComplete {
+                path,
+                index,
+                bytes,
+                requested_at,
+                ..
+            } => {
+                CHUNK_FETCH_US.observe(now.as_micros().saturating_sub(requested_at.as_micros()));
+                if self.tracing {
+                    telemetry::trace(
+                        "chunk.done",
+                        now.as_micros(),
+                        &[
+                            ("path", TraceVal::U64(path as u64)),
+                            ("index", TraceVal::U64(index)),
+                            ("bytes", TraceVal::U64(bytes)),
+                            ("requested_us", TraceVal::U64(requested_at.as_micros())),
+                        ],
+                    );
+                }
+                return;
+            }
+            PlayerEvent::PathRestored { path } => {
+                if self.tracing {
+                    telemetry::trace(
+                        "path.recover",
+                        now.as_micros(),
+                        &[("path", TraceVal::U64(path as u64))],
+                    );
+                }
+                return;
+            }
+            PlayerEvent::ChunkFailed { path, reason } => (path, reason, false),
+            PlayerEvent::PathDown { path } => (path, ChunkFailReason::Timeout, true),
+            PlayerEvent::PathReady { .. } | PlayerEvent::PathsReady { .. } | PlayerEvent::Tick => {
+                return
+            }
+        };
+        CHUNK_ERRORS.add(1);
+        if self.tracing {
+            telemetry::trace(
+                "chunk.error",
+                now.as_micros(),
+                &[
+                    ("path", TraceVal::U64(path as u64)),
+                    ("reason", TraceVal::Str(format!("{reason:?}"))),
+                    ("link_down", TraceVal::U64(link_down as u64)),
+                ],
+            );
+        }
     }
 
     /// Issues work to every idle path, respecting the download gate and the
@@ -568,9 +641,8 @@ impl Player {
                 if switched {
                     ABR_SWITCHES.add(1);
                 }
-                if msim_core::telemetry::trace_enabled() {
-                    use msim_core::telemetry::TraceVal;
-                    msim_core::telemetry::trace(
+                if self.tracing {
+                    telemetry::trace(
                         "abr.decision",
                         now.as_micros(),
                         &[
@@ -673,7 +745,7 @@ mod tests {
     }
 
     fn player(cfg: PlayerConfig) -> Player {
-        Player::new(cfg, TOTAL, RATE, SimTime::ZERO)
+        Player::new(cfg, 2, TOTAL, RATE, SimTime::ZERO)
     }
 
     fn fetches(actions: &[PlayerAction]) -> Vec<ChunkAssignment> {

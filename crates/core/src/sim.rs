@@ -57,11 +57,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
-// Per-event telemetry series, resolved once per process.
-static CHUNK_FETCH_US: LazyHistogram = LazyHistogram::new("msp_chunk_fetch_us");
-static CHUNK_ERRORS: LazyCounter = LazyCounter::new("msp_chunk_errors_total");
-static FAILOVERS: LazyCounter = LazyCounter::new("msp_failovers_total");
-
 /// One path of a scenario.
 #[derive(Clone)]
 pub struct PathSetup {
@@ -352,30 +347,6 @@ const MAX_SESSION: SimDuration = SimDuration::from_secs(4 * 3600);
 /// `host_batch_matches_individual_runs` test lock this equivalence in.
 const HOST_SERVICE_SEED: u64 = 0x5e21_11ce;
 
-#[derive(Debug)]
-enum Ev {
-    PathReady(usize),
-    /// Several paths ready at the same instant, coalesced into one event
-    /// at push time (pop once per instant instead of once per path).
-    PathsReady(Vec<usize>),
-    ChunkDone {
-        path: usize,
-        index: u64,
-        bytes: u64,
-        requested_at: SimTime,
-        first_byte_at: SimTime,
-    },
-    ChunkError {
-        path: usize,
-        reason: ChunkFailReason,
-        /// The link itself is in an outage: the player should treat the
-        /// whole path as down rather than retrying on it.
-        link_down: bool,
-    },
-    PathRecover(usize),
-    Tick,
-}
-
 /// The content half of one path's bootstrap: the decoded JSON and, for
 /// copyrighted videos, the deciphered signature. For an idle service this
 /// is a pure function of `(network, json_done)` — `json_done` derives from
@@ -398,8 +369,6 @@ struct PathRt {
     boot: std::sync::Arc<PathBootstrap>,
     current_server: usize,
     server_addr: Ipv4Addr,
-    /// Set while the path is down; the instant it may come back.
-    down: bool,
 }
 
 impl PathRt {
@@ -459,7 +428,7 @@ pub struct SessionHost {
     /// calendar-bucket / heap / slab storage *and* its adapted bucket
     /// width. [`EventQueue::reset`] between sessions restores pristine
     /// semantics; width carry-over affects only speed, never pop order.
-    queue: EventQueue<Ev>,
+    queue: EventQueue<PlayerEvent>,
     /// Cached per-`(network, json_done, granted ladder)` bootstrap
     /// content. Valid only when the network is idle at watch time (always
     /// true for bootstraps on distinct networks; same-network multi-path
@@ -641,8 +610,8 @@ impl SessionHost {
 
         // Observability (never perturbs the session: counters/spans/trace
         // only — no RNG, no simulated time, no metrics mutation). The
-        // trace flag is latched once per session so the hot loop pays a
-        // plain bool test instead of an atomic load per event.
+        // driver writes only the `session.*` brackets; the player writes
+        // the per-event records. Both latch the trace flag once per session.
         let tracing = telemetry::trace_enabled();
         let boot_span = telemetry::span("session.bootstrap");
 
@@ -770,7 +739,6 @@ impl SessionHost {
                 boot,
                 current_server: 0,
                 server_addr,
-                down: false,
             };
             let (conn, ready) = rt.open_conn(&self.service, &mut links[i], dns2_done + tls_extra);
             conns[i] = Some(conn);
@@ -837,11 +805,12 @@ impl SessionHost {
         // Same-instant readiness wakeups coalesce into one event: group the
         // ready times (ascending, stable in path order) and push one event
         // per distinct instant.
-        let push_ready_group = |queue: &mut EventQueue<Ev>, at: SimTime, group: &[usize]| {
+        let push_ready_group = |queue: &mut EventQueue<_>, at: SimTime, group: &[usize]| {
             if group.len() == 1 {
-                queue.push(at, Ev::PathReady(group[0]));
+                queue.push(at, PlayerEvent::PathReady { path: group[0] });
             } else {
-                queue.push(at, Ev::PathsReady(group.to_vec()));
+                let paths = group.to_vec();
+                queue.push(at, PlayerEvent::PathsReady { paths });
             }
         };
         if spec.player.head_start {
@@ -875,83 +844,15 @@ impl SessionHost {
         // the latest request supersedes any undelivered earlier one).
         let mut pending_tick: Option<(SimTime, msim_core::event::EventId)> = None;
         let mut stopped_at = None;
-        while let Some((now, ev)) = queue.pop() {
+        while let Some((now, event)) = queue.pop() {
             if now > deadline {
                 break;
             }
             events += 1;
-            let player_event = match ev {
-                Ev::PathReady(p) => PlayerEvent::PathReady { path: p },
-                Ev::PathsReady(paths) => PlayerEvent::PathsReady { paths },
-                Ev::ChunkDone {
-                    path,
-                    index,
-                    bytes,
-                    requested_at,
-                    first_byte_at,
-                } => {
-                    CHUNK_FETCH_US
-                        .observe(now.as_micros().saturating_sub(requested_at.as_micros()));
-                    if tracing {
-                        telemetry::trace(
-                            "chunk.done",
-                            now.as_micros(),
-                            &[
-                                ("path", TraceVal::U64(path as u64)),
-                                ("index", TraceVal::U64(index)),
-                                ("bytes", TraceVal::U64(bytes)),
-                                ("requested_us", TraceVal::U64(requested_at.as_micros())),
-                            ],
-                        );
-                    }
-                    PlayerEvent::ChunkComplete {
-                        path,
-                        index,
-                        bytes,
-                        requested_at,
-                        first_byte_at,
-                    }
-                }
-                Ev::ChunkError {
-                    path,
-                    reason,
-                    link_down,
-                } => {
-                    CHUNK_ERRORS.add(1);
-                    if tracing {
-                        telemetry::trace(
-                            "chunk.error",
-                            now.as_micros(),
-                            &[
-                                ("path", TraceVal::U64(path as u64)),
-                                ("reason", TraceVal::Str(format!("{reason:?}"))),
-                                ("link_down", TraceVal::U64(link_down as u64)),
-                            ],
-                        );
-                    }
-                    if link_down {
-                        PlayerEvent::PathDown { path }
-                    } else {
-                        PlayerEvent::ChunkFailed { path, reason }
-                    }
-                }
-                Ev::PathRecover(p) => {
-                    paths[p].down = false;
-                    if tracing {
-                        telemetry::trace(
-                            "path.recover",
-                            now.as_micros(),
-                            &[("path", TraceVal::U64(p as u64))],
-                        );
-                    }
-                    PlayerEvent::PathRestored { path: p }
-                }
-                Ev::Tick => {
-                    pending_tick = None;
-                    PlayerEvent::Tick
-                }
-            };
-            player.handle_into(now, player_event, actions);
+            if matches!(event, PlayerEvent::Tick) {
+                pending_tick = None;
+            }
+            player.handle_into(now, event, actions);
             for action in actions.drain(..) {
                 match action {
                     PlayerAction::Fetch { assignment } => {
@@ -976,14 +877,6 @@ impl SessionHost {
                         );
                     }
                     PlayerAction::Failover { path } => {
-                        FAILOVERS.add(1);
-                        if tracing {
-                            telemetry::trace(
-                                "path.failover",
-                                now.as_micros(),
-                                &[("path", TraceVal::U64(path as u64))],
-                            );
-                        }
                         dispatch_failover(
                             &mut self.service,
                             links,
@@ -1004,7 +897,7 @@ impl SessionHost {
                             if let Some((_, id)) = pending_tick.take() {
                                 queue.cancel(id);
                             }
-                            pending_tick = Some((at, queue.push(at, Ev::Tick)));
+                            pending_tick = Some((at, queue.push(at, PlayerEvent::Tick)));
                         }
                     }
                 }
@@ -1069,8 +962,8 @@ fn dispatch_fetch(
     service: &mut YoutubeService,
     links: &mut [Link],
     conns: &mut [Option<TcpConnection>],
-    paths: &mut [PathRt],
-    queue: &mut EventQueue<Ev>,
+    paths: &[PathRt],
+    queue: &mut EventQueue<PlayerEvent>,
     now: SimTime,
     assignment: ChunkAssignment,
     itag: u32,
@@ -1078,7 +971,8 @@ fn dispatch_fetch(
     mut chaos: Option<&mut ChaosState>,
 ) {
     let p = assignment.path;
-    let rt = &mut paths[p];
+    let rt = &paths[p];
+    let failed = |reason| PlayerEvent::ChunkFailed { path: p, reason };
     if let Some(cs) = chaos.as_deref_mut() {
         let rtt = links[p].base_rtt();
         // Middlebox started stripping MPTCP options on this path: the
@@ -1091,41 +985,20 @@ fn dispatch_fetch(
             let (conn, reset_done) =
                 rt.open_conn(service, &mut links[p], now + rtt * (penalty_rtts - 1));
             conns[p] = Some(conn);
-            queue.push(
-                reset_done,
-                Ev::ChunkError {
-                    path: p,
-                    reason: ChunkFailReason::ServerError,
-                    link_down: false,
-                },
-            );
+            queue.push(reset_done, failed(ChunkFailReason::ServerError));
             return;
         }
         // Up-direction outage: the request never reaches the server; the
         // client gives up after a deterministic RTO.
         if cs.request_lost(p, now) {
-            queue.push(
-                now + rtt * 4,
-                Ev::ChunkError {
-                    path: p,
-                    reason: ChunkFailReason::Timeout,
-                    link_down: false,
-                },
-            );
+            queue.push(now + rtt * 4, failed(ChunkFailReason::Timeout));
             return;
         }
         // Token cut: the CDN invalidated the session token; the first
         // request at/after the cut on each path is refused 403 (the retry
         // models a control-plane token refresh).
         if cs.token_cut_fires(p, now) {
-            queue.push(
-                now + rtt,
-                Ev::ChunkError {
-                    path: p,
-                    reason: ChunkFailReason::Forbidden,
-                    link_down: false,
-                },
-            );
+            queue.push(now + rtt, failed(ChunkFailReason::Forbidden));
             return;
         }
     }
@@ -1142,15 +1015,7 @@ fn dispatch_fetch(
         service.check_range_request_granted(rt.server_addr, admit_now, &rt.boot.grant, itag);
     if let Err(status) = admission {
         // The error response costs one round trip.
-        let rtt = links[p].base_rtt();
-        queue.push(
-            now + rtt,
-            Ev::ChunkError {
-                path: p,
-                reason: map_status(status),
-                link_down: false,
-            },
-        );
+        queue.push(now + links[p].base_rtt(), failed(map_status(status)));
         return;
     }
     let conn = conns[p].as_mut().expect("connection established");
@@ -1162,19 +1027,12 @@ fn dispatch_fetch(
             // response never reached the client, which times out when the
             // transfer would have completed.
             if chaos.as_deref().is_some_and(|cs| cs.response_lost(p, now)) {
-                queue.push(
-                    result.completed_at,
-                    Ev::ChunkError {
-                        path: p,
-                        reason: ChunkFailReason::Timeout,
-                        link_down: false,
-                    },
-                );
+                queue.push(result.completed_at, failed(ChunkFailReason::Timeout));
                 return;
             }
             queue.push(
                 result.completed_at,
-                Ev::ChunkDone {
+                PlayerEvent::ChunkComplete {
                     path: p,
                     index: assignment.index,
                     bytes: result.delivered.as_u64(),
@@ -1188,20 +1046,15 @@ fn dispatch_fetch(
             // down (the player reassigns the hole to the surviving path)
             // and recovers only after the outage ends plus a reconnect
             // handshake; a transient timeout is just a failed chunk.
-            let down_until = links[p].next_up_after(result.completed_at);
-            queue.push(
-                result.completed_at,
-                Ev::ChunkError {
-                    path: p,
-                    reason: ChunkFailReason::Timeout,
-                    link_down: down_until.is_some(),
-                },
-            );
-            if let Some(up_at) = down_until {
-                rt.down = true;
-                let rtt = links[p].base_rtt();
-                let reconnect = tls.eta(rtt);
-                queue.push(up_at + reconnect, Ev::PathRecover(p));
+            match links[p].next_up_after(result.completed_at) {
+                Some(up_at) => {
+                    queue.push(result.completed_at, PlayerEvent::PathDown { path: p });
+                    let reconnect = tls.eta(links[p].base_rtt());
+                    queue.push(up_at + reconnect, PlayerEvent::PathRestored { path: p });
+                }
+                None => {
+                    queue.push(result.completed_at, failed(ChunkFailReason::Timeout));
+                }
             }
         }
     }
@@ -1213,7 +1066,7 @@ fn dispatch_failover(
     links: &mut [Link],
     conns: &mut [Option<TcpConnection>],
     paths: &mut [PathRt],
-    queue: &mut EventQueue<Ev>,
+    queue: &mut EventQueue<PlayerEvent>,
     tls: &TlsTimingModel,
     now: SimTime,
     path: usize,
@@ -1228,7 +1081,7 @@ fn dispatch_failover(
         let tls_extra = tls.eta(rtt).saturating_sub(rtt);
         let (conn, ready) = rt.open_conn(service, &mut links[path], now + rtt + tls_extra);
         conns[path] = Some(conn);
-        queue.push(ready, Ev::PathRecover(path));
+        queue.push(ready, PlayerEvent::PathRestored { path });
         return;
     }
     if let Some(s) = service.server_mut(rt.server_addr) {
@@ -1252,7 +1105,7 @@ fn dispatch_failover(
     let tls_extra = tls.eta(rtt).saturating_sub(rtt);
     let (conn, ready) = rt.open_conn(service, &mut links[path], dns_done + tls_extra);
     conns[path] = Some(conn);
-    queue.push(ready, Ev::PathRecover(path));
+    queue.push(ready, PlayerEvent::PathRestored { path });
 }
 
 #[cfg(test)]

@@ -78,6 +78,7 @@ pub fn run_testbed_session(session: &TestbedSession) -> std::io::Result<SessionM
 
     let mut player = Player::new(
         session.player.clone(),
+        session.path_servers.len(),
         session.video_len,
         session.bytes_per_sec,
         SimTime::ZERO,

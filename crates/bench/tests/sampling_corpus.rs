@@ -1,13 +1,15 @@
 //! Tier-1 pin of the sampling streams as currently defined.
 //!
-//! Three claims, each load-bearing for the sampling engine:
+//! Four claims, each load-bearing for the sampling engine:
 //!
 //! 1. the committed fingerprints replay bit-for-bit on the production
 //!    (block-fill) path — the streams are frozen from this PR on;
 //! 2. the scalar-reference fill path produces the *same* sessions — the
 //!    blocked transcendental math is exact, not approximate;
 //! 3. warm-host batching is invisible — `run_batch` over a shared host
-//!    digests identically to a fresh host per session.
+//!    digests identically to a fresh host per session;
+//! 4. a session is resumable state — sessions stepped round-robin, one
+//!    event at a time, digest identically to `run`.
 //!
 //! Regenerate `digest` after an (explicitly sanctioned) stream or
 //! digest-epoch change with:
@@ -16,6 +18,7 @@
 //! cargo test -p msplayer-bench --test sampling_corpus -- --ignored
 //! ```
 
+use msim_core::event::EventQueue;
 use msim_core::rng::DeviateMode;
 use msplayer_bench::chaos::scheduler_by_name;
 use msplayer_bench::cluster::merge::digest_metrics;
@@ -90,7 +93,7 @@ fn scalar_reference_path_matches_committed_fingerprints() {
 /// Claim 3: one warm host running all of a workload's pinned seeds through
 /// `run_batch` digests identically to the fresh-host-per-session corpus.
 /// This is the bit-identity contract the cache-friendly batching (shared
-/// event-queue storage, bootstrap cache, scratch arenas) must uphold.
+/// event-queue storage, bootstrap cache, lent trace buffers) must uphold.
 #[test]
 fn warm_host_batches_match_committed_fingerprints() {
     let reg = registry();
@@ -113,6 +116,56 @@ fn warm_host_batches_match_committed_fingerprints() {
                 w.name,
                 fp.seed
             );
+        }
+    }
+}
+
+/// Claim 4: every corpus point starts on a host and a queue of its own,
+/// and the 30 sessions advance round-robin, one event each per turn,
+/// through `start` / `step` / `finish` and the same horizon rule as `run`.
+/// Every digest equals the committed one: `step` is `run`, and nothing of
+/// a session hides outside its `Session` value and its queue.
+#[test]
+fn round_robin_stepped_sessions_match_committed_fingerprints() {
+    let reg = registry();
+    let corpus = load_corpus().expect("committed corpus loads");
+    let mut live: Vec<_> = corpus
+        .iter()
+        .map(|fp| {
+            let w = reg.by_name(&fp.workload).expect("registered workload");
+            let scheduler = scheduler_by_name(&fp.scheduler).expect("known scheduler");
+            let spec = w.session_spec(scheduler, fp.chunk_kb, fp.seed);
+            let mut host = SessionHost::new(w.service.clone());
+            let mut queue = EventQueue::new();
+            let session = host
+                .start(fp.seed, &spec, &mut queue)
+                .expect("registered workloads validate");
+            (fp, host, queue, Some(session))
+        })
+        .collect();
+    let mut running = live.len();
+    while running > 0 {
+        for (fp, host, queue, slot) in &mut live {
+            let Some(session) = slot.as_mut() else {
+                continue;
+            };
+            let end = match queue.pop() {
+                None => Some(queue.now()),
+                Some((now, _)) if now > session.horizon() => Some(session.horizon()),
+                Some((now, event)) => host.step(session, queue, now, event).then_some(now),
+            };
+            if let Some(end) = end {
+                let m = host.finish(slot.take().expect("live session"), end);
+                assert_eq!(
+                    digest_metrics(&m),
+                    fp.digest,
+                    "round-robin stepping diverged on {}/{} seed={:#x}",
+                    fp.workload,
+                    fp.scheduler,
+                    fp.seed
+                );
+                running -= 1;
+            }
         }
     }
 }

@@ -69,6 +69,6 @@ pub use metrics::{AbrDecision, AbrQoe, AbrSwitch, ChunkRecord, SessionMetrics, T
 pub use player::{ChunkFailReason, Player, PlayerAction, PlayerEvent};
 pub use scheduler::{DcsaScheduler, FixedScheduler, RatioScheduler, SchedulerImpl, NUM_PATHS};
 pub use sim::{
-    PathSetup, ServerFailure, ServiceSpec, SessionHost, SessionSpec, SessionSpecError,
+    PathSetup, ServerFailure, ServiceSpec, Session, SessionHost, SessionSpec, SessionSpecError,
     StopCondition,
 };

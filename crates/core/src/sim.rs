@@ -13,31 +13,34 @@
 //! * [`SessionSpec`] describes one *client session* — seed, paths, player
 //!   configuration, stop condition, and server-failure injections.
 //!
-//! A [`SessionHost`] is built **once** from a `ServiceSpec` and then runs
-//! any number of sessions over the warmed service via [`SessionHost::run`]
-//! and [`SessionHost::run_batch`], resetting only the cheap per-session
-//! server state in between. A batch over N seeds is bit-identical to N
+//! A [`SessionHost`] is built **once** from a `ServiceSpec`. A session
+//! in flight is a [`Session`] value the caller steps over an
+//! [`EventQueue`] it owns: [`SessionHost::start`] bootstraps the paths and
+//! pushes their readiness wakeups, [`SessionHost::step`] handles one
+//! popped event and reports whether the stop condition is reached, and
+//! [`SessionHost::finish`] returns the [`SessionMetrics`]. Between steps
+//! the session lives only in that value and its queue. [`SessionHost::run`]
+//! and [`SessionHost::run_batch`] are one loop over the three calls on the
+//! host's warm queue: pop, end at the [horizon](Session::horizon) if the
+//! event lies past it, step. A batch over N seeds is bit-identical to N
 //! sessions each run on a fresh host (asserted by
 //! `crates/bench/tests/batch_api.rs` and the in-crate
-//! `host_batch_matches_individual_runs` test) —
-//! the only thing amortized is the control-plane construction, never
-//! simulated behaviour.
+//! `host_batch_matches_individual_runs` test) — the only thing amortized
+//! is the control-plane construction, never simulated behaviour.
 //!
 //! Sessions may use **any number of paths** (the mHTTP lineage's "more than
 //! two" sources): all per-path state (scheduler, out-of-order gate, failure
 //! injection) is indexed by path. Invalid specs (no paths, out-of-range
 //! failure injection, bad player config) surface as [`SessionSpecError`]
 //! instead of panics.
-//!
-//! A single session is the same two values used once:
-//! `SessionHost::new(service).run(&spec)`.
 
 use crate::chaos::{ChaosPlan, ChaosState};
 use crate::chunk::ChunkAssignment;
 use crate::config::PlayerConfig;
+use crate::fleet::FleetLoad;
 use crate::metrics::SessionMetrics;
 use crate::player::{ChunkFailReason, Player, PlayerAction, PlayerEvent, TraceBuffers};
-use msim_core::event::EventQueue;
+use msim_core::event::{EventId, EventQueue};
 use msim_core::rng::Prng;
 use msim_core::telemetry::{self, LazyCounter, LazyHistogram, TraceVal};
 use msim_core::time::{SimDuration, SimTime};
@@ -56,6 +59,7 @@ use msim_youtube::Catalog;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// One path of a scenario.
 #[derive(Clone)]
@@ -107,6 +111,19 @@ pub enum StopCondition {
     DownloadComplete,
     /// Stop at an absolute time.
     AtTime(SimTime),
+}
+
+impl StopCondition {
+    /// Whether the session stops after an event at `now`: the one stop
+    /// rule of the simulator and the socket driver alike.
+    pub fn reached(&self, player: &Player, now: SimTime) -> bool {
+        match *self {
+            StopCondition::PrebufferDone => player.prebuffer_done(),
+            StopCondition::AfterRefills(n) => player.refill_count() >= n,
+            StopCondition::DownloadComplete => player.download_complete(),
+            StopCondition::AtTime(t) => now >= t,
+        }
+    }
 }
 
 /// Scheduled failure of a path's primary video server (robustness tests).
@@ -363,31 +380,48 @@ struct PathBootstrap {
     grant: msim_youtube::service::StreamGrant,
 }
 
+/// One path of a session in flight: its link, its connection to the
+/// current server, and what a failover needs to reach the next replica.
 struct PathRt {
+    link: Link,
+    /// `None` only until the bootstrap opens the first connection.
+    conn: Option<TcpConnection>,
     tcp_config: TcpConfig,
     resolver: DnsResolver,
-    boot: std::sync::Arc<PathBootstrap>,
+    boot: Arc<PathBootstrap>,
     current_server: usize,
     server_addr: Ipv4Addr,
 }
 
 impl PathRt {
-    /// A fresh connection to the path's current server, that server's
-    /// pacing applied, its handshake started at `t`; and the instant its
-    /// first request may go out.
-    fn open_conn(
-        &self,
-        service: &YoutubeService,
-        link: &mut Link,
-        t: SimTime,
-    ) -> (TcpConnection, SimTime) {
+    /// Replaces the connection with a fresh one to the current server,
+    /// that server's pacing applied, its handshake started at `t`; returns
+    /// the instant its first request may go out.
+    fn reconnect(&mut self, service: &YoutubeService, t: SimTime) -> SimTime {
         let mut conn = TcpConnection::new(self.tcp_config.clone());
         if let Some(pace) = service.server(self.server_addr).and_then(|s| s.pace()) {
             conn = conn.with_server_pacing(pace.burst, pace.rate);
         }
-        let ready = conn.connect(link, t);
-        (conn, ready)
+        let ready = conn.connect(&mut self.link, t);
+        self.conn = Some(conn);
+        ready
     }
+}
+
+/// Per-path `(path, from, until)` windows grouped by the server each path
+/// is on, so storms may stack several windows on one address.
+fn by_server(
+    paths: &[PathRt],
+    windows: impl Iterator<Item = (usize, SimTime, SimTime)>,
+) -> BTreeMap<Ipv4Addr, Vec<(SimTime, SimTime)>> {
+    let mut grouped: BTreeMap<Ipv4Addr, Vec<(SimTime, SimTime)>> = BTreeMap::new();
+    for (path, from, until) in windows {
+        grouped
+            .entry(paths[path].server_addr)
+            .or_default()
+            .push((from, until));
+    }
+    grouped
 }
 
 fn client_ip_for(network: Network) -> &'static str {
@@ -408,27 +442,35 @@ fn map_status(status: StatusCode) -> ChunkFailReason {
 
 /// A warmed session runner: owns the emulated service, catalog, and video
 /// format derived from one [`ServiceSpec`], and executes any number of
-/// [`SessionSpec`]s against them.
+/// [`SessionSpec`]s against them, one at a time.
 ///
 /// Construction is the expensive part (DNS zone strings, signature cipher,
-/// proxy/server fleet); [`SessionHost::run`] only resets per-session server
-/// state (load counters, failure plans), so batching sessions over one host
-/// amortizes the bootstrap without changing any session's outcome.
+/// proxy/server fleet); [`SessionHost::start`] only resets per-session
+/// server state (load counters, failure plans), so batching sessions over
+/// one host amortizes the bootstrap without changing any session's outcome.
 pub struct SessionHost {
+    /// The queue the host's own driver loop steps its sessions over, kept
+    /// so batched sessions reuse its calendar-bucket / heap / slab storage
+    /// *and* its adapted bucket width. [`EventQueue::reset`] between
+    /// sessions restores pristine semantics; width carry-over affects only
+    /// speed, never pop order. It sits beside `warm` so the loop can lend
+    /// it to `start` and `step` while they borrow the rest of the host.
+    queue: EventQueue<PlayerEvent>,
+    warm: Warm,
+}
+
+/// The host minus its queue: what [`SessionHost::start`],
+/// [`SessionHost::step`] and [`SessionHost::finish`] borrow.
+struct Warm {
     spec: ServiceSpec,
     service: YoutubeService,
     video_id: VideoId,
     bytes_per_sec: f64,
     total_bytes: u64,
     tls: TlsTimingModel,
-    /// Action scratch buffer reused across sessions (and across events
-    /// within a session): the hot loop never allocates for actions.
+    /// Action scratch buffer reused across events and sessions: the hot
+    /// loop never allocates for actions.
     actions: Vec<PlayerAction>,
-    /// The event queue, owned by the host so batched sessions reuse its
-    /// calendar-bucket / heap / slab storage *and* its adapted bucket
-    /// width. [`EventQueue::reset`] between sessions restores pristine
-    /// semantics; width carry-over affects only speed, never pop order.
-    queue: EventQueue<PlayerEvent>,
     /// Cached per-`(network, json_done, granted ladder)` bootstrap
     /// content. Valid only when the network is idle at watch time (always
     /// true for bootstraps on distinct networks; same-network multi-path
@@ -438,35 +480,34 @@ pub struct SessionHost {
     /// ladder: sessions with different ladders must not share grants.
     ///
     /// [`StreamGrant`]: msim_youtube::service::StreamGrant
-    boot_cache: BTreeMap<(Network, SimTime, Vec<u32>), std::sync::Arc<PathBootstrap>>,
-    /// Per-path hot-state arenas reused across sessions (see
-    /// [`SessionScratch`]).
-    scratch: SessionScratch,
+    boot_cache: BTreeMap<(Network, SimTime, Vec<u32>), Arc<PathBootstrap>>,
+    /// The trace buffers lent to each session's [`Player`] in turn: the
+    /// `chunks`, `abr_decisions` and `abr_switches` traces grow in them,
+    /// the finished [`SessionMetrics`] keeps exact-size copies, and the
+    /// buffers come back here with their capacity. From the second session
+    /// on, recording a trace allocates once, at its final size.
+    traces: TraceBuffers,
 }
 
-/// Struct-of-arrays per-path session state, owned by the host and reused
-/// across batched sessions.
-///
-/// Each array is indexed by path id, so the event loop's per-path walks
-/// (link sampling, connection dispatch, readiness scans) touch dense,
-/// cache-line-friendly storage instead of freshly allocated vectors. The
-/// arrays are cleared — not dropped — between sessions, so a
-/// [`SessionHost::run_batch`] over N seeds pays the allocation once.
-/// Contents are rebuilt from scratch each session; only capacity carries
-/// over, so reuse is bit-transparent.
-///
-/// `traces` is lent to each session's [`Player`] in turn: the `chunks`,
-/// `abr_decisions` and `abr_switches` traces grow in these buffers, the
-/// finished [`SessionMetrics`] keeps exact-size copies, and the buffers
-/// come back here with their capacity. From the second session of a
-/// batch on, recording a trace allocates once, at its final size.
-#[derive(Default)]
-struct SessionScratch {
-    links: Vec<Link>,
-    conns: Vec<Option<TcpConnection>>,
+/// One session in flight: its paths (links, connections, runtimes), its
+/// player, its resolved chaos state, the pending tick and the count of
+/// events handled. [`SessionHost::start`] makes it, [`SessionHost::step`]
+/// advances it one event at a time, [`SessionHost::finish`] ends it.
+pub struct Session {
     paths: Vec<PathRt>,
-    ready_times: Vec<SimTime>,
-    traces: TraceBuffers,
+    player: Player,
+    chaos: Option<ChaosState>,
+    /// The single outstanding tick (ScheduleTick coalescing contract: the
+    /// latest request supersedes any undelivered earlier one).
+    pending_tick: Option<(SimTime, EventId)>,
+    events: u64,
+    stop: StopCondition,
+    /// The service's fixed itag: what a range request streams unless
+    /// closed-loop ABR planned its bytes at another rung.
+    itag: u32,
+    /// The trace flag, latched once at start.
+    tracing: bool,
+    stream_span: telemetry::Span,
 }
 
 impl SessionHost {
@@ -489,40 +530,39 @@ impl SessionHost {
             .size_for(SimDuration::from_secs_f64(spec.video_secs))
             .as_u64();
         SessionHost {
-            spec,
-            service,
-            video_id,
-            bytes_per_sec,
-            total_bytes,
-            tls: TlsTimingModel::default(),
-            actions: Vec::with_capacity(8),
             queue: EventQueue::with_capacity(16),
-            boot_cache: BTreeMap::new(),
-            scratch: SessionScratch::default(),
+            warm: Warm {
+                spec,
+                service,
+                video_id,
+                bytes_per_sec,
+                total_bytes,
+                tls: TlsTimingModel::default(),
+                actions: Vec::with_capacity(8),
+                boot_cache: BTreeMap::new(),
+                traces: TraceBuffers::default(),
+            },
         }
     }
 
     /// Runs one session to completion over the warmed service.
     pub fn run(&mut self, spec: &SessionSpec) -> Result<SessionMetrics, SessionSpecError> {
-        spec.validate()?;
-        self.validate_against_service(spec)?;
-        Ok(self.run_validated(spec.seed, spec))
+        self.run_with_load(spec, &FleetLoad::none())
     }
 
     /// Runs one session against a service carrying fleet-injected shared
     /// load: per-replica session counts, capacity-share pacing, and
     /// admission thresholds are installed before bootstrap, so load-aware
     /// server selection, 503 admission, and pacing all see the rest of the
-    /// fleet. An [empty](crate::fleet::FleetLoad::is_empty) load is
-    /// bit-identical to [`SessionHost::run`] — the fleet's N=1 anchor.
+    /// fleet. An [empty](FleetLoad::is_empty) load is bit-identical to
+    /// [`SessionHost::run`] — the fleet's N=1 anchor.
     pub fn run_with_load(
         &mut self,
         spec: &SessionSpec,
-        load: &crate::fleet::FleetLoad,
+        load: &FleetLoad,
     ) -> Result<SessionMetrics, SessionSpecError> {
-        spec.validate()?;
-        self.validate_against_service(spec)?;
-        Ok(self.run_validated_with(spec.seed, spec, Some(load)))
+        self.warm.validate(spec)?;
+        Ok(self.drive(spec.seed, spec, load))
     }
 
     /// Runs the same session shape over many seeds, validating once.
@@ -531,26 +571,92 @@ impl SessionHost {
     ///
     /// Beyond one-time validation, batching keeps every session on the
     /// host's warm storage: the event queue's calendar buckets, the
-    /// bootstrap cache, and the `SessionScratch` per-path arenas
-    /// (links, connections, path runtimes, ready times) are all reused
-    /// across seeds, so consecutive sessions run over the same hot cache
-    /// lines instead of a fresh heap layout per seed.
+    /// bootstrap cache and the lent trace buffers are reused across seeds.
     pub fn run_batch(
         &mut self,
         seeds: &[u64],
         spec: &SessionSpec,
     ) -> Result<Vec<SessionMetrics>, SessionSpecError> {
-        spec.validate()?;
-        self.validate_against_service(spec)?;
+        self.warm.validate(spec)?;
         Ok(seeds
             .iter()
-            .map(|&seed| self.run_validated(seed, spec))
+            .map(|&seed| self.drive(seed, spec, &FleetLoad::none()))
             .collect())
     }
 
-    /// Service-aware spec checks: a closed-loop ABR ladder must contain
-    /// the session's starting itag (the rung the stream begins on).
-    fn validate_against_service(&self, spec: &SessionSpec) -> Result<(), SessionSpecError> {
+    /// Validates `spec` and starts it with `seed` (in place of
+    /// `spec.seed`): resets the service's per-session state, bootstraps
+    /// every path and pushes the readiness wakeups onto `queue`, which
+    /// must be empty at time zero (new or [reset](EventQueue::reset)).
+    pub fn start(
+        &mut self,
+        seed: u64,
+        spec: &SessionSpec,
+        queue: &mut EventQueue<PlayerEvent>,
+    ) -> Result<Session, SessionSpecError> {
+        self.warm.validate(spec)?;
+        Ok(self.warm.start(seed, spec, &FleetLoad::none(), queue))
+    }
+
+    /// Hands `event`, popped from the session's queue at `now`, to the
+    /// player and carries out the actions it returns, pushing their
+    /// outcomes onto `queue`. Returns whether the session's stop condition
+    /// is reached. A driver that pops an event later than
+    /// [`Session::horizon`] ends the session there instead.
+    pub fn step(
+        &mut self,
+        session: &mut Session,
+        queue: &mut EventQueue<PlayerEvent>,
+        now: SimTime,
+        event: PlayerEvent,
+    ) -> bool {
+        self.warm.step(session, queue, now, event)
+    }
+
+    /// Ends the session at `end` and returns its metrics.
+    pub fn finish(&mut self, session: Session, end: SimTime) -> SessionMetrics {
+        self.warm.finish(session, end)
+    }
+
+    /// The one driver loop behind `run`, `run_batch` and `run_with_load`,
+    /// on the host's warm queue: pop, end at the horizon if the event lies
+    /// past it, step. `spec` must already be validated.
+    fn drive(&mut self, seed: u64, spec: &SessionSpec, load: &FleetLoad) -> SessionMetrics {
+        static EVENT_PUSHES: LazyCounter = LazyCounter::new("msp_event_pushes_total");
+        static EVENT_POPS: LazyCounter = LazyCounter::new("msp_event_pops_total");
+        static EVENT_CANCELS: LazyCounter = LazyCounter::new("msp_event_cancels_total");
+        // Pending events stay small: at most one chunk completion or error
+        // per path, plus a tick and recovery timers.
+        let queue = &mut self.queue;
+        queue.reset();
+        queue.reserve(16.max(2 * spec.paths.len()));
+        let mut session = self.warm.start(seed, spec, load, queue);
+        let horizon = session.horizon();
+        let end = loop {
+            let Some((now, event)) = queue.pop() else {
+                break queue.now();
+            };
+            if now > horizon {
+                break horizon;
+            }
+            if self.warm.step(&mut session, queue, now, event) {
+                break now;
+            }
+        };
+        let ops = queue.op_counts();
+        EVENT_PUSHES.add(ops.pushes);
+        EVENT_POPS.add(ops.pops);
+        EVENT_CANCELS.add(ops.cancels);
+        self.warm.finish(session, end)
+    }
+}
+
+impl Warm {
+    /// [`SessionSpec::validate`] plus the service-aware check: a
+    /// closed-loop ABR ladder must contain the session's starting itag
+    /// (the rung the stream begins on).
+    fn validate(&self, spec: &SessionSpec) -> Result<(), SessionSpecError> {
+        spec.validate()?;
         if let Some(abr) = &spec.player.abr_ladder {
             if abr.mode == crate::abr::AbrMode::ClosedLoop && !abr.ladder.contains(&self.spec.itag)
             {
@@ -565,36 +671,15 @@ impl SessionHost {
         Ok(())
     }
 
-    /// The session body. `spec` must already be validated.
-    fn run_validated(&mut self, seed: u64, spec: &SessionSpec) -> SessionMetrics {
-        self.run_validated_with(seed, spec, None)
-    }
-
-    /// The session body, optionally under fleet-injected shared load.
-    fn run_validated_with(
+    /// [`SessionHost::start`] of a validated `spec` under fleet-injected
+    /// shared load (none for a plain session).
+    fn start(
         &mut self,
         seed: u64,
         spec: &SessionSpec,
-        fleet: Option<&crate::fleet::FleetLoad>,
-    ) -> SessionMetrics {
-        // Detach the scratch arenas so the body can borrow the host's
-        // service/queue/caches freely, then funnel them back whichever
-        // exit the session takes.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let metrics = self.session_body(seed, spec, fleet, &mut scratch);
-        self.scratch = scratch;
-        metrics
-    }
-
-    /// One full session over the host's warmed service, with per-path hot
-    /// state carved out of `scratch` (cleared here, capacity reused).
-    fn session_body(
-        &mut self,
-        seed: u64,
-        spec: &SessionSpec,
-        fleet: Option<&crate::fleet::FleetLoad>,
-        scratch: &mut SessionScratch,
-    ) -> SessionMetrics {
+        load: &FleetLoad,
+        queue: &mut EventQueue<PlayerEvent>,
+    ) -> Session {
         // Per-session mutable service state back to pristine: load counts
         // and failure plans. Everything else on the service is immutable
         // topology or timing-neutral strings.
@@ -603,10 +688,7 @@ impl SessionHost {
         // replicas *before* bootstrap. Non-zero load makes
         // `network_is_idle` false, which also bypasses the bootstrap
         // cache — loaded networks are never cache-eligible.
-        if let Some(load) = fleet {
-            load.apply(&mut self.service);
-        }
-        self.actions.clear();
+        load.apply(&mut self.service);
 
         // Observability (never perturbs the session: counters/spans/trace
         // only — no RNG, no simulated time, no metrics mutation). The
@@ -631,52 +713,35 @@ impl SessionHost {
         // sessions are granted their whole quality ladder once (they may
         // switch the streamed itag mid-session); everything else streams
         // exactly the service's fixed itag.
-        let session_itag = self.spec.itag;
         let grant_itags: Vec<u32> = match &spec.player.abr_ladder {
             Some(abr) if abr.mode == crate::abr::AbrMode::ClosedLoop => abr.ladder.clone(),
-            _ => vec![session_itag],
+            _ => vec![self.spec.itag],
         };
 
-        // --- Links & connections -------------------------------------------
-        let SessionScratch {
-            links,
-            conns,
-            paths,
-            ready_times,
-            traces,
-        } = scratch;
-        links.clear();
-        conns.clear();
-        paths.clear();
-        ready_times.clear();
-        links.reserve(n_paths);
-        paths.reserve(n_paths);
-        ready_times.reserve(n_paths);
-        for setup in &spec.paths {
+        // --- Bootstrap each path (§3.2 + Fig. 1 + footnote 1) --------------
+        // Only the link builds draw from `rng`, in path order.
+        let mut paths = Vec::with_capacity(n_paths);
+        let mut ready = Vec::with_capacity(n_paths);
+        for (i, setup) in spec.paths.iter().enumerate() {
             let mut link = setup.profile.build(&mut rng);
             if let Some(outages) = &setup.outages {
                 link = link.with_outages(outages.clone());
             }
-            links.push(link);
-        }
-        conns.resize_with(n_paths, || None);
-
-        // --- Bootstrap each path (§3.2 + Fig. 1 + footnote 1) --------------
-        for (i, setup) in spec.paths.iter().enumerate() {
             let network = setup.network;
             let tcp_config = setup.profile.tcp_config();
             let client_ip = client_ip_for(network);
             let mut resolver = DnsResolver::new(network);
-            let rtt = links[i].base_rtt();
-            let t0 = SimTime::ZERO;
+            let rtt = link.base_rtt();
+            // HTTPS: η minus the TCP round the connection model charges
+            // itself.
+            let tls_extra = self.tls.eta(rtt).saturating_sub(rtt);
 
             // DNS for the proxy.
             let (_proxy_ans, dns_done) = resolver
-                .resolve(self.service.zone(), PROXY_DOMAIN, t0, rtt)
+                .resolve(self.service.zone(), PROXY_DOMAIN, SimTime::ZERO, rtt)
                 .expect("proxy resolvable");
             // HTTPS + OAuth + JSON (ψ + OAuth).
-            let proxy_latency = self.service.proxy(network).json_ready_after(rtt);
-            let json_done = dns_done + proxy_latency;
+            let json_done = dns_done + self.service.proxy(network).json_ready_after(rtt);
             // The bootstrap *content* (decoded JSON + deciphered signature)
             // is a pure function of (network, json_done) while the network
             // is idle — serve it from the host cache when possible. The
@@ -684,7 +749,7 @@ impl SessionHost {
             let cache_key = (network, json_done, grant_itags.clone());
             let idle = self.service.network_is_idle(network);
             let boot = match self.boot_cache.get(&cache_key) {
-                Some(cached) if idle => std::sync::Arc::clone(cached),
+                Some(cached) if idle => Arc::clone(cached),
                 _ => {
                     let json = self
                         .service
@@ -705,10 +770,9 @@ impl SessionHost {
                         signature.as_deref(),
                         &grant_itags,
                     );
-                    let boot = std::sync::Arc::new(PathBootstrap { info, grant });
+                    let boot = Arc::new(PathBootstrap { info, grant });
                     if idle {
-                        self.boot_cache
-                            .insert(cache_key, std::sync::Arc::clone(&boot));
+                        self.boot_cache.insert(cache_key, Arc::clone(&boot));
                     }
                     boot
                 }
@@ -720,9 +784,8 @@ impl SessionHost {
             // the proxy, expensive on the high-RTT path — then decipher.
             if boot.info.enciphered_sig.is_some() {
                 let mut page_conn = TcpConnection::new(tcp_config.clone());
-                let page_start =
-                    page_conn.connect(&mut links[i], t + self.tls.eta(rtt).saturating_sub(rtt));
-                let page = page_conn.request(&mut links[i], page_start, ByteSize::kb(300));
+                let page_start = page_conn.connect(&mut link, t + tls_extra);
+                let page = page_conn.request(&mut link, page_start, ByteSize::kb(300));
                 t = page.completed_at + SimDuration::from_millis(3);
             }
             // DNS for the chosen video server.
@@ -730,382 +793,315 @@ impl SessionHost {
                 .resolve(self.service.zone(), &boot.info.server_domains[0], t, rtt)
                 .expect("server resolvable");
             let server_addr = ans.addrs[0];
-            // HTTPS to the video server: η minus the TCP round the connection
-            // model charges itself.
-            let tls_extra = self.tls.eta(rtt).saturating_sub(rtt);
-            let rt = PathRt {
+            let mut rt = PathRt {
+                link,
+                conn: None,
                 tcp_config,
                 resolver,
                 boot,
                 current_server: 0,
                 server_addr,
             };
-            let (conn, ready) = rt.open_conn(&self.service, &mut links[i], dns2_done + tls_extra);
-            conns[i] = Some(conn);
+            // HTTPS to the video server.
+            ready.push((rt.reconnect(&self.service, dns2_done + tls_extra), i));
             if let Some(s) = self.service.server_mut(server_addr) {
                 s.begin_session();
             }
-            ready_times.push(ready);
             paths.push(rt);
         }
 
-        // Server-failure injections, grouped per target server so storms
-        // may stack several windows on one address.
-        if !spec.server_failures.is_empty() {
-            let mut windows: BTreeMap<Ipv4Addr, Vec<(SimTime, SimTime)>> = BTreeMap::new();
-            for failure in &spec.server_failures {
-                windows
-                    .entry(paths[failure.path].server_addr)
-                    .or_default()
-                    .push((failure.from, failure.until));
-            }
-            for (addr, w) in windows {
-                self.service.fail_server_windows(addr, w);
-            }
-        }
-
-        // Resolve the chaos plan against this session's seed. Chaos acts
-        // strictly in the data plane (fetch / failover dispatch) — never in
-        // the bootstrap above — so the boot cache and the batch-vs-loop
-        // bit-equivalence stay intact. Overload windows are installed on the
-        // backing replicas like server failures; reset_sessions() clears
+        // Server-failure injections, then the chaos plan resolved against
+        // this session's seed. Chaos acts strictly in the data plane (fetch
+        // / failover dispatch) — never in the bootstrap above — so the boot
+        // cache and the batch-vs-loop bit-equivalence stay intact. Both
+        // install windows on the backing replicas; reset_sessions() clears
         // them before the next session.
-        let mut chaos: Option<ChaosState> = spec.chaos.as_ref().map(|p| p.resolve(seed, n_paths));
+        let failures = spec
+            .server_failures
+            .iter()
+            .map(|f| (f.path, f.from, f.until));
+        for (addr, w) in by_server(&paths, failures) {
+            self.service.fail_server_windows(addr, w);
+        }
+        let chaos: Option<ChaosState> = spec.chaos.as_ref().map(|p| p.resolve(seed, n_paths));
         if let Some(cs) = &chaos {
-            let mut windows: BTreeMap<Ipv4Addr, Vec<(SimTime, SimTime)>> = BTreeMap::new();
-            for (path, from, until) in cs.overload_windows() {
-                windows
-                    .entry(paths[path].server_addr)
-                    .or_default()
-                    .push((from, until));
-            }
-            for (addr, w) in windows {
+            for (addr, w) in by_server(&paths, cs.overload_windows()) {
                 self.service.overload_server_windows(addr, w);
             }
         }
 
         drop(boot_span);
         let stream_span = telemetry::span("session.stream");
-
-        // --- Player & event loop -------------------------------------------
-        let mut player = Player::with_traces(
+        let player = Player::with_traces(
             spec.player.clone(),
             n_paths,
             self.total_bytes,
             self.bytes_per_sec,
             SimTime::ZERO,
-            std::mem::take(traces),
+            std::mem::take(&mut self.traces),
         );
-        // Pending events stay small: at most one chunk completion or error
-        // per path, plus a tick and recovery timers. The queue's storage
-        // (and adapted bucket width) is reused across the host's sessions.
-        self.queue.reset();
-        self.queue.reserve(16.max(2 * n_paths));
-        let queue = &mut self.queue;
-        // Same-instant readiness wakeups coalesce into one event: group the
-        // ready times (ascending, stable in path order) and push one event
-        // per distinct instant.
-        let push_ready_group = |queue: &mut EventQueue<_>, at: SimTime, group: &[usize]| {
-            if group.len() == 1 {
-                queue.push(at, PlayerEvent::PathReady { path: group[0] });
-            } else {
-                let paths = group.to_vec();
-                queue.push(at, PlayerEvent::PathsReady { paths });
+        // Readiness wakeups (§3.2): with head start each path starts the
+        // moment its own bootstrap is done; without it (ablation mode)
+        // every path waits for the slowest. Same-instant wakeups coalesce
+        // into one event, its paths in index order.
+        if !spec.player.head_start {
+            let latest = ready.iter().map(|r| r.0).max().unwrap_or(SimTime::ZERO);
+            for (at, _) in &mut ready {
+                *at = latest;
             }
-        };
-        if spec.player.head_start {
-            let mut order: Vec<usize> = (0..n_paths).collect();
-            order.sort_by_key(|&i| (ready_times[i], i));
-            let mut i = 0;
-            while i < n_paths {
-                let at = ready_times[order[i]];
-                let mut j = i + 1;
-                while j < n_paths && ready_times[order[j]] == at {
-                    j += 1;
-                }
-                push_ready_group(queue, at, &order[i..j]);
-                i = j;
-            }
-        } else {
-            // All paths wait for the slowest bootstrap (ablation mode):
-            // one coalesced wakeup for the whole path set.
-            let latest = ready_times
-                .iter()
-                .copied()
-                .fold(SimTime::ZERO, SimTime::max);
-            let all: Vec<usize> = (0..n_paths).collect();
-            push_ready_group(queue, latest, &all);
         }
-
-        let deadline = SimTime::ZERO + MAX_SESSION;
-        let actions = &mut self.actions;
-        let mut events: u64 = 0;
-        // The single outstanding tick (ScheduleTick coalescing contract:
-        // the latest request supersedes any undelivered earlier one).
-        let mut pending_tick: Option<(SimTime, msim_core::event::EventId)> = None;
-        let mut stopped_at = None;
-        while let Some((now, event)) = queue.pop() {
-            if now > deadline {
-                break;
-            }
-            events += 1;
-            if matches!(event, PlayerEvent::Tick) {
-                pending_tick = None;
-            }
-            player.handle_into(now, event, actions);
-            for action in actions.drain(..) {
-                match action {
-                    PlayerAction::Fetch { assignment } => {
-                        // The format this range request streams: the rung
-                        // its byte region was planned at (closed-loop ABR
-                        // sessions carry a rung map; everything else is the
-                        // session's fixed itag).
-                        let itag = player
-                            .itag_for_byte(assignment.range.start)
-                            .unwrap_or(session_itag);
-                        dispatch_fetch(
-                            &mut self.service,
-                            links,
-                            conns,
-                            paths,
-                            queue,
-                            now,
-                            assignment,
-                            itag,
-                            &self.tls,
-                            chaos.as_mut(),
-                        );
-                    }
-                    PlayerAction::Failover { path } => {
-                        dispatch_failover(
-                            &mut self.service,
-                            links,
-                            conns,
-                            paths,
-                            queue,
-                            &self.tls,
-                            now,
-                            path,
-                            chaos.as_ref(),
-                        );
-                    }
-                    PlayerAction::ScheduleTick { at } => {
-                        // Tick coalescing: keep exactly one pending tick —
-                        // the latest request supersedes the previous one.
-                        let at = at.max(now);
-                        if pending_tick.is_none_or(|(t, _)| t != at) {
-                            if let Some((_, id)) = pending_tick.take() {
-                                queue.cancel(id);
-                            }
-                            pending_tick = Some((at, queue.push(at, PlayerEvent::Tick)));
-                        }
-                    }
-                }
-            }
-            // Stop conditions.
-            let stop = match spec.stop {
-                StopCondition::PrebufferDone => player.prebuffer_done(),
-                StopCondition::AfterRefills(n) => player.refill_count() >= n,
-                StopCondition::DownloadComplete => player.download_complete(),
-                StopCondition::AtTime(t) => now >= t,
+        ready.sort_unstable();
+        for group in ready.chunk_by(|a, b| a.0 == b.0) {
+            let event = match group {
+                [(_, path)] => PlayerEvent::PathReady { path: *path },
+                _ => PlayerEvent::PathsReady {
+                    paths: group.iter().map(|&(_, path)| path).collect(),
+                },
             };
-            if stop {
-                stopped_at = Some(now);
-                break;
+            queue.push(group[0].0, event);
+        }
+        Session {
+            paths,
+            player,
+            chaos,
+            pending_tick: None,
+            events: 0,
+            stop: spec.stop,
+            itag: self.spec.itag,
+            tracing,
+            stream_span,
+        }
+    }
+
+    /// [`SessionHost::step`].
+    fn step(
+        &mut self,
+        session: &mut Session,
+        queue: &mut EventQueue<PlayerEvent>,
+        now: SimTime,
+        event: PlayerEvent,
+    ) -> bool {
+        session.events += 1;
+        if matches!(event, PlayerEvent::Tick) {
+            session.pending_tick = None;
+        }
+        session.player.handle_into(now, event, &mut self.actions);
+        for action in self.actions.drain(..) {
+            match action {
+                PlayerAction::Fetch { assignment } => {
+                    session.dispatch_fetch(&mut self.service, &self.tls, queue, now, assignment);
+                }
+                PlayerAction::Failover { path } => {
+                    session.dispatch_failover(&mut self.service, &self.tls, queue, now, path);
+                }
+                PlayerAction::ScheduleTick { at } => {
+                    // Tick coalescing: keep exactly one pending tick — the
+                    // latest request supersedes the previous one.
+                    let at = at.max(now);
+                    if session.pending_tick.is_none_or(|(t, _)| t != at) {
+                        if let Some((_, id)) = session.pending_tick.take() {
+                            queue.cancel(id);
+                        }
+                        session.pending_tick = Some((at, queue.push(at, PlayerEvent::Tick)));
+                    }
+                }
             }
         }
-        let end = stopped_at.unwrap_or_else(|| queue.now());
-        let (mut m, lent) = player.finish(end);
-        *traces = lent;
-        m.events = events;
-        drop(stream_span);
-        publish_session_telemetry(&m, queue.op_counts(), end, tracing);
+        session.stop.reached(&session.player, now)
+    }
+
+    /// [`SessionHost::finish`]: the metrics, and the lent trace buffers
+    /// back to the host.
+    fn finish(&mut self, session: Session, end: SimTime) -> SessionMetrics {
+        static SESSIONS: LazyCounter = LazyCounter::new("msp_sessions_total");
+        static STALLS: LazyCounter = LazyCounter::new("msp_stalls_total");
+        static SESSION_EVENTS: LazyHistogram = LazyHistogram::new("msp_session_events");
+        let (mut m, lent) = session.player.finish(end);
+        self.traces = lent;
+        m.events = session.events;
+        drop(session.stream_span);
+        // Observability reads only the finished metrics.
+        SESSIONS.add(1);
+        STALLS.add(m.stalls.len() as u64);
+        SESSION_EVENTS.observe(m.events);
+        if session.tracing {
+            telemetry::trace(
+                "session.end",
+                end.as_micros(),
+                &[
+                    ("events", TraceVal::U64(m.events)),
+                    ("stalls", TraceVal::U64(m.stalls.len() as u64)),
+                ],
+            );
+        }
         m
     }
 }
 
-/// Publishes one finished session's observability rollup: session and
-/// event-queue op counters, the per-session event histogram, and (when
-/// tracing) the `session.end` trace record. Reads only finished state — provably non-perturbing.
-fn publish_session_telemetry(
-    m: &SessionMetrics,
-    ops: msim_core::event::QueueOps,
-    ended_at: SimTime,
-    tracing: bool,
-) {
-    static SESSIONS: LazyCounter = LazyCounter::new("msp_sessions_total");
-    static EVENT_PUSHES: LazyCounter = LazyCounter::new("msp_event_pushes_total");
-    static EVENT_POPS: LazyCounter = LazyCounter::new("msp_event_pops_total");
-    static EVENT_CANCELS: LazyCounter = LazyCounter::new("msp_event_cancels_total");
-    static STALLS: LazyCounter = LazyCounter::new("msp_stalls_total");
-    static SESSION_EVENTS: LazyHistogram = LazyHistogram::new("msp_session_events");
-    SESSIONS.add(1);
-    EVENT_PUSHES.add(ops.pushes);
-    EVENT_POPS.add(ops.pops);
-    EVENT_CANCELS.add(ops.cancels);
-    STALLS.add(m.stalls.len() as u64);
-    SESSION_EVENTS.observe(m.events);
-    if tracing {
-        telemetry::trace(
-            "session.end",
-            ended_at.as_micros(),
-            &[
-                ("events", TraceVal::U64(m.events)),
-                ("stalls", TraceVal::U64(m.stalls.len() as u64)),
-            ],
-        );
+impl Session {
+    /// The instant the session ends at if no stop comes first: the
+    /// [`StopCondition::AtTime`] bound or the 4-hour ceiling, whichever is
+    /// earlier. A driver that pops an event past it ends the session here,
+    /// without handing it the event.
+    pub fn horizon(&self) -> SimTime {
+        let ceiling = SimTime::ZERO + MAX_SESSION;
+        match self.stop {
+            StopCondition::AtTime(t) => t.min(ceiling),
+            _ => ceiling,
+        }
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn dispatch_fetch(
-    service: &mut YoutubeService,
-    links: &mut [Link],
-    conns: &mut [Option<TcpConnection>],
-    paths: &[PathRt],
-    queue: &mut EventQueue<PlayerEvent>,
-    now: SimTime,
-    assignment: ChunkAssignment,
-    itag: u32,
-    tls: &TlsTimingModel,
-    mut chaos: Option<&mut ChaosState>,
-) {
-    let p = assignment.path;
-    let rt = &paths[p];
-    let failed = |reason| PlayerEvent::ChunkFailed { path: p, reason };
-    if let Some(cs) = chaos.as_deref_mut() {
-        let rtt = links[p].base_rtt();
-        // Middlebox started stripping MPTCP options on this path: the
-        // established connection falls back per RFC 6824 — one reset, a
-        // fresh plain-TCP handshake, and the request is lost. One-shot.
-        if let Some(penalty_rtts) = cs.take_strip(p, now) {
-            // The reconnect handshake itself charges one RTT; the rest of
-            // the penalty (detecting the reset, SYN retries for the
-            // option-dropping case) is charged up front.
-            let (conn, reset_done) =
-                rt.open_conn(service, &mut links[p], now + rtt * (penalty_rtts - 1));
-            conns[p] = Some(conn);
-            queue.push(reset_done, failed(ChunkFailReason::ServerError));
-            return;
-        }
-        // Up-direction outage: the request never reaches the server; the
-        // client gives up after a deterministic RTO.
-        if cs.request_lost(p, now) {
-            queue.push(now + rtt * 4, failed(ChunkFailReason::Timeout));
-            return;
-        }
-        // Token cut: the CDN invalidated the session token; the first
-        // request at/after the cut on each path is refused 403 (the retry
-        // models a control-plane token refresh).
-        if cs.token_cut_fires(p, now) {
-            queue.push(now + rtt, failed(ChunkFailReason::Forbidden));
-            return;
-        }
-    }
-    // Server-side admission over the bootstrap's pre-validated grant:
-    // failure windows, overload, token expiry, and ladder membership of
-    // the requested format (the token / signature halves were checked once
-    // at bootstrap — same verdicts, no per-chunk re-parse). Under clock
-    // skew the servers see the skewed instant.
-    let admit_now = match chaos.as_deref() {
-        Some(cs) => cs.skewed(now),
-        None => now,
-    };
-    let admission =
-        service.check_range_request_granted(rt.server_addr, admit_now, &rt.boot.grant, itag);
-    if let Err(status) = admission {
-        // The error response costs one round trip.
-        queue.push(now + links[p].base_rtt(), failed(map_status(status)));
-        return;
-    }
-    let conn = conns[p].as_mut().expect("connection established");
-    let result = conn.request(&mut links[p], now, ByteSize::bytes(assignment.range.len()));
-    match result.outcome {
-        TransferOutcome::Complete => {
-            // Down-direction outage: the transfer ran on the wire (the
-            // server sent every byte, connection state advanced) but the
-            // response never reached the client, which times out when the
-            // transfer would have completed.
-            if chaos.as_deref().is_some_and(|cs| cs.response_lost(p, now)) {
-                queue.push(result.completed_at, failed(ChunkFailReason::Timeout));
+    /// Carries out a `Fetch` on its path: chaos first, then admission,
+    /// then the transfer; pushes the event that reports its outcome.
+    fn dispatch_fetch(
+        &mut self,
+        service: &mut YoutubeService,
+        tls: &TlsTimingModel,
+        queue: &mut EventQueue<PlayerEvent>,
+        now: SimTime,
+        assignment: ChunkAssignment,
+    ) {
+        let p = assignment.path;
+        // The format this range request streams: the rung its byte region
+        // was planned at (closed-loop ABR sessions carry a rung map;
+        // everything else is the session's fixed itag).
+        let itag = self
+            .player
+            .itag_for_byte(assignment.range.start)
+            .unwrap_or(self.itag);
+        let rt = &mut self.paths[p];
+        let failed = |reason| PlayerEvent::ChunkFailed { path: p, reason };
+        if let Some(cs) = self.chaos.as_mut() {
+            let rtt = rt.link.base_rtt();
+            // Middlebox started stripping MPTCP options on this path: the
+            // established connection falls back per RFC 6824 — one reset, a
+            // fresh plain-TCP handshake, and the request is lost. One-shot.
+            if let Some(penalty_rtts) = cs.take_strip(p, now) {
+                // The reconnect handshake itself charges one RTT; the rest of
+                // the penalty (detecting the reset, SYN retries for the
+                // option-dropping case) is charged up front.
+                let reset_done = rt.reconnect(service, now + rtt * (penalty_rtts - 1));
+                queue.push(reset_done, failed(ChunkFailReason::ServerError));
                 return;
             }
-            queue.push(
-                result.completed_at,
-                PlayerEvent::ChunkComplete {
-                    path: p,
-                    index: assignment.index,
-                    bytes: result.delivered.as_u64(),
-                    requested_at: now,
-                    first_byte_at: result.first_byte_at,
-                },
-            );
+            // Up-direction outage: the request never reaches the server; the
+            // client gives up after a deterministic RTO.
+            if cs.request_lost(p, now) {
+                queue.push(now + rtt * 4, failed(ChunkFailReason::Timeout));
+                return;
+            }
+            // Token cut: the CDN invalidated the session token; the first
+            // request at/after the cut on each path is refused 403 (the retry
+            // models a control-plane token refresh).
+            if cs.token_cut_fires(p, now) {
+                queue.push(now + rtt, failed(ChunkFailReason::Forbidden));
+                return;
+            }
         }
-        TransferOutcome::TimedOut => {
-            // Link trouble. If the link is in an outage the whole path goes
-            // down (the player reassigns the hole to the surviving path)
-            // and recovers only after the outage ends plus a reconnect
-            // handshake; a transient timeout is just a failed chunk.
-            match links[p].next_up_after(result.completed_at) {
-                Some(up_at) => {
-                    queue.push(result.completed_at, PlayerEvent::PathDown { path: p });
-                    let reconnect = tls.eta(links[p].base_rtt());
-                    queue.push(up_at + reconnect, PlayerEvent::PathRestored { path: p });
-                }
-                None => {
+        // Server-side admission over the bootstrap's pre-validated grant:
+        // failure windows, overload, token expiry, and ladder membership of
+        // the requested format (the token / signature halves were checked once
+        // at bootstrap — same verdicts, no per-chunk re-parse). Under clock
+        // skew the servers see the skewed instant.
+        let admit_now = self.chaos.as_ref().map_or(now, |cs| cs.skewed(now));
+        let admission =
+            service.check_range_request_granted(rt.server_addr, admit_now, &rt.boot.grant, itag);
+        if let Err(status) = admission {
+            // The error response costs one round trip.
+            queue.push(now + rt.link.base_rtt(), failed(map_status(status)));
+            return;
+        }
+        let conn = rt.conn.as_mut().expect("connection established");
+        let result = conn.request(&mut rt.link, now, ByteSize::bytes(assignment.range.len()));
+        match result.outcome {
+            TransferOutcome::Complete => {
+                // Down-direction outage: the transfer ran on the wire (the
+                // server sent every byte, connection state advanced) but the
+                // response never reached the client, which times out when the
+                // transfer would have completed.
+                if self
+                    .chaos
+                    .as_ref()
+                    .is_some_and(|cs| cs.response_lost(p, now))
+                {
                     queue.push(result.completed_at, failed(ChunkFailReason::Timeout));
+                    return;
+                }
+                queue.push(
+                    result.completed_at,
+                    PlayerEvent::ChunkComplete {
+                        path: p,
+                        index: assignment.index,
+                        bytes: result.delivered.as_u64(),
+                        requested_at: now,
+                        first_byte_at: result.first_byte_at,
+                    },
+                );
+            }
+            TransferOutcome::TimedOut => {
+                // Link trouble. If the link is in an outage the whole path goes
+                // down (the player reassigns the hole to the surviving path)
+                // and recovers only after the outage ends plus a reconnect
+                // handshake; a transient timeout is just a failed chunk.
+                match rt.link.next_up_after(result.completed_at) {
+                    Some(up_at) => {
+                        queue.push(result.completed_at, PlayerEvent::PathDown { path: p });
+                        let reconnect = tls.eta(rt.link.base_rtt());
+                        queue.push(up_at + reconnect, PlayerEvent::PathRestored { path: p });
+                    }
+                    None => {
+                        queue.push(result.completed_at, failed(ChunkFailReason::Timeout));
+                    }
                 }
             }
         }
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn dispatch_failover(
-    service: &mut YoutubeService,
-    links: &mut [Link],
-    conns: &mut [Option<TcpConnection>],
-    paths: &mut [PathRt],
-    queue: &mut EventQueue<PlayerEvent>,
-    tls: &TlsTimingModel,
-    now: SimTime,
-    path: usize,
-    chaos: Option<&ChaosState>,
-) {
-    let rt = &mut paths[path];
-    // DNS flap: the resolver keeps returning the stale record, so the
-    // failover cannot rotate replicas — the client reconnects to the same
-    // server after burning one extra RTT on the failed re-resolution.
-    if chaos.is_some_and(|cs| cs.dns_flapping(path, now)) {
-        let rtt = links[path].base_rtt();
+    /// Carries out a `Failover` on `path`: the next replica in the path's
+    /// list, re-resolved and reconnected; pushes its `PathRestored`.
+    fn dispatch_failover(
+        &mut self,
+        service: &mut YoutubeService,
+        tls: &TlsTimingModel,
+        queue: &mut EventQueue<PlayerEvent>,
+        now: SimTime,
+        path: usize,
+    ) {
+        let rt = &mut self.paths[path];
+        let rtt = rt.link.base_rtt();
         let tls_extra = tls.eta(rtt).saturating_sub(rtt);
-        let (conn, ready) = rt.open_conn(service, &mut links[path], now + rtt + tls_extra);
-        conns[path] = Some(conn);
+        // DNS flap: the resolver keeps returning the stale record, so the
+        // failover cannot rotate replicas — the client reconnects to the same
+        // server after burning one extra RTT on the failed re-resolution.
+        if self
+            .chaos
+            .as_ref()
+            .is_some_and(|cs| cs.dns_flapping(path, now))
+        {
+            let ready = rt.reconnect(service, now + rtt + tls_extra);
+            queue.push(ready, PlayerEvent::PathRestored { path });
+            return;
+        }
+        if let Some(s) = service.server_mut(rt.server_addr) {
+            s.end_session();
+        }
+        // Next replica in this network's list (§2: "If a server in a network
+        // fails or is overloaded, MSPlayer switches to another server in that
+        // network and resumes video streaming").
+        rt.current_server = (rt.current_server + 1) % rt.boot.info.server_domains.len();
+        let domain = &rt.boot.info.server_domains[rt.current_server];
+        let (ans, dns_done) = rt
+            .resolver
+            .resolve(service.zone(), domain, now, rtt)
+            .expect("replica resolvable");
+        rt.server_addr = ans.addrs[0];
+        if let Some(s) = service.server_mut(rt.server_addr) {
+            s.begin_session();
+        }
+        // Fresh HTTPS connection to the new replica.
+        let ready = rt.reconnect(service, dns_done + tls_extra);
         queue.push(ready, PlayerEvent::PathRestored { path });
-        return;
     }
-    if let Some(s) = service.server_mut(rt.server_addr) {
-        s.end_session();
-    }
-    // Next replica in this network's list (§2: "If a server in a network
-    // fails or is overloaded, MSPlayer switches to another server in that
-    // network and resumes video streaming").
-    rt.current_server = (rt.current_server + 1) % rt.boot.info.server_domains.len();
-    let domain = rt.boot.info.server_domains[rt.current_server].clone();
-    let rtt = links[path].base_rtt();
-    let (ans, dns_done) = rt
-        .resolver
-        .resolve(service.zone(), &domain, now, rtt)
-        .expect("replica resolvable");
-    rt.server_addr = ans.addrs[0];
-    if let Some(s) = service.server_mut(rt.server_addr) {
-        s.begin_session();
-    }
-    // Fresh HTTPS connection to the new replica.
-    let tls_extra = tls.eta(rtt).saturating_sub(rtt);
-    let (conn, ready) = rt.open_conn(service, &mut links[path], dns_done + tls_extra);
-    conns[path] = Some(conn);
-    queue.push(ready, PlayerEvent::PathRestored { path });
 }
 
 #[cfg(test)]
@@ -1145,14 +1141,14 @@ mod tests {
         let spec = testbed(0, player).with_stop(StopCondition::DownloadComplete);
         let mut host = SessionHost::new(ServiceSpec::testbed());
         let mut sessions = host.run_batch(&[1, 2], &spec).expect("valid spec");
-        let grown = host.scratch.traces.chunks.capacity();
+        let grown = host.warm.traces.chunks.capacity();
         sessions.extend(host.run_batch(&[3], &spec).expect("valid spec"));
 
         let longest = sessions.iter().map(|m| m.chunks.len()).max().unwrap();
         assert!(longest > 4096, "only {longest} chunks");
-        assert!(host.scratch.traces.chunks.capacity() >= longest);
+        assert!(host.warm.traces.chunks.capacity() >= longest);
         assert_eq!(
-            host.scratch.traces.chunks.capacity(),
+            host.warm.traces.chunks.capacity(),
             grown,
             "the third session reallocated the lent buffer"
         );
@@ -1160,7 +1156,58 @@ mod tests {
             assert_eq!(m.chunks.capacity(), m.chunks.len());
         }
         // The lent buffers came back; the next session reuses them.
-        assert_eq!(host.scratch.traces.chunks.len(), sessions[2].chunks.len());
+        assert_eq!(host.warm.traces.chunks.len(), sessions[2].chunks.len());
+    }
+
+    /// An `AtTime` session ends at its bound, even when the next event
+    /// lies past it (here inside an OFF period of the steady state).
+    #[test]
+    fn at_time_stop_ends_the_session_at_its_bound() {
+        let bound = SimTime::from_secs(100);
+        let spec = testbed(3, PlayerConfig::default()).with_stop(StopCondition::AtTime(bound));
+        assert_eq!(run(&spec).ended_at, Some(bound));
+    }
+
+    /// A session the 4-hour ceiling cuts ends at the ceiling, not at the
+    /// first event past it, which it never handles.
+    #[test]
+    fn a_session_cut_by_the_ceiling_ends_at_the_ceiling() {
+        let spec =
+            testbed(3, PlayerConfig::default()).with_stop(StopCondition::AfterRefills(1_000_000));
+        let m = SessionHost::new(ServiceSpec::testbed().with_video_secs(6.0 * 3600.0))
+            .run(&spec)
+            .expect("valid spec");
+        assert!(m.refills.len() > 10, "only {} refills", m.refills.len());
+        assert_eq!(m.ended_at, Some(SimTime::ZERO + MAX_SESSION));
+    }
+
+    /// Tick coalescing: a tick superseded by a later request is cancelled,
+    /// so every `Tick` that pops is the session's one pending tick.
+    #[test]
+    fn a_superseded_tick_is_cancelled_not_delivered() {
+        let spec = testbed(3, quick_player()).with_stop(StopCondition::AfterRefills(2));
+        let mut host = SessionHost::new(ServiceSpec::testbed());
+        let mut queue = EventQueue::new();
+        let mut session = host.start(3, &spec, &mut queue).expect("valid spec");
+        let (mut ticks, mut superseded) = (0, 0);
+        while let Some((now, event)) = queue.pop() {
+            let tick = matches!(event, PlayerEvent::Tick);
+            if tick {
+                ticks += 1;
+                let pending = session.pending_tick.map(|(at, _)| at);
+                assert_eq!(pending, Some(now), "a superseded tick fired");
+            }
+            let before = session.pending_tick.map(|(at, _)| at);
+            if host.step(&mut session, &mut queue, now, event) {
+                break;
+            }
+            let after = session.pending_tick.map(|(at, _)| at);
+            superseded += usize::from(!tick && before.is_some() && after != before);
+        }
+        assert!(
+            ticks > 0 && superseded > 0,
+            "{ticks} ticks, {superseded} superseded"
+        );
     }
 
     #[test]
@@ -1223,6 +1270,28 @@ mod tests {
         assert!(hs.as_secs_f64() > 0.05, "LTE starts later than WiFi: {hs}");
         // WiFi delivered its first byte first.
         assert!(m.first_byte_at[0].unwrap() < m.first_byte_at[1].unwrap());
+    }
+
+    /// §3.2's head start: each path starts when its own bootstrap is
+    /// done, so WiFi's first request goes out before LTE is ready. Without
+    /// it (the ablation) both paths wait for the slower bootstrap and
+    /// their first requests leave together.
+    #[test]
+    fn head_start_sends_wifi_first_request_before_lte_is_ready() {
+        let first_requests = |head_start| {
+            let mut player = quick_player();
+            player.head_start = head_start;
+            let m = run(&testbed(5, player));
+            let first = |path| {
+                let on_path = m.chunks.iter().filter(|c| c.path == path);
+                on_path.map(|c| c.requested_at).min().expect("a chunk")
+            };
+            (first(0), first(1))
+        };
+        let (wifi, lte) = first_requests(true);
+        assert!(wifi < lte, "wifi {wifi} waited for lte {lte}");
+        let (wifi, lte) = first_requests(false);
+        assert_eq!(wifi, lte, "without head start both paths start together");
     }
 
     #[test]

@@ -1504,7 +1504,7 @@ mod tests {
 
     #[test]
     fn a_session_shaped_schedule_never_touches_the_ring() {
-        // What `SessionHost::session_body` asks of the queue: one coalesced
+        // What a simulated session's `step` asks of the queue: one coalesced
         // tick (cancel + re-arm when superseded), one completion per path,
         // now and then a recovery timer seconds out. 300 pushes, a handful
         // pending at a time, microseconds to seconds apart (so days apart

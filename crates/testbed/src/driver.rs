@@ -15,19 +15,11 @@ use msplayer_core::chunk::ChunkAssignment;
 use msplayer_core::config::PlayerConfig;
 use msplayer_core::metrics::SessionMetrics;
 use msplayer_core::player::{ChunkFailReason, Player, PlayerAction, PlayerEvent};
+use msplayer_core::sim::StopCondition;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
-
-/// When the testbed session ends.
-#[derive(Clone, Copy, Debug)]
-pub enum TestbedStop {
-    /// Stop when the pre-buffer target is reached.
-    PrebufferDone,
-    /// Stop after `n` refill cycles.
-    AfterRefills(usize),
-}
 
 /// A testbed session description.
 pub struct TestbedSession {
@@ -39,8 +31,8 @@ pub struct TestbedSession {
     pub bytes_per_sec: f64,
     /// Player configuration.
     pub player: PlayerConfig,
-    /// Stop condition.
-    pub stop: TestbedStop,
+    /// Stop condition, on the session clock.
+    pub stop: StopCondition,
     /// Hard wall-clock cap on the session.
     pub wall_timeout: Duration,
 }
@@ -122,11 +114,7 @@ pub fn run_testbed_session(session: &TestbedSession) -> std::io::Result<SessionM
             }
         }
 
-        let stop = match session.stop {
-            TestbedStop::PrebufferDone => player.prebuffer_done(),
-            TestbedStop::AfterRefills(n) => player.refill_count() >= n,
-        };
-        if stop {
+        if session.stop.reached(&player, now) {
             break;
         }
     }

@@ -1,12 +1,13 @@
 //! One-call harness: spin up shaped servers + proxies on loopback, stream
 //! with the real-socket driver, return metrics.
 
-use crate::driver::{run_testbed_session, TestbedSession, TestbedStop};
+use crate::driver::{run_testbed_session, TestbedSession};
 use crate::server::{ProxyDaemon, VideoFileServer};
 use crate::shaper::LinkShape;
 use msim_core::time::SimDuration;
 use msplayer_core::config::PlayerConfig;
 use msplayer_core::metrics::SessionMetrics;
+use msplayer_core::sim::StopCondition;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -68,7 +69,7 @@ impl Testbed {
     pub fn run(
         &self,
         player: PlayerConfig,
-        stop: TestbedStop,
+        stop: StopCondition,
         wall_timeout: Duration,
     ) -> std::io::Result<SessionMetrics> {
         let session = TestbedSession {
@@ -117,7 +118,7 @@ mod tests {
         let m = tb
             .run(
                 quick_player(),
-                TestbedStop::PrebufferDone,
+                StopCondition::PrebufferDone,
                 Duration::from_secs(20),
             )
             .expect("session runs");
@@ -140,7 +141,7 @@ mod tests {
         let m = tb
             .run(
                 quick_player(),
-                TestbedStop::PrebufferDone,
+                StopCondition::PrebufferDone,
                 Duration::from_secs(20),
             )
             .expect("session runs");
@@ -159,7 +160,7 @@ mod tests {
             video_len: tb.file.len() as u64,
             bytes_per_sec: BPS,
             player: PlayerConfig::commercial_single_path(ByteSize::kb(64)).with_prebuffer_secs(2.0),
-            stop: TestbedStop::PrebufferDone,
+            stop: StopCondition::PrebufferDone,
             wall_timeout: Duration::from_secs(20),
         };
         let m = run_testbed_session(&session).expect("runs");

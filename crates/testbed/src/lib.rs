@@ -45,7 +45,7 @@ pub mod shaper;
 pub mod signal;
 mod socket;
 
-pub use driver::{run_testbed_session, TestbedSession, TestbedStop};
+pub use driver::{run_testbed_session, TestbedSession};
 pub use harness::Testbed;
 pub use lines::{spawn_line_reader, LineEvent, LineServer, LineWriter};
 pub use obs::{JobsProvider, ObsServer};

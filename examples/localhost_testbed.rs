@@ -7,8 +7,9 @@
 //! ```
 
 use msplayer::core::config::PlayerConfig;
+use msplayer::core::sim::StopCondition;
 use msplayer::simcore::units::ByteSize;
-use msplayer::testbed::{Testbed, TestbedStop};
+use msplayer::testbed::Testbed;
 use std::time::Duration;
 
 fn main() -> std::io::Result<()> {
@@ -32,7 +33,7 @@ fn main() -> std::io::Result<()> {
     println!("\n-- streaming an 8 s pre-buffer over two shaped paths --");
     let m = testbed.run(
         player.clone(),
-        TestbedStop::PrebufferDone,
+        StopCondition::PrebufferDone,
         Duration::from_secs(30),
     )?;
     println!(
@@ -46,7 +47,11 @@ fn main() -> std::io::Result<()> {
 
     println!("\n-- same, but path 0's primary server is dead (failover) --");
     testbed.set_primary_failed(0, true);
-    let m = testbed.run(player, TestbedStop::PrebufferDone, Duration::from_secs(30))?;
+    let m = testbed.run(
+        player,
+        StopCondition::PrebufferDone,
+        Duration::from_secs(30),
+    )?;
     println!(
         "pre-buffer reached in {} despite the failure; failovers: {:?}",
         m.prebuffer_time().expect("reached"),

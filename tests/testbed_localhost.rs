@@ -2,8 +2,9 @@
 //! shaped links, mirroring the §5 physical testbed.
 
 use msplayer::core::config::PlayerConfig;
+use msplayer::core::sim::StopCondition;
 use msplayer::simcore::units::ByteSize;
-use msplayer::testbed::{Testbed, TestbedStop};
+use msplayer::testbed::Testbed;
 use std::time::Duration;
 
 /// 1 Mbit/s stream → loopback sessions finish in a couple of wall seconds.
@@ -21,7 +22,7 @@ fn loopback_prebuffer_with_real_bytes() {
     let m = tb
         .run(
             quick_player(),
-            TestbedStop::PrebufferDone,
+            StopCondition::PrebufferDone,
             Duration::from_secs(25),
         )
         .expect("session");
@@ -46,7 +47,7 @@ fn loopback_refill_cycle() {
     let m = tb
         .run(
             player,
-            TestbedStop::AfterRefills(1),
+            StopCondition::AfterRefills(1),
             Duration::from_secs(30),
         )
         .expect("session");
@@ -65,7 +66,7 @@ fn loopback_failover_and_recovery() {
     let m = tb
         .run(
             quick_player(),
-            TestbedStop::PrebufferDone,
+            StopCondition::PrebufferDone,
             Duration::from_secs(25),
         )
         .expect("session");
@@ -84,7 +85,7 @@ fn loopback_wifi_like_path_carries_more() {
     let m = tb
         .run(
             quick_player().with_prebuffer_secs(6.0),
-            TestbedStop::PrebufferDone,
+            StopCondition::PrebufferDone,
             Duration::from_secs(30),
         )
         .expect("session");

@@ -4,9 +4,10 @@
 //! so this file holds exactly one test.
 
 use msplayer::core::config::PlayerConfig;
+use msplayer::core::sim::StopCondition;
 use msplayer::simcore::telemetry::{self, TraceEvent, TraceVal};
 use msplayer::simcore::units::ByteSize;
-use msplayer::testbed::{Testbed, TestbedStop};
+use msplayer::testbed::Testbed;
 use std::time::Duration;
 
 /// 1 Mbit/s stream → loopback sessions finish in a couple of wall seconds.
@@ -31,7 +32,11 @@ fn loopback_failover_session_writes_the_per_chunk_trace() {
         .with_initial_chunk(ByteSize::kb(64))
         .with_prebuffer_secs(3.0);
     let m = tb
-        .run(player, TestbedStop::PrebufferDone, Duration::from_secs(25))
+        .run(
+            player,
+            StopCondition::PrebufferDone,
+            Duration::from_secs(25),
+        )
         .expect("session");
     telemetry::set_trace_enabled(false);
     telemetry::set_enabled(false);

@@ -15,7 +15,7 @@ use msplayer_bench::cluster::merge::fnv1a;
 use msplayer_bench::sampling::{corpus_points, SEEDS_PER_WORKLOAD};
 use msplayer_bench::workload::WorkloadRegistry;
 use msplayer_core::abr::SwitchReason;
-use msplayer_core::metrics::{AbrDecision, SessionMetrics, TrafficPhase};
+use msplayer_core::metrics::{AbrDecision, ChunkRecord, SessionMetrics, TrafficPhase};
 use msplayer_core::sim::SessionHost;
 use std::collections::HashMap;
 
@@ -46,6 +46,13 @@ fn flip(t: &mut Option<SimTime>) {
 
 fn ulp(x: &mut f64) {
     *x = f64::from_bits(x.to_bits() + 1);
+}
+
+/// Edits the `i`-th chunk record in place (read, change, `set`).
+fn edit_chunk(m: &mut SessionMetrics, i: usize, edit: impl FnOnce(&mut ChunkRecord)) {
+    let mut c = m.chunks.get(i).expect("chunk index in range");
+    edit(&mut c);
+    m.chunks.set(i, c);
 }
 
 /// Perturbed copies of one session, each differing from it in one place.
@@ -114,28 +121,34 @@ fn variants(base: &SessionMetrics) -> Vec<(String, SessionMetrics)> {
         }
     }
     for i in sampled(base.chunks.len()) {
-        v.add(format!("chunks[{i}].path"), |m| m.chunks[i].path += 1);
-        v.add(format!("chunks[{i}].bytes"), |m| m.chunks[i].bytes += 1);
+        v.add(format!("chunks[{i}].path"), |m| {
+            edit_chunk(m, i, |c| c.path += 1)
+        });
+        v.add(format!("chunks[{i}].bytes"), |m| {
+            edit_chunk(m, i, |c| c.bytes += 1)
+        });
         v.add(format!("chunks[{i}].requested_at"), |m| {
-            tick(&mut m.chunks[i].requested_at)
+            edit_chunk(m, i, |c| tick(&mut c.requested_at))
         });
         v.add(format!("chunks[{i}].completed_at"), |m| {
-            tick(&mut m.chunks[i].completed_at)
+            edit_chunk(m, i, |c| tick(&mut c.completed_at))
         });
         v.add(format!("chunks[{i}].goodput_bps ulp"), |m| {
-            ulp(&mut m.chunks[i].goodput_bps)
+            edit_chunk(m, i, |c| ulp(&mut c.goodput_bps))
         });
         v.add(format!("chunks[{i}].goodput_bps = 0.0"), |m| {
-            m.chunks[i].goodput_bps = 0.0
+            edit_chunk(m, i, |c| c.goodput_bps = 0.0)
         });
         v.add(format!("chunks[{i}].goodput_bps = -0.0"), |m| {
-            m.chunks[i].goodput_bps = -0.0
+            edit_chunk(m, i, |c| c.goodput_bps = -0.0)
         });
         v.add(format!("chunks[{i}].phase"), |m| {
-            m.chunks[i].phase = match m.chunks[i].phase {
-                TrafficPhase::PreBuffering => TrafficPhase::ReBuffering,
-                TrafficPhase::ReBuffering => TrafficPhase::PreBuffering,
-            }
+            edit_chunk(m, i, |c| {
+                c.phase = match c.phase {
+                    TrafficPhase::PreBuffering => TrafficPhase::ReBuffering,
+                    TrafficPhase::ReBuffering => TrafficPhase::PreBuffering,
+                }
+            })
         });
     }
     for i in sampled(base.failovers.len()) {
@@ -212,7 +225,7 @@ fn variants(base: &SessionMetrics) -> Vec<(String, SessionMetrics)> {
     if let Some(last) = base.refills.last().copied() {
         v.add("refills len".into(), |m| m.refills.push(last));
     }
-    if let Some(last) = base.chunks.last().copied() {
+    if let Some(last) = base.chunks.last() {
         v.add("chunks len".into(), |m| m.chunks.push(last));
     }
     if let Some(last) = base.abr_switches.last().copied() {

@@ -1731,7 +1731,7 @@ fn run_exact(spec: &FleetSpec) -> FleetMetrics {
         heap.push(Reverse((end_us, i as u32)));
         end_max = end_max.max(end);
         let mut path_bytes = vec![0u64; base.paths.len()];
-        for c in &metrics.chunks {
+        for c in metrics.chunks.iter() {
             if c.path < path_bytes.len() {
                 path_bytes[c.path] += c.bytes;
             }

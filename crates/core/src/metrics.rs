@@ -143,6 +143,137 @@ pub struct ChunkRecord {
     pub phase: TrafficPhase,
 }
 
+/// A chunk trace records chunks of fewer bytes than this (2^48; no chunk is
+/// longer than its stream, and [`Player::new`](crate::player::Player::new)
+/// refuses a longer stream).
+pub const MAX_TRACE_CHUNK_BYTES: u64 = 1 << 48;
+/// A chunk trace tells this many paths apart (2^15);
+/// [`SessionSpec::validate`](crate::sim::SessionSpec::validate) refuses a
+/// spec with more.
+pub const MAX_TRACE_PATHS: usize = 1 << 15;
+
+/// A [`ChunkRecord`] in 32 bytes instead of 48: the three full words, then
+/// `bytes` (low 48 bits), `path` (next 15) and `phase` (top bit) in one.
+#[derive(Clone, Copy, PartialEq)]
+struct PackedChunk {
+    requested_at: SimTime,
+    completed_at: SimTime,
+    goodput_bps: f64,
+    bytes_path_phase: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<PackedChunk>() == 32);
+
+impl PackedChunk {
+    fn pack(c: ChunkRecord) -> PackedChunk {
+        assert!(
+            c.bytes < MAX_TRACE_CHUNK_BYTES,
+            "chunk of {} bytes overflows the trace's 48-bit bytes field",
+            c.bytes
+        );
+        assert!(
+            c.path < MAX_TRACE_PATHS,
+            "path {} overflows the trace's 15-bit path field ({MAX_TRACE_PATHS} paths)",
+            c.path
+        );
+        PackedChunk {
+            requested_at: c.requested_at,
+            completed_at: c.completed_at,
+            goodput_bps: c.goodput_bps,
+            bytes_path_phase: c.bytes | ((c.path as u64) << 48) | ((c.phase as u64) << 63),
+        }
+    }
+
+    fn unpack(&self) -> ChunkRecord {
+        let w = self.bytes_path_phase;
+        ChunkRecord {
+            path: (w >> 48) as PathId & (MAX_TRACE_PATHS - 1),
+            bytes: w & (MAX_TRACE_CHUNK_BYTES - 1),
+            requested_at: self.requested_at,
+            completed_at: self.completed_at,
+            goodput_bps: self.goodput_bps,
+            phase: if w >> 63 == 0 {
+                TrafficPhase::PreBuffering
+            } else {
+                TrafficPhase::ReBuffering
+            },
+        }
+    }
+}
+
+/// A session's completed chunks, in completion order, at 32 bytes a
+/// record. Reads hand out [`ChunkRecord`]s by value; `Debug` renders and
+/// `PartialEq` compares exactly as a `Vec<ChunkRecord>` would. A record
+/// whose path or byte count does not fit ([`MAX_TRACE_PATHS`],
+/// [`MAX_TRACE_CHUNK_BYTES`]) makes `push` and `set` panic; nothing is
+/// truncated.
+#[derive(Clone, Default, PartialEq)]
+pub struct ChunkTrace(Vec<PackedChunk>);
+
+impl ChunkTrace {
+    /// Appends `chunk`.
+    #[inline]
+    pub fn push(&mut self, chunk: ChunkRecord) {
+        self.0.push(PackedChunk::pack(chunk));
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no chunk was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Records the trace can hold without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.0.capacity()
+    }
+
+    /// The `i`-th record.
+    pub fn get(&self, i: usize) -> Option<ChunkRecord> {
+        self.0.get(i).map(PackedChunk::unpack)
+    }
+
+    /// The last record.
+    pub fn last(&self) -> Option<ChunkRecord> {
+        self.0.last().map(PackedChunk::unpack)
+    }
+
+    /// Every record, in order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = ChunkRecord> + ExactSizeIterator + '_ {
+        self.0.iter().map(PackedChunk::unpack)
+    }
+
+    /// Replaces the `i`-th record (panics if `i` is out of bounds).
+    pub fn set(&mut self, i: usize, chunk: ChunkRecord) {
+        self.0[i] = PackedChunk::pack(chunk);
+    }
+
+    /// Swaps two records.
+    pub fn swap(&mut self, a: usize, b: usize) {
+        self.0.swap(a, b);
+    }
+
+    /// Removes and returns the last record.
+    pub fn pop(&mut self) -> Option<ChunkRecord> {
+        self.0.pop().map(|c| c.unpack())
+    }
+
+    /// Removes every record, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+impl std::fmt::Debug for ChunkTrace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Metrics of one streaming session.
 ///
 /// Derives `PartialEq` so determinism tests can assert bit-identical
@@ -152,11 +283,12 @@ pub struct ChunkRecord {
 /// **Exact-size contract.** A record handed out by
 /// [`Player::into_metrics`](crate::player::Player::into_metrics) or a
 /// [`SessionHost`](crate::sim::SessionHost) run holds what the session
-/// recorded and nothing more: every `Vec` has `capacity() == len()`. The
-/// per-event traces (`chunks`, `abr_decisions`, `abr_switches`) grow in
-/// buffers the driver lends the player and are copied out at their final
-/// length, so holding N finished sessions costs the sum of their traces,
-/// whatever their chunk size or stop condition.
+/// recorded and nothing more: every `Vec`, and the [`ChunkTrace`], has
+/// `capacity() == len()`. The per-event traces (`chunks`, `abr_decisions`,
+/// `abr_switches`) grow in buffers the driver lends the player and are
+/// copied out at their final length, so holding N finished sessions costs
+/// the sum of their traces (32 bytes a chunk record), whatever their chunk
+/// size or stop condition.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SessionMetrics {
     /// When the player was started.
@@ -171,7 +303,7 @@ pub struct SessionMetrics {
     /// Stall episodes.
     pub stalls: Vec<(SimTime, Option<SimTime>)>,
     /// Every completed chunk.
-    pub chunks: Vec<ChunkRecord>,
+    pub chunks: ChunkTrace,
     /// Failovers performed per path.
     pub failovers: Vec<u32>,
     /// When the session ended.
@@ -267,14 +399,14 @@ impl SessionMetrics {
             completed_at,
             goodput_bps,
             phase,
-        } in chunks
+        } in chunks.iter()
         {
-            h.word(*path as u64);
-            h.word(*bytes);
-            h.time(*requested_at);
-            h.time(*completed_at);
-            h.float(*goodput_bps);
-            h.word(*phase as u64);
+            h.word(path as u64);
+            h.word(bytes);
+            h.time(requested_at);
+            h.time(completed_at);
+            h.float(goodput_bps);
+            h.word(phase as u64);
         }
         h.len(failovers.len());
         for n in failovers {
@@ -420,6 +552,12 @@ mod tests {
         }
     }
 
+    fn trace(records: &[ChunkRecord]) -> ChunkTrace {
+        let mut trace = ChunkTrace::default();
+        records.iter().for_each(|&c| trace.push(c));
+        trace
+    }
+
     #[test]
     fn traffic_fractions() {
         let mut m = SessionMetrics::default();
@@ -437,6 +575,115 @@ mod tests {
     fn empty_phase_has_no_fraction() {
         let m = SessionMetrics::default();
         assert_eq!(m.traffic_fraction(0, TrafficPhase::PreBuffering), None);
+    }
+
+    // ---- ChunkTrace --------------------------------------------------------
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Every field comes back as pushed, the packed fields at both
+            /// ends of their widths.
+            #[test]
+            fn chunk_trace_round_trips_every_field_at_its_bounds(
+                path in prop_oneof![Just(0), Just(MAX_TRACE_PATHS - 1), 0..MAX_TRACE_PATHS],
+                bytes in prop_oneof![
+                    Just(1),
+                    Just(MAX_TRACE_CHUNK_BYTES - 1),
+                    1..MAX_TRACE_CHUNK_BYTES
+                ],
+                phase in prop::sample::select(vec![
+                    TrafficPhase::PreBuffering,
+                    TrafficPhase::ReBuffering,
+                ]),
+                times in (any::<u64>(), any::<u64>()),
+                goodput_bits in any::<u64>(),
+            ) {
+                let c = ChunkRecord {
+                    path,
+                    bytes,
+                    requested_at: SimTime::from_micros(times.0),
+                    completed_at: SimTime::from_micros(times.1),
+                    goodput_bps: f64::from_bits(goodput_bits),
+                    phase,
+                };
+                let mut trace = ChunkTrace::default();
+                trace.push(record(1, 7, TrafficPhase::ReBuffering));
+                trace.push(c);
+                let back = trace.get(1).expect("pushed");
+                prop_assert_eq!(back.path, path);
+                prop_assert_eq!(back.bytes, bytes);
+                prop_assert_eq!(back.phase, phase);
+                prop_assert_eq!(back.requested_at, c.requested_at);
+                prop_assert_eq!(back.completed_at, c.completed_at);
+                prop_assert_eq!(back.goodput_bps.to_bits(), goodput_bits);
+                prop_assert_eq!(trace.get(0), Some(record(1, 7, TrafficPhase::ReBuffering)));
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_trace_keeps_goodput_bits_exactly() {
+        let payload_nan = f64::from_bits(f64::NAN.to_bits() | 1);
+        for x in [
+            f64::NAN,
+            payload_nan,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            -f64::from_bits(1),
+            f64::INFINITY,
+        ] {
+            let mut c = record(3, 100, TrafficPhase::PreBuffering);
+            c.goodput_bps = x;
+            let back = trace(&[c]).last().unwrap();
+            assert_eq!(back.goodput_bps.to_bits(), x.to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "48-bit bytes field")]
+    fn chunk_trace_refuses_a_chunk_of_2_pow_48_bytes() {
+        ChunkTrace::default().push(record(0, MAX_TRACE_CHUNK_BYTES, TrafficPhase::PreBuffering));
+    }
+
+    #[test]
+    #[should_panic(expected = "15-bit path field (32768 paths)")]
+    fn chunk_trace_refuses_path_32768() {
+        ChunkTrace::default().push(record(MAX_TRACE_PATHS, 1, TrafficPhase::PreBuffering));
+    }
+
+    #[test]
+    fn chunk_trace_debug_and_eq_are_those_of_a_vec_of_records() {
+        let records = vec![
+            record(0, 600, TrafficPhase::PreBuffering),
+            record(
+                MAX_TRACE_PATHS - 1,
+                MAX_TRACE_CHUNK_BYTES - 1,
+                TrafficPhase::ReBuffering,
+            ),
+        ];
+        let trace = trace(&records);
+        assert_eq!(format!("{trace:?}"), format!("{records:?}"));
+        assert_eq!(format!("{trace:#?}"), format!("{records:#?}"));
+        assert_eq!(trace.iter().collect::<Vec<_>>(), records);
+        // `f64 ==`, element by element: the zeros are equal, NaN is not.
+        let with = |x: f64| {
+            let mut t = trace.clone();
+            let mut c = t.get(0).unwrap();
+            c.goodput_bps = x;
+            t.set(0, c);
+            t
+        };
+        assert_eq!(with(0.0), with(-0.0));
+        assert_ne!(with(f64::NAN), with(f64::NAN));
+        let mut swapped = trace.clone();
+        swapped.swap(0, 1);
+        assert_ne!(swapped, trace);
+        assert_eq!(swapped.pop(), Some(records[0]));
+        assert_eq!(swapped.len(), 1);
     }
 
     #[test]
@@ -507,7 +754,7 @@ mod tests {
                 },
             ],
             stalls: vec![(t(30_000), Some(t(31_000))), (t(40_000), None)],
-            chunks: vec![
+            chunks: trace(&[
                 ChunkRecord {
                     path: 0,
                     bytes: 262_144,
@@ -524,7 +771,7 @@ mod tests {
                     goodput_bps: 2.1e6,
                     phase: TrafficPhase::ReBuffering,
                 },
-            ],
+            ]),
             failovers: vec![0, 2, 1],
             ended_at: Some(t(60_000)),
             events: 1234,
@@ -577,6 +824,13 @@ mod tests {
         *x = f64::from_bits(x.to_bits() + 1);
     }
 
+    /// Edits the `i`-th chunk record in place (read, change, `set`).
+    fn edit_chunk(m: &mut SessionMetrics, i: usize, edit: impl FnOnce(&mut ChunkRecord)) {
+        let mut c = m.chunks.get(i).expect("chunk index in range");
+        edit(&mut c);
+        m.chunks.set(i, c);
+    }
+
     /// One perturbation per scalar field, per element field of each
     /// `Vec`, per `Option` tag, per `Vec` length, plus elements moved
     /// between neighbouring `Vec`s. Every one is visible to `Debug` too.
@@ -611,19 +865,19 @@ mod tests {
             ("stalls len", |m| {
                 m.stalls.pop();
             }),
-            ("chunks[0].path", |m| m.chunks[0].path += 1),
-            ("chunks[1].bytes", |m| m.chunks[1].bytes += 1),
+            ("chunks[0].path", |m| edit_chunk(m, 0, |c| c.path += 1)),
+            ("chunks[1].bytes", |m| edit_chunk(m, 1, |c| c.bytes += 1)),
             ("chunks[0].requested_at", |m| {
-                tick(&mut m.chunks[0].requested_at)
+                edit_chunk(m, 0, |c| tick(&mut c.requested_at))
             }),
             ("chunks[1].completed_at", |m| {
-                tick(&mut m.chunks[1].completed_at)
+                edit_chunk(m, 1, |c| tick(&mut c.completed_at))
             }),
             ("chunks[0].goodput_bps ulp", |m| {
-                ulp(&mut m.chunks[0].goodput_bps)
+                edit_chunk(m, 0, |c| ulp(&mut c.goodput_bps))
             }),
             ("chunks[0].phase", |m| {
-                m.chunks[0].phase = TrafficPhase::ReBuffering
+                edit_chunk(m, 0, |c| c.phase = TrafficPhase::ReBuffering)
             }),
             ("chunks swapped", |m| m.chunks.swap(0, 1)),
             ("chunks len", |m| {
@@ -725,7 +979,7 @@ mod tests {
         let base = full_record();
         let with = |x: f64| {
             let mut m = base.clone();
-            m.chunks[0].goodput_bps = x;
+            edit_chunk(&mut m, 0, |c| c.goodput_bps = x);
             m
         };
         // PartialEq calls the zeros equal; the digest (like Debug) does not.

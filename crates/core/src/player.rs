@@ -23,7 +23,10 @@ use crate::abr::{AbrMode, AbrPolicyImpl, RungMap, RungTimeline, SwitchReason};
 use crate::buffer::{BufferPhase, PlayoutBuffer};
 use crate::chunk::{ChunkAssignment, ChunkLedger, PathId};
 use crate::config::PlayerConfig;
-use crate::metrics::{AbrDecision, AbrQoe, AbrSwitch, ChunkRecord, SessionMetrics, TrafficPhase};
+use crate::metrics::{
+    AbrDecision, AbrQoe, AbrSwitch, ChunkRecord, ChunkTrace, SessionMetrics, TrafficPhase,
+    MAX_TRACE_CHUNK_BYTES,
+};
 use crate::scheduler::SchedulerImpl;
 use msim_core::telemetry::{self, LazyCounter, LazyHistogram, TraceVal};
 use msim_core::time::{SimDuration, SimTime};
@@ -150,15 +153,16 @@ enum PathState {
 /// hot loop's pushes stop reallocating whatever the stop condition.
 #[derive(Default)]
 pub(crate) struct TraceBuffers {
-    pub(crate) chunks: Vec<ChunkRecord>,
+    pub(crate) chunks: ChunkTrace,
     pub(crate) abr_decisions: Vec<AbrDecision>,
     pub(crate) abr_switches: Vec<AbrSwitch>,
 }
 
-/// Leaves an exact-size copy of `buf` in its place and returns the
-/// (possibly over-allocated) original.
-fn swap_for_exact<T: Clone>(buf: &mut Vec<T>) -> Vec<T> {
-    let exact = buf.to_vec();
+/// Leaves an exact-size copy of `buf` in its place (cloning a `Vec` or a
+/// [`ChunkTrace`] allocates exactly its length) and returns the (possibly
+/// over-allocated) original.
+fn swap_for_exact<T: Clone>(buf: &mut T) -> T {
+    let exact = buf.clone();
     std::mem::replace(buf, exact)
 }
 
@@ -213,6 +217,10 @@ impl Player {
     /// Creates a player with per-path state for `n_paths` paths, for a
     /// stream of `total_bytes` at `bytes_per_sec` (both derived from the
     /// video format chosen from the JSON info).
+    ///
+    /// # Panics
+    /// If `cfg` is invalid, or the stream is 2^48 bytes or longer (the
+    /// chunk trace's bytes field).
     pub fn new(
         cfg: PlayerConfig,
         n_paths: usize,
@@ -241,6 +249,11 @@ impl Player {
         mut traces: TraceBuffers,
     ) -> Player {
         cfg.validate().expect("invalid player config");
+        // No chunk is longer than its stream, so every chunk fits the trace.
+        assert!(
+            total_bytes < MAX_TRACE_CHUNK_BYTES,
+            "a stream of {total_bytes} bytes overflows the chunk trace's 48-bit bytes field"
+        );
         let n_paths = n_paths.max(1);
         let buffer = PlayoutBuffer::new(
             total_bytes,
@@ -799,6 +812,57 @@ mod tests {
         assert_eq!(f1.len(), 1, "path 0 re-armed");
         assert_eq!(p.metrics().first_byte_at[0], Some(secs(0.6)));
         assert_eq!(p.metrics().chunks.len(), 1);
+    }
+
+    /// §3.3: a throughput sample is the chunk's bytes over the time from
+    /// its first byte to its last, not from its request.
+    #[test]
+    fn throughput_sample_runs_from_first_byte_to_last() {
+        let mut p = player(PlayerConfig::default());
+        let f0 = fetches(&p.handle(secs(0.5), PlayerEvent::PathReady { path: 0 }))[0];
+        let bytes = f0.range.len();
+        p.handle(
+            secs(1.0),
+            PlayerEvent::ChunkComplete {
+                path: 0,
+                index: f0.index,
+                bytes,
+                requested_at: secs(0.2),
+                first_byte_at: secs(0.6),
+            },
+        );
+        let chunk = p.metrics().chunks.last().expect("recorded");
+        assert_eq!(chunk.goodput_bps, bytes as f64 * 8.0 / 0.4);
+        assert_eq!(chunk.requested_at, secs(0.2));
+    }
+
+    /// The first chunk of a path downloads inside slow start: it is
+    /// recorded but does not reach the estimator; the second one does.
+    #[test]
+    fn the_warm_up_chunk_is_recorded_but_not_estimated() {
+        let mut p = player(PlayerConfig::default());
+        let mut next = fetches(&p.handle(secs(0.5), PlayerEvent::PathReady { path: 0 }))[0];
+        // Two different samples: the estimate tells which one it holds.
+        for (i, (t, transfer)) in [(1.0, 0.4), (2.0, 0.1)].into_iter().enumerate() {
+            let actions = p.handle(
+                secs(t),
+                PlayerEvent::ChunkComplete {
+                    path: 0,
+                    index: next.index,
+                    bytes: next.range.len(),
+                    requested_at: secs(t - 0.5),
+                    first_byte_at: secs(t - transfer),
+                },
+            );
+            assert_eq!(p.metrics().chunks.len(), i + 1);
+            next = fetches(&actions)[0];
+        }
+        let second = p.metrics().chunks.get(1).expect("recorded").goodput_bps;
+        let estimate = p.scheduler.aggregate_estimate_bps().expect("one sample");
+        assert!(
+            (estimate - second).abs() <= 1e-9 * second,
+            "estimate {estimate} is not the second sample {second} alone"
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::chaos::{ChaosPlan, ChaosState};
 use crate::chunk::ChunkAssignment;
 use crate::config::PlayerConfig;
 use crate::fleet::FleetLoad;
-use crate::metrics::SessionMetrics;
+use crate::metrics::{SessionMetrics, MAX_TRACE_PATHS};
 use crate::player::{ChunkFailReason, Player, PlayerAction, PlayerEvent, TraceBuffers};
 use msim_core::event::{EventId, EventQueue};
 use msim_core::rng::Prng;
@@ -144,6 +144,12 @@ pub struct ServerFailure {
 pub enum SessionSpecError {
     /// The spec has no paths at all.
     NoPaths,
+    /// The spec has more paths than a chunk trace can tell apart
+    /// ([`MAX_TRACE_PATHS`]).
+    TooManyPaths {
+        /// How many paths the spec has.
+        n_paths: usize,
+    },
     /// A [`ServerFailure`] targets a path index the spec does not have.
     FailurePathOutOfRange {
         /// The offending failure's path index.
@@ -180,6 +186,10 @@ impl fmt::Display for SessionSpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SessionSpecError::NoPaths => write!(f, "session spec has no paths"),
+            SessionSpecError::TooManyPaths { n_paths } => write!(
+                f,
+                "session spec has {n_paths} paths; a chunk trace tells at most {MAX_TRACE_PATHS} apart"
+            ),
             SessionSpecError::FailurePathOutOfRange { path, n_paths } => write!(
                 f,
                 "server failure targets path {path} but the spec has only {n_paths} path(s)"
@@ -305,11 +315,17 @@ impl SessionSpec {
         self
     }
 
-    /// Validates the spec: at least one path, in-range failure targets,
-    /// well-formed windows, well-formed ABR ladder, valid player config.
+    /// Validates the spec: at least one path and at most
+    /// [`MAX_TRACE_PATHS`], in-range failure targets, well-formed windows,
+    /// well-formed ABR ladder, valid player config.
     pub fn validate(&self) -> Result<(), SessionSpecError> {
         if self.paths.is_empty() {
             return Err(SessionSpecError::NoPaths);
+        }
+        if self.paths.len() > MAX_TRACE_PATHS {
+            return Err(SessionSpecError::TooManyPaths {
+                n_paths: self.paths.len(),
+            });
         }
         if let Some(abr) = &self.player.abr_ladder {
             abr.validate_ladder()
@@ -1414,6 +1430,20 @@ mod tests {
             let single = run(&testbed(seed, quick_player()));
             assert_eq!(batch[i], single, "seed {seed} diverged in batch");
         }
+    }
+
+    /// A chunk trace tells 2^15 paths apart; a spec with one more is
+    /// refused by name before anything runs.
+    #[test]
+    fn validate_refuses_more_paths_than_a_chunk_trace_tells_apart() {
+        let mut spec = testbed(1, quick_player());
+        spec.paths = vec![spec.paths[0].clone(); MAX_TRACE_PATHS];
+        assert_eq!(spec.validate(), Ok(()));
+        spec.paths.push(spec.paths[0].clone());
+        assert_eq!(
+            spec.validate(),
+            Err(SessionSpecError::TooManyPaths { n_paths: 32_769 })
+        );
     }
 
     #[test]

@@ -40,8 +40,10 @@ fn main() {
 
     // Re-decide after every 8 completed chunks (≈ once per refill window).
     let mut since_last = 0;
-    for (i, chunk) in metrics.chunks.iter().enumerate() {
+    let mut fetched_bytes = 0.0;
+    for chunk in metrics.chunks.iter() {
         estimators[chunk.path].update(chunk.goodput_bps);
+        fetched_bytes += chunk.bytes as f64;
         since_last += 1;
         if since_last < 8 {
             continue;
@@ -53,11 +55,7 @@ fn main() {
         );
         // Proxy for the buffer level at this instant: seconds of video
         // fetched minus seconds elapsed.
-        let fetched_secs = metrics.chunks[..=i]
-            .iter()
-            .map(|c| c.bytes as f64)
-            .sum::<f64>()
-            / 312_500.0;
+        let fetched_secs = fetched_bytes / 312_500.0;
         let elapsed = chunk.completed_at.as_secs_f64();
         let buffer = (fetched_secs - elapsed).max(0.0);
         let (rung, reason) = adapter.decide(Some(aggregate.as_bps()), buffer);

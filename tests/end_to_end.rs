@@ -60,7 +60,7 @@ fn deterministic_replay_full_stack() {
     assert_eq!(a.prebuffer_done_at, b.prebuffer_done_at);
     assert_eq!(a.chunks.len(), b.chunks.len());
     assert_eq!(a.refills.len(), b.refills.len());
-    for (x, y) in a.chunks.iter().zip(&b.chunks) {
+    for (x, y) in a.chunks.iter().zip(b.chunks.iter()) {
         assert_eq!(x.bytes, y.bytes);
         assert_eq!(x.completed_at, y.completed_at);
         assert_eq!(x.path, y.path);

@@ -52,7 +52,7 @@ proptest! {
         let total: u64 = m.chunks.iter().map(|c| c.bytes).sum();
         let target = prebuffer * 312_500.0;
         prop_assert!(total as f64 >= target * 0.98, "fetched {total} of {target}");
-        for c in &m.chunks {
+        for c in m.chunks.iter() {
             prop_assert!(c.bytes > 0);
             prop_assert!(c.completed_at >= c.requested_at);
             prop_assert!(c.goodput_bps > 0.0);

@@ -665,8 +665,8 @@ impl<'a> Coordinator<'a> {
                 shard,
                 message,
             } => {
-                self.release(peer, shard);
-                if shard != u64::MAX {
+                if let Some(shard) = shard {
+                    self.release(peer, shard);
                     self.requeue_if_leased_to(peer, shard, now);
                 } else {
                     // Setup failure (e.g. manifest expansion): the worker is
@@ -1722,7 +1722,7 @@ mod tests {
         // A worker that reports failure keeps serving; its lease requeues.
         let fail = Frame::Fail {
             worker: b,
-            shard: 1,
+            shard: Some(1),
             message: "interrupted".into(),
         };
         rig.frame(b, fail, 7);

@@ -40,7 +40,7 @@
 //! JSON layer stores numbers as `f64` (exact only to 2^53).
 
 use crate::sweep::{Cell, HostCache};
-use msim_json::Value;
+use msim_json::{Map, Value};
 use msplayer_core::metrics::SessionMetrics;
 
 pub use msplayer_core::metrics::DIGEST_EPOCH;
@@ -186,12 +186,15 @@ pub fn merge_rows(
         .iter()
         .map(|row| {
             let cell = &cells[row.index as usize];
-            Value::object()
-                .with("chunk_kb", cell.chunk_kb)
-                .with("digest", hex_u64(row.digest).as_str())
-                .with("index", row.index)
-                .with("kind", cell.kind())
-                .with("seed", hex_u64(cell.seed).as_str())
+            // Five members in one exact-size allocation (a sweep holds
+            // thousands of these rows at once).
+            Value::Object(Map::from_iter([
+                ("chunk_kb".to_string(), cell.chunk_kb.into()),
+                ("digest".to_string(), hex_u64(row.digest).into()),
+                ("index".to_string(), row.index.into()),
+                ("kind".to_string(), cell.kind().into()),
+                ("seed".to_string(), hex_u64(cell.seed).into()),
+            ]))
         })
         .collect();
     Ok(Value::object()

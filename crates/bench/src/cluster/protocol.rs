@@ -102,8 +102,10 @@ pub enum Frame {
     Fail {
         /// Worker id.
         worker: u64,
-        /// The failed shard.
-        shard: u64,
+        /// The failed shard; `None` when the worker failed before holding
+        /// one (setup: manifest expansion, another digest epoch). On the
+        /// wire a setup failure has no `shard` member.
+        shard: Option<u64>,
         /// Human-readable reason.
         message: String,
     },
@@ -178,11 +180,16 @@ impl Frame {
                 worker,
                 shard,
                 message,
-            } => Value::object()
-                .with("type", "fail")
-                .with("worker", *worker)
-                .with("shard", *shard)
-                .with("message", message.as_str()),
+            } => {
+                let fail = Value::object()
+                    .with("type", "fail")
+                    .with("worker", *worker)
+                    .with("message", message.as_str());
+                match shard {
+                    Some(shard) => fail.with("shard", *shard),
+                    None => fail,
+                }
+            }
         };
         msim_json::to_string(&v)
     }
@@ -268,7 +275,7 @@ impl Frame {
             }
             "fail" => Ok(Frame::Fail {
                 worker: num("worker")?,
-                shard: num("shard")?,
+                shard: v.get("shard").map(|_| num("shard")).transpose()?,
                 message: v
                     .get("message")
                     .and_then(Value::as_str)
@@ -346,7 +353,12 @@ mod tests {
         });
         roundtrip(Frame::Fail {
             worker: 2,
-            shard: 0,
+            shard: Some(0),
+            message: "lease abandoned".into(),
+        });
+        roundtrip(Frame::Fail {
+            worker: 2,
+            shard: None,
             message: "manifest: unknown workload".into(),
         });
     }

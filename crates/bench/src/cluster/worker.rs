@@ -298,7 +298,7 @@ impl Worker {
                         };
                         (vec![ready], None)
                     }
-                    Err(message) => (vec![self.fail(u64::MAX, message)], Some(1)),
+                    Err(message) => (vec![self.fail(None, message)], Some(1)),
                 }
             }
             Frame::Lease { shard, attempt } => match self.shards.get(shard as usize) {
@@ -316,7 +316,7 @@ impl Worker {
                 None => {
                     let shards = self.shards.len();
                     let message = format!("lease for unknown shard {shard} ({shards} shards)");
-                    (vec![self.fail(shard, message)], None)
+                    (vec![self.fail(Some(shard), message)], None)
                 }
             },
             Frame::Shutdown => (Vec::new(), Some(0)),
@@ -381,10 +381,10 @@ impl Worker {
     /// coordinator to requeue it.
     pub fn abandon(&mut self, message: &str) -> Option<Frame> {
         let lease = self.lease.take()?;
-        Some(self.fail(lease.shard, message.into()))
+        Some(self.fail(Some(lease.shard), message.into()))
     }
 
-    fn fail(&self, shard: u64, message: String) -> Frame {
+    fn fail(&self, shard: Option<u64>, message: String) -> Frame {
         Frame::Fail {
             worker: self.me,
             shard,
@@ -535,7 +535,7 @@ mod tests {
             (frames, Some(1)) => match &frames[..] {
                 [Frame::Fail {
                     worker: 4,
-                    shard: u64::MAX,
+                    shard: None,
                     message,
                 }] => assert!(message.contains("digest_epoch"), "{message}"),
                 other => panic!("want exactly one setup fail, got {other:?}"),

@@ -26,7 +26,7 @@ pub mod value;
 
 pub use parse::{from_str, ParseError};
 pub use ser::{to_string, to_string_pretty};
-pub use value::Value;
+pub use value::{Map, Value};
 
 #[cfg(test)]
 mod proptests {
@@ -45,7 +45,8 @@ mod proptests {
         leaf.prop_recursive(4, 64, 8, |inner| {
             prop_oneof![
                 prop::collection::vec(inner.clone(), 0..8).prop_map(Value::Array),
-                prop::collection::btree_map("[a-z]{1,8}", inner, 0..8).prop_map(Value::Object),
+                prop::collection::btree_map("[a-z]{1,8}", inner, 0..8)
+                    .prop_map(|m| Value::Object(m.into_iter().collect())),
             ]
         })
     }

@@ -2,7 +2,6 @@
 //! nesting-depth limit.
 
 use crate::value::Value;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Maximum nesting depth accepted by the parser (defence against stack
@@ -116,11 +115,12 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+        // Members in text order; the `Map` sorts them once at the end.
+        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(map));
+            return Ok(Value::object());
         }
         loop {
             self.skip_ws();
@@ -129,11 +129,11 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let val = self.value(depth + 1)?;
-            map.insert(key, val);
+            members.push((key, val));
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(map)),
+                Some(b'}') => return Ok(Value::Object(members.into_iter().collect())),
                 _ => {
                     self.pos = self.pos.saturating_sub(1);
                     return Err(self.err("expected ',' or '}' in object"));
@@ -392,5 +392,30 @@ mod tests {
     fn duplicate_keys_last_wins() {
         let v = from_str(r#"{"k": 1, "k": 2}"#).unwrap();
         assert_eq!(v.get("k").and_then(Value::as_f64), Some(2.0));
+    }
+
+    #[test]
+    fn members_are_sorted_by_key_whatever_the_text_order() {
+        let v = from_str(r#"{"b": 1, "é": 2, "a": {"z": 3, "y": 4}, "B": 5}"#).unwrap();
+        assert_eq!(
+            v.get("a").and_then(|a| a.get("y")),
+            Some(&Value::Number(4.0))
+        );
+        assert_eq!(v.get("B"), Some(&Value::Number(5.0)));
+        assert_eq!(
+            crate::to_string(&v),
+            r#"{"B":5,"a":{"y":4,"z":3},"b":1,"é":2}"#
+        );
+    }
+
+    #[test]
+    fn leading_zeros_are_refused() {
+        for bad in ["01", "-01", "00", "[007]", "{\"a\":00.5}"] {
+            let err = from_str(bad).expect_err(bad);
+            assert!(err.reason.contains("leading zero"), "{bad}: {err}");
+        }
+        assert_eq!(from_str("0").unwrap(), Value::Number(0.0));
+        assert_eq!(from_str("-0.5").unwrap(), Value::Number(-0.5));
+        assert_eq!(from_str("10").unwrap(), Value::Number(10.0));
     }
 }

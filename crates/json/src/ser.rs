@@ -74,9 +74,12 @@ fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
     }
 }
 
+/// JSON has no NaN or infinity: like JavaScript's `JSON.stringify`, they
+/// are written as `null`, in every build profile.
 fn write_number(out: &mut String, n: f64) {
-    debug_assert!(n.is_finite(), "non-finite numbers cannot be serialised");
-    if n.fract() == 0.0 && n.abs() < 1e15 {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 1e15 {
         // Integers print without a trailing ".0", like serde_json.
         let _ = write!(out, "{}", n as i64);
     } else {
@@ -124,6 +127,24 @@ mod tests {
         assert_eq!(to_string(&Value::Number(42.0)), "42");
         assert_eq!(to_string(&Value::Number(-7.0)), "-7");
         assert_eq!(to_string(&Value::Number(2.5)), "2.5");
+    }
+
+    #[test]
+    fn non_finite_numbers_are_written_as_null() {
+        let v = Value::Array(vec![
+            Value::Number(f64::NAN),
+            Value::Number(f64::INFINITY),
+            Value::Number(f64::NEG_INFINITY),
+        ]);
+        assert_eq!(to_string(&v), "[null,null,null]");
+        assert_eq!(
+            from_str(&to_string(&v)).unwrap(),
+            Value::from(vec![Value::Null; 3])
+        );
+        assert_eq!(
+            from_str(&to_string_pretty(&v)).unwrap(),
+            Value::from(vec![Value::Null; 3])
+        );
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The JSON value tree.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::slice;
 
 /// A JSON document node.
 ///
-/// Objects preserve no insertion order (keys are kept sorted in a
-/// `BTreeMap`), which makes serialisation deterministic — important because
-/// emulated YouTube JSON responses are part of seeded, replayable sessions.
+/// Objects preserve no insertion order: a [`Map`] keeps its members sorted
+/// by key in one allocation, which makes serialisation deterministic —
+/// important because emulated YouTube JSON responses are part of seeded,
+/// replayable sessions.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// `null`
@@ -21,13 +22,125 @@ pub enum Value {
     /// An array.
     Array(Vec<Value>),
     /// An object.
-    Object(BTreeMap<String, Value>),
+    Object(Map),
+}
+
+/// A JSON object: its members in one `Vec`, sorted by key.
+///
+/// Keys are ordered by their UTF-8 bytes, the order `BTreeMap<String, _>`
+/// uses, so iteration and serialisation are deterministic. A key appears
+/// at most once: [`insert`](Map::insert) replaces, and
+/// [`collect`](Map::from_iter) keeps the last of equal keys, so both
+/// agree with inserting the members one by one. Lookup is a binary
+/// search; insertion shifts the members after the key, so build a large
+/// object with `collect`, which sorts once.
+#[derive(Clone, Default, PartialEq)]
+pub struct Map {
+    members: Vec<(String, Value)>,
+}
+
+impl Map {
+    fn find(&self, key: &str) -> Result<usize, usize> {
+        self.members.binary_search_by(|(k, _)| k.as_str().cmp(key))
+    }
+
+    /// The value of `key`, if present.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.find(key).ok().map(|i| &self.members[i].1)
+    }
+
+    /// Sets `key` to `value`, returning the value it replaces.
+    pub fn insert(&mut self, key: String, value: Value) -> Option<Value> {
+        match self.find(&key) {
+            Ok(i) => Some(std::mem::replace(&mut self.members[i].1, value)),
+            Err(i) => {
+                self.members.insert(i, (key, value));
+                None
+            }
+        }
+    }
+
+    /// Removes `key`, returning its value.
+    pub fn remove(&mut self, key: &str) -> Option<Value> {
+        self.find(key).ok().map(|i| self.members.remove(i).1)
+    }
+
+    /// The number of members.
+    pub fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// True when the object has no members.
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
+    /// The members in key order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter(self.members.iter())
+    }
+
+    /// The keys in order.
+    pub fn keys(&self) -> impl Iterator<Item = &String> {
+        self.members.iter().map(|(k, _)| k)
+    }
+}
+
+impl FromIterator<(String, Value)> for Map {
+    /// Sorts the members once (stably) and keeps the last of equal keys.
+    fn from_iter<I: IntoIterator<Item = (String, Value)>>(members: I) -> Map {
+        let mut members: Vec<(String, Value)> = members.into_iter().collect();
+        members.sort_by(|(a, _), (b, _)| a.cmp(b));
+        // `dedup_by` keeps the first of a run; moving each later value
+        // into the kept member makes the last one win.
+        members.dedup_by(|later, kept| {
+            let equal = later.0 == kept.0;
+            if equal {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            equal
+        });
+        Map { members }
+    }
+}
+
+impl fmt::Debug for Map {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// An iterator over a [`Map`]'s members in key order.
+#[derive(Clone, Debug)]
+pub struct Iter<'a>(slice::Iter<'a, (String, Value)>);
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = (&'a String, &'a Value);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(k, v)| (k, v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+impl<'a> IntoIterator for &'a Map {
+    type Item = (&'a String, &'a Value);
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
 }
 
 impl Value {
     /// Builds an empty object.
     pub fn object() -> Value {
-        Value::Object(BTreeMap::new())
+        Value::Object(Map::default())
     }
 
     /// Fluent insert for building objects; panics when `self` is not an
@@ -77,7 +190,8 @@ impl Value {
     /// The numeric payload as u64 if it is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, which no u64 holds.
+            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 18446744073709551616.0 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -101,7 +215,7 @@ impl Value {
     }
 
     /// The object payload, if this is an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
+    pub fn as_object(&self) -> Option<&Map> {
         match self {
             Value::Object(map) => Some(map),
             _ => None,
@@ -171,6 +285,116 @@ impl fmt::Display for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{from_str, to_string, to_string_pretty};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The object text a `BTreeMap` of members serialises to: the
+    /// reference `Map`'s serialiser must match byte for byte.
+    fn reference_text(reference: &BTreeMap<String, Value>, pretty: bool) -> String {
+        if reference.is_empty() {
+            return "{}".to_string();
+        }
+        let members: Vec<String> = reference
+            .iter()
+            .map(|(k, v)| {
+                let key = to_string(&Value::String(k.clone()));
+                if pretty {
+                    format!("\n  {key}: {}", to_string(v))
+                } else {
+                    format!("{key}:{}", to_string(v))
+                }
+            })
+            .collect();
+        if pretty {
+            format!("{{{}\n}}", members.join(","))
+        } else {
+            format!("{{{}}}", members.join(","))
+        }
+    }
+
+    /// Everything a `Map` shows must agree with the `BTreeMap` reference.
+    fn agrees(map: &Map, reference: &BTreeMap<String, Value>) -> Result<(), TestCaseError> {
+        prop_assert_eq!(map.len(), reference.len());
+        prop_assert_eq!(map.is_empty(), reference.is_empty());
+        prop_assert!(map.iter().eq(reference.iter()), "iteration order");
+        prop_assert!(map.keys().eq(reference.keys()), "keys");
+        prop_assert!(map.into_iter().eq(reference), "`&Map` into_iter");
+        for (k, v) in reference {
+            prop_assert_eq!(map.get(k), Some(v));
+        }
+        prop_assert_eq!(format!("{map:?}"), format!("{reference:?}"));
+        let value = Value::Object(map.clone());
+        prop_assert_eq!(to_string(&value), reference_text(reference, false));
+        prop_assert_eq!(to_string_pretty(&value), reference_text(reference, true));
+        Ok(())
+    }
+
+    const KEY: &str = "[abAB\u{e9}\u{4e2d}]{0,2}";
+
+    proptest! {
+        /// `collect`, repeated `insert` and repeated `with` all build the
+        /// map a `BTreeMap` fed the same members holds; `remove` and `==`
+        /// follow it too.
+        #[test]
+        fn map_agrees_with_a_btree_map_reference(
+            keys in prop::collection::vec(KEY, 0..24),
+            probes in prop::collection::vec(KEY, 0..6),
+        ) {
+            // Each member's value is its position, so a wrong winner among
+            // equal keys shows.
+            let members: Vec<(String, Value)> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| (k.clone(), Value::from(i as u64)))
+                .collect();
+            let mut reference = BTreeMap::new();
+            let mut inserted = Map::default();
+            let mut with = Value::object();
+            for (k, v) in &members {
+                prop_assert_eq!(inserted.insert(k.clone(), v.clone()), reference.insert(k.clone(), v.clone()));
+                with = with.with(k, v.clone());
+            }
+            let collected: Map = members.into_iter().collect();
+            agrees(&collected, &reference)?;
+            agrees(&inserted, &reference)?;
+            prop_assert_eq!(with.as_object(), Some(&collected));
+            prop_assert_eq!(&inserted, &collected);
+
+            let mut removed = collected.clone();
+            for k in &probes {
+                prop_assert_eq!(removed.get(k), reference.get(k));
+                prop_assert_eq!(removed.remove(k), reference.remove(k));
+                prop_assert_eq!(removed.remove(k), None);
+            }
+            agrees(&removed, &reference)?;
+            prop_assert_eq!(removed == collected, removed.len() == collected.len());
+        }
+    }
+
+    #[test]
+    fn a_100_000_key_object_parses_and_round_trips() {
+        const N: usize = 100_000;
+        // Keys in a scrambled order (7919 is coprime to N), values equal
+        // to the key's number, plus one repeated key whose last value wins.
+        let mut text = String::from("{\"k000007\":-1");
+        for j in 0..N {
+            let i = j * 7919 % N;
+            text.push_str(&format!(",\"k{i:06}\":{i}"));
+        }
+        text.push('}');
+        let v = from_str(&text).unwrap();
+        let map = v.as_object().unwrap();
+        assert_eq!(map.len(), N);
+        assert!(map
+            .iter()
+            .enumerate()
+            .all(|(i, (k, v))| *k == format!("k{i:06}") && v.as_u64() == Some(i as u64)));
+        assert_eq!(v.get("k099999").and_then(Value::as_u64), Some(99_999));
+        assert_eq!(v.get("k100000"), None);
+        assert_eq!(from_str(&to_string(&v)).unwrap(), v);
+        assert_eq!(from_str(&to_string_pretty(&v)).unwrap(), v);
+    }
 
     #[test]
     fn builder_and_accessors() {
@@ -194,6 +418,18 @@ mod tests {
         assert_eq!(Value::Number(1.5).as_u64(), None);
         assert_eq!(Value::Number(-2.0).as_u64(), None);
         assert_eq!(Value::Number(7.0).as_u64(), Some(7));
+    }
+
+    #[test]
+    fn as_u64_refuses_2_pow_64() {
+        assert_eq!(Value::Number(18446744073709551616.0).as_u64(), None);
+        assert_eq!(Value::Number(1e300).as_u64(), None);
+        // The largest f64 below 2^64 is exactly 2^64 - 2048.
+        assert_eq!(
+            Value::Number(18446744073709549568.0).as_u64(),
+            Some(18446744073709549568)
+        );
+        assert_eq!(Value::Number(0.0).as_u64(), Some(0));
     }
 
     #[test]

@@ -149,7 +149,7 @@ fn round_robin_stepped_sessions_match_committed_fingerprints() {
             let Some(session) = slot.as_mut() else {
                 continue;
             };
-            let end = match queue.pop() {
+            let end = match session.next_event(queue) {
                 None => Some(queue.now()),
                 Some((now, _)) if now > session.horizon() => Some(session.horizon()),
                 Some((now, event)) => host.step(session, queue, now, event).then_some(now),

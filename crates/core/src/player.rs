@@ -123,8 +123,8 @@ pub enum PlayerAction {
     ///
     /// **Coalescing contract:** the player keeps exactly one wakeup
     /// outstanding — a new `ScheduleTick` *supersedes* any earlier
-    /// undelivered one, so drivers should cancel the previously scheduled
-    /// tick (if it has not fired) and keep only the latest. The player
+    /// undelivered one, so drivers keep only the latest (the simulator's
+    /// `Session` and the socket driver each hold it as one value). The player
     /// re-derives its desired wakeup after every event, so dropping the
     /// superseded tick can never lose a transition.
     ScheduleTick {
@@ -673,8 +673,8 @@ impl Player {
         }
         // Keep exactly one wakeup pending: the earlier of the next buffer
         // self-transition and the next ABR decision. A changed request
-        // supersedes the previous one (the driver cancels it), so stale
-        // wakeups never fire and same-instant requests are pushed once.
+        // supersedes the previous one (the driver drops it), so stale
+        // wakeups never fire and a same-instant request is made once.
         let buffer_next = self.buffer.next_event_after(now);
         let abr_next = match &self.abr {
             Some(abr) if !self.buffer.finished() => Some(abr.next_decision_at),

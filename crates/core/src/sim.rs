@@ -16,15 +16,15 @@
 //! A [`SessionHost`] is built **once** from a `ServiceSpec`. A session
 //! in flight is a [`Session`] value the caller steps over an
 //! [`EventQueue`] it owns: [`SessionHost::start`] bootstraps the paths and
-//! pushes their readiness wakeups, [`SessionHost::step`] handles one
-//! popped event and reports whether the stop condition is reached, and
-//! [`SessionHost::finish`] returns the [`SessionMetrics`]. Between steps
-//! the session lives only in that value and its queue. [`SessionHost::run`]
-//! and [`SessionHost::run_batch`] are one loop over the three calls on the
-//! host's warm queue: pop, end at the [horizon](Session::horizon) if the
-//! event lies past it, step. A batch over N seeds is bit-identical to N
-//! sessions each run on a fresh host (asserted by
-//! `crates/bench/tests/batch_api.rs` and the in-crate
+//! pushes their readiness wakeups, [`Session::next_event`] yields the next
+//! event, [`SessionHost::step`] handles it and reports whether the stop
+//! condition is reached, and [`SessionHost::finish`] returns the
+//! [`SessionMetrics`]. Between steps the session lives only in that value
+//! and its queue. [`SessionHost::run`] and [`SessionHost::run_batch`] are
+//! one loop over these calls on the host's warm queue: next event, end at
+//! the [horizon](Session::horizon) if it lies past it, step. A batch over
+//! N seeds is bit-identical to N sessions each run on a fresh host
+//! (asserted by `crates/bench/tests/batch_api.rs` and the in-crate
 //! `host_batch_matches_individual_runs` test) — the only thing amortized
 //! is the control-plane construction, never simulated behaviour.
 //!
@@ -40,7 +40,7 @@ use crate::config::PlayerConfig;
 use crate::fleet::FleetLoad;
 use crate::metrics::{SessionMetrics, MAX_TRACE_PATHS};
 use crate::player::{ChunkFailReason, Player, PlayerAction, PlayerEvent, TraceBuffers};
-use msim_core::event::{EventId, EventQueue};
+use msim_core::event::{EventQueue, QueueOps};
 use msim_core::rng::Prng;
 use msim_core::telemetry::{self, LazyCounter, LazyHistogram, TraceVal};
 use msim_core::time::{SimDuration, SimTime};
@@ -506,16 +506,18 @@ struct Warm {
 }
 
 /// One session in flight: its paths (links, connections, runtimes), its
-/// player, its resolved chaos state, the pending tick and the count of
-/// events handled. [`SessionHost::start`] makes it, [`SessionHost::step`]
-/// advances it one event at a time, [`SessionHost::finish`] ends it.
+/// player, its resolved chaos state, its pending tick (a value, not a queue
+/// entry) and the count of events handled. [`SessionHost::start`] makes it,
+/// [`Session::next_event`] and [`SessionHost::step`] advance it one event at
+/// a time, [`SessionHost::finish`] ends it.
 pub struct Session {
     paths: Vec<PathRt>,
     player: Player,
     chaos: Option<ChaosState>,
-    /// The single outstanding tick (ScheduleTick coalescing contract: the
-    /// latest request supersedes any undelivered earlier one).
-    pending_tick: Option<(SimTime, EventId)>,
+    /// The one outstanding tick, `(at, seq)` with a reserved queue `seq`.
+    tick: Option<(SimTime, u64)>,
+    /// Its queue operations: set = push, delivered = pop, overwritten = cancel.
+    tick_ops: QueueOps,
     events: u64,
     stop: StopCondition,
     /// The service's fixed itag: what a range request streams unless
@@ -614,11 +616,12 @@ impl SessionHost {
         Ok(self.warm.start(seed, spec, &FleetLoad::none(), queue))
     }
 
-    /// Hands `event`, popped from the session's queue at `now`, to the
-    /// player and carries out the actions it returns, pushing their
-    /// outcomes onto `queue`. Returns whether the session's stop condition
-    /// is reached. A driver that pops an event later than
-    /// [`Session::horizon`] ends the session there instead.
+    /// Hands `event`, the session's [next event](Session::next_event) at
+    /// `now`, to the player and carries out the actions it returns, pushing
+    /// their outcomes onto `queue` and keeping a tick request in `session`.
+    /// Returns whether the session's stop condition is reached. A driver
+    /// whose next event lies later than [`Session::horizon`] ends the
+    /// session there instead.
     pub fn step(
         &mut self,
         session: &mut Session,
@@ -635,21 +638,21 @@ impl SessionHost {
     }
 
     /// The one driver loop behind `run`, `run_batch` and `run_with_load`,
-    /// on the host's warm queue: pop, end at the horizon if the event lies
+    /// on the host's warm queue: next event, end at the horizon if it lies
     /// past it, step. `spec` must already be validated.
     fn drive(&mut self, seed: u64, spec: &SessionSpec, load: &FleetLoad) -> SessionMetrics {
         static EVENT_PUSHES: LazyCounter = LazyCounter::new("msp_event_pushes_total");
         static EVENT_POPS: LazyCounter = LazyCounter::new("msp_event_pops_total");
         static EVENT_CANCELS: LazyCounter = LazyCounter::new("msp_event_cancels_total");
         // Pending events stay small: at most one chunk completion or error
-        // per path, plus a tick and recovery timers.
+        // per path, plus recovery timers (the tick is kept in the session).
         let queue = &mut self.queue;
         queue.reset();
         queue.reserve(16.max(2 * spec.paths.len()));
         let mut session = self.warm.start(seed, spec, load, queue);
         let horizon = session.horizon();
         let end = loop {
-            let Some((now, event)) = queue.pop() else {
+            let Some((now, event)) = session.next_event(queue) else {
                 break queue.now();
             };
             if now > horizon {
@@ -659,10 +662,10 @@ impl SessionHost {
                 break now;
             }
         };
-        let ops = queue.op_counts();
-        EVENT_PUSHES.add(ops.pushes);
-        EVENT_POPS.add(ops.pops);
-        EVENT_CANCELS.add(ops.cancels);
+        let (ops, ticks) = (queue.op_counts(), session.tick_ops);
+        EVENT_PUSHES.add(ops.pushes + ticks.pushes);
+        EVENT_POPS.add(ops.pops + ticks.pops);
+        EVENT_CANCELS.add(ops.cancels + ticks.cancels);
         self.warm.finish(session, end)
     }
 }
@@ -880,7 +883,8 @@ impl Warm {
             paths,
             player,
             chaos,
-            pending_tick: None,
+            tick: None,
+            tick_ops: QueueOps::default(),
             events: 0,
             stop: spec.stop,
             itag: self.spec.itag,
@@ -899,7 +903,7 @@ impl Warm {
     ) -> bool {
         session.events += 1;
         if matches!(event, PlayerEvent::Tick) {
-            session.pending_tick = None;
+            session.tick = None;
         }
         session.player.handle_into(now, event, &mut self.actions);
         for action in self.actions.drain(..) {
@@ -912,13 +916,12 @@ impl Warm {
                 }
                 PlayerAction::ScheduleTick { at } => {
                     // Tick coalescing: keep exactly one pending tick — the
-                    // latest request supersedes the previous one.
+                    // latest request overwrites the previous one.
                     let at = at.max(now);
-                    if session.pending_tick.is_none_or(|(t, _)| t != at) {
-                        if let Some((_, id)) = session.pending_tick.take() {
-                            queue.cancel(id);
-                        }
-                        session.pending_tick = Some((at, queue.push(at, PlayerEvent::Tick)));
+                    if session.tick.is_none_or(|(t, _)| t != at) {
+                        session.tick_ops.cancels += u64::from(session.tick.is_some());
+                        session.tick_ops.pushes += 1;
+                        session.tick = Some((at, queue.reserve_seq()));
                     }
                 }
             }
@@ -955,6 +958,27 @@ impl Warm {
 }
 
 impl Session {
+    /// The session's next event: its tick if that sorts first in `(time, seq)`
+    /// order, else `queue`'s pop. `None`: the session ends at [`EventQueue::now`].
+    /// A tick stays pending until it is handed to [`SessionHost::step`].
+    pub fn next_event(
+        &mut self,
+        queue: &mut EventQueue<PlayerEvent>,
+    ) -> Option<(SimTime, PlayerEvent)> {
+        let Some((at, seq)) = self.tick else {
+            return queue.pop();
+        };
+        queue.pop_before(at, seq).or_else(|| {
+            self.tick_ops.pops += 1;
+            Some((at, PlayerEvent::Tick))
+        })
+    }
+
+    /// The instant of the tick the player asked for, until it is stepped.
+    pub fn pending_tick(&self) -> Option<SimTime> {
+        self.tick.map(|(at, _)| at)
+    }
+
     /// The instant the session ends at if no stop comes first: the
     /// [`StopCondition::AtTime`] bound or the 4-hour ceiling, whichever is
     /// earlier. A driver that pops an event past it ends the session here,
@@ -1197,8 +1221,9 @@ mod tests {
         assert_eq!(m.ended_at, Some(SimTime::ZERO + MAX_SESSION));
     }
 
-    /// Tick coalescing: a tick superseded by a later request is cancelled,
-    /// so every `Tick` that pops is the session's one pending tick.
+    /// Tick coalescing: a tick superseded by a later request is
+    /// overwritten, so every `Tick` delivered is the session's one pending
+    /// tick, and each overwrite counts as one cancel.
     #[test]
     fn a_superseded_tick_is_cancelled_not_delivered() {
         let spec = testbed(3, quick_player()).with_stop(StopCondition::AfterRefills(2));
@@ -1206,24 +1231,92 @@ mod tests {
         let mut queue = EventQueue::new();
         let mut session = host.start(3, &spec, &mut queue).expect("valid spec");
         let (mut ticks, mut superseded) = (0, 0);
-        while let Some((now, event)) = queue.pop() {
+        loop {
+            let pending = session.pending_tick();
+            let Some((now, event)) = session.next_event(&mut queue) else {
+                break;
+            };
             let tick = matches!(event, PlayerEvent::Tick);
             if tick {
                 ticks += 1;
-                let pending = session.pending_tick.map(|(at, _)| at);
                 assert_eq!(pending, Some(now), "a superseded tick fired");
             }
-            let before = session.pending_tick.map(|(at, _)| at);
-            if host.step(&mut session, &mut queue, now, event) {
+            let before = session.tick;
+            let stop = host.step(&mut session, &mut queue, now, event);
+            superseded += u64::from(!tick && before.is_some() && session.tick != before);
+            if stop {
                 break;
             }
-            let after = session.pending_tick.map(|(at, _)| at);
-            superseded += usize::from(!tick && before.is_some() && after != before);
         }
         assert!(
             ticks > 0 && superseded > 0,
             "{ticks} ticks, {superseded} superseded"
         );
+        assert_eq!(session.tick_ops.cancels, superseded);
+    }
+
+    /// A tick sorts where its push would have: after a same-instant event
+    /// pushed before the tick was scheduled, before one pushed after. Two
+    /// markers (never stepped) are pushed at a delivered tick's instant,
+    /// one just before and one just after the step that scheduled it.
+    #[test]
+    fn a_tick_and_a_same_instant_outcome_pop_in_push_order() {
+        let spec = testbed(3, quick_player()).with_stop(StopCondition::AfterRefills(1));
+        let mut host = SessionHost::new(ServiceSpec::testbed());
+        const TICK: usize = 2;
+        let marker = |m| PlayerEvent::PathDown {
+            path: usize::MAX - m,
+        };
+        let label = |event: &PlayerEvent| match *event {
+            PlayerEvent::PathDown { path } if path > 1 << 20 => usize::MAX - path,
+            PlayerEvent::Tick => TICK,
+            _ => usize::MAX,
+        };
+        // Steps the session, pushing markers 0 and 1 around step `mark.0`
+        // at `mark.1`; returns every delivered `(now, label)` and, for each
+        // delivered tick, the step that scheduled it.
+        let mut run = |mark: Option<(usize, SimTime)>| {
+            let mut queue = EventQueue::new();
+            let mut session = host.start(3, &spec, &mut queue).expect("valid spec");
+            let (mut delivered, mut scheduled_by) = (Vec::new(), Vec::new());
+            let (mut step, mut set_at) = (0, 0);
+            while let Some((now, event)) = session.next_event(&mut queue) {
+                delivered.push((now, label(&event)));
+                if label(&event) < TICK {
+                    continue;
+                }
+                if label(&event) == TICK {
+                    scheduled_by.push((set_at, now));
+                }
+                let (before, marked) = (session.tick, mark.filter(|&(k, _)| k == step));
+                if let Some((_, at)) = marked {
+                    queue.push(at, marker(0));
+                }
+                let stop = host.step(&mut session, &mut queue, now, event);
+                if let Some((_, at)) = marked {
+                    queue.push(at, marker(1));
+                }
+                if session.tick != before && session.tick.is_some() {
+                    set_at = step;
+                }
+                step += 1;
+                if stop {
+                    break;
+                }
+            }
+            (delivered, scheduled_by)
+        };
+        let (_, scheduled_by) = run(None);
+        let mark = scheduled_by[scheduled_by.len() / 2];
+        let (delivered, _) = run(Some(mark));
+        let at = mark.1;
+        let position = |l| delivered.iter().position(|&d| d == (at, l));
+        let (first, tick, second) = (
+            position(0).expect("first marker delivered"),
+            position(TICK).expect("tick delivered"),
+            position(1).expect("second marker delivered"),
+        );
+        assert!(first < tick && tick < second, "{first} {tick} {second}");
     }
 
     #[test]

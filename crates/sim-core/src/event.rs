@@ -40,7 +40,7 @@
 //!   the pop order is the strict `(time, seq)` order for every width and
 //!   count (asserted by the differential tests);
 //! * **two regimes.** A calendar earns its day arithmetic when thousands
-//!   of events are pending; a session holds two to six. While at most
+//!   of events are pending; a session holds one to four. While at most
 //!   `DIRECT_MAX` (8) entries are pending, tombstones included, the queue
 //!   is in its **direct regime**: they all sit in `today` whatever their
 //!   day, a push is one `heap_push` and a pop one `heap_pop`, and the
@@ -62,6 +62,8 @@
 //!   slot freed last, a fresh slab hands slots out in push order, so a
 //!   driver pushing at most one event per pop keeps each chain of events
 //!   in one slot (the fluid fleet lays its slab out by this);
+//! * **a timer held outside** ([`EventQueue::reserve_seq`],
+//!   [`EventQueue::pop_before`]) fires where its push would have popped;
 //! * [`EventQueue::reset`] returns the queue to its pristine state while
 //!   keeping every allocation (heads, heaps, slab) *and* the adapted
 //!   sizing, so drivers that run many sessions back-to-back (batch hosts,
@@ -169,8 +171,8 @@ const ADAPT_EVERY: u64 = 256;
 
 /// Most pending entries (live and tombstoned) the direct regime holds: up
 /// to here `today` alone is the queue, and the next push spreads it over
-/// the calendar. A session keeps two to six timers; a 4-ary heap of eight
-/// is two levels.
+/// the calendar. A session's queue holds one to four events; a 4-ary heap
+/// of eight is two levels.
 const DIRECT_MAX: usize = 8;
 
 /// A deterministic priority queue of timestamped events; a push reuses the
@@ -198,11 +200,11 @@ pub struct EventQueue<E> {
     near_len: usize,
     /// Bucket width is `1 << shift` microseconds.
     shift: u32,
-    /// The day `today` holds: `now >> shift` whenever `pop` is not running
-    /// (ring regime only; leaving the direct regime sets it).
+    /// The last day `today` holds: `now >> shift`, or later once
+    /// [`EventQueue::pop_before`] declined short of it (ring regime only).
     cursor_day: u64,
-    /// The cursor day's events: 4-ary min-heap on `(at, seq)`. In the
-    /// direct regime, every pending entry whatever its day.
+    /// The events up to the cursor day: 4-ary min-heap on `(at, seq)`. In
+    /// the direct regime, every pending entry whatever its day.
     today: Vec<Entry>,
     /// The direct regime: everything pending sits in `today` (at most
     /// [`DIRECT_MAX`] entries), the ring and `far` are empty, and
@@ -421,6 +423,35 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Takes the next push's sequence number, for a timer held outside.
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// Pops the earliest live event if it sorts before the outside timer
+    /// `(at, seq)`; otherwise the timer is due: the clock moves to `at` and
+    /// the call returns `None`.
+    pub fn pop_before(&mut self, at: SimTime, seq: u64) -> Option<(SimTime, E)> {
+        loop {
+            match self.today.first().copied() {
+                None if self.next_day() => {}
+                // A tombstone sorting before the timer is reclaimed, as `pop`
+                // would; whatever sorts after the timer leaves it due.
+                Some(root) if root.key() < (at, seq) => {
+                    if self.live_at(root.slot).is_some() {
+                        return self.pop();
+                    }
+                    heap_pop(&mut self.today);
+                    self.release_slot(root.slot);
+                }
+                _ => break,
+            }
+        }
+        self.now = at;
+        None
+    }
+
     /// Timestamp of the next live event without popping it.
     ///
     /// Pure (`&self`): peeking skips tombstones without reclaiming them —
@@ -509,9 +540,8 @@ impl<E> EventQueue<E> {
             self.leave_direct();
         }
         let day = entry.at.as_micros() >> self.shift;
-        debug_assert!(day >= self.cursor_day, "entry behind the clock");
         let nb = self.buckets.len() as u64;
-        if day == self.cursor_day {
+        if day <= self.cursor_day {
             heap_push(&mut self.today, entry);
         } else if day - self.cursor_day < nb {
             let head = &mut self.buckets[(day & (nb - 1)) as usize];
@@ -1504,11 +1534,11 @@ mod tests {
 
     #[test]
     fn a_session_shaped_schedule_never_touches_the_ring() {
-        // What a simulated session's `step` asks of the queue: one coalesced
-        // tick (cancel + re-arm when superseded), one completion per path,
-        // now and then a recovery timer seconds out. 300 pushes, a handful
-        // pending at a time, microseconds to seconds apart (so days apart
-        // under any width), and the calendar is never used.
+        // A session's events with its tick pushed through the queue: one
+        // coalesced tick (cancel + re-arm when superseded), one completion
+        // per path, now and then a recovery timer seconds out. 300 pushes,
+        // a handful pending at a time, microseconds to seconds apart (so
+        // days apart under any width), and the calendar is never used.
         const TICK: u64 = 0;
         let mut rng = crate::rng::Prng::new(22);
         let mut new_q: EventQueue<u64> = EventQueue::new();
@@ -1554,6 +1584,94 @@ mod tests {
             }
         }
         assert!(ring_untouched(&new_q));
+    }
+
+    /// A timer held outside the queue (`reserve_seq` when it is set,
+    /// `pop_before` to deliver it) fires exactly where the reference's
+    /// pushed timer pops (cancel and push on re-arm), same-instant ties
+    /// included, with cancelled events in the way. Populations of 2 and 5
+    /// stay in the direct regime; 40 and 300 run the ring, where a
+    /// declining `pop_before` can leave the clock short of the cursor day
+    /// and the handler then pushes behind it.
+    #[test]
+    fn a_timer_held_outside_the_queue_pops_where_its_push_would() {
+        const TIMER: u64 = 0;
+        let (mut behind_the_cursor, mut reclaimed) = (0, 0);
+        for (seed, population) in [(1u64, 2u64), (2, 5), (3, 40), (4, 300)] {
+            let mut rng = crate::rng::Prng::new(seed);
+            let mut new_q: EventQueue<u64> = EventQueue::new();
+            let mut ref_q: LegacyQueue<u64> = LegacyQueue::new();
+            // Whole milliseconds, so timer and queue instants often tie;
+            // now and then seconds out, so the ring's days run empty.
+            let later = |rng: &mut crate::rng::Prng, now: SimTime| {
+                let us = match rng.below(10) {
+                    0 => rng.below(3_000_000),
+                    _ => 1_000 * rng.below(8),
+                };
+                now + SimDuration::from_micros(us)
+            };
+            let mut handles = Vec::new();
+            for payload in 1..=population {
+                let at = later(&mut rng, SimTime::ZERO);
+                handles.push((new_q.push(at, payload), ref_q.push(at, payload)));
+            }
+            let (mut timer, mut ref_timer) = (None, None);
+            for step in 0..6_000u64 {
+                let root = new_q.today.first();
+                reclaimed += u64::from(timer.is_some_and(|(at, seq)| {
+                    root.is_some_and(|r| r.key() < (at, seq) && new_q.live_at(r.slot).is_none())
+                }));
+                let popped = match timer {
+                    Some((at, seq)) => new_q.pop_before(at, seq).or_else(|| {
+                        timer = None;
+                        Some((at, TIMER))
+                    }),
+                    None => new_q.pop(),
+                };
+                assert_eq!(popped, ref_q.pop(), "pop");
+                let Some((now, payload)) = popped else {
+                    break;
+                };
+                assert_eq!(new_q.now(), now, "clock");
+                let cursor_ahead = new_q.cursor_day > now.as_micros() >> new_q.shift;
+                behind_the_cursor += u64::from(!new_q.direct && cursor_ahead);
+                // Three pops in four re-push their event, and the timer's
+                // handler tops the population up: both may push at `now`.
+                let refill = (new_q.len() as u64) < population;
+                let again = payload != TIMER && (rng.below(4) > 0 || new_q.len() < 2);
+                if again || (payload == TIMER && refill) {
+                    let at = later(&mut rng, now);
+                    let payload = if refill {
+                        step + population + 1
+                    } else {
+                        payload
+                    };
+                    handles.push((new_q.push(at, payload), ref_q.push(at, payload)));
+                }
+                // Now and then an event is cancelled (or a stale handle tried).
+                if rng.below(8) == 0 {
+                    let (a, b) = handles[rng.below(handles.len() as u64) as usize];
+                    assert_eq!(new_q.cancel(a), ref_q.cancel(b), "cancel");
+                }
+                if payload == TIMER {
+                    ref_timer = None;
+                }
+                // Re-arm: the timer's handler sets it two times in three, any
+                // other event one time in three (a new instant overwrites).
+                if rng.below(3) < 1 + u64::from(payload == TIMER) {
+                    let at = later(&mut rng, now);
+                    if timer.is_none_or(|(t, _)| t != at) {
+                        if let Some(id) = ref_timer {
+                            assert!(ref_q.cancel(id), "a pending timer");
+                        }
+                        ref_timer = Some(ref_q.push(at, TIMER));
+                        timer = Some((at, new_q.reserve_seq()));
+                    }
+                }
+            }
+        }
+        assert!(behind_the_cursor > 0, "no pop_before left the clock short");
+        assert!(reclaimed > 0, "no tombstone sorted before the timer");
     }
 
     #[test]

@@ -29,39 +29,51 @@
 //!   fit in one process (the benchmark's `fleet_fluid` workload runs
 //!   120 000).
 //!
-//! Both backends run in **one deterministic event loop**: same seed ⇒
-//! bit-identical [`FleetMetrics`], independent of [`FleetSpec::workers`]
-//! (worker threads only precompute per-session attribute streams keyed by
-//! session index, never simulate).
+//! Both backends are deterministic: same seed ⇒ bit-identical
+//! [`FleetMetrics`], independent of [`FleetSpec::workers`]. Worker threads
+//! precompute the per-session attribute streams (keyed by session index)
+//! and, in fluid mode, run the replicas apart once nothing couples them.
+//!
+//! **Replicas.** A fluid session is placed on one replica at arrival and
+//! touches no other. So a replica owns its server, the tables of its
+//! sessions, one queue of their wakes and departures, and its tallies; a
+//! thin coordinator owns a cursor over the arrival-ordered attribute table
+//! (arrivals are not queued), the capacity edges, selection and admission,
+//! and the final pass. Before an arrival or edge at `t` every replica runs
+//! its queue up to, not through, `t`: at one instant arrivals run first,
+//! then the edge, then replica events, as in one queue where arrivals and
+//! edges were pushed first. After the last of them the replicas run to the
+//! end on up to `workers` threads, one replica at a time per thread. Fleet
+//! counts are sums and maxima of replica tallies, and the final pass reads
+//! sessions in index order through their (replica, slot) placement.
 //!
 //! **Layout.** A 120 000-session fluid run is memory-bound: an event pops
 //! one queue node and wakes one session out of a table far larger than
 //! the cache, so what an event costs is the number of cache lines it
-//! misses on, not its arithmetic. The per-session state is therefore two
-//! parallel tables. The *hot* record is everything a wake reads to decide
-//! what happens next — download progress and its virtual-clock base, the
-//! burst target, the playback anchor, the stall position, the wake
-//! generation, and the replica, class and phase as `u16`/`u8`/`u8` — in
-//! exactly 64 bytes at 64-byte alignment: one line per session per event.
-//! The *cold* record is what a session only reports — arrival time,
-//! start-up time, stall clock and total, its load bin — touched at
-//! arrival, at the start-up crossing, when a stall starts or ends, and by
-//! the final pass. Three tables are in *arrival order*, not index order:
-//! these two and the queue's slab. Sessions that arrive together
-//! prebuffer, pause and refill together, so the lines (and pages) a
-//! stretch of simulated time touches sit together. The k-th arrival is
-//! pushed k-th, so takes slab slot k; slots are reused LIFO
-//! ([`msim_core::event`]) and a handler pushes at most one event after
-//! its pop, so a session's wakes and departure keep its table slot all
-//! run (debug builds assert it) — up to a capacity edge, whose re-arms
-//! take fresh slots while the wakes they supersede, counted in `events`,
-//! still pop. An event names a session by its slot; the session index
-//! survives where results depend on its order (same-instant arrivals pop
-//! in index order, the re-arm order at a capacity edge, the `f64` sums of
-//! the final pass). Replicas are few and stay cached; they keep what every
-//! event on them would otherwise re-derive: the fair share `cap / n`
-//! (divided again only where `cap` or `n` change) and the utilisation
-//! bucket the replica's clock is in.
+//! misses on, not its arithmetic; a replica running alone keeps its share
+//! (≈ 2.4 MB at 15 000 sessions) in cache. A replica's per-session state
+//! is two parallel tables. The *hot* record is everything a wake reads to
+//! decide what happens next — download progress and its virtual-clock
+//! base, the burst target, the playback anchor, the stall position, the
+//! wake generation, and the class and phase as `u8`s — in exactly 64 bytes
+//! at 64-byte alignment: one line per session per event. The *cold* record
+//! is what a session only reports — arrival time, start-up time, stall
+//! clock and total, its load bin — touched at arrival, at the start-up
+//! crossing, when a stall starts or ends, and by the final pass. Three
+//! tables per replica are in *arrival order*, not index order: these two
+//! and its queue's slab. Sessions that arrive together prebuffer, pause and
+//! refill together, so the lines (and pages) a stretch of simulated time
+//! touches sit together. A replica's k-th session pushes its first wake
+//! into slab slot k; slots are reused LIFO ([`msim_core::event`]) and a
+//! handler pushes at most one event after its pop, so a session's events
+//! keep its table slot (debug builds assert it) up to the replica's first
+//! departure, whose slot the next arrival takes, or capacity edge, whose
+//! re-arms take fresh slots while the wakes they supersede, counted in
+//! `events`, still pop. The session index survives where results depend on
+//! its order (same-instant arrivals, the re-arm order at a capacity edge,
+//! the `f64` sums of the final pass). Servers keep what every event on them
+//! would otherwise re-derive: the fair share `cap / n` (divided again only
+//! where `cap` or `n` change) and the utilisation bucket of their clock.
 
 use crate::chaos::{ChaosInjector, ChaosPlan};
 use crate::config::PlayerConfig;
@@ -309,8 +321,10 @@ pub struct FleetSpec {
     /// Optional chaos plan; the fleet layer honours
     /// `fleet-overload` windows (capacity division) fleet-wide.
     pub chaos: Option<ChaosPlan>,
-    /// Worker threads for per-session attribute precomputation (0 or 1 =
-    /// serial). Never changes results — determinism is by construction.
+    /// Worker threads (0 or 1 = one): they shard the per-session attribute
+    /// precomputation and, in fluid mode, run the replicas apart after the
+    /// last arrival and capacity edge. Never changes results — determinism
+    /// is by construction.
     pub workers: usize,
     /// Width of one per-server utilization-timeline bucket.
     pub util_bucket: SimDuration,
@@ -628,25 +642,29 @@ fn attrs_for(spec: &FleetSpec, index: u64) -> SessionAttrs {
     }
 }
 
-/// Precomputes the population's attributes, optionally sharded across
-/// worker threads. Sharding never changes the result — every index's
-/// stream is self-contained — so serial and parallel runs are
-/// bit-identical (pinned by `tests/fleet.rs`).
-fn precompute_attrs(spec: &FleetSpec) -> Vec<SessionAttrs> {
+/// Precomputes the population's rows `row(index, attributes)`, optionally
+/// sharded across worker threads. Sharding never changes the result —
+/// every index's stream is self-contained — so serial and parallel runs
+/// are bit-identical (pinned by `tests/fleet.rs`).
+fn precompute_attrs<T: Send>(
+    spec: &FleetSpec,
+    row: impl Fn(u64, SessionAttrs) -> T + Sync,
+) -> Vec<T> {
     let n = spec.sessions as usize;
     let workers = spec.workers.max(1).min(n.max(1));
+    let row = |i| row(i, attrs_for(spec, i));
     if workers <= 1 {
-        return (0..spec.sessions).map(|i| attrs_for(spec, i)).collect();
+        return (0..spec.sessions).map(row).collect();
     }
     let chunk = n.div_ceil(workers);
-    let mut out: Vec<SessionAttrs> = Vec::with_capacity(n);
+    let mut out: Vec<T> = Vec::with_capacity(n);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let lo = (w * chunk).min(n) as u64;
                 let hi = ((w + 1) * chunk).min(n) as u64;
-                let spec = &*spec;
-                scope.spawn(move || (lo..hi).map(|i| attrs_for(spec, i)).collect::<Vec<_>>())
+                let row = &row;
+                scope.spawn(move || (lo..hi).map(row).collect::<Vec<_>>())
             })
             .collect();
         for h in handles {
@@ -771,10 +789,12 @@ impl FleetHost {
 
     /// Runs the fleet to completion and returns its metrics.
     /// Deterministic: same spec ⇒ bit-identical result, for any
-    /// [`FleetSpec::workers`] value.
+    /// [`FleetSpec::workers`] value. A fluid run simulates on up to that
+    /// many threads once no event couples two replicas; an exact run on
+    /// one.
     pub fn run(&mut self) -> FleetMetrics {
         match self.spec.mode {
-            FleetMode::Fluid => run_fluid(&self.spec),
+            FleetMode::Fluid => run_fluid(&self.spec, arrival_table(&self.spec)),
             FleetMode::Exact => run_exact(&self.spec),
         }
     }
@@ -808,7 +828,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 /// Fluid-session lifecycle. Attached (downloading) phases: `Prebuffer`,
 /// `PlayingOn`, `Stalled`. Detached: `PlayingOff` (draining buffer),
-/// `Done`, `Rejected`.
+/// `Done`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Phase {
     Prebuffer,
@@ -816,7 +836,6 @@ enum Phase {
     PlayingOn,
     Stalled,
     Done,
-    Rejected,
 }
 
 /// One capacitated replica, advanced lazily. `v[k]` is the class-`k`
@@ -940,7 +959,7 @@ impl FluidServer {
 #[repr(C, align(64))]
 struct FluidSession {
     /// Bytes downloaded as of `synced_at`; starts *negative* by the
-    /// connection-ramp deficit (see [`Fluid::arrive`]).
+    /// connection-ramp deficit (see [`Replica::arrive`]).
     downloaded: f64,
     v_base: f64,
     synced_at: SimTime,
@@ -949,14 +968,13 @@ struct FluidSession {
     anchor_pos: f64,
     frozen_pos: f64,
     gen: u32,
-    server: u16,
     class: u8,
     phase: Phase,
 }
 
 /// What a session records rather than steers by: read at arrival, at the
 /// start-up crossing, at a stall's start and resume, and by the final
-/// pass. Slotted like `Fluid::sessions`.
+/// pass. Slotted like `Replica::sessions`.
 struct SessionLog {
     arrival: SimTime,
     stall_started: SimTime,
@@ -966,19 +984,17 @@ struct SessionLog {
     bin: u8,
 }
 
+/// A replica's own events. Arrivals and capacity edges are the
+/// coordinator's and are not queued.
 enum FleetEv {
-    Arrive(u32),
     Wake { s: u32, gen: u32 },
-    CapEdge,
     Depart,
 }
 
-struct Fluid<'a> {
-    spec: &'a FleetSpec,
-    chaos: Option<crate::chaos::ChaosState>,
+/// What every replica reads and none writes.
+struct Params {
     rates: Vec<f64>,
     bps: f64,
-    video_bps: f64,
     total_bytes: f64,
     prebuffer_bytes: f64,
     lw_bytes: f64,
@@ -986,28 +1002,48 @@ struct Fluid<'a> {
     resume_bytes: f64,
     bucket_us: u64,
     tcp: TcpConfig,
-    servers: Vec<FluidServer>,
-    /// Σ `servers[..].n`, kept by `attach`/`detach`.
-    attached: u64,
-    /// [`total_cap_bits`] of `servers`, refreshed when capacities change.
-    total_cap_bits: f64,
+    rtt: SimDuration,
+}
+
+/// What a replica counts of its own events and sessions. The fleet's
+/// counts are the [`Tally::merge`] of every replica's: sums and maxima,
+/// which no replica order moves.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    events: u64,
+    completed: u64,
+    stalled_by_bin: [u64; LOAD_BINS],
+    end_max: SimTime,
+    /// The instant of the last event.
+    last: SimTime,
+}
+
+impl Tally {
+    fn merge(mut self, other: Tally) -> Tally {
+        self.events += other.events;
+        self.completed += other.completed;
+        for (mine, theirs) in self.stalled_by_bin.iter_mut().zip(other.stalled_by_bin) {
+            *mine += theirs;
+        }
+        self.end_max = self.end_max.max(other.end_max);
+        self.last = self.last.max(other.last);
+        self
+    }
+}
+
+/// One replica and everything that happens on it: its server, the tables
+/// of the sessions placed on it (in arrival order, see *Layout*), the
+/// queue of their wakes and departures, and its tallies. No event of one
+/// replica reads or writes another.
+struct Replica {
+    server: FluidServer,
     sessions: Vec<FluidSession>,
     log: Vec<SessionLog>,
-    /// Session index → its slot in `sessions` and `log`, for the passes
-    /// whose order the results depend on (same-instant re-arms at a
-    /// capacity edge, the `f64` sums of the final pass).
-    slot_of: Vec<u32>,
     queue: EventQueue<FleetEv>,
-    /// A capacity edge has popped: its re-arms took fresh slab slots.
-    edge_popped: bool,
-    bins: Vec<LoadBin>,
-    stalled_sessions: u64,
-    rejected: u64,
-    completed: u64,
-    concurrent: u64,
-    peak_concurrent: u64,
-    end_max: SimTime,
-    events: u64,
+    /// A capacity edge or a departure has popped: the next push may take
+    /// a slab slot other than its session's table slot.
+    slots_moved: bool,
+    tally: Tally,
 }
 
 fn dur_f64(secs: f64) -> SimDuration {
@@ -1024,45 +1060,65 @@ fn interp(t0: SimTime, t1: SimTime, d0: f64, d1: f64, target: f64) -> SimTime {
     t0 + dur_f64(t1.saturating_since(t0).as_secs_f64() * frac)
 }
 
-impl<'a> Fluid<'a> {
-    fn factor_at(&self, now: SimTime) -> u32 {
-        self.chaos
-            .as_ref()
-            .map(|c| c.fleet_capacity_factor(now))
-            .unwrap_or(1)
+impl Replica {
+    /// A replica with room for `reserve` sessions in its tables and slab.
+    fn new(server: FluidServer, reserve: usize) -> Replica {
+        Replica {
+            server,
+            sessions: Vec::with_capacity(reserve),
+            log: Vec::with_capacity(reserve),
+            queue: EventQueue::with_capacity(reserve),
+            slots_moved: false,
+            tally: Tally::default(),
+        }
     }
 
-    fn advance_server(&mut self, idx: usize, now: SimTime) {
-        self.servers[idx].advance(now, &self.rates, self.bucket_us);
+    /// Runs every queued event earlier than `until`: the barrier before a
+    /// coordinator event at `until`, which comes before this replica's
+    /// events at that instant.
+    fn run_before(&mut self, p: &Params, until: SimTime) {
+        // `(until, 0)` sorts before every event queued at `until`.
+        while let Some((t, ev)) = self.queue.pop_before(until, 0) {
+            self.tally.events += 1;
+            self.tally.last = t;
+            match ev {
+                FleetEv::Wake { s, gen } => self.wake(p, s as usize, gen, t),
+                FleetEv::Depart => {
+                    self.slots_moved = true;
+                    self.tally.completed += 1;
+                    self.tally.end_max = self.tally.end_max.max(t);
+                    FLEET_DEPARTURES.add(1);
+                }
+            }
+        }
     }
 
-    fn play_pos(&self, i: usize, now: SimTime) -> f64 {
+    fn play_pos(&self, p: &Params, i: usize, now: SimTime) -> f64 {
         let s = &self.sessions[i];
-        s.anchor_pos + self.bps * now.saturating_since(s.play_anchor).as_secs_f64()
+        s.anchor_pos + p.bps * now.saturating_since(s.play_anchor).as_secs_f64()
     }
 
     /// Re-arms the session's next wake from its freshly-synced state and
     /// bumps its generation (older queued wakes become stale).
-    fn schedule_wake(&mut self, i: usize, now: SimTime) {
+    fn schedule_wake(&mut self, p: &Params, i: usize, now: SimTime) {
         let s = &self.sessions[i];
         let dt = match s.phase {
             Phase::Prebuffer | Phase::PlayingOn | Phase::Stalled => {
-                let share = self.servers[usize::from(s.server)].share;
-                let r = self.rates[usize::from(s.class)].min(share);
+                let r = p.rates[usize::from(s.class)].min(self.server.share);
                 let to_target = ((s.target - s.downloaded) / r).max(0.0);
                 let dt = match s.phase {
                     Phase::Prebuffer => to_target,
                     Phase::PlayingOn => {
-                        let buffer = s.downloaded - self.play_pos(i, now);
-                        let to_stall = if r < self.bps {
-                            (buffer / (self.bps - r)).max(0.0)
+                        let buffer = s.downloaded - self.play_pos(p, i, now);
+                        let to_stall = if r < p.bps {
+                            (buffer / (p.bps - r)).max(0.0)
                         } else {
                             f64::INFINITY
                         };
                         to_target.min(to_stall)
                     }
                     _ => {
-                        let resume_eff = self.resume_bytes.min(self.total_bytes - s.frozen_pos);
+                        let resume_eff = p.resume_bytes.min(p.total_bytes - s.frozen_pos);
                         ((s.frozen_pos + resume_eff - s.downloaded) / r).max(0.0)
                     }
                 };
@@ -1074,11 +1130,11 @@ impl<'a> Fluid<'a> {
             Phase::PlayingOff => {
                 // Exact: the buffer drains at the playback rate, nothing
                 // else moves it.
-                let t_lw = s.play_anchor
-                    + dur_f64(((s.downloaded - self.lw_bytes) - s.anchor_pos) / self.bps);
+                let t_lw =
+                    s.play_anchor + dur_f64(((s.downloaded - p.lw_bytes) - s.anchor_pos) / p.bps);
                 return self.push_wake(i, t_lw.max(now));
             }
-            Phase::Done | Phase::Rejected => return,
+            Phase::Done => return,
         };
         self.push_wake(i, now + dur_f64(dt));
     }
@@ -1090,51 +1146,243 @@ impl<'a> Fluid<'a> {
         self.push_for(i, at, FleetEv::Wake { s: i as u32, gen });
     }
 
-    /// Queues session `i`'s next event, in slab slot `i` (see *Layout*).
+    /// Queues session `i`'s next event, in slab slot `i` until the
+    /// replica's first capacity edge or departure (see *Layout*).
     fn push_for(&mut self, i: usize, at: SimTime, ev: FleetEv) {
         let slot = self.queue.push(at, ev).slot() as usize;
-        debug_assert!(self.edge_popped || slot == i, "session {i} in slot {slot}");
+        debug_assert!(self.slots_moved || slot == i, "session {i} in slot {slot}");
     }
 
-    /// Attach to the session's replica: the one chosen at arrival, for
-    /// every burst of the download.
-    fn attach(&mut self, i: usize, now: SimTime) {
-        let idx = usize::from(self.sessions[i].server);
-        self.advance_server(idx, now);
+    /// Attach to the replica, for every burst of the download.
+    fn attach(&mut self, p: &Params, i: usize, now: SimTime) {
+        self.server.advance(now, &p.rates, p.bucket_us);
         let s = &mut self.sessions[i];
         let k = usize::from(s.class);
-        let srv = &mut self.servers[idx];
-        srv.attach(k);
-        self.attached += 1;
-        s.v_base = srv.v[k];
+        self.server.attach(k);
+        s.v_base = self.server.v[k];
         s.synced_at = now;
     }
 
-    /// Detach from the (already-advanced) server.
-    fn detach(&mut self, i: usize) {
-        let s = &self.sessions[i];
-        self.servers[usize::from(s.server)].detach(usize::from(s.class));
-        self.attached -= 1;
+    /// Admits a session arriving `now` into the next slot of the tables,
+    /// attached and pre-buffering, and returns that slot.
+    fn arrive(&mut self, p: &Params, class: u8, now: SimTime, bin: usize) -> usize {
+        let i = self.sessions.len();
+        self.sessions.push(FluidSession {
+            downloaded: 0.0,
+            v_base: 0.0,
+            synced_at: now,
+            target: p.prebuffer_bytes,
+            play_anchor: SimTime::ZERO,
+            anchor_pos: 0.0,
+            frozen_pos: 0.0,
+            gen: 0,
+            class,
+            phase: Phase::Prebuffer,
+        });
+        self.log.push(SessionLog {
+            arrival: now,
+            stall_started: SimTime::ZERO,
+            stall_secs: 0.0,
+            startup_secs: None,
+            stalled_once: false,
+            bin: bin as u8,
+        });
+        self.attach(p, i, now);
+        self.server.admitted += 1;
+        // Charge the TCP connection ramp as a byte deficit: relative to a
+        // flow that runs at its fair share from t=0, slow start leaves the
+        // session `share·latency − ramp_bytes` behind by the time it
+        // reaches rate (`startup_ramp`'s closed form).
+        let share = p.rates[usize::from(class)].min(self.server.share);
+        let ramp = fluid::startup_ramp(&p.tcp, p.rtt, BitRate::bps(share * 8.0));
+        let deficit = (share * ramp.latency.as_secs_f64() - ramp.ramp_bytes.as_f64()).max(0.0);
+        self.sessions[i].downloaded = -deficit;
+        self.schedule_wake(p, i, now);
+        i
     }
 
+    /// The current download burst reached its target (playback already
+    /// anchored): finish the video, pause until the low watermark, or —
+    /// when a late wake finds the buffer already drained — extend the
+    /// burst in place.
+    fn finish_download_burst(&mut self, p: &Params, i: usize, now: SimTime) {
+        if self.sessions[i].downloaded >= p.total_bytes {
+            self.server.detach(usize::from(self.sessions[i].class));
+            self.server.admitted -= 1;
+            let s = &mut self.sessions[i];
+            s.phase = Phase::Done;
+            let t_end = s.play_anchor + dur_f64((p.total_bytes - s.anchor_pos) / p.bps);
+            self.push_for(i, t_end.max(now), FleetEv::Depart);
+            return;
+        }
+        let buffer = self.sessions[i].downloaded - self.play_pos(p, i, now);
+        if buffer <= p.lw_bytes {
+            let s = &mut self.sessions[i];
+            s.target = (s.downloaded + p.refill_bytes).min(p.total_bytes);
+            s.phase = Phase::PlayingOn;
+        } else {
+            self.server.detach(usize::from(self.sessions[i].class));
+            self.sessions[i].phase = Phase::PlayingOff;
+        }
+        self.schedule_wake(p, i, now);
+    }
+
+    fn wake(&mut self, p: &Params, i: usize, gen: u32, now: SimTime) {
+        let s = &self.sessions[i];
+        if s.gen != gen || s.phase == Phase::Done {
+            return;
+        }
+        let phase = s.phase;
+        if phase == Phase::PlayingOff {
+            // Exact low-watermark crossing: re-attach and refill.
+            self.attach(p, i, now);
+            let s = &mut self.sessions[i];
+            s.target = (s.downloaded + p.refill_bytes).min(p.total_bytes);
+            s.phase = Phase::PlayingOn;
+            self.schedule_wake(p, i, now);
+            return;
+        }
+        // Attached phases: advance the server and read the exact download
+        // progress off the class virtual clock.
+        self.server.advance(now, &p.rates, p.bucket_us);
+        let s = &mut self.sessions[i];
+        let (d_prev, t_prev) = (s.downloaded, s.synced_at);
+        let v = self.server.v[usize::from(s.class)];
+        let d_now = s.downloaded + (v - s.v_base);
+        s.downloaded = d_now;
+        s.v_base = v;
+        s.synced_at = now;
+        match phase {
+            Phase::Prebuffer => {
+                if d_now >= s.target {
+                    let t_cross = interp(t_prev, now, d_prev, d_now, s.target);
+                    s.play_anchor = t_cross;
+                    s.anchor_pos = 0.0;
+                    let log = &mut self.log[i];
+                    log.startup_secs = Some(t_cross.saturating_since(log.arrival).as_secs_f64());
+                    self.finish_download_burst(p, i, now);
+                } else {
+                    self.schedule_wake(p, i, now);
+                }
+            }
+            Phase::PlayingOn => {
+                let pos = self.play_pos(p, i, now);
+                let s = &mut self.sessions[i];
+                if d_now >= s.target {
+                    self.finish_download_burst(p, i, now);
+                } else if d_now <= pos {
+                    // The playhead caught the download: retro-date the
+                    // stall to when it actually happened.
+                    let t_catch =
+                        (s.play_anchor + dur_f64((d_now - s.anchor_pos).max(0.0) / p.bps)).min(now);
+                    s.frozen_pos = d_now;
+                    s.phase = Phase::Stalled;
+                    s.target = s.target.max((d_now + p.refill_bytes).min(p.total_bytes));
+                    let log = &mut self.log[i];
+                    log.stall_started = t_catch;
+                    if !log.stalled_once {
+                        log.stalled_once = true;
+                        self.tally.stalled_by_bin[usize::from(log.bin)] += 1;
+                    }
+                    self.schedule_wake(p, i, now);
+                } else {
+                    self.schedule_wake(p, i, now);
+                }
+            }
+            Phase::Stalled => {
+                let frozen = s.frozen_pos;
+                let resume_eff = p.resume_bytes.min(p.total_bytes - frozen);
+                if d_now - frozen >= resume_eff {
+                    let t_res = interp(t_prev, now, d_prev, d_now, frozen + resume_eff);
+                    s.play_anchor = t_res;
+                    s.anchor_pos = frozen;
+                    let log = &mut self.log[i];
+                    log.stall_secs += t_res.saturating_since(log.stall_started).as_secs_f64();
+                    if d_now >= s.target {
+                        self.finish_download_burst(p, i, now);
+                    } else {
+                        s.phase = Phase::PlayingOn;
+                        self.schedule_wake(p, i, now);
+                    }
+                } else {
+                    self.schedule_wake(p, i, now);
+                }
+            }
+            _ => unreachable!("attached wake in phase {phase:?}"),
+        }
+    }
+
+    /// At a capacity edge (the server already advanced to it and rescaled):
+    /// syncs an attached session under the old rate and re-predicts it.
+    fn rearm(&mut self, p: &Params, i: usize, now: SimTime) {
+        let s = &mut self.sessions[i];
+        if matches!(
+            s.phase,
+            Phase::Prebuffer | Phase::PlayingOn | Phase::Stalled
+        ) {
+            let v = self.server.v[usize::from(s.class)];
+            s.downloaded += v - s.v_base;
+            s.v_base = v;
+            s.synced_at = now;
+            self.schedule_wake(p, i, now);
+        }
+    }
+}
+
+/// One row of the arrival-ordered attribute table the coordinator walks.
+#[derive(Clone, Copy)]
+struct Arrival {
+    at: SimTime,
+    index: u32,
+    class: u8,
+}
+
+/// The `(replica, slot)` of a session not admitted (yet, or ever).
+const UNPLACED: (u32, u32) = (u32::MAX, 0);
+
+/// The fluid engine's coordinator: what is global to the fleet (see the
+/// module doc's *Replicas* paragraph).
+struct Fluid<'a> {
+    spec: &'a FleetSpec,
+    chaos: Option<crate::chaos::ChaosState>,
+    p: Params,
+    video_bps: f64,
+    replicas: Vec<Replica>,
+    /// [`total_cap_bits`] of `replicas`, refreshed when capacities change.
+    total_cap_bits: f64,
+    /// Session index → the `(replica, slot)` of its records, for the passes
+    /// whose order the results depend on (the re-arms at a capacity edge,
+    /// the `f64` sums of the final pass).
+    placement: Vec<(u32, u32)>,
+    bins: Vec<LoadBin>,
+    rejected: u64,
+    admitted: u64,
+    peak_concurrent: u64,
+    /// Arrivals and capacity edges run, and the instant of the last.
+    events: u64,
+    last: SimTime,
+}
+
+impl Fluid<'_> {
     /// One pass over the replicas, no allocation: this runs per arrival.
     fn select_server(&self, class: usize) -> Option<usize> {
-        let a_k = self.rates[class];
+        let a_k = self.p.rates[class];
+        let srv = |si: usize| &self.replicas[si].server;
         // The ceiling bounds the sessions a replica has admitted and not
         // finished serving, paused ones included: a session draining its
         // buffer comes back to the replica it left.
         let candidates = || {
-            (0..self.servers.len()).filter(|&si| {
+            (0..self.replicas.len()).filter(|&si| {
                 self.spec.servers[si]
                     .session_capacity
-                    .is_none_or(|c| self.servers[si].admitted < u64::from(c))
+                    .is_none_or(|c| srv(si).admitted < u64::from(c))
             })
         };
         // The *unclipped* post-admission share: clipping by the access
         // rate would tie every lightly-loaded server and herd arrivals
         // onto the lowest index.
-        let share = |si: usize| self.servers[si].cap / (self.servers[si].n + 1) as f64;
-        let least_loaded = || candidates().min_by_key(|&si| (self.servers[si].n, si));
+        let share = |si: usize| srv(si).cap / (srv(si).n + 1) as f64;
+        let least_loaded = || candidates().min_by_key(|&si| (srv(si).n, si));
         match self.spec.policy {
             SelectionPolicy::LoadBalanced => least_loaded(),
             SelectionPolicy::QoeFirst => {
@@ -1156,184 +1404,46 @@ impl<'a> Fluid<'a> {
         }
     }
 
-    fn arrive(&mut self, i: usize, now: SimTime) {
+    fn arrive(&mut self, a: &Arrival) {
         FLEET_ARRIVALS.add(1);
-        let class = usize::from(self.sessions[i].class);
-        let demand = (self.attached + 1) as f64 * self.video_bps / self.total_cap_bits;
+        let attached: u64 = self.replicas.iter().map(|r| r.server.n).sum();
+        let demand = (attached + 1) as f64 * self.video_bps / self.total_cap_bits;
         let bin = bin_for(demand);
         self.bins[bin].sessions += 1;
-        self.log[i].bin = bin as u8;
-        let Some(chosen) = self.select_server(class) else {
+        let Some(chosen) = self.select_server(usize::from(a.class)) else {
             self.rejected += 1;
             self.bins[bin].rejected += 1;
-            self.sessions[i].phase = Phase::Rejected;
             FLEET_REJECTED.add(1);
             return;
         };
-        self.sessions[i].server =
-            u16::try_from(chosen).expect("validated: at most 65 536 replicas");
-        self.attach(i, now);
-        let srv = &mut self.servers[chosen];
-        srv.admitted += 1;
-        // Charge the TCP connection ramp as a byte deficit: relative to a
-        // flow that runs at its fair share from t=0, slow start leaves the
-        // session `share·latency − ramp_bytes` behind by the time it
-        // reaches rate (`startup_ramp`'s closed form).
-        let share = self.rates[class].min(srv.share);
-        let ramp = fluid::startup_ramp(&self.tcp, self.spec.rtt, BitRate::bps(share * 8.0));
-        let deficit = (share * ramp.latency.as_secs_f64() - ramp.ramp_bytes.as_f64()).max(0.0);
-        let s = &mut self.sessions[i];
-        s.phase = Phase::Prebuffer;
-        s.downloaded = -deficit;
-        s.target = self.prebuffer_bytes;
-        self.concurrent += 1;
-        self.peak_concurrent = self.peak_concurrent.max(self.concurrent);
+        let slot = self.replicas[chosen].arrive(&self.p, a.class, a.at, bin);
+        self.placement[a.index as usize] = (chosen as u32, slot as u32);
+        self.admitted += 1;
+        let departed: u64 = self.replicas.iter().map(|r| r.tally.completed).sum();
+        let concurrent = self.admitted - departed;
+        self.peak_concurrent = self.peak_concurrent.max(concurrent);
         if msim_core::telemetry::enabled() {
-            msim_core::telemetry::gauge("msp_fleet_concurrent").set(self.concurrent as i64);
-        }
-        self.schedule_wake(i, now);
-    }
-
-    /// The current download burst reached its target (playback already
-    /// anchored): finish the video, pause until the low watermark, or —
-    /// when a late wake finds the buffer already drained — extend the
-    /// burst in place.
-    fn finish_download_burst(&mut self, i: usize, now: SimTime) {
-        if self.sessions[i].downloaded >= self.total_bytes {
-            self.detach(i);
-            let s = &mut self.sessions[i];
-            self.servers[usize::from(s.server)].admitted -= 1;
-            s.phase = Phase::Done;
-            let t_end = s.play_anchor + dur_f64((self.total_bytes - s.anchor_pos) / self.bps);
-            self.push_for(i, t_end.max(now), FleetEv::Depart);
-            return;
-        }
-        let buffer = self.sessions[i].downloaded - self.play_pos(i, now);
-        if buffer <= self.lw_bytes {
-            let s = &mut self.sessions[i];
-            s.target = (s.downloaded + self.refill_bytes).min(self.total_bytes);
-            s.phase = Phase::PlayingOn;
-        } else {
-            self.detach(i);
-            self.sessions[i].phase = Phase::PlayingOff;
-        }
-        self.schedule_wake(i, now);
-    }
-
-    fn wake(&mut self, i: usize, gen: u32, now: SimTime) {
-        let s = &self.sessions[i];
-        if s.gen != gen || matches!(s.phase, Phase::Done | Phase::Rejected) {
-            return;
-        }
-        let phase = s.phase;
-        if phase == Phase::PlayingOff {
-            // Exact low-watermark crossing: re-attach and refill.
-            self.attach(i, now);
-            let s = &mut self.sessions[i];
-            s.target = (s.downloaded + self.refill_bytes).min(self.total_bytes);
-            s.phase = Phase::PlayingOn;
-            self.schedule_wake(i, now);
-            return;
-        }
-        // Attached phases: advance the server and read the exact download
-        // progress off the class virtual clock.
-        let idx = usize::from(s.server);
-        self.advance_server(idx, now);
-        let s = &mut self.sessions[i];
-        let (d_prev, t_prev) = (s.downloaded, s.synced_at);
-        let v = self.servers[idx].v[usize::from(s.class)];
-        let d_now = s.downloaded + (v - s.v_base);
-        s.downloaded = d_now;
-        s.v_base = v;
-        s.synced_at = now;
-        match phase {
-            Phase::Prebuffer => {
-                if d_now >= s.target {
-                    let t_cross = interp(t_prev, now, d_prev, d_now, s.target);
-                    s.play_anchor = t_cross;
-                    s.anchor_pos = 0.0;
-                    let log = &mut self.log[i];
-                    log.startup_secs = Some(t_cross.saturating_since(log.arrival).as_secs_f64());
-                    self.finish_download_burst(i, now);
-                } else {
-                    self.schedule_wake(i, now);
-                }
-            }
-            Phase::PlayingOn => {
-                let p = self.play_pos(i, now);
-                let s = &mut self.sessions[i];
-                if d_now >= s.target {
-                    self.finish_download_burst(i, now);
-                } else if d_now <= p {
-                    // The playhead caught the download: retro-date the
-                    // stall to when it actually happened.
-                    let t_catch = (s.play_anchor
-                        + dur_f64((d_now - s.anchor_pos).max(0.0) / self.bps))
-                    .min(now);
-                    s.frozen_pos = d_now;
-                    s.phase = Phase::Stalled;
-                    s.target = s
-                        .target
-                        .max((d_now + self.refill_bytes).min(self.total_bytes));
-                    let log = &mut self.log[i];
-                    log.stall_started = t_catch;
-                    if !log.stalled_once {
-                        log.stalled_once = true;
-                        self.stalled_sessions += 1;
-                        self.bins[usize::from(log.bin)].stalled += 1;
-                    }
-                    self.schedule_wake(i, now);
-                } else {
-                    self.schedule_wake(i, now);
-                }
-            }
-            Phase::Stalled => {
-                let frozen = s.frozen_pos;
-                let resume_eff = self.resume_bytes.min(self.total_bytes - frozen);
-                if d_now - frozen >= resume_eff {
-                    let t_res = interp(t_prev, now, d_prev, d_now, frozen + resume_eff);
-                    s.play_anchor = t_res;
-                    s.anchor_pos = frozen;
-                    let log = &mut self.log[i];
-                    log.stall_secs += t_res.saturating_since(log.stall_started).as_secs_f64();
-                    if d_now >= s.target {
-                        self.finish_download_burst(i, now);
-                    } else {
-                        s.phase = Phase::PlayingOn;
-                        self.schedule_wake(i, now);
-                    }
-                } else {
-                    self.schedule_wake(i, now);
-                }
-            }
-            _ => unreachable!("attached wake in phase {phase:?}"),
+            msim_core::telemetry::gauge("msp_fleet_concurrent").set(concurrent as i64);
         }
     }
 
     /// A chaos capacity edge: rescale every replica and re-arm every
-    /// attached session (their rate predictions just went stale).
+    /// attached session (their rate predictions just went stale), in
+    /// session-index order.
     fn cap_edge(&mut self, now: SimTime) {
-        self.edge_popped = true;
-        let factor = self.factor_at(now);
-        for srv in &mut self.servers {
-            srv.advance(now, &self.rates, self.bucket_us);
-            srv.set_cap(factor);
+        let factor = self
+            .chaos
+            .as_ref()
+            .map_or(1, |c| c.fleet_capacity_factor(now));
+        for r in &mut self.replicas {
+            r.server.advance(now, &self.p.rates, self.p.bucket_us);
+            r.server.set_cap(factor);
+            r.slots_moved = true;
         }
-        self.total_cap_bits = total_cap_bits(&self.servers);
-        for index in 0..self.slot_of.len() {
-            let i = self.slot_of[index] as usize;
-            let s = &mut self.sessions[i];
-            if matches!(
-                s.phase,
-                Phase::Prebuffer | Phase::PlayingOn | Phase::Stalled
-            ) {
-                // Sync before re-predicting (the old rate applied up to
-                // this instant; `advance` above already integrated it).
-                let v = self.servers[usize::from(s.server)].v[usize::from(s.class)];
-                s.downloaded += v - s.v_base;
-                s.v_base = v;
-                s.synced_at = now;
-                self.schedule_wake(i, now);
+        self.total_cap_bits = total_cap_bits(&self.replicas);
+        for &(replica, slot) in &self.placement {
+            if let Some(r) = self.replicas.get_mut(replica as usize) {
+                r.rearm(&self.p, slot as usize, now);
             }
         }
     }
@@ -1341,11 +1451,51 @@ impl<'a> Fluid<'a> {
 
 /// Aggregate replica capacity in bits/s (summed in replica order: the
 /// load-bin boundaries depend on the exact `f64`).
-fn total_cap_bits(servers: &[FluidServer]) -> f64 {
-    servers.iter().map(|s| s.cap * 8.0).sum()
+fn total_cap_bits(replicas: &[Replica]) -> f64 {
+    replicas.iter().map(|r| r.server.cap * 8.0).sum()
 }
 
-fn run_fluid(spec: &FleetSpec) -> FleetMetrics {
+/// Runs every replica's events earlier than `until`, each thread one
+/// replica at a time, and returns the merge of all their tallies. Replica
+/// `r` runs on thread `r % workers` (the first on the calling thread):
+/// fleets list alike replicas together, so dealing them out evens the
+/// threads' loads.
+fn run_apart(replicas: &mut [Replica], p: &Params, until: SimTime, workers: usize) -> Tally {
+    let threads = workers.clamp(1, replicas.len());
+    let mut sets: Vec<Vec<&mut Replica>> = (0..threads).map(|_| Vec::new()).collect();
+    for (r, replica) in replicas.iter_mut().enumerate() {
+        sets[r % threads].push(replica);
+    }
+    let run = |set: Vec<&mut Replica>| {
+        set.into_iter().fold(Tally::default(), |tally, r| {
+            r.run_before(p, until);
+            tally.merge(r.tally)
+        })
+    };
+    let mut sets = sets.into_iter();
+    let first = sets.next().expect("validated: at least one replica");
+    std::thread::scope(|scope| {
+        let others: Vec<_> = sets.map(|set| scope.spawn(move || run(set))).collect();
+        let tally = run(first);
+        others
+            .into_iter()
+            .map(|h| h.join().expect("replica thread panicked"))
+            .fold(tally, Tally::merge)
+    })
+}
+
+/// The population in arrival order, same-instant arrivals in index order.
+fn arrival_table(spec: &FleetSpec) -> Vec<Arrival> {
+    let mut table = precompute_attrs(spec, |index, a| Arrival {
+        at: a.arrival,
+        index: index as u32,
+        class: u8::try_from(a.class).expect("validated: at most 256 access classes"),
+    });
+    table.sort_unstable_by_key(|a| (a.at, a.index));
+    table
+}
+
+fn run_fluid(spec: &FleetSpec, arrivals: Vec<Arrival>) -> FleetMetrics {
     let fmt = by_itag(spec.itag).expect("validated at construction");
     let bps = fmt.bytes_per_sec();
     let total_bytes = bps * spec.video_secs;
@@ -1354,8 +1504,7 @@ fn run_fluid(spec: &FleetSpec) -> FleetMetrics {
     let chaos = spec.chaos.as_ref().map(|p| p.resolve(spec.seed, 1));
     let factor0 = chaos
         .as_ref()
-        .map(|c| c.fleet_capacity_factor(SimTime::ZERO))
-        .unwrap_or(1);
+        .map_or(1, |c| c.fleet_capacity_factor(SimTime::ZERO));
     let mut edges: Vec<SimTime> = chaos
         .as_ref()
         .map(|c| {
@@ -1366,131 +1515,102 @@ fn run_fluid(spec: &FleetSpec) -> FleetMetrics {
         .unwrap_or_default();
     edges.sort();
     edges.dedup();
-    let servers: Vec<FluidServer> = spec
+    // Room for an even spread plus 1/32: a balanced fleet never grows a
+    // table. Room for the whole population in every replica would leave
+    // the heap, reused from run to run, to make the unused tails resident.
+    let even = arrivals.len().div_ceil(spec.servers.len());
+    let reserve = even + even / 32;
+    let replicas: Vec<Replica> = spec
         .servers
         .iter()
         .map(|s| {
             let base = s.service_rate.expect("validated").bytes_per_sec();
-            FluidServer::new(base, factor0, n_classes, bucket_us)
+            let server = FluidServer::new(base, factor0, n_classes, bucket_us);
+            Replica::new(server, reserve)
         })
         .collect();
-    // The attribute table is read once, into the two session tables and
-    // the arrival events, and freed before the loop starts. The tables
-    // are in arrival order (see the module doc's *Layout* paragraph).
-    let attrs = precompute_attrs(spec);
-    let n = u32::try_from(attrs.len()).expect("validated: fewer than u32::MAX sessions");
-    let mut by_arrival: Vec<u32> = (0..n).collect();
-    by_arrival.sort_unstable_by_key(|&i| (attrs[i as usize].arrival, i));
-    let mut slot_of = vec![0u32; attrs.len()];
-    for (slot, &i) in by_arrival.iter().enumerate() {
-        slot_of[i as usize] = slot as u32;
-    }
-    let sessions: Vec<FluidSession> = by_arrival
-        .iter()
-        .map(|&i| &attrs[i as usize])
-        .map(|a| FluidSession {
-            downloaded: 0.0,
-            v_base: 0.0,
-            synced_at: SimTime::ZERO,
-            target: 0.0,
-            play_anchor: SimTime::ZERO,
-            anchor_pos: 0.0,
-            frozen_pos: 0.0,
-            gen: 0,
-            server: 0,
-            class: u8::try_from(a.class).expect("validated: at most 256 access classes"),
-            phase: Phase::Rejected,
-        })
-        .collect();
-    let log: Vec<SessionLog> = by_arrival
-        .iter()
-        .map(|&i| &attrs[i as usize])
-        .map(|a| SessionLog {
-            arrival: a.arrival,
-            stall_started: SimTime::ZERO,
-            stall_secs: 0.0,
-            startup_secs: None,
-            stalled_once: false,
-            bin: 0,
-        })
-        .collect();
-    let mut queue = EventQueue::with_capacity(sessions.len() + edges.len() + 16);
-    // The k-th arrival takes slab slot k; same-instant ones pop in index order.
-    for (slot, &i) in by_arrival.iter().enumerate() {
-        queue.push(attrs[i as usize].arrival, FleetEv::Arrive(slot as u32));
-    }
-    drop((attrs, by_arrival));
-    for &t in &edges {
-        queue.push(t, FleetEv::CapEdge);
-    }
     let mut sim = Fluid {
         spec,
         chaos,
-        rates: spec.access.iter().map(|c| c.rate.bytes_per_sec()).collect(),
-        bps,
+        p: Params {
+            rates: spec.access.iter().map(|c| c.rate.bytes_per_sec()).collect(),
+            bps,
+            total_bytes,
+            prebuffer_bytes: (spec.player.prebuffer_secs * bps).min(total_bytes),
+            lw_bytes: spec.player.low_watermark_secs * bps,
+            refill_bytes: spec.player.rebuffer_secs * bps,
+            resume_bytes: spec.player.stall_resume_secs * bps,
+            bucket_us,
+            tcp: TcpConfig::default(),
+            rtt: spec.rtt,
+        },
         video_bps: fmt.bitrate.as_bps(),
-        total_bytes,
-        prebuffer_bytes: (spec.player.prebuffer_secs * bps).min(total_bytes),
-        lw_bytes: spec.player.low_watermark_secs * bps,
-        refill_bytes: spec.player.rebuffer_secs * bps,
-        resume_bytes: spec.player.stall_resume_secs * bps,
-        bucket_us,
-        tcp: TcpConfig::default(),
-        attached: 0,
-        total_cap_bits: total_cap_bits(&servers),
-        servers,
-        sessions,
-        log,
-        slot_of,
-        queue,
-        edge_popped: false,
+        total_cap_bits: total_cap_bits(&replicas),
+        replicas,
+        placement: vec![UNPLACED; arrivals.len()],
         bins: empty_bins(),
-        stalled_sessions: 0,
         rejected: 0,
-        completed: 0,
-        concurrent: 0,
+        admitted: 0,
         peak_concurrent: 0,
-        end_max: SimTime::ZERO,
         events: 0,
+        last: SimTime::ZERO,
     };
     let guard = SimTime::ZERO + MAX_FLEET_TIME;
-    let mut now_last = SimTime::ZERO;
-    while let Some((t, ev)) = sim.queue.pop() {
-        if t > guard {
-            break;
+    // Arrivals and capacity edges in time order, an arrival first at a tie
+    // (both tables are freed when the loop ends).
+    let mut arrivals = arrivals.into_iter().peekable();
+    let mut edges = edges.into_iter().peekable();
+    let global = std::iter::from_fn(move || {
+        let arrival_first = match (arrivals.peek(), edges.peek()) {
+            (Some(a), Some(&t)) => a.at <= t,
+            (next, _) => next.is_some(),
+        };
+        if arrival_first {
+            arrivals.next().map(|a| (a.at, Some(a)))
+        } else {
+            edges.next().map(|t| (t, None))
         }
-        now_last = t;
+    });
+    for (t, arrival) in global.take_while(|&(t, _)| t <= guard) {
+        for r in &mut sim.replicas {
+            r.run_before(&sim.p, t);
+        }
         sim.events += 1;
-        match ev {
-            FleetEv::Arrive(i) => sim.arrive(i as usize, t),
-            FleetEv::Wake { s, gen } => sim.wake(s as usize, gen, t),
-            FleetEv::CapEdge => sim.cap_edge(t),
-            FleetEv::Depart => {
-                sim.concurrent -= 1;
-                sim.completed += 1;
-                sim.end_max = sim.end_max.max(t);
-                FLEET_DEPARTURES.add(1);
-                if msim_core::telemetry::enabled() {
-                    msim_core::telemetry::gauge("msp_fleet_concurrent").set(sim.concurrent as i64);
-                }
-            }
+        sim.last = t;
+        match arrival {
+            Some(a) => sim.arrive(&a),
+            None => sim.cap_edge(t),
         }
     }
-    for srv in &mut sim.servers {
-        srv.advance(now_last, &sim.rates, sim.bucket_us);
+    // No later event couples two replicas.
+    let until = guard + SimDuration::from_micros(1);
+    let tally = run_apart(&mut sim.replicas, &sim.p, until, spec.workers);
+    let now_last = sim.last.max(tally.last);
+    // The final pass reads servers and logs only: free the rest first.
+    for r in &mut sim.replicas {
+        r.server.advance(now_last, &sim.p.rates, sim.p.bucket_us);
+        (r.sessions, r.queue) = (Vec::new(), EventQueue::new());
+    }
+    if msim_core::telemetry::enabled() {
+        let concurrent = sim.admitted - tally.completed;
+        msim_core::telemetry::gauge("msp_fleet_concurrent").set(concurrent as i64);
+    }
+    for (bin, stalled) in sim.bins.iter_mut().zip(tally.stalled_by_bin) {
+        bin.stalled = stalled;
     }
     let hours = now_last.as_secs_f64() / 3600.0;
     let bitrate_mbps = fmt.bitrate.as_mbps();
-    let mut startups: Vec<f64> = sim.log.iter().filter_map(|l| l.startup_secs).collect();
+    let logs = sim.replicas.iter().flat_map(|r| &r.log);
+    let mut startups: Vec<f64> = logs.filter_map(|l| l.startup_secs).collect();
     startups.sort_by(f64::total_cmp);
     let mut qoe_sum = 0.0;
     let mut total_stall = 0.0;
-    for &slot in &sim.slot_of {
-        let (s, log) = (&sim.sessions[slot as usize], &sim.log[slot as usize]);
-        if s.phase == Phase::Rejected {
+    for &(replica, slot) in &sim.placement {
+        let Some(r) = sim.replicas.get(replica as usize) else {
             qoe_sum += REJECTED_QOE;
             continue;
-        }
+        };
+        let log = &r.log[slot as usize];
         let startup = log
             .startup_secs
             .unwrap_or_else(|| now_last.saturating_since(log.arrival).as_secs_f64());
@@ -1498,11 +1618,11 @@ fn run_fluid(spec: &FleetSpec) -> FleetMetrics {
         total_stall += log.stall_secs;
     }
     let server_usage: Vec<ServerUsage> = sim
-        .servers
+        .replicas
         .iter()
         .enumerate()
-        .map(|(i, srv)| {
-            let cfg = &spec.servers[i];
+        .map(|(i, r)| {
+            let (cfg, srv) = (&spec.servers[i], &r.server);
             let served = srv.served.max(0.0);
             ServerUsage {
                 server: i,
@@ -1526,12 +1646,12 @@ fn run_fluid(spec: &FleetSpec) -> FleetMetrics {
         mode: FleetMode::Fluid,
         policy: spec.policy,
         sessions: spec.sessions,
-        completed: sim.completed,
+        completed: tally.completed,
         rejected: sim.rejected,
-        stalled_sessions: sim.stalled_sessions,
+        stalled_sessions: tally.stalled_by_bin.iter().sum(),
         peak_concurrent: sim.peak_concurrent,
-        events: sim.events,
-        ended_at: sim.end_max,
+        events: sim.events + tally.events,
+        ended_at: tally.end_max,
         startup_mean_secs: if startups.is_empty() {
             0.0
         } else {
@@ -1605,7 +1725,7 @@ fn run_exact(spec: &FleetSpec) -> FleetMetrics {
     let n_servers = networks.len() * n_rep;
     let mut counts: Vec<Vec<u32>> = vec![vec![0; n_rep]; networks.len()];
     let mut peaks: Vec<Vec<u32>> = vec![vec![0; n_rep]; networks.len()];
-    let attrs = precompute_attrs(spec);
+    let attrs = precompute_attrs(spec, |_, a| a);
     let mut order: Vec<usize> = (0..attrs.len()).collect();
     order.sort_by_key(|&i| (attrs[i].arrival, i));
     let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
@@ -1990,6 +2110,29 @@ mod tests {
                 }
             }
             assert_eq!(check_fleet_invariants(&spec, &m), vec![]);
+        }
+    }
+
+    /// A replica event at exactly an arrival's microsecond runs after the
+    /// arrival, one a microsecond earlier before it: the order of one queue
+    /// whose arrivals were pushed first. Seen through the concurrency the
+    /// second arrival meets, 2 while the first session's departure is still
+    /// queued and 1 once it has run.
+    #[test]
+    fn a_replica_event_at_an_arrivals_instant_runs_after_the_arrival() {
+        let mut spec = FleetSpec::fluid(3, 2);
+        spec.servers = vec![FleetServerSpec::new(BitRate::mbps(100.0))];
+        spec.video_secs = 10.0;
+        let arrival = |at, index| Arrival {
+            at,
+            index,
+            class: 0,
+        };
+        let departs = run_fluid(&spec, vec![arrival(SimTime::ZERO, 0)]).ended_at;
+        assert!(departs > SimTime::ZERO);
+        for (second, peak) in [(departs, 2), (departs + SimDuration::from_micros(1), 1)] {
+            let m = run_fluid(&spec, vec![arrival(SimTime::ZERO, 0), arrival(second, 1)]);
+            assert_eq!(m.peak_concurrent, peak, "second arrival at {second:?}");
         }
     }
 

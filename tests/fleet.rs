@@ -1,14 +1,16 @@
 //! Fleet-level integration pins (tier 1):
 //!
 //! * fluid-mode populations are bit-identical for any worker count —
-//!   workers only shard the index-keyed attribute precomputation, so
-//!   parallelism can never change a result;
+//!   workers shard the index-keyed attribute precomputation and run the
+//!   replicas apart once no event couples them (capacity edges and
+//!   departures during the arrivals included), so parallelism can never
+//!   change a result;
 //! * an exact-mode fleet of one is bit-identical to the same session
 //!   run standalone through `SessionHost::run` — the fleet's load
 //!   injection is exactly inert when there is no other load to inject;
 //! * every fluid run here also satisfies the fleet invariant oracle.
 
-use msplayer::core::chaos::check_fleet_invariants;
+use msplayer::core::chaos::{check_fleet_invariants, ChaosPlan};
 use msplayer::core::config::PlayerConfig;
 use msplayer::core::fleet::{FleetHost, FleetMetrics, FleetServerSpec, FleetSpec, SelectionPolicy};
 use msplayer::core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec};
@@ -216,5 +218,92 @@ fn flash_crowd_of_20k_sessions_runs_to_completion() {
             servers_fnv: 9959156971150233658,
             bins_fnv: 18106261682590055458,
         }
+    );
+}
+
+/// Runs `spec` at 0, 1, 2, 3 and 8 workers: every run must satisfy the
+/// fleet invariant oracle and match `want` field for field.
+fn assert_pinned_at_every_worker_count(spec: &FleetSpec, want: &FleetPin) {
+    for workers in [0, 1, 2, 3, 8] {
+        let mut spec = spec.clone();
+        spec.workers = workers;
+        let m = FleetHost::new(spec.clone()).expect("spec validates").run();
+        assert_eq!(
+            check_fleet_invariants(&spec, &m),
+            vec![],
+            "{workers} workers"
+        );
+        assert_eq!(&pin(&m), want, "{workers} workers");
+    }
+}
+
+/// Capacity edges are barriers every replica runs up to: one crunch window
+/// opens while sessions still arrive, the other after the last arrival.
+/// Recorded before the replicas got their own tables and queues.
+#[test]
+fn fluid_fleet_with_capacity_edges_is_bit_identical_across_worker_counts() {
+    let mut spec = FleetSpec::fluid(0xF1EE_ED6E, 600);
+    spec.servers = vec![FleetServerSpec::new(BitRate::mbps(600.0)); 3];
+    spec.chaos = Some(
+        ChaosPlan::parse(
+            "fleet-overload:from=60s,until=100s,factor=3;\
+             fleet-overload:from=200s,until=240s,factor=2",
+        )
+        .expect("plan parses"),
+    );
+    assert_pinned_at_every_worker_count(
+        &spec,
+        &FleetPin {
+            events: 24_218,
+            ended_at_us: 456_238_639,
+            completed: 600,
+            rejected: 0,
+            stalled_sessions: 433,
+            peak_concurrent: 600,
+            startup_mean_bits: 4627528646176289380,
+            startup_p50_bits: 4626714654514387979,
+            startup_p95_bits: 4631003669722938269,
+            total_served_bytes: 56_377_030_091,
+            total_stall_bits: 4657387496488749408,
+            total_cost_bits: 0,
+            mean_qoe_bits: 13848984756079286507,
+            servers_fnv: 759537299916806648,
+            bins_fnv: 14653184563595238418,
+        },
+    );
+}
+
+/// A video shorter than the arrival window: sessions depart while others
+/// still arrive, so the concurrency an arrival sees counts departures
+/// from every replica; both replicas are capped and turn five arrivals
+/// away. Recorded before the replicas got their own tables
+/// and queues.
+#[test]
+fn fluid_fleet_with_departures_during_arrivals_is_bit_identical_across_worker_counts() {
+    let mut spec = FleetSpec::fluid(0xDE9A_2014, 600).with_policy(SelectionPolicy::QoeFirst);
+    spec.video_secs = 30.0;
+    spec.servers = vec![
+        FleetServerSpec::new(BitRate::mbps(200.0)).with_capacity(40),
+        FleetServerSpec::new(BitRate::mbps(150.0)).with_capacity(150),
+    ];
+    assert_pinned_at_every_worker_count(
+        &spec,
+        &FleetPin {
+            events: 2_570,
+            ended_at_us: 191_059_074,
+            completed: 595,
+            rejected: 5,
+            stalled_sessions: 0,
+            peak_concurrent: 319,
+            startup_mean_bits: 4629889544554194821,
+            startup_p50_bits: 4627753000503824846,
+            startup_p95_bits: 4634002509332100667,
+            total_served_bytes: 5_879_626_302,
+            total_stall_bits: 0,
+            total_cost_bits: 0,
+            mean_qoe_bits: 13847520163014774926,
+            servers_fnv: 8030331653779739529,
+            bins_fnv: 8031264633593377446,
+        },
     );
 }

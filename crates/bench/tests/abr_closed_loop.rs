@@ -10,9 +10,9 @@
 
 use msim_net::profile::PathProfile;
 use msim_youtube::dns::Network;
-use msplayer_bench::workload::WorkloadRegistry;
+use msplayer_bench::workload::{WorkloadRegistry, WorkloadSpec};
 use msplayer_core::abr::AbrPolicyKind;
-use msplayer_core::config::{AbrLadderConfig, PlayerConfig};
+use msplayer_core::config::{AbrLadderConfig, PlayerConfig, SchedulerKind};
 use msplayer_core::metrics::SessionMetrics;
 use msplayer_core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec, StopCondition};
 
@@ -129,7 +129,6 @@ fn shadow_equals_closed_loop_when_no_switch_fires() {
 /// endpoints.
 #[test]
 fn closed_loop_sweep_switches_between_ladder_endpoints() {
-    use msplayer_bench::workload::WorkloadSpec;
     let mut cells = Vec::new();
     for w in [
         WorkloadSpec::abr_closed_loop_grid(2),
@@ -168,4 +167,45 @@ fn closed_loop_sweep_switches_between_ladder_endpoints() {
         }
     }
     assert!(switched > 0, "no session of the sweep ever switched");
+}
+
+/// The playout buffer asserts on every report that the playable prefix
+/// never shrinks. This session (`abr/closed-loop`, Ratio, 1024 KB, run 17)
+/// once tripped it: each switch rescaled the buffer into the new rung's
+/// bytes and the player rounded the prefix a second time through that
+/// rung's rate, so an event that added no contiguous bytes could read a
+/// smaller prefix. The buffer now counts the starting rung's bytes for the
+/// whole session, so a refill credits its chunks' video seconds × the
+/// starting rate, and no more video than those chunks carry.
+#[test]
+fn the_playable_prefix_never_shrinks_across_closed_loop_switches() {
+    let w = WorkloadSpec::abr_closed_loop_grid(18);
+    let spec = w.session_spec(SchedulerKind::Ratio, 1024, w.seed(17));
+    let m = SessionHost::new(w.service.clone())
+        .run(&spec)
+        .expect("registered workloads validate");
+    let qoe = m.abr_qoe.expect("closed-loop sessions carry QoE");
+    assert!(qoe.switches >= 2, "only {} switches", qoe.switches);
+    assert_eq!(m.refills.len(), 2, "the session stops after two refills");
+    // Both refills run after the last switch, so every byte they receive
+    // holds 1 / rate(last rung) seconds of video. One completed
+    // out-of-order chunk (`ooo_cap`) may fold in from before the cycle.
+    let rate = |itag| msim_youtube::by_itag(itag).unwrap().bytes_per_sec();
+    let last = m.abr_switches.last().expect("switched");
+    let largest = m.chunks.iter().map(|c| c.bytes).max().unwrap_or(0);
+    for r in &m.refills {
+        assert!(last.at < r.started_at, "a switch at {} in {r:?}", last.at);
+        let received: u64 = m
+            .chunks
+            .iter()
+            .filter(|c| c.completed_at > r.started_at && c.completed_at <= r.completed_at)
+            .map(|c| c.bytes)
+            .sum();
+        let credited = r.bytes as f64 / rate(w.service.itag);
+        let carried = (received + largest) as f64 / rate(last.itag);
+        assert!(
+            credited <= carried,
+            "{r:?} credits {credited} s of video, its chunks carry at most {carried} s"
+        );
+    }
 }

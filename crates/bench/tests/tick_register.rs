@@ -16,6 +16,10 @@
 //! coalescing rule itself (a new instant overwrites, the same instant is a
 //! no-op) is `step`'s in both, and `sim::tests` pins it.
 //!
+//! Every session must run to its end in both drivers: a panic anywhere,
+//! such as the playout buffer's "playable prefix shrank" assertion, fails
+//! the test.
+//!
 //! One test in this binary: it reads the process-wide telemetry counters.
 
 use msim_core::event::{EventId, EventQueue};
@@ -40,21 +44,6 @@ const EVENT_COUNTERS: [&str; 3] = [
     "msp_event_pops_total",
     "msp_event_cancels_total",
 ];
-
-/// What a driver made of one session: its metrics and its push / pop /
-/// cancel counts, or the message it panicked with.
-type Outcome = Result<(SessionMetrics, [u64; 3]), String>;
-
-/// Runs one driver, catching a panic: some closed-loop sessions trip the
-/// playout buffer's "playable prefix shrank" debug assertion, and there
-/// both drivers must panic alike.
-fn outcome(driver: impl FnOnce() -> (SessionMetrics, [u64; 3])) -> Outcome {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(driver)).map_err(|payload| {
-        let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
-        text.or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default()
-    })
-}
 
 /// One session through the reference loop: its metrics and the queue's
 /// push / pop / cancel counts, every tick among them; adds its ticks to
@@ -115,7 +104,6 @@ fn with_register(host: &mut SessionHost, spec: &SessionSpec) -> (SessionMetrics,
 struct Compared {
     sessions: u64,
     ticks: u64,
-    panicked: u64,
 }
 
 /// Runs `seeds` runs of every grid point of `w` through both drivers.
@@ -132,28 +120,15 @@ fn compare(w: &WorkloadSpec, seeds: u64, tally: &mut Compared) {
                     "{} {scheduler:?} {chunk_kb} KB seed {:#x}",
                     w.name, spec.seed
                 );
-                let got = outcome(|| with_register(&mut register, &spec));
-                let want = outcome(|| with_queued_ticks(&mut reference, &spec, &mut tally.ticks));
-                match (got, want) {
-                    (Ok((got, got_ops)), Ok((want, want_ops))) => {
-                        assert_eq!(
-                            digest_metrics(&got),
-                            digest_metrics(&want),
-                            "session digest differs on {at}"
-                        );
-                        assert_eq!(got, want, "session metrics differ on {at}");
-                        assert_eq!(got_ops, want_ops, "push/pop/cancel totals differ on {at}");
-                    }
-                    (Err(got), Err(want)) => {
-                        assert_eq!(got, want, "the drivers panicked differently on {at}");
-                        tally.panicked += 1;
-                    }
-                    (got, want) => panic!(
-                        "on {at} one driver panicked: register {:?}, queued ticks {:?}",
-                        got.err(),
-                        want.err()
-                    ),
-                }
+                let (got, got_ops) = with_register(&mut register, &spec);
+                let (want, want_ops) = with_queued_ticks(&mut reference, &spec, &mut tally.ticks);
+                assert_eq!(
+                    digest_metrics(&got),
+                    digest_metrics(&want),
+                    "session digest differs on {at}"
+                );
+                assert_eq!(got, want, "session metrics differ on {at}");
+                assert_eq!(got_ops, want_ops, "push/pop/cancel totals differ on {at}");
                 tally.sessions += 1;
             }
         }
@@ -172,9 +147,7 @@ fn register_ticks_match_queued_ticks_session_for_session() {
             &mut tally,
         );
     }
-    let Compared {
-        sessions, ticks, ..
-    } = tally;
+    let Compared { sessions, ticks } = tally;
     assert_eq!(sessions, 7 * 64, "the benchmark's seven cell kinds");
     assert!(
         ticks > 100 * sessions,
@@ -183,10 +156,4 @@ fn register_ticks_match_queued_ticks_session_for_session() {
     for w in WorkloadRegistry::builtin(4).specs() {
         compare(w, 4, &mut tally);
     }
-    assert!(
-        tally.panicked * 10 < tally.sessions,
-        "{} of {} sessions panicked",
-        tally.panicked,
-        tally.sessions
-    );
 }

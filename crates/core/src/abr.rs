@@ -15,8 +15,9 @@
 //!   byte space);
 //! * the scheduler's per-path assignment and the bandwidth estimators
 //!   carry across the switch untouched;
-//! * the playout buffer is rescaled into the new rung's byte space
-//!   exactly (seconds of buffered video are invariant under the rescale).
+//! * the playout buffer keeps counting the starting rung's bytes: the
+//!   player maps the mixed byte space to video seconds and back out at
+//!   the starting rate, so the switch leaves the buffer untouched.
 //!
 //! [`AbrMode::Shadow`] keeps the historical observe-only behaviour and is
 //! the differential baseline: on a one-rung ladder, a closed-loop session
@@ -434,9 +435,9 @@ impl RungMap {
         }
     }
 
-    /// True while no switch has fired — the player bypasses all byte-space
-    /// conversion in this state, which is what pins single-rung sessions
-    /// bit-identical to the fixed-itag player.
+    /// True while the map has one segment: no switch has fired, or only
+    /// switches at byte 0, which rewrite that segment's rate (see
+    /// [`RungMap::push`]).
     pub fn is_single(&self) -> bool {
         self.segs.len() == 1
     }

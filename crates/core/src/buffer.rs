@@ -37,7 +37,9 @@ pub struct RefillRecord {
     pub started_at: SimTime,
     /// When the target amount had been fetched.
     pub completed_at: SimTime,
-    /// Bytes fetched during the cycle.
+    /// Bytes fetched during the cycle, in the buffer's byte space: for a
+    /// session that switched rungs, video seconds × the starting rung's
+    /// rate.
     pub bytes: u64,
 }
 
@@ -53,10 +55,9 @@ impl RefillRecord {
 pub struct PlayoutBuffer {
     /// Stream bytes per second of playback (from the video format).
     bytes_per_sec: f64,
-    /// Total stream length in bytes (f64: a closed-loop ABR rescale maps
-    /// the buffer into a new rung's byte space — see
-    /// [`PlayoutBuffer::rescale_rate`] — and exactness in the *seconds*
-    /// domain matters more than integral byte counts).
+    /// Total stream length in bytes (f64: a closed-loop ABR player reports
+    /// its mixed-rung prefix as video seconds × the starting rung's rate,
+    /// which is not integral).
     total_bytes: f64,
     /// Pre-buffer threshold in bytes.
     prebuffer_bytes: f64,
@@ -156,34 +157,13 @@ impl PlayoutBuffer {
         self.phase == BufferPhase::Finished
     }
 
-    /// Total stream length in the buffer's current byte space.
+    /// Total stream length in the buffer's byte space.
     pub fn total_bytes(&self) -> f64 {
         self.total_bytes
     }
 
-    /// Rescales the buffer into a new rung's byte space (closed-loop ABR
-    /// itag switch): every byte-denominated quantity is multiplied by
-    /// `new_bytes_per_sec / bytes_per_sec`, which leaves every
-    /// *seconds*-denominated quantity — buffer level, watermark distances,
-    /// remaining playback — exactly invariant. The buffer's byte space is
-    /// purely a scaled representation of video time, so the rescale does
-    /// not change semantics, only units; the fixed-rate player never calls
-    /// it, keeping its arithmetic untouched.
-    pub fn rescale_rate(&mut self, new_bytes_per_sec: f64) {
-        assert!(new_bytes_per_sec > 0.0, "bitrate must be positive");
-        let factor = new_bytes_per_sec / self.bytes_per_sec;
-        self.playable *= factor;
-        self.consumed *= factor;
-        self.total_bytes *= factor;
-        self.prebuffer_bytes *= factor;
-        self.low_bytes *= factor;
-        self.refill_bytes *= factor;
-        self.stall_resume_bytes *= factor;
-        self.on_cycle_start_playable *= factor;
-        self.bytes_per_sec = new_bytes_per_sec;
-    }
-
-    fn all_fetched(&self) -> bool {
+    /// True when the playable prefix reaches the end of the stream.
+    pub(crate) fn all_fetched(&self) -> bool {
         self.playable >= self.total_bytes
     }
 
@@ -252,17 +232,12 @@ impl PlayoutBuffer {
     }
 
     /// Reports growth of the playable prefix to `playable_bytes` at `now`.
-    pub fn on_playable(&mut self, now: SimTime, playable_bytes: u64) {
-        self.on_playable_f64(now, playable_bytes as f64)
-    }
-
-    /// [`PlayoutBuffer::on_playable`] with a fractional byte count — the
-    /// closed-loop ABR player converts the ledger's mixed-rung byte counter
-    /// through its rung map into the buffer's normalized byte space, which
-    /// is not integral.
-    pub fn on_playable_f64(&mut self, now: SimTime, playable_bytes: f64) {
+    ///
+    /// # Panics
+    /// If the prefix is smaller than the last one reported.
+    pub fn on_playable(&mut self, now: SimTime, playable_bytes: f64) {
         self.advance_to(now);
-        debug_assert!(playable_bytes >= self.playable, "playable prefix shrank");
+        assert!(playable_bytes >= self.playable, "playable prefix shrank");
         self.playable = playable_bytes;
         match self.phase {
             BufferPhase::PreBuffering => {
@@ -349,9 +324,9 @@ mod tests {
         let mut b = buffer();
         assert_eq!(b.phase(), BufferPhase::PreBuffering);
         assert!(b.wants_download());
-        b.on_playable(secs(2.0), 125_000 * 20); // 20 s of video
+        b.on_playable(secs(2.0), 125_000.0 * 20.0); // 20 s of video
         assert_eq!(b.phase(), BufferPhase::PreBuffering, "below 40 s target");
-        b.on_playable(secs(4.0), 125_000 * 40); // 40 s reached
+        b.on_playable(secs(4.0), 125_000.0 * 40.0); // 40 s reached
         assert_eq!(b.phase(), BufferPhase::PlayingOff);
         assert_eq!(b.prebuffer_done_at(), Some(secs(4.0)));
         assert!(!b.wants_download(), "OFF period after pre-buffer");
@@ -360,7 +335,7 @@ mod tests {
     #[test]
     fn drains_to_low_watermark_then_turns_on() {
         let mut b = buffer();
-        b.on_playable(secs(4.0), 125_000 * 40);
+        b.on_playable(secs(4.0), 125_000.0 * 40.0);
         // 40 s buffered at t=4; drains to 10 s after 30 s of playback.
         let event = b.next_event_after(secs(4.0)).unwrap();
         assert!((event.as_secs_f64() - 34.0).abs() < 1e-3, "{event}");
@@ -373,13 +348,13 @@ mod tests {
     #[test]
     fn refill_cycle_completes_after_fetching_target() {
         let mut b = buffer();
-        b.on_playable(secs(4.0), 125_000 * 40);
+        b.on_playable(secs(4.0), 125_000.0 * 40.0);
         b.advance_to(secs(34.0)); // at low watermark, ON begins
         assert_eq!(b.phase(), BufferPhase::PlayingOn);
         // Fetch 20 s of video over 5 s of wall time.
-        b.on_playable(secs(36.0), 125_000 * 50);
+        b.on_playable(secs(36.0), 125_000.0 * 50.0);
         assert_eq!(b.phase(), BufferPhase::PlayingOn, "10 s fetched of 20");
-        b.on_playable(secs(39.0), 125_000 * 60);
+        b.on_playable(secs(39.0), 125_000.0 * 60.0);
         assert_eq!(b.phase(), BufferPhase::PlayingOff, "refill target reached");
         let refills = b.refills();
         assert_eq!(refills.len(), 1);
@@ -390,7 +365,7 @@ mod tests {
     #[test]
     fn stalls_when_buffer_empties_and_recovers() {
         let mut b = buffer();
-        b.on_playable(secs(4.0), 125_000 * 40);
+        b.on_playable(secs(4.0), 125_000.0 * 40.0);
         // No more data: drains 40 s, stalls at t = 44.
         b.advance_to(secs(60.0));
         assert_eq!(b.phase(), BufferPhase::Stalled);
@@ -398,7 +373,7 @@ mod tests {
         assert!(b.stalls()[0].1.is_none(), "ongoing");
         assert!(b.wants_download());
         // 5 s of video arrives → resume.
-        b.on_playable(secs(62.0), 125_000 * 45);
+        b.on_playable(secs(62.0), 125_000.0 * 45.0);
         assert_eq!(b.phase(), BufferPhase::PlayingOn);
         let (start, end) = b.stalls()[0];
         assert!((start.as_secs_f64() - 44.0).abs() < 0.01);
@@ -417,7 +392,7 @@ mod tests {
             2.0,
         );
         // Entire video delivered during pre-buffering... target is 10 s.
-        b.on_playable(secs(1.0), (125_000.0 * total_secs) as u64);
+        b.on_playable(secs(1.0), 125_000.0 * total_secs);
         assert_eq!(b.phase(), BufferPhase::PlayingOff);
         assert!(!b.wants_download(), "everything fetched");
         b.advance_to(secs(1.0 + total_secs + 0.5));
@@ -429,7 +404,7 @@ mod tests {
     fn short_video_prebuffer_clamps_to_length() {
         // 20 s video with a 40 s prebuffer target: clamp to total.
         let mut b = PlayoutBuffer::new(125_000 * 20, 125_000.0, 40.0, 10.0, 20.0, 5.0);
-        b.on_playable(secs(2.0), 125_000 * 20);
+        b.on_playable(secs(2.0), 125_000.0 * 20.0);
         assert!(
             b.prebuffer_done_at().is_some(),
             "target clamped to video size"
@@ -440,10 +415,10 @@ mod tests {
     fn level_and_wants_download_track_phases() {
         let mut b = buffer();
         assert_eq!(b.level_secs(), 0.0);
-        b.on_playable(secs(1.0), 125_000 * 15);
+        b.on_playable(secs(1.0), 125_000.0 * 15.0);
         assert!((b.level_secs() - 15.0).abs() < 1e-9);
         assert!(b.wants_download(), "still pre-buffering");
-        b.on_playable(secs(4.0), 125_000 * 40);
+        b.on_playable(secs(4.0), 125_000.0 * 40.0);
         // Play 10 s: level 30 s, OFF.
         b.advance_to(secs(14.0));
         assert!((b.level_secs() - 30.0).abs() < 0.01);
@@ -453,8 +428,8 @@ mod tests {
     #[test]
     fn multiple_cycles_accumulate() {
         let mut b = buffer();
-        b.on_playable(secs(4.0), 125_000 * 40);
-        let mut playable = 125_000u64 * 40;
+        b.on_playable(secs(4.0), 125_000.0 * 40.0);
+        let mut playable = 125_000.0 * 40.0;
         let mut t = 4.0;
         for _ in 0..3 {
             // Drain to low watermark.
@@ -463,7 +438,7 @@ mod tests {
             b.advance_to(secs(t));
             assert_eq!(b.phase(), BufferPhase::PlayingOn);
             // Refill 20 s of video in 4 s of wall time.
-            playable += 125_000 * 20;
+            playable += 125_000.0 * 20.0;
             t += 4.0;
             b.on_playable(secs(t), playable);
             assert_eq!(b.phase(), BufferPhase::PlayingOff);
@@ -472,30 +447,9 @@ mod tests {
     }
 
     #[test]
-    fn rescale_preserves_the_seconds_domain() {
-        let mut b = buffer();
-        b.on_playable(secs(4.0), 125_000 * 40);
-        b.advance_to(secs(14.0)); // 30 s of buffer left, PlayingOff
-        let level_before = b.level_secs();
-        let next_before = b.next_event_after(secs(14.0)).unwrap();
-        // Switch to a rung at double the bitrate: level and the next
-        // self-transition instant are invariant.
-        b.rescale_rate(250_000.0);
-        assert!((b.level_secs() - level_before).abs() < 1e-9);
-        let next_after = b.next_event_after(secs(14.0)).unwrap();
-        assert!(
-            (next_after.as_secs_f64() - next_before.as_secs_f64()).abs() < 1e-9,
-            "{next_before} vs {next_after}"
-        );
-        // Playback drains seconds at the same wall rate after the rescale.
-        b.advance_to(secs(24.0));
-        assert!((b.level_secs() - (level_before - 10.0)).abs() < 1e-9);
-    }
-
-    #[test]
     fn next_event_in_on_phase_is_potential_stall() {
         let mut b = buffer();
-        b.on_playable(secs(4.0), 125_000 * 40);
+        b.on_playable(secs(4.0), 125_000.0 * 40.0);
         b.advance_to(secs(34.0)); // ON at 10 s level
         let ev = b.next_event_after(secs(34.0)).unwrap();
         assert!(

@@ -204,8 +204,9 @@ struct AbrRuntime {
     closed_loop: bool,
     /// Piecewise byte → video-seconds map over the ledger's (possibly
     /// mixed-rung) byte space. Single-segment until the first switch; the
-    /// player bypasses all conversion while it is single, which pins
-    /// no-switch sessions bit-identical to the fixed-itag player.
+    /// player bypasses all conversion while it is one segment at the
+    /// starting rate, which pins no-switch sessions bit-identical to the
+    /// fixed-itag player.
     rung_map: RungMap,
     /// Total video duration in seconds (derived from the starting rung).
     video_secs: f64,
@@ -464,7 +465,7 @@ impl Player {
                     });
                 }
                 let units = self.buffer_units(contiguous);
-                self.buffer.on_playable_f64(now, units);
+                self.buffer.on_playable(now, units);
             }
             PlayerEvent::ChunkFailed { path, reason } => {
                 self.ledger.abort_in_flight(path);
@@ -638,7 +639,6 @@ impl Player {
                     self.ledger.retarget_total(new_total);
                     abr.rung_map
                         .push(frontier, frontier_secs, new_bps, format.itag);
-                    self.buffer.rescale_rate(new_bps);
                     abr.timeline.switch_to(now, format.bitrate.as_bps());
                     switched = true;
                 }
@@ -712,19 +712,25 @@ impl Player {
     }
 
     /// Converts the ledger's (possibly mixed-rung) contiguous byte counter
-    /// into the playout buffer's byte space. Until the first closed-loop
-    /// switch the spaces coincide and the raw counter passes through
-    /// untouched — the bit-identity guarantee for no-switch sessions.
-    /// After a switch, bytes map through the rung map into video seconds
-    /// and back out at the current rung's rate (the space the buffer was
-    /// rescaled into).
+    /// into the playout buffer's byte space, which is the starting rung's
+    /// for the whole session. While every planned byte is at the starting
+    /// rate the raw counter passes through untouched: the bit-identity
+    /// guarantee for no-switch sessions. A switch at frontier 0 rewrites
+    /// the one segment's rate, so the test is on the rate, not on
+    /// [`RungMap::is_single`]. Otherwise bytes map through the rung map
+    /// into video seconds and back out at the starting rate; `secs_at` is
+    /// monotone, so the prefix never shrinks.
     fn buffer_units(&self, contiguous: u64) -> f64 {
         match &self.abr {
-            Some(abr) if abr.closed_loop && !abr.rung_map.is_single() => {
-                let units = abr.rung_map.secs_at(contiguous) * abr.rung_map.current().bytes_per_sec;
+            Some(abr)
+                if !abr.rung_map.is_single()
+                    || abr.rung_map.current().bytes_per_sec != self.rate_bytes_per_sec =>
+            {
+                let units = abr.rung_map.secs_at(contiguous) * self.rate_bytes_per_sec;
                 if self.ledger.is_complete() {
-                    // Guard the f64 round trip: a completed download must
-                    // read as fully fetched in buffer space too.
+                    // This defines "done" in buffer space: the last chunk
+                    // ends the stream, whichever side of the buffer's
+                    // total video seconds × the starting rate lands on.
                     units.max(self.buffer.total_bytes())
                 } else {
                     units
@@ -748,6 +754,7 @@ impl Player {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AbrLadderConfig;
     use msim_core::units::ByteSize;
 
     const RATE: f64 = 312_500.0; // 2.5 Mbit/s in bytes/s
@@ -1022,6 +1029,105 @@ mod tests {
         }
         assert!(p.prebuffer_done());
         assert_eq!(p.buffer_phase(), BufferPhase::PlayingOff);
+    }
+
+    /// A closed-loop player on the two-rung ladder 144p / 720p, streaming
+    /// 60 s of video from 720p.
+    fn two_rung_player() -> Player {
+        let cfg = PlayerConfig::default()
+            .with_abr_ladder(AbrLadderConfig::closed_loop().with_ladder(vec![17, 22]));
+        Player::new(cfg, 2, 60 * RATE as u64, RATE, SimTime::ZERO)
+    }
+
+    /// Serves `p` from the `actions` it returned at `now` until playback
+    /// finishes or `limit` passes: a fetch of `n` bytes completes `n / bytes_per_sec` after it
+    /// is issued, its first byte at once, and every requested tick fires.
+    /// `each` sees the player after every completion. Returns the instant
+    /// of the last event.
+    fn serve(
+        p: &mut Player,
+        mut now: SimTime,
+        mut actions: Vec<PlayerAction>,
+        bytes_per_sec: f64,
+        limit: SimTime,
+        mut each: impl FnMut(&Player),
+    ) -> SimTime {
+        let (mut in_flight, mut tick) = (Vec::new(), None);
+        while !p.buffer.finished() && now < limit {
+            for action in actions.drain(..) {
+                match action {
+                    PlayerAction::Fetch { assignment } => {
+                        let took = assignment.range.len() as f64 / bytes_per_sec;
+                        in_flight.push((now, now + SimDuration::from_secs_f64(took), assignment));
+                    }
+                    PlayerAction::ScheduleTick { at } => tick = Some(at),
+                    PlayerAction::Failover { .. } => panic!("no path fails here"),
+                }
+            }
+            let next_fetch = (0..in_flight.len())
+                .min_by_key(|&i| in_flight[i].1)
+                .filter(|&i| tick.is_none_or(|t| in_flight[i].1 <= t));
+            if let Some(i) = next_fetch {
+                let (requested_at, done, f) = in_flight.swap_remove(i);
+                now = done;
+                let complete = PlayerEvent::ChunkComplete {
+                    path: f.path,
+                    index: f.index,
+                    bytes: f.range.len(),
+                    requested_at,
+                    first_byte_at: requested_at,
+                };
+                actions = p.handle(now, complete);
+                each(p);
+            } else if let Some(t) = tick.take() {
+                now = t;
+                actions = p.handle(now, PlayerEvent::Tick);
+            } else {
+                break;
+            }
+        }
+        now
+    }
+
+    /// The first ABR decision (0.25 s, no estimate yet: the floor) comes
+    /// before any path is ready, so the switch lands at frontier 0 and
+    /// rewrites the rung map's one segment. The buffer still counts 720p
+    /// bytes, so the 144p stream must be converted, not passed through: a
+    /// 144p byte read as a 720p byte would never fill the prebuffer.
+    #[test]
+    fn a_switch_before_the_first_assignment_still_plays_the_whole_video() {
+        let mut p = two_rung_player();
+        p.handle(secs(0.3), PlayerEvent::Tick);
+        let abr = p.abr.as_ref().expect("closed loop");
+        assert!(abr.rung_map.is_single(), "the switch replaced segment 0");
+        assert_eq!(abr.rung_map.current().itag, 17);
+        let actions = p.handle(secs(0.5), PlayerEvent::PathsReady { paths: vec![0, 1] });
+        // 100 KB/s a path affords 144p but never 720p: the session stays
+        // on the rung it switched to.
+        let end = serve(&mut p, secs(0.5), actions, 100_000.0, secs(600.0), |_| {});
+        assert!(p.buffer.finished(), "{:?} at {end}", p.buffer_phase());
+        assert!(p.buffer.stalls().is_empty());
+        let started = p.buffer.prebuffer_done_at().expect("playback started");
+        let played = end.saturating_since(started).as_secs_f64();
+        assert!((played - 60.0).abs() < 1e-6, "played {played} s of 60");
+    }
+
+    /// A switch after the first assignments leaves a two-segment stream.
+    /// The buffer reads all-fetched at the last chunk and not before, and
+    /// playback ends `Finished`, not `Stalled`.
+    #[test]
+    fn a_switching_player_reads_all_fetched_exactly_at_the_last_chunk() {
+        let mut p = two_rung_player();
+        let actions = p.handle(secs(0.1), PlayerEvent::PathsReady { paths: vec![0, 1] });
+        let mut completions = 0;
+        serve(&mut p, secs(0.1), actions, 100_000.0, secs(600.0), |p| {
+            completions += 1;
+            assert_eq!(p.buffer.all_fetched(), p.ledger.is_complete());
+        });
+        let abr = p.abr.as_ref().expect("closed loop");
+        assert_eq!(abr.rung_map.segments().len(), 2, "one switch, mid-stream");
+        assert!(p.download_complete(), "after {completions} completions");
+        assert_eq!(p.buffer_phase(), BufferPhase::Finished);
     }
 
     #[test]

@@ -137,7 +137,7 @@ pub fn expand_workload(workload: &Arc<WorkloadSpec>) -> Vec<Cell> {
 /// A cell together with its complete session metrics.
 ///
 /// Equality compares the cell parameters and *everything* in the metrics
-/// (chunk records, f64 goodputs, event counts) — which is what lets the
+/// (chunk records, f64 ABR traces, event counts) — which is what lets the
 /// determinism tests assert bit-identical parallel/serial output.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellResult {

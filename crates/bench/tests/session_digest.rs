@@ -70,7 +70,8 @@ impl Variants<'_> {
 }
 
 /// Every scalar field, every `Option` tag, every field of sampled
-/// elements of every `Vec`, every `Vec` length, both zeros, and elements
+/// elements of every `Vec` (a chunk's first byte one microsecond either
+/// way), every `Vec` length, both zeros, and elements
 /// moved between neighbouring `Vec`s.
 fn variants(base: &SessionMetrics) -> Vec<(String, SessionMetrics)> {
     let mut v = Variants {
@@ -133,14 +134,13 @@ fn variants(base: &SessionMetrics) -> Vec<(String, SessionMetrics)> {
         v.add(format!("chunks[{i}].completed_at"), |m| {
             edit_chunk(m, i, |c| tick(&mut c.completed_at))
         });
-        v.add(format!("chunks[{i}].goodput_bps ulp"), |m| {
-            edit_chunk(m, i, |c| ulp(&mut c.goodput_bps))
+        v.add(format!("chunks[{i}].first_byte_at + 1 us"), |m| {
+            edit_chunk(m, i, |c| tick(&mut c.first_byte_at))
         });
-        v.add(format!("chunks[{i}].goodput_bps = 0.0"), |m| {
-            edit_chunk(m, i, |c| c.goodput_bps = 0.0)
-        });
-        v.add(format!("chunks[{i}].goodput_bps = -0.0"), |m| {
-            edit_chunk(m, i, |c| c.goodput_bps = -0.0)
+        v.add(format!("chunks[{i}].first_byte_at - 1 us"), |m| {
+            edit_chunk(m, i, |c| {
+                c.first_byte_at = c.first_byte_at - SimDuration::from_micros(1)
+            })
         });
         v.add(format!("chunks[{i}].phase"), |m| {
             edit_chunk(m, i, |c| {
@@ -178,6 +178,11 @@ fn variants(base: &SessionMetrics) -> Vec<(String, SessionMetrics)> {
         });
         v.add(format!("abr_decisions[{i}].estimate_bps ulp"), |m| {
             ulp(&mut m.abr_decisions[i].estimate_bps)
+        });
+        // The first decision's estimate is 0.0: negating it is the
+        // other zero.
+        v.add(format!("abr_decisions[{i}].estimate_bps negated"), |m| {
+            m.abr_decisions[i].estimate_bps = -m.abr_decisions[i].estimate_bps
         });
         v.add(format!("abr_decisions[{i}].buffer_secs ulp"), |m| {
             ulp(&mut m.abr_decisions[i].buffer_secs)

@@ -725,9 +725,9 @@ impl fmt::Display for Violation {
 }
 
 /// Checks the session invariants that must hold no matter what faults were
-/// injected: the session terminated, timestamps are ordered, the chunk
-/// ledger conserves bytes, and every derived metric is finite and
-/// non-negative. Returns all violations found (empty = healthy).
+/// injected: the session terminated, timestamps (a chunk's first byte too)
+/// are ordered, the chunk ledger conserves bytes, and every derived metric
+/// is finite and non-negative. Returns all violations found (empty = healthy).
 pub fn check_invariants(m: &SessionMetrics) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut fail = |invariant: &'static str, detail: String| {
@@ -786,11 +786,13 @@ pub fn check_invariants(m: &SessionMetrics) -> Vec<Violation> {
                 ),
             );
         }
-        if !c.goodput_bps.is_finite() || c.goodput_bps < 0.0 {
-            fail(
-                "finite-metrics",
-                format!("chunk {i} goodput {} bps", c.goodput_bps),
-            );
+        if !(c.requested_at..=c.completed_at).contains(&c.first_byte_at) {
+            let detail = format!("chunk {i} first byte {} out of order", c.first_byte_at);
+            fail("first-byte-order", detail);
+        }
+        let goodput = c.goodput_bps();
+        if !goodput.is_finite() || goodput < 0.0 {
+            fail("finite-metrics", format!("chunk {i} goodput {goodput} bps"));
         }
         if c.path >= n_paths {
             fail(
@@ -1191,8 +1193,9 @@ mod tests {
             path: 3,
             bytes: 0,
             requested_at: secs(5),
+            // 0 bytes over 0 s: a NaN goodput.
+            first_byte_at: secs(4),
             completed_at: secs(4),
-            goodput_bps: f64::NAN,
             phase: TrafficPhase::PreBuffering,
         });
         let violations = check_invariants(&m);
@@ -1201,6 +1204,7 @@ mod tests {
             "terminates",
             "chunk-bytes",
             "time-order",
+            "first-byte-order",
             "finite-metrics",
             "vector-shape",
         ] {

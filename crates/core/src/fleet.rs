@@ -643,10 +643,11 @@ fn attrs_for(spec: &FleetSpec, index: u64) -> SessionAttrs {
 }
 
 /// Precomputes the population's rows `row(index, attributes)`, optionally
-/// sharded across worker threads. Sharding never changes the result —
-/// every index's stream is self-contained — so serial and parallel runs
-/// are bit-identical (pinned by `tests/fleet.rs`).
-fn precompute_attrs<T: Send>(
+/// sharded across worker threads, each filling its own part of the one
+/// table in place. Sharding never changes the result — every index's
+/// stream is self-contained — so serial and parallel runs are
+/// bit-identical (pinned by `tests/fleet.rs`).
+fn precompute_attrs<T: Copy + Send>(
     spec: &FleetSpec,
     row: impl Fn(u64, SessionAttrs) -> T + Sync,
 ) -> Vec<T> {
@@ -657,18 +658,15 @@ fn precompute_attrs<T: Send>(
         return (0..spec.sessions).map(row).collect();
     }
     let chunk = n.div_ceil(workers);
-    let mut out: Vec<T> = Vec::with_capacity(n);
+    let mut out = vec![row(0); n];
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let lo = (w * chunk).min(n) as u64;
-                let hi = ((w + 1) * chunk).min(n) as u64;
-                let row = &row;
-                scope.spawn(move || (lo..hi).map(row).collect::<Vec<_>>())
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("attribute worker panicked"));
+        for (w, part) in out.chunks_mut(chunk).enumerate() {
+            let row = &row;
+            scope.spawn(move || {
+                for (slot, i) in part.iter_mut().zip((w * chunk) as u64..) {
+                    *slot = row(i);
+                }
+            });
         }
     });
     out

@@ -135,12 +135,22 @@ pub struct ChunkRecord {
     pub bytes: u64,
     /// Request issue time.
     pub requested_at: SimTime,
+    /// When the chunk's first byte arrived.
+    pub first_byte_at: SimTime,
     /// Completion time.
     pub completed_at: SimTime,
-    /// Measured goodput (bits/s).
-    pub goodput_bps: f64,
     /// Which phase the chunk completed in.
     pub phase: TrafficPhase,
+}
+
+impl ChunkRecord {
+    /// Measured goodput (bits/s): §3.3's throughput sample `w = S / T`, `T`
+    /// from the first byte to the last; the player feeds it to its scheduler.
+    #[inline]
+    pub fn goodput_bps(&self) -> f64 {
+        let t = self.completed_at.saturating_since(self.first_byte_at);
+        self.bytes as f64 * 8.0 / t.as_secs_f64()
+    }
 }
 
 /// A chunk trace records chunks of fewer bytes than this (2^48; no chunk is
@@ -151,18 +161,26 @@ pub const MAX_TRACE_CHUNK_BYTES: u64 = 1 << 48;
 /// [`SessionSpec::validate`](crate::sim::SessionSpec::validate) refuses a
 /// spec with more.
 pub const MAX_TRACE_PATHS: usize = 1 << 15;
+/// A chunk trace records chunks completed before this instant (2^48 µs,
+/// ≈ 8.9 years; a simulated session ends by its 4 h ceiling, and the
+/// socket driver's clock starts at the session's start).
+pub const MAX_TRACE_COMPLETED_AT: SimTime = SimTime::from_micros(1 << 48);
+/// A chunk trace records a request or first byte less than this (2^39 µs,
+/// ≈ 6.4 days) before or after the chunk's completion.
+pub const MAX_TRACE_GAP: SimDuration = SimDuration::from_micros(1 << 39);
 
-/// A [`ChunkRecord`] in 32 bytes instead of 48: the three full words, then
-/// `bytes` (low 48 bits), `path` (next 15) and `phase` (top bit) in one.
+/// A [`ChunkRecord`] in 24 bytes instead of 48. The 128 bits of `times`
+/// hold, from the low end, `completed_at` (48 bits), then `completed_at −
+/// requested_at` and `completed_at − first_byte_at` as signed 40-bit µs
+/// gaps; `bytes` (low 48 bits), `path` (next 15) and `phase` (top bit) share
+/// the third word.
 #[derive(Clone, Copy, PartialEq)]
 struct PackedChunk {
-    requested_at: SimTime,
-    completed_at: SimTime,
-    goodput_bps: f64,
+    times: [u64; 2],
     bytes_path_phase: u64,
 }
 
-const _: () = assert!(std::mem::size_of::<PackedChunk>() == 32);
+const _: () = assert!(std::mem::size_of::<PackedChunk>() == 24);
 
 impl PackedChunk {
     fn pack(c: ChunkRecord) -> PackedChunk {
@@ -176,22 +194,44 @@ impl PackedChunk {
             "path {} overflows the trace's 15-bit path field ({MAX_TRACE_PATHS} paths)",
             c.path
         );
+        assert!(
+            c.completed_at < MAX_TRACE_COMPLETED_AT,
+            "completion at {} overflows the trace's 48-bit time field",
+            c.completed_at
+        );
+        let completed = c.completed_at.as_micros();
+        let gap = |t: SimTime, what: &str| {
+            let g = i128::from(completed) - i128::from(t.as_micros());
+            assert!(
+                g.unsigned_abs() < u128::from(MAX_TRACE_GAP.as_micros()),
+                "{what} {t} overflows the 40-bit gap field"
+            );
+            g as u128 & ((1 << 40) - 1)
+        };
+        let times = u128::from(completed)
+            | gap(c.requested_at, "request") << 48
+            | gap(c.first_byte_at, "first byte") << 88;
         PackedChunk {
-            requested_at: c.requested_at,
-            completed_at: c.completed_at,
-            goodput_bps: c.goodput_bps,
+            times: [times as u64, (times >> 64) as u64],
             bytes_path_phase: c.bytes | ((c.path as u64) << 48) | ((c.phase as u64) << 63),
         }
     }
 
     fn unpack(&self) -> ChunkRecord {
+        let times = u128::from(self.times[0]) | u128::from(self.times[1]) << 64;
+        let completed = times as u64 & (MAX_TRACE_COMPLETED_AT.as_micros() - 1);
+        // The 40-bit gap at `shift`, sign-extended, back from `completed`.
+        let back = |shift: u32| {
+            let g = ((times >> shift) as i64) << 24 >> 24;
+            SimTime::from_micros(completed.wrapping_sub(g as u64))
+        };
         let w = self.bytes_path_phase;
         ChunkRecord {
             path: (w >> 48) as PathId & (MAX_TRACE_PATHS - 1),
             bytes: w & (MAX_TRACE_CHUNK_BYTES - 1),
-            requested_at: self.requested_at,
-            completed_at: self.completed_at,
-            goodput_bps: self.goodput_bps,
+            requested_at: back(48),
+            first_byte_at: back(88),
+            completed_at: SimTime::from_micros(completed),
             phase: if w >> 63 == 0 {
                 TrafficPhase::PreBuffering
             } else {
@@ -201,12 +241,12 @@ impl PackedChunk {
     }
 }
 
-/// A session's completed chunks, in completion order, at 32 bytes a
+/// A session's completed chunks, in completion order, at 24 bytes a
 /// record. Reads hand out [`ChunkRecord`]s by value; `Debug` renders and
 /// `PartialEq` compares exactly as a `Vec<ChunkRecord>` would. A record
-/// whose path or byte count does not fit ([`MAX_TRACE_PATHS`],
-/// [`MAX_TRACE_CHUNK_BYTES`]) makes `push` and `set` panic; nothing is
-/// truncated.
+/// that does not fit ([`MAX_TRACE_PATHS`], [`MAX_TRACE_CHUNK_BYTES`],
+/// [`MAX_TRACE_COMPLETED_AT`], [`MAX_TRACE_GAP`]) makes `push` and `set`
+/// panic; nothing is truncated.
 #[derive(Clone, Default, PartialEq)]
 pub struct ChunkTrace(Vec<PackedChunk>);
 
@@ -277,7 +317,7 @@ impl std::fmt::Debug for ChunkTrace {
 /// Metrics of one streaming session.
 ///
 /// Derives `PartialEq` so determinism tests can assert bit-identical
-/// replays (every field, including the `f64` goodputs, must match
+/// replays (every field, including the ABR trace's `f64`s, must match
 /// exactly).
 ///
 /// **Exact-size contract.** A record handed out by
@@ -287,7 +327,7 @@ impl std::fmt::Debug for ChunkTrace {
 /// `capacity() == len()`. The per-event traces (`chunks`, `abr_decisions`,
 /// `abr_switches`) grow in buffers the driver lends the player and are
 /// copied out at their final length, so holding N finished sessions costs
-/// the sum of their traces (32 bytes a chunk record), whatever their chunk
+/// the sum of their traces (24 bytes a chunk record), whatever their chunk
 /// size or stop condition.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SessionMetrics {
@@ -346,10 +386,12 @@ impl SessionMetrics {
     /// enums as discriminants, a length before every `Vec` and a tag
     /// before every `Option`. The encoding is prefix-free, so two records
     /// digest equal only if they are bit-identical or the 64-bit fold
-    /// collides. Bit identity is stricter than `PartialEq`: `0.0` and
-    /// `-0.0` differ, as do NaNs with different payloads. Nothing is
-    /// formatted or allocated, and the value does not depend on the
-    /// toolchain's float printing.
+    /// collides, but for one field: a chunk's `first_byte_at` is folded as
+    /// its [`ChunkRecord::goodput_bps`], which is blind to it when the chunk
+    /// has 0 bytes or its first byte is not before its completion. Bit
+    /// identity is stricter than `PartialEq`: `0.0` and `-0.0` differ, as do
+    /// NaNs with different payloads. Nothing is formatted or allocated, and
+    /// the value does not depend on the toolchain's float printing.
     ///
     /// Every struct is destructured without `..`: a new field does not
     /// compile until it is folded in (and [`DIGEST_EPOCH`] bumped).
@@ -392,20 +434,20 @@ impl SessionMetrics {
             h.opt_time(*until);
         }
         h.len(chunks.len());
-        for ChunkRecord {
-            path,
-            bytes,
-            requested_at,
-            completed_at,
-            goodput_bps,
-            phase,
-        } in chunks.iter()
-        {
+        for c in chunks.iter() {
+            let ChunkRecord {
+                path,
+                bytes,
+                requested_at,
+                first_byte_at: _,
+                completed_at,
+                phase,
+            } = c;
             h.word(path as u64);
             h.word(bytes);
             h.time(requested_at);
             h.time(completed_at);
-            h.float(goodput_bps);
+            h.float(c.goodput_bps());
             h.word(phase as u64);
         }
         h.len(failovers.len());
@@ -546,8 +588,8 @@ mod tests {
             path,
             bytes,
             requested_at: SimTime::ZERO,
+            first_byte_at: SimTime::ZERO,
             completed_at: SimTime::from_secs(1),
-            goodput_bps: bytes as f64 * 8.0,
             phase,
         }
     }
@@ -577,7 +619,36 @@ mod tests {
         assert_eq!(m.traffic_fraction(0, TrafficPhase::PreBuffering), None);
     }
 
+    /// §3.3: a chunk's goodput is its bytes over the time from its first
+    /// byte to its last, not from its request.
+    #[test]
+    fn goodput_runs_from_first_byte_to_last() {
+        let c = ChunkRecord {
+            requested_at: SimTime::from_millis(200),
+            first_byte_at: SimTime::from_millis(600),
+            completed_at: SimTime::from_millis(1_000),
+            ..record(0, 50_000, TrafficPhase::PreBuffering)
+        };
+        assert_eq!(c.goodput_bps(), 50_000.0 * 8.0 / 0.4);
+    }
+
     // ---- ChunkTrace --------------------------------------------------------
+
+    /// The widest gap a trace holds, in microseconds (either sign).
+    const GAP: i64 = MAX_TRACE_GAP.as_micros() as i64 - 1;
+    /// The latest completion a trace holds, in microseconds.
+    const LAST: i64 = MAX_TRACE_COMPLETED_AT.as_micros() as i64 - 1;
+
+    /// A record `(completed, request gap, first-byte gap)` in microseconds.
+    fn timed(completed: i64, request_gap: i64, first_byte_gap: i64) -> ChunkRecord {
+        let at = |us: i64| SimTime::from_micros(us as u64);
+        ChunkRecord {
+            requested_at: at(completed - request_gap),
+            first_byte_at: at(completed - first_byte_gap),
+            completed_at: at(completed),
+            ..record(0, 1, TrafficPhase::PreBuffering)
+        }
+    }
 
     mod proptests {
         use super::*;
@@ -585,7 +656,8 @@ mod tests {
 
         proptest! {
             /// Every field comes back as pushed, the packed fields at both
-            /// ends of their widths.
+            /// ends of their widths: the request and the first byte each
+            /// up to 2^39 − 1 µs either side of the completion.
             #[test]
             fn chunk_trace_round_trips_every_field_at_its_bounds(
                 path in prop_oneof![Just(0), Just(MAX_TRACE_PATHS - 1), 0..MAX_TRACE_PATHS],
@@ -598,16 +670,20 @@ mod tests {
                     TrafficPhase::PreBuffering,
                     TrafficPhase::ReBuffering,
                 ]),
-                times in (any::<u64>(), any::<u64>()),
-                goodput_bits in any::<u64>(),
+                completed in prop_oneof![Just(0), Just(LAST), 0..LAST],
+                gaps in (
+                    prop_oneof![Just(-GAP), Just(0), Just(GAP), -GAP..GAP],
+                    prop_oneof![Just(-GAP), Just(0), Just(GAP), -GAP..GAP],
+                ),
             ) {
+                // No instant lies before zero: a completion earlier than
+                // a positive gap is raised to it.
+                let completed = completed.max(gaps.0).max(gaps.1);
                 let c = ChunkRecord {
                     path,
                     bytes,
-                    requested_at: SimTime::from_micros(times.0),
-                    completed_at: SimTime::from_micros(times.1),
-                    goodput_bps: f64::from_bits(goodput_bits),
                     phase,
+                    ..timed(completed, gaps.0, gaps.1)
                 };
                 let mut trace = ChunkTrace::default();
                 trace.push(record(1, 7, TrafficPhase::ReBuffering));
@@ -617,30 +693,58 @@ mod tests {
                 prop_assert_eq!(back.bytes, bytes);
                 prop_assert_eq!(back.phase, phase);
                 prop_assert_eq!(back.requested_at, c.requested_at);
+                prop_assert_eq!(back.first_byte_at, c.first_byte_at);
                 prop_assert_eq!(back.completed_at, c.completed_at);
-                prop_assert_eq!(back.goodput_bps.to_bits(), goodput_bits);
+                prop_assert_eq!(back.goodput_bps().to_bits(), c.goodput_bps().to_bits());
                 prop_assert_eq!(trace.get(0), Some(record(1, 7, TrafficPhase::ReBuffering)));
             }
         }
     }
 
+    /// The goodput a record reads back is, bit for bit, the sample the
+    /// player computed when the chunk completed: the one its scheduler
+    /// was fed (all but each path's warm-up chunk reach the scheduler).
     #[test]
-    fn chunk_trace_keeps_goodput_bits_exactly() {
-        let payload_nan = f64::from_bits(f64::NAN.to_bits() | 1);
-        for x in [
-            f64::NAN,
-            payload_nan,
-            -0.0,
-            0.0,
-            f64::MIN_POSITIVE / 2.0,
-            -f64::from_bits(1),
-            f64::INFINITY,
-        ] {
-            let mut c = record(3, 100, TrafficPhase::PreBuffering);
-            c.goodput_bps = x;
-            let back = trace(&[c]).last().unwrap();
-            assert_eq!(back.goodput_bps.to_bits(), x.to_bits());
-        }
+    fn chunk_goodput_bits_are_the_samples_a_real_session_computed() {
+        use crate::config::PlayerConfig;
+        use crate::player::PlayerEvent;
+        use crate::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec};
+        use msim_core::event::EventQueue;
+        let player = PlayerConfig::msplayer().with_prebuffer_secs(10.0);
+        let spec = SessionSpec::new(7, PathSetup::testbed_pair(), player);
+        let mut host = SessionHost::new(ServiceSpec::testbed());
+        let mut queue = EventQueue::new();
+        let mut session = host.start(7, &spec, &mut queue).expect("valid spec");
+        let mut samples = Vec::new();
+        let end = loop {
+            let Some((now, event)) = session.next_event(&mut queue) else {
+                break queue.now();
+            };
+            if let PlayerEvent::ChunkComplete {
+                path,
+                bytes,
+                first_byte_at,
+                ..
+            } = event
+            {
+                let duration = now.saturating_since(first_byte_at).as_secs_f64();
+                if duration > 0.0 && bytes > 0 {
+                    samples.push((path, (bytes as f64 * 8.0 / duration).to_bits()));
+                }
+            }
+            if host.step(&mut session, &mut queue, now, event) {
+                break now;
+            }
+        };
+        let m = host.finish(session, end);
+        let recorded: Vec<_> = m
+            .chunks
+            .iter()
+            .map(|c| (c.path, c.goodput_bps().to_bits()))
+            .collect();
+        assert!(recorded.len() > 10, "{} chunks", recorded.len());
+        assert!(recorded.iter().any(|&(path, _)| path == 1));
+        assert_eq!(recorded, samples);
     }
 
     #[test]
@@ -656,29 +760,54 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "48-bit time field")]
+    fn chunk_trace_refuses_a_completion_at_2_pow_48_micros() {
+        ChunkTrace::default().push(timed(LAST + 1, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "request")]
+    fn chunk_trace_refuses_a_request_2_pow_39_micros_before_completion() {
+        ChunkTrace::default().push(timed(LAST, GAP + 1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "request")]
+    fn chunk_trace_refuses_a_request_2_pow_39_micros_after_completion() {
+        ChunkTrace::default().push(timed(LAST - GAP - 1, -GAP - 1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "first byte")]
+    fn chunk_trace_refuses_a_first_byte_2_pow_39_micros_before_completion() {
+        ChunkTrace::default().push(timed(LAST, 0, GAP + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "first byte")]
+    fn chunk_trace_refuses_a_first_byte_2_pow_39_micros_after_completion() {
+        let mut trace = trace(&[record(0, 1, TrafficPhase::PreBuffering)]);
+        trace.set(0, timed(0, 0, -GAP - 1));
+    }
+
+    #[test]
     fn chunk_trace_debug_and_eq_are_those_of_a_vec_of_records() {
         let records = vec![
             record(0, 600, TrafficPhase::PreBuffering),
-            record(
-                MAX_TRACE_PATHS - 1,
-                MAX_TRACE_CHUNK_BYTES - 1,
-                TrafficPhase::ReBuffering,
-            ),
+            ChunkRecord {
+                path: MAX_TRACE_PATHS - 1,
+                bytes: MAX_TRACE_CHUNK_BYTES - 1,
+                phase: TrafficPhase::ReBuffering,
+                ..timed(LAST, GAP, -GAP)
+            },
         ];
         let trace = trace(&records);
         assert_eq!(format!("{trace:?}"), format!("{records:?}"));
         assert_eq!(format!("{trace:#?}"), format!("{records:#?}"));
         assert_eq!(trace.iter().collect::<Vec<_>>(), records);
-        // `f64 ==`, element by element: the zeros are equal, NaN is not.
-        let with = |x: f64| {
-            let mut t = trace.clone();
-            let mut c = t.get(0).unwrap();
-            c.goodput_bps = x;
-            t.set(0, c);
-            t
-        };
-        assert_eq!(with(0.0), with(-0.0));
-        assert_ne!(with(f64::NAN), with(f64::NAN));
+        let mut moved = trace.clone();
+        moved.set(0, timed(1_000_000, 0, 1));
+        assert_ne!(moved, trace);
         let mut swapped = trace.clone();
         swapped.swap(0, 1);
         assert_ne!(swapped, trace);
@@ -759,16 +888,16 @@ mod tests {
                     path: 0,
                     bytes: 262_144,
                     requested_at: t(100),
+                    first_byte_at: t(150),
                     completed_at: t(400),
-                    goodput_bps: 6.99e6,
                     phase: TrafficPhase::PreBuffering,
                 },
                 ChunkRecord {
                     path: 1,
                     bytes: 131_072,
                     requested_at: t(9_100),
+                    first_byte_at: t(9_180),
                     completed_at: t(9_600),
-                    goodput_bps: 2.1e6,
                     phase: TrafficPhase::ReBuffering,
                 },
             ]),
@@ -873,8 +1002,8 @@ mod tests {
             ("chunks[1].completed_at", |m| {
                 edit_chunk(m, 1, |c| tick(&mut c.completed_at))
             }),
-            ("chunks[0].goodput_bps ulp", |m| {
-                edit_chunk(m, 0, |c| ulp(&mut c.goodput_bps))
+            ("chunks[0].first_byte_at", |m| {
+                edit_chunk(m, 0, |c| tick(&mut c.first_byte_at))
             }),
             ("chunks[0].phase", |m| {
                 edit_chunk(m, 0, |c| c.phase = TrafficPhase::ReBuffering)
@@ -979,7 +1108,7 @@ mod tests {
         let base = full_record();
         let with = |x: f64| {
             let mut m = base.clone();
-            edit_chunk(&mut m, 0, |c| c.goodput_bps = x);
+            m.abr_decisions[1].estimate_bps = x;
             m
         };
         // PartialEq calls the zeros equal; the digest (like Debug) does not.

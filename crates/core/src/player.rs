@@ -442,27 +442,25 @@ impl Player {
                 // for small chunks (the request RTT is overhead, not
                 // download), anchoring the estimate low and trapping the
                 // Alg. 1 halving rule at the 16 KB floor.
-                let duration = now.saturating_since(first_byte_at).as_secs_f64();
-                if duration > 0.0 && bytes > 0 {
-                    let sample_bps = bytes as f64 * 8.0 / duration;
-                    if self.warmed_up[path] {
-                        self.scheduler.on_sample(path, sample_bps);
-                    } else {
-                        self.warmed_up[path] = true;
-                    }
-                    let phase = if self.buffer.prebuffer_done_at().is_some() {
-                        TrafficPhase::ReBuffering
-                    } else {
-                        TrafficPhase::PreBuffering
-                    };
-                    self.metrics.chunks.push(ChunkRecord {
+                if now > first_byte_at && bytes > 0 {
+                    let chunk = ChunkRecord {
                         path,
                         bytes,
                         requested_at,
+                        first_byte_at,
                         completed_at: now,
-                        goodput_bps: sample_bps,
-                        phase,
-                    });
+                        phase: if self.buffer.prebuffer_done_at().is_some() {
+                            TrafficPhase::ReBuffering
+                        } else {
+                            TrafficPhase::PreBuffering
+                        },
+                    };
+                    if self.warmed_up[path] {
+                        self.scheduler.on_sample(path, chunk.goodput_bps());
+                    } else {
+                        self.warmed_up[path] = true;
+                    }
+                    self.metrics.chunks.push(chunk);
                 }
                 let units = self.buffer_units(contiguous);
                 self.buffer.on_playable(now, units);
@@ -839,8 +837,9 @@ mod tests {
             },
         );
         let chunk = p.metrics().chunks.last().expect("recorded");
-        assert_eq!(chunk.goodput_bps, bytes as f64 * 8.0 / 0.4);
+        assert_eq!(chunk.goodput_bps(), bytes as f64 * 8.0 / 0.4);
         assert_eq!(chunk.requested_at, secs(0.2));
+        assert_eq!(chunk.first_byte_at, secs(0.6));
     }
 
     /// The first chunk of a path downloads inside slow start: it is
@@ -864,7 +863,7 @@ mod tests {
             assert_eq!(p.metrics().chunks.len(), i + 1);
             next = fetches(&actions)[0];
         }
-        let second = p.metrics().chunks.get(1).expect("recorded").goodput_bps;
+        let second = p.metrics().chunks.get(1).expect("recorded").goodput_bps();
         let estimate = p.scheduler.aggregate_estimate_bps().expect("one sample");
         assert!(
             (estimate - second).abs() <= 1e-9 * second,

@@ -99,8 +99,8 @@ mod tests {
                 path,
                 bytes: 1_000_000,
                 requested_at: SimTime::from_secs_f64(s),
+                first_byte_at: SimTime::from_secs_f64(s),
                 completed_at: SimTime::from_secs_f64(e),
-                goodput_bps: 4e6,
                 phase: TrafficPhase::PreBuffering,
             });
         }

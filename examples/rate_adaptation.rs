@@ -42,7 +42,7 @@ fn main() {
     let mut since_last = 0;
     let mut fetched_bytes = 0.0;
     for chunk in metrics.chunks.iter() {
-        estimators[chunk.path].update(chunk.goodput_bps);
+        estimators[chunk.path].update(chunk.goodput_bps());
         fetched_bytes += chunk.bytes as f64;
         since_last += 1;
         if since_last < 8 {

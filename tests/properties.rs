@@ -55,7 +55,8 @@ proptest! {
         for c in m.chunks.iter() {
             prop_assert!(c.bytes > 0);
             prop_assert!(c.completed_at >= c.requested_at);
-            prop_assert!(c.goodput_bps > 0.0);
+            prop_assert!(c.requested_at <= c.first_byte_at && c.first_byte_at < c.completed_at);
+            prop_assert!(c.goodput_bps() > 0.0);
             prop_assert!(c.path < 2);
         }
 

@@ -37,43 +37,49 @@
 //! **Replicas.** A fluid session is placed on one replica at arrival and
 //! touches no other. So a replica owns its server, the tables of its
 //! sessions, one queue of their wakes and departures, and its tallies; a
-//! thin coordinator owns a cursor over the arrival-ordered attribute table
-//! (arrivals are not queued), the capacity edges, selection and admission,
-//! and the final pass. Before an arrival or edge at `t` every replica runs
-//! its queue up to, not through, `t`: at one instant arrivals run first,
-//! then the edge, then replica events, as in one queue where arrivals and
-//! edges were pushed first. After the last of them the replicas run to the
-//! end on up to `workers` threads, one replica at a time per thread. Fleet
-//! counts are sums and maxima of replica tallies, and the final pass reads
-//! sessions in index order through their (replica, slot) placement.
+//! thin coordinator owns a cursor over the arrival order (arrivals are not
+//! queued), the capacity edges, selection and admission, and the final
+//! pass. Before an arrival or edge at `t` every replica runs its queue up
+//! to, not through, `t`: at one instant arrivals run first, then the edge,
+//! then replica events, as in one queue where arrivals and edges were
+//! pushed first. After the last of them the replicas run to the end on up
+//! to `workers` threads, one replica at a time per thread. Fleet counts are
+//! sums and maxima of replica tallies, and the final pass reads the
+//! sessions' cold records in index order.
 //!
 //! **Layout.** A 120 000-session fluid run is memory-bound: an event pops
-//! one queue node and wakes one session out of a table far larger than
-//! the cache, so what an event costs is the number of cache lines it
-//! misses on, not its arithmetic; a replica running alone keeps its share
-//! (≈ 2.4 MB at 15 000 sessions) in cache. A replica's per-session state
-//! is two parallel tables. The *hot* record is everything a wake reads to
-//! decide what happens next — download progress and its virtual-clock
-//! base, the burst target, the playback anchor, the stall position, the
-//! wake generation, and the class and phase as `u8`s — in exactly 64 bytes
-//! at 64-byte alignment: one line per session per event. The *cold* record
-//! is what a session only reports — arrival time, start-up time, stall
-//! clock and total, its load bin — touched at arrival, at the start-up
-//! crossing, when a stall starts or ends, and by the final pass. Three
-//! tables per replica are in *arrival order*, not index order: these two
-//! and its queue's slab. Sessions that arrive together prebuffer, pause and
-//! refill together, so the lines (and pages) a stretch of simulated time
-//! touches sit together. A replica's k-th session pushes its first wake
-//! into slab slot k; slots are reused LIFO ([`msim_core::event`]) and a
-//! handler pushes at most one event after its pop, so a session's events
-//! keep its table slot (debug builds assert it) up to the replica's first
-//! departure, whose slot the next arrival takes, or capacity edge, whose
-//! re-arms take fresh slots while the wakes they supersede, counted in
-//! `events`, still pop. The session index survives where results depend on
-//! its order (same-instant arrivals, the re-arm order at a capacity edge,
-//! the `f64` sums of the final pass). Servers keep what every event on them
-//! would otherwise re-derive: the fair share `cap / n` (divided again only
-//! where `cap` or `n` change) and the utilisation bucket of their clock.
+//! one queue node and wakes one session out of a table far larger than the
+//! cache, so what an event costs is the number of cache lines it misses on,
+//! not its arithmetic; a replica running alone keeps its share (≈ 2.4 MB at
+//! 15 000 sessions) in cache. A replica's per-session state is two parallel
+//! tables. The *hot* record is everything a wake reads to decide what
+//! happens next — download progress and its virtual-clock base, the burst
+//! target, the playback anchor, the stall position, the wake generation,
+//! and the class and phase as `u8`s — in exactly 64 bytes at 64-byte
+//! alignment: one line per session per event. The *cold* record (32 bytes)
+//! is what a session only reports — one word holding the arrival instant
+//! until the start-up crossing and the start-up delay after it, the stall
+//! clock and total, its load bin and its session index — touched at
+//! arrival, at the start-up crossing, when a stall starts or ends, and by
+//! the final pass. Three tables per replica are in *arrival order*, not
+//! index order: these two and its queue's slab. Sessions that arrive
+//! together prebuffer, pause and refill together, so the lines (and pages)
+//! a stretch of simulated time touches sit together. A replica's k-th
+//! session pushes its first wake into slab slot k; slots are reused LIFO
+//! ([`msim_core::event`]) and a handler pushes at most one event after its
+//! pop, so a session's events keep its table slot (debug builds assert it)
+//! up to the replica's first departure, whose slot the next arrival takes,
+//! or capacity edge, whose re-arms take fresh slots while the wakes they
+//! supersede, counted in `events`, still pop. The session index survives
+//! where results depend on its order (same-instant arrivals, the re-arm
+//! order at a capacity edge, the `f64` sums of the final pass), but no
+//! table is in index order while sessions run: the arrival order is 4-byte
+//! indices (instant and class drawn again), an edge sorts `(index, replica,
+//! slot)` off the cold records, and the final pass scatters them into index
+//! order once the hot tables and queues are freed. Servers keep what every
+//! event on them would otherwise re-derive: the fair share `cap / n`
+//! (divided again only where `cap` or `n` change) and the utilisation
+//! bucket of their clock.
 
 use crate::chaos::{ChaosInjector, ChaosPlan};
 use crate::config::PlayerConfig;
@@ -792,7 +798,7 @@ impl FleetHost {
     /// one.
     pub fn run(&mut self) -> FleetMetrics {
         match self.spec.mode {
-            FleetMode::Fluid => run_fluid(&self.spec, arrival_table(&self.spec)),
+            FleetMode::Fluid => run_fluid(&self.spec, arrivals(&self.spec)),
             FleetMode::Exact => run_exact(&self.spec),
         }
     }
@@ -972,14 +978,38 @@ struct FluidSession {
 
 /// What a session records rather than steers by: read at arrival, at the
 /// start-up crossing, at a stall's start and resume, and by the final
-/// pass. Slotted like `Replica::sessions`.
+/// pass. Slotted like `Replica::sessions`; 32 bytes.
 struct SessionLog {
-    arrival: SimTime,
+    /// The arrival instant in µs until the start-up crossing, the start-up
+    /// delay's `f64` bits after it (`started`).
+    packed: u64,
     stall_started: SimTime,
     stall_secs: f64,
-    startup_secs: Option<f64>,
+    /// Session index: the order of edge re-arms and final-pass sums.
+    index: u32,
+    started: bool,
     stalled_once: bool,
     bin: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<SessionLog>() == 32);
+
+impl SessionLog {
+    /// When the session arrived; meaningful until it starts playing.
+    fn arrival(&self) -> SimTime {
+        SimTime::from_micros(self.packed)
+    }
+
+    /// The start-up delay, once playback has started.
+    fn startup_secs(&self) -> Option<f64> {
+        self.started.then(|| f64::from_bits(self.packed))
+    }
+
+    /// Playback starts at `at`: the arrival instant gives way to the delay.
+    fn start(&mut self, at: SimTime) {
+        self.packed = at.saturating_since(self.arrival()).as_secs_f64().to_bits();
+        self.started = true;
+    }
 }
 
 /// A replica's own events. Arrivals and capacity edges are the
@@ -1161,9 +1191,10 @@ impl Replica {
         s.synced_at = now;
     }
 
-    /// Admits a session arriving `now` into the next slot of the tables,
-    /// attached and pre-buffering, and returns that slot.
-    fn arrive(&mut self, p: &Params, class: u8, now: SimTime, bin: usize) -> usize {
+    /// Admits session `a` into the next slot of the tables, attached and
+    /// pre-buffering.
+    fn arrive(&mut self, p: &Params, a: &Arrival, bin: usize) {
+        let (class, now) = (a.class, a.at);
         let i = self.sessions.len();
         self.sessions.push(FluidSession {
             downloaded: 0.0,
@@ -1178,10 +1209,11 @@ impl Replica {
             phase: Phase::Prebuffer,
         });
         self.log.push(SessionLog {
-            arrival: now,
+            packed: now.as_micros(),
             stall_started: SimTime::ZERO,
             stall_secs: 0.0,
-            startup_secs: None,
+            index: a.index,
+            started: false,
             stalled_once: false,
             bin: bin as u8,
         });
@@ -1196,7 +1228,6 @@ impl Replica {
         let deficit = (share * ramp.latency.as_secs_f64() - ramp.ramp_bytes.as_f64()).max(0.0);
         self.sessions[i].downloaded = -deficit;
         self.schedule_wake(p, i, now);
-        i
     }
 
     /// The current download burst reached its target (playback already
@@ -1256,8 +1287,7 @@ impl Replica {
                     let t_cross = interp(t_prev, now, d_prev, d_now, s.target);
                     s.play_anchor = t_cross;
                     s.anchor_pos = 0.0;
-                    let log = &mut self.log[i];
-                    log.startup_secs = Some(t_cross.saturating_since(log.arrival).as_secs_f64());
+                    self.log[i].start(t_cross);
                     self.finish_download_burst(p, i, now);
                 } else {
                     self.schedule_wake(p, i, now);
@@ -1327,16 +1357,13 @@ impl Replica {
     }
 }
 
-/// One row of the arrival-ordered attribute table the coordinator walks.
+/// One arrival the coordinator runs.
 #[derive(Clone, Copy)]
 struct Arrival {
     at: SimTime,
     index: u32,
     class: u8,
 }
-
-/// The `(replica, slot)` of a session not admitted (yet, or ever).
-const UNPLACED: (u32, u32) = (u32::MAX, 0);
 
 /// The fluid engine's coordinator: what is global to the fleet (see the
 /// module doc's *Replicas* paragraph).
@@ -1348,10 +1375,6 @@ struct Fluid<'a> {
     replicas: Vec<Replica>,
     /// [`total_cap_bits`] of `replicas`, refreshed when capacities change.
     total_cap_bits: f64,
-    /// Session index → the `(replica, slot)` of its records, for the passes
-    /// whose order the results depend on (the re-arms at a capacity edge,
-    /// the `f64` sums of the final pass).
-    placement: Vec<(u32, u32)>,
     bins: Vec<LoadBin>,
     rejected: u64,
     admitted: u64,
@@ -1414,8 +1437,7 @@ impl Fluid<'_> {
             FLEET_REJECTED.add(1);
             return;
         };
-        let slot = self.replicas[chosen].arrive(&self.p, a.class, a.at, bin);
-        self.placement[a.index as usize] = (chosen as u32, slot as u32);
+        self.replicas[chosen].arrive(&self.p, a, bin);
         self.admitted += 1;
         let departed: u64 = self.replicas.iter().map(|r| r.tally.completed).sum();
         let concurrent = self.admitted - departed;
@@ -1439,10 +1461,15 @@ impl Fluid<'_> {
             r.slots_moved = true;
         }
         self.total_cap_bits = total_cap_bits(&self.replicas);
-        for &(replica, slot) in &self.placement {
-            if let Some(r) = self.replicas.get_mut(replica as usize) {
-                r.rearm(&self.p, slot as usize, now);
-            }
+        // `(index, replica, slot)` off the cold records, sorted: edges are
+        // rare, so no index-ordered table is kept for them.
+        let mut order: Vec<(u32, u32, u32)> = Vec::new();
+        for (ri, r) in (0..).zip(&self.replicas) {
+            order.extend((0..).zip(&r.log).map(|(slot, l)| (l.index, ri, slot)));
+        }
+        order.sort_unstable();
+        for (_, ri, slot) in order {
+            self.replicas[ri as usize].rearm(&self.p, slot as usize, now);
         }
     }
 }
@@ -1482,18 +1509,26 @@ fn run_apart(replicas: &mut [Replica], p: &Params, until: SimTime, workers: usiz
     })
 }
 
-/// The population in arrival order, same-instant arrivals in index order.
-fn arrival_table(spec: &FleetSpec) -> Vec<Arrival> {
-    let mut table = precompute_attrs(spec, |index, a| Arrival {
-        at: a.arrival,
-        index: index as u32,
-        class: u8::try_from(a.class).expect("validated: at most 256 access classes"),
-    });
-    table.sort_unstable_by_key(|a| (a.at, a.index));
-    table
+/// The population in arrival order, same-instant arrivals in index order:
+/// a table of indices, each arrival drawn again from its index's stream.
+fn arrivals(spec: &FleetSpec) -> impl ExactSizeIterator<Item = Arrival> + '_ {
+    let mut keys = precompute_attrs(spec, |index, a| (a.arrival, index as u32));
+    keys.sort_unstable();
+    // A fresh table: collecting `into_iter` could keep the keys' allocation.
+    let order: Vec<u32> = keys.iter().map(|&(_, index)| index).collect();
+    order.into_iter().map(|index| {
+        let a = attrs_for(spec, u64::from(index));
+        let class = u8::try_from(a.class).expect("validated: at most 256 access classes");
+        Arrival {
+            at: a.arrival,
+            index,
+            class,
+        }
+    })
 }
 
-fn run_fluid(spec: &FleetSpec, arrivals: Vec<Arrival>) -> FleetMetrics {
+fn run_fluid(spec: &FleetSpec, arrivals: impl ExactSizeIterator<Item = Arrival>) -> FleetMetrics {
+    let n = arrivals.len();
     let fmt = by_itag(spec.itag).expect("validated at construction");
     let bps = fmt.bytes_per_sec();
     let total_bytes = bps * spec.video_secs;
@@ -1516,7 +1551,7 @@ fn run_fluid(spec: &FleetSpec, arrivals: Vec<Arrival>) -> FleetMetrics {
     // Room for an even spread plus 1/32: a balanced fleet never grows a
     // table. Room for the whole population in every replica would leave
     // the heap, reused from run to run, to make the unused tails resident.
-    let even = arrivals.len().div_ceil(spec.servers.len());
+    let even = n.div_ceil(spec.servers.len());
     let reserve = even + even / 32;
     let replicas: Vec<Replica> = spec
         .servers
@@ -1545,7 +1580,6 @@ fn run_fluid(spec: &FleetSpec, arrivals: Vec<Arrival>) -> FleetMetrics {
         video_bps: fmt.bitrate.as_bps(),
         total_cap_bits: total_cap_bits(&replicas),
         replicas,
-        placement: vec![UNPLACED; arrivals.len()],
         bins: empty_bins(),
         rejected: 0,
         admitted: 0,
@@ -1556,7 +1590,7 @@ fn run_fluid(spec: &FleetSpec, arrivals: Vec<Arrival>) -> FleetMetrics {
     let guard = SimTime::ZERO + MAX_FLEET_TIME;
     // Arrivals and capacity edges in time order, an arrival first at a tie
     // (both tables are freed when the loop ends).
-    let mut arrivals = arrivals.into_iter().peekable();
+    let mut arrivals = arrivals.peekable();
     let mut edges = edges.into_iter().peekable();
     let global = std::iter::from_fn(move || {
         let arrival_first = match (arrivals.peek(), edges.peek()) {
@@ -1598,20 +1632,25 @@ fn run_fluid(spec: &FleetSpec, arrivals: Vec<Arrival>) -> FleetMetrics {
     }
     let hours = now_last.as_secs_f64() / 3600.0;
     let bitrate_mbps = fmt.bitrate.as_mbps();
-    let logs = sim.replicas.iter().flat_map(|r| &r.log);
-    let mut startups: Vec<f64> = logs.filter_map(|l| l.startup_secs).collect();
+    let logs = || sim.replicas.iter().flat_map(|r| &r.log);
+    let mut startups: Vec<f64> = logs().filter_map(SessionLog::startup_secs).collect();
     startups.sort_by(f64::total_cmp);
+    // The `f64` sums run in session-index order: scatter the logs into it
+    // now that the hot tables and queues are freed.
+    let mut by_index: Vec<Option<&SessionLog>> = vec![None; n];
+    for log in logs() {
+        by_index[log.index as usize] = Some(log);
+    }
     let mut qoe_sum = 0.0;
     let mut total_stall = 0.0;
-    for &(replica, slot) in &sim.placement {
-        let Some(r) = sim.replicas.get(replica as usize) else {
+    for log in by_index {
+        let Some(log) = log else {
             qoe_sum += REJECTED_QOE;
             continue;
         };
-        let log = &r.log[slot as usize];
         let startup = log
-            .startup_secs
-            .unwrap_or_else(|| now_last.saturating_since(log.arrival).as_secs_f64());
+            .startup_secs()
+            .unwrap_or_else(|| now_last.saturating_since(log.arrival()).as_secs_f64());
         qoe_sum += qoe_score(bitrate_mbps, startup, log.stall_secs);
         total_stall += log.stall_secs;
     }
@@ -2126,10 +2165,11 @@ mod tests {
             index,
             class: 0,
         };
-        let departs = run_fluid(&spec, vec![arrival(SimTime::ZERO, 0)]).ended_at;
+        let departs = run_fluid(&spec, [arrival(SimTime::ZERO, 0)].into_iter()).ended_at;
         assert!(departs > SimTime::ZERO);
         for (second, peak) in [(departs, 2), (departs + SimDuration::from_micros(1), 1)] {
-            let m = run_fluid(&spec, vec![arrival(SimTime::ZERO, 0), arrival(second, 1)]);
+            let pair = [arrival(SimTime::ZERO, 0), arrival(second, 1)];
+            let m = run_fluid(&spec, pair.into_iter());
             assert_eq!(m.peak_concurrent, peak, "second arrival at {second:?}");
         }
     }
@@ -2138,6 +2178,29 @@ mod tests {
     fn fluid_session_is_one_cache_line() {
         assert_eq!(std::mem::size_of::<FluidSession>(), 64);
         assert_eq!(std::mem::align_of::<FluidSession>(), 64);
+        assert_eq!(std::mem::size_of::<SessionLog>(), 32);
+    }
+
+    /// The arrivals drawn from the 4-byte order are the table of
+    /// `(instant, index, class)` rows it replaced, sorted by instant, then
+    /// index: every arrival a tie, and the default window.
+    #[test]
+    fn arrival_order_sorts_by_instant_then_index() {
+        let mut tied = FleetSpec::fluid(7, 3_000);
+        tied.arrival_window = SimDuration::ZERO;
+        let mut spread = FleetSpec::fluid(7, 3_000);
+        spread.workers = 3;
+        for spec in [tied, spread] {
+            let mut want: Vec<(SimTime, u32, u8)> = (0..spec.sessions)
+                .map(|i| {
+                    let a = attrs_for(&spec, i);
+                    (a.arrival, i as u32, a.class as u8)
+                })
+                .collect();
+            want.sort_by_key(|&(at, index, _)| (at, index));
+            let got: Vec<_> = arrivals(&spec).map(|a| (a.at, a.index, a.class)).collect();
+            assert_eq!(got, want);
+        }
     }
 
     /// The cached share and bucket cursor are the values the per-call

@@ -138,7 +138,7 @@ impl Fingerprint {
             chunks: m.chunks.len() as u64,
             bytes: m.chunks.iter().map(|c| c.bytes).sum(),
             ended_at_us: m.ended_at.map(|t| t.as_micros()).unwrap_or(0),
-            failovers: m.failovers.iter().map(|&f| f as u64).sum(),
+            failovers: m.paths.iter().map(|p| u64::from(p.failovers)).sum(),
             stalls: m.stalls.len() as u64,
         }
     }

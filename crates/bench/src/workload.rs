@@ -665,7 +665,7 @@ mod tests {
             "deterministic replay"
         );
         assert!(
-            !a.expect_metrics().abr_switches.is_empty(),
+            !a.expect_metrics().abr.as_ref().unwrap().switches.is_empty(),
             "decision trace recorded"
         );
         assert!(
@@ -691,7 +691,9 @@ mod tests {
             let r = cell.run();
             let qoe = r
                 .expect_metrics()
-                .abr_qoe
+                .abr
+                .as_ref()
+                .and_then(|a| a.qoe)
                 .expect("closed-loop cells carry QoE");
             if qoe.switches > 0 {
                 switched_sessions += 1;
@@ -721,7 +723,11 @@ mod tests {
         let w = Arc::new(WorkloadSpec::abr_mobility_handoff(1));
         let cells = crate::sweep::expand_workload(&w);
         let r = cells[0].run();
-        assert!(r.expect_metrics().abr_qoe.is_some());
+        assert!(r
+            .expect_metrics()
+            .abr
+            .as_ref()
+            .is_some_and(|a| a.qoe.is_some()));
         // LTE carried the early stream; WiFi joined after the handoff.
         assert!(r.expect_metrics().chunk_count(1) > 0, "LTE streamed");
         assert!(
@@ -729,7 +735,12 @@ mod tests {
             "WiFi joined after handoff"
         );
         assert!(
-            !r.expect_metrics().abr_decisions.is_empty(),
+            !r.expect_metrics()
+                .abr
+                .as_ref()
+                .unwrap()
+                .decisions
+                .is_empty(),
             "the policy kept deciding through the handoff"
         );
     }

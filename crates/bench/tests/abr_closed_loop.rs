@@ -21,9 +21,7 @@ use msplayer_core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec, StopC
 /// what remains is exactly the simulated streaming behaviour.
 fn behavioural(m: &SessionMetrics) -> SessionMetrics {
     let mut m = m.clone();
-    m.abr_switches.clear();
-    m.abr_decisions.clear();
-    m.abr_qoe = None;
+    m.abr = None;
     m.events = 0;
     m
 }
@@ -61,7 +59,8 @@ fn one_rung_closed_loop_is_bit_identical_to_the_fixed_player() {
                         .with_ladder(vec![w.service.itag]),
                 );
                 let closed = host.run(&abr_spec).expect("one-rung ladder validates");
-                let qoe = closed.abr_qoe.expect("closed-loop sessions carry QoE");
+                let qoe = closed.abr.as_ref().and_then(|a| a.qoe);
+                let qoe = qoe.expect("closed-loop sessions carry QoE");
                 assert_eq!(qoe.switches, 0, "{}: one rung cannot switch", w.name);
                 assert_eq!(
                     qoe.time_weighted_bitrate_bps,
@@ -109,16 +108,21 @@ fn shadow_equals_closed_loop_when_no_switch_fires() {
     let closed = run(AbrLadderConfig::closed_loop().with_ladder(ladder.clone()));
     let shadow = run(AbrLadderConfig::default().with_ladder(ladder));
 
-    let qoe = closed.abr_qoe.expect("closed loop carries QoE");
+    let (closed_abr, shadow_abr) = (closed.abr.as_deref(), shadow.abr.as_deref());
+    let (closed_abr, shadow_abr) = (
+        closed_abr.expect("a ladder ran"),
+        shadow_abr.expect("shadow"),
+    );
+    let qoe = closed_abr.qoe.expect("closed loop carries QoE");
     assert_eq!(qoe.switches, 0, "stable link must not switch: {qoe:?}");
     assert!(
-        !closed.abr_decisions.is_empty(),
+        !closed_abr.decisions.is_empty(),
         "decisions were taken on the stable link"
     );
     // Decision-for-decision equality (shadow never sets `switched`; with
     // no switch fired the closed-loop flags are all false too).
-    assert_eq!(closed.abr_decisions, shadow.abr_decisions);
-    assert_eq!(closed.abr_switches, shadow.abr_switches);
+    assert_eq!(closed_abr.decisions, shadow_abr.decisions);
+    assert_eq!(closed_abr.switches, shadow_abr.switches);
     // And the streams themselves are identical.
     assert_eq!(behavioural(&closed), behavioural(&shadow));
 }
@@ -143,7 +147,9 @@ fn closed_loop_sweep_switches_between_ladder_endpoints() {
     for r in &results {
         let qoe = r
             .expect_metrics()
-            .abr_qoe
+            .abr
+            .as_ref()
+            .and_then(|a| a.qoe)
             .expect("closed-loop cells carry QoE");
         // Switched or not, a session only ever streams ladder rungs.
         assert!(
@@ -161,7 +167,13 @@ fn closed_loop_sweep_switches_between_ladder_endpoints() {
                 qoe.time_weighted_bitrate_bps
             );
             assert!(
-                r.expect_metrics().abr_decisions.iter().any(|d| d.switched),
+                r.expect_metrics()
+                    .abr
+                    .as_ref()
+                    .expect("a ladder ran")
+                    .decisions
+                    .iter()
+                    .any(|d| d.switched),
                 "switch count without a switched decision"
             );
         }
@@ -184,14 +196,15 @@ fn the_playable_prefix_never_shrinks_across_closed_loop_switches() {
     let m = SessionHost::new(w.service.clone())
         .run(&spec)
         .expect("registered workloads validate");
-    let qoe = m.abr_qoe.expect("closed-loop sessions carry QoE");
+    let abr = m.abr.as_deref().expect("a ladder ran");
+    let qoe = abr.qoe.expect("closed-loop sessions carry QoE");
     assert!(qoe.switches >= 2, "only {} switches", qoe.switches);
     assert_eq!(m.refills.len(), 2, "the session stops after two refills");
     // Both refills run after the last switch, so every byte they receive
     // holds 1 / rate(last rung) seconds of video. One completed
     // out-of-order chunk (`ooo_cap`) may fold in from before the cycle.
     let rate = |itag| msim_youtube::by_itag(itag).unwrap().bytes_per_sec();
-    let last = m.abr_switches.last().expect("switched");
+    let last = abr.switches.last().expect("switched");
     let largest = m.chunks.iter().map(|c| c.bytes).max().unwrap_or(0);
     for r in &m.refills {
         assert!(last.at < r.started_at, "a switch at {} in {r:?}", last.at);

@@ -36,16 +36,13 @@ fn builtin_plus_chaos_and_abr_download() -> Vec<Arc<WorkloadSpec>> {
 /// no spare trace capacity, however it was run.
 fn assert_traces_are_exact_size(m: &SessionMetrics, what: &str) {
     assert_eq!(m.chunks.capacity(), m.chunks.len(), "{what}: chunks");
-    assert_eq!(
-        m.abr_decisions.capacity(),
-        m.abr_decisions.len(),
-        "{what}: abr_decisions"
-    );
-    assert_eq!(
-        m.abr_switches.capacity(),
-        m.abr_switches.len(),
-        "{what}: abr_switches"
-    );
+    assert_eq!(m.paths.capacity(), m.paths.len(), "{what}: paths");
+    if let Some(abr) = &m.abr {
+        let decisions = abr.decisions.capacity();
+        assert_eq!(decisions, abr.decisions.len(), "{what}: abr.decisions");
+        let switches = abr.switches.capacity();
+        assert_eq!(switches, abr.switches.len(), "{what}: abr.switches");
+    }
 }
 
 /// `run_batch` over N seeds is bit-identical to N sessions each run on a

@@ -15,7 +15,9 @@ use msplayer_bench::cluster::merge::fnv1a;
 use msplayer_bench::sampling::{corpus_points, SEEDS_PER_WORKLOAD};
 use msplayer_bench::workload::WorkloadRegistry;
 use msplayer_core::abr::SwitchReason;
-use msplayer_core::metrics::{AbrDecision, ChunkRecord, SessionMetrics, TrafficPhase};
+use msplayer_core::metrics::{
+    AbrDecision, AbrQoe, AbrTrace, ChunkRecord, PathMetrics, SessionMetrics, TrafficPhase,
+};
 use msplayer_core::sim::SessionHost;
 use std::collections::HashMap;
 
@@ -53,6 +55,16 @@ fn edit_chunk(m: &mut SessionMetrics, i: usize, edit: impl FnOnce(&mut ChunkReco
     let mut c = m.chunks.get(i).expect("chunk index in range");
     edit(&mut c);
     m.chunks.set(i, c);
+}
+
+/// The session's ABR trace, boxed empty first if it ran without a ladder.
+fn abr(m: &mut SessionMetrics) -> &mut AbrTrace {
+    m.abr.get_or_insert_with(Box::default)
+}
+
+/// The trace's QoE (present: only called on a closed-loop session).
+fn qoe(m: &mut SessionMetrics) -> &mut AbrQoe {
+    abr(m).qoe.as_mut().expect("a closed-loop session")
 }
 
 /// Perturbed copies of one session, each differing from it in one place.
@@ -93,15 +105,18 @@ fn variants(base: &SessionMetrics) -> Vec<(String, SessionMetrics)> {
         v.add("ended_at".into(), |m| tick(m.ended_at.as_mut().unwrap()));
     }
 
-    for i in sampled(base.first_byte_at.len()) {
-        v.add(format!("first_byte_at[{i}] tag"), |m| {
-            flip(&mut m.first_byte_at[i])
+    for i in sampled(base.paths.len()) {
+        v.add(format!("paths[{i}].first_byte_at tag"), |m| {
+            flip(&mut m.paths[i].first_byte_at)
         });
-        if base.first_byte_at[i].is_some() {
-            v.add(format!("first_byte_at[{i}]"), |m| {
-                tick(m.first_byte_at[i].as_mut().unwrap())
+        if base.paths[i].first_byte_at.is_some() {
+            v.add(format!("paths[{i}].first_byte_at"), |m| {
+                tick(m.paths[i].first_byte_at.as_mut().unwrap())
             });
         }
+        v.add(format!("paths[{i}].failovers"), |m| {
+            m.paths[i].failovers += 1
+        });
     }
     for i in sampled(base.refills.len()) {
         v.add(format!("refills[{i}].started_at"), |m| {
@@ -151,52 +166,52 @@ fn variants(base: &SessionMetrics) -> Vec<(String, SessionMetrics)> {
             })
         });
     }
-    for i in sampled(base.failovers.len()) {
-        v.add(format!("failovers[{i}]"), |m| m.failovers[i] += 1);
-    }
     let other = |r: SwitchReason| match r {
         SwitchReason::Hold => SwitchReason::RateDown,
         _ => SwitchReason::Hold,
     };
-    for i in sampled(base.abr_switches.len()) {
-        v.add(format!("abr_switches[{i}].at"), |m| {
-            tick(&mut m.abr_switches[i].at)
+    // A session without a ladder has no ABR trace: every ABR edit below
+    // reads an empty one and writes a boxed one.
+    let trace = base.abr.as_deref().cloned().unwrap_or_default();
+    for i in sampled(trace.switches.len()) {
+        v.add(format!("abr.switches[{i}].at"), |m| {
+            tick(&mut abr(m).switches[i].at)
         });
-        v.add(format!("abr_switches[{i}].itag"), |m| {
-            m.abr_switches[i].itag += 1
+        v.add(format!("abr.switches[{i}].itag"), |m| {
+            abr(m).switches[i].itag += 1
         });
-        v.add(format!("abr_switches[{i}].reason"), |m| {
-            m.abr_switches[i].reason = other(m.abr_switches[i].reason)
+        v.add(format!("abr.switches[{i}].reason"), |m| {
+            abr(m).switches[i].reason = other(abr(m).switches[i].reason)
         });
     }
-    for i in sampled(base.abr_decisions.len()) {
-        v.add(format!("abr_decisions[{i}].at"), |m| {
-            tick(&mut m.abr_decisions[i].at)
+    for i in sampled(trace.decisions.len()) {
+        v.add(format!("abr.decisions[{i}].at"), |m| {
+            tick(&mut abr(m).decisions[i].at)
         });
-        v.add(format!("abr_decisions[{i}].itag"), |m| {
-            m.abr_decisions[i].itag += 1
+        v.add(format!("abr.decisions[{i}].itag"), |m| {
+            abr(m).decisions[i].itag += 1
         });
-        v.add(format!("abr_decisions[{i}].estimate_bps ulp"), |m| {
-            ulp(&mut m.abr_decisions[i].estimate_bps)
+        v.add(format!("abr.decisions[{i}].estimate_bps ulp"), |m| {
+            ulp(&mut abr(m).decisions[i].estimate_bps)
         });
         // The first decision's estimate is 0.0: negating it is the
         // other zero.
-        v.add(format!("abr_decisions[{i}].estimate_bps negated"), |m| {
-            m.abr_decisions[i].estimate_bps = -m.abr_decisions[i].estimate_bps
+        v.add(format!("abr.decisions[{i}].estimate_bps negated"), |m| {
+            abr(m).decisions[i].estimate_bps = -abr(m).decisions[i].estimate_bps
         });
-        v.add(format!("abr_decisions[{i}].buffer_secs ulp"), |m| {
-            ulp(&mut m.abr_decisions[i].buffer_secs)
+        v.add(format!("abr.decisions[{i}].buffer_secs ulp"), |m| {
+            ulp(&mut abr(m).decisions[i].buffer_secs)
         });
-        v.add(format!("abr_decisions[{i}].reason"), |m| {
-            m.abr_decisions[i].reason = other(m.abr_decisions[i].reason)
+        v.add(format!("abr.decisions[{i}].reason"), |m| {
+            abr(m).decisions[i].reason = other(abr(m).decisions[i].reason)
         });
-        v.add(format!("abr_decisions[{i}].switched"), |m| {
-            m.abr_decisions[i].switched ^= true
+        v.add(format!("abr.decisions[{i}].switched"), |m| {
+            abr(m).decisions[i].switched ^= true
         });
     }
-    match base.abr_qoe {
-        None => v.add("abr_qoe tag".into(), |m| {
-            m.abr_qoe = Some(msplayer_core::metrics::AbrQoe {
+    match trace.qoe {
+        None => v.add("abr.qoe tag".into(), |m| {
+            abr(m).qoe = Some(AbrQoe {
                 time_weighted_bitrate_bps: 0.0,
                 switches: 0,
                 switch_magnitude_bps: 0.0,
@@ -204,26 +219,28 @@ fn variants(base: &SessionMetrics) -> Vec<(String, SessionMetrics)> {
             })
         }),
         Some(_) => {
-            v.add("abr_qoe tag".into(), |m| m.abr_qoe = None);
-            v.add("abr_qoe.time_weighted_bitrate_bps ulp".into(), |m| {
-                ulp(&mut m.abr_qoe.as_mut().unwrap().time_weighted_bitrate_bps)
+            v.add("abr.qoe tag".into(), |m| abr(m).qoe = None);
+            v.add("abr.qoe.time_weighted_bitrate_bps ulp".into(), |m| {
+                ulp(&mut qoe(m).time_weighted_bitrate_bps)
             });
-            v.add("abr_qoe.switches".into(), |m| {
-                m.abr_qoe.as_mut().unwrap().switches += 1
+            v.add("abr.qoe.switches".into(), |m| qoe(m).switches += 1);
+            v.add("abr.qoe.switch_magnitude_bps ulp".into(), |m| {
+                ulp(&mut qoe(m).switch_magnitude_bps)
             });
-            v.add("abr_qoe.switch_magnitude_bps ulp".into(), |m| {
-                ulp(&mut m.abr_qoe.as_mut().unwrap().switch_magnitude_bps)
-            });
-            v.add("abr_qoe.switch_rebuffer".into(), |m| {
-                m.abr_qoe.as_mut().unwrap().switch_rebuffer += SimDuration::from_micros(1)
+            v.add("abr.qoe.switch_rebuffer".into(), |m| {
+                qoe(m).switch_rebuffer += SimDuration::from_micros(1)
             });
         }
+    }
+    // Dropping a trace that records something (one that records nothing
+    // digests like no trace at all).
+    if trace != AbrTrace::default() {
+        v.add("abr tag".into(), |m| m.abr = None);
     }
 
     // Lengths: each `Vec` one longer (repeating its last element, or a
     // zero element when empty).
-    v.add("first_byte_at len".into(), |m| m.first_byte_at.push(None));
-    v.add("failovers len".into(), |m| m.failovers.push(0));
+    v.add("paths len".into(), |m| m.paths.push(PathMetrics::default()));
     v.add("stalls len".into(), |m| {
         m.stalls.push((SimTime::ZERO, None))
     });
@@ -233,11 +250,11 @@ fn variants(base: &SessionMetrics) -> Vec<(String, SessionMetrics)> {
     if let Some(last) = base.chunks.last() {
         v.add("chunks len".into(), |m| m.chunks.push(last));
     }
-    if let Some(last) = base.abr_switches.last().copied() {
-        v.add("abr_switches len".into(), |m| m.abr_switches.push(last));
+    if let Some(last) = trace.switches.last().copied() {
+        v.add("abr.switches len".into(), |m| abr(m).switches.push(last));
     }
-    if let Some(last) = base.abr_decisions.last().copied() {
-        v.add("abr_decisions len".into(), |m| m.abr_decisions.push(last));
+    if let Some(last) = trace.decisions.last().copied() {
+        v.add("abr.decisions len".into(), |m| abr(m).decisions.push(last));
     }
 
     // Moves: an element leaves one `Vec` and its values join a
@@ -249,16 +266,10 @@ fn variants(base: &SessionMetrics) -> Vec<(String, SessionMetrics)> {
             m.stalls.insert(0, (r.started_at, Some(r.completed_at)));
         });
     }
-    if !base.failovers.is_empty() {
-        v.add("failovers -> first_byte_at".into(), |m| {
-            m.failovers.remove(0);
-            m.first_byte_at.push(None);
-        });
-    }
-    if let Some(s) = base.abr_switches.last().copied() {
-        v.add("abr_switches -> abr_decisions".into(), |m| {
-            m.abr_switches.pop();
-            m.abr_decisions.insert(
+    if let Some(s) = trace.switches.last().copied() {
+        v.add("abr.switches -> abr.decisions".into(), |m| {
+            abr(m).switches.pop();
+            abr(m).decisions.insert(
                 0,
                 AbrDecision {
                     at: s.at,
@@ -296,7 +307,10 @@ fn every_perturbation_moves_the_digest_and_both_digests_partition_alike() {
             !base.chunks.is_empty(),
             "{workload}: a session with no chunks"
         );
-        saw_abr |= !base.abr_decisions.is_empty() && base.abr_qoe.is_some();
+        saw_abr |= base
+            .abr
+            .as_ref()
+            .is_some_and(|a| !a.decisions.is_empty() && a.qoe.is_some());
         let session = format!("{workload}/{seed:#x}");
         let digest = digest_metrics(&base);
         assert_eq!(

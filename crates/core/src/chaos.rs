@@ -726,8 +726,9 @@ impl fmt::Display for Violation {
 
 /// Checks the session invariants that must hold no matter what faults were
 /// injected: the session terminated, timestamps (a chunk's first byte too)
-/// are ordered, the chunk ledger conserves bytes, and every derived metric
-/// is finite and non-negative. Returns all violations found (empty = healthy).
+/// are ordered, no chunk's first byte precedes its path's first byte,
+/// the chunk ledger conserves bytes, and every derived metric is finite
+/// and non-negative. Returns all violations found (empty = healthy).
 pub fn check_invariants(m: &SessionMetrics) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut fail = |invariant: &'static str, detail: String| {
@@ -743,18 +744,9 @@ pub fn check_invariants(m: &SessionMetrics) -> Vec<Violation> {
         ),
         Some(_) => {}
     }
-    if m.failovers.len() != n_paths {
-        fail(
-            "vector-shape",
-            format!(
-                "failovers has {} entries for {n_paths} path(s)",
-                m.failovers.len()
-            ),
-        );
-    }
-    for (p, t) in m.first_byte_at.iter().enumerate() {
-        if let Some(t) = t {
-            if *t < m.started_at {
+    for (p, path) in m.paths.iter().enumerate() {
+        if let Some(t) = path.first_byte_at {
+            if t < m.started_at {
                 fail(
                     "time-order",
                     format!("path {p} first byte {t} before session start"),
@@ -799,6 +791,18 @@ pub fn check_invariants(m: &SessionMetrics) -> Vec<Violation> {
                 "vector-shape",
                 format!("chunk {i} on path {} of {n_paths}", c.path),
             );
+        } else {
+            // The path's first byte is set on its first completion, and a
+            // path carries one chunk at a time: none of its chunks saw its
+            // first byte earlier.
+            let first = m.paths[c.path].first_byte_at;
+            if first.is_none_or(|t| t > c.first_byte_at) {
+                let detail = format!(
+                    "chunk {i} first byte {}, path {}'s {first:?}",
+                    c.first_byte_at, c.path
+                );
+                fail("path-first-byte", detail);
+            }
         }
     }
 
@@ -858,7 +862,7 @@ pub fn check_invariants(m: &SessionMetrics) -> Vec<Violation> {
             );
         }
     }
-    if let Some(q) = &m.abr_qoe {
+    if let Some(q) = m.abr.as_ref().and_then(|a| a.qoe.as_ref()) {
         for (name, v) in [
             ("time_weighted_bitrate_bps", q.time_weighted_bitrate_bps),
             ("switch_magnitude_bps", q.switch_magnitude_bps),
@@ -1210,6 +1214,41 @@ mod tests {
         ] {
             assert!(names.contains(&expect), "missing {expect} in {names:?}");
         }
+    }
+
+    /// A path's first byte is set on its first completion: once the path
+    /// has a recorded chunk, it cannot be missing or later than any of its
+    /// chunks' first bytes.
+    #[test]
+    fn oracle_flags_a_path_first_byte_after_its_first_chunks() {
+        let chunk = |path, first_byte| ChunkRecord {
+            path,
+            bytes: 1_000,
+            requested_at: secs(first_byte - 1),
+            first_byte_at: secs(first_byte),
+            completed_at: secs(first_byte + 1),
+            phase: TrafficPhase::PreBuffering,
+        };
+        let mut m = SessionMetrics::for_paths(2, SimTime::ZERO);
+        m.ended_at = Some(secs(10));
+        m.chunks.push(chunk(0, 2));
+        m.chunks.push(chunk(1, 2));
+        m.paths[0].first_byte_at = Some(secs(2));
+        m.paths[1].first_byte_at = Some(secs(1));
+        assert_eq!(check_invariants(&m), vec![]);
+        let named = |m: &SessionMetrics| -> Vec<&'static str> {
+            check_invariants(m).iter().map(|v| v.invariant).collect()
+        };
+        let mut later = m.clone();
+        later.paths[1].first_byte_at = Some(SimTime::from_micros(2_000_001));
+        assert_eq!(named(&later), ["path-first-byte"]);
+        let mut missing = m.clone();
+        missing.paths[0].first_byte_at = None;
+        assert_eq!(named(&missing), ["path-first-byte"]);
+        // A later chunk's first byte is later still.
+        let mut second = m.clone();
+        second.chunks.push(chunk(0, 4));
+        assert_eq!(check_invariants(&second), vec![]);
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl Fold {
 /// [`crate::config::AbrLadderConfig`]). The trace records the `Initial`
 /// pick and every rung change; `Hold` decisions are not recorded (the
 /// full per-decision trace, holds included, is
-/// [`SessionMetrics::abr_decisions`]).
+/// [`AbrTrace::decisions`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AbrSwitch {
     /// When the decision was taken.
@@ -314,28 +314,53 @@ impl std::fmt::Debug for ChunkTrace {
     }
 }
 
+/// What one path did in a session: its first video byte (§3.2's head start
+/// is the gap between two paths' first bytes) and its failovers (§2).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct PathMetrics {
+    /// When the path delivered its first video byte.
+    pub first_byte_at: Option<SimTime>,
+    /// Failovers the path performed.
+    pub failovers: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<PathMetrics>() == 24);
+
+/// The ABR traces of a session that ran with an
+/// [`AbrLadderConfig`](crate::config::AbrLadderConfig).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct AbrTrace {
+    /// The initial pick and every rung change.
+    pub switches: Vec<AbrSwitch>,
+    /// One entry per decision interval, `Hold`s included, with the
+    /// estimate/buffer inputs each decision consumed.
+    pub decisions: Vec<AbrDecision>,
+    /// QoE accounting of a closed-loop ladder (`None` in shadow mode).
+    pub qoe: Option<AbrQoe>,
+}
+
 /// Metrics of one streaming session.
 ///
 /// Derives `PartialEq` so determinism tests can assert bit-identical
 /// replays (every field, including the ABR trace's `f64`s, must match
 /// exactly).
 ///
-/// **Exact-size contract.** A record handed out by
-/// [`Player::into_metrics`](crate::player::Player::into_metrics) or a
-/// [`SessionHost`](crate::sim::SessionHost) run holds what the session
+/// **Exact-size contract.** A record is 152 bytes plus its traces. One
+/// handed out by [`Player::into_metrics`](crate::player::Player::into_metrics)
+/// or a [`SessionHost`](crate::sim::SessionHost) run holds what the session
 /// recorded and nothing more: every `Vec`, and the [`ChunkTrace`], has
-/// `capacity() == len()`. The per-event traces (`chunks`, `abr_decisions`,
-/// `abr_switches`) grow in buffers the driver lends the player and are
-/// copied out at their final length, so holding N finished sessions costs
-/// the sum of their traces (24 bytes a chunk record), whatever their chunk
-/// size or stop condition.
+/// `capacity() == len()`. The per-event traces (`chunks`, and the
+/// [`AbrTrace`]'s `switches` and `decisions`) grow in buffers the driver
+/// lends the player and are copied out at their final length, so holding N
+/// finished sessions costs 152 bytes each plus the sum of their traces (24
+/// bytes a chunk record, 24 a path, 88 plus its two traces for a session
+/// that ran a ladder), whatever their chunk size or stop condition.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SessionMetrics {
     /// When the player was started.
     pub started_at: SimTime,
-    /// When each path delivered its first video byte (one slot per path;
-    /// sized by the player at construction).
-    pub first_byte_at: Vec<Option<SimTime>>,
+    /// One record per path (sized by the player at construction).
+    pub paths: Vec<PathMetrics>,
     /// When the pre-buffer target was reached (Figs. 2–4 endpoint).
     pub prebuffer_done_at: Option<SimTime>,
     /// Completed refill cycles (Fig. 5).
@@ -344,77 +369,76 @@ pub struct SessionMetrics {
     pub stalls: Vec<(SimTime, Option<SimTime>)>,
     /// Every completed chunk.
     pub chunks: ChunkTrace,
-    /// Failovers performed per path.
-    pub failovers: Vec<u32>,
     /// When the session ended.
     pub ended_at: Option<SimTime>,
     /// Simulator events processed while producing this session (drivers
     /// fill this in; 0 outside the simulator). Feeds the bench harness's
     /// events/sec figure.
     pub events: u64,
-    /// ABR switch trace: the initial pick and every rung change (empty
-    /// unless the player ran with an
+    /// The ABR traces (`None` unless the player ran with an
     /// [`AbrLadderConfig`](crate::config::AbrLadderConfig)).
-    pub abr_switches: Vec<AbrSwitch>,
-    /// Full ABR decision trace: one entry per decision interval, `Hold`s
-    /// included, with the estimate/buffer inputs each decision consumed.
-    pub abr_decisions: Vec<AbrDecision>,
-    /// QoE accounting for closed-loop ABR sessions (`None` for fixed-rate
-    /// and shadow sessions).
-    pub abr_qoe: Option<AbrQoe>,
+    pub abr: Option<Box<AbrTrace>>,
 }
+
+const _: () = assert!(std::mem::size_of::<SessionMetrics>() == 152);
 
 impl SessionMetrics {
     /// An empty metrics record with per-path slots for `n_paths` paths.
     pub fn for_paths(n_paths: usize, started_at: SimTime) -> SessionMetrics {
         SessionMetrics {
             started_at,
-            first_byte_at: vec![None; n_paths],
-            failovers: vec![0; n_paths],
+            paths: vec![PathMetrics::default(); n_paths],
             ..SessionMetrics::default()
         }
     }
 
     /// Number of per-path slots this record was sized for.
     pub fn num_paths(&self) -> usize {
-        self.first_byte_at.len()
+        self.paths.len()
     }
 
     /// The deterministic 64-bit digest of this record, [`DIGEST_EPOCH`]
     /// version: every field folded in declaration order as 64-bit words —
     /// times and durations as microseconds, `f64`s as their bit patterns,
     /// enums as discriminants, a length before every `Vec` and a tag
-    /// before every `Option`. The encoding is prefix-free, so two records
-    /// digest equal only if they are bit-identical or the 64-bit fold
-    /// collides, but for one field: a chunk's `first_byte_at` is folded as
-    /// its [`ChunkRecord::goodput_bps`], which is blind to it when the chunk
-    /// has 0 bytes or its first byte is not before its completion. Bit
-    /// identity is stricter than `PartialEq`: `0.0` and `-0.0` differ, as do
-    /// NaNs with different payloads. Nothing is formatted or allocated, and
-    /// the value does not depend on the toolchain's float printing.
+    /// before every `Option` — with two exceptions of placement. `paths` is
+    /// folded as two lists, each with its length: the first-byte instants
+    /// in its place, the failover counts after `chunks`. The ABR trace is
+    /// folded as its switches, its decisions and its QoE tag, where an
+    /// absent trace folds as two empty lists and no QoE. The encoding is
+    /// prefix-free, so two records digest equal only if they are
+    /// bit-identical or the 64-bit fold collides, but for two cases: an
+    /// `abr` of empty lists and no QoE digests like `None`, and a chunk's
+    /// `first_byte_at` is folded as its [`ChunkRecord::goodput_bps`],
+    /// which is blind to it when the chunk has 0 bytes or its first byte
+    /// is not before its completion. Bit identity is stricter than
+    /// `PartialEq`: `0.0` and `-0.0` differ, as do NaNs with different
+    /// payloads. Nothing is formatted or allocated, and the value does not
+    /// depend on the toolchain's float printing.
     ///
     /// Every struct is destructured without `..`: a new field does not
     /// compile until it is folded in (and [`DIGEST_EPOCH`] bumped).
     pub fn digest(&self) -> u64 {
         let SessionMetrics {
             started_at,
-            first_byte_at,
+            paths,
             prebuffer_done_at,
             refills,
             stalls,
             chunks,
-            failovers,
             ended_at,
             events,
-            abr_switches,
-            abr_decisions,
-            abr_qoe,
+            abr,
         } = self;
         let mut h = Fold::new();
         h.time(*started_at);
-        h.len(first_byte_at.len());
-        for t in first_byte_at {
-            h.opt_time(*t);
+        h.len(paths.len());
+        for PathMetrics {
+            first_byte_at,
+            failovers: _,
+        } in paths
+        {
+            h.opt_time(*first_byte_at);
         }
         h.opt_time(*prebuffer_done_at);
         h.len(refills.len());
@@ -450,19 +474,29 @@ impl SessionMetrics {
             h.float(c.goodput_bps());
             h.word(phase as u64);
         }
-        h.len(failovers.len());
-        for n in failovers {
-            h.word(u64::from(*n));
+        h.len(paths.len());
+        for PathMetrics {
+            first_byte_at: _,
+            failovers,
+        } in paths
+        {
+            h.word(u64::from(*failovers));
         }
         h.opt_time(*ended_at);
         h.word(*events);
-        h.len(abr_switches.len());
-        for AbrSwitch { at, itag, reason } in abr_switches {
+        let no_abr = AbrTrace::default();
+        let AbrTrace {
+            switches,
+            decisions,
+            qoe,
+        } = abr.as_deref().unwrap_or(&no_abr);
+        h.len(switches.len());
+        for AbrSwitch { at, itag, reason } in switches {
             h.time(*at);
             h.word(u64::from(*itag));
             h.word(*reason as u64);
         }
-        h.len(abr_decisions.len());
+        h.len(decisions.len());
         for AbrDecision {
             at,
             itag,
@@ -470,7 +504,7 @@ impl SessionMetrics {
             buffer_secs,
             reason,
             switched,
-        } in abr_decisions
+        } in decisions
         {
             h.time(*at);
             h.word(u64::from(*itag));
@@ -479,7 +513,7 @@ impl SessionMetrics {
             h.word(*reason as u64);
             h.word(u64::from(*switched));
         }
-        match abr_qoe {
+        match qoe {
             None => h.word(0),
             Some(AbrQoe {
                 time_weighted_bitrate_bps,
@@ -528,8 +562,8 @@ impl SessionMetrics {
     /// The head start observed: difference between the first two paths'
     /// first video bytes (§3.2's π₂ − π₁).
     pub fn observed_head_start(&self) -> Option<SimDuration> {
-        let first = self.first_byte_at.first().copied().flatten();
-        let second = self.first_byte_at.get(1).copied().flatten();
+        let first = self.paths.first().and_then(|p| p.first_byte_at);
+        let second = self.paths.get(1).and_then(|p| p.first_byte_at);
         match (first, second) {
             (Some(a), Some(b)) => Some(if a <= b {
                 b.saturating_since(a)
@@ -827,17 +861,18 @@ mod tests {
 
     #[test]
     fn head_start_is_symmetric() {
+        let first_byte = |ms| PathMetrics {
+            first_byte_at: Some(SimTime::from_millis(ms)),
+            failovers: 0,
+        };
         let mut m = SessionMetrics {
-            first_byte_at: vec![
-                Some(SimTime::from_millis(500)),
-                Some(SimTime::from_millis(900)),
-            ],
+            paths: vec![first_byte(500), first_byte(900)],
             ..SessionMetrics::default()
         };
         assert_eq!(m.observed_head_start(), Some(SimDuration::from_millis(400)));
-        m.first_byte_at.swap(0, 1);
+        m.paths.swap(0, 1);
         assert_eq!(m.observed_head_start(), Some(SimDuration::from_millis(400)));
-        m.first_byte_at[1] = None;
+        m.paths[1].first_byte_at = None;
         assert_eq!(m.observed_head_start(), None);
     }
 
@@ -866,9 +901,13 @@ mod tests {
     /// field has something to perturb.
     fn full_record() -> SessionMetrics {
         let t = SimTime::from_millis;
+        let path = |first_byte_at, failovers| PathMetrics {
+            first_byte_at,
+            failovers,
+        };
         SessionMetrics {
             started_at: t(10),
-            first_byte_at: vec![Some(t(120)), None, Some(t(140))],
+            paths: vec![path(Some(t(120)), 0), path(None, 2), path(Some(t(140)), 1)],
             prebuffer_done_at: Some(t(4_000)),
             refills: vec![
                 RefillRecord {
@@ -901,46 +940,57 @@ mod tests {
                     phase: TrafficPhase::ReBuffering,
                 },
             ]),
-            failovers: vec![0, 2, 1],
             ended_at: Some(t(60_000)),
             events: 1234,
-            abr_switches: vec![
-                AbrSwitch {
-                    at: t(10),
-                    itag: 18,
-                    reason: SwitchReason::Initial,
-                },
-                AbrSwitch {
-                    at: t(5_000),
-                    itag: 22,
-                    reason: SwitchReason::RateUp,
-                },
-            ],
-            abr_decisions: vec![
-                AbrDecision {
-                    at: t(10),
-                    itag: 18,
-                    estimate_bps: 0.0,
-                    buffer_secs: 0.0,
-                    reason: SwitchReason::Initial,
-                    switched: false,
-                },
-                AbrDecision {
-                    at: t(5_000),
-                    itag: 22,
-                    estimate_bps: 8.5e6,
-                    buffer_secs: 12.25,
-                    reason: SwitchReason::RateUp,
-                    switched: true,
-                },
-            ],
-            abr_qoe: Some(AbrQoe {
-                time_weighted_bitrate_bps: 1.9e6,
-                switches: 1,
-                switch_magnitude_bps: 1.5e6,
-                switch_rebuffer: SimDuration::from_millis(750),
-            }),
+            abr: Some(Box::new(AbrTrace {
+                switches: vec![
+                    AbrSwitch {
+                        at: t(10),
+                        itag: 18,
+                        reason: SwitchReason::Initial,
+                    },
+                    AbrSwitch {
+                        at: t(5_000),
+                        itag: 22,
+                        reason: SwitchReason::RateUp,
+                    },
+                ],
+                decisions: vec![
+                    AbrDecision {
+                        at: t(10),
+                        itag: 18,
+                        estimate_bps: 0.0,
+                        buffer_secs: 0.0,
+                        reason: SwitchReason::Initial,
+                        switched: false,
+                    },
+                    AbrDecision {
+                        at: t(5_000),
+                        itag: 22,
+                        estimate_bps: 8.5e6,
+                        buffer_secs: 12.25,
+                        reason: SwitchReason::RateUp,
+                        switched: true,
+                    },
+                ],
+                qoe: Some(AbrQoe {
+                    time_weighted_bitrate_bps: 1.9e6,
+                    switches: 1,
+                    switch_magnitude_bps: 1.5e6,
+                    switch_rebuffer: SimDuration::from_millis(750),
+                }),
+            })),
         }
+    }
+
+    /// `full_record`'s ABR trace, to edit.
+    fn abr(m: &mut SessionMetrics) -> &mut AbrTrace {
+        m.abr.as_deref_mut().expect("full_record has an ABR trace")
+    }
+
+    /// `full_record`'s closed-loop QoE, to edit.
+    fn qoe(m: &mut SessionMetrics) -> &mut AbrQoe {
+        abr(m).qoe.as_mut().expect("full_record has QoE")
     }
 
     type Perturb = (&'static str, fn(&mut SessionMetrics));
@@ -966,14 +1016,16 @@ mod tests {
     fn perturbations() -> Vec<Perturb> {
         vec![
             ("started_at", |m| tick(&mut m.started_at)),
-            ("first_byte_at[0]", |m| {
-                tick(m.first_byte_at[0].as_mut().unwrap())
+            ("paths[0].first_byte_at", |m| {
+                tick(m.paths[0].first_byte_at.as_mut().unwrap())
             }),
-            ("first_byte_at[0] tag", |m| m.first_byte_at[0] = None),
-            ("first_byte_at[1] tag", |m| {
-                m.first_byte_at[1] = Some(SimTime::ZERO)
+            ("paths[0].first_byte_at tag", |m| {
+                m.paths[0].first_byte_at = None
             }),
-            ("first_byte_at len", |m| m.first_byte_at.push(None)),
+            ("paths[1].first_byte_at tag", |m| {
+                m.paths[1].first_byte_at = Some(SimTime::ZERO)
+            }),
+            ("paths len", |m| m.paths.push(PathMetrics::default())),
             ("prebuffer_done_at", |m| {
                 tick(m.prebuffer_done_at.as_mut().unwrap())
             }),
@@ -1012,45 +1064,52 @@ mod tests {
             ("chunks len", |m| {
                 m.chunks.pop();
             }),
-            ("failovers[1]", |m| m.failovers[1] += 1),
-            ("failovers len", |m| m.failovers.push(0)),
+            ("paths[1].failovers", |m| m.paths[1].failovers += 1),
+            // The two per-path lists are folded apart: a path's failovers
+            // do not stand in for another's.
+            ("paths[1], paths[2] failovers swapped", |m| {
+                m.paths[2].failovers = 2;
+                m.paths[1].failovers = 1;
+            }),
             ("ended_at", |m| tick(m.ended_at.as_mut().unwrap())),
             ("ended_at tag", |m| m.ended_at = None),
             ("events", |m| m.events += 1),
-            ("abr_switches[1].at", |m| tick(&mut m.abr_switches[1].at)),
-            ("abr_switches[1].itag", |m| m.abr_switches[1].itag += 1),
-            ("abr_switches[1].reason", |m| {
-                m.abr_switches[1].reason = SwitchReason::BufferUp
+            ("abr tag", |m| m.abr = None),
+            ("abr.switches[1].at", |m| tick(&mut abr(m).switches[1].at)),
+            ("abr.switches[1].itag", |m| abr(m).switches[1].itag += 1),
+            ("abr.switches[1].reason", |m| {
+                abr(m).switches[1].reason = SwitchReason::BufferUp
             }),
-            ("abr_decisions[1].at", |m| tick(&mut m.abr_decisions[1].at)),
-            ("abr_decisions[1].itag", |m| m.abr_decisions[1].itag += 1),
-            ("abr_decisions[1].estimate_bps ulp", |m| {
-                ulp(&mut m.abr_decisions[1].estimate_bps)
+            ("abr.switches len", |m| {
+                abr(m).switches.pop();
             }),
-            ("abr_decisions[1].buffer_secs ulp", |m| {
-                ulp(&mut m.abr_decisions[1].buffer_secs)
+            ("abr.decisions[1].at", |m| tick(&mut abr(m).decisions[1].at)),
+            ("abr.decisions[1].itag", |m| abr(m).decisions[1].itag += 1),
+            ("abr.decisions[1].estimate_bps ulp", |m| {
+                ulp(&mut abr(m).decisions[1].estimate_bps)
             }),
-            ("abr_decisions[0].estimate_bps -0.0", |m| {
-                m.abr_decisions[0].estimate_bps = -0.0
+            ("abr.decisions[1].buffer_secs ulp", |m| {
+                ulp(&mut abr(m).decisions[1].buffer_secs)
             }),
-            ("abr_decisions[1].reason", |m| {
-                m.abr_decisions[1].reason = SwitchReason::Hold
+            ("abr.decisions[0].estimate_bps -0.0", |m| {
+                abr(m).decisions[0].estimate_bps = -0.0
             }),
-            ("abr_decisions[1].switched", |m| {
-                m.abr_decisions[1].switched = false
+            ("abr.decisions[1].reason", |m| {
+                abr(m).decisions[1].reason = SwitchReason::Hold
             }),
-            ("abr_qoe tag", |m| m.abr_qoe = None),
-            ("abr_qoe.time_weighted_bitrate_bps ulp", |m| {
-                ulp(&mut m.abr_qoe.as_mut().unwrap().time_weighted_bitrate_bps)
+            ("abr.decisions[1].switched", |m| {
+                abr(m).decisions[1].switched = false
             }),
-            ("abr_qoe.switches", |m| {
-                m.abr_qoe.as_mut().unwrap().switches += 1
+            ("abr.qoe tag", |m| abr(m).qoe = None),
+            ("abr.qoe.time_weighted_bitrate_bps ulp", |m| {
+                ulp(&mut qoe(m).time_weighted_bitrate_bps)
             }),
-            ("abr_qoe.switch_magnitude_bps ulp", |m| {
-                ulp(&mut m.abr_qoe.as_mut().unwrap().switch_magnitude_bps)
+            ("abr.qoe.switches", |m| qoe(m).switches += 1),
+            ("abr.qoe.switch_magnitude_bps ulp", |m| {
+                ulp(&mut qoe(m).switch_magnitude_bps)
             }),
-            ("abr_qoe.switch_rebuffer", |m| {
-                m.abr_qoe.as_mut().unwrap().switch_rebuffer += SimDuration::from_micros(1)
+            ("abr.qoe.switch_rebuffer", |m| {
+                qoe(m).switch_rebuffer += SimDuration::from_micros(1)
             }),
             // An element leaves one `Vec` and its values join the next:
             // the payload words barely move, the length words must.
@@ -1058,13 +1117,9 @@ mod tests {
                 let r = m.refills.pop().unwrap();
                 m.stalls.insert(0, (r.started_at, Some(r.completed_at)));
             }),
-            ("failovers -> first_byte_at", |m| {
-                m.failovers.remove(0);
-                m.first_byte_at.push(None);
-            }),
-            ("abr_switches -> abr_decisions", |m| {
-                let s = m.abr_switches.pop().unwrap();
-                m.abr_decisions.insert(
+            ("abr.switches -> abr.decisions", |m| {
+                let s = abr(m).switches.pop().unwrap();
+                abr(m).decisions.insert(
                     0,
                     AbrDecision {
                         at: s.at,
@@ -1103,12 +1158,29 @@ mod tests {
         }
     }
 
+    /// The digest of a full record and of a one-path record without a
+    /// ladder, as the layout with two per-path lists and three inline ABR
+    /// fields computed them: the layout moved, the fold did not.
+    #[test]
+    fn full_record_digest_is_pinned() {
+        assert_eq!(full_record().digest(), 0x0d25_25d5_6e0c_31f2);
+        let one_path = SessionMetrics {
+            paths: vec![PathMetrics {
+                first_byte_at: Some(SimTime::from_millis(120)),
+                failovers: 2,
+            }],
+            abr: None,
+            ..full_record()
+        };
+        assert_eq!(one_path.digest(), 0x363a_e46c_32a2_7b8b);
+    }
+
     #[test]
     fn digest_is_bit_identity_stricter_than_partial_eq() {
         let base = full_record();
         let with = |x: f64| {
             let mut m = base.clone();
-            m.abr_decisions[1].estimate_bps = x;
+            abr(&mut m).decisions[1].estimate_bps = x;
             m
         };
         // PartialEq calls the zeros equal; the digest (like Debug) does not.

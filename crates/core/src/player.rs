@@ -24,8 +24,8 @@ use crate::buffer::{BufferPhase, PlayoutBuffer};
 use crate::chunk::{ChunkAssignment, ChunkLedger, PathId};
 use crate::config::PlayerConfig;
 use crate::metrics::{
-    AbrDecision, AbrQoe, AbrSwitch, ChunkRecord, ChunkTrace, SessionMetrics, TrafficPhase,
-    MAX_TRACE_CHUNK_BYTES,
+    AbrDecision, AbrQoe, AbrSwitch, AbrTrace, ChunkRecord, ChunkTrace, SessionMetrics,
+    TrafficPhase, MAX_TRACE_CHUNK_BYTES,
 };
 use crate::scheduler::SchedulerImpl;
 use msim_core::telemetry::{self, LazyCounter, LazyHistogram, TraceVal};
@@ -78,8 +78,9 @@ pub enum PlayerEvent {
         bytes: u64,
         /// When the range request was issued.
         requested_at: SimTime,
-        /// When the first byte of this path's first chunk arrived (only
-        /// meaningful on the first completion; drivers pass it every time).
+        /// When this chunk's first byte arrived: §3.3's sample runs from
+        /// it, and the path's first completion records it as the path's
+        /// first byte.
         first_byte_at: SimTime,
     },
     /// A chunk failed on `path`.
@@ -154,8 +155,8 @@ enum PathState {
 #[derive(Default)]
 pub(crate) struct TraceBuffers {
     pub(crate) chunks: ChunkTrace,
-    pub(crate) abr_decisions: Vec<AbrDecision>,
-    pub(crate) abr_switches: Vec<AbrSwitch>,
+    /// The switches and decisions (its `qoe` stays `None`).
+    pub(crate) abr: AbrTrace,
 }
 
 /// Leaves an exact-size copy of `buf` in its place (cloning a `Vec` or a
@@ -184,6 +185,9 @@ pub struct Player {
     /// counted in traffic metrics).
     warmed_up: Vec<bool>,
     metrics: SessionMetrics,
+    /// The ABR switches and decisions recorded so far (empty without a
+    /// ladder); boxed into `metrics` by [`Player::finish`].
+    abr_trace: AbrTrace,
     /// The wakeup most recently requested via `ScheduleTick` (the single
     /// outstanding tick under the coalescing contract).
     last_wake_requested: Option<SimTime>,
@@ -296,12 +300,10 @@ impl Player {
             }
         });
         traces.chunks.clear();
-        traces.abr_decisions.clear();
-        traces.abr_switches.clear();
+        traces.abr.switches.clear();
+        traces.abr.decisions.clear();
         let metrics = SessionMetrics {
             chunks: traces.chunks,
-            abr_decisions: traces.abr_decisions,
-            abr_switches: traces.abr_switches,
             ..SessionMetrics::for_paths(n_paths, started_at)
         };
         Player {
@@ -314,6 +316,7 @@ impl Player {
             consecutive_failures: vec![0; n_paths],
             warmed_up: vec![false; n_paths],
             metrics,
+            abr_trace: traces.abr,
             last_wake_requested: None,
             abr,
             tracing: telemetry::trace_enabled(),
@@ -325,7 +328,8 @@ impl Player {
         self.paths.len()
     }
 
-    /// The collected metrics so far.
+    /// The collected metrics so far (the ABR traces join them when the
+    /// player finishes).
     pub fn metrics(&self) -> &SessionMetrics {
         &self.metrics
     }
@@ -336,13 +340,13 @@ impl Player {
     }
 
     /// Consumes the player, returning final metrics — every trace an
-    /// exact-size copy of what was recorded — and the buffers the traces
-    /// grew in, for the next session.
+    /// exact-size copy of what was recorded, the ABR traces boxed only if a
+    /// ladder ran — and the buffers the traces grew in, for the next
+    /// session.
     pub(crate) fn finish(mut self, ended_at: SimTime) -> (SessionMetrics, TraceBuffers) {
         let traces = TraceBuffers {
             chunks: swap_for_exact(&mut self.metrics.chunks),
-            abr_decisions: swap_for_exact(&mut self.metrics.abr_decisions),
-            abr_switches: swap_for_exact(&mut self.metrics.abr_switches),
+            abr: swap_for_exact(&mut self.abr_trace),
         };
         self.buffer.advance_to(ended_at);
         self.metrics.prebuffer_done_at = self.buffer.prebuffer_done_at();
@@ -350,14 +354,13 @@ impl Player {
         self.metrics.stalls = self.buffer.stalls().to_vec();
         self.metrics.ended_at = Some(ended_at);
         if let Some(abr) = &self.abr {
-            if abr.closed_loop {
-                self.metrics.abr_qoe = Some(AbrQoe {
-                    time_weighted_bitrate_bps: abr.timeline.time_weighted_bitrate_bps(ended_at),
-                    switches: abr.timeline.switches,
-                    switch_magnitude_bps: abr.timeline.switch_magnitude_bps,
-                    switch_rebuffer: abr.timeline.switch_rebuffer(&self.metrics.stalls, ended_at),
-                });
-            }
+            self.abr_trace.qoe = abr.closed_loop.then(|| AbrQoe {
+                time_weighted_bitrate_bps: abr.timeline.time_weighted_bitrate_bps(ended_at),
+                switches: abr.timeline.switches,
+                switch_magnitude_bps: abr.timeline.switch_magnitude_bps,
+                switch_rebuffer: abr.timeline.switch_rebuffer(&self.metrics.stalls, ended_at),
+            });
+            self.metrics.abr = Some(Box::new(self.abr_trace));
         }
         (self.metrics, traces)
     }
@@ -433,8 +436,8 @@ impl Player {
                 let contiguous = self.ledger.complete(index);
                 self.paths[path] = PathState::Idle;
                 self.consecutive_failures[path] = 0;
-                if self.metrics.first_byte_at[path].is_none() {
-                    self.metrics.first_byte_at[path] = Some(first_byte_at);
+                if self.metrics.paths[path].first_byte_at.is_none() {
+                    self.metrics.paths[path].first_byte_at = Some(first_byte_at);
                 }
                 // Throughput sample w = S / T where T is "the time required
                 // to download chunk S" (§3.3) — first byte to last byte.
@@ -478,7 +481,7 @@ impl Player {
                     self.scheduler.reset_path(path);
                     self.warmed_up[path] = false;
                     self.consecutive_failures[path] = 0;
-                    self.metrics.failovers[path] += 1;
+                    self.metrics.paths[path].failovers += 1;
                     actions.push(PlayerAction::Failover { path });
                     failed_over = Some(path);
                 } else {
@@ -614,7 +617,7 @@ impl Player {
                 let (rung, reason) = abr.policy.decide(estimate, level);
                 let format = abr.policy.ladder()[rung];
                 if format.itag != before || matches!(reason, SwitchReason::Initial) {
-                    self.metrics.abr_switches.push(AbrSwitch {
+                    self.abr_trace.switches.push(AbrSwitch {
                         at: now,
                         itag: format.itag,
                         reason,
@@ -640,7 +643,7 @@ impl Player {
                     abr.timeline.switch_to(now, format.bitrate.as_bps());
                     switched = true;
                 }
-                self.metrics.abr_decisions.push(AbrDecision {
+                self.abr_trace.decisions.push(AbrDecision {
                     at: now,
                     itag: format.itag,
                     estimate_bps: estimate.unwrap_or(0.0),
@@ -815,8 +818,34 @@ mod tests {
         );
         let f1 = fetches(&a1);
         assert_eq!(f1.len(), 1, "path 0 re-armed");
-        assert_eq!(p.metrics().first_byte_at[0], Some(secs(0.6)));
+        assert_eq!(p.metrics().paths[0].first_byte_at, Some(secs(0.6)));
         assert_eq!(p.metrics().chunks.len(), 1);
+    }
+
+    /// A path's first byte (§3.2's head start) is its first chunk's; a
+    /// later chunk on the path does not move it.
+    #[test]
+    fn a_paths_first_byte_is_its_first_chunks() {
+        let mut p = player(PlayerConfig::default());
+        let mut next = fetches(&p.handle(secs(0.5), PlayerEvent::PathReady { path: 0 }))[0];
+        for t in [1.0, 2.0] {
+            let actions = p.handle(
+                secs(t),
+                PlayerEvent::ChunkComplete {
+                    path: 0,
+                    index: next.index,
+                    bytes: next.range.len(),
+                    requested_at: secs(t - 0.5),
+                    first_byte_at: secs(t - 0.4),
+                },
+            );
+            next = fetches(&actions)[0];
+        }
+        let m = p.metrics();
+        assert_eq!(m.chunks.len(), 2);
+        assert_eq!(m.paths[0].first_byte_at, Some(secs(0.6)));
+        assert_eq!(m.chunks.get(0).map(|c| c.first_byte_at), Some(secs(0.6)));
+        assert_eq!(m.paths[1].first_byte_at, None, "path 1 never delivered");
     }
 
     /// §3.3: a throughput sample is the chunk's bytes over the time from
@@ -926,7 +955,7 @@ mod tests {
             actions.contains(&PlayerAction::Failover { path: 0 }),
             "server error triggers failover: {actions:?}"
         );
-        assert_eq!(p.metrics().failovers[0], 1);
+        assert_eq!(p.metrics().paths[0].failovers, 1);
         // While down, no fetches on path 0.
         assert!(fetches(&actions).iter().all(|f| f.path != 0));
         // Restoration re-arms it.

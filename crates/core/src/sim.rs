@@ -498,7 +498,7 @@ struct Warm {
     /// [`StreamGrant`]: msim_youtube::service::StreamGrant
     boot_cache: BTreeMap<(Network, SimTime, Vec<u32>), Arc<PathBootstrap>>,
     /// The trace buffers lent to each session's [`Player`] in turn: the
-    /// `chunks`, `abr_decisions` and `abr_switches` traces grow in them,
+    /// `chunks` trace and the ABR switches and decisions grow in them,
     /// the finished [`SessionMetrics`] keeps exact-size copies, and the
     /// buffers come back here with their capacity. From the second session
     /// on, recording a trace allocates once, at its final size.
@@ -1378,7 +1378,7 @@ mod tests {
         let hs = m.observed_head_start().expect("both paths delivered");
         assert!(hs.as_secs_f64() > 0.05, "LTE starts later than WiFi: {hs}");
         // WiFi delivered its first byte first.
-        assert!(m.first_byte_at[0].unwrap() < m.first_byte_at[1].unwrap());
+        assert!(m.paths[0].first_byte_at.unwrap() < m.paths[1].first_byte_at.unwrap());
     }
 
     /// §3.2's head start: each path starts when its own bootstrap is
@@ -1423,7 +1423,7 @@ mod tests {
             until: SimTime::from_secs(60),
         }];
         let m = run(&spec);
-        assert!(m.failovers[0] >= 1, "failover happened");
+        assert!(m.paths[0].failovers >= 1, "failover happened");
         assert!(!m.refills.is_empty(), "streaming continued after failover");
     }
 
@@ -1597,12 +1597,13 @@ mod tests {
         let cfg = quick_player().with_abr_ladder(AbrLadderConfig::closed_loop());
         let spec = testbed(5, cfg).with_stop(StopCondition::AfterRefills(2));
         let m = run(&spec);
-        let qoe = m.abr_qoe.expect("closed-loop sessions carry QoE");
+        let abr = m.abr.as_deref().expect("a ladder ran");
+        let qoe = abr.qoe.expect("closed-loop sessions carry QoE");
         assert!(qoe.switches > 0, "no switch fired: {qoe:?}");
         assert!(
-            m.abr_decisions.iter().any(|d| d.switched && d.itag != 22),
+            abr.decisions.iter().any(|d| d.switched && d.itag != 22),
             "streamed itag never changed: {:?}",
-            m.abr_switches
+            abr.switches
         );
         // Time-weighted bitrate sits between the ladder endpoints and
         // above the starting rung (the session only switched up).
@@ -1630,8 +1631,9 @@ mod tests {
             let cfg = quick_player().with_abr_ladder(abr.clone());
             let spec = testbed(7, cfg).with_stop(StopCondition::AfterRefills(1));
             let m = run(&spec);
+            let trace = m.abr.as_deref().expect("a ladder ran");
             assert!(
-                m.abr_qoe.is_some() && !m.abr_decisions.is_empty(),
+                trace.qoe.is_some() && !trace.decisions.is_empty(),
                 "{policy:?} produced no decisions"
             );
             // The shadow twin of the same policy traces decisions but
@@ -1640,11 +1642,34 @@ mod tests {
             let mut sh_spec = spec.clone();
             sh_spec.player = quick_player().with_abr_ladder(shadow);
             let sh = run(&sh_spec);
-            assert!(sh.abr_qoe.is_none(), "{policy:?} shadow grew QoE");
+            let sh_abr = sh.abr.as_deref().expect("a ladder ran");
+            assert!(sh_abr.qoe.is_none(), "{policy:?} shadow grew QoE");
             assert!(
-                sh.abr_decisions.iter().all(|d| !d.switched),
+                sh_abr.decisions.iter().all(|d| !d.switched),
                 "{policy:?} shadow switched"
             );
+        }
+    }
+
+    /// A session carries an ABR trace only if a ladder ran, and QoE only if
+    /// that ladder was a closed loop; the boxed traces are exact-size.
+    #[test]
+    fn abr_trace_is_present_iff_a_ladder_ran() {
+        use crate::config::AbrLadderConfig;
+        let stop = StopCondition::AfterRefills(1);
+        let fixed = run(&testbed(3, quick_player()).with_stop(stop));
+        assert!(fixed.abr.is_none(), "fixed rate: {:?}", fixed.abr);
+        for (ladder, closed) in [
+            (AbrLadderConfig::default(), false),
+            (AbrLadderConfig::closed_loop(), true),
+        ] {
+            let cfg = quick_player().with_abr_ladder(ladder);
+            let m = run(&testbed(3, cfg).with_stop(stop));
+            let abr = m.abr.as_deref().expect("a ladder ran");
+            assert_eq!(abr.qoe.is_some(), closed, "{:?}", abr.qoe);
+            assert!(!abr.switches.is_empty() && !abr.decisions.is_empty());
+            assert_eq!(abr.switches.capacity(), abr.switches.len());
+            assert_eq!(abr.decisions.capacity(), abr.decisions.len());
         }
     }
 
@@ -1722,7 +1747,7 @@ mod tests {
         let mut host = SessionHost::new(ServiceSpec::testbed());
         let spec = base.clone().with_chaos(plan);
         let m = host.run(&spec).expect("valid spec");
-        assert!(m.failovers[0] >= 1, "503s force a replica switch");
+        assert!(m.paths[0].failovers >= 1, "503s force a replica switch");
         assert!(m.prebuffer_done_at.is_some(), "session survives overload");
     }
 
@@ -1775,7 +1800,7 @@ mod tests {
             },
         ];
         let m = host.run(&spec).expect("valid spec");
-        let total_failovers: u32 = m.failovers.iter().sum();
+        let total_failovers: u32 = m.paths.iter().map(|p| p.failovers).sum();
         assert!(total_failovers >= 1, "storm triggered failovers");
         assert!(m.prebuffer_done_at.is_some(), "session survived the storm");
     }

@@ -149,7 +149,11 @@ mod tests {
             m.prebuffer_time().is_some(),
             "streaming survived the failure"
         );
-        assert!(m.failovers[0] >= 1, "failover recorded: {:?}", m.failovers);
+        assert!(
+            m.paths[0].failovers >= 1,
+            "failover recorded: {:?}",
+            m.paths
+        );
     }
 
     #[test]
@@ -166,8 +170,7 @@ mod tests {
         let m = run_testbed_session(&session).expect("runs");
         assert!(m.prebuffer_time().is_some());
         // One path, one per-path slot: no phantom second path.
-        assert_eq!(m.failovers.len(), 1);
-        assert_eq!(m.first_byte_at.len(), 1);
+        assert_eq!(m.paths.len(), 1);
         assert_eq!(m.chunk_count(1), 0);
         // The single-request pre-buffer mode issues one big chunk.
         assert_eq!(

@@ -55,7 +55,7 @@ fn main() -> std::io::Result<()> {
     println!(
         "pre-buffer reached in {} despite the failure; failovers: {:?}",
         m.prebuffer_time().expect("reached"),
-        m.failovers,
+        m.paths.iter().map(|p| p.failovers).collect::<Vec<_>>(),
     );
     Ok(())
 }

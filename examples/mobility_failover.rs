@@ -52,7 +52,7 @@ fn main() {
     println!(
         "   pre-buffer: {}   failovers on WiFi path: {}   refills: {}",
         m.prebuffer_time().expect("completed"),
-        m.failovers[0],
+        m.paths[0].failovers,
         m.refills.len(),
     );
     println!(

@@ -62,7 +62,7 @@ proptest! {
 
         // First bytes happen before completions.
         for path in 0..2 {
-            if let Some(fb) = m.first_byte_at[path] {
+            if let Some(fb) = m.paths[path].first_byte_at {
                 let first_completion = m
                     .chunks
                     .iter()

@@ -97,7 +97,7 @@ fn server_failure_failover_to_replica_in_same_network() {
         until: SimTime::from_secs(600),
     }];
     let m = run(&s);
-    assert!(m.failovers[0] >= 1, "failover executed");
+    assert!(m.paths[0].failovers >= 1, "failover executed");
     assert!(m.prebuffer_done_at.is_some(), "replica carried the stream");
     // The WiFi path keeps contributing after the switch.
     assert!(m.chunk_count(0) > 1, "wifi path resumed after failover");

@@ -74,7 +74,7 @@ fn loopback_failover_and_recovery() {
         m.prebuffer_time().is_some(),
         "stream survives the dead primary"
     );
-    assert!(m.failovers[1] >= 1, "failover happened on path 1");
+    assert!(m.paths[1].failovers >= 1, "failover happened on path 1");
 }
 
 #[test]

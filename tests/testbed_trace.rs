@@ -40,7 +40,7 @@ fn loopback_failover_session_writes_the_per_chunk_trace() {
         .expect("session");
     telemetry::set_trace_enabled(false);
     telemetry::set_enabled(false);
-    assert!(m.failovers[1] >= 1, "failover happened on path 1");
+    assert!(m.paths[1].failovers >= 1, "failover happened on path 1");
 
     let trace = telemetry::take_trace();
     let has = |kind: &str, path: u64| {

@@ -869,7 +869,7 @@ pub fn check_invariants(m: &SessionMetrics) -> Vec<Violation> {
             ("switch_rebuffer_secs", q.switch_rebuffer.as_secs_f64()),
         ] {
             if !v.is_finite() || v < 0.0 {
-                fail("finite-metrics", format!("abr_qoe.{name} = {v}"));
+                fail("finite-metrics", format!("abr.qoe.{name} = {v}"));
             }
         }
     }

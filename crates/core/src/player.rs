@@ -146,17 +146,17 @@ enum PathState {
     Down,
 }
 
-/// The three per-event traces of [`SessionMetrics`] while a session is
-/// still recording: plain growable `Vec`s whose *capacity* outlives the
-/// session. A driver that runs many sessions lends the same buffers to
-/// each player in turn ([`Player::with_traces`] clears them,
-/// [`Player::finish`] hands them back), so after the first session the
-/// hot loop's pushes stop reallocating whatever the stop condition.
+/// The three per-event traces of a session while it is still recording:
+/// plain growable `Vec`s whose *capacity* outlives the session. A driver
+/// that runs many sessions lends the same buffers to each player in turn
+/// ([`Player::with_traces`] clears them, [`Player::finish`] hands them
+/// back), so after the first session the hot loop's pushes stop
+/// reallocating whatever the stop condition.
 #[derive(Default)]
 pub(crate) struct TraceBuffers {
     pub(crate) chunks: ChunkTrace,
-    /// The switches and decisions (its `qoe` stays `None`).
-    pub(crate) abr: AbrTrace,
+    pub(crate) abr_decisions: Vec<AbrDecision>,
+    pub(crate) abr_switches: Vec<AbrSwitch>,
 }
 
 /// Leaves an exact-size copy of `buf` in its place (cloning a `Vec` or a
@@ -186,7 +186,8 @@ pub struct Player {
     warmed_up: Vec<bool>,
     metrics: SessionMetrics,
     /// The ABR switches and decisions recorded so far (empty without a
-    /// ladder); boxed into `metrics` by [`Player::finish`].
+    /// ladder). [`Player::finish`] sets its QoE and boxes it into
+    /// `metrics` if a ladder ran.
     abr_trace: AbrTrace,
     /// The wakeup most recently requested via `ScheduleTick` (the single
     /// outstanding tick under the coalescing contract).
@@ -300,8 +301,8 @@ impl Player {
             }
         });
         traces.chunks.clear();
-        traces.abr.switches.clear();
-        traces.abr.decisions.clear();
+        traces.abr_decisions.clear();
+        traces.abr_switches.clear();
         let metrics = SessionMetrics {
             chunks: traces.chunks,
             ..SessionMetrics::for_paths(n_paths, started_at)
@@ -316,7 +317,11 @@ impl Player {
             consecutive_failures: vec![0; n_paths],
             warmed_up: vec![false; n_paths],
             metrics,
-            abr_trace: traces.abr,
+            abr_trace: AbrTrace {
+                switches: traces.abr_switches,
+                decisions: traces.abr_decisions,
+                qoe: None,
+            },
             last_wake_requested: None,
             abr,
             tracing: telemetry::trace_enabled(),
@@ -346,7 +351,8 @@ impl Player {
     pub(crate) fn finish(mut self, ended_at: SimTime) -> (SessionMetrics, TraceBuffers) {
         let traces = TraceBuffers {
             chunks: swap_for_exact(&mut self.metrics.chunks),
-            abr: swap_for_exact(&mut self.abr_trace),
+            abr_decisions: swap_for_exact(&mut self.abr_trace.decisions),
+            abr_switches: swap_for_exact(&mut self.abr_trace.switches),
         };
         self.buffer.advance_to(ended_at);
         self.metrics.prebuffer_done_at = self.buffer.prebuffer_done_at();

@@ -108,7 +108,12 @@ fn no_stalls_on_healthy_links() {
         "healthy links must not stall: {:?}",
         m.stalls
     );
-    assert!(m.paths.iter().all(|p| p.failovers == 0), "{:?}", m.paths);
+    assert_eq!(
+        m.paths.iter().map(|p| p.failovers).collect::<Vec<_>>(),
+        [0, 0],
+        "{:?}",
+        m.paths
+    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Line counts of the tracked Rust sources, the way ROADMAP item 6 and the
-# CHANGES.md "Measured lines" entries count them. Prints three numbers:
+# Line counts of the tracked Rust sources, the way ROADMAP's "Line budget"
+# and the CHANGES.md "Measured lines" entries count them. Prints three numbers:
 #
 #   library   crates/*/src (outside src/bin) + src/lib.rs, with every
 #             `#[cfg(test)] mod … { … }` split off

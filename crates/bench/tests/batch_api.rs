@@ -133,7 +133,7 @@ fn three_path_workload_runs_through_the_sweep_engine() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 4 })]
 
     /// 3-path determinism property: whatever the seed count and thread
     /// count, the parallel sweep over the 3-path workload is bit-identical

@@ -1,7 +1,9 @@
 //! Process-level checks of the `msplayer` binary: one table of command
 //! lines each subcommand must refuse before it does any work, plus the
-//! one-case replay of `chaos`.
+//! one-case replay of `chaos`, and the rule that the environment holds
+//! only the two deployment directories.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Every row exits before a session, a cell or a case runs: nothing on
@@ -109,4 +111,76 @@ fn chaos_case_replays_a_committed_file() {
         stdout.contains("\nverdict: all invariants hold"),
         "{stdout}"
     );
+}
+
+/// The one-front-end rule: everything is a flag except the two deployment
+/// directories, `MSP_BENCH_DIR` and `MSP_FIGURES_DIR`, and both are read
+/// through `deployment_dir` alone. Scans every source file of the
+/// workspace (`benchmark/` is its own package) except this one, whose
+/// needles would match themselves.
+#[test]
+fn only_the_two_deployment_dirs_are_read_from_the_environment() {
+    const THIS_FILE: &str = "crates/bench/tests/cli.rs";
+    // `env::var` also matches `env::vars` and `env::var_os`.
+    const READS: [&str; 3] = ["env::var", "var_os", "option_env!"];
+
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let krate = krate.expect("directory entry").path();
+        for sub in ["src", "tests", "benches"] {
+            walk(&krate.join(sub), &mut files);
+        }
+    }
+    for dir in ["src", "tests", "examples"] {
+        walk(&root.join(dir), &mut files);
+    }
+    files.sort();
+
+    // `file:function` of each read, and the first argument of each call.
+    let (mut reads, mut dirs) = (Vec::new(), Vec::new());
+    for path in &files {
+        let rel = path.strip_prefix(&root).expect("under the root");
+        let rel = rel.to_str().expect("utf-8 path");
+        if rel == THIS_FILE {
+            continue;
+        }
+        let text = std::fs::read_to_string(path).expect("read source");
+        let mut function = "";
+        for line in text.lines() {
+            if let Some((_, rest)) = line.split_once("fn ") {
+                function = rest.split(['(', '<']).next().unwrap_or(rest);
+            }
+            if READS.iter().any(|needle| line.contains(needle)) {
+                reads.push(format!("{rel}:{function}"));
+            }
+        }
+        for (at, _) in text.match_indices("deployment_dir(") {
+            if !text[..at].ends_with("fn ") {
+                let args = &text[at + "deployment_dir(".len()..];
+                dirs.push(args.split(',').next().unwrap_or(args).trim().to_string());
+            }
+        }
+    }
+    assert_eq!(
+        reads,
+        ["crates/bench/src/bin/msplayer/main.rs:deployment_dir"]
+    );
+    dirs.sort();
+    dirs.dedup();
+    assert_eq!(dirs, [r#""MSP_BENCH_DIR""#, r#""MSP_FIGURES_DIR""#]);
 }

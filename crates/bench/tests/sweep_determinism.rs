@@ -72,7 +72,7 @@ fn fresh_host_session_is_bit_identical_across_three_runs() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 6 })]
 
     /// Random sweep shapes (dims, seeds, thread counts) keep the
     /// parallel == serial invariant.

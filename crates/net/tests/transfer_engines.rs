@@ -230,7 +230,7 @@ fn check_scenario(seed: u64) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 120, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 120 })]
 
     /// Across randomized link profiles (stable/OU/Markov/burst rates),
     /// jitter and loss regimes, outage handoffs, idle-restart gaps, small

@@ -20,16 +20,11 @@ pub mod test_runner {
     pub struct Config {
         /// Number of random cases to run per test.
         pub cases: u32,
-        /// Unused knob kept for struct-update-syntax compatibility.
-        pub max_shrink_iters: u32,
     }
 
     impl Default for Config {
         fn default() -> Self {
-            Config {
-                cases: 64,
-                max_shrink_iters: 0,
-            }
+            Config { cases: 64 }
         }
     }
 
@@ -815,7 +810,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 16 })]
 
         #[test]
         fn macro_plumbing_works(

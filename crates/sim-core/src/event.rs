@@ -495,9 +495,10 @@ impl<E> EventQueue<E> {
         self.live == 0
     }
 
-    /// The current bucket width in microseconds (exposed for tests and the
-    /// micro benches; adapts to the observed event spacing).
-    pub fn bucket_width_us(&self) -> u64 {
+    /// The current bucket width in microseconds (for tests; adapts to the
+    /// observed event spacing).
+    #[cfg(test)]
+    fn bucket_width_us(&self) -> u64 {
         1 << self.shift
     }
 

@@ -17,10 +17,8 @@ fn scheduler_strategy() -> impl Strategy<Value = SchedulerKind> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24, // full sessions are not free; two dozen random configs
-        ..ProptestConfig::default()
-    })]
+    // Full sessions are not free: two dozen random configs.
+    #![proptest_config(ProptestConfig { cases: 24 })]
 
     /// Any (seed, scheduler, chunk size, watermark, γ-mode) combination
     /// yields a session that terminates, reaches its pre-buffer target, and

@@ -14,7 +14,9 @@ use msplayer_bench::workload::{WorkloadRegistry, WorkloadSpec};
 use msplayer_core::abr::AbrPolicyKind;
 use msplayer_core::config::{AbrLadderConfig, PlayerConfig, SchedulerKind};
 use msplayer_core::metrics::SessionMetrics;
-use msplayer_core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec, StopCondition};
+use msplayer_core::sim::{
+    PathSetup, ServiceSpec, SessionHost, SessionSpec, StopCondition, STREAM_ITAG,
+};
 
 /// Strips the fields closed-loop sessions grow by design — the ABR traces
 /// and the event count (decision ticks are extra simulator events) — so
@@ -56,7 +58,7 @@ fn one_rung_closed_loop_is_bit_identical_to_the_fixed_player() {
                 abr_spec.player.abr_ladder = Some(
                     AbrLadderConfig::closed_loop()
                         .with_policy(policy)
-                        .with_ladder(vec![w.service.itag]),
+                        .with_ladder(vec![STREAM_ITAG]),
                 );
                 let closed = host.run(&abr_spec).expect("one-rung ladder validates");
                 let qoe = closed.abr.as_ref().and_then(|a| a.qoe);
@@ -64,10 +66,7 @@ fn one_rung_closed_loop_is_bit_identical_to_the_fixed_player() {
                 assert_eq!(qoe.switches, 0, "{}: one rung cannot switch", w.name);
                 assert_eq!(
                     qoe.time_weighted_bitrate_bps,
-                    msim_youtube::by_itag(w.service.itag)
-                        .unwrap()
-                        .bitrate
-                        .as_bps(),
+                    msim_youtube::by_itag(STREAM_ITAG).unwrap().bitrate.as_bps(),
                     "{}: one-rung TWA is the fixed bitrate",
                     w.name
                 );
@@ -214,7 +213,7 @@ fn the_playable_prefix_never_shrinks_across_closed_loop_switches() {
             .filter(|c| c.completed_at > r.started_at && c.completed_at <= r.completed_at)
             .map(|c| c.bytes)
             .sum();
-        let credited = r.bytes as f64 / rate(w.service.itag);
+        let credited = r.bytes as f64 / rate(STREAM_ITAG);
         let carried = (received + largest) as f64 / rate(last.itag);
         assert!(
             credited <= carried,

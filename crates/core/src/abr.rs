@@ -3,7 +3,7 @@
 //! The paper streams at a fixed itag and leaves rate adaptation as §7
 //! future work ("exploring how rate adaption can be integrated with
 //! MSPlayer"). This module supplies it: a pluggable [`AbrPolicyImpl`]
-//! decides a ladder rung every decision interval from the scheduler's
+//! decides a ladder rung every [`DECISION_INTERVAL`] from the scheduler's
 //! *aggregate* multi-path bandwidth estimate and the playout-buffer level,
 //! and — in [`AbrMode::ClosedLoop`] — the player *actually switches the
 //! streamed itag mid-session*:
@@ -30,37 +30,34 @@
 //!
 //! | kind | drives on | character |
 //! |---|---|---|
-//! | [`AbrPolicyKind::DampedRate`] | estimate + buffer overrides | FESTIVE-style headroom (`safety × Σŵ`), hold-damped single-step upgrades, panic floor, comfort ride-out |
+//! | [`AbrPolicyKind::DampedRate`] | estimate + buffer overrides | FESTIVE-style headroom (`SAFETY × Σŵ`), hold-damped single-step upgrades, panic floor, comfort ride-out |
 //! | [`AbrPolicyKind::BufferOccupancy`] | buffer level only | BBA-style linear map between a reservoir and a cushion, single-step toward the mapped rung |
 //! | [`AbrPolicyKind::Hybrid`] | both | immediate rate rule, gated by panic/comfort buffer thresholds |
+//!
+//! The policies share one set of thresholds, constants rather than
+//! settings: [`SAFETY`], [`PANIC_SECS`], [`COMFORT_SECS`] and
+//! [`MIN_HOLD_DECISIONS`].
 
 use msim_core::time::{SimDuration, SimTime};
 use msim_youtube::format::{by_itag, VideoFormat};
 
-/// Thresholds shared by the ABR policies.
-#[derive(Clone, Copy, Debug)]
-pub struct AdaptationConfig {
-    /// Fraction of the estimated aggregate bandwidth a stream may consume
-    /// (FESTIVE-style headroom; < 1 keeps the player TCP-friendly).
-    pub safety: f64,
-    /// Below this buffer level the adapter drops straight to the floor.
-    pub panic_secs: f64,
-    /// Above this buffer level one opportunistic upgrade step is allowed.
-    pub comfort_secs: f64,
-    /// Decisions to hold before another upward switch.
-    pub min_hold_decisions: u32,
-}
+/// Interval between quality decisions (each one is a timer wakeup).
+pub const DECISION_INTERVAL: SimDuration = SimDuration::from_millis(250);
 
-impl Default for AdaptationConfig {
-    fn default() -> Self {
-        AdaptationConfig {
-            safety: 0.8,
-            panic_secs: 5.0,
-            comfort_secs: 30.0,
-            min_hold_decisions: 3,
-        }
-    }
-}
+/// Fraction of the estimated aggregate bandwidth a stream may consume
+/// (FESTIVE-style headroom; < 1 keeps the player TCP-friendly).
+pub const SAFETY: f64 = 0.8;
+
+/// Below this buffer level, seconds, the adapter drops straight to the
+/// floor (the BBA policy's reservoir).
+pub const PANIC_SECS: f64 = 5.0;
+
+/// At or above this buffer level, seconds, one opportunistic upgrade step
+/// is allowed (the BBA policy's cushion).
+pub const COMFORT_SECS: f64 = 30.0;
+
+/// Decisions to hold before another upward switch.
+pub const MIN_HOLD_DECISIONS: u32 = 3;
 
 /// A quality decision with its reason (for traces and tests).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -141,11 +138,11 @@ pub enum AbrPolicyImpl {
 impl AbrPolicyImpl {
     /// Builds the policy of `kind` over `ladder` (ascending bitrates; the
     /// caller validates — see `AbrLadderConfig::validate_ladder`).
-    pub fn new(kind: AbrPolicyKind, cfg: AdaptationConfig, ladder: Vec<VideoFormat>) -> Self {
+    pub fn new(kind: AbrPolicyKind, ladder: Vec<VideoFormat>) -> Self {
         match kind {
-            AbrPolicyKind::DampedRate => AbrPolicyImpl::Damped(DampedPolicy::new(cfg, ladder)),
-            AbrPolicyKind::BufferOccupancy => AbrPolicyImpl::Bba(BbaPolicy::new(cfg, ladder)),
-            AbrPolicyKind::Hybrid => AbrPolicyImpl::Hybrid(HybridPolicy::new(cfg, ladder)),
+            AbrPolicyKind::DampedRate => AbrPolicyImpl::Damped(DampedPolicy::new(ladder)),
+            AbrPolicyKind::BufferOccupancy => AbrPolicyImpl::Bba(BbaPolicy::new(ladder)),
+            AbrPolicyKind::Hybrid => AbrPolicyImpl::Hybrid(HybridPolicy::new(ladder)),
         }
     }
 
@@ -206,17 +203,16 @@ fn best_affordable(ladder: &[VideoFormat], budget: f64) -> usize {
 /// video quality, unfairness to other players, and low bandwidth
 /// utilization"):
 ///
-/// * **rate rule** — the rung's bitrate must fit within `safety × Σŵ`
+/// * **rate rule** — the rung's bitrate must fit within `SAFETY × Σŵ`
 ///   (harmonic-mean estimates, so bursts do not cause up-switches; no
 ///   estimate yet counts as zero);
-/// * **buffer overrides** — below `panic_secs` drop to the floor whatever
-///   the estimate; at or above `comfort_secs` ride out a rate dip;
+/// * **buffer overrides** — below [`PANIC_SECS`] drop to the floor whatever
+///   the estimate; at or above [`COMFORT_SECS`] ride out a rate dip;
 /// * **damping** — one rung per decision, and an upgrade only after a
-///   higher rung was affordable for more than `min_hold_decisions`
+///   higher rung was affordable for more than [`MIN_HOLD_DECISIONS`]
 ///   decisions in a row, so a lone outlier cannot trigger one.
 pub struct DampedPolicy {
     ladder: Vec<VideoFormat>,
-    cfg: AdaptationConfig,
     current: usize,
     /// Consecutive decisions in which a higher rung was affordable.
     up_evidence: u32,
@@ -224,10 +220,9 @@ pub struct DampedPolicy {
 }
 
 impl DampedPolicy {
-    fn new(cfg: AdaptationConfig, ladder: Vec<VideoFormat>) -> DampedPolicy {
+    fn new(ladder: Vec<VideoFormat>) -> DampedPolicy {
         DampedPolicy {
             ladder: normalize_ladder(ladder),
-            cfg,
             current: 0,
             up_evidence: 0,
             initialised: false,
@@ -235,21 +230,21 @@ impl DampedPolicy {
     }
 
     fn decide(&mut self, estimate_bps: Option<f64>, buffer_secs: f64) -> (usize, SwitchReason) {
-        let budget = self.cfg.safety * estimate_bps.unwrap_or(0.0);
+        let budget = SAFETY * estimate_bps.unwrap_or(0.0);
         let affordable = best_affordable(&self.ladder, budget);
         if !self.initialised {
             self.initialised = true;
             self.current = affordable;
             return (self.current, SwitchReason::Initial);
         }
-        if buffer_secs < self.cfg.panic_secs && self.current > 0 {
+        if buffer_secs < PANIC_SECS && self.current > 0 {
             self.current = 0;
             self.up_evidence = 0;
             return (self.current, SwitchReason::BufferPanic);
         }
         let reason = if affordable > self.current {
             self.up_evidence += 1;
-            if self.up_evidence > self.cfg.min_hold_decisions {
+            if self.up_evidence > MIN_HOLD_DECISIONS {
                 self.current += 1;
                 self.up_evidence = 0;
                 SwitchReason::RateUp
@@ -260,7 +255,7 @@ impl DampedPolicy {
             self.up_evidence = 0;
             // Downgrades are immediate but also single-step, unless the
             // buffer is comfortable enough to ride it out.
-            if buffer_secs >= self.cfg.comfort_secs {
+            if buffer_secs >= COMFORT_SECS {
                 SwitchReason::BufferComfort
             } else {
                 self.current -= 1;
@@ -275,24 +270,20 @@ impl DampedPolicy {
 }
 
 /// BBA-style buffer-occupancy policy: the ladder is mapped linearly onto
-/// the buffer interval `[reservoir, cushion]` (the adaptation config's
-/// `panic_secs` / `comfort_secs`); each decision steps one rung toward the
-/// mapped target. The bandwidth estimate is deliberately ignored — the
-/// buffer level already integrates delivery against consumption.
+/// the buffer interval `[reservoir, cushion]` ([`PANIC_SECS`],
+/// [`COMFORT_SECS`]); each decision steps one rung toward the mapped
+/// target. The bandwidth estimate is deliberately ignored — the buffer
+/// level already integrates delivery against consumption.
 pub struct BbaPolicy {
     ladder: Vec<VideoFormat>,
-    reservoir: f64,
-    cushion: f64,
     current: usize,
     initialised: bool,
 }
 
 impl BbaPolicy {
-    fn new(cfg: AdaptationConfig, ladder: Vec<VideoFormat>) -> BbaPolicy {
+    fn new(ladder: Vec<VideoFormat>) -> BbaPolicy {
         BbaPolicy {
             ladder: normalize_ladder(ladder),
-            reservoir: cfg.panic_secs,
-            cushion: cfg.comfort_secs,
             current: 0,
             initialised: false,
         }
@@ -300,13 +291,13 @@ impl BbaPolicy {
 
     fn target(&self, buffer_secs: f64) -> usize {
         let top = self.ladder.len() - 1;
-        if buffer_secs <= self.reservoir {
+        if buffer_secs <= PANIC_SECS {
             return 0;
         }
-        if buffer_secs >= self.cushion {
+        if buffer_secs >= COMFORT_SECS {
             return top;
         }
-        let frac = (buffer_secs - self.reservoir) / (self.cushion - self.reservoir);
+        let frac = (buffer_secs - PANIC_SECS) / (COMFORT_SECS - PANIC_SECS);
         ((frac * top as f64).floor() as usize).min(top)
     }
 
@@ -333,36 +324,34 @@ impl BbaPolicy {
 }
 
 /// Hybrid policy: the FESTIVE-style rate rule picks the target, the
-/// buffer gates it — below `panic_secs` drop straight to the floor, at or
-/// above `comfort_secs` allow one opportunistic rung beyond the rate rule.
+/// buffer gates it — below [`PANIC_SECS`] drop straight to the floor, at or
+/// above [`COMFORT_SECS`] allow one opportunistic rung beyond the rate rule.
 /// Moves are immediate (no hold damping) but single-step; the buffer gate
 /// is the stabiliser.
 pub struct HybridPolicy {
     ladder: Vec<VideoFormat>,
-    cfg: AdaptationConfig,
     current: usize,
     initialised: bool,
 }
 
 impl HybridPolicy {
-    fn new(cfg: AdaptationConfig, ladder: Vec<VideoFormat>) -> HybridPolicy {
+    fn new(ladder: Vec<VideoFormat>) -> HybridPolicy {
         HybridPolicy {
             ladder: normalize_ladder(ladder),
-            cfg,
             current: 0,
             initialised: false,
         }
     }
 
     fn decide(&mut self, estimate_bps: Option<f64>, buffer_secs: f64) -> (usize, SwitchReason) {
-        let budget = self.cfg.safety * estimate_bps.unwrap_or(0.0);
+        let budget = SAFETY * estimate_bps.unwrap_or(0.0);
         let affordable = best_affordable(&self.ladder, budget);
         if !self.initialised {
             self.initialised = true;
             self.current = affordable;
             return (self.current, SwitchReason::Initial);
         }
-        if buffer_secs < self.cfg.panic_secs {
+        if buffer_secs < PANIC_SECS {
             // Emergency floor — and *stay* there while the buffer is
             // below the reservoir: falling through to the rate rule here
             // would up-switch on the very next decision and oscillate
@@ -375,7 +364,7 @@ impl HybridPolicy {
             };
             return (self.current, reason);
         }
-        let target = if buffer_secs >= self.cfg.comfort_secs {
+        let target = if buffer_secs >= COMFORT_SECS {
             (affordable + 1).min(self.ladder.len() - 1)
         } else {
             affordable
@@ -578,17 +567,13 @@ mod tests {
     use super::*;
     use msim_youtube::format::ITAGS;
 
-    fn cfg() -> AdaptationConfig {
-        AdaptationConfig::default() // panic 5 s, comfort 30 s, safety 0.8
-    }
-
     fn ladder() -> Vec<VideoFormat> {
         ITAGS.to_vec()
     }
 
     #[test]
     fn bba_maps_buffer_onto_the_ladder() {
-        let mut p = AbrPolicyImpl::new(AbrPolicyKind::BufferOccupancy, cfg(), ladder());
+        let mut p = AbrPolicyImpl::new(AbrPolicyKind::BufferOccupancy, ladder());
         // Initial at an empty buffer: floor.
         let (r, reason) = p.decide(Some(50e6), 0.0);
         assert_eq!((r, reason), (0, SwitchReason::Initial));
@@ -608,7 +593,7 @@ mod tests {
 
     #[test]
     fn hybrid_panic_floors_and_comfort_overshoots() {
-        let mut p = AbrPolicyImpl::new(AbrPolicyKind::Hybrid, cfg(), ladder());
+        let mut p = AbrPolicyImpl::new(AbrPolicyKind::Hybrid, ladder());
         // 0.8 × 4 Mb/s affords itag 22 (2.5 Mb/s).
         let (r, _) = p.decide(Some(4.0e6), 20.0);
         assert_eq!(ladder()[r].itag, 22);
@@ -631,7 +616,7 @@ mod tests {
 
     #[test]
     fn hybrid_holds_the_floor_while_the_buffer_is_below_panic() {
-        let mut p = AbrPolicyImpl::new(AbrPolicyKind::Hybrid, cfg(), ladder());
+        let mut p = AbrPolicyImpl::new(AbrPolicyKind::Hybrid, ladder());
         let _ = p.decide(Some(50e6), 20.0); // initial: affordable = top
         let (r, reason) = p.decide(Some(50e6), 1.0);
         assert_eq!(
@@ -639,7 +624,7 @@ mod tests {
             (0, SwitchReason::BufferPanic),
             "panic floors even with a rich estimate"
         );
-        // While the buffer stays below panic_secs, the policy must not
+        // While the buffer stays below PANIC_SECS, the policy must not
         // oscillate back up off the floor, decision after decision.
         for _ in 0..5 {
             let (r, reason) = p.decide(Some(50e6), 1.0);
@@ -652,7 +637,7 @@ mod tests {
 
     /// The damped policy over the full itag table.
     fn damped() -> AbrPolicyImpl {
-        AbrPolicyImpl::new(AbrPolicyKind::DampedRate, cfg(), ladder())
+        AbrPolicyImpl::new(AbrPolicyKind::DampedRate, ladder())
     }
 
     /// One decision, as the chosen format's label and the reason.
@@ -736,7 +721,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty format ladder")]
     fn empty_ladder_rejected() {
-        AbrPolicyImpl::new(AbrPolicyKind::DampedRate, cfg(), Vec::new());
+        AbrPolicyImpl::new(AbrPolicyKind::DampedRate, Vec::new());
     }
 
     #[test]

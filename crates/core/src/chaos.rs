@@ -41,6 +41,7 @@
 
 use crate::fleet::{FleetMetrics, FleetMode, FleetSpec};
 use crate::metrics::{SessionMetrics, TrafficPhase};
+use crate::sim::STREAM_ITAG;
 use msim_core::rng::Prng;
 use msim_core::time::{SimDuration, SimTime};
 use msim_net::middlebox::{negotiate_mptcp, Middlebox, MptcpNegotiation};
@@ -959,9 +960,7 @@ pub fn check_fleet_invariants(spec: &FleetSpec, m: &FleetMetrics) -> Vec<Violati
 
     // Exact mode describes replica `r` of every network by one entry.
     let per_network = match &spec.exact_base {
-        Some((service, _)) if spec.mode == FleetMode::Exact => {
-            (service.service.servers_per_network as usize).max(1)
-        }
+        Some((service, _)) => (service.service.servers_per_network as usize).max(1),
         _ => usize::MAX,
     };
     let ended_secs = m.ended_at.as_secs_f64();
@@ -1003,8 +1002,8 @@ pub fn check_fleet_invariants(spec: &FleetSpec, m: &FleetMetrics) -> Vec<Violati
         }
     }
 
-    if spec.mode == FleetMode::Fluid {
-        let video_bytes = by_itag(spec.itag).map_or(0.0, |f| f.bytes_per_sec()) * spec.video_secs;
+    if spec.mode() == FleetMode::Fluid {
+        let video_bytes = by_itag(STREAM_ITAG).map_or(0.0, |f| f.bytes_per_sec()) * spec.video_secs;
         let floor = m.completed as f64 * video_bytes;
         // Each replica's byte count is truncated to a whole byte.
         let served = (m.total_served_bytes + m.servers.len() as u64) as f64;

@@ -1,12 +1,34 @@
 //! Player configuration.
 //!
-//! Defaults follow the paper: pre-buffer 40 s, low watermark 10 s, refill
-//! 20 s (§4); δ = 5 %, α = 0.9, initial chunk 256 KB, Harmonic estimator
-//! (§5.2); two paths, at most one out-of-order chunk (§2).
+//! Defaults follow the paper: pre-buffer 40 s, refill 20 s (§4); δ = 5 %,
+//! α = 0.9, initial chunk 256 KB, Harmonic estimator (§5.2); two paths, at
+//! most one out-of-order chunk (§2). What the paper fixes and no
+//! experiment varies is a constant here, not a field: the chunk bounds
+//! ([`MIN_CHUNK`], [`MAX_CHUNK`]), the low watermark
+//! ([`LOW_WATERMARK_SECS`]) and the stall-resume level
+//! ([`STALL_RESUME_SECS`]).
 
-use crate::abr::{AbrMode, AbrPolicyKind, AdaptationConfig};
-use msim_core::time::SimDuration;
+use crate::abr::{AbrMode, AbrPolicyKind};
 use msim_core::units::ByteSize;
+
+/// Lower bound for halving a chunk (Alg. 1 line 8: 16 KB).
+pub const MIN_CHUNK: ByteSize = ByteSize::kb(16);
+
+/// Upper bound on any single chunk (keeps bursts bounded, §5.2's
+/// preference for smaller chunks).
+pub const MAX_CHUNK: ByteSize = ByteSize::mb(4);
+
+const _: () = assert!(MIN_CHUNK.as_u64() > 0 && MIN_CHUNK.as_u64() <= MAX_CHUNK.as_u64());
+
+/// Re-buffering low watermark, seconds of video (§4: 10 s).
+pub const LOW_WATERMARK_SECS: f64 = 10.0;
+
+/// Playback resumes after a stall once this much video is buffered,
+/// seconds (the paper does not specify; commercial players use a few
+/// seconds).
+pub const STALL_RESUME_SECS: f64 = 5.0;
+
+const _: () = assert!(LOW_WATERMARK_SECS >= 0.0 && LOW_WATERMARK_SECS < f64::INFINITY);
 
 /// The default quality ladder: every progressive itag the catalog's format
 /// table maintains, ascending by bitrate.
@@ -23,10 +45,6 @@ pub const DEFAULT_ABR_LADDER: &[u32] = &[17, 36, 18, 43, 22, 37];
 /// one.
 #[derive(Clone, Debug)]
 pub struct AbrLadderConfig {
-    /// The adapter's rate/buffer rules.
-    pub adaptation: AdaptationConfig,
-    /// Interval between quality decisions (each one is a timer wakeup).
-    pub decision_interval: SimDuration,
     /// The quality ladder: itags in strictly ascending bitrate order, each
     /// present in the catalog's format table. A closed-loop session's
     /// starting itag must be a rung of the ladder (validated by the
@@ -41,8 +59,6 @@ pub struct AbrLadderConfig {
 impl Default for AbrLadderConfig {
     fn default() -> Self {
         AbrLadderConfig {
-            adaptation: AdaptationConfig::default(),
-            decision_interval: SimDuration::from_millis(250),
             ladder: DEFAULT_ABR_LADDER.to_vec(),
             policy: AbrPolicyKind::DampedRate,
             mode: AbrMode::Shadow,
@@ -164,24 +180,14 @@ pub struct PlayerConfig {
     pub scheduler: SchedulerKind,
     /// Initial/base chunk size B.
     pub initial_chunk: ByteSize,
-    /// Lower bound for halving (Alg. 1 line 8: 16 KB).
-    pub min_chunk: ByteSize,
-    /// Upper bound on any single chunk (keeps bursts bounded, §5.2's
-    /// preference for smaller chunks).
-    pub max_chunk: ByteSize,
     /// Throughput variation parameter δ (Alg. 1).
     pub delta: f64,
     /// EWMA weight α (Eq. 1).
     pub alpha: f64,
     /// Pre-buffering target, seconds of video (§4: 40 s).
     pub prebuffer_secs: f64,
-    /// Re-buffering low watermark, seconds (§4: 10 s).
-    pub low_watermark_secs: f64,
     /// Amount of video data fetched per refill cycle, seconds (§4: 20 s).
     pub rebuffer_secs: f64,
-    /// Playback resumes after a stall once this much video is buffered
-    /// (the paper does not specify; commercial players use a few seconds).
-    pub stall_resume_secs: f64,
     /// Maximum completed-but-unplayable chunks held ("at most one
     /// out-of-order chunk", §2).
     pub ooo_cap: usize,
@@ -206,14 +212,10 @@ impl Default for PlayerConfig {
         PlayerConfig {
             scheduler: SchedulerKind::Harmonic,
             initial_chunk: ByteSize::kb(256),
-            min_chunk: ByteSize::kb(16),
-            max_chunk: ByteSize::mb(4),
             delta: 0.05,
             alpha: 0.9,
             prebuffer_secs: 40.0,
-            low_watermark_secs: 10.0,
             rebuffer_secs: 20.0,
-            stall_resume_secs: 5.0,
             ooo_cap: 1,
             head_start: true,
             single_request_prebuffer: false,
@@ -274,14 +276,8 @@ impl PlayerConfig {
 
     /// Validates internal consistency.
     pub fn validate(&self) -> Result<(), String> {
-        if self.min_chunk.as_u64() == 0 {
-            return Err("min_chunk must be positive".into());
-        }
-        if self.min_chunk > self.max_chunk {
-            return Err("min_chunk exceeds max_chunk".into());
-        }
-        if self.initial_chunk < self.min_chunk || self.initial_chunk > self.max_chunk {
-            return Err("initial_chunk outside [min_chunk, max_chunk]".into());
+        if self.initial_chunk < MIN_CHUNK || self.initial_chunk > MAX_CHUNK {
+            return Err("initial_chunk outside [MIN_CHUNK, MAX_CHUNK]".into());
         }
         if !(0.0..1.0).contains(&self.delta) {
             return Err("delta must be in [0, 1)".into());
@@ -291,14 +287,10 @@ impl PlayerConfig {
         }
         // Accepting range tests (not `<=` rejections), so NaN and ±inf fail.
         let positive = |v: f64| v > 0.0 && v < f64::INFINITY;
-        let low_ok = (0.0..f64::INFINITY).contains(&self.low_watermark_secs);
-        if !(positive(self.prebuffer_secs) && positive(self.rebuffer_secs) && low_ok) {
+        if !(positive(self.prebuffer_secs) && positive(self.rebuffer_secs)) {
             return Err("buffer thresholds must be positive".into());
         }
         if let Some(abr) = &self.abr_ladder {
-            if abr.decision_interval.is_zero() {
-                return Err("abr decision interval must be positive".into());
-            }
             abr.validate_ladder()
                 .map_err(|e| format!("invalid abr ladder: {e}"))?;
         }
@@ -315,15 +307,15 @@ mod tests {
         let c = PlayerConfig::default();
         assert_eq!(c.scheduler, SchedulerKind::Harmonic);
         assert_eq!(c.initial_chunk, ByteSize::kb(256));
-        assert_eq!(c.min_chunk, ByteSize::kb(16));
         assert_eq!(c.delta, 0.05);
         assert_eq!(c.alpha, 0.9);
         assert_eq!(c.prebuffer_secs, 40.0);
-        assert_eq!(c.low_watermark_secs, 10.0);
         assert_eq!(c.rebuffer_secs, 20.0);
         assert_eq!(c.ooo_cap, 1);
         assert!(c.head_start);
         assert!(c.validate().is_ok());
+        assert_eq!(MIN_CHUNK, ByteSize::kb(16), "Alg. 1 line 8");
+        assert_eq!(LOW_WATERMARK_SECS, 10.0, "§4");
     }
 
     #[test]
@@ -363,7 +355,7 @@ mod tests {
         assert!(c.validate().is_err());
 
         let c = PlayerConfig {
-            min_chunk: ByteSize::mb(8),
+            initial_chunk: ByteSize::mb(8), // above max
             ..PlayerConfig::default()
         };
         assert!(c.validate().is_err());
@@ -378,11 +370,10 @@ mod tests {
     #[test]
     fn validation_rejects_non_finite_buffer_thresholds() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            for field in 0..3 {
+            for field in 0..2 {
                 let mut c = PlayerConfig::default();
                 match field {
                     0 => c.prebuffer_secs = bad,
-                    1 => c.low_watermark_secs = bad,
                     _ => c.rebuffer_secs = bad,
                 }
                 assert_eq!(

@@ -9,7 +9,9 @@
 //! Sunstar/video-CDN framing of [PAPERS.md]): per-server utilization
 //! timelines, rebuffer-vs-load curves, and a cost-vs-QoE frontier.
 //!
-//! Two interoperable session backends drive the same [`FleetSpec`]:
+//! Two interoperable session backends drive the same [`FleetSpec`]; a spec
+//! with an [`exact_base`](FleetSpec::exact_base) is exact, one without is
+//! fluid ([`FleetSpec::mode`]):
 //!
 //! * **Exact** ([`FleetMode::Exact`]) runs every session through the real
 //!   per-chunk [`SessionHost`](crate::sim::SessionHost), threading the
@@ -28,6 +30,10 @@
 //!   instead of O(chunks × rounds), so 100k+ concurrent coupled sessions
 //!   fit in one process (the benchmark's `fleet_fluid` workload runs
 //!   120 000).
+//!
+//! Every fleet streams [`STREAM_ITAG`] and buckets utilisation by
+//! [`UTIL_BUCKET`]; a fluid population draws its last-mile ceilings from
+//! [`ACCESS_CLASSES`] and is charged its connection ramp at [`FLUID_RTT`].
 //!
 //! Both backends are deterministic: same seed ⇒ bit-identical
 //! [`FleetMetrics`], independent of [`FleetSpec::workers`]. Worker threads
@@ -82,9 +88,9 @@
 //! bucket of their clock.
 
 use crate::chaos::{ChaosInjector, ChaosPlan};
-use crate::config::PlayerConfig;
+use crate::config::{PlayerConfig, LOW_WATERMARK_SECS, STALL_RESUME_SECS};
 use crate::metrics::{qoe_score, SessionMetrics};
-use crate::sim::{ServiceSpec, SessionSpec};
+use crate::sim::{ServiceSpec, SessionSpec, STREAM_ITAG};
 use msim_core::event::EventQueue;
 use msim_core::rng::Prng;
 use msim_core::telemetry::LazyCounter;
@@ -151,6 +157,37 @@ const MAX_FLUID_SERVERS: usize = u16::MAX as usize + 1;
 /// Most access classes a fluid fleet can have: a session names its class
 /// in a `u8`.
 const MAX_FLUID_CLASSES: usize = u8::MAX as usize + 1;
+
+/// Width of one per-server utilization-timeline bucket.
+pub const UTIL_BUCKET: SimDuration = SimDuration::from_secs(10);
+
+/// [`UTIL_BUCKET`] in microseconds, the unit the servers count in.
+const UTIL_BUCKET_US: u64 = UTIL_BUCKET.as_micros();
+
+/// Per-session RTT of the fluid connection-ramp charge.
+pub const FLUID_RTT: SimDuration = SimDuration::from_millis(40);
+
+/// Access-class mix of the fluid population: a WiFi/LTE/DSL split, drawn
+/// 3 : 2 : 1.
+pub const ACCESS_CLASSES: [AccessClass; 3] = [
+    AccessClass {
+        name: "wifi",
+        rate: BitRate::bps_const(12e6),
+        weight: 3,
+    },
+    AccessClass {
+        name: "lte",
+        rate: BitRate::bps_const(6e6),
+        weight: 2,
+    },
+    AccessClass {
+        name: "dsl",
+        rate: BitRate::bps_const(3e6),
+        weight: 1,
+    },
+];
+
+const _: () = assert!(ACCESS_CLASSES.len() <= MAX_FLUID_CLASSES);
 
 /// Most sessions plus capacity edges a fluid fleet can queue at once: the
 /// event slab's slots are `u32`s below its end marker `u32::MAX`.
@@ -279,11 +316,12 @@ impl FleetServerSpec {
     }
 }
 
-/// One access-link class of the arriving population (fluid mode): the
-/// session's last-mile ceiling `a_k` and its sampling weight.
+/// One access-link class of the arriving population (fluid mode, see
+/// [`ACCESS_CLASSES`]): the session's last-mile ceiling `a_k` and its
+/// sampling weight.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AccessClass {
-    /// Label carried into reports.
+    /// The class's name.
     pub name: &'static str,
     /// Last-mile rate ceiling for sessions of this class.
     pub rate: BitRate,
@@ -298,8 +336,6 @@ pub struct FleetSpec {
     /// Master seed; the arrival process, class mix, per-session seeds and
     /// chaos schedule all derive from it.
     pub seed: u64,
-    /// Session backend.
-    pub mode: FleetMode,
     /// Server-selection policy (exact mode requires
     /// [`SelectionPolicy::LoadBalanced`]).
     pub policy: SelectionPolicy,
@@ -314,16 +350,10 @@ pub struct FleetSpec {
     pub arrival_window: SimDuration,
     /// Video length per session, seconds.
     pub video_secs: f64,
-    /// Video format (fixed-rate population).
-    pub itag: u32,
-    /// Player configuration: the fluid backend reads the buffer
-    /// thresholds (pre-buffer, low watermark, refill, stall-resume); the
-    /// exact backend runs the whole config.
+    /// Player configuration: the fluid backend reads the pre-buffer and
+    /// refill amounts (the low watermark and stall-resume level are
+    /// constants); the exact backend runs the whole config.
     pub player: PlayerConfig,
-    /// Access-class mix of the population (fluid mode).
-    pub access: Vec<AccessClass>,
-    /// Per-session RTT used for the fluid connection-ramp charge.
-    pub rtt: SimDuration,
     /// Optional chaos plan; the fleet layer honours
     /// `fleet-overload` windows (capacity division) fleet-wide.
     pub chaos: Option<ChaosPlan>,
@@ -332,11 +362,9 @@ pub struct FleetSpec {
     /// last arrival and capacity edge. Never changes results — determinism
     /// is by construction.
     pub workers: usize,
-    /// Width of one per-server utilization-timeline bucket.
-    pub util_bucket: SimDuration,
     /// Exact mode's base session: the service topology plus paths, player
     /// and stop condition. Each session runs this spec under its own seed
-    /// and the fleet-injected load.
+    /// and the fleet-injected load. Its presence makes the spec exact.
     pub exact_base: Option<(ServiceSpec, SessionSpec)>,
 }
 
@@ -347,35 +375,14 @@ impl FleetSpec {
     pub fn fluid(seed: u64, sessions: u64) -> FleetSpec {
         FleetSpec {
             seed,
-            mode: FleetMode::Fluid,
             policy: SelectionPolicy::LoadBalanced,
             servers: vec![FleetServerSpec::new(BitRate::mbps(2500.0)); 4],
             sessions,
             arrival_window: SimDuration::from_secs(120),
             video_secs: 300.0,
-            itag: 22,
             player: PlayerConfig::msplayer(),
-            access: vec![
-                AccessClass {
-                    name: "wifi",
-                    rate: BitRate::mbps(12.0),
-                    weight: 3,
-                },
-                AccessClass {
-                    name: "lte",
-                    rate: BitRate::mbps(6.0),
-                    weight: 2,
-                },
-                AccessClass {
-                    name: "dsl",
-                    rate: BitRate::mbps(3.0),
-                    weight: 1,
-                },
-            ],
-            rtt: SimDuration::from_millis(40),
             chaos: None,
             workers: 0,
-            util_bucket: SimDuration::from_secs(10),
             exact_base: None,
         }
     }
@@ -386,20 +393,24 @@ impl FleetSpec {
     pub fn exact(service: ServiceSpec, base: SessionSpec, sessions: u64) -> FleetSpec {
         FleetSpec {
             seed: base.seed,
-            mode: FleetMode::Exact,
             policy: SelectionPolicy::LoadBalanced,
             servers: Vec::new(),
             sessions,
             arrival_window: SimDuration::from_secs(60),
             video_secs: service.video_secs,
-            itag: service.itag,
             player: base.player.clone(),
-            access: Vec::new(),
-            rtt: SimDuration::from_millis(40),
             chaos: None,
             workers: 0,
-            util_bucket: SimDuration::from_secs(10),
             exact_base: Some((service, base)),
+        }
+    }
+
+    /// The session backend: exact when the spec has an exact base.
+    pub fn mode(&self) -> FleetMode {
+        if self.exact_base.is_some() {
+            FleetMode::Exact
+        } else {
+            FleetMode::Fluid
         }
     }
 
@@ -625,13 +636,15 @@ fn attrs_for(spec: &FleetSpec, index: u64) -> SessionAttrs {
     } else {
         rng.below(window_us)
     };
-    let total_weight: u64 = spec.access.iter().map(|c| u64::from(c.weight)).sum();
-    let class = if total_weight == 0 {
+    // Exact sessions have no access class, and drawing one would move
+    // every session seed after it.
+    let class = if spec.exact_base.is_some() {
         0
     } else {
+        let total_weight: u64 = ACCESS_CLASSES.iter().map(|c| u64::from(c.weight)).sum();
         let mut draw = rng.below(total_weight);
         let mut picked = 0;
-        for (k, c) in spec.access.iter().enumerate() {
+        for (k, c) in ACCESS_CLASSES.iter().enumerate() {
             let w = u64::from(c.weight);
             if draw < w {
                 picked = k;
@@ -685,9 +698,8 @@ pub struct FleetHost {
 
 impl FleetHost {
     /// Validates `spec` and builds the host. Fluid mode requires a
-    /// non-empty capacitated fleet of at most 65 536 replicas, a known
-    /// itag, an access mix of 1 to 256 classes, and at most 2³² − 1
-    /// sessions and capacity edges; exact mode requires a base scenario,
+    /// non-empty capacitated fleet of at most 65 536 replicas and at most
+    /// 2³² − 1 sessions and capacity edges; exact mode requires
     /// load-balanced selection
     /// (the emulated service's own load-aware ordering does the
     /// choosing), and at most `servers_per_network` replica specs.
@@ -698,9 +710,6 @@ impl FleetHost {
         if spec.video_secs <= 0.0 {
             return Err("video_secs must be positive".into());
         }
-        if spec.util_bucket.is_zero() {
-            return Err("util_bucket must be positive".into());
-        }
         if let Some(plan) = &spec.chaos {
             let n_paths = spec
                 .exact_base
@@ -708,11 +717,8 @@ impl FleetHost {
                 .map_or(1, |(_, base)| base.paths.len());
             plan.validate(n_paths).map_err(|e| format!("chaos: {e}"))?;
         }
-        match spec.mode {
-            FleetMode::Fluid => {
-                if by_itag(spec.itag).is_none() {
-                    return Err(format!("unknown itag {}", spec.itag));
-                }
+        match &spec.exact_base {
+            None => {
                 if spec.servers.is_empty() {
                     return Err("fluid mode needs at least one server".into());
                 }
@@ -733,21 +739,6 @@ impl FleetHost {
                         spec.servers.len()
                     ));
                 }
-                if spec.access.is_empty() {
-                    return Err("fluid mode needs at least one access class".into());
-                }
-                if spec.access.len() > MAX_FLUID_CLASSES {
-                    return Err(format!(
-                        "fluid mode takes at most {MAX_FLUID_CLASSES} access classes, got {}",
-                        spec.access.len()
-                    ));
-                }
-                if spec.access.iter().all(|c| c.weight == 0) {
-                    return Err("access-class weights must not all be zero".into());
-                }
-                if spec.access.iter().any(|c| c.rate.as_bps() <= 0.0) {
-                    return Err("access-class rates must be positive".into());
-                }
                 let crunches = spec.chaos.iter().flat_map(|plan| &plan.injectors);
                 let edges = crunches.filter(|i| matches!(i, ChaosInjector::FleetOverload { .. }));
                 let queued = spec.sessions.saturating_add(2 * edges.count() as u64);
@@ -759,11 +750,7 @@ impl FleetHost {
                 }
                 spec.player.validate().map_err(|e| format!("player: {e}"))?;
             }
-            FleetMode::Exact => {
-                let (service, base) = spec
-                    .exact_base
-                    .as_ref()
-                    .ok_or("exact mode needs an exact_base session")?;
+            Some((service, base)) => {
                 if spec.policy != SelectionPolicy::LoadBalanced {
                     return Err(format!(
                         "exact mode supports only the load-balanced policy (the \
@@ -797,7 +784,7 @@ impl FleetHost {
     /// many threads once no event couples two replicas; an exact run on
     /// one.
     pub fn run(&mut self) -> FleetMetrics {
-        match self.spec.mode {
+        match self.spec.mode() {
             FleetMode::Fluid => run_fluid(&self.spec, arrivals(&self.spec)),
             FleetMode::Exact => run_exact(&self.spec),
         }
@@ -1028,9 +1015,7 @@ struct Params {
     lw_bytes: f64,
     refill_bytes: f64,
     resume_bytes: f64,
-    bucket_us: u64,
     tcp: TcpConfig,
-    rtt: SimDuration,
 }
 
 /// What a replica counts of its own events and sessions. The fleet's
@@ -1183,7 +1168,7 @@ impl Replica {
 
     /// Attach to the replica, for every burst of the download.
     fn attach(&mut self, p: &Params, i: usize, now: SimTime) {
-        self.server.advance(now, &p.rates, p.bucket_us);
+        self.server.advance(now, &p.rates, UTIL_BUCKET_US);
         let s = &mut self.sessions[i];
         let k = usize::from(s.class);
         self.server.attach(k);
@@ -1224,7 +1209,7 @@ impl Replica {
         // session `share·latency − ramp_bytes` behind by the time it
         // reaches rate (`startup_ramp`'s closed form).
         let share = p.rates[usize::from(class)].min(self.server.share);
-        let ramp = fluid::startup_ramp(&p.tcp, p.rtt, BitRate::bps(share * 8.0));
+        let ramp = fluid::startup_ramp(&p.tcp, FLUID_RTT, BitRate::bps(share * 8.0));
         let deficit = (share * ramp.latency.as_secs_f64() - ramp.ramp_bytes.as_f64()).max(0.0);
         self.sessions[i].downloaded = -deficit;
         self.schedule_wake(p, i, now);
@@ -1273,7 +1258,7 @@ impl Replica {
         }
         // Attached phases: advance the server and read the exact download
         // progress off the class virtual clock.
-        self.server.advance(now, &p.rates, p.bucket_us);
+        self.server.advance(now, &p.rates, UTIL_BUCKET_US);
         let s = &mut self.sessions[i];
         let (d_prev, t_prev) = (s.downloaded, s.synced_at);
         let v = self.server.v[usize::from(s.class)];
@@ -1456,7 +1441,7 @@ impl Fluid<'_> {
             .as_ref()
             .map_or(1, |c| c.fleet_capacity_factor(now));
         for r in &mut self.replicas {
-            r.server.advance(now, &self.p.rates, self.p.bucket_us);
+            r.server.advance(now, &self.p.rates, UTIL_BUCKET_US);
             r.server.set_cap(factor);
             r.slots_moved = true;
         }
@@ -1518,7 +1503,7 @@ fn arrivals(spec: &FleetSpec) -> impl ExactSizeIterator<Item = Arrival> + '_ {
     let order: Vec<u32> = keys.iter().map(|&(_, index)| index).collect();
     order.into_iter().map(|index| {
         let a = attrs_for(spec, u64::from(index));
-        let class = u8::try_from(a.class).expect("validated: at most 256 access classes");
+        let class = u8::try_from(a.class).expect("the access mix has at most 256 classes");
         Arrival {
             at: a.arrival,
             index,
@@ -1529,11 +1514,9 @@ fn arrivals(spec: &FleetSpec) -> impl ExactSizeIterator<Item = Arrival> + '_ {
 
 fn run_fluid(spec: &FleetSpec, arrivals: impl ExactSizeIterator<Item = Arrival>) -> FleetMetrics {
     let n = arrivals.len();
-    let fmt = by_itag(spec.itag).expect("validated at construction");
+    let fmt = by_itag(STREAM_ITAG).expect("known itag");
     let bps = fmt.bytes_per_sec();
     let total_bytes = bps * spec.video_secs;
-    let n_classes = spec.access.len();
-    let bucket_us = spec.util_bucket.as_micros().max(1);
     let chaos = spec.chaos.as_ref().map(|p| p.resolve(spec.seed, 1));
     let factor0 = chaos
         .as_ref()
@@ -1558,7 +1541,7 @@ fn run_fluid(spec: &FleetSpec, arrivals: impl ExactSizeIterator<Item = Arrival>)
         .iter()
         .map(|s| {
             let base = s.service_rate.expect("validated").bytes_per_sec();
-            let server = FluidServer::new(base, factor0, n_classes, bucket_us);
+            let server = FluidServer::new(base, factor0, ACCESS_CLASSES.len(), UTIL_BUCKET_US);
             Replica::new(server, reserve)
         })
         .collect();
@@ -1566,16 +1549,17 @@ fn run_fluid(spec: &FleetSpec, arrivals: impl ExactSizeIterator<Item = Arrival>)
         spec,
         chaos,
         p: Params {
-            rates: spec.access.iter().map(|c| c.rate.bytes_per_sec()).collect(),
+            rates: ACCESS_CLASSES
+                .iter()
+                .map(|c| c.rate.bytes_per_sec())
+                .collect(),
             bps,
             total_bytes,
             prebuffer_bytes: (spec.player.prebuffer_secs * bps).min(total_bytes),
-            lw_bytes: spec.player.low_watermark_secs * bps,
+            lw_bytes: LOW_WATERMARK_SECS * bps,
             refill_bytes: spec.player.rebuffer_secs * bps,
-            resume_bytes: spec.player.stall_resume_secs * bps,
-            bucket_us,
+            resume_bytes: STALL_RESUME_SECS * bps,
             tcp: TcpConfig::default(),
-            rtt: spec.rtt,
         },
         video_bps: fmt.bitrate.as_bps(),
         total_cap_bits: total_cap_bits(&replicas),
@@ -1620,7 +1604,7 @@ fn run_fluid(spec: &FleetSpec, arrivals: impl ExactSizeIterator<Item = Arrival>)
     let now_last = sim.last.max(tally.last);
     // The final pass reads servers and logs only: free the rest first.
     for r in &mut sim.replicas {
-        r.server.advance(now_last, &sim.p.rates, sim.p.bucket_us);
+        r.server.advance(now_last, &sim.p.rates, UTIL_BUCKET_US);
         (r.sessions, r.queue) = (Vec::new(), EventQueue::new());
     }
     if msim_core::telemetry::enabled() {
@@ -1667,7 +1651,7 @@ fn run_fluid(spec: &FleetSpec, arrivals: impl ExactSizeIterator<Item = Arrival>)
                 served_bytes: served as u64,
                 peak_sessions: srv.peak,
                 cost: cfg.base_cost_per_hour * hours + cfg.cost_per_gb * served / 1e9,
-                bucket_secs: spec.util_bucket.as_secs_f64(),
+                bucket_secs: UTIL_BUCKET.as_secs_f64(),
                 utilization: srv
                     .bucket_served
                     .iter()
@@ -1710,7 +1694,8 @@ fn run_fluid(spec: &FleetSpec, arrivals: impl ExactSizeIterator<Item = Arrival>)
 
 /// Spreads `bytes` uniformly over `[t0, t1]` into per-bucket
 /// accumulators (all into `t0`'s bucket when the span is empty).
-fn spread_bytes(buckets: &mut Vec<f64>, bytes: f64, t0_us: u64, t1_us: u64, bucket_us: u64) {
+fn spread_bytes(buckets: &mut Vec<f64>, bytes: f64, t0_us: u64, t1_us: u64) {
+    let bucket_us = UTIL_BUCKET_US;
     let grow = |buckets: &mut Vec<f64>, b: usize| {
         if buckets.len() <= b {
             buckets.resize(b + 1, 0.0);
@@ -1739,9 +1724,7 @@ fn spread_bytes(buckets: &mut Vec<f64>, bytes: f64, t0_us: u64, t1_us: u64, buck
 
 fn run_exact(spec: &FleetSpec) -> FleetMetrics {
     let (service, base) = spec.exact_base.as_ref().expect("validated at construction");
-    let bitrate = by_itag(service.itag)
-        .map(|f| f.bitrate)
-        .unwrap_or(BitRate::bps(0.0));
+    let bitrate = by_itag(STREAM_ITAG).expect("known itag").bitrate;
     let mut host = crate::sim::SessionHost::new(service.clone());
     let chaos = spec
         .chaos
@@ -1771,7 +1754,6 @@ fn run_exact(spec: &FleetSpec) -> FleetMetrics {
     let mut exact_sessions: Vec<SessionMetrics> = Vec::new();
     let mut served: Vec<f64> = vec![0.0; n_servers];
     let mut bucket_served: Vec<Vec<f64>> = vec![Vec::new(); n_servers];
-    let bucket_us = spec.util_bucket.as_micros().max(1);
     let mut startups: Vec<f64> = Vec::new();
     let mut qoe_sum = 0.0;
     let mut total_stall = 0.0;
@@ -1781,9 +1763,7 @@ fn run_exact(spec: &FleetSpec) -> FleetMetrics {
     let mut peak_concurrent = 0u64;
     let mut events = 0u64;
     let mut end_max = SimTime::ZERO;
-    let video_bps = by_itag(service.itag)
-        .map(|f| f.bitrate.as_bps())
-        .unwrap_or(0.0);
+    let video_bps = bitrate.as_bps();
     for &i in &order {
         let arrival = attrs[i].arrival;
         let arr_us = arrival.as_micros();
@@ -1897,13 +1877,7 @@ fn run_exact(spec: &FleetSpec) -> FleetMetrics {
             let (net, r) = assignment[i][p];
             let flat = net * n_rep + r;
             served[flat] += bytes as f64;
-            spread_bytes(
-                &mut bucket_served[flat],
-                bytes as f64,
-                arr_us,
-                end_us,
-                bucket_us,
-            );
+            spread_bytes(&mut bucket_served[flat], bytes as f64, arr_us, end_us);
         }
         if let Some(d) = metrics.prebuffer_time() {
             startups.push(d.as_secs_f64());
@@ -1935,8 +1909,8 @@ fn run_exact(spec: &FleetSpec) -> FleetMetrics {
                         .iter()
                         .enumerate()
                         .map(|(b, &s)| {
-                            let lo = b as u64 * bucket_us;
-                            let width_us = bucket_us.min(end_us.saturating_sub(lo)).max(1);
+                            let lo = b as u64 * UTIL_BUCKET_US;
+                            let width_us = UTIL_BUCKET_US.min(end_us.saturating_sub(lo)).max(1);
                             s / (cap_bytes * width_us as f64 / 1e6)
                         })
                         .collect()
@@ -1951,7 +1925,7 @@ fn run_exact(spec: &FleetSpec) -> FleetMetrics {
                 cost: cfg
                     .map(|c| c.base_cost_per_hour * hours + c.cost_per_gb * served[flat] / 1e9)
                     .unwrap_or(0.0),
-                bucket_secs: spec.util_bucket.as_secs_f64(),
+                bucket_secs: UTIL_BUCKET.as_secs_f64(),
                 utilization,
             }
         })
@@ -2258,11 +2232,6 @@ mod tests {
         wrong_policy.policy = SelectionPolicy::QoeFirst;
         assert!(FleetHost::new(wrong_policy).is_err());
         // One more than a session's compact indices can name.
-        let mut too_many_classes = FleetSpec::fluid(1, 10);
-        too_many_classes.access = vec![too_many_classes.access[0]; 257];
-        assert!(FleetHost::new(too_many_classes.clone()).is_err());
-        too_many_classes.access.truncate(256);
-        assert!(FleetHost::new(too_many_classes).is_ok());
         let mut too_many_servers = FleetSpec::fluid(1, 10);
         too_many_servers.servers = vec![too_many_servers.servers[0]; 65_537];
         assert!(FleetHost::new(too_many_servers.clone()).is_err());

@@ -19,17 +19,17 @@
 //!   driver writes the same per-chunk trace (drivers write only the
 //!   `session.*` brackets).
 
-use crate::abr::{AbrMode, AbrPolicyImpl, RungMap, RungTimeline, SwitchReason};
+use crate::abr::{AbrMode, AbrPolicyImpl, RungMap, RungTimeline, SwitchReason, DECISION_INTERVAL};
 use crate::buffer::{BufferPhase, PlayoutBuffer};
 use crate::chunk::{ChunkAssignment, ChunkLedger, PathId};
-use crate::config::PlayerConfig;
+use crate::config::{PlayerConfig, LOW_WATERMARK_SECS, MIN_CHUNK, STALL_RESUME_SECS};
 use crate::metrics::{
     AbrDecision, AbrQoe, AbrSwitch, AbrTrace, ChunkRecord, ChunkTrace, SessionMetrics,
     TrafficPhase, MAX_TRACE_CHUNK_BYTES,
 };
 use crate::scheduler::SchedulerImpl;
 use msim_core::telemetry::{self, LazyCounter, LazyHistogram, TraceVal};
-use msim_core::time::{SimDuration, SimTime};
+use msim_core::time::SimTime;
 
 // Per-event telemetry series, resolved once per process.
 static ABR_DECISIONS: LazyCounter = LazyCounter::new("msp_abr_decisions_total");
@@ -203,7 +203,6 @@ pub struct Player {
 /// [`crate::config::AbrLadderConfig`] and [`crate::abr`]).
 struct AbrRuntime {
     policy: AbrPolicyImpl,
-    interval: SimDuration,
     next_decision_at: SimTime,
     /// Whether decisions actually switch the streamed itag.
     closed_loop: bool,
@@ -265,9 +264,9 @@ impl Player {
             total_bytes,
             bytes_per_sec,
             cfg.prebuffer_secs,
-            cfg.low_watermark_secs,
+            LOW_WATERMARK_SECS,
             cfg.rebuffer_secs,
-            cfg.stall_resume_secs,
+            STALL_RESUME_SECS,
         );
         let scheduler = SchedulerImpl::for_paths(&cfg, n_paths);
         let abr = cfg.abr_ladder.as_ref().map(|abr| {
@@ -291,9 +290,8 @@ impl Player {
                 .copied()
                 .unwrap_or(*msim_youtube::format::hd_720p());
             AbrRuntime {
-                policy: AbrPolicyImpl::new(abr.policy, abr.adaptation, formats),
-                interval: abr.decision_interval,
-                next_decision_at: started_at + abr.decision_interval,
+                policy: AbrPolicyImpl::new(abr.policy, formats),
+                next_decision_at: started_at + DECISION_INTERVAL,
                 closed_loop: abr.mode == AbrMode::ClosedLoop,
                 rung_map: RungMap::new(start_fmt.itag, bytes_per_sec),
                 video_secs: total_bytes as f64 / bytes_per_sec,
@@ -674,7 +672,7 @@ impl Player {
                     );
                 }
                 while abr.next_decision_at <= now {
-                    abr.next_decision_at += abr.interval;
+                    abr.next_decision_at += DECISION_INTERVAL;
                 }
             }
         }
@@ -706,9 +704,7 @@ impl Player {
             // one request (clamped to what remains).
             let target = (self.cfg.prebuffer_secs * self.rate_bytes_per_sec) as u64;
             let already = self.ledger.contiguous_bytes();
-            return target
-                .saturating_sub(already)
-                .max(self.cfg.min_chunk.as_u64());
+            return target.saturating_sub(already).max(MIN_CHUNK.as_u64());
         }
         self.scheduler.chunk_size(path).as_u64()
     }
@@ -762,6 +758,7 @@ impl Player {
 mod tests {
     use super::*;
     use crate::config::AbrLadderConfig;
+    use msim_core::time::SimDuration;
     use msim_core::units::ByteSize;
 
     const RATE: f64 = 312_500.0; // 2.5 Mbit/s in bytes/s

@@ -16,7 +16,7 @@
 //! * [`FixedScheduler`] — constant chunk size (the commercial single-path
 //!   players' 64 KB / 256 KB behaviour).
 
-use crate::config::{GammaRounding, PlayerConfig, SchedulerKind};
+use crate::config::{GammaRounding, PlayerConfig, SchedulerKind, MAX_CHUNK, MIN_CHUNK};
 use crate::estimator::{EstimatorImpl, Ewma, HarmonicInc, HarmonicWindow, LastSample};
 use msim_core::units::ByteSize;
 
@@ -131,8 +131,9 @@ impl SchedulerImpl {
     }
 }
 
-fn clamp(cfg_min: ByteSize, cfg_max: ByteSize, v: f64) -> ByteSize {
-    let v = v.clamp(cfg_min.as_f64(), cfg_max.as_f64());
+/// Rounds a chunk size of `v` bytes into `[MIN_CHUNK, MAX_CHUNK]`.
+fn clamp(v: f64) -> ByteSize {
+    let v = v.clamp(MIN_CHUNK.as_f64(), MAX_CHUNK.as_f64());
     // `v` is non-negative after the clamp, so round-half-up via truncation
     // replaces `v.round()` — a libm call on baseline x86-64, and this sits
     // on the per-chunk sizing path.
@@ -166,8 +167,6 @@ fn slowest_other(
 /// §3.3 baseline scheduler.
 pub struct RatioScheduler {
     base: ByteSize,
-    min: ByteSize,
-    max: ByteSize,
     last: Vec<LastSample>,
     sizes: Vec<ByteSize>,
 }
@@ -183,8 +182,6 @@ impl RatioScheduler {
     pub fn with_paths(cfg: &PlayerConfig, n_paths: usize) -> RatioScheduler {
         RatioScheduler {
             base: cfg.initial_chunk,
-            min: cfg.min_chunk,
-            max: cfg.max_chunk,
             last: (0..n_paths).map(|_| LastSample::new()).collect(),
             sizes: vec![cfg.initial_chunk; n_paths],
         }
@@ -208,7 +205,7 @@ impl RatioScheduler {
             // Fast path: throughput-ratio multiple of B, relative to the
             // slowest measured path.
             let ratio = w_this / w_other;
-            self.sizes[path] = clamp(self.min, self.max, ratio * self.base.as_f64());
+            self.sizes[path] = clamp(ratio * self.base.as_f64());
         }
     }
 
@@ -232,8 +229,6 @@ impl RatioScheduler {
 /// Alg. 1: dynamic chunk size adjustment over a pluggable estimator.
 pub struct DcsaScheduler {
     base: ByteSize,
-    min: ByteSize,
-    max: ByteSize,
     delta: f64,
     gamma_rounding: GammaRounding,
     estimators: Vec<EstimatorImpl>,
@@ -259,8 +254,6 @@ impl DcsaScheduler {
         let est_name = proto.name();
         DcsaScheduler {
             base: cfg.initial_chunk,
-            min: cfg.min_chunk,
-            max: cfg.max_chunk,
             delta: cfg.delta,
             gamma_rounding: cfg.gamma_rounding,
             estimators: vec![proto; n_paths.max(1)],
@@ -285,16 +278,17 @@ impl DcsaScheduler {
             return;
         };
         if w_hat_i < w_hat_other {
-            // Lines 4–11: slow path — double / halve / hold.
+            // Lines 4–11: slow path — double / halve / hold; `clamp` holds
+            // line 8's 16 KB floor (`MIN_CHUNK`).
             let s_i = self.sizes[i].as_f64();
             let next = if w_i > (1.0 + self.delta) * w_hat_i {
                 s_i * 2.0
             } else if w_i < (1.0 - self.delta) * w_hat_i {
-                (s_i / 2.0).ceil().max(ByteSize::kb(16).as_f64())
+                (s_i / 2.0).ceil()
             } else {
                 s_i
             };
-            self.sizes[i] = clamp(self.min, self.max, next);
+            self.sizes[i] = clamp(next);
         } else {
             // Lines 12–14: fast path — γ multiple of the slowest path's
             // chunk so concurrent transfers complete at about the same time.
@@ -304,7 +298,7 @@ impl DcsaScheduler {
                 GammaRounding::Exact => ratio,
             }
             .max(1.0);
-            self.sizes[i] = clamp(self.min, self.max, gamma * self.sizes[other_idx].as_f64());
+            self.sizes[i] = clamp(gamma * self.sizes[other_idx].as_f64());
         }
     }
 
@@ -398,7 +392,7 @@ mod tests {
         let mut s = RatioScheduler::new(&cfg);
         s.on_sample(1, 0.1e6);
         s.on_sample(0, 500.0e6); // ratio 5000× would explode
-        assert_eq!(s.chunk_size(0), cfg.max_chunk);
+        assert_eq!(s.chunk_size(0), MAX_CHUNK);
     }
 
     #[test]
@@ -593,8 +587,8 @@ mod tests {
                     s.on_sample(path, w);
                     for p in 0..NUM_PATHS {
                         let size = s.chunk_size(p);
-                        prop_assert!(size >= cfg.min_chunk, "{} below floor", size);
-                        prop_assert!(size <= cfg.max_chunk, "{} above cap", size);
+                        prop_assert!(size >= MIN_CHUNK, "{} below floor", size);
+                        prop_assert!(size <= MAX_CHUNK, "{} above cap", size);
                     }
                 }
             }

@@ -210,6 +210,10 @@ impl fmt::Display for SessionSpecError {
 
 impl std::error::Error for SessionSpecError {}
 
+/// The video format every session and fleet streams (unless closed-loop
+/// ABR switches rungs): itag 22, the paper's HD 720p (§5–6).
+pub const STREAM_ITAG: u32 = 22;
+
 /// The service side of an experiment: everything a [`SessionHost`] builds
 /// once and shares across every session it runs.
 #[derive(Clone, Debug)]
@@ -220,8 +224,6 @@ pub struct ServiceSpec {
     pub video_secs: f64,
     /// Whether the video requires the signature-decipher bootstrap step.
     pub copyrighted: bool,
-    /// Video format (itag 22 = the paper's HD 720p).
-    pub itag: u32,
 }
 
 impl Default for ServiceSpec {
@@ -238,7 +240,6 @@ impl ServiceSpec {
             service: ServiceConfig::default(),
             video_secs: 600.0,
             copyrighted: false,
-            itag: 22,
         }
     }
 
@@ -249,7 +250,6 @@ impl ServiceSpec {
             service: youtube_service_config(),
             video_secs: 600.0,
             copyrighted: true,
-            itag: 22,
         }
     }
 
@@ -478,7 +478,6 @@ pub struct SessionHost {
 /// The host minus its queue: what [`SessionHost::start`],
 /// [`SessionHost::step`] and [`SessionHost::finish`] borrow.
 struct Warm {
-    spec: ServiceSpec,
     service: YoutubeService,
     video_id: VideoId,
     bytes_per_sec: f64,
@@ -520,9 +519,6 @@ pub struct Session {
     tick_ops: QueueOps,
     events: u64,
     stop: StopCondition,
-    /// The service's fixed itag: what a range request streams unless
-    /// closed-loop ABR planned its bytes at another rung.
-    itag: u32,
     /// The trace flag, latched once at start.
     tracing: bool,
     stream_span: telemetry::Span,
@@ -541,8 +537,8 @@ impl SessionHost {
             SimDuration::from_secs_f64(spec.video_secs),
             spec.copyrighted,
         ));
-        let service = YoutubeService::new(HOST_SERVICE_SEED, catalog, spec.service.clone());
-        let format = msim_youtube::by_itag(spec.itag).expect("known itag");
+        let service = YoutubeService::new(HOST_SERVICE_SEED, catalog, spec.service);
+        let format = msim_youtube::by_itag(STREAM_ITAG).expect("known itag");
         let bytes_per_sec = format.bytes_per_sec();
         let total_bytes = format
             .size_for(SimDuration::from_secs_f64(spec.video_secs))
@@ -550,7 +546,6 @@ impl SessionHost {
         SessionHost {
             queue: EventQueue::with_capacity(16),
             warm: Warm {
-                spec,
                 service,
                 video_id,
                 bytes_per_sec,
@@ -677,12 +672,11 @@ impl Warm {
     fn validate(&self, spec: &SessionSpec) -> Result<(), SessionSpecError> {
         spec.validate()?;
         if let Some(abr) = &spec.player.abr_ladder {
-            if abr.mode == crate::abr::AbrMode::ClosedLoop && !abr.ladder.contains(&self.spec.itag)
-            {
+            if abr.mode == crate::abr::AbrMode::ClosedLoop && !abr.ladder.contains(&STREAM_ITAG) {
                 return Err(SessionSpecError::InvalidLadder {
                     reason: format!(
                         "closed-loop ladder {:?} does not contain the session's starting itag {}",
-                        abr.ladder, self.spec.itag
+                        abr.ladder, STREAM_ITAG
                     ),
                 });
             }
@@ -734,7 +728,7 @@ impl Warm {
         // exactly the service's fixed itag.
         let grant_itags: Vec<u32> = match &spec.player.abr_ladder {
             Some(abr) if abr.mode == crate::abr::AbrMode::ClosedLoop => abr.ladder.clone(),
-            _ => vec![self.spec.itag],
+            _ => vec![STREAM_ITAG],
         };
 
         // --- Bootstrap each path (§3.2 + Fig. 1 + footnote 1) --------------
@@ -887,7 +881,6 @@ impl Warm {
             tick_ops: QueueOps::default(),
             events: 0,
             stop: spec.stop,
-            itag: self.spec.itag,
             tracing,
             stream_span,
         }
@@ -1008,7 +1001,7 @@ impl Session {
         let itag = self
             .player
             .itag_for_byte(assignment.range.start)
-            .unwrap_or(self.itag);
+            .unwrap_or(STREAM_ITAG);
         let rt = &mut self.paths[p];
         let failed = |reason| PlayerEvent::ChunkFailed { path: p, reason };
         if let Some(cs) = self.chaos.as_mut() {

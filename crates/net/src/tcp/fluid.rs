@@ -66,36 +66,6 @@ pub fn startup_ramp(cfg: &TcpConfig, rtt: SimDuration, rate: BitRate) -> FluidRa
     }
 }
 
-/// Fluid estimate of one transfer's duration: the startup ramp, then the
-/// remaining bytes at `rate`. Transfers that finish inside the ramp are
-/// charged whole doubling rounds (the round that delivers the last byte
-/// still costs a full RTT).
-pub fn transfer_time(
-    cfg: &TcpConfig,
-    rtt: SimDuration,
-    rate: BitRate,
-    size: ByteSize,
-) -> SimDuration {
-    if rate.as_bps() <= 0.0 {
-        return SimDuration::MAX;
-    }
-    let ramp = startup_ramp(cfg, rtt, rate);
-    let size_f = size.as_f64();
-    if size_f <= ramp.ramp_bytes.as_f64() {
-        let mss = f64::from(cfg.mss);
-        let iw_bytes = (cfg.initial_cwnd_pkts * mss).max(mss);
-        // Smallest j with iw·(2^j − 1) ≥ size: the doubling round whose
-        // cumulative geometric sum covers the request.
-        let mut j = 0u32;
-        while iw_bytes * (((1u64 << j) - 1) as f64) < size_f && j < 32 {
-            j += 1;
-        }
-        return rtt.mul_f64(2.0 + f64::from(j));
-    }
-    let steady = (size_f - ramp.ramp_bytes.as_f64()) / rate.bytes_per_sec();
-    ramp.latency + SimDuration::from_secs_f64(steady)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,33 +109,5 @@ mod tests {
         let capped = startup_ramp(&c, rtt, BitRate::mbps(100.0));
         let free = startup_ramp(&cfg(), rtt, BitRate::mbps(100.0));
         assert!(capped.rounds < free.rounds);
-    }
-
-    #[test]
-    fn transfer_time_bounds() {
-        let rtt = SimDuration::from_millis(50);
-        let rate = BitRate::mbps(5.0);
-        let size = ByteSize::mb(1);
-        let t = transfer_time(&cfg(), rtt, rate, size);
-        let ideal = size.as_f64() / rate.bytes_per_sec();
-        assert!(t.as_secs_f64() > ideal, "startup costs something");
-        assert!(
-            t.as_secs_f64() < ideal + 1.0,
-            "but only RTT-scale overhead: {t}"
-        );
-        // Tiny transfer: finishes inside the ramp, RTT-dominated.
-        let tiny = transfer_time(&cfg(), rtt, rate, ByteSize::kb(4));
-        assert_eq!(tiny, rtt.mul_f64(3.0), "one doubling round past setup");
-    }
-
-    #[test]
-    fn dead_rate_never_finishes() {
-        let t = transfer_time(
-            &cfg(),
-            SimDuration::from_millis(50),
-            BitRate::bps(0.0),
-            ByteSize::kb(64),
-        );
-        assert_eq!(t, SimDuration::MAX);
     }
 }

@@ -502,9 +502,10 @@ impl<E> EventQueue<E> {
         1 << self.shift
     }
 
-    /// The current calendar bucket count (exposed for tests; follows the
-    /// number of pending events up and back down).
-    pub fn ring_buckets(&self) -> usize {
+    /// The current calendar bucket count (for tests; follows the number of
+    /// pending events up and back down).
+    #[cfg(test)]
+    fn ring_buckets(&self) -> usize {
         self.buckets.len()
     }
 

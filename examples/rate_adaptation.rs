@@ -9,7 +9,7 @@
 //! cargo run --release --example rate_adaptation
 //! ```
 
-use msplayer::core::abr::{AbrPolicyImpl, AbrPolicyKind, AdaptationConfig, SwitchReason};
+use msplayer::core::abr::{AbrPolicyImpl, AbrPolicyKind, SwitchReason};
 use msplayer::core::config::PlayerConfig;
 use msplayer::core::estimator::HarmonicInc;
 use msplayer::core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec, StopCondition};
@@ -25,11 +25,7 @@ fn main() {
         .expect("valid spec");
 
     let mut estimators = [HarmonicInc::new(), HarmonicInc::new()];
-    let mut adapter = AbrPolicyImpl::new(
-        AbrPolicyKind::DampedRate,
-        AdaptationConfig::default(),
-        ITAGS.to_vec(),
-    );
+    let mut adapter = AbrPolicyImpl::new(AbrPolicyKind::DampedRate, ITAGS.to_vec());
 
     println!(
         "itag ladder: {:?}\n",

@@ -73,7 +73,7 @@ fn chunk_ranges_cover_prefix_without_overlap() {
     let m = run_on(ServiceSpec::testbed(), &spec);
     // Sort all completed chunks by their metric record; re-derive coverage
     // from the byte counts: total fetched equals the contiguous target plus
-    // at most max_chunk of overshoot per path.
+    // at most MAX_CHUNK of overshoot per path.
     let total: u64 = m.chunks.iter().map(|c| c.bytes).sum();
     let target = (15.0 + 20.0) * 312_500.0; // prebuffer + one refill
     assert!(

@@ -44,11 +44,14 @@ const FLAGS: &[Flag<Options>] = &[
     ("--metrics", "<ADDR> serve live /metrics on ADDR while it runs", Value(|o, v| parsed(v).map(|addr| o.metrics = Some(addr)))),
 ];
 
+/// The named specs of `msplayer_bench::fleet` always validate.
+const NAMED: &str = "named fleet spec validates";
+
 /// Runs `spec` to completion under the fleet invariant oracle: a run that
 /// violates it prints every violation and exits 1, which is what makes
-/// CI's fleet step a gate.
-fn run_checked(label: &str, spec: FleetSpec) -> (FleetMetrics, f64) {
-    let mut host = FleetHost::new(spec).expect("named fleet spec validates");
+/// CI's fleet step a gate. `Err` is a spec [`FleetHost::new`] refuses.
+pub fn run_checked(label: &str, spec: FleetSpec) -> Result<(FleetMetrics, f64), String> {
+    let mut host = FleetHost::new(spec)?;
     let t0 = Instant::now();
     let metrics = host.run();
     let wall = t0.elapsed().as_secs_f64();
@@ -59,7 +62,7 @@ fn run_checked(label: &str, spec: FleetSpec) -> (FleetMetrics, f64) {
         }
         std::process::exit(1);
     }
-    (metrics, wall)
+    Ok((metrics, wall))
 }
 
 fn metrics_json(m: &FleetMetrics, wall_secs: f64) -> msim_json::Value {
@@ -144,7 +147,8 @@ pub fn main(args: &[String], bench_dir: &Path) -> i32 {
     };
 
     // Headline: population-scale fluid run.
-    let (headline, headline_wall) = run_checked("headline", headline_spec(opt.sessions));
+    let (headline, headline_wall) =
+        run_checked("headline", headline_spec(opt.sessions)).expect(NAMED);
     println!(
         "headline: {} sessions (peak {} concurrent) in {:.2}s — {:.2}M events/s, \
          {} stalled, {} rejected, p95 startup {:.1}s, {:.0} GB served",
@@ -176,7 +180,7 @@ pub fn main(args: &[String], bench_dir: &Path) -> i32 {
                 artifact.with("frontier", msim_json::Value::Array(frontier_rows)),
             );
         }
-        let (m, wall) = run_checked(&case.label, case.spec);
+        let (m, wall) = run_checked(&case.label, case.spec).expect(NAMED);
         let (cost, qoe) = m.cost_qoe();
         println!(
             "frontier {:<24} cost {:>8.1}  qoe {:>6.2}  stalled {:>6}  rejected {:>6}  ({:.2}s)",
@@ -215,7 +219,8 @@ pub fn main(args: &[String], bench_dir: &Path) -> i32 {
     }
 
     // Exact anchor: per-chunk sessions under shared load.
-    let (exact, exact_wall) = run_checked("exact anchor", exact_anchor_spec(opt.exact_sessions));
+    let (exact, exact_wall) =
+        run_checked("exact anchor", exact_anchor_spec(opt.exact_sessions)).expect(NAMED);
     println!(
         "exact anchor: {} per-chunk sessions in {:.2}s ({} completed, peak {} concurrent)",
         exact.sessions, exact_wall, exact.completed, exact.peak_concurrent

@@ -11,7 +11,7 @@ use msim_core::telemetry;
 use msim_core::units::ByteSize;
 use msplayer_core::chaos::{check_invariants, ChaosPlan};
 use msplayer_core::config::{PlayerConfig, SchedulerKind};
-use msplayer_core::fleet::{FleetHost, FleetMode, FleetSpec, SelectionPolicy};
+use msplayer_core::fleet::{FleetMode, FleetSpec, SelectionPolicy};
 use msplayer_core::metrics::{SessionMetrics, TrafficPhase};
 use msplayer_core::sim::{
     PathSetup, ServiceSpec, SessionHost, SessionSpec, SessionSpecError, StopCondition,
@@ -193,8 +193,8 @@ fn fleet_spec_for(opt: &Options) -> Result<FleetSpec, SessionSpecError> {
     Ok(spec)
 }
 
-/// Runs the coupled fleet population and prints its summary; returns the
-/// exit code.
+/// Runs the coupled fleet population under the fleet invariant oracle (a
+/// violation exits 1) and prints its summary; returns the exit code.
 fn run_fleet_mode(opt: &Options) -> i32 {
     let spec = match fleet_spec_for(opt) {
         Ok(spec) => spec,
@@ -203,14 +203,13 @@ fn run_fleet_mode(opt: &Options) -> i32 {
             return 2;
         }
     };
-    let mut host = match FleetHost::new(spec) {
-        Ok(h) => h,
+    let m = match crate::fleet::run_checked("run --fleet", spec) {
+        Ok((m, _)) => m,
         Err(e) => {
             eprintln!("invalid fleet spec: {e}");
             return 2;
         }
     };
-    let m = host.run();
     let (cost, qoe) = m.cost_qoe();
     println!(
         "fleet ({}, {}): {} sessions, peak {} concurrent, {} events",
@@ -397,6 +396,7 @@ mod tests {
     use super::*;
     use crate::Refusal;
     use msim_youtube::Network;
+    use msplayer_core::fleet::FleetHost;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()

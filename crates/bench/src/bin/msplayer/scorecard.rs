@@ -14,7 +14,7 @@ use msim_core::rng::STREAM_EPOCH;
 use msim_core::stats::{mean, median, BoxStats, Running};
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::{BitRate, ByteSize};
-use msim_http::tls::TlsTimingModel;
+use msim_http::tls;
 use msim_net::profile::PathProfile;
 use msim_youtube::Network;
 use msplayer_bench::workload::{WorkloadRegistry, WorkloadSpec};
@@ -114,17 +114,17 @@ fn quartiles(b: &BoxStats) -> [String; 3] {
 /// ψ, π (§3.2), and the fast-path head start `π₂ − π₁ ≈ 10(θ−1)R₁`
 /// against the RTT ratio θ.
 fn fig1(csvs: &mut Csvs) {
-    let model = TlsTimingModel::default();
     println!(
         "Fig. 1 — HTTPS exchange phases (Δ1 = {}, Δ2 = {})\n",
-        model.delta1, model.delta2
+        tls::DELTA1,
+        tls::DELTA2
     );
     let mut table = table_of("phase,WiFi (R=25 ms),LTE (R=65 ms)");
     let (r1, r2) = (SimDuration::from_millis(25), SimDuration::from_millis(65));
     let ms = |t: &SimTime| format!("{:.1} ms", t.as_secs_f64() * 1e3);
     let (wifi, lte) = (
-        model.timeline(SimTime::ZERO, r1),
-        model.timeline(SimTime::ZERO, r2),
+        tls::timeline(SimTime::ZERO, r1),
+        tls::timeline(SimTime::ZERO, r2),
     );
     for ((t_wifi, phase), (t_lte, _)) in wifi.iter().zip(lte.iter()) {
         table.row(&[&format!("{phase:?}"), &ms(t_wifi), &ms(t_lte)]);
@@ -136,12 +136,12 @@ fn fig1(csvs: &mut Csvs) {
         (
             "eta (secure conn ready)",
             "4R + D1 + D2",
-            TlsTimingModel::eta as fn(&_, _) -> _,
+            tls::eta as fn(_) -> _,
         ),
-        ("psi (JSON complete)", "6R + D1 + D2", TlsTimingModel::psi),
-        ("pi (first video packet)", "psi + eta", TlsTimingModel::pi),
+        ("psi (JSON complete)", "6R + D1 + D2", tls::psi),
+        ("pi (first video packet)", "psi + eta", tls::pi),
     ] {
-        let (wifi, lte) = (of(&model, r1).to_string(), of(&model, r2).to_string());
+        let (wifi, lte) = (of(r1).to_string(), of(r2).to_string());
         derived.row(&[quantity, formula, &wifi, &lte]);
     }
     println!("{}", derived.render());
@@ -153,7 +153,7 @@ fn fig1(csvs: &mut Csvs) {
         let formula = SimDuration::from_micros(r1.as_micros() * (theta10 - 10));
         hs.row(&[
             &format!("{:.1}", theta10 as f64 / 10.0),
-            &model.head_start(r1, r2).to_string(),
+            &tls::head_start(r1, r2).to_string(),
             &formula.to_string(),
         ]);
     }

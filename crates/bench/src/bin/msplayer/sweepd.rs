@@ -42,7 +42,6 @@ const COORDINATOR_FLAGS: &[Flag<Coordinator>] = &[
     ("--manifest", "<FILE> the sweep [the smoke manifest]", Value(|o, v| manifest(v).map(|m| o.config.manifest = m))),
     ("--workers", "<N> spawned workers [2]", Value(|o, v| parsed(v).map(|n| o.config.workers = n))),
     ("--lease-ms", "<N> lease timeout, at least 4 heartbeats [10000]", Value(|o, v| lease(v).map(|t| o.config.lease_timeout = t))),
-    ("--max-attempts", "<N> attempts before a shard runs inline [4]", Value(|o, v| parsed(v).map(|n| o.config.max_attempts = n))),
     ("--checkpoint", "<PATH> journal to resume from and append to", Value(|o, v| parsed(v).map(|path| o.config.checkpoint = Some(path)))),
     ("--stop-after-shards", "<N> abort after N shard completions", Value(|o, v| parsed(v).map(|n| o.config.stop_after_shards = Some(n)))),
     ("--worker-chaos", "<SLOT>=<DIRECTIVE> misbehave in spawned worker SLOT", Value(|o, v| worker_chaos(&mut o.config, v))),

@@ -75,19 +75,6 @@ impl ChaosCase {
     }
 }
 
-/// Looks a scheduler up by its [`SchedulerKind::name`] label.
-pub fn scheduler_by_name(name: &str) -> Option<SchedulerKind> {
-    [
-        SchedulerKind::Ratio,
-        SchedulerKind::Ewma,
-        SchedulerKind::Harmonic,
-        SchedulerKind::HarmonicWindowed,
-        SchedulerKind::Fixed,
-    ]
-    .into_iter()
-    .find(|k| k.name() == name)
-}
-
 /// The verdict of one chaos run.
 #[derive(Clone, Debug)]
 pub struct CaseOutcome {
@@ -183,7 +170,7 @@ pub fn run_case_with_oracle(
             fingerprint: None,
         };
     };
-    let Some(scheduler) = scheduler_by_name(&case.scheduler) else {
+    let Some(scheduler) = SchedulerKind::parse(&case.scheduler) else {
         return CaseOutcome {
             violations: vec![format!("setup: unknown scheduler {:?}", case.scheduler)],
             fingerprint: None,

@@ -19,7 +19,7 @@
 //! * **Corrupt frames** — garbage, unparseable lines and a `done` that is
 //!   not its shard's or its sender's condemn the worker (requeue +
 //!   replace): a peer that frames garbage once cannot be trusted.
-//! * **Poison shards** — a shard exceeding `max_attempts` is executed
+//! * **Poison shards** — a shard exceeding [`MAX_ATTEMPTS`] is executed
 //!   inline by the coordinator itself, which also serves as the
 //!   last-resort progress guarantee when no workers are available.
 //!
@@ -99,6 +99,9 @@ pub enum Transport {
     },
 }
 
+/// Attempts before the coordinator runs a shard inline.
+pub const MAX_ATTEMPTS: u64 = 4;
+
 /// Full coordinator configuration.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
@@ -110,8 +113,6 @@ pub struct ClusterConfig {
     /// speculatively re-leased. Keep it at or above
     /// [`MIN_LEASE_TIMEOUT`](super::worker::MIN_LEASE_TIMEOUT).
     pub lease_timeout: Duration,
-    /// Attempts before the coordinator runs a shard inline.
-    pub max_attempts: u64,
     /// Base of the capped exponential retry backoff.
     pub backoff_base: Duration,
     /// Backoff cap.
@@ -133,14 +134,13 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Defaults: 2 spawned workers, 10 s leases, 4 attempts, 50 ms–2 s
-    /// backoff, no checkpoint.
+    /// Defaults: 2 spawned workers, 10 s leases, 50 ms–2 s backoff, no
+    /// checkpoint.
     pub fn new(manifest: SweepManifest, program: PathBuf) -> ClusterConfig {
         ClusterConfig {
             manifest,
             workers: 2,
             lease_timeout: Duration::from_secs(10),
-            max_attempts: 4,
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
             checkpoint: None,
@@ -395,7 +395,7 @@ impl<'a> Coordinator<'a> {
     /// One scheduling step: expire leases (speculative reassignment — the
     /// original worker keeps running, its late completion becomes a
     /// duplicate), lease eligible shards to idle workers, and keep the
-    /// progress guarantee: a shard past `max_attempts`, or a cluster with
+    /// progress guarantee: a shard past [`MAX_ATTEMPTS`], or a cluster with
     /// nobody to lease to (see [`can_lease_to`](Self::can_lease_to)) for a
     /// full lease timeout, has one shard run here. `true` means a shard
     /// ran inline and the next step should follow without waiting.
@@ -424,7 +424,7 @@ impl<'a> Coordinator<'a> {
             ShardState::Pending {
                 eligible_at,
                 attempt,
-            } => *attempt >= self.config.max_attempts || (starved && *eligible_at <= now),
+            } => *attempt >= MAX_ATTEMPTS || (starved && *eligible_at <= now),
             _ => false,
         });
         let Some(shard) = due else {
@@ -454,7 +454,7 @@ impl<'a> Coordinator<'a> {
                 ShardState::Pending {
                     eligible_at,
                     attempt,
-                } if *eligible_at <= now && *attempt < self.config.max_attempts => *attempt,
+                } if *eligible_at <= now && *attempt < MAX_ATTEMPTS => *attempt,
                 _ => continue,
             };
             let Some(w) = self
@@ -1547,7 +1547,7 @@ mod tests {
             assert_eq!(rig.sent(id).last(), Some(&lease(shard, 1)));
             rig.frame(id, done(id, shard, 1, rows_of(shard)), ms);
         }
-        assert_eq!(rig.c.stats.inline_runs, 1, "shard 0, past max_attempts");
+        assert_eq!(rig.c.stats.inline_runs, 1, "shard 0, past MAX_ATTEMPTS");
         assert_eq!(rig.merged_bytes(), truth().1);
         drop(rig);
         let resumed = Rig::new(&config);

@@ -28,11 +28,7 @@ fn behavioural(m: &SessionMetrics) -> SessionMetrics {
     m
 }
 
-const POLICIES: [AbrPolicyKind; 3] = [
-    AbrPolicyKind::DampedRate,
-    AbrPolicyKind::BufferOccupancy,
-    AbrPolicyKind::Hybrid,
-];
+const POLICIES: [AbrPolicyKind; 2] = [AbrPolicyKind::DampedRate, AbrPolicyKind::Hybrid];
 
 /// Closed-loop ABR on a one-rung ladder is bit-identical to the
 /// fixed-itag player, for every builtin workload shape, every policy, and

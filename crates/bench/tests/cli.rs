@@ -87,6 +87,29 @@ fn invalid_sessions_exit_2_with_one_line_and_no_panic() {
     let _ = std::fs::remove_file(&blocker);
 }
 
+/// `run --fleet` runs the fleet invariant oracle, as `fleet` does: a
+/// violation exits 1. Small populations of every backend and a fleet-wide
+/// chaos plan all hold it.
+#[test]
+fn run_fleet_holds_the_fleet_oracle() {
+    for command in [
+        "run --fleet --fleet-sessions 300",
+        "run --fleet --fleet-sessions 300 --fleet-policy cheapest-feasible --chaos capacity-crunch",
+        "run --fleet --fleet-sessions 300 --fleet-policy qoe-first",
+        "run --fleet --fleet-sessions 4 --fleet-mode exact",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_msplayer"))
+            .args(command.split(' '))
+            .output()
+            .expect("spawn msplayer");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{command}: {stderr}");
+        assert!(stdout.starts_with("fleet ("), "{command}: {stdout}");
+        assert!(stderr.is_empty(), "{command}: {stderr}");
+    }
+}
+
 /// Replay-one mode of `chaos`: a committed case file replays green and
 /// prints its fingerprint.
 #[test]

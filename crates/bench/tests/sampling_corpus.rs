@@ -20,12 +20,12 @@
 
 use msim_core::event::EventQueue;
 use msim_core::rng::DeviateMode;
-use msplayer_bench::chaos::scheduler_by_name;
 use msplayer_bench::cluster::merge::digest_metrics;
 use msplayer_bench::sampling::{
     compute_fingerprints, corpus_path, corpus_points, digest_point, load_corpus, to_json,
 };
 use msplayer_bench::workload::WorkloadRegistry;
+use msplayer_core::config::SchedulerKind;
 use msplayer_core::sim::SessionHost;
 
 fn registry() -> WorkloadRegistry {
@@ -47,7 +47,7 @@ fn committed_fingerprints_replay_on_block_path() {
          removed without regenerating the corpus"
     );
     for fp in &corpus {
-        let scheduler = scheduler_by_name(&fp.scheduler)
+        let scheduler = SchedulerKind::parse(&fp.scheduler)
             .unwrap_or_else(|| panic!("unknown scheduler {:?}", fp.scheduler));
         let got = digest_point(
             &reg,
@@ -73,7 +73,7 @@ fn committed_fingerprints_replay_on_block_path() {
 fn scalar_reference_path_matches_committed_fingerprints() {
     let reg = registry();
     for fp in load_corpus().expect("committed corpus loads") {
-        let scheduler = scheduler_by_name(&fp.scheduler).expect("known scheduler");
+        let scheduler = SchedulerKind::parse(&fp.scheduler).expect("known scheduler");
         let got = digest_point(
             &reg,
             &fp.workload,
@@ -101,7 +101,7 @@ fn warm_host_batches_match_committed_fingerprints() {
     for w in reg.specs() {
         let rows: Vec<_> = corpus.iter().filter(|fp| fp.workload == w.name).collect();
         assert!(!rows.is_empty(), "no corpus rows for {}", w.name);
-        let scheduler = scheduler_by_name(&rows[0].scheduler).expect("known scheduler");
+        let scheduler = SchedulerKind::parse(&rows[0].scheduler).expect("known scheduler");
         let spec = w.session_spec(scheduler, rows[0].chunk_kb, rows[0].seed);
         let seeds: Vec<u64> = rows.iter().map(|fp| fp.seed).collect();
         let mut host = SessionHost::new(w.service.clone());
@@ -133,7 +133,7 @@ fn round_robin_stepped_sessions_match_committed_fingerprints() {
         .iter()
         .map(|fp| {
             let w = reg.by_name(&fp.workload).expect("registered workload");
-            let scheduler = scheduler_by_name(&fp.scheduler).expect("known scheduler");
+            let scheduler = SchedulerKind::parse(&fp.scheduler).expect("known scheduler");
             let spec = w.session_spec(scheduler, fp.chunk_kb, fp.seed);
             let mut host = SessionHost::new(w.service.clone());
             let mut queue = EventQueue::new();

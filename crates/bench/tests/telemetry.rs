@@ -12,9 +12,9 @@
 
 use msim_core::rng::DeviateMode;
 use msim_core::telemetry;
-use msplayer_bench::chaos::scheduler_by_name;
 use msplayer_bench::sampling::{corpus_points, load_corpus};
 use msplayer_bench::workload::WorkloadRegistry;
+use msplayer_core::config::SchedulerKind;
 
 /// Replays all committed fingerprints with counters, spans, AND the
 /// trace sink live, then checks the run actually exercised the registry
@@ -31,7 +31,7 @@ fn corpus_replays_bit_identically_with_telemetry_enabled() {
         "corpus rows != registry grid points"
     );
     for fp in &corpus {
-        let scheduler = scheduler_by_name(&fp.scheduler).expect("known scheduler");
+        let scheduler = SchedulerKind::parse(&fp.scheduler).expect("known scheduler");
         let got = msplayer_bench::sampling::digest_point(
             &reg,
             &fp.workload,

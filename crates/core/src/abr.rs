@@ -31,7 +31,6 @@
 //! | kind | drives on | character |
 //! |---|---|---|
 //! | [`AbrPolicyKind::DampedRate`] | estimate + buffer overrides | FESTIVE-style headroom (`SAFETY × Σŵ`), hold-damped single-step upgrades, panic floor, comfort ride-out |
-//! | [`AbrPolicyKind::BufferOccupancy`] | buffer level only | BBA-style linear map between a reservoir and a cushion, single-step toward the mapped rung |
 //! | [`AbrPolicyKind::Hybrid`] | both | immediate rate rule, gated by panic/comfort buffer thresholds |
 //!
 //! The policies share one set of thresholds, constants rather than
@@ -49,35 +48,34 @@ pub const DECISION_INTERVAL: SimDuration = SimDuration::from_millis(250);
 pub const SAFETY: f64 = 0.8;
 
 /// Below this buffer level, seconds, the adapter drops straight to the
-/// floor (the BBA policy's reservoir).
+/// floor.
 pub const PANIC_SECS: f64 = 5.0;
 
 /// At or above this buffer level, seconds, one opportunistic upgrade step
-/// is allowed (the BBA policy's cushion).
+/// is allowed.
 pub const COMFORT_SECS: f64 = 30.0;
 
 /// Decisions to hold before another upward switch.
 pub const MIN_HOLD_DECISIONS: u32 = 3;
 
 /// A quality decision with its reason (for traces and tests).
+///
+/// The session digest folds `reason as u64`, so each reason keeps its
+/// number; 5 and 6 are unused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SwitchReason {
     /// First decision of the session.
-    Initial,
+    Initial = 0,
     /// Throughput supports a higher format.
-    RateUp,
+    RateUp = 1,
     /// Throughput no longer supports the current format.
-    RateDown,
+    RateDown = 2,
     /// Buffer below panic threshold: emergency floor.
-    BufferPanic,
+    BufferPanic = 3,
     /// Buffer very comfortable: opportunistic one-step upgrade.
-    BufferComfort,
-    /// Buffer-occupancy map supports a higher rung (BBA-style policies).
-    BufferUp,
-    /// Buffer-occupancy map demands a lower rung (BBA-style policies).
-    BufferDown,
+    BufferComfort = 4,
     /// No change.
-    Hold,
+    Hold = 7,
 }
 
 /// Whether ABR decisions change what is streamed.
@@ -97,8 +95,6 @@ pub enum AbrMode {
 pub enum AbrPolicyKind {
     /// The damped rate-based policy ([`DampedPolicy`]).
     DampedRate,
-    /// Buffer-occupancy (BBA-style) policy: rung from buffer level alone.
-    BufferOccupancy,
     /// Rate rule with buffer gates, no hold damping.
     Hybrid,
 }
@@ -108,7 +104,6 @@ impl AbrPolicyKind {
     pub fn name(&self) -> &'static str {
         match self {
             AbrPolicyKind::DampedRate => "damped-rate",
-            AbrPolicyKind::BufferOccupancy => "buffer-occupancy",
             AbrPolicyKind::Hybrid => "hybrid",
         }
     }
@@ -129,8 +124,6 @@ pub const SWITCH_REBUFFER_ATTRIBUTION: SimDuration = SimDuration::from_secs(10);
 pub enum AbrPolicyImpl {
     /// The damped rate-based policy.
     Damped(DampedPolicy),
-    /// Buffer-occupancy (BBA-style).
-    Bba(BbaPolicy),
     /// Rate rule with buffer gates.
     Hybrid(HybridPolicy),
 }
@@ -141,7 +134,6 @@ impl AbrPolicyImpl {
     pub fn new(kind: AbrPolicyKind, ladder: Vec<VideoFormat>) -> Self {
         match kind {
             AbrPolicyKind::DampedRate => AbrPolicyImpl::Damped(DampedPolicy::new(ladder)),
-            AbrPolicyKind::BufferOccupancy => AbrPolicyImpl::Bba(BbaPolicy::new(ladder)),
             AbrPolicyKind::Hybrid => AbrPolicyImpl::Hybrid(HybridPolicy::new(ladder)),
         }
     }
@@ -150,7 +142,6 @@ impl AbrPolicyImpl {
     pub fn ladder(&self) -> &[VideoFormat] {
         match self {
             AbrPolicyImpl::Damped(p) => &p.ladder,
-            AbrPolicyImpl::Bba(p) => &p.ladder,
             AbrPolicyImpl::Hybrid(p) => &p.ladder,
         }
     }
@@ -159,7 +150,6 @@ impl AbrPolicyImpl {
     pub fn current_index(&self) -> usize {
         match self {
             AbrPolicyImpl::Damped(p) => p.current,
-            AbrPolicyImpl::Bba(p) => p.current,
             AbrPolicyImpl::Hybrid(p) => p.current,
         }
     }
@@ -168,7 +158,6 @@ impl AbrPolicyImpl {
     pub fn decide(&mut self, estimate_bps: Option<f64>, buffer_secs: f64) -> (usize, SwitchReason) {
         match self {
             AbrPolicyImpl::Damped(p) => p.decide(estimate_bps, buffer_secs),
-            AbrPolicyImpl::Bba(p) => p.decide(buffer_secs),
             AbrPolicyImpl::Hybrid(p) => p.decide(estimate_bps, buffer_secs),
         }
     }
@@ -264,60 +253,6 @@ impl DampedPolicy {
         } else {
             self.up_evidence = 0;
             SwitchReason::Hold
-        };
-        (self.current, reason)
-    }
-}
-
-/// BBA-style buffer-occupancy policy: the ladder is mapped linearly onto
-/// the buffer interval `[reservoir, cushion]` ([`PANIC_SECS`],
-/// [`COMFORT_SECS`]); each decision steps one rung toward the mapped
-/// target. The bandwidth estimate is deliberately ignored — the buffer
-/// level already integrates delivery against consumption.
-pub struct BbaPolicy {
-    ladder: Vec<VideoFormat>,
-    current: usize,
-    initialised: bool,
-}
-
-impl BbaPolicy {
-    fn new(ladder: Vec<VideoFormat>) -> BbaPolicy {
-        BbaPolicy {
-            ladder: normalize_ladder(ladder),
-            current: 0,
-            initialised: false,
-        }
-    }
-
-    fn target(&self, buffer_secs: f64) -> usize {
-        let top = self.ladder.len() - 1;
-        if buffer_secs <= PANIC_SECS {
-            return 0;
-        }
-        if buffer_secs >= COMFORT_SECS {
-            return top;
-        }
-        let frac = (buffer_secs - PANIC_SECS) / (COMFORT_SECS - PANIC_SECS);
-        ((frac * top as f64).floor() as usize).min(top)
-    }
-
-    fn decide(&mut self, buffer_secs: f64) -> (usize, SwitchReason) {
-        let target = self.target(buffer_secs);
-        if !self.initialised {
-            self.initialised = true;
-            self.current = target;
-            return (self.current, SwitchReason::Initial);
-        }
-        let reason = match target.cmp(&self.current) {
-            std::cmp::Ordering::Greater => {
-                self.current += 1;
-                SwitchReason::BufferUp
-            }
-            std::cmp::Ordering::Less => {
-                self.current -= 1;
-                SwitchReason::BufferDown
-            }
-            std::cmp::Ordering::Equal => SwitchReason::Hold,
         };
         (self.current, reason)
     }
@@ -569,26 +504,6 @@ mod tests {
 
     fn ladder() -> Vec<VideoFormat> {
         ITAGS.to_vec()
-    }
-
-    #[test]
-    fn bba_maps_buffer_onto_the_ladder() {
-        let mut p = AbrPolicyImpl::new(AbrPolicyKind::BufferOccupancy, ladder());
-        // Initial at an empty buffer: floor.
-        let (r, reason) = p.decide(Some(50e6), 0.0);
-        assert_eq!((r, reason), (0, SwitchReason::Initial));
-        // Deep buffer: climbs one rung per decision regardless of estimate.
-        for expect in 1..ladder().len() {
-            let (r, reason) = p.decide(None, 60.0);
-            assert_eq!(r, expect);
-            assert_eq!(reason, SwitchReason::BufferUp);
-        }
-        let (r, reason) = p.decide(None, 60.0);
-        assert_eq!((r, reason), (ladder().len() - 1, SwitchReason::Hold));
-        // Draining buffer walks back down.
-        let (r, reason) = p.decide(None, 2.0);
-        assert_eq!(r, ladder().len() - 2);
-        assert_eq!(reason, SwitchReason::BufferDown);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! [`PlayoutBuffer::wants_download`] to gate chunk requests and
 //! [`PlayoutBuffer::next_event_after`] to schedule wakeups.
 
+use crate::config::{LOW_WATERMARK_SECS, STALL_RESUME_SECS};
 use msim_core::time::{SimDuration, SimTime};
 
 /// Playback / buffering phase.
@@ -89,23 +90,23 @@ pub struct PlayoutBuffer {
 
 impl PlayoutBuffer {
     /// Creates a buffer for a stream of `total_bytes` at `bytes_per_sec`,
-    /// with thresholds in seconds of video.
+    /// with thresholds in seconds of video: the pre-buffer and refill
+    /// amounts given, the low watermark [`LOW_WATERMARK_SECS`] and the
+    /// stall-recovery level [`STALL_RESUME_SECS`].
     pub fn new(
         total_bytes: u64,
         bytes_per_sec: f64,
         prebuffer_secs: f64,
-        low_watermark_secs: f64,
         refill_secs: f64,
-        stall_resume_secs: f64,
     ) -> PlayoutBuffer {
         assert!(bytes_per_sec > 0.0, "bitrate must be positive");
         PlayoutBuffer {
             bytes_per_sec,
             total_bytes: total_bytes as f64,
             prebuffer_bytes: (prebuffer_secs * bytes_per_sec).min(total_bytes as f64),
-            low_bytes: low_watermark_secs * bytes_per_sec,
+            low_bytes: LOW_WATERMARK_SECS * bytes_per_sec,
             refill_bytes: refill_secs * bytes_per_sec,
-            stall_resume_bytes: stall_resume_secs * bytes_per_sec,
+            stall_resume_bytes: STALL_RESUME_SECS * bytes_per_sec,
             phase: BufferPhase::PreBuffering,
             playable: 0.0,
             consumed: 0.0,
@@ -303,15 +304,14 @@ impl PlayoutBuffer {
 mod tests {
     use super::*;
 
-    /// 1 Mbit/s video → 125 000 bytes/s; thresholds in easy numbers.
+    /// 1 Mbit/s video → 125 000 bytes/s; the paper's thresholds (40 s
+    /// pre-buffer, 20 s refill, 10 s low watermark, 5 s stall resume).
     fn buffer() -> PlayoutBuffer {
         PlayoutBuffer::new(
             125_000 * 600, // 10 minutes
             125_000.0,
             40.0, // prebuffer
-            10.0, // low watermark
             20.0, // refill
-            5.0,  // stall resume
         )
     }
 
@@ -383,14 +383,7 @@ mod tests {
     #[test]
     fn finishes_at_end_of_video() {
         let total_secs = 60.0;
-        let mut b = PlayoutBuffer::new(
-            (125_000.0 * total_secs) as u64,
-            125_000.0,
-            10.0,
-            5.0,
-            10.0,
-            2.0,
-        );
+        let mut b = PlayoutBuffer::new((125_000.0 * total_secs) as u64, 125_000.0, 10.0, 10.0);
         // Entire video delivered during pre-buffering... target is 10 s.
         b.on_playable(secs(1.0), 125_000.0 * total_secs);
         assert_eq!(b.phase(), BufferPhase::PlayingOff);
@@ -403,7 +396,7 @@ mod tests {
     #[test]
     fn short_video_prebuffer_clamps_to_length() {
         // 20 s video with a 40 s prebuffer target: clamp to total.
-        let mut b = PlayoutBuffer::new(125_000 * 20, 125_000.0, 40.0, 10.0, 20.0, 5.0);
+        let mut b = PlayoutBuffer::new(125_000 * 20, 125_000.0, 40.0, 20.0);
         b.on_playable(secs(2.0), 125_000.0 * 20.0);
         assert!(
             b.prebuffer_done_at().is_some(),

@@ -161,6 +161,15 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
+    /// Every scheduler.
+    pub const ALL: [SchedulerKind; 5] = [
+        SchedulerKind::Ratio,
+        SchedulerKind::Ewma,
+        SchedulerKind::Harmonic,
+        SchedulerKind::HarmonicWindowed,
+        SchedulerKind::Fixed,
+    ];
+
     /// Display name matching the paper's figure legends.
     pub fn name(&self) -> &'static str {
         match self {
@@ -170,6 +179,11 @@ impl SchedulerKind {
             SchedulerKind::HarmonicWindowed => "HarmonicWin",
             SchedulerKind::Fixed => "Fixed",
         }
+    }
+
+    /// Inverse of [`SchedulerKind::name`].
+    pub fn parse(s: &str) -> Option<SchedulerKind> {
+        SchedulerKind::ALL.into_iter().find(|k| k.name() == s)
     }
 }
 
@@ -390,6 +404,15 @@ mod tests {
         assert_eq!(SchedulerKind::Harmonic.name(), "Harmonic");
         assert_eq!(SchedulerKind::Ewma.name(), "EWMA");
         assert_eq!(SchedulerKind::Ratio.name(), "Ratio");
+        assert_eq!(SchedulerKind::HarmonicWindowed.name(), "HarmonicWin");
         assert_eq!(SchedulerKind::Fixed.name(), "Fixed");
+        for kind in SchedulerKind::ALL {
+            assert_eq!(SchedulerKind::parse(kind.name()), Some(kind));
+        }
+        assert_eq!(
+            SchedulerKind::parse("harmonic"),
+            None,
+            "names are case-sensitive"
+        );
     }
 }

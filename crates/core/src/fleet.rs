@@ -167,21 +167,18 @@ const UTIL_BUCKET_US: u64 = UTIL_BUCKET.as_micros();
 /// Per-session RTT of the fluid connection-ramp charge.
 pub const FLUID_RTT: SimDuration = SimDuration::from_millis(40);
 
-/// Access-class mix of the fluid population: a WiFi/LTE/DSL split, drawn
-/// 3 : 2 : 1.
+/// Access-class mix of the fluid population: WiFi (12 Mbit/s), LTE
+/// (6 Mbit/s) and DSL (3 Mbit/s), drawn 3 : 2 : 1.
 pub const ACCESS_CLASSES: [AccessClass; 3] = [
     AccessClass {
-        name: "wifi",
         rate: BitRate::bps_const(12e6),
         weight: 3,
     },
     AccessClass {
-        name: "lte",
         rate: BitRate::bps_const(6e6),
         weight: 2,
     },
     AccessClass {
-        name: "dsl",
         rate: BitRate::bps_const(3e6),
         weight: 1,
     },
@@ -321,8 +318,6 @@ impl FleetServerSpec {
 /// sampling weight.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AccessClass {
-    /// The class's name.
-    pub name: &'static str,
     /// Last-mile rate ceiling for sessions of this class.
     pub rate: BitRate,
     /// Relative sampling weight (classes are drawn ∝ weight).

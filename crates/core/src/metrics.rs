@@ -1078,7 +1078,7 @@ mod tests {
             ("abr.switches[1].at", |m| tick(&mut abr(m).switches[1].at)),
             ("abr.switches[1].itag", |m| abr(m).switches[1].itag += 1),
             ("abr.switches[1].reason", |m| {
-                abr(m).switches[1].reason = SwitchReason::BufferUp
+                abr(m).switches[1].reason = SwitchReason::BufferComfort
             }),
             ("abr.switches len", |m| {
                 abr(m).switches.pop();

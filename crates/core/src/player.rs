@@ -22,7 +22,7 @@
 use crate::abr::{AbrMode, AbrPolicyImpl, RungMap, RungTimeline, SwitchReason, DECISION_INTERVAL};
 use crate::buffer::{BufferPhase, PlayoutBuffer};
 use crate::chunk::{ChunkAssignment, ChunkLedger, PathId};
-use crate::config::{PlayerConfig, LOW_WATERMARK_SECS, MIN_CHUNK, STALL_RESUME_SECS};
+use crate::config::{PlayerConfig, MIN_CHUNK};
 use crate::metrics::{
     AbrDecision, AbrQoe, AbrSwitch, AbrTrace, ChunkRecord, ChunkTrace, SessionMetrics,
     TrafficPhase, MAX_TRACE_CHUNK_BYTES,
@@ -264,9 +264,7 @@ impl Player {
             total_bytes,
             bytes_per_sec,
             cfg.prebuffer_secs,
-            LOW_WATERMARK_SECS,
             cfg.rebuffer_secs,
-            STALL_RESUME_SECS,
         );
         let scheduler = SchedulerImpl::for_paths(&cfg, n_paths);
         let abr = cfg.abr_ladder.as_ref().map(|abr| {

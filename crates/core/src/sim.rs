@@ -45,7 +45,7 @@ use msim_core::rng::Prng;
 use msim_core::telemetry::{self, LazyCounter, LazyHistogram, TraceVal};
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::ByteSize;
-use msim_http::tls::TlsTimingModel;
+use msim_http::tls;
 use msim_http::StatusCode;
 use msim_net::mobility::OutageSchedule;
 use msim_net::profile::PathProfile;
@@ -482,7 +482,6 @@ struct Warm {
     video_id: VideoId,
     bytes_per_sec: f64,
     total_bytes: u64,
-    tls: TlsTimingModel,
     /// Action scratch buffer reused across events and sessions: the hot
     /// loop never allocates for actions.
     actions: Vec<PlayerAction>,
@@ -550,7 +549,6 @@ impl SessionHost {
                 video_id,
                 bytes_per_sec,
                 total_bytes,
-                tls: TlsTimingModel::default(),
                 actions: Vec::with_capacity(8),
                 boot_cache: BTreeMap::new(),
                 traces: TraceBuffers::default(),
@@ -747,7 +745,7 @@ impl Warm {
             let rtt = link.base_rtt();
             // HTTPS: η minus the TCP round the connection model charges
             // itself.
-            let tls_extra = self.tls.eta(rtt).saturating_sub(rtt);
+            let tls_extra = tls::eta(rtt).saturating_sub(rtt);
 
             // DNS for the proxy.
             let (_proxy_ans, dns_done) = resolver
@@ -902,10 +900,10 @@ impl Warm {
         for action in self.actions.drain(..) {
             match action {
                 PlayerAction::Fetch { assignment } => {
-                    session.dispatch_fetch(&mut self.service, &self.tls, queue, now, assignment);
+                    session.dispatch_fetch(&mut self.service, queue, now, assignment);
                 }
                 PlayerAction::Failover { path } => {
-                    session.dispatch_failover(&mut self.service, &self.tls, queue, now, path);
+                    session.dispatch_failover(&mut self.service, queue, now, path);
                 }
                 PlayerAction::ScheduleTick { at } => {
                     // Tick coalescing: keep exactly one pending tick — the
@@ -989,7 +987,6 @@ impl Session {
     fn dispatch_fetch(
         &mut self,
         service: &mut YoutubeService,
-        tls: &TlsTimingModel,
         queue: &mut EventQueue<PlayerEvent>,
         now: SimTime,
         assignment: ChunkAssignment,
@@ -1079,7 +1076,7 @@ impl Session {
                 match rt.link.next_up_after(result.completed_at) {
                     Some(up_at) => {
                         queue.push(result.completed_at, PlayerEvent::PathDown { path: p });
-                        let reconnect = tls.eta(rt.link.base_rtt());
+                        let reconnect = tls::eta(rt.link.base_rtt());
                         queue.push(up_at + reconnect, PlayerEvent::PathRestored { path: p });
                     }
                     None => {
@@ -1095,14 +1092,13 @@ impl Session {
     fn dispatch_failover(
         &mut self,
         service: &mut YoutubeService,
-        tls: &TlsTimingModel,
         queue: &mut EventQueue<PlayerEvent>,
         now: SimTime,
         path: usize,
     ) {
         let rt = &mut self.paths[path];
         let rtt = rt.link.base_rtt();
-        let tls_extra = tls.eta(rtt).saturating_sub(rtt);
+        let tls_extra = tls::eta(rtt).saturating_sub(rtt);
         // DNS flap: the resolver keeps returning the stale record, so the
         // failover cannot rotate replicas — the client reconnects to the same
         // server after burning one extra RTT on the failed re-resolution.
@@ -1615,11 +1611,7 @@ mod tests {
     fn closed_loop_policies_all_run_and_differ_from_shadow() {
         use crate::abr::{AbrMode, AbrPolicyKind};
         use crate::config::AbrLadderConfig;
-        for policy in [
-            AbrPolicyKind::DampedRate,
-            AbrPolicyKind::BufferOccupancy,
-            AbrPolicyKind::Hybrid,
-        ] {
+        for policy in [AbrPolicyKind::DampedRate, AbrPolicyKind::Hybrid] {
             let abr = AbrLadderConfig::closed_loop().with_policy(policy);
             let cfg = quick_player().with_abr_ladder(abr.clone());
             let spec = testbed(7, cfg).with_stop(StopCondition::AfterRefills(1));

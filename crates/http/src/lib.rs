@@ -21,7 +21,7 @@ pub mod wire;
 
 pub use message::{Headers, Method, Request, Response, StatusCode};
 pub use range::{ByteRange, RangeError};
-pub use tls::{Phase, TlsTimingModel};
+pub use tls::Phase;
 pub use wire::{
     decode_request, decode_response, encode_request, encode_request_into, encode_response,
     encode_response_into, Decoded, WireError,

@@ -47,105 +47,85 @@ pub enum Phase {
     Fin,
 }
 
-/// The timing model: server compute delays Δ₁ (certificate/key verification)
-/// and Δ₂ (key-exchange completion).
-#[derive(Clone, Copy, Debug)]
-pub struct TlsTimingModel {
-    /// Δ₁ — server key-verification time.
-    pub delta1: SimDuration,
-    /// Δ₂ — server key-exchange completion time.
-    pub delta2: SimDuration,
+/// Δ₁ — server certificate/key-verification time: a few milliseconds of
+/// server-side crypto, typical of 2014 hardware.
+pub const DELTA1: SimDuration = SimDuration::from_millis(4);
+
+/// Δ₂ — server key-exchange completion time.
+pub const DELTA2: SimDuration = SimDuration::from_millis(3);
+
+/// η(R): offset from SYN until the first HTTP request can be sent.
+pub fn eta(rtt: SimDuration) -> SimDuration {
+    rtt * 4 + DELTA1 + DELTA2
 }
 
-impl Default for TlsTimingModel {
-    fn default() -> Self {
-        // A few milliseconds of server-side crypto, typical of 2014 hardware.
-        TlsTimingModel {
-            delta1: SimDuration::from_millis(4),
-            delta2: SimDuration::from_millis(3),
-        }
-    }
+/// ψ(R): offset from SYN until the complete JSON video info is received.
+pub fn psi(rtt: SimDuration) -> SimDuration {
+    rtt * 6 + DELTA1 + DELTA2
 }
 
-impl TlsTimingModel {
-    /// η(R): offset from SYN until the first HTTP request can be sent.
-    pub fn eta(&self, rtt: SimDuration) -> SimDuration {
-        rtt * 4 + self.delta1 + self.delta2
-    }
+/// π(R) ≈ ψ(R) + η(R): offset from SYN until the first video packet
+/// arrives from the associated video server.
+pub fn pi(rtt: SimDuration) -> SimDuration {
+    psi(rtt) + eta(rtt)
+}
 
-    /// ψ(R): offset from SYN until the complete JSON video info is received.
-    pub fn psi(&self, rtt: SimDuration) -> SimDuration {
-        rtt * 6 + self.delta1 + self.delta2
-    }
+/// The fast path's head start `π(R₂) − π(R₁) = 10(θ−1)R₁` for
+/// `R₂ = θ·R₁` (Δ terms cancel).
+pub fn head_start(r1: SimDuration, r2: SimDuration) -> SimDuration {
+    pi(r2.max(r1)).saturating_sub(pi(r1.min(r2)))
+}
 
-    /// π(R) ≈ ψ(R) + η(R): offset from SYN until the first video packet
-    /// arrives from the associated video server.
-    pub fn pi(&self, rtt: SimDuration) -> SimDuration {
-        self.psi(rtt) + self.eta(rtt)
-    }
-
-    /// The fast path's head start `π(R₂) − π(R₁) = 10(θ−1)R₁` for
-    /// `R₂ = θ·R₁` (Δ terms cancel).
-    pub fn head_start(&self, r1: SimDuration, r2: SimDuration) -> SimDuration {
-        self.pi(r2.max(r1)).saturating_sub(self.pi(r1.min(r2)))
-    }
-
-    /// The full Fig. 1 event timeline for a connection whose SYN leaves at
-    /// `start` over a path with round-trip time `rtt`.
-    pub fn timeline(&self, start: SimTime, rtt: SimDuration) -> Vec<(SimTime, Phase)> {
-        let d1 = self.delta1;
-        let d2 = self.delta2;
-        let t1 = start + rtt; // 3WHS done, ClientHello out
-        let server_hello = t1 + rtt + d1;
-        let client_kx = server_hello; // sent immediately
-        let ticket = client_kx + rtt + d2;
-        let request = start + self.eta(rtt); // after Finished exchange
-        let first_json = request + rtt;
-        let json_done = start + self.psi(rtt);
-        let fin = json_done + rtt;
-        vec![
-            (start, Phase::SynSent),
-            (t1, Phase::ClientHello),
-            (server_hello, Phase::ServerHello),
-            (client_kx, Phase::ClientKeyExchange),
-            (ticket, Phase::NewSessionTicket),
-            (request, Phase::HttpRequestSent),
-            (first_json, Phase::FirstJsonPacket),
-            (json_done, Phase::JsonComplete),
-            (fin, Phase::Fin),
-        ]
-    }
+/// The full Fig. 1 event timeline for a connection whose SYN leaves at
+/// `start` over a path with round-trip time `rtt`.
+pub fn timeline(start: SimTime, rtt: SimDuration) -> Vec<(SimTime, Phase)> {
+    let t1 = start + rtt; // 3WHS done, ClientHello out
+    let server_hello = t1 + rtt + DELTA1;
+    let client_kx = server_hello; // sent immediately
+    let ticket = client_kx + rtt + DELTA2;
+    let request = start + eta(rtt); // after Finished exchange
+    let first_json = request + rtt;
+    let json_done = start + psi(rtt);
+    let fin = json_done + rtt;
+    vec![
+        (start, Phase::SynSent),
+        (t1, Phase::ClientHello),
+        (server_hello, Phase::ServerHello),
+        (client_kx, Phase::ClientKeyExchange),
+        (ticket, Phase::NewSessionTicket),
+        (request, Phase::HttpRequestSent),
+        (first_json, Phase::FirstJsonPacket),
+        (json_done, Phase::JsonComplete),
+        (fin, Phase::Fin),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn model() -> TlsTimingModel {
-        TlsTimingModel {
-            delta1: SimDuration::from_millis(5),
-            delta2: SimDuration::from_millis(3),
-        }
+    #[test]
+    fn deltas_match_the_model() {
+        assert_eq!(DELTA1, SimDuration::from_millis(4));
+        assert_eq!(DELTA2, SimDuration::from_millis(3));
     }
 
     #[test]
     fn eta_psi_pi_formulas() {
-        let m = model();
         let r = SimDuration::from_millis(30);
-        assert_eq!(m.eta(r), SimDuration::from_millis(4 * 30 + 8));
-        assert_eq!(m.psi(r), SimDuration::from_millis(6 * 30 + 8));
-        assert_eq!(m.pi(r), SimDuration::from_millis(10 * 30 + 16));
+        assert_eq!(eta(r), SimDuration::from_millis(4 * 30 + 7));
+        assert_eq!(psi(r), SimDuration::from_millis(6 * 30 + 7));
+        assert_eq!(pi(r), SimDuration::from_millis(10 * 30 + 14));
     }
 
     #[test]
     fn head_start_is_ten_theta_minus_one_r1() {
-        let m = model();
         let r1 = SimDuration::from_millis(25);
         for theta10 in [10u64, 15, 20, 25, 30] {
             let r2 = SimDuration::from_micros(r1.as_micros() * theta10 / 10);
             let expected = SimDuration::from_micros(r1.as_micros() * (theta10 - 10));
             assert_eq!(
-                m.head_start(r1, r2),
+                head_start(r1, r2),
                 expected,
                 "theta = {}",
                 theta10 as f64 / 10.0
@@ -155,19 +135,17 @@ mod tests {
 
     #[test]
     fn head_start_is_symmetric_in_argument_order() {
-        let m = model();
         let a = SimDuration::from_millis(25);
         let b = SimDuration::from_millis(70);
-        assert_eq!(m.head_start(a, b), m.head_start(b, a));
-        assert_eq!(m.head_start(a, a), SimDuration::ZERO);
+        assert_eq!(head_start(a, b), head_start(b, a));
+        assert_eq!(head_start(a, a), SimDuration::ZERO);
     }
 
     #[test]
     fn timeline_is_ordered_and_consistent() {
-        let m = model();
         let r = SimDuration::from_millis(40);
         let start = SimTime::from_secs(1);
-        let tl = m.timeline(start, r);
+        let tl = timeline(start, r);
         assert_eq!(tl.len(), 9);
         for pair in tl.windows(2) {
             assert!(pair[0].0 <= pair[1].0, "timeline out of order: {pair:?}");
@@ -177,10 +155,10 @@ mod tests {
             .iter()
             .find(|(_, p)| *p == Phase::HttpRequestSent)
             .unwrap();
-        assert_eq!(req.0, start + m.eta(r));
+        assert_eq!(req.0, start + eta(r));
         // JSON completes at start + ψ.
         let json = tl.iter().find(|(_, p)| *p == Phase::JsonComplete).unwrap();
-        assert_eq!(json.0, start + m.psi(r));
+        assert_eq!(json.0, start + psi(r));
         // First JSON packet exactly one RTT after the request.
         let first = tl
             .iter()
@@ -193,8 +171,7 @@ mod tests {
     fn wifi_lte_head_start_magnitude() {
         // With the paper's testbed numbers (R1 = 25 ms, θ ≈ 2.6), the head
         // start is ≈ 10 · 1.6 · 25 ms = 400 ms.
-        let m = TlsTimingModel::default();
-        let hs = m.head_start(SimDuration::from_millis(25), SimDuration::from_millis(65));
+        let hs = head_start(SimDuration::from_millis(25), SimDuration::from_millis(65));
         assert_eq!(hs, SimDuration::from_millis(400));
     }
 }

@@ -34,40 +34,41 @@ use msim_core::units::{BitRate, ByteSize};
 
 static REQUESTS: LazyCounter = LazyCounter::new("msp_transfer_requests_total");
 
-/// Tunables for the TCP model (defaults match a Linux 3.5-era stack).
+/// Maximum segment size in bytes.
+pub const MSS: u32 = 1448;
+
+/// Initial congestion window in packets (IW10 per RFC 6928).
+pub const INITIAL_CWND_PKTS: f64 = 10.0;
+
+/// Initial slow-start threshold in packets (effectively unbounded).
+pub const INITIAL_SSTHRESH_PKTS: f64 = f64::INFINITY;
+
+/// Window a connection restarts with after idle (RFC 2861), in packets.
+pub const RESTART_CWND_PKTS: f64 = 10.0;
+
+/// A transfer aborts once the link has been dead this long (an
+/// application-level timeout on top of TCP retransmission).
+pub const DEAD_LINK_TIMEOUT: SimDuration = SimDuration::from_secs(4);
+
+/// The TCP model's settings that vary between paths and tests; the rest of
+/// a Linux 3.5-era stack is the constants above.
 #[derive(Clone, Debug)]
 pub struct TcpConfig {
-    /// Maximum segment size in bytes.
-    pub mss: u32,
-    /// Initial congestion window in packets (IW10 per RFC 6928).
-    pub initial_cwnd_pkts: f64,
-    /// Initial slow-start threshold in packets (effectively unbounded).
-    pub initial_ssthresh_pkts: f64,
     /// Bottleneck queue capacity as a multiple of the instantaneous BDP.
     pub queue_bdp_factor: f64,
     /// Restart threshold: idle longer than this triggers slow-start restart
     /// (RFC 2861). `None` disables restart.
     pub idle_restart: Option<SimDuration>,
-    /// Window the connection restarts with after idle, in packets.
-    pub restart_cwnd_pkts: f64,
     /// Receiver window cap in bytes (e.g. default 3 MB auto-tuning ceiling).
     pub rwnd_bytes: u64,
-    /// Abort a transfer after the link has been dead for this long
-    /// (models application-level timeout on top of TCP retransmission).
-    pub dead_link_timeout: SimDuration,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            mss: 1448,
-            initial_cwnd_pkts: 10.0,
-            initial_ssthresh_pkts: f64::INFINITY,
             queue_bdp_factor: 1.0,
             idle_restart: Some(SimDuration::from_millis(1_000)),
-            restart_cwnd_pkts: 10.0,
             rwnd_bytes: 3 * 1024 * 1024,
-            dead_link_timeout: SimDuration::from_secs(4),
         }
     }
 }
@@ -77,7 +78,7 @@ impl Default for TcpConfig {
 pub enum TransferOutcome {
     /// All requested bytes delivered.
     Complete,
-    /// The link stayed dead past [`TcpConfig::dead_link_timeout`].
+    /// The link stayed dead past [`DEAD_LINK_TIMEOUT`].
     TimedOut,
 }
 
@@ -149,13 +150,11 @@ pub struct TcpConnection {
 impl TcpConnection {
     /// Creates an unconnected connection with the given config.
     pub fn new(cfg: TcpConfig) -> Self {
-        let cwnd = cfg.initial_cwnd_pkts;
-        let ssthresh = cfg.initial_ssthresh_pkts;
         TcpConnection {
             cfg,
             cubic: Cubic::default(),
-            cwnd_pkts: cwnd,
-            ssthresh_pkts: ssthresh,
+            cwnd_pkts: INITIAL_CWND_PKTS,
+            ssthresh_pkts: INITIAL_SSTHRESH_PKTS,
             established_at: None,
             last_activity: SimTime::ZERO,
             total_delivered: 0,
@@ -174,7 +173,7 @@ impl TcpConnection {
 
     /// Current congestion window in bytes.
     pub fn cwnd_bytes(&self) -> f64 {
-        self.cwnd_pkts * self.cfg.mss as f64
+        self.cwnd_pkts * f64::from(MSS)
     }
 
     /// Performs the TCP three-way handshake starting at `now`. The
@@ -214,8 +213,8 @@ impl TcpConnection {
         if let Some(idle_limit) = self.cfg.idle_restart {
             let idle = now.saturating_since(self.last_activity);
             if idle > idle_limit {
-                self.cwnd_pkts = self.cfg.restart_cwnd_pkts;
-                self.ssthresh_pkts = self.cfg.initial_ssthresh_pkts;
+                self.cwnd_pkts = RESTART_CWND_PKTS;
+                self.ssthresh_pkts = INITIAL_SSTHRESH_PKTS;
                 self.cubic = Cubic::default();
             }
         }
@@ -312,6 +311,15 @@ mod tests {
         let mut conn = TcpConnection::new(cfg);
         let ready = conn.connect(link, SimTime::ZERO);
         (conn, ready)
+    }
+
+    #[test]
+    fn constants_match_a_linux_3_5_stack() {
+        assert_eq!(MSS, 1448);
+        assert_eq!(INITIAL_CWND_PKTS, 10.0, "IW10, RFC 6928");
+        assert_eq!(INITIAL_SSTHRESH_PKTS, f64::INFINITY);
+        assert_eq!(RESTART_CWND_PKTS, 10.0);
+        assert_eq!(DEAD_LINK_TIMEOUT, SimDuration::from_secs(4));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use msim_core::time::SimDuration;
 use msim_core::units::{BitRate, ByteSize};
 
-use super::TcpConfig;
+use super::{TcpConfig, INITIAL_CWND_PKTS, MSS};
 
 /// Closed-form startup cost of a fresh flow that will stream at `rate`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,14 +40,13 @@ pub struct FluidRamp {
 /// many bytes arrive while it gets there.
 ///
 /// The model is the round model's slow-start geometry: the window starts
-/// at `initial_cwnd_pkts · mss` bytes and doubles once per RTT until it
+/// at `INITIAL_CWND_PKTS · MSS` bytes and doubles once per RTT until it
 /// covers `min(BDP, rwnd)`; the handshake and the request each cost one
 /// more RTT. Doubling round `j` delivers `iw · 2^(j-1)` bytes, so the
 /// whole ramp delivers `iw · (2^r − 1)`, the geometric sum of the rounds
 /// a transfer engine would step.
 pub fn startup_ramp(cfg: &TcpConfig, rtt: SimDuration, rate: BitRate) -> FluidRamp {
-    let mss = f64::from(cfg.mss);
-    let iw_bytes = (cfg.initial_cwnd_pkts * mss).max(mss);
+    let iw_bytes = INITIAL_CWND_PKTS * f64::from(MSS);
     let bdp_bytes = (rate.bytes_per_sec() * rtt.as_secs_f64()).max(0.0);
     // The window never needs to exceed the receive window: a flow capped
     // by rwnd tops out below `rate` and the ramp is over when it gets there.
@@ -96,7 +95,7 @@ mod tests {
     fn ramp_bytes_follow_the_geometric_sum() {
         let rtt = SimDuration::from_millis(50);
         let ramp = startup_ramp(&cfg(), rtt, BitRate::mbps(20.0));
-        let iw = cfg().initial_cwnd_pkts * f64::from(cfg().mss);
+        let iw = INITIAL_CWND_PKTS * f64::from(MSS);
         let expect = iw * (((1u64 << ramp.rounds) - 1) as f64);
         assert_eq!(ramp.ramp_bytes.as_u64(), expect as u64);
     }

@@ -20,7 +20,7 @@
 //! `random_loss` only once the dead-link check has passed; their order is
 //! part of the sampling stream (`STREAM_EPOCH`).
 
-use super::{TcpConnection, TransferOutcome, TransferResult};
+use super::{TcpConnection, TransferOutcome, TransferResult, DEAD_LINK_TIMEOUT, MSS};
 use crate::link::Link;
 use msim_core::time::{SimDuration, SimTime};
 use msim_core::units::ByteSize;
@@ -98,7 +98,7 @@ impl Xfer<'_> {
         }
         self.dead_for = SimDuration::ZERO;
 
-        let mss = self.conn.cfg.mss as f64;
+        let mss = f64::from(MSS);
         let bdp_bytes = rate.bytes_per_sec() * rtt.as_secs_f64();
         let queue_bytes = bdp_bytes * self.conn.cfg.queue_bdp_factor;
         let cwnd_bytes = self.conn.cwnd_pkts * mss;
@@ -157,18 +157,14 @@ impl Xfer<'_> {
     }
 
     /// Phase: dead link. TCP retransmits silently; the application aborts
-    /// after `dead_link_timeout`.
+    /// after [`DEAD_LINK_TIMEOUT`].
     fn dead_link_phase(&mut self) -> Option<TransferResult> {
         if let Some(up_at) = self.link.next_up_after(self.t) {
             let wait = up_at.saturating_since(self.t);
             self.dead_for += wait;
-            if self.dead_for >= self.conn.cfg.dead_link_timeout {
-                let abort_at = self.t
-                    + self
-                        .conn
-                        .cfg
-                        .dead_link_timeout
-                        .saturating_sub(self.dead_for.saturating_sub(wait));
+            if self.dead_for >= DEAD_LINK_TIMEOUT {
+                let abort_at =
+                    self.t + DEAD_LINK_TIMEOUT.saturating_sub(self.dead_for.saturating_sub(wait));
                 return Some(self.abort(abort_at));
             }
             self.t = up_at;
@@ -179,7 +175,7 @@ impl Xfer<'_> {
             return None;
         }
         // No scheduled recovery: abort at the timeout.
-        let abort_at = self.t + self.conn.cfg.dead_link_timeout;
+        let abort_at = self.t + DEAD_LINK_TIMEOUT;
         Some(self.abort(abort_at))
     }
 

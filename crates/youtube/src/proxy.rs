@@ -11,10 +11,13 @@ use crate::server::VideoServer;
 use crate::token::AccessToken;
 use crate::video::Video;
 use msim_core::time::SimDuration;
-use msim_http::tls::TlsTimingModel;
+use msim_http::tls;
 use msim_json::Value;
 use std::fmt;
 use std::net::Ipv4Addr;
+
+/// OAuth verification delay a proxy adds before the JSON is produced.
+pub const OAUTH_DELAY: SimDuration = SimDuration::from_millis(6);
 
 /// A web proxy ("www.youtube.com" front end) in one network.
 #[derive(Clone, Debug)]
@@ -23,27 +26,18 @@ pub struct WebProxyServer {
     pub network: Network,
     /// Proxy address.
     pub addr: Ipv4Addr,
-    /// TLS handshake timing (Fig. 1's Δ₁/Δ₂ for this proxy).
-    pub tls: TlsTimingModel,
-    /// Additional OAuth verification delay before the JSON is produced.
-    pub oauth_delay: SimDuration,
 }
 
 impl WebProxyServer {
-    /// Creates a proxy with default timing.
+    /// Creates the proxy at `addr` for `network`'s clients.
     pub fn new(network: Network, addr: Ipv4Addr) -> WebProxyServer {
-        WebProxyServer {
-            network,
-            addr,
-            tls: TlsTimingModel::default(),
-            oauth_delay: SimDuration::from_millis(6),
-        }
+        WebProxyServer { network, addr }
     }
 
     /// Total control-plane latency from SYN to complete JSON on a path with
-    /// round-trip time `rtt`: ψ(R) plus the OAuth verification time.
+    /// round-trip time `rtt`: ψ(R) plus [`OAUTH_DELAY`].
     pub fn json_ready_after(&self, rtt: SimDuration) -> SimDuration {
-        self.tls.psi(rtt) + self.oauth_delay
+        tls::psi(rtt) + OAUTH_DELAY
     }
 }
 
@@ -333,9 +327,12 @@ mod tests {
 
     #[test]
     fn proxy_latency_composition() {
+        assert_eq!(OAUTH_DELAY, SimDuration::from_millis(6));
         let p = WebProxyServer::new(Network::Wifi, Ipv4Addr::new(128, 119, 1, 10));
         let rtt = SimDuration::from_millis(30);
         let total = p.json_ready_after(rtt);
-        assert_eq!(total, p.tls.psi(rtt) + p.oauth_delay);
+        assert_eq!(total, tls::psi(rtt) + OAUTH_DELAY);
+        // ψ(30 ms) = 6R + Δ₁ + Δ₂ = 187 ms, plus 6 ms of OAuth.
+        assert_eq!(total, SimDuration::from_millis(193));
     }
 }

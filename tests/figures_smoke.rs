@@ -6,7 +6,7 @@
 use msplayer::core::config::{PlayerConfig, SchedulerKind};
 use msplayer::core::metrics::{SessionMetrics, TrafficPhase};
 use msplayer::core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec, StopCondition};
-use msplayer::http::tls::TlsTimingModel;
+use msplayer::http::tls;
 use msplayer::simcore::stats::median;
 use msplayer::simcore::time::SimDuration;
 use msplayer::simcore::units::ByteSize;
@@ -58,13 +58,15 @@ fn commercial(chunk_kb: u64, pb: f64) -> PlayerConfig {
 
 #[test]
 fn fig1_formulas_hold() {
-    let m = TlsTimingModel::default();
     let r1 = SimDuration::from_millis(25);
     let r2 = SimDuration::from_millis(65);
-    assert_eq!(m.pi(r1), m.psi(r1) + m.eta(r1));
+    assert_eq!(tls::pi(r1), tls::psi(r1) + tls::eta(r1));
+    // With Δ1 + Δ2 = 7 ms: η = 4R + 7 ms, ψ = 6R + 7 ms.
+    assert_eq!(tls::eta(r1), SimDuration::from_millis(107));
+    assert_eq!(tls::psi(r1), SimDuration::from_millis(157));
     // Head start = 10(θ−1)R1, independent of Δs.
     assert_eq!(
-        m.head_start(r1, r2),
+        tls::head_start(r1, r2),
         SimDuration::from_micros(10 * (r2.as_micros() - r1.as_micros()))
     );
 }

@@ -21,10 +21,10 @@ use msplayer_core::trace::render_timeline;
 /// Parsed command-line options.
 #[derive(Clone, Debug, PartialEq)]
 struct Options {
-    env: String,       // testbed | youtube
-    player: String,    // msplayer | wifi | lte
-    scheduler: String, // harmonic | ewma | ratio | fixed
-    chunk: u64,        // bytes
+    env: String,    // testbed | youtube
+    player: String, // msplayer | wifi | lte
+    scheduler: SchedulerKind,
+    chunk: u64, // bytes
     prebuffer: f64,
     refills: usize,
     seed: u64,
@@ -43,7 +43,7 @@ impl Default for Options {
         Options {
             env: "testbed".into(),
             player: "msplayer".into(),
-            scheduler: "harmonic".into(),
+            scheduler: SchedulerKind::Harmonic,
             chunk: 256 * 1024,
             prebuffer: 40.0,
             refills: 0,
@@ -67,7 +67,7 @@ const SYNOPSIS: &str =
 const FLAGS: &[Flag<Options>] = &[
     ("--env", "<testbed|youtube> environment profile [testbed]", Value(|o, v| one_of(v, ENVS).map(|v| o.env = v))),
     ("--player", "<msplayer|wifi|lte> who streams [msplayer]", Value(|o, v| one_of(v, PLAYERS).map(|v| o.player = v))),
-    ("--scheduler", "<harmonic|ewma|ratio|fixed> [harmonic]", Value(|o, v| one_of(v, SCHEDULERS).map(|v| o.scheduler = v))),
+    ("--scheduler", "<Ratio|EWMA|Harmonic|HarmonicWin|Fixed> [Harmonic]", Value(set_scheduler)),
     ("--chunk", "<SIZE> initial chunk, e.g. 64K or 1M [256K]", Value(|o, v| parse_size(v).map(|n| o.chunk = n))),
     ("--prebuffer", "<SECS> pre-buffer target [40]", Value(|o, v| parsed(v).map(|x| o.prebuffer = x))),
     ("--refills", "<N> steady-state cycles to run [0]", Value(|o, v| parsed(v).map(|n| o.refills = n))),
@@ -84,7 +84,6 @@ const FLAGS: &[Flag<Options>] = &[
 
 const ENVS: &[&str] = &["testbed", "youtube"];
 const PLAYERS: &[&str] = &["msplayer", "wifi", "lte"];
-const SCHEDULERS: &[&str] = &["harmonic", "ewma", "ratio", "fixed"];
 
 /// `v` if `allowed` holds it.
 fn one_of(v: &str, allowed: &[&str]) -> Result<String, String> {
@@ -98,6 +97,13 @@ fn one_of(v: &str, allowed: &[&str]) -> Result<String, String> {
 fn set_chaos(o: &mut Options, v: &str) -> Result<(), String> {
     ChaosPlan::preset(v).map_err(|e| e.to_string())?;
     o.chaos = v.into();
+    Ok(())
+}
+
+fn set_scheduler(o: &mut Options, v: &str) -> Result<(), String> {
+    let names = || SchedulerKind::ALL.map(|k| k.name()).join(", ");
+    o.scheduler =
+        SchedulerKind::parse(v).ok_or_else(|| format!("unknown scheduler {v:?} ({})", names()))?;
     Ok(())
 }
 
@@ -130,15 +136,9 @@ fn parse_size(s: &str) -> Result<u64, String> {
 /// The service and the session picked by `--env` / `--player` and the
 /// player flags, seeded with `--seed` and without the chaos plan.
 fn session_for(opt: &Options) -> (ServiceSpec, SessionSpec) {
-    let kind = match opt.scheduler.as_str() {
-        "ewma" => SchedulerKind::Ewma,
-        "ratio" => SchedulerKind::Ratio,
-        "fixed" => SchedulerKind::Fixed,
-        _ => SchedulerKind::Harmonic,
-    };
     let cfg = if opt.player == "msplayer" {
         PlayerConfig::msplayer()
-            .with_scheduler(kind)
+            .with_scheduler(opt.scheduler)
             .with_initial_chunk(ByteSize::bytes(opt.chunk))
     } else {
         PlayerConfig::commercial_single_path(ByteSize::bytes(opt.chunk))
@@ -414,14 +414,14 @@ mod tests {
     #[test]
     fn parses_everything() {
         let o = parse_args(&args(
-            "--env youtube --player wifi --scheduler ewma --chunk 1M \
+            "--env youtube --player wifi --scheduler EWMA --chunk 1M \
              --prebuffer 20 --refills 3 --seed 9 --runs 5 --timeline \
              --trace /tmp/session.ndjson",
         ))
         .unwrap();
         assert_eq!(o.env, "youtube");
         assert_eq!(o.player, "wifi");
-        assert_eq!(o.scheduler, "ewma");
+        assert_eq!(o.scheduler, SchedulerKind::Ewma);
         assert_eq!(o.chunk, 1024 * 1024);
         assert_eq!(o.prebuffer, 20.0);
         assert_eq!(o.refills, 3);
@@ -491,7 +491,24 @@ mod tests {
     fn rejects_unknown_and_invalid() {
         assert!(parse_args(&args("--bogus 1")).is_err());
         assert!(parse_args(&args("--env mars")).is_err());
-        assert!(parse_args(&args("--scheduler quantum")).is_err());
+        assert_eq!(
+            parse_args(&args("--scheduler quantum")).err(),
+            Some(Refusal::Value(
+                "--scheduler: unknown scheduler \"quantum\" \
+                 (Ratio, EWMA, Harmonic, HarmonicWin, Fixed)"
+                    .into()
+            ))
+        );
+        assert!(
+            parse_args(&args("--scheduler harmonic")).is_err(),
+            "names are case-sensitive"
+        );
+        assert_eq!(
+            parse_args(&args("--scheduler HarmonicWin"))
+                .unwrap()
+                .scheduler,
+            SchedulerKind::HarmonicWindowed
+        );
         assert!(parse_args(&args("--chunk")).is_err(), "missing value");
         for runs in ["0", "two", "-1"] {
             assert_eq!(

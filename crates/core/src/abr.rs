@@ -25,8 +25,7 @@
 //! of the re-planning machinery runs — asserted by
 //! `crates/bench/tests/abr_closed_loop.rs`).
 //!
-//! Policies (enum-dispatched like `SchedulerImpl`, no boxing on the
-//! decision path):
+//! Policies (enum-dispatched, no boxing on the decision path):
 //!
 //! | kind | drives on | character |
 //! |---|---|---|

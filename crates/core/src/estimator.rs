@@ -9,226 +9,105 @@
 //!   mean maintained with O(1) state, which "tends to mitigate the impact of
 //!   large outliers due to network variation".
 //!
-//! [`LastSample`] (what the Ratio baseline effectively uses) and
-//! [`HarmonicWindow`] (a sliding-window variant, used by the ablation bench)
-//! complete the set.
+//! A sliding-window harmonic mean (the ablation variant) and the latest raw
+//! sample (what the Ratio baseline effectively uses) complete the set.
 
 use std::collections::VecDeque;
 
-/// Eq. 1: exponential weighted moving average.
+/// The sliding-window harmonic mean's window, in samples.
+pub const HARMONIC_WINDOW: usize = 20;
+
+/// One path's bandwidth estimator, its state inline.
 #[derive(Clone, Debug)]
-pub struct Ewma {
-    alpha: f64,
-    state: Option<f64>,
+pub enum Estimator {
+    /// Eq. 1: exponential weighted moving average with weight `alpha` on
+    /// history.
+    Ewma {
+        /// Weight on history (the paper reports α = 0.9).
+        alpha: f64,
+        /// The current estimate, `None` before any sample.
+        state: Option<f64>,
+    },
+    /// Eq. 2: incremental harmonic mean over the full history, keeping only
+    /// the sample count and the running mean.
+    Harmonic {
+        /// Samples absorbed.
+        n: u64,
+        /// The harmonic mean of those samples.
+        hmean: f64,
+    },
+    /// Harmonic mean of the last [`HARMONIC_WINDOW`] samples (the paper's
+    /// \[19\] keeps a window of past measurements instead of the full
+    /// history).
+    Window(VecDeque<f64>),
+    /// The most recent sample, verbatim.
+    Last(Option<f64>),
 }
 
-impl Ewma {
-    /// Creates an EWMA with weight `alpha` on history (the paper reports
-    /// α = 0.9).
-    pub fn new(alpha: f64) -> Ewma {
+impl Estimator {
+    /// An empty EWMA with weight `alpha` on history.
+    pub fn ewma(alpha: f64) -> Estimator {
         assert!((0.0..1.0).contains(&alpha), "alpha in [0,1)");
-        Ewma { alpha, state: None }
+        Estimator::Ewma { alpha, state: None }
     }
 
-    /// Feeds one throughput measurement `w > 0` (bits/s).
-    pub fn update(&mut self, sample_bps: f64) {
-        debug_assert!(sample_bps > 0.0, "non-positive throughput sample");
-        self.state = Some(match self.state {
-            None => sample_bps,
-            Some(prev) => self.alpha * prev + (1.0 - self.alpha) * sample_bps,
-        });
+    /// An empty incremental harmonic mean.
+    pub fn harmonic() -> Estimator {
+        Estimator::Harmonic { n: 0, hmean: 0.0 }
     }
 
-    /// The current estimate ŵ, or `None` before any sample
-    /// (Alg. 1 line 2: "if ŵᵢ not available").
-    pub fn estimate_bps(&self) -> Option<f64> {
-        self.state
+    /// An empty sliding-window harmonic mean.
+    pub fn window() -> Estimator {
+        Estimator::Window(VecDeque::with_capacity(HARMONIC_WINDOW))
     }
 
-    /// Forgets all history (used after failover to a new server).
-    pub fn reset(&mut self) {
-        self.state = None;
-    }
-
-    /// Estimator name for reports.
-    pub fn name(&self) -> &'static str {
-        "EWMA"
-    }
-}
-
-/// Eq. 2: incremental harmonic mean over the full history with O(1) state
-/// (only `n` and the running harmonic mean are kept).
-#[derive(Clone, Debug, Default)]
-pub struct HarmonicInc {
-    n: u64,
-    hmean: f64,
-}
-
-impl HarmonicInc {
-    /// Creates an empty estimator.
-    pub fn new() -> HarmonicInc {
-        HarmonicInc::default()
-    }
-
-    /// Number of samples absorbed.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Feeds one throughput measurement `w > 0` (bits/s).
-    pub fn update(&mut self, sample_bps: f64) {
-        debug_assert!(sample_bps > 0.0, "non-positive throughput sample");
-        if self.n == 0 {
-            self.n = 1;
-            self.hmean = sample_bps;
-        } else {
-            // Eq. 2: ŵ(n+1) = (n+1) / (n/ŵ(n) + 1/w(n+1))
-            let n = self.n as f64;
-            self.hmean = (n + 1.0) / (n / self.hmean + 1.0 / sample_bps);
-            self.n += 1;
-        }
-    }
-
-    /// The current estimate ŵ, or `None` before any sample
-    /// (Alg. 1 line 2: "if ŵᵢ not available").
-    pub fn estimate_bps(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.hmean)
-    }
-
-    /// Forgets all history (used after failover to a new server).
-    pub fn reset(&mut self) {
-        self.n = 0;
-        self.hmean = 0.0;
-    }
-
-    /// Estimator name for reports.
-    pub fn name(&self) -> &'static str {
-        "Harmonic"
-    }
-}
-
-/// Sliding-window harmonic mean (ablation variant; the paper's \[19\] keeps a
-/// window of past measurements instead of the full history).
-#[derive(Clone, Debug)]
-pub struct HarmonicWindow {
-    window: VecDeque<f64>,
-    cap: usize,
-}
-
-impl HarmonicWindow {
-    /// Creates a window of the given capacity.
-    pub fn new(cap: usize) -> HarmonicWindow {
-        assert!(cap > 0, "window capacity must be positive");
-        HarmonicWindow {
-            window: VecDeque::with_capacity(cap),
-            cap,
-        }
-    }
-
-    /// Feeds one throughput measurement `w > 0` (bits/s).
-    pub fn update(&mut self, sample_bps: f64) {
-        debug_assert!(sample_bps > 0.0, "non-positive throughput sample");
-        if self.window.len() == self.cap {
-            self.window.pop_front();
-        }
-        self.window.push_back(sample_bps);
-    }
-
-    /// The current estimate ŵ, or `None` before any sample
-    /// (Alg. 1 line 2: "if ŵᵢ not available").
-    pub fn estimate_bps(&self) -> Option<f64> {
-        if self.window.is_empty() {
-            return None;
-        }
-        let inv: f64 = self.window.iter().map(|w| 1.0 / w).sum();
-        Some(self.window.len() as f64 / inv)
-    }
-
-    /// Forgets all history (used after failover to a new server).
-    pub fn reset(&mut self) {
-        self.window.clear();
-    }
-
-    /// Estimator name for reports.
-    pub fn name(&self) -> &'static str {
-        "HarmonicWindow"
-    }
-}
-
-/// The most recent sample, verbatim (the Ratio baseline's implicit
-/// "estimator").
-#[derive(Clone, Debug, Default)]
-pub struct LastSample {
-    last: Option<f64>,
-}
-
-impl LastSample {
-    /// Creates an empty estimator.
-    pub fn new() -> LastSample {
-        LastSample::default()
-    }
-
-    /// Feeds one throughput measurement `w > 0` (bits/s).
-    pub fn update(&mut self, sample_bps: f64) {
-        debug_assert!(sample_bps > 0.0, "non-positive throughput sample");
-        self.last = Some(sample_bps);
-    }
-
-    /// The current estimate ŵ, or `None` before any sample
-    /// (Alg. 1 line 2: "if ŵᵢ not available").
-    pub fn estimate_bps(&self) -> Option<f64> {
-        self.last
-    }
-
-    /// Forgets all history (used after failover to a new server).
-    pub fn reset(&mut self) {
-        self.last = None;
-    }
-
-    /// Estimator name for reports.
-    pub fn name(&self) -> &'static str {
-        "LastSample"
-    }
-}
-
-/// Enum-dispatched estimator used on the per-chunk hot path.
-///
-/// The player's inner loop calls one estimator per completed chunk. The
-/// enum keeps the four estimators inline: the `match` arms compile to
-/// direct (inlinable) calls and the whole per-path state lives in the
-/// scheduler struct.
-#[derive(Clone, Debug)]
-pub enum EstimatorImpl {
-    /// Eq. 1 EWMA.
-    Ewma(Ewma),
-    /// Eq. 2 incremental harmonic mean.
-    HarmonicInc(HarmonicInc),
-    /// Sliding-window harmonic mean.
-    HarmonicWindow(HarmonicWindow),
-    /// Latest raw sample.
-    LastSample(LastSample),
-}
-
-impl EstimatorImpl {
     /// Feeds one throughput measurement `w > 0` (bits/s).
     #[inline]
     pub fn update(&mut self, sample_bps: f64) {
+        debug_assert!(sample_bps > 0.0, "non-positive throughput sample");
         match self {
-            EstimatorImpl::Ewma(e) => e.update(sample_bps),
-            EstimatorImpl::HarmonicInc(e) => e.update(sample_bps),
-            EstimatorImpl::HarmonicWindow(e) => e.update(sample_bps),
-            EstimatorImpl::LastSample(e) => e.update(sample_bps),
+            Estimator::Ewma { alpha, state } => {
+                *state = Some(match *state {
+                    None => sample_bps,
+                    Some(prev) => *alpha * prev + (1.0 - *alpha) * sample_bps,
+                });
+            }
+            Estimator::Harmonic { n, hmean } => {
+                if *n == 0 {
+                    *n = 1;
+                    *hmean = sample_bps;
+                } else {
+                    // Eq. 2: ŵ(n+1) = (n+1) / (n/ŵ(n) + 1/w(n+1))
+                    let nf = *n as f64;
+                    *hmean = (nf + 1.0) / (nf / *hmean + 1.0 / sample_bps);
+                    *n += 1;
+                }
+            }
+            Estimator::Window(window) => {
+                if window.len() == HARMONIC_WINDOW {
+                    window.pop_front();
+                }
+                window.push_back(sample_bps);
+            }
+            Estimator::Last(last) => *last = Some(sample_bps),
         }
     }
 
-    /// The current estimate ŵ, or `None` before any sample.
+    /// The current estimate ŵ, or `None` before any sample
+    /// (Alg. 1 line 2: "if ŵᵢ not available").
     #[inline]
     pub fn estimate_bps(&self) -> Option<f64> {
         match self {
-            EstimatorImpl::Ewma(e) => e.estimate_bps(),
-            EstimatorImpl::HarmonicInc(e) => e.estimate_bps(),
-            EstimatorImpl::HarmonicWindow(e) => e.estimate_bps(),
-            EstimatorImpl::LastSample(e) => e.estimate_bps(),
+            Estimator::Ewma { state, .. } => *state,
+            Estimator::Harmonic { n, hmean } => (*n > 0).then_some(*hmean),
+            Estimator::Window(window) => {
+                if window.is_empty() {
+                    return None;
+                }
+                let inv: f64 = window.iter().map(|w| 1.0 / w).sum();
+                Some(window.len() as f64 / inv)
+            }
+            Estimator::Last(last) => *last,
         }
     }
 
@@ -236,42 +115,14 @@ impl EstimatorImpl {
     #[inline]
     pub fn reset(&mut self) {
         match self {
-            EstimatorImpl::Ewma(e) => e.reset(),
-            EstimatorImpl::HarmonicInc(e) => e.reset(),
-            EstimatorImpl::HarmonicWindow(e) => e.reset(),
-            EstimatorImpl::LastSample(e) => e.reset(),
+            Estimator::Ewma { state, .. } => *state = None,
+            Estimator::Harmonic { n, hmean } => {
+                *n = 0;
+                *hmean = 0.0;
+            }
+            Estimator::Window(window) => window.clear(),
+            Estimator::Last(last) => *last = None,
         }
-    }
-
-    /// Estimator name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EstimatorImpl::Ewma(e) => e.name(),
-            EstimatorImpl::HarmonicInc(e) => e.name(),
-            EstimatorImpl::HarmonicWindow(e) => e.name(),
-            EstimatorImpl::LastSample(e) => e.name(),
-        }
-    }
-}
-
-impl From<Ewma> for EstimatorImpl {
-    fn from(e: Ewma) -> Self {
-        EstimatorImpl::Ewma(e)
-    }
-}
-impl From<HarmonicInc> for EstimatorImpl {
-    fn from(e: HarmonicInc) -> Self {
-        EstimatorImpl::HarmonicInc(e)
-    }
-}
-impl From<HarmonicWindow> for EstimatorImpl {
-    fn from(e: HarmonicWindow) -> Self {
-        EstimatorImpl::HarmonicWindow(e)
-    }
-}
-impl From<LastSample> for EstimatorImpl {
-    fn from(e: LastSample) -> Self {
-        EstimatorImpl::LastSample(e)
     }
 }
 
@@ -279,25 +130,25 @@ impl From<LastSample> for EstimatorImpl {
 mod tests {
     use super::*;
 
-    fn all() -> [EstimatorImpl; 4] {
+    fn all() -> [Estimator; 4] {
         [
-            Ewma::new(0.9).into(),
-            HarmonicInc::new().into(),
-            HarmonicWindow::new(5).into(),
-            LastSample::new().into(),
+            Estimator::ewma(0.9),
+            Estimator::harmonic(),
+            Estimator::window(),
+            Estimator::Last(None),
         ]
     }
 
     #[test]
     fn all_start_unavailable() {
         for e in &all() {
-            assert_eq!(e.estimate_bps(), None, "{}", e.name());
+            assert_eq!(e.estimate_bps(), None, "{e:?}");
         }
     }
 
     #[test]
     fn ewma_follows_eq1() {
-        let mut e = Ewma::new(0.9);
+        let mut e = Estimator::ewma(0.9);
         e.update(10.0);
         assert_eq!(e.estimate_bps(), Some(10.0), "first sample initialises");
         e.update(20.0);
@@ -311,7 +162,7 @@ mod tests {
     #[test]
     fn harmonic_incremental_equals_batch() {
         let samples = [8.0e6, 12.0e6, 3.0e6, 25.0e6, 9.5e6, 14.0e6];
-        let mut inc = HarmonicInc::new();
+        let mut inc = Estimator::harmonic();
         for &s in &samples {
             inc.update(s);
         }
@@ -321,13 +172,13 @@ mod tests {
             ((got - batch) / batch).abs() < 1e-12,
             "incremental {got} vs batch {batch}"
         );
-        assert_eq!(inc.count(), samples.len() as u64);
+        assert!(matches!(inc, Estimator::Harmonic { n: 6, .. }), "{inc:?}");
     }
 
     #[test]
     fn harmonic_resists_upward_outliers_better_than_ewma() {
-        let mut h = HarmonicInc::new();
-        let mut e = Ewma::new(0.9);
+        let mut h = Estimator::harmonic();
+        let mut e = Estimator::ewma(0.9);
         for _ in 0..10 {
             h.update(10.0e6);
             e.update(10.0e6);
@@ -347,18 +198,19 @@ mod tests {
 
     #[test]
     fn window_variant_forgets_old_samples() {
-        let mut w = HarmonicWindow::new(3);
-        for s in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            w.update(s);
+        let mut w = Estimator::window();
+        for s in 1..=HARMONIC_WINDOW + 5 {
+            w.update(s as f64);
         }
-        // Window holds [3,4,5]: H = 3/(1/3+1/4+1/5) ≈ 3.830
+        // The window holds the last 20 samples, 6..=25.
+        let inv: f64 = (6..=HARMONIC_WINDOW + 5).map(|s| 1.0 / s as f64).sum();
         let est = w.estimate_bps().unwrap();
-        assert!((est - 3.0 / (1.0 / 3.0 + 0.25 + 0.2)).abs() < 1e-12);
+        assert!((est - HARMONIC_WINDOW as f64 / inv).abs() < 1e-12);
     }
 
     #[test]
     fn last_sample_tracks_latest() {
-        let mut l = LastSample::new();
+        let mut l = Estimator::Last(None);
         l.update(5.0);
         l.update(9.0);
         assert_eq!(l.estimate_bps(), Some(9.0));
@@ -370,7 +222,7 @@ mod tests {
             e.update(5.0e6);
             assert!(e.estimate_bps().is_some());
             e.reset();
-            assert_eq!(e.estimate_bps(), None, "{} after reset", e.name());
+            assert_eq!(e.estimate_bps(), None, "{e:?} after reset");
         }
     }
 
@@ -378,7 +230,7 @@ mod tests {
     fn harmonic_is_at_most_arithmetic_mean() {
         // AM–HM inequality, exercised over random-ish samples.
         let samples = [3.0, 7.0, 11.0, 2.5, 19.0, 8.0];
-        let mut h = HarmonicInc::new();
+        let mut h = Estimator::harmonic();
         for &s in &samples {
             h.update(s);
         }

@@ -7,9 +7,9 @@
 //!
 //! * [`abr`] — closed-loop adaptive bitrate: pluggable policies that
 //!   switch the streamed itag mid-session (shadow mode as the baseline);
-//! * [`estimator`] — EWMA (Eq. 1) and incremental harmonic mean (Eq. 2)
-//!   bandwidth estimators;
-//! * [`scheduler`] — the Ratio baseline and Alg. 1 DCSA chunk schedulers;
+//! * [`estimator`] — the bandwidth estimator: EWMA (Eq. 1) or incremental
+//!   harmonic mean (Eq. 2);
+//! * [`scheduler`] — the chunk scheduler: the Ratio baseline or Alg. 1 DCSA;
 //! * [`chunk`] — the chunk ledger with the ≤1 out-of-order chunk rule;
 //! * [`buffer`] — pre-buffering / ON-OFF re-buffering playout state machine
 //!   (40 s / 10 s / 20 s defaults, §4);
@@ -60,14 +60,14 @@ pub use chaos::{
 };
 pub use chunk::{ChunkAssignment, ChunkLedger, PathId};
 pub use config::{GammaRounding, PlayerConfig, SchedulerKind};
-pub use estimator::{EstimatorImpl, Ewma, HarmonicInc, HarmonicWindow, LastSample};
+pub use estimator::{Estimator, HARMONIC_WINDOW};
 pub use fleet::{
     pareto_frontier, AccessClass, FleetHost, FleetLoad, FleetLoadEntry, FleetMetrics, FleetMode,
     FleetServerSpec, FleetSpec, LoadBin, SelectionPolicy, ServerUsage,
 };
 pub use metrics::{AbrDecision, AbrQoe, AbrSwitch, ChunkRecord, SessionMetrics, TrafficPhase};
 pub use player::{ChunkFailReason, Player, PlayerAction, PlayerEvent};
-pub use scheduler::{DcsaScheduler, FixedScheduler, RatioScheduler, SchedulerImpl, NUM_PATHS};
+pub use scheduler::Scheduler;
 pub use sim::{
     PathSetup, ServerFailure, ServiceSpec, Session, SessionHost, SessionSpec, SessionSpecError,
     StopCondition,

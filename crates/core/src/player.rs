@@ -27,7 +27,7 @@ use crate::metrics::{
     AbrDecision, AbrQoe, AbrSwitch, AbrTrace, ChunkRecord, ChunkTrace, SessionMetrics,
     TrafficPhase, MAX_TRACE_CHUNK_BYTES,
 };
-use crate::scheduler::SchedulerImpl;
+use crate::scheduler::Scheduler;
 use msim_core::telemetry::{self, LazyCounter, LazyHistogram, TraceVal};
 use msim_core::time::SimTime;
 
@@ -170,7 +170,7 @@ fn swap_for_exact<T: Clone>(buf: &mut T) -> T {
 /// The player.
 pub struct Player {
     cfg: PlayerConfig,
-    scheduler: SchedulerImpl,
+    scheduler: Scheduler,
     ledger: ChunkLedger,
     buffer: PlayoutBuffer,
     rate_bytes_per_sec: f64,
@@ -266,7 +266,7 @@ impl Player {
             cfg.prebuffer_secs,
             cfg.rebuffer_secs,
         );
-        let scheduler = SchedulerImpl::for_paths(&cfg, n_paths);
+        let scheduler = Scheduler::new(&cfg, n_paths);
         let abr = cfg.abr_ladder.as_ref().map(|abr| {
             let formats = crate::abr::resolve_ladder(&abr.ladder);
             // The streamed starting rung is the ladder entry matching the

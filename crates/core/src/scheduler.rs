@@ -1,275 +1,99 @@
-//! Chunk schedulers (§3.3).
+//! The chunk scheduler (§3.3).
 //!
 //! The scheduler's job: pick per-path chunk sizes so that concurrent chunk
 //! transfers on heterogeneous paths finish at about the same time, keeping
-//! out-of-order memory bounded and both paths busy.
+//! out-of-order memory bounded and every path busy. One [`Scheduler`] runs
+//! the rule its [`SchedulerKind`] names:
 //!
-//! * [`RatioScheduler`] — the baseline: the slower path is pinned at the
-//!   base size B and the faster path gets `w_fast/w_slow · B`, computed from
-//!   the *latest* raw samples only.
-//! * [`DcsaScheduler`] — Alg. 1 "Dynamic chunk size adjustment": the slow
-//!   path doubles its chunk when the current measurement beats its estimate
-//!   by (1+δ) and halves (with a 16 KB floor) when it falls below (1−δ);
-//!   the fast path takes `γ = ⌈ŵ_fast/ŵ_slow⌉` times the slow path's chunk.
-//!   Instantiated with either the EWMA (Eq. 1) or harmonic-mean (Eq. 2)
-//!   estimator.
-//! * [`FixedScheduler`] — constant chunk size (the commercial single-path
-//!   players' 64 KB / 256 KB behaviour).
+//! * `Ratio` — the baseline: the slower path is pinned at the base size B
+//!   and the faster path gets `w_fast/w_slow · B`, computed from the
+//!   *latest* raw samples only.
+//! * `Ewma`, `Harmonic`, `HarmonicWindowed` — Alg. 1 "Dynamic chunk size
+//!   adjustment" over that [`Estimator`]: the slow path doubles its chunk
+//!   when the current measurement beats its estimate by (1+δ) and halves
+//!   (with a 16 KB floor) when it falls below (1−δ); the fast path takes
+//!   `γ = ⌈ŵ_fast/ŵ_slow⌉` times the slow path's chunk.
+//! * `Fixed` — constant chunk size (the commercial single-path players'
+//!   64 KB / 256 KB behaviour).
+//!
+//! With more than two paths, "the other path" is the slowest other
+//! measured path.
 
 use crate::config::{GammaRounding, PlayerConfig, SchedulerKind, MAX_CHUNK, MIN_CHUNK};
-use crate::estimator::{EstimatorImpl, Ewma, HarmonicInc, HarmonicWindow, LastSample};
+use crate::estimator::Estimator;
 use msim_core::units::ByteSize;
 
-/// The paper's path count ("MSPlayer limits the number of paths to two",
-/// §2). Schedulers are no longer limited to it — every scheduler carries
-/// per-path state for an arbitrary path count (see
-/// [`SchedulerImpl::for_paths`]) — but two remains the default used by
-/// [`SchedulerImpl::from_config`] and the concrete schedulers' `new`.
-pub const NUM_PATHS: usize = 2;
-
-/// Enum-dispatched scheduler used on the per-chunk hot path.
-///
-/// The player takes two scheduler decisions per completed chunk
-/// (`on_sample` + `chunk_size`). The enum keeps every scheduler (and, via
-/// [`EstimatorImpl`], every estimator) inline, so the whole decision path
-/// is direct calls the compiler can flatten.
-pub enum SchedulerImpl {
-    /// §3.3 Ratio baseline.
-    Ratio(RatioScheduler),
-    /// Alg. 1 DCSA over any [`EstimatorImpl`].
-    Dcsa(DcsaScheduler),
-    /// Constant chunk size.
-    Fixed(FixedScheduler),
-}
-
-impl SchedulerImpl {
-    /// Builds the scheduler selected by a config for the paper's two paths.
-    pub fn from_config(cfg: &PlayerConfig) -> SchedulerImpl {
-        SchedulerImpl::for_paths(cfg, NUM_PATHS)
-    }
-
-    /// Builds the scheduler selected by a config with per-path state for
-    /// `n_paths` paths.
-    pub fn for_paths(cfg: &PlayerConfig, n_paths: usize) -> SchedulerImpl {
-        match cfg.scheduler {
-            SchedulerKind::Ratio => SchedulerImpl::Ratio(RatioScheduler::with_paths(cfg, n_paths)),
-            SchedulerKind::Ewma => SchedulerImpl::Dcsa(DcsaScheduler::with_paths(
-                cfg,
-                Ewma::new(cfg.alpha),
-                n_paths,
-            )),
-            SchedulerKind::Harmonic => {
-                SchedulerImpl::Dcsa(DcsaScheduler::with_paths(cfg, HarmonicInc::new(), n_paths))
-            }
-            SchedulerKind::HarmonicWindowed => SchedulerImpl::Dcsa(DcsaScheduler::with_paths(
-                cfg,
-                HarmonicWindow::new(20),
-                n_paths,
-            )),
-            SchedulerKind::Fixed => SchedulerImpl::Fixed(FixedScheduler::new(cfg.initial_chunk)),
-        }
-    }
-
-    /// Feeds a throughput measurement for `path` (bits/s).
-    #[inline]
-    pub fn on_sample(&mut self, path: usize, sample_bps: f64) {
-        match self {
-            SchedulerImpl::Ratio(s) => s.on_sample(path, sample_bps),
-            SchedulerImpl::Dcsa(s) => s.on_sample(path, sample_bps),
-            SchedulerImpl::Fixed(s) => s.on_sample(path, sample_bps),
-        }
-    }
-
-    /// The chunk size to request next on `path`.
-    #[inline]
-    pub fn chunk_size(&self, path: usize) -> ByteSize {
-        match self {
-            SchedulerImpl::Ratio(s) => s.chunk_size(path),
-            SchedulerImpl::Dcsa(s) => s.chunk_size(path),
-            SchedulerImpl::Fixed(s) => s.chunk_size(path),
-        }
-    }
-
-    /// Resets per-path state after a failover on `path`.
-    #[inline]
-    pub fn reset_path(&mut self, path: usize) {
-        match self {
-            SchedulerImpl::Ratio(s) => s.reset_path(path),
-            SchedulerImpl::Dcsa(s) => s.reset_path(path),
-            SchedulerImpl::Fixed(s) => s.reset_path(path),
-        }
-    }
-
-    /// Scheduler name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedulerImpl::Ratio(s) => s.name(),
-            SchedulerImpl::Dcsa(s) => s.name(),
-            SchedulerImpl::Fixed(s) => s.name(),
-        }
-    }
-
-    /// The aggregate (sum-over-paths) bandwidth estimate in bits/s —
-    /// MSPlayer's view of its total capacity, the input a DASH-style rate
-    /// adapter works from (§7 future work; see [`crate::abr`]).
-    /// Unmeasured paths contribute nothing; `None` until any path has an
-    /// estimate (and always for `Fixed`, which estimates nothing).
-    pub fn aggregate_estimate_bps(&self) -> Option<f64> {
-        let fold = |acc: Option<f64>, est: Option<f64>| match (acc, est) {
-            (Some(a), Some(w)) => Some(a + w),
-            (a, w) => a.or(w),
-        };
-        match self {
-            SchedulerImpl::Ratio(s) => s.last.iter().map(|l| l.estimate_bps()).fold(None, fold),
-            SchedulerImpl::Dcsa(s) => s
-                .estimators
-                .iter()
-                .map(|e| e.estimate_bps())
-                .fold(None, fold),
-            SchedulerImpl::Fixed(_) => None,
-        }
-    }
-}
-
-/// Rounds a chunk size of `v` bytes into `[MIN_CHUNK, MAX_CHUNK]`.
-fn clamp(v: f64) -> ByteSize {
-    let v = v.clamp(MIN_CHUNK.as_f64(), MAX_CHUNK.as_f64());
-    // `v` is non-negative after the clamp, so round-half-up via truncation
-    // replaces `v.round()` — a libm call on baseline x86-64, and this sits
-    // on the per-chunk sizing path.
-    ByteSize::bytes((v + 0.5) as u64)
-}
-
-/// The slowest *other* path's estimate: the minimum estimate among all
-/// paths except `path` (ties resolved to the lowest index, which keeps the
-/// two-path case bit-identical to the historical `1 - path` lookup).
-/// Returns `(index, estimate)`, or `None` when no other path has been
-/// measured yet.
-fn slowest_other(
-    estimates: impl Iterator<Item = Option<f64>>,
-    path: usize,
-) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, est) in estimates.enumerate() {
-        if i == path {
-            continue;
-        }
-        if let Some(w) = est {
-            match best {
-                Some((_, b)) if b <= w => {}
-                _ => best = Some((i, w)),
-            }
-        }
-    }
-    best
-}
-
-/// §3.3 baseline scheduler.
-pub struct RatioScheduler {
+/// Per-path chunk sizes and estimators for one session's paths.
+pub struct Scheduler {
+    kind: SchedulerKind,
     base: ByteSize,
-    last: Vec<LastSample>,
+    delta: f64,
+    gamma_rounding: GammaRounding,
+    estimators: Vec<Estimator>,
     sizes: Vec<ByteSize>,
 }
 
-impl RatioScheduler {
-    /// Creates the two-path scheduler from a config (uses `initial_chunk`
-    /// as B).
-    pub fn new(cfg: &PlayerConfig) -> RatioScheduler {
-        RatioScheduler::with_paths(cfg, NUM_PATHS)
-    }
-
-    /// Creates the scheduler with per-path state for `n_paths` paths.
-    pub fn with_paths(cfg: &PlayerConfig, n_paths: usize) -> RatioScheduler {
-        RatioScheduler {
+impl Scheduler {
+    /// The scheduler a config selects, with per-path state for `n_paths`
+    /// paths, every path starting at `initial_chunk` (B).
+    pub fn new(cfg: &PlayerConfig, n_paths: usize) -> Scheduler {
+        let estimator = match cfg.scheduler {
+            SchedulerKind::Ewma => Estimator::ewma(cfg.alpha),
+            SchedulerKind::Harmonic => Estimator::harmonic(),
+            SchedulerKind::HarmonicWindowed => Estimator::window(),
+            SchedulerKind::Ratio | SchedulerKind::Fixed => Estimator::Last(None),
+        };
+        Scheduler {
+            kind: cfg.scheduler,
             base: cfg.initial_chunk,
-            last: (0..n_paths).map(|_| LastSample::new()).collect(),
+            delta: cfg.delta,
+            gamma_rounding: cfg.gamma_rounding,
+            estimators: vec![estimator; n_paths],
             sizes: vec![cfg.initial_chunk; n_paths],
         }
     }
 
-    /// Feeds a throughput measurement for `path` (bits/s) from a completed
-    /// chunk and updates that path's chunk size.
-    pub fn on_sample(&mut self, path: usize, sample_bps: f64) {
-        self.last[path].update(sample_bps);
-        let w_this = self.last[path].estimate_bps().expect("just updated");
-        let Some((_, w_other)) = slowest_other(self.last.iter().map(|l| l.estimate_bps()), path)
-        else {
+    /// Feeds a throughput measurement `w_i` (bits/s) from a completed chunk
+    /// on path `i` and updates that path's chunk size.
+    #[inline]
+    pub fn on_sample(&mut self, i: usize, w_i: f64) {
+        match self.kind {
+            SchedulerKind::Fixed => {}
+            SchedulerKind::Ratio => self.ratio(i, w_i),
+            SchedulerKind::Ewma | SchedulerKind::Harmonic | SchedulerKind::HarmonicWindowed => {
+                self.dcsa(i, w_i)
+            }
+        }
+    }
+
+    /// §3.3's baseline: B on the slow path, the throughput ratio times B on
+    /// the fast one, from the latest samples.
+    fn ratio(&mut self, i: usize, w_i: f64) {
+        self.estimators[i].update(w_i);
+        let w_this = self.estimators[i].estimate_bps().expect("just updated");
+        let Some((_, w_other)) = slowest_other(&self.estimators, i) else {
             // Only this path measured so far: stay at B.
-            self.sizes[path] = self.base;
+            self.sizes[i] = self.base;
             return;
         };
         if w_this <= w_other {
             // Slow path: fixed base size.
-            self.sizes[path] = self.base;
+            self.sizes[i] = self.base;
         } else {
             // Fast path: throughput-ratio multiple of B, relative to the
             // slowest measured path.
             let ratio = w_this / w_other;
-            self.sizes[path] = clamp(ratio * self.base.as_f64());
+            self.sizes[i] = clamp(ratio * self.base.as_f64());
         }
     }
 
-    /// The chunk size to request next on `path`.
-    pub fn chunk_size(&self, path: usize) -> ByteSize {
-        self.sizes[path]
-    }
-
-    /// Resets per-path state after a failover on `path`.
-    pub fn reset_path(&mut self, path: usize) {
-        self.last[path].reset();
-        self.sizes[path] = self.base;
-    }
-
-    /// Scheduler name for reports.
-    pub fn name(&self) -> &'static str {
-        "Ratio"
-    }
-}
-
-/// Alg. 1: dynamic chunk size adjustment over a pluggable estimator.
-pub struct DcsaScheduler {
-    base: ByteSize,
-    delta: f64,
-    gamma_rounding: GammaRounding,
-    estimators: Vec<EstimatorImpl>,
-    sizes: Vec<ByteSize>,
-    est_name: &'static str,
-}
-
-impl DcsaScheduler {
-    /// Creates the two-path scheduler with a fresh copy of `estimator` per
-    /// path.
-    pub fn new(cfg: &PlayerConfig, estimator: impl Into<EstimatorImpl>) -> DcsaScheduler {
-        DcsaScheduler::with_paths(cfg, estimator, NUM_PATHS)
-    }
-
-    /// Creates the scheduler with a fresh copy of `estimator` for each of
-    /// `n_paths` paths.
-    pub fn with_paths(
-        cfg: &PlayerConfig,
-        estimator: impl Into<EstimatorImpl>,
-        n_paths: usize,
-    ) -> DcsaScheduler {
-        let proto = estimator.into();
-        let est_name = proto.name();
-        DcsaScheduler {
-            base: cfg.initial_chunk,
-            delta: cfg.delta,
-            gamma_rounding: cfg.gamma_rounding,
-            estimators: vec![proto; n_paths.max(1)],
-            sizes: vec![cfg.initial_chunk; n_paths.max(1)],
-            est_name,
-        }
-    }
-
-    /// Feeds a throughput measurement `w_i` (bits/s) from a completed chunk
-    /// on path `i` and runs Alg. 1 for that path.
-    pub fn on_sample(&mut self, i: usize, w_i: f64) {
+    /// Alg. 1 for path `i`.
+    fn dcsa(&mut self, i: usize, w_i: f64) {
         // Estimates *before* absorbing the new measurement — Alg. 1 compares
         // the surprise of w_i against history ŵ_i. The comparison partner is
         // the slowest *other* path (with two paths: the other path).
         let w_hat_i = self.estimators[i].estimate_bps();
-        let other = slowest_other(self.estimators.iter().map(|e| e.estimate_bps()), i);
+        let other = slowest_other(&self.estimators, i);
         self.estimators[i].update(w_i);
 
         let (Some(w_hat_i), Some((other_idx, w_hat_other))) = (w_hat_i, other) else {
@@ -303,49 +127,63 @@ impl DcsaScheduler {
     }
 
     /// The chunk size to request next on `path`.
+    #[inline]
     pub fn chunk_size(&self, path: usize) -> ByteSize {
         self.sizes[path]
     }
 
     /// Resets per-path state after a failover on `path`.
+    #[inline]
     pub fn reset_path(&mut self, path: usize) {
         self.estimators[path].reset();
         self.sizes[path] = self.base;
     }
 
-    /// Scheduler name for reports.
-    pub fn name(&self) -> &'static str {
-        self.est_name
+    /// The aggregate (sum-over-paths) bandwidth estimate in bits/s —
+    /// MSPlayer's view of its total capacity, the input a DASH-style rate
+    /// adapter works from (§7 future work; see [`crate::abr`]).
+    /// Unmeasured paths contribute nothing; `None` until any path has an
+    /// estimate (and always for `Fixed`, which feeds its estimators
+    /// nothing).
+    pub fn aggregate_estimate_bps(&self) -> Option<f64> {
+        self.estimators
+            .iter()
+            .map(Estimator::estimate_bps)
+            .fold(None, |acc, est| match (acc, est) {
+                (Some(a), Some(w)) => Some(a + w),
+                (a, w) => a.or(w),
+            })
     }
 }
 
-/// Constant chunk size (commercial single-path player emulation).
-pub struct FixedScheduler {
-    size: ByteSize,
+/// Rounds a chunk size of `v` bytes into `[MIN_CHUNK, MAX_CHUNK]`.
+fn clamp(v: f64) -> ByteSize {
+    let v = v.clamp(MIN_CHUNK.as_f64(), MAX_CHUNK.as_f64());
+    // `v` is non-negative after the clamp, so round-half-up via truncation
+    // replaces `v.round()` — a libm call on baseline x86-64, and this sits
+    // on the per-chunk sizing path.
+    ByteSize::bytes((v + 0.5) as u64)
 }
 
-impl FixedScheduler {
-    /// Creates the scheduler.
-    pub fn new(size: ByteSize) -> FixedScheduler {
-        FixedScheduler { size }
+/// The slowest *other* path's estimate: the minimum estimate among all
+/// paths except `path` (ties resolved to the lowest index, which keeps the
+/// two-path case bit-identical to the historical `1 - path` lookup).
+/// Returns `(index, estimate)`, or `None` when no other path has been
+/// measured yet.
+fn slowest_other(estimators: &[Estimator], path: usize) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, est) in estimators.iter().enumerate() {
+        if i == path {
+            continue;
+        }
+        if let Some(w) = est.estimate_bps() {
+            match best {
+                Some((_, b)) if b <= w => {}
+                _ => best = Some((i, w)),
+            }
+        }
     }
-
-    /// Feeds a throughput measurement for `path` (bits/s) from a completed
-    /// chunk and updates that path's chunk size.
-    pub fn on_sample(&mut self, _path: usize, _sample_bps: f64) {}
-
-    /// The chunk size to request next on `path`.
-    pub fn chunk_size(&self, _path: usize) -> ByteSize {
-        self.size
-    }
-
-    /// Resets per-path state after a failover on `path`.
-    pub fn reset_path(&mut self, _path: usize) {}
-
-    /// Scheduler name for reports.
-    pub fn name(&self) -> &'static str {
-        "Fixed"
-    }
+    best
 }
 
 #[cfg(test)]
@@ -356,8 +194,13 @@ mod tests {
         PlayerConfig::default() // 256 KB initial, δ = 5 %, α = 0.9
     }
 
-    fn harmonic(cfg: &PlayerConfig) -> DcsaScheduler {
-        DcsaScheduler::new(cfg, HarmonicInc::new())
+    /// A two-path scheduler of `kind`.
+    fn two_paths(cfg: &PlayerConfig, kind: SchedulerKind) -> Scheduler {
+        Scheduler::new(&cfg.clone().with_scheduler(kind), 2)
+    }
+
+    fn harmonic(cfg: &PlayerConfig) -> Scheduler {
+        two_paths(cfg, SchedulerKind::Harmonic)
     }
 
     #[test]
@@ -368,16 +211,16 @@ mod tests {
             SchedulerKind::Ewma,
             SchedulerKind::Harmonic,
         ] {
-            let s = SchedulerImpl::from_config(&cfg.clone().with_scheduler(kind));
-            assert_eq!(s.chunk_size(0), cfg.initial_chunk, "{}", s.name());
-            assert_eq!(s.chunk_size(1), cfg.initial_chunk, "{}", s.name());
+            let s = two_paths(&cfg, kind);
+            assert_eq!(s.chunk_size(0), cfg.initial_chunk, "{kind:?}");
+            assert_eq!(s.chunk_size(1), cfg.initial_chunk, "{kind:?}");
         }
     }
 
     #[test]
     fn ratio_pins_slow_path_and_scales_fast_path() {
         let cfg = cfg();
-        let mut s = RatioScheduler::new(&cfg);
+        let mut s = two_paths(&cfg, SchedulerKind::Ratio);
         s.on_sample(0, 10.0e6);
         s.on_sample(1, 5.0e6); // path 1 is slower
         assert_eq!(s.chunk_size(1), cfg.initial_chunk, "slow path stays at B");
@@ -389,7 +232,7 @@ mod tests {
     #[test]
     fn ratio_respects_max_cap() {
         let cfg = cfg();
-        let mut s = RatioScheduler::new(&cfg);
+        let mut s = two_paths(&cfg, SchedulerKind::Ratio);
         s.on_sample(1, 0.1e6);
         s.on_sample(0, 500.0e6); // ratio 5000× would explode
         assert_eq!(s.chunk_size(0), MAX_CHUNK);
@@ -489,7 +332,7 @@ mod tests {
         // (halving) but not to Harmonic. This is the §5.2 mechanism that
         // makes Harmonic outperform EWMA.
         let cfg = cfg();
-        let mut ewma = DcsaScheduler::new(&cfg, Ewma::new(cfg.alpha));
+        let mut ewma = two_paths(&cfg, SchedulerKind::Ewma);
         let mut harm = harmonic(&cfg);
         for s in [&mut ewma, &mut harm] {
             // Establish: path 0 fast (20 Mb/s), path 1 slow (6 Mb/s).
@@ -522,7 +365,8 @@ mod tests {
 
     #[test]
     fn fixed_scheduler_never_moves() {
-        let mut s = FixedScheduler::new(ByteSize::kb(64));
+        let cfg = cfg().with_initial_chunk(ByteSize::kb(64));
+        let mut s = two_paths(&cfg, SchedulerKind::Fixed);
         s.on_sample(0, 1.0e6);
         s.on_sample(1, 99.0e6);
         assert_eq!(s.chunk_size(0), ByteSize::kb(64));
@@ -545,24 +389,45 @@ mod tests {
     }
 
     #[test]
+    fn fast_path_gamma_is_relative_to_the_slowest_other_path() {
+        let mut cfg = cfg().with_initial_chunk(ByteSize::kb(64));
+        cfg.gamma_rounding = GammaRounding::Ceil;
+        let rates = [30.0e6, 10.0e6, 5.0e6];
+        let mut s = Scheduler::new(&cfg.clone().with_scheduler(SchedulerKind::Harmonic), 3);
+        for (path, &w) in rates.iter().enumerate() {
+            s.on_sample(path, w);
+        }
+        // Path 0 against path 2, the slowest other: γ = ⌈30/5⌉ = 6, not
+        // ⌈30/10⌉ against path 1.
+        s.on_sample(0, rates[0]);
+        assert_eq!(s.chunk_size(0).as_u64(), 6 * s.chunk_size(2).as_u64());
+        // Path 1 is slower than path 0 but fast relative to path 2: γ = 2.
+        s.on_sample(1, rates[1]);
+        assert_eq!(s.chunk_size(1).as_u64(), 2 * s.chunk_size(2).as_u64());
+
+        // Ratio measures against the slowest other path too.
+        let mut s = Scheduler::new(&cfg.clone().with_scheduler(SchedulerKind::Ratio), 3);
+        for (path, &w) in rates.iter().enumerate() {
+            s.on_sample(path, w);
+        }
+        s.on_sample(0, rates[0]);
+        s.on_sample(1, rates[1]);
+        assert_eq!(s.chunk_size(0).as_f64(), 6.0 * cfg.initial_chunk.as_f64());
+        assert_eq!(s.chunk_size(1).as_f64(), 2.0 * cfg.initial_chunk.as_f64());
+        assert_eq!(s.chunk_size(2), cfg.initial_chunk);
+    }
+
+    #[test]
     fn builder_maps_kinds_to_names() {
         let cfg = cfg();
-        assert_eq!(
-            SchedulerImpl::from_config(&cfg.clone().with_scheduler(SchedulerKind::Ratio)).name(),
-            "Ratio"
-        );
-        assert_eq!(
-            SchedulerImpl::from_config(&cfg.clone().with_scheduler(SchedulerKind::Ewma)).name(),
-            "EWMA"
-        );
-        assert_eq!(
-            SchedulerImpl::from_config(&cfg.clone().with_scheduler(SchedulerKind::Harmonic)).name(),
-            "Harmonic"
-        );
-        assert_eq!(
-            SchedulerImpl::from_config(&cfg.with_scheduler(SchedulerKind::Fixed)).name(),
-            "Fixed"
-        );
+        for kind in SchedulerKind::ALL {
+            let mut s = two_paths(&cfg, kind);
+            assert_eq!(s.kind, kind);
+            s.on_sample(0, 3.0e6);
+            s.on_sample(1, 5.0e6);
+            let expect = (kind != SchedulerKind::Fixed).then_some(8.0e6);
+            assert_eq!(s.aggregate_estimate_bps(), expect, "{kind:?}");
+        }
     }
 
     mod proptests {
@@ -582,10 +447,10 @@ mod tests {
                 ]),
             ) {
                 let cfg = PlayerConfig::default().with_scheduler(kind);
-                let mut s = SchedulerImpl::from_config(&cfg);
+                let mut s = Scheduler::new(&cfg, 2);
                 for (path, w) in samples {
                     s.on_sample(path, w);
-                    for p in 0..NUM_PATHS {
+                    for p in 0..2 {
                         let size = s.chunk_size(p);
                         prop_assert!(size >= MIN_CHUNK, "{} below floor", size);
                         prop_assert!(size <= MAX_CHUNK, "{} above cap", size);
@@ -602,8 +467,7 @@ mod tests {
                 ratio in 1.0f64..6.0,
             ) {
                 let w_fast = w_slow * ratio;
-                let cfg = PlayerConfig::default();
-                let mut s = DcsaScheduler::new(&cfg, HarmonicInc::new());
+                let mut s = harmonic(&PlayerConfig::default());
                 for _ in 0..12 {
                     s.on_sample(0, w_fast);
                     s.on_sample(1, w_slow);

@@ -52,7 +52,7 @@ use msim_net::profile::PathProfile;
 use msim_net::tcp::{TcpConfig, TcpConnection, TransferOutcome};
 use msim_net::Link;
 use msim_youtube::dns::{DnsResolver, Network};
-use msim_youtube::proxy::{parse_video_info, VideoInfo};
+use msim_youtube::proxy::{self, parse_video_info, VideoInfo};
 use msim_youtube::service::{ServiceConfig, YoutubeService, PROXY_DOMAIN};
 use msim_youtube::video::{Video, VideoId};
 use msim_youtube::Catalog;
@@ -752,7 +752,7 @@ impl Warm {
                 .resolve(self.service.zone(), PROXY_DOMAIN, SimTime::ZERO, rtt)
                 .expect("proxy resolvable");
             // HTTPS + OAuth + JSON (ψ + OAuth).
-            let json_done = dns_done + self.service.proxy(network).json_ready_after(rtt);
+            let json_done = dns_done + proxy::json_ready_after(rtt);
             // The bootstrap *content* (decoded JSON + deciphered signature)
             // is a pure function of (network, json_done) while the network
             // is idle — serve it from the host cache when possible. The

@@ -33,7 +33,7 @@ pub mod video;
 pub use catalog::Catalog;
 pub use dns::{DnsAnswer, DnsError, DnsResolver, DnsZone, Network};
 pub use format::{by_itag, hd_720p, Container, VideoFormat, ITAGS};
-pub use proxy::{build_video_info, parse_video_info, InfoError, VideoInfo, WebProxyServer};
+pub use proxy::{build_video_info, parse_video_info, InfoError, VideoInfo};
 pub use server::{FailurePlan, PacePolicy, ServerId, VideoServer};
 pub use service::{ServiceConfig, YoutubeService, PROXY_DOMAIN};
 pub use sig::{CipherError, CipherOp, DecoderScript, SignatureCipher};

@@ -6,7 +6,6 @@
 //! everything "in JavaScript Object Notation (JSON) format". MSPlayer does
 //! this *once per interface*, getting per-network server lists.
 
-use crate::dns::Network;
 use crate::server::VideoServer;
 use crate::token::AccessToken;
 use crate::video::Video;
@@ -14,31 +13,15 @@ use msim_core::time::SimDuration;
 use msim_http::tls;
 use msim_json::Value;
 use std::fmt;
-use std::net::Ipv4Addr;
 
 /// OAuth verification delay a proxy adds before the JSON is produced.
 pub const OAUTH_DELAY: SimDuration = SimDuration::from_millis(6);
 
-/// A web proxy ("www.youtube.com" front end) in one network.
-#[derive(Clone, Debug)]
-pub struct WebProxyServer {
-    /// Network whose clients this proxy serves.
-    pub network: Network,
-    /// Proxy address.
-    pub addr: Ipv4Addr,
-}
-
-impl WebProxyServer {
-    /// Creates the proxy at `addr` for `network`'s clients.
-    pub fn new(network: Network, addr: Ipv4Addr) -> WebProxyServer {
-        WebProxyServer { network, addr }
-    }
-
-    /// Total control-plane latency from SYN to complete JSON on a path with
-    /// round-trip time `rtt`: ψ(R) plus [`OAUTH_DELAY`].
-    pub fn json_ready_after(&self, rtt: SimDuration) -> SimDuration {
-        tls::psi(rtt) + OAUTH_DELAY
-    }
+/// Total control-plane latency of a web proxy ("www.youtube.com" front
+/// end) from SYN to complete JSON on a path with round-trip time `rtt`:
+/// ψ(R) plus [`OAUTH_DELAY`].
+pub fn json_ready_after(rtt: SimDuration) -> SimDuration {
+    tls::psi(rtt) + OAUTH_DELAY
 }
 
 /// Builds the JSON video-information object the proxy returns.
@@ -236,11 +219,13 @@ pub fn parse_video_info(v: &Value) -> Result<VideoInfo, InfoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dns::Network;
     use crate::format::ITAGS;
     use crate::server::{ServerId, VideoServer};
     use crate::token::Operations;
     use crate::video::VideoId;
     use msim_core::time::SimTime;
+    use std::net::Ipv4Addr;
 
     fn fixture() -> (Value, AccessToken) {
         let id = VideoId::new("qjT4T2gU9sM").unwrap();
@@ -328,9 +313,8 @@ mod tests {
     #[test]
     fn proxy_latency_composition() {
         assert_eq!(OAUTH_DELAY, SimDuration::from_millis(6));
-        let p = WebProxyServer::new(Network::Wifi, Ipv4Addr::new(128, 119, 1, 10));
         let rtt = SimDuration::from_millis(30);
-        let total = p.json_ready_after(rtt);
+        let total = json_ready_after(rtt);
         assert_eq!(total, tls::psi(rtt) + OAUTH_DELAY);
         // ψ(30 ms) = 6R + Δ₁ + Δ₂ = 187 ms, plus 6 ms of OAuth.
         assert_eq!(total, SimDuration::from_millis(193));

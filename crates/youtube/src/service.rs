@@ -8,7 +8,7 @@
 
 use crate::catalog::Catalog;
 use crate::dns::{DnsZone, Network};
-use crate::proxy::{build_video_info, WebProxyServer};
+use crate::proxy::build_video_info;
 use crate::server::{FailurePlan, PacePolicy, ServerId, VideoServer};
 use crate::sig::{generate_signature, DecoderScript, SignatureCipher};
 use crate::token::{AccessToken, Operations};
@@ -46,7 +46,6 @@ impl Default for ServiceConfig {
 pub struct YoutubeService {
     catalog: Catalog,
     zone: DnsZone,
-    proxies: Vec<WebProxyServer>,
     servers: Vec<VideoServer>,
     secret: u64,
     cipher: SignatureCipher,
@@ -73,14 +72,12 @@ impl YoutubeService {
         let mut rng = Prng::new(seed ^ 0x5eed_5eed_0000_0001);
         let cipher = SignatureCipher::generate(&mut rng.fork(), 5);
         let mut zone = DnsZone::new();
-        let mut proxies = Vec::new();
         let mut servers = Vec::new();
         let mut next_id = 0u32;
         for network in Network::ALL {
             let [a, b] = subnet_base(network);
             let proxy_addr = Ipv4Addr::new(a, b, 1, 10);
             zone.add(network, PROXY_DOMAIN, proxy_addr);
-            proxies.push(WebProxyServer::new(network, proxy_addr));
             for replica in 0..config.servers_per_network {
                 next_id += 1;
                 let domain = format!("r{}.{}.youtube-video.example", replica + 1, network.name());
@@ -96,7 +93,6 @@ impl YoutubeService {
         YoutubeService {
             catalog,
             zone,
-            proxies,
             servers,
             secret: Prng::new(seed ^ 0x70ce_77e5).next_u64(),
             cipher,
@@ -113,14 +109,6 @@ impl YoutubeService {
     /// The catalog being served.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// The web proxy reachable from `network`.
-    pub fn proxy(&self, network: Network) -> &WebProxyServer {
-        self.proxies
-            .iter()
-            .find(|p| p.network == network)
-            .expect("a proxy exists per network")
     }
 
     /// All video servers reachable from `network`, preference-ordered
@@ -211,7 +199,7 @@ impl YoutubeService {
     /// signature for copyrighted videos, and returns the JSON object.
     ///
     /// Timing is *not* applied here — drivers charge
-    /// [`WebProxyServer::json_ready_after`] on the wire.
+    /// [`json_ready_after`](crate::proxy::json_ready_after) on the wire.
     pub fn watch_request(
         &mut self,
         network: Network,

@@ -11,7 +11,7 @@
 
 use msplayer::core::abr::{AbrPolicyImpl, AbrPolicyKind, SwitchReason};
 use msplayer::core::config::PlayerConfig;
-use msplayer::core::estimator::HarmonicInc;
+use msplayer::core::estimator::Estimator;
 use msplayer::core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec, StopCondition};
 use msplayer::simcore::units::BitRate;
 use msplayer::youtube::ITAGS;
@@ -24,7 +24,7 @@ fn main() {
         .run(&spec)
         .expect("valid spec");
 
-    let mut estimators = [HarmonicInc::new(), HarmonicInc::new()];
+    let mut estimators = [Estimator::harmonic(), Estimator::harmonic()];
     let mut adapter = AbrPolicyImpl::new(AbrPolicyKind::DampedRate, ITAGS.to_vec());
 
     println!(

@@ -51,7 +51,10 @@
 //! pushed first. After the last of them the replicas run to the end on up
 //! to `workers` threads, one replica at a time per thread. Fleet counts are
 //! sums and maxima of replica tallies, and the final pass reads the
-//! sessions' cold records in index order.
+//! sessions' cold records in index order. No thread writes shared state:
+//! a replica writes per event only its 128-byte-aligned `Replica` and its
+//! own buffers, most allocated when it is built (tables, and the queue's
+//! slab, free list and day heap); only heap buffers' ends can share lines.
 //!
 //! **Layout.** A 120 000-session fluid run is memory-bound: an event pops
 //! one queue node and wakes one session out of a table far larger than the
@@ -85,7 +88,8 @@
 //! order once the hot tables and queues are freed. Servers keep what every
 //! event on them would otherwise re-derive: the fair share `cap / n`
 //! (divided again only where `cap` or `n` change) and the utilisation
-//! bucket of their clock.
+//! bucket of their clock, and hold their class clocks and the open
+//! bucket's sums inline, not in small heap buffers beside a neighbour's.
 
 use crate::chaos::{ChaosInjector, ChaosPlan};
 use crate::config::{PlayerConfig, LOW_WATERMARK_SECS, STALL_RESUME_SECS};
@@ -154,10 +158,6 @@ const MAX_BUCKETS: usize = 1 << 20;
 /// a `u16`.
 const MAX_FLUID_SERVERS: usize = u16::MAX as usize + 1;
 
-/// Most access classes a fluid fleet can have: a session names its class
-/// in a `u8`.
-const MAX_FLUID_CLASSES: usize = u8::MAX as usize + 1;
-
 /// Width of one per-server utilization-timeline bucket.
 pub const UTIL_BUCKET: SimDuration = SimDuration::from_secs(10);
 
@@ -184,7 +184,9 @@ pub const ACCESS_CLASSES: [AccessClass; 3] = [
     },
 ];
 
-const _: () = assert!(ACCESS_CLASSES.len() <= MAX_FLUID_CLASSES);
+/// The length of every per-class array (a session's class is a `u8`).
+const CLASSES: usize = ACCESS_CLASSES.len();
+const _: () = assert!(CLASSES <= u8::MAX as usize + 1);
 
 /// Most sessions plus capacity edges a fluid fleet can queue at once: the
 /// event slab's slots are `u32`s below its end marker `u32::MAX`.
@@ -252,11 +254,9 @@ impl FleetMode {
 
     /// Inverse of [`FleetMode::name`].
     pub fn parse(s: &str) -> Option<FleetMode> {
-        match s {
-            "exact" => Some(FleetMode::Exact),
-            "fluid" => Some(FleetMode::Fluid),
-            _ => None,
-        }
+        [FleetMode::Exact, FleetMode::Fluid]
+            .into_iter()
+            .find(|m| m.name() == s)
     }
 }
 
@@ -717,16 +717,13 @@ impl FleetHost {
                 if spec.servers.is_empty() {
                     return Err("fluid mode needs at least one server".into());
                 }
-                for (i, s) in spec.servers.iter().enumerate() {
-                    match s.service_rate {
-                        Some(r) if r.as_bps() > 0.0 => {}
-                        _ => {
-                            return Err(format!(
-                                "fluid mode needs a positive service_rate on every \
-                                 server (server {i} has none)"
-                            ))
-                        }
-                    }
+                let unrated =
+                    |s: &FleetServerSpec| !s.service_rate.is_some_and(|r| r.as_bps() > 0.0);
+                if let Some(i) = spec.servers.iter().position(unrated) {
+                    return Err(format!(
+                        "fluid mode needs a positive service_rate on every server (server \
+                         {i} has none)"
+                    ));
                 }
                 if spec.servers.len() > MAX_FLUID_SERVERS {
                     return Err(format!(
@@ -836,13 +833,13 @@ struct FluidServer {
     /// change ([`FluidServer::attach`], [`FluidServer::detach`],
     /// [`FluidServer::set_cap`]) and read by every event in between.
     share: f64,
-    counts: Vec<u64>,
+    counts: [u64; CLASSES],
     n: u64,
     /// Sessions admitted and still downloading or paused between refills
     /// (`n` counts only the attached ones); what the admission ceiling
     /// bounds.
     admitted: u64,
-    v: Vec<f64>,
+    v: [f64; CLASSES],
     last: SimTime,
     /// Utilisation bucket holding `last` (clamped to `MAX_BUCKETS - 1`).
     bucket: usize,
@@ -850,27 +847,31 @@ struct FluidServer {
     bucket_end: u64,
     served: f64,
     peak: u64,
-    bucket_served: Vec<f64>,
-    bucket_possible: Vec<f64>,
+    /// Bytes served and servable so far in `bucket`.
+    open_served: f64,
+    open_possible: f64,
+    /// Served over servable bytes of every bucket before `bucket`.
+    utilization: Vec<f64>,
 }
 
 impl FluidServer {
-    fn new(base_cap: f64, factor: u32, n_classes: usize, bucket_us: u64) -> FluidServer {
+    fn new(base_cap: f64, factor: u32, bucket_us: u64) -> FluidServer {
         let mut srv = FluidServer {
             base_cap,
             cap: 0.0,
             share: 0.0,
-            counts: vec![0; n_classes],
+            counts: [0; CLASSES],
             n: 0,
             admitted: 0,
-            v: vec![0.0; n_classes],
+            v: [0.0; CLASSES],
             last: SimTime::ZERO,
             bucket: 0,
             bucket_end: bucket_us,
             served: 0.0,
             peak: 0,
-            bucket_served: Vec::new(),
-            bucket_possible: Vec::new(),
+            open_served: 0.0,
+            open_possible: 0.0,
+            utilization: Vec::new(),
         };
         srv.set_cap(factor);
         srv
@@ -901,21 +902,16 @@ impl FluidServer {
         self.reshare();
     }
 
-    fn advance(&mut self, now: SimTime, rates: &[f64], bucket_us: u64) {
+    fn advance(&mut self, now: SimTime, rates: &[f64; CLASSES], bucket_us: u64) {
         if now <= self.last {
             return;
         }
         let mut t = self.last.as_micros();
         let end = now.as_micros();
         while t < end {
-            let b = self.bucket;
             let seg_end = end.min(self.bucket_end);
             let dt = (seg_end - t) as f64 / 1e6;
-            if self.bucket_possible.len() <= b {
-                self.bucket_possible.resize(b + 1, 0.0);
-                self.bucket_served.resize(b + 1, 0.0);
-            }
-            self.bucket_possible[b] += self.cap * dt;
+            self.open_possible += self.cap * dt;
             if self.n > 0 {
                 let mut seg = 0.0;
                 for (k, &a) in rates.iter().enumerate() {
@@ -924,10 +920,11 @@ impl FluidServer {
                     seg += self.counts[k] as f64 * r * dt;
                 }
                 self.served += seg;
-                self.bucket_served[b] += seg;
+                self.open_served += seg;
             }
             t = seg_end;
             if t == self.bucket_end {
+                self.close_bucket();
                 self.bucket += 1;
                 self.bucket_end = if self.bucket == MAX_BUCKETS - 1 {
                     u64::MAX
@@ -937,6 +934,12 @@ impl FluidServer {
             }
         }
         self.last = now;
+    }
+
+    fn close_bucket(&mut self) {
+        let (s, p) = (self.open_served, self.open_possible);
+        self.utilization.push(if p > 0.0 { s / p } else { 0.0 });
+        (self.open_served, self.open_possible) = (0.0, 0.0);
     }
 }
 
@@ -1003,7 +1006,7 @@ enum FleetEv {
 
 /// What every replica reads and none writes.
 struct Params {
-    rates: Vec<f64>,
+    rates: [f64; CLASSES],
     bps: f64,
     total_bytes: f64,
     prebuffer_bytes: f64,
@@ -1042,7 +1045,8 @@ impl Tally {
 /// One replica and everything that happens on it: its server, the tables
 /// of the sessions placed on it (in arrival order, see *Layout*), the
 /// queue of their wakes and departures, and its tallies. No event of one
-/// replica reads or writes another.
+/// replica reads or writes another; no two share a line or a line pair.
+#[repr(align(128))]
 struct Replica {
     server: FluidServer,
     sessions: Vec<FluidSession>,
@@ -1053,6 +1057,8 @@ struct Replica {
     slots_moved: bool,
     tally: Tally,
 }
+
+const _: () = assert!(std::mem::align_of::<Replica>() == 128);
 
 fn dur_f64(secs: f64) -> SimDuration {
     SimDuration::from_secs_f64(secs)
@@ -1534,20 +1540,14 @@ fn run_fluid(spec: &FleetSpec, arrivals: impl ExactSizeIterator<Item = Arrival>)
     let replicas: Vec<Replica> = spec
         .servers
         .iter()
-        .map(|s| {
-            let base = s.service_rate.expect("validated").bytes_per_sec();
-            let server = FluidServer::new(base, factor0, ACCESS_CLASSES.len(), UTIL_BUCKET_US);
-            Replica::new(server, reserve)
-        })
+        .map(|s| s.service_rate.expect("validated").bytes_per_sec())
+        .map(|base| Replica::new(FluidServer::new(base, factor0, UTIL_BUCKET_US), reserve))
         .collect();
     let mut sim = Fluid {
         spec,
         chaos,
         p: Params {
-            rates: ACCESS_CLASSES
-                .iter()
-                .map(|c| c.rate.bytes_per_sec())
-                .collect(),
+            rates: ACCESS_CLASSES.map(|c| c.rate.bytes_per_sec()),
             bps,
             total_bytes,
             prebuffer_bytes: (spec.player.prebuffer_secs * bps).min(total_bytes),
@@ -1600,6 +1600,10 @@ fn run_fluid(spec: &FleetSpec, arrivals: impl ExactSizeIterator<Item = Arrival>)
     // The final pass reads servers and logs only: free the rest first.
     for r in &mut sim.replicas {
         r.server.advance(now_last, &sim.p.rates, UTIL_BUCKET_US);
+        // The open bucket joins the timeline once any of its time passed.
+        if now_last.as_micros() > r.server.bucket as u64 * UTIL_BUCKET_US {
+            r.server.close_bucket();
+        }
         (r.sessions, r.queue) = (Vec::new(), EventQueue::new());
     }
     if msim_core::telemetry::enabled() {
@@ -1635,10 +1639,10 @@ fn run_fluid(spec: &FleetSpec, arrivals: impl ExactSizeIterator<Item = Arrival>)
     }
     let server_usage: Vec<ServerUsage> = sim
         .replicas
-        .iter()
+        .iter_mut()
         .enumerate()
         .map(|(i, r)| {
-            let (cfg, srv) = (&spec.servers[i], &r.server);
+            let (cfg, srv) = (&spec.servers[i], &mut r.server);
             let served = srv.served.max(0.0);
             ServerUsage {
                 server: i,
@@ -1647,12 +1651,7 @@ fn run_fluid(spec: &FleetSpec, arrivals: impl ExactSizeIterator<Item = Arrival>)
                 peak_sessions: srv.peak,
                 cost: cfg.base_cost_per_hour * hours + cfg.cost_per_gb * served / 1e9,
                 bucket_secs: UTIL_BUCKET.as_secs_f64(),
-                utilization: srv
-                    .bucket_served
-                    .iter()
-                    .zip(&srv.bucket_possible)
-                    .map(|(s, p)| if *p > 0.0 { s / p } else { 0.0 })
-                    .collect(),
+                utilization: std::mem::take(&mut srv.utilization),
             }
         })
         .collect();
@@ -2148,6 +2147,7 @@ mod tests {
         assert_eq!(std::mem::size_of::<FluidSession>(), 64);
         assert_eq!(std::mem::align_of::<FluidSession>(), 64);
         assert_eq!(std::mem::size_of::<SessionLog>(), 32);
+        assert_eq!(std::mem::align_of::<Replica>(), 128);
     }
 
     /// The arrivals drawn from the 4-byte order are the table of
@@ -2176,16 +2176,16 @@ mod tests {
     /// divisions they replaced would give, after every kind of step.
     #[test]
     fn server_share_and_bucket_cursor_equal_recomputation() {
-        let rates = [1.5e6, 0.75e6, 0.375e6];
+        let rates: [f64; CLASSES] = [1.5e6, 0.75e6, 0.375e6];
         for bucket_us in [1, 7, 10_000_000] {
             let mut rng = Prng::new(0x5a4e ^ bucket_us);
-            let mut srv = FluidServer::new(1.25e8, 1, rates.len(), bucket_us);
+            let mut srv = FluidServer::new(1.25e8, 1, bucket_us);
             let mut members: Vec<usize> = Vec::new();
             let mut now = 0;
             for _ in 0..4_000 {
                 match rng.below(4) {
                     0 => {
-                        let k = rng.below(rates.len() as u64) as usize;
+                        let k = rng.below(CLASSES as u64) as usize;
                         srv.attach(k);
                         members.push(k);
                     }
@@ -2214,7 +2214,70 @@ mod tests {
             }
             // 1 µs buckets run out of indices a second in.
             assert_eq!(bucket_us == 1, srv.bucket == MAX_BUCKETS - 1);
-            assert_eq!(srv.bucket_possible.len(), srv.bucket + 1);
+            assert_eq!(srv.utilization.len(), srv.bucket);
+        }
+    }
+
+    /// Each class clock is, bit for bit, the sum of `min(a_k, cap / n)·dt`
+    /// over the segments `advance` integrates (split at bucket edges), and
+    /// moves only while a session is attached: `v[k]` is what a class-`k`
+    /// session attached throughout would have downloaded.
+    #[test]
+    fn class_clocks_integrate_the_clipped_fair_share() {
+        let rates: [f64; CLASSES] = [1.5e6, 0.75e6, 0.375e6];
+        let base_cap = 4.0e6;
+        for bucket_us in [1, 7, 10_000_000] {
+            let mut rng = Prng::new(0xc1a55 ^ bucket_us);
+            let mut srv = FluidServer::new(base_cap, 1, bucket_us);
+            let (mut n, mut factor, mut last) = (0u64, 1u32, 0u64);
+            let mut members: Vec<usize> = Vec::new();
+            let mut want = [0.0f64; CLASSES];
+            for _ in 0..4_000 {
+                match rng.below(4) {
+                    0 => {
+                        let k = rng.below(CLASSES as u64) as usize;
+                        srv.attach(k);
+                        members.push(k);
+                        n += 1;
+                    }
+                    1 => {
+                        if let Some(k) = members.pop() {
+                            srv.detach(k);
+                            n -= 1;
+                        }
+                    }
+                    2 => {
+                        factor = rng.below(9) as u32;
+                        srv.set_cap(factor);
+                    }
+                    _ => {
+                        let now = last + rng.below(3 * bucket_us + 5_000);
+                        srv.advance(SimTime::from_micros(now), &rates, bucket_us);
+                        let cap = base_cap / f64::from(factor.max(1));
+                        let mut t = last;
+                        while t < now {
+                            let b = (t / bucket_us).min(MAX_BUCKETS as u64 - 1);
+                            let seg_end = if b == MAX_BUCKETS as u64 - 1 {
+                                now
+                            } else {
+                                now.min((b + 1) * bucket_us)
+                            };
+                            let dt = (seg_end - t) as f64 / 1e6;
+                            if n > 0 {
+                                for (w, a) in want.iter_mut().zip(rates) {
+                                    *w += a.min(cap / n as f64) * dt;
+                                }
+                            }
+                            t = seg_end;
+                        }
+                        last = now;
+                    }
+                }
+                for (k, (got, want)) in srv.v.iter().zip(want).enumerate() {
+                    assert_eq!(got.to_bits(), want.to_bits(), "class {k}: {got} != {want}");
+                }
+            }
+            assert!(want.iter().all(|&w| w > 0.0), "every clock moved: {want:?}");
         }
     }
 

@@ -248,19 +248,19 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with room for `cap` pending events before
-    /// reallocating the slab.
+    /// Creates an empty queue with room for `cap` pending events in its
+    /// slab and free list and, if `cap > 0`, the direct regime's in `today`.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             buckets: vec![NIL; MIN_BUCKETS],
             near_len: 0,
             shift: DEFAULT_SHIFT,
             cursor_day: 0,
-            today: Vec::new(),
+            today: Vec::with_capacity(if cap > 0 { DIRECT_MAX } else { 0 }),
             direct: true,
             far: Vec::new(),
             slots: Vec::with_capacity(cap),
-            free: Vec::new(),
+            free: Vec::with_capacity(cap),
             live: 0,
             next_seq: 0,
             now: SimTime::ZERO,

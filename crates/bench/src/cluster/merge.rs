@@ -186,14 +186,15 @@ pub fn merge_rows(
         .iter()
         .map(|row| {
             let cell = &cells[row.index as usize];
-            // Five members in one exact-size allocation (a sweep holds
-            // thousands of these rows at once).
+            // Five members in one exact-size allocation, their names
+            // borrowed literals (a sweep holds thousands of these rows at
+            // once).
             Value::Object(Map::from_iter([
-                ("chunk_kb".to_string(), cell.chunk_kb.into()),
-                ("digest".to_string(), hex_u64(row.digest).into()),
-                ("index".to_string(), row.index.into()),
-                ("kind".to_string(), cell.kind().into()),
-                ("seed".to_string(), hex_u64(cell.seed).into()),
+                ("chunk_kb", cell.chunk_kb.into()),
+                ("digest", hex_u64(row.digest).into()),
+                ("index", row.index.into()),
+                ("kind", cell.kind().into()),
+                ("seed", hex_u64(cell.seed).into()),
             ]))
         })
         .collect();

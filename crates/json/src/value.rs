@@ -1,5 +1,6 @@
 //! The JSON value tree.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::slice;
 
@@ -34,14 +35,24 @@ pub enum Value {
 /// agree with inserting the members one by one. Lookup is a binary
 /// search; insertion shifts the members after the key, so build a large
 /// object with `collect`, which sorts once.
+///
+/// A key is a `Cow<'static, str>`: a name written in the code as a
+/// literal (`map.insert("servers", …)`, `("seed", …)` in a `collect`) is
+/// borrowed, with no heap copy, while a parsed name or a `String` is
+/// owned. Which kind a key is never shows: a borrowed and an owned key
+/// with the same text are one key, in lookup, order, `==` and every
+/// serialised byte. [`Value::with`] takes any `&str`, so it copies.
 #[derive(Clone, Default, PartialEq)]
 pub struct Map {
-    members: Vec<(String, Value)>,
+    members: Vec<(Cow<'static, str>, Value)>,
 }
+
+// A borrowed name costs no more room than an owned one.
+const _: () = assert!(std::mem::size_of::<Cow<'static, str>>() == std::mem::size_of::<String>());
 
 impl Map {
     fn find(&self, key: &str) -> Result<usize, usize> {
-        self.members.binary_search_by(|(k, _)| k.as_str().cmp(key))
+        self.members.binary_search_by(|(k, _)| (**k).cmp(key))
     }
 
     /// The value of `key`, if present.
@@ -50,7 +61,8 @@ impl Map {
     }
 
     /// Sets `key` to `value`, returning the value it replaces.
-    pub fn insert(&mut self, key: String, value: Value) -> Option<Value> {
+    pub fn insert(&mut self, key: impl Into<Cow<'static, str>>, value: Value) -> Option<Value> {
+        let key = key.into();
         match self.find(&key) {
             Ok(i) => Some(std::mem::replace(&mut self.members[i].1, value)),
             Err(i) => {
@@ -81,15 +93,16 @@ impl Map {
     }
 
     /// The keys in order.
-    pub fn keys(&self) -> impl Iterator<Item = &String> {
-        self.members.iter().map(|(k, _)| k)
+    pub fn keys(&self) -> Keys<'_> {
+        Keys(self.members.iter())
     }
 }
 
-impl FromIterator<(String, Value)> for Map {
+impl<K: Into<Cow<'static, str>>> FromIterator<(K, Value)> for Map {
     /// Sorts the members once (stably) and keeps the last of equal keys.
-    fn from_iter<I: IntoIterator<Item = (String, Value)>>(members: I) -> Map {
-        let mut members: Vec<(String, Value)> = members.into_iter().collect();
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(members: I) -> Map {
+        let mut members: Vec<(Cow<'static, str>, Value)> =
+            members.into_iter().map(|(k, v)| (k.into(), v)).collect();
         members.sort_by(|(a, _), (b, _)| a.cmp(b));
         // `dedup_by` keeps the first of a run; moving each later value
         // into the kept member makes the last one win.
@@ -112,13 +125,13 @@ impl fmt::Debug for Map {
 
 /// An iterator over a [`Map`]'s members in key order.
 #[derive(Clone, Debug)]
-pub struct Iter<'a>(slice::Iter<'a, (String, Value)>);
+pub struct Iter<'a>(slice::Iter<'a, (Cow<'static, str>, Value)>);
 
 impl<'a> Iterator for Iter<'a> {
-    type Item = (&'a String, &'a Value);
+    type Item = (&'a str, &'a Value);
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.0.next().map(|(k, v)| (k, v))
+        self.0.next().map(|(k, v)| (&**k, v))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -129,11 +142,36 @@ impl<'a> Iterator for Iter<'a> {
 impl ExactSizeIterator for Iter<'_> {}
 
 impl<'a> IntoIterator for &'a Map {
-    type Item = (&'a String, &'a Value);
+    type Item = (&'a str, &'a Value);
     type IntoIter = Iter<'a>;
 
     fn into_iter(self) -> Iter<'a> {
         self.iter()
+    }
+}
+
+/// An iterator over a [`Map`]'s keys in order.
+#[derive(Clone, Debug)]
+pub struct Keys<'a>(slice::Iter<'a, (Cow<'static, str>, Value)>);
+
+impl<'a> Iterator for Keys<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(|(k, _)| &**k)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl<'a> Keys<'a> {
+    /// The keys as owned `String`s. `Iterator::cloned` needs a sized
+    /// item, so it does not apply to `&str` keys; this keeps
+    /// `map.keys().cloned()` (as in `benchmark/tests/smoke.rs`) building.
+    pub fn cloned(self) -> impl Iterator<Item = String> + 'a {
+        self.map(str::to_owned)
     }
 }
 
@@ -317,9 +355,10 @@ mod tests {
     fn agrees(map: &Map, reference: &BTreeMap<String, Value>) -> Result<(), TestCaseError> {
         prop_assert_eq!(map.len(), reference.len());
         prop_assert_eq!(map.is_empty(), reference.is_empty());
-        prop_assert!(map.iter().eq(reference.iter()), "iteration order");
-        prop_assert!(map.keys().eq(reference.keys()), "keys");
-        prop_assert!(map.into_iter().eq(reference), "`&Map` into_iter");
+        let members = || reference.iter().map(|(k, v)| (k.as_str(), v));
+        prop_assert!(map.iter().eq(members()), "iteration order");
+        prop_assert!(map.keys().eq(reference.keys().map(String::as_str)), "keys");
+        prop_assert!(map.into_iter().eq(members()), "`&Map` into_iter");
         for (k, v) in reference {
             prop_assert_eq!(map.get(k), Some(v));
         }
@@ -332,34 +371,52 @@ mod tests {
 
     const KEY: &str = "[abAB\u{e9}\u{4e2d}]{0,2}";
 
+    /// `text` as a borrowed or an owned name. A borrowed name must be
+    /// `'static`, so a drawn one is leaked (a few bytes a case).
+    fn name(text: &str, borrowed: bool) -> Cow<'static, str> {
+        if borrowed {
+            Cow::Borrowed(Box::leak(text.into()))
+        } else {
+            Cow::Owned(text.to_owned())
+        }
+    }
+
     proptest! {
         /// `collect`, repeated `insert` and repeated `with` all build the
         /// map a `BTreeMap` fed the same members holds; `remove` and `==`
         /// follow it too.
         #[test]
         fn map_agrees_with_a_btree_map_reference(
-            keys in prop::collection::vec(KEY, 0..24),
+            keys in prop::collection::vec((KEY, any::<bool>()), 0..24),
             probes in prop::collection::vec(KEY, 0..6),
         ) {
             // Each member's value is its position, so a wrong winner among
-            // equal keys shows.
-            let members: Vec<(String, Value)> = keys
+            // equal keys shows. Each name is borrowed or owned at random,
+            // so equal keys of both kinds meet.
+            let members: Vec<(Cow<'static, str>, Value)> = keys
                 .iter()
                 .enumerate()
-                .map(|(i, k)| (k.clone(), Value::from(i as u64)))
+                .map(|(i, (k, borrowed))| (name(k, *borrowed), Value::from(i as u64)))
                 .collect();
             let mut reference = BTreeMap::new();
             let mut inserted = Map::default();
             let mut with = Value::object();
             for (k, v) in &members {
-                prop_assert_eq!(inserted.insert(k.clone(), v.clone()), reference.insert(k.clone(), v.clone()));
+                prop_assert_eq!(inserted.insert(k.clone(), v.clone()), reference.insert(k.to_string(), v.clone()));
                 with = with.with(k, v.clone());
             }
+            // The same members with every name of the other kind.
+            let flipped: Map = members
+                .iter()
+                .map(|(k, v)| (name(k, matches!(k, Cow::Owned(_))), v.clone()))
+                .collect();
             let collected: Map = members.into_iter().collect();
             agrees(&collected, &reference)?;
             agrees(&inserted, &reference)?;
+            agrees(&flipped, &reference)?;
             prop_assert_eq!(with.as_object(), Some(&collected));
             prop_assert_eq!(&inserted, &collected);
+            prop_assert_eq!(&flipped, &collected);
 
             let mut removed = collected.clone();
             for k in &probes {
@@ -370,6 +427,79 @@ mod tests {
             agrees(&removed, &reference)?;
             prop_assert_eq!(removed == collected, removed.len() == collected.len());
         }
+    }
+
+    #[test]
+    fn a_borrowed_and_an_owned_name_with_the_same_text_are_one_key() {
+        let owned = |text: &str| Cow::<'static, str>::Owned(text.to_owned());
+        let mut map = Map::default();
+        assert_eq!(map.insert("seed", Value::from(1u64)), None);
+        assert_eq!(map.insert(owned("index"), Value::from(2u64)), None);
+        // `insert` replaces across the two kinds, both ways.
+        assert_eq!(
+            map.insert(owned("seed"), Value::from(3u64)),
+            Some(Value::from(1u64))
+        );
+        assert_eq!(
+            map.insert("index", Value::from(4u64)),
+            Some(Value::from(2u64))
+        );
+        assert_eq!(map.len(), 2);
+        // `get` and `remove` find a name by its text, whatever its kind.
+        assert_eq!(map.get(&owned("seed")), Some(&Value::from(3u64)));
+        assert_eq!(map.get("index"), Some(&Value::from(4u64)));
+        assert_eq!(map.remove(&owned("index")), Some(Value::from(4u64)));
+        assert_eq!(map.remove("seed"), Some(Value::from(3u64)));
+        assert!(map.is_empty());
+    }
+
+    #[test]
+    fn collect_keeps_the_last_of_a_run_of_mixed_kinds() {
+        let owned = |text: &str| Cow::<'static, str>::Owned(text.to_owned());
+        let map: Map = [
+            (Cow::Borrowed("a"), Value::from(1u64)),
+            (owned("b"), Value::from(2u64)),
+            (owned("a"), Value::from(3u64)),
+            (Cow::Borrowed("b"), Value::from(4u64)),
+            (Cow::Borrowed("a"), Value::from(5u64)),
+            (owned("a"), Value::from(6u64)),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(map.len(), 2);
+        assert_eq!(map.get("a"), Some(&Value::from(6u64)));
+        assert_eq!(map.get("b"), Some(&Value::from(4u64)));
+        let one_by_one = Value::object()
+            .with("a", 1u64)
+            .with("b", 2u64)
+            .with("a", 6u64)
+            .with("b", 4u64);
+        assert_eq!(one_by_one.as_object(), Some(&map));
+    }
+
+    #[test]
+    fn serialised_bytes_do_not_depend_on_the_kind_of_names() {
+        let borrowed: Map = [
+            ("views", Value::from(1234u64)),
+            ("title", Value::from("Some Video")),
+            ("\u{e9}t\u{e9}", Value::object().with("hd", true)),
+            ("a\"b", Value::Null),
+        ]
+        .into_iter()
+        .collect();
+        let owned: Map = borrowed
+            .iter()
+            .map(|(k, v)| (k.to_owned(), v.clone()))
+            .collect();
+        let (borrowed, owned) = (Value::Object(borrowed), Value::Object(owned));
+        assert_eq!(borrowed, owned);
+        assert_eq!(to_string(&borrowed), to_string(&owned));
+        assert_eq!(to_string_pretty(&borrowed), to_string_pretty(&owned));
+        // A parsed object's names are owned: it reads back equal, byte
+        // for byte.
+        let parsed = from_str(&to_string(&borrowed)).unwrap();
+        assert_eq!(parsed, borrowed);
+        assert_eq!(to_string(&parsed), to_string(&borrowed));
     }
 
     #[test]

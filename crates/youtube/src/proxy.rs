@@ -306,7 +306,7 @@ mod tests {
         let Value::Object(mut map) = json else {
             panic!()
         };
-        map.insert("servers".into(), Value::Array(vec![]));
+        map.insert("servers", Value::Array(vec![]));
         assert!(parse_video_info(&Value::Object(map)).is_err());
     }
 

@@ -80,9 +80,18 @@ fn worker_chaos(config: &mut ClusterConfig, v: &str) -> Result<(), String> {
 
 /// The manifest in the file at `path`.
 fn manifest(path: &str) -> Result<SweepManifest, String> {
+    pinned_manifest(path).map(|(manifest, _)| manifest)
+}
+
+/// The manifest at `path` and the `sweep_fingerprint` it pins, if any.
+fn pinned_manifest(path: &str) -> Result<(SweepManifest, Option<String>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let json = msim_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    SweepManifest::from_json(&json)
+    let pin = json.get("sweep_fingerprint").map(|v| {
+        let pin = v.as_str().map(str::to_owned);
+        pin.ok_or_else(|| format!("{path}: sweep_fingerprint is not a string"))
+    });
+    Ok((SweepManifest::from_json(&json)?, pin.transpose()?))
 }
 
 pub fn coordinator(args: &[String], bench_dir: &Path) -> i32 {
@@ -268,37 +277,52 @@ const SERIAL: &str = "serial [flags] — the sweep's serial in-process reference
 
 struct Serial {
     manifest: SweepManifest,
+    /// The manifest file's `sweep_fingerprint`, which the artifact must
+    /// carry.
+    pin: Option<String>,
 }
 
 impl Default for Serial {
     fn default() -> Self {
         Serial {
             manifest: SweepManifest::smoke(),
+            pin: None,
         }
     }
 }
 
 #[rustfmt::skip]
 const SERIAL_FLAGS: &[Flag<Serial>] = &[
-    ("--manifest", "<FILE> the sweep [the smoke manifest]", Value(|o, v| manifest(v).map(|m| o.manifest = m))),
+    ("--manifest", "<FILE> the sweep, held to its sweep_fingerprint if it has one [the smoke manifest]", Value(|o, v| pinned_manifest(v).map(|(m, pin)| (o.manifest, o.pin) = (m, pin)))),
 ];
 
 pub fn serial(args: &[String], bench_dir: &Path) -> i32 {
-    let manifest = match crate::parse(args, SERIAL, SERIAL_FLAGS) {
-        Ok(opt) => opt.manifest,
+    let Serial { manifest, pin } = match crate::parse(args, SERIAL, SERIAL_FLAGS) {
+        Ok(opt) => opt,
         Err(code) => return code,
     };
     match serial_artifact(&manifest) {
         Ok(artifact) => {
             let path = bench_dir.join(format!("BENCH_{}.serial.json", manifest.name));
-            match std::fs::write(&path, msim_json::to_string_pretty(&artifact)) {
-                Ok(()) => {
-                    eprintln!("sweepd: serial reference {}", path.display());
+            if let Err(e) = std::fs::write(&path, msim_json::to_string_pretty(&artifact)) {
+                eprintln!("sweepd: {e}");
+                return 1;
+            }
+            eprintln!("sweepd: serial reference {}", path.display());
+            let got = artifact.get("sweep_fingerprint").and_then(|v| v.as_str());
+            let got = got.unwrap_or("(none)");
+            match pin {
+                Some(want) if want != got => {
+                    eprintln!("sweepd: sweep_fingerprint {got}, but the manifest pins {want}");
+                    1
+                }
+                Some(_) => {
+                    eprintln!("sweepd: sweep_fingerprint {got}, as the manifest pins");
                     0
                 }
-                Err(e) => {
-                    eprintln!("sweepd: {e}");
-                    1
+                None => {
+                    eprintln!("sweepd: sweep_fingerprint {got}");
+                    0
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Process-level checks of the `msplayer` binary: one table of command
 //! lines each subcommand must refuse before it does any work, plus the
-//! one-case replay of `chaos`, and the rule that the environment holds
-//! only the two deployment directories.
+//! one-case replay of `chaos`, `serial`'s fingerprint check, and the rule
+//! that the environment holds only the two deployment directories.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -134,6 +134,39 @@ fn chaos_case_replays_a_committed_file() {
         stdout.contains("\nverdict: all invariants hold"),
         "{stdout}"
     );
+}
+
+/// `serial` holds the artifact to the manifest file's `sweep_fingerprint`:
+/// the one it pins exits 0, any other prints both and exits 1.
+#[test]
+fn serial_checks_the_manifests_sweep_fingerprint() {
+    use msplayer_bench::cluster::{serial_artifact, SweepManifest};
+
+    let smoke = SweepManifest::smoke();
+    let artifact = serial_artifact(&smoke).expect("smoke artifact");
+    let right = artifact.get("sweep_fingerprint").and_then(|v| v.as_str());
+    let right = right.expect("a fingerprint");
+    let scratch = std::env::temp_dir().join(format!("msp_cli_pin_{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).expect("scratch dir");
+    let wrong = "0123456789abcdef";
+    let mismatch = format!("but the manifest pins {wrong}");
+    for (pin, code, says) in [(right, 0, "as the manifest pins"), (wrong, 1, &mismatch)] {
+        let manifest = scratch.join(format!("{pin}.json"));
+        let json = smoke.to_json().with("sweep_fingerprint", pin);
+        std::fs::write(&manifest, msim_json::to_string(&json)).expect("write manifest");
+        let out = Command::new(env!("CARGO_BIN_EXE_msplayer"))
+            .arg("serial")
+            .arg("--manifest")
+            .arg(&manifest)
+            .env("MSP_BENCH_DIR", &scratch)
+            .output()
+            .expect("spawn msplayer");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{stderr}");
+        let line = format!("sweepd: sweep_fingerprint {right}, {says}\n");
+        assert!(stderr.contains(&line), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 /// The one-front-end rule: everything is a flag except the two deployment

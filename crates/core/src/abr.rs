@@ -2,7 +2,7 @@
 //!
 //! The paper streams at a fixed itag and leaves rate adaptation as §7
 //! future work ("exploring how rate adaption can be integrated with
-//! MSPlayer"). This module supplies it: a pluggable [`AbrPolicyImpl`]
+//! MSPlayer"). This module supplies it: one [`AbrPolicy`] type
 //! decides a ladder rung every [`DECISION_INTERVAL`] from the scheduler's
 //! *aggregate* multi-path bandwidth estimate and the playout-buffer level,
 //! and — in [`AbrMode::ClosedLoop`] — the player *actually switches the
@@ -25,14 +25,16 @@
 //! of the re-planning machinery runs — asserted by
 //! `crates/bench/tests/abr_closed_loop.rs`).
 //!
-//! Policies (enum-dispatched, no boxing on the decision path):
+//! The policy is one type with one rule per [`AbrPolicyKind`]: `decide`
+//! computes the shared budget and initial pick, then one `match` arm runs
+//! the kind's rule (no per-kind structs, no boxing on the decision path):
 //!
 //! | kind | drives on | character |
 //! |---|---|---|
 //! | [`AbrPolicyKind::DampedRate`] | estimate + buffer overrides | FESTIVE-style headroom (`SAFETY × Σŵ`), hold-damped single-step upgrades, panic floor, comfort ride-out |
 //! | [`AbrPolicyKind::Hybrid`] | both | immediate rate rule, gated by panic/comfort buffer thresholds |
 //!
-//! The policies share one set of thresholds, constants rather than
+//! The rules share one set of thresholds, constants rather than
 //! settings: [`SAFETY`], [`PANIC_SECS`], [`COMFORT_SECS`] and
 //! [`MIN_HOLD_DECISIONS`].
 
@@ -92,9 +94,9 @@ pub enum AbrMode {
 /// Which adaptation policy drives the decisions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AbrPolicyKind {
-    /// The damped rate-based policy ([`DampedPolicy`]).
+    /// Hold-damped rate rule with buffer overrides (see [`AbrPolicy`]).
     DampedRate,
-    /// Rate rule with buffer gates, no hold damping.
+    /// Rate rule with buffer gates, no hold damping (see [`AbrPolicy`]).
     Hybrid,
 }
 
@@ -113,210 +115,153 @@ impl AbrPolicyKind {
 /// inflates the bytes still to fetch; a stall shortly after is the cost).
 pub const SWITCH_REBUFFER_ATTRIBUTION: SimDuration = SimDuration::from_secs(10);
 
-/// Enum-dispatched ABR policy over a shared ladder of formats.
+/// The ABR policy over a shared ladder of formats.
 ///
 /// `decide` consumes the aggregate bandwidth estimate (bits/s; `None`
 /// until any path has a measurement) and the buffer level (seconds) and
-/// returns the selected ladder rung index plus the reason. Policies damp
-/// themselves to single-step moves (except the initial pick), so the
-/// player can adopt the returned rung directly.
-pub enum AbrPolicyImpl {
-    /// The damped rate-based policy.
-    Damped(DampedPolicy),
-    /// Rate rule with buffer gates.
-    Hybrid(HybridPolicy),
-}
-
-impl AbrPolicyImpl {
-    /// Builds the policy of `kind` over `ladder` (ascending bitrates; the
-    /// caller validates — see `AbrLadderConfig::validate_ladder`).
-    pub fn new(kind: AbrPolicyKind, ladder: Vec<VideoFormat>) -> Self {
-        match kind {
-            AbrPolicyKind::DampedRate => AbrPolicyImpl::Damped(DampedPolicy::new(ladder)),
-            AbrPolicyKind::Hybrid => AbrPolicyImpl::Hybrid(HybridPolicy::new(ladder)),
-        }
-    }
-
-    /// The ladder, ascending by bitrate.
-    pub fn ladder(&self) -> &[VideoFormat] {
-        match self {
-            AbrPolicyImpl::Damped(p) => &p.ladder,
-            AbrPolicyImpl::Hybrid(p) => &p.ladder,
-        }
-    }
-
-    /// The currently selected rung index.
-    pub fn current_index(&self) -> usize {
-        match self {
-            AbrPolicyImpl::Damped(p) => p.current,
-            AbrPolicyImpl::Hybrid(p) => p.current,
-        }
-    }
-
-    /// One decision from the aggregate estimate and the buffer level.
-    pub fn decide(&mut self, estimate_bps: Option<f64>, buffer_secs: f64) -> (usize, SwitchReason) {
-        match self {
-            AbrPolicyImpl::Damped(p) => p.decide(estimate_bps, buffer_secs),
-            AbrPolicyImpl::Hybrid(p) => p.decide(estimate_bps, buffer_secs),
-        }
-    }
-}
-
-/// Normalizes a ladder for policy use: non-empty, ascending by bitrate
-/// (shared by every policy constructor; validated specs arrive ascending
-/// already, the sort is the backstop for hand-built ladders).
-fn normalize_ladder(mut ladder: Vec<VideoFormat>) -> Vec<VideoFormat> {
-    assert!(!ladder.is_empty(), "empty format ladder");
-    ladder.sort_by(|a, b| {
-        a.bitrate
-            .as_bps()
-            .partial_cmp(&b.bitrate.as_bps())
-            .expect("finite bitrates")
-    });
-    ladder
-}
-
-/// The highest rung of `ladder` whose bitrate fits within `budget`
-/// (bits/s), or the floor when nothing fits — the FESTIVE-style
-/// affordability rule shared by the rate-driven policies.
-fn best_affordable(ladder: &[VideoFormat], budget: f64) -> usize {
-    ladder
-        .iter()
-        .rposition(|f| f.bitrate.as_bps() <= budget)
-        .unwrap_or(0)
-}
-
-/// Damped rate policy in the FESTIVE/BBA lineage (the paper's \[19\]/\[21\]
-/// citations), built to avoid the instability §1 criticises ("variable
-/// video quality, unfairness to other players, and low bandwidth
-/// utilization"):
+/// returns the selected ladder rung index plus the reason. Both rules
+/// share the FESTIVE-style rate rule — a rung's bitrate must fit within
+/// `SAFETY × Σŵ` (harmonic-mean estimates, so bursts do not cause
+/// up-switches; no estimate yet counts as zero) — and the initial pick
+/// (the best affordable rung). After that each moves at most one rung per
+/// decision (except to the panic floor), so the player can adopt the
+/// returned rung directly:
 ///
-/// * **rate rule** — the rung's bitrate must fit within `SAFETY × Σŵ`
-///   (harmonic-mean estimates, so bursts do not cause up-switches; no
-///   estimate yet counts as zero);
-/// * **buffer overrides** — below [`PANIC_SECS`] drop to the floor whatever
-///   the estimate; at or above [`COMFORT_SECS`] ride out a rate dip;
-/// * **damping** — one rung per decision, and an upgrade only after a
-///   higher rung was affordable for more than [`MIN_HOLD_DECISIONS`]
-///   decisions in a row, so a lone outlier cannot trigger one.
-pub struct DampedPolicy {
+/// * [`AbrPolicyKind::DampedRate`] — damped rate policy in the FESTIVE/BBA
+///   lineage (the paper's \[19\]/\[21\] citations), built to avoid the
+///   instability §1 criticises ("variable video quality, unfairness to
+///   other players, and low bandwidth utilization"). Below [`PANIC_SECS`]
+///   drop to the floor whatever the estimate; at or above
+///   [`COMFORT_SECS`] ride out a rate dip; upgrade only after a higher
+///   rung was affordable for more than [`MIN_HOLD_DECISIONS`] decisions
+///   in a row, so a lone outlier cannot trigger one.
+/// * [`AbrPolicyKind::Hybrid`] — the rate rule picks the target, the
+///   buffer gates it: below [`PANIC_SECS`] drop straight to the floor, at
+///   or above [`COMFORT_SECS`] allow one opportunistic rung beyond the
+///   rate rule. Moves are immediate (no hold damping); the buffer gate is
+///   the stabiliser.
+pub struct AbrPolicy {
+    kind: AbrPolicyKind,
     ladder: Vec<VideoFormat>,
     current: usize,
-    /// Consecutive decisions in which a higher rung was affordable.
+    /// Consecutive decisions in which a higher rung was affordable
+    /// (`DampedRate` only; `Hybrid` leaves it at 0).
     up_evidence: u32,
     initialised: bool,
 }
 
-impl DampedPolicy {
-    fn new(ladder: Vec<VideoFormat>) -> DampedPolicy {
-        DampedPolicy {
-            ladder: normalize_ladder(ladder),
+impl AbrPolicy {
+    /// Builds the policy of `kind` over `ladder` (ascending bitrates; the
+    /// caller validates — see `AbrLadderConfig::validate_ladder`, the sort
+    /// here is the backstop for hand-built ladders).
+    pub fn new(kind: AbrPolicyKind, mut ladder: Vec<VideoFormat>) -> Self {
+        assert!(!ladder.is_empty(), "empty format ladder");
+        ladder.sort_by(|a, b| {
+            a.bitrate
+                .as_bps()
+                .partial_cmp(&b.bitrate.as_bps())
+                .expect("finite bitrates")
+        });
+        AbrPolicy {
+            kind,
+            ladder,
             current: 0,
             up_evidence: 0,
             initialised: false,
         }
     }
 
-    fn decide(&mut self, estimate_bps: Option<f64>, buffer_secs: f64) -> (usize, SwitchReason) {
+    /// The ladder, ascending by bitrate.
+    pub fn ladder(&self) -> &[VideoFormat] {
+        &self.ladder
+    }
+
+    /// The currently selected rung index.
+    pub fn current_index(&self) -> usize {
+        self.current
+    }
+
+    /// One decision from the aggregate estimate and the buffer level.
+    pub fn decide(&mut self, estimate_bps: Option<f64>, buffer_secs: f64) -> (usize, SwitchReason) {
         let budget = SAFETY * estimate_bps.unwrap_or(0.0);
-        let affordable = best_affordable(&self.ladder, budget);
+        // The highest rung that fits the budget, or the floor when none does.
+        let affordable = self
+            .ladder
+            .iter()
+            .rposition(|f| f.bitrate.as_bps() <= budget)
+            .unwrap_or(0);
         if !self.initialised {
             self.initialised = true;
             self.current = affordable;
             return (self.current, SwitchReason::Initial);
         }
-        if buffer_secs < PANIC_SECS && self.current > 0 {
-            self.current = 0;
-            self.up_evidence = 0;
-            return (self.current, SwitchReason::BufferPanic);
-        }
-        let reason = if affordable > self.current {
-            self.up_evidence += 1;
-            if self.up_evidence > MIN_HOLD_DECISIONS {
-                self.current += 1;
-                self.up_evidence = 0;
-                SwitchReason::RateUp
-            } else {
-                SwitchReason::Hold
-            }
-        } else if affordable < self.current {
-            self.up_evidence = 0;
-            // Downgrades are immediate but also single-step, unless the
-            // buffer is comfortable enough to ride it out.
-            if buffer_secs >= COMFORT_SECS {
-                SwitchReason::BufferComfort
-            } else {
-                self.current -= 1;
-                SwitchReason::RateDown
-            }
-        } else {
-            self.up_evidence = 0;
-            SwitchReason::Hold
-        };
-        (self.current, reason)
-    }
-}
-
-/// Hybrid policy: the FESTIVE-style rate rule picks the target, the
-/// buffer gates it — below [`PANIC_SECS`] drop straight to the floor, at or
-/// above [`COMFORT_SECS`] allow one opportunistic rung beyond the rate rule.
-/// Moves are immediate (no hold damping) but single-step; the buffer gate
-/// is the stabiliser.
-pub struct HybridPolicy {
-    ladder: Vec<VideoFormat>,
-    current: usize,
-    initialised: bool,
-}
-
-impl HybridPolicy {
-    fn new(ladder: Vec<VideoFormat>) -> HybridPolicy {
-        HybridPolicy {
-            ladder: normalize_ladder(ladder),
-            current: 0,
-            initialised: false,
-        }
-    }
-
-    fn decide(&mut self, estimate_bps: Option<f64>, buffer_secs: f64) -> (usize, SwitchReason) {
-        let budget = SAFETY * estimate_bps.unwrap_or(0.0);
-        let affordable = best_affordable(&self.ladder, budget);
-        if !self.initialised {
-            self.initialised = true;
-            self.current = affordable;
-            return (self.current, SwitchReason::Initial);
-        }
-        if buffer_secs < PANIC_SECS {
-            // Emergency floor — and *stay* there while the buffer is
-            // below the reservoir: falling through to the rate rule here
-            // would up-switch on the very next decision and oscillate
-            // floor↔floor+1 every interval until the buffer recovers.
-            let reason = if self.current > 0 {
-                self.current = 0;
-                SwitchReason::BufferPanic
-            } else {
-                SwitchReason::Hold
-            };
-            return (self.current, reason);
-        }
-        let target = if buffer_secs >= COMFORT_SECS {
-            (affordable + 1).min(self.ladder.len() - 1)
-        } else {
-            affordable
-        };
-        let reason = match target.cmp(&self.current) {
-            std::cmp::Ordering::Greater => {
-                self.current += 1;
-                if target > affordable && self.current > affordable {
-                    SwitchReason::BufferComfort
+        let reason = match self.kind {
+            AbrPolicyKind::DampedRate => {
+                if buffer_secs < PANIC_SECS && self.current > 0 {
+                    self.current = 0;
+                    self.up_evidence = 0;
+                    return (self.current, SwitchReason::BufferPanic);
+                }
+                if affordable > self.current {
+                    self.up_evidence += 1;
+                    if self.up_evidence > MIN_HOLD_DECISIONS {
+                        self.current += 1;
+                        self.up_evidence = 0;
+                        SwitchReason::RateUp
+                    } else {
+                        SwitchReason::Hold
+                    }
+                } else if affordable < self.current {
+                    self.up_evidence = 0;
+                    // Downgrades are immediate but also single-step, unless
+                    // the buffer is comfortable enough to ride it out.
+                    if buffer_secs >= COMFORT_SECS {
+                        SwitchReason::BufferComfort
+                    } else {
+                        self.current -= 1;
+                        SwitchReason::RateDown
+                    }
                 } else {
-                    SwitchReason::RateUp
+                    self.up_evidence = 0;
+                    SwitchReason::Hold
                 }
             }
-            std::cmp::Ordering::Less => {
-                self.current -= 1;
-                SwitchReason::RateDown
+            AbrPolicyKind::Hybrid => {
+                if buffer_secs < PANIC_SECS {
+                    // Emergency floor — and *stay* there while the buffer
+                    // is below the reservoir: falling through to the rate
+                    // rule here would up-switch on the very next decision
+                    // and oscillate floor↔floor+1 every interval until the
+                    // buffer recovers.
+                    let reason = if self.current > 0 {
+                        self.current = 0;
+                        SwitchReason::BufferPanic
+                    } else {
+                        SwitchReason::Hold
+                    };
+                    return (self.current, reason);
+                }
+                let target = if buffer_secs >= COMFORT_SECS {
+                    (affordable + 1).min(self.ladder.len() - 1)
+                } else {
+                    affordable
+                };
+                match target.cmp(&self.current) {
+                    std::cmp::Ordering::Greater => {
+                        self.current += 1;
+                        if target > affordable && self.current > affordable {
+                            SwitchReason::BufferComfort
+                        } else {
+                            SwitchReason::RateUp
+                        }
+                    }
+                    std::cmp::Ordering::Less => {
+                        self.current -= 1;
+                        SwitchReason::RateDown
+                    }
+                    std::cmp::Ordering::Equal => SwitchReason::Hold,
+                }
             }
-            std::cmp::Ordering::Equal => SwitchReason::Hold,
         };
         (self.current, reason)
     }
@@ -507,7 +452,7 @@ mod tests {
 
     #[test]
     fn hybrid_panic_floors_and_comfort_overshoots() {
-        let mut p = AbrPolicyImpl::new(AbrPolicyKind::Hybrid, ladder());
+        let mut p = AbrPolicy::new(AbrPolicyKind::Hybrid, ladder());
         // 0.8 × 4 Mb/s affords itag 22 (2.5 Mb/s).
         let (r, _) = p.decide(Some(4.0e6), 20.0);
         assert_eq!(ladder()[r].itag, 22);
@@ -530,7 +475,7 @@ mod tests {
 
     #[test]
     fn hybrid_holds_the_floor_while_the_buffer_is_below_panic() {
-        let mut p = AbrPolicyImpl::new(AbrPolicyKind::Hybrid, ladder());
+        let mut p = AbrPolicy::new(AbrPolicyKind::Hybrid, ladder());
         let _ = p.decide(Some(50e6), 20.0); // initial: affordable = top
         let (r, reason) = p.decide(Some(50e6), 1.0);
         assert_eq!(
@@ -550,12 +495,12 @@ mod tests {
     }
 
     /// The damped policy over the full itag table.
-    fn damped() -> AbrPolicyImpl {
-        AbrPolicyImpl::new(AbrPolicyKind::DampedRate, ladder())
+    fn damped() -> AbrPolicy {
+        AbrPolicy::new(AbrPolicyKind::DampedRate, ladder())
     }
 
     /// One decision, as the chosen format's label and the reason.
-    fn label(p: &mut AbrPolicyImpl, mbps: f64, buffer_secs: f64) -> (&'static str, SwitchReason) {
+    fn label(p: &mut AbrPolicy, mbps: f64, buffer_secs: f64) -> (&'static str, SwitchReason) {
         let (rung, reason) = p.decide(Some(mbps * 1e6), buffer_secs);
         (p.ladder()[rung].quality_label, reason)
     }
@@ -568,6 +513,8 @@ mod tests {
             label(&mut damped(), 4.0, 0.0),
             ("720p", SwitchReason::Initial)
         );
+        // 5 Mbit/s would afford 1080p without the headroom; 0.8 × 5 does not.
+        assert_eq!(label(&mut damped(), 5.0, 0.0).0, "720p");
         assert_eq!(label(&mut damped(), 0.1, 0.0).0, "144p", "nothing fits");
         // No estimate yet counts as zero.
         assert_eq!(damped().decide(None, 0.0), (0, SwitchReason::Initial));
@@ -635,7 +582,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty format ladder")]
     fn empty_ladder_rejected() {
-        AbrPolicyImpl::new(AbrPolicyKind::DampedRate, Vec::new());
+        AbrPolicy::new(AbrPolicyKind::DampedRate, Vec::new());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod scheduler;
 pub mod sim;
 pub mod trace;
 
-pub use abr::{AbrMode, AbrPolicyImpl, AbrPolicyKind, RungMap, SwitchReason};
+pub use abr::{AbrMode, AbrPolicy, AbrPolicyKind, RungMap, SwitchReason};
 pub use buffer::{BufferPhase, PlayoutBuffer, RefillRecord};
 pub use chaos::{
     check_fleet_invariants, check_invariants, ChaosInjector, ChaosPlan, ChaosState, Violation,

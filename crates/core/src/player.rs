@@ -19,7 +19,7 @@
 //!   driver writes the same per-chunk trace (drivers write only the
 //!   `session.*` brackets).
 
-use crate::abr::{AbrMode, AbrPolicyImpl, RungMap, RungTimeline, SwitchReason, DECISION_INTERVAL};
+use crate::abr::{AbrMode, AbrPolicy, RungMap, RungTimeline, SwitchReason, DECISION_INTERVAL};
 use crate::buffer::{BufferPhase, PlayoutBuffer};
 use crate::chunk::{ChunkAssignment, ChunkLedger, PathId};
 use crate::config::{PlayerConfig, MIN_CHUNK};
@@ -202,7 +202,7 @@ pub struct Player {
 /// Runtime state of the ABR ladder (see
 /// [`crate::config::AbrLadderConfig`] and [`crate::abr`]).
 struct AbrRuntime {
-    policy: AbrPolicyImpl,
+    policy: AbrPolicy,
     next_decision_at: SimTime,
     /// Whether decisions actually switch the streamed itag.
     closed_loop: bool,
@@ -288,7 +288,7 @@ impl Player {
                 .copied()
                 .unwrap_or(*msim_youtube::format::hd_720p());
             AbrRuntime {
-                policy: AbrPolicyImpl::new(abr.policy, formats),
+                policy: AbrPolicy::new(abr.policy, formats),
                 next_decision_at: started_at + DECISION_INTERVAL,
                 closed_loop: abr.mode == AbrMode::ClosedLoop,
                 rung_map: RungMap::new(start_fmt.itag, bytes_per_sec),

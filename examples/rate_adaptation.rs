@@ -9,7 +9,7 @@
 //! cargo run --release --example rate_adaptation
 //! ```
 
-use msplayer::core::abr::{AbrPolicyImpl, AbrPolicyKind, SwitchReason};
+use msplayer::core::abr::{AbrPolicy, AbrPolicyKind, SwitchReason};
 use msplayer::core::config::PlayerConfig;
 use msplayer::core::estimator::Estimator;
 use msplayer::core::sim::{PathSetup, ServiceSpec, SessionHost, SessionSpec, StopCondition};
@@ -25,7 +25,7 @@ fn main() {
         .expect("valid spec");
 
     let mut estimators = [Estimator::harmonic(), Estimator::harmonic()];
-    let mut adapter = AbrPolicyImpl::new(AbrPolicyKind::DampedRate, ITAGS.to_vec());
+    let mut adapter = AbrPolicy::new(AbrPolicyKind::DampedRate, ITAGS.to_vec());
 
     println!(
         "itag ladder: {:?}\n",
